@@ -1,9 +1,8 @@
 """Engine benchmark: indexed plans and differential deltas vs. the seed.
 
-Runs the same fixpoint workloads through three engines — :class:`repro.
-datalog.DatalogApp` (compiled plans + secondary indexes), :class:`repro.
-datalog.DifferentialDatalogApp` (the indexed engine plus the weighted
-z-set delta plane and the aggregate membership index), and
+Runs the same fixpoint workloads through both engines — :class:`repro.
+datalog.DatalogApp` (compiled plans + secondary indexes, the weighted
+z-set delta plane and the aggregate membership map) and
 :class:`repro.datalog.NaiveDatalogApp` (the seed's interpretive scans,
 kept as the reference evaluator) — checks their outputs are
 byte-identical, and reports events processed per second. Workloads scale
@@ -20,7 +19,7 @@ node count and relation size:
 * **churn** — the retract-heavy schedule: the bgp network converges,
   then a third of its links flap (delete + re-insert) for two rounds,
   exercising retraction cascades and min-aggregate support
-  re-derivation under every engine.
+  re-derivation under both engines.
 
 A separate **refresh** section measures the differential claim
 directly: the marginal ``delta_tuples_out`` of ONE extra event on a
@@ -51,8 +50,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.datalog import (  # noqa: E402
-    AggregateRule, Atom, DatalogApp, DifferentialDatalogApp, Guard,
-    NaiveDatalogApp, Program, Rule, Var,
+    AggregateRule, Atom, DatalogApp, Guard, NaiveDatalogApp, Program, Rule,
+    Var,
 )
 from repro.apps import chord as chord_app  # noqa: E402
 from repro.apps import pathvector as pv  # noqa: E402
@@ -359,20 +358,12 @@ def run_suite(sizes, min_speedup=None):
     for name, (runner, size_label) in WORKLOADS.items():
         for size in sizes[name]:
             indexed = measure(runner, DatalogApp, size)
-            differential = measure(runner, DifferentialDatalogApp, size)
             naive = measure(runner, NaiveDatalogApp, size)
             if indexed["fingerprint"] != naive["fingerprint"]:
                 raise AssertionError(
                     f"{name}@{size}: indexed and naive outputs diverge"
                 )
-            if differential["fingerprint"] != indexed["fingerprint"]:
-                raise AssertionError(
-                    f"{name}@{size}: differential and indexed outputs "
-                    "diverge"
-                )
             speedup = naive["seconds"] / indexed["seconds"]
-            differential_speedup = (naive["seconds"]
-                                    / differential["seconds"])
             row = {
                 "workload": name,
                 "size": size,
@@ -380,26 +371,21 @@ def run_suite(sizes, min_speedup=None):
                 "events": indexed["events"],
                 "naive_ops_per_sec": round(naive["ops_per_sec"], 1),
                 "indexed_ops_per_sec": round(indexed["ops_per_sec"], 1),
-                "differential_ops_per_sec": round(
-                    differential["ops_per_sec"], 1),
                 "naive_seconds": round(naive["seconds"], 4),
                 "indexed_seconds": round(indexed["seconds"], 4),
-                "differential_seconds": round(
-                    differential["seconds"], 4),
                 "speedup": round(speedup, 2),
-                "differential_speedup": round(differential_speedup, 2),
                 "indexed_join_candidates": indexed["join_candidates"],
                 "naive_join_candidates": naive["join_candidates"],
                 "indexed_guard_prunes": indexed["guard_prunes"],
                 "naive_guard_prunes": naive["guard_prunes"],
-                # All three engines agreed byte-for-byte (asserted
+                # Both engines agreed byte-for-byte (asserted
                 # above); recorded so the regression gate can refuse a
                 # bench output whose equivalence check was edited away.
                 "engines_agree": True,
                 "naive_delta_tuples_out":
                     naive["deltas"]["delta_tuples_out"],
             }
-            row.update(differential["deltas"])
+            row.update(indexed["deltas"])
             if name in ("bgp", "churn"):
                 row["routes"] = indexed["routes"]
             results.append(row)
@@ -407,7 +393,6 @@ def run_suite(sizes, min_speedup=None):
                 f"{name:>7} size={size:<6} events={row['events']:<7} "
                 f"naive={row['naive_ops_per_sec']:>9.1f}/s "
                 f"indexed={row['indexed_ops_per_sec']:>9.1f}/s "
-                f"differential={row['differential_ops_per_sec']:>9.1f}/s "
                 f"speedup={speedup:.2f}x "
                 f"retractions={row['retractions_applied']}"
             )
@@ -427,7 +412,7 @@ def measure_refresh(n_nodes):
     more event on a warm mesh vs. re-deriving the whole suffix.
 
     Builds the chord workload twice. The *warm* arm keeps the
-    differential mesh resident, records ``delta_tuples_out``, then
+    production mesh resident, records ``delta_tuples_out``, then
     applies ONE extra lookup — the counter's increase is the
     incremental derivation work. The *scratch* arm replays the entire
     schedule (including the extra lookup) through the naive reference
@@ -443,7 +428,7 @@ def measure_refresh(n_nodes):
         mesh.insert(origin, chord_app.lookup_req(
             origin, rng.randrange(1 << 12), 999))
 
-    warm = run_chord(DifferentialDatalogApp, n_nodes)
+    warm = run_chord(DatalogApp, n_nodes)
     before = _delta_totals(warm)["delta_tuples_out"]
     one_more_lookup(warm)
     incremental = _delta_totals(warm)["delta_tuples_out"] - before
@@ -453,7 +438,7 @@ def measure_refresh(n_nodes):
     full = _delta_totals(scratch)["delta_tuples_out"]
     if warm.fingerprint() != scratch.fingerprint():
         raise AssertionError(
-            f"refresh@chord@{n_nodes}: warm differential mesh diverged "
+            f"refresh@chord@{n_nodes}: warm production mesh diverged "
             "from the scratch re-derivation after the extra event"
         )
     ratio = incremental / full if full else 0.0

@@ -9,8 +9,8 @@ committed baselines in ``benchmarks/baselines/`` and fails the job when
   replayed;
 * a baseline metric disappears from the current output (schema drift must
   not silently retire a gate);
-* ``bench_engine`` misses the three-way engine equivalence verdict
-  (differential ≡ indexed ≡ naive) on any row, emits more output deltas
+* ``bench_engine`` misses the engine equivalence verdict
+  (production ≡ naive) on any row, emits more output deltas
   than the naive reference derives, or the 1-event refresh re-derives
   more than a small fraction of the from-scratch suffix — all checked
   on the *current* output alone with zero tolerance;
@@ -67,7 +67,7 @@ def engine_metrics(payload):
 
     Join candidates are exact counts of the work the indexed engine
     enumerates — unlike speedups they gate at every size, smoke
-    included, and the differential arm's delta counters gate the same
+    included, and the same arm's delta counters gate the same
     way: more output deltas or support re-derivations for the same
     schedule means the delta plane started doing redundant work. The
     1-event refresh ratio (marginal deltas over a from-scratch
@@ -114,9 +114,9 @@ def engine_hard_checks(payload):
     """Zero-tolerance checks on the current engine output alone: the
     indexed engine must never enumerate more join candidates than the
     naive scan does (indexes may only skip work); every row must carry
-    the three-way engine equivalence verdict (differential ≡ indexed ≡
-    naive, asserted byte-for-byte by the bench itself); the
-    differential arm must not emit more output deltas than the naive
+    the engine equivalence verdict (production ≡ naive, asserted
+    byte-for-byte by the bench itself); the production engine must not
+    emit more output deltas than the naive
     reference derives for the same schedule; the 1-event refresh must
     stay far cheaper than a from-scratch re-derivation; and the static
     plans section must be present so the guard-schedule gate stays
@@ -140,9 +140,8 @@ def engine_hard_checks(payload):
         key = f"{row['workload']}@{row['size']}"
         if not row.get("engines_agree", False):
             failures.append(
-                f"{key}: bench output carries no three-way engine "
-                "equivalence verdict (differential ≡ indexed ≡ naive "
-                "was not checked)"
+                f"{key}: bench output carries no engine equivalence "
+                "verdict (production ≡ naive was not checked)"
             )
         delta_out = row.get("delta_tuples_out")
         naive_out = row.get("naive_delta_tuples_out")
@@ -153,7 +152,7 @@ def engine_hard_checks(payload):
             )
         elif delta_out > naive_out:
             failures.append(
-                f"{key}: differential engine emitted {delta_out} output "
+                f"{key}: production engine emitted {delta_out} output "
                 f"deltas, more than the naive reference's {naive_out} "
                 "derivations (the delta plane must not do redundant "
                 "work)"
@@ -201,13 +200,6 @@ def audit_metrics(payload):
     return out
 
 
-# Below this much blob-arm wall time, the warm-refresh resident-vs-blob
-# speedup is scheduler noise (smoke refreshes run in tens of
-# milliseconds); the deterministic resident counters below still gate
-# the cache's behaviour at every size.
-WARM_MIN_BLOB_SECONDS = 0.1
-
-
 def parallel_metrics(payload):
     """Parallel speedups and the serial build's deterministic costs.
 
@@ -219,9 +211,7 @@ def parallel_metrics(payload):
     ``results_match`` instead.
 
     The warm-refresh phase contributes the resident cache's
-    deterministic counters (cache hits, pickle bytes the resident plane
-    avoided shipping) and — when the blob arm ran long enough to be
-    signal — the within-run resident-vs-blob speedup.
+    deterministic hit counter.
     """
     out = {}
     for name, entry in payload.get("scenarios", {}).items():
@@ -235,23 +225,13 @@ def parallel_metrics(payload):
                 out[f"{name}.cold.{field}"] = (serial[field],
                                                LOWER_IS_BETTER)
         warm = entry.get("warm_refresh", {})
-        blob_wall = min(
-            (arm["wall_seconds"]
-             for key, arm in warm.get("refresh", {}).items()
-             if str(key).startswith("process-blob:")),
-            default=0.0,
-        )
-        if blob_wall >= WARM_MIN_BLOB_SECONDS:
-            out[f"{name}.warm.resident_speedup"] = (
-                warm["resident_speedup"], HIGHER_IS_BETTER)
         for key, arm in warm.get("refresh", {}).items():
             if not str(key).startswith("process:"):
                 continue
-            resident = arm.get("resident", {})
-            for field in ("view_cache_hits", "pickle_bytes_avoided"):
-                if field in resident:
-                    out[f"{name}.warm.{field}"] = (resident[field],
-                                                   HIGHER_IS_BETTER)
+            hits = arm.get("resident", {}).get("view_cache_hits")
+            if hits is not None:
+                out[f"{name}.warm.view_cache_hits"] = (hits,
+                                                       HIGHER_IS_BETTER)
     return out
 
 

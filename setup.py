@@ -1,17 +1,1 @@
-"""Legacy setup shim.
-
-The execution environment has no ``wheel`` package and no network access, so
-PEP 660 editable installs (``pip install -e .``) cannot build. ``python
-setup.py develop`` installs the same editable package through the legacy
-path. All metadata lives in pyproject.toml; this file only bridges the gap.
-"""
-
-from setuptools import setup, find_packages
-
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-)
+from setuptools import setup; setup()

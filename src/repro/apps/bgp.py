@@ -40,7 +40,7 @@ Scenario builders reproduce the two Section 7.2 queries:
 """
 
 from repro.datalog import (
-    Var, Atom, Guard, Rule, MaybeRule, Program, DifferentialDatalogApp,
+    Var, Atom, Guard, Rule, MaybeRule, Program, DatalogApp,
     choice_tuple,
 )
 from repro.model import Tup, Der, Und
@@ -95,7 +95,7 @@ def bgp_proxy_program():
                    outputs=("announce",))
 
 
-class BgpProxyApp(DifferentialDatalogApp):
+class BgpProxyApp(DatalogApp):
     """The proxy's state machine, with Section 3.4 replacement edges.
 
     When the daemon switches routes, the driver deletes the old choice

@@ -28,8 +28,7 @@ and fabricated ``lookupResult`` messages via
 """
 
 from repro.datalog import (
-    Var, Expr, Atom, Guard, Rule, AggregateRule, Program,
-    DifferentialDatalogApp,
+    Var, Expr, Atom, Guard, Rule, AggregateRule, Program, DatalogApp,
 )
 from repro.model import Tup
 
@@ -226,7 +225,7 @@ def build_chord_app_factory(ring_bits=16):
     """Registry builder (see :mod:`repro.apps`): compiles the program once
     and returns the plain per-node factory."""
     program = chord_program(ring_bits=ring_bits)
-    return lambda node_id: DifferentialDatalogApp(node_id, program)
+    return lambda node_id: DatalogApp(node_id, program)
 
 
 def chord_factory(ring_bits=16):

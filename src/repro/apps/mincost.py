@@ -17,8 +17,7 @@ to be finite; without the bound, link deletions could count to infinity).
 """
 
 from repro.datalog import (
-    Var, Expr, Atom, Guard, Rule, AggregateRule, Program,
-    DifferentialDatalogApp,
+    Var, Expr, Atom, Guard, Rule, AggregateRule, Program, DatalogApp,
 )
 from repro.model import Tup
 
@@ -70,7 +69,7 @@ def build_mincost_app_factory(max_cost=255):
     """Registry builder (see :mod:`repro.apps`): compiles the program once
     and returns the plain per-node factory."""
     program = mincost_program(max_cost=max_cost)
-    return lambda node_id: DifferentialDatalogApp(node_id, program)
+    return lambda node_id: DatalogApp(node_id, program)
 
 
 def mincost_factory(max_cost=255):

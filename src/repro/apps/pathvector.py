@@ -15,8 +15,7 @@ Rules:
 """
 
 from repro.datalog import (
-    Var, Expr, Atom, Guard, Rule, AggregateRule, Program,
-    DifferentialDatalogApp,
+    Var, Expr, Atom, Guard, Rule, AggregateRule, Program, DatalogApp,
 )
 from repro.model import Tup
 
@@ -58,7 +57,7 @@ def build_pathvector_app_factory(max_path_len=16):
     """Registry builder (see :mod:`repro.apps`): compiles the program once
     and returns the plain per-node factory."""
     program = pathvector_program(max_path_len=max_path_len)
-    return lambda node_id: DifferentialDatalogApp(node_id, program)
+    return lambda node_id: DatalogApp(node_id, program)
 
 
 def pathvector_factory(max_path_len=16):

@@ -16,18 +16,16 @@ The paper's primary systems are modeled as tuples plus derivation rules
   keys, earliest-step guard schedule);
 * :mod:`repro.datalog.engine` — :class:`DatalogApp`, a deterministic
   :class:`repro.model.StateMachine` that incrementally maintains derivations
-  by executing the compiled plans over the store's secondary indexes and
-  emits ``+τ/−τ`` notifications for rules whose head lives on another
-  node;
+  by executing the compiled plans over the store's secondary indexes
+  (delta-lifted joins, incrementally maintained aggregate-group
+  membership) and emits ``+τ/−τ`` notifications for rules whose head
+  lives on another node — the production engine for replay and the
+  resident view plane;
 * :mod:`repro.datalog.naive` — :class:`NaiveDatalogApp`, the scan-based
   reference evaluator the indexed engine is property-tested against, plus
   the recompute-from-scratch retraction oracle;
 * :mod:`repro.datalog.zset` — :class:`ZSet`, the weighted z-set delta
-  algebra (multiplicity views, per-batch delta journals);
-* :mod:`repro.datalog.differential` — :class:`DifferentialDatalogApp`,
-  the production engine for replay and the resident view plane:
-  delta-lifted joins plus incrementally maintained aggregate-group
-  membership, trace-identical to the two engines above.
+  algebra (multiplicity views, per-batch delta journals).
 
 Rules follow the standard declarative-networking localization convention:
 every body atom of a rule shares one location term, which is bound to the
@@ -44,7 +42,6 @@ from repro.datalog.ast import (
     Var, Expr, Atom, Guard, Rule, AggregateRule, MaybeRule, Span,
     choice_tuple,
 )
-from repro.datalog.differential import DifferentialDatalogApp
 from repro.datalog.engine import DatalogApp, Program
 from repro.datalog.naive import NaiveDatalogApp
 from repro.datalog.parser import ParseError, parse_program
@@ -61,7 +58,6 @@ __all__ = [
     "Span",
     "choice_tuple",
     "DatalogApp",
-    "DifferentialDatalogApp",
     "NaiveDatalogApp",
     "Program",
     "ZSet",

@@ -37,9 +37,14 @@ empty delta). Four counters expose the differential cost model:
 ``delta_tuples_in`` (presence toggles consumed), ``delta_tuples_out``
 (derivation changes emitted), ``retractions_applied`` (instances dropped
 by support loss) and ``support_rederivations`` (min/max recomputes forced
-by a disappearing support). :class:`repro.datalog.differential.
-DifferentialDatalogApp` adds incrementally maintained aggregate groups on
-top of this base.
+by a disappearing support).
+
+Aggregate-group **membership** is maintained, not rescanned: every
+guard-passing member transition — including the ones the min/max
+dirty-marking short-circuit skips — updates a ``(rule_index, group_key)
+-> {tup: bindings}`` map, and a dirty group's recompute reads its members
+off it. The map is derived state: never snapshotted, rebuilt from the
+store on :meth:`DatalogApp.restore`.
 """
 
 from collections import deque
@@ -120,10 +125,12 @@ class Program:
         return self._by_body_relation.get(relation, ())
 
     def index_requirements(self):
-        """All (relation, positions) secondary indexes the plans need."""
+        """All (relation, positions) secondary indexes the join plans
+        probe (aggregate plans read the membership map, not the store)."""
         requirements = set()
         for plan in self.plans:
-            requirements |= plan.index_requirements()
+            if plan.kind == "join":
+                requirements |= plan.index_requirements()
         return requirements
 
 
@@ -157,6 +164,10 @@ class DatalogApp(StateMachine):
                 self.store.register_index(relation, positions)
         # (rule_index, group_key) -> (head_tup, support) for aggregate heads
         self._agg_current = {}
+        # (rule_index, group_key) -> {member_tup: bindings}. Derived from
+        # the store's visible set; excluded from snapshots, rebuilt on
+        # restore.
+        self._members = {}
         #: Evaluation counters (not part of snapshots): candidate tuples
         #: enumerated by join steps, and partial/full matches a guard
         #: rejected. bench_engine reads them to show binding-aware guard
@@ -361,22 +372,13 @@ class DatalogApp(StateMachine):
                     cause):
         """Schedule one aggregate group for recompute after *tup*'s
         *cause* ("appear"/"disappear") transition."""
-        seed = _seed_bindings(rule, self.node_id)
-        if seed is None:
+        member = self._membership(rule, tup)
+        if member is None:
             return
-        bindings = rule.body[0].match(tup, seed)
-        if bindings is None:
-            return
-        if not all(guard(bindings) for guard in rule.guards):
-            # An aggregate body is a single atom, so these bindings are
-            # complete: a guard rejecting them means the tuple was never a
-            # group member, and its change cannot move any group's value.
-            return
-        group_key = tuple(bindings.get(v.name) for v in rule.group_vars)
+        group_key, bindings = member
         key = (rule_index, group_key)
         # Membership bookkeeping must see every member transition, even
-        # the ones the dirty-marking below skips (a no-op in this base
-        # engine; the differential engine maintains group state here).
+        # the ones the dirty-marking below skips.
         self._note_membership(key, tup, bindings, cause)
         if key in dirty_seen:
             return
@@ -390,11 +392,30 @@ class DatalogApp(StateMachine):
         dirty_seen.add(key)
         dirty_groups.append(key)
 
+    def _membership(self, rule, tup):
+        """``(group_key, bindings)`` if *tup* is a member of one of
+        aggregate *rule*'s groups at this node, else None. An aggregate
+        body is a single atom, so the bindings are complete: a guard
+        rejecting them means the tuple is no group's member, and its
+        change cannot move any group's value."""
+        seed = _seed_bindings(rule, self.node_id)
+        if seed is None:
+            return None
+        bindings = rule.body[0].match(tup, seed)
+        if bindings is None \
+                or not all(guard(bindings) for guard in rule.guards):
+            return None
+        return tuple(bindings.get(v.name) for v in rule.group_vars), bindings
+
     def _note_membership(self, key, tup, bindings, cause):
-        """Hook for engines that maintain aggregate-group membership
-        incrementally (:class:`~repro.datalog.differential.
-        DifferentialDatalogApp`). Called for every guard-passing member
-        transition, including those the dirty-marking skips."""
+        if cause == "appear":
+            self._members.setdefault(key, {})[tup] = bindings
+        else:
+            group = self._members.get(key)
+            if group is not None:
+                group.pop(tup, None)
+                if not group:
+                    del self._members[key]
 
     def _agg_unaffected(self, rule_index, rule, key, tup, bindings):
         """True when a min/max group provably cannot change.
@@ -427,10 +448,7 @@ class DatalogApp(StateMachine):
     def _recompute_group(self, key, t, worklist):
         rule_index, group_key = key
         rule = self.program.rules[rule_index]
-        seed = _seed_bindings(rule, self.node_id)
-        if seed is None:
-            return
-        members = self._group_members(key, rule, seed)
+        members = self._group_members(key, rule)
 
         old = self._agg_current.get(key)
         new_head, new_support, new_bindings = self._aggregate(
@@ -459,47 +477,36 @@ class DatalogApp(StateMachine):
                     ("appear", new_head, (rule.name, new_support, None))
                 )
 
-    def _group_members(self, key, rule, seed):
-        """One group's members as ``[(bindings, tup)]`` in canonical
-        candidate order, by rescanning the group's index bucket: every
-        candidate is re-unified against the body atom, guard-checked,
-        and filtered to the exact group key (bucket collisions — or the
-        full-relation fallback — may hold other groups' tuples). The
-        differential engine overrides this with incrementally maintained
-        membership."""
-        rule_index, group_key = key
-        members = []
-        atom = rule.body[0]
-        for candidate in sorted(
-            self._group_candidates(rule_index, rule, group_key),
-            key=lambda c: c.canonical_key(),
-        ):
-            bindings = atom.match(candidate, seed)
-            if bindings is None:
-                continue
-            if not all(guard(bindings) for guard in rule.guards):
-                continue
-            cand_key = tuple(bindings.get(v.name) for v in rule.group_vars)
-            if cand_key != group_key:
-                continue
-            members.append((bindings, candidate))
-        return members
+    def _group_members(self, key, rule):
+        """One group's members as ``[(bindings, tup)]``, read off the
+        membership map."""
+        group = self._members.get(key)
+        if not group:
+            return []
+        if rule.func in ("min", "max"):
+            # Chooser key is total (value key, canonical tie-break):
+            # enumeration order cannot change the winner.
+            return [(bindings, tup) for tup, bindings in group.items()]
+        # sum/count: first member's bindings and the full support order
+        # are observable — canonical order, always.
+        return sorted(
+            ((bindings, tup) for tup, bindings in group.items()),
+            key=lambda member: member[1].canonical_key(),
+        )
 
-    def _group_candidates(self, rule_index, rule, group_key):
-        """Candidate member tuples of one aggregate group (unordered).
-
-        Probes the per-(rule, group-key) membership index — group members
-        share the group variables' values at fixed body-atom positions, so
-        they share one index bucket. The caller still unifies and
-        guard-checks every candidate; sorting happens there too.
-        """
-        plan = self.program.plans[rule_index]
-        if plan.group_positions:
-            return self.store.index_lookup(
-                rule.body[0].relation, plan.group_positions,
-                plan.group_index_key(group_key),
-            )
-        return self.store.visible_set(rule.body[0].relation)
+    def _rebuild_members(self):
+        """Recompute the membership map from the store's visible set."""
+        self._members = {}
+        for rule_index, rule in enumerate(self.program.rules):
+            if not isinstance(rule, AggregateRule):
+                continue
+            for tup in self.store.visible_set(rule.body[0].relation):
+                member = self._membership(rule, tup)
+                if member is not None:
+                    group_key, bindings = member
+                    self._members.setdefault(
+                        (rule_index, group_key), {}
+                    )[tup] = bindings
 
     def _aggregate(self, rule, group_key, members):
         """Compute (head, support, bindings) for a group; head None if empty."""
@@ -544,6 +551,7 @@ class DatalogApp(StateMachine):
         self._agg_current = {
             key: (head, support) for key, (head, support) in snap["agg"].items()
         }
+        self._rebuild_members()
 
     def extant_tuples(self):
         return self.store.all_local()

@@ -3,7 +3,8 @@
 :class:`NaiveDatalogApp` is the pre-plan evaluation strategy kept as an
 executable specification: every trigger re-enumerates every visible tuple
 of every body relation (guards applied only on fully bound bodies), and
-every dirty aggregate group rescans its whole relation. It must produce
+every dirty aggregate group rescans its whole relation (the production
+engine reads a maintained membership map instead). It must produce
 **byte-identical** outputs to the indexed :class:`~repro.datalog.engine.
 DatalogApp` — the property suites (tests/property/) check exactly that on
 randomized programs and event schedules, and ``benchmarks/bench_engine.py``
@@ -29,7 +30,7 @@ programs too.
 
 from collections import deque
 
-from repro.datalog.engine import DatalogApp
+from repro.datalog.engine import DatalogApp, _seed_bindings
 from repro.model import Snd
 
 
@@ -71,8 +72,33 @@ class NaiveDatalogApp(DatalogApp):
                 self.guard_prunes += 1
         return kept
 
-    def _group_candidates(self, rule_index, rule, group_key):
-        return self.store.visible_set(rule.body[0].relation)
+    def _group_members(self, key, rule):
+        """One group's members as ``[(bindings, tup)]`` in canonical
+        order, by rescanning the whole relation: every visible tuple is
+        re-unified against the body atom, guard-checked, and filtered to
+        the exact group key."""
+        _rule_index, group_key = key
+        # Never None: only groups _mark_dirty matched here get recomputed.
+        seed = _seed_bindings(rule, self.node_id)
+        members = []
+        atom = rule.body[0]
+        for candidate in sorted(
+            self.store.visible_set(atom.relation),
+            key=lambda c: c.canonical_key(),
+        ):
+            bindings = atom.match(candidate, seed)
+            if bindings is None:
+                continue
+            if not all(guard(bindings) for guard in rule.guards):
+                continue
+            cand_key = tuple(bindings.get(v.name) for v in rule.group_vars)
+            if cand_key != group_key:
+                continue
+            members.append((bindings, candidate))
+        return members
+
+    def _rebuild_members(self):
+        pass  # membership is rescanned per recompute, never kept
 
     def _mark_dirty(self, rule_index, rule, tup, dirty_groups, dirty_seen,
                     cause):
@@ -80,7 +106,6 @@ class NaiveDatalogApp(DatalogApp):
         # min/max short-circuit). Recompute re-derives membership anyway,
         # so the indexed engine's skips must never change outputs — which
         # is precisely what comparing against this version checks.
-        from repro.datalog.engine import _seed_bindings
         seed = _seed_bindings(rule, self.node_id)
         if seed is None:
             return

@@ -19,9 +19,9 @@ schedule that evaluation follows:
   declared variables fires at the earliest step where its variables are
   bound, pruning partial matches; opaque callables fire after the body is
   fully bound (exactly the old semantics);
-* for aggregate rules, an :class:`AggPlan` giving the positions of the
-  group variables inside the single body atom, so a dirty group's members
-  come from one index bucket rather than a scan of the whole relation.
+* for aggregate rules, an :class:`AggPlan` locating the aggregate value
+  in the head, so the engine's min/max short-circuit can read a group's
+  current optimum back off its head tuple.
 
 Plans only *accelerate* evaluation; they never change results. Every
 candidate from an index is still unified via ``atom.match`` (which
@@ -214,64 +214,29 @@ class RulePlan:
 
 
 class AggPlan:
-    """Compiled form of an aggregate rule: the group membership index.
-
-    ``group_positions`` is the sorted tuple of positions (in the single
-    body atom) where the rule's group variables first occur;
-    ``group_perm`` maps those positions back to the group-key order
-    (``rule.group_vars``), so a dirty group's index key is a permutation
-    of its group key. ``group_positions`` is empty when there is nothing
-    to index (no group variables, or a group variable that does not occur
-    in the body atom — then recompute falls back to scanning the
-    relation, which is also the only correct option).
-    """
+    """Compiled form of an aggregate rule: where the aggregate value
+    lands in the head tuple — lets the engine read a group's current
+    value back off its head instead of storing it separately (min/max
+    short-circuit in ``_mark_dirty``)."""
 
     kind = "aggregate"
 
-    __slots__ = ("rule", "group_positions", "group_perm", "head_agg_pos")
+    __slots__ = ("rule", "head_agg_pos")
 
     def __init__(self, rule):
         self.rule = rule
-        # Where the aggregate value lands in the head tuple — lets the
-        # engine read a group's current value back off its head instead of
-        # storing it separately (min/max short-circuit in _mark_dirty).
         self.head_agg_pos = None
         for position in range(atom_arity(rule.head)):
             term = term_at(rule.head, position)
             if isinstance(term, Var) and term.name == rule.agg_var.name:
                 self.head_agg_pos = position
                 break
-        atom = rule.body[0]
-        first_position = {}
-        for position in range(atom_arity(atom)):
-            term = term_at(atom, position)
-            if isinstance(term, Var) and term.name not in first_position:
-                first_position[term.name] = position
-        pairs = []
-        for group_index, var in enumerate(rule.group_vars):
-            position = first_position.get(var.name)
-            if position is None:
-                pairs = []
-                break
-            pairs.append((position, group_index))
-        pairs.sort()
-        self.group_positions = tuple(position for position, _gi in pairs)
-        self.group_perm = tuple(group_index for _pos, group_index in pairs)
-
-    def group_index_key(self, group_key):
-        """The store-index key for *group_key* (ordered by group_vars)."""
-        return tuple(group_key[gi] for gi in self.group_perm)
 
     def head_agg_value(self, head_tup):
         """The aggregate value carried by a ground head tuple."""
         if self.head_agg_pos == 0:
             return head_tup.loc
         return head_tup.args[self.head_agg_pos - 1]
-
-    def index_requirements(self):
-        if not self.group_positions:
-            return set()
-        return {(self.rule.body[0].relation, self.group_positions)}
 
 
 def guard_schedule_counts(program_or_rules):

@@ -269,7 +269,7 @@ class QueryStats:
     #: the serial ≡ parallel equivalence projection in :meth:`counters`.
     EXECUTOR_FIELDS = (
         "view_cache_hits", "view_cache_misses", "view_cache_evictions",
-        "shm_bytes", "pickle_bytes_avoided",
+        "shm_bytes",
     )
 
     def __init__(self):
@@ -310,10 +310,8 @@ class QueryStats:
         self.view_cache_misses = 0
         self.view_cache_evictions = 0
         # Bytes moved through shared-memory buffers instead of the pool's
-        # pickle pipe, and replay-blob bytes never (re-)pickled at all
-        # because the view stayed worker-resident.
+        # pickle pipe.
         self.shm_bytes = 0
-        self.pickle_bytes_avoided = 0
         # Differential-engine work done inside replays: presence toggles
         # the replayed machines consumed, Der/Und derivation changes they
         # emitted, derivation instances dropped because a support

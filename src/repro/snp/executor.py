@@ -18,13 +18,6 @@ only decides how the per-node fetch+compute pipelines are scheduled:
   payloads cross through ``multiprocessing.shared_memory``. A dead worker
   or evicted entry degrades to a cold build — bit-identical by
   construction.
-* :class:`ProcessBlobExecutor` — the original blob-shipping process pool:
-  every build ships its full work item (base replays included) and gets
-  the re-pickled replay back. Kept as the resident plane's benchmark
-  baseline and equivalence witness.
-* :class:`WireCheckExecutor` — serial, but forces context, work and
-  outcome through their wire representations: the serialization contract
-  exercised without paying process spawn (a test/debug aid).
 
 Task *results* always come back aligned with submission order, and every
 executor funnels the same compute function, so the merge phase (and
@@ -32,14 +25,14 @@ therefore every observable query result and counter) is identical across
 executors by construction.
 
 ``make_executor`` turns the user-facing spec (``None``, an int worker
-count, ``"serial"``, ``"thread:4"``, ``"process:4"``,
-``"process-blob:4"``, ``"wire"``, or an executor instance) into an
-executor object.
+count, ``"serial"``, ``"thread:4"``, ``"process:4"``, or an executor
+instance) into an executor object.
 """
 
 import hashlib
 import multiprocessing
 import os
+import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -141,8 +134,8 @@ class ProcessExecutor:
       (:meth:`resident_op`), returning cloned value vertices instead of
       decoding whole graphs on the coordinator's GIL.
 
-    Bulk payloads still crossing the boundary ride a ref-counted
-    shared-memory arena. Any lost state — dead worker, LRU-evicted entry,
+    Bulk payloads still crossing the boundary ride a shared-memory
+    arena. Any lost state — dead worker, LRU-evicted entry,
     head mismatch — surfaces as
     :class:`~repro.snp.wire.ResidentViewLost`/``cache-miss`` and degrades
     to a cold build, which is bit-identical by construction.
@@ -174,7 +167,7 @@ class ProcessExecutor:
         return ProcessPoolExecutor(
             max_workers=1, mp_context=mp_context,
             initializer=init_worker_process,
-            initargs=(self._context_wire, True, self.resident_cap),
+            initargs=(self._context_wire, self.resident_cap),
         )
 
     def prepare(self, context):
@@ -253,7 +246,6 @@ class ProcessExecutor:
         segment name. Returns a :class:`_Submission` for
         :meth:`collect_build`.
         """
-        import pickle
         data = pickle.dumps(work_wire)
         payload, shm_name, shm_bytes = ship_payload(data, self.arena)
         slot = self.slot_of(node)
@@ -289,7 +281,6 @@ class ProcessExecutor:
             if submission.shm_name is not None:
                 self.arena.release(submission.shm_name)
         data, out_shm = collect_result(shipped)
-        import pickle
         return pickle.loads(data), submission.shm_bytes + out_shm
 
     def run_jobs(self, jobs, context):
@@ -366,125 +357,16 @@ class ProcessExecutor:
         return f"ProcessExecutor(workers={self.workers})"
 
 
-class ProcessBlobExecutor:
-    """The blob-shipping process pool (the pre-resident design).
-
-    Per build job, a coordination thread runs the fetch step, encodes the
-    *entire* work item — base replays included — submits it to a shared
-    process pool, and decodes the compact outcome, whose replay comes
-    back as a re-pickled blob. Kept as the resident plane's baseline
-    (``BENCH_parallel`` measures resident wins against it) and as an
-    equivalence witness.
-
-    The pool uses the *spawn* start method (fork-safety: the coordinator
-    holds live locks and thread pools) and is warmed by
-    :meth:`prepare` — normally called from ``MicroQuerier.__init__`` — so
-    the first query batch does not pay interpreter start-up. Workers are
-    initialized once per pool with the wire form of the
-    :class:`~repro.snp.wire.BuildContext`; a later ``prepare`` with a
-    *different* context (a new deployment) recreates the pool.
-    """
-
-    def __init__(self, workers):
-        if workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {workers}")
-        self.workers = workers
-        self._pool = None
-        self._coordinator = None
-        self._context_wire = None
-
-    @property
-    def alive(self):
-        return self._pool is not None
-
-    def prepare(self, context):
-        """Create (or re-create) and warm the process pool for *context*."""
-        wire = context.to_wire()
-        if self._pool is not None:
-            if wire == self._context_wire:
-                return
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        mp_context = multiprocessing.get_context("spawn")
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=mp_context,
-            initializer=init_worker_process, initargs=(wire,),
-        )
-        self._context_wire = wire
-        # Queue one slow-ish no-op per worker so all of them spawn (and
-        # run the initializer) now, not inside the first timed batch.
-        list(self._pool.map(warm_worker, [0.05] * self.workers))
-
-    def run_jobs(self, jobs, context):
-        """Run build jobs; outcomes in submission order.
-
-        Two stages, neither blocking the other: fetch threads retrieve
-        segments (overlapping their transport sleeps) and submit each
-        work item to the process pool *without waiting on it*, so the
-        whole batch streams through the workers; then outcomes are
-        collected — and therefore finalized — in submission order.
-        """
-        if not jobs:
-            return []
-        self.prepare(context)
-        pool = self._pool
-        if len(jobs) == 1:
-            submissions = [jobs[0].submit_remote(pool)]
-        else:
-            if self._coordinator is None:
-                self._coordinator = ThreadPoolExecutor(
-                    max_workers=2 * self.workers,
-                    thread_name_prefix="view-fetch",
-                )
-            submissions = list(self._coordinator.map(
-                lambda job: job.submit_remote(pool), jobs
-            ))
-        return [job.collect_remote(future)
-                for job, future in zip(jobs, submissions)]
-
-    def close(self):
-        if self._coordinator is not None:
-            self._coordinator.shutdown(wait=True)
-            self._coordinator = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._context_wire = None
-
-    def __repr__(self):
-        return f"ProcessBlobExecutor(workers={self.workers})"
-
-
-class WireCheckExecutor:
-    """Serial executor that round-trips context, work and outcome through
-    the wire layer on every job — the process boundary's serialization
-    contract, checked deterministically and without spawn cost."""
-
-    workers = 1
-
-    def run_jobs(self, jobs, context):
-        return [job.run_wire_check(context) for job in jobs]
-
-    def close(self):
-        pass
-
-    def __repr__(self):
-        return "WireCheckExecutor()"
-
-
 def make_executor(spec=None):
     """Resolve an executor spec to an executor instance.
 
     ``None`` or ``"serial"`` → :class:`SerialExecutor`; an int ``n`` →
     serial for ``n == 1``, ``ThreadedExecutor(n)`` for ``n > 1``
     (``n < 1`` is an error); ``"thread:N"`` → ``ThreadedExecutor(N)``;
-    ``"process:N"`` → the resident :class:`ProcessExecutor(N)`;
-    ``"process-blob:N"`` → the blob-shipping
-    :class:`ProcessBlobExecutor(N)`; bare ``"thread"`` / ``"process"`` /
-    ``"process-blob"`` → the same pools sized to ``os.cpu_count()``
-    clamped to :data:`MAX_DEFAULT_WORKERS`; ``"wire"`` →
-    :class:`WireCheckExecutor`; an object with a ``run`` or ``run_jobs``
-    method passes through unchanged.
+    ``"process:N"`` → the resident :class:`ProcessExecutor(N)`; bare
+    ``"thread"`` / ``"process"`` → the same pools sized to
+    ``os.cpu_count()`` clamped to :data:`MAX_DEFAULT_WORKERS`; an object
+    with a ``run`` or ``run_jobs`` method passes through unchanged.
     """
     if spec is None or spec == "serial":
         return SerialExecutor()
@@ -495,20 +377,17 @@ def make_executor(spec=None):
             raise ValueError(f"worker count must be >= 1, got {spec}")
         return ThreadedExecutor(spec) if spec > 1 else SerialExecutor()
     if isinstance(spec, str):
-        if spec == "thread":
-            return make_executor(default_worker_count())
-        if spec == "process":
-            return ProcessExecutor(default_worker_count())
-        if spec == "process-blob":
-            return ProcessBlobExecutor(default_worker_count())
-        if spec.startswith("thread:"):
-            return make_executor(int(spec.split(":", 1)[1]))
-        if spec.startswith("process-blob:"):
-            return ProcessBlobExecutor(int(spec.split(":", 1)[1]))
-        if spec.startswith("process:"):
-            return ProcessExecutor(int(spec.split(":", 1)[1]))
-        if spec == "wire":
-            return WireCheckExecutor()
+        kind, sized, count = spec.partition(":")
+        if kind in ("thread", "process"):
+            try:
+                workers = int(count) if sized else default_worker_count()
+            except ValueError:
+                raise ValueError(
+                    f"unknown executor spec {spec!r}"
+                ) from None
+            if kind == "thread":
+                return make_executor(workers)
+            return ProcessExecutor(workers)
         raise ValueError(f"unknown executor spec {spec!r}")
     if hasattr(spec, "run") or hasattr(spec, "run_jobs"):
         return spec

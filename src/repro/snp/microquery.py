@@ -80,10 +80,11 @@ class NodeView:
     from. The invariant: ``graph`` is exactly the replay of entries
     ``1..head_index`` and ``head_hash`` is the chain hash ``h_head_index``.
 
-    ``replay`` may be a live :class:`~repro.snp.replay.ReplayResult` or a
-    :class:`~repro.snp.wire.LazyReplay` blob a worker process shipped
-    back; ``graph`` materializes it on first access, so a standing
-    auditor only pays the decode for views its queries actually touch.
+    ``replay`` may be a live :class:`~repro.snp.replay.ReplayResult`, a
+    :class:`~repro.snp.wire.ResidentReplay` handle on a worker-owned
+    replay, or (failed replays) a :class:`~repro.snp.wire.LazyReplay`
+    blob; ``graph`` materializes a handle on first access, so a standing
+    auditor only pays the decode for views whose graph it actually reads.
     """
 
     __slots__ = ("node", "status", "_graph", "log_len", "verdict_reason",
@@ -119,7 +120,7 @@ class NodeView:
     @property
     def graph(self):
         if self._graph is None and self.replay is not None:
-            self._graph = self.replay.graph  # LazyReplay decodes here
+            self._graph = self.replay.graph  # replay handles decode here
         return self._graph
 
     def install_replay(self, replay):
@@ -145,60 +146,6 @@ class MicroResult:
         return self.colors[-1]
 
 
-class _BuildOutcome:
-    """One node's build/extend result, ready for finalizing.
-
-    Assembled on the coordinator by :meth:`_BuildJob.absorb` from the
-    fetch step's bookkeeping plus the compute step's
-    :class:`~repro.snp.wire.CompactOutcome` — identically whether the
-    compute ran inline or came back over a process boundary. ``kind``:
-
-    * ``final`` — ``view`` is already decided (unreachable, proven
-      faulty, or a kept stale view); nothing left but to commit it;
-    * ``built`` — a full build verified and replayed; the ``ok`` view is
-      created during finalize, after the deferred evidence-store checks;
-    * ``extended`` — an ``ok`` view (``base_view``) was advanced by a
-      verified delta; finalize runs the evidence checks, then commits the
-      new head and harvests.
-    """
-
-    __slots__ = ("node", "kind", "view", "base_view", "response", "hashes",
-                 "stats", "checked", "cursor", "from_mirror",
-                 "replay_result", "reset_memo", "evidence_prefix",
-                 "replay_mutated", "recovered", "skipped", "tombstoned")
-
-    def __init__(self, node, kind, stats):
-        self.node = node
-        self.kind = kind
-        self.stats = stats
-        self.view = None
-        self.base_view = None
-        self.response = None
-        self.hashes = None
-        self.checked = {}
-        self.cursor = None
-        self.from_mirror = False
-        self.replay_result = None
-        self.reset_memo = False
-        #: How many of this node's evidence-store entries the compute step
-        #: already checked (the store is frozen while jobs run); finalize
-        #: checks only the tail harvested later in the batch.
-        self.evidence_prefix = 0
-        #: Whether the base view's committed-head replay state was
-        #: advanced — a view kept on a failure path must then not stay
-        #: extendable.
-        self.replay_mutated = False
-        #: Pending-skip registry traffic (see MicroQuerier._pending_skipped).
-        self.recovered = ()
-        self.skipped = ()
-        self.tombstoned = ()
-
-    def finalized(self, view):
-        self.kind = "final"
-        self.view = view
-        return self
-
-
 #: Sentinel submission: the resident executor lost this job's slot at
 #: submit time (even after a respawn attempt) — collect falls back.
 _LOST = object()
@@ -208,16 +155,14 @@ class _BuildJob:
     """One node's build/extend unit of work.
 
     ``fetch()`` runs against the deployment and snapshots the verification
-    inputs into a :class:`~repro.snp.wire.BuildWork`; ``absorb()`` folds
-    the compute step's :class:`~repro.snp.wire.CompactOutcome` back into a
-    finalize-ready :class:`_BuildOutcome`. The run variants only differ in
-    where the compute step executes:
+    inputs into a :class:`~repro.snp.wire.BuildWork`; ``absorb()``
+    annotates the compute step's :class:`~repro.snp.wire.CompactOutcome`
+    with the fetch step's bookkeeping, ready for finalize. The run
+    variants only differ in where the compute step executes:
 
     * :meth:`run_local` — inline (serial and threaded executors);
-    * :meth:`run_remote` — in a process pool, work and outcome crossing as
-      wire blobs;
-    * :meth:`run_wire_check` — inline, but round-tripped through the wire
-      layer (the :class:`~repro.snp.executor.WireCheckExecutor`).
+    * :meth:`submit_resident` / :meth:`collect_resident` — in the node's
+      owning worker process, work and outcome crossing in wire form.
     """
 
     __slots__ = ("mq", "node", "kind", "base_view", "stats", "response",
@@ -389,67 +334,65 @@ class _BuildJob:
 
     # ------------------------------------------------------------ absorb
 
-    def _final(self, view):
-        outcome = _BuildOutcome(self.node, "final", self.stats)
+    def _final(self, view, outcome=None):
+        """Mark *outcome* (a fresh one when the job finished at fetch
+        time) decided: nothing left for finalize but to commit *view*."""
+        if outcome is None:
+            outcome = CompactOutcome(self.node, self.kind)
+        outcome.kind = "final"
+        outcome.view = view
+        outcome.stats = self.stats
         outcome.from_mirror = self.from_mirror
         outcome.reset_memo = self.reset_memo
-        return outcome.finalized(view)
+        return outcome
 
-    def absorb(self, result):
-        """Fold a CompactOutcome into a finalize-ready _BuildOutcome.
+    def absorb(self, outcome):
+        """Annotate a CompactOutcome with this job's fetch bookkeeping,
+        ready for finalize.
 
         This is the single interpretation point for compute results — the
-        same branching whether the result was produced inline or decoded
+        same branching whether the outcome was produced inline or decoded
         from a worker — so the mirror/verdict policy can never diverge
         between executors.
         """
         node_id = self.node
-        self.stats.merge(result.stats)
-        outcome = _BuildOutcome(node_id, self.kind, self.stats)
+        self.stats.merge(outcome.stats)
+        replay = outcome.replay_result
+        if replay is not None:
+            replay.response = self.response
+        if outcome.status == CompactOutcome.VERIFY_FAILED:
+            if self.kind == "extended" and self.from_mirror:
+                # A corrupt replica cannot frame the origin; the origin
+                # is merely unreachable right now, so the view stays
+                # stale (verification precedes replay, so the base replay
+                # is still at its committed head).
+                return self._final(self.base_view, outcome)
+            if self.from_mirror:
+                # A corrupt *mirror* is not evidence against the origin —
+                # the replica may be the liar. The origin merely remains
+                # unreachable (its vertices stay yellow).
+                return self._final(
+                    NodeView(node_id, UNREACHABLE,
+                             verdict_reason=f"bad mirror: {outcome.reason}"),
+                    outcome,
+                )
+            return self._final(
+                NodeView(node_id, PROVEN_FAULTY,
+                         verdict_reason=outcome.reason),
+                outcome,
+            )
+        if outcome.status == CompactOutcome.REPLAY_FAILED:
+            return self._final(
+                NodeView(node_id, PROVEN_FAULTY,
+                         verdict_reason=outcome.reason, replay=replay),
+                outcome,
+            )
+        outcome.stats = self.stats
         outcome.from_mirror = self.from_mirror
         outcome.reset_memo = self.reset_memo
         outcome.evidence_prefix = self.evidence_prefix
         outcome.cursor = self.cursor
         outcome.response = self.response
-        outcome.checked = dict(result.checked)
-        outcome.recovered = tuple(result.recovered)
-        outcome.skipped = tuple(result.skipped)
-        outcome.tombstoned = tuple(result.tombstoned)
-        outcome.hashes = result.hashes
-        outcome.replay_mutated = result.replay_ran
-        replay = result.replay_result
-        if replay is not None:
-            replay.response = self.response
-        if result.status == CompactOutcome.VERIFY_FAILED:
-            if self.kind == "extended":
-                if self.from_mirror:
-                    # A corrupt replica cannot frame the origin; the
-                    # origin is merely unreachable right now, so the view
-                    # stays stale (verification precedes replay, so the
-                    # base replay is still at its committed head).
-                    return outcome.finalized(self.base_view)
-                return outcome.finalized(
-                    NodeView(node_id, PROVEN_FAULTY,
-                             verdict_reason=result.reason)
-                )
-            if self.from_mirror:
-                # A corrupt *mirror* is not evidence against the origin —
-                # the replica may be the liar. The origin merely remains
-                # unreachable (its vertices stay yellow).
-                return outcome.finalized(
-                    NodeView(node_id, UNREACHABLE,
-                             verdict_reason=f"bad mirror: {result.reason}")
-                )
-            return outcome.finalized(
-                NodeView(node_id, PROVEN_FAULTY,
-                         verdict_reason=result.reason)
-            )
-        if result.status == CompactOutcome.REPLAY_FAILED:
-            return outcome.finalized(
-                NodeView(node_id, PROVEN_FAULTY,
-                         verdict_reason=result.reason, replay=replay)
-            )
-        outcome.replay_result = replay
         outcome.base_view = self.base_view
         return outcome
 
@@ -461,37 +404,15 @@ class _BuildJob:
             return self.outcome
         return self.absorb(compute_build(work, context))
 
-    def submit_remote(self, pool):
-        """Fetch, then hand the work's wire form to the process pool.
-
-        Returns the pending future, or None when the job finished at
-        fetch time. Deliberately does *not* wait: the calling fetch
-        thread moves straight on to its next job, so downloads keep
-        overlapping while workers chew the compute queue.
-        """
-        work = self.fetch()
-        if work is None:
-            return None
-        from repro.snp.wire import compute_build_wire
-        return pool.submit(compute_build_wire, work.to_wire())
-
-    def collect_remote(self, future):
-        """Absorb a worker's compact outcome (submission order is the
-        caller's responsibility — outcomes must finalize canonically)."""
-        if future is None:
-            return self.outcome
-        return self.absorb(
-            CompactOutcome.from_wire(future.result(), self.factory)
-        )
-
     def submit_resident(self, executor):
         """Fetch, then ship the work to the node's owning worker slot.
 
-        Like :meth:`submit_remote`, but through the resident executor's
-        affinity routing: an extend crosses as a head reference (plus the
-        fetched delta), never as the base replay. Returns a submission
-        handle, None (finished at fetch), or the ``_LOST`` sentinel when
-        the slot is down.
+        Deliberately does *not* wait: the calling fetch thread moves
+        straight on to its next job, so downloads keep overlapping while
+        workers chew the compute queue. An extend crosses as a head
+        reference (plus the fetched delta), never as the base replay.
+        Returns a submission handle, None (finished at fetch), or the
+        ``_LOST`` sentinel when the slot is down.
         """
         work = self.fetch()
         if work is None:
@@ -529,7 +450,7 @@ class _BuildJob:
         in the worker arrives as a ``resident_head`` and is wrapped in a
         :class:`~repro.snp.wire.ResidentReplay` handle here (a failed
         replay still ships its blob — the proven-faulty view keeps it as
-        evidence, exactly like the blob pool)."""
+        evidence)."""
         if result.status == CompactOutcome.OK \
                 and result.resident_head is not None \
                 and result.replay_result is None:
@@ -564,28 +485,6 @@ class _BuildJob:
         # tallied here (worker-run builds count their own).
         job.stats.view_cache_misses += 1
         return job.absorb(compute_build(work, self.mq._build_context()))
-
-    def run_wire_check(self, context):
-        """In-process run that simulates the process boundary exactly:
-        context, work and outcome all pass through ``pickle`` of their
-        wire forms, so aliasing with coordinator state is severed and the
-        serialization contract is exercised without spawn cost."""
-        import pickle
-
-        work = self.fetch()
-        if work is None:
-            return self.outcome
-        factory = work.resolve_factory(context)
-        round_context = BuildContext.from_wire(
-            pickle.loads(pickle.dumps(context.to_wire()))
-        )
-        round_work = BuildWork.from_wire(
-            pickle.loads(pickle.dumps(work.to_wire())), round_context
-        )
-        wire = pickle.loads(
-            pickle.dumps(compute_build(round_work, round_context).to_wire())
-        )
-        return self.absorb(CompactOutcome.from_wire(wire, factory))
 
 
 class MicroQuerier:
@@ -913,7 +812,7 @@ class MicroQuerier:
                 if outcome.kind == "built":
                     return NodeView(node_id, UNREACHABLE,
                                     verdict_reason=f"bad mirror: {exc}")
-                if outcome.replay_mutated:
+                if outcome.replay_ran:
                     # The kept view's committed-head replay state was
                     # already advanced — it must not stay extendable (a
                     # later refresh would replay the same suffix twice).
@@ -962,7 +861,7 @@ class MicroQuerier:
             self._harvest_evidence(response)
             # Rebind rather than rely on in-place mutation: with an
             # in-process compute this is the same object; over a process
-            # boundary it is the (lazily-held) extended replay.
+            # boundary it is a resident handle at the new head.
             view.install_replay(outcome.replay_result)
             view.head_index = response.start_index + len(response.entries) - 1
             view.head_hash = outcome.hashes[-1]

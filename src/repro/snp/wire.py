@@ -36,11 +36,14 @@ and the :class:`CompactOutcome` it hands back.
 The compute step itself — :func:`compute_build` — also lives here: it is
 a pure function of a work item and a context, mutating only objects the
 work item owns, and is the *single* code path every executor (serial,
-thread, wire-check, process) runs, which is what makes the bit-identical
+thread, process) runs, which is what makes the bit-identical
 equivalence argument structural rather than statistical.
 """
 
+import pickle
 import time
+from collections import OrderedDict
+from multiprocessing import shared_memory as _shared_memory
 
 from repro.crypto.rsa import RsaKeyPair
 from repro.metrics import QueryStats
@@ -313,10 +316,7 @@ class LazyReplay:
     Decoding a replayed graph is coordinator-side (GIL-serialized) work,
     and a standing auditor's queries touch only a fraction of its views —
     so the coordinator defers the decode until something actually reads
-    the view (a microquery resolving into it, or an in-process extend).
-    A refresh that ships the view back to a worker does not decode at
-    all: the blob crosses the boundary verbatim and the *worker* pays the
-    decode, in parallel.
+    the view (a microquery resolving into it).
     """
 
     __slots__ = ("blob", "machine_factory", "response", "_result")
@@ -327,13 +327,8 @@ class LazyReplay:
         self.response = response
         self._result = None
 
-    @property
-    def materialized(self):
-        return self._result is not None
-
     def materialize(self):
         if self._result is None:
-            import pickle
             result = replay_from_wire(pickle.loads(self.blob),
                                       self.machine_factory)
             result.response = self.response
@@ -346,33 +341,21 @@ class LazyReplay:
 
 
 def replay_handle_to_wire(replay):
-    """The boundary-crossing form of a replay handle: a LazyReplay's blob
-    passes through untouched (the coordinator never decoded it); a
-    ResidentReplay crosses as just its cache key (node affinity routes the
-    work to the worker that owns the state); a live ReplayResult is
-    encoded."""
-    if isinstance(replay, LazyReplay):
-        return ("W.replayblob", replay.blob)
+    """The boundary-crossing form of a base replay: a ResidentReplay
+    crosses as just its cache key (node affinity routes the work to the
+    worker that owns the state); a live ReplayResult is encoded."""
     if isinstance(replay, ResidentReplay):
         return ("W.residentref", replay.head_index, replay.head_hash)
     return replay_to_wire(replay)
 
 
 def replay_handle_from_wire(wire, machine_factory):
-    if wire[0] == "W.replayblob":
-        import pickle
-        return replay_from_wire(pickle.loads(wire[1]), machine_factory)
     if wire[0] == "W.residentref":
         return _ResidentRef(wire[1], wire[2])
     return replay_from_wire(wire, machine_factory)
 
 
 # ------------------------------------------------- shared-memory transport
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - py < 3.8
-    _shared_memory = None
 
 #: Payloads below this size ship inline through the pool's own pickle
 #: pipe; the fixed cost of creating + attaching a shm segment only pays
@@ -426,52 +409,35 @@ def shm_read(name, size, unlink=False):
 
 
 class ShmArena:
-    """Coordinator-side ref-counted registry of published shm segments.
+    """Coordinator-side registry of the shm segments it has published.
 
-    ``publish`` creates a segment for one payload and records one
-    reference; ``retain``/``release`` adjust the count, and the segment is
-    unlinked when it drops to zero (normally: after the consuming worker's
-    future resolved). ``close`` unlinks everything still live — builds
-    that died between submit and collect must not leak segments past the
-    executor's lifetime.
+    ``publish`` creates a segment for one payload; ``release`` unlinks it
+    (normally: after the consuming worker's future resolved). ``close``
+    unlinks everything still live — builds that died between submit and
+    collect must not leak segments past the executor's lifetime.
     """
 
     def __init__(self):
         import threading
         self._lock = threading.Lock()
-        self._refs = {}          # name -> refcount
-        self.bytes_published = 0
-
-    @property
-    def available(self):
-        return _shared_memory is not None
+        self._live = set()
 
     def publish(self, data):
         name = shm_publish(data)
         with self._lock:
-            self._refs[name] = 1
-            self.bytes_published += len(data)
+            self._live.add(name)
         return name
-
-    def retain(self, name):
-        with self._lock:
-            self._refs[name] += 1
 
     def release(self, name):
         with self._lock:
-            count = self._refs.get(name)
-            if count is None:
+            if name not in self._live:
                 return
-            if count > 1:
-                self._refs[name] = count - 1
-                return
-            del self._refs[name]
+            self._live.remove(name)
         self._destroy(name)
 
     def close(self):
         with self._lock:
-            names = list(self._refs)
-            self._refs.clear()
+            names, self._live = self._live, set()
         for name in names:
             self._destroy(name)
 
@@ -496,7 +462,7 @@ def ship_payload(data, arena):
     ``(payload, shm_name, shm_bytes)`` — *shm_name* (or None) is what the
     caller must release after the worker's future resolves.
     """
-    if arena is not None and arena.available and len(data) >= SHM_MIN_BYTES:
+    if len(data) >= SHM_MIN_BYTES:
         name = arena.publish(data)
         return ("W.shmref", name, len(data)), name, len(data)
     return ("W.blob", data), None, 0
@@ -517,8 +483,8 @@ def _ship_result(data):
 
     The worker creates (and immediately untracks) the segment; the
     coordinator reads it once with ``unlink=True`` — worker-owned
-    segments are single-shot, so no refcounting is needed."""
-    if _shared_memory is not None and len(data) >= SHM_MIN_BYTES:
+    segments are single-shot, so no registry is needed."""
+    if len(data) >= SHM_MIN_BYTES:
         # The creating worker never unlinks: ownership passes to the
         # coordinator with the name.
         return ("W.shmblob", shm_publish(data), len(data))
@@ -609,7 +575,6 @@ class ResidentReplay:
     def materialize(self, stats=None):
         """Pull the resident replay's full state into this process."""
         if self._result is None:
-            import pickle
             blob = self.executor.resident_op(
                 self.node, self.head_index, self.head_hash, "blob", None,
                 stats=stats,
@@ -807,20 +772,35 @@ class BuildWork:
 # ------------------------------------------------------------ the outcome
 
 class CompactOutcome:
-    """What the verify+replay step hands back across the worker boundary.
+    """One node's build/extend result: what the verify+replay step hands
+    back (possibly across the worker boundary) and what finalize commits.
 
-    Replaces the old in-process ``_BuildOutcome`` as the executor-facing
-    result: a status (``ok`` / ``verify-failed`` / ``replay-failed``) plus
-    only value data — recomputed chain hashes, the checked / recovered /
-    newly-skipped authenticator evidence, per-task QueryStats, and the
-    (possibly extended) replay. The coordinator's finalize step interprets
-    it identically whether it was produced in-process or decoded from a
-    worker.
+    The compute step fills in a status (``ok`` / ``verify-failed`` /
+    ``replay-failed``) plus only value data — recomputed chain hashes,
+    the checked / recovered / newly-skipped authenticator evidence,
+    per-task QueryStats, and the (possibly extended) replay — and that is
+    all :meth:`to_wire` ships. On the coordinator the build job's
+    ``absorb`` then annotates the same object with the fetch step's
+    bookkeeping (the coordinator-only slots below), identically whether
+    the outcome was produced in-process or decoded from a worker.
+    ``kind``:
+
+    * ``built`` — a full build verified and replayed; the ``ok`` view is
+      created during finalize, after the deferred evidence-store checks;
+    * ``extended`` — an ``ok`` view (``base_view``) was advanced by a
+      verified delta; finalize runs the evidence checks, then commits the
+      new head and harvests;
+    * ``final`` (coordinator only) — ``view`` is already decided
+      (unreachable, proven faulty, or a kept stale view); nothing left
+      but to commit it.
     """
 
     __slots__ = ("node", "kind", "status", "reason", "hashes", "checked",
                  "recovered", "skipped", "tombstoned", "stats",
-                 "replay_result", "replay_ran", "resident_head")
+                 "replay_result", "replay_ran", "resident_head",
+                 # coordinator-only (never shipped):
+                 "view", "base_view", "response", "cursor", "from_mirror",
+                 "reset_memo", "evidence_prefix")
 
     OK = "ok"
     VERIFY_FAILED = "verify-failed"
@@ -854,6 +834,16 @@ class CompactOutcome:
         #: shipping the replay blob — the coordinator wraps it in a
         #: :class:`ResidentReplay` handle.
         self.resident_head = None
+        self.view = None
+        self.base_view = None
+        self.response = None
+        self.cursor = None
+        self.from_mirror = False
+        self.reset_memo = False
+        #: How many of this node's evidence-store entries the compute step
+        #: already checked (the store is frozen while jobs run); finalize
+        #: checks only the tail harvested later in the batch.
+        self.evidence_prefix = 0
 
     def to_wire(self):
         replay_blob = None
@@ -861,7 +851,6 @@ class CompactOutcome:
             # Pre-pickled in the worker so the coordinator's (single,
             # GIL-bound) result thread only has to move bytes; the
             # decode is deferred until a query touches the view.
-            import pickle
             replay_blob = pickle.dumps(
                 replay_handle_to_wire(self.replay_result)
             )
@@ -1083,8 +1072,8 @@ def compute_build(work, context):
     """The verify+replay step: a pure function of (work, context).
 
     Mutates only objects the work item owns (for extends, the base
-    replay). Every executor — serial, threaded, wire-check, process —
-    funnels through this one function, so scheduling can never change
+    replay). Every executor — serial, threaded, process — funnels
+    through this one function, so scheduling can never change
     what is computed. Expected fault conditions become a status on the
     returned :class:`CompactOutcome`; only genuinely unexpected errors
     propagate.
@@ -1116,11 +1105,6 @@ def compute_build(work, context):
             # against the cached head hash above, confirming no fork.
             return outcome
         outcome.replay_ran = True
-        if not isinstance(work.base_replay, ReplayResult):
-            # A replay *handle* (a lazily-held blob, or a resident-cache
-            # handle): materialize, then extend in place — exactly the
-            # serial semantics.
-            work.base_replay = work.base_replay.materialize()
         _processed, _elapsed, failure = extend_replay(
             work.node, work.base_replay, response,
             known_alarm_msg_ids=work.alarms, stats=stats,
@@ -1146,30 +1130,18 @@ def compute_build(work, context):
 # ------------------------------------------------------- process-pool side
 
 _POOL_CONTEXT = None
-#: Resident pools only: this worker's view cache, an LRU-ordered
-#: ``{node: _ResidentEntry}``. ``None`` in blob-shipping pools.
-_RESIDENT = None
+#: This worker's view cache, an LRU-ordered ``{node: _ResidentEntry}``
+#: bounded to ``_RESIDENT_CAP`` entries (None = unbounded).
+_RESIDENT = OrderedDict()
 _RESIDENT_CAP = None
 
 
-def init_worker_process(context_wire, resident=False, resident_cap=None):
-    """Per-pool initializer: decode the one-time context once per worker.
-    *resident* turns on the worker-owned view cache (bounded to
-    *resident_cap* entries, LRU; None = unbounded)."""
-    global _POOL_CONTEXT, _RESIDENT, _RESIDENT_CAP
+def init_worker_process(context_wire, resident_cap=None):
+    """Per-pool initializer: decode the one-time context once per worker
+    and bound its view cache to *resident_cap* entries."""
+    global _POOL_CONTEXT, _RESIDENT_CAP
     _POOL_CONTEXT = BuildContext.from_wire(context_wire)
-    if resident:
-        from collections import OrderedDict
-        _RESIDENT = OrderedDict()
-        _RESIDENT_CAP = resident_cap
-
-
-def compute_build_wire(work_wire):
-    """The function a blob-shipping process pool runs: wire in, wire out."""
-    if _POOL_CONTEXT is None:
-        raise WireError("worker process was not initialized with a context")
-    work = BuildWork.from_wire(work_wire, _POOL_CONTEXT)
-    return compute_build(work, _POOL_CONTEXT).to_wire()
+    _RESIDENT_CAP = resident_cap
 
 
 def warm_worker(seconds):
@@ -1183,24 +1155,19 @@ def warm_worker(seconds):
 
 class _ResidentEntry:
     """One worker-owned view: the live replay plus the verified head it is
-    parked at. ``blob_size`` is the replay's wire-blob size, measured once
-    at store time — the per-refresh pickle traffic a resident hit avoids.
-    ``app_spec`` is the factory registry spec the entry's machines were
+    parked at. ``app_spec`` is the factory registry spec the entry's machines were
     built from: factories are resolved per work item (a refreshed
     content store must never be stale), so an extend whose work carries
     a *different* spec rebinds the machines first (see
     :func:`_rebind_machines`).
     """
 
-    __slots__ = ("result", "head_index", "head_hash", "blob_size",
-                 "app_spec")
+    __slots__ = ("result", "head_index", "head_hash", "app_spec")
 
-    def __init__(self, result, head_index, head_hash, blob_size,
-                 app_spec=None):
+    def __init__(self, result, head_index, head_hash, app_spec=None):
         self.result = result
         self.head_index = head_index
         self.head_hash = head_hash
-        self.blob_size = blob_size
         self.app_spec = app_spec
 
 
@@ -1215,14 +1182,12 @@ def _response_head(response, hashes):
 def _rebind_machines(result, factory):
     """Re-found *result*'s state machines on *factory*.
 
-    The blob pool gets this for free: every extend reconstructs the base
-    replay through the current work item's factory, so factory-supplied
-    environments (e.g. a MapReduce content store that grew since the
-    build) are always current. A resident replay keeps its live machines
-    across work items, so when a work item arrives with a different
-    factory spec the machines are snapshot-restored through the new
-    factory — bit-identical by the checkpoint determinism contract,
-    exactly the path ``replay_from_wire`` takes.
+    Factory-supplied environments (e.g. a MapReduce content store that
+    grew since the build) must always be current. A resident replay keeps
+    its live machines across work items, so when a work item arrives with
+    a different factory spec the machines are snapshot-restored through
+    the new factory — bit-identical by the checkpoint determinism
+    contract, exactly the path ``replay_from_wire`` takes.
     """
     gca = result.gca
     gca.machine_factory = factory
@@ -1233,30 +1198,10 @@ def _rebind_machines(result, factory):
     result.machine = gca.machines.get(result.node)
 
 
-def _store_resident(node, result, head_index, head_hash, stats,
-                    app_spec=None):
-    """Park *result* in the resident cache (LRU-evicting over the cap).
-    The blob-size measurement pickles once — exactly the encode the blob
-    pool pays to *ship* the result, so a cold build through the resident
-    pool costs no more than one through the blob pool."""
-    if _RESIDENT is None:
-        return False
-    import pickle
-    blob_size = len(pickle.dumps(replay_to_wire(result)))
-    _RESIDENT[node] = _ResidentEntry(result, head_index, head_hash,
-                                     blob_size, app_spec)
-    _RESIDENT.move_to_end(node)
-    if _RESIDENT_CAP is not None:
-        while len(_RESIDENT) > _RESIDENT_CAP:
-            _RESIDENT.popitem(last=False)
-            stats.view_cache_evictions += 1
-    return True
-
-
 def _resident_extend(work):
     """Run an extend whose base replay lives in this worker's cache."""
     ref = work.base_replay
-    entry = _RESIDENT.get(work.node) if _RESIDENT is not None else None
+    entry = _RESIDENT.get(work.node)
     if entry is None or entry.head_index != ref.head_index \
             or entry.head_hash != ref.head_hash:
         outcome = CompactOutcome(work.node, work.kind)
@@ -1274,20 +1219,14 @@ def _resident_extend(work):
         entry.app_spec = work.app_spec
     work.base_replay = entry.result
     outcome = compute_build(work, _POOL_CONTEXT)
-    stats = outcome.stats
-    stats.view_cache_hits += 1
-    # Inbound saving: the work item carried a head reference where the
-    # blob pool ships (and this worker would re-decode) the base replay.
-    stats.pickle_bytes_avoided += entry.blob_size
+    outcome.stats.view_cache_hits += 1
     if outcome.status == CompactOutcome.OK:
         if outcome.replay_ran:
             # Extended in place: the entry moves to the new verified
-            # head, and the extended blob the blob pool would ship back
-            # stays put — the outbound saving.
+            # head and the extended replay stays put.
             entry.head_index, entry.head_hash = _response_head(
                 work.response, outcome.hashes
             )
-            stats.pickle_bytes_avoided += entry.blob_size
         outcome.replay_result = None
         outcome.resident_head = (entry.head_index, entry.head_hash)
     elif outcome.status == CompactOutcome.VERIFY_FAILED:
@@ -1305,18 +1244,22 @@ def _resident_extend(work):
 
 
 def _adopt_build(work, outcome):
-    """Park a fresh (or blob-based extended) ``ok`` build in the resident
-    cache and strip the outbound blob: later refreshes ship heads."""
-    if _RESIDENT is None or outcome.status != CompactOutcome.OK:
+    """Park a fresh (or wire-carried extended) ``ok`` build in the
+    resident cache (LRU-evicting over the cap) and strip the outbound
+    blob: later refreshes ship heads."""
+    if outcome.status != CompactOutcome.OK:
         return
     result = outcome.replay_result
     if result is None:
-        return  # e.g. an empty blob-based extend: nothing newly built
-    if not isinstance(result, ReplayResult):
-        result = result.materialize()
+        return  # e.g. an empty wire-carried extend: nothing newly built
     head_index, head_hash = _response_head(work.response, outcome.hashes)
-    _store_resident(work.node, result, head_index, head_hash, outcome.stats,
-                    app_spec=work.app_spec)
+    _RESIDENT[work.node] = _ResidentEntry(result, head_index, head_hash,
+                                          work.app_spec)
+    _RESIDENT.move_to_end(work.node)
+    if _RESIDENT_CAP is not None:
+        while len(_RESIDENT) > _RESIDENT_CAP:
+            _RESIDENT.popitem(last=False)
+            outcome.stats.view_cache_evictions += 1
     outcome.replay_result = None
     outcome.resident_head = (head_index, head_hash)
 
@@ -1327,14 +1270,13 @@ def compute_build_resident_wire(payload):
     view cache consulted and updated along the way."""
     if _POOL_CONTEXT is None:
         raise WireError("worker process was not initialized with a context")
-    import pickle
     work_wire = pickle.loads(_load_shipped(payload))
     work = BuildWork.from_wire(work_wire, _POOL_CONTEXT)
     if isinstance(work.base_replay, _ResidentRef):
         outcome = _resident_extend(work)
     else:
         # Any build that runs without a resident base — cold full builds
-        # and blob-carried extends alike — is a cache miss; this is the
+        # and wire-carried extends alike — is a cache miss; this is the
         # single place misses are counted, so fallback rebuilds after a
         # lost entry tally exactly once.
         outcome = compute_build(work, _POOL_CONTEXT)
@@ -1355,16 +1297,13 @@ def resident_op_wire(request):
     """
     node, head_index, head_hash, op, payload = request
     if op == "evict":
-        dropped = (_RESIDENT is not None
-                   and _RESIDENT.pop(node, None) is not None)
-        return ("W.opres", dropped)
-    entry = _RESIDENT.get(node) if _RESIDENT is not None else None
+        return ("W.opres", _RESIDENT.pop(node, None) is not None)
+    entry = _RESIDENT.get(node)
     if entry is None or entry.head_index != head_index \
             or entry.head_hash != head_hash:
         return ("W.lost",)
     _RESIDENT.move_to_end(node)
     if op == "blob":
-        import pickle
         return _ship_result(pickle.dumps(replay_to_wire(entry.result)))
     from repro.provgraph.graph import _clone_vertex
     graph = entry.result.graph

@@ -5,10 +5,51 @@ in minutes; the crypto/scale parameters are exercised at realistic values
 in the benchmarks instead.
 """
 
+import pickle
+
 import pytest
 
 from repro.snp import Deployment, QueryProcessor
+from repro.snp.wire import (
+    BuildContext, BuildWork, CompactOutcome, LazyReplay, compute_build,
+)
 from repro.apps.mincost import build_paper_network
+
+
+class WireRoundTripExecutor:
+    """Serial executor that simulates the process boundary exactly:
+    context, work and outcome all pass through ``pickle`` of their wire
+    forms on every job, so aliasing with coordinator state is severed and
+    the serialization contract is exercised without spawn cost."""
+
+    workers = 1
+
+    def run_jobs(self, jobs, context):
+        return [self._run(job, context) for job in jobs]
+
+    @staticmethod
+    def _run(job, context):
+        def crossed(wire):
+            return pickle.loads(pickle.dumps(wire))
+
+        work = job.fetch()
+        if work is None:
+            return job.outcome
+        factory = work.resolve_factory(context)
+        if isinstance(work.base_replay, LazyReplay):
+            # An earlier round trip left the view's replay as a blob.
+            work.base_replay = work.base_replay.materialize()
+        far_context = BuildContext.from_wire(crossed(context.to_wire()))
+        far_work = BuildWork.from_wire(crossed(work.to_wire()), far_context)
+        outcome_wire = crossed(compute_build(far_work, far_context).to_wire())
+        return job.absorb(CompactOutcome.from_wire(outcome_wire, factory))
+
+
+@pytest.fixture(scope="session")
+def wire_executor():
+    """The wire round trip as an executor instance (stateless, so one
+    serves the whole session — and hypothesis tests may take it)."""
+    return WireRoundTripExecutor()
 
 
 @pytest.fixture

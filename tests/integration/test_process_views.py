@@ -2,7 +2,7 @@
 
 Every executor funnels the same compute step; these tests pin the
 resulting contract end-to-end. The cheap, deterministic coverage runs on
-the ``WireCheckExecutor`` (the full serialization round trip without
+the ``wire_executor`` fixture (the full serialization round trip without
 process spawn); a smaller set of tests pays for real spawn-based pools to
 prove the whole path — per-process hash randomization included — produces
 bit-identical colors, verdicts and merged counters. Also covers executor
@@ -17,8 +17,7 @@ from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, SilentNode, TamperingNode
 from repro.snp.evidence import Authenticator
 from repro.snp.executor import (
-    ProcessBlobExecutor, ProcessExecutor, SerialExecutor, ThreadedExecutor,
-    WireCheckExecutor, make_executor,
+    ProcessExecutor, SerialExecutor, ThreadedExecutor, make_executor,
 )
 
 
@@ -50,31 +49,31 @@ class TestWireCheckEquivalence:
     """The serialization contract, exercised deterministically: every
     work item, context and outcome crosses a pickle of its wire form."""
 
-    def test_clean_network(self):
+    def test_clean_network(self, wire_executor):
         dep, _nodes = _net()
-        assert _cold_outcome(dep, "wire") == _cold_outcome(dep, None)
+        assert _cold_outcome(dep, wire_executor) == _cold_outcome(dep, None)
 
-    def test_forking_adversary(self):
+    def test_forking_adversary(self, wire_executor):
         dep, nodes = _net(overrides={"b": ForkingNode})
         nodes["b"].fork_log(keep_upto=3)
         serial = _cold_outcome(dep, None)
         assert "b" in serial["faulty"]
-        assert _cold_outcome(dep, "wire") == serial
+        assert _cold_outcome(dep, wire_executor) == serial
 
-    def test_tampering_adversary(self):
+    def test_tampering_adversary(self, wire_executor):
         dep, nodes = _net(overrides={"b": TamperingNode})
         nodes["b"].tamper_entry(2, ("rewritten-history",))
         serial = _cold_outcome(dep, None)
         assert "b" in serial["faulty"]
-        assert _cold_outcome(dep, "wire") == serial
+        assert _cold_outcome(dep, wire_executor) == serial
 
-    def test_silent_adversary(self):
+    def test_silent_adversary(self, wire_executor):
         dep, _nodes = _net(overrides={"b": SilentNode})
         serial = _cold_outcome(dep, None)
         assert serial["views"]["b"] == "unreachable"
-        assert _cold_outcome(dep, "wire") == serial
+        assert _cold_outcome(dep, wire_executor) == serial
 
-    def test_wire_refresh_matches_serial(self):
+    def test_wire_refresh_matches_serial(self, wire_executor):
         def refreshed(executor):
             dep, nodes = _net(seed=91)
             with QueryProcessor(dep, executor=executor) as qp:
@@ -87,9 +86,9 @@ class TestWireCheckEquivalence:
                 result = qp.why(best_cost("c", "d", 5))
                 return {"colors": _fingerprint(result),
                         "delta": delta.counters()}
-        assert refreshed("wire") == refreshed(None)
+        assert refreshed(wire_executor) == refreshed(None)
 
-    def test_wire_checkpointed_build_matches_serial(self):
+    def test_wire_checkpointed_build_matches_serial(self, wire_executor):
         def outcome(executor):
             dep, nodes = _net(seed=83)
             dep.checkpoint_all()
@@ -102,7 +101,7 @@ class TestWireCheckEquivalence:
                         "counters": qp.mq.stats.counters()}
         serial = outcome(None)
         assert serial["counters"]["auth_checks_skipped"] >= 0
-        assert outcome("wire") == serial
+        assert outcome(wire_executor) == serial
 
 
 @pytest.mark.slow
@@ -153,16 +152,12 @@ class TestProcessEquivalence:
 
 
 class TestExecutorLifecycle:
-    def test_make_executor_specs(self):
-        assert isinstance(make_executor("wire"), WireCheckExecutor)
+    def test_make_executor_specs(self, wire_executor):
         proc = make_executor("process:3")
         assert isinstance(proc, ProcessExecutor) and proc.workers == 3
-        blob = make_executor("process-blob:2")
-        assert isinstance(blob, ProcessBlobExecutor) and blob.workers == 2
         with pytest.raises(ValueError):
             make_executor("process:0")
-        passthrough = WireCheckExecutor()
-        assert make_executor(passthrough) is passthrough
+        assert make_executor(wire_executor) is wire_executor
 
     def test_context_manager_closes_owned_pool(self):
         dep, _nodes = _net(seed=70)
@@ -194,14 +189,6 @@ class TestExecutorLifecycle:
         with QueryProcessor(dep, executor="process:2") as qp:
             # prepare() ran at construction: the slots exist before the
             # first batch, so spawn cost never lands inside a query.
-            assert qp.mq.executor.alive
-            qp.prefetch(["a", "b"])
-        assert not qp.mq.executor.alive
-
-    @pytest.mark.slow
-    def test_blob_pool_closes_and_is_prewarmed(self):
-        dep, _nodes = _net(seed=73)
-        with QueryProcessor(dep, executor="process-blob:2") as qp:
             assert qp.mq.executor.alive
             qp.prefetch(["a", "b"])
         assert not qp.mq.executor.alive

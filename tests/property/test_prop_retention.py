@@ -198,10 +198,10 @@ def test_truncation_only_withholds_judgment(schedule):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(schedules())
-def test_serial_thread_wire_identical_post_gc(schedule):
+def test_serial_thread_wire_identical_post_gc(wire_executor, schedule):
     dep, _nodes, _auditor = _run_schedule(schedule)
     dep.run_gc(checkpoint=False)
     audited = schedule["audited"]
     serial = _post_gc_outcome(dep, audited, None)
     assert _post_gc_outcome(dep, audited, 2) == serial
-    assert _post_gc_outcome(dep, audited, "wire") == serial
+    assert _post_gc_outcome(dep, audited, wire_executor) == serial

@@ -87,9 +87,10 @@ def _run_schedule(schedule, executor):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(schedules())
-def test_serial_wire_thread_identical_under_refresh_gc(schedule):
+def test_serial_wire_thread_identical_under_refresh_gc(wire_executor,
+                                                       schedule):
     serial = _run_schedule(schedule, None)
-    assert _run_schedule(schedule, "wire") == serial, \
+    assert _run_schedule(schedule, wire_executor) == serial, \
         f"wire diverged from serial on {schedule}"
     assert _run_schedule(schedule, "thread:2") == serial, \
         f"thread diverged from serial on {schedule}"

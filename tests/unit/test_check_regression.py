@@ -7,9 +7,9 @@ engine extractor and hard checks to that promise — join-candidate
 counters gate at every size, guard-schedule counts gate the planner,
 plan build/analyze seconds are recorded but never become metrics, and
 an indexed engine that enumerates more candidates than the naive scan
-fails outright. The differential gates work the same way: every row
-must carry the three-way equivalence verdict and delta counters, the
-differential arm must not out-emit the naive reference, and the
+fails outright. The delta gates work the same way: every row must
+carry the production ≡ naive equivalence verdict and delta counters,
+the production engine must not out-emit the naive reference, and the
 1-event refresh must stay far under a from-scratch re-derivation.
 """
 

@@ -7,7 +7,7 @@ import pytest
 import repro.snp.executor as executor_mod
 from repro.snp.executor import (
     MAX_DEFAULT_WORKERS, ProcessExecutor, SerialExecutor, ThreadedExecutor,
-    WireCheckExecutor, default_worker_count, make_executor,
+    default_worker_count, make_executor,
 )
 
 
@@ -27,13 +27,17 @@ class TestExplicitSpecs:
         assert isinstance(pool, ProcessExecutor) and pool.workers == 2
         pool.close()
 
-    def test_wire(self):
-        assert isinstance(make_executor("wire"), WireCheckExecutor)
+    def test_wire(self, wire_executor):
+        # The wire round trip is a test-side executor instance, not a spec.
+        assert make_executor(wire_executor) is wire_executor
 
     def test_invalid_specs_rejected(self):
-        for bad in (0, -2, True, "bogus", "process:x", 3.5):
-            with pytest.raises((ValueError, TypeError)):
+        for bad in (0, -2, True, "bogus", "process:x", "thread:",
+                    "process:", "process-blob:2", "wire", 3.5):
+            with pytest.raises((ValueError, TypeError)) as caught:
                 make_executor(bad)
+            if isinstance(bad, str):
+                assert f"unknown executor spec {bad!r}" in str(caught.value)
 
     def test_instances_pass_through(self):
         pool = ThreadedExecutor(2)

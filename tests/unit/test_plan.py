@@ -91,18 +91,6 @@ class TestJoinCompilation:
 
 
 class TestAggCompilation:
-    def test_group_positions_and_perm(self):
-        rule = AggregateRule(
-            "A", Atom("best", X, D, K), [Atom("cost", X, D, Z, K)],
-            agg_var=K, func="min",
-        )
-        plan = compile_rule(rule)
-        assert isinstance(plan, AggPlan)
-        # group_vars are (X, D) at atom positions 0 and 1.
-        assert plan.group_positions == (0, 1)
-        assert plan.group_index_key(("n", "dest")) == ("n", "dest")
-        assert plan.index_requirements() == {("cost", (0, 1))}
-
     def test_head_agg_position(self):
         rule = AggregateRule(
             "A", Atom("best", X, K), [Atom("cost", X, Z, K)],
@@ -117,9 +105,14 @@ class TestAggCompilation:
             "A", Atom("total", "hub", K), [Atom("c", "hub", Z, K)],
             agg_var=K, func="sum",
         )
-        plan = compile_rule(rule)
-        assert plan.group_positions == ()
-        assert plan.index_requirements() == set()
+        assert isinstance(compile_rule(rule), AggPlan)
+        # Group members come from the engine's membership map: aggregate
+        # rules, grouped or not, ask the store for no secondary index.
+        grouped = AggregateRule(
+            "B", Atom("best", X, D, K), [Atom("cost", X, D, Z, K)],
+            agg_var=K, func="min",
+        )
+        assert Program([rule, grouped]).index_requirements() == set()
 
 
 class TestStoreIndexes:
