@@ -402,9 +402,11 @@ class DatalogApp(StateMachine):
         if seed is None:
             return None
         bindings = rule.body[0].match(tup, seed)
-        if bindings is None \
-                or not all(guard(bindings) for guard in rule.guards):
+        if bindings is None:
             return None
+        for guard in rule.guards:
+            if not guard(bindings):
+                return None
         return tuple(bindings.get(v.name) for v in rule.group_vars), bindings
 
     def _note_membership(self, key, tup, bindings, cause):
@@ -436,11 +438,16 @@ class DatalogApp(StateMachine):
         plan = self.program.plans[rule_index]
         if plan.head_agg_pos is None or not support:
             return False
-        value_key = rule.key if rule.key is not None else (lambda v: v)
-        candidate = (value_key(bindings[rule.agg_var.name]),
-                     tup.canonical_key())
-        current = (value_key(plan.head_agg_value(head)),
-                   support[0].canonical_key())
+        candidate = bindings[rule.agg_var.name]
+        current = plan.head_agg_value(head)
+        if rule.key is not None:
+            candidate = rule.key(candidate)
+            current = rule.key(current)
+        if candidate is current or candidate == current:
+            # Tie on the value: the canonical tie-break decides. Only now
+            # are the keys needed — a fresh tuple's is an encode.
+            candidate = tup.canonical_key()
+            current = support[0].canonical_key()
         if rule.func == "min":
             return candidate > current
         return candidate < current

@@ -111,43 +111,55 @@ class JoinPlan:
         results = []
         chosen = [None] * len(self.rule.body)
         chosen[self.trigger_pos] = trigger_tup
-        steps = self.steps
-
-        def run(step_index, bindings):
-            if step_index == len(steps):
-                results.append((bindings, tuple(chosen)))
-                return
-            step = steps[step_index]
-            if step.index_positions:
-                candidates = store.index_lookup(
-                    step.atom.relation, step.index_positions,
-                    step.key(bindings),
-                )
-            else:
-                candidates = store.visible_set(step.atom.relation)
-            for candidate in candidates:
-                app.join_candidates += 1
-                extended = step.atom.match(candidate, bindings)
-                if extended is None:
-                    continue
-                if not all(guard(extended) for guard in step.guards):
-                    app.guard_prunes += 1
-                    continue
-                chosen[step.body_pos] = candidate
-                run(step_index + 1, extended)
-                chosen[step.body_pos] = None
-
-        run(0, bound)
-        results.sort(
-            key=lambda pair: tuple(s.canonical_key() for s in pair[1])
-        )
+        self._extend(store, app, 0, bound, chosen, results)
+        if len(results) > 1:
+            results.sort(key=_support_order)
         return results
+
+    def _extend(self, store, app, step_index, bindings, chosen, results):
+        """Probe step *step_index* and recurse on every match; a full
+        match appends ``(bindings, support)`` to *results*. A method, not
+        a closure over ``execute``'s locals: a nested function that calls
+        itself is a reference cycle per join, which only the cyclic
+        collector can free (DESIGN.md "Allocation and the collector")."""
+        steps = self.steps
+        if step_index == len(steps):
+            results.append((bindings, tuple(chosen)))
+            return
+        step = steps[step_index]
+        if step.index_positions:
+            candidates = store.index_lookup(
+                step.atom.relation, step.index_positions,
+                step.key(bindings),
+            )
+        else:
+            candidates = store.visible_set(step.atom.relation)
+        for candidate in candidates:
+            app.join_candidates += 1
+            extended = step.atom.match(candidate, bindings)
+            if extended is None:
+                continue
+            for guard in step.guards:
+                if not guard(extended):
+                    app.guard_prunes += 1
+                    break
+            else:
+                chosen[step.body_pos] = candidate
+                self._extend(store, app, step_index + 1, extended, chosen,
+                             results)
+                chosen[step.body_pos] = None
 
     def __repr__(self):
         return (
             f"JoinPlan({self.rule.name}@{self.trigger_pos}: "
             f"{list(self.steps)!r})"
         )
+
+
+def _support_order(match):
+    """Sort key of one ``(bindings, support)`` match: the support's
+    canonical keys, in body order."""
+    return tuple(s.canonical_key() for s in match[1])
 
 
 def _key_parts(atom, positions):

@@ -42,25 +42,39 @@ from repro.util.serialization import canonical_bytes
 class DerivationInstance:
     """One concrete way a tuple was derived: rule name + ground supports."""
 
-    __slots__ = ("rule", "support")
+    __slots__ = ("rule", "support", "_key")
 
     def __init__(self, rule, support):
         self.rule = rule
         self.support = tuple(support)
+        self._key = (rule, self.support)
 
     def key(self):
-        return (self.rule, self.support)
+        """``(rule, support)``, built once: the store files the instance
+        under this one object and under one ``(head, key)`` reference per
+        support."""
+        return self._key
 
     def __eq__(self, other):
         return (
-            isinstance(other, DerivationInstance) and self.key() == other.key()
+            isinstance(other, DerivationInstance) and self._key == other._key
         )
 
     def __hash__(self):
         return hash(("derivation", self.rule, self.support))
 
+    def __reduce__(self):
+        # Through the constructor, as Tup and Msg do: the key is derived
+        # state and is rebuilt on the importing side.
+        return (DerivationInstance, (self.rule, self.support))
+
     def __repr__(self):
         return f"DerivationInstance({self.rule}, {self.support!r})"
+
+
+def _ref_order(ref):
+    """Retraction order of one ``(head, (rule, support))`` reference."""
+    return ref[0].canonical_key(), canonical_bytes(ref[1][0])
 
 
 class TupleStore:
@@ -148,15 +162,22 @@ class TupleStore:
 
     def add_derivation(self, tup, instance, t):
         """Record a derivation instance; returns (is_new_instance, appeared)."""
-        instances = self._derivations.setdefault(tup, {})
-        if instance.key() in instances:
+        key = instance.key()
+        instances = self._derivations.get(tup)
+        if instances is None:
+            instances = self._derivations[tup] = {}
+        elif key in instances:
             return False, False
         was = self.present(tup)
-        instances[instance.key()] = instance
+        instances[key] = instance
+        ref = (tup, key)
+        by_support = self._by_support
         for support in instance.support:
-            self._by_support.setdefault(support, set()).add(
-                (tup, instance.key())
-            )
+            refs = by_support.get(support)
+            if refs is None:
+                by_support[support] = {ref}
+            else:
+                refs.add(ref)
         if not was:
             self._note_appear(tup, t)
         return True, not was
@@ -167,12 +188,10 @@ class TupleStore:
         Returns the list of (head, instance, disappeared) in deterministic
         order, where *disappeared* says the head tuple ceased to be present.
         """
-        entries = self._by_support.pop(support_tup, set())
+        entries = self._by_support.pop(support_tup, ())
         results = []
-        for head, key in sorted(
-            entries,
-            key=lambda e: (e[0].canonical_key(), canonical_bytes(e[1][0])),
-        ):
+        for ref in sorted(entries, key=_ref_order):
+            head, key = ref
             instances = self._derivations.get(head)
             if not instances or key not in instances:
                 continue
@@ -181,7 +200,7 @@ class TupleStore:
                 if other_support != support_tup:
                     refs = self._by_support.get(other_support)
                     if refs:
-                        refs.discard((head, key))
+                        refs.discard(ref)
             disappeared = False
             if not instances:
                 del self._derivations[head]
@@ -193,14 +212,16 @@ class TupleStore:
 
     def remove_derivation(self, tup, instance):
         """Remove one specific instance; returns True if *tup* disappeared."""
+        key = instance.key()
         instances = self._derivations.get(tup)
-        if not instances or instance.key() not in instances:
+        if not instances or key not in instances:
             return False
-        instances.pop(instance.key())
+        del instances[key]
+        ref = (tup, key)
         for support in instance.support:
             refs = self._by_support.get(support)
             if refs:
-                refs.discard((tup, instance.key()))
+                refs.discard(ref)
         if not instances:
             del self._derivations[tup]
             if not self.present(tup):
@@ -353,10 +374,9 @@ class TupleStore:
             for key, support in insts:
                 instance = DerivationInstance(key[0], support)
                 table[instance.key()] = instance
+                ref = (tup, instance.key())
                 for s in support:
-                    self._by_support.setdefault(s, set()).add(
-                        (tup, instance.key())
-                    )
+                    self._by_support.setdefault(s, set()).add(ref)
         self._beliefs = {t: dict(p) for t, p in snap["beliefs"].items()}
         self._appeared_at = dict(snap["appeared"])
         self._believe_peer = dict(snap["believe_peer"])

@@ -94,7 +94,8 @@ class Msg:
     ``t_sent`` is the sender-local timestamp (``txmit`` in the paper).
     """
 
-    __slots__ = ("polarity", "tup", "src", "dst", "seq", "t_sent", "_hash")
+    __slots__ = ("polarity", "tup", "src", "dst", "seq", "t_sent", "_hash",
+                 "_full_key")
 
     def __init__(self, polarity, tup, src, dst, seq, t_sent):
         if polarity not in (PLUS, MINUS):
@@ -106,6 +107,9 @@ class Msg:
         self.seq = seq
         self.t_sent = t_sent
         self._hash = hash((polarity, tup, src, dst, seq))
+        # Keys the message's send and receive vertices and the GCA's
+        # pending table, several times per replayed message: built once.
+        self._full_key = (src, dst, seq, polarity, tup)
 
     def msg_id(self):
         """Channel-level identity (sequence number), used for ack matching."""
@@ -115,7 +119,7 @@ class Msg:
         """Full message identity including content. Send/receive vertices
         are keyed by this: a faulty node that reuses a sequence number for
         *different* content must not alias the honest message's vertex."""
-        return (self.src, self.dst, self.seq, self.polarity, self.tup)
+        return self._full_key
 
     def __eq__(self, other):
         return (

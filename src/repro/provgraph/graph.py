@@ -20,12 +20,31 @@ from repro.provgraph.vertices import (
 )
 
 
+#: Vertex ids are per-graph insertion ranks; an edge is the integer
+#: ``id_from << _ID_BITS | id_to``.
+_ID_BITS = 32
+
+
 class ProvenanceGraph:
+    """Vertices by key, adjacency by per-graph integer vertex id.
+
+    Edges are stored once per direction — a row of neighbour ids per
+    vertex, in insertion order — and de-duplicated through one set of
+    integer edge codes. A row is ``()`` for no neighbour, the id itself
+    for one (three rows in four of a replayed graph), a list for more.
+    Adding an edge therefore hashes each vertex key once and, for most
+    edges, allocates nothing the cyclic collector counts or traverses
+    (DESIGN.md "Allocation and the collector"). Every method looks
+    vertices up by *key*, so an equal-key clone works wherever the
+    canonical instance does.
+    """
+
     def __init__(self):
-        self._vertices = {}          # key -> Vertex
-        self._edges = set()          # (key_from, key_to)
-        self._succ = {}              # key -> list of keys (insertion order)
-        self._pred = {}
+        self._index = {}             # key -> vertex id
+        self._vertices = []          # vertex id -> Vertex
+        self._succ = []              # vertex id -> row of vertex ids
+        self._pred = []
+        self._edge_codes = set()
         self._open_intervals = {}    # (vtype, node, tup) -> Vertex
 
     # ------------------------------------------------------------- basics
@@ -35,27 +54,33 @@ class ProvenanceGraph:
 
     def __contains__(self, vertex):
         key = vertex.key() if isinstance(vertex, Vertex) else vertex
-        return key in self._vertices
+        return key in self._index
 
     def vertices(self):
-        return list(self._vertices.values())
+        return list(self._vertices)
 
     def edges(self):
-        return list(self._edges)
+        """``(key_from, key_to)`` pairs, by source vertex then insertion."""
+        return [(a.key(), b.key()) for a, b in self._edge_vertices()]
 
     def edge_count(self):
-        return len(self._edges)
+        return len(self._edge_codes)
 
     def get(self, key):
         """Vertex by exact key, or None."""
-        return self._vertices.get(key)
+        i = self._index.get(key)
+        return None if i is None else self._vertices[i]
 
     def add_vertex(self, vertex):
         """Insert *vertex* if absent; returns the canonical instance."""
-        existing = self._vertices.get(vertex.key())
-        if existing is not None:
-            return existing
-        self._vertices[vertex.key()] = vertex
+        vertices = self._vertices
+        fresh = len(vertices)
+        i = self._index.setdefault(vertex.key(), fresh)
+        if i != fresh:
+            return vertices[i]
+        vertices.append(vertex)
+        self._succ.append(())
+        self._pred.append(())
         if vertex.interval_open():
             self._open_intervals[
                 (vertex.vtype, vertex.node, vertex.tup)
@@ -63,21 +88,45 @@ class ProvenanceGraph:
         return vertex
 
     def add_edge(self, v_from, v_to):
-        pair = (v_from.key(), v_to.key())
-        if pair in self._edges:
+        """Add the edge between two vertices of this graph (no-op when it
+        is already there)."""
+        i = self._index[v_from.key()]
+        j = self._index[v_to.key()]
+        code = i << _ID_BITS | j
+        codes = self._edge_codes
+        if code in codes:
             return
-        self._edges.add(pair)
-        self._succ.setdefault(pair[0], []).append(pair[1])
-        self._pred.setdefault(pair[1], []).append(pair[0])
+        codes.add(code)
+        _append(self._succ, i, j)
+        _append(self._pred, j, i)
 
     def has_edge(self, v_from, v_to):
-        return (v_from.key(), v_to.key()) in self._edges
+        i = self._index.get(v_from.key())
+        j = self._index.get(v_to.key())
+        if i is None or j is None:
+            return False
+        return i << _ID_BITS | j in self._edge_codes
 
     def predecessors(self, vertex):
-        return [self._vertices[k] for k in self._pred.get(vertex.key(), ())]
+        return self._neighbors(self._pred, vertex)
 
     def successors(self, vertex):
-        return [self._vertices[k] for k in self._succ.get(vertex.key(), ())]
+        return self._neighbors(self._succ, vertex)
+
+    def _neighbors(self, adjacency, vertex):
+        i = self._index.get(vertex.key())
+        if i is None:
+            return []
+        vertices = self._vertices
+        return [vertices[k] for k in _ids(adjacency[i])]
+
+    def _edge_vertices(self):
+        """Every edge as a ``(Vertex, Vertex)`` pair, by source vertex
+        then insertion."""
+        vertices = self._vertices
+        for vertex, row in zip(vertices, self._succ):
+            for j in _ids(row):
+                yield vertex, vertices[j]
 
     # --------------------------------------------------- wildcard lookups
 
@@ -94,7 +143,7 @@ class ProvenanceGraph:
 
     def find_exist_at(self, node, tup, t):
         """The exist vertex for *tup* on *node* whose interval contains t."""
-        for vertex in self._vertices.values():
+        for vertex in self._vertices:
             if (
                 vertex.vtype == EXIST
                 and vertex.node == node
@@ -108,7 +157,7 @@ class ProvenanceGraph:
     def find_all(self, vtype=None, node=None, tup=None):
         """Linear-scan query used by tests and the macroquery processor."""
         out = []
-        for vertex in self._vertices.values():
+        for vertex in self._vertices:
             if vtype is not None and vertex.vtype != vtype:
                 continue
             if node is not None and vertex.node != node:
@@ -125,25 +174,22 @@ class ProvenanceGraph:
         """G ∪* other (Appendix B.2); returns a new graph."""
         result = ProvenanceGraph()
         for source in (self, other):
-            for vertex in source._vertices.values():
+            for vertex in source._vertices:
                 result._merge_vertex(vertex)
         for source in (self, other):
-            for key_from, key_to in source._edges:
-                a = result._vertices.get(key_from)
-                b = result._vertices.get(key_to)
-                if a is not None and b is not None:
-                    result.add_edge(a, b)
+            result._copy_edges(source)
         return result
 
+    def _copy_edges(self, source):
+        """Add every edge of *source* whose endpoints both exist here."""
+        for v_from, v_to in source._edge_vertices():
+            if v_from.key() in self._index and v_to.key() in self._index:
+                self.add_edge(v_from, v_to)
+
     def _merge_vertex(self, vertex):
-        existing = self._vertices.get(vertex.key())
+        existing = self.get(vertex.key())
         if existing is None:
-            clone = _clone_vertex(vertex)
-            self._vertices[clone.key()] = clone
-            if clone.interval_open():
-                self._open_intervals[
-                    (clone.vtype, clone.node, clone.tup)
-                ] = clone
+            self.add_vertex(_clone_vertex(vertex))
             return
         existing.color = Color.dominant(existing.color, vertex.color)
         if existing.is_interval():
@@ -158,32 +204,27 @@ class ProvenanceGraph:
     def project(self, node):
         """G | node (Appendix B.2)."""
         result = ProvenanceGraph()
-        kept = set()
-        for vertex in self._vertices.values():
+        for vertex in self._vertices:
             if vertex.node == node:
                 result._merge_vertex(vertex)
-                kept.add(vertex.key())
         # Cross-node send/receive vertices connected by an edge, in yellow.
-        for key_from, key_to in self._edges:
-            for mine, theirs in ((key_from, key_to), (key_to, key_from)):
-                if mine in kept and theirs not in kept:
-                    other = self._vertices[theirs]
-                    if other.vtype in (SEND, RECEIVE):
-                        clone = _clone_vertex(other)
-                        clone.color = Color.YELLOW
-                        result._merge_vertex(clone)
-        for key_from, key_to in self._edges:
-            a = result._vertices.get(key_from)
-            b = result._vertices.get(key_to)
-            if a is not None and b is not None:
-                result.add_edge(a, b)
+        for v_from, v_to in self._edge_vertices():
+            for mine, theirs in ((v_from, v_to), (v_to, v_from)):
+                if (
+                    mine.node == node and theirs.node != node
+                    and theirs.vtype in (SEND, RECEIVE)
+                ):
+                    clone = _clone_vertex(theirs)
+                    clone.color = Color.YELLOW
+                    result._merge_vertex(clone)
+        result._copy_edges(self)
         return result
 
     def is_subgraph_of(self, other):
         """G ⊆* other: every vertex/edge of G appears in *other* with a
         color at least as dominant and an interval no larger."""
-        for key, vertex in self._vertices.items():
-            theirs = other._vertices.get(key)
+        for vertex in self._vertices:
+            theirs = other.get(vertex.key())
             if theirs is None:
                 return False
             if Color.dominant(vertex.color, theirs.color) != theirs.color:
@@ -191,18 +232,37 @@ class ProvenanceGraph:
             if vertex.is_interval():
                 if _min_end(vertex.t_end, theirs.t_end) != theirs.t_end:
                     return False
-        return all(edge in other._edges for edge in self._edges)
+        return all(
+            other.has_edge(v_from, v_to)
+            for v_from, v_to in self._edge_vertices()
+        )
 
     # ----------------------------------------------------------- coloring
 
     def red_vertices(self):
-        return [v for v in self._vertices.values() if v.color == Color.RED]
+        return [v for v in self._vertices if v.color == Color.RED]
 
     def yellow_vertices(self):
-        return [v for v in self._vertices.values() if v.color == Color.YELLOW]
+        return [v for v in self._vertices if v.color == Color.YELLOW]
 
     def vertices_on(self, node):
-        return [v for v in self._vertices.values() if v.node == node]
+        return [v for v in self._vertices if v.node == node]
+
+
+def _append(adjacency, i, j):
+    """Append id *j* to vertex *i*'s row of *adjacency*."""
+    row = adjacency[i]
+    if type(row) is list:
+        row.append(j)
+    elif type(row) is int:
+        adjacency[i] = [row, j]
+    else:
+        adjacency[i] = j
+
+
+def _ids(row):
+    """The ids in one adjacency row, in insertion order."""
+    return (row,) if type(row) is int else row
 
 
 def _clone_vertex(vertex):

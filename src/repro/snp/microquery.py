@@ -227,7 +227,7 @@ class _BuildJob:
             # unreachable: the stale view stays verified
             self.outcome = self._final(view)
             return None
-        mq._simulate_transfer(response)
+        mq._charge_fetch(response, self.stats)
         if response.start_index != view.head_index + 1:
             # The responder did not (or could not) anchor at our head —
             # e.g. a log shorter than the verified head, or a replica that
@@ -236,25 +236,24 @@ class _BuildJob:
             # still exposes any fork during full verification. The
             # response in hand is reused so the node is not asked to ship
             # its log twice — unless a checkpoint-anchored refetch is
-            # preferred, in which case the discarded transfer still
-            # happened and must be accounted.
+            # preferred (the discarded transfer still happened and stays
+            # charged).
             if mq.use_checkpoints and not from_mirror:
-                mq._account_response(response, self.stats)
                 return self._fetch_full()
             return self._fetch_full(response=response,
                                     from_mirror=from_mirror)
         self.from_mirror = from_mirror
         self.stats.delta_fetches += 1
-        mq._account_response(response, self.stats)
         self.response = response
         return self._make_work()
 
     def _fetch_full(self, response=None, from_mirror=False):
         """Fetch for a from-scratch build. *response* short-circuits
-        retrieval when the caller already holds a full response (the
-        refresh fallback path) — trust in the chain is established from
-        zero either way, so the memoized evidence checks and the
-        consistency cursor are dropped at finalize."""
+        retrieval when the caller already holds (and has been charged
+        for) a full response — the refresh fallback path. Trust in the
+        chain is established from zero either way, so the memoized
+        evidence checks and the consistency cursor are dropped at
+        finalize."""
         mq = self.mq
         node_id = self.node
         self.kind = "built"
@@ -279,7 +278,7 @@ class _BuildJob:
                 if from_mirror:
                     response.from_mirror = True
             if response is not None:
-                mq._simulate_transfer(response)
+                mq._charge_fetch(response, self.stats)
         if response is None:
             self.outcome = self._final(
                 NodeView(node_id, UNREACHABLE,
@@ -287,7 +286,6 @@ class _BuildJob:
             )
             return None
         self.from_mirror = from_mirror
-        mq._account_response(response, self.stats)
         if response.checkpoint is not None:
             self.stats.checkpoint_bytes += response.checkpoint.size_bytes()
             self.stats.checkpoint_bytes += mq._snapshot_size(
@@ -758,26 +756,25 @@ class MicroQuerier:
 
     # ---------------------------------------------- fetch-side accounting
 
-    def _simulate_transfer(self, response):
-        """Model the download of one retrieved segment when the deployment
-        configures a query transport — slept on the fetching worker's
-        thread, which is precisely the cost parallel builds overlap."""
+    def _charge_fetch(self, response, stats):
+        """Charge one retrieved segment to *stats* and, when the
+        deployment configures a query transport, model its download —
+        slept on the fetching worker's thread, which is precisely the
+        cost parallel builds overlap. The single place a fetch is
+        accounted, right where it happened, so full, delta and
+        discarded-fallback fetches stay in lockstep and the segment is
+        sized once."""
+        nbytes = sum(e.size_bytes() for e in response.entries)
+        stats.logs_fetched += 1
+        stats.log_bytes += nbytes
+        stats.authenticator_bytes += AUTHENTICATOR_BYTES
         transport = self.deployment.query_transport
         if transport is None:
             return
-        nbytes = sum(e.size_bytes() for e in response.entries)
         nbytes += AUTHENTICATOR_BYTES
         if response.checkpoint is not None:
             nbytes += response.checkpoint.size_bytes()
         time.sleep(transport.transfer_seconds(nbytes))
-
-    def _account_response(self, response, stats):
-        """Charge one retrieved segment's transfer to *stats* — the
-        single place download accounting happens, so full, delta and
-        discarded-fallback fetches stay in lockstep."""
-        stats.logs_fetched += 1
-        stats.log_bytes += sum(e.size_bytes() for e in response.entries)
-        stats.authenticator_bytes += AUTHENTICATOR_BYTES
 
     def _snapshot_size(self, chk_entry):
         try:
@@ -919,8 +916,7 @@ class MicroQuerier:
         if response is None:
             return
         self.stats.anchor_fetches += 1
-        self._simulate_transfer(response)
-        self._account_response(response, self.stats)
+        self._charge_fetch(response, self.stats)
         view = self._views.get(node_id)
         trusted = None
         if view is not None and view.status == OK and view.head_index > 0:

@@ -11,6 +11,8 @@ resulting global history:
 * determinism of replay — running the GCA twice yields identical graphs.
 """
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.mincost import link, mincost_factory
@@ -125,3 +127,78 @@ class TestGcaTheoremsRandomized:
         for relation in ("link", "cost", "bestCost"):
             assert set(replayed.tuples_of(relation)) == \
                 set(node.app.tuples_of(relation))
+
+
+def _shape(graph):
+    """Everything a caller can observe of a graph's structure: vertices
+    in order with colour and interval, and each vertex's predecessor and
+    successor keys in the order the graph returns them."""
+    return [
+        (v.key(), v.color, v.t_end, v.seeded,
+         [p.key() for p in graph.predecessors(v)],
+         [s.key() for s in graph.successors(v)])
+        for v in graph.vertices()
+    ]
+
+
+class TestGraphContainerOnReplayedGraphs:
+    """The adjacency representation is an implementation detail: these
+    hold for any graph the GCA builds, with closed intervals and
+    cross-node send/receive edges in it."""
+
+    @given(schedules)
+    @settings(max_examples=10, deadline=None)
+    def test_edges_are_what_successors_reach(self, schedule):
+        dep = _execute(schedule)
+        graph = _gca(dep).run(_history(dep))
+        edges = graph.edges()
+        reached = [(v.key(), s.key())
+                   for v in graph.vertices() for s in graph.successors(v)]
+        assert edges == reached
+        assert len(edges) == len(set(edges)) == graph.edge_count()
+        assert set(edges) == {
+            (p.key(), v.key())
+            for v in graph.vertices() for p in graph.predecessors(v)}
+        for key_from, key_to in edges:
+            assert graph.has_edge(graph.get(key_from), graph.get(key_to))
+
+    @given(schedules)
+    @settings(max_examples=10, deadline=None)
+    def test_pickle_round_trip_preserves_the_graph(self, schedule):
+        dep = _execute(schedule)
+        graph = _gca(dep).run(_history(dep))
+        clone = pickle.loads(pickle.dumps(graph, pickle.HIGHEST_PROTOCOL))
+        assert _shape(clone) == _shape(graph)
+        assert clone.edges() == graph.edges()
+        for vertex in graph.vertices():
+            if vertex.interval_open():
+                found = clone.open_interval(vertex.vtype, vertex.node,
+                                            vertex.tup)
+                assert found is clone.get(vertex.key())
+        if not len(graph):
+            return
+        # and the copy keeps working as a graph
+        first, last = clone.vertices()[0], clone.vertices()[-1]
+        clone.add_edge(last, first)
+        assert clone.has_edge(last, first)
+        assert not graph.has_edge(last, first)
+
+    @given(schedules)
+    @settings(max_examples=10, deadline=None)
+    def test_algebra_on_closed_intervals_and_cross_node_edges(self, schedule):
+        dep = _execute(schedule)
+        graph = _gca(dep).run(_history(dep))
+        parts = [graph.project(name) for name in NODES]
+        whole = parts[0].union(parts[1]).union(parts[2])
+        assert {v.key() for v in whole.vertices()} == \
+            {v.key() for v in graph.vertices()}
+        assert set(whole.edges()) == set(graph.edges())
+        for part in parts:
+            assert part.is_subgraph_of(whole)
+            for key_from, key_to in part.edges():
+                assert graph.has_edge(graph.get(key_from),
+                                      graph.get(key_to))
+        for v in graph.vertices():
+            if v.is_interval():
+                assert whole.get(v.key()).t_end == v.t_end
+        assert graph.union(graph).edges() == graph.edges()

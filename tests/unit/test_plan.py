@@ -1,5 +1,7 @@
 """The rule compiler and the store's secondary indexes."""
 
+import gc
+
 from repro.datalog import (
     Var, Atom, Guard, Rule, AggregateRule, Program, DatalogApp,
 )
@@ -192,3 +194,46 @@ class TestEngineUsesIndexes:
         app.handle_insert(Tup("e", "n", "k3"), 1.0)
         assert app.has_tuple(Tup("h", "n", 3))
         assert not app.has_tuple(Tup("h", "n", 2))
+
+
+class TestJoinExecution:
+    def test_joins_leave_nothing_for_the_cyclic_collector(self):
+        """A join must be freed by reference counting alone. A nested
+        function that recurses through its own closure cell is a
+        reference cycle per ``execute`` call (function -> cell ->
+        function, holding the results and the store), which piles up
+        until the collector runs."""
+        program = Program([
+            Rule("R", Atom("h", X, Y, Z),
+                 [Atom("e", X, Y), Atom("f", X, Y, Z), Atom("g", X, Z)],
+                 guards=[Guard(lambda b: b["Z"] >= 0, vars=(Z,))]),
+        ])
+        app = DatalogApp("n", program)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for v in range(100):
+                app.handle_insert(Tup("g", "n", v), 0.0)
+                app.handle_insert(Tup("f", "n", f"k{v}", v), 0.0)
+                app.handle_insert(Tup("e", "n", f"k{v}"), 1.0)
+                app.handle_delete(Tup("f", "n", f"k{v}", v), 2.0)
+            assert app.join_candidates >= 200
+            assert len(app.tuples_of("h")) == 0
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_single_match_is_returned_unsorted_and_many_sorted(self):
+        rule = Rule("R", Atom("h", X, Z),
+                    [Atom("e", X, Y), Atom("f", X, Y, Z)])
+        app = DatalogApp("n", Program([rule]))
+        for z in (3, 1, 2):
+            app.handle_insert(Tup("f", "n", "k", z), 0.0)
+        trigger = Tup("e", "n", "k")
+        join = app.program.plans[0].joins[0]
+        matches = join.execute(app.store, {"X": "n", "Y": "k"}, trigger, app)
+        assert [support[1].args[-1] for _b, support in matches] == [1, 2, 3]
+        lone = join.execute(app.store, {"X": "n", "Y": "none"}, trigger, app)
+        assert lone == []

@@ -6,7 +6,7 @@ from repro.model import Msg, Tup, PLUS
 from repro.provgraph.graph import ProvenanceGraph
 from repro.provgraph.vertices import (
     Vertex, Color,
-    APPEAR, EXIST, SEND, RECEIVE, BELIEVE, DERIVE, INSERT,
+    APPEAR, EXIST, SEND, RECEIVE, BELIEVE, DELETE, DERIVE, INSERT,
 )
 
 
@@ -91,6 +91,43 @@ class TestGraphContainer:
         assert g.predecessors(b) == [a]
         g.add_edge(a, b)  # duplicate edges collapse
         assert g.edge_count() == 1
+
+    def test_duplicate_edge_keeps_count_and_order(self):
+        g = ProvenanceGraph()
+        a = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
+        outs = [g.add_vertex(Vertex(DERIVE, "n", tup=_tup(i), rule="R",
+                                    t=2.0)) for i in range(4)]
+        for out in outs:
+            g.add_edge(a, out)
+        g.add_edge(a, outs[1])
+        g.add_edge(a, outs[0])
+        assert g.edge_count() == 4
+        assert g.successors(a) == outs
+        assert [g.predecessors(out) for out in outs] == [[a]] * 4
+        assert g.edges() == [(a.key(), out.key()) for out in outs]
+
+    def test_equal_key_clone_stands_for_the_canonical_vertex(self):
+        g = ProvenanceGraph()
+        a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
+        b = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
+        a2 = Vertex(APPEAR, "n", tup=_tup(), t=1.0)
+        b2 = Vertex(EXIST, "n", tup=_tup(), t=1.0, color=Color.RED)
+        g.add_edge(a2, b2)
+        assert g.has_edge(a, b) and g.has_edge(a2, b2)
+        assert g.predecessors(b2) == [a] and g.predecessors(b2)[0] is a
+        assert g.successors(a2)[0] is b
+        assert b.color == Color.BLACK        # the clone was only a key
+        stranger = Vertex(DELETE, "n", tup=_tup(), t=9.0)
+        assert not g.has_edge(a, stranger)
+        assert g.predecessors(stranger) == g.successors(stranger) == []
+
+    def test_contains_takes_a_vertex_or_a_key(self):
+        g = ProvenanceGraph()
+        a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
+        assert a in g and a.key() in g
+        assert Vertex(APPEAR, "n", tup=_tup(), t=1.0) in g
+        assert Vertex(APPEAR, "n", tup=_tup(), t=2.0) not in g
+        assert (APPEAR, "n", _tup(), 2.0) not in g
 
     def test_find_exist_at(self):
         g = ProvenanceGraph()

@@ -1,8 +1,16 @@
 """Canonical serialization: determinism, distinctness, type coverage."""
 
-import pytest
+import collections
+import enum
+import struct
 
-from repro.model import Tup
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.hashing import sha256_hex
+from repro.model import Msg, PLUS, Tup
+from repro.snp.evidence import Authenticator
+from repro.snp.log import NodeLog
 from repro.util.serialization import canonical_bytes, canonical_size
 
 
@@ -82,3 +90,214 @@ class TestObjects:
 
     def test_canonical_size_positive(self):
         assert canonical_size(("x", 1, 2.0)) > 0
+
+
+# ------------------------------------------------------------ format freeze
+#
+# The isinstance-chain encoder this module shipped with until the
+# type-dispatched one replaced it, kept verbatim as the oracle: the
+# production encoder must agree with it byte for byte on every input it
+# accepted, and reject every input it rejected.
+
+_TAG_NONE = b"N"
+_TAG_TRUE = b"T"
+_TAG_FALSE = b"F"
+_TAG_INT = b"i"
+_TAG_FLOAT = b"f"
+_TAG_STR = b"s"
+_TAG_BYTES = b"b"
+_TAG_TUPLE = b"t"
+_TAG_LIST = b"l"
+_TAG_DICT = b"d"
+_TAG_FROZENSET = b"S"
+
+
+def oracle_bytes(value):
+    out = []
+    _oracle_encode(value, out)
+    return b"".join(out)
+
+
+def _oracle_encode(value, out):
+    if value is None:
+        out.append(_TAG_NONE)
+    elif value is True:
+        out.append(_TAG_TRUE)
+    elif value is False:
+        out.append(_TAG_FALSE)
+    elif isinstance(value, int):
+        body = str(value).encode("ascii")
+        out.append(_TAG_INT + struct.pack(">I", len(body)) + body)
+    elif isinstance(value, float):
+        out.append(_TAG_FLOAT + struct.pack(">d", value))
+    elif isinstance(value, str):
+        body = value.encode("utf-8")
+        out.append(_TAG_STR + struct.pack(">I", len(body)) + body)
+    elif isinstance(value, bytes):
+        out.append(_TAG_BYTES + struct.pack(">I", len(value)) + value)
+    elif isinstance(value, tuple):
+        out.append(_TAG_TUPLE + struct.pack(">I", len(value)))
+        for item in value:
+            _oracle_encode(item, out)
+    elif isinstance(value, list):
+        out.append(_TAG_LIST + struct.pack(">I", len(value)))
+        for item in value:
+            _oracle_encode(item, out)
+    elif isinstance(value, dict):
+        encoded = sorted(
+            (oracle_bytes(k), oracle_bytes(v)) for k, v in value.items()
+        )
+        out.append(_TAG_DICT + struct.pack(">I", len(encoded)))
+        for key_bytes, val_bytes in encoded:
+            out.append(struct.pack(">I", len(key_bytes)) + key_bytes)
+            out.append(struct.pack(">I", len(val_bytes)) + val_bytes)
+    elif isinstance(value, frozenset):
+        encoded = sorted(oracle_bytes(item) for item in value)
+        out.append(_TAG_FROZENSET + struct.pack(">I", len(encoded)))
+        for item_bytes in encoded:
+            out.append(struct.pack(">I", len(item_bytes)) + item_bytes)
+    elif hasattr(value, "canonical"):
+        _oracle_encode(value.canonical(), out)
+    else:
+        raise TypeError(f"cannot canonically encode {type(value).__name__}")
+
+
+class Polarity(enum.IntEnum):
+    PLUS = 1
+    MINUS = 2
+
+
+class Label(str):
+    """A str subclass: encoded as the string it is."""
+
+
+Hop = collections.namedtuple("Hop", "node cost")
+
+
+class Wrapped:
+    """Exposes ``canonical()``, like Tup and Msg."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def canonical(self):
+        return ("wrapped", self.inner)
+
+
+class Opaque:
+    """Neither a supported type nor ``canonical()``: must be rejected."""
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
+    st.text(max_size=12),
+    st.sampled_from(["τ@n", "naïve", "日本", "\x00"]),
+    st.binary(max_size=12),
+    st.sampled_from(list(Polarity)),
+    st.text(max_size=6).map(Label),
+)
+_hashable = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=3).map(frozenset),
+        st.tuples(st.text(max_size=4), st.integers()).map(lambda p: Hop(*p)),
+    ),
+    max_leaves=6,
+)
+_encodable = st.recursive(
+    st.one_of(_scalars, _hashable),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(_hashable, children, max_size=3),
+        children.map(Wrapped),
+    ),
+    max_leaves=12,
+)
+
+
+def _with_opaque(value):
+    """*value* with an unencodable object buried inside it."""
+    return st.sampled_from([
+        Opaque(), (value, Opaque()), [value, [Opaque()]],
+        {"k": (value, Opaque())}, Wrapped(Opaque()), frozenset([Opaque()]),
+        bytearray(b"ab"), {1, 2}, 1 + 2j,
+    ])
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_encodable)
+    def test_bytes_equal_the_oracle(self, value):
+        assert canonical_bytes(value) == oracle_bytes(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_encodable)
+    def test_size_is_the_encoded_length(self, value):
+        assert canonical_size(value) == len(oracle_bytes(value))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_encodable.flatmap(_with_opaque))
+    def test_same_inputs_rejected(self, value):
+        with pytest.raises(TypeError):
+            oracle_bytes(value)
+        with pytest.raises(TypeError):
+            canonical_bytes(value)
+        with pytest.raises(TypeError):
+            canonical_size(value)
+
+    def test_subclasses_encode_as_their_base(self):
+        assert canonical_bytes(Polarity.MINUS) == oracle_bytes(Polarity.MINUS)
+        assert canonical_bytes(Label("x")) == canonical_bytes("x")
+        assert canonical_bytes(Hop("a", 2)) == canonical_bytes(("a", 2))
+        assert canonical_bytes(collections.OrderedDict(b=1, a=2)) == \
+            canonical_bytes({"a": 2, "b": 1})
+
+    def test_non_ascii_costs_its_utf8_length(self):
+        assert canonical_size("τ") == len(canonical_bytes("τ")) == 5 + 2
+        assert canonical_size("日本") == 5 + 6
+
+
+class TestPinnedFormat:
+    """Digests of the committed format: a change to any of these bytes
+    invalidates every recorded log, signature and checkpoint."""
+
+    TUP = Tup("link", "a", "b", 3, 2.5, "τ")
+
+    def test_tup(self):
+        assert self.TUP.canonical_key().hex() == (
+            "7400000004730000000374757073000000046c696e6b7300000001617400"
+            "0000047300000001626900000001336640040000000000007300000002cf84"
+        )
+        assert sha256_hex(self.TUP.canonical()) == (
+            "0783d22e4f626fddbbc0d11e0eec6d3127e2d0174116ac2004bf214578954a10"
+        )
+
+    def test_msg(self):
+        msg = Msg(PLUS, self.TUP, "a", "b", 7, 1.25)
+        assert sha256_hex(msg.canonical()) == (
+            "30e794c422295bbe9eb5d3a0d663c50bc0958b0c0ab77e64846305988f950c26"
+        )
+
+    def test_authenticator_payload(self):
+        auth = Authenticator("a", 12, 3.5, sha256_hex(b"entry"), None)
+        assert sha256_hex(auth.payload()) == (
+            "d46fde22caabe1b4674b8c4f87f92d4de4dd09cd18a502bfc1f09e0bc7c724d7"
+        )
+
+    def test_checkpoint_content_and_chain(self):
+        entry = NodeLog("a").append_checkpoint(
+            4.0, {"seq": {}}, [(self.TUP, 1.0)],
+            [(Tup("cost", "b", "c", 2), "b", 2.0)],
+        )
+        assert entry.content_hash == (
+            "f5465ef137c54dc2ed607b6257ff3994cbdc68eae662d96f7110b06872e9b6b5"
+        )
+        assert entry.entry_hash == (
+            "b21e9730ec2577700986a1e387149ff075de47e6c30b542f3ae9a8461d28c88a"
+        )
