@@ -131,8 +131,14 @@ class AppFactory:
 
 
 def factory_from_spec(spec):
-    """Rebuild a factory from a :meth:`AppFactory.wire_spec` tuple."""
-    from repro.snp.wire import value_from_wire
+    """Rebuild a factory from a :meth:`AppFactory.wire_spec` tuple. The
+    spec may come from outside the program (a pusher's hello): one that
+    is not a ``(name, kwargs-wire)`` pair raises
+    :class:`~repro.snp.wire.WireError`, like any other malformed form."""
+    from repro.snp.wire import WireError, value_from_wire
 
-    name, kwargs_wire = spec
+    try:
+        name, kwargs_wire = spec
+    except (TypeError, ValueError):
+        raise WireError(f"malformed application spec {spec!r}") from None
     return resolve_builder(name)(**value_from_wire(kwargs_wire))

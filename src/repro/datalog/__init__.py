@@ -23,9 +23,7 @@ The paper's primary systems are modeled as tuples plus derivation rules
   resident view plane;
 * :mod:`repro.datalog.naive` — :class:`NaiveDatalogApp`, the scan-based
   reference evaluator the indexed engine is property-tested against, plus
-  the recompute-from-scratch retraction oracle;
-* :mod:`repro.datalog.zset` — :class:`ZSet`, the weighted z-set delta
-  algebra (multiplicity views, per-batch delta journals).
+  the recompute-from-scratch retraction oracle.
 
 Rules follow the standard declarative-networking localization convention:
 every body atom of a rule shares one location term, which is bound to the
@@ -45,7 +43,6 @@ from repro.datalog.ast import (
 from repro.datalog.engine import DatalogApp, Program
 from repro.datalog.naive import NaiveDatalogApp
 from repro.datalog.parser import ParseError, parse_program
-from repro.datalog.zset import ZSet
 
 __all__ = [
     "Var",
@@ -60,7 +57,6 @@ __all__ = [
     "DatalogApp",
     "NaiveDatalogApp",
     "Program",
-    "ZSet",
     "Diagnostic",
     "ProgramAnalysis",
     "ProgramAnalysisError",

@@ -26,18 +26,9 @@ The scan-based strategy survives as :class:`repro.datalog.naive.
 NaiveDatalogApp`, the reference both implementations are property-tested
 against.
 
-The evaluation model is *differential*: every ``+τ/−τ`` is a weighted
-z-set delta (:mod:`repro.datalog.zset`) run to fixpoint. A per-trigger
-:class:`~repro.datalog.plan.JoinPlan` executes the delta-lifted join
-ΔR⋈S (the triggering tuple is the singleton delta side), retraction is a
-weight −1 update serviced by the store's support counts — never by
-snapshot-restore — and :meth:`DatalogApp.delta_batch` journals a batch of
-events into its net output z-set (a retract-then-reinsert cancels to the
-empty delta). Four counters expose the differential cost model:
-``delta_tuples_in`` (presence toggles consumed), ``delta_tuples_out``
-(derivation changes emitted), ``retractions_applied`` (instances dropped
-by support loss) and ``support_rederivations`` (min/max recomputes forced
-by a disappearing support).
+Every ``+τ/−τ`` runs to fixpoint as a delta — the triggering tuple is
+the singleton delta side of each plan's join — and retraction is serviced
+by the store's support counts, never by snapshot-restore.
 
 Aggregate-group **membership** is maintained, not rescanned: every
 guard-passing member transition — including the ones the min/max
@@ -48,13 +39,11 @@ store on :meth:`DatalogApp.restore`.
 """
 
 from collections import deque
-from contextlib import contextmanager
 
 from repro.datalog.analysis import analyze
 from repro.datalog.ast import Var, Rule, AggregateRule, MaybeRule
 from repro.datalog.plan import compile_rule
 from repro.datalog.store import TupleStore, DerivationInstance
-from repro.datalog.zset import ZSet
 from repro.model import Ack, Der, Snd, StateMachine, Und, MINUS, PLUS
 from repro.util.errors import ConfigurationError
 
@@ -174,7 +163,7 @@ class DatalogApp(StateMachine):
         #: scheduling pruning work the naive evaluator re-does.
         self.join_candidates = 0
         self.guard_prunes = 0
-        #: Differential cost counters (not part of snapshots, all
+        #: Delta cost counters (not part of snapshots, all
         #: deterministic): input presence toggles consumed, derivation
         #: changes (Der/Und) emitted, derivation instances dropped
         #: because a support disappeared, and min/max group recomputes a
@@ -215,52 +204,6 @@ class DatalogApp(StateMachine):
                 self.delta_tuples_in += 1
                 self._run_cascade([("disappear", msg.tup, None)], t, outputs)
         return outputs
-
-    @contextmanager
-    def delta_batch(self):
-        """Collect the net z-set of presence changes over a run of events.
-
-        Usage: ``with app.delta_batch() as delta: ...`` — every
-        ``handle_*`` call inside the block journals its appear (+1) and
-        disappear (−1) transitions into *delta*, which nets out
-        cancelling changes: a tuple retracted and re-derived within the
-        block contributes nothing. Events are still processed one at a
-        time in order (outputs and traces are exactly those of unbatched
-        execution); only the delta accounting is batched. Nestable — the
-        innermost sink wins, mirroring how an enclosing refresh batch
-        owns its epoch delta.
-        """
-        delta = ZSet()
-        previous = self.store.delta_sink
-        self.store.delta_sink = delta
-        try:
-            yield delta
-        finally:
-            self.store.delta_sink = previous
-
-    def apply_delta(self, events, t):
-        """Run a batch of events as one delta to fixpoint.
-
-        *events* is an iterable of ``("ins", tup)``, ``("del", tup)`` or
-        ``("rcv", msg)`` pairs. Returns ``(outputs, delta)`` where
-        *outputs* is the concatenated Der/Und/Snd stream (identical to
-        issuing the events individually) and *delta* the net
-        :class:`~repro.datalog.zset.ZSet` of presence changes.
-        """
-        outputs = []
-        with self.delta_batch() as delta:
-            for kind, payload in events:
-                if kind == "ins":
-                    outputs.extend(self.handle_insert(payload, t))
-                elif kind == "del":
-                    outputs.extend(self.handle_delete(payload, t))
-                elif kind == "rcv":
-                    outputs.extend(self.handle_receive(payload, t))
-                else:
-                    raise ConfigurationError(
-                        f"unknown delta event kind {kind!r}"
-                    )
-        return outputs, delta
 
     # ------------------------------------------------------- cascade engine
 

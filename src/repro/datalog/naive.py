@@ -14,9 +14,9 @@ uses it as the before-side of the speedup measurement.
 any mixed insert/retract schedule must converge to is the one obtained by
 folding the schedule into its net base multiset (:func:`net_base_counts`)
 and evaluating that multiset from scratch on a fresh mesh, with no
-deletion ever issued. The incremental engines service a retraction as a
-weight −1 z-set update (support-counted instance removal plus aggregate
-re-derivation); this recompute-from-scratch oracle is what proves those
+deletion ever issued. The incremental engines service a retraction by
+support-counted instance removal plus aggregate re-derivation; this
+recompute-from-scratch oracle is what proves those
 shortcuts sound on arbitrary schedules, not just monotone runs.
 
 Do not use any of this in deployments; it exists to keep the optimized

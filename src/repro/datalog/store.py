@@ -12,15 +12,10 @@ A node's store tracks three things:
   derivation, we can distinguish between them using a logical reference
   counter").
 
-Together these give every tuple a z-set **weight** — base count plus
-derivation instances plus believed notifications (:meth:`TupleStore.
-weight`) — and a tuple is *present* exactly while its weight is positive.
-The ``0 ↔ positive`` crossings are the only observable transitions:
-:meth:`_note_appear`/:meth:`_note_disappear` fire there, and while a
-**delta sink** (a :class:`~repro.datalog.zset.ZSet`) is installed they
-journal ``+1``/``−1`` into it, so a batch of events yields its net
-semantic delta with retractions as weight ``−1`` entries
-(:meth:`~repro.datalog.engine.DatalogApp.delta_batch`).
+A tuple is *present* while it has a base insertion, a derivation
+instance or a believed notification; the absent ↔ present crossings are
+the only observable transitions, and :meth:`_note_appear`/
+:meth:`_note_disappear` fire exactly there.
 
 A tuple participates in rule matching on this node iff it is *visible*:
 present (locally or as a belief) and located here (``loc == node``). A
@@ -89,11 +84,6 @@ class TupleStore:
         self._believe_peer = {}      # tup -> peer whose notification created belief
         self._indexes = {}           # (relation, positions) -> {key: set of tups}
         self._rel_indexes = {}       # relation -> [(positions, buckets)]
-        #: Optional ZSet journaling net presence changes (+1 appear, −1
-        #: disappear) while installed. Never snapshotted; :meth:`restore`
-        #: replaces state wholesale without journaling, so a sink must
-        #: not span a restore.
-        self.delta_sink = None
 
     # -- presence ----------------------------------------------------------
 
@@ -109,25 +99,6 @@ class TupleStore:
 
     def present(self, tup):
         return self.locally_present(tup) or self.believed(tup)
-
-    def is_base(self, tup):
-        return self._base_count.get(tup, 0) > 0
-
-    def weight(self, tup):
-        """The tuple's z-set multiplicity: base insertions plus derivation
-        instances plus believed notifications. Agrees with
-        :meth:`present` as ``weight > 0`` — appear/disappear events fire
-        exactly on the 0 ↔ positive crossings, which is what lets a
-        retraction be a weight −1 update instead of a snapshot restore."""
-        return (
-            self._base_count.get(tup, 0)
-            + len(self._derivations.get(tup, ()))
-            + sum(self._beliefs.get(tup, {}).values())
-        )
-
-    def belief_peer(self, tup):
-        """The peer this node believes *tup* from (None if not a belief)."""
-        return self._believe_peer.get(tup)
 
     def appeared_at(self, tup):
         return self._appeared_at.get(tup)
@@ -324,8 +295,6 @@ class TupleStore:
         return buckets.get(key, ())
 
     def _note_appear(self, tup, t):
-        if self.delta_sink is not None:
-            self.delta_sink.add(tup, 1)
         self._appeared_at[tup] = t
         if tup.loc == self.node_id:
             self._visible.setdefault(tup.relation, set()).add(tup)
@@ -335,8 +304,6 @@ class TupleStore:
                     buckets.setdefault(key, set()).add(tup)
 
     def _note_disappear(self, tup):
-        if self.delta_sink is not None:
-            self.delta_sink.add(tup, -1)
         self._appeared_at.pop(tup, None)
         if tup.loc == self.node_id:
             rel = self._visible.get(tup.relation)

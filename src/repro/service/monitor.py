@@ -226,7 +226,7 @@ class MonitorState:
     def ingest_hello(self, msg):
         """Adopt a deployment's identity material: node ids, public keys
         (as ``(n, e)`` pairs, rebuilt locally like
-        :meth:`~repro.snp.wire.BuildContext.from_wire` does), app wire
+        :meth:`~repro.snp.build.BuildContext.from_wire` does), app wire
         specs, and the replay Tprop bound."""
         from repro.crypto.rsa import RsaKeyPair
         from repro.apps import factory_from_spec

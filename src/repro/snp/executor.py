@@ -1,9 +1,9 @@
-"""Executors for per-node view-build work (see DESIGN.md, "Parallel view
-builds", "Process-pool builds" and "Shared view plane").
+"""Executors for per-node view-build work (see DESIGN.md, "The executor
+boundary").
 
 The microquery module splits a view build into a *fetch* step (touches the
 deployment; coordinator side), a *verify+replay* compute step (a pure
-function of a work item and a context; see :mod:`repro.snp.wire`) and a
+function of a work item and a context; see :mod:`repro.snp.build`) and a
 *finalize* step on the calling thread in canonical node order. An executor
 only decides how the per-node fetch+compute pipelines are scheduled:
 
@@ -37,10 +37,12 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.snp.wire import (
-    ResidentViewLost, ShmArena, collect_result, compute_build_resident_wire,
-    init_worker_process, resident_op_wire, ship_payload, warm_worker,
+from repro.snp.resident import (
+    compute_build_resident_wire, init_worker_process, resident_op_wire,
+    warm_worker,
 )
+from repro.snp.shm import ShmArena, collect_result, ship_payload
+from repro.snp.wire import ResidentViewLost
 
 #: Ceiling for auto-sized pools ("process"/"thread" specs with no
 #: explicit N): view builds stop scaling well past this on one querier,
@@ -120,7 +122,7 @@ class _Submission:
 
 class ProcessExecutor:
     """The resident view plane: workers *own* views (see DESIGN.md,
-    "Shared view plane").
+    "The executor boundary").
 
     ``workers`` single-process slots are spawned (warm, spawn start
     method, fork-safety as before); every node is affinity-hashed to one

@@ -25,27 +25,23 @@ and replaying only the log suffix appended since — a node whose returned
 suffix does not continue the verified chain has provably forked its log
 (see DESIGN.md, "Audit path").
 
-Builds are *batched* and split in three (see DESIGN.md, "Process-pool
-builds"):
+Builds are *batched* and split in three (see DESIGN.md, "The executor
+boundary"). This module holds the two coordinator-side steps:
 
-* **fetch** (:class:`_BuildJob`, coordinator side) — retrieve or mirror
-  fallback, the transport-sleep download model, transfer accounting, and
-  the snapshotting of everything the verification needs: the frozen
+* **fetch** (:class:`_BuildJob`) — retrieve or mirror fallback, the
+  transport-sleep download model, transfer accounting, and the
+  snapshotting of everything the verification needs: the frozen
   evidence-store prefix, the checked-authenticator memo, the consistency
   evidence collected from peers (cursored), the pending skipped
   authenticators, and the maintainer's alarm set;
-* **compute** (:func:`repro.snp.wire.compute_build`) — hash-chain,
-  signature, checkpoint and consistency verification plus deterministic
-  replay, a pure function of the work item and a per-pool context. It can
-  run inline, on a thread, or — because work items and outcomes have wire
-  representations — in a worker process;
-* **finalize** (calling thread, canonical node order) — evidence-store
-  checks against what earlier batch members harvested, memo/cursor/pending
+* **finalize** (calling thread, canonical node order) — the held-evidence
+  check over what earlier batch members harvested, memo/cursor/pending
   commits, harvesting, view installation.
 
-Parallel and serial executors therefore produce bit-identical views,
-colors and counters: they run the same compute function on value-equal
-inputs and finalize in the same order.
+Between them runs :func:`repro.snp.build.compute_build` — every check
+that can convict the node, then replay — inline, on a thread or in a
+worker process; executors therefore produce bit-identical views, colors
+and counters.
 """
 
 import functools
@@ -54,15 +50,14 @@ import time
 from repro.metrics import QueryStats
 from repro.snp.evidence import EvidenceStore, AUTHENTICATOR_BYTES
 from repro.snp.executor import make_executor
-from repro.snp.log import RCV, ACK
-from repro.snp.replay import (
-    check_against_authenticator, verify_anchor_segment,
+from repro.snp.build import (
+    BuildContext, BuildWork, CompactOutcome, check_held_evidence,
+    compute_build, embedded_authenticators, graph_read, response_head,
+    verify_anchor_segment,
 )
-from repro.snp.wire import (
-    BuildContext, BuildWork, CompactOutcome, ResidentReplay,
-    ResidentViewLost, compute_build, note_checked,
-)
-from repro.provgraph.vertices import Color, SEND, RECEIVE
+from repro.snp.replay import check_against_authenticator
+from repro.snp.wire import ResidentReplay, ResidentViewLost
+from repro.provgraph.vertices import Color
 from repro.util.errors import AuthenticationError, LogVerificationError
 from repro.util.serialization import canonical_size
 
@@ -87,18 +82,16 @@ class NodeView:
     auditor only pays the decode for views whose graph it actually reads.
     """
 
-    __slots__ = ("node", "status", "_graph", "log_len", "verdict_reason",
-                 "replay", "head_index", "head_hash", "head_time",
-                 "base_index", "base_time")
+    __slots__ = ("node", "status", "_graph", "verdict_reason", "replay",
+                 "head_index", "head_hash", "head_time", "base_index",
+                 "base_time")
 
-    def __init__(self, node, status, graph=None, log_len=0,
-                 verdict_reason=None, replay=None, head_index=0,
-                 head_hash=None, head_time=float("-inf"),
+    def __init__(self, node, status, verdict_reason=None, replay=None,
+                 head_index=0, head_hash=None, head_time=float("-inf"),
                  base_index=0, base_time=float("-inf")):
         self.node = node
         self.status = status
-        self._graph = graph
-        self.log_len = log_len
+        self._graph = None
         self.verdict_reason = verdict_reason
         self.replay = replay
         self.head_index = head_index
@@ -141,10 +134,6 @@ class MicroResult:
         self.predecessors = predecessors
         self.successors = successors
 
-    @property
-    def final_color(self):
-        return self.colors[-1]
-
 
 #: Sentinel submission: the resident executor lost this job's slot at
 #: submit time (even after a respawn attempt) — collect falls back.
@@ -155,8 +144,8 @@ class _BuildJob:
     """One node's build/extend unit of work.
 
     ``fetch()`` runs against the deployment and snapshots the verification
-    inputs into a :class:`~repro.snp.wire.BuildWork`; ``absorb()``
-    annotates the compute step's :class:`~repro.snp.wire.CompactOutcome`
+    inputs into a :class:`~repro.snp.build.BuildWork`; ``absorb()``
+    annotates the compute step's :class:`~repro.snp.build.CompactOutcome`
     with the fetch step's bookkeeping, ready for finalize. The run
     variants only differ in where the compute step executes:
 
@@ -207,27 +196,40 @@ class _BuildJob:
             return self._fetch_extend()
         return self._fetch_full()
 
-    def _fetch_extend(self):
+    def _retrieve(self, since_index=None):
+        """Ask the node for its log — the suffix after *since_index*, or
+        all of it — falling back to a replicated copy (Section 5.8
+        extension). A mirror is verified exactly like a direct response
+        (hash chain + origin's signed head), so a lying replica cannot
+        frame the origin. Returns ``(response, from_mirror)``, charged;
+        ``(None, False)`` when nobody answers."""
         mq = self.mq
-        view = self.base_view
-        node_id = self.node
-        node = mq.deployment.nodes.get(node_id)
-        response = None
-        if node is not None:
-            response = node.retrieve(since_index=view.head_index)
+        node = mq.deployment.nodes.get(self.node)
+        if node is None:
+            response = None
+        elif since_index is None:
+            response = node.retrieve(from_checkpoint=mq.use_checkpoints)
+        else:
+            response = node.retrieve(since_index=since_index)
         from_mirror = False
         if response is None:
-            response = mq.deployment.find_mirror(
-                node_id, since_index=view.head_index
-            )
+            response = mq.deployment.find_mirror(self.node,
+                                                 since_index=since_index)
             from_mirror = response is not None
             if from_mirror:
                 response.from_mirror = True
+        if response is not None:
+            mq._charge_fetch(response, self.stats)
+        return response, from_mirror
+
+    def _fetch_extend(self):
+        mq = self.mq
+        view = self.base_view
+        response, from_mirror = self._retrieve(since_index=view.head_index)
         if response is None:
             # unreachable: the stale view stays verified
             self.outcome = self._final(view)
             return None
-        mq._charge_fetch(response, self.stats)
         if response.start_index != view.head_index + 1:
             # The responder did not (or could not) anchor at our head —
             # e.g. a log shorter than the verified head, or a replica that
@@ -264,21 +266,8 @@ class _BuildJob:
         # is a retention violation (checkpoint-mode fetches legitimately
         # anchor on any newer checkpoint, so they cannot enforce this).
         self.floor_strict = not mq.use_checkpoints
-        node = mq.deployment.nodes.get(node_id)
         if response is None:
-            if node is not None:
-                response = node.retrieve(from_checkpoint=mq.use_checkpoints)
-            if response is None:
-                # Section 5.8 extension: fall back to a replicated copy of
-                # the log. The mirror is verified exactly like a direct
-                # response (hash chain + origin's signed head), so a lying
-                # replica cannot frame the origin.
-                response = mq.deployment.find_mirror(node_id)
-                from_mirror = response is not None
-                if from_mirror:
-                    response.from_mirror = True
-            if response is not None:
-                mq._charge_fetch(response, self.stats)
+            response, from_mirror = self._retrieve()
         if response is None:
             self.outcome = self._final(
                 NodeView(node_id, UNREACHABLE,
@@ -324,7 +313,7 @@ class _BuildJob:
             head_index=view.head_index if view is not None else 0,
             head_hash=view.head_hash if view is not None else None,
             base_replay=view.replay if view is not None else None,
-            factory=mq.deployment.app_factories.get(node_id),
+            factory=self.factory,
             spec_cache=mq._batch_spec_cache,
             floor=mq.deployment.advertised_floor_of(node_id),
             floor_strict=self.floor_strict,
@@ -413,51 +402,51 @@ class _BuildJob:
         ``_LOST`` sentinel when the slot is down.
         """
         work = self.fetch()
-        if work is None:
-            return None
+        return None if work is None else self._submit(executor, work)
+
+    def _submit(self, executor, work):
         try:
             return executor.submit_build(self.node, work.to_wire())
         except ResidentViewLost:
             return _LOST
 
-    def collect_resident(self, executor, submission):
-        """Collect a resident build, degrading losses to cold rebuilds.
-
-        A dead worker (``ResidentViewLost``) or a worker that no longer
-        holds the referenced base replay (``cache-miss``) answers with a
-        from-scratch full build — bit-identical verdicts by construction,
-        since a cold build never depends on cached state.
-        """
-        if submission is None:
-            return self.outcome
+    def _collect(self, executor, submission):
+        """One resident round trip's outcome, absorbed — or None when the
+        resident plane lost it: the slot was down, the worker died
+        (``ResidentViewLost``), or it no longer holds the referenced base
+        replay (``cache-miss``)."""
         if submission is _LOST:
-            return self._fallback_rebuild(executor)
+            return None
         try:
             wire, shm_bytes = executor.collect_build(submission)
         except ResidentViewLost:
-            return self._fallback_rebuild(executor)
+            return None
         result = CompactOutcome.from_wire(wire, self.factory)
         result.stats.shm_bytes += shm_bytes
         if result.status == CompactOutcome.CACHE_MISS:
             self.stats.merge(result.stats)
-            return self._fallback_rebuild(executor)
-        return self.absorb_resident(executor, result)
-
-    def absorb_resident(self, executor, result):
-        """Absorb a resident outcome: an ``ok`` build whose replay stayed
-        in the worker arrives as a ``resident_head`` and is wrapped in a
-        :class:`~repro.snp.wire.ResidentReplay` handle here (a failed
-        replay still ships its blob — the proven-faulty view keeps it as
-        evidence)."""
+            return None
         if result.status == CompactOutcome.OK \
                 and result.resident_head is not None \
                 and result.replay_result is None:
+            # The replay stayed in the worker: wrap its parked head in a
+            # handle (a failed replay still ships its blob — the
+            # proven-faulty view keeps it as evidence).
             head_index, head_hash = result.resident_head
             result.replay_result = ResidentReplay(
                 executor, self.node, head_index, head_hash,
                 machine_factory=self.factory, response=self.response,
             )
         return self.absorb(result)
+
+    def collect_resident(self, executor, submission):
+        """Collect a resident build, degrading losses to a from-scratch
+        full build — bit-identical verdicts by construction, since a
+        cold build never depends on cached state."""
+        if submission is None:
+            return self.outcome
+        return (self._collect(executor, submission)
+                or self._fallback_rebuild(executor))
 
     def _fallback_rebuild(self, executor):
         """Cold full rebuild after the resident plane lost this node's
@@ -470,15 +459,9 @@ class _BuildJob:
         work = job.fetch()
         if work is None:
             return job.outcome
-        try:
-            submission = executor.submit_build(job.node, work.to_wire())
-            wire, shm_bytes = executor.collect_build(submission)
-            result = CompactOutcome.from_wire(wire, job.factory)
-            result.stats.shm_bytes += shm_bytes
-            if result.status != CompactOutcome.CACHE_MISS:
-                return job.absorb_resident(executor, result)
-        except ResidentViewLost:
-            pass
+        outcome = job._collect(executor, job._submit(executor, work))
+        if outcome is not None:
+            return outcome
         # Inline last resort: the cold build runs here, so the miss is
         # tallied here (worker-run builds count their own).
         job.stats.view_cache_misses += 1
@@ -600,11 +583,7 @@ class MicroQuerier:
         of the same batch, in the same canonical order, would have
         accumulated before reaching it.
         """
-        wanted, seen = [], set()
-        for node_id in node_ids:
-            if node_id not in seen:
-                seen.add(node_id)
-                wanted.append(node_id)
+        wanted = list(dict.fromkeys(node_ids))
         missing = sorted((n for n in wanted if n not in self._views),
                          key=str)
         if missing:
@@ -833,37 +812,26 @@ class MicroQuerier:
 
         response = outcome.response
         if outcome.kind == "built":
-            self._harvest_evidence(response)
-            result = outcome.replay_result
-            end_index = response.start_index + len(response.entries) - 1
-            head_hash = (outcome.hashes[-1] if outcome.hashes
-                         else response.start_hash)
-            if response.entries:
-                head_time = response.entries[-1].timestamp
-            elif response.checkpoint is not None:
-                head_time = response.checkpoint.timestamp
-            else:
-                head_time = float("-inf")
-            if response.checkpoint is not None:
-                base_index = response.checkpoint.index
-                base_time = response.checkpoint.timestamp
-            else:
-                base_index, base_time = 0, float("-inf")
-            return NodeView(node_id, OK, log_len=end_index, replay=result,
-                            head_index=end_index, head_hash=head_hash,
-                            head_time=head_time,
-                            base_index=base_index, base_time=base_time)
-        view = outcome.base_view
+            view = NodeView(node_id, OK)
+            chk = response.checkpoint
+            if chk is not None:
+                # Verified coverage starts — and, until an entry follows,
+                # ends — at the checkpoint the segment is anchored on.
+                view.base_index, view.base_time = chk.index, chk.timestamp
+                view.head_time = chk.timestamp
+        else:
+            view = outcome.base_view
+            if not response.entries:
+                return view  # nothing appended: the head stands
+        self._harvest_evidence(response)
+        # Rebind rather than rely on in-place mutation: with an in-process
+        # compute an extended replay is the same object; over a process
+        # boundary it is a resident handle at the new head.
+        view.install_replay(outcome.replay_result)
+        view.head_index, view.head_hash = response_head(response,
+                                                        outcome.hashes)
         if response.entries:
-            self._harvest_evidence(response)
-            # Rebind rather than rely on in-place mutation: with an
-            # in-process compute this is the same object; over a process
-            # boundary it is a resident handle at the new head.
-            view.install_replay(outcome.replay_result)
-            view.head_index = response.start_index + len(response.entries) - 1
-            view.head_hash = outcome.hashes[-1]
             view.head_time = response.entries[-1].timestamp
-            view.log_len = view.head_index
         return view
 
     def _commit_pending_skips(self, node_id, outcome):
@@ -897,12 +865,10 @@ class MicroQuerier:
         of waiting, ask the node for its untruncated log right now and
         check the owed authenticators against it.
 
-        The anchoring segment is verified before it is trusted: its head
-        authenticator must be validly signed and on the recomputed
-        chain, and the chain must pass through the verified head of the
-        node's audited view — so a node cannot satisfy the owed checks
-        from a fork of the log it is being audited on (that mismatch is
-        itself a conviction). A GC'd node legitimately anchors at its
+        The anchoring segment is verified before it is trusted
+        (:func:`~repro.snp.build.verify_anchor_segment`), so a node
+        cannot satisfy the owed checks from a fork of the log it is
+        being audited on. A GC'd node legitimately anchors at its
         retained checkpoint; whatever still falls below stays pending
         (or is tombstoned by the normal floor machinery later).
         """
@@ -923,8 +889,8 @@ class MicroQuerier:
             trusted = (view.head_index, view.head_hash)
         try:
             hashes = verify_anchor_segment(
-                response, self.deployment.public_key_of(node_id),
-                trusted_head=trusted, stats=self.stats,
+                response, self.deployment.public_key_of(node_id), trusted,
+                self.stats,
             )
             memo = self._checked_auths.setdefault(node_id, {})
             for sig, auth in sorted(pending.items()):
@@ -1006,27 +972,21 @@ class MicroQuerier:
         return sorted((auth.node, auth.index) for auth in table.values())
 
     def _check_harvested_evidence(self, outcome):
-        """The within-batch tail of the evidence-store checks.
-
-        The compute step already checked the evidence held when the batch
-        started (``outcome.evidence_prefix`` entries, before paying for
-        replay — the store's per-node lists are append-only and frozen
-        while jobs run); what remains is whatever finalizing *earlier*
-        nodes of this batch harvested since. Raises LogVerificationError
-        on mismatch — *proof* of a fork or rewrite.
-        """
+        """The within-batch tail of the held-evidence check: the compute
+        step covered the first ``outcome.evidence_prefix`` entries (the
+        store is frozen while jobs run); what remains is whatever
+        finalizing *earlier* nodes of this batch harvested. Raises
+        LogVerificationError — *proof* of a fork or rewrite."""
         node_id = outcome.node
         known = self._checked_auths.get(node_id, frozenset())
         started = time.perf_counter()
         try:
             held = self.evidence.for_node(node_id)
-            for auth in held[outcome.evidence_prefix:]:
-                sig = bytes(auth.signature)
-                if sig in known or sig in outcome.checked:
-                    continue
-                check_against_authenticator(outcome.response, outcome.hashes,
-                                            auth, self.stats)
-                note_checked(outcome.checked, outcome.response, auth)
+            check_held_evidence(
+                outcome.response, outcome.hashes,
+                held[outcome.evidence_prefix:], known, outcome.checked,
+                self.stats,
+            )
         finally:
             self.stats.auth_check_seconds += time.perf_counter() - started
 
@@ -1034,15 +994,9 @@ class MicroQuerier:
         """Collect the authenticators embedded in a verified log into the
         evidence store — they are what lets the querier verify the *next*
         node it visits."""
-        for entry in response.entries:
-            if entry.entry_type == RCV:
-                auth = entry.aux.get("batch_auth")
-                if auth is not None:
-                    self.evidence.add(auth)
-            elif entry.entry_type == ACK:
-                wire_ack = entry.aux.get("wire_ack")
-                if wire_ack is not None:
-                    self.evidence.add(wire_ack.auth)
+        for _entry, _signer, auth in embedded_authenticators(response):
+            if auth is not None:
+                self.evidence.add(auth)
         self.evidence.add(response.head_auth)
 
     # ------------------------------------------------- view reads (ops)
@@ -1071,22 +1025,7 @@ class MicroQuerier:
                     self._rebuild_lost_view(view)
                     continue
             break
-        return self._local_view_op(view, op, payload)
-
-    def _local_view_op(self, view, op, payload):
-        graph = view.graph
-        if op == "get":
-            return graph.get(payload)
-        if op == "around":
-            vertex = graph.get(payload)
-            if vertex is None:
-                return None
-            return (vertex, graph.predecessors(vertex),
-                    graph.successors(vertex))
-        if op == "find_all":
-            vtype, node, tup = payload
-            return graph.find_all(vtype=vtype, node=node, tup=tup)
-        raise ValueError(f"unknown view op {op!r}")
+        return graph_read(view.graph, op, payload)
 
     def view_find_all(self, view, vtype=None, node=None, tup=None):
         """Find matching vertices in *view*'s graph (resident-aware: the
@@ -1174,11 +1113,8 @@ class MicroQuerier:
             # above, never lost to this guard.
             vertex.set_color(Color.YELLOW)
             return vertex, Color.YELLOW
-        if vertex.vtype in (SEND, RECEIVE):
-            # The peer's log contains signed evidence of this message, but
-            # the host's replayed subgraph (which verifiably covers the
-            # message's instant) does not: the host suppressed it.
-            vertex.set_color(Color.RED)
-            return vertex, Color.RED
+        # The host's replayed subgraph verifiably covers the vertex's
+        # instant and does not contain it — for a send/receive the peer
+        # holds signed evidence of, the host suppressed the message.
         vertex.set_color(Color.RED)
         return vertex, Color.RED

@@ -37,15 +37,11 @@ deterministic at all.
 """
 
 import time
-from contextlib import nullcontext
 
-from repro.crypto.hashing import HashChain
 from repro.model import Ack
 from repro.provgraph.gca import Event, GraphConstructor
 from repro.snp.log import INS, DEL, SND, RCV, ACK, CHK
-from repro.util.errors import (
-    AuthenticationError, LogVerificationError, ReplayDivergence,
-)
+from repro.util.errors import LogVerificationError, ReplayDivergence
 
 
 def log_entries_to_history(node_id, entries):
@@ -158,80 +154,23 @@ def check_against_authenticator(response, hashes, auth, stats=None,
         )
 
 
-def verify_anchor_segment(response, public_key, trusted_head=None,
-                          stats=None):
-    """Verify a segment fetched solely to *anchor* owed evidence checks.
-
-    Used by the on-demand anchoring fetch (a pending skip recorded by
-    :func:`check_against_authenticator`'s ``on_skip`` means evidence fell
-    below an earlier segment's anchor): before any owed authenticator is
-    compared against this segment, the segment itself must be committed
-    to by the node — its head authenticator validly signed and on the
-    recomputed chain — and, when the caller already audited this node up
-    to *trusted_head* (an ``(index, hash)`` pair), the chain must pass
-    through that head. Without the cross-check a forked node could serve
-    one history to the auditor and a different one to anchor its debts;
-    with it, the mismatch is itself proof of the fork. Returns the chain
-    hashes aligned with the entries.
-    """
-    from repro.util.serialization import canonical_bytes
-
-    auth = response.head_auth
-    if stats is not None:
-        stats.signatures_verified += 1
-    if not public_key.verify(canonical_bytes(auth.payload()),
-                             auth.signature):
-        raise AuthenticationError(
-            f"authenticator from {auth.node!r} has an invalid signature"
-        )
-    hashes = verify_segment_hashes(response)
-    check_against_authenticator(response, hashes, auth)
-    if trusted_head is not None:
-        index, trusted_hash = trusted_head
-        first = response.start_index
-        last = first + len(response.entries) - 1
-        if index == first - 1:
-            found = response.start_hash
-        elif first <= index <= last:
-            found = hashes[index - first]
-        else:
-            found = None  # segment does not reach the audited head
-        if found is not None and found != trusted_hash:
-            raise LogVerificationError(
-                response.node,
-                f"anchoring segment does not pass through the audited "
-                f"head at entry {index} (fork)",
-            )
-    return hashes
-
-
 class ReplayResult:
     """Outcome of replaying one node's log segment.
 
     Retains the :class:`~repro.provgraph.gca.GraphConstructor` so a later
     verified log *suffix* can be replayed onto the same state with
     :func:`extend_replay` instead of rebuilding from entry 1.
-
-    ``last_delta`` is the net :class:`~repro.datalog.zset.ZSet` of
-    presence changes the most recent :func:`extend_replay` applied to the
-    target node's machine (None before the first extension, or when the
-    machine does not support delta batching): the per-epoch output delta
-    the resident view plane and the monitor's watch evaluation consume.
     """
 
-    __slots__ = ("node", "graph", "machine", "events_replayed",
-                 "replay_seconds", "hashes", "response", "failure", "gca",
-                 "last_delta")
+    __slots__ = ("node", "graph", "events_replayed", "replay_seconds",
+                 "response", "failure", "gca")
 
-    def __init__(self, node, graph, machine, events_replayed, replay_seconds,
-                 hashes, response, failure=None, gca=None):
-        self.last_delta = None
+    def __init__(self, node, graph, events_replayed, replay_seconds,
+                 response, failure=None, gca=None):
         self.node = node
         self.graph = graph
-        self.machine = machine
         self.events_replayed = events_replayed
         self.replay_seconds = replay_seconds
-        self.hashes = hashes
         self.response = response
         self.failure = failure
         self.gca = gca
@@ -241,7 +180,7 @@ class ReplayResult:
         return self.failure is None
 
 
-#: Differential-engine cost counters harvested off replayed machines into
+#: Engine delta cost counters harvested off replayed machines into
 #: the querier's QueryStats (each is deterministic per replayed segment).
 _DELTA_COUNTERS = (
     "delta_tuples_in", "delta_tuples_out", "retractions_applied",
@@ -250,7 +189,7 @@ _DELTA_COUNTERS = (
 
 
 def _delta_counter_totals(gca):
-    """Sum the differential counters over every machine the GCA holds.
+    """Sum the delta counters over every machine the GCA holds.
 
     New machines start all-zero, so a before/after difference of these
     totals is exactly the work one drive did — even when the drive itself
@@ -269,7 +208,7 @@ def _drive_gca(gca, node_id, entries, stats=None):
     incremental replay can never diverge from the full one.
 
     *stats* (a QueryStats) receives the replay cost: wall-clock seconds,
-    events processed, and the differential engine's delta counters
+    events processed, and the engine's delta counters
     accumulated by the replayed machines during this drive.
 
     Returns ``(events_processed, seconds, failure)``.
@@ -323,10 +262,8 @@ def replay_segment(node_id, response, app_factory, t_prop,
     return ReplayResult(
         node=node_id,
         graph=gca.graph,
-        machine=gca.machines.get(node_id),
         events_replayed=processed,
         replay_seconds=elapsed,
-        hashes=None,
         response=response,
         failure=failure,
         gca=gca,
@@ -357,24 +294,13 @@ def extend_replay(node_id, result, response,
             "cannot extend"
         )
     gca.known_alarm_msg_ids = known_alarm_msg_ids
-    # The suffix runs as ONE delta batch on the target node's machine:
-    # events still apply one at a time (the graph and traces are exactly
-    # those of an unbatched drive — and of a full re-replay), but the
-    # machine journals its presence changes into a z-set, so the net
-    # semantic change of the whole extension comes out as result.last_delta
-    # with retract-then-rederive churn cancelled. No snapshot is taken or
-    # restored anywhere on this path.
-    machine = gca.machine(node_id)
-    batch = (machine.delta_batch() if hasattr(machine, "delta_batch")
-             else nullcontext(None))
-    with batch as delta:
-        processed, elapsed, failure = _drive_gca(
-            gca, node_id, response.entries, stats=stats
-        )
-    result.last_delta = delta
+    # No snapshot is taken or restored anywhere on this path: the suffix
+    # drives the retained machine exactly as a full re-replay would.
+    processed, elapsed, failure = _drive_gca(
+        gca, node_id, response.entries, stats=stats
+    )
     result.events_replayed += processed
     result.replay_seconds += elapsed
-    result.machine = gca.machines.get(node_id)
     result.response = response
     result.failure = failure
     return processed, elapsed, failure

@@ -10,9 +10,10 @@ import pickle
 import pytest
 
 from repro.snp import Deployment, QueryProcessor
-from repro.snp.wire import (
-    BuildContext, BuildWork, CompactOutcome, LazyReplay, compute_build,
+from repro.snp.build import (
+    BuildContext, BuildWork, CompactOutcome, compute_build,
 )
+from repro.snp.wire import LazyReplay
 from repro.apps.mincost import build_paper_network
 
 

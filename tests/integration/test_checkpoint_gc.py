@@ -334,7 +334,7 @@ class TestRetentionHardening:
         full = node.retrieve()
         entry = node.log.entry(2)
         from repro.snp.evidence import sign_authenticator
-        from repro.snp.wire import BuildContext, BuildWork, compute_build
+        from repro.snp.build import BuildContext, BuildWork, compute_build
         good = sign_authenticator(node.identity, 2, entry.timestamp,
                                   entry.entry_hash)
         context = BuildContext(
@@ -370,7 +370,7 @@ class TestRetentionHardening:
         node = dep.nodes["a"]
         entry = node.log.entry(2)
         from repro.snp.evidence import sign_authenticator
-        from repro.snp.wire import BuildContext, BuildWork, compute_build
+        from repro.snp.build import BuildContext, BuildWork, compute_build
         old = sign_authenticator(node.identity, 2, entry.timestamp,
                                  entry.entry_hash)
         dep.checkpoint_all()

@@ -14,8 +14,11 @@ from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.metrics import QueryStats
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, SilentNode, TamperingNode
+from repro.snp.build import response_head
+from repro.snp.microquery import MicroQuerier
 from repro.snp.snoopy import suffix_of_response
-from repro.snp.replay import check_against_authenticator
+from repro.snp.replay import check_against_authenticator, verify_segment_hashes
+from repro.snp.wire import ResidentReplay
 from repro.util.errors import LogVerificationError
 
 
@@ -193,6 +196,64 @@ class TestRefreshStaleness:
         # ... and already-verified consistency evidence is not re-signed:
         # only the fresh per-node head authenticators need verification.
         assert delta.signatures_verified == len(qp.mq._views)
+
+
+class TestViewHeadAgreement:
+    """A view's head is `response_head` of the last response verified
+    for it — on every executor, and equal to the head the owning worker
+    parked its replay at."""
+
+    @pytest.mark.parametrize("spec", [
+        None, "thread:2", "wire",
+        pytest.param("process:2", marks=pytest.mark.slow),
+    ])
+    def test_head_is_the_last_verified_responses_head(
+            self, spec, wire_executor, monkeypatch):
+        last_response = {}
+        finalize = MicroQuerier._finalize
+
+        def recording_finalize(mq, outcome):
+            if outcome.response is not None:
+                last_response[outcome.node] = outcome.response
+            return finalize(mq, outcome)
+
+        monkeypatch.setattr(MicroQuerier, "_finalize", recording_finalize)
+        dep, nodes = _grown_net(seed=23)
+        executor = wire_executor if spec == "wire" else spec
+
+        def assert_heads_agree(qp):
+            assert sorted(qp.mq._views) == sorted(last_response)
+            for node, view in qp.mq._views.items():
+                assert view.status == "ok"
+                response = last_response[node]
+                head = response_head(response,
+                                     verify_segment_hashes(response))
+                assert (view.head_index, view.head_hash) == head
+                replay = view.replay
+                if isinstance(replay, ResidentReplay):
+                    assert (replay.head_index, replay.head_hash) == head
+                    # W.lost unless the worker's entry is parked here.
+                    assert replay.executor.resident_op(
+                        node, *head, "find_all", (None, node, None))
+            return {n: (v.head_index, v.head_hash)
+                    for n, v in qp.mq._views.items()}
+
+        with QueryProcessor(dep, executor=executor) as qp:
+            qp.prefetch()
+            built = assert_heads_agree(qp)
+            qp.refresh()   # nothing appended: every delta is empty
+            assert not any(r.entries for r in last_response.values())
+            assert assert_heads_agree(qp) == built
+            nodes["a"].insert(link("a", "z", 2))
+            dep.run()
+            qp.refresh()
+            assert any(r.entries for r in last_response.values())
+            advanced = assert_heads_agree(qp)
+            assert advanced != built
+            assert all(advanced[n][0] >= built[n][0] for n in built)
+            if spec == "process:2":
+                assert all(isinstance(v.replay, ResidentReplay)
+                           for v in qp.mq._views.values())
 
 
 # ------------------------------------------------------------ refresh: forks

@@ -23,10 +23,10 @@ from repro.apps import AppFactory, factory_from_spec
 from repro.metrics import QueryStats
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.replay import extend_replay, verify_segment_hashes
+from repro.snp.build import BuildContext, BuildWork
 from repro.snp.wire import (
-    BuildContext, BuildWork, WireError, replay_from_wire, replay_to_wire,
-    sanitize_response, stats_from_wire, stats_to_wire, value_from_wire,
-    value_to_wire,
+    WireError, replay_from_wire, replay_to_wire, sanitize_response,
+    stats_from_wire, stats_to_wire, value_from_wire, value_to_wire,
 )
 
 # ------------------------------------------------------------- strategies
@@ -106,6 +106,33 @@ class TestValueCodec:
             value_from_wire(("W.nonsense", 1))
         with pytest.raises(WireError):
             value_from_wire(object())
+
+    @pytest.mark.parametrize("wire", [
+        # wrong arity: every fixed-shape tag, too short and too long
+        ("W.tup", 1), ("W.tup", "r", "n", (), "extra"),
+        ("W.msg",), ("W.msg", "+", ("W.tup", "r", "n", ()), "a", "b", 1),
+        ("W.ack", "a", "b"), ("W.auth", 1, 2), ("W.floor", "n", 1),
+        ("W.der", "R1"),
+        # wrong shape: a scalar where a sequence of members belongs
+        ("W.t", 5), ("W.l", None), ("W.set", 7), ("W.fset", 1.5),
+        ("W.d", 5), ("W.d", (1, 2)), ("W.d", (("k",),)),
+        ("W.tup", "r", "n", 5), ("W.ack", "a", "b", 9, 0.0),
+        ("W.der", "R1", 3), ("W.t",), ("W.d",),
+        # unhashable member where a hashable one is required
+        ("W.d", ((("W.l", ()), 1),)), ("W.set", (("W.l", ()),)),
+        ("W.fset", (("W.d", ()),)),
+        # malformed forms nested inside well-formed ones
+        ("W.l", (("W.t", (("W.auth", 1, 2),)),)),
+        ("W.d", (("k", ("W.tup", 1)),)),
+        # not a wire form at all
+        ("W.nonsense", 1), (), ((),), [1, 2], {"k": 1}, object(),
+    ], ids=repr)
+    def test_malformed_forms_raise_wire_error(self, wire):
+        """The decoder faces bytes from outside the program (a pusher's
+        app spec): whatever the encoder cannot have produced must raise
+        WireError — never a bare ValueError/TypeError."""
+        with pytest.raises(WireError):
+            value_from_wire(wire)
 
     def test_encoding_snapshots_mutable_containers(self):
         store = {"h": "text"}
@@ -276,6 +303,14 @@ class TestContextAndSpecs:
                          factory=lambda node_id: None)
         with pytest.raises(WireError, match="registry-backed"):
             work.to_wire()
+
+    @pytest.mark.parametrize("spec", [
+        None, 5, ("mincost",), ("mincost", ("W.d", ()), "extra"), "abc",
+        ("mincost", ("W.d", 5)),
+    ], ids=repr)
+    def test_malformed_spec_raises_wire_error(self, spec):
+        with pytest.raises(WireError):
+            factory_from_spec(spec)
 
     def test_unknown_spec_name_is_rejected(self):
         with pytest.raises(KeyError, match="no application builder"):

@@ -98,6 +98,27 @@ class TestBoundaryClassCheck:
         )
         assert wirelint.lint(root) == []
 
+    def test_the_boundary_follows_the_split(self, tmp_path):
+        """What the build-step module imports is boundary material too:
+        a codec-less class only it imports is flagged (at its import),
+        and one it constructs is not."""
+        model = "class Payload:\n    pass\nclass Key:\n    pass\n"
+        root = _make_tree(
+            tmp_path,
+            "",
+            extra_modules=[
+                ("repro/model.py", model),
+                ("repro/snp/build.py",
+                 "from repro.model import Key, Payload\n"
+                 "def decode(n, e):\n"
+                 "    return Key(n, e)\n"),
+            ],
+        )
+        violations = wirelint.lint(root)
+        assert [v.code for v in violations] == ["WL001"]
+        assert "Payload" in violations[0].message
+        assert violations[0].path.name == "build.py"
+
     def test_function_imports_are_ignored(self, tmp_path):
         root = _make_tree(
             tmp_path,

@@ -6,12 +6,14 @@ produce heisenbugs when they do (hash-randomized dicts make the failure
 probabilistic). This lint enforces them over the python AST, no imports:
 
 **WL001 — boundary classes need an explicit wire path.** Every class
-``wire.py`` imports from the library is a candidate to cross the
-executor boundary. Each one must either define ``__reduce__`` /
-``to_wire`` (it carries its own codec) or be constructed inside
-``wire.py`` itself (the module is its codec). A class that merely
-*passes through* via default pickling would drag process-specific state
-— memoized ``hash()`` values, open handles — into worker processes.
+one of the boundary modules (:data:`BOUNDARY_MODULES` — the codec, the
+shm arena, the build step, the worker-resident cache) imports from the
+library is a candidate to cross the executor boundary. Each one must
+either define ``__reduce__`` / ``to_wire`` (it carries its own codec) or
+be constructed inside a boundary module (the module is its codec). A
+class that merely *passes through* via default pickling would drag
+process-specific state — memoized ``hash()`` values, open handles — into
+worker processes.
 
 **WL002 — no unordered iteration into hashed or signed payloads.**
 Within the ``snp``/``crypto``/serialization modules, the argument of a
@@ -46,7 +48,12 @@ UNORDERED_BUILTINS = {"set", "frozenset"}
 #: Directories (relative to the source root) whose modules hash and sign.
 DETERMINISM_SCOPES = ("repro/snp", "repro/crypto", "repro/util")
 
-WIRE_MODULE = "repro/snp/wire.py"
+#: The modules that build or decode boundary payloads; WL001's boundary
+#: set is the union of what they import.
+BOUNDARY_MODULES = (
+    "repro/snp/wire.py", "repro/snp/shm.py", "repro/snp/build.py",
+    "repro/snp/resident.py",
+)
 
 #: Methods that mark a class as carrying its own serialization codec.
 CODEC_METHODS = {"__reduce__", "__reduce_ex__", "to_wire", "__getstate__"}
@@ -84,20 +91,22 @@ def _parse(path):
 # ------------------------------------------------- WL001: boundary classes
 
 
-def _wire_imported_names(wire_tree):
-    """Names ``wire.py`` imports from within the library."""
+def _library_imported_names(tree):
+    """Names a boundary module imports from within the library."""
     names = []
-    for node in ast.walk(wire_tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module \
                 and node.module.split(".")[0] == "repro":
             for alias in node.names:
                 names.append((alias.asname or alias.name, node.lineno))
     return names
 
-def _locally_handled_names(wire_tree):
-    """Names wire.py itself constructs (decode path) or subclasses."""
+
+def _locally_handled_names(tree):
+    """Names a boundary module itself constructs (decode path) or
+    subclasses."""
     handled = set()
-    for node in ast.walk(wire_tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = _callee_name(node)
             if name is not None:
@@ -133,26 +142,30 @@ def _class_codec_index(src_root):
 
 
 def check_boundary_classes(src_root, violations):
-    wire_path = src_root / WIRE_MODULE
-    if not wire_path.exists():
+    trees = [(path, _parse(path))
+             for path in (src_root / rel for rel in BOUNDARY_MODULES)
+             if path.exists()]
+    if not trees:
         return
-    wire_tree = _parse(wire_path)
-    handled = _locally_handled_names(wire_tree)
+    handled = set()
+    for _path, tree in trees:
+        handled |= _locally_handled_names(tree)
     index = _class_codec_index(src_root)
-    for name, lineno in _wire_imported_names(wire_tree):
-        entry = index.get(name)
-        if entry is None:
-            continue  # a function or constant, not a class
-        _defined_in, has_codec = entry
-        if has_codec or name in handled:
-            continue
-        violations.append(Violation(
-            wire_path, lineno, 1, "WL001",
-            f"class '{name}' crosses the executor boundary but defines "
-            "no __reduce__/to_wire and is never constructed in wire.py; "
-            "default pickling would carry process-specific state into "
-            "workers",
-        ))
+    for path, tree in trees:
+        for name, lineno in _library_imported_names(tree):
+            entry = index.get(name)
+            if entry is None:
+                continue  # a function or constant, not a class
+            _defined_in, has_codec = entry
+            if has_codec or name in handled:
+                continue
+            violations.append(Violation(
+                path, lineno, 1, "WL001",
+                f"class '{name}' crosses the executor boundary but "
+                "defines no __reduce__/to_wire and is never constructed "
+                "in a boundary module; default pickling would carry "
+                "process-specific state into workers",
+            ))
 
 
 # ------------------------------------------- WL002: unordered iteration
