@@ -243,10 +243,6 @@ def route(asn, prefix, path):
     return Tup("route", asn, prefix, tuple(path))
 
 
-def export_route(asn, nbr, prefix, path):
-    return Tup("exportRoute", asn, nbr, prefix, tuple(path))
-
-
 def announce(asn, prefix, path, from_nbr):
     return Tup("announce", asn, prefix, tuple(path), from_nbr)
 

@@ -15,9 +15,9 @@ package provides:
   verification (Section 7.7 mentions checkpoints verified via a Merkle hash
   tree).
 
-Every signing/verification/hash operation is counted in a per-instance
-:class:`CryptoCounter` so that the Figure 7 benchmark (CPU load from crypto)
-can be reproduced by accounting rather than noisy wall-clock profiling.
+Every signing/verification operation is counted in a per-instance
+:class:`CryptoCounter` so that Figure 7 (CPU load from crypto) can be
+reproduced by accounting rather than noisy wall-clock profiling.
 """
 
 from repro.crypto.hashing import sha256_hex, chain_hash, HashChain

@@ -10,8 +10,8 @@ any other node's certificate with the CA's public key. This is what prevents
 a Byzantine node from inventing fictitious identities (Sybil protection in
 the paper's threat model).
 
-The :class:`CryptoCounter` records how many sign/verify/hash operations each
-node performs, which drives the Figure 7 (CPU overhead) reproduction.
+The :class:`CryptoCounter` records how many sign/verify operations each node
+performs, which drives the Figure 7 (CPU overhead) reproduction.
 """
 
 from repro.crypto.rsa import generate_keypair
@@ -20,13 +20,11 @@ from repro.util.serialization import canonical_bytes
 
 
 class CryptoCounter:
-    """Counts crypto operations and bytes hashed for CPU-cost accounting."""
+    """Counts RSA operations for CPU-cost accounting."""
 
     def __init__(self):
         self.signatures = 0
         self.verifications = 0
-        self.hash_operations = 0
-        self.bytes_hashed = 0
 
     def note_sign(self):
         self.signatures += 1
@@ -34,16 +32,10 @@ class CryptoCounter:
     def note_verify(self):
         self.verifications += 1
 
-    def note_hash(self, nbytes):
-        self.hash_operations += 1
-        self.bytes_hashed += nbytes
-
     def merged_with(self, other):
         total = CryptoCounter()
         total.signatures = self.signatures + other.signatures
         total.verifications = self.verifications + other.verifications
-        total.hash_operations = self.hash_operations + other.hash_operations
-        total.bytes_hashed = self.bytes_hashed + other.bytes_hashed
         return total
 
 

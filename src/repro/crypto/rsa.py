@@ -11,7 +11,7 @@ intended for production use.
 Key generation uses Miller–Rabin with a seeded deterministic RNG so that test
 runs are reproducible. Default key size is 512 bits to keep pure-Python
 simulations fast; the paper's 1024-bit configuration is a parameter
-(benchmarks report both the operation counts and measured per-op latency).
+(Figure 7 is reproduced from operation counts at the paper's per-op costs).
 """
 
 import hashlib

@@ -159,8 +159,8 @@ class DatalogApp(StateMachine):
         self._members = {}
         #: Evaluation counters (not part of snapshots): candidate tuples
         #: enumerated by join steps, and partial/full matches a guard
-        #: rejected. bench_engine reads them to show binding-aware guard
-        #: scheduling pruning work the naive evaluator re-does.
+        #: rejected. tests/integration/test_engine_schedules.py pins them
+        #: on the four application schedules (indexed ≤ naive).
         self.join_candidates = 0
         self.guard_prunes = 0
         #: Delta cost counters (not part of snapshots, all
@@ -169,7 +169,7 @@ class DatalogApp(StateMachine):
         #: because a support disappeared, and min/max group recomputes a
         #: disappearing support forced (the support re-derivation path).
         #: ``delta_tuples_out`` is the engine's *semantic* work metric —
-        #: bench_engine gates refresh cost against it.
+        #: test_engine_schedules.py gates the 1-event refresh against it.
         self.delta_tuples_in = 0
         self.delta_tuples_out = 0
         self.retractions_applied = 0

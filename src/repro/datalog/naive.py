@@ -7,8 +7,9 @@ every dirty aggregate group rescans its whole relation (the production
 engine reads a maintained membership map instead). It must produce
 **byte-identical** outputs to the indexed :class:`~repro.datalog.engine.
 DatalogApp` — the property suites (tests/property/) check exactly that on
-randomized programs and event schedules, and ``benchmarks/bench_engine.py``
-uses it as the before-side of the speedup measurement.
+randomized programs and event schedules, and
+``tests/integration/test_engine_schedules.py`` on the four real application
+schedules.
 
 :func:`scratch_model` is the *reference retraction semantics*: the model
 any mixed insert/retract schedule must converge to is the one obtained by

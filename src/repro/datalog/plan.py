@@ -258,9 +258,9 @@ def guard_schedule_counts(program_or_rules):
     ``mid`` guards fired at a join step before the last (pruning partial
     matches), ``late`` guards that only run on fully bound bodies (the
     final step, or a single-atom body's trigger). ``pre + mid`` is the
-    planner's static pruning opportunity — benchmarks track it so a
-    scheduling regression (guards drifting to full binding) is caught
-    even when wall time hides it.
+    planner's static pruning opportunity — ``tests/unit/test_plan.py``
+    pins it for chord and path-vector so a scheduling regression (guards
+    drifting to full binding) is caught even when wall time hides it.
     """
     rules = getattr(program_or_rules, "rules", program_or_rules)
     counts = {"pre": 0, "mid": 0, "late": 0}

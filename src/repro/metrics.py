@@ -9,15 +9,14 @@ The paper reports four cost dimensions; each has a collector here:
   provenance, authenticators, acknowledgments.
 * **Storage** (Figure 6): per-node log growth, broken down into message
   contents, signatures, authenticators, and index overhead.
-* **Computation** (Figure 7): counts of RSA sign/verify and SHA-256
-  operations per node (from :class:`repro.crypto.keys.CryptoCounter`),
-  convertible to CPU load with measured per-operation costs.
+* **Computation** (Figure 7): counts of RSA sign/verify operations per
+  node (from :class:`repro.crypto.keys.CryptoCounter`) plus the bytes
+  the run hashed (derived by the caller from log and input sizes),
+  convertible to CPU load with per-operation costs.
 * **Query** (Figure 8): bytes downloaded (logs, authenticators,
   checkpoints) and turnaround split into download / authentication check /
   replay.
 """
-
-import time
 
 from repro.snp.evidence import (
     TIMESTAMP_OVERHEAD_BYTES, AUTHENTICATOR_BYTES, ACK_BYTES,
@@ -119,8 +118,8 @@ class RetentionMeter:
     node logs, ``mirror_bytes_reclaimed`` the same for replica-held
     mirror copies; ``gc_passes`` counts handshake passes and
     ``entries_discarded`` the log entries dropped — together they bound
-    the steady-state storage story the GC arm of
-    ``benchmarks/bench_storage.py`` measures.
+    the steady-state storage story
+    ``tests/integration/test_checkpoint_gc.py::TestSteadyState`` asserts.
     """
 
     def __init__(self):
@@ -197,35 +196,17 @@ class StorageReport:
 class CpuReport:
     """Crypto-operation CPU accounting (Figure 7)."""
 
-    def __init__(self, counter, duration_seconds,
+    def __init__(self, counter, duration_seconds, hashed_bytes=0,
                  sign_cost=None, verify_cost=None, hash_cost_per_mb=None):
         self.counter = counter
         self.duration_seconds = duration_seconds
+        #: Not metered on the record path: the caller derives it from
+        #: what a run already records (each committed log entry is hashed
+        #: once, plus any input hashed by reference).
+        self.hashed_bytes = hashed_bytes
         self.sign_cost = sign_cost
         self.verify_cost = verify_cost
         self.hash_cost_per_mb = hash_cost_per_mb
-
-    @staticmethod
-    def measure_op_costs(identity, repeats=20):
-        """Measure per-operation sign/verify/hash costs of the crypto
-        substrate on this machine (the paper reports 1.3 ms / 66 µs for
-        1024-bit RSA on its hardware)."""
-        payload = ("cpu-probe", 1234)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            signature = identity.sign(payload)
-        sign_cost = (time.perf_counter() - start) / repeats
-        public = identity.keypair.public_only()
-        start = time.perf_counter()
-        for _ in range(repeats):
-            identity.verify(public, payload, signature)
-        verify_cost = (time.perf_counter() - start) / repeats
-        import hashlib
-        blob = b"x" * (1 << 20)
-        start = time.perf_counter()
-        hashlib.sha256(blob).digest()
-        hash_cost_per_mb = time.perf_counter() - start
-        return sign_cost, verify_cost, hash_cost_per_mb
 
     def cpu_seconds(self):
         """Estimated CPU time spent on crypto over the run."""
@@ -235,7 +216,7 @@ class CpuReport:
         if self.verify_cost is not None:
             total += self.counter.verifications * self.verify_cost
         if self.hash_cost_per_mb is not None:
-            total += (self.counter.bytes_hashed / 1e6) * self.hash_cost_per_mb
+            total += (self.hashed_bytes / 1e6) * self.hash_cost_per_mb
         return total
 
     def load_percent(self):

@@ -80,10 +80,6 @@ class Tup:
             self._canon = canonical_bytes(self.canonical())
         return self._canon
 
-    def wire_size(self):
-        """Approximate serialized size in bytes (traffic accounting)."""
-        return canonical_size(self.canonical())
-
 
 class Msg:
     """A tuple-update notification: ``+τ`` or ``-τ`` sent from src to dst.

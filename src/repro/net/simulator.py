@@ -61,10 +61,6 @@ class Simulator:
         """A random propagation delay in [min_delay, Tprop]."""
         return self._rng.uniform(self.min_delay, self.t_prop)
 
-    def deliver(self, callback):
-        """Schedule a message delivery one link-delay from now."""
-        self.schedule(self.link_delay(), callback)
-
     # ---------------------------------------------------------------- run
 
     def step(self):

@@ -245,9 +245,6 @@ class ProvenanceGraph:
     def yellow_vertices(self):
         return [v for v in self._vertices if v.color == Color.YELLOW]
 
-    def vertices_on(self, node):
-        return [v for v in self._vertices if v.node == node]
-
 
 def _append(adjacency, i, j):
     """Append id *j* to vertex *i*'s row of *adjacency*."""

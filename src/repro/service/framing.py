@@ -183,11 +183,6 @@ class FrameDecoder:
 
 # ----------------------------------------------------- blocking sockets
 
-def send_frame(sock, obj, max_frame_bytes=MAX_FRAME_BYTES):
-    """Encode *obj* and send it whole over a blocking socket."""
-    sock.sendall(encode_frame(obj, max_frame_bytes))
-
-
 def recv_frame(sock, decoder, chunk_bytes=65536):
     """Block until *decoder* yields one frame from *sock*.
 

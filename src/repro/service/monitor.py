@@ -211,7 +211,6 @@ class MonitorState:
         self.nodes = {}
         self.app_factories = {}
         self.maintainer = Maintainer()
-        self.query_transport = None
         self.retention_floors = {}
         self.hello = None
         self._public_keys = {}
@@ -700,8 +699,8 @@ class MonitorDaemon:
 # ---------------------------------------------------------- entry points
 
 class MonitorHandle:
-    """A daemon running on its own thread + event loop (tests, benches,
-    and in-process embedding)."""
+    """A daemon running on its own thread + event loop (tests and
+    in-process embedding)."""
 
     def __init__(self, daemon):
         self.daemon = daemon

@@ -3,7 +3,7 @@
 The threat model gives the adversary complete control over compromised
 nodes: both the primary system and the provenance system on those nodes can
 be altered. Each class here implements one canonical attack; the integration
-tests and benchmarks use them to demonstrate the paper's completeness
+tests use them to demonstrate the paper's completeness
 property (every *detectable* fault yields a red or yellow vertex) and its
 limitations (input lies are not automatically detectable).
 

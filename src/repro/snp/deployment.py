@@ -55,33 +55,6 @@ class Maintainer:
         return out
 
 
-class QueryTransport:
-    """A latency/bandwidth model for the *querier's* network.
-
-    The simulator delivers retrieve responses instantly, but the paper's
-    query-cost model (Figure 8) assumes each log segment is downloaded
-    over a real link (10 Mbps in the paper). When a transport is
-    configured, the microquery module sleeps ``transfer_seconds`` on the
-    worker thread that fetched each response — which is what makes
-    per-node view builds worth parallelizing: concurrent fetches overlap
-    their download time exactly as concurrent TCP streams would.
-    """
-
-    def __init__(self, rtt_seconds=0.0, bandwidth_bytes_per_s=None):
-        self.rtt_seconds = rtt_seconds
-        self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
-
-    def transfer_seconds(self, nbytes):
-        seconds = self.rtt_seconds
-        if self.bandwidth_bytes_per_s:
-            seconds += nbytes / self.bandwidth_bytes_per_s
-        return seconds
-
-    def __repr__(self):
-        return (f"QueryTransport(rtt={self.rtt_seconds:g}s, "
-                f"bw={self.bandwidth_bytes_per_s!r} B/s)")
-
-
 class _Cadence:
     """One standing maintenance pass interleaved with simulation.
 
@@ -116,9 +89,6 @@ class Deployment:
         self.t_batch = t_batch
         self.maintainer = Maintainer()
         self.traffic = TrafficMeter()
-        #: Optional :class:`QueryTransport` applied to querier-side log
-        #: fetches (None = instantaneous, the historical behavior).
-        self.query_transport = None
         self.nodes = {}
         self.app_factories = {}
         self._identities = {}
@@ -424,10 +394,6 @@ class Deployment:
         )
         return self._replication
 
-    def disable_replication(self):
-        self._replication = None
-        self.remove_cadence("replication")
-
     # ------------------------------------------------------ checkpoint GC
 
     def register_querier(self, querier):
@@ -592,17 +558,6 @@ class Deployment:
             return best
         from repro.snp.snoopy import suffix_of_response
         return suffix_of_response(best, since_index)
-
-    def set_query_transport(self, rtt_seconds=0.0, bandwidth_bytes_per_s=None):
-        """Configure (or, with defaults, clear) the querier-side network
-        model. Returns the :class:`QueryTransport` installed."""
-        if rtt_seconds == 0.0 and not bandwidth_bytes_per_s:
-            self.query_transport = None
-        else:
-            self.query_transport = QueryTransport(
-                rtt_seconds, bandwidth_bytes_per_s
-            )
-        return self.query_transport
 
     def collect_authenticators_about(self, target):
         """Ask every node for authenticators signed by *target* — the

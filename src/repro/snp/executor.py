@@ -10,7 +10,9 @@ only decides how the per-node fetch+compute pipelines are scheduled:
 * :class:`SerialExecutor` — runs tasks inline, one at a time, in the order
   given. The default; also the fallback for ``workers <= 1``.
 * :class:`ThreadedExecutor` — runs tasks on a persistent thread pool.
-  Downloads overlap; compute still serializes under the GIL.
+  Compute serializes under the GIL and an in-process fetch is a function
+  call, so threads overlap nothing today; the arm is kept as the
+  concurrency leg of the serial ≡ thread ≡ process contract.
 * :class:`ProcessExecutor` — the *resident* process pool: one
   single-worker slot per worker, each node affinity-hashed to the slot
   that owns its view. Workers keep replays resident between batches, so a
@@ -288,11 +290,10 @@ class ProcessExecutor:
     def run_jobs(self, jobs, context):
         """Run build jobs; outcomes in submission order.
 
-        Fetch threads retrieve segments (overlapping their transport
-        sleeps) and submit each work item to its owning slot without
-        waiting; outcomes are collected — and therefore finalized — in
-        submission order. Collection handles the fallback ladder (worker
-        death, cache miss) per job.
+        Fetch threads retrieve segments and submit each work item to
+        its owning slot without waiting; outcomes are collected — and
+        therefore finalized — in submission order. Collection handles
+        the fallback ladder (worker death, cache miss) per job.
         """
         if not jobs:
             return []
@@ -301,12 +302,11 @@ class ProcessExecutor:
             submissions = [jobs[0].submit_resident(self)]
         else:
             if self._coordinator is None:
-                # Fetch threads only sleep on the transport model and run
-                # light bookkeeping — compute lives in the worker
-                # processes — so their count is not tied to the worker
-                # count: double it and downloads overlap deeper than the
-                # threaded executor (whose threads must also compute)
-                # could ever afford.
+                # Fetch threads run only light bookkeeping — compute
+                # lives in the worker processes — so their count (2×N)
+                # is not tied to the worker count. Against an in-process
+                # deployment a fetch is a function call and they overlap
+                # nothing; whether they stay is ROADMAP item 4's call.
                 self._coordinator = ThreadPoolExecutor(
                     max_workers=2 * self.workers,
                     thread_name_prefix="view-fetch",

@@ -28,12 +28,11 @@ suffix does not continue the verified chain has provably forked its log
 Builds are *batched* and split in three (see DESIGN.md, "The executor
 boundary"). This module holds the two coordinator-side steps:
 
-* **fetch** (:class:`_BuildJob`) — retrieve or mirror fallback, the
-  transport-sleep download model, transfer accounting, and the
-  snapshotting of everything the verification needs: the frozen
-  evidence-store prefix, the checked-authenticator memo, the consistency
-  evidence collected from peers (cursored), the pending skipped
-  authenticators, and the maintainer's alarm set;
+* **fetch** (:class:`_BuildJob`) — retrieve or mirror fallback, transfer
+  accounting, and the snapshotting of everything the verification needs:
+  the frozen evidence-store prefix, the checked-authenticator memo, the
+  consistency evidence collected from peers (cursored), the pending
+  skipped authenticators, and the maintainer's alarm set;
 * **finalize** (calling thread, canonical node order) — the held-evidence
   check over what earlier batch members harvested, memo/cursor/pending
   commits, harvesting, view installation.
@@ -395,9 +394,9 @@ class _BuildJob:
         """Fetch, then ship the work to the node's owning worker slot.
 
         Deliberately does *not* wait: the calling fetch thread moves
-        straight on to its next job, so downloads keep overlapping while
-        workers chew the compute queue. An extend crosses as a head
-        reference (plus the fetched delta), never as the base replay.
+        straight on to its next job while workers chew the compute
+        queue. An extend crosses as a head reference (plus the fetched
+        delta), never as the base replay.
         Returns a submission handle, None (finished at fetch), or the
         ``_LOST`` sentinel when the slot is down.
         """
@@ -736,24 +735,15 @@ class MicroQuerier:
     # ---------------------------------------------- fetch-side accounting
 
     def _charge_fetch(self, response, stats):
-        """Charge one retrieved segment to *stats* and, when the
-        deployment configures a query transport, model its download —
-        slept on the fetching worker's thread, which is precisely the
-        cost parallel builds overlap. The single place a fetch is
-        accounted, right where it happened, so full, delta and
+        """Charge one retrieved segment to *stats*. The single place a
+        fetch is accounted, right where it happened, so full, delta and
         discarded-fallback fetches stay in lockstep and the segment is
-        sized once."""
-        nbytes = sum(e.size_bytes() for e in response.entries)
+        sized once. Pure accounting: in this in-process deployment a
+        fetch is a function call, and the paper's 10 Mbps download is
+        arithmetic over these bytes (``QueryStats.download_seconds``)."""
         stats.logs_fetched += 1
-        stats.log_bytes += nbytes
+        stats.log_bytes += sum(e.size_bytes() for e in response.entries)
         stats.authenticator_bytes += AUTHENTICATOR_BYTES
-        transport = self.deployment.query_transport
-        if transport is None:
-            return
-        nbytes += AUTHENTICATOR_BYTES
-        if response.checkpoint is not None:
-            nbytes += response.checkpoint.size_bytes()
-        time.sleep(transport.transfer_seconds(nbytes))
 
     def _snapshot_size(self, chk_entry):
         try:

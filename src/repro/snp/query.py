@@ -136,8 +136,8 @@ class QueryProcessor:
     concurrently on threads, ``"process:n"`` backs the verify+replay step
     with n worker processes. Exploration prefetches each BFS level's
     unvisited hosts as one batch, so a cold macroquery against a wide
-    deployment overlaps its per-node downloads; results are identical for
-    every executor.
+    deployment hands the executor whole levels at a time; results are
+    identical for every executor.
 
     The processor *owns* an executor it builds from a spec and closes it
     in :meth:`close` — use the processor as a context manager so warm
@@ -172,11 +172,10 @@ class QueryProcessor:
         node) as one executor batch — the standing auditor's cold start.
 
         Exploration builds views lazily as the BFS frontier reaches new
-        hosts, which serializes fetches along chain-shaped provenance
+        hosts, which serializes builds along chain-shaped provenance
         (one new host per level). Prefetching instead hands the whole
-        node set to the executor at once, so a wide deployment's
-        downloads overlap; the macroquery that follows runs entirely
-        against cached views. Returns ``{node_id: view}``.
+        node set to the executor at once; the macroquery that follows
+        runs entirely against cached views. Returns ``{node_id: view}``.
         """
         if nodes is None:
             nodes = sorted(self.deployment.nodes, key=str)

@@ -499,9 +499,3 @@ class SNooPyNode:
     def mirror_of(self, origin):
         """The mirror this node holds for *origin*'s log, if any."""
         return self.mirror_store.get(origin)
-
-    # ----------------------------------------------------------- metadata
-
-    @property
-    def is_byzantine(self):
-        return False

@@ -67,11 +67,3 @@ class ReplayDivergence(ReproError):
 
 class QueryError(ReproError):
     """A macroquery could not be evaluated (e.g. unknown tuple or node)."""
-
-
-class NodeUnreachableError(ReproError):
-    """The queried node did not respond to a retrieve request."""
-
-    def __init__(self, node):
-        super().__init__(f"node {node!r} did not respond")
-        self.node = node

@@ -1,8 +1,7 @@
 """Shared fixtures.
 
 Key sizes are tiny (256-bit RSA) and networks small so the full suite runs
-in minutes; the crypto/scale parameters are exercised at realistic values
-in the benchmarks instead.
+in minutes.
 """
 
 import pickle

@@ -21,6 +21,8 @@ from repro.snp.replay import check_against_authenticator, verify_segment_hashes
 from repro.snp.wire import ResidentReplay
 from repro.util.errors import LogVerificationError
 
+from scenarios import APPLICATION_SCENARIOS
+
 
 def _grown_net(seed=21, node_overrides=None):
     dep = Deployment(seed=seed, key_bits=256)
@@ -120,6 +122,26 @@ class TestRefreshStaleness:
         assert requery.delta_fetches > 0
         assert 0 < requery.log_bytes < cold.log_bytes
         assert requery.log_bytes < cold_after.log_bytes
+        assert 0 < requery.events_replayed < cold_after.events_replayed
+
+    @pytest.mark.parametrize("family", sorted(APPLICATION_SCENARIOS))
+    def test_requery_fetches_only_the_suffix_on_applications(self, family):
+        """The same inequality on chord@10, bgp@24 and hadoop@300: a
+        standing auditor's refresh + re-query costs strictly less than a
+        cold query of the grown deployment."""
+        _name, dep, query, run_further = APPLICATION_SCENARIOS[family]()
+        qp = QueryProcessor(dep)
+        query(qp)
+        run_further()
+        before = qp.mq.stats.copy()
+        qp.refresh()
+        query(qp)
+        requery = qp.mq.stats.delta_since(before)
+        cold_qp = QueryProcessor(dep)
+        query(cold_qp)
+        cold_after = cold_qp.mq.stats
+        assert requery.delta_fetches > 0
+        assert 0 < requery.log_bytes < cold_after.log_bytes
         assert 0 < requery.events_replayed < cold_after.events_replayed
 
     def test_refreshed_views_match_cold_views(self):

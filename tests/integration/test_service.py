@@ -69,6 +69,10 @@ class TestServiceAudit:
         assert out["ok"]
         assert out["result"] == expected
         pusher.close()
+        # Framing damage folds into the meter as the connection closes.
+        meter = client.status()["meter"]
+        assert (meter["corrupt_frames"], meter["garbage_bytes"],
+                meter["oversized_frames"]) == (0, 0, 0)
 
     def test_status_reports_pushed_heads(self, monitor):
         dep, _nodes = paper_deployment()

@@ -2,10 +2,16 @@
 
 import gc
 
+import pytest
+
+from repro.apps.chord import chord_program
+from repro.apps.pathvector import pathvector_program
 from repro.datalog import (
     Var, Atom, Guard, Rule, AggregateRule, Program, DatalogApp,
 )
-from repro.datalog.plan import AggPlan, RulePlan, compile_rule
+from repro.datalog.plan import (
+    AggPlan, RulePlan, compile_rule, guard_schedule_counts,
+)
 from repro.datalog.store import TupleStore
 from repro.model import Tup
 
@@ -90,6 +96,18 @@ class TestJoinCompilation:
         requirements = program.index_requirements()
         assert ("f", (0, 1)) in requirements
         assert ("e", (0, 1)) in requirements  # f-triggered probe of e
+
+    @pytest.mark.parametrize("build, pre, mid, late", [
+        (lambda: chord_program(ring_bits=12), 4, 5, 16),
+        (pathvector_program, 1, 0, 5),
+    ], ids=["chord", "pathvector"])
+    def test_guard_schedule_of_the_shipped_programs_is_pinned(
+            self, build, pre, mid, late):
+        """Guards drifting from early (pre/mid: pruning partial matches)
+        to late (full bindings) is lost pruning that a small run's wall
+        time hides — so the static placement counts are pinned exactly."""
+        assert guard_schedule_counts(build()) == {
+            "pre": pre, "mid": mid, "late": late}
 
 
 class TestAggCompilation:

@@ -3,8 +3,8 @@
 
 Boots the monitor daemon as a *subprocess* (``python -m
 repro.service.monitor``), runs a Chord workload in this process, pushes
-its logs over the framed socket transport, then proves the PR 8
-acceptance bar:
+its logs over the framed socket transport, then proves the service
+plane's acceptance bar:
 
 1. **bit-identical audits** — N concurrent REST clients sharing the
    daemon all receive exactly the summary a direct in-process
@@ -12,7 +12,10 @@ acceptance bar:
 2. **subscription alerting** — subscribers watching the audited vertex
    are told about an injected adversary's green→red downgrade within one
    push;
-3. the daemon shuts down cleanly on SIGTERM.
+3. **a quiet transport** — no corrupt, garbage or oversized frame on
+   loopback, nothing shed, retried or dropped, exactly two pushes
+   accepted;
+4. the daemon shuts down cleanly on SIGTERM.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -182,10 +185,26 @@ def main(argv=None):
 
         for stream in streams:
             stream.close()
-        status = client.status()
-        print("daemon meter:", json.dumps(
-            {k: v for k, v in status["meter"].items() if v}), flush=True)
+        # A connection's framing-damage counters fold into the daemon's
+        # meter when it closes, so the pusher hangs up before the read.
         pusher.close()
+        meter = client.status()["meter"]
+        print("daemon meter:", json.dumps(
+            {k: v for k, v in meter.items() if v}), flush=True)
+        damage = {k: meter[k] for k in (
+            "corrupt_frames", "garbage_bytes", "oversized_frames")}
+        check("no transport damage on loopback", not any(damage.values()),
+              json.dumps(damage))
+        # Shedding and dropped alerts are the daemon's to count; retries
+        # are counted by the side that retried.
+        ladder = {"pushes_shed": meter["pushes_shed"],
+                  "alerts_dropped": meter["alerts_dropped"],
+                  "push_retries": pusher.meter.push_retries}
+        check("degradation ladder never engaged", not any(ladder.values()),
+              json.dumps(ladder))
+        check("daemon accepted exactly the two pushes",
+              meter["pushes_accepted"] == 2,
+              f"pushes_accepted={meter['pushes_accepted']}")
 
         failed = [name for name, ok in CHECKS if not ok]
         exit_code = 1 if failed else 0
