@@ -133,12 +133,14 @@ class AppFactory:
 def factory_from_spec(spec):
     """Rebuild a factory from a :meth:`AppFactory.wire_spec` tuple. The
     spec may come from outside the program (a pusher's hello): one that
-    is not a ``(name, kwargs-wire)`` pair raises
+    is not a ``(name, kwargs-wire)`` pair, names no registered builder
+    or carries kwargs its builder does not take raises
     :class:`~repro.snp.wire.WireError`, like any other malformed form."""
     from repro.snp.wire import WireError, value_from_wire
 
     try:
         name, kwargs_wire = spec
-    except (TypeError, ValueError):
-        raise WireError(f"malformed application spec {spec!r}") from None
-    return resolve_builder(name)(**value_from_wire(kwargs_wire))
+        return resolve_builder(name)(**value_from_wire(kwargs_wire))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireError(
+            f"malformed application spec {spec!r}: {exc}") from None

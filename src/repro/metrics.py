@@ -243,14 +243,13 @@ class QueryStats:
     TIMING_FIELDS = ("auth_check_seconds", "replay_seconds")
 
     #: Fields that depend on *which* executor ran the builds (worker-
-    #: resident cache traffic, shared-memory transport accounting). They
-    #: are deterministic for a fixed executor but legitimately differ
-    #: between, say, a serial build (no cache, no shm) and a resident
-    #: process pool — so, like the timing fields, they are excluded from
-    #: the serial ≡ parallel equivalence projection in :meth:`counters`.
+    #: resident cache traffic). They are deterministic for a fixed
+    #: executor but legitimately differ between a serial build (no cache)
+    #: and a resident process pool — so, like the timing fields, they are
+    #: excluded from the serial ≡ wire ≡ process equivalence projection
+    #: in :meth:`counters`.
     EXECUTOR_FIELDS = (
         "view_cache_hits", "view_cache_misses", "view_cache_evictions",
-        "shm_bytes",
     )
 
     def __init__(self):
@@ -290,9 +289,6 @@ class QueryStats:
         self.view_cache_hits = 0
         self.view_cache_misses = 0
         self.view_cache_evictions = 0
-        # Bytes moved through shared-memory buffers instead of the pool's
-        # pickle pipe.
-        self.shm_bytes = 0
         # Differential-engine work done inside replays: presence toggles
         # the replayed machines consumed, Der/Und derivation changes they
         # emitted, derivation instances dropped because a support

@@ -45,11 +45,13 @@ from repro.service.framing import (
     FrameDecoder, MAX_FRAME_BYTES, encode_frame, read_frames,
 )
 from repro.snp.deployment import Maintainer
+from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.query import QueryError, QueryProcessor
 from repro.snp.snoopy import (
     RetrieveResponse, merge_mirror_responses, response_can_seed_rebuild,
     suffix_of_response,
 )
+from repro.snp.wire import WireError
 
 
 def _head_index(response):
@@ -196,6 +198,70 @@ class MonitorNodeProxy:
         return merged
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok, what, *args):
+    """Frames come from outside the program: a malformed one raises
+    :class:`WireError`, like the codec's own decoders."""
+    if not ok:
+        raise WireError("malformed " + what % args)
+
+
+def _parse_hello(msg):
+    """Validate a hello whole, before any of it is applied; returns
+    ``(t_prop, [(node_id, public_key, factory-or-None)])``."""
+    from repro.crypto.rsa import RsaKeyPair
+    from repro.apps import factory_from_spec
+    t_prop, nodes = msg.get("t_prop"), msg.get("nodes")
+    _require((_is_int(t_prop) or isinstance(t_prop, float))
+             and isinstance(nodes, dict),
+             "hello: needs a numeric t_prop and a nodes table")
+    parsed = []
+    for node_id, info in nodes.items():
+        key = info.get("key") if isinstance(info, dict) else None
+        _require(isinstance(key, (tuple, list)) and len(key) == 2
+                 and all(_is_int(part) and part > 0 for part in key),
+                 "hello: node %r carries no (n, e) public key", node_id)
+        spec = info.get("app")
+        factory = None if spec is None else factory_from_spec(spec)
+        parsed.append((node_id, RsaKeyPair(*key), factory))
+    return float(t_prop), parsed
+
+
+def _check_push(msg):
+    """Validate a push whole, before any of it is applied: the shapes
+    the daemon itself walks (what a response *claims* is for the
+    querier's verification pipeline to judge)."""
+    nodes, floors = msg.get("nodes"), msg.get("floors", {})
+    _require(isinstance(nodes, dict) and isinstance(floors, dict),
+             "push: needs a nodes table and a floors table")
+    for node_id, part in nodes.items():
+        _require(isinstance(part, dict), "push: node %r", node_id)
+        response, auths = part.get("response"), part.get("auths", {})
+        _require(response is None or (
+            isinstance(response, RetrieveResponse)
+            and _is_int(getattr(response, "start_index", None))
+            and isinstance(getattr(response, "entries", None), list)),
+            "push: node %r carries no retrieve response", node_id)
+        _require(isinstance(auths, dict) and all(
+            isinstance(held, list)
+            and all(isinstance(auth, Authenticator) for auth in held)
+            for held in auths.values()),
+            "push: node %r carries malformed authenticators", node_id)
+    alarms, faults = msg.get("alarms", ()), msg.get("faults", ())
+    _require(isinstance(alarms, (list, tuple)) and all(
+        isinstance(alarm, dict) and "msg_ids" in alarm for alarm in alarms),
+        "push: alarms need msg_ids")
+    _require(isinstance(faults, (list, tuple)) and all(
+        isinstance(fault, dict) and "node" in fault and "reason" in fault
+        for fault in faults), "push: faults need a node and a reason")
+    _require(all(isinstance(advert, RetentionFloor)
+                 for advert in floors.values()),
+             "push: floors must be retention-floor advertisements")
+
+
 class MonitorState:
     """A deployment-shaped evidence store fed by pushes.
 
@@ -226,22 +292,22 @@ class MonitorState:
         """Adopt a deployment's identity material: node ids, public keys
         (as ``(n, e)`` pairs, rebuilt locally like
         :meth:`~repro.snp.build.BuildContext.from_wire` does), app wire
-        specs, and the replay Tprop bound."""
-        from repro.crypto.rsa import RsaKeyPair
-        from repro.apps import factory_from_spec
+        specs, and the replay Tprop bound. All or nothing: a malformed
+        message raises :class:`WireError` and changes no state."""
+        t_prop, parsed = _parse_hello(msg)
         self.hello = {"deployment": msg.get("deployment")}
-        self._t_prop = float(msg["t_prop"])
-        for node_id, info in msg["nodes"].items():
+        self._t_prop = t_prop
+        for node_id, public_key, factory in parsed:
             if node_id not in self.nodes:
                 self.nodes[node_id] = MonitorNodeProxy(node_id)
-            n, e = info["key"]
-            self._public_keys[node_id] = RsaKeyPair(n, e)
-            spec = info.get("app")
-            if spec is not None:
-                self.app_factories[node_id] = factory_from_spec(spec)
+            self._public_keys[node_id] = public_key
+            if factory is not None:
+                self.app_factories[node_id] = factory
 
     def ingest_push(self, msg):
-        """Absorb one push; returns per-node stored heads for the ack."""
+        """Absorb one push; returns per-node stored heads for the ack.
+        All or nothing, like :meth:`ingest_hello`."""
+        _check_push(msg)
         heads = {}
         for node_id, part in msg["nodes"].items():
             proxy = self.nodes.get(node_id)
@@ -344,8 +410,8 @@ class MonitorDaemon:
     one shared :class:`QueryProcessor`."""
 
     def __init__(self, host="127.0.0.1", push_port=0, http_port=0,
-                 executor=None, ingest_limit=64, subscriber_queue_limit=256,
-                 max_frame_bytes=MAX_FRAME_BYTES, verify_embedded=None):
+                 ingest_limit=64, subscriber_queue_limit=256,
+                 max_frame_bytes=MAX_FRAME_BYTES):
         self.host = host
         self.push_port = push_port
         self.http_port = http_port
@@ -354,10 +420,10 @@ class MonitorDaemon:
         self.max_frame_bytes = max_frame_bytes
         self.ingest_limit = ingest_limit
         self.subscriber_queue_limit = subscriber_queue_limit
-        mq_kwargs = {}
-        if verify_embedded is not None:
-            mq_kwargs["verify_embedded_signatures"] = verify_embedded
-        self.qp = QueryProcessor(self.state, executor=executor, **mq_kwargs)
+        # Serial builds: a standing auditor's steady state is warm
+        # refresh, where the process pool loses at every size measured
+        # (DESIGN.md, "When ``process:N`` pays").
+        self.qp = QueryProcessor(self.state)
         # One worker serializes every touch of state+qp: ingest mutates
         # what queries read, and MicroQuerier itself is not thread-safe.
         self._qp_pool = ThreadPoolExecutor(
@@ -467,35 +533,44 @@ class MonitorDaemon:
 
     async def _dispatch_push(self, msg):
         mtype = msg["type"]
-        if mtype == "hello":
-            await self._loop.run_in_executor(
-                self._qp_pool, self.state.ingest_hello, msg)
-            return {"type": "hello-ack",
-                    "heads": await self._in_pool(self.state.stored_heads),
-                    "cursors": self.state.ingest_cursors()}
-        if mtype == "push":
-            if self._inflight_pushes >= self.ingest_limit:
-                # Shed: nothing stored, nothing acked forward — the
-                # pusher keeps its delta and retries next cadence tick.
-                self.meter.pushes_shed += 1
-                return {"type": "push-ack", "seq": msg.get("seq"),
-                        "shed": True, "heads": None, "cursors": None,
-                        "marks": None}
-            self._inflight_pushes += 1
-            try:
-                heads = await self._loop.run_in_executor(
-                    self._qp_pool, self.state.ingest_push, msg)
-                marks = await self._in_pool(self.qp.low_water_marks)
-            finally:
-                self._inflight_pushes -= 1
-            self.meter.pushes_accepted += 1
-            self._refresh_needed.set()
-            return {"type": "push-ack", "seq": msg.get("seq"),
-                    "shed": False, "heads": heads,
-                    "cursors": self.state.ingest_cursors(), "marks": marks}
+        try:
+            if mtype == "hello":
+                await self._loop.run_in_executor(
+                    self._qp_pool, self.state.ingest_hello, msg)
+                return {"type": "hello-ack",
+                        "heads": await self._in_pool(self.state.stored_heads),
+                        "cursors": self.state.ingest_cursors()}
+            if mtype == "push":
+                return await self._accept_push(msg)
+        except WireError as exc:
+            # Well framed, malformed inside. Ingest validates before it
+            # applies, so no state changed; the connection stays up.
+            self.meter.corrupt_frames += 1
+            return {"type": "error", "error": str(exc)}
         if mtype == "bye":
             return None
         return {"type": "error", "error": f"unknown message type {mtype!r}"}
+
+    async def _accept_push(self, msg):
+        if self._inflight_pushes >= self.ingest_limit:
+            # Shed: nothing stored, nothing acked forward — the
+            # pusher keeps its delta and retries next cadence tick.
+            self.meter.pushes_shed += 1
+            return {"type": "push-ack", "seq": msg.get("seq"),
+                    "shed": True, "heads": None, "cursors": None,
+                    "marks": None}
+        self._inflight_pushes += 1
+        try:
+            heads = await self._loop.run_in_executor(
+                self._qp_pool, self.state.ingest_push, msg)
+            marks = await self._in_pool(self.qp.low_water_marks)
+        finally:
+            self._inflight_pushes -= 1
+        self.meter.pushes_accepted += 1
+        self._refresh_needed.set()
+        return {"type": "push-ack", "seq": msg.get("seq"),
+                "shed": False, "heads": heads,
+                "cursors": self.state.ingest_cursors(), "marks": marks}
 
     def _in_pool(self, fn, *args):
         return self._loop.run_in_executor(
@@ -764,17 +839,13 @@ def main(argv=None):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--push-port", type=int, default=0)
     parser.add_argument("--http-port", type=int, default=0)
-    parser.add_argument("--executor", default=None,
-                        help="executor spec for view builds "
-                             "(serial | thread:N | process:N)")
     parser.add_argument("--ingest-limit", type=int, default=64)
     args = parser.parse_args(argv)
 
     async def run():
         daemon = MonitorDaemon(
             host=args.host, push_port=args.push_port,
-            http_port=args.http_port, executor=args.executor,
-            ingest_limit=args.ingest_limit)
+            http_port=args.http_port, ingest_limit=args.ingest_limit)
         await daemon.start()
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()

@@ -3,7 +3,7 @@
 Between the coordinator's *fetch* and *finalize*
 (:mod:`repro.snp.microquery`) runs :func:`compute_build`, a pure function
 of a :class:`BuildWork` and a :class:`BuildContext` and the *single* code
-path every executor runs — which makes serial ≡ thread ≡ process a
+path every executor runs — which makes serial ≡ wire ≡ process a
 structural argument, not a statistical one.
 
 This is also the one home of "verify a response": every check that can
@@ -38,20 +38,17 @@ class BuildContext:
     """The one-time per-pool context of the verify+replay step.
 
     Everything the compute step may consult beyond its work item: the
-    querier's public-key table, the embedded-signature flag, and the
-    deployment's Tprop bound for replay. Factories are *not* part of the
-    context — a work item carries either a live factory (in-process
-    executors) or a registry spec (process pool, resolved per work item so
-    e.g. a refreshed content store is never stale).
+    querier's public-key table and the deployment's Tprop bound for
+    replay. Factories are *not* part of the context — a work item carries
+    either a live factory (in-process executors) or a registry spec
+    (process pool, resolved per work item so e.g. a refreshed content
+    store is never stale).
     """
 
-    __slots__ = ("public_keys", "verify_embedded_signatures", "t_prop",
-                 "_factory_cache")
+    __slots__ = ("public_keys", "t_prop", "_factory_cache")
 
-    def __init__(self, public_keys, verify_embedded_signatures=True,
-                 t_prop=1.0):
+    def __init__(self, public_keys, t_prop=1.0):
         self.public_keys = public_keys
-        self.verify_embedded_signatures = verify_embedded_signatures
         self.t_prop = t_prop
         self._factory_cache = {}
 
@@ -61,15 +58,14 @@ class BuildContext:
              for node, key in self.public_keys.items()),
             key=repr,
         ))
-        return ("W.ctx", keys, bool(self.verify_embedded_signatures),
-                self.t_prop)
+        return ("W.ctx", keys, self.t_prop)
 
     @classmethod
     def from_wire(cls, wire):
-        _tag, keys, verify_embedded, t_prop = wire
+        _tag, keys, t_prop = wire
         return cls(
             {value_from_wire(node): RsaKeyPair(n, e) for node, n, e in keys},
-            verify_embedded_signatures=verify_embedded, t_prop=t_prop,
+            t_prop=t_prop,
         )
 
     def factory_for(self, node, app_spec):
@@ -404,16 +400,6 @@ def verify_checkpoint(node_id, chk_entry):
         )
 
 
-def _verify_embedded(node_id, response, context, stats):
-    for entry, signer, auth in embedded_authenticators(response):
-        if auth is None:
-            raise LogVerificationError(
-                node_id,
-                f"{entry.entry_type} entry {entry.index} lacks evidence",
-            )
-        verify_auth(context.public_keys[signer], auth, stats)
-
-
 def _verify_response(work, context, stats, outcome):
     """The node-local checks that can *prove* the node faulty.
 
@@ -500,8 +486,13 @@ def _verify_response(work, context, stats, outcome):
         note_checked(outcome.checked, response, auth)
     if response.checkpoint is not None:
         verify_checkpoint(node_id, response.checkpoint)
-    if context.verify_embedded_signatures:
-        _verify_embedded(node_id, response, context, stats)
+    for entry, signer, auth in embedded_authenticators(response):
+        if auth is None:
+            raise LogVerificationError(
+                node_id,
+                f"{entry.entry_type} entry {entry.index} lacks evidence",
+            )
+        verify_auth(context.public_keys[signer], auth, stats)
     if work.consistency is not None:
         def on_skip(auth):
             if work.floor and auth.index < work.floor:

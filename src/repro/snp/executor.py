@@ -5,121 +5,66 @@ The microquery module splits a view build into a *fetch* step (touches the
 deployment; coordinator side), a *verify+replay* compute step (a pure
 function of a work item and a context; see :mod:`repro.snp.build`) and a
 *finalize* step on the calling thread in canonical node order. An executor
-only decides how the per-node fetch+compute pipelines are scheduled:
+only decides where the compute step of each job runs, through one
+protocol — ``run_jobs(jobs, context)`` returning outcomes in submission
+order, and ``close()``:
 
-* :class:`SerialExecutor` — runs tasks inline, one at a time, in the order
-  given. The default; also the fallback for ``workers <= 1``.
-* :class:`ThreadedExecutor` — runs tasks on a persistent thread pool.
-  Compute serializes under the GIL and an in-process fetch is a function
-  call, so threads overlap nothing today; the arm is kept as the
-  concurrency leg of the serial ≡ thread ≡ process contract.
+* :class:`SerialExecutor` — runs jobs inline, one at a time, in the order
+  given. The default.
 * :class:`ProcessExecutor` — the *resident* process pool: one
   single-worker slot per worker, each node affinity-hashed to the slot
   that owns its view. Workers keep replays resident between batches, so a
-  refresh ships only the verified head plus the log/evidence delta; bulk
-  payloads cross through ``multiprocessing.shared_memory``. A dead worker
-  or evicted entry degrades to a cold build — bit-identical by
-  construction.
+  refresh ships only the verified head plus the log/evidence delta. A
+  dead worker or evicted entry degrades to a cold build — bit-identical
+  by construction. It pays for cold builds of large deployments only
+  (DESIGN.md, "When ``process:N`` pays").
 
-Task *results* always come back aligned with submission order, and every
+Outcomes always come back aligned with submission order, and every
 executor funnels the same compute function, so the merge phase (and
 therefore every observable query result and counter) is identical across
-executors by construction.
+executors by construction — serial ≡ wire ≡ process, the wire arm being
+the test suite's in-process pickle round trip.
 
-``make_executor`` turns the user-facing spec (``None``, an int worker
-count, ``"serial"``, ``"thread:4"``, ``"process:4"``, or an executor
-instance) into an executor object.
+``make_executor`` turns the user-facing spec into an executor object.
 """
 
 import hashlib
 import multiprocessing
 import os
-import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.snp.resident import (
     compute_build_resident_wire, init_worker_process, resident_op_wire,
     warm_worker,
 )
-from repro.snp.shm import ShmArena, collect_result, ship_payload
 from repro.snp.wire import ResidentViewLost
 
-#: Ceiling for auto-sized pools ("process"/"thread" specs with no
-#: explicit N): view builds stop scaling well past this on one querier,
-#: and unbounded spawn on a many-core box wastes start-up time.
+#: Ceiling for an auto-sized pool (the bare ``"process"`` spec): view
+#: builds stop scaling well past this on one querier, and unbounded spawn
+#: on a many-core box wastes start-up time.
 MAX_DEFAULT_WORKERS = 8
 
 
 def default_worker_count():
     """``os.cpu_count()`` clamped to ``[1, MAX_DEFAULT_WORKERS]`` — the
-    worker count a bare ``"process"``/``"thread"`` spec resolves to."""
+    worker count a bare ``"process"`` spec resolves to."""
     return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
 
 
 class SerialExecutor:
-    """Run view-build tasks inline on the calling thread."""
+    """Run view-build jobs inline on the calling thread."""
 
-    workers = 1
-
-    def run(self, tasks):
-        """Run zero-arg *tasks*; returns their results in task order."""
-        return [task() for task in tasks]
+    def run_jobs(self, jobs, context):
+        """Run build jobs one at a time; outcomes in submission order."""
+        return [job.run_local(context) for job in jobs]
 
     def close(self):
         pass
 
     def __repr__(self):
         return "SerialExecutor()"
-
-
-class ThreadedExecutor:
-    """Run view-build tasks on a persistent thread pool.
-
-    The pool is created lazily on first use and reused across batches, so
-    repeated refreshes do not pay thread start-up per call. ``close()``
-    shuts the pool down; an unclosed executor's threads are reclaimed at
-    interpreter shutdown like any ThreadPoolExecutor's.
-    """
-
-    def __init__(self, workers):
-        if workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {workers}")
-        self.workers = workers
-        self._pool = None
-
-    def run(self, tasks):
-        """Run zero-arg *tasks* concurrently; results in task order."""
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="view-build",
-            )
-        return list(self._pool.map(lambda task: task(), tasks))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self):
-        return f"ThreadedExecutor(workers={self.workers})"
-
-
-class _Submission:
-    """One in-flight resident build: the slot's future plus the arena
-    segment to release once the worker has consumed it."""
-
-    __slots__ = ("future", "slot", "shm_name", "shm_bytes")
-
-    def __init__(self, future, slot, shm_name, shm_bytes):
-        self.future = future
-        self.slot = slot
-        self.shm_name = shm_name
-        self.shm_bytes = shm_bytes
 
 
 class ProcessExecutor:
@@ -138,11 +83,9 @@ class ProcessExecutor:
       (:meth:`resident_op`), returning cloned value vertices instead of
       decoding whole graphs on the coordinator's GIL.
 
-    Bulk payloads still crossing the boundary ride a shared-memory
-    arena. Any lost state — dead worker, LRU-evicted entry,
-    head mismatch — surfaces as
-    :class:`~repro.snp.wire.ResidentViewLost`/``cache-miss`` and degrades
-    to a cold build, which is bit-identical by construction.
+    Any lost state — dead worker, LRU-evicted entry, head mismatch —
+    surfaces as :class:`~repro.snp.wire.ResidentViewLost`/``cache-miss``
+    and degrades to a cold build, which is bit-identical by construction.
 
     *resident_cap* bounds each worker's cache (LRU entries; None =
     unbounded) — mainly a test/ops knob to force the eviction path.
@@ -153,9 +96,7 @@ class ProcessExecutor:
             raise ValueError(f"worker count must be >= 1, got {workers}")
         self.workers = workers
         self.resident_cap = resident_cap
-        self.arena = ShmArena()
         self._slots = None
-        self._coordinator = None
         self._context_wire = None
         self._lock = threading.Lock()
 
@@ -195,9 +136,6 @@ class ProcessExecutor:
             future.result()
 
     def close(self):
-        if self._coordinator is not None:
-            self._coordinator.shutdown(wait=True)
-            self._coordinator = None
         with self._lock:
             slots, self._slots = self._slots, None
             self._context_wire = None
@@ -205,7 +143,6 @@ class ProcessExecutor:
             for pool in slots:
                 if pool is not None:
                     pool.shutdown(wait=True)
-        self.arena.close()
 
     # ------------------------------------------------------------ affinity
 
@@ -244,22 +181,18 @@ class ProcessExecutor:
     # ------------------------------------------------------------- builds
 
     def submit_build(self, node, work_wire, _retry=True):
-        """Ship one work item's pre-pickled wire form to *node*'s slot.
-
-        Bulk payloads go through the shm arena; the pipe carries the
-        segment name. Returns a :class:`_Submission` for
-        :meth:`collect_build`.
+        """Ship one work item's wire form to *node*'s slot, without
+        waiting. The pool's own pickle pass is the only one: a work item
+        that cannot be pickled fails its future, and
+        :meth:`collect_build` raises it on the calling thread. Returns a
+        ``(slot, future)`` submission for :meth:`collect_build`.
         """
-        data = pickle.dumps(work_wire)
-        payload, shm_name, shm_bytes = ship_payload(data, self.arena)
         slot = self.slot_of(node)
         try:
             future = self._slot_pool(slot).submit(
-                compute_build_resident_wire, payload
+                compute_build_resident_wire, work_wire
             )
         except (BrokenProcessPool, RuntimeError):
-            if shm_name is not None:
-                self.arena.release(shm_name)
             self._break_slot(slot)
             if _retry:
                 # One respawn attempt: the fresh worker holds no resident
@@ -267,60 +200,39 @@ class ProcessExecutor:
                 # cache-miss and the job's fallback takes over.
                 return self.submit_build(node, work_wire, _retry=False)
             raise ResidentViewLost(f"worker slot {slot} is down")
-        return _Submission(future, slot, shm_name, shm_bytes)
+        return slot, future
 
     def collect_build(self, submission):
-        """Wait for a submission; returns ``(outcome_wire, shm_bytes)``.
+        """Wait for a submission; returns the outcome's wire form.
 
         Raises :class:`ResidentViewLost` when the owning worker died —
         the caller falls back to a cold build."""
+        slot, future = submission
         try:
-            shipped = submission.future.result()
+            return future.result()
         except (BrokenProcessPool, RuntimeError) as exc:
-            self._break_slot(submission.slot)
-            raise ResidentViewLost(
-                f"worker slot {submission.slot} died: {exc}"
-            )
-        finally:
-            if submission.shm_name is not None:
-                self.arena.release(submission.shm_name)
-        data, out_shm = collect_result(shipped)
-        return pickle.loads(data), submission.shm_bytes + out_shm
+            self._break_slot(slot)
+            raise ResidentViewLost(f"worker slot {slot} died: {exc}")
 
     def run_jobs(self, jobs, context):
         """Run build jobs; outcomes in submission order.
 
-        Fetch threads retrieve segments and submit each work item to
-        its owning slot without waiting; outcomes are collected — and
+        Each job fetches its segment and submits its work item to the
+        owning slot without waiting, so workers compute while the
+        coordinator fetches the next; outcomes are then collected — and
         therefore finalized — in submission order. Collection handles
         the fallback ladder (worker death, cache miss) per job.
         """
         if not jobs:
             return []
         self.prepare(context)
-        if len(jobs) == 1:
-            submissions = [jobs[0].submit_resident(self)]
-        else:
-            if self._coordinator is None:
-                # Fetch threads run only light bookkeeping — compute
-                # lives in the worker processes — so their count (2×N)
-                # is not tied to the worker count. Against an in-process
-                # deployment a fetch is a function call and they overlap
-                # nothing; whether they stay is ROADMAP item 4's call.
-                self._coordinator = ThreadPoolExecutor(
-                    max_workers=2 * self.workers,
-                    thread_name_prefix="view-fetch",
-                )
-            submissions = list(self._coordinator.map(
-                lambda job: job.submit_resident(self), jobs
-            ))
+        submissions = [job.submit_resident(self) for job in jobs]
         return [job.collect_resident(self, submission)
                 for job, submission in zip(jobs, submissions)]
 
     # ------------------------------------------------------- resident ops
 
-    def resident_op(self, node, head_index, head_hash, op, payload=None,
-                    stats=None):
+    def resident_op(self, node, head_index, head_hash, op, payload=None):
         """Run a read against the resident view *node*'s slot holds at
         ``(head_index, head_hash)``. Raises :class:`ResidentViewLost`
         when the entry (or the worker) is gone."""
@@ -332,17 +244,11 @@ class ProcessExecutor:
         except (BrokenProcessPool, RuntimeError) as exc:
             self._break_slot(slot)
             raise ResidentViewLost(f"worker slot {slot} died: {exc}")
-        tag = result[0]
-        if tag == "W.lost":
+        if result[0] == "W.lost":
             raise ResidentViewLost(
                 f"resident view for {node!r} at entry {head_index} is gone"
             )
-        if tag == "W.opres":
-            return result[1]
-        data, shm = collect_result(result)  # a blob pull
-        if stats is not None and shm:
-            stats.shm_bytes += shm
-        return data
+        return result[1]
 
     def evict_resident(self, node):
         """Drop *node*'s resident entry (explicit invalidation: forks, GC
@@ -362,35 +268,24 @@ class ProcessExecutor:
 def make_executor(spec=None):
     """Resolve an executor spec to an executor instance.
 
-    ``None`` or ``"serial"`` → :class:`SerialExecutor`; an int ``n`` →
-    serial for ``n == 1``, ``ThreadedExecutor(n)`` for ``n > 1``
-    (``n < 1`` is an error); ``"thread:N"`` → ``ThreadedExecutor(N)``;
-    ``"process:N"`` → the resident :class:`ProcessExecutor(N)`; bare
-    ``"thread"`` / ``"process"`` → the same pools sized to
-    ``os.cpu_count()`` clamped to :data:`MAX_DEFAULT_WORKERS`; an object
-    with a ``run`` or ``run_jobs`` method passes through unchanged.
+    ``None`` or ``"serial"`` → :class:`SerialExecutor`; ``"process:N"`` →
+    the resident :class:`ProcessExecutor(N)`; bare ``"process"`` → the
+    same pool sized to ``os.cpu_count()`` clamped to
+    :data:`MAX_DEFAULT_WORKERS`; an object with a ``run_jobs`` method
+    passes through unchanged. Anything else is a ``ValueError`` naming
+    these forms.
     """
     if spec is None or spec == "serial":
         return SerialExecutor()
-    if isinstance(spec, bool):
-        raise ValueError("executor spec must not be a bool")
-    if isinstance(spec, int):
-        if spec < 1:
-            raise ValueError(f"worker count must be >= 1, got {spec}")
-        return ThreadedExecutor(spec) if spec > 1 else SerialExecutor()
     if isinstance(spec, str):
         kind, sized, count = spec.partition(":")
-        if kind in ("thread", "process"):
-            try:
-                workers = int(count) if sized else default_worker_count()
-            except ValueError:
-                raise ValueError(
-                    f"unknown executor spec {spec!r}"
-                ) from None
-            if kind == "thread":
-                return make_executor(workers)
-            return ProcessExecutor(workers)
-        raise ValueError(f"unknown executor spec {spec!r}")
-    if hasattr(spec, "run") or hasattr(spec, "run_jobs"):
+        if kind == "process" and (not sized or count.isdigit()):
+            return ProcessExecutor(int(count) if sized
+                                   else default_worker_count())
+    elif hasattr(spec, "run_jobs"):
         return spec
-    raise ValueError(f"cannot build an executor from {spec!r}")
+    raise ValueError(
+        f'unknown executor spec {spec!r}; accepted: None or "serial", '
+        '"process", "process:N" (N >= 1), or an object with a '
+        'run_jobs(jobs, context) method'
+    )

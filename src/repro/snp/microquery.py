@@ -38,12 +38,11 @@ boundary"). This module holds the two coordinator-side steps:
   commits, harvesting, view installation.
 
 Between them runs :func:`repro.snp.build.compute_build` — every check
-that can convict the node, then replay — inline, on a thread or in a
-worker process; executors therefore produce bit-identical views, colors
-and counters.
+that can convict the node, then replay — inline or in a worker process;
+executors therefore produce bit-identical views, colors and counters
+(serial ≡ wire ≡ process).
 """
 
-import functools
 import time
 
 from repro.metrics import QueryStats
@@ -148,7 +147,7 @@ class _BuildJob:
     with the fetch step's bookkeeping, ready for finalize. The run
     variants only differ in where the compute step executes:
 
-    * :meth:`run_local` — inline (serial and threaded executors);
+    * :meth:`run_local` — inline (the serial executor);
     * :meth:`submit_resident` / :meth:`collect_resident` — in the node's
       owning worker process, work and outcome crossing in wire form.
     """
@@ -393,10 +392,10 @@ class _BuildJob:
     def submit_resident(self, executor):
         """Fetch, then ship the work to the node's owning worker slot.
 
-        Deliberately does *not* wait: the calling fetch thread moves
-        straight on to its next job while workers chew the compute
-        queue. An extend crosses as a head reference (plus the fetched
-        delta), never as the base replay.
+        Deliberately does *not* wait: the coordinator moves straight on
+        to its next job's fetch while workers chew the compute queue. An
+        extend crosses as a head reference (plus the fetched delta),
+        never as the base replay.
         Returns a submission handle, None (finished at fetch), or the
         ``_LOST`` sentinel when the slot is down.
         """
@@ -417,11 +416,10 @@ class _BuildJob:
         if submission is _LOST:
             return None
         try:
-            wire, shm_bytes = executor.collect_build(submission)
+            wire = executor.collect_build(submission)
         except ResidentViewLost:
             return None
         result = CompactOutcome.from_wire(wire, self.factory)
-        result.stats.shm_bytes += shm_bytes
         if result.status == CompactOutcome.CACHE_MISS:
             self.stats.merge(result.stats)
             return None
@@ -469,23 +467,20 @@ class _BuildJob:
 
 class MicroQuerier:
     def __init__(self, deployment, use_checkpoints=False,
-                 verify_embedded_signatures=True,
                  run_consistency_check=True, executor=None,
                  fetch_pending_anchors=True):
         self.deployment = deployment
         self.use_checkpoints = use_checkpoints
-        self.verify_embedded_signatures = verify_embedded_signatures
         self.run_consistency_check = run_consistency_check
         # When a batch leaves skipped-authenticator debt (evidence below a
         # partial segment's anchor), fetch the anchoring segment right
         # away instead of waiting for some later full build to happen by.
         # Off only for tests that need the pending state to persist.
         self.fetch_pending_anchors = fetch_pending_anchors
-        # Ownership: an executor built here from a spec is closed by
-        # close(); an executor *instance* handed in is the caller's to
-        # manage (it may be shared across queriers).
-        self._owns_executor = not (hasattr(executor, "run")
-                                   or hasattr(executor, "run_jobs"))
+        # Ownership: an executor built here from a spec (None or a
+        # string) is closed by close(); an executor *instance* handed in
+        # is the caller's to manage (it may be shared across queriers).
+        self._owns_executor = executor is None or isinstance(executor, str)
         self.executor = make_executor(executor)
         self.evidence = EvidenceStore()
         self.stats = QueryStats()
@@ -533,14 +528,11 @@ class MicroQuerier:
             prepare(self._build_context())
 
     def close(self):
-        """Release the executor's worker threads/processes. Only executors
-        this querier created (from a spec) are closed; a shared instance
+        """Release the executor's worker processes. Only executors this
+        querier created (from a spec) are closed; a shared instance
         passed in by the caller is left running."""
-        if not self._owns_executor:
-            return
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
+        if self._owns_executor:
+            self.executor.close()
 
     def __enter__(self):
         return self
@@ -556,7 +548,6 @@ class MicroQuerier:
         if self._context is None or self._context_nodes != set(nodes):
             self._context = BuildContext(
                 {n: self.deployment.public_key_of(n) for n in nodes},
-                verify_embedded_signatures=self.verify_embedded_signatures,
                 t_prop=self.deployment.effective_t_prop(),
             )
             self._context_nodes = set(nodes)
@@ -698,7 +689,7 @@ class MicroQuerier:
         self._batch_spec_cache = {}
         finalized = set()
         try:
-            for outcome in self._run_jobs(jobs, context):
+            for outcome in self.executor.run_jobs(jobs, context):
                 new_view = self._finalize(outcome)
                 old_view = self._views.get(outcome.node)
                 self._views[outcome.node] = new_view
@@ -719,18 +710,6 @@ class MicroQuerier:
                 self._fetch_pending_anchor(node_id)
             self._anchor_wanted.clear()
         self.compact_evidence()
-
-    def _run_jobs(self, jobs, context):
-        """Schedule a batch onto the executor. Rich executors take the
-        jobs themselves (``run_jobs``); plain ones — including any
-        pass-through executor a caller supplies — get zero-arg tasks, the
-        pre-existing contract."""
-        run_jobs = getattr(self.executor, "run_jobs", None)
-        if run_jobs is not None:
-            return run_jobs(jobs, context)
-        return self.executor.run(
-            [functools.partial(job.run_local, context) for job in jobs]
-        )
 
     # ---------------------------------------------- fetch-side accounting
 
@@ -997,7 +976,7 @@ class MicroQuerier:
         A view backed by an unmaterialized :class:`ResidentReplay` runs
         the op *in the owning worker* — the coordinator receives cloned
         value vertices and never decodes the graph. Every other view
-        (serial/thread builds, materialized handles, failed-replay
+        (serial builds, materialized handles, failed-replay
         evidence) answers from the in-process graph; both paths return
         clones-or-members with identical keys and colors, so callers
         cannot tell them apart. A lost resident view (dead worker,
@@ -1009,7 +988,7 @@ class MicroQuerier:
             if isinstance(replay, ResidentReplay) \
                     and not replay.materialized:
                 try:
-                    return replay.query(op, payload, stats=self.stats)
+                    return replay.query(op, payload)
                 except ResidentViewLost:
                     # The cold rebuild tallies the miss itself.
                     self._rebuild_lost_view(view)

@@ -132,17 +132,17 @@ class QueryProcessor:
 
     *executor* selects how per-node view builds are scheduled (see
     :mod:`repro.snp.executor`): ``None``/``"serial"`` builds one node at a
-    time (the default), an int ``n > 1`` builds up to n nodes' views
-    concurrently on threads, ``"process:n"`` backs the verify+replay step
-    with n worker processes. Exploration prefetches each BFS level's
-    unvisited hosts as one batch, so a cold macroquery against a wide
-    deployment hands the executor whole levels at a time; results are
-    identical for every executor.
+    time (the default), ``"process:n"`` backs the verify+replay step with
+    n worker processes — worth it for cold builds of large deployments
+    only (DESIGN.md, "When ``process:N`` pays"). Exploration prefetches
+    each BFS level's unvisited hosts as one batch, so a cold macroquery
+    against a wide deployment hands the executor whole levels at a time;
+    results are identical for every executor.
 
     The processor *owns* an executor it builds from a spec and closes it
     in :meth:`close` — use the processor as a context manager so warm
-    thread/process pools are never leaked across deployments or test
-    runs. An executor instance passed in stays the caller's to manage.
+    process pools are never leaked across deployments or test runs. An
+    executor instance passed in stays the caller's to manage.
     """
 
     def __init__(self, deployment, use_checkpoints=False, executor=None,

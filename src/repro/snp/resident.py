@@ -9,7 +9,6 @@ work itself is :func:`repro.snp.build.compute_build`. Anything missing
 answers ``cache-miss`` / ``W.lost`` and the coordinator rebuilds cold.
 """
 
-import pickle
 import time
 from collections import OrderedDict
 
@@ -19,7 +18,6 @@ from repro.snp.build import (
     BuildContext, BuildWork, CompactOutcome, compute_build, graph_read,
     response_head,
 )
-from repro.snp.shm import _load_shipped, _ship_result
 from repro.snp.wire import WireError, _ResidentRef, replay_to_wire
 
 _POOL_CONTEXT = None
@@ -139,13 +137,12 @@ def _adopt_build(work, outcome):
     outcome.resident_head = head
 
 
-def compute_build_resident_wire(payload):
-    """The resident pool's build entry point: a shipped (possibly
-    shm-borne) work payload in, a shipped outcome out, with this worker's
-    view cache consulted and updated along the way."""
+def compute_build_resident_wire(work_wire):
+    """The resident pool's build entry point: a work item's wire form in,
+    the outcome's wire form out (the pool's pipe pickles each once), with
+    this worker's view cache consulted and updated along the way."""
     if _POOL_CONTEXT is None:
         raise WireError("worker process was not initialized with a context")
-    work_wire = pickle.loads(_load_shipped(payload))
     work = BuildWork.from_wire(work_wire, _POOL_CONTEXT)
     if isinstance(work.base_replay, _ResidentRef):
         outcome = _resident_extend(work)
@@ -157,7 +154,7 @@ def compute_build_resident_wire(payload):
         outcome = compute_build(work, _POOL_CONTEXT)
         outcome.stats.view_cache_misses += 1
         _adopt_build(work, outcome)
-    return _ship_result(pickle.dumps(outcome.to_wire()))
+    return outcome.to_wire()
 
 
 def _clone_read(value):
@@ -171,16 +168,16 @@ def _clone_read(value):
     return _clone_vertex(value)
 
 
-
 def resident_op_wire(request):
     """An affinity-routed read against this worker's resident cache.
 
     ``request`` is ``(node, head_index, head_hash, op, payload)``. Graph
     reads return *cloned* value vertices (clones pickle under the
     constructor-rebuilding contract; graph-member vertices must never
-    leave the worker). A missing entry — or one parked at a different
-    head — answers ``W.lost``, which the coordinator raises as
-    :class:`ResidentViewLost`.
+    leave the worker); ``blob`` answers the whole replay's wire form
+    (:meth:`~repro.snp.wire.ResidentReplay.materialize`). A missing
+    entry — or one parked at a different head — answers ``W.lost``,
+    which the coordinator raises as :class:`ResidentViewLost`.
     """
     node, head_index, head_hash, op, payload = request
     if op == "evict":
@@ -190,6 +187,6 @@ def resident_op_wire(request):
         return ("W.lost",)
     _RESIDENT.move_to_end(node)
     if op == "blob":
-        return _ship_result(pickle.dumps(replay_to_wire(entry.result)))
+        return ("W.opres", replay_to_wire(entry.result))
     return ("W.opres", _clone_read(graph_read(entry.result.graph, op,
                                               payload)))

@@ -1,10 +1,10 @@
 """The wire codec: what may cross a process boundary, and how.
 
 A view build's verify+replay step (:mod:`repro.snp.build`) may run in a
-worker process (:mod:`repro.snp.resident`), bulk bytes riding
-:mod:`repro.snp.shm`. Everything crossing that boundary is governed by
-this module's serialization contract (DESIGN.md, "The executor
-boundary"):
+worker process (:mod:`repro.snp.resident`). Everything crossing that
+boundary — through the pool's own pipe, pickled once per crossing — is
+governed by this module's serialization contract (DESIGN.md, "The
+executor boundary"):
 
 * **Value objects pickle through their constructors.** ``Tup`` and
   ``Msg`` memoize ``hash()`` of their fields, and per-process hash
@@ -369,8 +369,8 @@ class ResidentReplay:
     and reaches the live state through the executor's affinity-routed
     resident ops. Graph reads (``query``) run *in the owning worker* and
     return cloned value vertices, so the coordinator never pays the
-    decode; ``materialize`` pulls the full blob over (shared memory for
-    bulk) only when in-process state is genuinely needed. Every op can
+    decode; ``materialize`` pulls the full replay over only when
+    in-process state is genuinely needed. Every op can
     raise :class:`ResidentViewLost`, the explicit invalidation signal the
     querier answers with a bit-identical cold rebuild.
     """
@@ -393,7 +393,7 @@ class ResidentReplay:
     def materialized(self):
         return self._result is not None
 
-    def query(self, op, payload=None, stats=None):
+    def query(self, op, payload=None):
         """Run a read-only graph op in the owning worker (memoized per
         handle — a handle is specific to one verified head, so results
         can never go stale under it)."""
@@ -405,21 +405,18 @@ class ResidentReplay:
             key = None
         value = self.executor.resident_op(
             self.node, self.head_index, self.head_hash, op, payload,
-            stats=stats,
         )
         if key is not None:
             self._ops[key] = value
         return value
 
-    def materialize(self, stats=None):
+    def materialize(self):
         """Pull the resident replay's full state into this process."""
         if self._result is None:
-            blob = self.executor.resident_op(
-                self.node, self.head_index, self.head_hash, "blob", None,
-                stats=stats,
+            wire = self.executor.resident_op(
+                self.node, self.head_index, self.head_hash, "blob",
             )
-            result = replay_from_wire(pickle.loads(blob),
-                                      self.machine_factory)
+            result = replay_from_wire(wire, self.machine_factory)
             result.response = self.response
             self._result = result
         return self._result

@@ -22,8 +22,6 @@ class WireRoundTripExecutor:
     forms on every job, so aliasing with coordinator state is severed and
     the serialization contract is exercised without spawn cost."""
 
-    workers = 1
-
     def run_jobs(self, jobs, context):
         return [self._run(job, context) for job in jobs]
 

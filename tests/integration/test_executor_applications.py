@@ -1,7 +1,6 @@
-"""Serial ≡ thread ≡ process on the three application families.
+"""Serial ≡ wire ≡ process on the three application families.
 
-The executor suites next door (``test_parallel_views.py``,
-``test_process_views.py``, ``test_resident_views.py``) pin the contract
+The matrix next door (``test_executor_equivalence.py``) pins the contract
 on MinCost; here the same contract runs on chord@10, bgp@24 and
 hadoop@300 — wider deployments, recursive aggregates, a content store
 crossing the process boundary — for the two phases a standing auditor
@@ -20,7 +19,6 @@ from scenarios import APPLICATION_SCENARIOS
 
 pytestmark = pytest.mark.slow  # every test spawns a real process pool
 
-ARMS = ("serial", "thread:4", "process:2")
 FAMILIES = sorted(APPLICATION_SCENARIOS)
 
 
@@ -31,9 +29,12 @@ def _observed(result):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_cold_build_and_refresh_agree_across_executors(family):
+def test_cold_build_and_refresh_agree_across_executors(family,
+                                                       wire_executor):
     _name, dep, query, run_further = APPLICATION_SCENARIOS[family]()
-    processors = {arm: QueryProcessor(dep, executor=arm) for arm in ARMS}
+    arms = {"serial": None, "wire": wire_executor, "process:2": "process:2"}
+    processors = {arm: QueryProcessor(dep, executor=executor)
+                  for arm, executor in arms.items()}
     try:
         cold = {}
         for arm, qp in processors.items():
@@ -49,7 +50,7 @@ def test_cold_build_and_refresh_agree_across_executors(family):
     finally:
         for qp in processors.values():
             qp.close()
-    for arm in ARMS[1:]:
+    for arm in ("wire", "process:2"):
         assert cold[arm] == cold["serial"], arm
         assert warm[arm] == warm["serial"], arm
     # The resident pool extended the replays its workers kept: every

@@ -183,6 +183,105 @@ class TestAdversarial:
         pusher.close()
 
 
+HOSTILE_HELLOS = {
+    # the issue's frame: "a" is fine, "b" has no key — nothing may apply
+    "missing-key": {"t_prop": 0.05,
+                    "nodes": {"a": {"key": (5, 3)}, "b": {}}},
+    "key-not-ints": {"t_prop": 0.05, "nodes": {"a": {"key": ("n", 3)}}},
+    "key-is-bool": {"t_prop": 0.05, "nodes": {"a": {"key": (True, 3)}}},
+    "t-prop-not-a-number": {"t_prop": "soon", "nodes": {}},
+    "nodes-not-a-table": {"t_prop": 0.05, "nodes": [("a", (5, 3))]},
+    "unknown-app": {"t_prop": 0.05, "nodes": {
+        "a": {"key": (5, 3), "app": ("no-such-app", ("W.d", ()))}}},
+    "malformed-app-spec": {"t_prop": 0.05, "nodes": {
+        "a": {"key": (5, 3), "app": ("mincost",)}}},
+    "app-kwargs-rejected": {"t_prop": 0.05, "nodes": {
+        "a": {"key": (5, 3),
+              "app": ("mincost", ("W.d", (("no_such_kwarg", 1),)))}}},
+}
+
+def hostile_pushes(auth):
+    """name → malformed push body; *auth* is a genuine authenticator, so
+    the well-formed half of a frame is really well formed."""
+    return {
+        "response-not-a-response": {
+            "nodes": {"a": {"response": "not-a-response"}}},
+        # "a"'s part is fine — it must not land when "c"'s is not
+        "second-node-malformed": {
+            "nodes": {"a": {"response": None, "auths": {"b": [auth]}},
+                      "c": {"response": 5}}},
+        "nodes-not-a-table": {"nodes": ["a"]},
+        "auths-not-lists": {
+            "nodes": {"a": {"response": None, "auths": {"b": 7}}}},
+        "auths-not-authenticators": {
+            "nodes": {"a": {"response": None, "auths": {"b": ["sig"]}}}},
+        "alarm-without-msg-ids": {"nodes": {}, "alarms": [{"node": "a"}]},
+        "fault-without-reason": {"nodes": {}, "faults": [{"node": "a"}]},
+        "floor-not-an-advert": {"nodes": {}, "floors": {"a": 3}},
+    }
+
+
+class TestHostileFrames:
+    """A well-framed message that is malformed inside is answered with
+    an error and counted, and changes nothing: the connection, the
+    stored state and every later audit are as if it never arrived."""
+
+    def _audited(self, monitor):
+        dep, _nodes = paper_deployment()
+        pusher = make_pusher(dep, monitor)
+        assert not pusher.push_once()["shed"]
+        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        spec = tup_spec(best_cost("c", "d", 5), fresh=True)
+        before = client.query(spec)
+        assert before["ok"]
+        return dep, pusher, client, spec, before
+
+    @staticmethod
+    def _stored(daemon):
+        state = daemon.state
+        return {
+            "hello": state.hello, "t_prop": state._t_prop,
+            "keys": {n: (k.n, k.e) for n, k in state._public_keys.items()},
+            "apps": dict(state.app_factories),
+            "heads": state.stored_heads(),
+            "latest": {n: p.latest for n, p in state.nodes.items()},
+            "auths": {n: {peer: len(held)
+                          for peer, held in p.received_auths.items()}
+                      for n, p in state.nodes.items()},
+            "alarms": len(state.maintainer.missing_ack_alarms),
+            "faults": len(state.maintainer.retention_faults),
+            "floors": dict(state.retention_floors),
+        }
+
+    def _assert_rejected_whole(self, monitor, make_frame):
+        dep, pusher, client, spec, before = self._audited(monitor)
+        frame = make_frame(dep)
+        stored = self._stored(monitor.daemon)
+        reply = pusher._exchange(frame)
+        assert reply["type"] == "error" and "malformed" in reply["error"]
+        assert monitor.daemon.meter.corrupt_frames == 1
+        assert self._stored(monitor.daemon) == stored
+        # The same connection carries on: the next valid push is acked
+        # without a reconnect, and the audit answers as before.
+        ack = pusher.push_once()
+        assert ack is not None and not ack["shed"]
+        assert pusher.meter.push_retries == 0
+        after = client.query(spec)
+        assert after["ok"] and after["result"] == before["result"]
+        pusher.close()
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_HELLOS))
+    def test_malformed_hello_is_rejected_whole(self, monitor, name):
+        self._assert_rejected_whole(
+            monitor, lambda dep: dict(HOSTILE_HELLOS[name], type="hello"))
+
+    @pytest.mark.parametrize("name", sorted(hostile_pushes(None)))
+    def test_malformed_push_is_rejected_whole(self, monitor, name):
+        self._assert_rejected_whole(monitor, lambda dep: dict(
+            hostile_pushes(dep.nodes["c"].received_auths["b"][0])[name],
+            type="push", seq=10_000))
+
+
 class TestSubscriptions:
     def test_alert_on_green_to_red_within_one_push(self, monitor):
         dep, nodes = paper_deployment(ForkingNode)

@@ -20,7 +20,7 @@ that of a cold post-GC querier (both through ``resolve``):
   legitimately re-resolve from it (the replay-cascade reds downstream
   of a truncated divergence are over-approximations, and the true
   fault, being below the base, resolves yellow — never green);
-* serial ≡ thread ≡ wire (the process boundary's serialization
+* serial ≡ wire (the process boundary's serialization
   contract) builds of the post-GC deployment are bit-identical in
   colors, statuses and merged counters.
 """
@@ -198,10 +198,9 @@ def test_truncation_only_withholds_judgment(schedule):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(schedules())
-def test_serial_thread_wire_identical_post_gc(wire_executor, schedule):
+def test_serial_wire_identical_post_gc(wire_executor, schedule):
     dep, _nodes, _auditor = _run_schedule(schedule)
     dep.run_gc(checkpoint=False)
     audited = schedule["audited"]
     serial = _post_gc_outcome(dep, audited, None)
-    assert _post_gc_outcome(dep, audited, 2) == serial
     assert _post_gc_outcome(dep, audited, wire_executor) == serial

@@ -1,14 +1,27 @@
-"""Executor spec parsing (``make_executor``), including the bare
-``"process"``/``"thread"`` specs that auto-size to ``os.cpu_count()``
-clamped to ``MAX_DEFAULT_WORKERS``."""
+"""The option surface of the executor plane, pinned.
+
+``make_executor`` accepts exactly four forms — ``None``/``"serial"``,
+``"process"`` (auto-sized to ``os.cpu_count()`` clamped to
+``MAX_DEFAULT_WORKERS``), ``"process:N"``, an object with ``run_jobs`` —
+and rejects everything else with a ``ValueError`` that names them. The
+signature table below pins every constructor parameter and CLI flag of
+the classes that carry options, so the next added knob is a one-file
+diff a reviewer sees.
+"""
+
+import inspect
+import re
 
 import pytest
 
 import repro.snp.executor as executor_mod
+from repro.service.monitor import MonitorDaemon, main as monitor_main
+from repro.snp import QueryProcessor
 from repro.snp.executor import (
-    MAX_DEFAULT_WORKERS, ProcessExecutor, SerialExecutor, ThreadedExecutor,
+    MAX_DEFAULT_WORKERS, ProcessExecutor, SerialExecutor,
     default_worker_count, make_executor,
 )
+from repro.snp.microquery import MicroQuerier
 
 
 class TestExplicitSpecs:
@@ -16,32 +29,57 @@ class TestExplicitSpecs:
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
 
-    def test_int_specs(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(3)
-        assert isinstance(pool, ThreadedExecutor) and pool.workers == 3
-
-    def test_thread_and_process_with_counts(self):
-        assert make_executor("thread:4").workers == 4
-        pool = make_executor("process:2")
-        assert isinstance(pool, ProcessExecutor) and pool.workers == 2
+    def test_process_with_count(self):
+        pool = make_executor("process:3")
+        assert isinstance(pool, ProcessExecutor) and pool.workers == 3
         pool.close()
+        pool.close()  # idempotent, also on a pool that never spawned
 
-    def test_wire(self, wire_executor):
+    def test_objects_with_run_jobs_pass_through(self, wire_executor):
         # The wire round trip is a test-side executor instance, not a spec.
         assert make_executor(wire_executor) is wire_executor
+        serial = SerialExecutor()
+        assert make_executor(serial) is serial
 
-    def test_invalid_specs_rejected(self):
-        for bad in (0, -2, True, "bogus", "process:x", "thread:",
-                    "process:", "process-blob:2", "wire", 3.5):
-            with pytest.raises((ValueError, TypeError)) as caught:
-                make_executor(bad)
-            if isinstance(bad, str):
-                assert f"unknown executor spec {bad!r}" in str(caught.value)
+    def test_both_executors_expose_one_protocol(self):
+        def public(cls):
+            return {name for name, member in vars(cls).items()
+                    if inspect.isfunction(member)
+                    and not name.startswith("_")}
+        assert public(SerialExecutor) == {"run_jobs", "close"}
+        assert {"run_jobs", "close"} <= public(ProcessExecutor)
+        for cls in (SerialExecutor, ProcessExecutor):
+            assert str(inspect.signature(cls.run_jobs)) \
+                == "(self, jobs, context)"
 
-    def test_instances_pass_through(self):
-        pool = ThreadedExecutor(2)
-        assert make_executor(pool) is pool
+
+class RunOnly:
+    """The zero-arg-task contract the thread arm took with it."""
+
+    def run(self, tasks):
+        return [task() for task in tasks]
+
+    def __repr__(self):  # a stable test id
+        return "RunOnly()"
+
+
+class TestRejectedSpecs:
+    @pytest.mark.parametrize("bad", [
+        0, 1, 3, -2, True, False, 3.5, "thread", "thread:4", "thread:",
+        "bogus", "wire", "process:x", "process:", "process:-1",
+        "process-blob:2", RunOnly(),
+    ], ids=repr)
+    def test_rejection_names_the_accepted_forms(self, bad):
+        with pytest.raises(ValueError) as caught:
+            make_executor(bad)
+        message = str(caught.value)
+        assert f"unknown executor spec {bad!r}" in message
+        for form in ('"serial"', '"process"', '"process:N"', "run_jobs"):
+            assert form in message
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            make_executor("process:0")
 
 
 class TestDefaultWorkerCount:
@@ -50,11 +88,6 @@ class TestDefaultWorkerCount:
         pool = make_executor("process")
         assert isinstance(pool, ProcessExecutor) and pool.workers == 3
         pool.close()
-
-    def test_bare_thread_spec_uses_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 3)
-        pool = make_executor("thread")
-        assert isinstance(pool, ThreadedExecutor) and pool.workers == 3
 
     def test_clamped_to_ceiling(self, monkeypatch):
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 128)
@@ -66,6 +99,40 @@ class TestDefaultWorkerCount:
     def test_unknown_cpu_count_falls_back_to_one(self, monkeypatch):
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: None)
         assert default_worker_count() == 1
-        # A one-worker thread spec degrades to the serial executor,
-        # exactly like make_executor(1).
-        assert isinstance(make_executor("thread"), SerialExecutor)
+        pool = make_executor("process")
+        assert pool.workers == 1
+        pool.close()
+
+
+#: Every constructor that carries options, against a literal. Adding,
+#: removing or re-defaulting a parameter must edit this table.
+SIGNATURES = {
+    MicroQuerier:
+        "(self, deployment, use_checkpoints=False, "
+        "run_consistency_check=True, executor=None, "
+        "fetch_pending_anchors=True)",
+    QueryProcessor:
+        "(self, deployment, use_checkpoints=False, executor=None, "
+        "**mq_kwargs)",
+    ProcessExecutor: "(self, workers, resident_cap=None)",
+    MonitorDaemon:
+        "(self, host='127.0.0.1', push_port=0, http_port=0, "
+        "ingest_limit=64, subscriber_queue_limit=256, "
+        "max_frame_bytes=33554432)",
+}
+
+MONITOR_FLAGS = {"--help", "--host", "--push-port", "--http-port",
+                 "--ingest-limit"}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda c: c.__name__)
+    def test_constructor_signature_is_pinned(self, cls):
+        assert str(inspect.signature(cls.__init__)) == SIGNATURES[cls]
+
+    def test_monitor_cli_flags_are_pinned(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            monitor_main(["--help"])
+        assert caught.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == MONITOR_FLAGS

@@ -276,7 +276,6 @@ class TestContextAndSpecs:
         dep, _nodes = _network()
         context = BuildContext(
             {n: dep.public_key_of(n) for n in dep.nodes},
-            verify_embedded_signatures=True,
             t_prop=dep.effective_t_prop(),
         )
         clone = BuildContext.from_wire(
@@ -316,5 +315,5 @@ class TestContextAndSpecs:
             factory_from_spec(spec)
 
     def test_unknown_spec_name_is_rejected(self):
-        with pytest.raises(KeyError, match="no application builder"):
+        with pytest.raises(WireError, match="no application builder"):
             factory_from_spec(("no-such-app", value_to_wire({})))

@@ -44,6 +44,14 @@ class TestRealTreeClean:
         violations = wirelint.lint(REPO_ROOT / "src")
         assert violations == [], "\n".join(v.format() for v in violations)
 
+    def test_the_boundary_set_names_modules_that_exist(self):
+        # check_boundary_classes skips a missing path, so a module that
+        # was deleted (the shm arena) or renamed would silently leave
+        # the lint's scope instead of failing it.
+        assert wirelint.BOUNDARY_MODULES
+        for rel in wirelint.BOUNDARY_MODULES:
+            assert (REPO_ROOT / "src" / rel).is_file(), rel
+
     def test_known_codecs_are_recognized(self):
         """Tup and Msg carry __reduce__ — the index must see them."""
         index = wirelint._class_codec_index(REPO_ROOT / "src")

@@ -12,10 +12,14 @@ plane's acceptance bar:
 2. **subscription alerting** — subscribers watching the audited vertex
    are told about an injected adversary's green→red downgrade within one
    push;
-3. **a quiet transport** — no corrupt, garbage or oversized frame on
-   loopback, nothing shed, retried or dropped, exactly two pushes
-   accepted;
-4. the daemon shuts down cleanly on SIGTERM.
+3. **hostile frames bounce** — two well-framed but malformed messages
+   sent mid-run on a connection of their own are each answered with an
+   error and counted in ``/status`` ``meter.corrupt_frames``, and every
+   audit served afterwards is still byte-identical to the direct one;
+4. **an otherwise quiet transport** — no other corrupt, garbage or
+   oversized frame on loopback, nothing shed, retried or dropped,
+   exactly two pushes accepted;
+5. the daemon shuts down cleanly on SIGTERM.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,6 +40,9 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.apps.chord import ChordNetwork                     # noqa: E402
 from repro.service import MonitorClient, ServicePusher, tup_spec  # noqa: E402
+from repro.service.framing import (                           # noqa: E402
+    FrameDecoder, encode_frame, recv_frame,
+)
 from repro.snp import Deployment, QueryProcessor              # noqa: E402
 from repro.snp.adversary import ForkingNode                   # noqa: E402
 
@@ -63,6 +71,30 @@ def spawn_daemon():
         proc.kill()
         raise SystemExit(f"daemon did not report ports, said: {line!r}")
     return proc, ports
+
+
+#: Well framed, malformed inside: a hello whose second node has no key,
+#: a push whose response is not a response. Before ingest validated
+#: whole messages, the first poisoned every later query.
+HOSTILE_FRAMES = (
+    {"type": "hello", "t_prop": 0.05,
+     "nodes": {"a": {"key": (5, 3)}, "b": {}}},
+    {"type": "push", "seq": 0,
+     "nodes": {"n0": {"response": "not-a-response"}}},
+)
+
+
+def send_hostile_frames(push_port):
+    """Send :data:`HOSTILE_FRAMES` on a connection of their own; returns
+    the daemon's reply to each."""
+    decoder = FrameDecoder()
+    replies = []
+    with socket.create_connection(("127.0.0.1", push_port),
+                                  timeout=30) as sock:
+        for frame in HOSTILE_FRAMES:
+            sock.sendall(encode_frame(frame))
+            replies.append(recv_frame(sock, decoder))
+    return replies
 
 
 def build_workload(adversary_name, seed=11):
@@ -125,6 +157,18 @@ def main(argv=None):
                 lambda e: e.get("type") == "state", timeout=30)[-1]
             check("subscriber baseline is green",
                   state["verdict"] == "green")
+
+        print("service e2e: hostile frames on a second connection",
+              flush=True)
+        corrupt_before = client.status()["meter"]["corrupt_frames"]
+        replies = send_hostile_frames(ports["push_port"])
+        check("hostile frames answered with errors",
+              all(reply is not None and reply.get("type") == "error"
+                  for reply in replies), repr(replies))
+        corrupt_after = client.status()["meter"]["corrupt_frames"]
+        check("meter.corrupt_frames counted each hostile frame",
+              corrupt_after - corrupt_before == len(HOSTILE_FRAMES),
+              f"{corrupt_before} -> {corrupt_after}")
 
         print(f"service e2e: {args.clients} concurrent clients", flush=True)
         results = [None] * args.clients
@@ -193,8 +237,9 @@ def main(argv=None):
             {k: v for k, v in meter.items() if v}), flush=True)
         damage = {k: meter[k] for k in (
             "corrupt_frames", "garbage_bytes", "oversized_frames")}
-        check("no transport damage on loopback", not any(damage.values()),
-              json.dumps(damage))
+        damage["corrupt_frames"] -= len(HOSTILE_FRAMES)
+        check("no transport damage on loopback beyond the hostile frames",
+              not any(damage.values()), json.dumps(damage))
         # Shedding and dropped alerts are the daemon's to count; retries
         # are counted by the side that retried.
         ladder = {"pushes_shed": meter["pushes_shed"],

@@ -7,8 +7,8 @@ probabilistic). This lint enforces them over the python AST, no imports:
 
 **WL001 — boundary classes need an explicit wire path.** Every class
 one of the boundary modules (:data:`BOUNDARY_MODULES` — the codec, the
-shm arena, the build step, the worker-resident cache) imports from the
-library is a candidate to cross the executor boundary. Each one must
+build step, the worker-resident cache) imports from the library is a
+candidate to cross the executor boundary. Each one must
 either define ``__reduce__`` / ``to_wire`` (it carries its own codec) or
 be constructed inside a boundary module (the module is its codec). A
 class that merely *passes through* via default pickling would drag
@@ -51,8 +51,7 @@ DETERMINISM_SCOPES = ("repro/snp", "repro/crypto", "repro/util")
 #: The modules that build or decode boundary payloads; WL001's boundary
 #: set is the union of what they import.
 BOUNDARY_MODULES = (
-    "repro/snp/wire.py", "repro/snp/shm.py", "repro/snp/build.py",
-    "repro/snp/resident.py",
+    "repro/snp/wire.py", "repro/snp/build.py", "repro/snp/resident.py",
 )
 
 #: Methods that mark a class as carrying its own serialization codec.
