@@ -21,7 +21,7 @@ from repro.core import (
     Deployment, SNooPyNode, MicroQuerier, QueryProcessor, QueryResult,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "Tup", "Msg", "Ack", "Der", "Und", "Snd", "StateMachine",

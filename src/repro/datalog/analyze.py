@@ -18,7 +18,6 @@ to parse), 0 otherwise; warnings and infos never fail the run.
 import argparse
 import sys
 
-from repro.datalog.analysis import analyze
 from repro.util.errors import ParseError
 
 

@@ -15,9 +15,7 @@ The container also maintains the lookup indexes the GCA pseudocode relies on
 by (node, tuple).
 """
 
-from repro.provgraph.vertices import (
-    Vertex, Color, EXIST, BELIEVE, SEND, RECEIVE,
-)
+from repro.provgraph.vertices import Vertex, Color, EXIST, SEND, RECEIVE
 
 
 #: Vertex ids are per-graph insertion ranks; an edge is the integer

@@ -183,7 +183,7 @@ class FrameDecoder:
 
 # ----------------------------------------------------- blocking sockets
 
-def recv_frame(sock, decoder, chunk_bytes=65536):
+def recv_frame(sock, decoder):
     """Block until *decoder* yields one frame from *sock*.
 
     Returns the payload, or ``None`` on orderly EOF. Socket timeouts
@@ -194,7 +194,7 @@ def recv_frame(sock, decoder, chunk_bytes=65536):
     while True:
         if decoder._pending:
             return decoder._pending.popleft()
-        data = sock.recv(chunk_bytes)
+        data = sock.recv(65536)
         if not data:
             return None
         decoder._pending.extend(decoder.feed(data))
@@ -202,17 +202,10 @@ def recv_frame(sock, decoder, chunk_bytes=65536):
 
 # ------------------------------------------------------- asyncio streams
 
-async def write_frame(writer, obj, max_frame_bytes=MAX_FRAME_BYTES):
-    """Write one frame and drain — the per-connection backpressure point:
-    a slow reader stalls this coroutine, not the daemon's memory."""
-    writer.write(encode_frame(obj, max_frame_bytes))
-    await writer.drain()
-
-
-async def read_frames(reader, decoder, chunk_bytes=65536):
+async def read_frames(reader, decoder):
     """Async-iterate decoded payloads until EOF."""
     while True:
-        data = await reader.read(chunk_bytes)
+        data = await reader.read(65536)
         if not data:
             return
         for frame in decoder.feed(data):

@@ -44,31 +44,14 @@ from repro.model import Tup
 from repro.service.framing import (
     FrameDecoder, MAX_FRAME_BYTES, encode_frame, read_frames,
 )
-from repro.snp.deployment import Maintainer
+from repro.snp.deployment import EvidenceDirectory, Maintainer
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.query import QueryError, QueryProcessor
 from repro.snp.snoopy import (
-    RetrieveResponse, merge_mirror_responses, response_can_seed_rebuild,
-    suffix_of_response,
+    RetrieveResponse, SNooPyNode, merge_mirror_responses,
+    response_can_seed_rebuild, suffix_of_response,
 )
 from repro.snp.wire import WireError
-
-
-def _head_index(response):
-    """Index of the last entry a response covers (its anchor index when
-    empty)."""
-    return response.start_index + len(response.entries) - 1
-
-
-def _entry_hash_at(response, index):
-    """The chain hash of entry *index* as this response attests it, or
-    ``None`` when *index* is outside the response's attested range. The
-    anchor (``start_index - 1``) is attested by ``start_hash``."""
-    if index == response.start_index - 1:
-        return response.start_hash
-    if response.start_index <= index <= _head_index(response):
-        return response.entries[index - response.start_index].entry_hash
-    return None
 
 
 def _responses_conflict(a, b):
@@ -78,10 +61,10 @@ def _responses_conflict(a, b):
     recomputed tampered chain disagrees at every shared index from the
     divergence point on."""
     lo = max(a.start_index - 1, b.start_index - 1)
-    hi = min(_head_index(a), _head_index(b))
+    hi = min(a.head_index, b.head_index)
     if lo > hi:
         return False
-    return _entry_hash_at(a, hi) != _entry_hash_at(b, hi)
+    return a.hash_at(hi) != b.hash_at(hi)
 
 
 class MonitorNodeProxy:
@@ -122,16 +105,15 @@ class MonitorNodeProxy:
         self.received_auths.setdefault(peer, []).extend(auths)
 
     def stored_head(self):
-        return 0 if self.merged is None else _head_index(self.merged)
+        return 0 if self.merged is None else self.merged.head_index
 
     # ----------------------------------------------------- querier-facing
 
-    def authenticators_about(self, peer, since=0):
-        held = self.received_auths.get(peer, ())
-        return list(held[since:]) if since else list(held)
+    #: Served as a live node serves it (a cursored read of
+    #: ``received_auths``).
+    authenticators_about = SNooPyNode.authenticators_about
 
-    def retrieve(self, upto_index=None, from_checkpoint=False,
-                 since_index=None):
+    def retrieve(self, from_checkpoint=False, since_index=None):
         """Serve a querier from pushed data, mimicking
         :meth:`~repro.snp.snoopy.SNooPyNode.retrieve` on the node's
         *claimed* log. The daemon never adjudicates: when the fresh push
@@ -159,9 +141,9 @@ class MonitorNodeProxy:
         for source in (latest, merged):
             if source is None:
                 continue
-            if _entry_hash_at(source, h) is not None and _head_index(source) > h:
+            if source.hash_at(h) is not None and source.head_index > h:
                 return suffix_of_response(source, h)
-        if merged is None or _head_index(merged) != h:
+        if merged is None or merged.head_index != h:
             return None
         # The auditor is at the stored head. If the node's last push
         # contradicts the stored chain (a fork or recomputed tampering),
@@ -173,10 +155,10 @@ class MonitorNodeProxy:
             return latest
         # Nothing new: confirm the head with the stored authenticator,
         # as the origin's empty delta response would.
-        anchor = _entry_hash_at(merged, h)
         return RetrieveResponse(
             node=self.node_id, entries=[], start_index=h + 1,
-            start_hash=anchor, head_auth=merged.head_auth, checkpoint=None,
+            start_hash=merged.hash_at(h), head_auth=merged.head_auth,
+            checkpoint=None,
         )
 
     def _retrieve_full(self):
@@ -193,7 +175,7 @@ class MonitorNodeProxy:
             # harvested old authenticators), else the stored copy.
             return latest if response_can_seed_rebuild(latest) else merged
         if response_can_seed_rebuild(latest) \
-                and _head_index(latest) > _head_index(merged):
+                and latest.head_index > merged.head_index:
             return latest
         return merged
 
@@ -262,15 +244,16 @@ def _check_push(msg):
              "push: floors must be retention-floor advertisements")
 
 
-class MonitorState:
+class MonitorState(EvidenceDirectory):
     """A deployment-shaped evidence store fed by pushes.
 
     Implements the full deployment API the query pipeline consumes —
     ``nodes`` (of :class:`MonitorNodeProxy`), ``public_key_of``,
     ``app_factories``, ``effective_t_prop``, ``maintainer``,
-    ``collect_authenticators_about_since``, retention floors/faults,
-    ``find_mirror`` — so :class:`~repro.snp.query.QueryProcessor` runs
-    against it unchanged.
+    ``find_mirror``, and the evidence half (consistency collection,
+    retention floors/faults) a live deployment serves, inherited from
+    the same :class:`~repro.snp.deployment.EvidenceDirectory` — so
+    :class:`~repro.snp.query.QueryProcessor` runs against it unchanged.
     """
 
     def __init__(self):
@@ -349,28 +332,6 @@ class MonitorState:
         # second-tier replica to fall back to.
         return None
 
-    def collect_authenticators_about(self, target):
-        return self.collect_authenticators_about_since(target, None)[0]
-
-    def collect_authenticators_about_since(self, target, cursor):
-        cursor = dict(cursor) if cursor else {}
-        out = []
-        for node in self.nodes.values():
-            if node.node_id == target:
-                continue
-            since = cursor.get(node.node_id, 0)
-            fresh = node.authenticators_about(target, since=since)
-            out.extend(fresh)
-            cursor[node.node_id] = since + len(fresh)
-        return out, cursor
-
-    def advertised_floor_of(self, node):
-        advert = self.retention_floors.get(node)
-        return advert.floor_index if advert is not None else 0
-
-    def retention_fault_of(self, node):
-        return self.maintainer.retention_fault_of(node)
-
 
 _VERDICT_RANK = {"pending": 0, "green": 0, "yellow": 1, "red": 2}
 
@@ -392,16 +353,15 @@ def watch_key(spec):
     """Canonical identity of a watch/query spec (used to batch identical
     watches across subscribers into one evaluation per epoch)."""
     return (
-        spec["relation"], spec["loc"], tuple(spec.get("args", ())),
-        spec.get("node"), spec.get("at"), spec.get("scope"),
-        spec.get("direction", "why"),
+        _spec_tup(spec), spec.get("node"), spec.get("at"),
+        spec.get("before"), spec.get("scope"), spec.get("direction", "why"),
     )
 
 
 def _spec_tup(spec):
     def revive(arg):
         return tuple(revive(a) for a in arg) if isinstance(arg, list) else arg
-    return Tup(spec["relation"], spec["loc"],
+    return Tup(spec["relation"], revive(spec["loc"]),
                *[revive(a) for a in spec.get("args", ())])
 
 
@@ -707,14 +667,16 @@ class MonitorDaemon:
         sid = self._next_sid
         self._next_sid += 1
         sub = Subscription(sid, watches, self.subscriber_queue_limit)
+        # Every key is hashed before the subscription is registered: a
+        # spec that cannot be keyed raises here and leaves no trace.
+        known_states = [self._watch_state.get(key) for key in sub.keys]
         self._subs[sid] = sub
         self.meter.subscriptions_opened += 1
         # Seed baselines from already-evaluated watches — telling the
         # subscriber its starting state right away — so one joining late
         # still alerts on the *next* downgrade; then make sure a pass
         # runs to evaluate anything new.
-        for key, spec in zip(sub.keys, sub.watches):
-            known = self._watch_state.get(key)
+        for key, spec, known in zip(sub.keys, sub.watches, known_states):
             if known is not None:
                 sub.last[key] = known["verdict"]
                 self._offer(sub, {"type": "state", "epoch": self.qp.epoch,

@@ -43,7 +43,7 @@ class ServicePusher:
     """Pushes one deployment's log/evidence deltas to a monitor daemon."""
 
     def __init__(self, deployment, host, port, timeout=10.0, retries=4,
-                 backoff=0.05, backoff_factor=2.0, meter=None, sleep=None,
+                 backoff=0.05, backoff_factor=2.0, sleep=None,
                  max_frame_bytes=MAX_FRAME_BYTES):
         self.deployment = deployment
         self.host = host
@@ -52,7 +52,7 @@ class ServicePusher:
         self.retries = retries
         self.backoff = backoff
         self.backoff_factor = backoff_factor
-        self.meter = meter if meter is not None else ServiceMeter()
+        self.meter = ServiceMeter()
         self._sleep = sleep if sleep is not None else time.sleep
         self.max_frame_bytes = max_frame_bytes
         self._sock = None

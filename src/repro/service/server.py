@@ -13,8 +13,10 @@ Routes (all JSON bodies/responses):
   JSON object per line, until the client disconnects.
 
 Deliberately stdlib-only and small: request bodies are bounded, parsing
-is strict, and anything malformed gets a 4xx and a closed connection —
-the service contract lives in :mod:`repro.service.monitor`, not here.
+is strict, a query or watch spec is validated whole before the daemon
+sees any of it (:func:`check_spec`, as a hello is on the push side), and
+anything malformed gets a 4xx and a closed connection — the service
+contract lives in :mod:`repro.service.monitor`, not here.
 """
 
 import asyncio
@@ -50,7 +52,12 @@ async def _read_request(reader):
             raise _BadRequest(400, "too many headers")
         name, _sep, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0) or 0)
+    try:
+        length = int(headers.get("content-length") or 0)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest(400, "malformed Content-Length")
     if length > MAX_REQUEST_BYTES:
         raise _BadRequest(413, "request body too large")
     body = None
@@ -61,6 +68,37 @@ async def _read_request(reader):
         except ValueError as exc:
             raise _BadRequest(400, f"request body is not JSON: {exc}")
     return method, path, body
+
+
+def _is_plain(value):
+    """A JSON scalar, or a list of plain values (revived to a tuple)."""
+    if isinstance(value, list):
+        return all(_is_plain(item) for item in value)
+    return value is None or isinstance(value, (str, int, float))
+
+
+def check_spec(spec):
+    """Validate one query / watch spec whole, for both routes that take
+    one: everything the daemon will key, hash or dispatch on. A spec that
+    fails used to raise *inside* the daemon — after a subscription was
+    registered, which then broke every later refresh."""
+    def require(ok, what):
+        if not ok:
+            raise _BadRequest(400, "malformed spec: " + what)
+    require(isinstance(spec, dict)
+            and isinstance(spec.get("relation"), str) and "loc" in spec,
+            "needs a relation (string) and a loc")
+    args = spec.get("args", [])
+    require(isinstance(args, list)
+            and _is_plain([spec["loc"], spec.get("node"), args]),
+            "loc, node and every arg must be JSON scalars or lists of them")
+    require(spec.get("direction", "why") in ("why", "why_appear", "effects"),
+            "direction must be why, why_appear or effects")
+    require(all(spec.get(name) is None
+                or isinstance(spec[name], (int, float))
+                and not isinstance(spec[name], bool)
+                for name in ("at", "before", "scope")),
+            "at, before and scope must be numbers")
 
 
 def _response_bytes(status, payload, extra_headers=()):
@@ -78,37 +116,26 @@ async def handle_http(daemon, reader, writer):
     try:
         try:
             method, path, body = await _read_request(reader)
-        except _BadRequest as exc:
-            writer.write(_response_bytes(
-                exc.status, {"ok": False, "error": str(exc)}))
-            await writer.drain()
-            return
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return
-
-        if method == "GET" and path == "/status":
-            writer.write(_response_bytes(200, daemon.status()))
-        elif method == "GET" and path == "/marks":
-            writer.write(_response_bytes(200, await daemon.marks()))
-        elif method == "POST" and path == "/refresh":
-            writer.write(_response_bytes(200, await daemon.refresh()))
-        elif method == "POST" and path == "/query":
-            if not isinstance(body, dict) or "relation" not in body:
-                writer.write(_response_bytes(
-                    400, {"ok": False,
-                          "error": "query body must carry relation/loc/args"}))
+            if method == "GET" and path == "/status":
+                reply = 200, daemon.status()
+            elif method == "GET" and path == "/marks":
+                reply = 200, await daemon.marks()
+            elif method == "POST" and path == "/refresh":
+                reply = 200, await daemon.refresh()
+            elif method == "POST" and path == "/query":
+                check_spec(body)
+                reply = 200, await daemon.query(body)
+            elif method == "POST" and path == "/subscribe":
+                await _serve_subscription(daemon, body, reader, writer)
+                return
+            elif path in ("/status", "/marks", "/refresh", "/query",
+                          "/subscribe"):
+                raise _BadRequest(405, f"wrong method for {path}")
             else:
-                writer.write(_response_bytes(200, await daemon.query(body)))
-        elif method == "POST" and path == "/subscribe":
-            await _serve_subscription(daemon, body, reader, writer)
-            return
-        elif path in ("/status", "/marks", "/refresh", "/query",
-                      "/subscribe"):
-            writer.write(_response_bytes(
-                405, {"ok": False, "error": f"wrong method for {path}"}))
-        else:
-            writer.write(_response_bytes(
-                404, {"ok": False, "error": f"no route {path!r}"}))
+                raise _BadRequest(404, f"no route {path!r}")
+        except _BadRequest as exc:
+            reply = exc.status, {"ok": False, "error": str(exc)}
+        writer.write(_response_bytes(*reply))
         await writer.drain()
     except (ConnectionError, asyncio.IncompleteReadError):
         pass
@@ -133,15 +160,12 @@ async def _serve_subscription(daemon, body, reader, writer):
     subscriber that stops reading stalls only its own queue, whose
     overflow policy (drop-oldest + ``lagged``) lives in the daemon.
     """
-    watches = (body or {}).get("watches")
-    if not isinstance(watches, list) or not watches or not all(
-            isinstance(w, dict) and "relation" in w for w in watches):
-        writer.write(_response_bytes(
-            400, {"ok": False,
-                  "error": "subscribe body must carry a list of watch "
-                           "specs under 'watches'"}))
-        await writer.drain()
-        return
+    watches = body.get("watches") if isinstance(body, dict) else None
+    if not isinstance(watches, list) or not watches:
+        raise _BadRequest(400, "subscribe body must carry a list of watch "
+                               "specs under 'watches'")
+    for watch in watches:
+        check_spec(watch)
     sub = daemon.add_subscription(watches)
     head = ("HTTP/1.1 200 OK\r\n"
             "Content-Type: application/x-ndjson\r\n"

@@ -25,9 +25,8 @@ Input lying            *not detectable* (black); Section 4.2 limitation
 """
 
 from repro.crypto.hashing import HashChain, content_digest
-from repro.snp.log import NodeLog, SND
+from repro.snp.log import NodeLog
 from repro.snp.snoopy import SNooPyNode
-from repro.snp.commitment import snd_entry_content
 
 
 class FabricatorNode(SNooPyNode):
@@ -145,11 +144,10 @@ class SilentNode(SNooPyNode):
         self.refuse_retrieve = True
         self.refuse_consistency = True
 
-    def retrieve(self, upto_index=None, from_checkpoint=False,
-                 since_index=None):
+    def retrieve(self, from_checkpoint=False, since_index=None):
         if self.refuse_retrieve:
             return None
-        return super().retrieve(upto_index, from_checkpoint, since_index)
+        return super().retrieve(from_checkpoint, since_index)
 
     def head_authenticator(self):
         if self.refuse_retrieve:

@@ -12,21 +12,21 @@ finalize tail and the anchoring fetch alike (the chain primitives stay
 in :mod:`repro.snp.replay`; wire forms build on :mod:`repro.snp.wire`).
 """
 
-import pickle
 import time
 
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.rsa import RsaKeyPair
 from repro.metrics import QueryStats
-from repro.snp.log import RCV, ACK
+from repro.snp.commitment import ack_entry_content, snd_entry_content
+from repro.snp.log import INS, DEL, SND, RCV, ACK
 from repro.snp.replay import (
     check_against_authenticator, extend_replay, replay_segment,
     verify_segment_hashes,
 )
 from repro.snp.wire import (
-    LazyReplay, WireError, replay_handle_from_wire, replay_handle_to_wire,
-    sanitize_response, stats_from_wire, stats_to_wire, value_from_wire,
-    value_to_wire,
+    WireError, replay_from_wire, replay_handle_from_wire,
+    replay_handle_to_wire, replay_to_wire, sanitize_response,
+    stats_from_wire, stats_to_wire, value_from_wire, value_to_wire,
 )
 from repro.util.errors import AuthenticationError, LogVerificationError
 from repro.util.serialization import canonical_bytes
@@ -197,42 +197,30 @@ class BuildWork:
 # ------------------------------------------------------------ the outcome
 
 class CompactOutcome:
-    """One node's build/extend result: what the verify+replay step hands
-    back (possibly across the worker boundary) and what finalize commits.
+    """One node's build/extend result: exactly what the verify+replay
+    step produced, and exactly what :meth:`to_wire` ships.
 
-    The compute step fills in a status (``ok`` / ``verify-failed`` /
-    ``replay-failed``) plus only value data — recomputed chain hashes,
-    the checked / recovered / newly-skipped authenticator evidence,
-    per-task QueryStats, and the (possibly extended) replay — and that is
-    all :meth:`to_wire` ships. On the coordinator the build job's
-    ``absorb`` then annotates the same object with the fetch step's
-    bookkeeping (the coordinator-only slots below), identically whether
-    the outcome was produced in-process or decoded from a worker.
-    ``kind``:
-
-    * ``built`` — a full build verified and replayed; the ``ok`` view is
-      created during finalize, after the deferred evidence-store checks;
-    * ``extended`` — an ``ok`` view (``base_view``) was advanced by a
-      verified delta; finalize runs the evidence checks, then commits the
-      new head and harvests;
-    * ``final`` (coordinator only) — ``view`` is already decided
-      (unreachable, proven faulty, or a kept stale view); nothing left
-      but to commit it.
+    A status (``ok`` / ``verify-failed`` / ``replay-failed``) plus only
+    value data — recomputed chain hashes, the checked / recovered /
+    newly-skipped authenticator evidence, per-task QueryStats, and the
+    (possibly extended) replay. What the *fetch* step learned stays on
+    the coordinator's build job, which interprets this outcome
+    (``absorb``) identically whether it was produced in-process or
+    decoded from a worker. ``kind`` is ``built`` (a full build verified
+    and replayed) or ``extended`` (an ``ok`` view's replay advanced by a
+    verified delta).
     """
 
     __slots__ = ("node", "kind", "status", "reason", "hashes", "checked",
                  "recovered", "skipped", "tombstoned", "stats",
-                 "replay_result", "replay_ran", "resident_head",
-                 # coordinator-only (never shipped):
-                 "view", "base_view", "response", "cursor", "from_mirror",
-                 "reset_memo", "evidence_prefix")
+                 "replay_result", "replay_ran", "resident_head")
 
     OK = "ok"
     VERIFY_FAILED = "verify-failed"
     REPLAY_FAILED = "replay-failed"
     #: Resident executors only: the work referenced a worker-resident base
     #: replay the worker no longer holds (evicted, respawned, or at a
-    #: different head). The coordinator falls back to a cold build.
+    #: different head). The executor falls back to a cold build.
     CACHE_MISS = "cache-miss"
 
     def __init__(self, node, kind):
@@ -251,45 +239,29 @@ class CompactOutcome:
         self.stats = None
         self.replay_result = None
         #: Whether replay advanced over suffix entries — for extends this
-        #: means the base replay is no longer at its committed head, so a
-        #: view kept on a failure path must not stay extendable.
+        #: means the base replay is no longer at its committed head (a
+        #: worker's resident entry moves with it).
         self.replay_ran = False
         #: Resident executors: ``(head_index, head_hash)`` of the replay
         #: now held in the worker's resident cache. Set instead of
-        #: shipping the replay blob — the coordinator wraps it in a
+        #: shipping the replay — the executor wraps it in a
         #: :class:`ResidentReplay` handle.
         self.resident_head = None
-        self.view = None
-        self.base_view = None
-        self.response = None
-        self.cursor = None
-        self.from_mirror = False
-        self.reset_memo = False
-        #: How many of this node's evidence-store entries the compute step
-        #: already checked (the store is frozen while jobs run); finalize
-        #: checks only the tail harvested later in the batch.
-        self.evidence_prefix = 0
 
     def to_wire(self):
-        replay_blob = None
-        if self.replay_result is not None:
-            # Pre-pickled in the worker so the coordinator's (single,
-            # GIL-bound) result thread only has to move bytes; the
-            # decode is deferred until a query touches the view.
-            replay_blob = pickle.dumps(
-                replay_handle_to_wire(self.replay_result)
-            )
         return ("W.outcome", self.node, self.kind, self.status, self.reason,
                 None if self.hashes is None else tuple(self.hashes),
                 tuple(sorted(self.checked.items())), tuple(self.recovered),
                 tuple(self.skipped), tuple(self.tombstoned),
-                stats_to_wire(self.stats), replay_blob, self.replay_ran,
-                self.resident_head)
+                stats_to_wire(self.stats),
+                None if self.replay_result is None
+                else replay_to_wire(self.replay_result),
+                self.replay_ran, self.resident_head)
 
     @classmethod
     def from_wire(cls, wire, machine_factory):
         (_tag, node, kind, status, reason, hashes, checked, recovered,
-         skipped, tombstoned, stats, replay_blob, replay_ran,
+         skipped, tombstoned, stats, replay, replay_ran,
          resident_head) = wire
         outcome = cls(node, kind)
         outcome.status = status
@@ -300,8 +272,8 @@ class CompactOutcome:
         outcome.skipped = list(skipped)
         outcome.tombstoned = list(tombstoned)
         outcome.stats = stats_from_wire(stats)
-        if replay_blob is not None:
-            outcome.replay_result = LazyReplay(replay_blob, machine_factory)
+        if replay is not None:
+            outcome.replay_result = replay_from_wire(replay, machine_factory)
         outcome.replay_ran = replay_ran
         outcome.resident_head = resident_head
         return outcome
@@ -324,9 +296,8 @@ def response_head(response, hashes):
     to: its last entry, or its anchor when nothing was appended. The
     coordinator's finalize and a worker's resident entry both take the
     view head from here."""
-    if response.entries:
-        return response.start_index + len(response.entries) - 1, hashes[-1]
-    return response.start_index - 1, response.start_hash
+    return (response.head_index,
+            hashes[-1] if response.entries else response.start_hash)
 
 
 def note_checked(checked, response, auth):
@@ -336,9 +307,7 @@ def note_checked(checked, response, auth):
     the outcome-local dict (signature → entry index, so the querier can
     later evict memos that fell below a verified head) and are committed
     to the querier's memo only when the view finalizes ``ok``."""
-    first = response.start_index
-    last = first + len(response.entries) - 1
-    if first - 1 <= auth.index <= last:
+    if response.start_index - 1 <= auth.index <= response.head_index:
         checked[bytes(auth.signature)] = auth.index
 
 
@@ -356,21 +325,57 @@ def check_held_evidence(response, hashes, held, known, checked, stats):
         note_checked(checked, response, auth)
 
 
+def check_parsed_forms(response):
+    """Every entry's *parsed* form must re-derive its committed content.
+
+    Replay reads ``entry.aux`` (the parsed tuple, message, ack); the hash
+    chain commits to ``entry.content``; whoever serves a segment —
+    origin, replica, pusher — chooses both. Unchecked, a lying replica
+    could swap the tuple an honest, merely crashed node logged for
+    another one, leave content, hashes and the signed head byte-identical,
+    and have replay convict the honest node red. A ``chk`` entry's
+    ``extant`` / ``believed`` lists are bound by Merkle root
+    (:func:`verify_checkpoint`); its ``snapshot`` is bound by nothing yet
+    (ROADMAP item 1)."""
+    for entry in response.entries:
+        kind, aux, content = entry.entry_type, entry.aux, entry.content
+        try:
+            if kind in (INS, DEL):
+                agrees = aux["tup"].canonical() == content
+            elif kind == SND:
+                agrees = snd_entry_content(aux["msg"]) == content
+            elif kind == RCV:
+                msg, auth = aux["msg"], aux["batch_auth"]
+                agrees = (msg.canonical(), msg.src) == content[:2] \
+                    and auth.node == msg.src \
+                    and (auth.index, auth.timestamp, auth.entry_hash,
+                         auth.signature) == content[4:]
+            elif kind == ACK:
+                agrees = ack_entry_content(aux["wire_ack"]) == content
+            else:
+                continue
+        except (KeyError, AttributeError, TypeError):
+            agrees = False  # the parsed form is missing or misshapen
+        if not agrees:
+            raise LogVerificationError(
+                response.node,
+                f"{kind} entry {entry.index}'s parsed form does not "
+                "re-derive its committed content",
+            )
+
+
 def embedded_authenticators(response):
-    """``(entry, signer, auth)`` for every entry that embeds a peer's
+    """``(signer, auth)`` for every entry that embeds a peer's
     authenticator: a ``rcv`` carries the sender's batch authenticator,
-    an ``ack`` the acknowledger's. *auth* is None when the entry lacks
-    it — verification convicts on that, harvesting skips it."""
+    an ``ack`` the acknowledger's (:func:`check_parsed_forms` has
+    established that both are there)."""
     for entry in response.entries:
         if entry.entry_type == RCV:
-            auth = entry.aux.get("batch_auth")
-            yield entry, (None if auth is None else auth.node), auth
+            auth = entry.aux["batch_auth"]
+            yield auth.node, auth
         elif entry.entry_type == ACK:
-            wire_ack = entry.aux.get("wire_ack")
-            if wire_ack is None:
-                yield entry, None, None
-            else:
-                yield entry, wire_ack.src, wire_ack.auth
+            wire_ack = entry.aux["wire_ack"]
+            yield wire_ack.src, wire_ack.auth
 
 
 def verify_checkpoint(node_id, chk_entry):
@@ -412,8 +417,11 @@ def _verify_response(work, context, stats, outcome):
     3. Pending skipped authenticators (below an earlier partial-segment
        anchor) are retroactively checked when this segment reaches far
        enough back; recovered ones are reported so the registry drains.
-    4. Embedded authenticators in rcv/ack entries must carry valid
-       signatures from their claimed signers.
+    4. Every entry's parsed form — what replay will read — must
+       re-derive the content the chain commits to
+       (:func:`check_parsed_forms`), and the authenticators embedded in
+       rcv/ack entries must carry valid signatures from their claimed
+       signers.
     5. Consistency check (Section 5.5): evidence peers hold about this
        node must lie on the same chain; new below-anchor skips are
        reported for the pending registry — except those below the node's
@@ -486,12 +494,8 @@ def _verify_response(work, context, stats, outcome):
         note_checked(outcome.checked, response, auth)
     if response.checkpoint is not None:
         verify_checkpoint(node_id, response.checkpoint)
-    for entry, signer, auth in embedded_authenticators(response):
-        if auth is None:
-            raise LogVerificationError(
-                node_id,
-                f"{entry.entry_type} entry {entry.index} lacks evidence",
-            )
+    check_parsed_forms(response)
+    for signer, auth in embedded_authenticators(response):
         verify_auth(context.public_keys[signer], auth, stats)
     if work.consistency is not None:
         def on_skip(auth):
@@ -585,14 +589,9 @@ def verify_anchor_segment(response, public_key, trusted_head, stats):
     check_against_authenticator(response, hashes, auth)
     if trusted_head is not None:
         index, trusted_hash = trusted_head
-        first = response.start_index
-        last = first + len(response.entries) - 1
-        if index == first - 1:
-            found = response.start_hash
-        elif first <= index <= last:
-            found = hashes[index - first]
-        else:
-            found = None  # segment does not reach the audited head
+        # Attested == recomputed, as of two lines up; None when the
+        # segment does not reach the audited head.
+        found = response.hash_at(index)
         if found is not None and found != trusted_hash:
             raise LogVerificationError(
                 response.node,

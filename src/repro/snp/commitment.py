@@ -18,9 +18,7 @@ their content. Acknowledgments batch symmetrically.
 """
 
 from repro.crypto.hashing import chain_hash, content_digest
-from repro.snp.evidence import (
-    Authenticator, sign_authenticator, verify_authenticator,
-)
+from repro.snp.evidence import sign_authenticator, verify_authenticator
 from repro.snp.log import SND, RCV
 from repro.util.errors import AuthenticationError
 

@@ -79,7 +79,51 @@ class _Cadence:
                 f"next at {self.next_t:g})")
 
 
-class Deployment:
+class EvidenceDirectory:
+    """The evidence half of the API the query pipeline consumes, written
+    once over ``nodes``, ``maintainer`` and ``retention_floors``: a live
+    :class:`Deployment` and the monitor daemon's store of pushed data
+    (:class:`~repro.service.monitor.MonitorState`) both inherit it."""
+
+    def collect_authenticators_about(self, target):
+        """Ask every node for authenticators signed by *target* — the
+        querier side of the consistency check (Section 5.5)."""
+        return self.collect_authenticators_about_since(target, None)[0]
+
+    def collect_authenticators_about_since(self, target, cursor):
+        """Cursored consistency-check collection.
+
+        *cursor* maps peer id → how many of that peer's received
+        authenticators about *target* were already scanned; only the
+        entries past each peer's cursor are returned, so a standing
+        querier's refresh cost is proportional to *new* evidence instead
+        of every peer's entire history (a peer's ``received_auths`` list
+        is append-only, making the count a stable cursor). Returns
+        ``(auths, new_cursor)``; pass ``None`` (or ``{}``) to scan from
+        the beginning.
+        """
+        cursor = dict(cursor) if cursor else {}
+        out = []
+        for node in self.nodes.values():
+            if node.node_id == target:
+                continue
+            since = cursor.get(node.node_id, 0)
+            fresh = node.authenticators_about(target, since=since)
+            out.extend(fresh)
+            cursor[node.node_id] = since + len(fresh)
+        return out, cursor
+
+    def advertised_floor_of(self, node):
+        """The node's sanctioned-or-not advertised floor index (0 when it
+        never advertised) — what queriers hold truncation against."""
+        advert = self.retention_floors.get(node)
+        return advert.floor_index if advert is not None else 0
+
+    def retention_fault_of(self, node):
+        return self.maintainer.retention_fault_of(node)
+
+
+class Deployment(EvidenceDirectory):
     def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256,
                  t_batch=0.0, drop_wires_to=()):
         self.sim = Simulator(seed=seed, t_prop=t_prop,
@@ -339,8 +383,7 @@ class Deployment:
                 if current is None:
                     response = node.retrieve()
                 else:
-                    stored_head = (current.start_index
-                                   + len(current.entries) - 1)
+                    stored_head = current.head_index
                     response = node.retrieve(since_index=stored_head)
                     if response is not None and not response.entries:
                         continue  # nothing appended since the last push
@@ -529,15 +572,6 @@ class Deployment:
         self._gc_policy = None
         self.remove_cadence("gc")
 
-    def advertised_floor_of(self, node):
-        """The node's sanctioned-or-not advertised floor index (0 when it
-        never advertised) — what queriers hold truncation against."""
-        advert = self.retention_floors.get(node)
-        return advert.floor_index if advert is not None else 0
-
-    def retention_fault_of(self, node):
-        return self.maintainer.retention_fault_of(node)
-
     def find_mirror(self, origin, since_index=None):
         """Best (longest) mirror of *origin*'s log held by any node.
 
@@ -558,31 +592,3 @@ class Deployment:
             return best
         from repro.snp.snoopy import suffix_of_response
         return suffix_of_response(best, since_index)
-
-    def collect_authenticators_about(self, target):
-        """Ask every node for authenticators signed by *target* — the
-        querier side of the consistency check (Section 5.5)."""
-        return self.collect_authenticators_about_since(target, None)[0]
-
-    def collect_authenticators_about_since(self, target, cursor):
-        """Cursored consistency-check collection.
-
-        *cursor* maps peer id → how many of that peer's received
-        authenticators about *target* were already scanned; only the
-        entries past each peer's cursor are returned, so a standing
-        querier's refresh cost is proportional to *new* evidence instead
-        of every peer's entire history (a peer's ``received_auths`` list
-        is append-only, making the count a stable cursor). Returns
-        ``(auths, new_cursor)``; pass ``None`` (or ``{}``) to scan from
-        the beginning.
-        """
-        cursor = dict(cursor) if cursor else {}
-        out = []
-        for node in self.nodes.values():
-            if node.node_id == target:
-                continue
-            since = cursor.get(node.node_id, 0)
-            fresh = node.authenticators_about(target, since=since)
-            out.extend(fresh)
-            cursor[node.node_id] = since + len(fresh)
-        return out, cursor

@@ -6,24 +6,26 @@ deployment; coordinator side), a *verify+replay* compute step (a pure
 function of a work item and a context; see :mod:`repro.snp.build`) and a
 *finalize* step on the calling thread in canonical node order. An executor
 only decides where the compute step of each job runs, through one
-protocol — ``run_jobs(jobs, context)`` returning outcomes in submission
-order, and ``close()``:
+protocol — ``run_jobs(jobs, context)``, which finishes every job in place
+and returns nothing, and ``close()``:
 
 * :class:`SerialExecutor` — runs jobs inline, one at a time, in the order
   given. The default.
 * :class:`ProcessExecutor` — the *resident* process pool: one
   single-worker slot per worker, each node affinity-hashed to the slot
   that owns its view. Workers keep replays resident between batches, so a
-  refresh ships only the verified head plus the log/evidence delta. A
-  dead worker or evicted entry degrades to a cold build — bit-identical
-  by construction. It pays for cold builds of large deployments only
-  (DESIGN.md, "When ``process:N`` pays").
+  refresh ships only the verified head plus the log/evidence delta. It
+  is the only arm that can *lose* a view, so the fallback ladder — a dead
+  worker or evicted entry degrades to a cold build, bit-identical by
+  construction — lives in its ``run_jobs``. It pays for cold builds of
+  large deployments only (DESIGN.md, "When ``process:N`` pays").
 
-Outcomes always come back aligned with submission order, and every
-executor funnels the same compute function, so the merge phase (and
-therefore every observable query result and counter) is identical across
-executors by construction — serial ≡ wire ≡ process, the wire arm being
-the test suite's in-process pickle round trip.
+A job keeps its own books (fetch accounting, response, cursor) and the
+querier finalizes jobs in the order it submitted them; every executor
+funnels the same compute function and the same ``absorb``, so the merge
+phase (and therefore every observable query result and counter) is
+identical across executors by construction — serial ≡ wire ≡ process, the
+wire arm being the test suite's in-process pickle round trip.
 
 ``make_executor`` turns the user-facing spec into an executor object.
 """
@@ -35,11 +37,12 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.snp.build import CompactOutcome, compute_build
 from repro.snp.resident import (
     compute_build_resident_wire, init_worker_process, resident_op_wire,
     warm_worker,
 )
-from repro.snp.wire import ResidentViewLost
+from repro.snp.wire import ResidentReplay, ResidentViewLost
 
 #: Ceiling for an auto-sized pool (the bare ``"process"`` spec): view
 #: builds stop scaling well past this on one querier, and unbounded spawn
@@ -57,14 +60,20 @@ class SerialExecutor:
     """Run view-build jobs inline on the calling thread."""
 
     def run_jobs(self, jobs, context):
-        """Run build jobs one at a time; outcomes in submission order."""
-        return [job.run_local(context) for job in jobs]
+        """Run build jobs one at a time, in the order given."""
+        for job in jobs:
+            job.run_local(context)
 
     def close(self):
         pass
 
     def __repr__(self):
         return "SerialExecutor()"
+
+
+#: Sentinel submission: the job's slot was down at submit time (even
+#: after a respawn attempt) — collection goes straight to the cold retry.
+_LOST = object()
 
 
 class ProcessExecutor:
@@ -180,55 +189,95 @@ class ProcessExecutor:
 
     # ------------------------------------------------------------- builds
 
-    def submit_build(self, node, work_wire, _retry=True):
-        """Ship one work item's wire form to *node*'s slot, without
-        waiting. The pool's own pickle pass is the only one: a work item
-        that cannot be pickled fails its future, and
-        :meth:`collect_build` raises it on the calling thread. Returns a
-        ``(slot, future)`` submission for :meth:`collect_build`.
-        """
-        slot = self.slot_of(node)
-        try:
-            future = self._slot_pool(slot).submit(
-                compute_build_resident_wire, work_wire
-            )
-        except (BrokenProcessPool, RuntimeError):
-            self._break_slot(slot)
-            if _retry:
-                # One respawn attempt: the fresh worker holds no resident
-                # state, so a head-referencing work item answers
-                # cache-miss and the job's fallback takes over.
-                return self.submit_build(node, work_wire, _retry=False)
-            raise ResidentViewLost(f"worker slot {slot} is down")
-        return slot, future
-
-    def collect_build(self, submission):
-        """Wait for a submission; returns the outcome's wire form.
-
-        Raises :class:`ResidentViewLost` when the owning worker died —
-        the caller falls back to a cold build."""
-        slot, future = submission
-        try:
-            return future.result()
-        except (BrokenProcessPool, RuntimeError) as exc:
-            self._break_slot(slot)
-            raise ResidentViewLost(f"worker slot {slot} died: {exc}")
-
     def run_jobs(self, jobs, context):
-        """Run build jobs; outcomes in submission order.
+        """Run build jobs, finishing each in place.
 
-        Each job fetches its segment and submits its work item to the
+        Each job fetches its segment and its work item goes to the
         owning slot without waiting, so workers compute while the
-        coordinator fetches the next; outcomes are then collected — and
-        therefore finalized — in submission order. Collection handles
-        the fallback ladder (worker death, cache miss) per job.
+        coordinator fetches the next; outcomes are then collected in
+        submission order. A job the resident plane lost — slot down,
+        worker dead, base replay evicted or at another head — climbs
+        down the fallback ladder: it re-fetches cold *on the same job*
+        (its fetch accounting carries on), retries the (possibly
+        respawned) owning slot once — the fresh build repopulates its
+        cache — and, if the slot is still down, computes inline as the
+        last resort. Verdicts are bit-identical by construction, since a
+        cold build never depends on cached state.
         """
         if not jobs:
-            return []
+            return
         self.prepare(context)
-        submissions = [job.submit_resident(self) for job in jobs]
-        return [job.collect_resident(self, submission)
-                for job, submission in zip(jobs, submissions)]
+        # An extend crosses as a head reference (plus the fetched delta),
+        # never as the base replay.
+        submissions = [self._submit(job, job.fetch()) for job in jobs]
+        for job, submission in zip(jobs, submissions):
+            if self._collect(job, submission):
+                continue
+            work = job.fetch(cold=True)
+            if self._collect(job, self._submit(job, work)):
+                continue
+            # The cold build runs here, so the miss is tallied here
+            # (worker-run builds count their own).
+            job.stats.view_cache_misses += 1
+            job.absorb(compute_build(work, context))
+
+    def _submit(self, job, work):
+        """Ship *work*'s wire form to its node's slot, without waiting.
+        The pool's own pickle pass is the only one: a work item that
+        cannot be pickled fails its future, and :meth:`_collect` raises
+        it on the calling thread. Returns a submission for
+        :meth:`_collect`: ``(slot, future)``, None when there is nothing
+        to ship (the job finished at fetch time), ``_LOST`` when the slot
+        is down."""
+        if work is None:
+            return None
+        wire = work.to_wire()
+        slot = self.slot_of(job.node)
+        # One respawn attempt: the fresh worker holds no resident state,
+        # so a head-referencing work item answers cache-miss and the
+        # fallback ladder takes over.
+        for _attempt in (0, 1):
+            try:
+                return slot, self._slot_pool(slot).submit(
+                    compute_build_resident_wire, wire
+                )
+            except (BrokenProcessPool, RuntimeError):
+                self._break_slot(slot)
+            except ResidentViewLost:  # the executor is closed
+                break
+        return _LOST
+
+    def _collect(self, job, submission):
+        """Settle *job* from one resident round trip. Returns whether it
+        is finished — False when the resident plane lost it: the slot
+        was down, the worker died, or it no longer holds the referenced
+        base replay (``cache-miss``)."""
+        if submission is None:
+            return True
+        if submission is _LOST:
+            return False
+        slot, future = submission
+        try:
+            wire = future.result()
+        except (BrokenProcessPool, RuntimeError):
+            self._break_slot(slot)
+            return False
+        outcome = CompactOutcome.from_wire(wire, job.factory)
+        if outcome.status == CompactOutcome.CACHE_MISS:
+            job.stats.merge(outcome.stats)
+            return False
+        if outcome.status == CompactOutcome.OK \
+                and outcome.resident_head is not None \
+                and outcome.replay_result is None:
+            # The replay stayed in the worker: wrap its parked head in a
+            # handle (a failed replay still crosses — the proven-faulty
+            # view keeps it as evidence).
+            outcome.replay_result = ResidentReplay(
+                self, job.node, *outcome.resident_head,
+                machine_factory=job.factory,
+            )
+        job.absorb(outcome)
+        return True
 
     # ------------------------------------------------------- resident ops
 

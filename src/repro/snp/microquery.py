@@ -30,12 +30,14 @@ boundary"). This module holds the two coordinator-side steps:
 
 * **fetch** (:class:`_BuildJob`) — retrieve or mirror fallback, transfer
   accounting, and the snapshotting of everything the verification needs:
-  the frozen evidence-store prefix, the checked-authenticator memo, the
-  consistency evidence collected from peers (cursored), the pending
-  skipped authenticators, and the maintainer's alarm set;
-* **finalize** (calling thread, canonical node order) — the held-evidence
-  check over what earlier batch members harvested, memo/cursor/pending
-  commits, harvesting, view installation.
+  the frozen evidence-store prefix, the node's trust record
+  (:class:`_NodeTrust`: checked-authenticator memo, consistency cursor,
+  pending skipped authenticators), the consistency evidence collected
+  from peers, and the maintainer's alarm set. The job keeps what it
+  learned; the executor finishes it in place;
+* **finalize** (calling thread, canonical node order) — takes the
+  finished job: the held-evidence check over what earlier batch members
+  harvested, the trust record's commit, harvesting, view installation.
 
 Between them runs :func:`repro.snp.build.compute_build` — every check
 that can convict the node, then replay — inline or in a worker process;
@@ -44,6 +46,7 @@ executors therefore produce bit-identical views, colors and counters
 """
 
 import time
+from collections import defaultdict
 
 from repro.metrics import QueryStats
 from repro.snp.evidence import EvidenceStore, AUTHENTICATOR_BYTES
@@ -73,10 +76,9 @@ class NodeView:
     from. The invariant: ``graph`` is exactly the replay of entries
     ``1..head_index`` and ``head_hash`` is the chain hash ``h_head_index``.
 
-    ``replay`` may be a live :class:`~repro.snp.replay.ReplayResult`, a
+    ``replay`` is a live :class:`~repro.snp.replay.ReplayResult` or a
     :class:`~repro.snp.wire.ResidentReplay` handle on a worker-owned
-    replay, or (failed replays) a :class:`~repro.snp.wire.LazyReplay`
-    blob; ``graph`` materializes a handle on first access, so a standing
+    replay; ``graph`` materializes a handle on first access, so a standing
     auditor only pays the decode for views whose graph it actually reads.
     """
 
@@ -115,7 +117,7 @@ class NodeView:
         return self._graph
 
     def install_replay(self, replay):
-        """Adopt a (possibly lazily-held) replay as this view's current
+        """Adopt a replay (or a handle on one) as this view's current
         state; the cached graph is re-derived on next access."""
         self.replay = replay
         self._graph = None
@@ -133,28 +135,81 @@ class MicroResult:
         self.successors = successors
 
 
-#: Sentinel submission: the resident executor lost this job's slot at
-#: submit time (even after a respawn attempt) — collect falls back.
-_LOST = object()
+class _NodeTrust:
+    """What the querier has established about one node's chain — one
+    record, so that re-establishing trust is one call (a missed reset is
+    stale trust, i.e. a wrong green).
+
+    * ``checked`` — authenticators (signature → entry index) already
+      verified to lie on the trusted chain. A refresh extends that same
+      chain, so they need neither re-verification nor re-comparison —
+      and, not being coverage losses, they must not inflate
+      ``auth_checks_skipped``.
+    * ``cursor`` — how much of each peer's ``received_auths`` was
+      already scanned for evidence about the node (see
+      ``Deployment.collect_authenticators_about_since``).
+    * ``pending`` — authenticators (signature → Authenticator) counted
+      in ``auth_checks_skipped`` because they fell below a
+      partial-segment anchor. A later build whose segment reaches far
+      enough back retroactively checks them (compute's pending loop)
+      instead of silently dropping the coverage. They are coverage debt,
+      not chain trust: they survive :meth:`reset`.
+    """
+
+    __slots__ = ("checked", "cursor", "pending")
+
+    def __init__(self):
+        self.checked = {}
+        self.cursor = None
+        self.pending = {}
+
+    def reset(self):
+        """Trust in the chain is (re)established from scratch: a full
+        rebuild, ``invalidate()``."""
+        self.checked = {}
+        self.cursor = None
+
+    def commit(self, outcome, cursor):
+        """An ``ok`` pass finalized: adopt what it verified, drain the
+        debts it repaid — or proved unpayable (tombstoned: below the
+        node's GC'd retention floor, so no future segment can ever check
+        them) — and admit the ones it newly skipped. Returns whether the
+        pass left debt an anchoring fetch could repay."""
+        self.checked.update(outcome.checked)
+        if cursor is not None:
+            self.cursor = cursor
+        for sig in outcome.recovered + outcome.tombstoned:
+            self.pending.pop(sig, None)
+        for auth in outcome.skipped:
+            sig = bytes(auth.signature)
+            if sig not in self.checked:
+                self.pending.setdefault(sig, auth)
+        return bool(outcome.skipped and self.pending)
+
+    def drain(self, sig):
+        """An owed check was repaid against an anchoring segment."""
+        self.checked[sig] = self.pending.pop(sig).index
 
 
 class _BuildJob:
-    """One node's build/extend unit of work.
+    """One node's build/extend unit of work, keeping its own books.
 
-    ``fetch()`` runs against the deployment and snapshots the verification
-    inputs into a :class:`~repro.snp.build.BuildWork`; ``absorb()``
-    annotates the compute step's :class:`~repro.snp.build.CompactOutcome`
-    with the fetch step's bookkeeping, ready for finalize. The run
-    variants only differ in where the compute step executes:
-
-    * :meth:`run_local` — inline (the serial executor);
-    * :meth:`submit_resident` / :meth:`collect_resident` — in the node's
-      owning worker process, work and outcome crossing in wire form.
+    ``fetch()`` runs against the deployment and snapshots the
+    verification inputs into a :class:`~repro.snp.build.BuildWork`;
+    ``absorb()`` interprets the compute step's
+    :class:`~repro.snp.build.CompactOutcome`. Everything the fetch step
+    learned — the response, who served it, the transfer accounting, the
+    consistency cursor — stays on the job for finalize to read; nothing
+    is copied onto the outcome. A finished job holds either a decided
+    ``view`` (unreachable, proven faulty, a kept stale view) or an ``ok``
+    ``outcome`` for finalize to commit. *Where* the compute step runs is
+    the executor's business (:mod:`repro.snp.executor`); the job knows
+    none.
     """
 
     __slots__ = ("mq", "node", "kind", "base_view", "stats", "response",
                  "from_mirror", "reset_memo", "cursor", "evidence_prefix",
-                 "outcome", "factory", "floor_strict")
+                 "factory", "floor_strict", "view", "outcome")
 
     def __init__(self, mq, node, base_view=None):
         self.mq = mq
@@ -166,31 +221,37 @@ class _BuildJob:
         self.from_mirror = False
         self.reset_memo = False
         self.cursor = None
+        #: How many of this node's evidence-store entries the compute
+        #: step checks (the store is frozen while jobs run); finalize
+        #: checks only the tail harvested later in the batch.
         self.evidence_prefix = 0
-        self.outcome = None
         self.factory = mq.deployment.app_factories.get(node)
         self.floor_strict = False
+        self.view = None
+        self.outcome = None
 
     # ------------------------------------------------------------- fetch
 
-    def fetch(self):
+    def fetch(self, cold=False):
         """Retrieve this node's segment and assemble the work item.
 
         Returns a BuildWork, or None when the job finished at fetch time
-        (``self.outcome`` holds the final outcome: unreachable nodes,
-        refresh targets that kept their stale-but-verified view, and
-        nodes already convicted by the retention handshake).
+        (``self.view`` is decided: unreachable nodes, refresh targets
+        that kept their stale-but-verified view, and nodes already
+        convicted by the retention handshake). *cold* re-fetches for a
+        from-scratch build whatever the job started as — the retry of an
+        executor that lost the node's resident state; the job's fetch
+        accounting simply carries on.
         """
         fault = self.mq.deployment.retention_fault_of(self.node)
         if fault is not None:
             # Convicted at handshake time (e.g. a signed floor above a
             # live auditor's head): the proof stands without asking the
             # node anything — its log can never be trusted again.
-            self.outcome = self._final(
-                NodeView(self.node, PROVEN_FAULTY, verdict_reason=fault)
-            )
+            self.view = NodeView(self.node, PROVEN_FAULTY,
+                                 verdict_reason=fault)
             return None
-        if self.kind == "extended":
+        if self.kind == "extended" and not cold:
             return self._fetch_extend()
         return self._fetch_full()
 
@@ -225,8 +286,7 @@ class _BuildJob:
         view = self.base_view
         response, from_mirror = self._retrieve(since_index=view.head_index)
         if response is None:
-            # unreachable: the stale view stays verified
-            self.outcome = self._final(view)
+            self.view = view  # unreachable: the stale view stays verified
             return None
         if response.start_index != view.head_index + 1:
             # The responder did not (or could not) anchor at our head —
@@ -251,9 +311,8 @@ class _BuildJob:
         """Fetch for a from-scratch build. *response* short-circuits
         retrieval when the caller already holds (and has been charged
         for) a full response — the refresh fallback path. Trust in the
-        chain is established from zero either way, so the memoized
-        evidence checks and the consistency cursor are dropped at
-        finalize."""
+        chain is established from zero either way, so the node's trust
+        record is reset at finalize."""
         mq = self.mq
         node_id = self.node
         self.kind = "built"
@@ -267,10 +326,8 @@ class _BuildJob:
         if response is None:
             response, from_mirror = self._retrieve()
         if response is None:
-            self.outcome = self._final(
-                NodeView(node_id, UNREACHABLE,
-                         verdict_reason="no response to retrieve")
-            )
+            self.view = NodeView(node_id, UNREACHABLE,
+                                 verdict_reason="no response to retrieve")
             return None
         self.from_mirror = from_mirror
         if response.checkpoint is not None:
@@ -288,9 +345,10 @@ class _BuildJob:
         node_id = self.node
         held = mq.evidence.for_node(node_id)
         self.evidence_prefix = len(held)
+        trust = mq._trust[node_id]
         if self.kind == "extended":
-            known = frozenset(mq._checked_auths.get(node_id, ()))
-            base_cursor = mq._consistency_cursors.get(node_id)
+            known = frozenset(trust.checked)
+            base_cursor = trust.cursor
         else:
             known = frozenset()
             base_cursor = None
@@ -301,11 +359,10 @@ class _BuildJob:
                     node_id, base_cursor
                 )
             consistency = tuple(consistency)
-        pending = tuple(mq._pending_skipped.get(node_id, {}).values())
         view = self.base_view
         return BuildWork(
             node_id, self.kind, self.response,
-            known=known, held=held, pending=pending,
+            known=known, held=held, pending=tuple(trust.pending.values()),
             consistency=consistency,
             alarms=frozenset(mq.deployment.maintainer.alarmed_msg_ids()),
             head_index=view.head_index if view is not None else 0,
@@ -319,21 +376,9 @@ class _BuildJob:
 
     # ------------------------------------------------------------ absorb
 
-    def _final(self, view, outcome=None):
-        """Mark *outcome* (a fresh one when the job finished at fetch
-        time) decided: nothing left for finalize but to commit *view*."""
-        if outcome is None:
-            outcome = CompactOutcome(self.node, self.kind)
-        outcome.kind = "final"
-        outcome.view = view
-        outcome.stats = self.stats
-        outcome.from_mirror = self.from_mirror
-        outcome.reset_memo = self.reset_memo
-        return outcome
-
     def absorb(self, outcome):
-        """Annotate a CompactOutcome with this job's fetch bookkeeping,
-        ready for finalize.
+        """Settle this job from the compute step's outcome: a failure
+        decides the view here, an ``ok`` outcome is kept for finalize.
 
         This is the single interpretation point for compute results — the
         same branching whether the outcome was produced inline or decoded
@@ -345,138 +390,42 @@ class _BuildJob:
         replay = outcome.replay_result
         if replay is not None:
             replay.response = self.response
-        if outcome.status == CompactOutcome.VERIFY_FAILED:
-            if self.kind == "extended" and self.from_mirror:
-                # A corrupt replica cannot frame the origin; the origin
-                # is merely unreachable right now, so the view stays
-                # stale (verification precedes replay, so the base replay
-                # is still at its committed head).
-                return self._final(self.base_view, outcome)
-            if self.from_mirror:
-                # A corrupt *mirror* is not evidence against the origin —
-                # the replica may be the liar. The origin merely remains
-                # unreachable (its vertices stay yellow).
-                return self._final(
-                    NodeView(node_id, UNREACHABLE,
-                             verdict_reason=f"bad mirror: {outcome.reason}"),
-                    outcome,
-                )
-            return self._final(
-                NodeView(node_id, PROVEN_FAULTY,
-                         verdict_reason=outcome.reason),
-                outcome,
-            )
         if outcome.status == CompactOutcome.REPLAY_FAILED:
-            return self._final(
-                NodeView(node_id, PROVEN_FAULTY,
-                         verdict_reason=outcome.reason, replay=replay),
-                outcome,
+            self.view = NodeView(node_id, PROVEN_FAULTY,
+                                 verdict_reason=outcome.reason, replay=replay)
+        elif outcome.status != CompactOutcome.VERIFY_FAILED:
+            self.outcome = outcome
+        elif not self.from_mirror:
+            self.view = NodeView(node_id, PROVEN_FAULTY,
+                                 verdict_reason=outcome.reason)
+        elif self.kind == "extended":
+            # A corrupt replica cannot frame the origin; the origin is
+            # merely unreachable right now, so the view stays stale
+            # (verification precedes replay, so the base replay is still
+            # at its committed head).
+            self.view = self.base_view
+        else:
+            # A corrupt *mirror* is not evidence against the origin — the
+            # replica may be the liar. The origin merely remains
+            # unreachable (its vertices stay yellow).
+            self.view = NodeView(
+                node_id, UNREACHABLE,
+                verdict_reason=f"bad mirror: {outcome.reason}",
             )
-        outcome.stats = self.stats
-        outcome.from_mirror = self.from_mirror
-        outcome.reset_memo = self.reset_memo
-        outcome.evidence_prefix = self.evidence_prefix
-        outcome.cursor = self.cursor
-        outcome.response = self.response
-        outcome.base_view = self.base_view
-        return outcome
-
-    # -------------------------------------------------------- run variants
 
     def run_local(self, context):
+        """Fetch and compute inline (the serial executor)."""
         work = self.fetch()
-        if work is None:
-            return self.outcome
-        return self.absorb(compute_build(work, context))
-
-    def submit_resident(self, executor):
-        """Fetch, then ship the work to the node's owning worker slot.
-
-        Deliberately does *not* wait: the coordinator moves straight on
-        to its next job's fetch while workers chew the compute queue. An
-        extend crosses as a head reference (plus the fetched delta),
-        never as the base replay.
-        Returns a submission handle, None (finished at fetch), or the
-        ``_LOST`` sentinel when the slot is down.
-        """
-        work = self.fetch()
-        return None if work is None else self._submit(executor, work)
-
-    def _submit(self, executor, work):
-        try:
-            return executor.submit_build(self.node, work.to_wire())
-        except ResidentViewLost:
-            return _LOST
-
-    def _collect(self, executor, submission):
-        """One resident round trip's outcome, absorbed — or None when the
-        resident plane lost it: the slot was down, the worker died
-        (``ResidentViewLost``), or it no longer holds the referenced base
-        replay (``cache-miss``)."""
-        if submission is _LOST:
-            return None
-        try:
-            wire = executor.collect_build(submission)
-        except ResidentViewLost:
-            return None
-        result = CompactOutcome.from_wire(wire, self.factory)
-        if result.status == CompactOutcome.CACHE_MISS:
-            self.stats.merge(result.stats)
-            return None
-        if result.status == CompactOutcome.OK \
-                and result.resident_head is not None \
-                and result.replay_result is None:
-            # The replay stayed in the worker: wrap its parked head in a
-            # handle (a failed replay still ships its blob — the
-            # proven-faulty view keeps it as evidence).
-            head_index, head_hash = result.resident_head
-            result.replay_result = ResidentReplay(
-                executor, self.node, head_index, head_hash,
-                machine_factory=self.factory, response=self.response,
-            )
-        return self.absorb(result)
-
-    def collect_resident(self, executor, submission):
-        """Collect a resident build, degrading losses to a from-scratch
-        full build — bit-identical verdicts by construction, since a
-        cold build never depends on cached state."""
-        if submission is None:
-            return self.outcome
-        return (self._collect(executor, submission)
-                or self._fallback_rebuild(executor))
-
-    def _fallback_rebuild(self, executor):
-        """Cold full rebuild after the resident plane lost this node's
-        state. Tries the (possibly respawned) owning slot once — the
-        fresh build repopulates its cache — and, if the slot is still
-        down, computes inline as the last resort. The original job's
-        fetch accounting is preserved."""
-        job = _BuildJob(self.mq, self.node)
-        job.stats.merge(self.stats)
-        work = job.fetch()
-        if work is None:
-            return job.outcome
-        outcome = job._collect(executor, job._submit(executor, work))
-        if outcome is not None:
-            return outcome
-        # Inline last resort: the cold build runs here, so the miss is
-        # tallied here (worker-run builds count their own).
-        job.stats.view_cache_misses += 1
-        return job.absorb(compute_build(work, self.mq._build_context()))
+        if work is not None:
+            self.absorb(compute_build(work, context))
 
 
 class MicroQuerier:
     def __init__(self, deployment, use_checkpoints=False,
-                 run_consistency_check=True, executor=None,
-                 fetch_pending_anchors=True):
+                 run_consistency_check=True, executor=None):
         self.deployment = deployment
         self.use_checkpoints = use_checkpoints
         self.run_consistency_check = run_consistency_check
-        # When a batch leaves skipped-authenticator debt (evidence below a
-        # partial segment's anchor), fetch the anchoring segment right
-        # away instead of waiting for some later full build to happen by.
-        # Off only for tests that need the pending state to persist.
-        self.fetch_pending_anchors = fetch_pending_anchors
         # Ownership: an executor built here from a spec (None or a
         # string) is closed by close(); an executor *instance* handed in
         # is the caller's to manage (it may be shared across queriers).
@@ -493,28 +442,12 @@ class MicroQuerier:
         # until the first refresh (callers must assume "anything may have
         # changed").
         self.last_refresh_changed = None
-        # Authenticators (by signature bytes) already verified to lie on a
-        # node's trusted chain. A refresh extends that same chain, so these
-        # need neither re-verification nor re-comparison — and, not being
-        # coverage losses, they must not inflate ``auth_checks_skipped``.
-        # Reset whenever trust in the chain is (re)established from
-        # scratch (full rebuild, invalidate).
-        self._checked_auths = {}
-        # Per-node consistency-check cursors: how much of each peer's
-        # received_auths was already scanned for evidence about the node
-        # (see Deployment.collect_authenticators_about_since). Reset in
-        # lockstep with the memo above.
-        self._consistency_cursors = {}
-        # Authenticators counted in ``auth_checks_skipped`` because they
-        # fell below a partial-segment anchor, keyed node -> {signature:
-        # Authenticator}. A later build whose segment reaches far enough
-        # back retroactively checks them (compute's pending loop) instead
-        # of silently dropping the coverage; entries drain when verified
-        # (``auth_checks_recovered``) and survive invalidate() — they are
-        # coverage debt, not chain trust.
-        self._pending_skipped = {}
-        # Nodes whose pending registry gained entries during the running
-        # batch — the batch-end anchoring fetch's worklist.
+        # node -> _NodeTrust: what is established about each node's chain
+        # (checked-authenticator memo, consistency cursor) and what is
+        # still owed (pending skipped authenticators).
+        self._trust = defaultdict(_NodeTrust)
+        # Nodes whose pending debt grew during the running batch — the
+        # batch-end anchoring fetch's worklist.
         self._anchor_wanted = set()
         # Per-batch memo of factory → encoded wire spec (reset by
         # _run_batch): nodes sharing one AppFactory ship one snapshot.
@@ -576,10 +509,7 @@ class MicroQuerier:
         wanted = list(dict.fromkeys(node_ids))
         missing = sorted((n for n in wanted if n not in self._views),
                          key=str)
-        if missing:
-            self._run_batch(
-                missing, [_BuildJob(self, node_id) for node_id in missing]
-            )
+        self._run_batch([_BuildJob(self, node_id) for node_id in missing])
         return {node_id: self._views[node_id] for node_id in wanted}
 
     def invalidate(self, node_id=None):
@@ -590,12 +520,11 @@ class MicroQuerier:
             for view in self._views.values():
                 self._evict_resident(view)
             self._views.clear()
-            self._checked_auths.clear()
-            self._consistency_cursors.clear()
+            for trust in self._trust.values():
+                trust.reset()
         else:
             self._evict_resident(self._views.pop(node_id, None))
-            self._checked_auths.pop(node_id, None)
-            self._consistency_cursors.pop(node_id, None)
+            self._trust[node_id].reset()
 
     def _evict_resident(self, view):
         """Explicitly drop a view's worker-resident state (invalidate,
@@ -652,26 +581,24 @@ class MicroQuerier:
             node_id: self._view_signature(self._views[node_id])
             for node_id in node_ids
         }
-        batched, jobs = [], []
+        jobs = []
         for node_id in node_ids:
             view = self._views[node_id]
             self.stats.refreshes += 1
-            if view.status == PROVEN_FAULTY:
-                continue  # kept: signed proof does not expire
-            batched.append(node_id)
             if view.status == OK:
                 jobs.append(_BuildJob(self, node_id, base_view=view))
-            else:
-                jobs.append(_BuildJob(self, node_id))
-        self._run_batch(batched, jobs)
+            elif view.status == UNREACHABLE:
+                jobs.append(_BuildJob(self, node_id))  # may have come back
+            # proven-faulty is kept: signed proof does not expire
+        self._run_batch(jobs)
         self.last_refresh_changed = {
             node_id for node_id in node_ids
             if node_id not in self._views
             or self._view_signature(self._views[node_id]) != before[node_id]
         }
 
-    def _run_batch(self, node_ids, jobs):
-        """Run one batch of build/extend jobs and finalize each outcome.
+    def _run_batch(self, jobs):
+        """Run one batch of build/extend jobs and finalize each.
 
         Expected fault conditions never escape a job (they become
         verdicts); if something *unexpected* does, the batch aborts —
@@ -687,28 +614,30 @@ class MicroQuerier:
         # Fresh per batch: the deployment may have run on since the last
         # batch, so factory-spec snapshots must not outlive one batch.
         self._batch_spec_cache = {}
-        finalized = set()
+        unfinalized = {job.node for job in jobs}
         try:
-            for outcome in self.executor.run_jobs(jobs, context):
-                new_view = self._finalize(outcome)
-                old_view = self._views.get(outcome.node)
-                self._views[outcome.node] = new_view
+            self.executor.run_jobs(jobs, context)  # finished in place
+            for job in jobs:
+                new_view = self._finalize(job)
+                old_view = self._views.get(job.node)
+                self._views[job.node] = new_view
                 if old_view is not None and new_view is not old_view \
                         and new_view.status != OK:
                     # A superseding non-ok verdict (fork conviction,
                     # retention fault, lost node): the old view's
                     # worker-resident state must not linger.
                     self._evict_resident(old_view)
-                finalized.add(outcome.node)
+                unfinalized.discard(job.node)
         except BaseException:
-            for node_id in node_ids:
-                if node_id not in finalized:
-                    self.invalidate(node_id)
+            for node_id in unfinalized:
+                self.invalidate(node_id)
             raise
-        if self.fetch_pending_anchors and self._anchor_wanted:
-            for node_id in sorted(self._anchor_wanted, key=str):
-                self._fetch_pending_anchor(node_id)
-            self._anchor_wanted.clear()
+        # A batch that left skipped-authenticator debt (evidence below a
+        # partial segment's anchor) fetches the anchoring segment right
+        # away instead of waiting for some later full build to happen by.
+        for node_id in sorted(self._anchor_wanted, key=str):
+            self._fetch_pending_anchor(node_id)
+        self._anchor_wanted.clear()
         self.compact_evidence()
 
     # ---------------------------------------------- fetch-side accounting
@@ -734,8 +663,8 @@ class MicroQuerier:
 
     # ------------------------------------------- finalize (calling thread)
 
-    def _finalize(self, outcome):
-        """Commit one node-local outcome against the querier-shared state.
+    def _finalize(self, job):
+        """Commit one finished job against the querier-shared state.
 
         Runs on the calling thread, invoked in canonical node order over
         a batch: merges the job's stats, replays the deferred
@@ -743,44 +672,36 @@ class MicroQuerier:
         earlier in the order, then harvests this node's evidence — the
         exact sequence a serial build of the batch would follow.
         """
-        node_id = outcome.node
-        self.stats.merge(outcome.stats)
-        if outcome.reset_memo:
-            self._checked_auths.pop(node_id, None)
-            self._consistency_cursors.pop(node_id, None)
-        if outcome.kind == "final":
-            return outcome.view
+        node_id = job.node
+        self.stats.merge(job.stats)
+        trust = self._trust[node_id]
+        if job.reset_memo:
+            trust.reset()
+        if job.view is not None:
+            return job.view  # decided at fetch or absorb: just commit it
+        outcome, response = job.outcome, job.response
         try:
-            self._check_harvested_evidence(outcome)
+            self._check_harvested_evidence(job, trust)
         except LogVerificationError as exc:
-            if outcome.from_mirror:
-                if outcome.kind == "built":
-                    return NodeView(node_id, UNREACHABLE,
-                                    verdict_reason=f"bad mirror: {exc}")
-                if outcome.replay_ran:
-                    # The kept view's committed-head replay state was
-                    # already advanced — it must not stay extendable (a
-                    # later refresh would replay the same suffix twice).
-                    # Rebuild trust from scratch instead; this
-                    # tail-of-batch case is rare (pre-batch evidence was
-                    # checked before replay, in the compute step).
-                    job = _BuildJob(self, node_id)
-                    return self._finalize(
-                        job.run_local(self._build_context())
-                    )
-                return outcome.base_view  # stale but verified view kept
-            return NodeView(node_id, PROVEN_FAULTY,
-                            verdict_reason=str(exc))
-        if outcome.checked:
-            self._checked_auths.setdefault(node_id, {}).update(
-                outcome.checked
-            )
-        if outcome.cursor is not None:
-            self._consistency_cursors[node_id] = outcome.cursor
-        self._commit_pending_skips(node_id, outcome)
+            if not job.from_mirror:
+                return NodeView(node_id, PROVEN_FAULTY,
+                                verdict_reason=str(exc))
+            if job.kind == "built":
+                return NodeView(node_id, UNREACHABLE,
+                                verdict_reason=f"bad mirror: {exc}")
+            # A mirror's delta is never empty, so the kept view's replay
+            # was already advanced past its committed head — it must not
+            # stay extendable (a later refresh would replay the same
+            # suffix twice). Rebuild trust from scratch instead; this
+            # tail-of-batch case is rare (pre-batch evidence was checked
+            # before replay, in the compute step).
+            retry = _BuildJob(self, node_id)
+            retry.run_local(self._build_context())
+            return self._finalize(retry)
+        if trust.commit(outcome, job.cursor):
+            self._anchor_wanted.add(node_id)
 
-        response = outcome.response
-        if outcome.kind == "built":
+        if job.kind == "built":
             view = NodeView(node_id, OK)
             chk = response.checkpoint
             if chk is not None:
@@ -789,7 +710,7 @@ class MicroQuerier:
                 view.base_index, view.base_time = chk.index, chk.timestamp
                 view.head_time = chk.timestamp
         else:
-            view = outcome.base_view
+            view = job.base_view
             if not response.entries:
                 return view  # nothing appended: the head stands
         self._harvest_evidence(response)
@@ -802,30 +723,6 @@ class MicroQuerier:
         if response.entries:
             view.head_time = response.entries[-1].timestamp
         return view
-
-    def _commit_pending_skips(self, node_id, outcome):
-        """Drain retroactively checked authenticators from the pending
-        registry — and tombstoned ones (below the node's GC'd retention
-        floor, so no future segment can ever check them) — then admit
-        the pass's newly skipped ones."""
-        pending = self._pending_skipped.get(node_id)
-        if pending:
-            for sig in outcome.recovered:
-                pending.pop(sig, None)
-            for sig in outcome.tombstoned:
-                pending.pop(sig, None)
-            if not pending:
-                del self._pending_skipped[node_id]
-        if outcome.skipped:
-            known = self._checked_auths.get(node_id, frozenset())
-            table = self._pending_skipped.setdefault(node_id, {})
-            for auth in outcome.skipped:
-                sig = bytes(auth.signature)
-                if sig in known or sig in outcome.checked:
-                    continue
-                table.setdefault(sig, auth)
-            if table:
-                self._anchor_wanted.add(node_id)
 
     def _fetch_pending_anchor(self, node_id):
         """On-demand anchoring fetch (batch end): a pending skip means
@@ -841,8 +738,8 @@ class MicroQuerier:
         retained checkpoint; whatever still falls below stays pending
         (or is tombstoned by the normal floor machinery later).
         """
-        pending = self._pending_skipped.get(node_id)
-        if not pending:
+        trust = self._trust[node_id]
+        if not trust.pending:
             return
         node = self.deployment.nodes.get(node_id)
         if node is None:
@@ -861,15 +758,13 @@ class MicroQuerier:
                 response, self.deployment.public_key_of(node_id), trusted,
                 self.stats,
             )
-            memo = self._checked_auths.setdefault(node_id, {})
-            for sig, auth in sorted(pending.items()):
+            for sig, auth in sorted(trust.pending.items()):
                 if auth.index < response.start_index - 1:
                     continue  # below even this anchor: stays pending
                 check_against_authenticator(response, hashes, auth,
                                             self.stats)
                 self.stats.auth_checks_recovered += 1
-                memo[sig] = auth.index
-                del pending[sig]
+                trust.drain(sig)
         except (LogVerificationError, AuthenticationError) as exc:
             # The owed evidence (or the audited head) contradicts the
             # chain the node just served — proof of a fork or rewrite.
@@ -878,10 +773,6 @@ class MicroQuerier:
                 node_id, PROVEN_FAULTY,
                 verdict_reason=f"pending authenticator check: {exc}",
             )
-            return
-        finally:
-            if not pending:
-                self._pending_skipped.pop(node_id, None)
 
     def compact_evidence(self):
         """Bound the querier's standing memory (batch end).
@@ -904,9 +795,7 @@ class MicroQuerier:
         for node_id, view in self._views.items():
             if view.status != OK or view.head_index <= 0:
                 continue
-            checked = self._checked_auths.get(node_id)
-            if not checked:
-                continue
+            checked = self._trust[node_id].checked
             below = {sig for sig, index in checked.items()
                      if index < view.head_index}
             if not below:
@@ -937,24 +826,22 @@ class MicroQuerier:
         """The (peer, index) pairs of authenticators whose check is still
         owed for *node_id* — evidence counted in ``auth_checks_skipped``
         that no verified segment has reached yet."""
-        table = self._pending_skipped.get(node_id, {})
-        return sorted((auth.node, auth.index) for auth in table.values())
+        return sorted((auth.node, auth.index)
+                      for auth in self._trust[node_id].pending.values())
 
-    def _check_harvested_evidence(self, outcome):
+    def _check_harvested_evidence(self, job, trust):
         """The within-batch tail of the held-evidence check: the compute
-        step covered the first ``outcome.evidence_prefix`` entries (the
-        store is frozen while jobs run); what remains is whatever
-        finalizing *earlier* nodes of this batch harvested. Raises
+        step covered the first ``job.evidence_prefix`` entries (the store
+        is frozen while jobs run); what remains is whatever finalizing
+        *earlier* nodes of this batch harvested. Raises
         LogVerificationError — *proof* of a fork or rewrite."""
-        node_id = outcome.node
-        known = self._checked_auths.get(node_id, frozenset())
         started = time.perf_counter()
         try:
-            held = self.evidence.for_node(node_id)
+            held = self.evidence.for_node(job.node)
             check_held_evidence(
-                outcome.response, outcome.hashes,
-                held[outcome.evidence_prefix:], known, outcome.checked,
-                self.stats,
+                job.response, job.outcome.hashes,
+                held[job.evidence_prefix:], trust.checked,
+                job.outcome.checked, self.stats,
             )
         finally:
             self.stats.auth_check_seconds += time.perf_counter() - started
@@ -963,9 +850,8 @@ class MicroQuerier:
         """Collect the authenticators embedded in a verified log into the
         evidence store — they are what lets the querier verify the *next*
         node it visits."""
-        for _entry, _signer, auth in embedded_authenticators(response):
-            if auth is not None:
-                self.evidence.add(auth)
+        for _signer, auth in embedded_authenticators(response):
+            self.evidence.add(auth)
         self.evidence.add(response.head_auth)
 
     # ------------------------------------------------- view reads (ops)

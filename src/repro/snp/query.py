@@ -16,11 +16,9 @@ distance k of the root are explored — matching how an analyst zooms in one
 neighborhood at a time (Section 7.3).
 """
 
-from repro.provgraph.graph import ProvenanceGraph
-from repro.provgraph.vertices import (
-    Color, APPEAR, DISAPPEAR, EXIST, BELIEVE,
-)
-from repro.snp.microquery import MicroQuerier, UNREACHABLE
+from repro.provgraph.graph import ProvenanceGraph, _clone_vertex
+from repro.provgraph.vertices import APPEAR, DISAPPEAR, EXIST, BELIEVE
+from repro.snp.microquery import MicroQuerier, OK
 from repro.util.errors import QueryError
 
 
@@ -222,7 +220,7 @@ class QueryProcessor:
         given). The root is the exist (or believe) vertex whose interval
         covers the instant."""
         node = tup.loc if node is None else node
-        stats_before = _snapshot_stats(self.mq.stats)
+        stats_before = self.mq.stats.copy()
         root = self._find_interval_vertex(node, tup, at)
         if root is None:
             raise QueryError(
@@ -235,7 +233,7 @@ class QueryProcessor:
         """Dynamic query: why did τ appear (most recent appearance ≤
         *before*)?"""
         node = tup.loc if node is None else node
-        stats_before = _snapshot_stats(self.mq.stats)
+        stats_before = self.mq.stats.copy()
         root = self._find_change_vertex(node, tup, APPEAR, before)
         if root is None:
             raise QueryError(f"no appearance of {tup!r} on {node!r}")
@@ -244,7 +242,7 @@ class QueryProcessor:
     def why_disappear(self, tup, node=None, before=None, scope=None):
         """Dynamic query: why did τ disappear?"""
         node = tup.loc if node is None else node
-        stats_before = _snapshot_stats(self.mq.stats)
+        stats_before = self.mq.stats.copy()
         root = self._find_change_vertex(node, tup, DISAPPEAR, before)
         if root is None:
             raise QueryError(f"no disappearance of {tup!r} on {node!r}")
@@ -253,7 +251,7 @@ class QueryProcessor:
     def effects(self, tup, node=None, at=None, scope=None):
         """Causal (forward) query: what was derived from τ?"""
         node = tup.loc if node is None else node
-        stats_before = _snapshot_stats(self.mq.stats)
+        stats_before = self.mq.stats.copy()
         roots = []
         interval = self._find_interval_vertex(node, tup, at)
         if interval is None:
@@ -278,7 +276,7 @@ class QueryProcessor:
         """All exist intervals of τ on *node* (historical inspection)."""
         node = tup.loc if node is None else node
         view = self.mq.view_of(node)
-        if view.status != "ok":
+        if view.status != OK:
             return []
         vertices = self.mq.view_find_all(view, vtype=EXIST, node=node,
                                          tup=tup)
@@ -288,7 +286,7 @@ class QueryProcessor:
 
     def _find_interval_vertex(self, node, tup, at):
         view = self.mq.view_of(node)
-        if view.status != "ok":
+        if view.status != OK:
             raise QueryError(
                 f"cannot query {node!r}: {view.status} "
                 f"({view.verdict_reason})"
@@ -311,7 +309,7 @@ class QueryProcessor:
         """The most recent exist/believe vertex of τ on *node*, open or
         closed (used by effects queries on tuples that are already gone)."""
         view = self.mq.view_of(node)
-        if view.status != "ok":
+        if view.status != OK:
             return None
         candidates = self.mq.view_find_all(view, vtype=EXIST, node=node,
                                            tup=tup)
@@ -323,7 +321,7 @@ class QueryProcessor:
 
     def _find_change_vertex(self, node, tup, vtype, before):
         view = self.mq.view_of(node)
-        if view.status != "ok":
+        if view.status != OK:
             raise QueryError(
                 f"cannot query {node!r}: {view.status} "
                 f"({view.verdict_reason})"
@@ -358,19 +356,19 @@ class QueryProcessor:
         exploration; only the build scheduling changes.
         """
         if stats_before is None:
-            stats_before = _snapshot_stats(self.mq.stats)
+            stats_before = self.mq.stats.copy()
         graph = ProvenanceGraph()
         self.mq.build_views([root.node]
                             + [extra.node for extra in extra_roots])
         resolved_root, _color = self.mq.resolve(root)
-        graph.add_vertex(_copy_vertex(resolved_root))
+        graph.add_vertex(_clone_vertex(resolved_root))
         level = [resolved_root]
         visited = {resolved_root.key()}
         for extra in extra_roots:
             resolved, _c = self.mq.resolve(extra)
             if resolved.key() in visited:
                 continue
-            graph.add_vertex(_copy_vertex(resolved))
+            graph.add_vertex(_clone_vertex(resolved))
             visited.add(resolved.key())
             level.append(resolved)
         depth = 0
@@ -392,7 +390,7 @@ class QueryProcessor:
                 here = graph.get(vertex.key())
                 for neighbor in neighbors:
                     resolved, _c = self.mq.resolve(neighbor)
-                    mine = graph.add_vertex(_copy_vertex(resolved))
+                    mine = graph.add_vertex(_clone_vertex(resolved))
                     if direction == "backward":
                         graph.add_edge(mine, here)
                     else:
@@ -402,22 +400,9 @@ class QueryProcessor:
                         next_level.append(resolved)
             level = next_level
             depth += 1
-        stats = _diff_stats(stats_before, self.mq.stats)
+        # The delta's field set comes from the instance __dict__, so new
+        # QueryStats counters are never silently dropped from it.
+        stats = self.mq.stats.delta_since(stats_before)
         return QueryResult(graph.get(resolved_root.key()), graph, stats,
                            direction)
 
-
-def _copy_vertex(vertex):
-    from repro.provgraph.graph import _clone_vertex
-    return _clone_vertex(vertex)
-
-
-def _snapshot_stats(stats):
-    return stats.copy()
-
-
-def _diff_stats(before, after):
-    # Field set derived from the instance __dict__ (inside delta_since)
-    # rather than a hand-kept list, so new QueryStats counters are never
-    # silently dropped from per-query deltas.
-    return after.delta_since(before)

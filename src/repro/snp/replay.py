@@ -125,7 +125,7 @@ def check_against_authenticator(response, hashes, auth, stats=None,
     """
     index = auth.index
     first = response.start_index
-    last = first + len(response.entries) - 1
+    last = response.head_index
     if index == first - 1:
         if auth.entry_hash != response.start_hash:
             raise LogVerificationError(

@@ -19,7 +19,7 @@ A SNooPyNode wraps the node's deterministic primary-system state machine
 
 from repro.model import Snd
 from repro.snp.commitment import (
-    WireBatch, build_ack, build_batch, rcv_entry_content, ack_entry_content,
+    build_ack, build_batch, rcv_entry_content, ack_entry_content,
     verify_ack, verify_batch,
 )
 from repro.snp.evidence import sign_authenticator
@@ -48,6 +48,22 @@ class RetrieveResponse:
         self.head_auth = head_auth
         self.checkpoint = checkpoint
         self.from_mirror = from_mirror
+
+    @property
+    def head_index(self):
+        """Index of the last entry covered (the anchor index when the
+        segment is empty)."""
+        return self.start_index + len(self.entries) - 1
+
+    def hash_at(self, index):
+        """The chain hash of entry *index* as this response attests it,
+        or ``None`` when *index* is outside the attested range. The
+        anchor (``start_index - 1``) is attested by ``start_hash``."""
+        if index == self.start_index - 1:
+            return self.start_hash
+        if self.start_index <= index <= self.head_index:
+            return self.entries[index - self.start_index].entry_hash
+        return None
 
 
 def response_can_seed_rebuild(response):
@@ -93,11 +109,8 @@ def merge_mirror_responses(current, response):
         return None
     if current is None:
         return response if response_can_seed_rebuild(response) else None
-    current_last = current.start_index + len(current.entries) - 1
-    if response.start_index == current_last + 1:
-        anchor = (current.entries[-1].entry_hash if current.entries
-                  else current.start_hash)
-        if response.start_hash != anchor:
+    if response.start_index == current.head_index + 1:
+        if response.start_hash != current.hash_at(current.head_index):
             return None  # does not continue the stored chain
         return RetrieveResponse(
             node=current.node,
@@ -125,8 +138,7 @@ def truncate_response_below(response, floor):
     evidence it cannot prove replaceable).
     """
     first = response.start_index
-    last = first + len(response.entries) - 1
-    if floor < first or floor > last:
+    if floor < first or floor > response.head_index:
         return response
     if response.checkpoint is not None and floor <= response.checkpoint.index:
         return response
@@ -161,17 +173,15 @@ def suffix_of_response(response, since_index):
       entry *since_index*.
     """
     first = response.start_index
-    last = first + len(response.entries) - 1
-    if since_index >= last:
+    if since_index >= response.head_index:
         return None
     if since_index < first:
         return response
-    offset = since_index - first
     return RetrieveResponse(
         node=response.node,
-        entries=response.entries[offset + 1:],
+        entries=response.entries[since_index - first + 1:],
         start_index=since_index + 1,
-        start_hash=response.entries[offset].entry_hash,
+        start_hash=response.hash_at(since_index),
         head_auth=response.head_auth,
         checkpoint=None,
         from_mirror=response.from_mirror,
@@ -409,14 +419,13 @@ class SNooPyNode:
             self.identity, entry.index, entry.timestamp, entry.entry_hash
         )
 
-    def retrieve(self, upto_index=None, from_checkpoint=False,
-                 since_index=None):
+    def retrieve(self, from_checkpoint=False, since_index=None):
         """The ``retrieve`` primitive (Section 5.4): return an authenticated
         log segment. A correct node always complies.
 
         With *from_checkpoint*, the segment starts at the last checkpoint
-        before *upto_index* (or the log head) instead of entry 1, and the
-        response carries that checkpoint so replay can be seeded from it.
+        before the log head instead of entry 1, and the response carries
+        that checkpoint so replay can be seeded from it.
 
         With *since_index*, only the suffix after that entry is returned —
         the delta mode a querier uses to extend an already-verified view.
@@ -446,8 +455,7 @@ class SNooPyNode:
         else:
             chk = None
             if from_checkpoint:
-                pivot = upto_index if upto_index is not None else end
-                chk = self.log.last_checkpoint_before(pivot)
+                chk = self.log.last_checkpoint_before(end)
             if chk is None and self.log.truncated:
                 # The oldest retained entry is the GC anchor checkpoint.
                 chk = self.log.entry(first)

@@ -24,11 +24,9 @@ executor boundary"):
   mutable inputs at encode time; anything else raises
   :class:`WireError`, on encode and on decode alike.
 
-Also here: the *handles* standing for a replay held on the far side
-(:class:`LazyReplay`, :class:`ResidentReplay`). No check lives here.
+Also here: the *handle* standing for a replay held on the far side
+(:class:`ResidentReplay`). No check lives here.
 """
-
-import pickle
 
 from repro.metrics import QueryStats
 from repro.model import Ack, Msg, Tup
@@ -298,36 +296,6 @@ def replay_from_wire(wire, machine_factory):
     )
 
 
-class LazyReplay:
-    """A worker-produced replay held as its pickled wire blob.
-
-    Decoding a replayed graph is coordinator-side (GIL-serialized) work,
-    and a standing auditor's queries touch only a fraction of its views —
-    so the coordinator defers the decode until something actually reads
-    the view (a microquery resolving into it).
-    """
-
-    __slots__ = ("blob", "machine_factory", "response", "_result")
-
-    def __init__(self, blob, machine_factory, response=None):
-        self.blob = blob
-        self.machine_factory = machine_factory
-        self.response = response
-        self._result = None
-
-    def materialize(self):
-        if self._result is None:
-            result = replay_from_wire(pickle.loads(self.blob),
-                                      self.machine_factory)
-            result.response = self.response
-            self._result = result
-        return self._result
-
-    @property
-    def graph(self):
-        return self.materialize().graph
-
-
 def replay_handle_to_wire(replay):
     """The boundary-crossing form of a base replay: a ResidentReplay
     crosses as just its cache key (node affinity routes the work to the
@@ -364,14 +332,13 @@ class _ResidentRef:
 class ResidentReplay:
     """Coordinator-side handle for a replay owned by a worker process.
 
-    Where :class:`LazyReplay` holds the *bytes* of a worker-built replay,
-    this holds only its cache key — ``(node, head_index, head_hash)`` —
-    and reaches the live state through the executor's affinity-routed
-    resident ops. Graph reads (``query``) run *in the owning worker* and
-    return cloned value vertices, so the coordinator never pays the
-    decode; ``materialize`` pulls the full replay over only when
-    in-process state is genuinely needed. Every op can
-    raise :class:`ResidentViewLost`, the explicit invalidation signal the
+    It holds only the replay's cache key — ``(node, head_index,
+    head_hash)`` — and reaches the live state through the executor's
+    affinity-routed resident ops. Graph reads (``query``) run *in the
+    owning worker* and return cloned value vertices, so the coordinator
+    never pays the decode; ``materialize`` pulls the full replay over
+    only when in-process state is genuinely needed. Every op can raise
+    :class:`ResidentViewLost`, the explicit invalidation signal the
     querier answers with a bit-identical cold rebuild.
     """
 

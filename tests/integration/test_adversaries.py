@@ -10,12 +10,17 @@ inputs are not automatically detectable.
 import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
-from repro.model import Tup
+from repro.crypto.hashing import chain_hash
+from repro.model import Msg, Tup
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FabricatorNode, ForkingNode, InputLiarNode, MisexecutingNode,
     SilentNode, SuppressorNode, TamperingNode,
 )
+from repro.snp.commitment import WireBatch, rcv_entry_content
+from repro.snp.evidence import Authenticator, sign_authenticator
+from repro.snp.log import INS, RCV, LogEntry
+from repro.snp.snoopy import RetrieveResponse, SNooPyNode
 
 
 def _deploy(adversary_cls=None, victim="b", seed=77):
@@ -217,3 +222,194 @@ class TestMultipleAdversaries:
         # provenance chain visits the tampered node.
         r2 = qp.why(best_cost("c", "a", 4))
         assert "e" in r2.faulty_nodes()
+
+
+# ------------------------------------------------------ conviction gallery
+
+
+class _TwoFacedNode(SNooPyNode):
+    """Serves its real log to a checkpoint-mode audit and a fork of it —
+    the head entry re-timed, everything below intact, the new head duly
+    signed — to the anchoring fetch that follows in the same batch."""
+
+    def retrieve(self, from_checkpoint=False, since_index=None):
+        response = super().retrieve(from_checkpoint, since_index)
+        if from_checkpoint or since_index is not None:
+            return response
+        *kept, head = response.entries
+        timestamp = head.timestamp + 1e-7
+        forked = chain_hash(kept[-1].entry_hash, timestamp, head.entry_type,
+                            head.content_hash)
+        head = LogEntry(head.index, timestamp, head.entry_type, head.content,
+                        head.content_hash, forked, aux=head.aux)
+        return RetrieveResponse(
+            response.node, kept + [head], response.start_index,
+            response.start_hash,
+            sign_authenticator(self.identity, head.index, timestamp, forked))
+
+
+class _ForkThenCrashNode(ForkingNode, SilentNode):
+    """Forks its log, lets the replicas mirror the fork, then crashes."""
+
+
+@pytest.fixture(params=["serial", "wire"])
+def gallery_executor(request, wire_executor):
+    return wire_executor if request.param == "wire" else None
+
+
+class TestConvictionGallery:
+    """One case per conviction check no other test reaches: each is the
+    smallest edit a Byzantine ``b`` could make to its *own* log of an
+    honest run — appended at the head, so every authenticator ``b`` ever
+    issued still lies on its chain and no *other* check fires first. With
+    the check a case names deleted, the case fails (CHANGES.md, PR 19,
+    has the table)."""
+
+    def _view_of_b(self, dep, executor, **qp_kwargs):
+        with QueryProcessor(dep, executor=executor, **qp_kwargs) as qp:
+            return qp.mq.view_of("b")
+
+    def test_rcv_commits_to_an_authenticator_nobody_signed(
+            self, gallery_executor):
+        # check: the embedded-authenticator signature loop
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        t = b._next_time()
+        unsigned = Authenticator("a", 99, t, "ab" * 32, b"\x01" * 32)
+        msg = Msg("+", cost("b", "d", "a", 1), "a", "b", 999, t)
+        batch = WireBatch("a", "b", [], [], 99, "cd" * 32, unsigned)
+        b.log.append(t, RCV, rcv_entry_content(msg, batch),
+                     aux={"msg": msg, "batch_auth": unsigned})
+        view = self._view_of_b(dep, gallery_executor)
+        assert view.status == "proven-faulty"
+        assert "authenticator from 'a' has an invalid signature" \
+            in view.verdict_reason
+
+    @pytest.mark.parametrize("lie, reason", [
+        ("re-dated", "checkpoint contents fail Merkle verification"),
+        ("dropped", "checkpoint tuple counts do not match commitment"),
+    ], ids=["re-dated", "dropped"])
+    def test_checkpoint_seed_disagrees_with_its_commitment(
+            self, gallery_executor, lie, reason):
+        # check: the verify_checkpoint call
+        dep, nodes = _deploy()
+        nodes["b"].checkpoint()
+        chk = nodes["b"].log.entry(len(nodes["b"].log))
+        extant = list(chk.aux["extant"])
+        if lie == "dropped":
+            extant.pop()
+        else:
+            tup, appeared = extant[0]
+            extant[0] = (tup, appeared + 1.0)
+        chk.aux = dict(chk.aux, extant=extant)
+        view = self._view_of_b(dep, gallery_executor, use_checkpoints=True)
+        assert view.status == "proven-faulty"
+        assert reason in view.verdict_reason
+
+    def test_logged_insert_crashes_the_expected_machine(
+            self, gallery_executor):
+        # check: the REPLAY_FAILED verdict
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        bomb = link("b", "q", "not-a-number")
+        b.log.append(b._next_time(), INS, bomb.canonical(),
+                     aux={"tup": bomb})
+        view = self._view_of_b(dep, gallery_executor)
+        assert view.status == "proven-faulty"
+        assert "replay of node 'b' diverged: TypeError" \
+            in view.verdict_reason
+        # the failed replay is kept on the view, as evidence
+        assert view.replay is not None and not view.replay.ok
+        assert view.graph is view.replay.graph
+
+    def test_anchoring_segment_forks_off_the_audited_head(
+            self, gallery_executor):
+        # check: verify_anchor_segment's trusted-head comparison
+        dep, nodes = _deploy(_TwoFacedNode, seed=85)
+        dep.checkpoint_all()
+        nodes["a"].insert(link("a", "y", 4))
+        dep.run()
+        with QueryProcessor(dep, executor=gallery_executor,
+                            use_checkpoints=True) as qp:
+            view = qp.mq.view_of("b")
+            assert qp.mq.stats.anchor_fetches == 1
+            # every owed authenticator lies on the fork too: only the
+            # audited head tells the two histories apart
+            assert qp.mq.pending_skipped("b")
+        assert view.status == "proven-faulty"
+        assert "anchoring segment does not pass through the audited head" \
+            in view.verdict_reason
+
+    def _forked_b(self, node_cls):
+        dep, nodes = _deploy(node_cls)
+        b = nodes["b"]
+        b.refuse_retrieve = b.refuse_consistency = False
+        b.fork_log(keep_upto=3)
+        b.insert(link("b", "q", 4))
+        dep.run()
+        return dep, b
+
+    def test_fork_visible_only_in_same_batch_evidence(
+            self, gallery_executor):
+        # check: the within-batch tail of the held-evidence check
+        dep, _b = self._forked_b(ForkingNode)
+        with QueryProcessor(dep, executor=gallery_executor,
+                            run_consistency_check=False) as alone:
+            # nothing held, nobody asked: the fork's chain is consistent
+            assert alone.mq.view_of("b").status == "ok"
+        with QueryProcessor(dep, executor=gallery_executor,
+                            run_consistency_check=False) as qp:
+            views = qp.prefetch()  # a finalizes — and harvests — before b
+        assert views["b"].status == "proven-faulty"
+        assert "does not match the log (equivocation or tampering)" \
+            in views["b"].verdict_reason
+        assert {views[n].status for n in "acde"} == {"ok"}
+
+    def test_same_fork_served_by_a_mirror_on_a_cold_build(
+            self, gallery_executor):
+        # check: the same tail — a mirror's contradiction is not proof
+        dep, b = self._forked_b(_ForkThenCrashNode)
+        dep.replicate_logs(replication_factor=2)
+        b.refuse_retrieve = True
+        with QueryProcessor(dep, executor=gallery_executor,
+                            run_consistency_check=False) as qp:
+            view = qp.prefetch()["b"]
+        assert view.status == "unreachable"
+        assert view.verdict_reason.startswith("bad mirror: ")
+        assert "does not match the log" in view.verdict_reason
+
+    @pytest.mark.parametrize("harvested", ["earlier-batch", "same-batch"])
+    def test_same_fork_served_by_a_mirror_on_an_extend(
+            self, gallery_executor, harvested):
+        # checks: absorb's mirror-extend branch (evidence held before the
+        # batch: verification fails before replay, the stale view stays)
+        # and the finalize tail's rebuild (evidence harvested in the
+        # batch: replay already ran, trust is rebuilt from scratch)
+        dep, nodes = _deploy(_ForkThenCrashNode)
+        b = nodes["b"]
+        b.refuse_retrieve = b.refuse_consistency = False
+        with QueryProcessor(dep, executor=gallery_executor,
+                            run_consistency_check=False) as qp:
+            view = qp.prefetch()["b"]
+            head, replayed = view.head_index, view.replay.events_replayed
+            b.insert(link("b", "q", 4))   # a logs b's newer authenticators
+            dep.run()
+            if harvested == "earlier-batch":
+                qp.refresh("a")
+            b.fork_log(keep_upto=head)    # forks *above* the audited head,
+            b.insert(link("b", "r", 9))   # runs on, is mirrored, crashes
+            dep.run()
+            dep.replicate_logs(replication_factor=2)
+            b.refuse_retrieve = True
+            qp.refresh()
+            after = qp.mq.view_of("b")
+            if harvested == "earlier-batch":
+                # the stale verified view is kept, still extendable: its
+                # replay never left the committed head
+                assert after is view and after.status == "ok"
+                assert after.head_index == head
+                assert after.replay.events_replayed == replayed
+            else:
+                assert after.status == "unreachable"
+                assert after.verdict_reason.startswith("bad mirror: ")
+            assert {qp.mq.view_of(n).status for n in "acde"} == {"ok"}

@@ -236,10 +236,10 @@ class TestViewHeadAgreement:
         last_response = {}
         finalize = MicroQuerier._finalize
 
-        def recording_finalize(mq, outcome):
-            if outcome.response is not None:
-                last_response[outcome.node] = outcome.response
-            return finalize(mq, outcome)
+        def recording_finalize(mq, job):
+            if job.response is not None:
+                last_response[job.node] = job.response
+            return finalize(mq, job)
 
         monkeypatch.setattr(MicroQuerier, "_finalize", recording_finalize)
         dep, nodes = _grown_net(seed=23)
@@ -380,25 +380,31 @@ class TestPendingSkippedAuthenticators:
     """Evidence below a partial-segment anchor is remembered, not lost:
     a later full build retroactively checks it."""
 
-    def _checkpointed_querier(self, seed=85):
+    def _checkpointed_querier(self, monkeypatch, seed=85):
         dep, nodes = _grown_net(seed=seed)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "y", 4))
         dep.run()
         # The on-demand anchoring fetch (PR 6) would repay the pending
-        # skips at batch end; disable it so the registry itself — what
+        # skips at batch end; stub it out so the registry itself — what
         # these tests pin — stays observable.
-        qp = QueryProcessor(dep, use_checkpoints=True,
-                            fetch_pending_anchors=False)
+        monkeypatch.setattr(MicroQuerier, "_fetch_pending_anchor",
+                            lambda mq, node_id: None)
+        qp = QueryProcessor(dep, use_checkpoints=True)
         qp.why(best_cost("c", "d", 5))
         return dep, nodes, qp
 
-    def test_skips_are_recorded_with_peer_and_index(self):
-        _dep, _nodes, qp = self._checkpointed_querier()
+    @staticmethod
+    def _indebted(qp):
+        return [node for node, trust in qp.mq._trust.items()
+                if trust.pending]
+
+    def test_skips_are_recorded_with_peer_and_index(self, monkeypatch):
+        _dep, _nodes, qp = self._checkpointed_querier(monkeypatch)
         assert qp.mq.stats.auth_checks_skipped > 0
         recorded = {
             node: qp.mq.pending_skipped(node)
-            for node in list(qp.mq._pending_skipped)
+            for node in self._indebted(qp)
         }
         assert recorded  # something below an anchor was remembered
         for node, pairs in recorded.items():
@@ -406,9 +412,9 @@ class TestPendingSkippedAuthenticators:
                 assert peer == node  # signed by the node under audit
                 assert index >= 1
 
-    def test_full_build_recovers_pending_skips(self):
-        _dep, _nodes, qp = self._checkpointed_querier()
-        node = next(iter(qp.mq._pending_skipped))
+    def test_full_build_recovers_pending_skips(self, monkeypatch):
+        _dep, _nodes, qp = self._checkpointed_querier(monkeypatch)
+        node = self._indebted(qp)[0]
         owed = len(qp.mq.pending_skipped(node))
         before = qp.mq.stats.auth_checks_recovered
         qp.mq.use_checkpoints = False  # next build covers from entry 1
@@ -416,17 +422,15 @@ class TestPendingSkippedAuthenticators:
         view = qp.mq.view_of(node)
         assert view.status == "ok"
         assert qp.mq.stats.auth_checks_recovered >= before + owed
-        assert node not in qp.mq._pending_skipped
+        assert node not in self._indebted(qp)
 
-    def test_mismatching_pending_authenticator_convicts(self):
-        dep, _nodes, qp = self._checkpointed_querier()
+    def test_mismatching_pending_authenticator_convicts(self, monkeypatch):
+        dep, _nodes, qp = self._checkpointed_querier(monkeypatch)
         node = "b"
         identity = dep.identity_of(node)
         forged = Authenticator(node, 1, 0.0, "f" * 64, None)
         forged.signature = identity.sign(forged.payload())
-        qp.mq._pending_skipped.setdefault(node, {})[
-            bytes(forged.signature)
-        ] = forged
+        qp.mq._trust[node].pending[bytes(forged.signature)] = forged
         qp.mq.use_checkpoints = False
         qp.mq.invalidate(node)
         view = qp.mq.view_of(node)
@@ -479,7 +483,7 @@ class TestConsistencyCursor:
         for node_id, view in qp.mq._views.items():
             if view.status != "ok":
                 continue
-            cursor = qp.mq._consistency_cursors[node_id]
+            cursor = qp.mq._trust[node_id].cursor
             assert dep.collect_authenticators_about_since(
                 node_id, cursor)[0] == []
 
@@ -487,6 +491,6 @@ class TestConsistencyCursor:
         dep, _nodes = _grown_net(seed=98)
         qp = QueryProcessor(dep)
         qp.why(best_cost("c", "d", 5))
-        assert qp.mq._consistency_cursors
+        assert any(trust.cursor for trust in qp.mq._trust.values())
         qp.mq.invalidate()
-        assert not qp.mq._consistency_cursors
+        assert not any(trust.cursor for trust in qp.mq._trust.values())

@@ -10,10 +10,12 @@ retrieve goes unanswered.
 
 import pytest
 
-from repro.apps.mincost import best_cost, build_paper_network, link
+from repro.apps.mincost import best_cost, build_paper_network, cost, link
+from repro.model import Tup
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import SilentNode, TamperingNode
 from repro.snp.evidence import AUTHENTICATOR_BYTES
+from repro.snp.log import INS, LogEntry
 
 
 def _silent_b_network(seed=300, replicate=True):
@@ -154,3 +156,42 @@ class TestReplicationCannotFrame:
         view = qp.mq.view_of("b")
         assert view.status == "unreachable"
         assert "bad mirror" in view.verdict_reason
+
+    @pytest.mark.parametrize("arm", ["serial", "wire"])
+    def test_lying_replica_cannot_convict_a_crashed_node(
+            self, arm, wire_executor):
+        """Replay reads an entry's *parsed* form, the hash chain commits
+        to its *content*, and whoever serves a segment chooses both. The
+        replicas of an honest, merely crashed ``b`` swap the tuple its
+        first insert logged for a costlier one — committed content,
+        content hashes, chain hashes and ``b``'s signed head stay
+        byte-identical. Unchecked, replay diverges from ``b``'s logged
+        sends and convicts ``b`` red (22 red vertices); the build step
+        now holds every parsed form to its commitment, so this is a bad
+        mirror and ``b`` stays what it is: unreachable, yellow."""
+        dep, _nodes = _silent_b_network(seed=300)
+        # replicate_logs hands both replicas the same response object
+        mirrors = {id(m): m for m in (node.mirror_of("b")
+                                      for node in dep.nodes.values())
+                   if m is not None}
+        for mirror in mirrors.values():
+            at = next(i for i, e in enumerate(mirror.entries)
+                      if e.entry_type == INS)
+            e = mirror.entries[at]
+            tup = e.aux["tup"]
+            lie = Tup(tup.relation, tup.loc, *tup.args[:-1],
+                      tup.args[-1] + 1)
+            mirror.entries = list(mirror.entries)
+            mirror.entries[at] = LogEntry(
+                e.index, e.timestamp, e.entry_type, e.content,
+                e.content_hash, e.entry_hash, aux={"tup": lie})
+        executor = wire_executor if arm == "wire" else None
+        with QueryProcessor(dep, executor=executor) as qp:
+            view = qp.mq.view_of("b")
+            assert view.status == "unreachable"
+            assert view.verdict_reason.startswith("bad mirror: ")
+            assert "parsed form does not re-derive its committed content" \
+                in view.verdict_reason
+            result = qp.why(cost("a", "c", "b", 8))
+            assert result.verdict() == "yellow"
+            assert result.faulty_nodes() == []

@@ -11,6 +11,7 @@ Everything here runs the real stack: asyncio servers on ``127.0.0.1``
 port 0, framed pickles on the push socket, HTTP/NDJSON on the REST side.
 """
 
+import socket
 import threading
 
 import pytest
@@ -221,10 +222,83 @@ def hostile_pushes(auth):
     }
 
 
+_SPEC = {"relation": "bestCost", "loc": "c", "args": ["d", 5]}
+
+#: name → (route, JSON body) answered 400, or a raw Content-Length value.
+HOSTILE_REQUESTS = {
+    # the issue's body: the subscription used to be registered *before*
+    # its key was hashed, and every later refresh raised on it
+    "subscribe-dict-arg": ("/subscribe", {"watches": [
+        {"relation": "bestCost", "loc": "a", "args": [{"x": 1}]}]}),
+    "subscribe-dict-inside-a-list-arg": ("/subscribe", {"watches": [
+        dict(_SPEC, args=[["d", {"x": 1}], 5])]}),
+    "subscribe-second-watch-malformed": ("/subscribe", {"watches": [
+        _SPEC, dict(_SPEC, node={"b": 1})]}),
+    "subscribe-no-loc": ("/subscribe",
+                         {"watches": [{"relation": "bestCost"}]}),
+    "query-no-loc": ("/query", {"relation": "bestCost", "args": ["d", 5]}),
+    "query-relation-not-a-string": ("/query", dict(_SPEC, relation=7)),
+    "query-args-not-a-list": ("/query", dict(_SPEC, args="d5")),
+    "query-dict-loc": ("/query", dict(_SPEC, loc={"c": 1})),
+    "query-unknown-direction": ("/query", dict(_SPEC, direction="sideways")),
+    "query-at-not-a-number": ("/query", dict(_SPEC, at="noon")),
+    "query-scope-not-a-number": ("/query", dict(_SPEC, scope=True)),
+    "content-length-not-a-number": "abc",
+    "content-length-negative": "-5",
+}
+
+
+def _status_of_raw_post(port, content_length):
+    with socket.create_connection(("127.0.0.1", port), timeout=20) as sock:
+        sock.sendall((f"POST /query HTTP/1.1\r\nHost: monitor\r\n"
+                      f"Content-Length: {content_length}\r\n\r\n").encode())
+        reply = sock.makefile("rb").read()
+    return int(reply.split()[1])
+
+
 class TestHostileFrames:
     """A well-framed message that is malformed inside is answered with
     an error and counted, and changes nothing: the connection, the
-    stored state and every later audit are as if it never arrived."""
+    stored state and every later audit are as if it never arrived. The
+    same holds for a REST request whose spec is malformed."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_REQUESTS))
+    def test_malformed_rest_request_is_400_and_changes_nothing(
+            self, monitor, name):
+        dep, nodes = paper_deployment(ForkingNode)
+        pusher = make_pusher(dep, monitor)
+        pusher.push_once()
+        port = monitor.daemon.http_port
+        client = MonitorClient("127.0.0.1", port)
+        fresh = tup_spec(best_cost("c", "d", 5), fresh=True)
+        before = client.query(fresh)
+        assert before["ok"] and before["result"]["verdict"] == "green"
+        with client.subscribe([tup_spec(best_cost("c", "d", 5))]) as stream:
+            stream.events_until(
+                lambda e: e.get("type") == "state", timeout=20)
+            assert client.status()["subscriptions"] == 1
+
+            hostile = HOSTILE_REQUESTS[name]
+            if isinstance(hostile, str):
+                assert _status_of_raw_post(port, hostile) == 400
+            else:
+                reply = client._request("POST", *hostile)
+                assert reply["_status"] == 400 and not reply["ok"]
+
+            assert client.refresh()["ok"]
+            after = client.query(fresh)
+            assert after["ok"] and after["result"] == before["result"]
+            assert client.status()["subscriptions"] == 1
+
+            # ... and the subscriber already open is still served
+            nodes["b"].fork_log(keep_upto=3)
+            nodes["b"].insert(link("b", "e", 9))
+            dep.run()
+            pusher.push_once()
+            alert = stream.events_until(
+                lambda e: e.get("type") == "alert", timeout=20)[-1]
+            assert alert["to"] == "red" and "b" in alert["faulty_nodes"]
+        pusher.close()
 
     def _audited(self, monitor):
         dep, _nodes = paper_deployment()
@@ -357,6 +431,10 @@ class TestSubscriptions:
             assert stream.next_event(timeout=20)["type"] == "subscribed"
             stream.events_until(
                 lambda e: e.get("type") == "state", timeout=20)
+            # Settle: when the push's pass was still in flight as the
+            # subscription registered, that pass evaluated the watch and
+            # the subscription's own wake-up pass is still owed.
+            assert client.refresh()["ok"]
 
             skipped_before = monitor.daemon.meter.watch_evaluations_skipped
             evaluated_before = monitor.daemon.meter.watch_evaluations

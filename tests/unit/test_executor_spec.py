@@ -6,17 +6,22 @@
 and rejects everything else with a ``ValueError`` that names them. The
 signature table below pins every constructor parameter and CLI flag of
 the classes that carry options, so the next added knob is a one-file
-diff a reviewer sees.
+diff a reviewer sees — and the one literal the package version lives in.
 """
 
 import inspect
 import re
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.snp.executor as executor_mod
-from repro.service.monitor import MonitorDaemon, main as monitor_main
-from repro.snp import QueryProcessor
+from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
+    main as monitor_main
+from repro.service.push import ServicePusher
+from repro.snp import QueryProcessor, SNooPyNode
+from repro.snp.adversary import SilentNode
 from repro.snp.executor import (
     MAX_DEFAULT_WORKERS, ProcessExecutor, SerialExecutor,
     default_worker_count, make_executor,
@@ -104,13 +109,14 @@ class TestDefaultWorkerCount:
         pool.close()
 
 
-#: Every constructor that carries options, against a literal. Adding,
-#: removing or re-defaulting a parameter must edit this table.
+#: Every constructor (and ``retrieve``, thrice) that carries options,
+#: against a literal. Adding, removing or re-defaulting a parameter must
+#: edit this table.
+RETRIEVE = "(self, from_checkpoint=False, since_index=None)"
 SIGNATURES = {
     MicroQuerier:
         "(self, deployment, use_checkpoints=False, "
-        "run_consistency_check=True, executor=None, "
-        "fetch_pending_anchors=True)",
+        "run_consistency_check=True, executor=None)",
     QueryProcessor:
         "(self, deployment, use_checkpoints=False, executor=None, "
         "**mq_kwargs)",
@@ -119,6 +125,13 @@ SIGNATURES = {
         "(self, host='127.0.0.1', push_port=0, http_port=0, "
         "ingest_limit=64, subscriber_queue_limit=256, "
         "max_frame_bytes=33554432)",
+    ServicePusher:
+        "(self, deployment, host, port, timeout=10.0, retries=4, "
+        "backoff=0.05, backoff_factor=2.0, sleep=None, "
+        "max_frame_bytes=33554432)",
+    SNooPyNode.retrieve: RETRIEVE,
+    SilentNode.retrieve: RETRIEVE,
+    MonitorNodeProxy.retrieve: RETRIEVE,
 }
 
 MONITOR_FLAGS = {"--help", "--host", "--push-port", "--http-port",
@@ -126,9 +139,10 @@ MONITOR_FLAGS = {"--help", "--host", "--push-port", "--http-port",
 
 
 class TestOptionSurface:
-    @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda c: c.__qualname__)
     def test_constructor_signature_is_pinned(self, cls):
-        assert str(inspect.signature(cls.__init__)) == SIGNATURES[cls]
+        function = cls.__init__ if inspect.isclass(cls) else cls
+        assert str(inspect.signature(function)) == SIGNATURES[cls]
 
     def test_monitor_cli_flags_are_pinned(self, capsys):
         with pytest.raises(SystemExit) as caught:
@@ -136,3 +150,12 @@ class TestOptionSurface:
         assert caught.value.code == 0
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert flags == MONITOR_FLAGS
+
+    def test_the_version_is_one_literal(self):
+        # pyproject.toml takes it from the package (PR 13 single-sourced
+        # the metadata and missed this one: 1.0.0 here, 0.8.0 there).
+        assert repro.__version__ == "0.8.0"
+        pyproject = (Path(__file__).parents[2] / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
+        assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)

@@ -95,13 +95,12 @@ class TestQueryStats:
     def test_diff_covers_every_field(self):
         # Regression: per-query deltas must be derived from the instance
         # field set, so a newly added counter can never be silently
-        # dropped from _diff_stats / delta_since.
-        from repro.snp.query import _diff_stats
+        # dropped from delta_since (what a QueryResult's stats are).
         before, after = QueryStats(), QueryStats()
         for offset, field in enumerate(sorted(vars(after))):
             setattr(before, field, 1)
             setattr(after, field, offset + 3)
-        delta = _diff_stats(before, after)
+        delta = after.delta_since(before)
         assert set(vars(delta)) == set(vars(after))
         for offset, field in enumerate(sorted(vars(after))):
             assert getattr(delta, field) == offset + 2, field

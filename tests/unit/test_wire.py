@@ -23,7 +23,7 @@ from repro.apps import AppFactory, factory_from_spec
 from repro.metrics import QueryStats
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.replay import extend_replay, verify_segment_hashes
-from repro.snp.build import BuildContext, BuildWork
+from repro.snp.build import BuildContext, BuildWork, CompactOutcome
 from repro.snp.wire import (
     WireError, replay_from_wire, replay_to_wire, sanitize_response,
     stats_from_wire, stats_to_wire, value_from_wire, value_to_wire,
@@ -269,6 +269,51 @@ class TestStatsWire:
         wire = stats_to_wire(QueryStats())
         assert list(wire) == sorted(wire)
         assert _only_builtins(wire)
+
+
+class TestOutcomeWire:
+    def test_slots_are_exactly_the_fields_to_wire_ships(self):
+        # The outcome carries what the compute step produced and nothing
+        # else: what the fetch step learned stays on the build job.
+        outcome = CompactOutcome("n", "extended")
+        filled = dict(
+            status=CompactOutcome.VERIFY_FAILED, reason="because",
+            hashes=["h1", "h2"], checked={b"sig": 7}, recovered=[b"r"],
+            skipped=["auth"], tombstoned=[b"t"], stats=QueryStats(),
+            replay_result=None, replay_ran=True, resident_head=(7, "h2"),
+        )
+        assert set(filled) | {"node", "kind"} == set(CompactOutcome.__slots__)
+        assert not hasattr(outcome, "__dict__")
+        for slot, value in filled.items():
+            setattr(outcome, slot, value)
+        wire = pickle.loads(pickle.dumps(outcome.to_wire()))
+        assert wire[0] == "W.outcome"
+        assert len(wire) == 1 + len(CompactOutcome.__slots__) == 14
+        back = CompactOutcome.from_wire(wire, None)
+        for slot in CompactOutcome.__slots__:
+            if slot != "stats":
+                assert getattr(back, slot) == getattr(outcome, slot), slot
+        assert back.stats.as_dict() == outcome.stats.as_dict()
+
+    def test_a_failed_replay_crosses_whole(self):
+        dep = Deployment(seed=5, key_bits=256)
+        nodes = build_paper_network(dep)
+        dep.run()
+        bomb = link("b", "q", "not-a-number")
+        nodes["b"].log.append(nodes["b"]._next_time(), "ins",
+                              bomb.canonical(), aux={"tup": bomb})
+        with QueryProcessor(dep) as qp:
+            replay = qp.mq.view_of("b").replay
+        assert not replay.ok
+        outcome = CompactOutcome("b", "built")
+        outcome.stats = QueryStats()
+        outcome.replay_result = replay
+        back = CompactOutcome.from_wire(
+            pickle.loads(pickle.dumps(outcome.to_wire())), mincost_factory
+        ).replay_result
+        assert not back.ok and str(back.failure) == str(replay.failure)
+        assert sorted(str(v.key()) for v in back.graph.vertices()) \
+            == sorted(str(v.key()) for v in replay.graph.vertices())
 
 
 class TestContextAndSpecs:

@@ -12,10 +12,12 @@ plane's acceptance bar:
 2. **subscription alerting** — subscribers watching the audited vertex
    are told about an injected adversary's green→red downgrade within one
    push;
-3. **hostile frames bounce** — two well-framed but malformed messages
+3. **hostile input bounces** — two well-framed but malformed messages
    sent mid-run on a connection of their own are each answered with an
-   error and counted in ``/status`` ``meter.corrupt_frames``, and every
-   audit served afterwards is still byte-identical to the direct one;
+   error and counted in ``/status`` ``meter.corrupt_frames``, a
+   ``/subscribe`` whose watch cannot be keyed is answered 400 and leaves
+   no subscription behind, and every audit and alert served afterwards
+   is as if none of them had arrived;
 4. **an otherwise quiet transport** — no other corrupt, garbage or
    oversized frame on loopback, nothing shed, retried or dropped,
    exactly two pushes accepted;
@@ -82,6 +84,13 @@ HOSTILE_FRAMES = (
     {"type": "push", "seq": 0,
      "nodes": {"n0": {"response": "not-a-response"}}},
 )
+
+
+#: A watch that cannot be keyed. Before a spec was validated whole at the
+#: HTTP boundary, the subscription was registered first and every later
+#: refresh — hence every later alert — raised on it.
+HOSTILE_SUBSCRIBE = {"watches": [
+    {"relation": "bestCost", "loc": "a", "args": [{"x": 1}]}]}
 
 
 def send_hostile_frames(push_port):
@@ -170,6 +179,10 @@ def main(argv=None):
               corrupt_after - corrupt_before == len(HOSTILE_FRAMES),
               f"{corrupt_before} -> {corrupt_after}")
 
+        reply = client._request("POST", "/subscribe", HOSTILE_SUBSCRIBE)
+        check("hostile /subscribe answered 400",
+              reply["_status"] == 400 and not reply["ok"], repr(reply))
+
         print(f"service e2e: {args.clients} concurrent clients", flush=True)
         results = [None] * args.clients
         errors = []
@@ -226,6 +239,10 @@ def main(argv=None):
         check("direct audit agrees on the conviction",
               direct_red["verdict"] == "red"
               and args.adversary in direct_red["faulty_nodes"])
+        subscriptions = client.status()["subscriptions"]
+        check("/status still counts only the real subscribers",
+              subscriptions == args.subscribers,
+              f"subscriptions={subscriptions}")
 
         for stream in streams:
             stream.close()
