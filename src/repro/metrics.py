@@ -380,6 +380,9 @@ class ServiceMeter:
         "refresh_batches", "requests_batched", "queries_served",
         "refreshes_served", "subscriptions_opened", "watch_evaluations",
         "watch_evaluations_skipped", "alerts_emitted", "alerts_dropped",
+        # daemon REST plane: connections accepted, requests begun on
+        # them, connections closed by the idle or the request deadline
+        "http_connections", "http_requests", "http_timeouts",
     )
 
     def __init__(self):

@@ -15,7 +15,7 @@ The container also maintains the lookup indexes the GCA pseudocode relies on
 by (node, tuple).
 """
 
-from repro.provgraph.vertices import Vertex, Color, EXIST, SEND, RECEIVE
+from repro.provgraph.vertices import Vertex, Color, SEND, RECEIVE
 
 
 #: Vertex ids are per-graph insertion ranks; an edge is the integer
@@ -139,21 +139,13 @@ class ProvenanceGraph:
             (vertex.vtype, vertex.node, vertex.tup), None
         )
 
-    def find_exist_at(self, node, tup, t):
-        """The exist vertex for *tup* on *node* whose interval contains t."""
-        for vertex in self._vertices:
-            if (
-                vertex.vtype == EXIST
-                and vertex.node == node
-                and vertex.tup == tup
-                and vertex.t <= t
-                and (vertex.t_end is None or t <= vertex.t_end)
-            ):
-                return vertex
-        return None
-
     def find_all(self, vtype=None, node=None, tup=None):
-        """Linear-scan query used by tests and the macroquery processor."""
+        """Every matching vertex, in canonical order: a linear scan plus
+        a sort, so O(graph) per call. What still scans is the macroquery
+        processor's historical (``at=``), change-vertex, latest-interval
+        and ``history_of`` lookups and the GCA's ``replaces`` link; the
+        extant root of a plain ``why`` goes through
+        :meth:`open_interval` instead."""
         out = []
         for vertex in self._vertices:
             if vtype is not None and vertex.vtype != vtype:

@@ -1,9 +1,10 @@
 """Blocking REST client for the monitor daemon.
 
 Thin by design: each :class:`MonitorClient` method is one HTTP request
-(``http.client`` under the hood), so N concurrent clients are just N
-threads each holding its own instance. ``subscribe`` keeps a raw socket
-open and reads the NDJSON event stream line by line.
+on the instance's one persistent connection (``http.client`` under the
+hood), so N concurrent clients are just N threads each holding its own
+instance. ``subscribe`` keeps a raw socket of its own open and reads the
+NDJSON event stream line by line.
 """
 
 import http.client
@@ -34,24 +35,62 @@ def tup_spec(tup, node=None, at=None, scope=None, direction="why",
 
 
 class MonitorClient:
-    """One caller's handle on the daemon's REST front end."""
+    """One caller's handle on the daemon's REST front end.
+
+    Holds one connection and reuses it for every request; the daemon
+    closes it after an error response or an idle period, and the next
+    call reconnects. Not thread-safe: one instance per thread.
+    """
 
     def __init__(self, host, port, timeout=30.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+
+    def close(self):
+        """Drop the connection (the next request would open a new one)."""
+        self._conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
+
+    def _send(self, method, path, payload, headers):
+        """One request out, the response's status line and headers in.
+
+        A connection kept from an earlier call may have been closed
+        under us (daemon restarted, idle deadline); that shows as a
+        connection error before a response is parsed, and the request
+        is resent once on a new connection — every route is a read or
+        idempotent. A fresh connection that fails is the daemon's
+        answer.
+        """
+        conn = self._conn
+        reused = conn.sock is not None
+        try:
+            conn.request(method, path, body=payload, headers=headers)
+            return conn.getresponse()
+        except ConnectionError:
+            conn.close()
+            if not reused:
+                raise
+        conn.request(method, path, body=payload, headers=headers)
+        return conn.getresponse()
 
     def _request(self, method, path, body=None):
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
+        payload = None if body is None else json.dumps(body)
+        headers = {"Content-Type": "application/json"} if payload else {}
         try:
-            payload = None if body is None else json.dumps(body)
-            headers = {"Content-Type": "application/json"} if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
+            response = self._send(method, path, payload, headers)
             raw = response.read()
-        finally:
-            conn.close()
+        except BaseException:
+            # Half an exchange leaves nothing the next call could reuse.
+            self._conn.close()
+            raise
         try:
             out = json.loads(raw)
         except ValueError as exc:

@@ -404,14 +404,14 @@ class MonitorDaemon:
     async def start(self):
         """Bind both listeners and start the refresh worker. Sets
         ``push_port`` / ``http_port`` to the bound ports."""
-        from repro.service.server import handle_http
+        from repro.service.server import serve_connection
         self._loop = asyncio.get_running_loop()
         self._refresh_needed = asyncio.Event()
         self._stopped = asyncio.Event()
         push_srv = await asyncio.start_server(
             self._track(self._handle_push_conn), self.host, self.push_port)
         http_srv = await asyncio.start_server(
-            self._track(lambda r, w: handle_http(self, r, w)),
+            self._track(lambda r, w: serve_connection(self, r, w)),
             self.host, self.http_port)
         self._servers = [push_srv, http_srv]
         self.push_port = push_srv.sockets[0].getsockname()[1]

@@ -12,6 +12,15 @@ Routes (all JSON bodies/responses):
   unbounded ``application/x-ndjson`` stream of state/alert events, one
   JSON object per line, until the client disconnects.
 
+Connections are persistent (HTTP/1.1 keep-alive): :func:`serve_connection`
+answers requests on one connection until the peer closes it, asks for
+``Connection: close`` (or speaks HTTP/1.0), sends something malformed, or
+misses one of two fixed deadlines — :data:`IDLE_SECONDS` between requests,
+:data:`REQUEST_SECONDS` from a request's first byte to its last. A warm
+read therefore pays for its answer, not for a TCP connect/accept/close
+and a fresh transport per request (DESIGN.md, "REST front end and
+subscriptions").
+
 Deliberately stdlib-only and small: request bodies are bounded, parsing
 is strict, a query or watch spec is validated whole before the daemon
 sees any of it (:func:`check_spec`, as a hello is on the push side), and
@@ -23,8 +32,16 @@ import asyncio
 import json
 
 MAX_REQUEST_BYTES = 1 << 20
+#: Once a request's first byte has arrived, the whole request must have
+#: arrived this many seconds later — or a peer that sends half a request
+#: would pin its handler task for good.
+REQUEST_SECONDS = 5.0
+#: A persistent connection with no request in flight is closed after
+#: this many seconds; the client reconnects on its next call.
+IDLE_SECONDS = 30.0
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 
@@ -34,22 +51,35 @@ class _BadRequest(Exception):
         self.status = status
 
 
-async def _read_request(reader):
-    """Parse one request; returns (method, path, body-dict-or-None)."""
-    line = await reader.readline()
-    if not line:
-        raise ConnectionError("closed")
+async def _read_line(reader):
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # StreamReader's own bound on one line (64 KiB) tripped.
+        raise _BadRequest(431, "request or header line too long")
+    if not line.endswith(b"\n"):
+        # EOF inside a request — the peer's, or a deadline's abort.
+        raise asyncio.IncompleteReadError(line, None)
+    return line
+
+
+async def _read_request(reader, first):
+    """Parse one request whose first byte, *first*, is already read;
+    returns (method, path, body-dict-or-None, keep-alive)."""
+    line = first + await _read_line(reader)
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise _BadRequest(400, "malformed request line")
-    method, path, _version = parts
+    method, path, version = parts
     headers = {}
+    lines = 0
     while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n"):
             break
-        if len(headers) > 64:
-            raise _BadRequest(400, "too many headers")
+        lines += 1
+        if lines > 64:
+            raise _BadRequest(431, "too many headers")
         name, _sep, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     try:
@@ -67,7 +97,9 @@ async def _read_request(reader):
             body = json.loads(raw)
         except ValueError as exc:
             raise _BadRequest(400, f"request body is not JSON: {exc}")
-    return method, path, body
+    keep_alive = (version.upper() == "HTTP/1.1"
+                  and headers.get("connection", "").lower() != "close")
+    return method, path, body, keep_alive
 
 
 def _is_plain(value):
@@ -101,56 +133,98 @@ def check_spec(spec):
             "at, before and scope must be numbers")
 
 
-def _response_bytes(status, payload, extra_headers=()):
+def _response_bytes(status, payload, keep_alive):
     body = json.dumps(payload).encode()
-    head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            "Connection: close"]
-    head.extend(extra_headers)
-    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n")
+    if not keep_alive:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode() + body
 
 
-async def handle_http(daemon, reader, writer):
-    """Serve one connection (one request — ``Connection: close``)."""
+def _deadline(daemon, writer, seconds):
+    """A timer that, unless cancelled first, counts a timeout and aborts
+    the connection, which ends whatever read is pending in EOF. A timer
+    and not ``asyncio.wait_for``, which before 3.12 starts a task per
+    call — on every request, twice (DESIGN.md has the measurement)."""
+    def expire():
+        daemon.meter.http_timeouts += 1
+        writer.transport.abort()
+    return asyncio.get_running_loop().call_later(seconds, expire)
+
+
+async def serve_connection(daemon, reader, writer):
+    """Serve one connection: a request at a time, in order, until the
+    peer closes, a request ends the connection (see
+    :func:`handle_http`) or a deadline passes. A closed idle connection
+    is the normal end of a client that went away; a client that comes
+    back reconnects (:class:`~repro.service.client.MonitorClient`)."""
+    daemon.meter.http_connections += 1
     try:
-        try:
-            method, path, body = await _read_request(reader)
-            if method == "GET" and path == "/status":
-                reply = 200, daemon.status()
-            elif method == "GET" and path == "/marks":
-                reply = 200, await daemon.marks()
-            elif method == "POST" and path == "/refresh":
-                reply = 200, await daemon.refresh()
-            elif method == "POST" and path == "/query":
-                check_spec(body)
-                reply = 200, await daemon.query(body)
-            elif method == "POST" and path == "/subscribe":
-                await _serve_subscription(daemon, body, reader, writer)
-                return
-            elif path in ("/status", "/marks", "/refresh", "/query",
-                          "/subscribe"):
-                raise _BadRequest(405, f"wrong method for {path}")
-            else:
-                raise _BadRequest(404, f"no route {path!r}")
-        except _BadRequest as exc:
-            reply = exc.status, {"ok": False, "error": str(exc)}
-        writer.write(_response_bytes(*reply))
-        await writer.drain()
+        while True:
+            idle = _deadline(daemon, writer, IDLE_SECONDS)
+            try:
+                first = await reader.read(1)
+            finally:
+                idle.cancel()
+            # ``handle_http`` is looked up in the module on every
+            # request: the e2e tracer wraps that name, and a wrapper
+            # entered once per connection, in untimed set-up, would
+            # never record a request.
+            if not first or not await handle_http(daemon, reader, writer,
+                                                  first):
+                break
     except (ConnectionError, asyncio.IncompleteReadError):
         pass
-    except Exception as exc:  # pragma: no cover - defensive
-        try:
-            writer.write(_response_bytes(
-                500, {"ok": False, "error": str(exc)}))
-            await writer.drain()
-        except ConnectionError:
-            pass
     finally:
         try:
             writer.close()
         except (ConnectionError, RuntimeError):  # pragma: no cover
             pass
+
+
+async def handle_http(daemon, reader, writer, first):
+    """Serve one request (its first byte, *first*, already read);
+    returns whether the connection may carry another. Every error
+    response closes: after a malformed request the byte stream has no
+    trustworthy next request boundary."""
+    daemon.meter.http_requests += 1
+    keep_alive = False
+    try:
+        arrival = _deadline(daemon, writer, REQUEST_SECONDS)
+        try:
+            method, path, body, wants_more = await _read_request(
+                reader, first)
+        finally:
+            arrival.cancel()
+        if method == "GET" and path == "/status":
+            reply = 200, daemon.status()
+        elif method == "GET" and path == "/marks":
+            reply = 200, await daemon.marks()
+        elif method == "POST" and path == "/refresh":
+            reply = 200, await daemon.refresh()
+        elif method == "POST" and path == "/query":
+            check_spec(body)
+            reply = 200, await daemon.query(body)
+        elif method == "POST" and path == "/subscribe":
+            await _serve_subscription(daemon, body, reader, writer)
+            return False
+        elif path in ("/status", "/marks", "/refresh", "/query",
+                      "/subscribe"):
+            raise _BadRequest(405, f"wrong method for {path}")
+        else:
+            raise _BadRequest(404, f"no route {path!r}")
+        keep_alive = wants_more
+    except _BadRequest as exc:
+        reply = exc.status, {"ok": False, "error": str(exc)}
+    except (ConnectionError, asyncio.IncompleteReadError):
+        return False
+    except Exception as exc:  # pragma: no cover - defensive
+        reply = 500, {"ok": False, "error": str(exc)}
+    writer.write(_response_bytes(*reply, keep_alive))
+    await writer.drain()
+    return keep_alive
 
 
 async def _serve_subscription(daemon, body, reader, writer):

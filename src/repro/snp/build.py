@@ -604,9 +604,10 @@ def verify_anchor_segment(response, public_key, trusted_head, stats):
 # ---------------------------------------------------- reading a built view
 
 def graph_read(graph, op, payload):
-    """The three read-only ops a querier runs against a view's graph —
+    """The four read-only ops a querier runs against a view's graph —
     one dispatch, whether the graph lives in this process or in a
-    worker (which clones the vertices it returns)."""
+    worker (which clones the vertices it returns). Only ``find_all``
+    costs O(graph)."""
     if op == "get":
         return graph.get(payload)
     if op == "around":
@@ -615,6 +616,8 @@ def graph_read(graph, op, payload):
             return None
         return (vertex, graph.predecessors(vertex),
                 graph.successors(vertex))
+    if op == "open_interval":
+        return graph.open_interval(*payload)
     if op == "find_all":
         vtype, node, tup = payload
         return graph.find_all(vtype=vtype, node=node, tup=tup)

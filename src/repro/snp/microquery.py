@@ -887,6 +887,12 @@ class MicroQuerier:
         scan runs in the owning worker when the view lives there)."""
         return self._view_op(view, "find_all", (vtype, node, tup))
 
+    def view_open_interval(self, view, vtype, node, tup):
+        """The open exist/believe vertex of (node, tup) in *view*'s
+        graph, or None — the map the GCA maintains, so O(1) where
+        :meth:`view_find_all` scans (resident-aware like it)."""
+        return self._view_op(view, "open_interval", (vtype, node, tup))
+
     def _rebuild_lost_view(self, view):
         """The resident plane lost *view*'s worker-side state: rebuild it
         from scratch (the standard executor path — the fresh build

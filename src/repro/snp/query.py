@@ -291,17 +291,24 @@ class QueryProcessor:
                 f"cannot query {node!r}: {view.status} "
                 f"({view.verdict_reason})"
             )
+        if at is None:
+            # The extant vertex is the one the GCA still holds open: two
+            # map reads, where a historical instant has to scan. A
+            # believe outranks an exist of the same tuple, as in the
+            # GCA's own support lookup.
+            for vtype in (BELIEVE, EXIST):
+                vertex = self.mq.view_open_interval(view, vtype, node, tup)
+                if vertex is not None:
+                    return vertex
+            return None
         candidates = self.mq.view_find_all(view, vtype=EXIST, node=node,
                                            tup=tup)
         candidates += self.mq.view_find_all(view, vtype=BELIEVE, node=node,
                                             tup=tup)
         best = None
         for vertex in candidates:
-            if at is None:
-                if vertex.t_end is None:
-                    best = vertex
-            elif vertex.t <= at and (vertex.t_end is None
-                                     or at <= vertex.t_end):
+            if vertex.t <= at and (vertex.t_end is None
+                                   or at <= vertex.t_end):
                 best = vertex
         return best
 
@@ -380,9 +387,12 @@ class QueryProcessor:
                     result.predecessors if direction == "backward"
                     else result.successors
                 )
-                expansions.append(
-                    (vertex, sorted(neighbors, key=lambda v: v.sort_key()))
-                )
+                if len(neighbors) > 1:
+                    # A sort key is a canonical encoding; three rows in
+                    # four have at most one neighbour and need none.
+                    neighbors = sorted(neighbors,
+                                       key=lambda v: v.sort_key())
+                expansions.append((vertex, neighbors))
             self.mq.build_views([n.node for _v, neighbors in expansions
                                  for n in neighbors])
             next_level = []

@@ -11,14 +11,17 @@ Everything here runs the real stack: asyncio servers on ``127.0.0.1``
 port 0, framed pickles on the push socket, HTTP/NDJSON on the REST side.
 """
 
+import contextlib
+import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.service import (
-    MonitorClient, ServicePusher, start_monitor_thread, tup_spec,
+    MonitorClient, ServicePusher, server, start_monitor_thread, tup_spec,
 )
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
@@ -354,6 +357,214 @@ class TestHostileFrames:
         self._assert_rejected_whole(monitor, lambda dep: dict(
             hostile_pushes(dep.nodes["c"].received_auths["b"][0])[name],
             type="push", seq=10_000))
+
+
+@contextlib.contextmanager
+def _raw_exchange(port, request):
+    """Write *request* on a connection of its own; yields the reply
+    stream."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        with sock.makefile("rb") as stream:
+            yield stream
+
+
+def _read_reply(stream):
+    """One HTTP response off the stream, by its ``Content-Length``:
+    (status, headers, decoded JSON body)."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _sep, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, json.loads(
+        stream.read(int(headers["content-length"])))
+
+
+def _closed_by_daemon(stream):
+    """Nothing more comes: EOF — or a reset, which is what a close
+    turns into when the daemon left request bytes unread."""
+    try:
+        return stream.read() == b""
+    except ConnectionResetError:
+        return True
+
+
+def _wait_for(condition, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+_GET_STATUS = b"GET /status HTTP/1.1\r\nHost: monitor\r\n\r\n"
+
+
+class TestPersistentConnections:
+    """The REST plane keeps a connection for as long as its peer behaves:
+    reuse is a count in ``/status``, not a timing; everything that ends a
+    connection — an error, ``Connection: close``, a deadline, the daemon
+    going away — ends it cleanly for both sides."""
+
+    def test_one_client_is_one_connection(self, monitor):
+        with MonitorClient("127.0.0.1", monitor.daemon.http_port) as client:
+            before = client.status()["meter"]
+            assert (before["http_connections"], before["http_requests"],
+                    before["http_timeouts"]) == (1, 1, 0)
+            for _ in range(7):
+                assert client.marks()["ok"]
+            after = client.status()["meter"]
+        assert after["http_connections"] == before["http_connections"]
+        assert after["http_requests"] == before["http_requests"] + 8
+
+    def test_pipelined_requests_are_answered_in_order(self, monitor):
+        with _raw_exchange(
+                monitor.daemon.http_port,
+                b"GET /marks HTTP/1.1\r\nHost: monitor\r\n\r\n"
+                + _GET_STATUS) as stream:
+            first = _read_reply(stream)
+            second = _read_reply(stream)
+        assert first[0] == second[0] == 200
+        assert "connection" not in first[1]
+        assert "marks" in first[2] and "meter" in second[2]
+        assert second[2]["meter"]["http_connections"] == 1
+        assert second[2]["meter"]["http_requests"] == 2
+
+    def test_an_error_closes_and_the_client_reconnects(self, monitor):
+        port = monitor.daemon.http_port
+        with _raw_exchange(
+                port, b"GET /nowhere HTTP/1.1\r\nHost: monitor\r\n\r\n"
+        ) as stream:
+            status, headers, body = _read_reply(stream)
+            assert status == 404 and not body["ok"]
+            assert headers["connection"] == "close"
+            assert _closed_by_daemon(stream)
+        with MonitorClient("127.0.0.1", port) as client:
+            assert client.status()["ok"]
+            reply = client._request("POST", "/query", {"relation": 7})
+            assert reply["_status"] == 400
+            meter = client.status()["meter"]
+        # the raw socket, the client's first connection, its second
+        assert meter["http_connections"] == 3
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /status HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /status HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_a_peer_that_wants_one_answer_gets_one(self, monitor,
+                                                   request_head):
+        with _raw_exchange(monitor.daemon.http_port,
+                           request_head) as stream:
+            status, headers, body = _read_reply(stream)
+            assert status == 200 and body["ok"]
+            assert headers["connection"] == "close"
+            assert _closed_by_daemon(stream)
+
+    def test_client_survives_a_daemon_restart_with_one_reconnect(self):
+        dep, _nodes = paper_deployment()
+        spec = tup_spec(best_cost("c", "d", 5), fresh=True)
+        first = start_monitor_thread(
+            host="127.0.0.1", push_port=0, http_port=0)
+        port = first.daemon.http_port
+        client = MonitorClient("127.0.0.1", port)
+        try:
+            pusher = make_pusher(dep, first)
+            pusher.push_once()
+            before = client.query(spec)
+            assert before["ok"]
+        finally:
+            first.stop()
+        pusher.close()
+
+        second = start_monitor_thread(
+            host="127.0.0.1", push_port=0, http_port=port)
+        try:
+            pusher = make_pusher(dep, second)
+            pusher.push_once()
+            # The client still holds the dead daemon's connection.
+            after = client.query(spec)
+            assert after["ok"] and after["result"] == before["result"]
+            assert second.daemon.meter.http_connections == 1
+            assert second.daemon.meter.http_requests == 1
+        finally:
+            second.stop()
+        pusher.close()
+        # Nobody listening: the one retry fails, and that is the answer.
+        with pytest.raises(ConnectionError):
+            client.query(spec)
+        with pytest.raises(ConnectionError):
+            client.status()
+        client.close()
+
+    def test_an_idle_connection_is_closed_and_replaced(self, monitor,
+                                                       monkeypatch):
+        monkeypatch.setattr(server, "IDLE_SECONDS", 0.2)
+        meter = monitor.daemon.meter
+        with _raw_exchange(monitor.daemon.http_port,
+                           _GET_STATUS) as stream:
+            assert _read_reply(stream)[0] == 200
+            assert _closed_by_daemon(stream)
+        assert meter.http_timeouts == 1
+        with MonitorClient("127.0.0.1", monitor.daemon.http_port) as client:
+            assert client.status()["ok"]
+            _wait_for(lambda: meter.http_timeouts == 2)
+            assert client.status()["ok"]
+        assert meter.http_connections == 3
+
+    @pytest.mark.parametrize("half_request", [
+        b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{",
+        b"GET /status HTTP/1.1\r\nHost: monitor\r\n",
+        b"G",
+    ], ids=["short-body", "no-blank-line", "one-byte"])
+    def test_a_stalled_request_is_dropped(self, monitor, monkeypatch,
+                                          half_request):
+        """At the parent a half-sent request pinned its handler task for
+        good: no deadline anywhere in ``server.py``."""
+        monkeypatch.setattr(server, "REQUEST_SECONDS", 0.2)
+        with _raw_exchange(monitor.daemon.http_port,
+                           half_request) as stream:
+            assert _closed_by_daemon(stream)
+        assert monitor.daemon.meter.http_timeouts == 1
+        _wait_for(lambda: not monitor.daemon._conn_tasks)
+        # ... while a whole request is in no hurry to be answered
+        with MonitorClient("127.0.0.1", monitor.daemon.http_port) as client:
+            assert client.status()["meter"]["http_timeouts"] == 1
+
+    @pytest.mark.parametrize("headers", [
+        b"X: 1\r\n" * 500,
+        b"X: " + b"a" * 70_000 + b"\r\n",
+    ], ids=["500-header-lines", "70kB-header-line"])
+    def test_oversized_headers_are_431_and_closed(self, monitor, headers):
+        """At the parent the first was answered 200 (the bound counted a
+        dict's keys, not lines) and the second 500 (``StreamReader``'s
+        line limit fell through to the defensive arm)."""
+        with _raw_exchange(
+                monitor.daemon.http_port,
+                b"GET /status HTTP/1.1\r\n" + headers + b"\r\n") as stream:
+            status, reply_headers, body = _read_reply(stream)
+            assert status == 431 and not body["ok"]
+            assert reply_headers["connection"] == "close"
+            assert _closed_by_daemon(stream)
+
+    def test_stop_does_not_wait_for_idle_connections(self):
+        handle = start_monitor_thread(
+            host="127.0.0.1", push_port=0, http_port=0)
+        clients = [MonitorClient("127.0.0.1", handle.daemon.http_port)
+                   for _ in range(3)]
+        try:
+            for client in clients:
+                assert client.status()["ok"]
+            assert len(handle.daemon._conn_tasks) == 3
+            started = time.monotonic()
+        finally:
+            handle.stop()
+        assert time.monotonic() - started < server.IDLE_SECONDS / 4
+        assert not handle.daemon._conn_tasks
+        for client in clients:
+            client.close()
 
 
 class TestSubscriptions:

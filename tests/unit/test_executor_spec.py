@@ -17,6 +17,7 @@ import pytest
 
 import repro
 import repro.snp.executor as executor_mod
+from repro.service.client import MonitorClient
 from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
     main as monitor_main
 from repro.service.push import ServicePusher
@@ -129,6 +130,8 @@ SIGNATURES = {
         "(self, deployment, host, port, timeout=10.0, retries=4, "
         "backoff=0.05, backoff_factor=2.0, sleep=None, "
         "max_frame_bytes=33554432)",
+    # persistent connections and their two deadlines came without a knob
+    MonitorClient: "(self, host, port, timeout=30.0)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,

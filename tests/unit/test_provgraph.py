@@ -129,12 +129,6 @@ class TestGraphContainer:
         assert Vertex(APPEAR, "n", tup=_tup(), t=2.0) not in g
         assert (APPEAR, "n", _tup(), 2.0) not in g
 
-    def test_find_exist_at(self):
-        g = ProvenanceGraph()
-        v = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0, t_end=3.0))
-        assert g.find_exist_at("n", _tup(), 2.0) is v
-        assert g.find_exist_at("n", _tup(), 4.0) is None
-
 
 class TestUnion:
     def test_union_merges_vertices(self):

@@ -16,12 +16,17 @@ plane's acceptance bar:
    sent mid-run on a connection of their own are each answered with an
    error and counted in ``/status`` ``meter.corrupt_frames``, a
    ``/subscribe`` whose watch cannot be keyed is answered 400 and leaves
-   no subscription behind, and every audit and alert served afterwards
+   no subscription behind, a REST request that stalls half sent is
+   dropped at the request deadline and counted in
+   ``meter.http_timeouts``, and every audit and alert served afterwards
    is as if none of them had arrived;
 4. **an otherwise quiet transport** — no other corrupt, garbage or
    oversized frame on loopback, nothing shed, retried or dropped,
    exactly two pushes accepted;
-5. the daemon shuts down cleanly on SIGTERM.
+5. **persistent REST connections** — every client keeps one connection:
+   ``meter.http_connections`` stays within clients + subscribers +
+   :data:`SPARE_CONNECTIONS` and carries at least ten requests each;
+6. the daemon shuts down cleanly on SIGTERM.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -93,6 +98,18 @@ HOSTILE_SUBSCRIBE = {"watches": [
     {"relation": "bestCost", "loc": "a", "args": [{"x": 1}]}]}
 
 
+#: Half a request: the header promises a body that never comes. Before
+#: the REST plane had deadlines, this pinned its handler task for good.
+STALLED_REQUEST = (b"POST /query HTTP/1.1\r\nHost: monitor\r\n"
+                   b"Content-Length: 50\r\n\r\n{")
+
+#: REST connections beside one per client and one per subscriber: the
+#: main client's, its replacement after the 400 closed the first, the
+#: stalled request's, and one for a main client that sat out the idle
+#: deadline on a slow runner.
+SPARE_CONNECTIONS = 4
+
+
 def send_hostile_frames(push_port):
     """Send :data:`HOSTILE_FRAMES` on a connection of their own; returns
     the daemon's reply to each."""
@@ -150,6 +167,12 @@ def main(argv=None):
     proc, ports = spawn_daemon()
     exit_code = 1
     try:
+        # Sent first and read last: the daemon's request deadline runs
+        # while everything else does.
+        stalled = socket.create_connection(
+            ("127.0.0.1", ports["http_port"]), timeout=60)
+        stalled.sendall(STALLED_REQUEST)
+
         pusher = ServicePusher(dep, "127.0.0.1", ports["push_port"])
         ack = pusher.push_once()
         check("first push accepted", ack is not None and not ack["shed"])
@@ -183,15 +206,21 @@ def main(argv=None):
         check("hostile /subscribe answered 400",
               reply["_status"] == 400 and not reply["ok"], repr(reply))
 
-        print(f"service e2e: {args.clients} concurrent clients", flush=True)
+        # Enough rounds per client that reuse shows in the counters: ten
+        # requests a connection over the whole run's connection budget.
+        budget = args.clients + args.subscribers + SPARE_CONNECTIONS
+        rounds = -(-10 * budget // args.clients)
+        print(f"service e2e: {args.clients} concurrent clients, "
+              f"{rounds} audits each", flush=True)
         results = [None] * args.clients
         errors = []
 
         def worker(slot):
             try:
-                own = MonitorClient("127.0.0.1", ports["http_port"],
-                                    timeout=120)
-                results[slot] = own.query(watch)
+                with MonitorClient("127.0.0.1", ports["http_port"],
+                                   timeout=120) as own:
+                    results[slot] = [own.query(watch)
+                                     for _ in range(rounds)]
             except Exception as exc:
                 errors.append(f"client {slot}: {exc!r}")
 
@@ -204,10 +233,17 @@ def main(argv=None):
             t.join(120)
         elapsed = time.monotonic() - started
         check("no client errors", not errors, "; ".join(errors[:3]))
-        identical = all(out is not None and out.get("ok")
-                        and out["result"] == direct for out in results)
-        check(f"{args.clients} concurrent audits bit-identical to direct",
-              identical, f"{elapsed:.2f}s wall")
+        identical = all(outs is not None and all(
+            out.get("ok") and out["result"] == direct for out in outs)
+            for outs in results)
+        check(f"{args.clients} x {rounds} concurrent audits bit-identical "
+              "to direct", identical, f"{elapsed:.2f}s wall")
+        meter = client.status()["meter"]
+        check("every client kept one connection",
+              meter["http_connections"] <= budget
+              and meter["http_requests"] >= 10 * meter["http_connections"],
+              f"{meter['http_requests']} requests on "
+              f"{meter['http_connections']} connections (budget {budget})")
 
         print("service e2e: injecting fork at " + args.adversary,
               flush=True)
@@ -246,10 +282,20 @@ def main(argv=None):
 
         for stream in streams:
             stream.close()
+        try:
+            dropped = stalled.recv(4096) == b""
+        except ConnectionResetError:
+            dropped = True
+        stalled.close()
+        check("stalled half-request dropped at the deadline", dropped)
         # A connection's framing-damage counters fold into the daemon's
         # meter when it closes, so the pusher hangs up before the read.
         pusher.close()
         meter = client.status()["meter"]
+        client.close()
+        check("meter.http_timeouts counted the stalled request only",
+              meter["http_timeouts"] == 1,
+              f"http_timeouts={meter['http_timeouts']}")
         print("daemon meter:", json.dumps(
             {k: v for k, v in meter.items() if v}), flush=True)
         damage = {k: meter[k] for k in (
