@@ -8,6 +8,13 @@ the scheme the paper assumes ("signature of a correct node cannot be forged",
 assumption 3) and is adequate for a research reproduction; it is *not*
 intended for production use.
 
+Signing is by the Chinese remainder theorem: a private key is its two
+primes and the exponents reduced modulo ``p - 1`` and ``q - 1``, so a
+signature is two half-width exponentiations and Garner's recombination.
+The result is the same integer ``H(m)^d mod n`` (CRT is a ring
+isomorphism), so signatures are byte-identical to the textbook form;
+there is no full-width path.
+
 Key generation uses Miller–Rabin with a seeded deterministic RNG so that test
 runs are reproducible. Default key size is 512 bits to keep pure-Python
 simulations fast; the paper's 1024-bit configuration is a parameter
@@ -75,33 +82,53 @@ def _expand_digest(message, modulus_bytes):
 
 
 class RsaKeyPair:
-    """An RSA key pair with hash-and-sign signatures.
+    """An RSA key with hash-and-sign signatures.
 
-    The private exponent may be absent (public-only key, as distributed in a
-    certificate); signing with a public-only key raises AuthenticationError.
+    *private* is the CRT form of the private key, ``(p, q, dp, dq, qinv)``
+    with ``dp = e^-1 mod (p-1)``, ``dq = e^-1 mod (q-1)`` and
+    ``qinv = q^-1 mod p``. It may be absent (public-only key, as
+    distributed in a certificate); signing with a public-only key raises
+    AuthenticationError. A private half that does not belong to ``(n, e)``
+    is refused here, once, so :meth:`sign` checks nothing per signature.
     """
 
-    def __init__(self, n, e, d=None):
+    def __init__(self, n, e, private=None):
         self.n = n
         self.e = e
-        self._d = d
         self._modulus_bytes = (n.bit_length() + 7) // 8
+        self._private = None
+        if private is not None:
+            p, q, dp, dq, qinv = private
+            if (
+                p < 3 or q < 3 or p * q != n
+                or (e * dp) % (p - 1) != 1
+                or (e * dq) % (q - 1) != 1
+                or (q * qinv) % p != 1
+            ):
+                raise ValueError(
+                    "RSA private key does not match its modulus and exponent"
+                )
+            self._private = (p, q, dp, dq, qinv)
 
     @property
     def bits(self):
         return self.n.bit_length()
 
     def public_only(self):
-        """A copy of this key without the private exponent."""
+        """A copy of this key without the private half."""
         return RsaKeyPair(self.n, self.e)
 
     def sign(self, message):
         """Sign *message* (bytes); returns the signature as bytes."""
-        if self._d is None:
+        if self._private is None:
             raise AuthenticationError("cannot sign with a public-only key")
+        p, q, dp, dq, qinv = self._private
         padded = _expand_digest(message, self._modulus_bytes)
         m_int = int.from_bytes(padded, "big")
-        sig_int = pow(m_int, self._d, self.n)
+        s1 = pow(m_int, dp, p)
+        s2 = pow(m_int, dq, q)
+        # Garner: the unique s < n with s = s1 (mod p) and s = s2 (mod q).
+        sig_int = s2 + q * (((s1 - s2) * qinv) % p)
         return sig_int.to_bytes(self._modulus_bytes, "big")
 
     def verify(self, message, signature):
@@ -144,5 +171,5 @@ def generate_keypair(bits=512, seed=None):
         phi = (p - 1) * (q - 1)
         if phi % _E == 0:
             continue
-        d = pow(_E, -1, phi)
-        return RsaKeyPair(n, _E, d)
+        private = (p, q, pow(_E, -1, p - 1), pow(_E, -1, q - 1), pow(q, -1, p))
+        return RsaKeyPair(n, _E, private)

@@ -373,6 +373,9 @@ class ServiceMeter:
         # framing / transport
         "frames_sent", "frames_received", "bytes_sent", "bytes_received",
         "garbage_bytes", "corrupt_frames", "oversized_frames",
+        # well-framed payloads naming a global outside the wire table:
+        # written to be hostile, where the three above can be a bad cable
+        "refused_globals",
         # node → daemon pushes
         "pushes_sent", "pushes_accepted", "pushes_shed", "push_retries",
         "push_failures", "poll_fallbacks",
@@ -395,9 +398,11 @@ class ServiceMeter:
         self.garbage_bytes += decoder.garbage_bytes
         self.corrupt_frames += decoder.corrupt_frames
         self.oversized_frames += decoder.oversized_frames
+        self.refused_globals += decoder.refused_globals
         decoder.garbage_bytes = 0
         decoder.corrupt_frames = 0
         decoder.oversized_frames = 0
+        decoder.refused_globals = 0
 
     def as_dict(self):
         return {field: getattr(self, field) for field in self.FIELDS}

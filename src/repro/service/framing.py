@@ -24,9 +24,14 @@ well-formed frame is always recovered intact. Defenses, in order:
   decoder buffer unbounded data;
 * **payload CRC mismatch / unpicklable payload**: the frame is consumed
   whole and counted, the stream continues;
-* **module allow-list**: payload unpickling only resolves classes from
-  ``repro.*`` and the stdlib value modules — a frame cannot name an
-  arbitrary importable as a gadget.
+* **global table**: payload unpickling resolves exactly the
+  ``(module, qualname)`` pairs of :data:`_WIRE_GLOBALS` — the value
+  classes a hello, push or ack carries — and nothing else: no other
+  ``repro`` name, no ``builtins`` callable, no dotted name (protocol 4
+  would walk it through a module's imports). A well-framed payload that
+  names anything else was written to be hostile, not damaged in flight,
+  so it is counted apart (``refused_globals``) as well as in
+  ``corrupt_frames``.
 """
 
 import io
@@ -53,24 +58,49 @@ class FramingError(ReproError):
     """A frame could not be encoded (payload too large / unpicklable)."""
 
 
-_ALLOWED_MODULES = ("builtins", "collections", "copyreg", "datetime")
+#: Every global a frame payload may name. Containers and scalars need
+#: none under protocol 4/5; these are the value classes honest hellos,
+#: pushes and acks are built from (log segments, their parsed aux, the
+#: evidence beside them). Membership is exact: a class is reachable from
+#: the push port only by being listed here.
+_WIRE_GLOBALS = frozenset({
+    ("repro.model", "Tup"),
+    ("repro.model", "Msg"),
+    ("repro.snp.commitment", "WireAck"),
+    ("repro.snp.evidence", "Authenticator"),
+    ("repro.snp.evidence", "RetentionFloor"),
+    ("repro.snp.log", "LogEntry"),
+    ("repro.snp.snoopy", "RetrieveResponse"),
+})
+
+
+class RefusedGlobal(pickle.UnpicklingError):
+    """A frame payload named a global outside :data:`_WIRE_GLOBALS`."""
 
 
 class _RestrictedUnpickler(pickle.Unpickler):
-    """Resolve only classes the wire contract sanctions."""
+    """Resolve only the classes the wire contract names."""
 
     def find_class(self, module, name):
-        root = module.split(".", 1)[0]
-        if root == "repro" or module in _ALLOWED_MODULES:
+        if (module, name) in _WIRE_GLOBALS:
             return super().find_class(module, name)
-        raise pickle.UnpicklingError(
+        raise RefusedGlobal(
             f"frame payload names {module}.{name}, outside the wire "
-            "contract's allow-list"
+            "contract's table"
         )
 
 
 def _loads(data):
     return _RestrictedUnpickler(io.BytesIO(data)).load()
+
+
+def frame_payload(payload):
+    """*payload* bytes under a header with valid CRCs (what
+    :func:`encode_frame` wraps a pickle in; tests and the e2e tool wrap
+    hand-written payloads)."""
+    prefix = _HEADER_PREFIX.pack(MAGIC, len(payload))
+    return (prefix + struct.pack(">II", zlib.crc32(prefix),
+                                 zlib.crc32(payload)) + payload)
 
 
 def encode_frame(obj, max_frame_bytes=MAX_FRAME_BYTES):
@@ -84,9 +114,7 @@ def encode_frame(obj, max_frame_bytes=MAX_FRAME_BYTES):
             f"frame payload is {len(payload)} bytes, above the "
             f"{max_frame_bytes}-byte frame bound"
         )
-    prefix = _HEADER_PREFIX.pack(MAGIC, len(payload))
-    return (prefix + struct.pack(">II", zlib.crc32(prefix),
-                                 zlib.crc32(payload)) + payload)
+    return frame_payload(payload)
 
 
 class FrameDecoder:
@@ -94,8 +122,9 @@ class FrameDecoder:
 
     Feed it byte chunks as they arrive; it returns each fully decoded
     payload exactly once. Counters (``garbage_bytes``, ``corrupt_frames``,
-    ``oversized_frames``, ``frames_decoded``) let the connection owner
-    meter hostile or damaged input without tearing the stream down.
+    ``oversized_frames``, ``refused_globals``, ``frames_decoded``) let the
+    connection owner meter hostile or damaged input without tearing the
+    stream down.
     """
 
     def __init__(self, max_frame_bytes=MAX_FRAME_BYTES):
@@ -108,6 +137,7 @@ class FrameDecoder:
         self.garbage_bytes = 0
         self.corrupt_frames = 0
         self.oversized_frames = 0
+        self.refused_globals = 0
 
     def pending_bytes(self):
         """Bytes buffered awaiting a complete frame (bounded by
@@ -174,6 +204,10 @@ class FrameDecoder:
         del self._buf[:end]
         try:
             obj = _loads(payload)
+        except RefusedGlobal:
+            self.refused_globals += 1
+            self.corrupt_frames += 1
+            return "skip", None
         except Exception:
             self.corrupt_frames += 1
             return "skip", None
@@ -203,10 +237,11 @@ def recv_frame(sock, decoder):
 # ------------------------------------------------------- asyncio streams
 
 async def read_frames(reader, decoder):
-    """Async-iterate decoded payloads until EOF."""
+    """Async-iterate until EOF, one list of decoded payloads per read —
+    empty when the read completed no frame, so the connection owner can
+    drain the decoder's counters while the stream is still open."""
     while True:
         data = await reader.read(65536)
         if not data:
             return
-        for frame in decoder.feed(data):
-            yield frame
+        yield decoder.feed(data)

@@ -467,25 +467,36 @@ class MonitorDaemon:
 
     async def _handle_push_conn(self, reader, writer):
         decoder = FrameDecoder(self.max_frame_bytes)
+
+        async def send(reply):
+            data = encode_frame(reply, self.max_frame_bytes)
+            self.meter.frames_sent += 1
+            self.meter.bytes_sent += len(data)
+            writer.write(data)
+            # Backpressure: a pusher that stops reading acks stalls
+            # here, not in daemon memory.
+            await writer.drain()
+
         try:
-            async for msg in read_frames(reader, decoder):
-                self.meter.frames_received += 1
-                if not isinstance(msg, dict) or "type" not in msg:
-                    self.meter.corrupt_frames += 1
-                    continue
-                reply = await self._dispatch_push(msg)
-                if reply is not None:
-                    data = encode_frame(reply, self.max_frame_bytes)
-                    self.meter.frames_sent += 1
-                    self.meter.bytes_sent += len(data)
-                    writer.write(data)
-                    # Backpressure: a pusher that stops reading acks
-                    # stalls here, not in daemon memory.
-                    await writer.drain()
+            async for frames in read_frames(reader, decoder):
+                refused = decoder.refused_globals
+                # Per read, not at close: /status shows damage and
+                # refusals while the peer still holds its socket open.
+                self.meter.absorb_decoder(decoder)
+                for _ in range(refused):
+                    await send({"type": "error", "error": "frame names "
+                                "a global outside the wire table"})
+                for msg in frames:
+                    self.meter.frames_received += 1
+                    if not isinstance(msg, dict) or "type" not in msg:
+                        self.meter.corrupt_frames += 1
+                        continue
+                    reply = await self._dispatch_push(msg)
+                    if reply is not None:
+                        await send(reply)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self.meter.absorb_decoder(decoder)
             try:
                 writer.close()
             except (ConnectionError, RuntimeError):  # pragma: no cover

@@ -185,7 +185,9 @@ class Deployment(EvidenceDirectory):
         return self.nodes[node_id]
 
     def public_key_of(self, node_id):
-        return self._identities[node_id].keypair.public_only()
+        """The public key in *node_id*'s certificate (one object per node,
+        not a copy per call: every on_batch / on_ack asks)."""
+        return self._identities[node_id].certificate.public_key
 
     def identity_of(self, node_id):
         return self._identities[node_id]

@@ -23,6 +23,7 @@ from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.service import (
     MonitorClient, ServicePusher, server, start_monitor_thread, tup_spec,
 )
+from repro.service.framing import frame_payload
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
 
@@ -73,7 +74,7 @@ class TestServiceAudit:
         assert out["ok"]
         assert out["result"] == expected
         pusher.close()
-        # Framing damage folds into the meter as the connection closes.
+        # Framing damage folds into the meter read by read.
         meter = client.status()["meter"]
         assert (meter["corrupt_frames"], meter["garbage_bytes"],
                 meter["oversized_frames"]) == (0, 0, 0)
@@ -346,6 +347,29 @@ class TestHostileFrames:
         after = client.query(spec)
         assert after["ok"] and after["result"] == before["result"]
         pusher.close()
+
+    def test_a_refused_global_is_counted_apart_from_line_damage(
+            self, monitor):
+        """A correctly framed payload naming ``builtins.eval`` is an
+        attack, not a bad cable: it is answered with an error, ``/status``
+        says so in its own counter at once, nothing runs, and the
+        connection and the daemon carry on."""
+        dep, pusher, client, spec, before = self._audited(monitor)
+        probe = (b"\x80\x04\x8c\x08builtins\x8c\x04eval\x93"
+                 b"\x8c\x041+41\x85R.")
+        pusher._sock.sendall(frame_payload(probe))
+        assert pusher._recv()["type"] == "error"
+        # Counted while the peer still holds its socket open.
+        meter = client.status()["meter"]
+        assert (meter["refused_globals"], meter["corrupt_frames"],
+                meter["garbage_bytes"], meter["oversized_frames"]) \
+            == (1, 1, 0, 0)
+        ack = pusher.push_once()
+        assert ack is not None and not ack["shed"]
+        assert pusher.meter.push_retries == 0
+        pusher.close()
+        after = client.query(spec)
+        assert after["ok"] and after["result"] == before["result"]
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_HELLOS))
     def test_malformed_hello_is_rejected_whole(self, monitor, name):

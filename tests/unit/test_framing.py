@@ -9,10 +9,13 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.mincost import build_paper_network, link
 from repro.model import Tup
+from repro.service import ServicePusher, framing
 from repro.service.framing import (
     FrameDecoder, FramingError, HEADER_BYTES, MAGIC, encode_frame,
 )
+from repro.snp import Deployment, QueryProcessor
 
 
 def raw_frame(payload, length=None):
@@ -158,13 +161,22 @@ class TestDamage:
         assert out == ["next"]
         assert dec.corrupt_frames == 1
 
-    def test_unpickler_rejects_modules_outside_allow_list(self):
+    def test_unpickler_rejects_modules_outside_the_table(self):
         # A frame naming an arbitrary importable (the classic pickle
         # gadget) is dropped as corrupt, and the stream continues.
         evil = pickle.dumps(zlib.crc32)  # by-reference: names module zlib
         dec, out = decode_all(raw_frame(evil) + encode_frame("survives"))
         assert out == ["survives"]
         assert dec.corrupt_frames == 1
+        assert dec.refused_globals == 1
+
+    def test_line_damage_is_not_a_refused_global(self):
+        bad = bytearray(encode_frame({"seq": 1}))
+        bad[HEADER_BYTES + 2] ^= 0xFF
+        dec, _out = decode_all(
+            bytes(bad) + raw_frame(b"not a pickle at all") + b"junk")
+        assert dec.corrupt_frames == 2
+        assert dec.refused_globals == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.binary(max_size=200), st.lists(PAYLOADS, max_size=3))
@@ -173,3 +185,89 @@ class TestDamage:
         stream = garbage + b"".join(encode_frame(m) for m in msgs)
         _dec, out = decode_all(stream)
         assert out == msgs
+
+
+def _short(text):
+    return b"\x8c" + bytes([len(text)]) + text.encode("ascii")
+
+
+def global_probe(module, name, call=b")R"):
+    """A protocol-4 payload that resolves ``module`` / ``name`` through
+    ``STACK_GLOBAL`` and (by default) calls it with no arguments."""
+    return b"\x80\x04" + _short(module) + _short(name) + b"\x93" + call + b"."
+
+
+#: Benign stand-ins for code execution. At the parent of the PR that
+#: introduced the table each of these *returned a value* from ``_loads``:
+#: 42, the daemon's pid, an OrderedDict, copyreg's dispatch table, the
+#: globals of ``repro.model``. The first two are ROADMAP item 1's probes,
+#: byte for byte.
+PROBES = {
+    "builtins.eval":
+        b"\x80\x04\x8c\x08builtins\x8c\x04eval\x93\x8c\x041+41\x85R.",
+    "os through an allowed module's imports":
+        b"\x80\x04\x8c\x12repro.snp.executor\x8c\x09os.getpid\x93)R.",
+    "collections": global_probe("collections", "OrderedDict"),
+    "copyreg": global_probe("copyreg", "dispatch_table", call=b""),
+    "dotted name under a listed class":
+        global_probe("repro.model", "Tup.__init__.__globals__", call=b""),
+    "unlisted repro class": global_probe("repro.snp.deployment", "Deployment"),
+    "unlisted name in a listed module":
+        global_probe("repro.model", "canonical_bytes", call=b"N\x85R"),
+}
+
+
+class TestGlobalTable:
+    """The push port resolves the names in ``_WIRE_GLOBALS`` and no
+    other: not by module, not by prefix, not through a dotted path."""
+
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_probe_is_refused_by_loads(self, name):
+        with pytest.raises(pickle.UnpicklingError):
+            framing._loads(PROBES[name])
+
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_framed_probe_is_counted_and_the_stream_goes_on(self, name):
+        dec = FrameDecoder()
+        assert dec.feed(raw_frame(PROBES[name])) == []
+        assert (dec.refused_globals, dec.corrupt_frames,
+                dec.frames_decoded) == (1, 1, 0)
+        honest = {"tup": Tup("link", "a", "b", 3)}
+        assert dec.feed(encode_frame(honest)) == [honest]
+        assert (dec.refused_globals, dec.frames_decoded) == (1, 1)
+        assert dec.pending_bytes() == 0
+
+    def test_the_module_test_is_gone(self):
+        assert not hasattr(framing, "_ALLOWED_MODULES")
+
+    def test_every_listed_name_is_a_class_that_exists(self):
+        for module, name in framing._WIRE_GLOBALS:
+            assert "." not in name
+            resolved = getattr(__import__(module, fromlist=[name]), name)
+            assert isinstance(resolved, type), (module, name)
+
+    def test_the_table_covers_what_a_deployment_pushes(self):
+        """Batched acks, checkpoints and signed retention floors — the
+        widest honest hello and push — cross on the table as it is."""
+        dep = Deployment(seed=77, key_bits=256, t_batch=0.05)
+        nodes = build_paper_network(dep)
+        dep.run()
+        dep.checkpoint_all()
+        nodes["a"].insert(link("a", "e", 9))
+        dep.run()
+        with QueryProcessor(dep) as auditor:
+            dep.register_querier(auditor)
+            auditor.refresh()
+            dep.run_gc()
+        pusher = ServicePusher(dep, "127.0.0.1", 0)
+        hello, (push, _cursors) = pusher.hello_message(), pusher.build_push()
+        assert push["floors"] and any(
+            part["auths"] for part in push["nodes"].values())
+        dec, out = decode_all(encode_frame(hello) + encode_frame(push))
+        assert dec.refused_globals == 0 and len(out) == 2
+        assert out[0] == hello
+        assert sorted(out[1]["nodes"]) == sorted(push["nodes"])
+        for node, part in push["nodes"].items():
+            back = out[1]["nodes"][node]["response"]
+            assert [e.entry_hash for e in back.entries] \
+                == [e.entry_hash for e in part["response"].entries]

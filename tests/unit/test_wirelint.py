@@ -204,6 +204,72 @@ class TestUnorderedIterationCheck:
         assert len(violations) == 1
 
 
+_UNPICKLER = (
+    "import pickle\n"
+    "TABLE = frozenset({('repro.model', 'Tup')})\n"
+    "class Restricted(pickle.Unpickler):\n"
+    "    def find_class(self, module, name):\n"
+    "        if TEST:\n"
+    "            return super().find_class(module, name)\n"
+    "        raise pickle.UnpicklingError(name)\n"
+)
+
+
+def _unpickler(test):
+    """A framing module whose ``find_class`` resolves under *test*."""
+    return _UNPICKLER.replace("TEST", test)
+
+
+class TestPickleSurfaceCheck:
+    def test_the_real_unpickler_is_the_positive_case(self):
+        """The shipped framing module is in the lint's scope and passes
+        by its membership test, not by being skipped."""
+        path = REPO_ROOT / "src" / wirelint.PICKLE_HOME
+        assert "super().find_class" in path.read_text()
+        violations = []
+        wirelint.check_pickle_surface(
+            path, wirelint.PICKLE_HOME, wirelint._parse(path), violations)
+        assert violations == []
+
+    @pytest.mark.parametrize("test", [
+        # the parent's test, verbatim: a root prefix or a module list
+        "module.split('.', 1)[0] == 'repro' or module in ALLOWED",
+        # one per way of falling short: no pair, a deny-list, a swap
+        "module in ALLOWED",
+        "(module, name) not in DENIED",
+        "(name, module) in TABLE",
+    ])
+    def test_anything_short_of_exact_membership_is_flagged(
+            self, tmp_path, test):
+        root = _make_tree(tmp_path, "", extra_modules=[(
+            wirelint.PICKLE_HOME, _unpickler(test),
+        )])
+        violations = wirelint.lint(root)
+        assert [v.code for v in violations] == ["WL003"]
+        assert "find_class" in violations[0].message
+
+    def test_resolution_outside_the_guarded_branch_is_flagged(
+            self, tmp_path):
+        body = _unpickler("(module, name) in TABLE").replace(
+            "        raise pickle.UnpicklingError(name)\n",
+            "        return super().find_class(module, name)\n")
+        root = _make_tree(
+            tmp_path, "", extra_modules=[(wirelint.PICKLE_HOME, body)])
+        assert [v.code for v in wirelint.lint(root)] == ["WL003"]
+
+    @pytest.mark.parametrize("statement", [
+        "import io, pickle", "from marshal import loads",
+    ])
+    def test_a_second_pickle_user_is_flagged(self, tmp_path, statement):
+        root = _make_tree(tmp_path, "", extra_modules=[(
+            "repro/service/monitor.py",
+            f"def decode(data):\n    {statement}\n",
+        )])
+        violations = wirelint.lint(root)
+        assert [v.code for v in violations] == ["WL003"]
+        assert "imported outside" in violations[0].message
+
+
 class TestCli:
     def test_main_exit_codes(self, tmp_path, capsys):
         clean = _make_tree(tmp_path / "clean", "")

@@ -12,8 +12,10 @@ plane's acceptance bar:
 2. **subscription alerting** — subscribers watching the audited vertex
    are told about an injected adversary's green→red downgrade within one
    push;
-3. **hostile input bounces** — two well-framed but malformed messages
-   sent mid-run on a connection of their own are each answered with an
+3. **hostile input bounces** — a correctly framed payload that names
+   ``builtins.eval`` is refused unrun and counted in ``/status``
+   ``meter.refused_globals``; it and two well-framed but malformed
+   messages behind it on the same connection are each answered with an
    error and counted in ``/status`` ``meter.corrupt_frames``, a
    ``/subscribe`` whose watch cannot be keyed is answered 400 and leaves
    no subscription behind, a REST request that stalls half sent is
@@ -48,7 +50,7 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from repro.apps.chord import ChordNetwork                     # noqa: E402
 from repro.service import MonitorClient, ServicePusher, tup_spec  # noqa: E402
 from repro.service.framing import (                           # noqa: E402
-    FrameDecoder, encode_frame, recv_frame,
+    FrameDecoder, encode_frame, frame_payload, recv_frame,
 )
 from repro.snp import Deployment, QueryProcessor              # noqa: E402
 from repro.snp.adversary import ForkingNode                   # noqa: E402
@@ -91,6 +93,12 @@ HOSTILE_FRAMES = (
 )
 
 
+#: ``eval("1+41")`` as a protocol-4 pickle: a benign stand-in for code
+#: execution. Before the unpickler resolved names from an exact table,
+#: the daemon evaluated it.
+EVAL_PROBE = b"\x80\x04\x8c\x08builtins\x8c\x04eval\x93\x8c\x041+41\x85R."
+
+
 #: A watch that cannot be keyed. Before a spec was validated whole at the
 #: HTTP boundary, the subscription was registered first and every later
 #: refresh — hence every later alert — raised on it.
@@ -111,14 +119,15 @@ SPARE_CONNECTIONS = 4
 
 
 def send_hostile_frames(push_port):
-    """Send :data:`HOSTILE_FRAMES` on a connection of their own; returns
-    the daemon's reply to each."""
+    """Send :data:`EVAL_PROBE`, then :data:`HOSTILE_FRAMES`, on a
+    connection of their own; returns the daemon's reply to each."""
     decoder = FrameDecoder()
     replies = []
     with socket.create_connection(("127.0.0.1", push_port),
                                   timeout=30) as sock:
-        for frame in HOSTILE_FRAMES:
-            sock.sendall(encode_frame(frame))
+        for data in (frame_payload(EVAL_PROBE),
+                     *map(encode_frame, HOSTILE_FRAMES)):
+            sock.sendall(data)
             replies.append(recv_frame(sock, decoder))
     return replies
 
@@ -197,10 +206,15 @@ def main(argv=None):
         check("hostile frames answered with errors",
               all(reply is not None and reply.get("type") == "error"
                   for reply in replies), repr(replies))
-        corrupt_after = client.status()["meter"]["corrupt_frames"]
-        check("meter.corrupt_frames counted each hostile frame",
-              corrupt_after - corrupt_before == len(HOSTILE_FRAMES),
-              f"{corrupt_before} -> {corrupt_after}")
+        meter = client.status()["meter"]
+        check("meter.refused_globals counted the eval probe",
+              meter["refused_globals"] == 1,
+              f"refused_globals={meter['refused_globals']}")
+        check("meter.corrupt_frames counted the probe and each hostile "
+              "frame",
+              meter["corrupt_frames"] - corrupt_before
+              == 1 + len(HOSTILE_FRAMES),
+              f"{corrupt_before} -> {meter['corrupt_frames']}")
 
         reply = client._request("POST", "/subscribe", HOSTILE_SUBSCRIBE)
         check("hostile /subscribe answered 400",
@@ -299,8 +313,10 @@ def main(argv=None):
         print("daemon meter:", json.dumps(
             {k: v for k, v in meter.items() if v}), flush=True)
         damage = {k: meter[k] for k in (
-            "corrupt_frames", "garbage_bytes", "oversized_frames")}
-        damage["corrupt_frames"] -= len(HOSTILE_FRAMES)
+            "corrupt_frames", "garbage_bytes", "oversized_frames",
+            "refused_globals")}
+        damage["corrupt_frames"] -= 1 + len(HOSTILE_FRAMES)
+        damage["refused_globals"] -= 1
         check("no transport damage on loopback beyond the hostile frames",
               not any(damage.values()), json.dumps(damage))
         # Shedding and dropped alerts are the daemon's to count; retries

@@ -3,7 +3,8 @@
 The wire layer (``repro.snp.wire``) promises two properties that plain
 tests are bad at guarding — both rot silently as code grows, and both
 produce heisenbugs when they do (hash-randomized dicts make the failure
-probabilistic). This lint enforces them over the python AST, no imports:
+probabilistic) — and the push port a third. This lint enforces them over
+the python AST, no imports:
 
 **WL001 — boundary classes need an explicit wire path.** Every class
 one of the boundary modules (:data:`BOUNDARY_MODULES` — the codec, the
@@ -23,6 +24,20 @@ hashing or signing sink (``canonical_bytes``, ``sign``, ``verify``,
 ``frozenset(...)``) unless the iteration is wrapped in ``sorted(...)``.
 Set/dict order is per-process under hash randomization, so an unsorted
 iteration signs a byte string another process cannot reproduce.
+
+**WL003 — one unpickler, and it resolves names from a table.** Bytes
+from outside the program meet one ``pickle`` importer,
+``repro/service/framing.py`` (the process pool's pipe pickles inside
+``multiprocessing``, both ends one program); an ``import`` statement
+naming one of :data:`PICKLE_ROOTS` in any other module opens a second
+decode path nobody restricted. (Statements only: a dynamic
+``import_module("pickle")`` is not seen.) And a
+``find_class`` may reach ``super().find_class`` only inside an ``if``
+whose whole test is ``(module, name) in <table>`` — exact membership of
+the pair. A prefix, a module-only test or an ``or`` of conditions admits
+names nobody listed (``builtins.eval``; ``os.getpid`` through a dotted
+name under an allowed module), which is how the push port came to run
+what it was sent.
 
 Run it over a source tree (CI does ``python tools/wirelint.py src``);
 exits 1 when any violation is found.
@@ -53,6 +68,12 @@ DETERMINISM_SCOPES = ("repro/snp", "repro/crypto", "repro/util")
 BOUNDARY_MODULES = (
     "repro/snp/wire.py", "repro/snp/build.py", "repro/snp/resident.py",
 )
+
+#: The one module (relative to the source root) that may import pickle.
+PICKLE_HOME = "repro/service/framing.py"
+
+#: Root module names that decode objects from bytes, pickle and its kin.
+PICKLE_ROOTS = {"pickle", "_pickle", "cPickle", "marshal", "shelve", "dill"}
 
 #: Methods that mark a class as carrying its own serialization codec.
 CODEC_METHODS = {"__reduce__", "__reduce_ex__", "to_wire", "__getstate__"}
@@ -217,6 +238,68 @@ def _in_determinism_scope(path, src_root):
     return any(rel.startswith(scope) for scope in DETERMINISM_SCOPES)
 
 
+# ------------------------------------------- WL003: the pickle surface
+
+
+def _is_super_find_class(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "find_class"
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Name)
+            and node.func.value.func.id == "super")
+
+
+def _is_exact_pair_membership(test, params):
+    """``(module, name) in <anything>`` over the method's own two
+    parameters, and nothing else in the test."""
+    return (isinstance(test, ast.Compare)
+            and len(test.ops) == 1 and isinstance(test.ops[0], ast.In)
+            and isinstance(test.left, ast.Tuple)
+            and [getattr(elt, "id", None) for elt in test.left.elts]
+            == params)
+
+
+def _check_find_class(path, method, violations):
+    params = [arg.arg for arg in method.args.args[1:]]
+    guarded = set()
+    for branch in ast.walk(method):
+        if isinstance(branch, ast.If) \
+                and _is_exact_pair_membership(branch.test, params):
+            for stmt in branch.body:
+                guarded.update(id(n) for n in ast.walk(stmt))
+    for call in ast.walk(method):
+        if _is_super_find_class(call) and id(call) not in guarded:
+            violations.append(Violation(
+                path, call.lineno, call.col_offset + 1, "WL003",
+                "find_class reaches super().find_class outside an "
+                "`if (module, name) in <table>` test; anything less "
+                "than exact membership resolves names nobody listed",
+            ))
+
+
+def check_pickle_surface(path, rel, tree, violations):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "find_class":
+            _check_find_class(path, node, violations)
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        roots = PICKLE_ROOTS.intersection(
+            module.split(".")[0] for module in modules)
+        if rel != PICKLE_HOME and roots:
+            violations.append(Violation(
+                path, node.lineno, node.col_offset + 1, "WL003",
+                f"{min(roots)} imported outside {PICKLE_HOME}; bytes from "
+                "outside the program must meet the one restricted "
+                "unpickler",
+            ))
+
+
 # --------------------------------------------------------------- driver
 
 
@@ -225,8 +308,6 @@ def lint(src_root):
     violations = []
     check_boundary_classes(src_root, violations)
     for path in sorted(src_root.rglob("*.py")):
-        if not _in_determinism_scope(path, src_root):
-            continue
         try:
             tree = _parse(path)
         except SyntaxError as exc:
@@ -235,7 +316,10 @@ def lint(src_root):
                 f"syntax error: {exc.msg}",
             ))
             continue
-        check_unordered_iteration(path, tree, violations)
+        check_pickle_surface(
+            path, path.relative_to(src_root).as_posix(), tree, violations)
+        if _in_determinism_scope(path, src_root):
+            check_unordered_iteration(path, tree, violations)
     # Nested sinks (sign(canonical_bytes(...))) would report the same
     # iteration once per sink; keep the first per source location.
     seen = set()
