@@ -27,7 +27,10 @@ plane's acceptance bar:
    exactly two pushes accepted;
 5. **persistent REST connections** — every client keeps one connection:
    ``meter.http_connections`` stays within clients + subscribers +
-   :data:`SPARE_CONNECTIONS` and carries at least ten requests each;
+   :data:`SPARE_CONNECTIONS` and carries at least ten requests each, and
+   a client answered 400 (``Connection: close``) makes its next call on
+   exactly one new connection (``http_connections`` +1 for
+   ``http_requests`` +2);
 6. the daemon shuts down cleanly on SIGTERM.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
@@ -219,6 +222,12 @@ def main(argv=None):
         reply = client._request("POST", "/subscribe", HOSTILE_SUBSCRIBE)
         check("hostile /subscribe answered 400",
               reply["_status"] == 400 and not reply["ok"], repr(reply))
+        after = client.status()["meter"]
+        moved = (after["http_connections"] - meter["http_connections"],
+                 after["http_requests"] - meter["http_requests"])
+        check("the 400 closed the connection and the client opened "
+              "exactly one more", moved == (1, 2),
+              f"connections +{moved[0]}, requests +{moved[1]}")
 
         # Enough rounds per client that reuse shows in the counters: ten
         # requests a connection over the whole run's connection budget.
