@@ -31,10 +31,11 @@ state and never snapshotted. Position 0 is the location argument,
 position *i* ≥ 1 is ``args[i-1]``.
 """
 
+from repro.model import WireValue
 from repro.util.serialization import canonical_bytes
 
 
-class DerivationInstance:
+class DerivationInstance(WireValue):
     """One concrete way a tuple was derived: rule name + ground supports."""
 
     __slots__ = ("rule", "support", "_key")

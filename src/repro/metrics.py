@@ -373,7 +373,7 @@ class ServiceMeter:
         # framing / transport
         "frames_sent", "frames_received", "bytes_sent", "bytes_received",
         "garbage_bytes", "corrupt_frames", "oversized_frames",
-        # well-framed payloads naming a global outside the wire table:
+        # well-framed payloads naming a global (frames resolve none):
         # written to be hostile, where the three above can be a bad cable
         "refused_globals",
         # node → daemon pushes

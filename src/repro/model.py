@@ -22,7 +22,23 @@ PLUS = "+"
 MINUS = "-"
 
 
-class Tup:
+class WireValue:
+    """A class of :data:`repro.snp.wire.VALUE_CLASSES`: it pickles as its
+    row's ``(builder, fields)`` and refuses pickle's ``BUILD``, which would
+    set its slots directly, past the builder's checks."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        from repro.snp.wire import BUILDERS, FIELDS
+        tag, fields = FIELDS[type(self)]
+        return BUILDERS[tag], fields(self)
+
+    def __setstate__(self, state):
+        raise TypeError(f"a {type(self).__name__} is built, never patched")
+
+
+class Tup(WireValue):
     """An immutable tuple ``relation(@loc, *args)``.
 
     ``loc`` is the node responsible for the tuple (the ``@n`` location
@@ -81,7 +97,7 @@ class Tup:
         return self._canon
 
 
-class Msg:
+class Msg(WireValue):
     """A tuple-update notification: ``+τ`` or ``-τ`` sent from src to dst.
 
     Identity is ``(src, dst, seq)``: the paper requires that "each message
@@ -151,7 +167,7 @@ class Msg:
         return canonical_size(self.canonical())
 
 
-class Ack:
+class Ack(WireValue):
     """Acknowledgment of one or more messages from the same sender.
 
     The per-message protocol of Section 5.4 acknowledges a single message;

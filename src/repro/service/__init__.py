@@ -5,8 +5,8 @@ adds the transport that turns it into a *service* (DESIGN.md, "Service
 plane"):
 
 * :mod:`repro.service.framing` — length-prefixed, CRC-checked frames
-  carrying pickled payloads under the PR 4 wire contract, tolerant of
-  partial reads and mid-stream garbage;
+  of builtins-only pickles (value objects: :mod:`repro.snp.wire`'s
+  table), tolerant of partial reads and mid-stream garbage;
 * :mod:`repro.service.push` — the node side: a :class:`ServicePusher`
   that ships log/evidence deltas to the monitor on the deployment's
   shared cadence scheduler, with retry-with-backoff and a poll fallback

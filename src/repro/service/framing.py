@@ -1,10 +1,10 @@
 """Framed message transport for the service plane.
 
 A frame is ``MAGIC | length | header-crc | payload-crc | payload`` where
-*payload* is a pickle of objects governed by the PR 4 wire contract
-(value objects rebuild through their constructors, so an unpickled
-``Tup``/``Msg`` is native to the receiving process — see
-:mod:`repro.snp.wire`).
+*payload* is a pickle of builtins only: an instance of a class in
+:data:`repro.snp.wire.VALUE_CLASSES` crosses as the persistent id
+``(tag, *fields)`` (once per object, however often it is referenced) and
+is rebuilt by that table's builder. The unpickler resolves no global.
 
 The header carries its *own* CRC (over magic + length) so a damaged
 length field is detected the moment the header arrives — the decoder
@@ -22,16 +22,12 @@ well-formed frame is always recovered intact. Defenses, in order:
 * **oversized length** (header intact, > ``max_frame_bytes``): counted
   and resynchronized past the magic — a hostile length cannot make the
   decoder buffer unbounded data;
-* **payload CRC mismatch / unpicklable payload**: the frame is consumed
-  whole and counted, the stream continues;
-* **global table**: payload unpickling resolves exactly the
-  ``(module, qualname)`` pairs of :data:`_WIRE_GLOBALS` — the value
-  classes a hello, push or ack carries — and nothing else: no other
-  ``repro`` name, no ``builtins`` callable, no dotted name (protocol 4
-  would walk it through a module's imports). A well-framed payload that
-  names anything else was written to be hostile, not damaged in flight,
-  so it is counted apart (``refused_globals``) as well as in
-  ``corrupt_frames``.
+* **payload CRC mismatch / undecodable payload**: the frame is consumed
+  whole and counted, the stream continues. Undecodable includes an id a
+  builder refuses, and pickle's ``BUILD`` on a built object (value
+  classes refuse it: :class:`repro.model.WireValue`);
+* **any global** named: written to be hostile, not damaged in flight —
+  counted apart (``refused_globals``) as well as in ``corrupt_frames``.
 """
 
 import io
@@ -40,6 +36,7 @@ import struct
 import zlib
 from collections import deque
 
+from repro.snp.wire import BUILDERS, FIELDS
 from repro.util.errors import ReproError
 
 MAGIC = b"SNPF"
@@ -58,40 +55,26 @@ class FramingError(ReproError):
     """A frame could not be encoded (payload too large / unpicklable)."""
 
 
-#: Every global a frame payload may name. Containers and scalars need
-#: none under protocol 4/5; these are the value classes honest hellos,
-#: pushes and acks are built from (log segments, their parsed aux, the
-#: evidence beside them). Membership is exact: a class is reachable from
-#: the push port only by being listed here.
-_WIRE_GLOBALS = frozenset({
-    ("repro.model", "Tup"),
-    ("repro.model", "Msg"),
-    ("repro.snp.commitment", "WireAck"),
-    ("repro.snp.evidence", "Authenticator"),
-    ("repro.snp.evidence", "RetentionFloor"),
-    ("repro.snp.log", "LogEntry"),
-    ("repro.snp.snoopy", "RetrieveResponse"),
-})
-
-
 class RefusedGlobal(pickle.UnpicklingError):
-    """A frame payload named a global outside :data:`_WIRE_GLOBALS`."""
+    """A frame payload named a global; frames resolve none."""
 
 
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Resolve only the classes the wire contract names."""
+class _Unpickler(pickle.Unpickler):
+    """Builds table classes from persistent ids and nothing from names."""
+
+    def __init__(self, data):
+        super().__init__(io.BytesIO(data))
+        self._built = {}  # id(pid) -> object; the memo keeps a recurring pid
 
     def find_class(self, module, name):
-        if (module, name) in _WIRE_GLOBALS:
-            return super().find_class(module, name)
         raise RefusedGlobal(
-            f"frame payload names {module}.{name}, outside the wire "
-            "contract's table"
-        )
+            f"frame payload names {module}.{name}; frames resolve no global")
 
-
-def _loads(data):
-    return _RestrictedUnpickler(io.BytesIO(data)).load()
+    def persistent_load(self, pid):
+        obj = self._built.get(id(pid))
+        if obj is None:
+            obj = self._built[id(pid)] = BUILDERS[pid[0]](*pid[1:])
+        return obj
 
 
 def frame_payload(payload):
@@ -104,11 +87,26 @@ def frame_payload(payload):
 
 
 def encode_frame(obj, max_frame_bytes=MAX_FRAME_BYTES):
-    """Serialize *obj* as one frame (header + pickled payload)."""
+    """Serialize *obj* as one frame (header + pickled payload), each
+    table instance in it as one ``(tag, *fields)`` however often it
+    recurs."""
+    out, seen = io.BytesIO(), {}
+
+    def persistent_id(value):
+        if type(value) in FIELDS:
+            pid = seen.get(id(value))
+            if pid is None:
+                tag, fields = FIELDS[type(value)]
+                pid = seen[id(value)] = (tag,) + fields(value)
+            return pid
+
+    pickler = pickle.Pickler(out, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
     try:
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump(obj)
     except Exception as exc:
         raise FramingError(f"frame payload is not picklable: {exc}") from exc
+    payload = out.getvalue()
     if len(payload) > max_frame_bytes:
         raise FramingError(
             f"frame payload is {len(payload)} bytes, above the "
@@ -203,12 +201,9 @@ class FrameDecoder:
             return "skip", None
         del self._buf[:end]
         try:
-            obj = _loads(payload)
-        except RefusedGlobal:
-            self.refused_globals += 1
-            self.corrupt_frames += 1
-            return "skip", None
-        except Exception:
+            obj = _Unpickler(payload).load()
+        except Exception as exc:
+            self.refused_globals += isinstance(exc, RefusedGlobal)
             self.corrupt_frames += 1
             return "skip", None
         self.frames_decoded += 1

@@ -213,20 +213,19 @@ def _parse_hello(msg):
 
 
 def _check_push(msg):
-    """Validate a push whole, before any of it is applied: the shapes
-    the daemon itself walks (what a response *claims* is for the
-    querier's verification pipeline to judge)."""
+    """Validate a push whole, before any of it is applied: the message
+    table's shape (the frame built its value objects through
+    :data:`repro.snp.wire.VALUE_CLASSES`, which checked their fields)."""
     nodes, floors = msg.get("nodes"), msg.get("floors", {})
+    # /status serves the seq as JSON, so it must be one
+    _require(_is_int(msg.get("seq")), "push: needs an int seq")
     _require(isinstance(nodes, dict) and isinstance(floors, dict),
              "push: needs a nodes table and a floors table")
     for node_id, part in nodes.items():
         _require(isinstance(part, dict), "push: node %r", node_id)
         response, auths = part.get("response"), part.get("auths", {})
-        _require(response is None or (
-            isinstance(response, RetrieveResponse)
-            and _is_int(getattr(response, "start_index", None))
-            and isinstance(getattr(response, "entries", None), list)),
-            "push: node %r carries no retrieve response", node_id)
+        _require(response is None or isinstance(response, RetrieveResponse),
+                 "push: node %r carries no retrieve response", node_id)
         _require(isinstance(auths, dict) and all(
             isinstance(held, list)
             and all(isinstance(auth, Authenticator) for auth in held)
@@ -267,7 +266,6 @@ class MonitorState(EvidenceDirectory):
         self._alarm_count = 0
         self._fault_count = 0
         self.last_push_seq = None
-        self.pushed_now = 0.0
 
     # ------------------------------------------------------------ ingest
 
@@ -308,8 +306,7 @@ class MonitorState(EvidenceDirectory):
             self.maintainer.retention_faults.append(fault)
             self._fault_count += 1
         self.retention_floors.update(msg.get("floors", {}))
-        self.last_push_seq = msg.get("seq")
-        self.pushed_now = msg.get("now", self.pushed_now)
+        self.last_push_seq = msg["seq"]
         return heads
 
     def ingest_cursors(self):
@@ -484,8 +481,8 @@ class MonitorDaemon:
                 # refusals while the peer still holds its socket open.
                 self.meter.absorb_decoder(decoder)
                 for _ in range(refused):
-                    await send({"type": "error", "error": "frame names "
-                                "a global outside the wire table"})
+                    await send({"type": "error",
+                                "error": "frame names a global"})
                 for msg in frames:
                     self.meter.frames_received += 1
                     if not isinstance(msg, dict) or "type" not in msg:

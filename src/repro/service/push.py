@@ -154,8 +154,7 @@ class ServicePusher:
             }
         maintainer = dep.maintainer
         msg = {
-            "type": "push", "seq": self.seq, "now": dep.sim.now,
-            "nodes": parts,
+            "type": "push", "seq": self.seq, "nodes": parts,
             "alarms": list(
                 maintainer.missing_ack_alarms[self._alarm_cursor:]),
             "faults": list(

@@ -18,6 +18,7 @@ their content. Acknowledgments batch symmetrically.
 """
 
 from repro.crypto.hashing import chain_hash, content_digest
+from repro.model import WireValue
 from repro.snp.evidence import sign_authenticator, verify_authenticator
 from repro.snp.log import SND, RCV
 from repro.util.errors import AuthenticationError
@@ -51,7 +52,7 @@ class WireBatch:
         return f"WireBatch({self.src}->{self.dst}, {len(self.msgs)} msgs)"
 
 
-class WireAck:
+class WireAck(WireValue):
     """One signed acknowledgment covering the messages of a WireBatch.
 
     ``rcv_metas`` lists (msg_id, rcv_entry_index, rcv_entry_timestamp) for

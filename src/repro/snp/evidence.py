@@ -13,6 +13,7 @@ expose equivocation: two valid authenticators from the same node whose
 (index, hash) pairs do not lie on one chain prove a fork.
 """
 
+from repro.model import WireValue
 from repro.util.errors import AuthenticationError
 
 # Wire-size constants from the paper (Section 7.4), used by the traffic
@@ -24,7 +25,7 @@ AUTHENTICATOR_BYTES = 156
 ACK_BYTES = 187
 
 
-class Authenticator:
+class Authenticator(WireValue):
     """A signed (index, time, hash) commitment by *node*."""
 
     __slots__ = ("node", "index", "timestamp", "entry_hash", "signature")
@@ -63,7 +64,7 @@ def verify_authenticator(verifier_identity, public_key, auth):
     return True
 
 
-class RetentionFloor:
+class RetentionFloor(WireValue):
     """A node's signed retention-floor advertisement (checkpoint GC).
 
     By signing ``(node, floor_index, floor_time)`` the node commits to

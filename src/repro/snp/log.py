@@ -23,6 +23,7 @@ reconstructible from content).
 
 from repro.crypto.hashing import HashChain, content_digest
 from repro.crypto.merkle import MerkleTree
+from repro.model import WireValue
 from repro.util.serialization import canonical_size
 
 SND = "snd"
@@ -35,7 +36,7 @@ CHK = "chk"
 ENTRY_TYPES = (SND, RCV, ACK, INS, DEL, CHK)
 
 
-class LogEntry:
+class LogEntry(WireValue):
     __slots__ = (
         "index", "timestamp", "entry_type", "content", "content_hash",
         "entry_hash", "aux",

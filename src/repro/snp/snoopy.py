@@ -17,7 +17,7 @@ A SNooPyNode wraps the node's deterministic primary-system state machine
   equivocate, tamper or stay silent.
 """
 
-from repro.model import Snd
+from repro.model import Snd, WireValue
 from repro.snp.commitment import (
     build_ack, build_batch, rcv_entry_content, ack_entry_content,
     verify_ack, verify_batch,
@@ -27,7 +27,7 @@ from repro.snp.log import NodeLog, INS, DEL, SND, RCV, ACK
 from repro.util.errors import AuthenticationError
 
 
-class RetrieveResponse:
+class RetrieveResponse(WireValue):
     """What ``retrieve`` hands back to a querier.
 
     ``entries`` is the log segment (1-based contiguous range), ``start_hash``

@@ -6,38 +6,110 @@ boundary — through the pool's own pipe, pickled once per crossing — is
 governed by this module's serialization contract (DESIGN.md, "The
 executor boundary"):
 
-* **Value objects pickle through their constructors.** ``Tup`` and
-  ``Msg`` memoize ``hash()`` of their fields, and per-process hash
-  randomization makes those values process-specific — so their
-  ``__reduce__`` rebuilds through ``__init__`` and every unpickled
-  object is native to the process using it. Bulk payloads (log segments,
-  provenance graphs, machine snapshots) ride this at pickle speed.
+* **One table builds every value object.** Each is a row of
+  :data:`VALUE_CLASSES`: it crosses as ``(tag, *fields)`` and the row's
+  builder rebuilds it through the constructor — so memoized ``hash()``
+  values, process-specific under hash randomization, are recomputed
+  where they are used — checking what the daemon and the build step
+  rely on. The pool's pipe (:class:`~repro.model.WireValue`),
+  :func:`value_to_wire` / :func:`value_from_wire` and the service
+  plane's frames (:mod:`repro.service.framing`) all read it.
 * **Unpicklable machinery gets an explicit wire form.** State machines
   close over compiled rules — they cross as *snapshots* plus a registry
   spec (:mod:`repro.apps`), rebuilt lazily on the far side; replay's
   retained GCA crosses via :func:`replay_to_wire` /
   :func:`replay_from_wire`; log entries drop the aux keys replay never
   reads (:func:`sanitize_response`).
-* **Specs and metadata go through the validating codec.**
-  :func:`value_to_wire` / :func:`value_from_wire` encode nested plain
-  data and registered value types as tagged builtins, snapshotting
-  mutable inputs at encode time; anything else raises
-  :class:`WireError`, on encode and on decode alike.
 
 Also here: the *handle* standing for a replay held on the far side
-(:class:`ResidentReplay`). No check lives here.
+(:class:`ResidentReplay`). No signature or hash chain is checked here.
 """
 
+from operator import attrgetter
+
+from repro.datalog.store import DerivationInstance
 from repro.metrics import QueryStats
 from repro.model import Ack, Msg, Tup
+from repro.snp.commitment import WireAck
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.log import LogEntry, INS, DEL, SND, RCV, ACK, CHK
 from repro.snp.replay import ReplayResult
+from repro.snp.snoopy import RetrieveResponse
 from repro.util.errors import ReplayDivergence, ReproError
 
 
 class WireError(ReproError):
     """A value cannot be represented on (or decoded from) the wire."""
+
+
+# ------------------------------------------------------ the value table
+
+def _require(ok, what):
+    if not ok:
+        raise WireError("malformed wire form: " + what)
+
+
+def _authenticator(node, index, timestamp, entry_hash, signature):
+    _require(isinstance(index, int) and isinstance(signature, bytes),
+             "an Authenticator has an int index and a bytes signature")
+    return Authenticator(node, index, timestamp, entry_hash, signature)
+
+
+def _floor(node, floor_index, floor_time, signature):
+    _require(isinstance(floor_index, int) and isinstance(signature, bytes),
+             "a RetentionFloor has an int index and a bytes signature")
+    return RetentionFloor(node, floor_index, floor_time, signature)
+
+
+def _entry(index, timestamp, entry_type, content, content_hash, entry_hash,
+           aux):
+    _require(isinstance(index, int) and type(aux) is dict,
+             "a LogEntry has an int index and an aux dict")
+    return LogEntry(index, timestamp, entry_type, content, content_hash,
+                    entry_hash, aux)
+
+
+def _response(node, entries, start_index, start_hash, head_auth, checkpoint,
+              from_mirror):
+    _require(type(entries) is list
+             and all(isinstance(e, LogEntry) for e in entries)
+             and isinstance(start_index, int)
+             and isinstance(head_auth, Authenticator)
+             and (checkpoint is None or isinstance(checkpoint, LogEntry)),
+             "a RetrieveResponse has LogEntries, an int start, a head auth")
+    # A copy: the list the bytes built stays theirs to reach.
+    return RetrieveResponse(node, list(entries), start_index, start_hash,
+                            head_auth, checkpoint, from_mirror)
+
+
+#: ``(class, tag, fields, builder)`` for every class that bytes from
+#: outside the program may build. A builder checks arity and the field
+#: types the daemon or the build step use unchecked (indexes, signatures,
+#: entry lists); what the rest claims, verification judges.
+VALUE_CLASSES = (
+    (Tup, "W.tup", ("relation", "loc", "args"),
+     lambda relation, loc, args: Tup(relation, loc, *args)),
+    (Msg, "W.msg", ("polarity", "tup", "src", "dst", "seq", "t_sent"), Msg),
+    (Ack, "W.ack", ("src", "dst", "msgs", "t_sent"), Ack),
+    (Authenticator, "W.auth",
+     ("node", "index", "timestamp", "entry_hash", "signature"),
+     _authenticator),
+    (RetentionFloor, "W.floor",
+     ("node", "floor_index", "floor_time", "signature"), _floor),
+    (DerivationInstance, "W.der", ("rule", "support"), DerivationInstance),
+    (LogEntry, "W.entry", ("index", "timestamp", "entry_type", "content",
+                           "content_hash", "entry_hash", "aux"), _entry),
+    (RetrieveResponse, "W.resp", ("node", "entries", "start_index",
+                                  "start_hash", "head_auth", "checkpoint",
+                                  "from_mirror"), _response),
+    (WireAck, "W.wack", ("src", "dst", "batch_auth", "rcv_metas", "gaps",
+                         "start_index", "h_start", "auth", "msgs"), WireAck),
+)
+
+#: The table by class (how an instance crosses) and by tag (its builder).
+FIELDS = {cls: (tag, attrgetter(*fields))
+          for cls, tag, fields, _build in VALUE_CLASSES}
+BUILDERS = {tag: build for _cls, tag, _fields, build in VALUE_CLASSES}
 
 
 # ---------------------------------------------------------------- values
@@ -49,39 +121,22 @@ _LIST_TAG = "W.l"
 _SET_TAG = "W.set"
 _FROZENSET_TAG = "W.fset"
 _DICT_TAG = "W.d"
-_TUP_TAG = "W.tup"
-_MSG_TAG = "W.msg"
-_ACK_TAG = "W.ack"
-_DER_TAG = "W.der"
-_AUTH_TAG = "W.auth"
-_FLOOR_TAG = "W.floor"
+_CONTAINERS = {_TUPLE_TAG: tuple, _LIST_TAG: list, _SET_TAG: set,
+               _FROZENSET_TAG: frozenset}
 
 
 def value_to_wire(value):
-    """Encode *value* (a nested structure of builtins and known value
+    """Encode *value* (a nested structure of builtins and table value
     objects) as tagged plain builtins. Containers are tag-wrapped, so raw
     data that happens to look like a tag cannot be misread: every tuple in
     a wire form was produced by this encoder. Mutable containers are
     snapshotted by the encoding itself."""
     if value is None or isinstance(value, _PRIMITIVES):
         return value
-    if isinstance(value, Tup):
-        return (_TUP_TAG, value_to_wire(value.relation),
-                value_to_wire(value.loc),
-                tuple(value_to_wire(a) for a in value.args))
-    if isinstance(value, Msg):
-        return (_MSG_TAG, value.polarity, value_to_wire(value.tup),
-                value_to_wire(value.src), value_to_wire(value.dst),
-                value.seq, value.t_sent)
-    if isinstance(value, Ack):
-        return (_ACK_TAG, value_to_wire(value.src), value_to_wire(value.dst),
-                tuple(value_to_wire(m) for m in value.msgs), value.t_sent)
-    if isinstance(value, Authenticator):
-        return (_AUTH_TAG, value_to_wire(value.node), value.index,
-                value.timestamp, value.entry_hash, bytes(value.signature))
-    if isinstance(value, RetentionFloor):
-        return (_FLOOR_TAG, value_to_wire(value.node), value.floor_index,
-                value.floor_time, bytes(value.signature))
+    row = FIELDS.get(type(value))
+    if row is not None:
+        tag, fields = row
+        return (tag, *map(value_to_wire, fields(value)))
     if isinstance(value, tuple):
         return (_TUPLE_TAG, tuple(value_to_wire(v) for v in value))
     if isinstance(value, list):
@@ -93,15 +148,9 @@ def value_to_wire(value):
     if isinstance(value, dict):
         return (_DICT_TAG, tuple((value_to_wire(k), value_to_wire(v))
                                  for k, v in value.items()))
-    # DerivationInstance lives in datalog snapshots; import lazily to keep
-    # this module's import footprint small for spawned workers.
-    from repro.datalog.store import DerivationInstance
-    if isinstance(value, DerivationInstance):
-        return (_DER_TAG, value.rule,
-                tuple(value_to_wire(s) for s in value.support))
     raise WireError(
         f"cannot wire-encode a {type(value).__name__}: only plain data and "
-        "registered value types may cross the process boundary"
+        "the value table's classes may cross the process boundary"
     )
 
 
@@ -112,9 +161,9 @@ def value_from_wire(wire):
     encoder cannot have produced raises :class:`WireError`."""
     try:
         return _value_from_wire(wire)
-    except (TypeError, ValueError, IndexError) as exc:
-        # wrong arity (tuple unpack, missing member list), wrong shape
-        # (not iterable) or an unhashable set member / dict key
+    except (TypeError, ValueError, IndexError, RecursionError) as exc:
+        # wrong arity, wrong shape (not iterable), an unhashable set
+        # member / dict key, or nesting deeper than the stack
         raise WireError(f"malformed wire form: {exc}") from None
 
 
@@ -123,43 +172,15 @@ def _value_from_wire(wire):
         return wire
     if isinstance(wire, tuple) and wire:
         tag = wire[0]
-        if tag == _TUP_TAG:
-            _t, relation, loc, args = wire
-            return Tup(_value_from_wire(relation), _value_from_wire(loc),
-                       *[_value_from_wire(a) for a in args])
-        if tag == _MSG_TAG:
-            _t, polarity, tup, src, dst, seq, t_sent = wire
-            return Msg(polarity, _value_from_wire(tup), _value_from_wire(src),
-                       _value_from_wire(dst), seq, t_sent)
-        if tag == _ACK_TAG:
-            _t, src, dst, msgs, t_sent = wire
-            return Ack(_value_from_wire(src), _value_from_wire(dst),
-                       [_value_from_wire(m) for m in msgs], t_sent)
-        if tag == _AUTH_TAG:
-            _t, node, index, timestamp, entry_hash, signature = wire
-            return Authenticator(_value_from_wire(node), index, timestamp,
-                                 entry_hash, signature)
-        if tag == _FLOOR_TAG:
-            _t, node, floor_index, floor_time, signature = wire
-            return RetentionFloor(_value_from_wire(node), floor_index,
-                                  floor_time, signature)
-        if tag == _TUPLE_TAG:
-            return tuple(_value_from_wire(v) for v in wire[1])
-        if tag == _LIST_TAG:
-            return [_value_from_wire(v) for v in wire[1]]
-        if tag == _SET_TAG:
-            return {_value_from_wire(v) for v in wire[1]}
-        if tag == _FROZENSET_TAG:
-            return frozenset(_value_from_wire(v) for v in wire[1])
+        build = BUILDERS.get(tag)
+        if build is not None:
+            return build(*[_value_from_wire(field) for field in wire[1:]])
+        kind = _CONTAINERS.get(tag)
+        if kind is not None:
+            return kind(map(_value_from_wire, wire[1]))
         if tag == _DICT_TAG:
             return {_value_from_wire(k): _value_from_wire(v)
                     for k, v in wire[1]}
-        if tag == _DER_TAG:
-            from repro.datalog.store import DerivationInstance
-            _t, rule, support = wire
-            return DerivationInstance(
-                rule, tuple(_value_from_wire(s) for s in support)
-            )
     raise WireError(f"unrecognized wire form {wire!r}")
 
 
@@ -195,7 +216,6 @@ def sanitize_response(response):
     """The wire form of a RetrieveResponse: itself, with entries
     sanitized. Only entries that carry non-wire aux (ack entries remember
     the sender-side ``WireBatch``) are copied."""
-    from repro.snp.snoopy import RetrieveResponse
     entries = [sanitize_entry(e) for e in response.entries]
     checkpoint = (None if response.checkpoint is None
                   else sanitize_entry(response.checkpoint))

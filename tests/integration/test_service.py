@@ -223,6 +223,9 @@ def hostile_pushes(auth):
         "alarm-without-msg-ids": {"nodes": {}, "alarms": [{"node": "a"}]},
         "fault-without-reason": {"nodes": {}, "faults": [{"node": "a"}]},
         "floor-not-an-advert": {"nodes": {}, "floors": {"a": 3}},
+        # acked and stored, it made every later GET /status drop its
+        # connection unanswered: the reply could not be JSON
+        "seq-not-an-int": {"nodes": {}, "seq": b"\x00"},
     }
 
 
@@ -339,6 +342,7 @@ class TestHostileFrames:
         assert reply["type"] == "error" and "malformed" in reply["error"]
         assert monitor.daemon.meter.corrupt_frames == 1
         assert self._stored(monitor.daemon) == stored
+        assert client.status()["last_push_seq"] == pusher.seq
         # The same connection carries on: the next valid push is acked
         # without a reconnect, and the audit answers as before.
         ack = pusher.push_once()
@@ -378,9 +382,9 @@ class TestHostileFrames:
 
     @pytest.mark.parametrize("name", sorted(hostile_pushes(None)))
     def test_malformed_push_is_rejected_whole(self, monitor, name):
-        self._assert_rejected_whole(monitor, lambda dep: dict(
-            hostile_pushes(dep.nodes["c"].received_auths["b"][0])[name],
-            type="push", seq=10_000))
+        self._assert_rejected_whole(monitor, lambda dep: {
+            "type": "push", "seq": 10_000,
+            **hostile_pushes(dep.nodes["c"].received_auths["b"][0])[name]})
 
 
 @contextlib.contextmanager

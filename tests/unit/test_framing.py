@@ -2,20 +2,24 @@
 tolerance — a truncated, oversized, or garbage-wrapped frame never
 corrupts a later well-formed one."""
 
+import functools
 import pickle
+import pickletools
 import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.apps.mincost import build_paper_network, link
-from repro.model import Tup
+from repro.datalog.store import DerivationInstance
+from repro.model import Ack, Tup
 from repro.service import ServicePusher, framing
 from repro.service.framing import (
     FrameDecoder, FramingError, HEADER_BYTES, MAGIC, encode_frame,
 )
 from repro.snp import Deployment, QueryProcessor
+from repro.snp.wire import VALUE_CLASSES, value_to_wire
 
 
 def raw_frame(payload, length=None):
@@ -197,8 +201,8 @@ def global_probe(module, name, call=b")R"):
     return b"\x80\x04" + _short(module) + _short(name) + b"\x93" + call + b"."
 
 
-#: Benign stand-ins for code execution. At the parent of the PR that
-#: introduced the table each of these *returned a value* from ``_loads``:
+#: Benign stand-ins for code execution. Under the module-prefix test the
+#: push port once had, each of these *returned a value* when unpickled:
 #: 42, the daemon's pid, an OrderedDict, copyreg's dispatch table, the
 #: globals of ``repro.model``. The first two are ROADMAP item 1's probes,
 #: byte for byte.
@@ -215,16 +219,67 @@ PROBES = {
     "unlisted name in a listed module":
         global_probe("repro.model", "canonical_bytes", call=b"N\x85R"),
 }
+#: The seven classes an exact name table once let a frame resolve: a
+#: value class crosses as a persistent id now, never by its name.
+PROBES.update({f"{module}.{name}": global_probe(module, name, call=b"")
+               for module, name in (
+                   ("repro.model", "Tup"), ("repro.model", "Msg"),
+                   ("repro.snp.commitment", "WireAck"),
+                   ("repro.snp.evidence", "Authenticator"),
+                   ("repro.snp.evidence", "RetentionFloor"),
+                   ("repro.snp.log", "LogEntry"),
+                   ("repro.snp.snoopy", "RetrieveResponse"))})
 
 
-class TestGlobalTable:
-    """The push port resolves the names in ``_WIRE_GLOBALS`` and no
-    other: not by module, not by prefix, not through a dotted path."""
+@functools.lru_cache(maxsize=None)
+def widest_deployment():
+    """Batched acks, checkpoints, signed retention floors: the widest
+    honest hello and push, and the deployment they describe."""
+    dep = Deployment(seed=77, key_bits=256, t_batch=0.05)
+    nodes = build_paper_network(dep)
+    dep.run()
+    dep.checkpoint_all()
+    nodes["a"].insert(link("a", "e", 9))
+    dep.run()
+    with QueryProcessor(dep) as auditor:
+        dep.register_querier(auditor)
+        auditor.refresh()
+        dep.run_gc()
+    pusher = ServicePusher(dep, "127.0.0.1", 0)
+    hello, (push, _cursors) = pusher.hello_message(), pusher.build_push()
+    return dep, hello, push
+
+
+@functools.lru_cache(maxsize=None)
+def first_push():
+    """A batched deployment's first push: whole logs, every entry type."""
+    dep = Deployment(seed=78, key_bits=256, t_batch=0.05)
+    build_paper_network(dep)
+    dep.run()
+    return ServicePusher(dep, "127.0.0.1", 0).build_push()[0]
+
+
+def one_of_each():
+    """One honest instance of every class in the value table."""
+    dep, _hello, push = widest_deployment()
+    response = first_push()["nodes"]["a"]["response"]
+    entries = {entry.entry_type: entry for entry in response.entries}
+    msg = entries["snd"].aux["msg"]
+    return [msg.tup, msg, Ack("b", "a", [msg], 1.5), response.head_auth,
+            next(iter(dep.retention_floors.values())),
+            DerivationInstance("R1", (msg.tup,)), entries["snd"], response,
+            entries["ack"].aux["wire_ack"]]
+
+
+class TestNoGlobalResolves:
+    """The push port resolves no global — not by module, not by name,
+    not through a dotted path; value objects cross as persistent ids of
+    ``repro.snp.wire``'s table."""
 
     @pytest.mark.parametrize("name", sorted(PROBES))
     def test_probe_is_refused_by_loads(self, name):
-        with pytest.raises(pickle.UnpicklingError):
-            framing._loads(PROBES[name])
+        with pytest.raises(framing.RefusedGlobal):
+            framing._Unpickler(PROBES[name]).load()
 
     @pytest.mark.parametrize("name", sorted(PROBES))
     def test_framed_probe_is_counted_and_the_stream_goes_on(self, name):
@@ -237,30 +292,25 @@ class TestGlobalTable:
         assert (dec.refused_globals, dec.frames_decoded) == (1, 1)
         assert dec.pending_bytes() == 0
 
-    def test_the_module_test_is_gone(self):
+    def test_no_name_table_is_left(self):
         assert not hasattr(framing, "_ALLOWED_MODULES")
+        assert not hasattr(framing, "_WIRE_GLOBALS")
 
-    def test_every_listed_name_is_a_class_that_exists(self):
-        for module, name in framing._WIRE_GLOBALS:
-            assert "." not in name
-            resolved = getattr(__import__(module, fromlist=[name]), name)
-            assert isinstance(resolved, type), (module, name)
+    def test_every_table_class_round_trips_through_a_frame(self):
+        values = one_of_each()
+        assert [type(v) for v in values] \
+            == [row[0] for row in VALUE_CLASSES]
+        # a shared object crosses once and arrives shared
+        (back, again), = decode_all(encode_frame((values, values[3])))[1]
+        assert again is back[3]
+        for sent, got in zip(values, back):
+            assert type(got) is type(sent)
+            assert value_to_wire(got) == value_to_wire(sent)
+        assert back[0] == values[0] and hash(back[0]) == hash(values[0])
 
     def test_the_table_covers_what_a_deployment_pushes(self):
-        """Batched acks, checkpoints and signed retention floors — the
-        widest honest hello and push — cross on the table as it is."""
-        dep = Deployment(seed=77, key_bits=256, t_batch=0.05)
-        nodes = build_paper_network(dep)
-        dep.run()
-        dep.checkpoint_all()
-        nodes["a"].insert(link("a", "e", 9))
-        dep.run()
-        with QueryProcessor(dep) as auditor:
-            dep.register_querier(auditor)
-            auditor.refresh()
-            dep.run_gc()
-        pusher = ServicePusher(dep, "127.0.0.1", 0)
-        hello, (push, _cursors) = pusher.hello_message(), pusher.build_push()
+        """The widest honest hello and push cross as they are."""
+        _dep, hello, push = widest_deployment()
         assert push["floors"] and any(
             part["auths"] for part in push["nodes"].values())
         dec, out = decode_all(encode_frame(hello) + encode_frame(push))
@@ -271,3 +321,148 @@ class TestGlobalTable:
             back = out[1]["nodes"][node]["response"]
             assert [e.entry_hash for e in back.entries] \
                 == [e.entry_hash for e in part["response"].entries]
+
+
+# ------------------------------------------------------- hostile payloads
+
+HONEST = {"type": "push", "seq": 3, "tup": Tup("link", "a", "b", 3)}
+
+
+def puts_stay_small(payload):
+    """Whether every memo index *payload* PUTs stays small. The C
+    unpickler sizes its memo to the largest index a PUT names, so nine
+    bytes can make it allocate gigabytes (ROADMAP item 1 records the
+    hole); hostile inputs here stay clear of that one."""
+    try:
+        for opcode, arg, _pos in pickletools.genops(payload):
+            if opcode.name.endswith("PUT") and arg > 1 << 16:
+                return False
+    except Exception:
+        pass  # the unpickler stops where genops does
+    return True
+
+
+def assert_contained(payload):
+    """*payload* framed, then an honest frame: ``feed`` never raises, the
+    payload costs at most itself — decoded, or counted corrupt exactly
+    once — and the honest frame decodes equal."""
+    dec = FrameDecoder()
+    out = dec.feed(raw_frame(payload) + encode_frame(HONEST))
+    assert out[-1] == HONEST
+    assert len(out) == dec.frames_decoded
+    assert dec.frames_decoded + dec.corrupt_frames == 2
+    assert (dec.garbage_bytes, dec.oversized_frames,
+            dec.pending_bytes()) == (0, 0, 0)
+    return dec
+
+
+def with_pid(pid):
+    """A payload that hands *pid* (a tuple of builtins) to
+    ``persistent_load``."""
+    return pickle.dumps(pid, protocol=4)[:-1] + b"Q."
+
+
+#: name -> hand-built payload the decoder must count corrupt, once.
+HOSTILE_IDS = {
+    "unknown tag": with_pid(("W.nonsense", 1)),
+    "no fields": with_pid(("W.tup",)),
+    "empty id": with_pid(()),
+    "id is not a tuple": b"\x80\x04\x8c\x05W.tupQ.",
+    "text persistent id": b"P('W.tup', 'r', 'a', ())\n.",
+    "tag is unhashable": b"\x80\x04]\x8c\x01r\x86Q.",
+    "wrong arity": with_pid(("W.tup", "r", "a", (), "extra")),
+    "unhashable Tup arg": b"\x80\x04(\x8c\x05W.tup\x8c\x01r\x8c\x01a]\x85tQ.",
+    "Tup args not a tuple": with_pid(("W.tup", "r", "a", 5)),
+    "bad Msg polarity": with_pid(
+        ("W.msg", "?", ("W.tup", "r", "a", ()), "a", "b", 0, 0.0)),
+    "unhashable Msg field": with_pid(("W.msg", "+", "t", [], "b", 0, 0.0)),
+    "Authenticator index not an int": with_pid(
+        ("W.auth", "a", "7", 1.0, "h", b"sig")),
+    "Authenticator signature an int": with_pid(
+        ("W.auth", "a", 7, 1.0, "h", 10 ** 12)),
+    "RetentionFloor index a float": with_pid(
+        ("W.floor", "a", 1.0, 1.0, b"sig")),
+    "LogEntry aux a list": with_pid(
+        ("W.entry", 1, 0.0, "ins", (), "c", "h", [])),
+    "response entries not LogEntries": with_pid(
+        ("W.resp", "a", ["entry"], 1, "h", None, None, False)),
+}
+
+
+#: A valid Tup, then ``BUILD`` setting its memoized hash to 5.
+REWRITTEN_AFTER_BUILD = (with_pid(("W.tup", "r", "a", ()))[:-1]
+                         + b"N}\x8c\x05_hashK\x05s\x86b.")
+
+
+#: A response built from an entry list L (memo 0), then ``"x"``
+#: appended to L, then ``(response, L)``.
+APPENDED_AFTER_BUILD = (
+    b"\x80\x04]\x94(\x8c\x06W.resp\x8c\x01ah\x00K\x01\x8c\x01h"
+    b"(\x8c\x06W.auth\x8c\x01aK\x01G" + struct.pack(">d", 1.0)
+    + b"\x8c\x01hC\x01stQN\x89tQh\x00\x8c\x01xa\x86.")
+
+
+class TestHostilePayloads:
+    """The frame payload decoder against bytes written to hurt it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=160))
+    def test_random_bytes_under_a_valid_header(self, payload):
+        assume(puts_stay_small(payload))
+        assert_contained(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["hello", "push", "first push"]), st.data())
+    def test_mutated_honest_frames(self, which, data):
+        _dep, hello, push = widest_deployment()
+        frames = {"hello": hello, "push": push, "first push": first_push()}
+        payload = bytearray(encode_frame(frames.pop(which))[HEADER_BYTES:])
+        donor = encode_frame(frames[data.draw(st.sampled_from(
+            sorted(frames)))])
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(payload) - 1))
+            how = data.draw(st.sampled_from(["flip", "truncate", "splice"]))
+            if how == "flip":
+                payload[at] = data.draw(st.integers(0, 255))
+            elif how == "truncate":
+                del payload[at:]
+                payload = payload or bytearray(b".")
+            else:
+                lo = data.draw(st.integers(HEADER_BYTES, len(donor) - 1))
+                payload[at:at] = donor[lo:lo + data.draw(
+                    st.integers(1, 64))]
+        assume(puts_stay_small(bytes(payload)))
+        assert_contained(bytes(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(
+               [row[1] for row in VALUE_CLASSES] + ["W.t", ""]),
+               st.text(max_size=6)),
+           st.lists(st.one_of(
+               st.none(), st.booleans(), st.integers(), st.floats(),
+               st.text(max_size=4), st.binary(max_size=4),
+               st.lists(st.integers(), max_size=2),
+               st.dictionaries(st.text(max_size=2), st.integers(),
+                               max_size=2),
+               st.tuples(st.integers())), max_size=10))
+    def test_hand_built_persistent_ids(self, tag, fields):
+        assert_contained(with_pid((tag, *fields)))
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_IDS))
+    def test_malformed_id_is_corrupt_once(self, name):
+        dec = assert_contained(HOSTILE_IDS[name])
+        assert (dec.corrupt_frames, dec.refused_globals) == (1, 0)
+
+    def test_an_object_cannot_be_rewritten_after_it_was_built(self):
+        """``BUILD`` would set slots directly, past the builder: a Tup
+        whose memoized hash a payload rewrites must not leave the
+        decoder."""
+        with pytest.raises(TypeError, match="never patched"):
+            framing._Unpickler(REWRITTEN_AFTER_BUILD).load()
+        assert assert_contained(REWRITTEN_AFTER_BUILD).corrupt_frames == 1
+
+    def test_a_checked_list_cannot_be_grown_after_the_check(self):
+        """The response keeps a copy of the entry list its builder
+        checked; the list the payload can still reach is not it."""
+        response, grown = framing._Unpickler(APPENDED_AFTER_BUILD).load()
+        assert grown == ["x"] and response.entries == []

@@ -1,8 +1,10 @@
 """The DDlog-style text parser and the graph exporters."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datalog import DatalogApp, MaybeRule, AggregateRule, Rule, choice_tuple
 from repro.datalog.parser import parse_program, parse_rules
@@ -115,6 +117,48 @@ class TestParser:
             R2: c(@X) :- a(@X).
         """)
         assert len(rules) == 2
+
+
+MINCOST_NDL = (Path(__file__).resolve().parents[2] / "examples"
+               / "mincost.ndl").read_text()
+
+#: The DSL's vocabulary, plus a few characters it has no token for.
+SOUP = ["R1", "R2", ":", ":-", ":~", "(", ")", "@", ",", ".", "X", "Y",
+        "_Z", "K1", "link", "cost", "min", "sum", "count", "<", ">", "<=",
+        "!=", "==", "+", "-", "*", "/", "0", "1", "-2", "2.5", "'s'", '"t"',
+        "input", "output", "#", "\n", " ", "$", "'", "\u00e9"]
+
+
+def parses_or_fails_as_configuration(text):
+    """The property: a program text either parses or raises a
+    ConfigurationError (ParseError / ProgramAnalysisError included)."""
+    try:
+        parse_program(text)
+    except ConfigurationError:
+        pass
+
+
+class TestParserFuzz:
+    """Hostile program text meets exactly one error type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(SOUP), max_size=40),
+           st.sampled_from([" ", ""]))
+    def test_token_soup(self, tokens, separator):
+        parses_or_fails_as_configuration(separator.join(tokens))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_mincost(self, data):
+        text = MINCOST_NDL
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            end = data.draw(st.integers(at, min(len(text), at + 12)))
+            patch = data.draw(st.one_of(
+                st.sampled_from(SOUP), st.text(max_size=3), st.just(""),
+                st.just(text[at:end] * 2)))
+            text = text[:at] + patch + text[end:]
+        parses_or_fails_as_configuration(text)
 
 
 class TestExport:

@@ -11,6 +11,7 @@ Three families of guarantees:
   observable behavior (hashes re-verify, replays extend identically).
 """
 
+import functools
 import pickle
 
 import pytest
@@ -22,11 +23,16 @@ from repro.model import Ack, Msg, Tup
 from repro.apps import AppFactory, factory_from_spec
 from repro.metrics import QueryStats
 from repro.snp import Deployment, QueryProcessor
+from repro.snp.commitment import WireAck
+from repro.snp.log import LogEntry
 from repro.snp.replay import extend_replay, verify_segment_hashes
+from repro.snp.snoopy import RetrieveResponse
 from repro.snp.build import BuildContext, BuildWork, CompactOutcome
+from repro.snp.evidence import Authenticator
 from repro.snp.wire import (
-    WireError, replay_from_wire, replay_to_wire, sanitize_response,
-    stats_from_wire, stats_to_wire, value_from_wire, value_to_wire,
+    BUILDERS, WireError, replay_from_wire, replay_to_wire,
+    sanitize_response, stats_from_wire, stats_to_wire, value_from_wire,
+    value_to_wire,
 )
 
 # ------------------------------------------------------------- strategies
@@ -69,6 +75,14 @@ values = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+#: A well-formed Authenticator wire form.
+_AUTH = ("W.auth", "a", 1, 1.0, "h", b"sig")
+
+#: The tags of the classes the push plane ships.
+_PUSHED = {"W.entry": LogEntry, "W.resp": RetrieveResponse,
+           "W.wack": WireAck}
 
 
 def _only_builtins(wire):
@@ -124,6 +138,23 @@ class TestValueCodec:
         # malformed forms nested inside well-formed ones
         ("W.l", (("W.t", (("W.auth", 1, 2),)),)),
         ("W.d", (("k", ("W.tup", 1)),)),
+        # the pushed classes: wrong arity, then each checked field
+        ("W.entry", 1, 0.0, "ins"), ("W.resp", "a"), ("W.wack", "a", "b"),
+        ("W.entry", "1", 0.0, "ins", ("W.t", ()), "c", "h", ("W.d", ())),
+        ("W.entry", 1, 0.0, "ins", ("W.t", ()), "c", "h", ("W.l", ())),
+        ("W.resp", "a", ("W.l", ("entry",)), 1, "h", _AUTH, None, False),
+        ("W.resp", "a", ("W.t", ()), 1, "h", _AUTH, None, False),
+        ("W.resp", "a", ("W.l", ()), 1.0, "h", _AUTH, None, False),
+        ("W.resp", "a", ("W.l", ()), 1, "h", None, None, False),
+        ("W.resp", "a", ("W.l", ()), 1, "h", _AUTH, "chk", False),
+        ("W.wack", "a", "b", _AUTH, ("W.l", ()), ("W.l", ()), 1, "h",
+         _AUTH, ("W.l", ()), "extra"),
+        ("W.auth", "a", 1, 1.0, "h", 10 ** 12),
+        ("W.floor", "a", "1", 1.0, b"sig"),
+        # nesting deeper than the decoder's stack
+        pytest.param(functools.reduce(
+            lambda wire, _: ("W.l", (wire,)), range(5000), 1),
+            id="nested-5000-deep"),
         # not a wire form at all
         ("W.nonsense", 1), (), ((),), [1, 2], {"k": 1},
         # (an explicit id: repr() of a bare object embeds its address,
@@ -136,6 +167,18 @@ class TestValueCodec:
         WireError — never a bare ValueError/TypeError."""
         with pytest.raises(WireError):
             value_from_wire(wire)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_PUSHED)), st.lists(st.one_of(
+        atoms, st.just(_AUTH), st.just(("W.l", ())), st.just(("W.d", ())),
+        st.just(("W.t", ()))), max_size=10))
+    def test_pushed_tags_build_their_class_or_raise_wire_error(
+            self, tag, fields):
+        try:
+            value = value_from_wire((tag, *fields))
+        except WireError:
+            return
+        assert type(value) is _PUSHED[tag]
 
     def test_encoding_snapshots_mutable_containers(self):
         store = {"h": "text"}
@@ -162,6 +205,22 @@ class TestConstructorPickling:
         assert fn is Msg
         clone = pickle.loads(pickle.dumps(msg))
         assert clone == msg and hash(clone) == hash(msg)
+
+    def test_other_value_classes_pickle_through_their_table_builder(self):
+        auth = Authenticator("a", 3, 1.5, "h", b"sig")
+        build, fields = auth.__reduce__()
+        assert build is BUILDERS["W.auth"]
+        assert fields == ("a", 3, 1.5, "h", b"sig")
+        clone = pickle.loads(pickle.dumps(auth))
+        assert value_to_wire(clone) == value_to_wire(auth)
+        # the builder's checks hold on the pool's pipe too
+        auth.index = "3"
+        with pytest.raises(WireError):
+            pickle.loads(pickle.dumps(auth))
+
+    def test_build_cannot_patch_a_value_object(self):
+        with pytest.raises(TypeError, match="never patched"):
+            Tup("r", "a").__setstate__((None, {"_hash": 5}))
 
     def test_tup_canonical_key_survives(self):
         tup = Tup("r", "a", 1)

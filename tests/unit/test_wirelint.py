@@ -106,6 +106,15 @@ class TestBoundaryClassCheck:
         )
         assert wirelint.lint(root) == []
 
+    def test_a_wire_value_carries_a_codec(self, tmp_path):
+        root = _make_tree(
+            tmp_path,
+            "from repro.model import Payload\n",
+            extra_modules=[("repro/model.py",
+                            "class Payload(WireValue):\n    pass\n")],
+        )
+        assert wirelint.lint(root) == []
+
     def test_the_boundary_follows_the_split(self, tmp_path):
         """What the build-step module imports is boundary material too:
         a codec-less class only it imports is flagged (at its import),
@@ -210,37 +219,38 @@ _UNPICKLER = (
     "class Restricted(pickle.Unpickler):\n"
     "    def find_class(self, module, name):\n"
     "        if TEST:\n"
-    "            return super().find_class(module, name)\n"
+    "            return RESOLVE\n"
     "        raise pickle.UnpicklingError(name)\n"
 )
 
 
-def _unpickler(test):
-    """A framing module whose ``find_class`` resolves under *test*."""
-    return _UNPICKLER.replace("TEST", test)
+def _unpickler(test, resolve="super().find_class(module, name)"):
+    """A framing module whose ``find_class`` returns *resolve* under
+    *test*."""
+    return _UNPICKLER.replace("TEST", test).replace("RESOLVE", resolve)
 
 
 class TestPickleSurfaceCheck:
     def test_the_real_unpickler_is_the_positive_case(self):
         """The shipped framing module is in the lint's scope and passes
-        by its membership test, not by being skipped."""
+        because its ``find_class`` resolves nothing, not by being
+        skipped."""
         path = REPO_ROOT / "src" / wirelint.PICKLE_HOME
-        assert "super().find_class" in path.read_text()
+        assert "def find_class" in path.read_text()
         violations = []
         wirelint.check_pickle_surface(
             path, wirelint.PICKLE_HOME, wirelint._parse(path), violations)
         assert violations == []
 
     @pytest.mark.parametrize("test", [
-        # the parent's test, verbatim: a root prefix or a module list
+        # the two guards the push port once had: a root prefix or a
+        # module list, then exact membership of the pair in a table
         "module.split('.', 1)[0] == 'repro' or module in ALLOWED",
-        # one per way of falling short: no pair, a deny-list, a swap
-        "module in ALLOWED",
-        "(module, name) not in DENIED",
-        "(name, module) in TABLE",
+        "(module, name) in TABLE",
+        # and any other condition at all
+        "module in ALLOWED", "(module, name) not in DENIED", "True",
     ])
-    def test_anything_short_of_exact_membership_is_flagged(
-            self, tmp_path, test):
+    def test_every_guarded_resolution_is_flagged(self, tmp_path, test):
         root = _make_tree(tmp_path, "", extra_modules=[(
             wirelint.PICKLE_HOME, _unpickler(test),
         )])
@@ -248,14 +258,21 @@ class TestPickleSurfaceCheck:
         assert [v.code for v in violations] == ["WL003"]
         assert "find_class" in violations[0].message
 
-    def test_resolution_outside_the_guarded_branch_is_flagged(
-            self, tmp_path):
-        body = _unpickler("(module, name) in TABLE").replace(
-            "        raise pickle.UnpicklingError(name)\n",
-            "        return super().find_class(module, name)\n")
+    def test_resolving_through_the_base_class_is_flagged(self, tmp_path):
+        body = _unpickler("(module, name) in TABLE",
+                          "pickle.Unpickler.find_class(self, module, name)")
         root = _make_tree(
             tmp_path, "", extra_modules=[(wirelint.PICKLE_HOME, body)])
         assert [v.code for v in wirelint.lint(root)] == ["WL003"]
+
+    def test_a_find_class_that_only_refuses_is_clean(self, tmp_path):
+        body = _unpickler("False").replace(
+            "        if False:\n            return super().find_class("
+            "module, name)\n", "")
+        assert "return" not in body
+        root = _make_tree(
+            tmp_path, "", extra_modules=[(wirelint.PICKLE_HOME, body)])
+        assert wirelint.lint(root) == []
 
     @pytest.mark.parametrize("statement", [
         "import io, pickle", "from marshal import loads",

@@ -12,10 +12,10 @@ plane's acceptance bar:
 2. **subscription alerting** — subscribers watching the audited vertex
    are told about an injected adversary's green→red downgrade within one
    push;
-3. **hostile input bounces** — a correctly framed payload that names
-   ``builtins.eval`` is refused unrun and counted in ``/status``
-   ``meter.refused_globals``; it and two well-framed but malformed
-   messages behind it on the same connection are each answered with an
+3. **hostile input bounces** — framed payloads naming ``builtins.eval``
+   and ``repro.model.Tup`` are refused unrun and counted in ``/status``
+   ``meter.refused_globals``; they and two well-framed but malformed
+   messages behind them on the same connection are each answered with an
    error and counted in ``/status`` ``meter.corrupt_frames``, a
    ``/subscribe`` whose watch cannot be keyed is answered 400 and leaves
    no subscription behind, a REST request that stalls half sent is
@@ -96,10 +96,11 @@ HOSTILE_FRAMES = (
 )
 
 
-#: ``eval("1+41")`` as a protocol-4 pickle: a benign stand-in for code
-#: execution. Before the unpickler resolved names from an exact table,
-#: the daemon evaluated it.
-EVAL_PROBE = b"\x80\x04\x8c\x08builtins\x8c\x04eval\x93\x8c\x041+41\x85R."
+#: ``eval("1+41")`` (code execution's benign stand-in: the daemon once
+#: ran it) and ``Tup("r", "a")`` by its class name (once resolvable from
+#: a name table) as protocol-4 pickles. Frames resolve no global at all.
+GLOBAL_PROBES = (b"\x80\x04\x8c\x08builtins\x8c\x04eval\x93\x8c\x041+41\x85R.",
+                 b"\x80\x04\x8c\x0brepro.model\x8c\x03Tup\x93\x8c\x01r\x8c\x01a\x86R.")
 
 
 #: A watch that cannot be keyed. Before a spec was validated whole at the
@@ -122,13 +123,13 @@ SPARE_CONNECTIONS = 4
 
 
 def send_hostile_frames(push_port):
-    """Send :data:`EVAL_PROBE`, then :data:`HOSTILE_FRAMES`, on a
+    """Send :data:`GLOBAL_PROBES`, then :data:`HOSTILE_FRAMES`, on a
     connection of their own; returns the daemon's reply to each."""
     decoder = FrameDecoder()
     replies = []
     with socket.create_connection(("127.0.0.1", push_port),
                                   timeout=30) as sock:
-        for data in (frame_payload(EVAL_PROBE),
+        for data in (*map(frame_payload, GLOBAL_PROBES),
                      *map(encode_frame, HOSTILE_FRAMES)):
             sock.sendall(data)
             replies.append(recv_frame(sock, decoder))
@@ -210,13 +211,12 @@ def main(argv=None):
               all(reply is not None and reply.get("type") == "error"
                   for reply in replies), repr(replies))
         meter = client.status()["meter"]
-        check("meter.refused_globals counted the eval probe",
-              meter["refused_globals"] == 1,
+        check("meter.refused_globals counted the eval and Tup probes",
+              meter["refused_globals"] == len(GLOBAL_PROBES),
               f"refused_globals={meter['refused_globals']}")
-        check("meter.corrupt_frames counted the probe and each hostile "
-              "frame",
+        check("meter.corrupt_frames counted each probe and hostile frame",
               meter["corrupt_frames"] - corrupt_before
-              == 1 + len(HOSTILE_FRAMES),
+              == len(GLOBAL_PROBES) + len(HOSTILE_FRAMES),
               f"{corrupt_before} -> {meter['corrupt_frames']}")
 
         reply = client._request("POST", "/subscribe", HOSTILE_SUBSCRIBE)
@@ -324,8 +324,8 @@ def main(argv=None):
         damage = {k: meter[k] for k in (
             "corrupt_frames", "garbage_bytes", "oversized_frames",
             "refused_globals")}
-        damage["corrupt_frames"] -= 1 + len(HOSTILE_FRAMES)
-        damage["refused_globals"] -= 1
+        damage["corrupt_frames"] -= len(GLOBAL_PROBES) + len(HOSTILE_FRAMES)
+        damage["refused_globals"] -= len(GLOBAL_PROBES)
         check("no transport damage on loopback beyond the hostile frames",
               not any(damage.values()), json.dumps(damage))
         # Shedding and dropped alerts are the daemon's to count; retries

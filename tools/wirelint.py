@@ -9,12 +9,12 @@ the python AST, no imports:
 **WL001 — boundary classes need an explicit wire path.** Every class
 one of the boundary modules (:data:`BOUNDARY_MODULES` — the codec, the
 build step, the worker-resident cache) imports from the library is a
-candidate to cross the executor boundary. Each one must
-either define ``__reduce__`` / ``to_wire`` (it carries its own codec) or
-be constructed inside a boundary module (the module is its codec). A
-class that merely *passes through* via default pickling would drag
-process-specific state — memoized ``hash()`` values, open handles — into
-worker processes.
+candidate to cross the executor boundary. Each one must either define
+``__reduce__`` / ``to_wire`` or derive from ``WireValue`` (it carries
+its own codec) or be constructed inside a boundary module (the module
+is its codec). A class that merely *passes through* via default
+pickling would drag process-specific state — memoized ``hash()``
+values, open handles — into worker processes.
 
 **WL002 — no unordered iteration into hashed or signed payloads.**
 Within the ``snp``/``crypto``/serialization modules, the argument of a
@@ -25,19 +25,18 @@ hashing or signing sink (``canonical_bytes``, ``sign``, ``verify``,
 Set/dict order is per-process under hash randomization, so an unsorted
 iteration signs a byte string another process cannot reproduce.
 
-**WL003 — one unpickler, and it resolves names from a table.** Bytes
-from outside the program meet one ``pickle`` importer,
-``repro/service/framing.py`` (the process pool's pipe pickles inside
-``multiprocessing``, both ends one program); an ``import`` statement
-naming one of :data:`PICKLE_ROOTS` in any other module opens a second
-decode path nobody restricted. (Statements only: a dynamic
-``import_module("pickle")`` is not seen.) And a
-``find_class`` may reach ``super().find_class`` only inside an ``if``
-whose whole test is ``(module, name) in <table>`` — exact membership of
-the pair. A prefix, a module-only test or an ``or`` of conditions admits
-names nobody listed (``builtins.eval``; ``os.getpid`` through a dotted
-name under an allowed module), which is how the push port came to run
-what it was sent.
+**WL003 — one unpickler, and it resolves no name.** Bytes from outside
+the program meet one ``pickle`` importer, ``repro/service/framing.py``
+(the process pool's pipe pickles inside ``multiprocessing``, both ends
+one program); an ``import`` statement naming one of
+:data:`PICKLE_ROOTS` in any other module opens a second decode path
+nobody restricted. (Statements only: a dynamic
+``import_module("pickle")`` is not seen.) And no code calls a
+``find_class`` (``super()``'s, ``Unpickler``'s) at all: a frame's value
+objects are persistent ids built by ``repro.snp.wire``'s table, and each
+guard the resolution once had — a module prefix, then an exact
+``(module, name)`` table — was one more place deciding what outside
+bytes may build.
 
 Run it over a source tree (CI does ``python tools/wirelint.py src``);
 exits 1 when any violation is found.
@@ -77,6 +76,8 @@ PICKLE_ROOTS = {"pickle", "_pickle", "cPickle", "marshal", "shelve", "dill"}
 
 #: Methods that mark a class as carrying its own serialization codec.
 CODEC_METHODS = {"__reduce__", "__reduce_ex__", "to_wire", "__getstate__"}
+#: A base that gives its subclasses one (they pickle through wire's table).
+CODEC_BASE = "WireValue"
 
 
 class Violation:
@@ -153,7 +154,8 @@ def _class_codec_index(src_root):
                 isinstance(item, ast.FunctionDef)
                 and item.name in CODEC_METHODS
                 for item in node.body
-            )
+            ) or any(getattr(base, "id", None) == CODEC_BASE
+                     for base in node.bases)
             # First definition wins; duplicate class names across modules
             # are resolved pessimistically (any codec-less def counts).
             if node.name not in index or not has_codec:
@@ -241,47 +243,14 @@ def _in_determinism_scope(path, src_root):
 # ------------------------------------------- WL003: the pickle surface
 
 
-def _is_super_find_class(node):
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "find_class"
-            and isinstance(node.func.value, ast.Call)
-            and isinstance(node.func.value.func, ast.Name)
-            and node.func.value.func.id == "super")
-
-
-def _is_exact_pair_membership(test, params):
-    """``(module, name) in <anything>`` over the method's own two
-    parameters, and nothing else in the test."""
-    return (isinstance(test, ast.Compare)
-            and len(test.ops) == 1 and isinstance(test.ops[0], ast.In)
-            and isinstance(test.left, ast.Tuple)
-            and [getattr(elt, "id", None) for elt in test.left.elts]
-            == params)
-
-
-def _check_find_class(path, method, violations):
-    params = [arg.arg for arg in method.args.args[1:]]
-    guarded = set()
-    for branch in ast.walk(method):
-        if isinstance(branch, ast.If) \
-                and _is_exact_pair_membership(branch.test, params):
-            for stmt in branch.body:
-                guarded.update(id(n) for n in ast.walk(stmt))
-    for call in ast.walk(method):
-        if _is_super_find_class(call) and id(call) not in guarded:
-            violations.append(Violation(
-                path, call.lineno, call.col_offset + 1, "WL003",
-                "find_class reaches super().find_class outside an "
-                "`if (module, name) in <table>` test; anything less "
-                "than exact membership resolves names nobody listed",
-            ))
-
-
 def check_pickle_surface(path, rel, tree, violations):
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "find_class":
-            _check_find_class(path, node, violations)
+        if isinstance(node, ast.Call) and _callee_name(node) == "find_class":
+            violations.append(Violation(
+                path, node.lineno, node.col_offset + 1, "WL003",
+                "a call resolves a global by name; frames carry value "
+                "objects as persistent ids, so find_class refuses them all",
+            ))
             continue
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
