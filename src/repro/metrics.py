@@ -381,6 +381,7 @@ class ServiceMeter:
         "push_failures", "poll_fallbacks",
         # daemon query plane
         "refresh_batches", "requests_batched", "queries_served",
+        "answers_reused",   # REST queries served from the answer table
         "refreshes_served", "subscriptions_opened", "watch_evaluations",
         "watch_evaluations_skipped", "alerts_emitted", "alerts_dropped",
         # daemon REST plane: connections accepted, requests begun on

@@ -15,9 +15,9 @@ Service-under-load behavior, in degradation order:
 
 1. **backpressure** — every frame write drains the asyncio transport, so
    a slow peer stalls its own connection, not the daemon's memory;
-2. **batching** — refresh requests arriving while a pass is running are
-   coalesced into the *next* single pass (one ``qp.refresh()`` serves
-   every waiter);
+2. **batching** — refresh requests share one pass (one ``qp.refresh()``
+   serves every waiter): the pass running, when it already covers every
+   ingest, else the next one;
 3. **shedding** — pushes beyond ``ingest_limit`` in-flight applications
    are acked ``shed`` without being stored; the pusher keeps its delta
    and re-sends on its next cadence tick (the poll fallback) — bounded
@@ -28,7 +28,7 @@ Service-under-load behavior, in degradation order:
 All `QueryProcessor` access — including ingest, which mutates the store
 the processor reads — is serialized through a single worker thread, so
 the event loop never blocks on crypto/replay and the store needs no
-locking.
+locking; the loop only serves reads the answer table already holds.
 """
 
 import argparse
@@ -331,6 +331,12 @@ class MonitorState(EvidenceDirectory):
 
 
 _VERDICT_RANK = {"pending": 0, "green": 0, "yellow": 1, "red": 2}
+#: The answer table's bound: past it an answer is simply not stored.
+ANSWER_TABLE_LIMIT = 256
+
+
+def _verdict(answer):  # what a watch compares; an error is pending
+    return answer["result"]["verdict"] if answer["ok"] else "pending"
 
 
 class Subscription:
@@ -347,8 +353,8 @@ class Subscription:
 
 
 def watch_key(spec):
-    """Canonical identity of a watch/query spec (used to batch identical
-    watches across subscribers into one evaluation per epoch)."""
+    """Canonical identity of a watch/query spec, ``fresh`` aside: the
+    answer table's key, shared by REST reads and watches."""
     return (
         _spec_tup(spec), spec.get("node"), spec.get("at"),
         spec.get("before"), spec.get("scope"), spec.get("direction", "why"),
@@ -390,7 +396,9 @@ class MonitorDaemon:
         self._next_sid = 1
         self._refresh_needed = None     # asyncio.Event, bound to the loop
         self._refresh_waiters = []
-        self._watch_state = {}          # watch key -> last outcome
+        self._joinable = None           # see request_refresh
+        self._answers = {}              # watch key -> answer; see _answer
+        self._writes = 0                # ingests + passes on the worker
         self._servers = []
         self._conn_tasks = set()        # live connection handler tasks
         self._loop = None
@@ -503,8 +511,7 @@ class MonitorDaemon:
         mtype = msg["type"]
         try:
             if mtype == "hello":
-                await self._loop.run_in_executor(
-                    self._qp_pool, self.state.ingest_hello, msg)
+                await self._ingest(self.state.ingest_hello, msg)
                 return {"type": "hello-ack",
                         "heads": await self._in_pool(self.state.stored_heads),
                         "cursors": self.state.ingest_cursors()}
@@ -529,8 +536,7 @@ class MonitorDaemon:
                     "marks": None}
         self._inflight_pushes += 1
         try:
-            heads = await self._loop.run_in_executor(
-                self._qp_pool, self.state.ingest_push, msg)
+            heads = await self._ingest(self.state.ingest_push, msg)
             marks = await self._in_pool(self.qp.low_water_marks)
         finally:
             self._inflight_pushes -= 1
@@ -544,15 +550,33 @@ class MonitorDaemon:
         return self._loop.run_in_executor(
             self._qp_pool, lambda: fn(*args))
 
+    async def _ingest(self, apply, msg):
+        """Apply a hello or push on the worker, emptying the answer table
+        in worker order. The running pass no longer covers every ingest."""
+        self._joinable = None
+
+        def run():
+            self._answers.clear()
+            return apply(msg)
+        self._writes += 1
+        try:
+            return await self._in_pool(run)
+        finally:
+            self._writes -= 1
+
     # ------------------------------------------------ refresh + queries
 
     def request_refresh(self):
-        """A future resolving with the epoch of the next refresh pass.
-        Requests arriving while a pass runs share the following pass —
-        the batching rung of the degradation ladder."""
+        """A future resolving with the epoch of a pass covering every
+        ingest so far: the running one while no ingest followed it (its
+        waiters are ``_joinable``), else the next — the batching rung."""
         fut = self._loop.create_future()
-        self._refresh_waiters.append(fut)
-        self._refresh_needed.set()
+        if self._joinable is not None:
+            self._joinable.append(fut)
+            self.meter.requests_batched += 1
+        else:
+            self._refresh_waiters.append(fut)
+            self._refresh_needed.set()
         return fut
 
     async def _refresh_worker(self):
@@ -560,6 +584,8 @@ class MonitorDaemon:
             await self._refresh_needed.wait()
             self._refresh_needed.clear()
             waiters, self._refresh_waiters = self._refresh_waiters, []
+            self._joinable = waiters
+            self._writes += 1
             self.meter.refresh_batches += 1
             self.meter.requests_batched += len(waiters)
             try:
@@ -569,54 +595,53 @@ class MonitorDaemon:
                     if not fut.done():
                         fut.set_exception(exc)
                 continue
+            finally:
+                self._joinable = None
+                self._writes -= 1
             for fut in waiters:
                 if not fut.done():
                     fut.set_result(epoch)
             self._dispatch_alerts(epoch, outcomes)
 
     def _refresh_and_eval(self):
-        """(qp pool) One refresh pass plus one evaluation of every unique
-        watch — N subscribers of one vertex cost one query per epoch.
-
-        The refresh's per-epoch change set gates the evaluations: when no
-        node's view changed (every delta fetch came back empty, no
-        verdict flipped), a watch already evaluated in an earlier epoch
-        cannot answer differently, so its stored outcome is reused and
-        ``watch_evaluations_skipped`` ticks instead. A watch with no
-        stored outcome (new subscription, or its last evaluation errored
-        out before storing) is always evaluated.
-        """
+        """(qp pool) One refresh pass, then every unique watch answered
+        through the answer table — N subscribers of one vertex cost one
+        evaluation per epoch at most, and none in an epoch that changed
+        no view (``watch_evaluations_skipped`` ticks instead)."""
         epoch = self.qp.refresh()
         changed = self.qp.last_refresh_changed
-        quiet = changed is not None and not changed
+        if changed is None or changed:
+            self._answers.clear()
         outcomes = {}
-        wanted = {}
-        for sub in self._subs.values():
-            if sub.closed:
-                continue
+        for sub in list(self._subs.values()):
             for key, spec in zip(sub.keys, sub.watches):
-                wanted.setdefault(key, spec)
-        for key, spec in wanted.items():
-            if quiet and key in self._watch_state:
-                outcomes[key] = self._watch_state[key]
-                self.meter.watch_evaluations_skipped += 1
-                continue
-            outcomes[key] = self._eval_watch(spec)
-            self.meter.watch_evaluations += 1
-        self._watch_state.update(outcomes)
+                if sub.closed or key in outcomes:
+                    continue
+                if key in self._answers:
+                    self.meter.watch_evaluations_skipped += 1
+                    outcomes[key] = self._answers[key]
+                else:
+                    self.meter.watch_evaluations += 1
+                    outcomes[key] = self._answer(key, spec)
         return epoch, outcomes
 
-    def _eval_watch(self, spec):
+    def _answer(self, key, spec):
+        """(qp pool) Evaluate *spec* to ``{"ok", "result" | "error"}``,
+        a pure function of the querier's verified state: stored under
+        *key* when the evaluation left that state as it found it (no
+        view built, no log fetched), kept until an ingest, a pass with
+        changes or an evaluation that moved the state empties the table.
+        While an ingest or pass is scheduled, hits wait for it."""
+        version = self.qp.mq.version
         try:
-            result = self._run_query(spec)
+            answer = {"ok": True, "result": self._run_query(spec).summary()}
         except QueryError as exc:
-            return {"verdict": "pending", "error": str(exc)}
-        return {
-            "verdict": result.verdict(),
-            "faulty_nodes": result.summary()["faulty_nodes"],
-            "red": len(result.red_vertices()),
-            "yellow": len(result.yellow_vertices()),
-        }
+            answer = {"ok": False, "error": str(exc)}
+        if self.qp.mq.version != version:
+            self._answers.clear()
+        elif len(self._answers) < ANSWER_TABLE_LIMIT:
+            self._answers[key] = answer
+        return answer
 
     def _run_query(self, spec):
         """(qp pool) Evaluate one query/watch spec against the shared
@@ -635,17 +660,19 @@ class MonitorDaemon:
         return self.qp.why(tup, **kwargs)
 
     async def query(self, spec):
-        """Serve one REST query; with ``fresh``, join the next batched
-        refresh pass first."""
+        """Serve one REST query, from the answer table when it can; with
+        ``fresh``, after a refresh pass covering every ingest so far."""
         if spec.get("fresh"):
             await self.request_refresh()
-        try:
-            result = await self._in_pool(self._run_query, spec)
-        except QueryError as exc:
-            return {"ok": False, "error": str(exc), "epoch": self.qp.epoch}
-        self.meter.queries_served += 1
-        return {"ok": True, "epoch": self.qp.epoch,
-                "result": result.summary()}
+        key = watch_key(spec)
+        answer = None if self._writes else self._answers.get(key)
+        if answer is None:
+            answer = await self._in_pool(self._answer, key, spec)
+        else:
+            self.meter.answers_reused += 1
+        if answer["ok"]:
+            self.meter.queries_served += 1
+        return dict(answer, epoch=self.qp.epoch)
 
     async def refresh(self):
         epoch = await self.request_refresh()
@@ -677,19 +704,18 @@ class MonitorDaemon:
         sub = Subscription(sid, watches, self.subscriber_queue_limit)
         # Every key is hashed before the subscription is registered: a
         # spec that cannot be keyed raises here and leaves no trace.
-        known_states = [self._watch_state.get(key) for key in sub.keys]
+        known = [self._answers.get(key) for key in sub.keys]
         self._subs[sid] = sub
         self.meter.subscriptions_opened += 1
-        # Seed baselines from already-evaluated watches — telling the
-        # subscriber its starting state right away — so one joining late
-        # still alerts on the *next* downgrade; then make sure a pass
-        # runs to evaluate anything new.
-        for key, spec, known in zip(sub.keys, sub.watches, known_states):
-            if known is not None:
-                sub.last[key] = known["verdict"]
+        # Seed baselines from stored answers — telling the subscriber its
+        # starting state right away — so one joining late still alerts
+        # on the *next* downgrade; then make sure a pass runs to evaluate
+        # anything new.
+        for key, spec, answer in zip(sub.keys, sub.watches, known):
+            if answer is not None:
+                sub.last[key] = _verdict(answer)
                 self._offer(sub, {"type": "state", "epoch": self.qp.epoch,
-                                  "watch": spec,
-                                  "verdict": known["verdict"]})
+                                  "watch": spec, "verdict": sub.last[key]})
         self._refresh_needed.set()
         return sub
 
@@ -702,10 +728,10 @@ class MonitorDaemon:
             if sub.closed:
                 continue
             for key, spec in zip(sub.keys, sub.watches):
-                outcome = outcomes.get(key)
-                if outcome is None:
+                answer = outcomes.get(key)
+                if answer is None:
                     continue
-                verdict = outcome["verdict"]
+                verdict = _verdict(answer)
                 last = sub.last.get(key)
                 sub.last[key] = verdict
                 if last is None:
@@ -713,11 +739,14 @@ class MonitorDaemon:
                              "watch": spec, "verdict": verdict}
                     self._offer(sub, event)
                 elif _VERDICT_RANK[verdict] > _VERDICT_RANK[last]:
+                    # outranks pending, so the answer is a result
+                    result = answer["result"]
+                    colors = [color for _v, color in result["vertices"]]
                     event = {"type": "alert", "epoch": epoch,
                              "watch": spec, "from": last, "to": verdict,
-                             "faulty_nodes": outcome.get("faulty_nodes", []),
-                             "red": outcome.get("red", 0),
-                             "yellow": outcome.get("yellow", 0)}
+                             "faulty_nodes": result["faulty_nodes"],
+                             "red": colors.count("red"),
+                             "yellow": colors.count("yellow")}
                     self.meter.alerts_emitted += 1
                     self._offer(sub, event)
 

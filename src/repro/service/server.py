@@ -3,9 +3,9 @@
 Routes (all JSON bodies/responses):
 
 * ``GET  /status``    — daemon epoch, stored heads, meter counters;
-* ``POST /query``     — evaluate one provenance query spec (``fresh``
-  joins the next batched refresh pass first);
-* ``POST /refresh``   — join the next refresh pass, returns its epoch;
+* ``POST /query``     — answer one provenance query spec (``fresh``
+  first joins a refresh pass covering every push so far);
+* ``POST /refresh``   — join such a pass, returns its epoch;
 * ``GET  /marks``     — the daemon's per-node verified heads (its
   low-water marks for the GC handshake);
 * ``POST /subscribe`` — open a standing subscription: the response is an

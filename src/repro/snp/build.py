@@ -496,6 +496,9 @@ def _verify_response(work, context, stats, outcome):
         verify_checkpoint(node_id, response.checkpoint)
     check_parsed_forms(response)
     for signer, auth in embedded_authenticators(response):
+        if signer not in context.public_keys:  # no peer could have sent it
+            raise LogVerificationError(node_id, "log embeds an authenticator "
+                                       f"from unregistered node {signer!r}")
         verify_auth(context.public_keys[signer], auth, stats)
     if work.consistency is not None:
         def on_skip(auth):

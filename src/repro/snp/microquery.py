@@ -434,6 +434,10 @@ class MicroQuerier:
         self.evidence = EvidenceStore()
         self.stats = QueryStats()
         self._views = {}
+        #: Moved by every batch that ran a job (builds, extends, anchor
+        #: fetches) and every invalidate: equal before and after a query,
+        #: the query left the verified state as it found it.
+        self.version = 0
         # Nodes whose view *semantically* changed in the most recent
         # refresh() — status flipped or the verified head advanced. The
         # per-epoch change set the monitor's watch evaluation consumes: an
@@ -516,6 +520,7 @@ class MicroQuerier:
         """Drop cached views (forces a full rebuild; prefer :meth:`refresh`
         when the cached view is trustworthy and the system merely ran
         further)."""
+        self.version += 1
         if node_id is None:
             for view in self._views.values():
                 self._evict_resident(view)
@@ -610,6 +615,7 @@ class MicroQuerier:
         """
         if not jobs:
             return
+        self.version += 1
         context = self._build_context()
         # Fresh per batch: the deployment may have run on since the last
         # batch, so factory-spec snapshots must not outlive one batch.

@@ -285,6 +285,22 @@ class TestConvictionGallery:
         assert "authenticator from 'a' has an invalid signature" \
             in view.verdict_reason
 
+    def test_rcv_commits_to_an_authenticator_of_an_unregistered_node(
+            self, gallery_executor):
+        # check: the embedded-authenticator loop's registered-key guard
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        t = b._next_time()
+        stranger = Authenticator("z", 1, t, "ab" * 32, b"\x01" * 32)
+        msg = Msg("+", cost("b", "d", "z", 1), "z", "b", 999, t)
+        batch = WireBatch("z", "b", [], [], 1, "cd" * 32, stranger)
+        b.log.append(t, RCV, rcv_entry_content(msg, batch),
+                     aux={"msg": msg, "batch_auth": stranger})
+        view = self._view_of_b(dep, gallery_executor)
+        assert view.status == "proven-faulty"
+        assert "authenticator from unregistered node 'z'" \
+            in view.verdict_reason
+
     @pytest.mark.parametrize("lie, reason", [
         ("re-dated", "checkpoint contents fail Merkle verification"),
         ("dropped", "checkpoint tuple counts do not match commitment"),

@@ -11,21 +11,27 @@ Everything here runs the real stack: asyncio servers on ``127.0.0.1``
 port 0, framed pickles on the push socket, HTTP/NDJSON on the REST side.
 """
 
+import asyncio
 import contextlib
 import json
 import socket
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.service import (
     MonitorClient, ServicePusher, server, start_monitor_thread, tup_spec,
 )
 from repro.service.framing import frame_payload
+from repro.service.monitor import MonitorState, watch_key
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
+from repro.util.errors import QueryError
 
 
 def paper_deployment(adversary_cls=None, victim="b", seed=77):
@@ -186,6 +192,25 @@ class TestAdversarial:
         assert out["result"]["verdict"] == "red"
         assert "b" in out["result"]["faulty_nodes"]
         pusher.close()
+
+    def test_a_log_embedding_an_unregistered_signer_is_convicted(self):
+        """A hello and a push that leave ``b`` out: ``a``'s log still
+        holds ``b``'s batch authenticators, which no registered key can
+        have signed. Before the check, building ``a``'s view raised
+        ``KeyError: 'b'`` — every daemon query touching ``a`` a 500."""
+        dep, _nodes = paper_deployment()
+        pusher = ServicePusher(dep, "127.0.0.1", 1)  # builds messages only
+        hello = pusher.hello_message()
+        push, _cursors = pusher.build_push()
+        del hello["nodes"]["b"], push["nodes"]["b"]
+        state = MonitorState()
+        state.ingest_hello(hello)
+        state.ingest_push(push)
+        with QueryProcessor(state) as qp:
+            view = qp.mq.view_of("a")
+            assert qp.mq.view_of("c").status == "proven-faulty"
+        assert view.status == "proven-faulty"
+        assert "unregistered node 'b'" in view.verdict_reason
 
 
 HOSTILE_HELLOS = {
@@ -694,6 +719,299 @@ class TestSubscriptions:
             assert (monitor.daemon.meter.watch_evaluations
                     > evaluated_before)
         pusher.close()
+
+
+SPEC = tup_spec(best_cost("c", "d", 5))
+
+
+def _on_loop(handle, make_coro):
+    """Run ``make_coro()`` on the daemon's event loop; its result."""
+    return asyncio.run_coroutine_threadsafe(
+        make_coro(), handle._loop).result(30)
+
+
+def _settle(handle):
+    """Wait until no ingest or refresh pass is owed, scheduled or running."""
+    daemon = handle.daemon
+
+    async def idle():
+        while daemon._refresh_needed.is_set() or daemon._writes:
+            await asyncio.sleep(0.002)
+    _on_loop(handle, idle)
+
+
+def _rerun(handle, spec):
+    """The reply a ``_run_query`` run on the worker gives right now."""
+    daemon = handle.daemon
+
+    def evaluate():
+        try:
+            return {"ok": True, "result": daemon._run_query(spec).summary()}
+        except QueryError as exc:
+            return {"ok": False, "error": str(exc)}
+
+    async def on_worker():
+        return dict(await daemon._in_pool(evaluate), epoch=daemon.qp.epoch)
+    return _on_loop(handle, on_worker)
+
+
+@contextlib.contextmanager
+def _worker_blocked(daemon):
+    """Hold the daemon's one worker: what is scheduled meanwhile queues."""
+    gate = threading.Event()
+    daemon._qp_pool.submit(gate.wait)
+    try:
+        yield
+    finally:
+        gate.set()
+
+
+def _pushed(handle, adversary_cls=None):
+    """A paper deployment pushed to *handle*'s daemon, its pass done."""
+    dep, nodes = paper_deployment(adversary_cls)
+    pusher = make_pusher(dep, handle)
+    assert not pusher.push_once()["shed"]
+    _settle(handle)
+    return dep, nodes, pusher
+
+
+def _fork_b(dep, nodes):
+    nodes["b"].fork_log(keep_upto=3)
+    nodes["b"].insert(link("b", "e", 9))
+    dep.run()
+
+
+@pytest.fixture
+def clients(monitor):
+    """Make clients of the ``monitor`` daemon, closed after the test."""
+    made = []
+
+    def make():
+        made.append(MonitorClient("127.0.0.1", monitor.daemon.http_port))
+        return made[-1]
+    yield make
+    for client in made:
+        client.close()
+
+
+class TestAnswerTable:
+    """A repeated read is a lookup in the daemon's answer table, and no
+    stored answer outlives the verified state it was computed at."""
+
+    def test_a_read_that_builds_a_view_is_not_stored(self, monitor, clients):
+        daemon = monitor.daemon
+        _dep, _nodes, pusher = _pushed(monitor)
+        client = clients()
+        first = client.query(SPEC)        # builds every view it reaches
+        assert first["ok"] and not daemon._answers
+        assert client.query(SPEC) == first
+        assert list(daemon._answers) == [watch_key(SPEC)]
+        assert client.status()["meter"]["answers_reused"] == 0
+        # an explicit default is the same key
+        assert client.query(dict(SPEC, scope=None)) == first
+        assert client.status()["meter"]["answers_reused"] == 1
+        pusher.close()
+
+    def test_hits_skip_run_query(self, monitor, clients, monkeypatch):
+        daemon = monitor.daemon
+        _dep, _nodes, pusher = _pushed(monitor)
+        calls = []
+        run_query = daemon._run_query
+        monkeypatch.setattr(daemon, "_run_query",
+                            lambda spec: calls.append(spec) or run_query(spec))
+        client = clients()
+        warm = client.query(dict(SPEC, fresh=True))
+        replies = [client.query(SPEC) for _ in range(10)]
+        assert all(reply == warm for reply in replies)
+        # the fresh read built views; the first plain read stored
+        assert len(calls) == 2
+        meter = client.status()["meter"]
+        assert (meter["answers_reused"], meter["queries_served"]) == (9, 11)
+        pusher.close()
+
+    def test_a_stored_green_does_not_outlive_a_pass_that_changed_a_view(
+            self, monitor, clients):
+        """The fork's ingest empties the table, but a plain read queued
+        between that ingest and its pass stores green again (it reads the
+        views as they were); the pass must empty the table once more."""
+        daemon = monitor.daemon
+        dep, nodes, pusher = _pushed(monitor, ForkingNode)
+        client, reader = clients(), clients()
+        green = client.query(dict(SPEC, fresh=True))
+        assert green["result"]["verdict"] == "green"
+        _fork_b(dep, nodes)
+        with ThreadPoolExecutor(2) as side, _worker_blocked(daemon):
+            pushed = side.submit(pusher.push_once)
+            _wait_for(lambda: daemon._writes == 1)   # the ingest is queued
+            stale = side.submit(reader.query, SPEC)
+            # the read queued behind it
+            _wait_for(lambda: daemon._qp_pool._work_queue.qsize() == 2)
+        assert not pushed.result()["shed"]
+        assert stale.result()["result"] == green["result"]
+        assert client.refresh()["ok"]
+        out = client.query(SPEC)
+        assert out["result"]["verdict"] == "red"
+        assert "b" in out["result"]["faulty_nodes"]
+        pusher.close()
+
+    def test_a_read_issued_after_a_pass_was_scheduled_waits_for_it(
+            self, monitor, clients):
+        daemon = monitor.daemon
+        _dep, _nodes, pusher = _pushed(monitor)
+        client, reader = clients(), clients()
+        client.query(dict(SPEC, fresh=True))
+        stored = client.query(SPEC)
+        with ThreadPoolExecutor(2) as side, _worker_blocked(daemon):
+            refreshed = side.submit(client.refresh)
+            _wait_for(lambda: daemon._writes == 1)   # the pass is queued
+            read = side.submit(reader.query, SPEC)
+            time.sleep(0.2)
+            assert not read.done()
+        assert read.result()["epoch"] == refreshed.result()["epoch"]
+        assert read.result()["result"] == stored["result"]
+        pusher.close()
+
+    def test_a_fresh_read_joins_the_pass_covering_its_push(
+            self, monitor, clients):
+        daemon = monitor.daemon
+        dep, _nodes, pusher = _pushed(monitor)
+        client, reader = clients(), clients()
+        batches = daemon.meter.refresh_batches
+        batched = daemon.meter.requests_batched
+        with ThreadPoolExecutor(2) as side, _worker_blocked(daemon):
+            refreshed = side.submit(client.refresh)
+            _wait_for(lambda: daemon._writes == 1)   # the pass is queued
+            fresh = side.submit(reader.query, dict(SPEC, fresh=True))
+            _wait_for(lambda: daemon.meter.requests_batched == batched + 2)
+        assert fresh.result()["epoch"] == refreshed.result()["epoch"]
+        assert daemon.meter.refresh_batches == batches + 1
+        assert fresh.result()["result"] == direct_summary(
+            dep, best_cost("c", "d", 5))
+        pusher.close()
+
+    def test_a_fresh_read_does_not_join_a_pass_older_than_a_push(
+            self, monitor, clients):
+        daemon = monitor.daemon
+        dep, nodes, pusher = _pushed(monitor, ForkingNode)
+        client, reader = clients(), clients()
+        assert client.query(dict(SPEC, fresh=True))["ok"]
+        _fork_b(dep, nodes)
+        with ThreadPoolExecutor(3) as side, _worker_blocked(daemon):
+            refreshed = side.submit(client.refresh)
+            _wait_for(lambda: daemon._writes == 1)   # the pass is queued
+            pushed = side.submit(pusher.push_once)
+            _wait_for(lambda: daemon._writes == 2)   # the ingest behind it
+            fresh = side.submit(reader.query, dict(SPEC, fresh=True))
+            _wait_for(lambda: daemon._refresh_waiters)  # owed the next pass
+        assert not pushed.result()["shed"]
+        # (a later pass, at least: the push's own may follow at once)
+        assert fresh.result()["epoch"] > refreshed.result()["epoch"]
+        assert fresh.result()["result"]["verdict"] == "red"
+        pusher.close()
+
+    def test_no_read_issued_after_a_conviction_is_green(
+            self, monitor, clients):
+        """Eight readers hammer one spec (loop-side hits, worker-side
+        stores) while pushes, then a fork, land; once a fresh read has
+        returned red, no read issued later may be the stored green."""
+        daemon = monitor.daemon
+        dep, nodes, pusher = _pushed(monitor, ForkingNode)
+        client = clients()
+        assert client.query(dict(SPEC, fresh=True))["ok"]
+        stop = threading.Event()
+
+        def read(_slot):
+            seen = []
+            with MonitorClient("127.0.0.1", daemon.http_port) as own:
+                while not stop.is_set():
+                    issued = time.monotonic()
+                    seen.append((issued, own.query(SPEC)["result"]["verdict"]))
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as side:
+                readers = [side.submit(read, slot) for slot in range(8)]
+                for step in range(3):
+                    nodes["a"].insert(link("a", "e", 100 + step))
+                    dep.run()
+                    assert not pusher.push_once()["shed"]
+                _fork_b(dep, nodes)
+                assert not pusher.push_once()["shed"]
+                red = client.query(dict(SPEC, fresh=True))
+                convicted = time.monotonic()
+                time.sleep(0.3)
+                stop.set()
+                seen = [row for reader in readers
+                        for row in reader.result(30)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert red["result"]["verdict"] == "red"
+        late = [verdict for issued, verdict in seen if issued > convicted]
+        assert late and set(late) == {"red"}
+        assert daemon.meter.answers_reused > 0
+        pusher.close()
+
+
+#: Specs the interleavings read: a deep why, a shallow one, a forward
+#: query, and one that is a ``QueryError`` (no such tuple).
+INTERLEAVED_SPECS = (
+    SPEC,
+    tup_spec(link("a", "b", 6), scope=1),
+    tup_spec(link("b", "c", 2), scope=2, direction="effects"),
+    tup_spec(best_cost("c", "d", 99)),
+)
+
+#: (operation, index of the spec it reads or watches)
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["push", "fork", "refresh", "read", "fresh",
+                     "subscribe"]),
+    st.integers(0, len(INTERLEAVED_SPECS) - 1)), min_size=1, max_size=12)
+
+
+class TestAnswerTableInterleavings:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=_OPS)
+    def test_every_reply_equals_a_run_query_rerun(self, ops):
+        """Push, plain read, fresh read, ``/refresh`` and subscribe in any
+        order: every reply — hit or miss — is what ``_run_query`` gives on
+        the worker at that point."""
+        handle = start_monitor_thread(
+            host="127.0.0.1", push_port=0, http_port=0)
+        dep, nodes, pusher = _pushed(handle, ForkingNode)
+        client = MonitorClient("127.0.0.1", handle.daemon.http_port)
+        forked = False
+        try:
+            with contextlib.ExitStack() as streams:
+                for step, (op, index) in enumerate(ops):
+                    spec = INTERLEAVED_SPECS[index]
+                    if op == "fork" and not forked:
+                        _fork_b(dep, nodes)
+                        forked = True
+                        assert not pusher.push_once()["shed"]
+                    elif op in ("push", "fork"):
+                        nodes["a"].insert(link("a", "e", 100 + step))
+                        dep.run()
+                        assert not pusher.push_once()["shed"]
+                    elif op == "refresh":
+                        assert client.refresh()["ok"]
+                    elif op == "subscribe":
+                        stream = streams.enter_context(
+                            client.subscribe([spec]))
+                        assert stream.next_event(10)["type"] == "subscribed"
+                    else:
+                        reply = client.query(
+                            dict(spec, fresh=True) if op == "fresh" else spec)
+                        _settle(handle)
+                        assert reply.pop("_status") == 200
+                        assert reply == _rerun(handle, spec)
+                    _settle(handle)
+        finally:
+            client.close()
+            pusher.close()
+            handle.stop()
 
 
 class TestDegradation:

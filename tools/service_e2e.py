@@ -8,10 +8,12 @@ plane's acceptance bar:
 
 1. **bit-identical audits** — N concurrent REST clients sharing the
    daemon all receive exactly the summary a direct in-process
-   ``QueryProcessor`` audit of the same deployment produces;
+   ``QueryProcessor`` audit of the same deployment produces, repeated
+   reads from the daemon's answer table (``meter.answers_reused``);
 2. **subscription alerting** — subscribers watching the audited vertex
    are told about an injected adversary's green→red downgrade within one
-   push;
+   push, after which a plain (not ``fresh``) read is red too: no stored
+   green outlives the conviction;
 3. **hostile input bounces** — framed payloads naming ``builtins.eval``
    and ``repro.model.Tup`` are refused unrun and counted in ``/status``
    ``meter.refused_globals``; they and two well-framed but malformed
@@ -267,6 +269,10 @@ def main(argv=None):
               and meter["http_requests"] >= 10 * meter["http_connections"],
               f"{meter['http_requests']} requests on "
               f"{meter['http_connections']} connections (budget {budget})")
+        check("repeated reads were served from the answer table",
+              meter["answers_reused"] > 0,
+              f"answers_reused={meter['answers_reused']} of "
+              f"{meter['queries_served']} served")
 
         print("service e2e: injecting fork at " + args.adversary,
               flush=True)
@@ -288,6 +294,12 @@ def main(argv=None):
             check(f"subscriber {index} alerted green->red",
                   ok, f"{latency:.2f}s after push")
 
+        # The alerting pass changed a view, so it emptied the answer
+        # table: a plain read can no longer be the stored green.
+        out = client.query(watch)
+        check("plain (not fresh) query after the alert is red",
+              out.get("ok") and out["result"]["verdict"] == "red",
+              f"verdict={out.get('result', {}).get('verdict')}")
         out = client.query(dict(watch, fresh=True))
         check("service audit convicts the forker",
               out.get("ok") and out["result"]["verdict"] == "red"
