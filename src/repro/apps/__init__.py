@@ -20,18 +20,18 @@ Factory registry
 Deterministic replay rebuilds a node's state machine from the *factory*
 registered at :meth:`~repro.snp.deployment.Deployment.add_node`. Factories
 built from Datalog programs close over compiled rules (including guard and
-expression lambdas), which can never cross a process boundary — so
-process-pool view builds (see :mod:`repro.snp.wire`) ship a *name + plain
-kwargs* spec instead and resolve it against this registry inside each
-worker. :class:`AppFactory` is the callable that carries such a spec; the
-built-in applications all hand one out, and external applications can join
-with :func:`register_app`.
+expression lambdas), which can never go on the wire — so a pusher's hello
+(:mod:`repro.service.push`) ships a *name + plain kwargs* spec instead, and
+the monitor daemon resolves it against this registry.
+:class:`AppFactory` is the callable that carries such a spec; the built-in
+applications all hand one out, and external applications can join with
+:func:`register_app`.
 """
 
 _REGISTRY = {}
 
 #: Built-in application builders, imported lazily so that pulling in
-#: ``repro.apps`` (e.g. inside a spawned worker) does not pay for every
+#: ``repro.apps`` (e.g. in the monitor daemon) does not pay for every
 #: example program's rule compilation up front.
 _BUILTIN_BUILDERS = {
     "chord": ("repro.apps.chord", "build_chord_app_factory"),
@@ -49,7 +49,7 @@ def register_app(name, builder):
     mapping ``node_id`` to a fresh deterministic state machine. Both the
     name and every kwarg an :class:`AppFactory` is created with must be
     wire-encodable plain data (see :mod:`repro.snp.wire`), because they are
-    what travels to process-pool workers in place of the factory itself.
+    what travels to the monitor daemon in place of the factory itself.
     """
     _REGISTRY[name] = builder
     return builder
@@ -101,11 +101,11 @@ class AppFactory:
     Locally it behaves exactly like the closure it replaces: calling it
     with a ``node_id`` returns a fresh state machine (the underlying
     builder runs once, so per-factory work such as rule compilation is
-    shared by all nodes using the factory). For the process boundary it
-    exposes :meth:`wire_spec`: the registry name plus the kwargs in wire
-    form, from which a worker rebuilds an equivalent factory. Mutable
-    kwargs (e.g. MapReduce's content store) are snapshotted at
-    ``wire_spec()`` time, i.e. once per shipped work item.
+    shared by all nodes using the factory). For the wire it exposes
+    :meth:`wire_spec`: the registry name plus the kwargs in wire form,
+    from which the daemon rebuilds an equivalent factory. Mutable kwargs
+    (e.g. MapReduce's content store) are snapshotted at ``wire_spec()``
+    time, i.e. once per hello.
     """
 
     __slots__ = ("name", "kwargs", "_resolved")

@@ -19,8 +19,8 @@ The paper's primary systems are modeled as tuples plus derivation rules
   by executing the compiled plans over the store's secondary indexes
   (delta-lifted joins, incrementally maintained aggregate-group
   membership) and emits ``+τ/−τ`` notifications for rules whose head
-  lives on another node — the production engine for replay and the
-  resident view plane;
+  lives on another node — the production engine for recording and
+  replay;
 * :mod:`repro.datalog.naive` — :class:`NaiveDatalogApp`, the scan-based
   reference evaluator the indexed engine is property-tested against, plus
   the recompute-from-scratch retraction oracle.

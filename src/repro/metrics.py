@@ -229,28 +229,18 @@ class CpuReport:
 class QueryStats:
     """Per-query cost accounting (Figure 8).
 
-    Parallel view builds give every worker its own QueryStats, merged into
-    the querier's via the field-generic :meth:`merge` in canonical node
-    order — integer counters are therefore *identical* across worker
-    counts, while the wall-clock fields in :data:`TIMING_FIELDS` are
-    nondeterministic (they time real execution) and are excluded from
-    equivalence checks via :meth:`counters`.
+    Every build job keeps its own QueryStats, merged into the querier's
+    via the field-generic :meth:`merge` in canonical node order — integer
+    counters are therefore a deterministic function of the audit, while
+    the wall-clock fields in :data:`TIMING_FIELDS` are not (they time
+    real execution) and are excluded from equivalence checks via
+    :meth:`counters`.
     """
 
     DOWNLOAD_BANDWIDTH_BPS = 10e6 / 8  # paper assumes a 10 Mbps download
 
     #: Fields measuring elapsed wall-clock rather than deterministic work.
     TIMING_FIELDS = ("auth_check_seconds", "replay_seconds")
-
-    #: Fields that depend on *which* executor ran the builds (worker-
-    #: resident cache traffic). They are deterministic for a fixed
-    #: executor but legitimately differ between a serial build (no cache)
-    #: and a resident process pool — so, like the timing fields, they are
-    #: excluded from the serial ≡ wire ≡ process equivalence projection
-    #: in :meth:`counters`.
-    EXECUTOR_FIELDS = (
-        "view_cache_hits", "view_cache_misses", "view_cache_evictions",
-    )
 
     def __init__(self):
         self.log_bytes = 0
@@ -282,19 +272,11 @@ class QueryStats:
         # and evidence-store authenticators evicted because they fall
         # strictly below a head already verified against the node's chain.
         self.evidence_pruned = 0
-        # --- executor-dependent fields (see EXECUTOR_FIELDS) ---
-        # Worker-resident view cache traffic: a hit extends a replay that
-        # never left its worker; a miss (evicted entry, died worker, or a
-        # head the worker does not hold) falls back to a cold build.
-        self.view_cache_hits = 0
-        self.view_cache_misses = 0
-        self.view_cache_evictions = 0
         # Differential-engine work done inside replays: presence toggles
         # the replayed machines consumed, Der/Und derivation changes they
         # emitted, derivation instances dropped because a support
         # disappeared, and min/max recomputes forced by a disappearing
-        # support. Deterministic per replay, so they participate in the
-        # serial ≡ parallel counters() projection.
+        # support. Deterministic per replay, so they are in counters().
         self.delta_tuples_in = 0
         self.delta_tuples_out = 0
         self.retractions_applied = 0
@@ -336,7 +318,7 @@ class QueryStats:
     def merged(cls, parts):
         """Fold an ordered iterable of QueryStats into a fresh one.
 
-        The caller fixes the order (canonical node order for per-worker
+        The caller fixes the order (canonical node order for per-job
         stats), which pins down float summation so repeated merges of the
         same parts are bit-identical.
         """
@@ -346,13 +328,11 @@ class QueryStats:
         return total
 
     def counters(self):
-        """The deterministic (non-timing, executor-independent) fields,
-        as a dict — the projection over which parallel ≡ serial
-        equivalence holds."""
+        """The deterministic (non-timing) fields, as a dict — what two
+        audits of the same state must agree on."""
         return {
             field: value for field, value in vars(self).items()
             if field not in self.TIMING_FIELDS
-            and field not in self.EXECUTOR_FIELDS
         }
 
     def as_dict(self):

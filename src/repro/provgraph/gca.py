@@ -77,21 +77,12 @@ class GraphConstructor:
         # Messages the maintainer already knows went unacknowledged
         # (Section 5.4's notification rule): not red, just unresolved.
         self.known_alarm_msg_ids = frozenset()
-        # Pending per-node machine snapshots to restore lazily on first
-        # use — how a GCA reconstructed from its wire form (see
-        # repro/snp/wire.py) defers the restore cost until an extend
-        # actually needs the machine.
-        self.machine_snapshots = {}
 
     # ------------------------------------------------------------ driving
 
     def machine(self, node):
         if node not in self.machines:
-            machine = self.machine_factory(node)
-            snapshot = self.machine_snapshots.pop(node, None)
-            if snapshot is not None:
-                machine.restore(snapshot)
-            self.machines[node] = machine
+            self.machines[node] = self.machine_factory(node)
         return self.machines[node]
 
     def process(self, event):

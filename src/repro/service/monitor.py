@@ -193,7 +193,8 @@ def _require(ok, what, *args):
 
 def _parse_hello(msg):
     """Validate a hello whole, before any of it is applied; returns
-    ``(t_prop, [(node_id, public_key, factory-or-None)])``."""
+    ``(t_prop, [(node_id, public_key, factory)])``. Every node needs an
+    app spec: replay rebuilds its state machine from nothing else."""
     from repro.crypto.rsa import RsaKeyPair
     from repro.apps import factory_from_spec
     t_prop, nodes = msg.get("t_prop"), msg.get("nodes")
@@ -207,8 +208,9 @@ def _parse_hello(msg):
                  and all(_is_int(part) and part > 0 for part in key),
                  "hello: node %r carries no (n, e) public key", node_id)
         spec = info.get("app")
-        factory = None if spec is None else factory_from_spec(spec)
-        parsed.append((node_id, RsaKeyPair(*key), factory))
+        _require(spec is not None,
+                 "hello: node %r carries no application spec", node_id)
+        parsed.append((node_id, RsaKeyPair(*key), factory_from_spec(spec)))
     return float(t_prop), parsed
 
 
@@ -271,10 +273,9 @@ class MonitorState(EvidenceDirectory):
 
     def ingest_hello(self, msg):
         """Adopt a deployment's identity material: node ids, public keys
-        (as ``(n, e)`` pairs, rebuilt locally like
-        :meth:`~repro.snp.build.BuildContext.from_wire` does), app wire
-        specs, and the replay Tprop bound. All or nothing: a malformed
-        message raises :class:`WireError` and changes no state."""
+        (as ``(n, e)`` pairs, rebuilt locally), app wire specs, and the
+        replay Tprop bound. All or nothing: a malformed message raises
+        :class:`WireError` and changes no state."""
         t_prop, parsed = _parse_hello(msg)
         self.hello = {"deployment": msg.get("deployment")}
         self._t_prop = t_prop
@@ -282,8 +283,7 @@ class MonitorState(EvidenceDirectory):
             if node_id not in self.nodes:
                 self.nodes[node_id] = MonitorNodeProxy(node_id)
             self._public_keys[node_id] = public_key
-            if factory is not None:
-                self.app_factories[node_id] = factory
+            self.app_factories[node_id] = factory
 
     def ingest_push(self, msg):
         """Absorb one push; returns per-node stored heads for the ack.
@@ -383,9 +383,6 @@ class MonitorDaemon:
         self.max_frame_bytes = max_frame_bytes
         self.ingest_limit = ingest_limit
         self.subscriber_queue_limit = subscriber_queue_limit
-        # Serial builds: a standing auditor's steady state is warm
-        # refresh, where the process pool loses at every size measured
-        # (DESIGN.md, "When ``process:N`` pays").
         self.qp = QueryProcessor(self.state)
         # One worker serializes every touch of state+qp: ingest mutates
         # what queries read, and MicroQuerier itself is not thread-safe.

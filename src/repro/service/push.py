@@ -116,10 +116,9 @@ class ServicePusher:
         nodes = {}
         for node_id in sorted(dep.nodes, key=str):
             key = dep.public_key_of(node_id)
-            factory = dep.app_factories.get(node_id)
             nodes[node_id] = {
                 "key": (key.n, key.e),
-                "app": factory.wire_spec() if factory is not None else None,
+                "app": dep.app_factories[node_id].wire_spec(),
             }
         return {"type": "hello", "deployment": id(dep),
                 "t_prop": dep.effective_t_prop(), "nodes": nodes}

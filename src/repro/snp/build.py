@@ -1,32 +1,24 @@
 """The build step: verify a response, then replay it.
 
-Between the coordinator's *fetch* and *finalize*
-(:mod:`repro.snp.microquery`) runs :func:`compute_build`, a pure function
-of a :class:`BuildWork` and a :class:`BuildContext` and the *single* code
-path every executor runs — which makes serial ≡ wire ≡ process a
-structural argument, not a statistical one.
+Between the querier's *fetch* and *finalize* (:mod:`repro.snp.microquery`)
+runs :func:`compute_build`, a pure function of a :class:`BuildWork` and a
+:class:`BuildContext`, inline on the calling thread.
 
 This is also the one home of "verify a response": every check that can
 convict a node is written once here and called by the compute step, the
 finalize tail and the anchoring fetch alike (the chain primitives stay
-in :mod:`repro.snp.replay`; wire forms build on :mod:`repro.snp.wire`).
+in :mod:`repro.snp.replay`).
 """
 
 import time
 
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.rsa import RsaKeyPair
 from repro.metrics import QueryStats
 from repro.snp.commitment import ack_entry_content, snd_entry_content
 from repro.snp.log import INS, DEL, SND, RCV, ACK
 from repro.snp.replay import (
     check_against_authenticator, extend_replay, replay_segment,
     verify_segment_hashes,
-)
-from repro.snp.wire import (
-    WireError, replay_from_wire, replay_handle_from_wire,
-    replay_handle_to_wire, replay_to_wire, sanitize_response,
-    stats_from_wire, stats_to_wire, value_from_wire, value_to_wire,
 )
 from repro.util.errors import AuthenticationError, LogVerificationError
 from repro.util.serialization import canonical_bytes
@@ -35,60 +27,15 @@ from repro.util.serialization import canonical_bytes
 # ----------------------------------------------------------- build context
 
 class BuildContext:
-    """The one-time per-pool context of the verify+replay step.
-
-    Everything the compute step may consult beyond its work item: the
+    """What the verify+replay step may consult beyond its work item: the
     querier's public-key table and the deployment's Tprop bound for
-    replay. Factories are *not* part of the context — a work item carries
-    either a live factory (in-process executors) or a registry spec
-    (process pool, resolved per work item so e.g. a refreshed content
-    store is never stale).
-    """
+    replay."""
 
-    __slots__ = ("public_keys", "t_prop", "_factory_cache")
+    __slots__ = ("public_keys", "t_prop")
 
     def __init__(self, public_keys, t_prop=1.0):
         self.public_keys = public_keys
         self.t_prop = t_prop
-        self._factory_cache = {}
-
-    def to_wire(self):
-        keys = tuple(sorted(
-            ((value_to_wire(node), key.n, key.e)
-             for node, key in self.public_keys.items()),
-            key=repr,
-        ))
-        return ("W.ctx", keys, self.t_prop)
-
-    @classmethod
-    def from_wire(cls, wire):
-        _tag, keys, t_prop = wire
-        return cls(
-            {value_from_wire(node): RsaKeyPair(n, e) for node, n, e in keys},
-            t_prop=t_prop,
-        )
-
-    def factory_for(self, node, app_spec):
-        """Resolve a registry spec to a factory (cached per spec)."""
-        if app_spec is None:
-            raise WireError(
-                f"no application spec for node {node!r}; register its "
-                "factory (repro.apps.AppFactory) to build views in a "
-                "process pool"
-            )
-        try:
-            cached = self._factory_cache.get(app_spec)
-        except TypeError:  # unhashable spec — resolve uncached
-            cached = None
-        if cached is not None:
-            return cached
-        from repro.apps import factory_from_spec
-        factory = factory_from_spec(app_spec)
-        try:
-            self._factory_cache[app_spec] = factory
-        except TypeError:
-            pass
-        return factory
 
 
 # --------------------------------------------------------------- the work
@@ -104,10 +51,9 @@ class BuildWork:
     (None when the consistency check is disabled); ``alarms`` the
     maintainer's known-missing-ack message ids. For extends, ``head_index``
     / ``head_hash`` anchor the suffix and ``base_replay`` is the retained
-    replay to advance. ``factory`` is the live application factory;
-    ``app_spec`` its registry form (resolved on the far side of a process
-    boundary). ``floor`` is the node's advertised retention floor (0 =
-    never advertised): evidence below it is tombstoned (permanently
+    replay to advance. ``factory`` is the node's application factory.
+    ``floor`` is the node's advertised retention floor (0 = never
+    advertised): evidence below it is tombstoned (permanently
     uncheckable — the prefix is GC'd) instead of left pending, and with
     ``floor_strict`` (a full build that asked for the untruncated log) a
     direct response anchored *above* the floor convicts the node of
@@ -116,14 +62,12 @@ class BuildWork:
 
     __slots__ = ("node", "kind", "response", "known", "held", "pending",
                  "consistency", "alarms", "head_index", "head_hash",
-                 "base_replay", "factory", "app_spec", "spec_cache",
-                 "floor", "floor_strict")
+                 "base_replay", "factory", "floor", "floor_strict")
 
     def __init__(self, node, kind, response, known=frozenset(), held=(),
                  pending=(), consistency=None, alarms=frozenset(),
                  head_index=0, head_hash=None, base_replay=None,
-                 factory=None, app_spec=None, spec_cache=None,
-                 floor=0, floor_strict=False):
+                 factory=None, floor=0, floor_strict=False):
         self.floor = floor
         self.floor_strict = floor_strict
         self.node = node
@@ -138,90 +82,30 @@ class BuildWork:
         self.head_hash = head_hash
         self.base_replay = base_replay
         self.factory = factory
-        self.app_spec = app_spec
-        #: Batch-scoped memo of factory → encoded spec (the deployment is
-        #: quiescent during a batch, so one snapshot of e.g. a MapReduce
-        #: content store serves every node sharing the factory).
-        self.spec_cache = spec_cache
-
-    def resolve_factory(self, context):
-        if self.factory is not None:
-            return self.factory
-        return context.factory_for(self.node, self.app_spec)
-
-    def to_wire(self):
-        app_spec = self.app_spec
-        if app_spec is None and self.factory is not None:
-            cache = {} if self.spec_cache is None else self.spec_cache
-            app_spec = cache.get(id(self.factory))
-            if app_spec is None:
-                wire_spec = getattr(self.factory, "wire_spec", None)
-                if wire_spec is None:
-                    raise WireError(
-                        f"the application factory for node {self.node!r} "
-                        "is not registry-backed; hand Deployment.add_node "
-                        "a repro.apps.AppFactory (or register_app) to "
-                        "build views in a process pool"
-                    )
-                app_spec = cache[id(self.factory)] = wire_spec()
-        return ("W.work", self.node, self.kind,
-                sanitize_response(self.response),
-                frozenset(self.known), tuple(self.held),
-                tuple(self.pending),
-                None if self.consistency is None
-                else tuple(self.consistency),
-                frozenset(self.alarms),
-                self.head_index, self.head_hash,
-                None if self.base_replay is None
-                else replay_handle_to_wire(self.base_replay),
-                app_spec, self.floor, self.floor_strict)
-
-    @classmethod
-    def from_wire(cls, wire, context):
-        (_tag, node, kind, response, known, held, pending, consistency,
-         alarms, head_index, head_hash, base_replay, app_spec,
-         floor, floor_strict) = wire
-        work = cls(
-            node, kind, response, known=known, held=held, pending=pending,
-            consistency=consistency, alarms=alarms,
-            head_index=head_index, head_hash=head_hash, app_spec=app_spec,
-            floor=floor, floor_strict=floor_strict,
-        )
-        if base_replay is not None:
-            work.base_replay = replay_handle_from_wire(
-                base_replay, work.resolve_factory(context)
-            )
-        return work
 
 
 # ------------------------------------------------------------ the outcome
 
 class CompactOutcome:
     """One node's build/extend result: exactly what the verify+replay
-    step produced, and exactly what :meth:`to_wire` ships.
+    step produced.
 
-    A status (``ok`` / ``verify-failed`` / ``replay-failed``) plus only
-    value data — recomputed chain hashes, the checked / recovered /
-    newly-skipped authenticator evidence, per-task QueryStats, and the
-    (possibly extended) replay. What the *fetch* step learned stays on
-    the coordinator's build job, which interprets this outcome
-    (``absorb``) identically whether it was produced in-process or
-    decoded from a worker. ``kind`` is ``built`` (a full build verified
-    and replayed) or ``extended`` (an ``ok`` view's replay advanced by a
-    verified delta).
+    A status (``ok`` / ``verify-failed`` / ``replay-failed``) plus
+    recomputed chain hashes, the checked / recovered / newly-skipped
+    authenticator evidence, the step's QueryStats, and the (possibly
+    extended) replay. What the *fetch* step learned stays on the build
+    job, which interprets this outcome (``absorb``). ``kind`` is
+    ``built`` (a full build verified and replayed) or ``extended`` (an
+    ``ok`` view's replay advanced by a verified delta).
     """
 
     __slots__ = ("node", "kind", "status", "reason", "hashes", "checked",
                  "recovered", "skipped", "tombstoned", "stats",
-                 "replay_result", "replay_ran", "resident_head")
+                 "replay_result")
 
     OK = "ok"
     VERIFY_FAILED = "verify-failed"
     REPLAY_FAILED = "replay-failed"
-    #: Resident executors only: the work referenced a worker-resident base
-    #: replay the worker no longer holds (evicted, respawned, or at a
-    #: different head). The executor falls back to a cold build.
-    CACHE_MISS = "cache-miss"
 
     def __init__(self, node, kind):
         self.node = node
@@ -238,45 +122,6 @@ class CompactOutcome:
         self.tombstoned = []
         self.stats = None
         self.replay_result = None
-        #: Whether replay advanced over suffix entries — for extends this
-        #: means the base replay is no longer at its committed head (a
-        #: worker's resident entry moves with it).
-        self.replay_ran = False
-        #: Resident executors: ``(head_index, head_hash)`` of the replay
-        #: now held in the worker's resident cache. Set instead of
-        #: shipping the replay — the executor wraps it in a
-        #: :class:`ResidentReplay` handle.
-        self.resident_head = None
-
-    def to_wire(self):
-        return ("W.outcome", self.node, self.kind, self.status, self.reason,
-                None if self.hashes is None else tuple(self.hashes),
-                tuple(sorted(self.checked.items())), tuple(self.recovered),
-                tuple(self.skipped), tuple(self.tombstoned),
-                stats_to_wire(self.stats),
-                None if self.replay_result is None
-                else replay_to_wire(self.replay_result),
-                self.replay_ran, self.resident_head)
-
-    @classmethod
-    def from_wire(cls, wire, machine_factory):
-        (_tag, node, kind, status, reason, hashes, checked, recovered,
-         skipped, tombstoned, stats, replay, replay_ran,
-         resident_head) = wire
-        outcome = cls(node, kind)
-        outcome.status = status
-        outcome.reason = reason
-        outcome.hashes = None if hashes is None else list(hashes)
-        outcome.checked = dict(checked)
-        outcome.recovered = list(recovered)
-        outcome.skipped = list(skipped)
-        outcome.tombstoned = list(tombstoned)
-        outcome.stats = stats_from_wire(stats)
-        if replay is not None:
-            outcome.replay_result = replay_from_wire(replay, machine_factory)
-        outcome.replay_ran = replay_ran
-        outcome.resident_head = resident_head
-        return outcome
 
 
 # --------------------------------------------------- verifying a response
@@ -293,9 +138,7 @@ def verify_auth(public_key, auth, stats):
 
 def response_head(response, hashes):
     """``(head_index, head_hash)`` a verified response advances a view
-    to: its last entry, or its anchor when nothing was appended. The
-    coordinator's finalize and a worker's resident entry both take the
-    view head from here."""
+    to: its last entry, or its anchor when nothing was appended."""
     return (response.head_index,
             hashes[-1] if response.entries else response.start_hash)
 
@@ -553,14 +396,13 @@ def compute_build(work, context):
         # Nothing appended; the fresh head authenticator was checked
         # against the cached head hash above, confirming no fork.
         return outcome
-    outcome.replay_ran = True
     if work.kind == "extended":
         result = work.base_replay
         extend_replay(work.node, result, response,
                       known_alarm_msg_ids=work.alarms, stats=stats)
     else:
         result = replay_segment(
-            work.node, response, work.resolve_factory(context),
+            work.node, response, work.factory,
             t_prop=context.t_prop, known_alarm_msg_ids=work.alarms,
             stats=stats,
         )
@@ -603,25 +445,3 @@ def verify_anchor_segment(response, public_key, trusted_head, stats):
             )
     return hashes
 
-
-# ---------------------------------------------------- reading a built view
-
-def graph_read(graph, op, payload):
-    """The four read-only ops a querier runs against a view's graph —
-    one dispatch, whether the graph lives in this process or in a
-    worker (which clones the vertices it returns). Only ``find_all``
-    costs O(graph)."""
-    if op == "get":
-        return graph.get(payload)
-    if op == "around":
-        vertex = graph.get(payload)
-        if vertex is None:
-            return None
-        return (vertex, graph.predecessors(vertex),
-                graph.successors(vertex))
-    if op == "open_interval":
-        return graph.open_interval(*payload)
-    if op == "find_all":
-        vtype, node, tup = payload
-        return graph.find_all(vtype=vtype, node=node, tup=tup)
-    raise ValueError(f"unknown view op {op!r}")

@@ -25,8 +25,8 @@ and replaying only the log suffix appended since — a node whose returned
 suffix does not continue the verified chain has provably forked its log
 (see DESIGN.md, "Audit path").
 
-Builds are *batched* and split in three (see DESIGN.md, "The executor
-boundary"). This module holds the two coordinator-side steps:
+Builds are *batched* and split in three, all inline on the calling
+thread (see DESIGN.md, "One build path"):
 
 * **fetch** (:class:`_BuildJob`) — retrieve or mirror fallback, transfer
   accounting, and the snapshotting of everything the verification needs:
@@ -34,15 +34,13 @@ boundary"). This module holds the two coordinator-side steps:
   (:class:`_NodeTrust`: checked-authenticator memo, consistency cursor,
   pending skipped authenticators), the consistency evidence collected
   from peers, and the maintainer's alarm set. The job keeps what it
-  learned; the executor finishes it in place;
-* **finalize** (calling thread, canonical node order) — takes the
-  finished job: the held-evidence check over what earlier batch members
-  harvested, the trust record's commit, harvesting, view installation.
-
-Between them runs :func:`repro.snp.build.compute_build` — every check
-that can convict the node, then replay — inline or in a worker process;
-executors therefore produce bit-identical views, colors and counters
-(serial ≡ wire ≡ process).
+  learned;
+* **compute** (:func:`repro.snp.build.compute_build`) — every check that
+  can convict the node, then replay;
+* **finalize** (canonical node order, once every job of the batch has
+  computed) — takes the finished job: the held-evidence check over what
+  earlier batch members harvested, the trust record's commit,
+  harvesting, view installation.
 """
 
 import time
@@ -50,14 +48,12 @@ from collections import defaultdict
 
 from repro.metrics import QueryStats
 from repro.snp.evidence import EvidenceStore, AUTHENTICATOR_BYTES
-from repro.snp.executor import make_executor
 from repro.snp.build import (
     BuildContext, BuildWork, CompactOutcome, check_held_evidence,
-    compute_build, embedded_authenticators, graph_read, response_head,
+    compute_build, embedded_authenticators, response_head,
     verify_anchor_segment,
 )
 from repro.snp.replay import check_against_authenticator
-from repro.snp.wire import ResidentReplay, ResidentViewLost
 from repro.provgraph.vertices import Color
 from repro.util.errors import AuthenticationError, LogVerificationError
 from repro.util.serialization import canonical_size
@@ -76,13 +72,12 @@ class NodeView:
     from. The invariant: ``graph`` is exactly the replay of entries
     ``1..head_index`` and ``head_hash`` is the chain hash ``h_head_index``.
 
-    ``replay`` is a live :class:`~repro.snp.replay.ReplayResult` or a
-    :class:`~repro.snp.wire.ResidentReplay` handle on a worker-owned
-    replay; ``graph`` materializes a handle on first access, so a standing
-    auditor only pays the decode for views whose graph it actually reads.
+    ``replay`` is the live :class:`~repro.snp.replay.ReplayResult` the
+    graph belongs to (a failed one, on a proven-faulty view, is kept as
+    evidence), or None.
     """
 
-    __slots__ = ("node", "status", "_graph", "verdict_reason", "replay",
+    __slots__ = ("node", "status", "verdict_reason", "replay",
                  "head_index", "head_hash", "head_time", "base_index",
                  "base_time")
 
@@ -91,7 +86,6 @@ class NodeView:
                  base_index=0, base_time=float("-inf")):
         self.node = node
         self.status = status
-        self._graph = None
         self.verdict_reason = verdict_reason
         self.replay = replay
         self.head_index = head_index
@@ -112,15 +106,7 @@ class NodeView:
 
     @property
     def graph(self):
-        if self._graph is None and self.replay is not None:
-            self._graph = self.replay.graph  # replay handles decode here
-        return self._graph
-
-    def install_replay(self, replay):
-        """Adopt a replay (or a handle on one) as this view's current
-        state; the cached graph is re-derived on next access."""
-        self.replay = replay
-        self._graph = None
+        return None if self.replay is None else self.replay.graph
 
 
 class MicroResult:
@@ -202,14 +188,12 @@ class _BuildJob:
     consistency cursor — stays on the job for finalize to read; nothing
     is copied onto the outcome. A finished job holds either a decided
     ``view`` (unreachable, proven faulty, a kept stale view) or an ``ok``
-    ``outcome`` for finalize to commit. *Where* the compute step runs is
-    the executor's business (:mod:`repro.snp.executor`); the job knows
-    none.
+    ``outcome`` for finalize to commit.
     """
 
     __slots__ = ("mq", "node", "kind", "base_view", "stats", "response",
                  "from_mirror", "reset_memo", "cursor", "evidence_prefix",
-                 "factory", "floor_strict", "view", "outcome")
+                 "floor_strict", "view", "outcome")
 
     def __init__(self, mq, node, base_view=None):
         self.mq = mq
@@ -225,23 +209,19 @@ class _BuildJob:
         #: step checks (the store is frozen while jobs run); finalize
         #: checks only the tail harvested later in the batch.
         self.evidence_prefix = 0
-        self.factory = mq.deployment.app_factories.get(node)
         self.floor_strict = False
         self.view = None
         self.outcome = None
 
     # ------------------------------------------------------------- fetch
 
-    def fetch(self, cold=False):
+    def fetch(self):
         """Retrieve this node's segment and assemble the work item.
 
         Returns a BuildWork, or None when the job finished at fetch time
         (``self.view`` is decided: unreachable nodes, refresh targets
         that kept their stale-but-verified view, and nodes already
-        convicted by the retention handshake). *cold* re-fetches for a
-        from-scratch build whatever the job started as — the retry of an
-        executor that lost the node's resident state; the job's fetch
-        accounting simply carries on.
+        convicted by the retention handshake).
         """
         fault = self.mq.deployment.retention_fault_of(self.node)
         if fault is not None:
@@ -251,7 +231,7 @@ class _BuildJob:
             self.view = NodeView(self.node, PROVEN_FAULTY,
                                  verdict_reason=fault)
             return None
-        if self.kind == "extended" and not cold:
+        if self.kind == "extended":
             return self._fetch_extend()
         return self._fetch_full()
 
@@ -368,8 +348,7 @@ class _BuildJob:
             head_index=view.head_index if view is not None else 0,
             head_hash=view.head_hash if view is not None else None,
             base_replay=view.replay if view is not None else None,
-            factory=self.factory,
-            spec_cache=mq._batch_spec_cache,
+            factory=mq.deployment.app_factories.get(node_id),
             floor=mq.deployment.advertised_floor_of(node_id),
             floor_strict=self.floor_strict,
         )
@@ -380,10 +359,8 @@ class _BuildJob:
         """Settle this job from the compute step's outcome: a failure
         decides the view here, an ``ok`` outcome is kept for finalize.
 
-        This is the single interpretation point for compute results — the
-        same branching whether the outcome was produced inline or decoded
-        from a worker — so the mirror/verdict policy can never diverge
-        between executors.
+        This is the single interpretation point for compute results, so
+        the mirror/verdict policy is written once.
         """
         node_id = self.node
         self.stats.merge(outcome.stats)
@@ -413,8 +390,8 @@ class _BuildJob:
                 verdict_reason=f"bad mirror: {outcome.reason}",
             )
 
-    def run_local(self, context):
-        """Fetch and compute inline (the serial executor)."""
+    def run(self, context):
+        """Fetch, then compute: the job is finished when this returns."""
         work = self.fetch()
         if work is not None:
             self.absorb(compute_build(work, context))
@@ -422,15 +399,10 @@ class _BuildJob:
 
 class MicroQuerier:
     def __init__(self, deployment, use_checkpoints=False,
-                 run_consistency_check=True, executor=None):
+                 run_consistency_check=True):
         self.deployment = deployment
         self.use_checkpoints = use_checkpoints
         self.run_consistency_check = run_consistency_check
-        # Ownership: an executor built here from a spec (None or a
-        # string) is closed by close(); an executor *instance* handed in
-        # is the caller's to manage (it may be shared across queriers).
-        self._owns_executor = executor is None or isinstance(executor, str)
-        self.executor = make_executor(executor)
         self.evidence = EvidenceStore()
         self.stats = QueryStats()
         self._views = {}
@@ -453,23 +425,12 @@ class MicroQuerier:
         # Nodes whose pending debt grew during the running batch — the
         # batch-end anchoring fetch's worklist.
         self._anchor_wanted = set()
-        # Per-batch memo of factory → encoded wire spec (reset by
-        # _run_batch): nodes sharing one AppFactory ship one snapshot.
-        self._batch_spec_cache = {}
         self._context = None
         self._context_nodes = None
-        prepare = getattr(self.executor, "prepare", None)
-        if prepare is not None and deployment.nodes:
-            # Warm pooled executors at construction so the first query
-            # batch does not pay process spawn.
-            prepare(self._build_context())
 
     def close(self):
-        """Release the executor's worker processes. Only executors this
-        querier created (from a spec) are closed; a shared instance
-        passed in by the caller is left running."""
-        if self._owns_executor:
-            self.executor.close()
+        """Nothing to release — builds run inline — but a querier scopes
+        like a resource (``with``), so callers need not know that."""
 
     def __enter__(self):
         return self
@@ -503,12 +464,10 @@ class MicroQuerier:
     def build_views(self, node_ids):
         """Ensure views exist for *node_ids*; returns ``{node_id: view}``.
 
-        Missing views are built through the executor: the fetch+compute
-        pipeline runs per node (possibly concurrently), then results are
-        finalized on this thread in canonical node order — so the evidence
-        a node's chain is checked against is exactly what a serial build
-        of the same batch, in the same canonical order, would have
-        accumulated before reaching it.
+        Missing views are built as one batch: the fetch+compute pipeline
+        runs per node, then results are finalized in canonical node
+        order — so the evidence a node's chain is checked against is
+        exactly what the batch harvested from the nodes before it.
         """
         wanted = list(dict.fromkeys(node_ids))
         missing = sorted((n for n in wanted if n not in self._views),
@@ -522,23 +481,12 @@ class MicroQuerier:
         further)."""
         self.version += 1
         if node_id is None:
-            for view in self._views.values():
-                self._evict_resident(view)
             self._views.clear()
             for trust in self._trust.values():
                 trust.reset()
         else:
-            self._evict_resident(self._views.pop(node_id, None))
+            self._views.pop(node_id, None)
             self._trust[node_id].reset()
-
-    def _evict_resident(self, view):
-        """Explicitly drop a view's worker-resident state (invalidate,
-        fork conviction, a superseding verdict). Best-effort — a dead
-        worker already lost the entry."""
-        replay = view.replay if view is not None else None
-        if isinstance(replay, ResidentReplay):
-            if replay.invalidate():
-                self.stats.view_cache_evictions += 1
 
     def refresh(self, node_id=None):
         """Advance cached views to the deployment's current log heads.
@@ -555,10 +503,9 @@ class MicroQuerier:
         * ``unreachable`` — a full build is retried (the node may have
           come back).
 
-        With ``node_id=None`` every cached view is refreshed — the
-        per-node work going through the executor as one batch — and
-        ``None`` is returned; a single refreshed view is returned
-        otherwise.
+        With ``node_id=None`` every cached view is refreshed as one
+        batch and ``None`` is returned; a single refreshed view is
+        returned otherwise.
         """
         if node_id is None:
             self._refresh_batch(sorted(self._views, key=str))
@@ -617,22 +564,13 @@ class MicroQuerier:
             return
         self.version += 1
         context = self._build_context()
-        # Fresh per batch: the deployment may have run on since the last
-        # batch, so factory-spec snapshots must not outlive one batch.
-        self._batch_spec_cache = {}
         unfinalized = {job.node for job in jobs}
         try:
-            self.executor.run_jobs(jobs, context)  # finished in place
+            # The evidence store is frozen until every job has computed.
             for job in jobs:
-                new_view = self._finalize(job)
-                old_view = self._views.get(job.node)
-                self._views[job.node] = new_view
-                if old_view is not None and new_view is not old_view \
-                        and new_view.status != OK:
-                    # A superseding non-ok verdict (fork conviction,
-                    # retention fault, lost node): the old view's
-                    # worker-resident state must not linger.
-                    self._evict_resident(old_view)
+                job.run(context)
+            for job in jobs:
+                self._views[job.node] = self._finalize(job)
                 unfinalized.discard(job.node)
         except BaseException:
             for node_id in unfinalized:
@@ -702,7 +640,7 @@ class MicroQuerier:
             # tail-of-batch case is rare (pre-batch evidence was checked
             # before replay, in the compute step).
             retry = _BuildJob(self, node_id)
-            retry.run_local(self._build_context())
+            retry.run(self._build_context())
             return self._finalize(retry)
         if trust.commit(outcome, job.cursor):
             self._anchor_wanted.add(node_id)
@@ -720,10 +658,7 @@ class MicroQuerier:
             if not response.entries:
                 return view  # nothing appended: the head stands
         self._harvest_evidence(response)
-        # Rebind rather than rely on in-place mutation: with an in-process
-        # compute an extended replay is the same object; over a process
-        # boundary it is a resident handle at the new head.
-        view.install_replay(outcome.replay_result)
+        view.replay = outcome.replay_result
         view.head_index, view.head_hash = response_head(response,
                                                         outcome.hashes)
         if response.entries:
@@ -774,7 +709,6 @@ class MicroQuerier:
         except (LogVerificationError, AuthenticationError) as exc:
             # The owed evidence (or the audited head) contradicts the
             # chain the node just served — proof of a fork or rewrite.
-            self._evict_resident(self._views.get(node_id))
             self._views[node_id] = NodeView(
                 node_id, PROVEN_FAULTY,
                 verdict_reason=f"pending authenticator check: {exc}",
@@ -860,57 +794,17 @@ class MicroQuerier:
             self.evidence.add(auth)
         self.evidence.add(response.head_auth)
 
-    # ------------------------------------------------- view reads (ops)
-
-    def _view_op(self, view, op, payload=None):
-        """Run one read-only graph op against *view*.
-
-        A view backed by an unmaterialized :class:`ResidentReplay` runs
-        the op *in the owning worker* — the coordinator receives cloned
-        value vertices and never decodes the graph. Every other view
-        (serial builds, materialized handles, failed-replay
-        evidence) answers from the in-process graph; both paths return
-        clones-or-members with identical keys and colors, so callers
-        cannot tell them apart. A lost resident view (dead worker,
-        evicted entry) is rebuilt cold — bit-identically — and the op
-        retried.
-        """
-        for _attempt in (0, 1):
-            replay = view.replay
-            if isinstance(replay, ResidentReplay) \
-                    and not replay.materialized:
-                try:
-                    return replay.query(op, payload)
-                except ResidentViewLost:
-                    # The cold rebuild tallies the miss itself.
-                    self._rebuild_lost_view(view)
-                    continue
-            break
-        return graph_read(view.graph, op, payload)
+    # ------------------------------------------------------- view reads
 
     def view_find_all(self, view, vtype=None, node=None, tup=None):
-        """Find matching vertices in *view*'s graph (resident-aware: the
-        scan runs in the owning worker when the view lives there)."""
-        return self._view_op(view, "find_all", (vtype, node, tup))
+        """Find matching vertices in *view*'s graph: O(graph)."""
+        return view.graph.find_all(vtype=vtype, node=node, tup=tup)
 
     def view_open_interval(self, view, vtype, node, tup):
         """The open exist/believe vertex of (node, tup) in *view*'s
         graph, or None — the map the GCA maintains, so O(1) where
-        :meth:`view_find_all` scans (resident-aware like it)."""
-        return self._view_op(view, "open_interval", (vtype, node, tup))
-
-    def _rebuild_lost_view(self, view):
-        """The resident plane lost *view*'s worker-side state: rebuild it
-        from scratch (the standard executor path — the fresh build
-        repopulates the owning worker) and splice the new state into the
-        existing view object, so callers holding it see the rebuild."""
-        node_id = view.node
-        self.invalidate(node_id)
-        rebuilt = self.view_of(node_id)
-        if rebuilt is not view:
-            for slot in NodeView.__slots__:
-                setattr(view, slot, getattr(rebuilt, slot))
-            self._views[node_id] = view
+        :meth:`view_find_all` scans."""
+        return view.graph.open_interval(vtype, node, tup)
 
     # ---------------------------------------------------------- microquery
 
@@ -925,9 +819,10 @@ class MicroQuerier:
         view = self._views.get(resolved.node)
         preds, succs = [], []
         if view is not None and view.status == OK:
-            around = self._view_op(view, "around", resolved.key())
-            if around is not None:
-                _vertex, preds, succs = around
+            graph = view.graph
+            here = graph.get(resolved.key())
+            if here is not None:
+                preds, succs = graph.predecessors(here), graph.successors(here)
         colors = [Color.YELLOW]
         if color != Color.YELLOW:
             colors.append(color)
@@ -952,7 +847,7 @@ class MicroQuerier:
         if view.status == PROVEN_FAULTY:
             vertex.set_color(Color.RED)
             return vertex, Color.RED
-        real = self._view_op(view, "get", vertex.key())
+        real = view.graph.get(vertex.key())
         if real is not None:
             return real, real.color
         if vertex.t is not None and vertex.t < view.base_time:

@@ -70,8 +70,8 @@ class QueryResult:
         audits that explored the same provenance produce byte-identical
         summaries — the equality the service e2e gate checks between a
         daemon-served query and a direct in-process one. (Cost counters
-        live in ``stats`` and are intentionally excluded: they vary by
-        executor and fetch path, like ``QueryStats.EXECUTOR_FIELDS``.)"""
+        live in ``stats`` and are intentionally excluded: they depend on
+        what the querier had cached and fetched before.)"""
         return {
             "root": self.root.describe(),
             "direction": self.direction,
@@ -128,32 +128,21 @@ class QueryResult:
 class QueryProcessor:
     """Evaluates macroqueries against a deployment.
 
-    *executor* selects how per-node view builds are scheduled (see
-    :mod:`repro.snp.executor`): ``None``/``"serial"`` builds one node at a
-    time (the default), ``"process:n"`` backs the verify+replay step with
-    n worker processes — worth it for cold builds of large deployments
-    only (DESIGN.md, "When ``process:N`` pays"). Exploration prefetches
-    each BFS level's unvisited hosts as one batch, so a cold macroquery
-    against a wide deployment hands the executor whole levels at a time;
-    results are identical for every executor.
-
-    The processor *owns* an executor it builds from a spec and closes it
-    in :meth:`close` — use the processor as a context manager so warm
-    process pools are never leaked across deployments or test runs. An
-    executor instance passed in stays the caller's to manage.
+    Exploration builds each BFS level's unvisited hosts as one batch
+    (:meth:`repro.snp.microquery.MicroQuerier.build_views`). The processor
+    is usable as a context manager; :meth:`close` releases nothing today.
     """
 
-    def __init__(self, deployment, use_checkpoints=False, executor=None,
-                 **mq_kwargs):
+    def __init__(self, deployment, use_checkpoints=False, **mq_kwargs):
         self.deployment = deployment
         self.mq = MicroQuerier(deployment, use_checkpoints=use_checkpoints,
-                               executor=executor, **mq_kwargs)
+                               **mq_kwargs)
         #: Monotone view-generation counter: bumped by :meth:`refresh`, so
         #: callers can tag results with the epoch they were computed in.
         self.epoch = 0
 
     def close(self):
-        """Release owned executor workers (serial executor: a no-op)."""
+        """See :meth:`repro.snp.microquery.MicroQuerier.close`."""
         self.mq.close()
 
     def __enter__(self):
@@ -167,13 +156,12 @@ class QueryProcessor:
 
     def prefetch(self, nodes=None):
         """Build verified views for *nodes* (default: every deployment
-        node) as one executor batch — the standing auditor's cold start.
+        node) as one batch — the standing auditor's cold start.
 
         Exploration builds views lazily as the BFS frontier reaches new
-        hosts, which serializes builds along chain-shaped provenance
-        (one new host per level). Prefetching instead hands the whole
-        node set to the executor at once; the macroquery that follows
-        runs entirely against cached views. Returns ``{node_id: view}``.
+        hosts, one batch per level. Prefetching instead builds the whole
+        node set at once; the macroquery that follows runs entirely
+        against cached views. Returns ``{node_id: view}``.
         """
         if nodes is None:
             nodes = sorted(self.deployment.nodes, key=str)

@@ -27,13 +27,12 @@ restoring one onto a fresh machine rebuilds the derived join-index state,
 so a replay seeded from a checkpoint is byte-identical to the original
 run regardless of evaluation strategy or hash randomization.
 
-Concurrency contract (parallel view builds): everything here is either a
-pure function of its arguments or mutates only the GCA/ReplayResult it
-was handed. One replay (and its later extensions) is owned by exactly one
-view-build task at a time, so concurrent replays of *different* nodes
-never share mutable state — they only read the deployment's app
-factories, which must already be side-effect-free for replay to be
-deterministic at all.
+Ownership: everything here is either a pure function of its arguments or
+mutates only the GCA/ReplayResult it was handed. One replay (and its
+later extensions) belongs to exactly one node view, so replays of
+*different* nodes never share mutable state — they only read the
+deployment's app factories, which must already be side-effect-free for
+replay to be deterministic at all.
 """
 
 import time
@@ -246,9 +245,8 @@ def replay_segment(node_id, response, app_factory, t_prop,
     the application machine are caught and reported as a replay failure
     (which the microquery module turns into a red vertex).
 
-    *stats* (a QueryStats) receives the replay cost directly — parallel
-    builds pass each worker's own collector so the accounting needs no
-    shared counters.
+    *stats* (a QueryStats) receives the replay cost directly — each build
+    job passes its own, merged by the querier in canonical node order.
     """
     gca = GraphConstructor(app_factory, t_prop=t_prop)
     gca.known_alarm_msg_ids = known_alarm_msg_ids

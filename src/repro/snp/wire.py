@@ -1,41 +1,33 @@
-"""The wire codec: what may cross a process boundary, and how.
+"""The value codec: what bytes from outside the program may build.
 
-A view build's verify+replay step (:mod:`repro.snp.build`) may run in a
-worker process (:mod:`repro.snp.resident`). Everything crossing that
-boundary — through the pool's own pipe, pickled once per crossing — is
-governed by this module's serialization contract (DESIGN.md, "The
-executor boundary"):
+Outside bytes reach the auditor through the service plane — a pusher's
+hello (public keys, app specs) and its pushes (log segments, evidence).
+This module decides what they may construct (DESIGN.md, "What the codec
+promises"):
 
 * **One table builds every value object.** Each is a row of
   :data:`VALUE_CLASSES`: it crosses as ``(tag, *fields)`` and the row's
   builder rebuilds it through the constructor — so memoized ``hash()``
   values, process-specific under hash randomization, are recomputed
   where they are used — checking what the daemon and the build step
-  rely on. The pool's pipe (:class:`~repro.model.WireValue`),
+  rely on. Pickling a value object (:class:`~repro.model.WireValue`),
   :func:`value_to_wire` / :func:`value_from_wire` and the service
   plane's frames (:mod:`repro.service.framing`) all read it.
-* **Unpicklable machinery gets an explicit wire form.** State machines
-  close over compiled rules — they cross as *snapshots* plus a registry
-  spec (:mod:`repro.apps`), rebuilt lazily on the far side; replay's
-  retained GCA crosses via :func:`replay_to_wire` /
-  :func:`replay_from_wire`; log entries drop the aux keys replay never
-  reads (:func:`sanitize_response`).
+* **Log entries drop the aux keys replay never reads**
+  (:func:`sanitize_response`) before a pusher ships them.
 
-Also here: the *handle* standing for a replay held on the far side
-(:class:`ResidentReplay`). No signature or hash chain is checked here.
+No signature or hash chain is checked here.
 """
 
 from operator import attrgetter
 
 from repro.datalog.store import DerivationInstance
-from repro.metrics import QueryStats
 from repro.model import Ack, Msg, Tup
 from repro.snp.commitment import WireAck
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.log import LogEntry, INS, DEL, SND, RCV, ACK, CHK
-from repro.snp.replay import ReplayResult
 from repro.snp.snoopy import RetrieveResponse
-from repro.util.errors import ReplayDivergence, ReproError
+from repro.util.errors import ReproError
 
 
 class WireError(ReproError):
@@ -150,7 +142,7 @@ def value_to_wire(value):
                                  for k, v in value.items()))
     raise WireError(
         f"cannot wire-encode a {type(value).__name__}: only plain data and "
-        "the value table's classes may cross the process boundary"
+        "the value table's classes may go on the wire"
     )
 
 
@@ -228,196 +220,6 @@ def sanitize_response(response):
         head_auth=response.head_auth, checkpoint=checkpoint,
         from_mirror=response.from_mirror,
     )
-
-
-# ----------------------------------------------------------------- stats
-
-def stats_to_wire(stats):
-    return tuple(sorted(stats.as_dict().items()))
-
-
-def stats_from_wire(wire):
-    stats = QueryStats()
-    for field, value in wire:
-        setattr(stats, field, value)
-    return stats
-
-
-# --------------------------------------------------- replay (graph + GCA)
-
-def _failure_to_wire(failure):
-    if failure is None:
-        return None
-    if isinstance(failure, ReplayDivergence):
-        return ("divergence", value_to_wire(failure.node), failure.detail)
-    return ("error", str(failure))
-
-
-def _failure_from_wire(wire):
-    if wire is None:
-        return None
-    if wire[0] == "divergence":
-        return ReplayDivergence(value_from_wire(wire[1]), wire[2])
-    return ReproError(wire[1])
-
-
-def replay_to_wire(result):
-    """Encode a ReplayResult with its retained GCA.
-
-    The graph and the four bookkeeping tables are picklable object
-    payloads (pickle's own memo preserves the vertex sharing between
-    them); the per-node *machines* are not — they close over compiled
-    rules — so they cross as logical snapshots, restored lazily by the
-    receiving side's factory on first use. The response is not encoded;
-    the coordinator reattaches its own copy.
-    """
-    gca = result.gca
-    if gca is None:
-        raise WireError(
-            f"replay result for {result.node!r} does not retain its GCA; "
-            "cannot cross the process boundary"
-        )
-    snapshots = dict(gca.machine_snapshots)  # still-unrestored machines
-    for node, machine in gca.machines.items():
-        snapshots[node] = machine.snapshot()
-    return ("W.replay", result.node, gca.graph, dict(gca._pending),
-            {n: dict(t) for n, t in gca._ackpend.items()},
-            {n: dict(t) for n, t in gca._unacked.items()},
-            set(gca._nopreds), snapshots,
-            frozenset(gca.known_alarm_msg_ids), gca.t_prop,
-            result.events_replayed, result.replay_seconds,
-            _failure_to_wire(result.failure))
-
-
-def replay_from_wire(wire, machine_factory):
-    """Rebuild a live, *extendable* ReplayResult from its wire form.
-
-    *machine_factory* is the node's registered application factory; the
-    machine snapshots are handed to the GCA for lazy restore (replay only
-    ever drives the replayed node's own machine, so one factory covers
-    the table — and a view that is never extended never pays the restore).
-    The result's ``response`` is left None for the caller to reattach.
-    """
-    from repro.provgraph.gca import GraphConstructor
-    (_tag, node, graph, pending, ackpend, unacked, nopreds, snapshots,
-     alarms, t_prop, events_replayed, replay_seconds, failure) = wire
-    gca = GraphConstructor(machine_factory, t_prop=t_prop)
-    gca.graph = graph
-    gca._pending = pending
-    gca._ackpend = ackpend
-    gca._unacked = unacked
-    gca._nopreds = nopreds
-    gca.machine_snapshots = dict(snapshots)
-    gca.known_alarm_msg_ids = alarms
-    return ReplayResult(
-        node=node, graph=gca.graph, events_replayed=events_replayed,
-        replay_seconds=replay_seconds, response=None,
-        failure=_failure_from_wire(failure), gca=gca,
-    )
-
-
-def replay_handle_to_wire(replay):
-    """The boundary-crossing form of a base replay: a ResidentReplay
-    crosses as just its cache key (node affinity routes the work to the
-    worker that owns the state); a live ReplayResult is encoded."""
-    if isinstance(replay, ResidentReplay):
-        return ("W.residentref", replay.head_index, replay.head_hash)
-    return replay_to_wire(replay)
-
-
-def replay_handle_from_wire(wire, machine_factory):
-    if wire[0] == "W.residentref":
-        return _ResidentRef(wire[1], wire[2])
-    return replay_from_wire(wire, machine_factory)
-
-
-# ------------------------------------------------ resident replay handles
-
-class ResidentViewLost(ReproError):
-    """A worker-resident view is gone (worker died, entry evicted, or the
-    resident head moved) — the caller must fall back to a cold build."""
-
-
-class _ResidentRef:
-    """Worker-side marker for a base replay that should be resolved from
-    the worker's own resident cache (decoded from ``W.residentref``)."""
-
-    __slots__ = ("head_index", "head_hash")
-
-    def __init__(self, head_index, head_hash):
-        self.head_index = head_index
-        self.head_hash = head_hash
-
-
-class ResidentReplay:
-    """Coordinator-side handle for a replay owned by a worker process.
-
-    It holds only the replay's cache key — ``(node, head_index,
-    head_hash)`` — and reaches the live state through the executor's
-    affinity-routed resident ops. Graph reads (``query``) run *in the
-    owning worker* and return cloned value vertices, so the coordinator
-    never pays the decode; ``materialize`` pulls the full replay over
-    only when in-process state is genuinely needed. Every op can raise
-    :class:`ResidentViewLost`, the explicit invalidation signal the
-    querier answers with a bit-identical cold rebuild.
-    """
-
-    __slots__ = ("executor", "node", "head_index", "head_hash",
-                 "machine_factory", "response", "_result", "_ops")
-
-    def __init__(self, executor, node, head_index, head_hash,
-                 machine_factory=None, response=None):
-        self.executor = executor
-        self.node = node
-        self.head_index = head_index
-        self.head_hash = head_hash
-        self.machine_factory = machine_factory
-        self.response = response
-        self._result = None
-        self._ops = {}
-
-    @property
-    def materialized(self):
-        return self._result is not None
-
-    def query(self, op, payload=None):
-        """Run a read-only graph op in the owning worker (memoized per
-        handle — a handle is specific to one verified head, so results
-        can never go stale under it)."""
-        key = (op, payload)
-        try:
-            if key in self._ops:
-                return self._ops[key]
-        except TypeError:
-            key = None
-        value = self.executor.resident_op(
-            self.node, self.head_index, self.head_hash, op, payload,
-        )
-        if key is not None:
-            self._ops[key] = value
-        return value
-
-    def materialize(self):
-        """Pull the resident replay's full state into this process."""
-        if self._result is None:
-            wire = self.executor.resident_op(
-                self.node, self.head_index, self.head_hash, "blob",
-            )
-            result = replay_from_wire(wire, self.machine_factory)
-            result.response = self.response
-            self._result = result
-        return self._result
-
-    @property
-    def graph(self):
-        return self.materialize().graph
-
-    def invalidate(self):
-        """Drop the worker-side entry (fork conviction, GC floor,
-        explicit invalidate). Best-effort: a dead worker already lost
-        the entry."""
-        self._ops = {}
-        return self.executor.evict_resident(self.node)
 
 
 def __getattr__(name):

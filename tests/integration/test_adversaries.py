@@ -252,11 +252,6 @@ class _ForkThenCrashNode(ForkingNode, SilentNode):
     """Forks its log, lets the replicas mirror the fork, then crashes."""
 
 
-@pytest.fixture(params=["serial", "wire"])
-def gallery_executor(request, wire_executor):
-    return wire_executor if request.param == "wire" else None
-
-
 class TestConvictionGallery:
     """One case per conviction check no other test reaches: each is the
     smallest edit a Byzantine ``b`` could make to its *own* log of an
@@ -265,12 +260,11 @@ class TestConvictionGallery:
     the check a case names deleted, the case fails (CHANGES.md, PR 19,
     has the table)."""
 
-    def _view_of_b(self, dep, executor, **qp_kwargs):
-        with QueryProcessor(dep, executor=executor, **qp_kwargs) as qp:
+    def _view_of_b(self, dep, **qp_kwargs):
+        with QueryProcessor(dep, **qp_kwargs) as qp:
             return qp.mq.view_of("b")
 
-    def test_rcv_commits_to_an_authenticator_nobody_signed(
-            self, gallery_executor):
+    def test_rcv_commits_to_an_authenticator_nobody_signed(self):
         # check: the embedded-authenticator signature loop
         dep, nodes = _deploy()
         b = nodes["b"]
@@ -280,13 +274,12 @@ class TestConvictionGallery:
         batch = WireBatch("a", "b", [], [], 99, "cd" * 32, unsigned)
         b.log.append(t, RCV, rcv_entry_content(msg, batch),
                      aux={"msg": msg, "batch_auth": unsigned})
-        view = self._view_of_b(dep, gallery_executor)
+        view = self._view_of_b(dep)
         assert view.status == "proven-faulty"
         assert "authenticator from 'a' has an invalid signature" \
             in view.verdict_reason
 
-    def test_rcv_commits_to_an_authenticator_of_an_unregistered_node(
-            self, gallery_executor):
+    def test_rcv_commits_to_an_authenticator_of_an_unregistered_node(self):
         # check: the embedded-authenticator loop's registered-key guard
         dep, nodes = _deploy()
         b = nodes["b"]
@@ -296,7 +289,7 @@ class TestConvictionGallery:
         batch = WireBatch("z", "b", [], [], 1, "cd" * 32, stranger)
         b.log.append(t, RCV, rcv_entry_content(msg, batch),
                      aux={"msg": msg, "batch_auth": stranger})
-        view = self._view_of_b(dep, gallery_executor)
+        view = self._view_of_b(dep)
         assert view.status == "proven-faulty"
         assert "authenticator from unregistered node 'z'" \
             in view.verdict_reason
@@ -306,7 +299,7 @@ class TestConvictionGallery:
         ("dropped", "checkpoint tuple counts do not match commitment"),
     ], ids=["re-dated", "dropped"])
     def test_checkpoint_seed_disagrees_with_its_commitment(
-            self, gallery_executor, lie, reason):
+            self, lie, reason):
         # check: the verify_checkpoint call
         dep, nodes = _deploy()
         nodes["b"].checkpoint()
@@ -318,19 +311,18 @@ class TestConvictionGallery:
             tup, appeared = extant[0]
             extant[0] = (tup, appeared + 1.0)
         chk.aux = dict(chk.aux, extant=extant)
-        view = self._view_of_b(dep, gallery_executor, use_checkpoints=True)
+        view = self._view_of_b(dep, use_checkpoints=True)
         assert view.status == "proven-faulty"
         assert reason in view.verdict_reason
 
-    def test_logged_insert_crashes_the_expected_machine(
-            self, gallery_executor):
+    def test_logged_insert_crashes_the_expected_machine(self):
         # check: the REPLAY_FAILED verdict
         dep, nodes = _deploy()
         b = nodes["b"]
         bomb = link("b", "q", "not-a-number")
         b.log.append(b._next_time(), INS, bomb.canonical(),
                      aux={"tup": bomb})
-        view = self._view_of_b(dep, gallery_executor)
+        view = self._view_of_b(dep)
         assert view.status == "proven-faulty"
         assert "replay of node 'b' diverged: TypeError" \
             in view.verdict_reason
@@ -338,15 +330,13 @@ class TestConvictionGallery:
         assert view.replay is not None and not view.replay.ok
         assert view.graph is view.replay.graph
 
-    def test_anchoring_segment_forks_off_the_audited_head(
-            self, gallery_executor):
+    def test_anchoring_segment_forks_off_the_audited_head(self):
         # check: verify_anchor_segment's trusted-head comparison
         dep, nodes = _deploy(_TwoFacedNode, seed=85)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "y", 4))
         dep.run()
-        with QueryProcessor(dep, executor=gallery_executor,
-                            use_checkpoints=True) as qp:
+        with QueryProcessor(dep, use_checkpoints=True) as qp:
             view = qp.mq.view_of("b")
             assert qp.mq.stats.anchor_fetches == 1
             # every owed authenticator lies on the fork too: only the
@@ -365,30 +355,25 @@ class TestConvictionGallery:
         dep.run()
         return dep, b
 
-    def test_fork_visible_only_in_same_batch_evidence(
-            self, gallery_executor):
+    def test_fork_visible_only_in_same_batch_evidence(self):
         # check: the within-batch tail of the held-evidence check
         dep, _b = self._forked_b(ForkingNode)
-        with QueryProcessor(dep, executor=gallery_executor,
-                            run_consistency_check=False) as alone:
+        with QueryProcessor(dep, run_consistency_check=False) as alone:
             # nothing held, nobody asked: the fork's chain is consistent
             assert alone.mq.view_of("b").status == "ok"
-        with QueryProcessor(dep, executor=gallery_executor,
-                            run_consistency_check=False) as qp:
+        with QueryProcessor(dep, run_consistency_check=False) as qp:
             views = qp.prefetch()  # a finalizes — and harvests — before b
         assert views["b"].status == "proven-faulty"
         assert "does not match the log (equivocation or tampering)" \
             in views["b"].verdict_reason
         assert {views[n].status for n in "acde"} == {"ok"}
 
-    def test_same_fork_served_by_a_mirror_on_a_cold_build(
-            self, gallery_executor):
+    def test_same_fork_served_by_a_mirror_on_a_cold_build(self):
         # check: the same tail — a mirror's contradiction is not proof
         dep, b = self._forked_b(_ForkThenCrashNode)
         dep.replicate_logs(replication_factor=2)
         b.refuse_retrieve = True
-        with QueryProcessor(dep, executor=gallery_executor,
-                            run_consistency_check=False) as qp:
+        with QueryProcessor(dep, run_consistency_check=False) as qp:
             view = qp.prefetch()["b"]
         assert view.status == "unreachable"
         assert view.verdict_reason.startswith("bad mirror: ")
@@ -396,7 +381,7 @@ class TestConvictionGallery:
 
     @pytest.mark.parametrize("harvested", ["earlier-batch", "same-batch"])
     def test_same_fork_served_by_a_mirror_on_an_extend(
-            self, gallery_executor, harvested):
+            self, harvested):
         # checks: absorb's mirror-extend branch (evidence held before the
         # batch: verification fails before replay, the stale view stays)
         # and the finalize tail's rebuild (evidence harvested in the
@@ -404,8 +389,7 @@ class TestConvictionGallery:
         dep, nodes = _deploy(_ForkThenCrashNode)
         b = nodes["b"]
         b.refuse_retrieve = b.refuse_consistency = False
-        with QueryProcessor(dep, executor=gallery_executor,
-                            run_consistency_check=False) as qp:
+        with QueryProcessor(dep, run_consistency_check=False) as qp:
             view = qp.prefetch()["b"]
             head, replayed = view.head_index, view.replay.events_replayed
             b.insert(link("b", "q", 4))   # a logs b's newer authenticators

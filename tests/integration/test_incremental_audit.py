@@ -20,7 +20,6 @@ from repro.snp.evidence import Authenticator
 from repro.snp.microquery import MicroQuerier
 from repro.snp.snoopy import suffix_of_response
 from repro.snp.replay import check_against_authenticator, verify_segment_hashes
-from repro.snp.wire import ResidentReplay
 from repro.util.errors import LogVerificationError
 
 from scenarios import APPLICATION_SCENARIOS
@@ -224,15 +223,9 @@ class TestRefreshStaleness:
 
 class TestViewHeadAgreement:
     """A view's head is `response_head` of the last response verified
-    for it — on every executor, and equal to the head the owning worker
-    parked its replay at."""
+    for it, cold, across an empty refresh and across a growing one."""
 
-    @pytest.mark.parametrize("spec", [
-        None, "wire",
-        pytest.param("process:2", marks=pytest.mark.slow),
-    ])
-    def test_head_is_the_last_verified_responses_head(
-            self, spec, wire_executor, monkeypatch):
+    def test_head_is_the_last_verified_responses_head(self, monkeypatch):
         last_response = {}
         finalize = MicroQuerier._finalize
 
@@ -243,7 +236,6 @@ class TestViewHeadAgreement:
 
         monkeypatch.setattr(MicroQuerier, "_finalize", recording_finalize)
         dep, nodes = _grown_net(seed=23)
-        executor = wire_executor if spec == "wire" else spec
 
         def assert_heads_agree(qp):
             assert sorted(qp.mq._views) == sorted(last_response)
@@ -253,16 +245,10 @@ class TestViewHeadAgreement:
                 head = response_head(response,
                                      verify_segment_hashes(response))
                 assert (view.head_index, view.head_hash) == head
-                replay = view.replay
-                if isinstance(replay, ResidentReplay):
-                    assert (replay.head_index, replay.head_hash) == head
-                    # W.lost unless the worker's entry is parked here.
-                    assert replay.executor.resident_op(
-                        node, *head, "find_all", (None, node, None))
             return {n: (v.head_index, v.head_hash)
                     for n, v in qp.mq._views.items()}
 
-        with QueryProcessor(dep, executor=executor) as qp:
+        with QueryProcessor(dep) as qp:
             qp.prefetch()
             built = assert_heads_agree(qp)
             qp.refresh()   # nothing appended: every delta is empty
@@ -275,9 +261,6 @@ class TestViewHeadAgreement:
             advanced = assert_heads_agree(qp)
             assert advanced != built
             assert all(advanced[n][0] >= built[n][0] for n in built)
-            if spec == "process:2":
-                assert all(isinstance(v.replay, ResidentReplay)
-                           for v in qp.mq._views.values())
 
 
 # ------------------------------------------------------------ refresh: forks

@@ -8,8 +8,6 @@ origin-signed head), and the microquery module falls back to them when
 retrieve goes unanswered.
 """
 
-import pytest
-
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
 from repro.model import Tup
 from repro.snp import Deployment, QueryProcessor
@@ -157,9 +155,7 @@ class TestReplicationCannotFrame:
         assert view.status == "unreachable"
         assert "bad mirror" in view.verdict_reason
 
-    @pytest.mark.parametrize("arm", ["serial", "wire"])
-    def test_lying_replica_cannot_convict_a_crashed_node(
-            self, arm, wire_executor):
+    def test_lying_replica_cannot_convict_a_crashed_node(self):
         """Replay reads an entry's *parsed* form, the hash chain commits
         to its *content*, and whoever serves a segment chooses both. The
         replicas of an honest, merely crashed ``b`` swap the tuple its
@@ -185,8 +181,7 @@ class TestReplicationCannotFrame:
             mirror.entries[at] = LogEntry(
                 e.index, e.timestamp, e.entry_type, e.content,
                 e.content_hash, e.entry_hash, aux={"tup": lie})
-        executor = wire_executor if arm == "wire" else None
-        with QueryProcessor(dep, executor=executor) as qp:
+        with QueryProcessor(dep) as qp:
             view = qp.mq.view_of("b")
             assert view.status == "unreachable"
             assert view.verdict_reason.startswith("bad mirror: ")

@@ -215,8 +215,8 @@ class TestAdversarial:
 
 HOSTILE_HELLOS = {
     # the issue's frame: "a" is fine, "b" has no key — nothing may apply
-    "missing-key": {"t_prop": 0.05,
-                    "nodes": {"a": {"key": (5, 3)}, "b": {}}},
+    "missing-key": {"t_prop": 0.05, "nodes": {
+        "a": {"key": (5, 3), "app": ("mincost", ("W.d", ()))}, "b": {}}},
     "key-not-ints": {"t_prop": 0.05, "nodes": {"a": {"key": ("n", 3)}}},
     "key-is-bool": {"t_prop": 0.05, "nodes": {"a": {"key": (True, 3)}}},
     "t-prop-not-a-number": {"t_prop": "soon", "nodes": {}},
@@ -228,6 +228,11 @@ HOSTILE_HELLOS = {
     "app-kwargs-rejected": {"t_prop": 0.05, "nodes": {
         "a": {"key": (5, 3),
               "app": ("mincost", ("W.d", (("no_such_kwarg", 1),)))}}},
+    # a node replay could never rebuild: accepted, it made every later
+    # refresh raise, for every subscriber
+    "app-missing": {"t_prop": 0.05, "nodes": {"a": {"key": (5, 3)}}},
+    "app-none": {"t_prop": 0.05, "nodes": {"a": {"key": (5, 3),
+                                                 "app": None}}},
 }
 
 def hostile_pushes(auth):

@@ -1,0 +1,199 @@
+"""What a build batch promises, and how a macroquery finds its root.
+
+A batch fetches and computes every job before finalizing any, in
+canonical node order; an unexpected error aborts it whole, and no member
+it did not finalize survives. ``TestExtantRootLookup`` pins the one read
+op that replaced a scan: the root of a ``why(at=None)`` comes from the
+graph's open-interval map, and must be the vertex the scan chose — on
+the application families, cold and refreshed, and on the graphs no
+healthy build produces.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from repro.apps.mincost import best_cost, build_paper_network, link
+from repro.provgraph.graph import ProvenanceGraph
+from repro.provgraph.vertices import BELIEVE, EXIST, Vertex
+from repro.snp import Deployment, QueryProcessor
+from repro.snp.log import INS
+from repro.snp.microquery import NodeView, OK
+
+from scenarios import APPLICATION_SCENARIOS, fingerprint
+
+
+def _net(seed=77, overrides=None):
+    dep = Deployment(seed=seed, key_bits=256)
+    nodes = build_paper_network(dep, node_overrides=overrides or {})
+    dep.run()
+    return dep, nodes
+
+
+def _statuses(qp):
+    return {str(n): v.status for n, v in qp.mq._views.items()}
+
+
+class TestBatchSemantics:
+    def test_prefetch_matches_lazy_exploration(self):
+        dep, _nodes = _net()
+        with QueryProcessor(dep) as lazy, QueryProcessor(dep) as eager:
+            eager.prefetch()
+            result_lazy = lazy.why(best_cost("c", "d", 5))
+            result_eager = eager.why(best_cost("c", "d", 5))
+            assert fingerprint(result_lazy) == fingerprint(result_eager)
+            assert _statuses(lazy) == {
+                str(n): v.status for n, v in eager.mq._views.items()
+                if n in lazy.mq._views}
+
+    def test_unexpected_task_error_invalidates_unfinalized_views(self):
+        # An *unexpected* exception escaping a build job aborts the
+        # batch; members not yet finalized may hold replays advanced past
+        # their committed heads and must be dropped, not kept.
+        dep, nodes = _net(seed=93)
+        with QueryProcessor(dep) as qp:
+            qp.why(best_cost("c", "d", 5))
+            assert "b" in qp.mq._views
+
+            def boom(*_args, **_kwargs):
+                raise RuntimeError("boom")
+
+            nodes["b"].retrieve = boom
+            with pytest.raises(RuntimeError, match="boom"):
+                qp.refresh()
+            assert "b" not in qp.mq._views
+            del nodes["b"].retrieve  # restore the class method
+            assert qp.why(best_cost("c", "d", 5)).is_clean()
+
+
+# ------------------------------------------------ the extant-root lookup
+
+def _scan_roots(mq, view, node):
+    """``{tup: vertex-or-None}`` as the scan chose ``why(at=None)`` roots
+    before the map did: of a tuple's exist-sorted then believe-sorted
+    interval vertices, the last one still open. (One scan per type
+    instead of one per tuple: filtering by tuple keeps the order.)"""
+    roots = {}
+    for vtype in (EXIST, BELIEVE):
+        for vertex in mq.view_find_all(view, vtype=vtype, node=node):
+            roots.setdefault(vertex.tup, None)
+            if vertex.t_end is None:
+                roots[vertex.tup] = vertex
+    return roots
+
+
+def _check_extant_roots(qp, node):
+    """The processor's root for every tuple that ever had an interval
+    vertex on *node* is the scan's choice; returns how many are extant."""
+    expected = _scan_roots(qp.mq, qp.mq.view_of(node), node)
+    for tup, vertex in expected.items():
+        found = qp._find_interval_vertex(node, tup, None)
+        if vertex is None:
+            assert found is None, (node, tup)
+        else:
+            assert found is not None and found.t_end is None, (node, tup)
+            assert (found.key(), found.color, found.seeded) \
+                == (vertex.key(), vertex.color, vertex.seeded)
+    return sum(vertex is not None for vertex in expected.values())
+
+
+def _planted(qp, node, graph):
+    """Make *graph* the processor's healthy view of *node*, so the root
+    lookup can be asked about a graph no healthy build hands it."""
+    qp.mq._views[node] = NodeView(
+        node, OK, replay=SimpleNamespace(graph=graph))
+    return qp
+
+
+class TestExtantRootLookup:
+    @pytest.mark.parametrize("family", sorted(APPLICATION_SCENARIOS))
+    def test_application_views_cold_and_refreshed(self, family):
+        """chord, BGP under announce/withdraw churn, Hadoop — cold, then
+        extended by a refresh."""
+        _name, dep, _query, run_further = APPLICATION_SCENARIOS[family]()
+
+        def extant_roots(qp):
+            return sum(_check_extant_roots(qp, node)
+                       for node in sorted(dep.nodes, key=str))
+
+        with QueryProcessor(dep) as qp:
+            qp.prefetch()
+            assert extant_roots(qp) > 0
+            run_further()
+            qp.refresh()
+            assert extant_roots(qp) > 0
+
+    def test_checkpoint_seeded_view(self):
+        dep, nodes = _net(seed=83)
+        dep.checkpoint_all()
+        nodes["a"].insert(link("a", "y", 4))
+        dep.run()
+        with QueryProcessor(dep, use_checkpoints=True) as qp:
+            qp.prefetch()
+            seeded = [v for view in qp.mq._views.values()
+                      for v in qp.mq.view_find_all(view, vtype=EXIST)
+                      if v.seeded]
+            assert seeded
+            assert all(_check_extant_roots(qp, node) for node in dep.nodes)
+
+    def test_failed_replay_graph(self):
+        """A replay that crashed mid-log leaves whatever it had opened
+        open; the view is proven faulty, its graph kept as evidence."""
+        dep, nodes = _net()
+        b = nodes["b"]
+        bomb = link("b", "q", "not-a-number")
+        b.log.append(b._next_time(), INS, bomb.canonical(),
+                     aux={"tup": bomb})
+        with QueryProcessor(dep) as qp:
+            view = qp.mq.view_of("b")
+            assert view.status == "proven-faulty" and not view.replay.ok
+            assert _check_extant_roots(_planted(qp, "b", view.graph), "b")
+
+    def test_believe_outranks_exist_of_the_same_tuple(self):
+        dep, _nodes = _net()
+        tup = link("b", "c", 2)
+        graph = ProvenanceGraph()
+        graph.add_vertex(Vertex(EXIST, "b", tup=tup, t=1.0, t_end=2.0))
+        exist = graph.add_vertex(Vertex(EXIST, "b", tup=tup, t=3.0))
+        graph.add_vertex(Vertex(BELIEVE, "b", tup=tup, t=1.5, t_end=2.5,
+                                peer="a"))
+        with QueryProcessor(dep) as qp:
+            _planted(qp, "b", graph)
+            assert qp._find_interval_vertex("b", tup, None) is exist
+            believe = graph.add_vertex(
+                Vertex(BELIEVE, "b", tup=tup, t=4.0, peer="a"))
+            assert qp._find_interval_vertex("b", tup, None) is believe
+            assert _check_extant_roots(qp, "b") == 1
+            graph.close_interval(believe, 5.0)
+            assert qp._find_interval_vertex("b", tup, None) is exist
+            graph.close_interval(exist, 6.0)
+            assert qp._find_interval_vertex("b", tup, None) is None
+            assert _check_extant_roots(qp, "b") == 0
+
+    def test_a_plain_why_scans_nothing(self, monkeypatch):
+        """The root of a ``why(at=None)`` costs two map reads, not work
+        proportional to the host's history."""
+        dep, _nodes = _net()
+        ops = []
+
+        def counted(name):
+            method = getattr(ProvenanceGraph, name)
+
+            def wrapper(graph, *args, **kwargs):
+                ops.append(name)
+                return method(graph, *args, **kwargs)
+            return wrapper
+
+        for name in ("find_all", "open_interval"):
+            monkeypatch.setattr(ProvenanceGraph, name, counted(name))
+        with QueryProcessor(dep) as qp:
+            qp.prefetch()
+            del ops[:]
+            assert qp.why(best_cost("c", "d", 5)).is_clean()
+            assert "find_all" not in ops
+            assert 1 <= ops.count("open_interval") <= 2
+            # a historical instant still has to scan
+            del ops[:]
+            qp.why(best_cost("c", "d", 5), at=dep.sim.now)
+            assert ops.count("find_all") == 2
+            assert "open_interval" not in ops

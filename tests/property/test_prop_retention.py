@@ -32,10 +32,7 @@ that of a cold post-GC querier (both through ``resolve``):
   checkpoint commits the node's true state, so the retained suffix may
   legitimately re-resolve from it (the replay-cascade reds downstream
   of a truncated divergence are over-approximations, and the true
-  fault, being below the base, resolves yellow — never green);
-* serial ≡ wire (the process boundary's serialization
-  contract) builds of the post-GC deployment are bit-identical in
-  colors, statuses and merged counters.
+  fault, being below the base, resolves yellow — never green).
 """
 
 from hypothesis import (
@@ -193,23 +190,6 @@ def _below_base(dep, vertex, host_view):
         and not _send_is_retained(dep, vertex, host_view)
 
 
-def _post_gc_outcome(dep, audited, executor):
-    with QueryProcessor(dep, executor=executor) as qp:
-        views = qp.mq.build_views(sorted(dep.nodes, key=str))
-        colors = {}
-        for name in sorted(audited, key=str):
-            view = views[name]
-            if view.status != OK:
-                continue
-            for vertex in view.graph.vertices():
-                colors[(str(name), str(vertex.key()))] = vertex.color
-        return {
-            "statuses": {str(n): v.status for n, v in views.items()},
-            "colors": colors,
-            "counters": qp.mq.stats.counters(),
-        }
-
-
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
@@ -275,14 +255,3 @@ def test_truncation_only_withholds_judgment(schedule):
                             f"truncation must reproduce: {detail}"
                         )
 
-
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(schedules())
-def test_serial_wire_identical_post_gc(wire_executor, schedule):
-    dep, _nodes, _auditor = _run_schedule(schedule)
-    dep.run_gc(checkpoint=False)
-    audited = schedule["audited"]
-    serial = _post_gc_outcome(dep, audited, None)
-    assert _post_gc_outcome(dep, audited, wire_executor) == serial

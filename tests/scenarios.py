@@ -7,8 +7,9 @@ triples ``(name, deployment, query, run_further)`` built on them: *query*
 asks one macroquery of a ``QueryProcessor``, *run_further* makes the
 deployment run on so a refresh has a suffix to fetch. Callers:
 ``test_paper_figures.py`` (the five §7.1 configurations),
-``test_incremental_audit.py``, ``test_executor_applications.py`` and
-``test_checkpoint_gc.py``.
+``test_incremental_audit.py``, ``test_view_batches.py``,
+``test_audit_contract.py`` and ``test_checkpoint_gc.py``. :func:`fingerprint` is the one projection of
+a query result that two audits of the same state are compared on.
 
 Each runner returns a :class:`Scenario` carrying a *nominal duration*: the
 wall-clock time the paper's workload rate implies for the work executed
@@ -30,6 +31,12 @@ QUAGGA_UPDATES_PER_MINUTE = 1350.0
 CHORD_STABILIZATION_PERIOD_S = 50.0
 HADOOP_SMALL_RUNTIME_S = 79.0
 HADOOP_LARGE_RUNTIME_S = 255.0
+
+
+def fingerprint(result):
+    """A query result as ``sorted((vertex key, colour))``: what two audits
+    of the same state must agree on, vertex by vertex."""
+    return sorted((str(v.key()), v.color) for v in result.graph.vertices())
 
 
 class Scenario:

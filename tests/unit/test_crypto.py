@@ -12,7 +12,6 @@ from repro.crypto.merkle import MerkleTree, EMPTY_ROOT
 from repro.crypto.rsa import RsaKeyPair, generate_keypair
 from repro.service import ServicePusher
 from repro.snp import Deployment
-from repro.snp.build import BuildContext
 from repro.util.errors import AuthenticationError
 
 
@@ -183,18 +182,14 @@ class TestPublicKeysLeaveTheNodeBare:
         signature = identity.sign(("payload", 1))
         assert identity.verify(public, ("payload", 1), signature)
 
-    def test_hello_and_build_context_ship_n_and_e_only(self, dep):
+    def test_hello_ships_n_and_e_only(self, dep):
         hello = ServicePusher(dep, "127.0.0.1", 0).hello_message()
-        context = BuildContext(
-            {n: dep.public_key_of(n) for n in dep.nodes}).to_wire()
         for node in dep.nodes:
             key = dep.identity_of(node).keypair
             assert hello["nodes"][node]["key"] == (key.n, key.e)
-            assert (node, key.n, key.e) in context[1]
         private = self.private_ints(dep)
         assert len(private) == 5 * len(dep.nodes)
         assert not set(ints_in(hello)) & private
-        assert not set(ints_in(context)) & private
 
 
 class TestCertificates:

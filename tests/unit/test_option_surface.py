@@ -1,0 +1,89 @@
+"""The option surface, pinned.
+
+The signature table below pins every constructor parameter and CLI flag
+of the classes that carry options, so the next added knob is a one-file
+diff a reviewer sees — and the one literal the package version lives in.
+Importing the library starts no process pool: nothing under it loads
+``multiprocessing``.
+"""
+
+import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.service.client import MonitorClient
+from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
+    main as monitor_main
+from repro.service.push import ServicePusher
+from repro.snp import QueryProcessor, SNooPyNode
+from repro.snp.adversary import SilentNode
+from repro.snp.microquery import MicroQuerier
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+#: Every constructor (and ``retrieve``, thrice) that carries options,
+#: against a literal. Adding, removing or re-defaulting a parameter must
+#: edit this table.
+RETRIEVE = "(self, from_checkpoint=False, since_index=None)"
+SIGNATURES = {
+    MicroQuerier:
+        "(self, deployment, use_checkpoints=False, "
+        "run_consistency_check=True)",
+    QueryProcessor:
+        "(self, deployment, use_checkpoints=False, **mq_kwargs)",
+    MonitorDaemon:
+        "(self, host='127.0.0.1', push_port=0, http_port=0, "
+        "ingest_limit=64, subscriber_queue_limit=256, "
+        "max_frame_bytes=33554432)",
+    ServicePusher:
+        "(self, deployment, host, port, timeout=10.0, retries=4, "
+        "backoff=0.05, backoff_factor=2.0, sleep=None, "
+        "max_frame_bytes=33554432)",
+    # persistent connections and their two deadlines came without a knob
+    MonitorClient: "(self, host, port, timeout=30.0)",
+    SNooPyNode.retrieve: RETRIEVE,
+    SilentNode.retrieve: RETRIEVE,
+    MonitorNodeProxy.retrieve: RETRIEVE,
+}
+
+MONITOR_FLAGS = {"--help", "--host", "--push-port", "--http-port",
+                 "--ingest-limit"}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda c: c.__qualname__)
+    def test_constructor_signature_is_pinned(self, cls):
+        function = cls.__init__ if inspect.isclass(cls) else cls
+        assert str(inspect.signature(function)) == SIGNATURES[cls]
+
+    def test_monitor_cli_flags_are_pinned(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            monitor_main(["--help"])
+        assert caught.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == MONITOR_FLAGS
+
+    def test_the_version_is_one_literal(self):
+        # pyproject.toml takes it from the package (PR 13 single-sourced
+        # the metadata and missed this one: 1.0.0 here, 0.8.0 there).
+        assert repro.__version__ == "0.8.0"
+        pyproject = (Path(__file__).parents[2] / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
+        assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
+
+    def test_the_library_imports_no_process_pool(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.snp, repro.service; print(sorted(m for m "
+             "in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+            capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"

@@ -1,20 +1,9 @@
-"""wirelint: static checks for the process-boundary serialization contract.
+"""wirelint: static checks for what is hashed, signed and unpickled.
 
-The wire layer (``repro.snp.wire``) promises two properties that plain
-tests are bad at guarding — both rot silently as code grows, and both
-produce heisenbugs when they do (hash-randomized dicts make the failure
-probabilistic) — and the push port a third. This lint enforces them over
-the python AST, no imports:
-
-**WL001 — boundary classes need an explicit wire path.** Every class
-one of the boundary modules (:data:`BOUNDARY_MODULES` — the codec, the
-build step, the worker-resident cache) imports from the library is a
-candidate to cross the executor boundary. Each one must either define
-``__reduce__`` / ``to_wire`` or derive from ``WireValue`` (it carries
-its own codec) or be constructed inside a boundary module (the module
-is its codec). A class that merely *passes through* via default
-pickling would drag process-specific state — memoized ``hash()``
-values, open handles — into worker processes.
+Two properties plain tests are bad at guarding — both rot silently as
+code grows, and the first produces heisenbugs when it does
+(hash-randomized dicts make the failure probabilistic). This lint
+enforces them over the python AST, no imports:
 
 **WL002 — no unordered iteration into hashed or signed payloads.**
 Within the ``snp``/``crypto``/serialization modules, the argument of a
@@ -26,12 +15,10 @@ Set/dict order is per-process under hash randomization, so an unsorted
 iteration signs a byte string another process cannot reproduce.
 
 **WL003 — one unpickler, and it resolves no name.** Bytes from outside
-the program meet one ``pickle`` importer, ``repro/service/framing.py``
-(the process pool's pipe pickles inside ``multiprocessing``, both ends
-one program); an ``import`` statement naming one of
-:data:`PICKLE_ROOTS` in any other module opens a second decode path
-nobody restricted. (Statements only: a dynamic
-``import_module("pickle")`` is not seen.) And no code calls a
+the program meet one ``pickle`` importer, ``repro/service/framing.py``;
+an ``import`` statement naming one of :data:`PICKLE_ROOTS` in any other
+module opens a second decode path nobody restricted. (Statements only: a
+dynamic ``import_module("pickle")`` is not seen.) And no code calls a
 ``find_class`` (``super()``'s, ``Unpickler``'s) at all: a frame's value
 objects are persistent ids built by ``repro.snp.wire``'s table, and each
 guard the resolution once had — a module prefix, then an exact
@@ -62,22 +49,11 @@ UNORDERED_BUILTINS = {"set", "frozenset"}
 #: Directories (relative to the source root) whose modules hash and sign.
 DETERMINISM_SCOPES = ("repro/snp", "repro/crypto", "repro/util")
 
-#: The modules that build or decode boundary payloads; WL001's boundary
-#: set is the union of what they import.
-BOUNDARY_MODULES = (
-    "repro/snp/wire.py", "repro/snp/build.py", "repro/snp/resident.py",
-)
-
 #: The one module (relative to the source root) that may import pickle.
 PICKLE_HOME = "repro/service/framing.py"
 
 #: Root module names that decode objects from bytes, pickle and its kin.
 PICKLE_ROOTS = {"pickle", "_pickle", "cPickle", "marshal", "shelve", "dill"}
-
-#: Methods that mark a class as carrying its own serialization codec.
-CODEC_METHODS = {"__reduce__", "__reduce_ex__", "to_wire", "__getstate__"}
-#: A base that gives its subclasses one (they pickle through wire's table).
-CODEC_BASE = "WireValue"
 
 
 class Violation:
@@ -107,87 +83,6 @@ def _callee_name(call):
 
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-
-# ------------------------------------------------- WL001: boundary classes
-
-
-def _library_imported_names(tree):
-    """Names a boundary module imports from within the library."""
-    names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module \
-                and node.module.split(".")[0] == "repro":
-            for alias in node.names:
-                names.append((alias.asname or alias.name, node.lineno))
-    return names
-
-
-def _locally_handled_names(tree):
-    """Names a boundary module itself constructs (decode path) or
-    subclasses."""
-    handled = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = _callee_name(node)
-            if name is not None:
-                handled.add(name)
-        elif isinstance(node, ast.ClassDef):
-            for base in node.bases:
-                if isinstance(base, ast.Name):
-                    handled.add(base.id)
-    return handled
-
-
-def _class_codec_index(src_root):
-    """``class name → (path, has codec method)`` over the whole tree."""
-    index = {}
-    for path in sorted(src_root.rglob("*.py")):
-        try:
-            tree = _parse(path)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            has_codec = any(
-                isinstance(item, ast.FunctionDef)
-                and item.name in CODEC_METHODS
-                for item in node.body
-            ) or any(getattr(base, "id", None) == CODEC_BASE
-                     for base in node.bases)
-            # First definition wins; duplicate class names across modules
-            # are resolved pessimistically (any codec-less def counts).
-            if node.name not in index or not has_codec:
-                index[node.name] = (path, has_codec)
-    return index
-
-
-def check_boundary_classes(src_root, violations):
-    trees = [(path, _parse(path))
-             for path in (src_root / rel for rel in BOUNDARY_MODULES)
-             if path.exists()]
-    if not trees:
-        return
-    handled = set()
-    for _path, tree in trees:
-        handled |= _locally_handled_names(tree)
-    index = _class_codec_index(src_root)
-    for path, tree in trees:
-        for name, lineno in _library_imported_names(tree):
-            entry = index.get(name)
-            if entry is None:
-                continue  # a function or constant, not a class
-            _defined_in, has_codec = entry
-            if has_codec or name in handled:
-                continue
-            violations.append(Violation(
-                path, lineno, 1, "WL001",
-                f"class '{name}' crosses the executor boundary but "
-                "defines no __reduce__/to_wire and is never constructed "
-                "in a boundary module; default pickling would carry "
-                "process-specific state into workers",
-            ))
 
 
 # ------------------------------------------- WL002: unordered iteration
@@ -275,7 +170,6 @@ def check_pickle_surface(path, rel, tree, violations):
 def lint(src_root):
     src_root = Path(src_root)
     violations = []
-    check_boundary_classes(src_root, violations)
     for path in sorted(src_root.rglob("*.py")):
         try:
             tree = _parse(path)
