@@ -32,12 +32,6 @@ class CryptoCounter:
     def note_verify(self):
         self.verifications += 1
 
-    def merged_with(self, other):
-        total = CryptoCounter()
-        total.signatures = self.signatures + other.signatures
-        total.verifications = self.verifications + other.verifications
-        return total
-
 
 class Certificate:
     """A CA-signed binding of a node id to a public key."""

@@ -229,11 +229,11 @@ class CpuReport:
 class QueryStats:
     """Per-query cost accounting (Figure 8).
 
-    Every build job keeps its own QueryStats, merged into the querier's
-    via the field-generic :meth:`merge` in canonical node order — integer
-    counters are therefore a deterministic function of the audit, while
-    the wall-clock fields in :data:`TIMING_FIELDS` are not (they time
-    real execution) and are excluded from equivalence checks via
+    One lives on each querier; every build counts straight into it, one
+    node at a time in canonical node order. Integer counters are
+    therefore a deterministic function of the audit, while the
+    wall-clock fields in :data:`TIMING_FIELDS` are not (they time real
+    execution) and are excluded from equivalence checks via
     :meth:`counters`.
     """
 
@@ -313,19 +313,6 @@ class QueryStats:
         for field, value in vars(self).items():
             setattr(delta, field, value - getattr(before, field, 0))
         return delta
-
-    @classmethod
-    def merged(cls, parts):
-        """Fold an ordered iterable of QueryStats into a fresh one.
-
-        The caller fixes the order (canonical node order for per-job
-        stats), which pins down float summation so repeated merges of the
-        same parts are bit-identical.
-        """
-        total = cls()
-        for part in parts:
-            total.merge(part)
-        return total
 
     def counters(self):
         """The deterministic (non-timing) fields, as a dict — what two

@@ -169,7 +169,8 @@ class OverTruncatingNode(SNooPyNode):
     segments anchored at or below the floor. Any full build that gets a
     direct response whose anchor sits above the advertised floor is
     proof of the violation — the querier marks the node proven faulty
-    (``compute_build``'s retention-coverage check).
+    (check 7 of ``build._verify_response``, which reads the floor from
+    ``Deployment.advertised_floor_of``).
     """
 
     def gc_truncate(self):

@@ -1,19 +1,20 @@
 """The build step: verify a response, then replay it.
 
-Between the querier's *fetch* and *finalize* (:mod:`repro.snp.microquery`)
-runs :func:`compute_build`, a pure function of a :class:`BuildWork` and a
-:class:`BuildContext`, inline on the calling thread.
+Between the querier's *fetch* and *commit* (:mod:`repro.snp.microquery`)
+runs :func:`compute_build` on one node's build job, inline on the
+calling thread, against the querier's live state: the evidence store as
+it stands after every node committed before this one, the node's trust
+record, and the deployment's keys, floors and alarms.
 
 This is also the one home of "verify a response": every check that can
-convict a node is written once here and called by the compute step, the
-finalize tail and the anchoring fetch alike (the chain primitives stay
-in :mod:`repro.snp.replay`).
+convict a node is written once here and called by the build step and
+the anchoring fetch alike (the chain primitives stay in
+:mod:`repro.snp.replay`).
 """
 
 import time
 
 from repro.crypto.merkle import MerkleTree
-from repro.metrics import QueryStats
 from repro.snp.commitment import ack_entry_content, snd_entry_content
 from repro.snp.log import INS, DEL, SND, RCV, ACK
 from repro.snp.replay import (
@@ -22,106 +23,6 @@ from repro.snp.replay import (
 )
 from repro.util.errors import AuthenticationError, LogVerificationError
 from repro.util.serialization import canonical_bytes
-
-
-# ----------------------------------------------------------- build context
-
-class BuildContext:
-    """What the verify+replay step may consult beyond its work item: the
-    querier's public-key table and the deployment's Tprop bound for
-    replay."""
-
-    __slots__ = ("public_keys", "t_prop")
-
-    def __init__(self, public_keys, t_prop=1.0):
-        self.public_keys = public_keys
-        self.t_prop = t_prop
-
-
-# --------------------------------------------------------------- the work
-
-class BuildWork:
-    """One node's verify+replay inputs, assembled by the fetch step.
-
-    Owns every mutable object it references (the response, the base
-    replay) for the duration of the compute step. ``known`` is the
-    node's checked-authenticator memo snapshot; ``held`` the frozen
-    evidence-store prefix; ``pending`` the skipped authenticators awaiting
-    a wider segment; ``consistency`` the evidence collected from peers
-    (None when the consistency check is disabled); ``alarms`` the
-    maintainer's known-missing-ack message ids. For extends, ``head_index``
-    / ``head_hash`` anchor the suffix and ``base_replay`` is the retained
-    replay to advance. ``factory`` is the node's application factory.
-    ``floor`` is the node's advertised retention floor (0 = never
-    advertised): evidence below it is tombstoned (permanently
-    uncheckable — the prefix is GC'd) instead of left pending, and with
-    ``floor_strict`` (a full build that asked for the untruncated log) a
-    direct response anchored *above* the floor convicts the node of
-    over-truncation.
-    """
-
-    __slots__ = ("node", "kind", "response", "known", "held", "pending",
-                 "consistency", "alarms", "head_index", "head_hash",
-                 "base_replay", "factory", "floor", "floor_strict")
-
-    def __init__(self, node, kind, response, known=frozenset(), held=(),
-                 pending=(), consistency=None, alarms=frozenset(),
-                 head_index=0, head_hash=None, base_replay=None,
-                 factory=None, floor=0, floor_strict=False):
-        self.floor = floor
-        self.floor_strict = floor_strict
-        self.node = node
-        self.kind = kind
-        self.response = response
-        self.known = known
-        self.held = tuple(held)
-        self.pending = tuple(pending)
-        self.consistency = consistency
-        self.alarms = alarms
-        self.head_index = head_index
-        self.head_hash = head_hash
-        self.base_replay = base_replay
-        self.factory = factory
-
-
-# ------------------------------------------------------------ the outcome
-
-class CompactOutcome:
-    """One node's build/extend result: exactly what the verify+replay
-    step produced.
-
-    A status (``ok`` / ``verify-failed`` / ``replay-failed``) plus
-    recomputed chain hashes, the checked / recovered / newly-skipped
-    authenticator evidence, the step's QueryStats, and the (possibly
-    extended) replay. What the *fetch* step learned stays on the build
-    job, which interprets this outcome (``absorb``). ``kind`` is
-    ``built`` (a full build verified and replayed) or ``extended`` (an
-    ``ok`` view's replay advanced by a verified delta).
-    """
-
-    __slots__ = ("node", "kind", "status", "reason", "hashes", "checked",
-                 "recovered", "skipped", "tombstoned", "stats",
-                 "replay_result")
-
-    OK = "ok"
-    VERIFY_FAILED = "verify-failed"
-    REPLAY_FAILED = "replay-failed"
-
-    def __init__(self, node, kind):
-        self.node = node
-        self.kind = kind
-        self.status = self.OK
-        self.reason = None
-        self.hashes = None
-        self.checked = {}
-        self.recovered = []
-        self.skipped = []
-        # Pending-skip signatures proven permanently uncheckable: they
-        # fall below the node's advertised retention floor, whose prefix
-        # GC discarded — the registry drains them (see microquery).
-        self.tombstoned = []
-        self.stats = None
-        self.replay_result = None
 
 
 # --------------------------------------------------- verifying a response
@@ -147,25 +48,11 @@ def note_checked(checked, response, auth):
     """Memoize an authenticator that was actually compared against the
     verified chain (not one merely skipped as pre-anchor): a later refresh
     extends the same chain, so the comparison stays valid. Notes land in
-    the outcome-local dict (signature → entry index, so the querier can
+    the job's own dict (signature → entry index, so the querier can
     later evict memos that fell below a verified head) and are committed
-    to the querier's memo only when the view finalizes ``ok``."""
+    to the querier's memo only when the view commits ``ok``."""
     if response.start_index - 1 <= auth.index <= response.head_index:
         checked[bytes(auth.signature)] = auth.index
-
-
-def check_held_evidence(response, hashes, held, known, checked, stats):
-    """Every evidence authenticator in *held* must lie on the verified
-    chain. Evidence already verified on this same chain (*known*, the
-    querier's memo, ∪ *checked*, this pass) is neither re-verified nor
-    re-counted. The compute step runs this over the store prefix frozen
-    at fetch time, finalize over the tail harvested since."""
-    for auth in held:
-        sig = bytes(auth.signature)
-        if sig in known or sig in checked:
-            continue
-        check_against_authenticator(response, hashes, auth, stats)
-        note_checked(checked, response, auth)
 
 
 def check_parsed_forms(response):
@@ -248,18 +135,20 @@ def verify_checkpoint(node_id, chk_entry):
         )
 
 
-def _verify_response(work, context, stats, outcome):
-    """The node-local checks that can *prove* the node faulty.
+def _verify_response(job, deployment, evidence, stats):
+    """The node-local checks that can *prove* the node faulty, against
+    the querier's live state.
 
     1. The fresh head authenticator must be validly signed and match the
        recomputed hash chain.
-    2. Every evidence authenticator the querier already held for this node
-       (the frozen store prefix in ``work.held``) must lie on the returned
-       chain; evidence already verified on this same chain (``work.known``
-       ∪ checked-this-pass) is neither re-verified nor re-counted.
+    2. Every evidence authenticator the querier holds for this node — in
+       a batch, including what the nodes committed before it harvested —
+       must lie on the returned chain; evidence already verified on this
+       same chain (the trust record's memo ∪ checked-this-pass) is
+       neither re-verified nor re-counted.
     3. Pending skipped authenticators (below an earlier partial-segment
        anchor) are retroactively checked when this segment reaches far
-       enough back; recovered ones are reported so the registry drains.
+       enough back; settled ones are reported so the registry drains.
     4. Every entry's parsed form — what replay will read — must
        re-derive the content the chain commits to
        (:func:`check_parsed_forms`), and the authenticators embedded in
@@ -283,9 +172,11 @@ def _verify_response(work, context, stats, outcome):
 
     Returns the recomputed chain hashes aligned with the entries.
     """
-    node_id = work.node
-    response = work.response
-    public_key = context.public_keys[node_id]
+    node_id = job.node
+    response = job.response
+    known, checked = job.trust.checked, job.checked
+    floor = deployment.advertised_floor_of(node_id)
+    public_key = deployment.public_key_of(node_id)
     if response.checkpoint is not None:
         chk = response.checkpoint
         if chk.index + 1 != response.start_index \
@@ -297,120 +188,114 @@ def _verify_response(work, context, stats, outcome):
                 "— the replay seed and the suffix belong to different "
                 "prefixes",
             )
-    if work.floor and work.floor_strict and work.kind == "built" \
-            and not response.from_mirror:
+    if floor and job.floor_strict and not response.from_mirror:
         # The anchor claim is start_index - 1; a lie about it cannot
         # evade conviction: the chain recomputation from the claimed
         # start_hash up to the *signed* head authenticator fails unless
         # the anchor is genuine.
         anchor = response.start_index - 1
-        if anchor > work.floor:
+        if anchor > floor:
             raise LogVerificationError(
                 node_id,
                 f"log served from entry {anchor + 1} cannot anchor at the "
-                f"advertised retention floor {work.floor} — the node "
+                f"advertised retention floor {floor} — the node "
                 "truncated below what it signed (retention violation)",
             )
     verify_auth(public_key, response.head_auth, stats)
     hashes = verify_segment_hashes(response)
     check_against_authenticator(response, hashes, response.head_auth, stats)
-    check_held_evidence(response, hashes, work.held, work.known,
-                        outcome.checked, stats)
-    first = response.start_index
-    for auth in work.pending:
+    for auth in evidence.for_node(node_id):
         sig = bytes(auth.signature)
-        if sig in work.known or sig in outcome.checked:
-            outcome.recovered.append(sig)  # verified on this chain already
+        if sig not in known and sig not in checked:
+            check_against_authenticator(response, hashes, auth, stats)
+            note_checked(checked, response, auth)
+    first = response.start_index
+    for auth in job.trust.pending.values():
+        sig = bytes(auth.signature)
+        if sig in known or sig in checked:
+            job.settled.append(sig)  # verified on this chain already
             continue
         if auth.index < first - 1:
             # Below this segment's anchor: the response in hand cannot
             # check it. Below the node's signed retention floor too, no
             # *future* segment ever will — drain the registry entry (the
             # coverage loss stays visible); otherwise it stays pending.
-            if work.floor and auth.index < work.floor:
+            if floor and auth.index < floor:
                 stats.auth_checks_tombstoned += 1
-                outcome.tombstoned.append(sig)
+                job.settled.append(sig)
             continue
         check_against_authenticator(response, hashes, auth, stats)
         stats.auth_checks_recovered += 1
-        outcome.recovered.append(sig)
-        note_checked(outcome.checked, response, auth)
+        job.settled.append(sig)
+        note_checked(checked, response, auth)
     if response.checkpoint is not None:
         verify_checkpoint(node_id, response.checkpoint)
     check_parsed_forms(response)
     for signer, auth in embedded_authenticators(response):
-        if signer not in context.public_keys:  # no peer could have sent it
+        if signer not in deployment.nodes:  # no peer could have sent it
             raise LogVerificationError(node_id, "log embeds an authenticator "
                                        f"from unregistered node {signer!r}")
-        verify_auth(context.public_keys[signer], auth, stats)
-    if work.consistency is not None:
+        verify_auth(deployment.public_key_of(signer), auth, stats)
+    if job.consistency is not None:
         def on_skip(auth):
-            if work.floor and auth.index < work.floor:
+            if floor and auth.index < floor:
                 # Below the GC'd prefix: never checkable by any later
                 # build — tombstone instead of pending forever.
                 stats.auth_checks_tombstoned += 1
                 return
-            outcome.skipped.append(auth)
-        for auth in work.consistency:
+            job.skipped.append(auth)
+        for auth in job.consistency:
             sig = bytes(auth.signature)
-            if sig in work.known or sig in outcome.checked:
-                continue  # verified on this same chain in an earlier pass
+            if sig in known or sig in checked:
+                continue  # verified on this same chain already
             try:
                 verify_auth(public_key, auth, stats)
             except AuthenticationError:
                 continue  # not actually signed by node_id; ignore
             check_against_authenticator(response, hashes, auth, stats,
                                         on_skip=on_skip)
-            note_checked(outcome.checked, response, auth)
+            note_checked(checked, response, auth)
     return hashes
 
 
-def compute_build(work, context):
-    """The verify+replay step: a pure function of (work, context),
-    mutating only objects the work item owns (for extends, the base
-    replay). Expected fault conditions become a status on the returned
-    :class:`CompactOutcome`; only genuinely unexpected errors propagate.
+def compute_build(job, deployment, evidence, stats):
+    """Verify ``job.response``, then replay it, counting into *stats*.
+
+    Fills in the job: ``hashes`` (the recomputed chain), ``checked`` /
+    ``settled`` / ``skipped`` (what :func:`_verify_response` noted), and
+    ``replay`` — a fresh replay for a full build, the base view's replay
+    advanced in place for an extend. A response that proves the node (or
+    the mirror serving it) faulty raises :class:`LogVerificationError` or
+    :class:`AuthenticationError` before replay touches anything; a replay
+    crash is left on ``job.replay`` (``not job.replay.ok``).
     """
-    stats = QueryStats()
-    outcome = CompactOutcome(work.node, work.kind)
-    outcome.stats = stats
-    response = work.response
+    response = job.response
     started = time.perf_counter()
     try:
-        if work.kind == "extended" \
-                and response.start_hash != work.head_hash:
+        if job.kind == "extended" \
+                and response.start_hash != job.base_view.head_hash:
             raise LogVerificationError(
-                work.node,
-                f"suffix after entry {work.head_index} does not "
+                job.node,
+                f"suffix after entry {job.base_view.head_index} does not "
                 "continue the verified chain (fork after cached head)",
             )
-        outcome.hashes = _verify_response(work, context, stats, outcome)
-    except (LogVerificationError, AuthenticationError) as exc:
+        job.hashes = _verify_response(job, deployment, evidence, stats)
+    finally:
         stats.auth_check_seconds += time.perf_counter() - started
-        outcome.status = CompactOutcome.VERIFY_FAILED
-        outcome.reason = str(exc)
-        return outcome
-    stats.auth_check_seconds += time.perf_counter() - started
-
-    if work.kind == "extended" and not response.entries:
-        # Nothing appended; the fresh head authenticator was checked
+    alarms = frozenset(deployment.maintainer.alarmed_msg_ids())
+    if job.kind == "extended":
+        job.replay = job.base_view.replay
+        # Nothing appended: the fresh head authenticator was checked
         # against the cached head hash above, confirming no fork.
-        return outcome
-    if work.kind == "extended":
-        result = work.base_replay
-        extend_replay(work.node, result, response,
-                      known_alarm_msg_ids=work.alarms, stats=stats)
+        if response.entries:
+            extend_replay(job.node, job.replay, response,
+                          known_alarm_msg_ids=alarms, stats=stats)
     else:
-        result = replay_segment(
-            work.node, response, work.factory,
-            t_prop=context.t_prop, known_alarm_msg_ids=work.alarms,
+        job.replay = replay_segment(
+            job.node, response, deployment.app_factories.get(job.node),
+            t_prop=deployment.effective_t_prop(), known_alarm_msg_ids=alarms,
             stats=stats,
         )
-    outcome.replay_result = result
-    if not result.ok:
-        outcome.status = CompactOutcome.REPLAY_FAILED
-        outcome.reason = str(result.failure)
-    return outcome
 
 
 def verify_anchor_segment(response, public_key, trusted_head, stats):

@@ -319,7 +319,8 @@ class Deployment(EvidenceDirectory):
         from repro.crypto.keys import CryptoCounter
         total = CryptoCounter()
         for identity in self._identities.values():
-            total = total.merged_with(identity.counter)
+            total.signatures += identity.counter.signatures
+            total.verifications += identity.counter.verifications
         return total
 
     def _charge_replication(self, origin, response):

@@ -25,31 +25,28 @@ and replaying only the log suffix appended since — a node whose returned
 suffix does not continue the verified chain has provably forked its log
 (see DESIGN.md, "Audit path").
 
-Builds are *batched* and split in three, all inline on the calling
-thread (see DESIGN.md, "One build path"):
+Builds are *batched*, and a batch builds its nodes one at a time in
+canonical node order, inline on the calling thread (see DESIGN.md, "One
+build path"). One :class:`_BuildJob` carries a node through one pass:
 
-* **fetch** (:class:`_BuildJob`) — retrieve or mirror fallback, transfer
-  accounting, and the snapshotting of everything the verification needs:
-  the frozen evidence-store prefix, the node's trust record
-  (:class:`_NodeTrust`: checked-authenticator memo, consistency cursor,
-  pending skipped authenticators), the consistency evidence collected
-  from peers, and the maintainer's alarm set. The job keeps what it
-  learned;
-* **compute** (:func:`repro.snp.build.compute_build`) — every check that
-  can convict the node, then replay;
-* **finalize** (canonical node order, once every job of the batch has
-  computed) — takes the finished job: the held-evidence check over what
-  earlier batch members harvested, the trust record's commit,
-  harvesting, view installation.
+* **fetch** — retrieve or mirror fallback, transfer accounting, and the
+  consistency evidence collected from peers;
+* **verify + replay** (:func:`repro.snp.build.compute_build`) — every
+  check that can convict the node, against the querier's live state
+  (the evidence store, the node's :class:`_NodeTrust`), then replay;
+* **commit** (:meth:`MicroQuerier._finalize`) — the trust record's
+  commit, harvesting the log's evidence, view installation.
+
+The next node is fetched only after this one committed, so a node's
+chain is checked against everything harvested before it: a batch gives
+the views, and counts the signatures, that one batch per node would.
 """
 
-import time
 from collections import defaultdict
 
 from repro.metrics import QueryStats
 from repro.snp.evidence import EvidenceStore, AUTHENTICATOR_BYTES
 from repro.snp.build import (
-    BuildContext, BuildWork, CompactOutcome, check_held_evidence,
     compute_build, embedded_authenticators, response_head,
     verify_anchor_segment,
 )
@@ -137,9 +134,9 @@ class _NodeTrust:
     * ``pending`` — authenticators (signature → Authenticator) counted
       in ``auth_checks_skipped`` because they fell below a
       partial-segment anchor. A later build whose segment reaches far
-      enough back retroactively checks them (compute's pending loop)
-      instead of silently dropping the coverage. They are coverage debt,
-      not chain trust: they survive :meth:`reset`.
+      enough back retroactively checks them (the build step's pending
+      loop) instead of silently dropping the coverage. They are coverage
+      debt, not chain trust: they survive :meth:`reset`.
     """
 
     __slots__ = ("checked", "cursor", "pending")
@@ -155,22 +152,22 @@ class _NodeTrust:
         self.checked = {}
         self.cursor = None
 
-    def commit(self, outcome, cursor):
-        """An ``ok`` pass finalized: adopt what it verified, drain the
-        debts it repaid — or proved unpayable (tombstoned: below the
-        node's GC'd retention floor, so no future segment can ever check
-        them) — and admit the ones it newly skipped. Returns whether the
-        pass left debt an anchoring fetch could repay."""
-        self.checked.update(outcome.checked)
-        if cursor is not None:
-            self.cursor = cursor
-        for sig in outcome.recovered + outcome.tombstoned:
+    def commit(self, job):
+        """An ``ok`` pass commits: adopt what it verified, drain the
+        debts it settled — repaid, or proved unpayable (tombstoned: below
+        the node's GC'd retention floor, so no future segment can ever
+        check them) — and admit the ones it newly skipped. Returns whether
+        the pass left debt an anchoring fetch could repay."""
+        self.checked.update(job.checked)
+        if job.cursor is not None:
+            self.cursor = job.cursor
+        for sig in job.settled:
             self.pending.pop(sig, None)
-        for auth in outcome.skipped:
+        for auth in job.skipped:
             sig = bytes(auth.signature)
             if sig not in self.checked:
                 self.pending.setdefault(sig, auth)
-        return bool(outcome.skipped and self.pending)
+        return bool(job.skipped and self.pending)
 
     def drain(self, sig):
         """An owed check was repaid against an anchoring segment."""
@@ -178,62 +175,92 @@ class _NodeTrust:
 
 
 class _BuildJob:
-    """One node's build/extend unit of work, keeping its own books.
+    """One node's pass, from fetch to installed view — the one object
+    that carries it.
 
-    ``fetch()`` runs against the deployment and snapshots the
-    verification inputs into a :class:`~repro.snp.build.BuildWork`;
-    ``absorb()`` interprets the compute step's
-    :class:`~repro.snp.build.CompactOutcome`. Everything the fetch step
-    learned — the response, who served it, the transfer accounting, the
-    consistency cursor — stays on the job for finalize to read; nothing
-    is copied onto the outcome. A finished job holds either a decided
-    ``view`` (unreachable, proven faulty, a kept stale view) or an ``ok``
-    ``outcome`` for finalize to commit.
+    :meth:`run` fetches (which may already decide ``view``: unreachable
+    nodes, refresh targets that keep their stale-but-verified view, and
+    nodes convicted by the retention handshake), then hands the job to
+    :func:`~repro.snp.build.compute_build`, which fills in ``hashes``,
+    the memo notes in ``checked``, the pending debt ``settled`` and
+    ``skipped``, and ``replay``. A verdict decides ``view`` here, under
+    the mirror policy; :meth:`MicroQuerier._finalize` commits a job left
+    undecided.
     """
 
-    __slots__ = ("mq", "node", "kind", "base_view", "stats", "response",
-                 "from_mirror", "reset_memo", "cursor", "evidence_prefix",
-                 "floor_strict", "view", "outcome")
+    __slots__ = ("mq", "node", "kind", "base_view", "trust", "response",
+                 "from_mirror", "floor_strict", "consistency", "cursor",
+                 "view", "hashes", "checked", "settled", "skipped",
+                 "replay")
 
     def __init__(self, mq, node, base_view=None):
         self.mq = mq
         self.node = node
         self.kind = "built" if base_view is None else "extended"
         self.base_view = base_view
-        self.stats = QueryStats()
+        self.trust = mq._trust[node]
         self.response = None
         self.from_mirror = False
-        self.reset_memo = False
-        self.cursor = None
-        #: How many of this node's evidence-store entries the compute
-        #: step checks (the store is frozen while jobs run); finalize
-        #: checks only the tail harvested later in the batch.
-        self.evidence_prefix = 0
         self.floor_strict = False
+        self.consistency = None
+        self.cursor = None
         self.view = None
-        self.outcome = None
+        self.hashes = None
+        self.checked = {}
+        self.settled = []
+        self.skipped = []
+        self.replay = None
 
-    # ------------------------------------------------------------- fetch
-
-    def fetch(self):
-        """Retrieve this node's segment and assemble the work item.
-
-        Returns a BuildWork, or None when the job finished at fetch time
-        (``self.view`` is decided: unreachable nodes, refresh targets
-        that kept their stale-but-verified view, and nodes already
-        convicted by the retention handshake).
-        """
-        fault = self.mq.deployment.retention_fault_of(self.node)
+    def run(self):
+        """Fetch, verify and replay this node: when this returns, either
+        ``view`` is decided or the job is ready to commit."""
+        mq = self.mq
+        deployment = mq.deployment
+        fault = deployment.retention_fault_of(self.node)
         if fault is not None:
             # Convicted at handshake time (e.g. a signed floor above a
             # live auditor's head): the proof stands without asking the
             # node anything — its log can never be trusted again.
             self.view = NodeView(self.node, PROVEN_FAULTY,
                                  verdict_reason=fault)
-            return None
+            return
         if self.kind == "extended":
-            return self._fetch_extend()
-        return self._fetch_full()
+            self._fetch_extend()
+        else:
+            self._fetch_full()
+        if self.view is not None:
+            return
+        if mq.run_consistency_check:
+            self.consistency, self.cursor = \
+                deployment.collect_authenticators_about_since(
+                    self.node, self.trust.cursor
+                )
+        try:
+            compute_build(self, deployment, mq.evidence, mq.stats)
+        except (LogVerificationError, AuthenticationError) as exc:
+            self.view = self._refused(str(exc))
+            return
+        if not self.replay.ok:
+            self.view = NodeView(self.node, PROVEN_FAULTY,
+                                 verdict_reason=str(self.replay.failure),
+                                 replay=self.replay)
+
+    def _refused(self, reason):
+        """The view a response that failed verification leaves — the
+        mirror policy, written once."""
+        if not self.from_mirror:
+            return NodeView(self.node, PROVEN_FAULTY, verdict_reason=reason)
+        if self.kind == "extended":
+            # A corrupt replica cannot frame the origin; the origin is
+            # merely unreachable right now, so the view stays stale
+            # (verification precedes replay, so the base replay is still
+            # at its committed head).
+            return self.base_view
+        # A corrupt *mirror* is not evidence against the origin — the
+        # replica may be the liar. The origin merely remains unreachable
+        # (its vertices stay yellow).
+        return NodeView(self.node, UNREACHABLE,
+                        verdict_reason=f"bad mirror: {reason}")
 
     def _retrieve(self, since_index=None):
         """Ask the node for its log — the suffix after *since_index*, or
@@ -258,7 +285,7 @@ class _BuildJob:
             if from_mirror:
                 response.from_mirror = True
         if response is not None:
-            mq._charge_fetch(response, self.stats)
+            mq._charge_fetch(response)
         return response, from_mirror
 
     def _fetch_extend(self):
@@ -267,7 +294,7 @@ class _BuildJob:
         response, from_mirror = self._retrieve(since_index=view.head_index)
         if response is None:
             self.view = view  # unreachable: the stale view stays verified
-            return None
+            return
         if response.start_index != view.head_index + 1:
             # The responder did not (or could not) anchor at our head —
             # e.g. a log shorter than the verified head, or a replica that
@@ -279,25 +306,24 @@ class _BuildJob:
             # preferred (the discarded transfer still happened and stays
             # charged).
             if mq.use_checkpoints and not from_mirror:
-                return self._fetch_full()
-            return self._fetch_full(response=response,
-                                    from_mirror=from_mirror)
+                self._fetch_full()
+            else:
+                self._fetch_full(response=response, from_mirror=from_mirror)
+            return
         self.from_mirror = from_mirror
-        self.stats.delta_fetches += 1
+        mq.stats.delta_fetches += 1
         self.response = response
-        return self._make_work()
 
     def _fetch_full(self, response=None, from_mirror=False):
         """Fetch for a from-scratch build. *response* short-circuits
         retrieval when the caller already holds (and has been charged
         for) a full response — the refresh fallback path. Trust in the
         chain is established from zero either way, so the node's trust
-        record is reset at finalize."""
+        record is reset here."""
         mq = self.mq
-        node_id = self.node
         self.kind = "built"
         self.base_view = None
-        self.reset_memo = True
+        self.trust.reset()
         # A full build that asks for the untruncated log holds a GC'd
         # node to its signed floor: a direct response anchored above it
         # is a retention violation (checkpoint-mode fetches legitimately
@@ -306,95 +332,16 @@ class _BuildJob:
         if response is None:
             response, from_mirror = self._retrieve()
         if response is None:
-            self.view = NodeView(node_id, UNREACHABLE,
+            self.view = NodeView(self.node, UNREACHABLE,
                                  verdict_reason="no response to retrieve")
-            return None
+            return
         self.from_mirror = from_mirror
         if response.checkpoint is not None:
-            self.stats.checkpoint_bytes += response.checkpoint.size_bytes()
-            self.stats.checkpoint_bytes += mq._snapshot_size(
+            mq.stats.checkpoint_bytes += response.checkpoint.size_bytes()
+            mq.stats.checkpoint_bytes += mq._snapshot_size(
                 response.checkpoint
             )
         self.response = response
-        return self._make_work()
-
-    def _make_work(self):
-        """Snapshot the querier-shared inputs (all frozen for the duration
-        of the batch) into the work item the compute step consumes."""
-        mq = self.mq
-        node_id = self.node
-        held = mq.evidence.for_node(node_id)
-        self.evidence_prefix = len(held)
-        trust = mq._trust[node_id]
-        if self.kind == "extended":
-            known = frozenset(trust.checked)
-            base_cursor = trust.cursor
-        else:
-            known = frozenset()
-            base_cursor = None
-        consistency = None
-        if mq.run_consistency_check:
-            consistency, self.cursor = \
-                mq.deployment.collect_authenticators_about_since(
-                    node_id, base_cursor
-                )
-            consistency = tuple(consistency)
-        view = self.base_view
-        return BuildWork(
-            node_id, self.kind, self.response,
-            known=known, held=held, pending=tuple(trust.pending.values()),
-            consistency=consistency,
-            alarms=frozenset(mq.deployment.maintainer.alarmed_msg_ids()),
-            head_index=view.head_index if view is not None else 0,
-            head_hash=view.head_hash if view is not None else None,
-            base_replay=view.replay if view is not None else None,
-            factory=mq.deployment.app_factories.get(node_id),
-            floor=mq.deployment.advertised_floor_of(node_id),
-            floor_strict=self.floor_strict,
-        )
-
-    # ------------------------------------------------------------ absorb
-
-    def absorb(self, outcome):
-        """Settle this job from the compute step's outcome: a failure
-        decides the view here, an ``ok`` outcome is kept for finalize.
-
-        This is the single interpretation point for compute results, so
-        the mirror/verdict policy is written once.
-        """
-        node_id = self.node
-        self.stats.merge(outcome.stats)
-        replay = outcome.replay_result
-        if replay is not None:
-            replay.response = self.response
-        if outcome.status == CompactOutcome.REPLAY_FAILED:
-            self.view = NodeView(node_id, PROVEN_FAULTY,
-                                 verdict_reason=outcome.reason, replay=replay)
-        elif outcome.status != CompactOutcome.VERIFY_FAILED:
-            self.outcome = outcome
-        elif not self.from_mirror:
-            self.view = NodeView(node_id, PROVEN_FAULTY,
-                                 verdict_reason=outcome.reason)
-        elif self.kind == "extended":
-            # A corrupt replica cannot frame the origin; the origin is
-            # merely unreachable right now, so the view stays stale
-            # (verification precedes replay, so the base replay is still
-            # at its committed head).
-            self.view = self.base_view
-        else:
-            # A corrupt *mirror* is not evidence against the origin — the
-            # replica may be the liar. The origin merely remains
-            # unreachable (its vertices stay yellow).
-            self.view = NodeView(
-                node_id, UNREACHABLE,
-                verdict_reason=f"bad mirror: {outcome.reason}",
-            )
-
-    def run(self, context):
-        """Fetch, then compute: the job is finished when this returns."""
-        work = self.fetch()
-        if work is not None:
-            self.absorb(compute_build(work, context))
 
 
 class MicroQuerier:
@@ -425,8 +372,6 @@ class MicroQuerier:
         # Nodes whose pending debt grew during the running batch — the
         # batch-end anchoring fetch's worklist.
         self._anchor_wanted = set()
-        self._context = None
-        self._context_nodes = None
 
     def close(self):
         """Nothing to release — builds run inline — but a querier scopes
@@ -438,18 +383,6 @@ class MicroQuerier:
     def __exit__(self, exc_type, exc, tb):
         self.close()
         return False
-
-    def _build_context(self):
-        """The compute step's per-deployment context (rebuilt only when the
-        deployment's node set changes)."""
-        nodes = self.deployment.nodes
-        if self._context is None or self._context_nodes != set(nodes):
-            self._context = BuildContext(
-                {n: self.deployment.public_key_of(n) for n in nodes},
-                t_prop=self.deployment.effective_t_prop(),
-            )
-            self._context_nodes = set(nodes)
-        return self._context
 
     # ------------------------------------------------------------- views
 
@@ -464,10 +397,10 @@ class MicroQuerier:
     def build_views(self, node_ids):
         """Ensure views exist for *node_ids*; returns ``{node_id: view}``.
 
-        Missing views are built as one batch: the fetch+compute pipeline
-        runs per node, then results are finalized in canonical node
-        order — so the evidence a node's chain is checked against is
-        exactly what the batch harvested from the nodes before it.
+        Missing views are built as one batch, one node at a time in
+        canonical node order — so the evidence a node's chain is checked
+        against is exactly what the batch harvested from the nodes before
+        it.
         """
         wanted = list(dict.fromkeys(node_ids))
         missing = sorted((n for n in wanted if n not in self._views),
@@ -550,31 +483,29 @@ class MicroQuerier:
         }
 
     def _run_batch(self, jobs):
-        """Run one batch of build/extend jobs and finalize each.
+        """Run one batch: each job fetches, verifies, replays and commits
+        before the next one is fetched.
 
         Expected fault conditions never escape a job (they become
-        verdicts); if something *unexpected* does, the batch aborts —
-        and any member not yet finalized may hold a cached view whose
-        retained replay was already advanced past its committed head.
-        Such views must not survive (a later refresh would replay the
-        same suffix twice), so every un-finalized member is invalidated
-        before the error propagates.
+        verdicts); if something *unexpected* does, the batch aborts — and
+        the member it hit may hold a cached view whose retained replay was
+        already advanced past its committed head. Such a view must not
+        survive (a later refresh would replay the same suffix twice), so
+        every member not yet committed is invalidated before the error
+        propagates.
         """
         if not jobs:
             return
         self.version += 1
-        context = self._build_context()
-        unfinalized = {job.node for job in jobs}
+        committed = 0
         try:
-            # The evidence store is frozen until every job has computed.
             for job in jobs:
-                job.run(context)
-            for job in jobs:
+                job.run()
                 self._views[job.node] = self._finalize(job)
-                unfinalized.discard(job.node)
+                committed += 1
         except BaseException:
-            for node_id in unfinalized:
-                self.invalidate(node_id)
+            for job in jobs[committed:]:
+                self.invalidate(job.node)
             raise
         # A batch that left skipped-authenticator debt (evidence below a
         # partial segment's anchor) fetches the anchoring segment right
@@ -586,13 +517,14 @@ class MicroQuerier:
 
     # ---------------------------------------------- fetch-side accounting
 
-    def _charge_fetch(self, response, stats):
-        """Charge one retrieved segment to *stats*. The single place a
+    def _charge_fetch(self, response):
+        """Charge one retrieved segment to the querier's stats. The single place a
         fetch is accounted, right where it happened, so full, delta and
         discarded-fallback fetches stay in lockstep and the segment is
         sized once. Pure accounting: in this in-process deployment a
         fetch is a function call, and the paper's 10 Mbps download is
         arithmetic over these bytes (``QueryStats.download_seconds``)."""
+        stats = self.stats
         stats.logs_fetched += 1
         stats.log_bytes += sum(e.size_bytes() for e in response.entries)
         stats.authenticator_bytes += AUTHENTICATOR_BYTES
@@ -605,46 +537,18 @@ class MicroQuerier:
         except Exception:
             return 0
 
-    # ------------------------------------------- finalize (calling thread)
+    # ------------------------------------------------------------ commit
 
     def _finalize(self, job):
-        """Commit one finished job against the querier-shared state.
-
-        Runs on the calling thread, invoked in canonical node order over
-        a batch: merges the job's stats, replays the deferred
-        evidence-store checks against everything harvested from nodes
-        earlier in the order, then harvests this node's evidence — the
-        exact sequence a serial build of the batch would follow.
-        """
-        node_id = job.node
-        self.stats.merge(job.stats)
-        trust = self._trust[node_id]
-        if job.reset_memo:
-            trust.reset()
+        """Commit one job run in canonical node order: a decided view as
+        it is; otherwise the trust record's commit, then harvesting this
+        node's evidence for the nodes after it, then the view, advanced
+        to :func:`~repro.snp.build.response_head`."""
         if job.view is not None:
-            return job.view  # decided at fetch or absorb: just commit it
-        outcome, response = job.outcome, job.response
-        try:
-            self._check_harvested_evidence(job, trust)
-        except LogVerificationError as exc:
-            if not job.from_mirror:
-                return NodeView(node_id, PROVEN_FAULTY,
-                                verdict_reason=str(exc))
-            if job.kind == "built":
-                return NodeView(node_id, UNREACHABLE,
-                                verdict_reason=f"bad mirror: {exc}")
-            # A mirror's delta is never empty, so the kept view's replay
-            # was already advanced past its committed head — it must not
-            # stay extendable (a later refresh would replay the same
-            # suffix twice). Rebuild trust from scratch instead; this
-            # tail-of-batch case is rare (pre-batch evidence was checked
-            # before replay, in the compute step).
-            retry = _BuildJob(self, node_id)
-            retry.run(self._build_context())
-            return self._finalize(retry)
-        if trust.commit(outcome, job.cursor):
+            return job.view
+        node_id, response = job.node, job.response
+        if job.trust.commit(job):
             self._anchor_wanted.add(node_id)
-
         if job.kind == "built":
             view = NodeView(node_id, OK)
             chk = response.checkpoint
@@ -658,9 +562,8 @@ class MicroQuerier:
             if not response.entries:
                 return view  # nothing appended: the head stands
         self._harvest_evidence(response)
-        view.replay = outcome.replay_result
-        view.head_index, view.head_hash = response_head(response,
-                                                        outcome.hashes)
+        view.replay = job.replay
+        view.head_index, view.head_hash = response_head(response, job.hashes)
         if response.entries:
             view.head_time = response.entries[-1].timestamp
         return view
@@ -689,7 +592,7 @@ class MicroQuerier:
         if response is None:
             return
         self.stats.anchor_fetches += 1
-        self._charge_fetch(response, self.stats)
+        self._charge_fetch(response)
         view = self._views.get(node_id)
         trusted = None
         if view is not None and view.status == OK and view.head_index > 0:
@@ -768,23 +671,6 @@ class MicroQuerier:
         that no verified segment has reached yet."""
         return sorted((auth.node, auth.index)
                       for auth in self._trust[node_id].pending.values())
-
-    def _check_harvested_evidence(self, job, trust):
-        """The within-batch tail of the held-evidence check: the compute
-        step covered the first ``job.evidence_prefix`` entries (the store
-        is frozen while jobs run); what remains is whatever finalizing
-        *earlier* nodes of this batch harvested. Raises
-        LogVerificationError — *proof* of a fork or rewrite."""
-        started = time.perf_counter()
-        try:
-            held = self.evidence.for_node(job.node)
-            check_held_evidence(
-                job.response, job.outcome.hashes,
-                held[job.evidence_prefix:], trust.checked,
-                job.outcome.checked, self.stats,
-            )
-        finally:
-            self.stats.auth_check_seconds += time.perf_counter() - started
 
     def _harvest_evidence(self, response):
         """Collect the authenticators embedded in a verified log into the

@@ -245,8 +245,8 @@ def replay_segment(node_id, response, app_factory, t_prop,
     the application machine are caught and reported as a replay failure
     (which the microquery module turns into a red vertex).
 
-    *stats* (a QueryStats) receives the replay cost directly — each build
-    job passes its own, merged by the querier in canonical node order.
+    *stats* (a QueryStats) receives the replay cost directly — the
+    querier passes its own.
     """
     gca = GraphConstructor(app_factory, t_prop=t_prop)
     gca.known_alarm_msg_ids = known_alarm_msg_ids

@@ -1,17 +1,18 @@
 """The serial audit's contract, stated once over a scenario gallery.
 
-A querier has one build path — fetch, compute, finalize, inline. This
-module states what an audit through it promises, checked on every
-scenario of one gallery: MinCost under each adversary the paper's
-Section 6 names (plus checkpoints, GC and mirrors), and the three
-application families at small size. On every scenario:
+A querier has one build path — fetch, verify + replay, commit, one node
+at a time, inline. This module states what an audit through it
+promises, checked on every scenario of one gallery: MinCost under each
+adversary the paper's Section 6 names (plus checkpoints, GC and
+mirrors), and the three application families at small size. On every
+scenario:
 
 * the verdict is the stated one, and red lands only on adversaries;
 * every view that withholds judgment or convicts says why;
 * two independent cold audits of one state agree — colours, verdicts,
-  view heads and merged ``QueryStats`` counters;
+  view heads and ``QueryStats`` counters;
 * neither eager prefetch nor the order a batch is asked in changes an
-  answer (a batch finalizes in canonical node order);
+  answer (a batch builds in canonical node order);
 * a refresh with nothing new changes nothing, and a standing auditor that
   refreshes after the deployment ran on answers as a cold audit of the
   new state does.

@@ -26,7 +26,8 @@ from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FloorLiarNode, ForkingNode, OverTruncatingNode,
 )
-from repro.snp.microquery import OK, PROVEN_FAULTY
+from repro.snp.evidence import sign_authenticator, sign_retention_floor
+from repro.snp.microquery import OK, PROVEN_FAULTY, MicroQuerier
 from repro.util.errors import ConfigurationError
 
 from scenarios import fingerprint, run_chord
@@ -369,68 +370,55 @@ class TestRetentionHardening:
         # A replica holding nothing still accepts it (it can seed).
         assert merge_mirror_responses(None, pushed) is pushed
 
+    @staticmethod
+    def _owing(dep, node_id, auth, floor):
+        """A cold querier that owes a check of *auth* against *node_id*'s
+        chain, with *node_id* advertising the signed retention floor
+        *floor* (and no consistency evidence to muddy the counts)."""
+        entry = dep.nodes[node_id].log.entry(floor)
+        dep.retention_floors[node_id] = sign_retention_floor(
+            dep.identity_of(node_id), floor, entry.timestamp)
+        mq = MicroQuerier(dep, run_consistency_check=False)
+        mq._trust[node_id].pending[bytes(auth.signature)] = auth
+        return mq
+
     def test_checkable_pending_evidence_is_checked_not_tombstoned(self):
         dep, _nodes = _net(seed=442)
         node = dep.nodes["a"]
-        full = node.retrieve()
         entry = node.log.entry(2)
-        from repro.snp.evidence import sign_authenticator
-        from repro.snp.build import BuildContext, BuildWork, compute_build
         good = sign_authenticator(node.identity, 2, entry.timestamp,
                                   entry.entry_hash)
-        context = BuildContext(
-            {n: dep.public_key_of(n) for n in dep.nodes},
-            t_prop=dep.effective_t_prop(),
-        )
         # The advertised floor is far above entry 2, but the segment in
         # hand starts at entry 1: the evidence is checkable NOW, so it
         # must be checked (and recovered), never drained unexamined.
-        work = BuildWork("a", "built", full, pending=(good,),
-                         floor=len(node.log), floor_strict=False,
-                         factory=dep.app_factories["a"],
-                         consistency=())
-        outcome = compute_build(work, context)
-        assert outcome.status == outcome.OK
-        assert bytes(good.signature) in outcome.recovered
-        assert not outcome.tombstoned
-        assert outcome.stats.auth_checks_tombstoned == 0
-        assert outcome.stats.auth_checks_recovered == 1
+        mq = self._owing(dep, "a", good, floor=len(node.log))
+        assert mq.view_of("a").status == OK
+        assert not mq.pending_skipped("a")
+        assert bytes(good.signature) in mq._trust["a"].checked
+        assert mq.stats.auth_checks_tombstoned == 0
+        assert mq.stats.auth_checks_recovered == 1
         # An equivocating authenticator in the same position is proof —
         # the conviction a premature tombstone would have discarded.
         bad = sign_authenticator(node.identity, 2, entry.timestamp,
                                  "f" * 64)
-        work = BuildWork("a", "built", full, pending=(bad,),
-                         floor=len(node.log), floor_strict=False,
-                         factory=dep.app_factories["a"],
-                         consistency=())
-        outcome = compute_build(work, context)
-        assert outcome.status == outcome.VERIFY_FAILED
+        mq = self._owing(dep, "a", bad, floor=len(node.log))
+        assert mq.view_of("a").status == PROVEN_FAULTY
 
     def test_pending_below_anchor_and_floor_is_tombstoned(self):
         dep, nodes = _net(seed=443)
         node = dep.nodes["a"]
         entry = node.log.entry(2)
-        from repro.snp.evidence import sign_authenticator
-        from repro.snp.build import BuildContext, BuildWork, compute_build
         old = sign_authenticator(node.identity, 2, entry.timestamp,
                                  entry.entry_hash)
         dep.checkpoint_all()
         chk = node.log.last_checkpoint_before(len(node.log))
         node.log.truncate_below(chk.index)
-        truncated = node.retrieve()
-        assert truncated.start_index > 2
-        context = BuildContext(
-            {n: dep.public_key_of(n) for n in dep.nodes},
-            t_prop=dep.effective_t_prop(),
-        )
-        work = BuildWork("a", "built", truncated, pending=(old,),
-                         floor=chk.index, floor_strict=False,
-                         factory=dep.app_factories["a"],
-                         consistency=())
-        outcome = compute_build(work, context)
-        assert outcome.status == outcome.OK
-        assert bytes(old.signature) in outcome.tombstoned
-        assert outcome.stats.auth_checks_tombstoned == 1
+        assert node.retrieve().start_index > 2
+        mq = self._owing(dep, "a", old, floor=chk.index)
+        assert mq.view_of("a").status == OK
+        assert not mq.pending_skipped("a")
+        assert bytes(old.signature) not in mq._trust["a"].checked
+        assert mq.stats.auth_checks_tombstoned == 1
 
     def test_lagging_mirror_reseeds_at_a_sanctioned_floor(self):
         dep, nodes = _net(seed=445)

@@ -1,12 +1,13 @@
 """What a build batch promises, and how a macroquery finds its root.
 
-A batch fetches and computes every job before finalizing any, in
-canonical node order; an unexpected error aborts it whole, and no member
-it did not finalize survives. ``TestExtantRootLookup`` pins the one read
-op that replaced a scan: the root of a ``why(at=None)`` comes from the
-graph's open-interval map, and must be the vertex the scan chose — on
-the application families, cold and refreshed, and on the graphs no
-healthy build produces.
+A batch builds its nodes one at a time in canonical node order — fetch,
+verify, replay, commit — so how nodes are grouped into batches changes
+no view, colour or signature count (``TestBatchingChangesNoResult``); an
+unexpected error aborts it, and no member it did not commit survives.
+``TestExtantRootLookup`` pins the one read op that replaced a scan: the
+root of a ``why(at=None)`` comes from the graph's open-interval map,
+and must be the vertex the scan chose — on the application families,
+cold and refreshed, and on the graphs no healthy build produces.
 """
 
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.provgraph.graph import ProvenanceGraph
 from repro.provgraph.vertices import BELIEVE, EXIST, Vertex
 from repro.snp import Deployment, QueryProcessor
+from repro.snp.adversary import ForkingNode, SilentNode
 from repro.snp.log import INS
 from repro.snp.microquery import NodeView, OK
 
@@ -48,7 +50,7 @@ class TestBatchSemantics:
 
     def test_unexpected_task_error_invalidates_unfinalized_views(self):
         # An *unexpected* exception escaping a build job aborts the
-        # batch; members not yet finalized may hold replays advanced past
+        # batch; members not yet committed may hold replays advanced past
         # their committed heads and must be dropped, not kept.
         dep, nodes = _net(seed=93)
         with QueryProcessor(dep) as qp:
@@ -64,6 +66,77 @@ class TestBatchSemantics:
             assert "b" not in qp.mq._views
             del nodes["b"].retrieve  # restore the class method
             assert qp.why(best_cost("c", "d", 5)).is_clean()
+
+
+def _mincost_scenario():
+    dep, _nodes = _net()
+
+    def query(qp):
+        return qp.why(best_cost("c", "d", 5), scope=5)
+    return "mincost", dep, query, None
+
+
+def _heads(qp):
+    return {str(n): (v.status, v.head_index, v.head_hash)
+            for n, v in qp.mq._views.items()}
+
+
+class _ForkThenCrashNode(ForkingNode, SilentNode):
+    """Forks its log, lets the replicas mirror the fork, then crashes."""
+
+
+class TestBatchingChangesNoResult:
+    @pytest.mark.parametrize("family",
+                             ["mincost"] + sorted(APPLICATION_SCENARIOS))
+    def test_one_batch_equals_one_batch_per_node(self, family):
+        """A cold ``prefetch`` of every node, and one ``prefetch([n])``
+        per node in sorted order: equal views, colours and counters —
+        signatures included. ``evidence_pruned`` is left out: compaction
+        runs once per batch, so it legitimately prunes at other times."""
+        scenario = (_mincost_scenario if family == "mincost"
+                    else APPLICATION_SCENARIOS[family])
+        _name, dep, query, _run_further = scenario()
+
+        def audit(batches):
+            with QueryProcessor(dep) as qp:
+                for batch in batches:
+                    qp.prefetch(batch)
+                counters = qp.mq.stats.counters()
+                del counters["evidence_pruned"]
+                return _heads(qp), fingerprint(query(qp)), counters
+
+        nodes = sorted(dep.nodes, key=str)
+        assert audit([nodes]) == audit([[node] for node in nodes])
+
+    def test_a_mirror_verdict_does_not_depend_on_the_batch(self):
+        """``b`` forks above its audited head, is mirrored on the new
+        branch and crashes, while ``a``'s log holds ``b``'s authenticators
+        on the old one. Whether ``a`` is refreshed in the same batch as
+        ``b`` or in an earlier one, ``b``'s mirrored delta fails
+        verification before replay, and the stale verified view stays."""
+        dep, nodes = _net(overrides={"b": _ForkThenCrashNode})
+        b = nodes["b"]
+        b.refuse_retrieve = b.refuse_consistency = False
+        together = QueryProcessor(dep, run_consistency_check=False)
+        apart = QueryProcessor(dep, run_consistency_check=False)
+        with together, apart:
+            together.prefetch()
+            apart.prefetch()
+            head = together.mq.view_of("b").head_index
+            b.insert(link("b", "q", 4))   # a logs b's newer authenticators
+            dep.run()
+            b.fork_log(keep_upto=head)
+            b.insert(link("b", "r", 9))
+            dep.run()
+            dep.replicate_logs(replication_factor=2)
+            b.refuse_retrieve = True
+            together.refresh()
+            apart.refresh("a")
+            apart.refresh("b")
+            both = {n: _heads(together)[n] for n in "ab"}
+            assert both == {n: _heads(apart)[n] for n in "ab"}
+            view = together.mq.view_of("b")
+            assert view.status == OK and view.head_index == head
 
 
 # ------------------------------------------------ the extant-root lookup
