@@ -15,22 +15,15 @@ performs, which drives the Figure 7 (CPU overhead) reproduction.
 """
 
 from repro.crypto.rsa import generate_keypair
+from repro.metrics import Counters
 from repro.util.errors import AuthenticationError
 from repro.util.serialization import canonical_bytes
 
 
-class CryptoCounter:
+class CryptoCounter(Counters):
     """Counts RSA operations for CPU-cost accounting."""
 
-    def __init__(self):
-        self.signatures = 0
-        self.verifications = 0
-
-    def note_sign(self):
-        self.signatures += 1
-
-    def note_verify(self):
-        self.verifications += 1
+    FIELDS = ("signatures", "verifications")
 
 
 class Certificate:
@@ -91,10 +84,10 @@ class NodeIdentity:
 
     def sign(self, payload):
         """Sign a canonically-encodable payload; returns signature bytes."""
-        self.counter.note_sign()
+        self.counter.signatures += 1
         return self.keypair.sign(canonical_bytes(payload))
 
     def verify(self, public_key, payload, signature):
         """Verify a signature made by *public_key* over *payload*."""
-        self.counter.note_verify()
+        self.counter.verifications += 1
         return public_key.verify(canonical_bytes(payload), signature)

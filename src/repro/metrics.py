@@ -1,22 +1,38 @@
 """Measurement accounting for the paper's evaluation figures.
 
-The paper reports four cost dimensions; each has a collector here:
+Every meter is one record type, :class:`Counters`: a subclass declares
+its fields once, as the class tuple ``FIELDS``, and inherits zeroing,
+copying, merging, diffing and dumping. The records are
 
-* **Traffic** (Figure 5): per-message payload bytes plus SNP overheads. The
-  paper's fixed wire sizes are used (22 B timestamp+refcount per message,
-  156 B per authenticator, 187 B per acknowledgment) so relative overheads
-  are comparable. Categories mirror the figure: baseline, proxy,
-  provenance, authenticators, acknowledgments.
-* **Storage** (Figure 6): per-node log growth, broken down into message
-  contents, signatures, authenticators, and index overhead.
-* **Computation** (Figure 7): counts of RSA sign/verify operations per
-  node (from :class:`repro.crypto.keys.CryptoCounter`) plus the bytes
-  the run hashed (derived by the caller from log and input sizes),
-  convertible to CPU load with per-operation costs.
-* **Query** (Figure 8): bytes downloaded (logs, authenticators,
-  checkpoints) and turnaround split into download / authentication check /
-  replay.
+* :class:`TrafficMeter` (Figure 5): message, batch, ack and replication
+  counts, beside per-node byte buckets for the figure's categories. The
+  paper's fixed wire sizes are used (22 B timestamp+refcount per
+  message, 156 B per authenticator, 187 B per acknowledgment) so
+  relative overheads are comparable;
+* :class:`StorageReport` (Figure 6): one node's log growth, split into
+  message contents, signatures, authenticators and index overhead;
+* :class:`repro.crypto.keys.CryptoCounter` (Figure 7): RSA sign/verify
+  operations per node, turned into CPU load by :class:`CpuReport`;
+* :class:`QueryStats` (Figure 8): bytes downloaded and the work an
+  audit did, with turnaround split into download / authentication check
+  / replay;
+* :class:`RetentionMeter` and :class:`ServiceMeter`: checkpoint GC and
+  the service plane.
+
+``TIMING_FIELDS`` names the fields that hold elapsed wall-clock seconds.
+They are written only through :meth:`Counters.timing` and are left out
+of :meth:`Counters.counters`, the deterministic part two audits of the
+same state must agree on.
+
+Fields are declared rather than read off the instance so that the
+generic methods cannot drop or invent a counter, and so that the
+instance dict never changes size after ``__init__``: another thread may
+read a record while its owner bumps it. Counters stay plain instance
+attributes, so an increment costs what ``x += 1`` costs.
 """
+
+from contextlib import contextmanager
+from time import perf_counter
 
 from repro.snp.evidence import (
     TIMESTAMP_OVERHEAD_BYTES, AUTHENTICATOR_BYTES, ACK_BYTES,
@@ -28,15 +44,83 @@ TRAFFIC_CATEGORIES = (
 )
 
 
-class TrafficMeter:
-    """Byte counters per traffic category, per node."""
+class Counters:
+    """A record of additive counters named by the class tuple ``FIELDS``.
+
+    ``TIMING_FIELDS`` (a subset of ``FIELDS``) holds elapsed seconds,
+    added by :meth:`timing`; every other field counts deterministic work.
+    :meth:`copy` and :meth:`delta_since` return a record of the same
+    class carrying the declared fields only.
+    """
+
+    FIELDS = ()
+    TIMING_FIELDS = ()
 
     def __init__(self):
+        for field in self.FIELDS:
+            setattr(self, field, 0.0 if field in self.TIMING_FIELDS else 0)
+
+    def reset(self):
+        """Zero every field."""
+        Counters.__init__(self)
+
+    def _zeroed(self):
+        blank = object.__new__(type(self))
+        Counters.__init__(blank)
+        return blank
+
+    def copy(self):
+        snap = self._zeroed()
+        snap.merge(self)
+        return snap
+
+    def merge(self, other):
+        """Add *other*'s fields into this record."""
+        for field in self.FIELDS:
+            setattr(self, field, getattr(self, field) + getattr(other, field))
+
+    def delta_since(self, before):
+        """What accumulated since *before* (an earlier :meth:`copy`)."""
+        delta = self._zeroed()
+        for field in self.FIELDS:
+            setattr(delta, field,
+                    getattr(self, field) - getattr(before, field))
+        return delta
+
+    def counters(self):
+        """The deterministic (non-timing) fields, as a dict — what two
+        audits of the same state must agree on."""
+        return {field: getattr(self, field) for field in self.FIELDS
+                if field not in self.TIMING_FIELDS}
+
+    def as_dict(self):
+        return {field: getattr(self, field) for field in self.FIELDS}
+
+    @contextmanager
+    def timing(self, field):
+        """Add the seconds the ``with`` body takes to *field*, also when
+        it raises."""
+        started = perf_counter()
+        try:
+            yield
+        finally:
+            setattr(self, field,
+                    getattr(self, field) + perf_counter() - started)
+
+    def __repr__(self):
+        busy = {k: v for k, v in self.as_dict().items() if v}
+        return f"{type(self).__name__}({busy!r})"
+
+
+class TrafficMeter(Counters):
+    """Byte counters per traffic category, per node."""
+
+    FIELDS = ("messages_sent", "batches_sent", "acks_sent",
+              "replication_pushes")
+
+    def __init__(self):
+        super().__init__()
         self._bytes = {}      # node -> {category: bytes}
-        self.messages_sent = 0
-        self.batches_sent = 0
-        self.acks_sent = 0
-        self.replication_pushes = 0
 
     def _bucket(self, node):
         return self._bytes.setdefault(
@@ -47,11 +131,8 @@ class TrafficMeter:
         """Zero all counters (used to measure steady state after a
         bootstrap/warm-up phase, as the paper's stabilized-ring numbers
         do)."""
+        super().reset()
         self._bytes.clear()
-        self.messages_sent = 0
-        self.batches_sent = 0
-        self.acks_sent = 0
-        self.replication_pushes = 0
 
     def record_batch(self, node, msgs, native_sizer=None):
         """Account one WireBatch worth of traffic sent by *node*.
@@ -111,7 +192,7 @@ class TrafficMeter:
         return self.total_bytes() / baseline
 
 
-class RetentionMeter:
+class RetentionMeter(Counters):
     """Checkpoint-GC accounting: what the retention handshake reclaims.
 
     ``log_bytes_reclaimed`` counts committed entry bytes truncated from
@@ -122,35 +203,27 @@ class RetentionMeter:
     ``tests/integration/test_checkpoint_gc.py::TestSteadyState`` asserts.
     """
 
-    def __init__(self):
-        self.gc_passes = 0
-        self.log_bytes_reclaimed = 0
-        self.mirror_bytes_reclaimed = 0
-        self.entries_discarded = 0
+    FIELDS = ("gc_passes", "log_bytes_reclaimed", "mirror_bytes_reclaimed",
+              "entries_discarded")
 
     def total_bytes_reclaimed(self):
         return self.log_bytes_reclaimed + self.mirror_bytes_reclaimed
 
-    def as_dict(self):
-        return dict(vars(self))
 
-
-class StorageReport:
+class StorageReport(Counters):
     """Per-node log growth breakdown (Figure 6)."""
+
+    FIELDS = ("message_bytes", "signature_bytes", "authenticator_bytes",
+              "index_bytes", "checkpoint_bytes", "entries")
 
     # Fixed per-entry byte estimates matching the wire-size constants.
     SIGNATURE_BYTES = 128
     INDEX_BYTES = 16
 
     def __init__(self, node_id, duration_seconds):
+        super().__init__()
         self.node_id = node_id
         self.duration_seconds = duration_seconds
-        self.message_bytes = 0
-        self.signature_bytes = 0
-        self.authenticator_bytes = 0
-        self.index_bytes = 0
-        self.checkpoint_bytes = 0
-        self.entries = 0
 
     @classmethod
     def from_log(cls, log, duration_seconds):
@@ -226,61 +299,50 @@ class CpuReport:
         return 100.0 * self.cpu_seconds() / self.duration_seconds
 
 
-class QueryStats:
+class QueryStats(Counters):
     """Per-query cost accounting (Figure 8).
 
     One lives on each querier; every build counts straight into it, one
     node at a time in canonical node order. Integer counters are
     therefore a deterministic function of the audit, while the
-    wall-clock fields in :data:`TIMING_FIELDS` are not (they time real
+    wall-clock fields in ``TIMING_FIELDS`` are not (they time real
     execution) and are excluded from equivalence checks via
     :meth:`counters`.
     """
 
     DOWNLOAD_BANDWIDTH_BPS = 10e6 / 8  # paper assumes a 10 Mbps download
 
-    #: Fields measuring elapsed wall-clock rather than deterministic work.
-    TIMING_FIELDS = ("auth_check_seconds", "replay_seconds")
-
-    def __init__(self):
-        self.log_bytes = 0
-        self.authenticator_bytes = 0
-        self.checkpoint_bytes = 0
-        self.logs_fetched = 0
-        self.delta_fetches = 0
-        self.cache_hits = 0
-        self.refreshes = 0
-        self.auth_check_seconds = 0.0
-        self.replay_seconds = 0.0
-        self.events_replayed = 0
-        self.signatures_verified = 0
-        self.auth_checks_skipped = 0
+    FIELDS = (
+        "log_bytes", "authenticator_bytes", "checkpoint_bytes",
+        "logs_fetched", "delta_fetches", "cache_hits", "refreshes",
+        "auth_check_seconds", "replay_seconds",
+        "events_replayed", "signatures_verified", "auth_checks_skipped",
         # Skipped authenticators retroactively checked by a later, wider
         # build (the pending-skip registry; see microquery.py).
-        self.auth_checks_recovered = 0
+        "auth_checks_recovered",
         # Skipped authenticators that can never be checked: they fall
         # below a node's advertised retention floor, whose prefix
         # checkpoint GC has permanently discarded (the pending-skip
         # registry drains them instead of waiting forever).
-        self.auth_checks_tombstoned = 0
-        self.microqueries = 0
+        "auth_checks_tombstoned",
+        "microqueries",
         # Anchoring-segment fetches: targeted retrievals issued solely to
         # check pending skipped authenticators against a wider chain
         # segment (instead of waiting for a later full build).
-        self.anchor_fetches = 0
+        "anchor_fetches",
         # Querier-side memory bound: checked-authenticator memo entries
         # and evidence-store authenticators evicted because they fall
         # strictly below a head already verified against the node's chain.
-        self.evidence_pruned = 0
+        "evidence_pruned",
         # Differential-engine work done inside replays: presence toggles
         # the replayed machines consumed, Der/Und derivation changes they
         # emitted, derivation instances dropped because a support
         # disappeared, and min/max recomputes forced by a disappearing
         # support. Deterministic per replay, so they are in counters().
-        self.delta_tuples_in = 0
-        self.delta_tuples_out = 0
-        self.retractions_applied = 0
-        self.support_rederivations = 0
+        "delta_tuples_in", "delta_tuples_out", "retractions_applied",
+        "support_rederivations",
+    )
+    TIMING_FIELDS = ("auth_check_seconds", "replay_seconds")
 
     def downloaded_bytes(self):
         return self.log_bytes + self.authenticator_bytes + self.checkpoint_bytes
@@ -295,38 +357,8 @@ class QueryStats:
             + self.replay_seconds
         )
 
-    def merge(self, other):
-        # Field-generic so new counters can never be silently dropped
-        # (every counter lives in the instance __dict__ and is additive).
-        for field, value in vars(other).items():
-            setattr(self, field, getattr(self, field, 0) + value)
 
-    def copy(self):
-        snap = QueryStats()
-        snap.merge(self)
-        return snap
-
-    def delta_since(self, before):
-        """The counters accumulated since *before* was snapshotted, as a
-        fresh QueryStats (field-generic, like :meth:`merge`)."""
-        delta = QueryStats()
-        for field, value in vars(self).items():
-            setattr(delta, field, value - getattr(before, field, 0))
-        return delta
-
-    def counters(self):
-        """The deterministic (non-timing) fields, as a dict — what two
-        audits of the same state must agree on."""
-        return {
-            field: value for field, value in vars(self).items()
-            if field not in self.TIMING_FIELDS
-        }
-
-    def as_dict(self):
-        return dict(vars(self))
-
-
-class ServiceMeter:
+class ServiceMeter(Counters):
     """Counters for the service plane (transport, daemon, pusher).
 
     One meter lives on the monitor daemon and one on each pusher; both
@@ -356,10 +388,6 @@ class ServiceMeter:
         "http_connections", "http_requests", "http_timeouts",
     )
 
-    def __init__(self):
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-
     def absorb_decoder(self, decoder):
         """Fold a :class:`~repro.service.framing.FrameDecoder`'s damage
         counters in (called when a connection closes)."""
@@ -371,10 +399,3 @@ class ServiceMeter:
         decoder.corrupt_frames = 0
         decoder.oversized_frames = 0
         decoder.refused_globals = 0
-
-    def as_dict(self):
-        return {field: getattr(self, field) for field in self.FIELDS}
-
-    def __repr__(self):
-        busy = {k: v for k, v in self.as_dict().items() if v}
-        return f"ServiceMeter({busy!r})"

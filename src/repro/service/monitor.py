@@ -691,6 +691,10 @@ class MonitorDaemon:
             "subscriptions": sum(
                 1 for s in self._subs.values() if not s.closed),
             "meter": self.meter.as_dict(),
+            # Read on the event loop while the worker bumps it: safe only
+            # because counters() walks the declared FIELDS, never vars(),
+            # and a record's instance dict never resizes after __init__.
+            "query": self.qp.mq.stats.counters(),
         }
 
     # ----------------------------------------------------- subscriptions

@@ -12,8 +12,6 @@ the anchoring fetch alike (the chain primitives stay in
 :mod:`repro.snp.replay`).
 """
 
-import time
-
 from repro.crypto.merkle import MerkleTree
 from repro.snp.commitment import ack_entry_content, snd_entry_content
 from repro.snp.log import INS, DEL, SND, RCV, ACK
@@ -270,8 +268,7 @@ def compute_build(job, deployment, evidence, stats):
     crash is left on ``job.replay`` (``not job.replay.ok``).
     """
     response = job.response
-    started = time.perf_counter()
-    try:
+    with stats.timing("auth_check_seconds"):
         if job.kind == "extended" \
                 and response.start_hash != job.base_view.head_hash:
             raise LogVerificationError(
@@ -280,21 +277,18 @@ def compute_build(job, deployment, evidence, stats):
                 "continue the verified chain (fork after cached head)",
             )
         job.hashes = _verify_response(job, deployment, evidence, stats)
-    finally:
-        stats.auth_check_seconds += time.perf_counter() - started
     alarms = frozenset(deployment.maintainer.alarmed_msg_ids())
     if job.kind == "extended":
         job.replay = job.base_view.replay
         # Nothing appended: the fresh head authenticator was checked
         # against the cached head hash above, confirming no fork.
         if response.entries:
-            extend_replay(job.node, job.replay, response,
-                          known_alarm_msg_ids=alarms, stats=stats)
+            extend_replay(job.node, job.replay, response, stats,
+                          known_alarm_msg_ids=alarms)
     else:
         job.replay = replay_segment(
             job.node, response, deployment.app_factories.get(job.node),
-            t_prop=deployment.effective_t_prop(), known_alarm_msg_ids=alarms,
-            stats=stats,
+            deployment.effective_t_prop(), stats, known_alarm_msg_ids=alarms,
         )
 
 

@@ -8,7 +8,7 @@ instance of the node's expected behavior ``A_i``, so it must be free of
 hidden state.
 """
 
-from repro.crypto.keys import CertificateAuthority, NodeIdentity
+from repro.crypto.keys import CertificateAuthority, CryptoCounter, NodeIdentity
 from repro.metrics import RetentionMeter, TrafficMeter
 from repro.net.simulator import Simulator
 from repro.snp.snoopy import (
@@ -146,17 +146,12 @@ class Deployment(EvidenceDirectory):
         # interleaved with simulation by run()/run_until() under one
         # scheduler instead of per-feature interval loops.
         self._cadences = {}          # name -> _Cadence
-        # Standing delta-replication policy (see enable_replication):
-        # (interval_seconds, replication_factor) or None.
-        self._replication = None
         # Checkpoint-GC state (see run_gc / enable_gc): registered
         # standing queriers whose verified heads are the low-water marks,
-        # each node's latest signed floor advertisement, the GC meter,
-        # and the standing policy (interval_seconds, checkpoint_first).
+        # each node's latest signed floor advertisement, and the GC meter.
         self._queriers = []
         self.retention_floors = {}   # node -> RetentionFloor
         self.gc_meter = RetentionMeter()
-        self._gc_policy = None
 
     # ------------------------------------------------------------- set-up
 
@@ -316,11 +311,9 @@ class Deployment(EvidenceDirectory):
     # --------------------------------------------------------- aggregates
 
     def crypto_counter_totals(self):
-        from repro.crypto.keys import CryptoCounter
         total = CryptoCounter()
         for identity in self._identities.values():
-            total.signatures += identity.counter.signatures
-            total.verifications += identity.counter.verifications
+            total.merge(identity.counter)
         return total
 
     def _charge_replication(self, origin, response):
@@ -427,18 +420,11 @@ class Deployment(EvidenceDirectory):
         Implemented on the shared :meth:`add_cadence` scheduler, so it
         composes with GC and service-push cadences.
         """
-        if interval_seconds <= 0:
-            raise ConfigurationError(
-                f"replication interval must be positive, got "
-                f"{interval_seconds!r}"
-            )
-        self._replication = (float(interval_seconds), replication_factor)
         self.add_cadence(
             "replication", interval_seconds,
-            lambda: self.replicate_deltas(self._replication[1]),
+            lambda: self.replicate_deltas(replication_factor),
             at_quiescence=True,
         )
-        return self._replication
 
     # ------------------------------------------------------ checkpoint GC
 
@@ -560,19 +546,10 @@ class Deployment(EvidenceDirectory):
         scheduler (not ``at_quiescence``: a GC pass checkpoints every
         node, so firing per run() call would grow each log by one CHK
         entry per call)."""
-        if interval_seconds <= 0:
-            raise ConfigurationError(
-                f"GC interval must be positive, got {interval_seconds!r}"
-            )
-        self._gc_policy = (float(interval_seconds), bool(checkpoint))
-        self.add_cadence(
-            "gc", interval_seconds,
-            lambda: self.run_gc(checkpoint=self._gc_policy[1]),
-        )
-        return self._gc_policy
+        self.add_cadence("gc", interval_seconds,
+                         lambda: self.run_gc(checkpoint=checkpoint))
 
     def disable_gc(self):
-        self._gc_policy = None
         self.remove_cadence("gc")
 
     def find_mirror(self, origin, since_index=None):

@@ -373,17 +373,6 @@ class MicroQuerier:
         # batch-end anchoring fetch's worklist.
         self._anchor_wanted = set()
 
-    def close(self):
-        """Nothing to release — builds run inline — but a querier scopes
-        like a resource (``with``), so callers need not know that."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     # ------------------------------------------------------------- views
 
     def view_of(self, node_id):
@@ -679,18 +668,6 @@ class MicroQuerier:
         for _signer, auth in embedded_authenticators(response):
             self.evidence.add(auth)
         self.evidence.add(response.head_auth)
-
-    # ------------------------------------------------------- view reads
-
-    def view_find_all(self, view, vtype=None, node=None, tup=None):
-        """Find matching vertices in *view*'s graph: O(graph)."""
-        return view.graph.find_all(vtype=vtype, node=node, tup=tup)
-
-    def view_open_interval(self, view, vtype, node, tup):
-        """The open exist/believe vertex of (node, tup) in *view*'s
-        graph, or None — the map the GCA maintains, so O(1) where
-        :meth:`view_find_all` scans."""
-        return view.graph.open_interval(vtype, node, tup)
 
     # ---------------------------------------------------------- microquery
 

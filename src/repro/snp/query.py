@@ -142,8 +142,9 @@ class QueryProcessor:
         self.epoch = 0
 
     def close(self):
-        """See :meth:`repro.snp.microquery.MicroQuerier.close`."""
-        self.mq.close()
+        """Nothing to release — builds run inline — but a processor
+        scopes like a resource (``with``), so callers need not know
+        that."""
 
     def __enter__(self):
         return self
@@ -266,8 +267,7 @@ class QueryProcessor:
         view = self.mq.view_of(node)
         if view.status != OK:
             return []
-        vertices = self.mq.view_find_all(view, vtype=EXIST, node=node,
-                                         tup=tup)
+        vertices = view.graph.find_all(vtype=EXIST, node=node, tup=tup)
         return [(v.t, v.t_end) for v in vertices]
 
     # ------------------------------------------------------------- lookup
@@ -285,14 +285,12 @@ class QueryProcessor:
             # believe outranks an exist of the same tuple, as in the
             # GCA's own support lookup.
             for vtype in (BELIEVE, EXIST):
-                vertex = self.mq.view_open_interval(view, vtype, node, tup)
+                vertex = view.graph.open_interval(vtype, node, tup)
                 if vertex is not None:
                     return vertex
             return None
-        candidates = self.mq.view_find_all(view, vtype=EXIST, node=node,
-                                           tup=tup)
-        candidates += self.mq.view_find_all(view, vtype=BELIEVE, node=node,
-                                            tup=tup)
+        candidates = view.graph.find_all(vtype=EXIST, node=node, tup=tup)
+        candidates += view.graph.find_all(vtype=BELIEVE, node=node, tup=tup)
         best = None
         for vertex in candidates:
             if vertex.t <= at and (vertex.t_end is None
@@ -306,10 +304,8 @@ class QueryProcessor:
         view = self.mq.view_of(node)
         if view.status != OK:
             return None
-        candidates = self.mq.view_find_all(view, vtype=EXIST, node=node,
-                                           tup=tup)
-        candidates += self.mq.view_find_all(view, vtype=BELIEVE, node=node,
-                                            tup=tup)
+        candidates = view.graph.find_all(vtype=EXIST, node=node, tup=tup)
+        candidates += view.graph.find_all(vtype=BELIEVE, node=node, tup=tup)
         if not candidates:
             return None
         return max(candidates, key=lambda v: v.t)
@@ -327,8 +323,7 @@ class QueryProcessor:
         )
         best = None
         for kind in kinds:
-            for vertex in self.mq.view_find_all(view, vtype=kind, node=node,
-                                                tup=tup):
+            for vertex in view.graph.find_all(vtype=kind, node=node, tup=tup):
                 if before is not None and vertex.t > before:
                     continue
                 if best is None or vertex.t > best.t:
@@ -398,8 +393,6 @@ class QueryProcessor:
                         next_level.append(resolved)
             level = next_level
             depth += 1
-        # The delta's field set comes from the instance __dict__, so new
-        # QueryStats counters are never silently dropped from it.
         stats = self.mq.stats.delta_since(stats_before)
         return QueryResult(graph.get(resolved_root.key()), graph, stats,
                            direction)

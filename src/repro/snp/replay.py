@@ -35,8 +35,6 @@ deployment's app factories, which must already be side-effect-free for
 replay to be deterministic at all.
 """
 
-import time
-
 from repro.model import Ack
 from repro.provgraph.gca import Event, GraphConstructor
 from repro.snp.log import INS, DEL, SND, RCV, ACK, CHK
@@ -161,15 +159,14 @@ class ReplayResult:
     :func:`extend_replay` instead of rebuilding from entry 1.
     """
 
-    __slots__ = ("node", "graph", "events_replayed", "replay_seconds",
-                 "response", "failure", "gca")
+    __slots__ = ("node", "graph", "events_replayed", "response", "failure",
+                 "gca")
 
-    def __init__(self, node, graph, events_replayed, replay_seconds,
-                 response, failure=None, gca=None):
+    def __init__(self, node, graph, events_replayed, response, failure=None,
+                 gca=None):
         self.node = node
         self.graph = graph
         self.events_replayed = events_replayed
-        self.replay_seconds = replay_seconds
         self.response = response
         self.failure = failure
         self.gca = gca
@@ -200,42 +197,38 @@ def _delta_counter_totals(gca):
     return totals
 
 
-def _drive_gca(gca, node_id, entries, stats=None):
-    """Feed *entries* (converted to history events) through *gca*,
-    capturing crashes as a replay failure — the shared core of
+def _drive_gca(result, entries, stats):
+    """Feed *entries* (converted to history events) through *result*'s
+    GCA, capturing a crash as ``result.failure`` — the shared core of
     :func:`replay_segment` and :func:`extend_replay`, kept single so the
     incremental replay can never diverge from the full one.
 
     *stats* (a QueryStats) receives the replay cost: wall-clock seconds,
     events processed, and the engine's delta counters
     accumulated by the replayed machines during this drive.
-
-    Returns ``(events_processed, seconds, failure)``.
     """
-    events = log_entries_to_history(node_id, entries)
-    before = None if stats is None else _delta_counter_totals(gca)
-    started = time.perf_counter()
-    failure = None
+    gca = result.gca
+    events = log_entries_to_history(result.node, entries)
+    before = _delta_counter_totals(gca)
+    result.failure = None
     processed = 0
-    try:
-        for event in events:
-            gca.process(event)
-            processed += 1
-    except Exception as exc:  # hostile log crashed the replay machinery
-        failure = ReplayDivergence(node_id, repr(exc))
-    elapsed = time.perf_counter() - started
-    if stats is not None:
-        stats.replay_seconds += elapsed
-        stats.events_replayed += processed
-        after = _delta_counter_totals(gca)
-        for field in _DELTA_COUNTERS:
-            setattr(stats, field,
-                    getattr(stats, field) + after[field] - before[field])
-    return processed, elapsed, failure
+    with stats.timing("replay_seconds"):
+        try:
+            for event in events:
+                gca.process(event)
+                processed += 1
+        except Exception as exc:  # hostile log crashed the replay machinery
+            result.failure = ReplayDivergence(result.node, repr(exc))
+    result.events_replayed += processed
+    stats.events_replayed += processed
+    after = _delta_counter_totals(gca)
+    for field in _DELTA_COUNTERS:
+        setattr(stats, field,
+                getattr(stats, field) + after[field] - before[field])
 
 
-def replay_segment(node_id, response, app_factory, t_prop,
-                   known_alarm_msg_ids=frozenset(), stats=None):
+def replay_segment(node_id, response, app_factory, t_prop, stats,
+                   known_alarm_msg_ids=frozenset()):
     """Replay a verified RetrieveResponse through the GCA.
 
     Returns a ReplayResult whose graph is the node's partition of Gν. A
@@ -255,21 +248,13 @@ def replay_segment(node_id, response, app_factory, t_prop,
         machine = gca.machine(node_id)
         machine.restore(chk.aux["snapshot"])
         gca.seed_node(node_id, chk.aux["extant"], chk.aux["believed"])
-    processed, elapsed, failure = _drive_gca(gca, node_id, response.entries,
-                                             stats=stats)
-    return ReplayResult(
-        node=node_id,
-        graph=gca.graph,
-        events_replayed=processed,
-        replay_seconds=elapsed,
-        response=response,
-        failure=failure,
-        gca=gca,
-    )
+    result = ReplayResult(node_id, gca.graph, 0, response, gca=gca)
+    _drive_gca(result, response.entries, stats)
+    return result
 
 
-def extend_replay(node_id, result, response,
-                  known_alarm_msg_ids=frozenset(), stats=None):
+def extend_replay(node_id, result, response, stats,
+                  known_alarm_msg_ids=frozenset()):
     """Continue a previous replay with a verified log suffix.
 
     *result* must be the ReplayResult of an earlier replay of the same
@@ -281,8 +266,7 @@ def extend_replay(node_id, result, response,
     verdicts on older events keep reflecting what was known when their
     segment was audited (see DESIGN.md, "Audit path").
 
-    Mutates *result* in place; returns ``(events_processed, seconds,
-    failure)`` with the same crash-capture semantics as
+    Mutates *result* in place, with the same crash-capture semantics as
     :func:`replay_segment`.
     """
     gca = result.gca
@@ -294,11 +278,5 @@ def extend_replay(node_id, result, response,
     gca.known_alarm_msg_ids = known_alarm_msg_ids
     # No snapshot is taken or restored anywhere on this path: the suffix
     # drives the retained machine exactly as a full re-replay would.
-    processed, elapsed, failure = _drive_gca(
-        gca, node_id, response.entries, stats=stats
-    )
-    result.events_replayed += processed
-    result.replay_seconds += elapsed
+    _drive_gca(result, response.entries, stats)
     result.response = response
-    result.failure = failure
-    return processed, elapsed, failure

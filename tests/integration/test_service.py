@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.mincost import best_cost, build_paper_network, link
+from repro.metrics import QueryStats
 from repro.service import (
     MonitorClient, ServicePusher, server, start_monitor_thread, tup_spec,
 )
@@ -95,6 +96,8 @@ class TestServiceAudit:
         for name, node in dep.nodes.items():
             assert status["nodes"][str(name)] == len(node.log.entries)
         assert status["meter"]["pushes_accepted"] == 1
+        assert set(status["query"]) == \
+            set(QueryStats.FIELDS) - set(QueryStats.TIMING_FIELDS)
         pusher.close()
 
     def test_incremental_push_ships_only_the_delta(self, monitor):

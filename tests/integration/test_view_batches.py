@@ -141,14 +141,14 @@ class TestBatchingChangesNoResult:
 
 # ------------------------------------------------ the extant-root lookup
 
-def _scan_roots(mq, view, node):
+def _scan_roots(view, node):
     """``{tup: vertex-or-None}`` as the scan chose ``why(at=None)`` roots
     before the map did: of a tuple's exist-sorted then believe-sorted
     interval vertices, the last one still open. (One scan per type
     instead of one per tuple: filtering by tuple keeps the order.)"""
     roots = {}
     for vtype in (EXIST, BELIEVE):
-        for vertex in mq.view_find_all(view, vtype=vtype, node=node):
+        for vertex in view.graph.find_all(vtype=vtype, node=node):
             roots.setdefault(vertex.tup, None)
             if vertex.t_end is None:
                 roots[vertex.tup] = vertex
@@ -158,7 +158,7 @@ def _scan_roots(mq, view, node):
 def _check_extant_roots(qp, node):
     """The processor's root for every tuple that ever had an interval
     vertex on *node* is the scan's choice; returns how many are extant."""
-    expected = _scan_roots(qp.mq, qp.mq.view_of(node), node)
+    expected = _scan_roots(qp.mq.view_of(node), node)
     for tup, vertex in expected.items():
         found = qp._find_interval_vertex(node, tup, None)
         if vertex is None:
@@ -204,7 +204,7 @@ class TestExtantRootLookup:
         with QueryProcessor(dep, use_checkpoints=True) as qp:
             qp.prefetch()
             seeded = [v for view in qp.mq._views.values()
-                      for v in qp.mq.view_find_all(view, vtype=EXIST)
+                      for v in view.graph.find_all(vtype=EXIST)
                       if v.seeded]
             assert seeded
             assert all(_check_extant_roots(qp, node) for node in dep.nodes)

@@ -1,6 +1,14 @@
 """Metrics accounting and synthetic workload generators."""
 
-from repro.metrics import TrafficMeter, StorageReport, QueryStats
+import time
+
+import pytest
+
+from repro.crypto.keys import CryptoCounter
+from repro.metrics import (
+    Counters, QueryStats, RetentionMeter, ServiceMeter, StorageReport,
+    TrafficMeter,
+)
 from repro.model import Msg, Tup, PLUS
 from repro.snp.evidence import (
     TIMESTAMP_OVERHEAD_BYTES, AUTHENTICATOR_BYTES, ACK_BYTES,
@@ -78,39 +86,111 @@ class TestQueryStats:
         stats.replay_seconds = 0.5
         assert stats.turnaround_seconds() >= 1.5
 
-    def test_merge(self):
-        a, b = QueryStats(), QueryStats()
-        a.log_bytes, b.log_bytes = 10, 20
-        a.merge(b)
-        assert a.log_bytes == 30
 
-    def test_merge_covers_every_field(self):
-        a, b = QueryStats(), QueryStats()
-        for offset, field in enumerate(sorted(vars(b))):
-            setattr(b, field, offset + 1)
-        a.merge(b)
-        for offset, field in enumerate(sorted(vars(b))):
-            assert getattr(a, field) == offset + 1, field
+#: Every counter record, built the way its owner builds it.
+RECORDS = {
+    "TrafficMeter": TrafficMeter,
+    "RetentionMeter": RetentionMeter,
+    "StorageReport": lambda: StorageReport("n", 60.0),
+    "QueryStats": QueryStats,
+    "ServiceMeter": ServiceMeter,
+    "CryptoCounter": CryptoCounter,
+}
 
-    def test_diff_covers_every_field(self):
-        # Regression: per-query deltas must be derived from the instance
-        # field set, so a newly added counter can never be silently
-        # dropped from delta_since (what a QueryResult's stats are).
-        before, after = QueryStats(), QueryStats()
-        for offset, field in enumerate(sorted(vars(after))):
-            setattr(before, field, 1)
-            setattr(after, field, offset + 3)
-        delta = after.delta_since(before)
-        assert set(vars(delta)) == set(vars(after))
-        for offset, field in enumerate(sorted(vars(after))):
-            assert getattr(delta, field) == offset + 2, field
 
-    def test_copy_is_independent(self):
-        a = QueryStats()
-        a.log_bytes = 7
-        b = a.copy()
-        b.log_bytes += 1
-        assert a.log_bytes == 7 and b.log_bytes == 8
+def _filled(make, base=1):
+    record = make()
+    for offset, field in enumerate(record.FIELDS):
+        setattr(record, field, base + offset)
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestCounterRecords:
+    def test_init_zeroes_every_field(self, name):
+        record = RECORDS[name]()
+        assert record.FIELDS and set(record.TIMING_FIELDS) <= \
+            set(record.FIELDS)
+        assert record.as_dict() == dict.fromkeys(record.FIELDS, 0)
+        assert all(isinstance(getattr(record, f), float)
+                   for f in record.TIMING_FIELDS)
+
+    def test_copy_is_independent(self, name):
+        record = _filled(RECORDS[name])
+        snap = record.copy()
+        assert type(snap) is type(record)
+        assert snap.as_dict() == record.as_dict()
+        for field in record.FIELDS:
+            setattr(snap, field, getattr(snap, field) + 1)
+        assert record.as_dict() == _filled(RECORDS[name]).as_dict()
+
+    def test_merge_and_delta_cover_every_field(self, name):
+        make = RECORDS[name]
+        merged = _filled(make, base=1)
+        merged.merge(_filled(make, base=10))
+        delta = merged.delta_since(_filled(make, base=1))
+        for offset, field in enumerate(merged.FIELDS):
+            assert getattr(merged, field) == 11 + 2 * offset, field
+            assert getattr(delta, field) == 10 + offset, field
+
+    def test_counters_leave_out_timing_fields(self, name):
+        record = _filled(RECORDS[name])
+        expected = {field: value for field, value in record.as_dict().items()
+                    if field not in record.TIMING_FIELDS}
+        assert record.counters() == expected
+        assert list(record.as_dict()) == list(record.FIELDS)
+
+    def test_reset_zeroes(self, name):
+        record = _filled(RECORDS[name])
+        record.reset()
+        assert record.as_dict() == dict.fromkeys(record.FIELDS, 0)
+
+    def test_timing_adds_on_an_exception_too(self, name):
+        record = RECORDS[name]()
+        field = (record.TIMING_FIELDS or record.FIELDS)[0]
+        with pytest.raises(RuntimeError):
+            with record.timing(field):
+                time.sleep(0.001)
+                raise RuntimeError("body failed")
+        assert getattr(record, field) >= 0.001
+
+
+class TestCounterContracts:
+    """Field lists readers outside this package depend on, as literals."""
+
+    def test_every_record_is_in_the_table(self):
+        assert {cls.__name__ for cls in Counters.__subclasses__()} \
+            == set(RECORDS)
+
+    def test_status_meter_keys_in_order(self):
+        assert ServiceMeter.FIELDS == (
+            "frames_sent", "frames_received", "bytes_sent", "bytes_received",
+            "garbage_bytes", "corrupt_frames", "oversized_frames",
+            "refused_globals", "pushes_sent", "pushes_accepted",
+            "pushes_shed", "push_retries", "push_failures", "poll_fallbacks",
+            "refresh_batches", "requests_batched", "queries_served",
+            "answers_reused", "refreshes_served", "subscriptions_opened",
+            "watch_evaluations", "watch_evaluations_skipped",
+            "alerts_emitted", "alerts_dropped", "http_connections",
+            "http_requests", "http_timeouts",
+        )
+
+    def test_query_counter_keys(self):
+        assert set(QueryStats().counters()) == {
+            "log_bytes", "authenticator_bytes", "checkpoint_bytes",
+            "logs_fetched", "delta_fetches", "cache_hits", "refreshes",
+            "events_replayed", "signatures_verified", "auth_checks_skipped",
+            "auth_checks_recovered", "auth_checks_tombstoned",
+            "microqueries", "anchor_fetches", "evidence_pruned",
+            "delta_tuples_in", "delta_tuples_out", "retractions_applied",
+            "support_rederivations",
+        }
+
+    def test_traffic_reset_clears_the_buckets(self):
+        meter = TrafficMeter()
+        meter.record_batch("a", [_msg()])
+        meter.reset()
+        assert meter.total_bytes() == 0 and meter.messages_sent == 0
 
 
 class TestRouteViews:

@@ -33,7 +33,11 @@ plane's acceptance bar:
    a client answered 400 (``Connection: close``) makes its next call on
    exactly one new connection (``http_connections`` +1 for
    ``http_requests`` +2);
-6. the daemon shuts down cleanly on SIGTERM.
+6. **query counters in ``/status``** — after the concurrent phase,
+   ``query.logs_fetched`` covers every log the direct audit fetched (the
+   nodes on the vertex's provenance, not the whole ring) and
+   ``query.signatures_verified`` is non-zero;
+7. the daemon shuts down cleanly on SIGTERM.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -175,6 +179,7 @@ def main(argv=None):
     with QueryProcessor(dep) as qp:
         qp.refresh()
         direct = qp.why(target).summary()
+        direct_fetched = qp.mq.stats.logs_fetched
     check("clean direct audit is green", direct["verdict"] == "green",
           f"verdict={direct['verdict']}")
 
@@ -263,7 +268,14 @@ def main(argv=None):
             for outs in results)
         check(f"{args.clients} x {rounds} concurrent audits bit-identical "
               "to direct", identical, f"{elapsed:.2f}s wall")
-        meter = client.status()["meter"]
+        status = client.status()
+        meter, query = status["meter"], status["query"]
+        check("/status query counters show the audit's fetches and "
+              "signature checks",
+              query["logs_fetched"] >= direct_fetched > 0
+              and query["signatures_verified"] > 0,
+              f"logs_fetched={query['logs_fetched']}, "
+              f"signatures_verified={query['signatures_verified']}")
         check("every client kept one connection",
               meter["http_connections"] <= budget
               and meter["http_requests"] >= 10 * meter["http_connections"],
