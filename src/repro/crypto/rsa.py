@@ -71,12 +71,10 @@ def _generate_prime(bits, rng):
 def _expand_digest(message, modulus_bytes):
     """Expand SHA-256(message) to modulus size (simplified FDH padding)."""
     digest = hashlib.sha256(message).digest()
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < modulus_bytes:
-        blocks.append(hashlib.sha256(digest + counter.to_bytes(4, "big")).digest())
-        counter += 1
-    expanded = b"".join(blocks)[:modulus_bytes]
+    expanded = b"".join([
+        hashlib.sha256(digest + counter.to_bytes(4, "big")).digest()
+        for counter in range(-(-modulus_bytes // 32))
+    ])[:modulus_bytes]
     # Clear the top byte so the integer is always < n.
     return b"\x00" + expanded[1:]
 

@@ -10,6 +10,13 @@ This is also the one home of "verify a response": every check that can
 convict a node is written once here and called by the build step and
 the anchoring fetch alike (the chain primitives stay in
 :mod:`repro.snp.replay`).
+
+Each byte is verified once. The chain check hashes the canonical bytes
+the querier took of each entry's content when the segment arrived (the
+same bytes its fetch was charged by), and :func:`verify_auth` runs one
+RSA operation per distinct authenticator and key in a batch, whatever
+the number of checks that ask for it (DESIGN.md, "One encode per
+entry").
 """
 
 from repro.crypto.merkle import MerkleTree
@@ -25,14 +32,32 @@ from repro.util.serialization import canonical_bytes
 
 # --------------------------------------------------- verifying a response
 
-def verify_auth(public_key, auth, stats):
-    """Signature check with accounting (Figure 8's verification cost)."""
+def verify_auth(public_key, auth, stats, verified):
+    """Signature check with accounting (Figure 8's verification cost).
+
+    *verified* is the querier's memo of the checks that passed in the
+    running batch: canonical payload bytes + signature bytes → the key
+    object that verified them. The same bytes under the same key are the
+    same RSA equation, so a hit skips the RSA operation; a miss, or a hit
+    under another key, runs it. Every call is counted as a check
+    (``signatures_verified``), hit or not. The canonical encoding is
+    prefix-free, so the concatenation splits one way only. A signature
+    that is not ``bytes`` (signing and the value codec make nothing
+    else) is never memoized."""
     stats.signatures_verified += 1
-    if not public_key.verify(canonical_bytes(auth.payload()),
-                             auth.signature):
+    payload = canonical_bytes(auth.payload())
+    signature = auth.signature
+    key = None
+    if type(signature) is bytes:
+        key = payload + signature
+        if verified.get(key) is public_key:
+            return
+    if not public_key.verify(payload, signature):
         raise AuthenticationError(
             f"authenticator from {auth.node!r} has an invalid signature"
         )
+    if key is not None:
+        verified[key] = public_key
 
 
 def response_head(response, hashes):
@@ -133,7 +158,7 @@ def verify_checkpoint(node_id, chk_entry):
         )
 
 
-def _verify_response(job, deployment, evidence, stats):
+def _verify_response(job, deployment, evidence, stats, verified):
     """The node-local checks that can *prove* the node faulty, against
     the querier's live state.
 
@@ -199,8 +224,9 @@ def _verify_response(job, deployment, evidence, stats):
                 f"advertised retention floor {floor} — the node "
                 "truncated below what it signed (retention violation)",
             )
-    verify_auth(public_key, response.head_auth, stats)
-    hashes = verify_segment_hashes(response)
+    verify_auth(public_key, response.head_auth, stats, verified)
+    hashes = verify_segment_hashes(response, job.encoded)
+    job.encoded = None  # hashed: the fetch's bytes are done with
     check_against_authenticator(response, hashes, response.head_auth, stats)
     for auth in evidence.for_node(node_id):
         sig = bytes(auth.signature)
@@ -233,7 +259,7 @@ def _verify_response(job, deployment, evidence, stats):
         if signer not in deployment.nodes:  # no peer could have sent it
             raise LogVerificationError(node_id, "log embeds an authenticator "
                                        f"from unregistered node {signer!r}")
-        verify_auth(deployment.public_key_of(signer), auth, stats)
+        verify_auth(deployment.public_key_of(signer), auth, stats, verified)
     if job.consistency is not None:
         def on_skip(auth):
             if floor and auth.index < floor:
@@ -247,7 +273,7 @@ def _verify_response(job, deployment, evidence, stats):
             if sig in known or sig in checked:
                 continue  # verified on this same chain already
             try:
-                verify_auth(public_key, auth, stats)
+                verify_auth(public_key, auth, stats, verified)
             except AuthenticationError:
                 continue  # not actually signed by node_id; ignore
             check_against_authenticator(response, hashes, auth, stats,
@@ -256,13 +282,15 @@ def _verify_response(job, deployment, evidence, stats):
     return hashes
 
 
-def compute_build(job, deployment, evidence, stats):
+def compute_build(job, deployment, evidence, stats, verified):
     """Verify ``job.response``, then replay it, counting into *stats*.
 
-    Fills in the job: ``hashes`` (the recomputed chain), ``checked`` /
-    ``settled`` / ``skipped`` (what :func:`_verify_response` noted), and
-    ``replay`` — a fresh replay for a full build, the base view's replay
-    advanced in place for an extend. A response that proves the node (or
+    Fills in the job: ``hashes`` (the recomputed chain, over the bytes in
+    ``job.encoded``, which it then drops), ``checked`` / ``settled`` /
+    ``skipped`` (what :func:`_verify_response` noted), and ``replay`` — a
+    fresh replay for a full build, the base view's replay advanced in
+    place for an extend. *verified* is the querier's per-batch signature
+    memo (:func:`verify_auth`). A response that proves the node (or
     the mirror serving it) faulty raises :class:`LogVerificationError` or
     :class:`AuthenticationError` before replay touches anything; a replay
     crash is left on ``job.replay`` (``not job.replay.ok``).
@@ -276,7 +304,8 @@ def compute_build(job, deployment, evidence, stats):
                 f"suffix after entry {job.base_view.head_index} does not "
                 "continue the verified chain (fork after cached head)",
             )
-        job.hashes = _verify_response(job, deployment, evidence, stats)
+        job.hashes = _verify_response(job, deployment, evidence, stats,
+                                      verified)
     alarms = frozenset(deployment.maintainer.alarmed_msg_ids())
     if job.kind == "extended":
         job.replay = job.base_view.replay
@@ -292,7 +321,8 @@ def compute_build(job, deployment, evidence, stats):
         )
 
 
-def verify_anchor_segment(response, public_key, trusted_head, stats):
+def verify_anchor_segment(response, encoded, public_key, trusted_head, stats,
+                          verified):
     """Verify a segment fetched solely to *anchor* owed evidence checks.
 
     Used by the on-demand anchoring fetch (a pending skip recorded by
@@ -305,11 +335,13 @@ def verify_anchor_segment(response, public_key, trusted_head, stats):
     pair, else None), the chain must pass through that head. Without the
     cross-check a forked node could serve one history to the auditor and
     a different one to anchor its debts; with it, the mismatch is itself
-    proof of the fork. Returns the chain hashes aligned with the entries.
+    proof of the fork. *encoded* is the fetch's
+    :func:`~repro.snp.log.encode_contents`, *verified* the batch's
+    signature memo. Returns the chain hashes aligned with the entries.
     """
     auth = response.head_auth
-    verify_auth(public_key, auth, stats)
-    hashes = verify_segment_hashes(response)
+    verify_auth(public_key, auth, stats, verified)
+    hashes = verify_segment_hashes(response, encoded)
     check_against_authenticator(response, hashes, auth)
     if trusted_head is not None:
         index, trusted_hash = trusted_head

@@ -24,7 +24,7 @@ reconstructible from content).
 from repro.crypto.hashing import HashChain, content_digest
 from repro.crypto.merkle import MerkleTree
 from repro.model import WireValue
-from repro.util.serialization import canonical_size
+from repro.util.serialization import canonical_bytes, canonical_size
 
 SND = "snd"
 RCV = "rcv"
@@ -34,6 +34,18 @@ DEL = "del"
 CHK = "chk"
 
 ENTRY_TYPES = (SND, RCV, ACK, INS, DEL, CHK)
+
+#: Committed bytes an entry carries beside its content (index, timestamp,
+#: type): an entry's size is its canonical content plus this header.
+ENTRY_HEADER_BYTES = 16
+
+
+def encode_contents(entries):
+    """Each entry's content in canonical bytes, in entry order — what a
+    querier charges and hashes for a segment it received, encoded once.
+    ``len(encoded) + ENTRY_HEADER_BYTES`` is the entry's
+    :meth:`~LogEntry.size_bytes`."""
+    return [canonical_bytes(entry.content) for entry in entries]
 
 
 class LogEntry(WireValue):
@@ -54,7 +66,7 @@ class LogEntry(WireValue):
 
     def size_bytes(self):
         """Committed size of this entry (content + fixed header)."""
-        return canonical_size(self.content) + 16
+        return canonical_size(self.content) + ENTRY_HEADER_BYTES
 
     def meta(self):
         """(index, t, type, content-hash) — enough to verify chain

@@ -30,7 +30,10 @@ canonical node order, inline on the calling thread (see DESIGN.md, "One
 build path"). One :class:`_BuildJob` carries a node through one pass:
 
 * **fetch** — retrieve or mirror fallback, transfer accounting, and the
-  consistency evidence collected from peers;
+  consistency evidence collected from peers. Accounting encodes each
+  entry's content once (:func:`repro.snp.log.encode_contents`): the
+  charge is those bytes' length, and the chain check hashes the same
+  bytes, then drops them;
 * **verify + replay** (:func:`repro.snp.build.compute_build`) — every
   check that can convict the node, against the querier's live state
   (the evidence store, the node's :class:`_NodeTrust`), then replay;
@@ -40,6 +43,9 @@ build path"). One :class:`_BuildJob` carries a node through one pass:
 The next node is fetched only after this one committed, so a node's
 chain is checked against everything harvested before it: a batch gives
 the views, and counts the signatures, that one batch per node would.
+Within a batch, a signature check that already passed (same payload
+bytes, signature bytes and key) costs no second RSA operation; the memo
+is cleared at batch end and every check is still counted.
 """
 
 from collections import defaultdict
@@ -50,6 +56,7 @@ from repro.snp.build import (
     compute_build, embedded_authenticators, response_head,
     verify_anchor_segment,
 )
+from repro.snp.log import ENTRY_HEADER_BYTES, encode_contents
 from repro.snp.replay import check_against_authenticator
 from repro.provgraph.vertices import Color
 from repro.util.errors import AuthenticationError, LogVerificationError
@@ -189,9 +196,9 @@ class _BuildJob:
     """
 
     __slots__ = ("mq", "node", "kind", "base_view", "trust", "response",
-                 "from_mirror", "floor_strict", "consistency", "cursor",
-                 "view", "hashes", "checked", "settled", "skipped",
-                 "replay")
+                 "encoded", "from_mirror", "floor_strict", "consistency",
+                 "cursor", "view", "hashes", "checked", "settled",
+                 "skipped", "replay")
 
     def __init__(self, mq, node, base_view=None):
         self.mq = mq
@@ -200,6 +207,7 @@ class _BuildJob:
         self.base_view = base_view
         self.trust = mq._trust[node]
         self.response = None
+        self.encoded = None
         self.from_mirror = False
         self.floor_strict = False
         self.consistency = None
@@ -236,7 +244,8 @@ class _BuildJob:
                     self.node, self.trust.cursor
                 )
         try:
-            compute_build(self, deployment, mq.evidence, mq.stats)
+            compute_build(self, deployment, mq.evidence, mq.stats,
+                          mq._verified)
         except (LogVerificationError, AuthenticationError) as exc:
             self.view = self._refused(str(exc))
             return
@@ -267,8 +276,9 @@ class _BuildJob:
         all of it — falling back to a replicated copy (Section 5.8
         extension). A mirror is verified exactly like a direct response
         (hash chain + origin's signed head), so a lying replica cannot
-        frame the origin. Returns ``(response, from_mirror)``, charged;
-        ``(None, False)`` when nobody answers."""
+        frame the origin. Returns ``(response, from_mirror)``, charged,
+        with the charge's encoding left in ``encoded``; ``(None, False)``
+        when nobody answers."""
         mq = self.mq
         node = mq.deployment.nodes.get(self.node)
         if node is None:
@@ -285,7 +295,7 @@ class _BuildJob:
             if from_mirror:
                 response.from_mirror = True
         if response is not None:
-            mq._charge_fetch(response)
+            self.encoded = mq._charge_fetch(response)
         return response, from_mirror
 
     def _fetch_extend(self):
@@ -372,6 +382,9 @@ class MicroQuerier:
         # Nodes whose pending debt grew during the running batch — the
         # batch-end anchoring fetch's worklist.
         self._anchor_wanted = set()
+        # The running batch's passed signature checks (build.verify_auth):
+        # payload + signature bytes -> the key that verified them.
+        self._verified = {}
 
     # ------------------------------------------------------------- views
 
@@ -502,6 +515,7 @@ class MicroQuerier:
         for node_id in sorted(self._anchor_wanted, key=str):
             self._fetch_pending_anchor(node_id)
         self._anchor_wanted.clear()
+        self._verified.clear()
         self.compact_evidence()
 
     # ---------------------------------------------- fetch-side accounting
@@ -509,14 +523,20 @@ class MicroQuerier:
     def _charge_fetch(self, response):
         """Charge one retrieved segment to the querier's stats. The single place a
         fetch is accounted, right where it happened, so full, delta and
-        discarded-fallback fetches stay in lockstep and the segment is
-        sized once. Pure accounting: in this in-process deployment a
-        fetch is a function call, and the paper's 10 Mbps download is
-        arithmetic over these bytes (``QueryStats.download_seconds``)."""
+        discarded-fallback fetches stay in lockstep. Each entry's content
+        is encoded here, once, on receipt: the charge is the encodings'
+        length plus each entry's header (Σ ``size_bytes()``), and the
+        encodings are returned for the chain check to hash. Pure
+        accounting otherwise: in this in-process deployment a fetch is a
+        function call, and the paper's 10 Mbps download is arithmetic
+        over these bytes (``QueryStats.download_seconds``)."""
+        encoded = encode_contents(response.entries)
         stats = self.stats
         stats.logs_fetched += 1
-        stats.log_bytes += sum(e.size_bytes() for e in response.entries)
+        stats.log_bytes += (sum(map(len, encoded))
+                            + ENTRY_HEADER_BYTES * len(encoded))
         stats.authenticator_bytes += AUTHENTICATOR_BYTES
+        return encoded
 
     def _snapshot_size(self, chk_entry):
         try:
@@ -581,15 +601,15 @@ class MicroQuerier:
         if response is None:
             return
         self.stats.anchor_fetches += 1
-        self._charge_fetch(response)
+        encoded = self._charge_fetch(response)
         view = self._views.get(node_id)
         trusted = None
         if view is not None and view.status == OK and view.head_index > 0:
             trusted = (view.head_index, view.head_hash)
         try:
             hashes = verify_anchor_segment(
-                response, self.deployment.public_key_of(node_id), trusted,
-                self.stats,
+                response, encoded, self.deployment.public_key_of(node_id),
+                trusted, self.stats, self._verified,
             )
             for sig, auth in sorted(trust.pending.items()):
                 if auth.index < response.start_index - 1:

@@ -70,21 +70,28 @@ def log_entries_to_history(node_id, entries):
     return events
 
 
-def verify_segment_hashes(response):
+def verify_segment_hashes(response, encoded):
     """Recompute the hash chain over a RetrieveResponse's entries.
 
     Every entry's content digest is recomputed from its *content* — never
-    trusted from the entry — and folded into the chain. Returns the list of
-    chain hashes aligned with the entries. Raises LogVerificationError if
-    anything fails to recompute, which means the node altered entry
-    contents after committing to them.
+    trusted from the entry — and folded into the chain. *encoded* is
+    :func:`~repro.snp.log.encode_contents` of the entries, taken by the
+    querier when the segment arrived: the digest hashes those bytes, so
+    the content is not encoded a second time. (``content_digest`` hashes
+    a ``bytes`` content raw, not its encoding; so does this.) Returns the
+    list of chain hashes aligned with the entries. Raises
+    LogVerificationError if anything fails to recompute, which means the
+    node altered entry contents after committing to them.
     """
-    from repro.crypto.hashing import chain_hash, content_digest
+    from repro.crypto.hashing import chain_hash, sha256_hex
 
+    if len(encoded) != len(response.entries):
+        raise ValueError("one encoding per entry is required")
     hashes = []
     current = response.start_hash
-    for entry in response.entries:
-        digest = content_digest(entry.content)
+    for entry, data in zip(response.entries, encoded):
+        content = entry.content
+        digest = sha256_hex(content if isinstance(content, bytes) else data)
         if digest != entry.content_hash:
             raise LogVerificationError(
                 response.node,

@@ -82,13 +82,25 @@ def _encode_list(value, out):
 
 
 def _encode_items(items, out):
-    encoders = _ENCODERS
+    # The four types a log content is made of are encoded inline, each
+    # exactly as its _ENCODERS entry does; anything else (bool included:
+    # its type is not int) goes through the table.
+    append = out.append
     for item in items:
-        encoder = encoders.get(type(item))
-        if encoder is None:
-            _encode(item, out)
+        kind = type(item)
+        if kind is str:
+            body = item.encode("utf-8")
+            append(b"s" + _pack_len(len(body)) + body)
+        elif kind is tuple:
+            append(b"t" + _pack_len(len(item)))
+            _encode_items(item, out)
+        elif kind is int:
+            body = str(item).encode("ascii")
+            append(b"i" + _pack_len(len(body)) + body)
+        elif kind is float:
+            append(b"f" + _pack_float(item))
         else:
-            encoder(item, out)
+            _encode(item, out)
 
 
 def _encode_dict(value, out):

@@ -11,15 +11,19 @@ import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
 from repro.crypto.hashing import chain_hash
+from repro.crypto.merkle import MerkleTree
 from repro.model import Msg, Tup
+from repro.provgraph.vertices import EXIST
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FabricatorNode, ForkingNode, InputLiarNode, MisexecutingNode,
     SilentNode, SuppressorNode, TamperingNode,
 )
-from repro.snp.commitment import WireBatch, rcv_entry_content
+from repro.snp.commitment import (
+    WireAck, WireBatch, ack_entry_content, rcv_entry_content,
+)
 from repro.snp.evidence import Authenticator, sign_authenticator
-from repro.snp.log import INS, RCV, LogEntry
+from repro.snp.log import ACK, CHK, INS, RCV, LogEntry
 from repro.snp.snoopy import RetrieveResponse, SNooPyNode
 
 
@@ -409,3 +413,88 @@ class TestConvictionGallery:
             assert after.head_index == head
             assert after.replay.events_replayed == replayed
             assert {qp.mq.view_of(n).status for n in "acde"} == {"ok"}
+
+    @staticmethod
+    def _log_rcv(b, auth, seq):
+        """b logs, at its head, a message from a under *auth*."""
+        t = b._next_time()
+        msg = Msg("+", cost("b", "d", "a", 1), "a", "b", seq, t)
+        batch = WireBatch("a", "b", [], [], auth.index, "cd" * 32, auth)
+        b.log.append(t, RCV, rcv_entry_content(msg, batch),
+                     aux={"msg": msg, "batch_auth": auth})
+
+    @pytest.mark.parametrize("doctor", [
+        "index", "hash", "timestamp", "int-timestamp", "signer",
+    ])
+    def test_embedded_copy_reusing_a_verified_signature(self, doctor):
+        # check: the batch's signature memo (build.verify_auth) is keyed on
+        # the payload bytes, the signature bytes and the verifying key
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        a_head = nodes["a"].log.entry(len(nodes["a"].log))
+        genuine = sign_authenticator(dep.identity_of("a"), a_head.index, 5.0,
+                                     a_head.entry_hash)
+        self._log_rcv(b, genuine, 998)  # verified first, and memoized
+        sig = genuine.signature
+        if doctor == "signer":
+            # the same signed bytes, now claimed as c's acknowledgment
+            wire_ack = WireAck("c", "b", None, [], [], 1, "cd" * 32, genuine,
+                               [])
+            b.log.append(b._next_time(), ACK, ack_entry_content(wire_ack),
+                         aux={"wire_ack": wire_ack})
+        else:
+            index, timestamp, entry_hash = {
+                "index": (a_head.index + 1, 5.0, a_head.entry_hash),
+                "hash": (a_head.index, 5.0, "ab" * 32),
+                "timestamp": (a_head.index, 6.0, a_head.entry_hash),
+                # equal to 5.0 in Python, a different payload in bytes
+                "int-timestamp": (a_head.index, 5, a_head.entry_hash),
+            }[doctor]
+            self._log_rcv(b, Authenticator("a", index, timestamp, entry_hash,
+                                           sig), 999)
+        view = self._view_of_b(dep)
+        assert view.status == "proven-faulty"
+        assert "authenticator from 'a' has an invalid signature" \
+            in view.verdict_reason
+
+
+class _ForgedCheckpointNode(SNooPyNode):
+    """Serves a checkpoint-mode audit its real checkpoint with one tuple
+    added to ``extant`` and the content's Merkle root recomputed to
+    match; the entry's chain hash, and the log itself, are untouched."""
+
+    FORGED = link("c", "evil", 1)
+
+    def retrieve(self, from_checkpoint=False, since_index=None):
+        response = super().retrieve(from_checkpoint, since_index)
+        chk = response.checkpoint
+        if chk is None:
+            return response
+        extant = list(chk.aux["extant"]) + [(self.FORGED, chk.timestamp)]
+        root = MerkleTree([(tup.canonical(), at) for tup, at in extant])
+        content = ("checkpoint", root.root(), chk.content[2], len(extant),
+                   chk.content[4])
+        response.checkpoint = LogEntry(
+            chk.index, chk.timestamp, CHK, content, chk.content_hash,
+            chk.entry_hash, aux=dict(chk.aux, extant=extant))
+        return response
+
+
+class TestServedCheckpointBinding:
+    """ROADMAP item 3: a checkpoint-mode response anchors on the ``chk``
+    entry's own chain hash, which the querier compares but never
+    recomputes — the response carries no ``h_{chk-1}`` to fold the
+    ``chk`` content into. So a server can swap ``extant``, recompute the
+    Merkle roots in the content, keep ``entry_hash``, and every check
+    passes."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a served "
+                       "checkpoint's content is not bound to the chain")
+    def test_a_forged_extant_tuple_is_not_seeded(self):
+        dep, _nodes = _deploy(_ForgedCheckpointNode, victim="c", seed=8)
+        dep.checkpoint_all()
+        with QueryProcessor(dep, use_checkpoints=True) as qp:
+            view = qp.mq.view_of("c")
+        forged = _ForgedCheckpointNode.FORGED
+        assert view.status != "ok" \
+            or view.graph.open_interval(EXIST, "c", forged) is None

@@ -28,6 +28,12 @@ PINNED = sys.version_info[:2] == (3, 11)
 
 @pytest.fixture
 def collector_off():
+    # pytest holds the previous test's exception (an xfail's too) in
+    # sys.last_* until this test's call phase starts; dropped then, its
+    # traceback's frames would be cyclic garbage counted against us.
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        if hasattr(sys, name):
+            delattr(sys, name)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()

@@ -17,6 +17,7 @@ from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, SilentNode, TamperingNode
 from repro.snp.build import response_head
 from repro.snp.evidence import Authenticator
+from repro.snp.log import encode_contents
 from repro.snp.microquery import MicroQuerier
 from repro.snp.snoopy import suffix_of_response
 from repro.snp.replay import check_against_authenticator, verify_segment_hashes
@@ -242,8 +243,8 @@ class TestViewHeadAgreement:
             for node, view in qp.mq._views.items():
                 assert view.status == "ok"
                 response = last_response[node]
-                head = response_head(response,
-                                     verify_segment_hashes(response))
+                head = response_head(response, verify_segment_hashes(
+                    response, encode_contents(response.entries)))
                 assert (view.head_index, view.head_hash) == head
             return {n: (v.head_index, v.head_hash)
                     for n, v in qp.mq._views.items()}
@@ -316,8 +317,8 @@ class TestRefreshForkDetection:
 class TestEvidenceBoundary:
     def _segment(self, node, since):
         response = node.retrieve(since_index=since)
-        from repro.snp.replay import verify_segment_hashes
-        return response, verify_segment_hashes(response)
+        return response, verify_segment_hashes(
+            response, encode_contents(response.entries))
 
     def test_anchor_authenticator_is_checked_not_skipped(self):
         dep, nodes = _grown_net()

@@ -65,7 +65,7 @@ def make_pusher(dep, handle, **kwargs):
 
 
 class TestServiceAudit:
-    def test_pushed_audit_matches_direct(self, monitor):
+    def test_pushed_audit_matches_direct(self, monitor, clients):
         """The acceptance gate: the daemon's verdict over pushed data is
         bit-identical to a direct in-process audit."""
         dep, _nodes = paper_deployment()
@@ -76,7 +76,7 @@ class TestServiceAudit:
         ack = pusher.push_once()
         assert ack is not None and not ack.get("shed")
 
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         out = client.query(tup_spec(best_cost("c", "d", 5), fresh=True))
         assert out["ok"]
         assert out["result"] == expected
@@ -86,11 +86,11 @@ class TestServiceAudit:
         assert (meter["corrupt_frames"], meter["garbage_bytes"],
                 meter["oversized_frames"]) == (0, 0, 0)
 
-    def test_status_reports_pushed_heads(self, monitor):
+    def test_status_reports_pushed_heads(self, monitor, clients):
         dep, _nodes = paper_deployment()
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         status = client.status()
         assert status["ok"] and status["hello"]
         for name, node in dep.nodes.items():
@@ -115,13 +115,13 @@ class TestServiceAudit:
         assert second["heads"]["a"] > heads["a"]
         pusher.close()
 
-    def test_sixteen_concurrent_clients_agree(self, monitor):
+    def test_sixteen_concurrent_clients_agree(self, monitor, clients):
         """≥16 REST clients sharing one daemon all see the same audit."""
         dep, _nodes = paper_deployment()
         expected = direct_summary(dep, best_cost("c", "d", 5))
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         client.refresh()
 
         spec = tup_spec(best_cost("c", "d", 5))
@@ -130,9 +130,9 @@ class TestServiceAudit:
 
         def worker(slot):
             try:
-                own = MonitorClient(
-                    "127.0.0.1", monitor.daemon.http_port, timeout=60)
-                results[slot] = own.query(spec)
+                with MonitorClient("127.0.0.1", monitor.daemon.http_port,
+                                   timeout=60) as own:
+                    results[slot] = own.query(spec)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -151,7 +151,7 @@ class TestServiceAudit:
 
 
 class TestAdversarial:
-    def test_fork_convicted_through_service(self, monitor):
+    def test_fork_convicted_through_service(self, monitor, clients):
         """A fork after the daemon stored the honest prefix: the next
         delta contradicts the stored chain, and the daemon's audit
         convicts exactly like a direct one."""
@@ -164,7 +164,7 @@ class TestAdversarial:
         dep.run()
         pusher.push_once()
 
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         out = client.query(tup_spec(best_cost("c", "d", 5), fresh=True))
         assert out["ok"]
         assert out["result"]["verdict"] == "red"
@@ -175,7 +175,8 @@ class TestAdversarial:
         assert "b" in direct["faulty_nodes"]
         pusher.close()
 
-    def test_tampered_history_convicted_through_service(self, monitor):
+    def test_tampered_history_convicted_through_service(self, monitor,
+                                                        clients):
         dep, nodes = paper_deployment(TamperingNode)
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
@@ -189,7 +190,7 @@ class TestAdversarial:
         dep.run()
         pusher.push_once()
 
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         out = client.query(tup_spec(best_cost("c", "d", 5), fresh=True))
         assert out["ok"]
         assert out["result"]["verdict"] == "red"
@@ -304,12 +305,12 @@ class TestHostileFrames:
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_REQUESTS))
     def test_malformed_rest_request_is_400_and_changes_nothing(
-            self, monitor, name):
+            self, monitor, clients, name):
         dep, nodes = paper_deployment(ForkingNode)
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
         port = monitor.daemon.http_port
-        client = MonitorClient("127.0.0.1", port)
+        client = clients()
         fresh = tup_spec(best_cost("c", "d", 5), fresh=True)
         before = client.query(fresh)
         assert before["ok"] and before["result"]["verdict"] == "green"
@@ -340,11 +341,11 @@ class TestHostileFrames:
             assert alert["to"] == "red" and "b" in alert["faulty_nodes"]
         pusher.close()
 
-    def _audited(self, monitor):
+    def _audited(self, monitor, clients):
         dep, _nodes = paper_deployment()
         pusher = make_pusher(dep, monitor)
         assert not pusher.push_once()["shed"]
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         spec = tup_spec(best_cost("c", "d", 5), fresh=True)
         before = client.query(spec)
         assert before["ok"]
@@ -367,8 +368,8 @@ class TestHostileFrames:
             "floors": dict(state.retention_floors),
         }
 
-    def _assert_rejected_whole(self, monitor, make_frame):
-        dep, pusher, client, spec, before = self._audited(monitor)
+    def _assert_rejected_whole(self, monitor, clients, make_frame):
+        dep, pusher, client, spec, before = self._audited(monitor, clients)
         frame = make_frame(dep)
         stored = self._stored(monitor.daemon)
         reply = pusher._exchange(frame)
@@ -386,12 +387,12 @@ class TestHostileFrames:
         pusher.close()
 
     def test_a_refused_global_is_counted_apart_from_line_damage(
-            self, monitor):
+            self, monitor, clients):
         """A correctly framed payload naming ``builtins.eval`` is an
         attack, not a bad cable: it is answered with an error, ``/status``
         says so in its own counter at once, nothing runs, and the
         connection and the daemon carry on."""
-        dep, pusher, client, spec, before = self._audited(monitor)
+        dep, pusher, client, spec, before = self._audited(monitor, clients)
         probe = (b"\x80\x04\x8c\x08builtins\x8c\x04eval\x93"
                  b"\x8c\x041+41\x85R.")
         pusher._sock.sendall(frame_payload(probe))
@@ -409,13 +410,13 @@ class TestHostileFrames:
         assert after["ok"] and after["result"] == before["result"]
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_HELLOS))
-    def test_malformed_hello_is_rejected_whole(self, monitor, name):
+    def test_malformed_hello_is_rejected_whole(self, monitor, clients, name):
         self._assert_rejected_whole(
-            monitor, lambda dep: dict(HOSTILE_HELLOS[name], type="hello"))
+            monitor, clients, lambda dep: dict(HOSTILE_HELLOS[name], type="hello"))
 
     @pytest.mark.parametrize("name", sorted(hostile_pushes(None)))
-    def test_malformed_push_is_rejected_whole(self, monitor, name):
-        self._assert_rejected_whole(monitor, lambda dep: {
+    def test_malformed_push_is_rejected_whole(self, monitor, clients, name):
+        self._assert_rejected_whole(monitor, clients, lambda dep: {
             "type": "push", "seq": 10_000,
             **hostile_pushes(dep.nodes["c"].received_auths["b"][0])[name]})
 
@@ -629,12 +630,12 @@ class TestPersistentConnections:
 
 
 class TestSubscriptions:
-    def test_alert_on_green_to_red_within_one_push(self, monitor):
+    def test_alert_on_green_to_red_within_one_push(self, monitor, clients):
         dep, nodes = paper_deployment(ForkingNode)
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
 
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         watch = tup_spec(best_cost("c", "d", 5))
         with client.subscribe([watch]) as stream:
             banner = stream.next_event(timeout=20)
@@ -656,12 +657,13 @@ class TestSubscriptions:
         assert monitor.daemon.meter.alerts_emitted >= 1
         pusher.close()
 
-    def test_fanout_same_downgrade_reaches_every_subscriber(self, monitor):
+    def test_fanout_same_downgrade_reaches_every_subscriber(self, monitor,
+                                                            clients):
         dep, nodes = paper_deployment(ForkingNode)
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
 
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         watch = tup_spec(best_cost("c", "d", 5))
         streams = [client.subscribe([watch]) for _ in range(4)]
         try:
@@ -688,7 +690,7 @@ class TestSubscriptions:
         pusher.close()
 
 
-    def test_quiet_refresh_skips_watch_evaluation(self, monitor):
+    def test_quiet_refresh_skips_watch_evaluation(self, monitor, clients):
         """A refresh that changes no node's view (no new pushes, every
         delta fetch empty) reuses each watch's stored outcome instead of
         re-running the query — and a refresh that *does* carry a
@@ -697,7 +699,7 @@ class TestSubscriptions:
         pusher = make_pusher(dep, monitor)
         pusher.push_once()
 
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         watch = tup_spec(best_cost("c", "d", 5))
         with client.subscribe([watch]) as stream:
             assert stream.next_event(timeout=20)["type"] == "subscribed"
@@ -1076,8 +1078,10 @@ class TestDegradation:
             assert ack is not None and not ack["shed"]
             # The fresh daemon acked from zero: the pusher adopted its
             # heads, so the full log was re-shipped and audits work.
-            client = MonitorClient("127.0.0.1", second.daemon.http_port)
-            out = client.query(tup_spec(best_cost("c", "d", 5), fresh=True))
+            port = second.daemon.http_port
+            with MonitorClient("127.0.0.1", port) as client:
+                out = client.query(
+                    tup_spec(best_cost("c", "d", 5), fresh=True))
             assert out["ok"] and out["result"]["verdict"] == "green"
         finally:
             second.stop()
@@ -1085,7 +1089,8 @@ class TestDegradation:
 
 
 class TestCadenceComposition:
-    def test_service_push_rides_the_shared_scheduler(self, monitor):
+    def test_service_push_rides_the_shared_scheduler(self, monitor,
+                                                     clients):
         """PR 8's bugfix satellite: replication, GC, and service push all
         hang off one cadence table — no third ad-hoc loop."""
         dep, nodes = paper_deployment()
@@ -1104,7 +1109,7 @@ class TestCadenceComposition:
         assert monitor.daemon.meter.pushes_accepted >= 1
 
         # The daemon's marks flow back through the GC handshake seat.
-        client = MonitorClient("127.0.0.1", monitor.daemon.http_port)
+        client = clients()
         client.query(tup_spec(best_cost("c", "d", 5), fresh=True))
         pusher.push_once()
         assert querier.low_water_marks()

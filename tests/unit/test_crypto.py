@@ -9,7 +9,7 @@ from repro.apps.mincost import build_paper_network
 from repro.crypto.hashing import HashChain, GENESIS_HASH, content_digest
 from repro.crypto.keys import CertificateAuthority, NodeIdentity
 from repro.crypto.merkle import MerkleTree, EMPTY_ROOT
-from repro.crypto.rsa import RsaKeyPair, generate_keypair
+from repro.crypto.rsa import RsaKeyPair, _expand_digest, generate_keypair
 from repro.service import ServicePusher
 from repro.snp import Deployment
 from repro.util.errors import AuthenticationError
@@ -127,6 +127,26 @@ class TestCrtSigning:
             "8deac66832b54d36663d7c029b2552cc"
             "62a5706415cee74ebd0f8dc16d4ddf3f", 16)
         assert SEEDED_KEYS[256].e == 65537
+
+    @pytest.mark.parametrize("modulus_bytes", [32, 33, 64, 128],
+                             ids=["256-bit", "33-byte", "512-bit", "1024-bit"])
+    @settings(max_examples=25, deadline=None)
+    @given(message=st.binary(max_size=300))
+    def test_expand_digest_matches_the_block_loop(self, modulus_bytes,
+                                                 message):
+        """The padding is built in one join of ceil(size / 32) blocks; the
+        loop it replaced, which re-summed the blocks before each one, is
+        the oracle."""
+        digest = hashlib.sha256(message).digest()
+        blocks = []
+        counter = 0
+        while sum(len(b) for b in blocks) < modulus_bytes:
+            blocks.append(hashlib.sha256(
+                digest + counter.to_bytes(4, "big")).digest())
+            counter += 1
+        oracle = b"\x00" + b"".join(blocks)[:modulus_bytes][1:]
+        padded = _expand_digest(message, modulus_bytes)
+        assert padded == oracle and len(padded) == modulus_bytes
 
     def test_one_seed_one_key_field_for_field(self):
         again = generate_keypair(bits=256, seed=7)

@@ -23,7 +23,7 @@ from repro.model import Ack, Msg, Tup
 from repro.apps import AppFactory, factory_from_spec
 from repro.snp import Deployment
 from repro.snp.commitment import WireAck
-from repro.snp.log import LogEntry
+from repro.snp.log import LogEntry, encode_contents
 from repro.snp.replay import verify_segment_hashes
 from repro.snp.snoopy import RetrieveResponse
 from repro.snp.evidence import Authenticator
@@ -238,13 +238,15 @@ class TestResponseWire:
     def test_sanitized_response_round_trips_and_reverifies(self):
         dep, _nodes = _network()
         response = dep.node("a").retrieve()
-        original_hashes = verify_segment_hashes(response)
+        original_hashes = verify_segment_hashes(
+            response, encode_contents(response.entries))
         clone = pickle.loads(pickle.dumps(sanitize_response(response)))
         assert clone.node == response.node
         assert clone.start_index == response.start_index
         assert clone.start_hash == response.start_hash
         assert len(clone.entries) == len(response.entries)
-        assert verify_segment_hashes(clone) == original_hashes
+        assert verify_segment_hashes(
+            clone, encode_contents(clone.entries)) == original_hashes
         assert clone.head_auth.signature == response.head_auth.signature
 
     def test_sanitize_strips_only_non_wire_aux(self):
@@ -267,8 +269,9 @@ class TestResponseWire:
         clone = pickle.loads(pickle.dumps(sanitize_response(response)))
         assert clone.checkpoint.aux["snapshot"].keys() \
             == response.checkpoint.aux["snapshot"].keys()
-        assert verify_segment_hashes(clone) \
-            == verify_segment_hashes(response)
+        assert verify_segment_hashes(clone, encode_contents(clone.entries)) \
+            == verify_segment_hashes(response,
+                                     encode_contents(response.entries))
 
 
 class TestSpecs:
