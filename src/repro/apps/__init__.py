@@ -48,8 +48,9 @@ def register_app(name, builder):
     ``builder(**kwargs)`` must return a state-machine factory — a callable
     mapping ``node_id`` to a fresh deterministic state machine. Both the
     name and every kwarg an :class:`AppFactory` is created with must be
-    wire-encodable plain data (see :mod:`repro.snp.wire`), because they are
-    what travels to the monitor daemon in place of the factory itself.
+    plain data a frame carries (builtins, or value objects of
+    :mod:`repro.snp.wire`'s table), because they are what travels to the
+    monitor daemon in place of the factory itself.
     """
     _REGISTRY[name] = builder
     return builder
@@ -102,10 +103,11 @@ class AppFactory:
     with a ``node_id`` returns a fresh state machine (the underlying
     builder runs once, so per-factory work such as rule compilation is
     shared by all nodes using the factory). For the wire it exposes
-    :meth:`wire_spec`: the registry name plus the kwargs in wire form,
-    from which the daemon rebuilds an equivalent factory. Mutable kwargs
-    (e.g. MapReduce's content store) are snapshotted at ``wire_spec()``
-    time, i.e. once per hello.
+    :meth:`wire_spec`: the registry name plus a dict of the kwargs, from
+    which the daemon rebuilds an equivalent factory. The hello frame
+    carries the spec as it is, so mutable kwargs (e.g. MapReduce's
+    content store) are snapshotted when that frame is encoded, i.e. once
+    per hello.
     """
 
     __slots__ = ("name", "kwargs", "_resolved")
@@ -121,9 +123,7 @@ class AppFactory:
         return self._resolved(node_id)
 
     def wire_spec(self):
-        from repro.snp.wire import value_to_wire
-
-        return (self.name, value_to_wire(dict(self.kwargs)))
+        return (self.name, dict(self.kwargs))
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.kwargs.items())
@@ -131,16 +131,17 @@ class AppFactory:
 
 
 def factory_from_spec(spec):
-    """Rebuild a factory from a :meth:`AppFactory.wire_spec` tuple. The
+    """Rebuild a factory from a :meth:`AppFactory.wire_spec` pair. The
     spec may come from outside the program (a pusher's hello): one that
-    is not a ``(name, kwargs-wire)`` pair, names no registered builder
+    is not a ``(name, kwargs dict)`` pair, names no registered builder
     or carries kwargs its builder does not take raises
     :class:`~repro.snp.wire.WireError`, like any other malformed form."""
-    from repro.snp.wire import WireError, value_from_wire
+    from repro.snp.wire import WireError
 
     try:
-        name, kwargs_wire = spec
-        return resolve_builder(name)(**value_from_wire(kwargs_wire))
+        name, kwargs = spec
+        # ``**`` takes only a mapping; a frame can build no mapping but dict
+        return resolve_builder(name)(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(
             f"malformed application spec {spec!r}: {exc}") from None

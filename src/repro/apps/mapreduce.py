@@ -311,8 +311,8 @@ class CorruptWordCountApp(MapReduceApp):
 
 def build_mapreduce_app_factory(content, granularity=COMBINED):
     """Registry builder (see :mod:`repro.apps`). *content* maps text hashes
-    to file contents — inside a process-pool worker it is the snapshot the
-    wire spec carried, standing in for the distributed filesystem."""
+    to file contents — inside the monitor daemon it is the snapshot the
+    hello carried, standing in for the distributed filesystem."""
     return lambda node_id: MapReduceApp(node_id, content,
                                         granularity=granularity)
 
@@ -345,9 +345,8 @@ class WordCountJob:
         from repro.apps import AppFactory
         from repro.snp.adversary import MisexecutingNode
         # The registry-backed factory keeps a live reference to the shared
-        # content store locally; its wire spec snapshots the store's
-        # contents at encode time, so process-pool replays see whatever the
-        # distributed filesystem held when the build was fetched.
+        # content store locally; the hello frame carrying its wire spec
+        # snapshots the store's contents when it is encoded.
         honest_factory = AppFactory(
             "mapreduce", content=self.content_store,
             granularity=self.granularity,

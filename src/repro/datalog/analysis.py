@@ -40,8 +40,8 @@ structured :class:`Diagnostic`\\ s:
 
 Only *error*-severity diagnostics gate execution:
 ``Program.ensure_checked`` (:mod:`repro.datalog.engine`) raises
-:class:`ProgramAnalysisError` for them, and both evaluators refuse an
-unchecked program unless constructed with ``unsafe_skip_analysis=True``.
+:class:`ProgramAnalysisError` for them, and both evaluators refuse to
+run a program that has them.
 """
 
 from repro.datalog.ast import (
@@ -115,11 +115,7 @@ class ProgramAnalysisError(ConfigurationError):
     def __init__(self, diagnostics):
         self.diagnostics = tuple(diagnostics)
         lines = "\n  ".join(d.format() for d in self.diagnostics)
-        super().__init__(
-            "program failed static analysis "
-            "(pass unsafe_skip_analysis=True to run it anyway):\n  "
-            + lines
-        )
+        super().__init__("program failed static analysis:\n  " + lines)
 
 
 # ---------------------------------------------------------------- helpers

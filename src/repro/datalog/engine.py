@@ -140,12 +140,11 @@ class DatalogApp(StateMachine):
     #: secondary-index registration and maintenance.
     USE_INDEXES = True
 
-    def __init__(self, node_id, program, unsafe_skip_analysis=False):
+    def __init__(self, node_id, program):
         super().__init__(node_id)
-        if not unsafe_skip_analysis:
-            # The ndlint gate: refuse programs with error-severity
-            # diagnostics (memoized on the shared Program instance).
-            program.ensure_checked()
+        # The ndlint gate: refuse programs with error-severity
+        # diagnostics (memoized on the shared Program instance).
+        program.ensure_checked()
         self.program = program
         self.store = TupleStore(node_id)
         if self.USE_INDEXES:

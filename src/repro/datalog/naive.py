@@ -24,9 +24,8 @@ Do not use any of this in deployments; it exists to keep the optimized
 engines honest.
 
 Like :class:`~repro.datalog.engine.DatalogApp`, construction runs the
-ndlint gate (``Program.ensure_checked``) unless told
-``unsafe_skip_analysis=True`` — the reference evaluator refuses unsafe
-programs too.
+ndlint gate (``Program.ensure_checked``) — the reference evaluator
+refuses unsafe programs too.
 """
 
 from collections import deque

@@ -59,11 +59,6 @@ class DerivationInstance(WireValue):
     def __hash__(self):
         return hash(("derivation", self.rule, self.support))
 
-    def __reduce__(self):
-        # Through the constructor, as Tup and Msg do: the key is derived
-        # state and is rebuilt on the importing side.
-        return (DerivationInstance, (self.rule, self.support))
-
     def __repr__(self):
         return f"DerivationInstance({self.rule}, {self.support!r})"
 

@@ -23,16 +23,11 @@ MINUS = "-"
 
 
 class WireValue:
-    """A class of :data:`repro.snp.wire.VALUE_CLASSES`: it pickles as its
-    row's ``(builder, fields)`` and refuses pickle's ``BUILD``, which would
-    set its slots directly, past the builder's checks."""
+    """A class of :data:`repro.snp.wire.VALUE_CLASSES`: a frame builds it
+    through its row's builder, and it refuses pickle's ``BUILD``, which
+    would set its slots directly, past the builder's checks."""
 
     __slots__ = ()
-
-    def __reduce__(self):
-        from repro.snp.wire import BUILDERS, FIELDS
-        tag, fields = FIELDS[type(self)]
-        return BUILDERS[tag], fields(self)
 
     def __setstate__(self, state):
         raise TypeError(f"a {type(self).__name__} is built, never patched")
@@ -66,15 +61,6 @@ class Tup(WireValue):
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # Pickle through the constructor: the memoized hash is
-        # process-local (per-process hash randomization), so an unpickled
-        # tuple must recompute it in the importing process rather than
-        # carry the sender's — otherwise equal tuples constructed on the
-        # two sides of a process boundary would land in different dict
-        # buckets. See repro/snp/wire.py.
-        return (Tup, (self.relation, self.loc) + self.args)
 
     def __repr__(self):
         inner = ", ".join([f"@{self.loc}"] + [repr(a) for a in self.args])
@@ -143,12 +129,6 @@ class Msg(WireValue):
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # Constructor-rebuilding pickle for the same reason as Tup's: the
-        # memoized hash must be recomputed process-locally.
-        return (Msg, (self.polarity, self.tup, self.src, self.dst,
-                      self.seq, self.t_sent))
 
     def __repr__(self):
         return (

@@ -36,7 +36,6 @@ from repro.service.framing import (
     FrameDecoder, MAX_FRAME_BYTES, encode_frame, recv_frame,
 )
 from repro.metrics import ServiceMeter
-from repro.snp.wire import sanitize_response
 
 
 class ServicePusher:
@@ -146,11 +145,7 @@ class ServicePusher:
                     auths[peer] = fresh
                     cursors[peer] = done + len(fresh)
             pending_cursors[node_id] = cursors
-            parts[node_id] = {
-                "response": sanitize_response(response)
-                if response is not None else None,
-                "auths": auths,
-            }
+            parts[node_id] = {"response": response, "auths": auths}
         maintainer = dep.maintainer
         msg = {
             "type": "push", "seq": self.seq, "nodes": parts,

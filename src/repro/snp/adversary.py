@@ -25,6 +25,7 @@ Input lying            *not detectable* (black); Section 4.2 limitation
 """
 
 from repro.crypto.hashing import HashChain, content_digest
+from repro.model import Tup
 from repro.snp.log import NodeLog
 from repro.snp.snoopy import SNooPyNode
 
@@ -71,11 +72,16 @@ class TamperingNode(SNooPyNode):
     """
 
     def tamper_entry(self, index, new_content, recompute_chain=False):
+        """Replace entry *index*'s content with *new_content*. A
+        :class:`~repro.model.Tup` is a lie told consistently: its
+        canonical form becomes the content and the tuple itself the
+        parsed ``aux["tup"]``, so the two forms still agree."""
         entry = self.log.entry(index)
-        entry.content = new_content
         entry.aux = dict(entry.aux)
-        if "tup" in entry.aux and hasattr(new_content, "relation"):
+        if isinstance(new_content, Tup):
             entry.aux["tup"] = new_content
+            new_content = new_content.canonical()
+        entry.content = new_content
         if recompute_chain:
             self._rebuild_chain()
         return entry

@@ -89,7 +89,7 @@ def check_parsed_forms(response):
     and have replay convict the honest node red. A ``chk`` entry's
     ``extant`` / ``believed`` lists are bound by Merkle root
     (:func:`verify_checkpoint`); its ``snapshot`` is bound by nothing yet
-    (ROADMAP item 1)."""
+    (ROADMAP item 3)."""
     for entry in response.entries:
         kind, aux, content = entry.entry_type, entry.aux, entry.content
         try:

@@ -325,30 +325,15 @@ class Deployment(EvidenceDirectory):
             origin, sum(e.size_bytes() for e in response.entries)
         )
 
-    def replicate_logs(self, replication_factor=2):
-        """Push each node's current log to its replica set (Section 5.8's
-        suggested mitigation for destroyed provenance state). Replicas are
-        the next *replication_factor* nodes in id order; Byzantine nodes
-        may refuse to serve what they stored, which the paper's threat
-        model allows — replication is best-effort."""
-        names = sorted(self.nodes, key=str)
-        for index, name in enumerate(names):
-            response = self.nodes[name].retrieve()
-            if response is None:
-                continue
-            for step in range(1, replication_factor + 1):
-                replica = self.nodes[names[(index + step) % len(names)]]
-                if replica.node_id != name:
-                    self._charge_replication(name, response)
-                    replica.accept_mirror(response)
-
     def replicate_deltas(self, replication_factor=2):
-        """Re-push each node's log *suffix* to its replica set.
+        """Push each node's log to its replica set (Section 5.8's
+        suggested mitigation for destroyed provenance state). Replicas are
+        the next *replication_factor* nodes in id order.
 
-        The incremental counterpart of :meth:`replicate_logs`: a replica
-        that already mirrors a prefix is asked only for the entries past
-        its stored head (``retrieve(since_index=)``), spliced onto the
-        stored copy; a replica with no copy yet gets the full log. Run on
+        A replica with no copy yet gets the full log; one that already
+        mirrors a prefix is asked only for the entries past its stored
+        head (``retrieve(since_index=)``), spliced onto the stored copy
+        (:func:`~repro.snp.snoopy.merge_mirror_responses`). Run on
         a cadence (see :meth:`enable_replication`) this keeps every
         replica set fresh, so ``find_mirror(since_index=)`` can serve
         view *refreshes* for an origin that has since crashed — not just

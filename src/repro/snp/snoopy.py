@@ -352,7 +352,7 @@ class SNooPyNode:
         del self._await_ack[key]
         self.log.append(
             self._next_time(), ACK, ack_entry_content(wire_ack),
-            aux={"wire_ack": wire_ack, "batch": batch},
+            aux={"wire_ack": wire_ack},
         )
         self.received_auths.setdefault(wire_ack.src, []).append(wire_ack.auth)
 
@@ -489,20 +489,6 @@ class SNooPyNode:
         return list(held[since:]) if since else list(held)
 
     # --------------------------------------------------- log replication
-
-    def accept_mirror(self, response):
-        """Store a replica of another node's log (Section 5.8 extension).
-
-        A mirror is trustworthy regardless of who stores it: the entries
-        are hash-chained and the head is signed by the origin, so a
-        tampering replica is caught by the querier's standard
-        verification. Full copies replace shorter ones; a pushed log
-        *suffix* that continues the stored copy's chain is spliced on
-        (the delta-replication path of ``Deployment.replicate_deltas``)."""
-        current = self.mirror_store.get(response.node)
-        merged = merge_mirror_responses(current, response)
-        if merged is not None:
-            self.mirror_store[response.node] = merged
 
     def mirror_of(self, origin):
         """The mirror this node holds for *origin*'s log, if any."""

@@ -76,6 +76,17 @@ class TestFabrication:
         assert best_cost("c", "d", 1) in tups
 
 
+def _rewrite_first_insert(node):
+    """Rewrite *node*'s first ``ins`` entry to a costlier tuple and
+    rebuild its chain: a lie every check but the consistency check
+    accepts."""
+    entry = next(e for e in node.log.entries if e.entry_type == INS)
+    tup = entry.aux["tup"]
+    node.tamper_entry(entry.index, Tup(tup.relation, tup.loc,
+                                       *tup.args[:-1], tup.args[-1] + 1),
+                      recompute_chain=True)
+
+
 class TestTampering:
     def test_broken_chain_proves_fault(self):
         dep, nodes = _deploy(TamperingNode)
@@ -85,23 +96,25 @@ class TestTampering:
 
     def test_recomputed_chain_caught_by_consistency_check(self):
         dep, nodes = _deploy(TamperingNode)
-        nodes["b"].tamper_entry(2, ("rewritten-history",),
-                                recompute_chain=True)
-        result = QueryProcessor(dep).why(best_cost("c", "d", 5))
-        assert "b" in result.faulty_nodes()
+        _rewrite_first_insert(nodes["b"])
+        qp = QueryProcessor(dep)
+        assert "b" in qp.why(best_cost("c", "d", 5)).faulty_nodes()
+        view = qp.mq.view_of("b")
+        assert view.status == "proven-faulty"
+        assert "does not match the log" in view.verdict_reason
 
     def test_consistency_check_disabled_misses_recomputed_chain(self):
-        # Ablation: without the consistency check (and with no embedded
-        # evidence from other logs yet), a self-consistent rewrite of a
-        # non-message entry is NOT immediately caught — demonstrating why
-        # the paper's consistency check exists.
+        # Ablation: without the consistency check, a self-consistent
+        # rewrite of an input entry — content and parsed form agree, the
+        # chain is rebuilt — is NOT caught: the reason the paper's
+        # consistency check exists.
         dep, nodes = _deploy(TamperingNode)
-        nodes["b"].tamper_entry(1, ("rewritten",), recompute_chain=True)
+        _rewrite_first_insert(nodes["b"])
         qp = QueryProcessor(dep, run_consistency_check=False)
-        view = qp.mq.view_of("b")
-        assert view.status != "ok" or True  # may still fail on evidence
-        qp2 = QueryProcessor(dep, run_consistency_check=True)
-        assert qp2.mq.view_of("b").status == "proven-faulty"
+        assert qp.mq.view_of("b").status == "ok"
+        view = QueryProcessor(dep).mq.view_of("b")
+        assert view.status == "proven-faulty"
+        assert "does not match the log" in view.verdict_reason
 
 
 class TestEquivocation:
@@ -376,7 +389,7 @@ class TestConvictionGallery:
     def test_same_fork_served_by_a_mirror_on_a_cold_build(self):
         # check: the same check — a mirror's contradiction is not proof
         dep, b = self._forked_b(_ForkThenCrashNode)
-        dep.replicate_logs(replication_factor=2)
+        dep.replicate_deltas(replication_factor=2)
         b.refuse_retrieve = True
         with QueryProcessor(dep, run_consistency_check=False) as qp:
             view = qp.prefetch()["b"]
@@ -403,7 +416,7 @@ class TestConvictionGallery:
             b.fork_log(keep_upto=head)    # forks *above* the audited head,
             b.insert(link("b", "r", 9))   # runs on, is mirrored, crashes
             dep.run()
-            dep.replicate_logs(replication_factor=2)
+            dep.replicate_deltas(replication_factor=2)
             b.refuse_retrieve = True
             qp.refresh()
             after = qp.mq.view_of("b")

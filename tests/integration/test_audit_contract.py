@@ -123,7 +123,7 @@ def _fabricate(dep, nodes):
 
 def _crash_after_mirroring(dep, nodes):
     nodes["b"].refuse_retrieve = False
-    dep.replicate_logs(replication_factor=2)
+    dep.replicate_deltas(replication_factor=2)
     nodes["b"].refuse_retrieve = True
 
 

@@ -69,7 +69,7 @@ class TestDeltaRetrieve:
     def test_mirror_served_suffix(self):
         dep, nodes = _grown_net()
         head = 3
-        dep.replicate_logs()
+        dep.replicate_deltas()
         full = dep.find_mirror("b")
         sliced = dep.find_mirror("b", since_index=head)
         assert sliced.start_index == head + 1

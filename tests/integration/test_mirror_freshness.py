@@ -1,7 +1,7 @@
 """Mirror freshness: delta replication keeps replica sets current.
 
 ``Deployment.replicate_deltas`` re-pushes each log's *suffix* to the
-replica set (spliced by ``accept_mirror``); ``enable_replication``
+replica set (spliced by ``merge_mirror_responses``); ``enable_replication``
 installs a standing cadence so a running deployment keeps its replicas
 fresh without anyone calling replicate by hand — which is what lets
 ``find_mirror(since_index=)`` serve view *refreshes* for origins that
@@ -72,9 +72,6 @@ class TestMergeMirrorResponses:
         suffix = dep.node("a").retrieve(since_index=2)
         assert suffix.start_index == 3
         assert merge_mirror_responses(None, suffix) is None
-        node_b = dep.node("b")
-        node_b.accept_mirror(suffix)
-        assert node_b.mirror_of("a") is None
 
     def test_non_contiguous_suffix_is_rejected(self):
         dep, _nodes = _net()

@@ -22,7 +22,7 @@ def _silent_b_network(seed=300, replicate=True):
     dep.run()
     nodes["b"].refuse_retrieve = False   # cooperative during replication
     if replicate:
-        dep.replicate_logs(replication_factor=2)
+        dep.replicate_deltas(replication_factor=2)
     nodes["b"].refuse_retrieve = True    # then destroyed / silent
     return dep, nodes
 
@@ -60,12 +60,12 @@ class TestReplicationRecovery:
         dep = Deployment(seed=301, key_bits=256)
         nodes = build_paper_network(dep)
         dep.run()
-        dep.replicate_logs()
+        dep.replicate_deltas()
         # More activity, then re-replicate: mirrors must advance.
         before = dep.find_mirror("b").head_auth.index
         nodes["b"].insert(link("b", "z", 7))
         dep.run()
-        dep.replicate_logs()
+        dep.replicate_deltas()
         after = dep.find_mirror("b").head_auth.index
         assert after > before
 
@@ -81,7 +81,7 @@ class TestReplicationTraffic:
         build_paper_network(dep)
         dep.run()
         assert dep.traffic.totals()["replication"] == 0
-        dep.replicate_logs(replication_factor=2)
+        dep.replicate_deltas(replication_factor=2)
         expected = 0
         for node in dep.nodes.values():
             segment = sum(e.size_bytes() for e in node.log.entries)
@@ -127,7 +127,7 @@ class TestReplicationTraffic:
         dep = Deployment(seed=312, key_bits=256)
         build_paper_network(dep)
         dep.run()
-        dep.replicate_logs(replication_factor=1)
+        dep.replicate_deltas(replication_factor=1)
         for name, node in dep.nodes.items():
             segment = sum(e.size_bytes() for e in node.log.entries)
             assert dep.traffic.node_totals(name)["replication"] == \
@@ -166,7 +166,7 @@ class TestReplicationCannotFrame:
         now holds every parsed form to its commitment, so this is a bad
         mirror and ``b`` stays what it is: unreachable, yellow."""
         dep, _nodes = _silent_b_network(seed=300)
-        # replicate_logs hands both replicas the same response object
+        # each replica holds its own copy of b's log
         mirrors = {id(m): m for m in (node.mirror_of("b")
                                       for node in dep.nodes.values())
                    if m is not None}

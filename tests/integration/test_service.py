@@ -220,18 +220,20 @@ class TestAdversarial:
 HOSTILE_HELLOS = {
     # the issue's frame: "a" is fine, "b" has no key — nothing may apply
     "missing-key": {"t_prop": 0.05, "nodes": {
-        "a": {"key": (5, 3), "app": ("mincost", ("W.d", ()))}, "b": {}}},
+        "a": {"key": (5, 3), "app": ("mincost", {})}, "b": {}}},
     "key-not-ints": {"t_prop": 0.05, "nodes": {"a": {"key": ("n", 3)}}},
     "key-is-bool": {"t_prop": 0.05, "nodes": {"a": {"key": (True, 3)}}},
     "t-prop-not-a-number": {"t_prop": "soon", "nodes": {}},
     "nodes-not-a-table": {"t_prop": 0.05, "nodes": [("a", (5, 3))]},
     "unknown-app": {"t_prop": 0.05, "nodes": {
-        "a": {"key": (5, 3), "app": ("no-such-app", ("W.d", ()))}}},
+        "a": {"key": (5, 3), "app": ("no-such-app", {})}}},
     "malformed-app-spec": {"t_prop": 0.05, "nodes": {
         "a": {"key": (5, 3), "app": ("mincost",)}}},
     "app-kwargs-rejected": {"t_prop": 0.05, "nodes": {
         "a": {"key": (5, 3),
-              "app": ("mincost", ("W.d", (("no_such_kwarg", 1),)))}}},
+              "app": ("mincost", {"no_such_kwarg": 1})}}},
+    "app-kwargs-not-a-dict": {"t_prop": 0.05, "nodes": {
+        "a": {"key": (5, 3), "app": ("mincost", [("max_cost", 3)])}}},
     # a node replay could never rebuild: accepted, it made every later
     # refresh raise, for every subscriber
     "app-missing": {"t_prop": 0.05, "nodes": {"a": {"key": (5, 3)}}},

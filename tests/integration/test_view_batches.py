@@ -128,7 +128,7 @@ class TestBatchingChangesNoResult:
             b.fork_log(keep_upto=head)
             b.insert(link("b", "r", 9))
             dep.run()
-            dep.replicate_logs(replication_factor=2)
+            dep.replicate_deltas(replication_factor=2)
             b.refuse_retrieve = True
             together.refresh()
             apart.refresh("a")

@@ -11,8 +11,6 @@ resulting global history:
 * determinism of replay — running the GCA twice yields identical graphs.
 """
 
-import pickle
-
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.mincost import link, mincost_factory
@@ -129,18 +127,6 @@ class TestGcaTheoremsRandomized:
                 set(node.app.tuples_of(relation))
 
 
-def _shape(graph):
-    """Everything a caller can observe of a graph's structure: vertices
-    in order with colour and interval, and each vertex's predecessor and
-    successor keys in the order the graph returns them."""
-    return [
-        (v.key(), v.color, v.t_end, v.seeded,
-         [p.key() for p in graph.predecessors(v)],
-         [s.key() for s in graph.successors(v)])
-        for v in graph.vertices()
-    ]
-
-
 class TestGraphContainerOnReplayedGraphs:
     """The adjacency representation is an implementation detail: these
     hold for any graph the GCA builds, with closed intervals and
@@ -161,27 +147,6 @@ class TestGraphContainerOnReplayedGraphs:
             for v in graph.vertices() for p in graph.predecessors(v)}
         for key_from, key_to in edges:
             assert graph.has_edge(graph.get(key_from), graph.get(key_to))
-
-    @given(schedules)
-    @settings(max_examples=10, deadline=None)
-    def test_pickle_round_trip_preserves_the_graph(self, schedule):
-        dep = _execute(schedule)
-        graph = _gca(dep).run(_history(dep))
-        clone = pickle.loads(pickle.dumps(graph, pickle.HIGHEST_PROTOCOL))
-        assert _shape(clone) == _shape(graph)
-        assert clone.edges() == graph.edges()
-        for vertex in graph.vertices():
-            if vertex.interval_open():
-                found = clone.open_interval(vertex.vtype, vertex.node,
-                                            vertex.tup)
-                assert found is clone.get(vertex.key())
-        if not len(graph):
-            return
-        # and the copy keeps working as a graph
-        first, last = clone.vertices()[0], clone.vertices()[-1]
-        clone.add_edge(last, first)
-        assert clone.has_edge(last, first)
-        assert not graph.has_edge(last, first)
 
     @given(schedules)
     @settings(max_examples=10, deadline=None)

@@ -279,13 +279,13 @@ class TestExecutionGate:
         with pytest.raises(ProgramAnalysisError) as excinfo:
             app_cls("n1", self._unsafe_program())
         assert any(d.code == "ND101" for d in excinfo.value.diagnostics)
-        assert "unsafe_skip_analysis" in str(excinfo.value)
 
     @pytest.mark.parametrize("app_cls", [DatalogApp, NaiveDatalogApp])
-    def test_escape_hatch(self, app_cls):
-        app = app_cls("n1", self._unsafe_program(),
-                      unsafe_skip_analysis=True)
-        assert app.node_id == "n1"
+    def test_no_keyword_skips_the_gate(self, app_cls):
+        """The gate has no escape hatch: the keyword that once skipped
+        the analysis is refused before any program is run."""
+        with pytest.raises(TypeError, match="unsafe_skip_analysis"):
+            app_cls("n1", self._unsafe_program(), unsafe_skip_analysis=True)
 
     def test_analysis_memoized_and_invalidated_by_add(self):
         X = Var("X")

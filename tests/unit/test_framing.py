@@ -19,7 +19,7 @@ from repro.service.framing import (
     FrameDecoder, FramingError, HEADER_BYTES, MAGIC, encode_frame,
 )
 from repro.snp import Deployment, QueryProcessor
-from repro.snp.wire import VALUE_CLASSES, value_to_wire
+from repro.snp.wire import FIELDS, VALUE_CLASSES
 
 
 def raw_frame(payload, length=None):
@@ -204,7 +204,7 @@ def global_probe(module, name, call=b")R"):
 #: Benign stand-ins for code execution. Under the module-prefix test the
 #: push port once had, each of these *returned a value* when unpickled:
 #: 42, the daemon's pid, an OrderedDict, copyreg's dispatch table, the
-#: globals of ``repro.model``. The first two are ROADMAP item 1's probes,
+#: globals of ``repro.model``. The first two are ROADMAP item 6's probes,
 #: byte for byte.
 PROBES = {
     "builtins.eval":
@@ -259,6 +259,20 @@ def first_push():
     return ServicePusher(dep, "127.0.0.1", 0).build_push()[0]
 
 
+def as_fields(value):
+    """*value* as plain data, each table object as the ``(tag, *fields)``
+    a frame's persistent id carries, walked down to builtins."""
+    row = FIELDS.get(type(value))
+    if row is not None:
+        tag, fields = row
+        return (tag, *map(as_fields, fields(value)))
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(as_fields, value))
+    if isinstance(value, dict):
+        return {as_fields(k): as_fields(v) for k, v in value.items()}
+    return value
+
+
 def one_of_each():
     """One honest instance of every class in the value table."""
     dep, _hello, push = widest_deployment()
@@ -305,7 +319,7 @@ class TestNoGlobalResolves:
         assert again is back[3]
         for sent, got in zip(values, back):
             assert type(got) is type(sent)
-            assert value_to_wire(got) == value_to_wire(sent)
+            assert as_fields(got) == as_fields(sent)
         assert back[0] == values[0] and hash(back[0]) == hash(values[0])
 
     def test_the_table_covers_what_a_deployment_pushes(self):
@@ -322,6 +336,26 @@ class TestNoGlobalResolves:
             assert [e.entry_hash for e in back.entries] \
                 == [e.entry_hash for e in part["response"].entries]
 
+    def test_a_pushed_entry_carries_the_aux_keys_of_its_log(self):
+        """Entries cross as the origin's log stores them (a push holds
+        the log's own entry objects): a decoded entry has exactly their
+        aux keys, and an ack entry keeps only the wire ack."""
+        _dep, _hello, widest = widest_deployment()
+        kinds = set()
+        for push in (first_push(), widest):
+            (back,) = decode_all(encode_frame(push))[1]
+            for node, part in push["nodes"].items():
+                sent, got = part["response"], back["nodes"][node]["response"]
+                pairs = list(zip(sent.entries, got.entries))
+                if sent.checkpoint is not None:
+                    pairs.append((sent.checkpoint, got.checkpoint))
+                for old, new in pairs:
+                    kinds.add(old.entry_type)
+                    assert set(new.aux) == set(old.aux)
+                    if old.entry_type == "ack":
+                        assert set(old.aux) == {"wire_ack"}
+        assert kinds == {"ins", "snd", "rcv", "ack", "chk"}
+
 
 # ------------------------------------------------------- hostile payloads
 
@@ -331,7 +365,7 @@ HONEST = {"type": "push", "seq": 3, "tup": Tup("link", "a", "b", 3)}
 def puts_stay_small(payload):
     """Whether every memo index *payload* PUTs stays small. The C
     unpickler sizes its memo to the largest index a PUT names, so nine
-    bytes can make it allocate gigabytes (ROADMAP item 1 records the
+    bytes can make it allocate gigabytes (ROADMAP item 6 records the
     hole); hostile inputs here stay clear of that one."""
     try:
         for opcode, arg, _pos in pickletools.genops(payload):

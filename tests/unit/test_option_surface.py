@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.datalog import DatalogApp
 from repro.service.client import MonitorClient
 from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
     main as monitor_main
@@ -48,6 +49,8 @@ SIGNATURES = {
         "max_frame_bytes=33554432)",
     # persistent connections and their two deadlines came without a knob
     MonitorClient: "(self, host, port, timeout=30.0)",
+    # the ndlint gate has no off switch
+    DatalogApp: "(self, node_id, program)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,

@@ -1,35 +1,41 @@
-"""The wire layer's serialization contract (repro/snp/wire.py).
+"""The value table (repro/snp/wire.py) and what crosses a frame by it.
 
 Three families of guarantees:
 
-* the validating codec round-trips every supported value shape and
-  rejects everything else (hypothesis-driven);
-* value objects pickle *through their constructors*, so process-local
-  memoized hashes can never leak across a process boundary;
-* what a pusher ships — sanitized responses, factory specs — survives a
-  pickle round trip with identical observable behavior (hashes
-  re-verify, specs rebuild a working factory), and a malformed spec is
-  a ``WireError``.
+* a value object becomes bytes only as a frame's persistent id
+  ``(tag, *fields)``, and its row's builder rebuilds it through the
+  constructor: any nesting of builtins and value objects round-trips
+  (hypothesis-driven), memoized hashes are recomputed, and a pushed log
+  segment re-verifies on the far side;
+* a builder refuses what the daemon or the build step would use
+  unchecked (a ``WireError``), and an id of the wrong arity, or of a tag
+  the table does not list, costs its frame and nothing else;
+* a hello's app spec (:meth:`repro.apps.AppFactory.wire_spec`) is plain
+  data — the registry name and a dict of kwargs — that a frame carries
+  as it is; :func:`repro.apps.factory_from_spec` accepts only a pair its
+  builder takes, and anything else is a ``WireError``.
 """
 
-import functools
+import io
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.mincost import build_paper_network, link, mincost_factory
-from repro.model import Ack, Msg, Tup
 from repro.apps import AppFactory, factory_from_spec
+from repro.apps.mincost import build_paper_network, link, mincost_factory
+from repro.datalog.store import DerivationInstance
+from repro.model import Ack, Msg, Tup
+from repro.service.framing import (
+    FrameDecoder, FramingError, encode_frame, frame_payload,
+)
 from repro.snp import Deployment
 from repro.snp.commitment import WireAck
+from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.log import LogEntry, encode_contents
 from repro.snp.replay import verify_segment_hashes
 from repro.snp.snoopy import RetrieveResponse
-from repro.snp.evidence import Authenticator
-from repro.snp.wire import (
-    BUILDERS, WireError, sanitize_response, value_from_wire, value_to_wire,
-)
+from repro.snp.wire import BUILDERS, FIELDS, VALUE_CLASSES, WireError
 
 # ------------------------------------------------------------- strategies
 
@@ -63,9 +69,7 @@ values = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=3),
         st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(st.one_of(atoms.filter(lambda a: a is not None
-                                               or True), tups),
-                        children, max_size=3),
+        st.dictionaries(st.one_of(atoms, tups), children, max_size=3),
         st.sets(st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
         st.frozensets(st.integers(), max_size=3),
     ),
@@ -73,158 +77,79 @@ values = st.recursive(
 )
 
 
-#: A well-formed Authenticator wire form.
-_AUTH = ("W.auth", "a", 1, 1.0, "h", b"sig")
+# ---------------------------------------------------------------- helpers
 
-#: The tags of the classes the push plane ships.
-_PUSHED = {"W.entry": LogEntry, "W.resp": RetrieveResponse,
-           "W.wack": WireAck}
+class _Id(tuple):
+    """A hand-built persistent id: its members may be table objects."""
 
 
-def _only_builtins(wire):
-    if wire is None or isinstance(wire, (bool, int, float, str, bytes)):
-        return True
-    if isinstance(wire, tuple):
-        return all(_only_builtins(v) for v in wire)
-    return False
+def _payload(obj):
+    """*obj* pickled as a frame pickles it, each :class:`_Id` in it
+    handed to ``persistent_load`` as the tuple it holds."""
+    out = io.BytesIO()
+
+    def persistent_id(value):
+        if type(value) is _Id:
+            return tuple(value)
+        if type(value) in FIELDS:
+            tag, fields = FIELDS[type(value)]
+            return (tag,) + fields(value)
+        return None
+
+    pickler = pickle.Pickler(out, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump(obj)
+    return out.getvalue()
 
 
-class TestValueCodec:
-    @settings(max_examples=120, deadline=None)
-    @given(values)
-    def test_round_trip_is_identity_on_the_wire(self, value):
-        wire = value_to_wire(value)
-        assert _only_builtins(wire)
-        assert pickle.loads(pickle.dumps(wire)) == wire
-        decoded = value_from_wire(wire)
-        assert value_to_wire(decoded) == wire
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(tups, msgs))
-    def test_decoded_value_objects_compare_equal(self, value):
-        decoded = value_from_wire(value_to_wire(value))
-        assert decoded == value
-        assert hash(decoded) == hash(value)
-
-    def test_rejects_unencodable_values(self):
-        for bad in (lambda: None, object(), type("X", (), {})()):
-            with pytest.raises(WireError):
-                value_to_wire(bad)
-
-    def test_rejects_unknown_wire_forms(self):
-        with pytest.raises(WireError):
-            value_from_wire(("W.nonsense", 1))
-        with pytest.raises(WireError):
-            value_from_wire(object())
-
-    @pytest.mark.parametrize("wire", [
-        # wrong arity: every fixed-shape tag, too short and too long
-        ("W.tup", 1), ("W.tup", "r", "n", (), "extra"),
-        ("W.msg",), ("W.msg", "+", ("W.tup", "r", "n", ()), "a", "b", 1),
-        ("W.ack", "a", "b"), ("W.auth", 1, 2), ("W.floor", "n", 1),
-        ("W.der", "R1"),
-        # wrong shape: a scalar where a sequence of members belongs
-        ("W.t", 5), ("W.l", None), ("W.set", 7), ("W.fset", 1.5),
-        ("W.d", 5), ("W.d", (1, 2)), ("W.d", (("k",),)),
-        ("W.tup", "r", "n", 5), ("W.ack", "a", "b", 9, 0.0),
-        ("W.der", "R1", 3), ("W.t",), ("W.d",),
-        # unhashable member where a hashable one is required
-        ("W.d", ((("W.l", ()), 1),)), ("W.set", (("W.l", ()),)),
-        ("W.fset", (("W.d", ()),)),
-        # malformed forms nested inside well-formed ones
-        ("W.l", (("W.t", (("W.auth", 1, 2),)),)),
-        ("W.d", (("k", ("W.tup", 1)),)),
-        # the pushed classes: wrong arity, then each checked field
-        ("W.entry", 1, 0.0, "ins"), ("W.resp", "a"), ("W.wack", "a", "b"),
-        ("W.entry", "1", 0.0, "ins", ("W.t", ()), "c", "h", ("W.d", ())),
-        ("W.entry", 1, 0.0, "ins", ("W.t", ()), "c", "h", ("W.l", ())),
-        ("W.resp", "a", ("W.l", ("entry",)), 1, "h", _AUTH, None, False),
-        ("W.resp", "a", ("W.t", ()), 1, "h", _AUTH, None, False),
-        ("W.resp", "a", ("W.l", ()), 1.0, "h", _AUTH, None, False),
-        ("W.resp", "a", ("W.l", ()), 1, "h", None, None, False),
-        ("W.resp", "a", ("W.l", ()), 1, "h", _AUTH, "chk", False),
-        ("W.wack", "a", "b", _AUTH, ("W.l", ()), ("W.l", ()), 1, "h",
-         _AUTH, ("W.l", ()), "extra"),
-        ("W.auth", "a", 1, 1.0, "h", 10 ** 12),
-        ("W.floor", "a", "1", 1.0, b"sig"),
-        # nesting deeper than the decoder's stack
-        pytest.param(functools.reduce(
-            lambda wire, _: ("W.l", (wire,)), range(5000), 1),
-            id="nested-5000-deep"),
-        # not a wire form at all
-        ("W.nonsense", 1), (), ((),), [1, 2], {"k": 1},
-        # (an explicit id: repr() of a bare object embeds its address,
-        # which would rename the test on every run)
-        pytest.param(object(), id="object()"),
-    ], ids=repr)
-    def test_malformed_forms_raise_wire_error(self, wire):
-        """The decoder faces bytes from outside the program (a pusher's
-        app spec): whatever the encoder cannot have produced must raise
-        WireError — never a bare ValueError/TypeError."""
-        with pytest.raises(WireError):
-            value_from_wire(wire)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(sorted(_PUSHED)), st.lists(st.one_of(
-        atoms, st.just(_AUTH), st.just(("W.l", ())), st.just(("W.d", ())),
-        st.just(("W.t", ()))), max_size=10))
-    def test_pushed_tags_build_their_class_or_raise_wire_error(
-            self, tag, fields):
-        try:
-            value = value_from_wire((tag, *fields))
-        except WireError:
-            return
-        assert type(value) is _PUSHED[tag]
-
-    def test_encoding_snapshots_mutable_containers(self):
-        store = {"h": "text"}
-        wire = value_to_wire(store)
-        store["h2"] = "later"
-        assert value_from_wire(wire) == {"h": "text"}
+def _decode(frame):
+    """*frame*, then an honest one, through one decoder: the decoder and
+    what *frame* decoded to (``[]`` when it was counted corrupt)."""
+    honest = {"tup": Tup("link", "a", "b", 3)}
+    dec = FrameDecoder()
+    out = dec.feed(frame + encode_frame(honest))
+    assert out[-1] == honest
+    assert dec.frames_decoded + dec.corrupt_frames == 2
+    assert dec.pending_bytes() == 0
+    return dec, out[:-1]
 
 
-class TestConstructorPickling:
-    """Tup/Msg memoize their hash; pickling must rebuild via __init__ so
-    the hash is recomputed in the unpickling process."""
-
-    def test_tup_reduce_goes_through_init(self):
-        tup = Tup("link", "a", "b", 3)
-        fn, args = tup.__reduce__()
-        assert fn is Tup and args == ("link", "a", "b", 3)
-        clone = pickle.loads(pickle.dumps(tup))
-        assert clone == tup and hash(clone) == hash(tup)
-        assert {tup: 1}[clone] == 1
-
-    def test_msg_reduce_goes_through_init(self):
-        msg = Msg("+", Tup("r", "a"), "a", "b", 7, 1.25)
-        fn, _args = msg.__reduce__()
-        assert fn is Msg
-        clone = pickle.loads(pickle.dumps(msg))
-        assert clone == msg and hash(clone) == hash(msg)
-
-    def test_other_value_classes_pickle_through_their_table_builder(self):
-        auth = Authenticator("a", 3, 1.5, "h", b"sig")
-        build, fields = auth.__reduce__()
-        assert build is BUILDERS["W.auth"]
-        assert fields == ("a", 3, 1.5, "h", b"sig")
-        clone = pickle.loads(pickle.dumps(auth))
-        assert value_to_wire(clone) == value_to_wire(auth)
-        # the builder's checks hold on any pickle too
-        auth.index = "3"
-        with pytest.raises(WireError):
-            pickle.loads(pickle.dumps(auth))
-
-    def test_build_cannot_patch_a_value_object(self):
-        with pytest.raises(TypeError, match="never patched"):
-            Tup("r", "a").__setstate__((None, {"_hash": 5}))
-
-    def test_tup_canonical_key_survives(self):
-        tup = Tup("r", "a", 1)
-        clone = pickle.loads(pickle.dumps(tup))
-        assert clone.canonical_key() == tup.canonical_key()
+def _cross(value):
+    (back,) = FrameDecoder().feed(encode_frame(value))
+    return back
 
 
-# --------------------------------------------------- composite wire forms
+def _plain(value):
+    """*value* as plain data, each table object as the ``(tag, *fields)``
+    a frame's persistent id carries, walked down to builtins."""
+    row = FIELDS.get(type(value))
+    if row is not None:
+        tag, fields = row
+        return (tag, *map(_plain, fields(value)))
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def _honest():
+    """One honest instance of every row of the table, by tag."""
+    tup = Tup("link", "a", "b", 3)
+    msg = Msg("+", tup, "a", "b", 0, 0.5)
+    auth = Authenticator("a", 1, 1.0, "h", b"sig")
+    entry = LogEntry(1, 0.0, "ins", tup.canonical(), "c", "h", {"tup": tup})
+    return {
+        "W.tup": tup, "W.msg": msg, "W.ack": Ack("b", "a", [msg], 1.5),
+        "W.auth": auth, "W.floor": RetentionFloor("a", 1, 1.0, b"sig"),
+        "W.der": DerivationInstance("R1", (tup,)), "W.entry": entry,
+        "W.resp": RetrieveResponse("a", [entry], 1, "h", auth, None, False),
+        "W.wack": WireAck("b", "a", auth, [(msg.msg_id(), 1, 1.0)], [], 1,
+                          "h", auth, [msg]),
+    }
+
+
+_TAGS = [row[1] for row in VALUE_CLASSES]
 
 
 def _network(seed=7):
@@ -234,39 +159,70 @@ def _network(seed=7):
     return dep, nodes
 
 
-class TestResponseWire:
-    def test_sanitized_response_round_trips_and_reverifies(self):
+# ------------------------------------------------------------ round trips
+
+class TestFrameRoundTrip:
+    @settings(max_examples=120, deadline=None)
+    @given(values)
+    def test_any_nesting_of_builtins_and_value_objects_round_trips(
+            self, value):
+        assert _plain(_cross(value)) == _plain(value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(tups, msgs))
+    def test_decoded_value_objects_compare_equal(self, value):
+        decoded = _cross(value)
+        assert decoded == value
+        assert hash(decoded) == hash(value)
+
+    def test_a_decoded_tup_is_a_working_key(self):
+        tup = Tup("r", "a", 1)
+        clone = _cross(tup)
+        assert clone is not tup
+        assert {tup: 1}[clone] == 1
+        assert clone.canonical_key() == tup.canonical_key()
+
+    def test_a_value_a_frame_cannot_carry_is_a_framing_error(self):
+        for bad in (lambda: None, type("Local", (), {})(),
+                    (n for n in range(3))):
+            with pytest.raises(FramingError):
+                encode_frame({"value": bad})
+
+    def test_an_object_of_no_table_class_does_not_cross(self):
+        """A picklable object of a class the table does not list is
+        pickled by name, and a frame resolves no name."""
+        dec, out = _decode(encode_frame({"value": object()}))
+        assert out == []
+        assert (dec.corrupt_frames, dec.refused_globals) == (1, 1)
+
+    def test_encoding_snapshots_mutable_containers(self):
+        store = {"h": "text"}
+        frame = encode_frame(store)
+        store["h2"] = "later"
+        assert FrameDecoder().feed(frame) == [{"h": "text"}]
+
+    def test_a_response_re_verifies_after_a_frame(self):
         dep, _nodes = _network()
         response = dep.node("a").retrieve()
-        original_hashes = verify_segment_hashes(
+        original = verify_segment_hashes(
             response, encode_contents(response.entries))
-        clone = pickle.loads(pickle.dumps(sanitize_response(response)))
-        assert clone.node == response.node
-        assert clone.start_index == response.start_index
-        assert clone.start_hash == response.start_hash
-        assert len(clone.entries) == len(response.entries)
+        clone = _cross(response)
+        assert (clone.node, clone.start_index, clone.start_hash) \
+            == (response.node, response.start_index, response.start_hash)
+        assert [e.entry_hash for e in clone.entries] \
+            == [e.entry_hash for e in response.entries]
         assert verify_segment_hashes(
-            clone, encode_contents(clone.entries)) == original_hashes
+            clone, encode_contents(clone.entries)) == original
         assert clone.head_auth.signature == response.head_auth.signature
 
-    def test_sanitize_strips_only_non_wire_aux(self):
-        dep, _nodes = _network()
-        response = dep.node("a").retrieve()
-        sanitized = sanitize_response(response)
-        for old, new in zip(response.entries, sanitized.entries):
-            assert set(new.aux) <= set(old.aux)
-            assert "batch" not in new.aux
-            for key in ("tup", "msg", "batch_auth", "wire_ack"):
-                assert (key in new.aux) == (key in old.aux)
-
-    def test_checkpointed_response_round_trips(self):
+    def test_a_checkpointed_response_round_trips(self):
         dep, nodes = _network()
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "q", 3))
         dep.run()
         response = dep.node("a").retrieve(from_checkpoint=True)
         assert response.checkpoint is not None
-        clone = pickle.loads(pickle.dumps(sanitize_response(response)))
+        clone = _cross(response)
         assert clone.checkpoint.aux["snapshot"].keys() \
             == response.checkpoint.aux["snapshot"].keys()
         assert verify_segment_hashes(clone, encode_contents(clone.entries)) \
@@ -274,19 +230,142 @@ class TestResponseWire:
                                      encode_contents(response.entries))
 
 
+# ------------------------------------------------------------ the builders
+
+#: A pushed row's id with a field its builder checks gone wrong.
+UNCHECKED_FIELDS = {
+    "Authenticator index a str": ("W.auth", "a", "1", 1.0, "h", b"sig"),
+    "Authenticator index a float": ("W.auth", "a", 1.0, 1.0, "h", b"sig"),
+    "Authenticator signature an int": ("W.auth", "a", 1, 1.0, "h", 10 ** 12),
+    "Authenticator signature a str": ("W.auth", "a", 1, 1.0, "h", "sig"),
+    "RetentionFloor index a str": ("W.floor", "a", "1", 1.0, b"sig"),
+    "RetentionFloor signature None": ("W.floor", "a", 1, 1.0, None),
+    "LogEntry index a str": ("W.entry", "1", 0.0, "ins", (), "c", "h", {}),
+    "LogEntry aux a list": ("W.entry", 1, 0.0, "ins", (), "c", "h", []),
+    "LogEntry aux pairs": (
+        "W.entry", 1, 0.0, "ins", (), "c", "h", (("tup", 1),)),
+    "LogEntry aux None": ("W.entry", 1, 0.0, "ins", (), "c", "h", None),
+    "response entries a tuple": (
+        "W.resp", "a", (), 1, "h", "W.auth", None, False),
+    "response entries not LogEntries": (
+        "W.resp", "a", ["entry"], 1, "h", "W.auth", None, False),
+    "response start a float": (
+        "W.resp", "a", [], 1.0, "h", "W.auth", None, False),
+    "response head auth None": (
+        "W.resp", "a", [], 1, "h", None, None, False),
+    "response head auth a floor": (
+        "W.resp", "a", [], 1, "h", "W.floor", None, False),
+    "response checkpoint a str": (
+        "W.resp", "a", [], 1, "h", "W.auth", "chk", False),
+    "response checkpoint an Authenticator": (
+        "W.resp", "a", [], 1, "h", "W.auth", "W.auth", False),
+}
+
+
+class TestValueTable:
+    def test_every_row_has_a_distinct_tag_and_a_builder(self):
+        assert len(set(_TAGS)) == len(VALUE_CLASSES) == len(BUILDERS)
+        assert sorted(_honest()) == sorted(_TAGS)
+        for cls, tag, _fields, _build in VALUE_CLASSES:
+            assert FIELDS[cls][0] == tag
+            assert type(_honest()[tag]) is cls
+
+    @pytest.mark.parametrize("name", sorted(UNCHECKED_FIELDS))
+    def test_a_builder_refuses_a_field_used_unchecked(self, name):
+        """Outside bytes must not reach the daemon or the build step as a
+        field they index, sign-check or iterate without looking: the
+        builder raises ``WireError``, and the frame is corrupt once."""
+        honest = _honest()
+        tag, *fields = UNCHECKED_FIELDS[name]
+        # a field naming a tag stands for that row's honest instance
+        fields = [honest[f] if isinstance(f, str) and f in honest else f
+                  for f in fields]
+        with pytest.raises(WireError, match="malformed wire form"):
+            BUILDERS[tag](*fields)
+        dec, out = _decode(frame_payload(_payload(_Id((tag, *fields)))))
+        assert out == [] and dec.corrupt_frames == 1
+
+    @pytest.mark.parametrize("arity", ["exact", "one short", "one long"])
+    @pytest.mark.parametrize("tag", _TAGS)
+    def test_an_id_of_the_wrong_arity_costs_its_frame(self, tag, arity):
+        value = _honest()[tag]
+        fields = list(FIELDS[type(value)][1](value))
+        if arity == "one short":
+            fields.pop()
+        elif arity == "one long":
+            fields.append("extra")
+        dec, out = _decode(frame_payload(_payload(_Id((tag, *fields)))))
+        if arity == "exact":
+            (back,) = out
+            assert type(back) is type(value)
+            assert _plain(back) == _plain(value)
+        else:
+            assert out == [] and dec.corrupt_frames == 1
+        assert dec.refused_globals == 0
+
+    @pytest.mark.parametrize("tag", ["W.t", "W.l", "W.d", "W.set", "W.fset"])
+    def test_a_container_tag_builds_nothing(self, tag):
+        """Containers cross as pickle's own opcodes; a tag the table does
+        not list is no persistent id."""
+        assert tag not in BUILDERS
+        dec, out = _decode(frame_payload(_payload(_Id((tag, ())))))
+        assert out == [] and dec.corrupt_frames == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["W.entry", "W.resp", "W.wack"]), st.lists(
+        st.one_of(atoms, st.sampled_from(["W.auth", "W.entry"]),
+                  st.just([]), st.just({}), st.just(())), max_size=10))
+    def test_pushed_tags_build_their_class_or_cost_their_frame(
+            self, tag, fields):
+        honest = _honest()
+        fields = [honest[f] if f in ("W.auth", "W.entry") else f
+                  for f in fields]
+        dec, out = _decode(frame_payload(_payload(_Id((tag, *fields)))))
+        if out:
+            (back,) = out
+            assert type(back) is type(honest[tag])
+        else:
+            assert dec.corrupt_frames == 1
+
+    def test_a_changed_field_is_checked_again_on_the_far_side(self):
+        """A frame carries fields, not a verdict: an object whose field
+        was changed after it was built is judged by the builder again."""
+        auth = Authenticator("a", 3, 1.5, "h", b"sig")
+        back = _cross(auth)
+        assert type(back) is Authenticator and _plain(back) == _plain(auth)
+        auth.index = "3"
+        dec, out = _decode(encode_frame(auth))
+        assert out == [] and dec.corrupt_frames == 1
+
+
+# ------------------------------------------------------------------ specs
+
 class TestSpecs:
     def test_app_factory_spec_resolves_through_registry(self):
         factory = mincost_factory()
         assert isinstance(factory, AppFactory)
-        spec = factory.wire_spec()
-        assert _only_builtins(value_to_wire(spec))
-        rebuilt = factory_from_spec(spec)
-        machine = rebuilt("n1")
+        (spec,) = FrameDecoder().feed(encode_frame(factory.wire_spec()))
+        assert spec == ("mincost", factory.kwargs)
+        machine = factory_from_spec(spec)("n1")
         assert machine.handle_insert(link("n1", "n2", 1), 0.0) is not None
 
+    def test_the_frame_snapshots_mutable_kwargs_when_encoded(self):
+        content = {"h": "text"}
+        frame = encode_frame(AppFactory("mapreduce", content=content)
+                             .wire_spec())
+        content["h2"] = "later"
+        (spec,) = FrameDecoder().feed(frame)
+        assert spec == ("mapreduce", {"content": {"h": "text"}})
+
     @pytest.mark.parametrize("spec", [
-        None, 5, ("mincost",), ("mincost", ("W.d", ()), "extra"), "abc",
-        ("mincost", ("W.d", 5)),
+        None, 5, "abc", ("mincost",), ("mincost", {}, "extra"),
+        # kwargs that are not a dict
+        ("mincost", None), ("mincost", ("W.d", ())),
+        ("mincost", [("max_cost", 3)]), ("mincost", "max_cost"),
+        # a dict the builder cannot take
+        ("mincost", {1: 2}), ("mincost", {"no_such_kwarg": 1}),
+        # a name that cannot be looked up
+        (["mincost"], {}),
     ], ids=repr)
     def test_malformed_spec_raises_wire_error(self, spec):
         with pytest.raises(WireError):
@@ -294,4 +373,9 @@ class TestSpecs:
 
     def test_unknown_spec_name_is_rejected(self):
         with pytest.raises(WireError, match="no application builder"):
-            factory_from_spec(("no-such-app", value_to_wire({})))
+            factory_from_spec(("no-such-app", {}))
+
+
+def test_build_cannot_patch_a_value_object():
+    with pytest.raises(TypeError, match="never patched"):
+        Tup("r", "a").__setstate__((None, {"_hash": 5}))
