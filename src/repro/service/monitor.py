@@ -9,7 +9,8 @@ same retrieve/evidence API a live :class:`~repro.snp.deployment.Deployment`
 does, the unmodified verification pipeline — chain hashes, replay,
 consistency checks, retention faults — runs against pushed data and
 reaches verdicts *bit-identical* to a direct in-process audit of the
-same run (the service e2e gate).
+same run (the service e2e gate). A node's pushed log is held as one
+:class:`~repro.snp.snoopy.LogCopy`, trimmed at sanctioned GC floors.
 
 Service-under-load behavior, in degradation order:
 
@@ -47,10 +48,7 @@ from repro.service.framing import (
 from repro.snp.deployment import EvidenceDirectory, Maintainer
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.query import QueryError, QueryProcessor
-from repro.snp.snoopy import (
-    RetrieveResponse, SNooPyNode, merge_mirror_responses,
-    response_can_seed_rebuild, suffix_of_response,
-)
+from repro.snp.snoopy import LogCopy, RetrieveResponse, SNooPyNode
 from repro.snp.wire import WireError
 
 
@@ -70,20 +68,21 @@ def _responses_conflict(a, b):
 class MonitorNodeProxy:
     """The daemon's stand-in for one pushed node.
 
-    It stores **two** responses: ``merged``, the contiguous
-    rebuild-seeding copy grown by :func:`merge_mirror_responses` (what
-    cold builds replay), and ``latest``, the node's most recent push
-    *verbatim* — kept even when the merge rejected it. The distinction is
-    what makes daemon-side audits convict exactly like direct ones: a
-    forked node's push fails to splice (its ``start_hash`` contradicts
-    the stored chain), and serving that rejected response to the querier
-    hands it precisely the evidence a direct ``retrieve`` would have —
-    the merge must never launder a fork into silence.
+    It stores **two** things: ``merged``, the node's
+    :class:`~repro.snp.snoopy.LogCopy` (what cold builds replay, trimmed
+    at sanctioned GC floors like a replica's mirror), and ``latest``, the
+    node's most recent push *verbatim* — kept even when the copy refused
+    it. The distinction is what makes daemon-side audits convict exactly
+    like direct ones: a forked node's push fails to splice (its
+    ``start_hash`` contradicts the stored chain), and serving that
+    refused response to the querier hands it precisely the evidence a
+    direct ``retrieve`` would have — the copy must never launder a fork
+    into silence.
     """
 
     def __init__(self, node_id):
         self.node_id = node_id
-        self.merged = None
+        self.merged = LogCopy(node_id)
         self.latest = None
         # peer -> [Authenticator]: evidence this node holds about others,
         # append-only (the pusher ships cursored deltas).
@@ -96,16 +95,14 @@ class MonitorNodeProxy:
         ack reports (what the next delta should anchor on)."""
         if response is not None:
             self.latest = response
-            merged = merge_mirror_responses(self.merged, response)
-            if merged is not None:
-                self.merged = merged
+            self.merged.store(response)
         return self.stored_head()
 
     def ingest_auths(self, peer, auths):
         self.received_auths.setdefault(peer, []).extend(auths)
 
     def stored_head(self):
-        return 0 if self.merged is None else self.merged.head_index
+        return self.merged.head_index
 
     # ----------------------------------------------------- querier-facing
 
@@ -121,8 +118,7 @@ class MonitorNodeProxy:
         querier's verification (or its harvested old authenticators)
         convict — exactly the evidence path of a direct audit.
         """
-        merged, latest = self.merged, self.latest
-        if merged is None and latest is None:
+        if self.latest is None:
             return None
         if since_index is not None:
             response = self._retrieve_delta(since_index)
@@ -138,12 +134,11 @@ class MonitorNodeProxy:
         # Freshest first: a push that extends past h and can anchor there
         # serves the delta even before it is mergeable (e.g. a re-push
         # overlapping a lost ack).
-        for source in (latest, merged):
-            if source is None:
-                continue
-            if source.hash_at(h) is not None and source.head_index > h:
-                return suffix_of_response(source, h)
-        if merged is None or merged.head_index != h:
+        if latest.hash_at(h) is not None and latest.head_index > h:
+            return latest.suffix(h)
+        if merged.hash_at(h) is not None and merged.head_index > h:
+            return merged.serve(h)
+        if not merged or merged.head_index != h:
             return None
         # The auditor is at the stored head. If the node's last push
         # contradicts the stored chain (a fork or recomputed tampering),
@@ -151,7 +146,7 @@ class MonitorNodeProxy:
         # other shape triggers the querier's full-verify fallback — both
         # convict. A push that merely *agrees* with what is stored (a
         # redundant re-push) is old news, not a contradiction.
-        if latest is not None and _responses_conflict(latest, merged):
+        if _responses_conflict(latest, merged):
             return latest
         # Nothing new: confirm the head with the stored authenticator,
         # as the origin's empty delta response would.
@@ -164,20 +159,17 @@ class MonitorNodeProxy:
     def _retrieve_full(self):
         """A response that can seed a full verify+replay."""
         merged, latest = self.merged, self.latest
-        if latest is None:
-            return merged
-        if merged is None:
+        if not merged:
             return latest
         if _responses_conflict(latest, merged):
             # The node's current claim contradicts stored history; serve
             # the claim when it could seed a build (the querier's
             # consistency check then convicts the equivocation against
             # harvested old authenticators), else the stored copy.
-            return latest if response_can_seed_rebuild(latest) else merged
-        if response_can_seed_rebuild(latest) \
-                and latest.head_index > merged.head_index:
+            return latest if latest.seeds_rebuild else merged.serve()
+        if latest.seeds_rebuild and latest.head_index > merged.head_index:
             return latest
-        return merged
+        return merged.serve()
 
 
 def _is_int(value):
@@ -306,6 +298,11 @@ class MonitorState(EvidenceDirectory):
             self.maintainer.retention_faults.append(fault)
             self._fault_count += 1
         self.retention_floors.update(msg.get("floors", {}))
+        # The stored copies follow sanctioned floors, as replicas do.
+        for node_id, proxy in self.nodes.items():
+            floor = self.sanctioned_floor(node_id)
+            if floor is not None:
+                proxy.merged.trim(floor)
         self.last_push_seq = msg["seq"]
         return heads
 

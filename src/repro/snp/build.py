@@ -211,8 +211,10 @@ def _verify_response(job, deployment, evidence, stats, verified):
                 "— the replay seed and the suffix belong to different "
                 "prefixes",
             )
-    if floor and job.floor_strict and not response.from_mirror:
-        # The anchor claim is start_index - 1; a lie about it cannot
+    if floor and job.floor_strict and not job.from_mirror:
+        # A replica is exempt (a shallow mirror is no evidence against the
+        # origin); the job, never the response, says who answered. The
+        # anchor claim is start_index - 1; a lie about it cannot
         # evade conviction: the chain recomputation from the claimed
         # start_hash up to the *signed* head authenticator fails unless
         # the anchor is genuine.

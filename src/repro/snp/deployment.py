@@ -11,9 +11,7 @@ hidden state.
 from repro.crypto.keys import CertificateAuthority, CryptoCounter, NodeIdentity
 from repro.metrics import RetentionMeter, TrafficMeter
 from repro.net.simulator import Simulator
-from repro.snp.snoopy import (
-    SNooPyNode, merge_mirror_responses, truncate_response_below,
-)
+from repro.snp.snoopy import LogCopy, SNooPyNode
 from repro.util.errors import ConfigurationError
 
 
@@ -118,6 +116,15 @@ class EvidenceDirectory:
         never advertised) — what queriers hold truncation against."""
         advert = self.retention_floors.get(node)
         return advert.floor_index if advert is not None else 0
+
+    def sanctioned_floor(self, node):
+        """The floor *node* advertised, or None when it never advertised
+        or stands convicted by the retention handshake: the only
+        truncation depth a stored copy of its log follows."""
+        advert = self.retention_floors.get(node)
+        if advert is None or self.retention_fault_of(node) is not None:
+            return None
+        return advert.floor_index
 
     def retention_fault_of(self, node):
         return self.maintainer.retention_fault_of(node)
@@ -333,7 +340,7 @@ class Deployment(EvidenceDirectory):
         A replica with no copy yet gets the full log; one that already
         mirrors a prefix is asked only for the entries past its stored
         head (``retrieve(since_index=)``), spliced onto the stored copy
-        (:func:`~repro.snp.snoopy.merge_mirror_responses`). Run on
+        (:meth:`~repro.snp.snoopy.LogCopy.store`). Run on
         a cadence (see :meth:`enable_replication`) this keeps every
         replica set fresh, so ``find_mirror(since_index=)`` can serve
         view *refreshes* for an origin that has since crashed — not just
@@ -342,7 +349,7 @@ class Deployment(EvidenceDirectory):
         When the origin's log was GC'd past the stored copy (it answers
         the delta request with a checkpoint-anchored fallback), the
         replica follows only *sanctioned* floors: if the fallback anchors
-        exactly at the origin's unconvicted advertised floor, the stale
+        exactly at the origin's :meth:`sanctioned_floor`, the stale
         copy is re-seeded from it; anything else (an unsanctioned or
         convicted truncation) leaves the stored — possibly fuller — copy
         in place, so a self-truncated origin cannot launder evidence out
@@ -360,39 +367,31 @@ class Deployment(EvidenceDirectory):
                 replica = self.nodes[names[(index + step) % len(names)]]
                 if replica.node_id == name:
                     continue
-                current = replica.mirror_of(name)
-                if current is None:
+                copy = replica.mirror_of(name)
+                if copy is None:
                     response = node.retrieve()
                 else:
-                    stored_head = current.head_index
+                    stored_head = copy.head_index
                     response = node.retrieve(since_index=stored_head)
                     if response is not None and not response.entries:
                         continue  # nothing appended since the last push
                     if response is not None \
                             and response.start_index != stored_head + 1 \
-                            and self._floor_sanctioned_at(
-                                name, response.start_index - 1):
+                            and self.sanctioned_floor(name) \
+                            == response.start_index - 1:
                         # GC'd past the stored copy, at a sanctioned
                         # floor: re-seed rather than freeze forever.
-                        current = None
+                        copy = None
                 if response is None:
                     continue
-                merged = merge_mirror_responses(current, response)
-                if merged is None:
+                if copy is None:
+                    copy = LogCopy(name)
+                if not copy.store(response):
                     continue  # nothing stored: no bytes moved
                 self._charge_replication(name, response)
-                replica.mirror_store[name] = merged
+                replica.mirror_store[name] = copy
                 pushes += 1
         return pushes
-
-    def _floor_sanctioned_at(self, origin, anchor):
-        """Whether *anchor* is exactly the unconvicted retention floor
-        *origin* advertised — the only truncation depth honest replicas
-        follow."""
-        advert = self.retention_floors.get(origin)
-        return (advert is not None
-                and advert.floor_index == anchor
-                and self.maintainer.retention_fault_of(origin) is None)
 
     def enable_replication(self, interval_seconds, replication_factor=2):
         """Install a standing delta-replication cadence.
@@ -470,7 +469,6 @@ class Deployment(EvidenceDirectory):
         meter = self.gc_meter
         meter.gc_passes += 1
         reclaimed_before = meter.total_bytes_reclaimed()
-        sanctioned = {}
         for name in sorted(self.nodes, key=str):
             node = self.nodes[name]
             mark = marks.get(name)
@@ -496,28 +494,16 @@ class Deployment(EvidenceDirectory):
                 # Unsanctioned: the Byzantine node may still truncate
                 # itself below, but honest replicas keep their copies.
                 continue
-            sanctioned[name] = advert.floor_index
             discarded_before = node.log.discarded_entries
             meter.log_bytes_reclaimed += node.gc_truncate()
             meter.entries_discarded += \
                 node.log.discarded_entries - discarded_before
         # Mirror copies participate in the same sanctioned floors.
         for holder in self.nodes.values():
-            for origin, stored in list(holder.mirror_store.items()):
-                floor = sanctioned.get(origin)
-                if floor is None:
-                    continue
-                trimmed = truncate_response_below(stored, floor)
-                if trimmed is not stored:
-                    # Entries strictly below the pivot checkpoint; the
-                    # pivot itself stays stored (as trimmed.checkpoint),
-                    # so it is not reclaimed — mirroring what
-                    # NodeLog.truncate_below counts.
-                    dropped = stored.entries[:floor - stored.start_index]
-                    meter.mirror_bytes_reclaimed += sum(
-                        e.size_bytes() for e in dropped
-                    )
-                    holder.mirror_store[origin] = trimmed
+            for origin, copy in holder.mirror_store.items():
+                floor = self.sanctioned_floor(origin)
+                if floor is not None:
+                    meter.mirror_bytes_reclaimed += copy.trim(floor)
         return meter.total_bytes_reclaimed() - reclaimed_before
 
     def enable_gc(self, interval_seconds, checkpoint=True):
@@ -538,11 +524,11 @@ class Deployment(EvidenceDirectory):
         self.remove_cadence("gc")
 
     def find_mirror(self, origin, since_index=None):
-        """Best (longest) mirror of *origin*'s log held by any node.
-
-        With *since_index*, the stored copy is sliced to the suffix after
-        that entry (delta retrieval served from a replica); ``None`` means
-        no replica extends past the caller's verified head.
+        """The best (longest) mirror of *origin*'s log any node holds,
+        served (:meth:`~repro.snp.snoopy.LogCopy.serve`): all of it, or
+        with *since_index* the suffix after that entry (delta retrieval
+        from a replica). ``None`` means no replica holds a copy, or none
+        extends past the caller's verified head.
         """
         best = None
         for node in self.nodes.values():
@@ -553,7 +539,4 @@ class Deployment(EvidenceDirectory):
                     best is None
                     or mirror.head_auth.index > best.head_auth.index):
                 best = mirror
-        if best is None or since_index is None:
-            return best
-        from repro.snp.snoopy import suffix_of_response
-        return suffix_of_response(best, since_index)
+        return None if best is None else best.serve(since_index)

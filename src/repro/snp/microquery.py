@@ -292,8 +292,6 @@ class _BuildJob:
             response = mq.deployment.find_mirror(self.node,
                                                  since_index=since_index)
             from_mirror = response is not None
-            if from_mirror:
-                response.from_mirror = True
         if response is not None:
             self.encoded = mq._charge_fetch(response)
         return response, from_mirror

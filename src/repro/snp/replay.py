@@ -166,15 +166,12 @@ class ReplayResult:
     :func:`extend_replay` instead of rebuilding from entry 1.
     """
 
-    __slots__ = ("node", "graph", "events_replayed", "response", "failure",
-                 "gca")
+    __slots__ = ("node", "graph", "events_replayed", "failure", "gca")
 
-    def __init__(self, node, graph, events_replayed, response, failure=None,
-                 gca=None):
+    def __init__(self, node, graph, events_replayed, failure=None, gca=None):
         self.node = node
         self.graph = graph
         self.events_replayed = events_replayed
-        self.response = response
         self.failure = failure
         self.gca = gca
 
@@ -255,7 +252,7 @@ def replay_segment(node_id, response, app_factory, t_prop, stats,
         machine = gca.machine(node_id)
         machine.restore(chk.aux["snapshot"])
         gca.seed_node(node_id, chk.aux["extant"], chk.aux["believed"])
-    result = ReplayResult(node_id, gca.graph, 0, response, gca=gca)
+    result = ReplayResult(node_id, gca.graph, 0, gca=gca)
     _drive_gca(result, response.entries, stats)
     return result
 
@@ -286,4 +283,3 @@ def extend_replay(node_id, result, response, stats,
     # No snapshot is taken or restored anywhere on this path: the suffix
     # drives the retained machine exactly as a full re-replay would.
     _drive_gca(result, response.entries, stats)
-    result.response = response

@@ -15,6 +15,9 @@ A SNooPyNode wraps the node's deterministic primary-system state machine
   microquery module (Section 5.5). Byzantine subclasses in
   :mod:`repro.snp.adversary` override pieces of this machinery to lie,
   equivocate, tamper or stay silent.
+
+A :class:`LogCopy` is a stored copy of another node's log (a replica's
+mirror, the monitor daemon's copy of a pushed node).
 """
 
 from repro.model import Snd, WireValue
@@ -23,7 +26,7 @@ from repro.snp.commitment import (
     verify_ack, verify_batch,
 )
 from repro.snp.evidence import sign_authenticator
-from repro.snp.log import NodeLog, INS, DEL, SND, RCV, ACK
+from repro.snp.log import NodeLog, INS, DEL, SND, RCV, ACK, CHK
 from repro.util.errors import AuthenticationError
 
 
@@ -34,26 +37,35 @@ class RetrieveResponse(WireValue):
     the chain hash before the first returned entry, and ``head_auth`` a
     fresh authenticator covering the final entry, so the querier can verify
     the full range even when it extends beyond the evidence it supplied.
+    Who answered is the querier's own knowledge, not a field.
     """
 
     __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth",
-                 "checkpoint", "from_mirror")
+                 "checkpoint")
 
     def __init__(self, node, entries, start_index, start_hash, head_auth,
-                 checkpoint=None, from_mirror=False):
+                 checkpoint=None):
         self.node = node
         self.entries = entries
         self.start_index = start_index
         self.start_hash = start_hash
         self.head_auth = head_auth
         self.checkpoint = checkpoint
-        self.from_mirror = from_mirror
 
     @property
     def head_index(self):
         """Index of the last entry covered (the anchor index when the
         segment is empty)."""
         return self.start_index + len(self.entries) - 1
+
+    @property
+    def seeds_rebuild(self):
+        """Whether this segment could seed a full view rebuild on its own:
+        it starts at entry 1, or is anchored on the checkpoint it carries
+        (the shape checkpoint GC leaves behind). A bare suffix cannot."""
+        return self.start_index == 1 or (
+            self.checkpoint is not None
+            and self.checkpoint.index + 1 == self.start_index)
 
     def hash_at(self, index):
         """The chain hash of entry *index* as this response attests it,
@@ -65,127 +77,105 @@ class RetrieveResponse(WireValue):
             return self.entries[index - self.start_index].entry_hash
         return None
 
-
-def response_can_seed_rebuild(response):
-    """Whether a stored copy could seed a full view rebuild on its own:
-    either it starts at entry 1, or it is anchored on the checkpoint it
-    carries (the shape checkpoint GC leaves behind)."""
-    if response.start_index == 1:
-        return True
-    return (response.checkpoint is not None
-            and response.checkpoint.index + 1 == response.start_index)
-
-
-def merge_mirror_responses(current, response):
-    """Combine a stored mirror copy with a freshly pushed response.
-
-    Returns the response worth storing, or ``None`` to keep what is
-    already there. The rules keep every stored mirror a contiguous copy
-    that can seed a full rebuild — entry-1-anchored, or anchored on the
-    checkpoint it carries (the shape checkpoint GC leaves behind); a bare
-    suffix without either base could not:
-
-    * nothing stored yet → accept only a rebuild-seeding copy;
-    * the push continues the stored copy's chain (``start_index`` is one
-      past the stored head and ``start_hash`` matches the stored head
-      entry's hash) → splice it on, adopting the fresh head authenticator
-      (an empty continuation merely refreshes the authenticator —
-      ``Deployment.replicate_deltas`` skips such no-op pushes, but a
-      direct caller may use one to re-sign a stored head);
-    * a rebuild-seeding copy that covers *at least as far back* as the
-      stored one and whose signed head extends further → replace. A
-      push anchored above the stored base never replaces: an origin
-      that truncated itself below what the handshake sanctioned must
-      not be able to shrink an honest replica's evidence (mirror
-      retention is driven by ``Deployment.run_gc``'s sanctioned floors,
-      not by whatever the origin re-pushes);
-    * anything else (a non-contiguous suffix, a shorter copy) → keep the
-      stored one.
-
-    A lying pusher gains nothing: the spliced copy is verified end-to-end
-    by the querier exactly like a direct response.
-    """
-    if response is None:
-        return None
-    if current is None:
-        return response if response_can_seed_rebuild(response) else None
-    if response.start_index == current.head_index + 1:
-        if response.start_hash != current.hash_at(current.head_index):
-            return None  # does not continue the stored chain
+    def suffix(self, since_index=None):
+        """A fresh response of the entries after *since_index* (all of
+        them by default), anchored on that entry's chain hash as the
+        origin's ``hash_before`` would anchor it; ``None`` when nothing
+        follows. An index before the first entry cannot anchor, so it
+        gets everything, for the querier to verify from scratch."""
+        if since_index is not None and since_index >= self.head_index:
+            return None
+        checkpoint = None
+        if since_index is None or since_index < self.start_index:
+            since_index, checkpoint = self.start_index - 1, self.checkpoint
         return RetrieveResponse(
-            node=current.node,
-            entries=list(current.entries) + list(response.entries),
-            start_index=current.start_index,
-            start_hash=current.start_hash,
-            head_auth=response.head_auth,
-            checkpoint=current.checkpoint,
-            from_mirror=current.from_mirror,
-        )
-    if response_can_seed_rebuild(response) \
-            and response.start_index <= current.start_index \
-            and response.head_auth.index > current.head_auth.index:
-        return response
-    return None
+            self.node, self.entries[since_index + 1 - self.start_index:],
+            since_index + 1, self.hash_at(since_index), self.head_auth,
+            checkpoint)
 
 
-def truncate_response_below(response, floor):
-    """Checkpoint GC for a stored mirror copy: the sub-response of
-    *response* anchored on the CHK entry at *floor*.
+class LogCopy:
+    """A stored copy of another node's log: a replica's mirror (Section
+    5.8 suggests replicating each log so provenance survives a destroyed
+    node) or the monitor daemon's copy of a pushed node. It stays
+    contiguous and able to seed a full rebuild; :meth:`store` grows it,
+    :meth:`serve` answers a ``retrieve`` from it, :meth:`trim` follows a
+    sanctioned GC floor. A lying pusher gains nothing: what is served is
+    verified by the querier exactly like a direct response."""
 
-    Returns *response* unchanged when it cannot be truncated there — the
-    floor is at or below the copy's base, past its head, or the pivot
-    entry is not a replay-seeding checkpoint (a replica never discards
-    evidence it cannot prove replaceable).
-    """
-    first = response.start_index
-    if floor < first or floor > response.head_index:
-        return response
-    if response.checkpoint is not None and floor <= response.checkpoint.index:
-        return response
-    pivot = response.entries[floor - first]
-    from repro.snp.log import CHK
-    if pivot.entry_type != CHK or "snapshot" not in pivot.aux:
-        return response
-    return RetrieveResponse(
-        node=response.node,
-        entries=response.entries[floor - first + 1:],
-        start_index=floor + 1,
-        start_hash=pivot.entry_hash,
-        head_auth=response.head_auth,
-        checkpoint=pivot,
-        from_mirror=response.from_mirror,
-    )
+    __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth",
+                 "checkpoint")
 
+    head_index = RetrieveResponse.head_index
+    hash_at = RetrieveResponse.hash_at
 
-def suffix_of_response(response, since_index):
-    """The sub-response of *response* covering entries after *since_index*.
+    def __init__(self, node):
+        self.node = node
+        self.entries = []
+        self.start_index = 1
+        self.start_hash = None
+        self.head_auth = None
+        self.checkpoint = None
 
-    Used to serve delta retrieval out of a stored mirror copy: each entry
-    carries its chain hash, so the entry at *since_index* anchors the
-    continuation exactly as the origin's ``hash_before`` would. Returns
+    def __bool__(self):
+        """Whether anything is stored yet."""
+        return self.head_auth is not None
 
-    * ``None`` when the stored copy ends at or before *since_index*
-      (nothing new to serve);
-    * *response* unchanged when the copy starts after *since_index* and
-      therefore cannot anchor a continuation (the querier falls back to
-      full verification);
-    * otherwise a fresh response whose ``start_hash`` is the chain hash of
-      entry *since_index*.
-    """
-    first = response.start_index
-    if since_index >= response.head_index:
-        return None
-    if since_index < first:
-        return response
-    return RetrieveResponse(
-        node=response.node,
-        entries=response.entries[since_index - first + 1:],
-        start_index=since_index + 1,
-        start_hash=response.hash_at(since_index),
-        head_auth=response.head_auth,
-        checkpoint=None,
-        from_mirror=response.from_mirror,
-    )
+    def store(self, response):
+        """Absorb *response*; returns whether the copy changed.
+
+        * it continues the stored chain (starts one past the stored head,
+          on its hash) → splice it on in place, adopting its head
+          authenticator;
+        * it can seed a rebuild, reaches *at least as far back* and its
+          signed head further ahead (anything seeding, when nothing is
+          stored) → replace the copy. A response anchored above the
+          stored base never replaces: an origin that truncated itself
+          below its sanctioned floor must not shrink a holder's evidence;
+        * anything else (a gap, a broken chain, a shorter copy) → refuse.
+        """
+        if self and response.start_index == self.head_index + 1:
+            if response.start_hash != self.hash_at(self.head_index):
+                return False
+            self.entries.extend(response.entries)
+            self.head_auth = response.head_auth
+            return True
+        if not response.seeds_rebuild:
+            return False
+        if self and (response.start_index > self.start_index
+                     or response.head_auth.index <= self.head_auth.index):
+            return False
+        self.entries = list(response.entries)
+        self.start_index = response.start_index
+        self.start_hash = response.start_hash
+        self.head_auth = response.head_auth
+        self.checkpoint = response.checkpoint
+        return True
+
+    def serve(self, since_index=None):
+        """:meth:`RetrieveResponse.suffix` of the copy: a snapshot a
+        later splice does not grow (``None`` when nothing is stored)."""
+        return RetrieveResponse.suffix(self, since_index) if self else None
+
+    def trim(self, floor):
+        """Checkpoint GC: re-anchor the copy on the CHK entry at *floor*;
+        returns the bytes of the entries before it (the pivot stays, as
+        the checkpoint, and is not counted — as ``NodeLog.truncate_below``
+        counts). A floor outside the copy, at its base, or on no
+        replay-seeding checkpoint changes nothing: a holder never
+        discards evidence it cannot prove replaceable."""
+        offset = floor - self.start_index
+        if offset < 0 or floor > self.head_index:
+            return 0
+        pivot = self.entries[offset]
+        if pivot.entry_type != CHK or "snapshot" not in pivot.aux:
+            return 0
+        reclaimed = sum(e.size_bytes() for e in self.entries[:offset])
+        del self.entries[:offset + 1]
+        self.start_index = floor + 1
+        self.start_hash = pivot.entry_hash
+        self.checkpoint = pivot
+        return reclaimed
 
 
 class SNooPyNode:
@@ -209,7 +199,7 @@ class SNooPyNode:
         # destroyed provenance state by replicating each log): mirror
         # copies of *other* nodes' logs, kept with the authenticator that
         # makes them independently verifiable.
-        self.mirror_store = {}       # origin -> RetrieveResponse
+        self.mirror_store = {}       # origin -> LogCopy
         # The node's latest signed retention-floor advertisement (the
         # checkpoint-GC handshake; see advertise_retention_floor).
         self.advertised_floor = None
@@ -491,5 +481,5 @@ class SNooPyNode:
     # --------------------------------------------------- log replication
 
     def mirror_of(self, origin):
-        """The mirror this node holds for *origin*'s log, if any."""
+        """The :class:`LogCopy` this node holds of *origin*'s log, if any."""
         return self.mirror_store.get(origin)

@@ -55,8 +55,7 @@ def _entry(index, timestamp, entry_type, content, content_hash, entry_hash,
                     entry_hash, aux)
 
 
-def _response(node, entries, start_index, start_hash, head_auth, checkpoint,
-              from_mirror):
+def _response(node, entries, start_index, start_hash, head_auth, checkpoint):
     _require(type(entries) is list
              and all(isinstance(e, LogEntry) for e in entries)
              and isinstance(start_index, int)
@@ -65,7 +64,7 @@ def _response(node, entries, start_index, start_hash, head_auth, checkpoint,
              "a RetrieveResponse has LogEntries, an int start, a head auth")
     # A copy: the list the bytes built stays theirs to reach.
     return RetrieveResponse(node, list(entries), start_index, start_hash,
-                            head_auth, checkpoint, from_mirror)
+                            head_auth, checkpoint)
 
 
 #: ``(class, tag, fields, builder)`` for every class that bytes from
@@ -86,8 +85,8 @@ VALUE_CLASSES = (
     (LogEntry, "W.entry", ("index", "timestamp", "entry_type", "content",
                            "content_hash", "entry_hash", "aux"), _entry),
     (RetrieveResponse, "W.resp", ("node", "entries", "start_index",
-                                  "start_hash", "head_auth", "checkpoint",
-                                  "from_mirror"), _response),
+                                  "start_hash", "head_auth", "checkpoint"),
+     _response),
     (WireAck, "W.wack", ("src", "dst", "batch_auth", "rcv_metas", "gaps",
                          "start_index", "h_start", "auth", "msgs"), WireAck),
 )

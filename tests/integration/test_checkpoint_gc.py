@@ -26,6 +26,9 @@ from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FloorLiarNode, ForkingNode, OverTruncatingNode,
 )
+from repro.service import ServicePusher
+from repro.service.framing import FrameDecoder, encode_frame
+from repro.service.monitor import MonitorState
 from repro.snp.evidence import sign_authenticator, sign_retention_floor
 from repro.snp.microquery import OK, PROVEN_FAULTY, MicroQuerier
 from repro.util.errors import ConfigurationError
@@ -215,18 +218,41 @@ class TestSteadyState:
         assert sum(plain_bytes) >= 2 * sum(gc_bytes)
 
 
+class _MirrorClaimingTruncator(OverTruncatingNode):
+    """An over-truncator whose responses claim to come from a replica,
+    hoping for the querier's mirror exemption from the retention check.
+    A response has no such field: where it came from is the querier's
+    own knowledge."""
+
+    def retrieve(self, from_checkpoint=False, since_index=None):
+        response = super().retrieve(from_checkpoint, since_index)
+        try:
+            response.from_mirror = True
+        except AttributeError:
+            pass
+        return response
+
+
+def _over_truncated(node_cls):
+    """The over-truncation scenario: ``b`` advertises an honest floor,
+    then truncates below it. Returns the deployment, its nodes and the
+    standing auditor whose pre-GC views supply probes."""
+    dep, nodes = _net(seed=420, overrides={"b": node_cls})
+    qp = _standing_auditor(dep)
+    dep.checkpoint_all()               # the floor-eligible checkpoint
+    nodes["a"].insert(link("a", "z", 2))
+    dep.run()
+    qp.refresh()
+    dep.checkpoint_all()               # newer checkpoint, above marks
+    nodes["b"].insert(link("b", "y", 9))
+    dep.run()
+    dep.run_gc(checkpoint=False)
+    return dep, nodes, qp
+
+
 class TestAdversarialGc:
     def test_over_eager_truncator_convicted(self):
-        dep, nodes = _net(seed=420, overrides={"b": OverTruncatingNode})
-        qp = _standing_auditor(dep)
-        dep.checkpoint_all()               # the floor-eligible checkpoint
-        nodes["a"].insert(link("a", "z", 2))
-        dep.run()
-        qp.refresh()
-        dep.checkpoint_all()               # newer checkpoint, above marks
-        nodes["b"].insert(link("b", "y", 9))
-        dep.run()
-        dep.run_gc(checkpoint=False)
+        dep, nodes, qp = _over_truncated(OverTruncatingNode)
         advertised = dep.advertised_floor_of("b")
         assert nodes["b"].log.first_index > advertised, \
             "the adversary must actually truncate below its advertisement"
@@ -246,6 +272,26 @@ class TestAdversarialGc:
         )
         _resolved, color = cold.mq.resolve(probe)
         assert color == "red"
+
+    def test_a_response_cannot_claim_the_mirror_exemption(self):
+        dep, _nodes, _qp = _over_truncated(_MirrorClaimingTruncator)
+        with QueryProcessor(dep) as cold:
+            view = cold.mq.view_of("b")
+        assert view.status == PROVEN_FAULTY
+        assert "retention" in view.verdict_reason
+        # Through the daemon: the hello and one push, framed and decoded.
+        pusher = ServicePusher(dep, "127.0.0.1", 1)  # builds messages only
+        push, _cursors = pusher.build_push()
+        decoder = FrameDecoder()
+        state = MonitorState()
+        [hello] = decoder.feed(encode_frame(pusher.hello_message()))
+        state.ingest_hello(hello)
+        [push] = decoder.feed(encode_frame(push))
+        state.ingest_push(push)
+        with QueryProcessor(state) as cold:
+            view = cold.mq.view_of("b")
+        assert view.status == PROVEN_FAULTY
+        assert "retention" in view.verdict_reason
 
     def test_floor_liar_convicted_at_handshake(self):
         dep, nodes = _net(seed=421, overrides={"b": FloorLiarNode})
@@ -365,10 +411,14 @@ class TestRetentionHardening:
         pushed = node.retrieve()        # checkpoint-anchored, newer head
         assert pushed.checkpoint is not None
         assert pushed.head_auth.index > full_copy.head_auth.index
-        from repro.snp.snoopy import merge_mirror_responses
-        assert merge_mirror_responses(full_copy, pushed) is None
+        from repro.snp.snoopy import LogCopy
+        copy = LogCopy("a")
+        assert copy.store(full_copy)
+        assert not copy.store(pushed)
+        assert (copy.start_index, copy.head_auth) \
+            == (1, full_copy.head_auth)
         # A replica holding nothing still accepts it (it can seed).
-        assert merge_mirror_responses(None, pushed) is pushed
+        assert LogCopy("a").store(pushed)
 
     @staticmethod
     def _owing(dep, node_id, auth, floor):

@@ -19,7 +19,7 @@ from repro.snp.build import response_head
 from repro.snp.evidence import Authenticator
 from repro.snp.log import encode_contents
 from repro.snp.microquery import MicroQuerier
-from repro.snp.snoopy import suffix_of_response
+from repro.snp.snoopy import LogCopy
 from repro.snp.replay import check_against_authenticator, verify_segment_hashes
 from repro.util.errors import LogVerificationError
 
@@ -80,14 +80,24 @@ class TestDeltaRetrieve:
             "b", since_index=full.head_auth.index
         ) is None
 
-    def test_suffix_of_response_unanchorable_returns_original(self):
+    def test_log_copy_unanchorable_serves_the_whole_copy(self):
         dep, nodes = _grown_net()
         node = nodes["b"]
-        partial = node.retrieve(since_index=5)
-        # The stored copy starts at entry 6; it cannot anchor a
-        # continuation at entry 3, so the full copy is returned for the
-        # querier to verify from scratch.
-        assert suffix_of_response(partial, 3) is partial
+        dep.checkpoint_all()
+        nodes["a"].insert(link("a", "z", 2))
+        dep.run()
+        partial = node.retrieve(from_checkpoint=True)
+        assert partial.start_index > 4
+        copy = LogCopy("b")
+        assert copy.store(partial)
+        # The stored copy starts past entry 4; it cannot anchor a
+        # continuation at entry 3, so the whole copy is served for the
+        # querier to verify from scratch — as a fresh response.
+        served = copy.serve(3)
+        assert served is not partial and served.entries is not copy.entries
+        assert (served.start_index, served.start_hash, served.checkpoint,
+                served.entries) == (partial.start_index, partial.start_hash,
+                                    partial.checkpoint, partial.entries)
 
 
 # ---------------------------------------------------------- refresh: views

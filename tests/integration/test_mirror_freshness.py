@@ -1,7 +1,7 @@
 """Mirror freshness: delta replication keeps replica sets current.
 
 ``Deployment.replicate_deltas`` re-pushes each log's *suffix* to the
-replica set (spliced by ``merge_mirror_responses``); ``enable_replication``
+replica set (spliced by ``LogCopy.store``); ``enable_replication``
 installs a standing cadence so a running deployment keeps its replicas
 fresh without anyone calling replicate by hand — which is what lets
 ``find_mirror(since_index=)`` serve view *refreshes* for origins that
@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.snp import Deployment, QueryProcessor
-from repro.snp.snoopy import merge_mirror_responses
+from repro.snp.snoopy import LogCopy
 from repro.util.errors import ConfigurationError
 
 
@@ -66,12 +66,14 @@ class TestReplicateDeltas:
         assert dep.replicate_deltas() == 0
 
 
-class TestMergeMirrorResponses:
+class TestLogCopy:
     def test_bare_suffix_without_base_is_rejected(self):
         dep, _nodes = _net()
         suffix = dep.node("a").retrieve(since_index=2)
         assert suffix.start_index == 3
-        assert merge_mirror_responses(None, suffix) is None
+        copy = LogCopy("a")
+        assert not copy.store(suffix)
+        assert not copy and copy.serve() is None
 
     def test_non_contiguous_suffix_is_rejected(self):
         dep, _nodes = _net()
@@ -84,7 +86,10 @@ class TestMergeMirrorResponses:
         )
         gapped = dep.node("a").retrieve(since_index=3)
         assert gapped.start_index == 4
-        assert merge_mirror_responses(short, gapped) is None
+        copy = LogCopy("a")
+        assert copy.store(short)
+        assert not copy.store(gapped)
+        assert copy.head_index == 2
 
     def test_longer_full_copy_replaces_shorter(self):
         dep, nodes = _net()
@@ -92,9 +97,28 @@ class TestMergeMirrorResponses:
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
         new_full = dep.node("a").retrieve()
-        merged = merge_mirror_responses(old_full, new_full)
-        assert merged is new_full
-        assert merge_mirror_responses(new_full, old_full) is None
+        copy = LogCopy("a")
+        assert copy.store(old_full)
+        assert copy.store(new_full)
+        assert copy.entries == new_full.entries
+        assert copy.head_auth is new_full.head_auth
+        assert not copy.store(old_full)
+        assert copy.head_auth is new_full.head_auth
+
+    def test_a_served_response_is_a_snapshot(self):
+        dep, nodes = _net()
+        origin = dep.node("a")
+        copy = LogCopy("a")
+        assert copy.store(origin.retrieve())
+        head = copy.head_index
+        served = copy.serve()
+        nodes["a"].insert(link("a", "z", 2))
+        dep.run()
+        assert copy.store(origin.retrieve(since_index=head))
+        assert copy.head_index == len(origin.log) > head
+        # The splice grew the stored copy, not what was served before it.
+        assert served.head_index == head
+        assert len(served.entries) == head
 
 
 class TestReplicationCadence:

@@ -30,6 +30,7 @@ from repro.service import (
 )
 from repro.service.framing import frame_payload
 from repro.service.monitor import MonitorState, watch_key
+from repro.service.push import ServiceQuerier
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
 from repro.util.errors import QueryError
@@ -1121,3 +1122,34 @@ class TestCadenceComposition:
         assert dep.cadence("service-push") is None
         assert querier not in dep._queriers
         pusher.close()
+
+
+class TestDaemonRetention:
+    def test_stored_copies_follow_sanctioned_floors(self, monitor, clients):
+        """The daemon's copy of each node is trimmed at the node's
+        sanctioned GC floor, as a replica's mirror is: it starts where the
+        origin's log does, and a cold audit of the daemon's store equals
+        a cold direct audit of the GC'd deployment."""
+        dep, nodes = paper_deployment()
+        pusher = make_pusher(dep, monitor)
+        dep.register_querier(ServiceQuerier(pusher))
+        client = clients()
+        target = best_cost("c", "d", 5)
+        for cost in range(12):
+            nodes["a"].insert(link("a", "e", 20 + cost))
+            dep.run()
+            assert not pusher.push_once()["shed"]
+            assert client.query(tup_spec(target, fresh=True))["ok"]
+            assert not pusher.push_once()["shed"]  # the daemon's marks
+            dep.run_gc()
+        assert not pusher.push_once()["shed"]      # the last pass's floors
+        _settle(monitor)
+        pusher.close()
+        state = monitor.daemon.state
+        assert any(node.log.truncated for node in dep.nodes.values())
+        for name, node in dep.nodes.items():
+            copy = state.nodes[name].merged
+            first = (copy.start_index if copy.checkpoint is None
+                     else copy.checkpoint.index)
+            assert first == node.log.first_index, name
+        assert direct_summary(state, target) == direct_summary(dep, target)

@@ -419,7 +419,7 @@ HOSTILE_IDS = {
     "LogEntry aux a list": with_pid(
         ("W.entry", 1, 0.0, "ins", (), "c", "h", [])),
     "response entries not LogEntries": with_pid(
-        ("W.resp", "a", ["entry"], 1, "h", None, None, False)),
+        ("W.resp", "a", ["entry"], 1, "h", None, None)),
 }
 
 
@@ -433,7 +433,7 @@ REWRITTEN_AFTER_BUILD = (with_pid(("W.tup", "r", "a", ()))[:-1]
 APPENDED_AFTER_BUILD = (
     b"\x80\x04]\x94(\x8c\x06W.resp\x8c\x01ah\x00K\x01\x8c\x01h"
     b"(\x8c\x06W.auth\x8c\x01aK\x01G" + struct.pack(">d", 1.0)
-    + b"\x8c\x01hC\x01stQN\x89tQh\x00\x8c\x01xa\x86.")
+    + b"\x8c\x01hC\x01stQNtQh\x00\x8c\x01xa\x86.")
 
 
 class TestHostilePayloads:

@@ -25,6 +25,7 @@ from repro.service.push import ServicePusher
 from repro.snp import QueryProcessor, SNooPyNode
 from repro.snp.adversary import SilentNode
 from repro.snp.microquery import MicroQuerier
+from repro.snp.snoopy import RetrieveResponse
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -51,6 +52,11 @@ SIGNATURES = {
     MonitorClient: "(self, host, port, timeout=30.0)",
     # the ndlint gate has no off switch
     DatalogApp: "(self, node_id, program)",
+    # where a response came from is the querier's fact, not a field the
+    # responder sets
+    RetrieveResponse:
+        "(self, node, entries, start_index, start_hash, head_auth, "
+        "checkpoint=None)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,

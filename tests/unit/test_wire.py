@@ -143,7 +143,7 @@ def _honest():
         "W.tup": tup, "W.msg": msg, "W.ack": Ack("b", "a", [msg], 1.5),
         "W.auth": auth, "W.floor": RetentionFloor("a", 1, 1.0, b"sig"),
         "W.der": DerivationInstance("R1", (tup,)), "W.entry": entry,
-        "W.resp": RetrieveResponse("a", [entry], 1, "h", auth, None, False),
+        "W.resp": RetrieveResponse("a", [entry], 1, "h", auth, None),
         "W.wack": WireAck("b", "a", auth, [(msg.msg_id(), 1, 1.0)], [], 1,
                           "h", auth, [msg]),
     }
@@ -246,19 +246,19 @@ UNCHECKED_FIELDS = {
         "W.entry", 1, 0.0, "ins", (), "c", "h", (("tup", 1),)),
     "LogEntry aux None": ("W.entry", 1, 0.0, "ins", (), "c", "h", None),
     "response entries a tuple": (
-        "W.resp", "a", (), 1, "h", "W.auth", None, False),
+        "W.resp", "a", (), 1, "h", "W.auth", None),
     "response entries not LogEntries": (
-        "W.resp", "a", ["entry"], 1, "h", "W.auth", None, False),
+        "W.resp", "a", ["entry"], 1, "h", "W.auth", None),
     "response start a float": (
-        "W.resp", "a", [], 1.0, "h", "W.auth", None, False),
+        "W.resp", "a", [], 1.0, "h", "W.auth", None),
     "response head auth None": (
-        "W.resp", "a", [], 1, "h", None, None, False),
+        "W.resp", "a", [], 1, "h", None, None),
     "response head auth a floor": (
-        "W.resp", "a", [], 1, "h", "W.floor", None, False),
+        "W.resp", "a", [], 1, "h", "W.floor", None),
     "response checkpoint a str": (
-        "W.resp", "a", [], 1, "h", "W.auth", "chk", False),
+        "W.resp", "a", [], 1, "h", "W.auth", "chk"),
     "response checkpoint an Authenticator": (
-        "W.resp", "a", [], 1, "h", "W.auth", "W.auth", False),
+        "W.resp", "a", [], 1, "h", "W.auth", "W.auth"),
 }
 
 

@@ -37,7 +37,10 @@ plane's acceptance bar:
    ``query.logs_fetched`` covers every log the direct audit fetched (the
    nodes on the vertex's provenance, not the whole ring) and
    ``query.signatures_verified`` is non-zero;
-7. the daemon shuts down cleanly on SIGTERM.
+7. **stored copies at the head** — after the first push, ``/status``
+   ``nodes`` reports, for every node, the length of its log: the daemon's
+   copy was spliced to each origin's head across the process boundary;
+8. the daemon shuts down cleanly on SIGTERM.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -199,6 +202,10 @@ def main(argv=None):
 
         watch = tup_spec(target)
         client = MonitorClient("127.0.0.1", ports["http_port"], timeout=60)
+        heads = client.status()["nodes"]
+        check("/status shows every node's stored copy at its log head",
+              all(heads.get(str(name)) == len(dep.node(name).log)
+                  for name in dep.nodes), repr(heads))
 
         streams = [client.subscribe([watch])
                    for _ in range(args.subscribers)]
