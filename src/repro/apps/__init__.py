@@ -14,21 +14,21 @@ Each application exercises a different provenance-extraction method
   proxy with an *external specification* of four rules including a 'maybe'
   rule (method #3), the paper's Quagga application.
 
-Factory registry
-----------------
+Application factories
+---------------------
 
 Deterministic replay rebuilds a node's state machine from the *factory*
 registered at :meth:`~repro.snp.deployment.Deployment.add_node`. Factories
 built from Datalog programs close over compiled rules (including guard and
 expression lambdas), which can never go on the wire — so a pusher's hello
 (:mod:`repro.service.push`) ships a *name + plain kwargs* spec instead, and
-the monitor daemon resolves it against this registry.
-:class:`AppFactory` is the callable that carries such a spec; the built-in
-applications all hand one out, and external applications can join with
-:func:`register_app`.
+the monitor daemon resolves the name against the built-in applications
+(:func:`resolve_builder`). :class:`AppFactory` is the callable that carries
+such a spec; the built-in applications all hand one out.
 """
 
-_REGISTRY = {}
+import functools
+import importlib
 
 #: Built-in application builders, imported lazily so that pulling in
 #: ``repro.apps`` (e.g. in the monitor daemon) does not pay for every
@@ -42,37 +42,17 @@ _BUILTIN_BUILDERS = {
 }
 
 
-def register_app(name, builder):
-    """Register *builder* under *name*.
-
-    ``builder(**kwargs)`` must return a state-machine factory — a callable
-    mapping ``node_id`` to a fresh deterministic state machine. Both the
-    name and every kwarg an :class:`AppFactory` is created with must be
-    plain data a frame carries (builtins, or value objects of
-    :mod:`repro.snp.wire`'s table), because they are what travels to the
-    monitor daemon in place of the factory itself.
-    """
-    _REGISTRY[name] = builder
-    return builder
-
-
+@functools.cache
 def resolve_builder(name):
-    """The builder registered under *name* (imports built-ins lazily)."""
-    builder = _REGISTRY.get(name)
-    if builder is not None:
-        return builder
+    """The built-in application builder named *name*, imported on first
+    use. ``builder(**kwargs)`` returns a state-machine factory — a
+    callable mapping ``node_id`` to a fresh deterministic state
+    machine."""
     entry = _BUILTIN_BUILDERS.get(name)
     if entry is None:
-        raise KeyError(
-            f"no application builder registered under {name!r}; "
-            "register one with repro.apps.register_app"
-        )
-    import importlib
-
+        raise KeyError(f"no application builder is named {name!r}")
     module_name, attr = entry
-    builder = getattr(importlib.import_module(module_name), attr)
-    _REGISTRY[name] = builder
-    return builder
+    return getattr(importlib.import_module(module_name), attr)
 
 
 def lint_targets():
@@ -97,14 +77,15 @@ def lint_targets():
 
 
 class AppFactory:
-    """A registry-backed, wire-representable state-machine factory.
+    """A wire-representable state-machine factory of a built-in
+    application.
 
     Locally it behaves exactly like the closure it replaces: calling it
     with a ``node_id`` returns a fresh state machine (the underlying
     builder runs once, so per-factory work such as rule compilation is
     shared by all nodes using the factory). For the wire it exposes
-    :meth:`wire_spec`: the registry name plus a dict of the kwargs, from
-    which the daemon rebuilds an equivalent factory. The hello frame
+    :meth:`wire_spec`: the application's name plus a dict of the kwargs,
+    from which the daemon rebuilds an equivalent factory. The hello frame
     carries the spec as it is, so mutable kwargs (e.g. MapReduce's
     content store) are snapshotted when that frame is encoded, i.e. once
     per hello.
@@ -133,7 +114,7 @@ class AppFactory:
 def factory_from_spec(spec):
     """Rebuild a factory from a :meth:`AppFactory.wire_spec` pair. The
     spec may come from outside the program (a pusher's hello): one that
-    is not a ``(name, kwargs dict)`` pair, names no registered builder
+    is not a ``(name, kwargs dict)`` pair, names no built-in application
     or carries kwargs its builder does not take raises
     :class:`~repro.snp.wire.WireError`, like any other malformed form."""
     from repro.snp.wire import WireError

@@ -14,6 +14,8 @@ The :class:`CryptoCounter` records how many sign/verify operations each node
 performs, which drives the Figure 7 (CPU overhead) reproduction.
 """
 
+import hashlib
+
 from repro.crypto.rsa import generate_keypair
 from repro.metrics import Counters
 from repro.util.errors import AuthenticationError
@@ -70,15 +72,18 @@ class CertificateAuthority:
 class NodeIdentity:
     """A node's keypair plus its CA-issued certificate.
 
-    Wraps sign/verify so every operation is tallied in the node's
-    :class:`CryptoCounter`.
+    The keypair is a function of *node_id* and the deployment's *seed*
+    alone, in any process. Wraps sign/verify so every operation is
+    tallied in the node's :class:`CryptoCounter`.
     """
 
-    def __init__(self, node_id, ca, key_bits=512, seed=None):
-        if seed is None:
-            seed = hash(("identity", node_id)) & 0xFFFFFFFF
+    def __init__(self, node_id, ca, key_bits=512, seed=0):
         self.node_id = node_id
-        self.keypair = generate_keypair(bits=key_bits, seed=seed)
+        # SHA-256, not hash(): string hashing is salted per process.
+        digest = hashlib.sha256(
+            canonical_bytes(("node-key", seed, node_id))).digest()
+        self.keypair = generate_keypair(
+            bits=key_bits, seed=int.from_bytes(digest[:8], "big"))
         self.certificate = ca.issue(node_id, self.keypair.public_only())
         self.counter = CryptoCounter()
 

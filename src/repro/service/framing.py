@@ -64,17 +64,20 @@ class _Unpickler(pickle.Unpickler):
 
     def __init__(self, data):
         super().__init__(io.BytesIO(data))
-        self._built = {}  # id(pid) -> object; the memo keeps a recurring pid
+        # id(pid) -> (pid, object). Holding the pid keeps its id from being
+        # reused: a pid the payload did not memoize is freed once loaded,
+        # and a later pid of the same size may land at its address.
+        self._built = {}
 
     def find_class(self, module, name):
         raise RefusedGlobal(
             f"frame payload names {module}.{name}; frames resolve no global")
 
     def persistent_load(self, pid):
-        obj = self._built.get(id(pid))
-        if obj is None:
-            obj = self._built[id(pid)] = BUILDERS[pid[0]](*pid[1:])
-        return obj
+        hit = self._built.get(id(pid))
+        if hit is None:
+            hit = self._built[id(pid)] = (pid, BUILDERS[pid[0]](*pid[1:]))
+        return hit[1]
 
 
 def frame_payload(payload):

@@ -153,7 +153,6 @@ class MonitorNodeProxy:
         return RetrieveResponse(
             node=self.node_id, entries=[], start_index=h + 1,
             start_hash=merged.hash_at(h), head_auth=merged.head_auth,
-            checkpoint=None,
         )
 
     def _retrieve_full(self):

@@ -172,10 +172,10 @@ class OverTruncatingNode(SNooPyNode):
     region holding incriminating evidence, hoping red fades to yellow).
 
     Detection: the signed advertisement commits the node to serving
-    segments anchored at or below the floor. Any full build that gets a
-    direct response whose anchor sits above the advertised floor is
-    proof of the violation — the querier marks the node proven faulty
-    (check 7 of ``build._verify_response``, which reads the floor from
+    segments that start at or below the floor. Any full build that gets
+    a direct response starting above the advertised floor is proof of
+    the violation — the querier marks the node proven faulty (check 6 of
+    ``build._verify_response``, which reads the floor from
     ``Deployment.advertised_floor_of``).
     """
 

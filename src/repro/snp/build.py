@@ -183,15 +183,15 @@ def _verify_response(job, deployment, evidence, stats, verified):
        advertised retention floor *and* the segment anchor, which are
        tombstoned (the prefix is GC'd; no future segment can ever check
        them).
-    6. An attached checkpoint must *anchor* the returned segment
-       (``checkpoint.index + 1 == start_index`` and ``start_hash`` equal
-       to the checkpoint's own chain hash) — otherwise the responder is
-       pairing a stale snapshot with a different suffix, which would
-       silently corrupt checkpoint-seeded replay.
-    7. Retention coverage: a full build that asked for the untruncated
-       log but got a direct response anchored *above* the node's signed
+    6. Retention coverage: a full build that asked for the untruncated
+       log but got a direct response starting *above* the node's signed
        retention floor proves the node truncated below what it
        advertised.
+
+    A checkpoint-anchored segment starts at its ``chk`` entry, so the
+    chain check (1) re-hashes the checkpoint's content like any other
+    entry's, and :func:`verify_checkpoint` ties the replay seed's tuple
+    lists to that content.
 
     Returns the recomputed chain hashes aligned with the entries.
     """
@@ -200,30 +200,17 @@ def _verify_response(job, deployment, evidence, stats, verified):
     known, checked = job.trust.checked, job.checked
     floor = deployment.advertised_floor_of(node_id)
     public_key = deployment.public_key_of(node_id)
-    if response.checkpoint is not None:
-        chk = response.checkpoint
-        if chk.index + 1 != response.start_index \
-                or chk.entry_hash != response.start_hash:
-            raise LogVerificationError(
-                node_id,
-                f"attached checkpoint (entry {chk.index}) does not anchor "
-                f"the returned segment starting at {response.start_index} "
-                "— the replay seed and the suffix belong to different "
-                "prefixes",
-            )
     if floor and job.floor_strict and not job.from_mirror:
         # A replica is exempt (a shallow mirror is no evidence against the
-        # origin); the job, never the response, says who answered. The
-        # anchor claim is start_index - 1; a lie about it cannot
-        # evade conviction: the chain recomputation from the claimed
-        # start_hash up to the *signed* head authenticator fails unless
-        # the anchor is genuine.
-        anchor = response.start_index - 1
-        if anchor > floor:
+        # origin); the job, never the response, says who answered. A lie
+        # about start_index cannot evade conviction: the chain
+        # recomputation from the claimed start_hash up to the *signed*
+        # head authenticator fails unless the anchor is genuine.
+        if response.start_index > floor:
             raise LogVerificationError(
                 node_id,
-                f"log served from entry {anchor + 1} cannot anchor at the "
-                f"advertised retention floor {floor} — the node "
+                f"log served from entry {response.start_index} does not "
+                f"reach the advertised retention floor {floor} — the node "
                 "truncated below what it signed (retention violation)",
             )
     verify_auth(public_key, response.head_auth, stats, verified)
@@ -254,8 +241,8 @@ def _verify_response(job, deployment, evidence, stats, verified):
         stats.auth_checks_recovered += 1
         job.settled.append(sig)
         note_checked(checked, response, auth)
-    if response.checkpoint is not None:
-        verify_checkpoint(node_id, response.checkpoint)
+    if response.seed is not None:
+        verify_checkpoint(node_id, response.seed)
     check_parsed_forms(response)
     for signer, auth in embedded_authenticators(response):
         if signer not in deployment.nodes:  # no peer could have sent it

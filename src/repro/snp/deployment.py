@@ -133,6 +133,7 @@ class EvidenceDirectory:
 class Deployment(EvidenceDirectory):
     def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256,
                  t_batch=0.0, drop_wires_to=()):
+        self.seed = seed
         self.sim = Simulator(seed=seed, t_prop=t_prop,
                              delta_clock=delta_clock)
         self.ca = CertificateAuthority(key_bits=key_bits, seed=seed ^ 0xCA)
@@ -168,10 +169,8 @@ class Deployment(EvidenceDirectory):
         system. *node_cls* selects a Byzantine variant if desired."""
         if node_id in self.nodes:
             raise ConfigurationError(f"duplicate node id {node_id!r}")
-        identity = NodeIdentity(
-            node_id, self.ca, key_bits=self.key_bits,
-            seed=(hash(("node-key", node_id)) & 0x7FFFFFFF),
-        )
+        identity = NodeIdentity(node_id, self.ca, key_bits=self.key_bits,
+                                seed=self.seed)
         self._identities[node_id] = identity
         self.sim.register_clock(node_id)
         node = node_cls(
@@ -348,7 +347,7 @@ class Deployment(EvidenceDirectory):
 
         When the origin's log was GC'd past the stored copy (it answers
         the delta request with a checkpoint-anchored fallback), the
-        replica follows only *sanctioned* floors: if the fallback anchors
+        replica follows only *sanctioned* floors: if the fallback starts
         exactly at the origin's :meth:`sanctioned_floor`, the stale
         copy is re-seeded from it; anything else (an unsanctioned or
         convicted truncation) leaves the stored — possibly fuller — copy
@@ -378,7 +377,7 @@ class Deployment(EvidenceDirectory):
                     if response is not None \
                             and response.start_index != stored_head + 1 \
                             and self.sanctioned_floor(name) \
-                            == response.start_index - 1:
+                            == response.start_index:
                         # GC'd past the stored copy, at a sanctioned
                         # floor: re-seed rather than freeze forever.
                         copy = None

@@ -71,7 +71,7 @@ class RetentionFloor(WireValue):
     retaining entry ``floor_index`` (a checkpoint) and everything after
     it. The advertisement is evidence in the PeerReview sense: paired
     with a live auditor's signed head below the floor it convicts a
-    floor-liar, and paired with a retrieve response that cannot anchor at
+    floor-liar, and paired with a retrieve response that starts above
     the floor it convicts an over-eager truncator.
     """
 

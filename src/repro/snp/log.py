@@ -104,10 +104,6 @@ class NodeLog:
         """The *head index* (logical length, counting truncated entries)."""
         return self.first_index - 1 + len(self.entries)
 
-    @property
-    def truncated(self):
-        return self.first_index > 1
-
     def append(self, timestamp, entry_type, content, aux=None):
         if entry_type not in ENTRY_TYPES:
             raise ValueError(f"unknown entry type {entry_type!r}")

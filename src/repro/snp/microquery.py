@@ -333,9 +333,9 @@ class _BuildJob:
         self.base_view = None
         self.trust.reset()
         # A full build that asks for the untruncated log holds a GC'd
-        # node to its signed floor: a direct response anchored above it
+        # node to its signed floor: a direct response starting above it
         # is a retention violation (checkpoint-mode fetches legitimately
-        # anchor on any newer checkpoint, so they cannot enforce this).
+        # start at any newer checkpoint, so they cannot enforce this).
         self.floor_strict = not mq.use_checkpoints
         if response is None:
             response, from_mirror = self._retrieve()
@@ -344,11 +344,10 @@ class _BuildJob:
                                  verdict_reason="no response to retrieve")
             return
         self.from_mirror = from_mirror
-        if response.checkpoint is not None:
-            mq.stats.checkpoint_bytes += response.checkpoint.size_bytes()
-            mq.stats.checkpoint_bytes += mq._snapshot_size(
-                response.checkpoint
-            )
+        if response.seed is not None:
+            # The chk entry itself was charged as log bytes, like any
+            # entry; this is the replay seed riding in its aux.
+            mq.stats.checkpoint_bytes += mq._snapshot_size(response.seed)
         self.response = response
 
 
@@ -558,12 +557,11 @@ class MicroQuerier:
             self._anchor_wanted.add(node_id)
         if job.kind == "built":
             view = NodeView(node_id, OK)
-            chk = response.checkpoint
+            chk = response.seed
             if chk is not None:
-                # Verified coverage starts — and, until an entry follows,
-                # ends — at the checkpoint the segment is anchored on.
+                # Verified coverage starts at the checkpoint replay was
+                # seeded from.
                 view.base_index, view.base_time = chk.index, chk.timestamp
-                view.head_time = chk.timestamp
         else:
             view = job.base_view
             if not response.entries:

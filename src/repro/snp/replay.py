@@ -247,8 +247,8 @@ def replay_segment(node_id, response, app_factory, t_prop, stats,
     """
     gca = GraphConstructor(app_factory, t_prop=t_prop)
     gca.known_alarm_msg_ids = known_alarm_msg_ids
-    if response.checkpoint is not None:
-        chk = response.checkpoint
+    chk = response.seed
+    if chk is not None:
         machine = gca.machine(node_id)
         machine.restore(chk.aux["snapshot"])
         gca.seed_node(node_id, chk.aux["extant"], chk.aux["believed"])

@@ -37,20 +37,19 @@ class RetrieveResponse(WireValue):
     the chain hash before the first returned entry, and ``head_auth`` a
     fresh authenticator covering the final entry, so the querier can verify
     the full range even when it extends beyond the evidence it supplied.
-    Who answered is the querier's own knowledge, not a field.
+    A checkpoint-anchored segment starts *at* its ``chk`` entry (see
+    :attr:`seed`), so the chain check re-hashes the checkpoint like any
+    other entry. Who answered is the querier's own knowledge, not a field.
     """
 
-    __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth",
-                 "checkpoint")
+    __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth")
 
-    def __init__(self, node, entries, start_index, start_hash, head_auth,
-                 checkpoint=None):
+    def __init__(self, node, entries, start_index, start_hash, head_auth):
         self.node = node
         self.entries = entries
         self.start_index = start_index
         self.start_hash = start_hash
         self.head_auth = head_auth
-        self.checkpoint = checkpoint
 
     @property
     def head_index(self):
@@ -59,13 +58,20 @@ class RetrieveResponse(WireValue):
         return self.start_index + len(self.entries) - 1
 
     @property
+    def seed(self):
+        """The ``chk`` entry a replay of this segment starts from — its
+        first entry, when that is a checkpoint — else ``None``."""
+        entries = self.entries
+        if entries and entries[0].entry_type == CHK:
+            return entries[0]
+        return None
+
+    @property
     def seeds_rebuild(self):
         """Whether this segment could seed a full view rebuild on its own:
-        it starts at entry 1, or is anchored on the checkpoint it carries
-        (the shape checkpoint GC leaves behind). A bare suffix cannot."""
-        return self.start_index == 1 or (
-            self.checkpoint is not None
-            and self.checkpoint.index + 1 == self.start_index)
+        it starts at entry 1 or at a checkpoint (the shape checkpoint GC
+        leaves behind). A bare suffix cannot."""
+        return self.start_index == 1 or self.seed is not None
 
     def hash_at(self, index):
         """The chain hash of entry *index* as this response attests it,
@@ -83,15 +89,14 @@ class RetrieveResponse(WireValue):
         origin's ``hash_before`` would anchor it; ``None`` when nothing
         follows. An index before the first entry cannot anchor, so it
         gets everything, for the querier to verify from scratch."""
-        if since_index is not None and since_index >= self.head_index:
-            return None
-        checkpoint = None
-        if since_index is None or since_index < self.start_index:
-            since_index, checkpoint = self.start_index - 1, self.checkpoint
+        anchor = self.start_index - 1
+        if since_index is not None:
+            if since_index >= self.head_index:
+                return None
+            anchor = max(anchor, since_index)
         return RetrieveResponse(
-            self.node, self.entries[since_index + 1 - self.start_index:],
-            since_index + 1, self.hash_at(since_index), self.head_auth,
-            checkpoint)
+            self.node, self.entries[anchor + 1 - self.start_index:],
+            anchor + 1, self.hash_at(anchor), self.head_auth)
 
 
 class LogCopy:
@@ -103,8 +108,7 @@ class LogCopy:
     sanctioned GC floor. A lying pusher gains nothing: what is served is
     verified by the querier exactly like a direct response."""
 
-    __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth",
-                 "checkpoint")
+    __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth")
 
     head_index = RetrieveResponse.head_index
     hash_at = RetrieveResponse.hash_at
@@ -115,7 +119,6 @@ class LogCopy:
         self.start_index = 1
         self.start_hash = None
         self.head_auth = None
-        self.checkpoint = None
 
     def __bool__(self):
         """Whether anything is stored yet."""
@@ -149,7 +152,6 @@ class LogCopy:
         self.start_index = response.start_index
         self.start_hash = response.start_hash
         self.head_auth = response.head_auth
-        self.checkpoint = response.checkpoint
         return True
 
     def serve(self, since_index=None):
@@ -158,23 +160,22 @@ class LogCopy:
         return RetrieveResponse.suffix(self, since_index) if self else None
 
     def trim(self, floor):
-        """Checkpoint GC: re-anchor the copy on the CHK entry at *floor*;
-        returns the bytes of the entries before it (the pivot stays, as
-        the checkpoint, and is not counted — as ``NodeLog.truncate_below``
-        counts). A floor outside the copy, at its base, or on no
-        replay-seeding checkpoint changes nothing: a holder never
-        discards evidence it cannot prove replaceable."""
+        """Checkpoint GC: re-start the copy at the CHK entry at *floor*,
+        anchored on the hash of the entry before it; returns the bytes of
+        the entries dropped (the pivot stays and is not counted — as
+        ``NodeLog.truncate_below`` counts). A floor outside the copy, at
+        its base, or on no replay-seeding checkpoint changes nothing: a
+        holder never discards evidence it cannot prove replaceable."""
         offset = floor - self.start_index
-        if offset < 0 or floor > self.head_index:
+        if offset <= 0 or floor > self.head_index:
             return 0
         pivot = self.entries[offset]
         if pivot.entry_type != CHK or "snapshot" not in pivot.aux:
             return 0
         reclaimed = sum(e.size_bytes() for e in self.entries[:offset])
-        del self.entries[:offset + 1]
-        self.start_index = floor + 1
-        self.start_hash = pivot.entry_hash
-        self.checkpoint = pivot
+        self.start_hash = self.entries[offset - 1].entry_hash
+        del self.entries[:offset]
+        self.start_index = floor
         return reclaimed
 
 
@@ -414,8 +415,9 @@ class SNooPyNode:
         log segment. A correct node always complies.
 
         With *from_checkpoint*, the segment starts at the last checkpoint
-        before the log head instead of entry 1, and the response carries
-        that checkpoint so replay can be seeded from it.
+        before the log head instead of entry 1: that ``chk`` entry is the
+        segment's first, so replay can be seeded from it
+        (:attr:`RetrieveResponse.seed`).
 
         With *since_index*, only the suffix after that entry is returned —
         the delta mode a querier uses to extend an already-verified view.
@@ -428,42 +430,32 @@ class SNooPyNode:
 
         A GC'd log serves what it retains: the oldest retained entry is
         the checkpoint the truncation anchored on, so a "full" response
-        is checkpoint-anchored at the retention floor (seeding replay
-        there), and a *since_index* at or above ``floor - 1`` still gets
-        its delta (the tombstone anchor hash survives truncation). A
-        *since_index* below that falls back to the checkpoint-anchored
-        response — the querier resolves what it cannot reach as yellow.
+        starts at that checkpoint, on the tombstone hash before it
+        (seeding replay at the retention floor), and a *since_index* at
+        or above ``floor - 1`` still gets its delta. A *since_index*
+        below that falls back to the full response — the querier
+        resolves what it cannot reach as yellow.
         """
         end = len(self.log)
         if end == 0:
             return None
-        first = self.log.first_index
-        checkpoint = None
-        start = 1
-        if since_index is not None and first - 1 <= since_index <= end:
+        start = self.log.first_index
+        if since_index is not None and start - 1 <= since_index <= end:
             start = since_index + 1
-        else:
-            chk = None
-            if from_checkpoint:
-                chk = self.log.last_checkpoint_before(end)
-            if chk is None and self.log.truncated:
-                # The oldest retained entry is the GC anchor checkpoint.
-                chk = self.log.entry(first)
+        elif from_checkpoint:
+            chk = self.log.last_checkpoint_before(end)
             if chk is not None:
-                checkpoint = chk
-                start = chk.index + 1
-        entries = self.log.segment(start, end)
+                start = chk.index
         head = self.log.entry(end)
         head_auth = sign_authenticator(
             self.identity, head.index, head.timestamp, head.entry_hash
         )
         return RetrieveResponse(
             node=self.node_id,
-            entries=entries,
+            entries=self.log.segment(start, end),
             start_index=start,
             start_hash=self.log.hash_before(start),
             head_auth=head_auth,
-            checkpoint=checkpoint,
         )
 
     def authenticators_about(self, peer, since=0):

@@ -55,16 +55,15 @@ def _entry(index, timestamp, entry_type, content, content_hash, entry_hash,
                     entry_hash, aux)
 
 
-def _response(node, entries, start_index, start_hash, head_auth, checkpoint):
+def _response(node, entries, start_index, start_hash, head_auth):
     _require(type(entries) is list
              and all(isinstance(e, LogEntry) for e in entries)
              and isinstance(start_index, int)
-             and isinstance(head_auth, Authenticator)
-             and (checkpoint is None or isinstance(checkpoint, LogEntry)),
+             and isinstance(head_auth, Authenticator),
              "a RetrieveResponse has LogEntries, an int start, a head auth")
     # A copy: the list the bytes built stays theirs to reach.
     return RetrieveResponse(node, list(entries), start_index, start_hash,
-                            head_auth, checkpoint)
+                            head_auth)
 
 
 #: ``(class, tag, fields, builder)`` for every class that bytes from
@@ -85,7 +84,7 @@ VALUE_CLASSES = (
     (LogEntry, "W.entry", ("index", "timestamp", "entry_type", "content",
                            "content_hash", "entry_hash", "aux"), _entry),
     (RetrieveResponse, "W.resp", ("node", "entries", "start_index",
-                                  "start_hash", "head_auth", "checkpoint"),
+                                  "start_hash", "head_auth"),
      _response),
     (WireAck, "W.wack", ("src", "dst", "batch_auth", "rcv_metas", "gaps",
                          "start_index", "h_start", "auth", "msgs"), WireAck),

@@ -11,9 +11,7 @@ import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
 from repro.crypto.hashing import chain_hash
-from repro.crypto.merkle import MerkleTree
 from repro.model import Msg, Tup
-from repro.provgraph.vertices import EXIST
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FabricatorNode, ForkingNode, InputLiarNode, MisexecutingNode,
@@ -23,8 +21,10 @@ from repro.snp.commitment import (
     WireAck, WireBatch, ack_entry_content, rcv_entry_content,
 )
 from repro.snp.evidence import Authenticator, sign_authenticator
-from repro.snp.log import ACK, CHK, INS, RCV, LogEntry
+from repro.snp.log import ACK, INS, RCV, LogEntry
 from repro.snp.snoopy import RetrieveResponse, SNooPyNode
+
+from scenarios import forged_checkpoint
 
 
 def _deploy(adversary_cls=None, victim="b", seed=77):
@@ -474,40 +474,32 @@ class TestConvictionGallery:
 class _ForgedCheckpointNode(SNooPyNode):
     """Serves a checkpoint-mode audit its real checkpoint with one tuple
     added to ``extant`` and the content's Merkle root recomputed to
-    match; the entry's chain hash, and the log itself, are untouched."""
+    match (:func:`scenarios.forged_checkpoint`); the entry's digests,
+    and the log itself, are untouched."""
 
     FORGED = link("c", "evil", 1)
 
     def retrieve(self, from_checkpoint=False, since_index=None):
         response = super().retrieve(from_checkpoint, since_index)
-        chk = response.checkpoint
-        if chk is None:
-            return response
-        extant = list(chk.aux["extant"]) + [(self.FORGED, chk.timestamp)]
-        root = MerkleTree([(tup.canonical(), at) for tup, at in extant])
-        content = ("checkpoint", root.root(), chk.content[2], len(extant),
-                   chk.content[4])
-        response.checkpoint = LogEntry(
-            chk.index, chk.timestamp, CHK, content, chk.content_hash,
-            chk.entry_hash, aux=dict(chk.aux, extant=extant))
+        if response.seed is not None:
+            response.entries[0] = forged_checkpoint(response.seed,
+                                                    self.FORGED)
         return response
 
 
 class TestServedCheckpointBinding:
-    """ROADMAP item 3: a checkpoint-mode response anchors on the ``chk``
-    entry's own chain hash, which the querier compares but never
-    recomputes — the response carries no ``h_{chk-1}`` to fold the
-    ``chk`` content into. So a server can swap ``extant``, recompute the
-    Merkle roots in the content, keep ``entry_hash``, and every check
-    passes."""
+    """ROADMAP item 3, the part the segment shape closes: a
+    checkpoint-mode response starts at its ``chk`` entry, anchored on
+    ``h_{chk-1}``, so the chain check re-hashes the checkpoint's content
+    like any entry's. A server that swaps ``extant`` and recomputes the
+    Merkle roots in the content serves content that no longer matches
+    its digest: proof."""
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a served "
-                       "checkpoint's content is not bound to the chain")
     def test_a_forged_extant_tuple_is_not_seeded(self):
         dep, _nodes = _deploy(_ForgedCheckpointNode, victim="c", seed=8)
         dep.checkpoint_all()
         with QueryProcessor(dep, use_checkpoints=True) as qp:
             view = qp.mq.view_of("c")
-        forged = _ForgedCheckpointNode.FORGED
-        assert view.status != "ok" \
-            or view.graph.open_interval(EXIST, "c", forged) is None
+        assert view.status == "proven-faulty"
+        assert "content does not match its digest" in view.verdict_reason
+        assert view.graph is None  # convicted before replay seeded it

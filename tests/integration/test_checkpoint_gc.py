@@ -30,10 +30,10 @@ from repro.service import ServicePusher
 from repro.service.framing import FrameDecoder, encode_frame
 from repro.service.monitor import MonitorState
 from repro.snp.evidence import sign_authenticator, sign_retention_floor
-from repro.snp.microquery import OK, PROVEN_FAULTY, MicroQuerier
+from repro.snp.microquery import OK, PROVEN_FAULTY, UNREACHABLE, MicroQuerier
 from repro.util.errors import ConfigurationError
 
-from scenarios import fingerprint, run_chord
+from scenarios import fingerprint, forged_checkpoint, run_chord
 
 
 def _net(seed, overrides=None):
@@ -116,7 +116,7 @@ class TestHonestGc:
         assert dep.gc_meter.entries_discarded > 0
         after = {n: node.log.size_bytes() for n, node in dep.nodes.items()}
         assert sum(after.values()) < sum(before.values())
-        assert any(node.log.truncated for node in dep.nodes.values())
+        assert any(node.log.first_index > 1 for node in dep.nodes.values())
         # The standing auditor keeps working across the truncation.
         nodes["b"].insert(link("b", "y", 9))
         dep.run()
@@ -353,8 +353,9 @@ class TestAdversarialGc:
         dep.run_gc(checkpoint=False)
         assert dep.gc_meter.mirror_bytes_reclaimed > 0
         mirror = dep.find_mirror("a")
-        assert mirror.checkpoint is not None
-        assert mirror.start_index == mirror.checkpoint.index + 1
+        assert mirror.seed is not None
+        assert mirror.start_index == mirror.seed.index \
+            == dep.advertised_floor_of("a")
 
         # Crash the origin: retrieve goes dark, wires are dropped.
         dep.drop_wires_to("a")
@@ -362,10 +363,47 @@ class TestAdversarialGc:
         cold = QueryProcessor(dep)
         view = cold.mq.view_of("a")
         assert view.status == OK
-        assert view.base_index == mirror.checkpoint.index
+        assert view.base_index == mirror.seed.index
         result = cold.why(best_cost("c", "d", 5))
         assert not result.red_vertices()
         del dep.nodes["a"].retrieve
+
+    def test_a_mirror_serving_a_forged_checkpoint_is_a_bad_mirror(self):
+        """The replica row of ``TestServedCheckpointBinding``: a GC'd
+        mirror of ``c`` serves its floor ``chk`` with a forged extant
+        tuple while ``c`` is silent. The chain check catches the content,
+        and a corrupt mirror is no evidence against the origin: ``c`` is
+        unreachable (yellow), never red, and nothing is seeded."""
+        dep, nodes = _net(seed=8)
+        dep.enable_replication(2.0)
+        qp = _standing_auditor(dep)
+        dep.checkpoint_all()
+        nodes["a"].insert(link("a", "z", 2))
+        dep.run()
+        qp.refresh()
+        dep.run_gc(checkpoint=False)
+        floor = dep.advertised_floor_of("c")
+        copies = [n.mirror_of("c") for n in dep.nodes.values()
+                  if n.mirror_of("c") is not None]
+        assert copies and all(c.start_index == floor for c in copies)
+        forged = link("c", "evil", 1)
+        for copy in copies:
+            copy.entries[0] = forged_checkpoint(copy.entries[0], forged)
+        from repro.provgraph.graph import _clone_vertex
+        probe = _clone_vertex(
+            next(iter(qp.mq.view_of("c").graph.vertices())))
+        dep.nodes["c"].retrieve = lambda **kwargs: None
+        try:
+            with QueryProcessor(dep) as cold:
+                view = cold.mq.view_of("c")
+                _resolved, color = cold.mq.resolve(probe)
+        finally:
+            del dep.nodes["c"].retrieve
+        assert color == "yellow"
+        assert view.status == UNREACHABLE
+        assert view.verdict_reason.startswith("bad mirror: ")
+        assert "content does not match its digest" in view.verdict_reason
+        assert view.graph is None
 
 
 class TestRetentionHardening:
@@ -375,20 +413,27 @@ class TestRetentionHardening:
     evidence is never tombstoned, and the GC cadence is honored."""
 
     def test_stale_checkpoint_with_deeper_suffix_is_proof(self):
+        """A stale ``chk`` spliced onto the suffix after a newer one: the
+        chain folded from the stale checkpoint's anchor does not reach
+        the suffix."""
         dep, nodes = _net(seed=440)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
         dep.checkpoint_all()
+        nodes["a"].insert(link("a", "y", 3))
+        dep.run()
         node = dep.nodes["a"]
         chk1 = next(e for e in node.log.entries if e.entry_type == "chk")
         honest = node.retrieve(from_checkpoint=True)
-        assert honest.checkpoint.index > chk1.index
+        assert honest.seed.index > chk1.index + 1
+        assert len(honest.entries) > 1
         from repro.snp.snoopy import RetrieveResponse
         forged = RetrieveResponse(
-            node="a", entries=honest.entries,
-            start_index=honest.start_index, start_hash=honest.start_hash,
-            head_auth=honest.head_auth, checkpoint=chk1,
+            node="a", entries=[chk1] + honest.entries[1:],
+            start_index=chk1.index,
+            start_hash=node.log.hash_before(chk1.index),
+            head_auth=honest.head_auth,
         )
         node.retrieve = lambda **kwargs: forged
         try:
@@ -397,19 +442,23 @@ class TestRetentionHardening:
         finally:
             del node.retrieve
         assert view.status == PROVEN_FAULTY
-        assert "does not anchor" in view.verdict_reason
+        assert "hash does not recompute" in view.verdict_reason
 
     def test_truncated_push_cannot_shrink_a_fuller_mirror(self):
         dep, nodes = _net(seed=441)
         node = dep.nodes["a"]
         full_copy = node.retrieve()
+        # Entries between the copy's head and the checkpoint: the pushed
+        # segment cannot continue the copy, only replace it.
+        nodes["a"].insert(link("a", "y", 3))
+        dep.run()
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
         chk = node.log.last_checkpoint_before(len(node.log))
         node.log.truncate_below(chk.index)
         pushed = node.retrieve()        # checkpoint-anchored, newer head
-        assert pushed.checkpoint is not None
+        assert pushed.seed is not None and pushed.start_index == chk.index
         assert pushed.head_auth.index > full_copy.head_auth.index
         from repro.snp.snoopy import LogCopy
         copy = LogCopy("a")
@@ -484,7 +533,7 @@ class TestRetentionHardening:
         qp.refresh()
         dep.run_gc(checkpoint=False)   # floors pass the stale mirror heads
         origin = dep.nodes["a"]
-        assert origin.log.truncated
+        assert origin.log.first_index > 1
         floor = dep.advertised_floor_of("a")
         holders = [n for n in dep.nodes.values()
                    if n.node_id != "a" and n.mirror_of("a") is not None]
@@ -499,7 +548,7 @@ class TestRetentionHardening:
         for holder in stale:
             mirror = holder.mirror_of("a")
             assert mirror.head_auth.index == len(origin.log)
-            assert mirror.start_index == floor + 1
+            assert mirror.start_index == floor
         assert dep.traffic.totals()["replication"] > before_bytes
         # And a now-quiescent pass stores nothing — so it charges nothing.
         before_bytes = dep.traffic.totals()["replication"]
@@ -515,7 +564,7 @@ class TestRetentionHardening:
         dep.run()
         dep.run_gc(checkpoint=True)    # convicts b, which self-truncates
         assert dep.maintainer.retention_fault_of("b") is not None
-        assert nodes["b"].log.truncated
+        assert nodes["b"].log.first_index > 1
         stored_heads = {
             n.node_id: n.mirror_of("b").head_auth.index
             for n in dep.nodes.values()
@@ -557,12 +606,8 @@ class TestRetentionHardening:
         for holder in dep.nodes.values():
             for origin, resp in holder.mirror_store.items():
                 key = (holder.node_id, origin)
-                if resp.checkpoint is None:
-                    continue  # untrimmed
-                start = floors_stored[key]
-                dropped = resp.checkpoint.index - start
-                if dropped > 0:
-                    expected += sum(stored_before[key][:dropped])
+                dropped = resp.start_index - floors_stored[key]
+                expected += sum(stored_before[key][:dropped])
         assert dep.gc_meter.mirror_bytes_reclaimed == expected
         assert expected > 0
 

@@ -92,12 +92,13 @@ class TestDeltaRetrieve:
         assert copy.store(partial)
         # The stored copy starts past entry 4; it cannot anchor a
         # continuation at entry 3, so the whole copy is served for the
-        # querier to verify from scratch — as a fresh response.
+        # querier to verify from scratch — as a fresh response, still
+        # starting at its checkpoint.
         served = copy.serve(3)
         assert served is not partial and served.entries is not copy.entries
-        assert (served.start_index, served.start_hash, served.checkpoint,
-                served.entries) == (partial.start_index, partial.start_hash,
-                                    partial.checkpoint, partial.entries)
+        assert (served.start_index, served.start_hash, served.entries) \
+            == (partial.start_index, partial.start_hash, partial.entries)
+        assert served.seed is partial.seed is not None
 
 
 # ---------------------------------------------------------- refresh: views

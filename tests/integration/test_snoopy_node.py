@@ -69,8 +69,9 @@ class TestCheckpoints:
         nodes["c"].checkpoint()
         seg = nodes["c"].retrieve(from_checkpoint=True)
         assert len(seg.entries) < len(full.entries) + 2
-        assert seg.checkpoint is not None
-        assert seg.start_index == seg.checkpoint.index + 1
+        assert seg.seed is seg.entries[0]
+        assert seg.seed.entry_type == CHK and seg.seeds_rebuild
+        assert seg.start_hash == nodes["c"].log.hash_before(seg.start_index)
 
     def test_checkpointed_query_still_correct(self):
         dep = Deployment(seed=8, key_bits=256)

@@ -9,7 +9,9 @@ deployment run on so a refresh has a suffix to fetch. Callers:
 ``test_paper_figures.py`` (the five §7.1 configurations),
 ``test_incremental_audit.py``, ``test_view_batches.py``,
 ``test_audit_contract.py`` and ``test_checkpoint_gc.py``. :func:`fingerprint` is the one projection of
-a query result that two audits of the same state are compared on.
+a query result that two audits of the same state are compared on, and
+:func:`forged_checkpoint` the one doctored ``chk`` entry the adversary
+suites serve.
 
 Each runner returns a :class:`Scenario` carrying a *nominal duration*: the
 wall-clock time the paper's workload rate implies for the work executed
@@ -24,7 +26,9 @@ import random
 from repro.apps.bgp import BgpNetwork, originate, route
 from repro.apps.chord import ChordNetwork
 from repro.apps.mapreduce import COMBINED, WordCountJob
+from repro.crypto.merkle import MerkleTree
 from repro.snp import Deployment
+from repro.snp.log import CHK, LogEntry
 from repro.workloads import RouteViewsTrace, ZipfCorpus, tiered_as_topology
 
 QUAGGA_UPDATES_PER_MINUTE = 1350.0
@@ -37,6 +41,18 @@ def fingerprint(result):
     """A query result as ``sorted((vertex key, colour))``: what two audits
     of the same state must agree on, vertex by vertex."""
     return sorted((str(v.key()), v.color) for v in result.graph.vertices())
+
+
+def forged_checkpoint(chk, tup):
+    """*chk* with *tup* added to its ``extant`` list and the content's
+    Merkle root recomputed to match: the entry's content digest and chain
+    hash are the honest ones, so only re-hashing the content tells."""
+    extant = list(chk.aux["extant"]) + [(tup, chk.timestamp)]
+    root = MerkleTree([(t.canonical(), at) for t, at in extant]).root()
+    content = ("checkpoint", root, chk.content[2], len(extant),
+               chk.content[4])
+    return LogEntry(chk.index, chk.timestamp, CHK, content, chk.content_hash,
+                    chk.entry_hash, aux=dict(chk.aux, extant=extant))
 
 
 class Scenario:

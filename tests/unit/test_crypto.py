@@ -1,6 +1,10 @@
 """Crypto substrate: RSA, certificates, hash chains, Merkle trees."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +237,44 @@ class TestCertificates:
                                ("payload", 1), sig)
         assert identity.counter.signatures == 1
         assert identity.counter.verifications == 1
+
+
+#: Prints node ``a``'s modulus in ``Deployment(seed=1)``.
+_MODULUS_OF_A = (
+    "from repro.apps.mincost import build_paper_network\n"
+    "from repro.snp import Deployment\n"
+    "dep = Deployment(seed=1, key_bits=256)\n"
+    "build_paper_network(dep)\n"
+    "print(dep.identity_of('a').keypair.n)\n")
+
+
+class TestNodeKeys:
+    """A node's key is a function of the deployment seed and its id."""
+
+    def test_keys_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(__file__).parents[2] / "src")
+        moduli = {
+            subprocess.run(
+                [sys.executable, "-c", _MODULUS_OF_A],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hs),
+                check=True, capture_output=True, text=True, timeout=60,
+            ).stdout.strip()
+            for hs in ("1", "2")
+        }
+        assert len(moduli) == 1
+        (modulus,) = moduli
+        one = Deployment(seed=1, key_bits=256)
+        build_paper_network(one)
+        assert int(modulus) == one.identity_of("a").keypair.n
+
+    def test_deployment_seeds_give_different_keys(self):
+        keys = []
+        for seed in (1, 2):
+            dep = Deployment(seed=seed, key_bits=256)
+            build_paper_network(dep)
+            keys.append({n: dep.identity_of(n).keypair.n for n in dep.nodes})
+        assert len(set(keys[0].values())) == len(keys[0])
+        assert not set(keys[0].values()) & set(keys[1].values())
 
 
 class TestHashChain:

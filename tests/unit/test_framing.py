@@ -346,10 +346,7 @@ class TestNoGlobalResolves:
             (back,) = decode_all(encode_frame(push))[1]
             for node, part in push["nodes"].items():
                 sent, got = part["response"], back["nodes"][node]["response"]
-                pairs = list(zip(sent.entries, got.entries))
-                if sent.checkpoint is not None:
-                    pairs.append((sent.checkpoint, got.checkpoint))
-                for old, new in pairs:
+                for old, new in zip(sent.entries, got.entries):
                     kinds.add(old.entry_type)
                     assert set(new.aux) == set(old.aux)
                     if old.entry_type == "ack":
@@ -419,7 +416,7 @@ HOSTILE_IDS = {
     "LogEntry aux a list": with_pid(
         ("W.entry", 1, 0.0, "ins", (), "c", "h", [])),
     "response entries not LogEntries": with_pid(
-        ("W.resp", "a", ["entry"], 1, "h", None, None)),
+        ("W.resp", "a", ["entry"], 1, "h", None)),
 }
 
 
@@ -433,7 +430,14 @@ REWRITTEN_AFTER_BUILD = (with_pid(("W.tup", "r", "a", ()))[:-1]
 APPENDED_AFTER_BUILD = (
     b"\x80\x04]\x94(\x8c\x06W.resp\x8c\x01ah\x00K\x01\x8c\x01h"
     b"(\x8c\x06W.auth\x8c\x01aK\x01G" + struct.pack(">d", 1.0)
-    + b"\x8c\x01hC\x01stQNtQh\x00\x8c\x01xa\x86.")
+    + b"\x8c\x01hC\x01stQtQh\x00\x8c\x01xa\x86.")
+
+#: ``[r(@a), s(@b)]`` from two persistent ids of one size, neither
+#: memoized: the first is freed once loaded, so the second may be
+#: allocated at its address.
+UNMEMOIZED_TWINS = (
+    b"\x80\x04((\x8c\x05W.tup\x8c\x01r\x8c\x01a)tQ"
+    b"(\x8c\x05W.tup\x8c\x01s\x8c\x01b)tQl.")
 
 
 class TestHostilePayloads:
@@ -500,3 +504,10 @@ class TestHostilePayloads:
         checked; the list the payload can still reach is not it."""
         response, grown = framing._Unpickler(APPENDED_AFTER_BUILD).load()
         assert grown == ["x"] and response.entries == []
+
+    def test_an_unmemoized_id_is_built_from_its_own_fields(self):
+        """Each persistent id builds its own object, even when the
+        payload memoized neither and the second reuses the first's
+        address."""
+        assert framing._Unpickler(UNMEMOIZED_TWINS).load() \
+            == [Tup("r", "a"), Tup("s", "b")]

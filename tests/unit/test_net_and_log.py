@@ -132,7 +132,7 @@ class TestLogTruncation:
         reclaimed = log.truncate_below(4)
         assert reclaimed > 0
         assert log.size_bytes() == before - reclaimed
-        assert log.first_index == 4 and log.truncated
+        assert log.first_index == 4
         assert len(log) == 8                      # head index is logical
         assert log.entry(4).entry_type == CHK
         assert log.entry(8).index == 8

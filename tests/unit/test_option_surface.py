@@ -53,10 +53,10 @@ SIGNATURES = {
     # the ndlint gate has no off switch
     DatalogApp: "(self, node_id, program)",
     # where a response came from is the querier's fact, not a field the
-    # responder sets
+    # responder sets; a checkpoint-anchored segment starts at its chk
+    # entry, so the checkpoint is no field either
     RetrieveResponse:
-        "(self, node, entries, start_index, start_hash, head_auth, "
-        "checkpoint=None)",
+        "(self, node, entries, start_index, start_hash, head_auth)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,

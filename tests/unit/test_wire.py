@@ -143,7 +143,7 @@ def _honest():
         "W.tup": tup, "W.msg": msg, "W.ack": Ack("b", "a", [msg], 1.5),
         "W.auth": auth, "W.floor": RetentionFloor("a", 1, 1.0, b"sig"),
         "W.der": DerivationInstance("R1", (tup,)), "W.entry": entry,
-        "W.resp": RetrieveResponse("a", [entry], 1, "h", auth, None),
+        "W.resp": RetrieveResponse("a", [entry], 1, "h", auth),
         "W.wack": WireAck("b", "a", auth, [(msg.msg_id(), 1, 1.0)], [], 1,
                           "h", auth, [msg]),
     }
@@ -221,10 +221,10 @@ class TestFrameRoundTrip:
         nodes["a"].insert(link("a", "q", 3))
         dep.run()
         response = dep.node("a").retrieve(from_checkpoint=True)
-        assert response.checkpoint is not None
+        assert response.seed is response.entries[0]
         clone = _cross(response)
-        assert clone.checkpoint.aux["snapshot"].keys() \
-            == response.checkpoint.aux["snapshot"].keys()
+        assert clone.seed.aux["snapshot"].keys() \
+            == response.seed.aux["snapshot"].keys()
         assert verify_segment_hashes(clone, encode_contents(clone.entries)) \
             == verify_segment_hashes(response,
                                      encode_contents(response.entries))
@@ -245,20 +245,12 @@ UNCHECKED_FIELDS = {
     "LogEntry aux pairs": (
         "W.entry", 1, 0.0, "ins", (), "c", "h", (("tup", 1),)),
     "LogEntry aux None": ("W.entry", 1, 0.0, "ins", (), "c", "h", None),
-    "response entries a tuple": (
-        "W.resp", "a", (), 1, "h", "W.auth", None),
+    "response entries a tuple": ("W.resp", "a", (), 1, "h", "W.auth"),
     "response entries not LogEntries": (
-        "W.resp", "a", ["entry"], 1, "h", "W.auth", None),
-    "response start a float": (
-        "W.resp", "a", [], 1.0, "h", "W.auth", None),
-    "response head auth None": (
-        "W.resp", "a", [], 1, "h", None, None),
-    "response head auth a floor": (
-        "W.resp", "a", [], 1, "h", "W.floor", None),
-    "response checkpoint a str": (
-        "W.resp", "a", [], 1, "h", "W.auth", "chk"),
-    "response checkpoint an Authenticator": (
-        "W.resp", "a", [], 1, "h", "W.auth", "W.auth"),
+        "W.resp", "a", ["entry"], 1, "h", "W.auth"),
+    "response start a float": ("W.resp", "a", [], 1.0, "h", "W.auth"),
+    "response head auth None": ("W.resp", "a", [], 1, "h", None),
+    "response head auth a floor": ("W.resp", "a", [], 1, "h", "W.floor"),
 }
 
 
