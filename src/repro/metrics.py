@@ -316,24 +316,24 @@ class QueryStats(Counters):
         "log_bytes", "authenticator_bytes", "checkpoint_bytes",
         "logs_fetched", "delta_fetches", "cache_hits", "refreshes",
         "auth_check_seconds", "replay_seconds",
-        "events_replayed", "signatures_verified", "auth_checks_skipped",
-        # Skipped authenticators retroactively checked by a later, wider
-        # build (the pending-skip registry; see microquery.py).
+        "events_replayed", "signatures_verified",
+        # Authenticators found behind a view's verified base (below its
+        # checkpoint anchor) and above the node's signed retention floor:
+        # owed to the anchoring fetch, counted once each.
+        "auth_checks_skipped",
+        # Skipped authenticators later compared with a verified chain
+        # (the anchoring fetch, or a rebuild that reaches further back).
         "auth_checks_recovered",
-        # Skipped authenticators that can never be checked: they fall
-        # below a node's advertised retention floor, whose prefix
-        # checkpoint GC has permanently discarded (the pending-skip
-        # registry drains them instead of waiting forever).
+        # Authenticators that can never be checked: they fall behind a
+        # view's base and below a node's advertised retention floor,
+        # whose prefix checkpoint GC has permanently discarded (dropped
+        # instead of owed forever).
         "auth_checks_tombstoned",
         "microqueries",
         # Anchoring-segment fetches: targeted retrievals issued solely to
-        # check pending skipped authenticators against a wider chain
-        # segment (instead of waiting for a later full build).
+        # check skipped authenticators against a wider chain segment
+        # (instead of waiting for a later full build).
         "anchor_fetches",
-        # Querier-side memory bound: checked-authenticator memo entries
-        # and evidence-store authenticators evicted because they fall
-        # strictly below a head already verified against the node's chain.
-        "evidence_pruned",
         # Differential-engine work done inside replays: presence toggles
         # the replayed machines consumed, Der/Und derivation changes they
         # emitted, derivation instances dropped because a support

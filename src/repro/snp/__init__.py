@@ -3,7 +3,7 @@
 Layer map (paper Section 5, Figure 3):
 
 * :mod:`repro.snp.log` — the tamper-evident log (hash chain + entries);
-* :mod:`repro.snp.evidence` — authenticators and the querier's evidence set;
+* :mod:`repro.snp.evidence` — authenticators and retention-floor adverts;
 * :mod:`repro.snp.commitment` — the signed send/ack commitment protocol,
   including the Tbatch batching optimization;
 * :mod:`repro.snp.snoopy` — :class:`SNooPyNode`, gluing a primary-system

@@ -1,15 +1,18 @@
-"""The build step: verify a response, then replay it.
+"""The build step: verify a response, compare the evidence, replay it.
 
 Between the querier's *fetch* and *commit* (:mod:`repro.snp.microquery`)
 runs :func:`compute_build` on one node's build job, inline on the
-calling thread, against the querier's live state: the evidence store as
-it stands after every node committed before this one, the node's trust
-record, and the deployment's keys, floors and alarms.
+calling thread, against the querier's live state: the node's ledger as
+it stands after every node committed before this one, and the
+deployment's keys, floors and alarms.
 
 This is also the one home of "verify a response": every check that can
 convict a node is written once here and called by the build step and
 the anchoring fetch alike (the chain primitives stay in
-:mod:`repro.snp.replay`).
+:mod:`repro.snp.replay`). The consistency check is one loop,
+:func:`settle`: the build step, the querier taking in the authenticators
+a verified log carries, and the anchoring fetch all compare evidence
+with a verified chain through it.
 
 Each byte is verified once. The chain check hashes the canonical bytes
 the querier took of each entry's content when the segment arrived (the
@@ -58,24 +61,6 @@ def verify_auth(public_key, auth, stats, verified):
         )
     if key is not None:
         verified[key] = public_key
-
-
-def response_head(response, hashes):
-    """``(head_index, head_hash)`` a verified response advances a view
-    to: its last entry, or its anchor when nothing was appended."""
-    return (response.head_index,
-            hashes[-1] if response.entries else response.start_hash)
-
-
-def note_checked(checked, response, auth):
-    """Memoize an authenticator that was actually compared against the
-    verified chain (not one merely skipped as pre-anchor): a later refresh
-    extends the same chain, so the comparison stays valid. Notes land in
-    the job's own dict (signature → entry index, so the querier can
-    later evict memos that fell below a verified head) and are committed
-    to the querier's memo only when the view commits ``ok``."""
-    if response.start_index - 1 <= auth.index <= response.head_index:
-        checked[bytes(auth.signature)] = auth.index
 
 
 def check_parsed_forms(response):
@@ -158,48 +143,33 @@ def verify_checkpoint(node_id, chk_entry):
         )
 
 
-def _verify_response(job, deployment, evidence, stats, verified):
+def _verify_response(job, deployment, stats, verified):
     """The node-local checks that can *prove* the node faulty, against
     the querier's live state.
 
-    1. The fresh head authenticator must be validly signed and match the
+    1. Retention coverage: a full build that asked for the untruncated
+       log but got a direct response starting *above* the node's signed
+       retention floor proves the node truncated below what it
+       advertised.
+    2. The fresh head authenticator must be validly signed and match the
        recomputed hash chain.
-    2. Every evidence authenticator the querier holds for this node — in
-       a batch, including what the nodes committed before it harvested —
-       must lie on the returned chain; evidence already verified on this
-       same chain (the trust record's memo ∪ checked-this-pass) is
-       neither re-verified nor re-counted.
-    3. Pending skipped authenticators (below an earlier partial-segment
-       anchor) are retroactively checked when this segment reaches far
-       enough back; settled ones are reported so the registry drains.
+    3. A checkpoint-anchored segment starts at its ``chk`` entry, so the
+       chain check (2) re-hashes the checkpoint's content like any other
+       entry's, and :func:`verify_checkpoint` ties the replay seed's
+       tuple lists to that content.
     4. Every entry's parsed form — what replay will read — must
        re-derive the content the chain commits to
        (:func:`check_parsed_forms`), and the authenticators embedded in
        rcv/ack entries must carry valid signatures from their claimed
        signers.
-    5. Consistency check (Section 5.5): evidence peers hold about this
-       node must lie on the same chain; new below-anchor skips are
-       reported for the pending registry — except those below the node's
-       advertised retention floor *and* the segment anchor, which are
-       tombstoned (the prefix is GC'd; no future segment can ever check
-       them).
-    6. Retention coverage: a full build that asked for the untruncated
-       log but got a direct response starting *above* the node's signed
-       retention floor proves the node truncated below what it
-       advertised.
 
-    A checkpoint-anchored segment starts at its ``chk`` entry, so the
-    chain check (1) re-hashes the checkpoint's content like any other
-    entry's, and :func:`verify_checkpoint` ties the replay seed's tuple
-    lists to that content.
-
-    Returns the recomputed chain hashes aligned with the entries.
+    What the querier holds about the node, and what its peers hold
+    (Section 5.5's consistency check), is compared with the chain
+    afterwards, by :func:`settle` (see :func:`compute_build`).
     """
     node_id = job.node
     response = job.response
-    known, checked = job.trust.checked, job.checked
     floor = deployment.advertised_floor_of(node_id)
-    public_key = deployment.public_key_of(node_id)
     if floor and job.floor_strict and not job.from_mirror:
         # A replica is exempt (a shallow mirror is no evidence against the
         # origin); the job, never the response, says who answered. A lie
@@ -213,34 +183,11 @@ def _verify_response(job, deployment, evidence, stats, verified):
                 f"reach the advertised retention floor {floor} — the node "
                 "truncated below what it signed (retention violation)",
             )
-    verify_auth(public_key, response.head_auth, stats, verified)
+    verify_auth(deployment.public_key_of(node_id), response.head_auth, stats,
+                verified)
     hashes = verify_segment_hashes(response, job.encoded)
     job.encoded = None  # hashed: the fetch's bytes are done with
-    check_against_authenticator(response, hashes, response.head_auth, stats)
-    for auth in evidence.for_node(node_id):
-        sig = bytes(auth.signature)
-        if sig not in known and sig not in checked:
-            check_against_authenticator(response, hashes, auth, stats)
-            note_checked(checked, response, auth)
-    first = response.start_index
-    for auth in job.trust.pending.values():
-        sig = bytes(auth.signature)
-        if sig in known or sig in checked:
-            job.settled.append(sig)  # verified on this chain already
-            continue
-        if auth.index < first - 1:
-            # Below this segment's anchor: the response in hand cannot
-            # check it. Below the node's signed retention floor too, no
-            # *future* segment ever will — drain the registry entry (the
-            # coverage loss stays visible); otherwise it stays pending.
-            if floor and auth.index < floor:
-                stats.auth_checks_tombstoned += 1
-                job.settled.append(sig)
-            continue
-        check_against_authenticator(response, hashes, auth, stats)
-        stats.auth_checks_recovered += 1
-        job.settled.append(sig)
-        note_checked(checked, response, auth)
+    check_against_authenticator(response, hashes, response.head_auth)
     if response.seed is not None:
         verify_checkpoint(node_id, response.seed)
     check_parsed_forms(response)
@@ -249,40 +196,121 @@ def _verify_response(job, deployment, evidence, stats, verified):
             raise LogVerificationError(node_id, "log embeds an authenticator "
                                        f"from unregistered node {signer!r}")
         verify_auth(deployment.public_key_of(signer), auth, stats, verified)
-    if job.consistency is not None:
-        def on_skip(auth):
-            if floor and auth.index < floor:
-                # Below the GC'd prefix: never checkable by any later
-                # build — tombstone instead of pending forever.
-                stats.auth_checks_tombstoned += 1
-                return
-            job.skipped.append(auth)
-        for auth in job.consistency:
-            sig = bytes(auth.signature)
-            if sig in known or sig in checked:
-                continue  # verified on this same chain already
-            try:
-                verify_auth(public_key, auth, stats, verified)
-            except AuthenticationError:
-                continue  # not actually signed by node_id; ignore
-            check_against_authenticator(response, hashes, auth, stats,
-                                        on_skip=on_skip)
-            note_checked(checked, response, auth)
-    return hashes
 
 
-def compute_build(job, deployment, evidence, stats, verified):
-    """Verify ``job.response``, then replay it, counting into *stats*.
+def settle(node_id, auths, lookup, last, ledger, floor, stats, strict=True,
+           verify=None):
+    """The consistency check (Section 5.5) as one rule: every
+    authenticator the querier holds about *node_id* lies on the chain it
+    verified for the node.
 
-    Fills in the job: ``hashes`` (the recomputed chain, over the bytes in
-    ``job.encoded``, which it then drops), ``checked`` / ``settled`` /
-    ``skipped`` (what :func:`_verify_response` noted), and ``replay`` — a
-    fresh replay for a full build, the base view's replay advanced in
-    place for an extend. *verified* is the querier's per-batch signature
-    memo (:func:`verify_auth`). A response that proves the node (or
-    the mirror serving it) faulty raises :class:`LogVerificationError` or
-    :class:`AuthenticationError` before replay touches anything; a replay
-    crash is left on ``job.replay`` (``not job.replay.ok``).
+    *lookup(index)* is that chain's hash of entry *index* (None outside
+    it) and *last* its head. Each of *auths* leaves in one state of
+    *ledger* (the querier's ``_Ledger``):
+
+    * compared — on the chain: dropped (one that was ``behind`` counts
+      as recovered); a mismatch proves a fork or rewrite, and raises;
+    * owed — above *last*: into ``ledger.owed``, until the chain grows
+      that far. With *strict* the chain is what the node serves now, so
+      evidence above it proves the node served less than it signed, and
+      raises. Below the chain but not below the signed retention
+      *floor*: into ``ledger.behind``, the anchoring fetch's worklist,
+      counted skipped once;
+    * tombstoned — below the chain and the floor, whose prefix GC has
+      discarded: no segment can ever check it, so it is counted and
+      dropped.
+
+    *verify(auth)* is given for peers' consistency evidence, whose
+    signature nobody has checked yet: it runs only where the signature
+    matters — before the authenticator is kept or convicts — and one that
+    fails it is ignored. Returns whether ``ledger.behind`` grew.
+    """
+    grew = False
+    for auth in auths:
+        index, sig = auth.index, bytes(auth.signature)
+        found = lookup(index)
+        if found is not None and found == auth.entry_hash:
+            if ledger.behind.pop(sig, None) is not None:
+                stats.auth_checks_recovered += 1
+            continue
+        if verify is not None and not verify(auth):
+            continue
+        if found is not None:
+            raise LogVerificationError(
+                node_id,
+                f"authenticator for entry {index} does not match the log "
+                "(equivocation or tampering)",
+            )
+        if index > last:
+            if strict:
+                raise LogVerificationError(
+                    node_id,
+                    f"returned log ends at {last} but evidence covers {index}",
+                )
+            ledger.owed[sig] = auth
+        elif floor and index < floor:
+            ledger.behind.pop(sig, None)
+            stats.auth_checks_tombstoned += 1
+        elif sig not in ledger.behind:
+            ledger.behind[sig] = auth
+            stats.auth_checks_skipped += 1
+            grew = True
+    return grew
+
+
+def _settle_pass(job, deployment, stats, verified):
+    """Compare what the querier holds about the node, and what its peers
+    hold, with the chain this pass verified: the base view's chain and the
+    response's entries. Works on the job's copy of the node's ledger,
+    which the commit installs, so a refused response changes nothing."""
+    node_id, response, base = job.node, job.response, job.base_view
+    ledger = job.ledger
+    public_key = deployment.public_key_of(node_id)
+    floor = deployment.advertised_floor_of(node_id)
+    held = list(ledger.owed.values())
+    ledger.owed = {}
+    if base is None:  # a new chain: what fell behind the old one is retried
+        held.extend(ledger.behind.values())
+
+    def lookup(index):
+        found = response.hash_at(index)
+        if found is None and base is not None:
+            found = base.hash_at(index)
+        return found
+
+    def signed(auth):
+        try:
+            verify_auth(public_key, auth, stats, verified)
+        except AuthenticationError:
+            return False  # not actually signed by node_id; ignore
+        return True
+
+    last = response.head_index
+    grew = settle(node_id, held, lookup, last, ledger, floor, stats)
+    job.anchor = settle(node_id, job.consistency, lookup, last, ledger, floor,
+                        stats, verify=signed) or grew
+
+
+def compute_build(job, deployment, stats, verified):
+    """Verify ``job.response``, compare the node's evidence with it, and
+    replay it, counting into *stats*.
+
+    Fills in the job: ``ledger`` (its copy of the node's ledger, settled
+    against the verified chain by :func:`settle`), ``anchor`` (whether
+    evidence newly fell behind the chain's base) and ``replay`` — a fresh
+    replay for a full build, the base view's replay advanced in place for
+    an extend. ``job.encoded`` is hashed, then dropped. *verified* is the
+    querier's per-batch signature memo (:func:`verify_auth`). A response
+    that proves the node (or the mirror serving it) faulty raises
+    :class:`LogVerificationError` or :class:`AuthenticationError`; a
+    replay crash is left on ``job.replay`` (``not job.replay.ok``).
+
+    A replica's evidence is compared before replay, so that a refused
+    replica leaves the base view as it was. A direct response's evidence
+    is compared after replay, as it would be had the evidence arrived
+    after the build (:meth:`MicroQuerier._hold`): a conviction then costs
+    the same replay whichever batch brought the evidence, so how builds
+    are batched changes no counter.
     """
     response = job.response
     with stats.timing("auth_check_seconds"):
@@ -293,8 +321,9 @@ def compute_build(job, deployment, evidence, stats, verified):
                 f"suffix after entry {job.base_view.head_index} does not "
                 "continue the verified chain (fork after cached head)",
             )
-        job.hashes = _verify_response(job, deployment, evidence, stats,
-                                      verified)
+        _verify_response(job, deployment, stats, verified)
+        if job.from_mirror:
+            _settle_pass(job, deployment, stats, verified)
     alarms = frozenset(deployment.maintainer.alarmed_msg_ids())
     if job.kind == "extended":
         job.replay = job.base_view.replay
@@ -308,40 +337,37 @@ def compute_build(job, deployment, evidence, stats, verified):
             job.node, response, deployment.app_factories.get(job.node),
             deployment.effective_t_prop(), stats, known_alarm_msg_ids=alarms,
         )
+    if not job.from_mirror and job.replay.ok:
+        with stats.timing("auth_check_seconds"):
+            _settle_pass(job, deployment, stats, verified)
 
 
-def verify_anchor_segment(response, encoded, public_key, trusted_head, stats,
+def verify_anchor_segment(response, encoded, public_key, view, stats,
                           verified):
-    """Verify a segment fetched solely to *anchor* owed evidence checks.
+    """Verify a segment fetched solely to *anchor* the evidence behind
+    *view*'s base (the anchoring fetch, :meth:`MicroQuerier._fetch_anchor`).
 
-    Used by the on-demand anchoring fetch (a pending skip recorded by
-    :func:`~repro.snp.replay.check_against_authenticator`'s ``on_skip``
-    means evidence fell below an earlier segment's anchor): before any
-    owed authenticator is compared against this segment, the segment
-    itself must be committed to by the node — its head authenticator
-    validly signed and on the recomputed chain — and, when the caller
-    already audited this node up to *trusted_head* (an ``(index, hash)``
-    pair, else None), the chain must pass through that head. Without the
-    cross-check a forked node could serve one history to the auditor and
-    a different one to anchor its debts; with it, the mismatch is itself
-    proof of the fork. *encoded* is the fetch's
+    Before any authenticator is compared against this segment, the
+    segment itself must be committed to by the node — its head
+    authenticator validly signed and on the recomputed chain — and it
+    must pass through the head of the chain the querier already verified
+    (*view*'s), wherever it reaches that far. Without the cross-check a
+    forked node could serve one history to the auditor and a different
+    one to anchor its evidence; with it, the mismatch is itself proof of
+    the fork. *encoded* is the fetch's
     :func:`~repro.snp.log.encode_contents`, *verified* the batch's
-    signature memo. Returns the chain hashes aligned with the entries.
+    signature memo.
     """
     auth = response.head_auth
     verify_auth(public_key, auth, stats, verified)
     hashes = verify_segment_hashes(response, encoded)
     check_against_authenticator(response, hashes, auth)
-    if trusted_head is not None:
-        index, trusted_hash = trusted_head
-        # Attested == recomputed, as of two lines up; None when the
-        # segment does not reach the audited head.
-        found = response.hash_at(index)
-        if found is not None and found != trusted_hash:
-            raise LogVerificationError(
-                response.node,
-                f"anchoring segment does not pass through the audited "
-                f"head at entry {index} (fork)",
-            )
-    return hashes
-
+    # Attested == recomputed, as of two lines up; None when the segment
+    # does not reach the audited head.
+    found = response.hash_at(view.head_index)
+    if found is not None and found != view.head_hash:
+        raise LogVerificationError(
+            response.node,
+            f"anchoring segment does not pass through the audited head at "
+            f"entry {view.head_index} (fork)",
+        )

@@ -132,7 +132,7 @@ class EvidenceDirectory:
 
 class Deployment(EvidenceDirectory):
     def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256,
-                 t_batch=0.0, drop_wires_to=()):
+                 t_batch=0.0):
         self.seed = seed
         self.sim = Simulator(seed=seed, t_prop=t_prop,
                              delta_clock=delta_clock)
@@ -144,7 +144,7 @@ class Deployment(EvidenceDirectory):
         self.nodes = {}
         self.app_factories = {}
         self._identities = {}
-        self._drop_wires_to = set(drop_wires_to)  # simulate crashed nodes
+        self._drop_wires_to = set()  # simulate crashed nodes
         # Channels are FIFO per (src, dst), like the TCP sessions real
         # deployments use: a +τ and its later −τ must arrive in order or
         # the receiver's belief state is corrupted.

@@ -6,10 +6,11 @@ commitment that entry ``e_k`` (and, through the hash chain, the whole prefix
 ``k`` in the signed payload — a convenience (the verifier would otherwise
 locate k by scanning) that strictly strengthens the commitment.
 
-The querier accumulates authenticators in an :class:`EvidenceStore` (the
-paper's ε). Each node also keeps the authenticators it received from each
-peer (the sets ``U_{i,j}``), which is what the consistency check draws on to
-expose equivocation: two valid authenticators from the same node whose
+The querier holds the authenticators it learns about each node (the
+paper's ε) in one ledger per node (``repro.snp.microquery``). Each node
+also keeps the authenticators it received from each peer (the sets
+``U_{i,j}``), which is what the consistency check draws on to expose
+equivocation: two valid authenticators from the same node whose
 (index, hash) pairs do not lie on one chain prove a fork.
 """
 
@@ -111,58 +112,3 @@ def verify_retention_floor(public_key, advert):
             "invalid signature"
         )
     return True
-
-
-class EvidenceStore:
-    """The querier's evidence set ε: authenticators indexed by node.
-
-    Also remembers, per node, the authenticators *other* nodes hold about
-    it once collected — the raw material of the consistency check.
-    """
-
-    def __init__(self):
-        self._by_node = {}
-
-    def add(self, auth):
-        self._by_node.setdefault(auth.node, []).append(auth)
-
-    def for_node(self, node):
-        return list(self._by_node.get(node, ()))
-
-    def best_for_node(self, node):
-        """The authenticator covering the longest prefix of *node*'s log."""
-        candidates = self._by_node.get(node)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda a: a.index)
-
-    def prune_checked_below(self, node, head_index, checked_sigs):
-        """Evict *node*'s authenticators already verified against its
-        trusted chain below *head_index* (the bounded-querier satellite:
-        see ``MicroQuerier.compact_evidence``). Only entries whose
-        signature appears in *checked_sigs* are dropped — unverified
-        evidence is never discarded, whatever its index. Returns the
-        dropped entries (duplicates included: every copy of a pruned
-        signature goes at once)."""
-        held = self._by_node.get(node)
-        if not held:
-            return []
-        kept, dropped = [], []
-        for auth in held:
-            if auth.index < head_index \
-                    and bytes(auth.signature) in checked_sigs:
-                dropped.append(auth)
-            else:
-                kept.append(auth)
-        if dropped:
-            if kept:
-                self._by_node[node] = kept
-            else:
-                del self._by_node[node]
-        return dropped
-
-    def nodes(self):
-        return list(self._by_node)
-
-    def __len__(self):
-        return sum(len(v) for v in self._by_node.values())

@@ -35,29 +35,34 @@ build path"). One :class:`_BuildJob` carries a node through one pass:
   charge is those bytes' length, and the chain check hashes the same
   bytes, then drops them;
 * **verify + replay** (:func:`repro.snp.build.compute_build`) — every
-  check that can convict the node, against the querier's live state
-  (the evidence store, the node's :class:`_NodeTrust`), then replay;
-* **commit** (:meth:`MicroQuerier._finalize`) — the trust record's
-  commit, harvesting the log's evidence, view installation.
+  check that can convict the node, the comparison of its evidence with
+  the verified chain (on a copy of the node's :class:`_Ledger`), then
+  replay;
+* **commit** (:meth:`MicroQuerier._finalize`) — the ledger and the view
+  install, then the authenticators the log carries are held against
+  their signers' chains.
 
-The next node is fetched only after this one committed, so a node's
-chain is checked against everything harvested before it: a batch gives
-the views, and counts the signatures, that one batch per node would.
-Within a batch, a signature check that already passed (same payload
-bytes, signature bytes and key) costs no second RSA operation; the memo
-is cleared at batch end and every check is still counted.
+The querier keeps one ledger per node, and every authenticator it holds
+about the node is in exactly one state: *compared* against the chain the
+node's ``ok`` view verified (and dropped) as soon as that chain covers
+its index, *owed* until it does, or *tombstoned* below the node's signed
+retention floor — one rule, :func:`repro.snp.build.settle`. So how
+nodes are grouped into batches changes no view or colour, and no counter
+unless evidence falls behind a checkpoint-anchored base (the anchoring
+fetch runs once per batch). Within a batch, a signature check
+that already passed (same payload bytes, signature bytes and key) costs
+no second RSA operation; the memo is cleared at batch end and every
+check is still counted.
 """
 
 from collections import defaultdict
 
 from repro.metrics import QueryStats
-from repro.snp.evidence import EvidenceStore, AUTHENTICATOR_BYTES
+from repro.snp.evidence import AUTHENTICATOR_BYTES
 from repro.snp.build import (
-    compute_build, embedded_authenticators, response_head,
-    verify_anchor_segment,
+    compute_build, embedded_authenticators, settle, verify_anchor_segment,
 )
 from repro.snp.log import ENTRY_HEADER_BYTES, encode_contents
-from repro.snp.replay import check_against_authenticator
 from repro.provgraph.vertices import Color
 from repro.util.errors import AuthenticationError, LogVerificationError
 from repro.util.serialization import canonical_size
@@ -76,24 +81,30 @@ class NodeView:
     from. The invariant: ``graph`` is exactly the replay of entries
     ``1..head_index`` and ``head_hash`` is the chain hash ``h_head_index``.
 
+    ``chain`` is every chain hash the view verified, from entry
+    ``base − 1`` (the hash its first segment was anchored on) to the head
+    — the verified entries' own ``entry_hash`` objects, one list slot per
+    entry. It is what the evidence the querier holds about the node is
+    compared with (:func:`repro.snp.build.settle`), whenever it arrives.
+
     ``replay`` is the live :class:`~repro.snp.replay.ReplayResult` the
     graph belongs to (a failed one, on a proven-faulty view, is kept as
     evidence), or None.
     """
 
     __slots__ = ("node", "status", "verdict_reason", "replay",
-                 "head_index", "head_hash", "head_time", "base_index",
+                 "head_index", "chain", "head_time", "base_index",
                  "base_time")
 
     def __init__(self, node, status, verdict_reason=None, replay=None,
-                 head_index=0, head_hash=None, head_time=float("-inf"),
+                 head_index=0, chain=None, head_time=float("-inf"),
                  base_index=0, base_time=float("-inf")):
         self.node = node
         self.status = status
         self.verdict_reason = verdict_reason
         self.replay = replay
         self.head_index = head_index
-        self.head_hash = head_hash
+        self.chain = chain
         #: Timestamp of the last verified log entry: the horizon up to
         #: which an absence in ``graph`` is *meaningful* (a vertex the
         #: peers hold evidence for at a later t may simply postdate this
@@ -112,6 +123,17 @@ class NodeView:
     def graph(self):
         return None if self.replay is None else self.replay.graph
 
+    @property
+    def head_hash(self):
+        return self.chain[-1] if self.chain else None
+
+    def hash_at(self, index):
+        """The verified chain hash of entry *index*, or None when the
+        chain does not reach it."""
+        chain = self.chain
+        at = len(chain) - 1 - (self.head_index - index)
+        return chain[at] if 0 <= at < len(chain) else None
+
 
 class MicroResult:
     """What one microquery invocation returns (Section 4.3)."""
@@ -125,60 +147,56 @@ class MicroResult:
         self.successors = successors
 
 
-class _NodeTrust:
-    """What the querier has established about one node's chain — one
-    record, so that re-establishing trust is one call (a missed reset is
-    stale trust, i.e. a wrong green).
+class _Ledger:
+    """Every authenticator the querier holds about one node, in one place
+    (Section 5.5's consistency check as one rule: each must lie on the
+    chain the querier verified for the node, which its ``ok`` view keeps).
+    :func:`~repro.snp.build.settle` moves an authenticator between its
+    states:
 
-    * ``checked`` — authenticators (signature → entry index) already
-      verified to lie on the trusted chain. A refresh extends that same
-      chain, so they need neither re-verification nor re-comparison —
-      and, not being coverage losses, they must not inflate
-      ``auth_checks_skipped``.
-    * ``cursor`` — how much of each peer's ``received_auths`` was
-      already scanned for evidence about the node (see
-      ``Deployment.collect_authenticators_about_since``).
-    * ``pending`` — authenticators (signature → Authenticator) counted
-      in ``auth_checks_skipped`` because they fell below a
-      partial-segment anchor. A later build whose segment reaches far
-      enough back retroactively checks them (the build step's pending
-      loop) instead of silently dropping the coverage. They are coverage
-      debt, not chain trust: they survive :meth:`reset`.
+    * *compared* — checked against the chain as soon as the chain covers
+      its index, then dropped: it is not here;
+    * *owed* — in ``owed`` while the node has no verified chain or the
+      index is above its head; in ``behind`` while the index is below the
+      chain's base but not below the node's signed retention floor.
+      ``behind`` is the anchoring fetch's only worklist;
+    * *tombstoned* — below the floor: counted and dropped.
+
+    Both maps go signature bytes → authenticator, and hold only
+    authenticators whose signature was checked. ``signed_head`` is the
+    head authenticator of the last response verified for the node: a full
+    rebuild owes a check against it, so a new chain is always checked
+    against the one verified before it. ``cursor`` is how much of each
+    peer's ``received_auths`` was already collected for the consistency
+    check (see ``Deployment.collect_authenticators_about_since``).
     """
 
-    __slots__ = ("checked", "cursor", "pending")
+    __slots__ = ("owed", "behind", "signed_head", "cursor")
 
     def __init__(self):
-        self.checked = {}
+        self.owed = {}
+        self.behind = {}
+        self.signed_head = None
         self.cursor = None
-        self.pending = {}
+
+    def copy(self):
+        """A copy a build pass settles against its chain, installed when
+        the pass commits — so a refused response changes nothing."""
+        ledger = _Ledger()
+        ledger.owed = dict(self.owed)
+        ledger.behind = dict(self.behind)
+        ledger.signed_head, ledger.cursor = self.signed_head, self.cursor
+        return ledger
 
     def reset(self):
-        """Trust in the chain is (re)established from scratch: a full
-        rebuild, ``invalidate()``."""
-        self.checked = {}
+        """Trust in the chain is (re)established from scratch — a full
+        rebuild, ``invalidate()``: the chain verified so far is owed as
+        its signed head, and peers' evidence is collected afresh."""
+        head = self.signed_head
+        if head is not None:
+            self.owed[bytes(head.signature)] = head
+            self.signed_head = None
         self.cursor = None
-
-    def commit(self, job):
-        """An ``ok`` pass commits: adopt what it verified, drain the
-        debts it settled — repaid, or proved unpayable (tombstoned: below
-        the node's GC'd retention floor, so no future segment can ever
-        check them) — and admit the ones it newly skipped. Returns whether
-        the pass left debt an anchoring fetch could repay."""
-        self.checked.update(job.checked)
-        if job.cursor is not None:
-            self.cursor = job.cursor
-        for sig in job.settled:
-            self.pending.pop(sig, None)
-        for auth in job.skipped:
-            sig = bytes(auth.signature)
-            if sig not in self.checked:
-                self.pending.setdefault(sig, auth)
-        return bool(job.skipped and self.pending)
-
-    def drain(self, sig):
-        """An owed check was repaid against an anchoring segment."""
-        self.checked[sig] = self.pending.pop(sig).index
 
 
 class _BuildJob:
@@ -187,36 +205,32 @@ class _BuildJob:
 
     :meth:`run` fetches (which may already decide ``view``: unreachable
     nodes, refresh targets that keep their stale-but-verified view, and
-    nodes convicted by the retention handshake), then hands the job to
-    :func:`~repro.snp.build.compute_build`, which fills in ``hashes``,
-    the memo notes in ``checked``, the pending debt ``settled`` and
-    ``skipped``, and ``replay``. A verdict decides ``view`` here, under
-    the mirror policy; :meth:`MicroQuerier._finalize` commits a job left
+    nodes convicted by the retention handshake or, earlier in the batch,
+    by evidence another log carried), then hands the job to
+    :func:`~repro.snp.build.compute_build`, which settles ``ledger`` (a
+    copy of the node's) against the verified chain, sets ``anchor`` and
+    fills in ``replay``. A verdict decides ``view`` here, under the
+    mirror policy; :meth:`MicroQuerier._finalize` commits a job left
     undecided.
     """
 
-    __slots__ = ("mq", "node", "kind", "base_view", "trust", "response",
-                 "encoded", "from_mirror", "floor_strict", "consistency",
-                 "cursor", "view", "hashes", "checked", "settled",
-                 "skipped", "replay")
+    __slots__ = ("mq", "node", "kind", "base_view", "response", "encoded",
+                 "from_mirror", "floor_strict", "ledger", "consistency",
+                 "anchor", "view", "replay")
 
     def __init__(self, mq, node, base_view=None):
         self.mq = mq
         self.node = node
         self.kind = "built" if base_view is None else "extended"
         self.base_view = base_view
-        self.trust = mq._trust[node]
         self.response = None
         self.encoded = None
         self.from_mirror = False
         self.floor_strict = False
-        self.consistency = None
-        self.cursor = None
+        self.ledger = None
+        self.consistency = ()
+        self.anchor = False
         self.view = None
-        self.hashes = None
-        self.checked = {}
-        self.settled = []
-        self.skipped = []
         self.replay = None
 
     def run(self):
@@ -224,6 +238,12 @@ class _BuildJob:
         ``view`` is decided or the job is ready to commit."""
         mq = self.mq
         deployment = mq.deployment
+        current = mq._views.get(self.node)
+        if current is not None and current.status == PROVEN_FAULTY:
+            # Convicted since the batch began, by an authenticator a log
+            # committed before this one carried: proof does not expire.
+            self.view = current
+            return
         fault = deployment.retention_fault_of(self.node)
         if fault is not None:
             # Convicted at handshake time (e.g. a signed floor above a
@@ -238,14 +258,13 @@ class _BuildJob:
             self._fetch_full()
         if self.view is not None:
             return
-        if mq.run_consistency_check:
-            self.consistency, self.cursor = \
-                deployment.collect_authenticators_about_since(
-                    self.node, self.trust.cursor
-                )
+        self.ledger = mq._ledgers[self.node].copy()
+        self.consistency, self.ledger.cursor = \
+            deployment.collect_authenticators_about_since(
+                self.node, self.ledger.cursor
+            )
         try:
-            compute_build(self, deployment, mq.evidence, mq.stats,
-                          mq._verified)
+            compute_build(self, deployment, mq.stats, mq._verified)
         except (LogVerificationError, AuthenticationError) as exc:
             self.view = self._refused(str(exc))
             return
@@ -307,7 +326,7 @@ class _BuildJob:
             # The responder did not (or could not) anchor at our head —
             # e.g. a log shorter than the verified head, or a replica that
             # only holds an older segment. Fall back to a full build: the
-            # harvested evidence (which includes the old signed head)
+            # ledger owes a check against the old signed head, which
             # still exposes any fork during full verification. The
             # response in hand is reused so the node is not asked to ship
             # its log twice — unless a checkpoint-anchored refetch is
@@ -326,12 +345,12 @@ class _BuildJob:
         """Fetch for a from-scratch build. *response* short-circuits
         retrieval when the caller already holds (and has been charged
         for) a full response — the refresh fallback path. Trust in the
-        chain is established from zero either way, so the node's trust
-        record is reset here."""
+        chain is established from zero either way, so the node's ledger
+        is reset here."""
         mq = self.mq
         self.kind = "built"
         self.base_view = None
-        self.trust.reset()
+        mq._ledgers[self.node].reset()
         # A full build that asks for the untruncated log holds a GC'd
         # node to its signed floor: a direct response starting above it
         # is a retention violation (checkpoint-mode fetches legitimately
@@ -352,12 +371,9 @@ class _BuildJob:
 
 
 class MicroQuerier:
-    def __init__(self, deployment, use_checkpoints=False,
-                 run_consistency_check=True):
+    def __init__(self, deployment, use_checkpoints=False):
         self.deployment = deployment
         self.use_checkpoints = use_checkpoints
-        self.run_consistency_check = run_consistency_check
-        self.evidence = EvidenceStore()
         self.stats = QueryStats()
         self._views = {}
         #: Moved by every batch that ran a job (builds, extends, anchor
@@ -365,18 +381,20 @@ class MicroQuerier:
         #: the query left the verified state as it found it.
         self.version = 0
         # Nodes whose view *semantically* changed in the most recent
-        # refresh() — status flipped or the verified head advanced. The
+        # refresh() — status flipped or the verified head advanced,
+        # whether the node was refreshed or convicted by evidence the
+        # refreshed logs carried. The
         # per-epoch change set the monitor's watch evaluation consumes: an
         # empty set means the refresh was a no-op (every delta fetch came
         # back empty), so standing watches need no re-evaluation. None
         # until the first refresh (callers must assume "anything may have
         # changed").
         self.last_refresh_changed = None
-        # node -> _NodeTrust: what is established about each node's chain
-        # (checked-authenticator memo, consistency cursor) and what is
-        # still owed (pending skipped authenticators).
-        self._trust = defaultdict(_NodeTrust)
-        # Nodes whose pending debt grew during the running batch — the
+        # node -> _Ledger: every authenticator held about the node that
+        # its verified chain does not cover yet, and its consistency
+        # cursor.
+        self._ledgers = defaultdict(_Ledger)
+        # Nodes whose ledger.behind grew during the running batch — the
         # batch-end anchoring fetch's worklist.
         self._anchor_wanted = set()
         # The running batch's passed signature checks (build.verify_auth):
@@ -397,9 +415,7 @@ class MicroQuerier:
         """Ensure views exist for *node_ids*; returns ``{node_id: view}``.
 
         Missing views are built as one batch, one node at a time in
-        canonical node order — so the evidence a node's chain is checked
-        against is exactly what the batch harvested from the nodes before
-        it.
+        canonical node order.
         """
         wanted = list(dict.fromkeys(node_ids))
         missing = sorted((n for n in wanted if n not in self._views),
@@ -414,11 +430,11 @@ class MicroQuerier:
         self.version += 1
         if node_id is None:
             self._views.clear()
-            for trust in self._trust.values():
-                trust.reset()
+            for ledger in self._ledgers.values():
+                ledger.reset()
         else:
             self._views.pop(node_id, None)
-            self._trust[node_id].reset()
+            self._ledgers[node_id].reset()
 
     def refresh(self, node_id=None):
         """Advance cached views to the deployment's current log heads.
@@ -461,10 +477,8 @@ class MicroQuerier:
         return (view.status, view.head_index, view.head_hash)
 
     def _refresh_batch(self, node_ids):
-        before = {
-            node_id: self._view_signature(self._views[node_id])
-            for node_id in node_ids
-        }
+        before = {node_id: self._view_signature(view)
+                  for node_id, view in self._views.items()}
         jobs = []
         for node_id in node_ids:
             view = self._views[node_id]
@@ -476,9 +490,9 @@ class MicroQuerier:
             # proven-faulty is kept: signed proof does not expire
         self._run_batch(jobs)
         self.last_refresh_changed = {
-            node_id for node_id in node_ids
+            node_id for node_id, signature in before.items()
             if node_id not in self._views
-            or self._view_signature(self._views[node_id]) != before[node_id]
+            or self._view_signature(self._views[node_id]) != signature
         }
 
     def _run_batch(self, jobs):
@@ -500,20 +514,19 @@ class MicroQuerier:
         try:
             for job in jobs:
                 job.run()
-                self._views[job.node] = self._finalize(job)
+                self._finalize(job)
                 committed += 1
         except BaseException:
             for job in jobs[committed:]:
                 self.invalidate(job.node)
             raise
-        # A batch that left skipped-authenticator debt (evidence below a
-        # partial segment's anchor) fetches the anchoring segment right
-        # away instead of waiting for some later full build to happen by.
+        # Evidence that fell behind a view's base (a checkpoint-anchored
+        # chain) is checked against an anchoring segment fetched right
+        # away, instead of waiting for some later full build to happen by.
         for node_id in sorted(self._anchor_wanted, key=str):
-            self._fetch_pending_anchor(node_id)
+            self._fetch_anchor(node_id)
         self._anchor_wanted.clear()
         self._verified.clear()
-        self.compact_evidence()
 
     # ---------------------------------------------- fetch-side accounting
 
@@ -547,16 +560,21 @@ class MicroQuerier:
 
     def _finalize(self, job):
         """Commit one job run in canonical node order: a decided view as
-        it is; otherwise the trust record's commit, then harvesting this
-        node's evidence for the nodes after it, then the view, advanced
-        to :func:`~repro.snp.build.response_head`."""
+        it is; otherwise the pass's ledger, then the view, advanced to
+        the response's head with its chain extended by the verified
+        entries' own hashes, then the authenticators the log carries,
+        held against their signers' chains (:meth:`_hold`)."""
+        node_id = job.node
         if job.view is not None:
-            return job.view
-        node_id, response = job.node, job.response
-        if job.trust.commit(job):
+            self._views[node_id] = job.view
+            return
+        response = job.response
+        job.ledger.signed_head = response.head_auth
+        self._ledgers[node_id] = job.ledger
+        if job.anchor:
             self._anchor_wanted.add(node_id)
         if job.kind == "built":
-            view = NodeView(node_id, OK)
+            view = NodeView(node_id, OK, chain=[response.start_hash])
             chk = response.seed
             if chk is not None:
                 # Verified coverage starts at the checkpoint replay was
@@ -564,99 +582,77 @@ class MicroQuerier:
                 view.base_index, view.base_time = chk.index, chk.timestamp
         else:
             view = job.base_view
-            if not response.entries:
-                return view  # nothing appended: the head stands
-        self._harvest_evidence(response)
         view.replay = job.replay
-        view.head_index, view.head_hash = response_head(response, job.hashes)
+        view.head_index = response.head_index
         if response.entries:
+            view.chain.extend(entry.entry_hash for entry in response.entries)
             view.head_time = response.entries[-1].timestamp
-        return view
+        self._views[node_id] = view
+        for signer, auth in embedded_authenticators(response):
+            self._hold(signer, auth)
 
-    def _fetch_pending_anchor(self, node_id):
-        """On-demand anchoring fetch (batch end): a pending skip means
-        evidence fell below the last segment's anchor, so its check is
-        owed until some build happens to reach far enough back. Instead
-        of waiting, ask the node for its untruncated log right now and
-        check the owed authenticators against it.
+    def _hold(self, node_id, auth):
+        """Take in an authenticator about *node_id* that a verified log
+        carried (its signature was checked with that log). An ``ok`` view
+        compares it with its chain at once — a mismatch convicts the node
+        now, whichever batch built it — or owes it; without a verified
+        chain it is owed; a proven-faulty node needs no more evidence."""
+        view = self._views.get(node_id)
+        ledger = self._ledgers[node_id]
+        if view is None or view.status == UNREACHABLE:
+            ledger.owed[bytes(auth.signature)] = auth
+            return
+        if view.status != OK:
+            return
+        try:
+            if settle(node_id, (auth,), view.hash_at, view.head_index,
+                      ledger, self.deployment.advertised_floor_of(node_id),
+                      self.stats, strict=False):
+                self._anchor_wanted.add(node_id)
+        except LogVerificationError as exc:
+            self._views[node_id] = NodeView(node_id, PROVEN_FAULTY,
+                                            verdict_reason=str(exc))
+
+    def _fetch_anchor(self, node_id):
+        """On-demand anchoring fetch (batch end): evidence behind the
+        view's base (below its checkpoint anchor) cannot be compared with
+        the chain it verified. Instead of waiting for some later build to
+        reach far enough back, ask the node for its untruncated log right
+        now and settle ``ledger.behind`` against it.
 
         The anchoring segment is verified before it is trusted
         (:func:`~repro.snp.build.verify_anchor_segment`), so a node
         cannot satisfy the owed checks from a fork of the log it is
         being audited on. A GC'd node legitimately anchors at its
-        retained checkpoint; whatever still falls below stays pending
-        (or is tombstoned by the normal floor machinery later).
+        retained checkpoint; whatever still falls below stays owed, or
+        is tombstoned below the signed floor.
         """
-        trust = self._trust[node_id]
-        if not trust.pending:
-            return
+        ledger = self._ledgers[node_id]
+        view = self._views.get(node_id)
         node = self.deployment.nodes.get(node_id)
-        if node is None:
-            return  # unreachable: the debt stays pending
+        if not ledger.behind or view is None or view.status != OK \
+                or node is None:
+            return  # nothing owed, or no chain to anchor, or nobody to ask
         response = node.retrieve(from_checkpoint=False)
         if response is None:
-            return
+            return  # unreachable: the evidence stays owed
         self.stats.anchor_fetches += 1
         encoded = self._charge_fetch(response)
-        view = self._views.get(node_id)
-        trusted = None
-        if view is not None and view.status == OK and view.head_index > 0:
-            trusted = (view.head_index, view.head_hash)
         try:
-            hashes = verify_anchor_segment(
+            verify_anchor_segment(
                 response, encoded, self.deployment.public_key_of(node_id),
-                trusted, self.stats, self._verified,
+                view, self.stats, self._verified,
             )
-            for sig, auth in sorted(trust.pending.items()):
-                if auth.index < response.start_index - 1:
-                    continue  # below even this anchor: stays pending
-                check_against_authenticator(response, hashes, auth,
-                                            self.stats)
-                self.stats.auth_checks_recovered += 1
-                trust.drain(sig)
+            settle(node_id, list(ledger.behind.values()), response.hash_at,
+                   response.head_index, ledger,
+                   self.deployment.advertised_floor_of(node_id), self.stats)
         except (LogVerificationError, AuthenticationError) as exc:
             # The owed evidence (or the audited head) contradicts the
             # chain the node just served — proof of a fork or rewrite.
             self._views[node_id] = NodeView(
                 node_id, PROVEN_FAULTY,
-                verdict_reason=f"pending authenticator check: {exc}",
+                verdict_reason=f"owed authenticator check: {exc}",
             )
-
-    def compact_evidence(self):
-        """Bound the querier's standing memory (batch end).
-
-        An authenticator already verified to lie on a node's trusted
-        chain *below* that view's verified head can never change any
-        future verdict: a refresh extends the same chain (the memo
-        already suppresses its re-check), and a full rebuild re-fetches
-        from scratch and drops the memo anyway. Evict such entries from
-        the evidence store, and from the checked-authenticator memo *in
-        lockstep with the store drop* — a memo entry whose evidence has
-        not surfaced in the store yet is still load-bearing (a peer's log
-        harvested later re-presents the same signed authenticator, and
-        the memo is what keeps that from re-skipping), so it stays until
-        its copies arrive and are pruned with it. The consistency cursors
-        guarantee peers never re-present pruned evidence through the
-        consistency channel. ``evidence_pruned`` counts both ledgers'
-        drops.
-        """
-        for node_id, view in self._views.items():
-            if view.status != OK or view.head_index <= 0:
-                continue
-            checked = self._trust[node_id].checked
-            below = {sig for sig, index in checked.items()
-                     if index < view.head_index}
-            if not below:
-                continue
-            dropped = self.evidence.prune_checked_below(
-                node_id, view.head_index, below
-            )
-            if not dropped:
-                continue
-            pruned_sigs = {bytes(auth.signature) for auth in dropped}
-            for sig in pruned_sigs:
-                checked.pop(sig, None)
-            self.stats.evidence_pruned += len(dropped) + len(pruned_sigs)
 
     def low_water_marks(self):
         """The standing-auditor half of the retention handshake: per
@@ -671,19 +667,12 @@ class MicroQuerier:
         }
 
     def pending_skipped(self, node_id):
-        """The (peer, index) pairs of authenticators whose check is still
-        owed for *node_id* — evidence counted in ``auth_checks_skipped``
-        that no verified segment has reached yet."""
+        """The (signer, index) pairs of authenticators behind *node_id*'s
+        verified base whose check is still owed — evidence counted in
+        ``auth_checks_skipped`` that no verified segment has reached
+        yet."""
         return sorted((auth.node, auth.index)
-                      for auth in self._trust[node_id].pending.values())
-
-    def _harvest_evidence(self, response):
-        """Collect the authenticators embedded in a verified log into the
-        evidence store — they are what lets the querier verify the *next*
-        node it visits."""
-        for _signer, auth in embedded_authenticators(response):
-            self.evidence.add(auth)
-        self.evidence.add(response.head_auth)
+                      for auth in self._ledgers[node_id].behind.values())
 
     # ---------------------------------------------------------- microquery
 

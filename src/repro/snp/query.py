@@ -133,10 +133,9 @@ class QueryProcessor:
     is usable as a context manager; :meth:`close` releases nothing today.
     """
 
-    def __init__(self, deployment, use_checkpoints=False, **mq_kwargs):
+    def __init__(self, deployment, use_checkpoints=False):
         self.deployment = deployment
-        self.mq = MicroQuerier(deployment, use_checkpoints=use_checkpoints,
-                               **mq_kwargs)
+        self.mq = MicroQuerier(deployment, use_checkpoints=use_checkpoints)
         #: Monotone view-generation counter: bumped by :meth:`refresh`, so
         #: callers can tag results with the epoch they were computed in.
         self.epoch = 0

@@ -109,9 +109,8 @@ def verify_segment_hashes(response, encoded):
     return hashes
 
 
-def check_against_authenticator(response, hashes, auth, stats=None,
-                                on_skip=None):
-    """Check that evidence authenticator *auth* lies on this chain.
+def check_against_authenticator(response, hashes, auth):
+    """Check that authenticator *auth* lies on this segment's chain.
 
     The authenticator's (index, hash) must match the segment. Raises
     LogVerificationError on mismatch — that is *proof* the node forked or
@@ -120,12 +119,11 @@ def check_against_authenticator(response, hashes, auth, stats=None,
 
     A partial segment (checkpoint- or delta-anchored) still pins one hash
     *before* its first entry: ``response.start_hash`` is ``h_{start-1}``,
-    so an authenticator for entry ``start-1`` is checkable too. Evidence
-    strictly before that genuinely cannot be compared against the segment;
-    those skips are counted on *stats* (``auth_checks_skipped``) so the
-    coverage loss is visible instead of silent, and reported to *on_skip*
-    (called with the authenticator) so the caller can remember them for a
-    retroactive check by a later, wider build.
+    so an authenticator for entry ``start-1`` is checkable too; one
+    strictly before that cannot be compared against the segment. The
+    querier checks a response's own head authenticator with this; the
+    evidence it holds about a node is compared with the node's verified
+    chain by :func:`repro.snp.build.settle`.
     """
     index = auth.index
     first = response.start_index
@@ -139,10 +137,6 @@ def check_against_authenticator(response, hashes, auth, stats=None,
             )
         return
     if index < first - 1:
-        if stats is not None:
-            stats.auth_checks_skipped += 1
-        if on_skip is not None:
-            on_skip(auth)
         return  # authenticator predates the segment; nothing to compare
     if index > last:
         raise LogVerificationError(

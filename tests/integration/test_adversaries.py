@@ -24,12 +24,16 @@ from repro.snp.evidence import Authenticator, sign_authenticator
 from repro.snp.log import ACK, INS, RCV, LogEntry
 from repro.snp.snoopy import RetrieveResponse, SNooPyNode
 
-from scenarios import forged_checkpoint
+from scenarios import forged_checkpoint, withholding_peers
 
 
-def _deploy(adversary_cls=None, victim="b", seed=77):
+def _deploy(adversary_cls=None, victim="b", seed=77, withheld=False):
+    """The paper network; with *withheld*, the victim's peers refuse the
+    consistency check."""
     dep = Deployment(seed=seed, key_bits=256)
-    overrides = {victim: adversary_cls} if adversary_cls else {}
+    overrides = withholding_peers() if withheld else {}
+    if adversary_cls:
+        overrides[victim] = adversary_cls
     nodes = build_paper_network(dep, node_overrides=overrides)
     dep.run()
     return dep, nodes
@@ -103,18 +107,19 @@ class TestTampering:
         assert view.status == "proven-faulty"
         assert "does not match the log" in view.verdict_reason
 
-    def test_consistency_check_disabled_misses_recomputed_chain(self):
-        # Ablation: without the consistency check, a self-consistent
-        # rewrite of an input entry — content and parsed form agree, the
-        # chain is rebuilt — is NOT caught: the reason the paper's
-        # consistency check exists.
-        dep, nodes = _deploy(TamperingNode)
+    def test_withheld_consistency_check_misses_recomputed_chain(self):
+        # Ablation: when the peers refuse the consistency check, a
+        # self-consistent rewrite of an input entry — content and parsed
+        # form agree, the chain is rebuilt — is NOT caught by an audit of
+        # the node alone: the reason the paper's consistency check exists
+        # (the test above is the same rewrite, caught).
+        dep, nodes = _deploy(TamperingNode, withheld=True)
         _rewrite_first_insert(nodes["b"])
-        qp = QueryProcessor(dep, run_consistency_check=False)
+        qp = QueryProcessor(dep)
         assert qp.mq.view_of("b").status == "ok"
-        view = QueryProcessor(dep).mq.view_of("b")
-        assert view.status == "proven-faulty"
-        assert "does not match the log" in view.verdict_reason
+        # An audit of the peers too compares the authenticators their
+        # logs carry with the rewritten chain, whichever comes first.
+        assert qp.prefetch()["b"].status == "proven-faulty"
 
 
 class TestEquivocation:
@@ -364,7 +369,10 @@ class TestConvictionGallery:
             in view.verdict_reason
 
     def _forked_b(self, node_cls):
-        dep, nodes = _deploy(node_cls)
+        """``b`` forks at entry 3 and runs on; its peers refuse the
+        consistency check, so only the authenticators their logs carry
+        can expose the fork."""
+        dep, nodes = _deploy(node_cls, withheld=True)
         b = nodes["b"]
         b.refuse_retrieve = b.refuse_consistency = False
         b.fork_log(keep_upto=3)
@@ -372,15 +380,15 @@ class TestConvictionGallery:
         dep.run()
         return dep, b
 
-    def test_fork_visible_only_in_same_batch_evidence(self):
-        # check: the held-evidence check, over what the batch's earlier
-        # members harvested
+    def test_fork_visible_only_in_evidence_other_logs_carry(self):
+        # check: settle, over the authenticators the batch's other
+        # members' logs carry
         dep, _b = self._forked_b(ForkingNode)
-        with QueryProcessor(dep, run_consistency_check=False) as alone:
-            # nothing held, nobody asked: the fork's chain is consistent
+        with QueryProcessor(dep) as alone:
+            # nothing held, nobody answers: the fork's chain is consistent
             assert alone.mq.view_of("b").status == "ok"
-        with QueryProcessor(dep, run_consistency_check=False) as qp:
-            views = qp.prefetch()  # a commits — and harvests — before b
+        with QueryProcessor(dep) as qp:
+            views = qp.prefetch()  # a commits, and its log is held, before b
         assert views["b"].status == "proven-faulty"
         assert "does not match the log (equivocation or tampering)" \
             in views["b"].verdict_reason
@@ -391,7 +399,7 @@ class TestConvictionGallery:
         dep, b = self._forked_b(_ForkThenCrashNode)
         dep.replicate_deltas(replication_factor=2)
         b.refuse_retrieve = True
-        with QueryProcessor(dep, run_consistency_check=False) as qp:
+        with QueryProcessor(dep) as qp:
             view = qp.prefetch()["b"]
         assert view.status == "unreachable"
         assert view.verdict_reason.startswith("bad mirror: ")
@@ -403,10 +411,10 @@ class TestConvictionGallery:
         # check: the mirror policy's extend branch — whichever batch
         # harvested the contradicting evidence, verification fails before
         # replay and the stale view stays
-        dep, nodes = _deploy(_ForkThenCrashNode)
+        dep, nodes = _deploy(_ForkThenCrashNode, withheld=True)
         b = nodes["b"]
         b.refuse_retrieve = b.refuse_consistency = False
-        with QueryProcessor(dep, run_consistency_check=False) as qp:
+        with QueryProcessor(dep) as qp:
             view = qp.prefetch()["b"]
             head, replayed = view.head_index, view.replay.events_replayed
             b.insert(link("b", "q", 4))   # a logs b's newer authenticators

@@ -11,8 +11,10 @@ scenario:
 * every view that withholds judgment or convicts says why;
 * two independent cold audits of one state agree — colours, verdicts,
   view heads and ``QueryStats`` counters;
-* neither eager prefetch nor the order a batch is asked in changes an
-  answer (a batch builds in canonical node order);
+* neither eager prefetch, nor the order a batch is asked in, nor how
+  nodes are grouped into batches changes an answer (a batch builds in
+  canonical node order, and every authenticator the querier holds is
+  compared with its signer's verified chain whenever the two meet);
 * a refresh with nothing new changes nothing, and a standing auditor that
   refreshes after the deployment ran on answers as a cold audit of the
   new state does.
@@ -33,7 +35,7 @@ from repro.snp.adversary import (
 from repro.snp.microquery import OK, PROVEN_FAULTY
 
 from scenarios import bgp_scenario, chord_scenario, fingerprint, \
-    hadoop_scenario
+    fork_then_run_on, hadoop_scenario, withholding_peers
 
 
 class Case:
@@ -149,6 +151,13 @@ CASES = {
     "forking": Case(
         _mincost(overrides={"b": ForkingNode}, setup=_fork),
         adversaries="b", statuses={"b": PROVEN_FAULTY}, faulty="b"),
+    # The peers refuse the consistency check, so only the
+    # authenticators their logs carry expose the fork — whether they are
+    # held before the forker is built or after.
+    "fork-behind-withholders": Case(
+        _mincost(overrides=withholding_peers(a=ForkingNode),
+                 setup=fork_then_run_on),
+        adversaries="a", statuses={"a": PROVEN_FAULTY}),
     "tampering": Case(
         _mincost(overrides={"b": TamperingNode}, setup=_tamper),
         adversaries="b", statuses={"b": PROVEN_FAULTY}, faulty="b"),
@@ -212,12 +221,12 @@ def _answer(result):
     }
 
 
-def _cold_outcome(case, dep, query, prefetch=None):
-    """Everything observable from one cold audit: *prefetch* is the node
-    order a batch is asked for first (``None``: lazy exploration)."""
+def _cold_outcome(case, dep, query, batches=()):
+    """Everything observable from one cold audit: *batches* are the node
+    lists prefetched first, one batch each (none: lazy exploration)."""
     with case.processor(dep) as qp:
-        if prefetch is not None:
-            qp.prefetch(prefetch)
+        for batch in batches:
+            qp.prefetch(batch)
         return dict(_answer(query(qp)), views=_views(qp),
                     counters=qp.mq.stats.counters())
 
@@ -267,7 +276,7 @@ class TestColdAudits:
     def test_prefetch_matches_lazy_exploration(self, case):
         dep, query, _run_further = case.build()
         lazy = _cold_outcome(case, dep, query)
-        eager = _cold_outcome(case, dep, query, prefetch=_all_nodes(dep))
+        eager = _cold_outcome(case, dep, query, batches=[_all_nodes(dep)])
         assert {k: eager[k] for k in ("colors", "faulty", "suspect")} \
             == {k: lazy[k] for k in ("colors", "faulty", "suspect")}
         assert lazy["views"] == {n: eager["views"][n] for n in lazy["views"]}
@@ -275,9 +284,18 @@ class TestColdAudits:
     def test_batch_order_is_canonical(self, case):
         dep, query, _run_further = case.build()
         nodes = _all_nodes(dep)
-        forward = _cold_outcome(case, dep, query, prefetch=nodes)
+        forward = _cold_outcome(case, dep, query, batches=[nodes])
         assert _cold_outcome(case, dep, query,
-                             prefetch=nodes[::-1]) == forward
+                             batches=[nodes[::-1]]) == forward
+
+    def test_batch_grouping_changes_nothing(self, case):
+        # one node per batch, last node first: each node's peers are
+        # built, and their logs held, before it
+        dep, query, _run_further = case.build()
+        nodes = _all_nodes(dep)
+        together = _cold_outcome(case, dep, query, batches=[nodes])
+        assert _cold_outcome(case, dep, query,
+                             batches=[[n] for n in nodes[::-1]]) == together
 
 
 class TestStandingAudits:

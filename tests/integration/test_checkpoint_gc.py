@@ -33,7 +33,8 @@ from repro.snp.evidence import sign_authenticator, sign_retention_floor
 from repro.snp.microquery import OK, PROVEN_FAULTY, UNREACHABLE, MicroQuerier
 from repro.util.errors import ConfigurationError
 
-from scenarios import fingerprint, forged_checkpoint, run_chord
+from scenarios import fingerprint, forged_checkpoint, run_chord, \
+    withholding_peers
 
 
 def _net(seed, overrides=None):
@@ -471,18 +472,24 @@ class TestRetentionHardening:
 
     @staticmethod
     def _owing(dep, node_id, auth, floor):
-        """A cold querier that owes a check of *auth* against *node_id*'s
-        chain, with *node_id* advertising the signed retention floor
-        *floor* (and no consistency evidence to muddy the counts)."""
+        """A cold querier that owes a check of *auth*, behind an earlier
+        chain's base, against *node_id*'s chain, with *node_id* advertising
+        the signed retention floor *floor* (its peers withhold consistency
+        evidence, which would muddy the counts)."""
         entry = dep.nodes[node_id].log.entry(floor)
         dep.retention_floors[node_id] = sign_retention_floor(
             dep.identity_of(node_id), floor, entry.timestamp)
-        mq = MicroQuerier(dep, run_consistency_check=False)
-        mq._trust[node_id].pending[bytes(auth.signature)] = auth
+        mq = MicroQuerier(dep)
+        mq._ledgers[node_id].behind[bytes(auth.signature)] = auth
         return mq
 
+    @staticmethod
+    def _held(mq, node_id, auth):
+        ledger = mq._ledgers[node_id]
+        return bytes(auth.signature) in {**ledger.owed, **ledger.behind}
+
     def test_checkable_pending_evidence_is_checked_not_tombstoned(self):
-        dep, _nodes = _net(seed=442)
+        dep, _nodes = _net(seed=442, overrides=withholding_peers())
         node = dep.nodes["a"]
         entry = node.log.entry(2)
         good = sign_authenticator(node.identity, 2, entry.timestamp,
@@ -493,7 +500,7 @@ class TestRetentionHardening:
         mq = self._owing(dep, "a", good, floor=len(node.log))
         assert mq.view_of("a").status == OK
         assert not mq.pending_skipped("a")
-        assert bytes(good.signature) in mq._trust["a"].checked
+        assert not self._held(mq, "a", good)    # compared, then dropped
         assert mq.stats.auth_checks_tombstoned == 0
         assert mq.stats.auth_checks_recovered == 1
         # An equivocating authenticator in the same position is proof —
@@ -504,7 +511,7 @@ class TestRetentionHardening:
         assert mq.view_of("a").status == PROVEN_FAULTY
 
     def test_pending_below_anchor_and_floor_is_tombstoned(self):
-        dep, nodes = _net(seed=443)
+        dep, nodes = _net(seed=443, overrides=withholding_peers())
         node = dep.nodes["a"]
         entry = node.log.entry(2)
         old = sign_authenticator(node.identity, 2, entry.timestamp,
@@ -516,7 +523,8 @@ class TestRetentionHardening:
         mq = self._owing(dep, "a", old, floor=chk.index)
         assert mq.view_of("a").status == OK
         assert not mq.pending_skipped("a")
-        assert bytes(old.signature) not in mq._trust["a"].checked
+        assert not self._held(mq, "a", old)
+        assert mq.stats.auth_checks_recovered == 0
         assert mq.stats.auth_checks_tombstoned == 1
 
     def test_lagging_mirror_reseeds_at_a_sanctioned_floor(self):

@@ -15,15 +15,16 @@ from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.metrics import QueryStats
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, SilentNode, TamperingNode
-from repro.snp.build import response_head
 from repro.snp.evidence import Authenticator
 from repro.snp.log import encode_contents
-from repro.snp.microquery import MicroQuerier
+from repro.snp.build import settle
+from repro.snp.microquery import MicroQuerier, _Ledger
 from repro.snp.snoopy import LogCopy
 from repro.snp.replay import check_against_authenticator, verify_segment_hashes
 from repro.util.errors import LogVerificationError
 
-from scenarios import APPLICATION_SCENARIOS
+from scenarios import APPLICATION_SCENARIOS, fork_then_run_on, \
+    withholding_peers
 
 
 def _grown_net(seed=21, node_overrides=None):
@@ -234,7 +235,7 @@ class TestRefreshStaleness:
 
 
 class TestViewHeadAgreement:
-    """A view's head is `response_head` of the last response verified
+    """A view's head is the head of the last response verified
     for it, cold, across an empty refresh and across a growing one."""
 
     def test_head_is_the_last_verified_responses_head(self, monkeypatch):
@@ -254,8 +255,10 @@ class TestViewHeadAgreement:
             for node, view in qp.mq._views.items():
                 assert view.status == "ok"
                 response = last_response[node]
-                head = response_head(response, verify_segment_hashes(
-                    response, encode_contents(response.entries)))
+                hashes = verify_segment_hashes(
+                    response, encode_contents(response.entries))
+                head = (response.head_index, hashes[-1] if response.entries
+                        else response.start_hash)
                 assert (view.head_index, view.head_hash) == head
             return {n: (v.head_index, v.head_hash)
                     for n, v in qp.mq._views.items()}
@@ -292,6 +295,23 @@ class TestRefreshForkDetection:
         view = qp.mq.refresh("b")
         assert view.status == "proven-faulty"
         assert "fork" in view.verdict_reason
+
+    def test_conviction_by_another_nodes_log_is_a_refresh_change(self):
+        # a forks after the build, behind peers that withhold the
+        # consistency check: only b's refreshed log, carrying a's
+        # new-branch authenticators, tells. Refreshing b alone convicts a
+        # against the chain its view verified, and says so.
+        dep, nodes = _grown_net(
+            seed=77, node_overrides=withholding_peers(a=ForkingNode))
+        qp = QueryProcessor(dep)
+        qp.prefetch()
+        version = qp.mq.version
+        fork_then_run_on(dep, nodes)
+        qp.refresh("b")
+        assert qp.mq._views["a"].status == "proven-faulty"
+        assert "does not match the log" in qp.mq._views["a"].verdict_reason
+        assert qp.last_refresh_changed == {"a", "b"}
+        assert qp.mq.version > version
 
     def test_fork_to_shorter_log_is_proven_faulty(self):
         dep, nodes = _grown_net(node_overrides={"b": ForkingNode})
@@ -339,25 +359,26 @@ class TestEvidenceBoundary:
         from repro.snp.evidence import sign_authenticator
         good = sign_authenticator(node.identity, 5, entry.timestamp,
                                   entry.entry_hash)
-        stats = QueryStats()
-        check_against_authenticator(response, hashes, good, stats)
-        assert stats.auth_checks_skipped == 0
+        check_against_authenticator(response, hashes, good)
         bad = sign_authenticator(node.identity, 5, entry.timestamp,
                                  b"\x00" * 32)
         with pytest.raises(LogVerificationError):
-            check_against_authenticator(response, hashes, bad, stats)
+            check_against_authenticator(response, hashes, bad)
 
-    def test_pre_anchor_evidence_counted_as_skipped(self):
+    def test_pre_anchor_evidence_is_owed_and_counted_once(self):
         dep, nodes = _grown_net()
         node = nodes["b"]
-        response, hashes = self._segment(node, since=5)
+        response, _hashes = self._segment(node, since=5)
         entry = node.log.entry(2)
         from repro.snp.evidence import sign_authenticator
         old = sign_authenticator(node.identity, 2, entry.timestamp,
                                  entry.entry_hash)
-        stats = QueryStats()
-        check_against_authenticator(response, hashes, old, stats)
+        ledger, stats = _Ledger(), QueryStats()
+        for _ in range(2):
+            settle("b", [old], response.hash_at, response.head_index,
+                   ledger, 0, stats)
         assert stats.auth_checks_skipped == 1
+        assert list(ledger.behind.values()) == [old]
 
     def test_checkpoint_query_reports_skipped_evidence(self):
         dep, nodes = _grown_net()
@@ -383,7 +404,7 @@ class TestPendingSkippedAuthenticators:
         # The on-demand anchoring fetch (PR 6) would repay the pending
         # skips at batch end; stub it out so the registry itself — what
         # these tests pin — stays observable.
-        monkeypatch.setattr(MicroQuerier, "_fetch_pending_anchor",
+        monkeypatch.setattr(MicroQuerier, "_fetch_anchor",
                             lambda mq, node_id: None)
         qp = QueryProcessor(dep, use_checkpoints=True)
         qp.why(best_cost("c", "d", 5))
@@ -391,8 +412,8 @@ class TestPendingSkippedAuthenticators:
 
     @staticmethod
     def _indebted(qp):
-        return [node for node, trust in qp.mq._trust.items()
-                if trust.pending]
+        return [node for node, ledger in qp.mq._ledgers.items()
+                if ledger.behind]
 
     def test_skips_are_recorded_with_peer_and_index(self, monkeypatch):
         _dep, _nodes, qp = self._checkpointed_querier(monkeypatch)
@@ -425,7 +446,7 @@ class TestPendingSkippedAuthenticators:
         identity = dep.identity_of(node)
         forged = Authenticator(node, 1, 0.0, "f" * 64, None)
         forged.signature = identity.sign(forged.payload())
-        qp.mq._trust[node].pending[bytes(forged.signature)] = forged
+        qp.mq._ledgers[node].behind[bytes(forged.signature)] = forged
         qp.mq.use_checkpoints = False
         qp.mq.invalidate(node)
         view = qp.mq.view_of(node)
@@ -478,7 +499,7 @@ class TestConsistencyCursor:
         for node_id, view in qp.mq._views.items():
             if view.status != "ok":
                 continue
-            cursor = qp.mq._trust[node_id].cursor
+            cursor = qp.mq._ledgers[node_id].cursor
             assert dep.collect_authenticators_about_since(
                 node_id, cursor)[0] == []
 
@@ -486,6 +507,6 @@ class TestConsistencyCursor:
         dep, _nodes = _grown_net(seed=98)
         qp = QueryProcessor(dep)
         qp.why(best_cost("c", "d", 5))
-        assert any(trust.cursor for trust in qp.mq._trust.values())
+        assert any(ledger.cursor for ledger in qp.mq._ledgers.values())
         qp.mq.invalidate()
-        assert not any(trust.cursor for trust in qp.mq._trust.values())
+        assert not any(ledger.cursor for ledger in qp.mq._ledgers.values())

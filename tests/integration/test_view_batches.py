@@ -1,8 +1,10 @@
 """What a build batch promises, and how a macroquery finds its root.
 
 A batch builds its nodes one at a time in canonical node order — fetch,
-verify, replay, commit — so how nodes are grouped into batches changes
-no view, colour or signature count (``TestBatchingChangesNoResult``); an
+verify, replay, commit — and every authenticator the querier holds is
+compared with its signer's verified chain whenever the two meet, so how
+nodes are grouped into batches changes no view, colour or counter
+(``TestBatchingChangesNoResult``, random splits included); an
 unexpected error aborts it, and no member it did not commit survives.
 ``TestExtantRootLookup`` pins the one read op that replaced a scan: the
 root of a ``why(at=None)`` comes from the graph's open-interval map,
@@ -10,9 +12,11 @@ and must be the vertex the scan chose — on the application families,
 cold and refreshed, and on the graphs no healthy build produces.
 """
 
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.mincost import best_cost, build_paper_network, link
 from repro.provgraph.graph import ProvenanceGraph
@@ -20,9 +24,10 @@ from repro.provgraph.vertices import BELIEVE, EXIST, Vertex
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, SilentNode
 from repro.snp.log import INS
-from repro.snp.microquery import NodeView, OK
+from repro.snp.microquery import NodeView, OK, PROVEN_FAULTY
 
-from scenarios import APPLICATION_SCENARIOS, fingerprint
+from scenarios import APPLICATION_SCENARIOS, fingerprint, \
+    fork_then_run_on, run_chord, withholding_peers
 
 
 def _net(seed=77, overrides=None):
@@ -85,14 +90,53 @@ class _ForkThenCrashNode(ForkingNode, SilentNode):
     """Forks its log, lets the replicas mirror the fork, then crashes."""
 
 
+#: MinCost networks a batch split must not tell apart: honest, and ``a``
+#: forked behind peers that refuse the consistency check (only the
+#: authenticators their logs carry expose it).
+_SPLIT_NETWORKS = {
+    "honest": ({}, None),
+    "fork-behind-withholders": (withholding_peers(a=ForkingNode),
+                                fork_then_run_on),
+}
+
+
+def _split_audit(network, batches):
+    """Prefetch *batches* on a fresh *network*, run it on, refresh:
+    everything a batch split could change."""
+    overrides, setup = _SPLIT_NETWORKS[network]
+    dep, nodes = _net(overrides=overrides)
+    if setup is not None:
+        setup(dep, nodes)
+    with QueryProcessor(dep) as qp:
+        for batch in batches:
+            qp.prefetch(batch)
+        nodes["c"].insert(link("c", "z", 2))
+        dep.run()
+        qp.refresh()
+        colours = fingerprint(qp.why(best_cost("c", "d", 5), scope=5))
+        return _heads(qp), colours, qp.mq.stats.counters()
+
+
+@cache
+def _one_batch_audit(network):
+    return _split_audit(network, [list("abcde")])
+
+
+@st.composite
+def _batch_splits(draw):
+    """The five nodes in any order, cut into consecutive batches."""
+    order = draw(st.permutations("abcde"))
+    cuts = sorted(draw(st.sets(st.integers(1, 4))))
+    return [order[i:j] for i, j in zip([0] + cuts, cuts + [5])]
+
+
 class TestBatchingChangesNoResult:
     @pytest.mark.parametrize("family",
                              ["mincost"] + sorted(APPLICATION_SCENARIOS))
     def test_one_batch_equals_one_batch_per_node(self, family):
         """A cold ``prefetch`` of every node, and one ``prefetch([n])``
         per node in sorted order: equal views, colours and counters —
-        signatures included. ``evidence_pruned`` is left out: compaction
-        runs once per batch, so it legitimately prunes at other times."""
+        signatures included."""
         scenario = (_mincost_scenario if family == "mincost"
                     else APPLICATION_SCENARIOS[family])
         _name, dep, query, _run_further = scenario()
@@ -101,12 +145,43 @@ class TestBatchingChangesNoResult:
             with QueryProcessor(dep) as qp:
                 for batch in batches:
                     qp.prefetch(batch)
-                counters = qp.mq.stats.counters()
-                del counters["evidence_pruned"]
-                return _heads(qp), fingerprint(query(qp)), counters
+                return (_heads(qp), fingerprint(query(qp)),
+                        qp.mq.stats.counters())
 
         nodes = sorted(dep.nodes, key=str)
         assert audit([nodes]) == audit([[node] for node in nodes])
+
+    @pytest.mark.parametrize("network", sorted(_SPLIT_NETWORKS))
+    @settings(max_examples=20, deadline=None)
+    @given(batches=_batch_splits())
+    def test_any_batch_split_changes_nothing(self, network, batches):
+        """Any split of MinCost's nodes into ``prefetch`` batches, then a
+        run-on and a refresh: equal views, colours and counters. Where
+        the fork sits behind withholding peers, ``a`` is convicted
+        whether its peers' logs are held before it is built or after."""
+        together = _one_batch_audit(network)
+        assert _split_audit(network, batches) == together
+        if network != "honest":
+            assert together[0]["a"][0] == PROVEN_FAULTY
+
+    def test_chord_ring_built_node_by_node_skips_nothing(self):
+        """chord@16 built one node per batch, then refreshed ten times:
+        an authenticator carried by a log held after its signer was built
+        is compared with the signer's chain, not skipped at every
+        refresh — and the counters are a one-batch audit's."""
+        def audit(batches):
+            scen = run_chord(n_nodes=16, seed=7)
+            with QueryProcessor(scen.deployment) as qp:
+                for batch in batches(sorted(scen.deployment.nodes, key=str)):
+                    qp.prefetch(batch)
+                for _epoch in range(10):
+                    scen.net.stabilize(rounds=1)
+                    qp.refresh()
+                return _heads(qp), qp.mq.stats.counters()
+
+        apart = audit(lambda nodes: [[node] for node in nodes])
+        assert apart[1]["auth_checks_skipped"] == 0
+        assert apart == audit(lambda nodes: [nodes])
 
     def test_a_mirror_verdict_does_not_depend_on_the_batch(self):
         """``b`` forks above its audited head, is mirrored on the new
@@ -114,11 +189,11 @@ class TestBatchingChangesNoResult:
         on the old one. Whether ``a`` is refreshed in the same batch as
         ``b`` or in an earlier one, ``b``'s mirrored delta fails
         verification before replay, and the stale verified view stays."""
-        dep, nodes = _net(overrides={"b": _ForkThenCrashNode})
+        dep, nodes = _net(overrides=withholding_peers(b=_ForkThenCrashNode))
         b = nodes["b"]
         b.refuse_retrieve = b.refuse_consistency = False
-        together = QueryProcessor(dep, run_consistency_check=False)
-        apart = QueryProcessor(dep, run_consistency_check=False)
+        together = QueryProcessor(dep)
+        apart = QueryProcessor(dep)
         with together, apart:
             together.prefetch()
             apart.prefetch()

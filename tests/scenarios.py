@@ -9,9 +9,10 @@ deployment run on so a refresh has a suffix to fetch. Callers:
 ``test_paper_figures.py`` (the five §7.1 configurations),
 ``test_incremental_audit.py``, ``test_view_batches.py``,
 ``test_audit_contract.py`` and ``test_checkpoint_gc.py``. :func:`fingerprint` is the one projection of
-a query result that two audits of the same state are compared on, and
+a query result that two audits of the same state are compared on,
 :func:`forged_checkpoint` the one doctored ``chk`` entry the adversary
-suites serve.
+suites serve, and :class:`Withholder` the peer that keeps the
+consistency channel quiet (:func:`fork_then_run_on` forks behind it).
 
 Each runner returns a :class:`Scenario` carrying a *nominal duration*: the
 wall-clock time the paper's workload rate implies for the work executed
@@ -26,8 +27,10 @@ import random
 from repro.apps.bgp import BgpNetwork, originate, route
 from repro.apps.chord import ChordNetwork
 from repro.apps.mapreduce import COMBINED, WordCountJob
+from repro.apps.mincost import link
 from repro.crypto.merkle import MerkleTree
 from repro.snp import Deployment
+from repro.snp.adversary import SilentNode
 from repro.snp.log import CHK, LogEntry
 from repro.workloads import RouteViewsTrace, ZipfCorpus, tiered_as_topology
 
@@ -53,6 +56,32 @@ def forged_checkpoint(chk, tup):
                chk.content[4])
     return LogEntry(chk.index, chk.timestamp, CHK, content, chk.content_hash,
                     chk.entry_hash, aux=dict(chk.aux, extant=extant))
+
+
+class Withholder(SilentNode):
+    """A peer that serves its log but refuses the consistency check: what
+    a test deploys to keep the consistency channel quiet (the querier has
+    no switch for it)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refuse_retrieve = False
+
+
+def withholding_peers(**overrides):
+    """MinCost ``node_overrides``: every paper-network node a
+    :class:`Withholder`, but those named in *overrides*."""
+    return dict({node: Withholder for node in "abcde"}, **overrides)
+
+
+def fork_then_run_on(dep, nodes, forker="a", inserts=40):
+    """*forker* forks its log at entry 3, then logs *inserts* inserts on
+    the new branch; its peers' logs still hold its authenticators on the
+    old one."""
+    nodes[forker].fork_log(keep_upto=3)
+    for cost in range(100, 100 + inserts):
+        nodes[forker].insert(link(forker, "f", cost))
+    dep.run()
 
 
 class Scenario:

@@ -181,7 +181,7 @@ class TestCounterContracts:
             "logs_fetched", "delta_fetches", "cache_hits", "refreshes",
             "events_replayed", "signatures_verified", "auth_checks_skipped",
             "auth_checks_recovered", "auth_checks_tombstoned",
-            "microqueries", "anchor_fetches", "evidence_pruned",
+            "microqueries", "anchor_fetches",
             "delta_tuples_in", "delta_tuples_out", "retractions_applied",
             "support_rederivations",
         }

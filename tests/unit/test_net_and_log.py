@@ -8,9 +8,7 @@ from repro.net.simulator import Simulator
 from repro.snp.commitment import (
     build_batch, verify_batch, snd_entry_content,
 )
-from repro.snp.evidence import (
-    Authenticator, EvidenceStore, sign_authenticator, verify_authenticator,
-)
+from repro.snp.evidence import sign_authenticator, verify_authenticator
 from repro.snp.log import NodeLog, INS, SND, CHK
 from repro.util.errors import AuthenticationError
 
@@ -202,15 +200,6 @@ class TestAuthenticators:
         auth.index = 4
         with pytest.raises(AuthenticationError):
             verify_authenticator(ident, ident.keypair.public_only(), auth)
-
-    def test_evidence_store_best(self):
-        store = EvidenceStore()
-        store.add(Authenticator("n", 3, 1.0, "h3", b"s"))
-        store.add(Authenticator("n", 7, 2.0, "h7", b"s"))
-        store.add(Authenticator("m", 1, 1.0, "h1", b"s"))
-        assert store.best_for_node("n").index == 7
-        assert store.best_for_node("zzz") is None
-        assert len(store) == 3
 
 
 class TestWireBatch:

@@ -22,7 +22,7 @@ from repro.service.client import MonitorClient
 from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
     main as monitor_main
 from repro.service.push import ServicePusher
-from repro.snp import QueryProcessor, SNooPyNode
+from repro.snp import Deployment, QueryProcessor, SNooPyNode
 from repro.snp.adversary import SilentNode
 from repro.snp.microquery import MicroQuerier
 from repro.snp.snoopy import RetrieveResponse
@@ -35,11 +35,10 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: edit this table.
 RETRIEVE = "(self, from_checkpoint=False, since_index=None)"
 SIGNATURES = {
-    MicroQuerier:
-        "(self, deployment, use_checkpoints=False, "
-        "run_consistency_check=True)",
-    QueryProcessor:
-        "(self, deployment, use_checkpoints=False, **mq_kwargs)",
+    # the consistency check has no off switch: a test that wants it quiet
+    # deploys peers that refuse it
+    MicroQuerier: "(self, deployment, use_checkpoints=False)",
+    QueryProcessor: "(self, deployment, use_checkpoints=False)",
     MonitorDaemon:
         "(self, host='127.0.0.1', push_port=0, http_port=0, "
         "ingest_limit=64, subscriber_queue_limit=256, "
@@ -57,6 +56,9 @@ SIGNATURES = {
     # entry, so the checkpoint is no field either
     RetrieveResponse:
         "(self, node, entries, start_index, start_hash, head_auth)",
+    Deployment:
+        "(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256, "
+        "t_batch=0.0)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,

@@ -35,8 +35,10 @@ plane's acceptance bar:
    ``http_requests`` +2);
 6. **query counters in ``/status``** — after the concurrent phase,
    ``query.logs_fetched`` covers every log the direct audit fetched (the
-   nodes on the vertex's provenance, not the whole ring) and
-   ``query.signatures_verified`` is non-zero;
+   nodes on the vertex's provenance, not the whole ring),
+   ``query.signatures_verified`` is non-zero, and the honest run left no
+   evidence behind a view's base (``query.auth_checks_skipped`` and
+   ``query.anchor_fetches`` are 0);
 7. **stored copies at the head** — after the first push, ``/status``
    ``nodes`` reports, for every node, the length of its log: the daemon's
    copy was spliced to each origin's head across the process boundary;
@@ -283,6 +285,12 @@ def main(argv=None):
               and query["signatures_verified"] > 0,
               f"logs_fetched={query['logs_fetched']}, "
               f"signatures_verified={query['signatures_verified']}")
+        check("/status query counters show no authenticator skipped and "
+              "no anchoring fetch on the honest run",
+              query["auth_checks_skipped"] == 0
+              and query["anchor_fetches"] == 0,
+              f"auth_checks_skipped={query['auth_checks_skipped']}, "
+              f"anchor_fetches={query['anchor_fetches']}")
         check("every client kept one connection",
               meter["http_connections"] <= budget
               and meter["http_requests"] >= 10 * meter["http_connections"],
