@@ -3,8 +3,8 @@
 
 Walks the threat model of paper Section 2.1 one attack at a time on the
 MinCost network — fabrication, log tampering, equivocation (log forking),
-query refusal, message suppression, and input lying — printing what the
-investigator sees in each case.
+query refusal, message suppression, input lying, and misreception —
+printing what the investigator sees in each case.
 
 Run:  python examples/adversary_gallery.py
 """
@@ -12,8 +12,8 @@ Run:  python examples/adversary_gallery.py
 from repro import Deployment, QueryProcessor
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
 from repro.snp.adversary import (
-    FabricatorNode, ForkingNode, InputLiarNode, SilentNode,
-    SuppressorNode, TamperingNode,
+    FabricatorNode, ForkingNode, InputLiarNode, MisreceivingNode,
+    SilentNode, SuppressorNode, TamperingNode,
 )
 
 
@@ -99,6 +99,24 @@ def input_lying():
     print(f"   but the root cause is on display: {roots}")
 
 
+def misreception():
+    _banner("7. Misreception -> the receiver's rcv entry misses the "
+            "signed hash")
+    dep = Deployment(seed=47)
+    nodes = build_paper_network(dep,
+                                node_overrides={"c": MisreceivingNode})
+    dep.run()
+    sent, logged = nodes["c"].misreceived
+    print(f"   b sent {sent.tup}, c logged {logged.tup}")
+    refused = [w["sender"] for w in dep.maintainer.rejected_wires]
+    print(f"   acks b refused, by sender: {refused}")
+    qp = QueryProcessor(dep)
+    res = qp.why(best_cost("b", "e", 3))
+    view = qp.mq.view_of("c")
+    print(f"   c's view: {view.status} ({view.verdict_reason})")
+    print(f"   faulty: {res.faulty_nodes()}")
+
+
 if __name__ == "__main__":
     fabrication()
     tampering()
@@ -106,5 +124,6 @@ if __name__ == "__main__":
     refusal()
     suppression()
     input_lying()
+    misreception()
     print("\nDone. Every *detectable* fault produced red/yellow evidence; "
           "the input lie (by design) did not.")

@@ -4,8 +4,8 @@ The paper assumes (Section 5.2) a collision-resistant hash function and
 unforgeable signatures, deployed with 1024-bit RSA keys and SHA-1. This
 package provides:
 
-* :mod:`repro.crypto.hashing` — SHA-256 wrappers and the hash-chain helper
-  used by the tamper-evident log;
+* :mod:`repro.crypto.hashing` — SHA-256 wrappers and the hash-chain step
+  the tamper-evident log folds its entries with;
 * :mod:`repro.crypto.rsa` — a self-contained RSA implementation (Miller–Rabin
   key generation, hash-then-sign signatures) so the library has no external
   crypto dependency;

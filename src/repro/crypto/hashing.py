@@ -8,6 +8,9 @@ second-preimage resistant) and lets a node prove chain continuity across a
 range of entries by revealing only ``(t, y, H(c))`` for entries whose
 content is not being disclosed — which the batched commitment protocol
 (Section 5.6) relies on.
+
+:func:`chain_hash` is the one step. The chain itself is not kept here:
+each hash is stored once, on its log entry (:mod:`repro.snp.log`).
 """
 
 import hashlib
@@ -35,57 +38,8 @@ def chain_hash(prev_hash, timestamp, entry_type, content_hash):
 
 
 class HashChain:
-    """An append-only hash chain over log entries.
-
-    Keeps the sequence of per-entry hashes so that any prefix can be
-    authenticated: an authenticator signing ``h_k`` commits the signer to the
-    exact contents of entries ``e_1 .. e_k``. A chain may be *truncated*
-    (checkpoint GC): hashes below a floor are discarded, but the hash
-    immediately preceding the floor is kept as the tombstone anchor so
-    suffix authentication at or above the floor still verifies.
-    """
-
-    def __init__(self):
-        self._hashes = [GENESIS_HASH]
-        # Index of the first retained hash: _hashes[i] is h_{_offset + i}.
-        self._offset = 0
-
-    def __len__(self):
-        """Number of entries appended so far (including truncated ones)."""
-        return self._offset + len(self._hashes) - 1
-
-    def append(self, timestamp, entry_type, content_hash):
-        """Fold one entry into the chain; returns its hash ``h_k``."""
-        new_hash = chain_hash(
-            self._hashes[-1], timestamp, entry_type, content_hash
-        )
-        self._hashes.append(new_hash)
-        return new_hash
-
-    def head(self):
-        """Hash of the latest entry (``h_0`` if empty)."""
-        return self._hashes[-1]
-
-    def hash_at(self, index):
-        """``h_index`` where index counts entries from 1 (0 = genesis)."""
-        if index < self._offset:
-            raise IndexError(
-                f"chain hash h_{index} was discarded by truncation "
-                f"(tombstone anchor is h_{self._offset})"
-            )
-        return self._hashes[index - self._offset]
-
-    def truncate_below(self, floor):
-        """Discard hashes below ``h_{floor-1}``.
-
-        ``h_{floor-1}`` itself is retained — it is the tombstone anchor a
-        segment starting at entry *floor* is verified against.
-        """
-        keep_from = floor - 1 - self._offset
-        if keep_from <= 0:
-            return
-        self._hashes = self._hashes[keep_from:]
-        self._offset += keep_from
+    """What remains of a stored chain: recomputing one over a segment
+    (no caller in the library; the e2e tracer names it)."""
 
     @staticmethod
     def verify_segment(start_hash, entries):

@@ -19,14 +19,15 @@ Log forking            consistency check: off-chain authenticator → proven
                        faulty (equivocation)
 Message suppression    peer's signed evidence has no counterpart → red
                        (handle-extra-msg), or missing-ack alarm
+Misreception           rcv entry does not chain to the sender's signed
+                       hash → proven faulty (one-entry batches only)
 Query refusal          retrieve unanswered → yellow vertices
 Input lying            *not detectable* (black); Section 4.2 limitation
 =====================  ===========================================
 """
 
-from repro.crypto.hashing import HashChain, content_digest
-from repro.model import Tup
-from repro.snp.log import NodeLog
+from repro.model import Msg, Tup
+from repro.snp.log import NodeLog, link
 from repro.snp.snoopy import SNooPyNode
 
 
@@ -87,13 +88,9 @@ class TamperingNode(SNooPyNode):
         return entry
 
     def _rebuild_chain(self):
-        chain = HashChain()
+        prev = self.log.start_hash
         for entry in self.log.entries:
-            entry.content_hash = content_digest(entry.content)
-            entry.entry_hash = chain.append(
-                entry.timestamp, entry.entry_type, entry.content_hash
-            )
-        self.log.chain = chain
+            prev = link(prev, entry).entry_hash
 
 
 class ForkingNode(SNooPyNode):
@@ -136,6 +133,45 @@ class SuppressorNode(SNooPyNode):
         if msg.dst in self.suppress_to:
             return  # silently dropped: no log entry, no wire
         super()._queue_send(msg, t)
+
+
+class MisreceivingNode(SNooPyNode):
+    """Logs, processes and acknowledges a message other than the one its
+    sender signed: the first message it accepts (genuinely signed, so
+    ``verify_batch`` passes) with its tuple's last argument raised by 50,
+    under the sender's batch authenticator. With
+    ``withhold_ack`` it does not acknowledge that batch either.
+
+    Detection: the sender refuses the ack (it rebuilds the rcv entry from
+    its own message) and raises the missing-ack alarm. The querier
+    re-chains a one-entry batch's rcv entry over the logged message and
+    misses the signed hash: proof (``build.check_receipts``). A longer
+    batch's rcv entry carries no gap metadata, so it stays unchecked.
+    """
+
+    withhold_ack = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: ``(sent, logged)`` once the lie is told
+        self.misreceived = None
+
+    def _receive(self, msg, batch):
+        if self.misreceived is None:
+            tup = msg.tup
+            lie = Msg(msg.polarity,
+                      Tup(tup.relation, tup.loc, *tup.args[:-1],
+                          tup.args[-1] + 50),
+                      msg.src, msg.dst, msg.seq, msg.t_sent)
+            self.misreceived = (msg, lie)
+            msg = lie
+        return super()._receive(msg, batch)
+
+    def _acknowledge(self, batch, rcv_entries):
+        if self.withhold_ack and any(
+                msg is self.misreceived[1] for msg, _entry in rcv_entries):
+            return
+        super()._acknowledge(batch, rcv_entries)
 
 
 class SilentNode(SNooPyNode):
@@ -181,9 +217,9 @@ class OverTruncatingNode(SNooPyNode):
 
     def gc_truncate(self):
         chk = self.log.last_checkpoint_before(len(self.log))
-        if chk is None or chk.index <= self.log.first_index:
+        if chk is None or chk.index <= self.log.start_index:
             return super().gc_truncate()
-        return self.log.truncate_below(chk.index)
+        return self.log.trim(chk.index)
 
 
 class FloorLiarNode(SNooPyNode):
@@ -203,7 +239,7 @@ class FloorLiarNode(SNooPyNode):
         # to) the newest checkpoint, whatever anyone still anchors on.
         advert = super().advertise_retention_floor(mark=None)
         if advert is not None:
-            self.log.truncate_below(advert.floor_index)
+            self.log.trim(advert.floor_index)
         return advert
 
 

@@ -22,8 +22,11 @@ the number of checks that ask for it (DESIGN.md, "One encode per
 entry").
 """
 
+from repro.crypto.hashing import content_digest
 from repro.crypto.merkle import MerkleTree
-from repro.snp.commitment import ack_entry_content, snd_entry_content
+from repro.snp.commitment import (
+    ack_entry_content, reaches, snd_entry_content,
+)
 from repro.snp.log import INS, DEL, SND, RCV, ACK
 from repro.snp.replay import (
     check_against_authenticator, extend_replay, replay_segment,
@@ -116,6 +119,32 @@ def embedded_authenticators(response):
             yield wire_ack.src, wire_ack.auth
 
 
+def check_receipts(response):
+    """Every ``rcv`` entry of a one-entry batch (its content's start
+    index is the authenticator's index: every batch, at ``t_batch = 0``)
+    is one chain step from its ``h_start`` over ``snd(msg)`` — at the
+    authenticator's timestamp — to the authenticator's hash. Otherwise
+    the receiver logged a message other than the one its sender signed
+    (:func:`~repro.snp.commitment.reaches`). Runs after the embedded
+    signatures are checked, so only a validly signed authenticator
+    convicts."""
+    for entry in response.entries:
+        if entry.entry_type != RCV:
+            continue
+        h_start, start_index, index = entry.content[2:5]
+        if start_index != index:
+            continue  # the batch's gap metadata is not in the entry
+        msg, auth = entry.aux["msg"], entry.aux["batch_auth"]
+        sent = (index, auth.timestamp, SND,
+                content_digest(snd_entry_content(msg)))
+        if not reaches(h_start, start_index, [sent], auth):
+            raise LogVerificationError(
+                response.node,
+                f"rcv entry {entry.index} logs a message {auth.node!r} did "
+                "not sign",
+            )
+
+
 def verify_checkpoint(node_id, chk_entry):
     """Verify the checkpoint's tuple lists against the Merkle roots
     committed in the log entry (Section 7.7: the Quagga-Disappear query
@@ -162,6 +191,9 @@ def _verify_response(job, deployment, stats, verified):
        (:func:`check_parsed_forms`), and the authenticators embedded in
        rcv/ack entries must carry valid signatures from their claimed
        signers.
+    5. A ``rcv`` entry of a one-entry batch must chain from the sender's
+       disclosed ``h_start`` over the message to the embedded
+       authenticator (:func:`check_receipts`).
 
     What the querier holds about the node, and what its peers hold
     (Section 5.5's consistency check), is compared with the chain
@@ -196,6 +228,7 @@ def _verify_response(job, deployment, stats, verified):
             raise LogVerificationError(node_id, "log embeds an authenticator "
                                        f"from unregistered node {signer!r}")
         verify_auth(deployment.public_key_of(signer), auth, stats, verified)
+    check_receipts(response)
 
 
 def settle(node_id, auths, lookup, last, ledger, floor, stats, strict=True,

@@ -5,8 +5,8 @@ entry, then transmits ``(m, h_{x-1}, t_x, σ_i(t_x || h_x))``; the receiver j
 recomputes ``h_x``, checks the signature and the timestamp plausibility
 window (``Δclock + Tprop``), logs a rcv entry, and returns a signed
 acknowledgment that commits j to that rcv entry. i verifies the ack by
-recomputing j's rcv-entry hash (it knows the entry's content) and logs an
-ack entry.
+recomputing j's rcv-entry hash from its *own* message and authenticator
+(it knows the entry's content exactly) and logs an ack entry.
 
 Batching (Section 5.6): with ``Tbatch > 0``, messages to the same
 destination are logged immediately (so the log's input/output ordering
@@ -15,6 +15,17 @@ covering the last entry of the window. Entries interleaved between the
 batched snd entries are disclosed only as ``(index, t, type, H(content))``
 metadata, which is enough to verify hash-chain continuity without revealing
 their content. Acknowledgments batch symmetrically.
+
+Both directions are one decision: :func:`disclose` is how a signer
+discloses a range of its log, :func:`reaches` how anyone checks one — the
+chain recomputed from ``h_start`` over the disclosed entries arrives at
+the authenticator's hash, and the last of them at its timestamp. The same check lets a querier hold a receiver
+to what it was sent: a ``rcv`` entry of a one-entry batch carries the
+whole range (``h_start`` and the authenticator over the sender's snd
+entry), so a receiver that logged another message than the one signed is
+proven faulty (:func:`repro.snp.build.check_receipts`). A ``rcv`` entry of
+a longer batch does not carry the batch's gap metadata, so it cannot be
+checked yet.
 """
 
 from repro.crypto.hashing import chain_hash, content_digest
@@ -106,148 +117,141 @@ def ack_entry_content(wire_ack):
     )
 
 
+def disclose(log, identity, shown, last):
+    """A signer's disclosure of its entries ``shown[0].index .. last``
+    beside the *shown* entries themselves: ``(gaps, start_index, h_start,
+    auth)`` — the metadata of every other entry in the range, where the
+    range starts, the chain hash it starts on, and the signature over its
+    last entry."""
+    first = shown[0].index
+    indexes = {entry.index for entry in shown}
+    gaps = [log.entry(index).meta() for index in range(first, last + 1)
+            if index not in indexes]
+    end = log.entry(last)
+    return gaps, first, log.hash_at(first - 1), sign_authenticator(
+        identity, end.index, end.timestamp, end.entry_hash)
+
+
+def reaches(h_start, start_index, metas, auth):
+    """Whether a disclosed range is on the chain *auth* signs: the chain
+    recomputed from *h_start* (``h_{start_index - 1}``) over *metas* —
+    ``(index, t, type, content hash)`` of every entry the range
+    discloses — through ``auth.index`` arrives at ``auth.entry_hash``,
+    and the entry at ``auth.index`` has the signed timestamp (a signer
+    always signs its entry's own; a misdated authenticator would let a
+    sender frame a receiver whose rcv entry re-chains at the signed
+    time). An entry omitted, disclosed twice or outside the signed range
+    does not."""
+    pieces = {}
+    for index, t_entry, entry_type, c_hash in metas:
+        if index in pieces or not start_index <= index <= auth.index:
+            return False
+        pieces[index] = (t_entry, entry_type, c_hash)
+    last = pieces.get(auth.index)
+    if last is None or last[0] != auth.timestamp:
+        return False
+    current = h_start
+    for index in range(start_index, auth.index + 1):
+        piece = pieces.get(index)
+        if piece is None:
+            return False
+        current = chain_hash(current, *piece)
+    return current == auth.entry_hash
+
+
+def _check_signed_range(what, value, verifier_identity, public_key, metas,
+                        local_time, plausibility_window):
+    """*value* (a batch or an ack) is signed, timely (``Δclock +
+    Tprop``), and its range — *metas* and its gaps — reaches the signed
+    hash; raises AuthenticationError otherwise."""
+    auth = value.auth
+    verify_authenticator(verifier_identity, public_key, auth)
+    if abs(auth.timestamp - local_time) > plausibility_window:
+        raise AuthenticationError(
+            f"{what} from {value.src!r} has an implausible timestamp "
+            f"({auth.timestamp:g} vs local {local_time:g})"
+        )
+    if not reaches(value.h_start, value.start_index,
+                   [*metas, *value.gaps], auth):
+        raise AuthenticationError(
+            f"{what} from {value.src!r} fails hash-chain verification"
+        )
+    return True
+
+
 def build_batch(log, identity, dst, queued):
     """Assemble and sign a WireBatch from already-logged snd entries.
 
     *queued* is a list of (msg, LogEntry) in log order.
     """
-    first_index = queued[0][1].index
-    last_index = queued[-1][1].index
-    covered = {entry.index for _msg, entry in queued}
-    gaps = []
-    for index in range(first_index, last_index + 1):
-        if index not in covered:
-            gaps.append(log.entry(index).meta())
-    last_entry = queued[-1][1]
-    auth = sign_authenticator(
-        identity, last_entry.index, last_entry.timestamp,
-        last_entry.entry_hash,
-    )
     return WireBatch(
-        src=identity.node_id,
-        dst=dst,
-        msgs=[(msg, entry.index, entry.timestamp) for msg, entry in queued],
-        gaps=gaps,
-        start_index=first_index,
-        h_start=log.hash_before(first_index),
-        auth=auth,
+        identity.node_id, dst,
+        [(msg, entry.index, entry.timestamp) for msg, entry in queued],
+        *disclose(log, identity, [entry for _msg, entry in queued],
+                  queued[-1][1].index),
     )
 
 
 def verify_batch(batch, verifier_identity, sender_public_key, local_time,
                  plausibility_window):
-    """Receiver-side validation of a WireBatch (Section 5.4).
-
-    Checks (1) the recomputed hash chain over the covered range matches the
-    authenticator, (2) the authenticator's signature, and (3) the timestamp
-    plausibility window ``Δclock + Tprop``. Raises AuthenticationError on
-    any failure.
+    """Receiver-side validation of a WireBatch (Section 5.4): the
+    authenticator's signature, the timestamp plausibility window, and
+    the hash chain recomputed over the covered range — each message's
+    snd entry and the disclosed gaps — up to the signed hash. Raises
+    AuthenticationError on any failure.
     """
-    verify_authenticator(verifier_identity, sender_public_key, batch.auth)
-    if abs(batch.auth.timestamp - local_time) > plausibility_window:
-        raise AuthenticationError(
-            f"batch from {batch.src!r} has an implausible timestamp "
-            f"({batch.auth.timestamp:g} vs local {local_time:g})"
-        )
-    # Recompute h over [start_index .. auth.index].
-    pieces = {}
-    for msg, index, t_entry in batch.msgs:
+    for msg, _index, _t_entry in batch.msgs:
         if msg.src != batch.src:
             raise AuthenticationError(
                 f"batch from {batch.src!r} contains a message claiming "
                 f"src={msg.src!r}"
             )
-        pieces[index] = (t_entry, SND, content_digest(snd_entry_content(msg)))
-    for index, t_entry, entry_type, c_hash in batch.gaps:
-        if index in pieces:
-            raise AuthenticationError("batch gap overlaps a message entry")
-        pieces[index] = (t_entry, entry_type, c_hash)
-    current = batch.h_start
-    for index in range(batch.start_index, batch.auth.index + 1):
-        if index not in pieces:
-            raise AuthenticationError(
-                f"batch from {batch.src!r} omits entry {index}"
-            )
-        t_entry, entry_type, c_hash = pieces[index]
-        current = chain_hash(current, t_entry, entry_type, c_hash)
-    if current != batch.auth.entry_hash:
-        raise AuthenticationError(
-            f"batch from {batch.src!r} fails hash-chain verification"
-        )
-    return True
+    metas = [(index, t_entry, SND, content_digest(snd_entry_content(msg)))
+             for msg, index, t_entry in batch.msgs]
+    return _check_signed_range("batch", batch, verifier_identity,
+                               sender_public_key, metas, local_time,
+                               plausibility_window)
 
 
 def build_ack(log, identity, batch, rcv_entries):
-    """Assemble and sign a WireAck for *batch*.
+    """Assemble and sign a WireAck for *batch*, committing everything up
+    to the head.
 
     *rcv_entries* is the list of (msg, LogEntry) for the rcv entries this
     node appended while processing the batch, in log order.
     """
-    first_index = rcv_entries[0][1].index
-    last_index = len(log)  # commit everything up to the head
-    covered = {entry.index for _msg, entry in rcv_entries}
-    gaps = []
-    for index in range(first_index, last_index + 1):
-        if index not in covered:
-            gaps.append(log.entry(index).meta())
-    head_entry = log.entry(last_index)
-    auth = sign_authenticator(
-        identity, head_entry.index, head_entry.timestamp,
-        head_entry.entry_hash,
-    )
     return WireAck(
-        src=identity.node_id,
-        dst=batch.src,
-        batch_auth=batch.auth,
-        rcv_metas=[
-            (msg.msg_id(), entry.index, entry.timestamp)
-            for msg, entry in rcv_entries
-        ],
-        gaps=gaps,
-        start_index=first_index,
-        h_start=log.hash_before(first_index),
-        auth=auth,
-        msgs=[msg for msg, _entry in rcv_entries],
+        identity.node_id, batch.src, batch.auth,
+        [(msg.msg_id(), entry.index, entry.timestamp)
+         for msg, entry in rcv_entries],
+        *disclose(log, identity, [entry for _msg, entry in rcv_entries],
+                  len(log)),
+        [msg for msg, _entry in rcv_entries],
     )
 
 
 def verify_ack(wire_ack, verifier_identity, acker_public_key, batch,
                local_time, plausibility_window):
-    """Sender-side validation of a WireAck.
-
-    The sender recomputes the receiver's rcv-entry hashes — it knows their
-    committed content exactly (the message plus the batch authenticator it
-    itself produced) — chains them with the disclosed gap metadata, and
-    checks the signed head. This is the step that makes a receiver's
-    acknowledgment a non-repudiable commitment that it logged the message.
+    """Sender-side validation of a WireAck: the receiver's rcv entries
+    are rebuilt from what the sender *sent* — its own messages in *batch*
+    and its batch authenticator, never a message the receiver supplies —
+    and chained with the disclosed gaps up to the signed head. An ack
+    naming any other message is refused, since the ack entry is what the
+    sender's replay says was acknowledged. This is what makes an ack a
+    non-repudiable commitment that the receiver logged what it was sent.
     """
-    verify_authenticator(verifier_identity, acker_public_key, wire_ack.auth)
-    if abs(wire_ack.auth.timestamp - local_time) > plausibility_window:
+    sent = {msg.msg_id(): msg for msg, _index, _t_entry in batch.msgs}
+    named = [sent.get(msg_id) for msg_id, _index, _t in wire_ack.rcv_metas]
+    if None in named or [m.canonical() for m in wire_ack.msgs] \
+            != [m.canonical() for m in named]:
         raise AuthenticationError(
-            f"ack from {wire_ack.src!r} has an implausible timestamp"
+            f"ack from {wire_ack.src!r} names a message its batch did not "
+            "carry"
         )
-    by_id = {msg.msg_id(): msg for msg in wire_ack.msgs}
-    pieces = {}
-    for msg_id, index, t_entry in wire_ack.rcv_metas:
-        msg = by_id.get(msg_id)
-        if msg is None:
-            raise AuthenticationError("ack covers an unknown message")
+    metas = []
+    for msg, (_msg_id, index, t_entry) in zip(named, wire_ack.rcv_metas):
         content = rcv_entry_content(msg, batch)
-        pieces[index] = (t_entry, RCV, content_digest(content))
-    for index, t_entry, entry_type, c_hash in wire_ack.gaps:
-        if index in pieces:
-            raise AuthenticationError("ack gap overlaps a rcv entry")
-        pieces[index] = (t_entry, entry_type, c_hash)
-    current = wire_ack.h_start
-    for index in range(wire_ack.start_index, wire_ack.auth.index + 1):
-        if index not in pieces:
-            raise AuthenticationError(
-                f"ack from {wire_ack.src!r} omits entry {index}"
-            )
-        t_entry, entry_type, c_hash = pieces[index]
-        current = chain_hash(current, t_entry, entry_type, c_hash)
-    if current != wire_ack.auth.entry_hash:
-        raise AuthenticationError(
-            f"ack from {wire_ack.src!r} fails hash-chain verification"
-        )
-    return True
+        metas.append((index, t_entry, RCV, content_digest(content)))
+    return _check_signed_range("ack", wire_ack, verifier_identity,
+                               acker_public_key, metas, local_time,
+                               plausibility_window)

@@ -164,7 +164,7 @@ class Deployment(EvidenceDirectory):
     # ------------------------------------------------------------- set-up
 
     def add_node(self, node_id, app_factory, node_cls=SNooPyNode,
-                 native_sizer=None, t_batch=None, **node_kwargs):
+                 native_sizer=None):
         """Create a node running *app_factory(node_id)* as its primary
         system. *node_cls* selects a Byzantine variant if desired."""
         if node_id in self.nodes:
@@ -173,11 +173,8 @@ class Deployment(EvidenceDirectory):
                                 seed=self.seed)
         self._identities[node_id] = identity
         self.sim.register_clock(node_id)
-        node = node_cls(
-            node_id, app_factory(node_id), identity, self,
-            t_batch=self.t_batch if t_batch is None else t_batch,
-            native_sizer=native_sizer, **node_kwargs,
-        )
+        node = node_cls(node_id, app_factory(node_id), identity, self,
+                        native_sizer=native_sizer)
         self.nodes[node_id] = node
         self.app_factories[node_id] = app_factory
         return node
@@ -493,10 +490,9 @@ class Deployment(EvidenceDirectory):
                 # Unsanctioned: the Byzantine node may still truncate
                 # itself below, but honest replicas keep their copies.
                 continue
-            discarded_before = node.log.discarded_entries
+            start_before = node.log.start_index
             meter.log_bytes_reclaimed += node.gc_truncate()
-            meter.entries_discarded += \
-                node.log.discarded_entries - discarded_before
+            meter.entries_discarded += node.log.start_index - start_before
         # Mirror copies participate in the same sanctioned floors.
         for holder in self.nodes.values():
             for origin, copy in holder.mirror_store.items():

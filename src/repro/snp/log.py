@@ -12,8 +12,13 @@ entry types:
   replay there.
 
 Each entry carries the running hash ``h_k = H(h_{k-1} || t_k || y_k ||
-H(c_k))``; an :class:`~repro.snp.evidence.Authenticator` signing ``(k, t_k,
-h_k)`` commits the node to the exact prefix ``e_1..e_k``.
+H(c_k))`` (:func:`link` is the one step that folds an entry in); an
+:class:`~repro.snp.evidence.Authenticator` signing ``(k, t_k, h_k)``
+commits the node to the exact prefix ``e_1..e_k``. A hash is stored
+once, on its entry: the log, a stored copy of it and a served segment
+are all one :class:`LogStretch` — entries plus the one hash they are
+anchored on — with one :meth:`~LogStretch.hash_at` and one
+:meth:`~LogStretch.trim`.
 
 Entries separate *content* (committed, hashed) from *aux* (derived
 convenience objects such as the parsed :class:`~repro.model.Msg`, kept so
@@ -21,7 +26,7 @@ the simulation does not re-parse byte strings; everything in aux is
 reconstructible from content).
 """
 
-from repro.crypto.hashing import HashChain, content_digest
+from repro.crypto.hashing import GENESIS_HASH, chain_hash, content_digest
 from repro.crypto.merkle import MerkleTree
 from repro.model import WireValue
 from repro.util.serialization import canonical_bytes, canonical_size
@@ -80,116 +85,124 @@ class LogEntry(WireValue):
         )
 
 
-class NodeLog:
+class LogStretch:
+    """A contiguous stretch of one node's log, in the one shape the node's
+    own :class:`NodeLog`, a stored copy of it and a served response
+    share: ``entries`` are entries ``start_index .. head_index`` and
+    ``start_hash`` is ``h_{start_index - 1}``, the hash the stretch is
+    anchored on (``h_0`` for an untrimmed log, the tombstone anchor after
+    :meth:`trim`). Every hash above the anchor lives on its entry."""
+
+    __slots__ = ()
+
+    @property
+    def head_index(self):
+        """Index of the last entry (the anchor index when empty)."""
+        return self.start_index + len(self.entries) - 1
+
+    def hash_at(self, index):
+        """``h_index`` as this stretch holds it, or ``None`` when *index*
+        is outside it: the anchor (``start_index - 1``) is
+        ``start_hash``."""
+        if index == self.start_index - 1:
+            return self.start_hash
+        if self.start_index <= index <= self.head_index:
+            return self.entries[index - self.start_index].entry_hash
+        return None
+
+    def after(self, since_index=None):
+        """``(entries, start_index, start_hash)`` of the stretch after
+        *since_index* (all of it by default), anchored on that entry's
+        hash. An index before the anchor cannot anchor, so it gets
+        everything."""
+        anchor = self.start_index - 1
+        if since_index is not None:
+            anchor = max(anchor, since_index)
+        return (self.entries[anchor + 1 - self.start_index:], anchor + 1,
+                self.hash_at(anchor))
+
+    def trim(self, floor):
+        """Checkpoint GC: re-start the stretch at the ``chk`` entry at
+        *floor*, anchored on the hash of the entry before it (the
+        tombstone anchor); returns the committed bytes of the entries
+        dropped (the pivot stays). A floor outside the stretch, at its
+        base, or on no replay-seeding checkpoint changes nothing: a
+        holder — the node itself included — never discards evidence it
+        cannot prove replaceable."""
+        offset = floor - self.start_index
+        if offset <= 0 or floor > self.head_index:
+            return 0
+        pivot = self.entries[offset]
+        if pivot.entry_type != CHK or "snapshot" not in pivot.aux:
+            return 0
+        reclaimed = sum(e.size_bytes() for e in self.entries[:offset])
+        self.start_hash = self.entries[offset - 1].entry_hash
+        del self.entries[:offset]
+        self.start_index = floor
+        return reclaimed
+
+
+def link(prev_hash, entry):
+    """The chain step: digest *entry*'s content and fold it onto
+    *prev_hash*, storing both on the entry; returns the entry."""
+    entry.content_hash = digest = content_digest(entry.content)
+    entry.entry_hash = chain_hash(prev_hash, entry.timestamp,
+                                  entry.entry_type, digest)
+    return entry
+
+
+class NodeLog(LogStretch):
     """Append-only tamper-evident log for one node.
 
     Entry indexes are *logical* and stable: ``len(log)`` is the head
-    index, which keeps counting past checkpoint GC. After
-    :meth:`truncate_below`, entries below ``first_index`` are gone but the
-    chain hash preceding the floor survives as the tombstone anchor, so
-    suffix authentication, delta retrieval and checkpoint-seeded replay at
-    or above the floor still verify exactly as before.
+    index, which keeps counting past checkpoint GC. After :meth:`trim`,
+    entries below ``start_index`` are gone but the chain hash preceding
+    it survives as ``start_hash``, so suffix authentication, delta
+    retrieval and checkpoint-seeded replay at or above the floor still
+    verify exactly as before.
     """
 
     def __init__(self, node_id):
         self.node_id = node_id
         self.entries = []
-        self.chain = HashChain()
-        #: Logical index of the oldest retained entry (1 = untruncated).
-        self.first_index = 1
-        #: How many entries checkpoint GC has discarded so far.
-        self.discarded_entries = 0
+        self.start_index = 1
+        self.start_hash = GENESIS_HASH
 
     def __len__(self):
-        """The *head index* (logical length, counting truncated entries)."""
-        return self.first_index - 1 + len(self.entries)
+        """The *head index* (logical length, counting trimmed entries)."""
+        return self.head_index
 
     def append(self, timestamp, entry_type, content, aux=None):
         if entry_type not in ENTRY_TYPES:
             raise ValueError(f"unknown entry type {entry_type!r}")
-        digest = content_digest(content)
-        entry_hash = self.chain.append(timestamp, entry_type, digest)
-        entry = LogEntry(
-            index=len(self) + 1,
-            timestamp=timestamp,
-            entry_type=entry_type,
-            content=content,
-            content_hash=digest,
-            entry_hash=entry_hash,
-            aux=aux,
-        )
+        entry = link(self.head_hash(), LogEntry(
+            len(self) + 1, timestamp, entry_type, content, None, None, aux))
         self.entries.append(entry)
         return entry
 
     def entry(self, index):
         """1-based logical access."""
-        if index < self.first_index:
+        if index < self.start_index:
             raise IndexError(
                 f"entry {index} of {self.node_id!r} was discarded by "
-                f"checkpoint GC (log now starts at {self.first_index})"
+                f"checkpoint GC (log now starts at {self.start_index})"
             )
-        return self.entries[index - self.first_index]
+        return self.entries[index - self.start_index]
 
     def head_hash(self):
-        return self.chain.head()
-
-    def hash_before(self, index):
-        """``h_{index-1}``: the chain hash preceding entry *index*."""
-        return self.chain.hash_at(index - 1)
-
-    def segment(self, start=1, end=None):
-        """Entries ``start..end`` inclusive (1-based; end=None → head)."""
-        if end is None:
-            end = len(self)
-        if start < self.first_index:
-            raise IndexError(
-                f"segment start {start} predates the retained log of "
-                f"{self.node_id!r} (starts at {self.first_index})"
-            )
-        offset = self.first_index
-        return self.entries[start - offset:end - offset + 1]
+        return self.hash_at(len(self))
 
     def size_bytes(self):
         return sum(entry.size_bytes() for entry in self.entries)
 
     def last_checkpoint_before(self, index):
         """The latest retained CHK entry at or before *index*, or None."""
-        if index < self.first_index:
+        if index < self.start_index:
             return None
-        for entry in reversed(self.entries[:index - self.first_index + 1]):
+        for entry in reversed(self.entries[:index - self.start_index + 1]):
             if entry.entry_type == CHK:
                 return entry
         return None
-
-    def truncate_below(self, floor):
-        """Discard entries below *floor* (which must be a retained CHK
-        entry — the checkpoint that seeds replay for everything the
-        truncation throws away). Keeps ``h_{floor-1}`` as the tombstone
-        anchor, so ``retrieve(since_index >= floor-1)``, suffix
-        authentication, and checkpoint-seeded replay still verify.
-
-        Returns the committed bytes reclaimed (0 when *floor* is at or
-        below the current base).
-        """
-        if floor <= self.first_index:
-            return 0
-        if floor > len(self):
-            raise ValueError(
-                f"retention floor {floor} is past the log head {len(self)}"
-            )
-        pivot = self.entry(floor)
-        if pivot.entry_type != CHK:
-            raise ValueError(
-                f"retention floor {floor} is a {pivot.entry_type!r} entry; "
-                "truncation must anchor on a checkpoint"
-            )
-        dropped = self.entries[:floor - self.first_index]
-        reclaimed = sum(entry.size_bytes() for entry in dropped)
-        self.entries = self.entries[floor - self.first_index:]
-        self.chain.truncate_below(floor)
-        self.first_index = floor
-        self.discarded_entries += len(dropped)
-        return reclaimed
 
     # ------------------------------------------------------- construction
 

@@ -23,14 +23,14 @@ mirror, the monitor daemon's copy of a pushed node).
 from repro.model import Snd, WireValue
 from repro.snp.commitment import (
     build_ack, build_batch, rcv_entry_content, ack_entry_content,
-    verify_ack, verify_batch,
+    snd_entry_content, verify_ack, verify_batch,
 )
 from repro.snp.evidence import sign_authenticator
-from repro.snp.log import NodeLog, INS, DEL, SND, RCV, ACK, CHK
+from repro.snp.log import LogStretch, NodeLog, INS, DEL, SND, RCV, ACK, CHK
 from repro.util.errors import AuthenticationError
 
 
-class RetrieveResponse(WireValue):
+class RetrieveResponse(WireValue, LogStretch):
     """What ``retrieve`` hands back to a querier.
 
     ``entries`` is the log segment (1-based contiguous range), ``start_hash``
@@ -52,12 +52,6 @@ class RetrieveResponse(WireValue):
         self.head_auth = head_auth
 
     @property
-    def head_index(self):
-        """Index of the last entry covered (the anchor index when the
-        segment is empty)."""
-        return self.start_index + len(self.entries) - 1
-
-    @property
     def seed(self):
         """The ``chk`` entry a replay of this segment starts from — its
         first entry, when that is a checkpoint — else ``None``."""
@@ -73,33 +67,17 @@ class RetrieveResponse(WireValue):
         leaves behind). A bare suffix cannot."""
         return self.start_index == 1 or self.seed is not None
 
-    def hash_at(self, index):
-        """The chain hash of entry *index* as this response attests it,
-        or ``None`` when *index* is outside the attested range. The
-        anchor (``start_index - 1``) is attested by ``start_hash``."""
-        if index == self.start_index - 1:
-            return self.start_hash
-        if self.start_index <= index <= self.head_index:
-            return self.entries[index - self.start_index].entry_hash
-        return None
-
     def suffix(self, since_index=None):
         """A fresh response of the entries after *since_index* (all of
-        them by default), anchored on that entry's chain hash as the
-        origin's ``hash_before`` would anchor it; ``None`` when nothing
-        follows. An index before the first entry cannot anchor, so it
-        gets everything, for the querier to verify from scratch."""
-        anchor = self.start_index - 1
-        if since_index is not None:
-            if since_index >= self.head_index:
-                return None
-            anchor = max(anchor, since_index)
-        return RetrieveResponse(
-            self.node, self.entries[anchor + 1 - self.start_index:],
-            anchor + 1, self.hash_at(anchor), self.head_auth)
+        them by default), on the same head authenticator; ``None`` when
+        nothing follows (:meth:`~repro.snp.log.LogStretch.after`)."""
+        if since_index is not None and since_index >= self.head_index:
+            return None
+        return RetrieveResponse(self.node, *self.after(since_index),
+                                self.head_auth)
 
 
-class LogCopy:
+class LogCopy(LogStretch):
     """A stored copy of another node's log: a replica's mirror (Section
     5.8 suggests replicating each log so provenance survives a destroyed
     node) or the monitor daemon's copy of a pushed node. It stays
@@ -109,9 +87,6 @@ class LogCopy:
     verified by the querier exactly like a direct response."""
 
     __slots__ = ("node", "entries", "start_index", "start_hash", "head_auth")
-
-    head_index = RetrieveResponse.head_index
-    hash_at = RetrieveResponse.hash_at
 
     def __init__(self, node):
         self.node = node
@@ -159,36 +134,16 @@ class LogCopy:
         later splice does not grow (``None`` when nothing is stored)."""
         return RetrieveResponse.suffix(self, since_index) if self else None
 
-    def trim(self, floor):
-        """Checkpoint GC: re-start the copy at the CHK entry at *floor*,
-        anchored on the hash of the entry before it; returns the bytes of
-        the entries dropped (the pivot stays and is not counted — as
-        ``NodeLog.truncate_below`` counts). A floor outside the copy, at
-        its base, or on no replay-seeding checkpoint changes nothing: a
-        holder never discards evidence it cannot prove replaceable."""
-        offset = floor - self.start_index
-        if offset <= 0 or floor > self.head_index:
-            return 0
-        pivot = self.entries[offset]
-        if pivot.entry_type != CHK or "snapshot" not in pivot.aux:
-            return 0
-        reclaimed = sum(e.size_bytes() for e in self.entries[:offset])
-        self.start_hash = self.entries[offset - 1].entry_hash
-        del self.entries[:offset]
-        self.start_index = floor
-        return reclaimed
-
 
 class SNooPyNode:
     """A correct (non-Byzantine) node: primary system + provenance system."""
 
-    def __init__(self, node_id, app, identity, deployment, t_batch=0.0,
+    def __init__(self, node_id, app, identity, deployment,
                  native_sizer=None):
         self.node_id = node_id
         self.app = app
         self.identity = identity
         self.deployment = deployment
-        self.t_batch = t_batch
         self.native_sizer = native_sizer
         self.log = NodeLog(node_id)
         self.received_auths = {}     # peer -> [Authenticator]  (U_{i,j})
@@ -248,18 +203,18 @@ class SNooPyNode:
         """Log the snd entry immediately (the log's ordering invariant:
         outputs are committed before the next input), then transmit now or
         at the next batch flush."""
-        from repro.snp.commitment import snd_entry_content
         entry = self.log.append(
             self._next_time(), SND, snd_entry_content(msg),
             aux={"msg": msg}
         )
         self._outbox.setdefault(msg.dst, []).append((msg, entry))
-        if self.t_batch <= 0:
+        t_batch = self.deployment.t_batch
+        if t_batch <= 0:
             self._flush(msg.dst)
         elif msg.dst not in self._flush_scheduled:
             self._flush_scheduled.add(msg.dst)
             self.deployment.sim.schedule(
-                self.t_batch, lambda dst=msg.dst: self._flush_timer(dst)
+                t_batch, lambda dst=msg.dst: self._flush_timer(dst)
             )
 
     def _flush_timer(self, dst):
@@ -308,20 +263,27 @@ class SNooPyNode:
                 self.node_id, batch.src, str(exc)
             )
             return
-        rcv_entries = []
-        for msg, _index, _t_entry in batch.msgs:
-            t = self._next_time()
-            entry = self.log.append(
-                t, RCV, rcv_entry_content(msg, batch),
-                aux={"msg": msg, "batch_auth": batch.auth},
-            )
-            rcv_entries.append((msg, entry))
-            self.received_auths.setdefault(batch.src, []).append(batch.auth)
-            # Feed the application; its outputs are logged before the next
-            # message of the batch is processed (GCA ordering invariant).
-            self._process_outputs(self.app.handle_receive(msg, t), t)
-        ack = build_ack(self.log, self.identity, batch, rcv_entries)
-        self.deployment.transmit_ack(self, ack)
+        rcv_entries = [self._receive(msg, batch)
+                       for msg, _index, _t_entry in batch.msgs]
+        self._acknowledge(batch, rcv_entries)
+
+    def _receive(self, msg, batch):
+        """Log *msg* under *batch*'s authenticator and feed it to the
+        application; its outputs are logged before the next message of
+        the batch is processed (GCA ordering invariant). Returns
+        ``(msg, rcv entry)``."""
+        t = self._next_time()
+        entry = self.log.append(
+            t, RCV, rcv_entry_content(msg, batch),
+            aux={"msg": msg, "batch_auth": batch.auth},
+        )
+        self.received_auths.setdefault(batch.src, []).append(batch.auth)
+        self._process_outputs(self.app.handle_receive(msg, t), t)
+        return msg, entry
+
+    def _acknowledge(self, batch, rcv_entries):
+        self.deployment.transmit_ack(
+            self, build_ack(self.log, self.identity, batch, rcv_entries))
 
     def on_ack(self, wire_ack):
         key = bytes(wire_ack.batch_auth.signature)
@@ -379,7 +341,7 @@ class SNooPyNode:
         if head == 0:
             return None
         limit = head if mark is None else min(mark, head)
-        if limit < log.first_index:
+        if limit < log.start_index:
             return None  # cannot honor a mark below the retained base
         chk = log.last_checkpoint_before(limit)
         if chk is None:
@@ -396,7 +358,7 @@ class SNooPyNode:
         advert = self.advertised_floor
         if advert is None:
             return 0
-        return self.log.truncate_below(advert.floor_index)
+        return self.log.trim(advert.floor_index)
 
     # ----------------------------------------------------- query services
 
@@ -436,27 +398,16 @@ class SNooPyNode:
         below that falls back to the full response — the querier
         resolves what it cannot reach as yellow.
         """
-        end = len(self.log)
+        log = self.log
+        end = len(log)
         if end == 0:
             return None
-        start = self.log.first_index
-        if since_index is not None and start - 1 <= since_index <= end:
-            start = since_index + 1
-        elif from_checkpoint:
-            chk = self.log.last_checkpoint_before(end)
-            if chk is not None:
-                start = chk.index
-        head = self.log.entry(end)
-        head_auth = sign_authenticator(
-            self.identity, head.index, head.timestamp, head.entry_hash
-        )
-        return RetrieveResponse(
-            node=self.node_id,
-            entries=self.log.segment(start, end),
-            start_index=start,
-            start_hash=self.log.hash_before(start),
-            head_auth=head_auth,
-        )
+        if since_index is None \
+                or not log.start_index - 1 <= since_index <= end:
+            chk = log.last_checkpoint_before(end) if from_checkpoint else None
+            since_index = None if chk is None else chk.index - 1
+        return RetrieveResponse(self.node_id, *log.after(since_index),
+                                self.head_authenticator())
 
     def authenticators_about(self, peer, since=0):
         """Authenticators this node holds that were signed by *peer* —

@@ -15,7 +15,7 @@ from repro.model import Msg, Tup
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FabricatorNode, ForkingNode, InputLiarNode, MisexecutingNode,
-    SilentNode, SuppressorNode, TamperingNode,
+    MisreceivingNode, SilentNode, SuppressorNode, TamperingNode,
 )
 from repro.snp.commitment import (
     WireAck, WireBatch, ack_entry_content, rcv_entry_content,
@@ -207,6 +207,53 @@ class TestMisexecution:
         assert "b" in result.faulty_nodes()
 
 
+class TestMisreception:
+    def test_the_sender_refuses_an_ack_of_what_it_did_not_send(self):
+        # c logs, processes and acks b's first message with the cost
+        # raised by 50: b rebuilds the acked rcv entry from its own
+        # message, refuses the ack, and raises the missing-ack alarm
+        dep, nodes = _deploy(MisreceivingNode, victim="c", seed=7)
+        sent, logged = nodes["c"].misreceived
+        assert sent.src == "b" and logged != sent
+        assert [(w["receiver"], w["sender"])
+                for w in dep.maintainer.rejected_wires] == [("b", "c")]
+        acked = [m for e in nodes["b"].log.entries if e.entry_type == ACK
+                 for m in e.aux["wire_ack"].msgs]
+        assert sent not in acked and logged not in acked
+        assert [a["msg_ids"] for a in dep.maintainer.missing_ack_alarms] \
+            == [[sent.msg_id()]]
+
+    def test_a_misdated_authenticator_cannot_frame_its_receiver(
+            self, monkeypatch):
+        # b signs its first batch's genuine (index, hash) 1 ms off the snd
+        # entry's timestamp, inside the plausibility window: its receiver
+        # refuses the batch, so no rcv entry re-chains at the signed time
+        # and the receiver's view stays ok
+        dep = Deployment(seed=7, key_bits=256)
+        transmit, misdated = dep.transmit_batch, []
+
+        def misdate(sender, batch):
+            if sender.node_id == "b" and not misdated:
+                auth = batch.auth
+                batch.auth = sign_authenticator(
+                    sender.identity, auth.index, auth.timestamp + 0.001,
+                    auth.entry_hash)
+                misdated.append(batch)
+            transmit(sender, batch)
+
+        monkeypatch.setattr(dep, "transmit_batch", misdate)
+        build_paper_network(dep)
+        [batch] = misdated
+        assert len(batch.msgs) == 1
+        [rejected] = dep.maintainer.rejected_wires
+        assert (rejected["receiver"], rejected["sender"]) == (batch.dst, "b")
+        assert not any(e.aux["batch_auth"] is batch.auth
+                       for e in dep.nodes[batch.dst].log.entries
+                       if e.entry_type == RCV)
+        with QueryProcessor(dep) as qp:
+            assert qp.mq.view_of(batch.dst).status == "ok"
+
+
 class TestInputLying:
     def test_input_lie_is_black_but_visible(self):
         # Section 4.2's first limitation: lying about local inputs cannot
@@ -314,6 +361,26 @@ class TestConvictionGallery:
         view = self._view_of_b(dep)
         assert view.status == "proven-faulty"
         assert "authenticator from unregistered node 'z'" \
+            in view.verdict_reason
+
+    def test_rcv_logs_a_message_its_sender_did_not_sign(self):
+        # check: check_receipts — a genuine authenticator of a one-entry
+        # batch, over another message than the one it signs
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        genuine = next(e for e in b.log.entries if e.entry_type == RCV)
+        msg, auth = genuine.aux["msg"], genuine.aux["batch_auth"]
+        tup = msg.tup
+        lie = Msg(msg.polarity, Tup(tup.relation, tup.loc, *tup.args[:-1],
+                                    tup.args[-1] + 50),
+                  msg.src, msg.dst, msg.seq, msg.t_sent)
+        h_start, start_index = genuine.content[2:4]
+        batch = WireBatch(msg.src, "b", [], [], start_index, h_start, auth)
+        b.log.append(b._next_time(), RCV, rcv_entry_content(lie, batch),
+                     aux={"msg": lie, "batch_auth": auth})
+        view = self._view_of_b(dep)
+        assert view.status == "proven-faulty"
+        assert f"logs a message {msg.src!r} did not sign" \
             in view.verdict_reason
 
     @pytest.mark.parametrize("lie, reason", [

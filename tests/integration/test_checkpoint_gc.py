@@ -117,7 +117,7 @@ class TestHonestGc:
         assert dep.gc_meter.entries_discarded > 0
         after = {n: node.log.size_bytes() for n, node in dep.nodes.items()}
         assert sum(after.values()) < sum(before.values())
-        assert any(node.log.first_index > 1 for node in dep.nodes.values())
+        assert any(node.log.start_index > 1 for node in dep.nodes.values())
         # The standing auditor keeps working across the truncation.
         nodes["b"].insert(link("b", "y", 9))
         dep.run()
@@ -133,7 +133,7 @@ class TestHonestGc:
         assert not result.red_vertices()
         view = cold.mq.view_of("c")
         assert view.status == OK
-        assert view.base_index == dep.nodes["c"].log.first_index
+        assert view.base_index == dep.nodes["c"].log.start_index
         assert view.base_index > 1
 
     def test_absence_below_the_floor_resolves_yellow_not_red(self):
@@ -255,7 +255,7 @@ class TestAdversarialGc:
     def test_over_eager_truncator_convicted(self):
         dep, nodes, qp = _over_truncated(OverTruncatingNode)
         advertised = dep.advertised_floor_of("b")
-        assert nodes["b"].log.first_index > advertised, \
+        assert nodes["b"].log.start_index > advertised, \
             "the adversary must actually truncate below its advertisement"
         # Over-truncation is not a handshake-time fault (the signed
         # advertisement itself was honest) ...
@@ -433,7 +433,7 @@ class TestRetentionHardening:
         forged = RetrieveResponse(
             node="a", entries=[chk1] + honest.entries[1:],
             start_index=chk1.index,
-            start_hash=node.log.hash_before(chk1.index),
+            start_hash=node.log.hash_at(chk1.index - 1),
             head_auth=honest.head_auth,
         )
         node.retrieve = lambda **kwargs: forged
@@ -457,7 +457,7 @@ class TestRetentionHardening:
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
         chk = node.log.last_checkpoint_before(len(node.log))
-        node.log.truncate_below(chk.index)
+        node.log.trim(chk.index)
         pushed = node.retrieve()        # checkpoint-anchored, newer head
         assert pushed.seed is not None and pushed.start_index == chk.index
         assert pushed.head_auth.index > full_copy.head_auth.index
@@ -518,7 +518,7 @@ class TestRetentionHardening:
                                  entry.entry_hash)
         dep.checkpoint_all()
         chk = node.log.last_checkpoint_before(len(node.log))
-        node.log.truncate_below(chk.index)
+        node.log.trim(chk.index)
         assert node.retrieve().start_index > 2
         mq = self._owing(dep, "a", old, floor=chk.index)
         assert mq.view_of("a").status == OK
@@ -541,7 +541,7 @@ class TestRetentionHardening:
         qp.refresh()
         dep.run_gc(checkpoint=False)   # floors pass the stale mirror heads
         origin = dep.nodes["a"]
-        assert origin.log.first_index > 1
+        assert origin.log.start_index > 1
         floor = dep.advertised_floor_of("a")
         holders = [n for n in dep.nodes.values()
                    if n.node_id != "a" and n.mirror_of("a") is not None]
@@ -572,7 +572,7 @@ class TestRetentionHardening:
         dep.run()
         dep.run_gc(checkpoint=True)    # convicts b, which self-truncates
         assert dep.maintainer.retention_fault_of("b") is not None
-        assert nodes["b"].log.first_index > 1
+        assert nodes["b"].log.start_index > 1
         stored_heads = {
             n.node_id: n.mirror_of("b").head_auth.index
             for n in dep.nodes.values()

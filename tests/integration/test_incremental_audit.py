@@ -46,7 +46,7 @@ class TestDeltaRetrieve:
         dep.run()
         response = node.retrieve(since_index=head)
         assert response.start_index == head + 1
-        assert response.start_hash == node.log.hash_before(head + 1)
+        assert response.start_hash == node.log.hash_at(head)
         assert [e.index for e in response.entries] == \
             list(range(head + 1, len(node.log) + 1))
 

@@ -110,7 +110,7 @@ class TestReplicationTraffic:
         delta = dep.traffic.totals()["replication"] - after_full
         expected = 0
         for name, node in dep.nodes.items():
-            suffix = node.log.segment(heads[name] + 1, len(node.log))
+            suffix, _start, _anchor = node.log.after(heads[name])
             if suffix:
                 expected += 2 * (
                     sum(e.size_bytes() for e in suffix)

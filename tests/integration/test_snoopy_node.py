@@ -71,7 +71,7 @@ class TestCheckpoints:
         assert len(seg.entries) < len(full.entries) + 2
         assert seg.seed is seg.entries[0]
         assert seg.seed.entry_type == CHK and seg.seeds_rebuild
-        assert seg.start_hash == nodes["c"].log.hash_before(seg.start_index)
+        assert seg.start_hash == nodes["c"].log.hash_at(seg.start_index - 1)
 
     def test_checkpointed_query_still_correct(self):
         dep = Deployment(seed=8, key_bits=256)

@@ -8,9 +8,11 @@ the committed leaf.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.hashing import HashChain, content_digest
 from repro.crypto.merkle import MerkleTree
 from repro.model import Tup
+from repro.snp.evidence import Authenticator
+from repro.snp.log import NodeLog
+from repro.snp.snoopy import LogCopy, RetrieveResponse
 from repro.util.serialization import canonical_bytes
 
 scalars = st.one_of(
@@ -66,36 +68,57 @@ class TestHashChainProperties:
     @given(entries)
     def test_chain_deterministic(self, items):
         def build():
-            chain = HashChain()
+            log = NodeLog("n")
             for t, y, c in items:
-                chain.append(t, y, content_digest((c,)))
-            return chain.head()
+                log.append(t, y, (c,))
+            return log.head_hash()
         assert build() == build()
 
     @given(entries, st.integers(min_value=0, max_value=19))
     def test_any_modification_changes_head(self, items, position):
         if position >= len(items):
             position = len(items) - 1
-        original = HashChain()
+        original = NodeLog("n")
         for t, y, c in items:
-            original.append(t, y, content_digest((c,)))
-        modified = HashChain()
+            original.append(t, y, (c,))
+        modified = NodeLog("n")
         for index, (t, y, c) in enumerate(items):
             payload = (c + "-tampered",) if index == position else (c,)
-            modified.append(t, y, content_digest(payload))
-        assert original.head() != modified.head()
+            modified.append(t, y, payload)
+        assert original.head_hash() != modified.head_hash()
 
     @given(entries)
     def test_prefix_hashes_stable_under_extension(self, items):
-        chain = HashChain()
+        log = NodeLog("n")
         prefix_hashes = []
         for t, y, c in items:
-            chain.append(t, y, content_digest((c,)))
-            prefix_hashes.append(chain.head())
+            log.append(t, y, (c,))
+            prefix_hashes.append(log.head_hash())
         # Extending the chain never changes earlier hashes.
-        chain.append(99.0, "ins", content_digest(("extra",)))
+        log.append(99.0, "ins", ("extra",))
         for index, expected in enumerate(prefix_hashes):
-            assert chain.hash_at(index + 1) == expected
+            assert log.hash_at(index + 1) == expected
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=16),
+           st.lists(st.integers(min_value=0, max_value=18), max_size=4))
+    def test_a_log_and_its_copy_trim_alike(self, checkpoints, floors):
+        # *checkpoints*: which entries are chk entries; every floor is
+        # applied to the node's log and to a stored copy of it
+        log = NodeLog("n")
+        for index, is_chk in enumerate(checkpoints, 1):
+            if is_chk:
+                log.append_checkpoint(float(index), {"seq": {}}, [], [])
+            else:
+                log.append(float(index), "ins", (index,))
+        head = log.entry(len(log))
+        auth = Authenticator("n", head.index, head.timestamp,
+                             head.entry_hash, b"sig")
+        copy = LogCopy("n")
+        assert copy.store(RetrieveResponse("n", *log.after(), auth))
+        for floor in floors:
+            assert log.trim(floor) == copy.trim(floor)
+            assert (log.start_index, log.start_hash, log.entries) \
+                == (copy.start_index, copy.start_hash, copy.entries)
 
 
 class TestMerkleProperties:

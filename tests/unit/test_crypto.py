@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.mincost import build_paper_network
-from repro.crypto.hashing import HashChain, GENESIS_HASH, content_digest
+from repro.crypto.hashing import GENESIS_HASH, chain_hash, content_digest
 from repro.crypto.keys import CertificateAuthority, NodeIdentity
 from repro.crypto.merkle import MerkleTree, EMPTY_ROOT
 from repro.crypto.rsa import RsaKeyPair, _expand_digest, generate_keypair
 from repro.service import ServicePusher
 from repro.snp import Deployment
+from repro.snp.log import NodeLog
 from repro.util.errors import AuthenticationError
 
 
@@ -278,44 +279,48 @@ class TestNodeKeys:
 
 
 class TestHashChain:
+    """The chain as the log keeps it: one hash per entry, on the entry."""
+
     def test_genesis(self):
-        chain = HashChain()
-        assert chain.head() == GENESIS_HASH
-        assert len(chain) == 0
+        log = NodeLog("n")
+        assert log.head_hash() == GENESIS_HASH
+        assert len(log) == 0
 
     def test_append_changes_head(self):
-        chain = HashChain()
-        h1 = chain.append(1.0, "ins", content_digest(("x",)))
-        assert chain.head() == h1
-        assert len(chain) == 1
+        log = NodeLog("n")
+        h1 = log.append(1.0, "ins", ("x",)).entry_hash
+        assert log.head_hash() == h1
+        assert h1 == chain_hash(GENESIS_HASH, 1.0, "ins",
+                                content_digest(("x",)))
+        assert len(log) == 1
 
     def test_order_sensitivity(self):
-        a, b = HashChain(), HashChain()
-        a.append(1.0, "ins", content_digest(("x",)))
-        a.append(2.0, "ins", content_digest(("y",)))
-        b.append(1.0, "ins", content_digest(("y",)))
-        b.append(2.0, "ins", content_digest(("x",)))
-        assert a.head() != b.head()
+        a, b = NodeLog("n"), NodeLog("n")
+        a.append(1.0, "ins", ("x",))
+        a.append(2.0, "ins", ("y",))
+        b.append(1.0, "ins", ("y",))
+        b.append(2.0, "ins", ("x",))
+        assert a.head_hash() != b.head_hash()
 
     def test_hash_at_indexing(self):
-        chain = HashChain()
-        h1 = chain.append(1.0, "ins", content_digest(("x",)))
-        h2 = chain.append(2.0, "del", content_digest(("x",)))
-        assert chain.hash_at(0) == GENESIS_HASH
-        assert chain.hash_at(1) == h1
-        assert chain.hash_at(2) == h2
+        log = NodeLog("n")
+        h1 = log.append(1.0, "ins", ("x",)).entry_hash
+        h2 = log.append(2.0, "del", ("x",)).entry_hash
+        assert log.hash_at(0) == GENESIS_HASH
+        assert log.hash_at(1) == h1
+        assert log.hash_at(2) == h2
 
     def test_type_field_is_committed(self):
-        a, b = HashChain(), HashChain()
-        a.append(1.0, "ins", content_digest(("x",)))
-        b.append(1.0, "del", content_digest(("x",)))
-        assert a.head() != b.head()
+        a, b = NodeLog("n"), NodeLog("n")
+        a.append(1.0, "ins", ("x",))
+        b.append(1.0, "del", ("x",))
+        assert a.head_hash() != b.head_hash()
 
     def test_timestamp_is_committed(self):
-        a, b = HashChain(), HashChain()
-        a.append(1.0, "ins", content_digest(("x",)))
-        b.append(2.0, "ins", content_digest(("x",)))
-        assert a.head() != b.head()
+        a, b = NodeLog("n"), NodeLog("n")
+        a.append(1.0, "ins", ("x",))
+        b.append(2.0, "ins", ("x",))
+        assert a.head_hash() != b.head_hash()
 
 
 class TestMerkle:

@@ -6,10 +6,11 @@ from repro.crypto.keys import CertificateAuthority, NodeIdentity
 from repro.model import Msg, Tup, PLUS
 from repro.net.simulator import Simulator
 from repro.snp.commitment import (
-    build_batch, verify_batch, snd_entry_content,
+    WireBatch, build_ack, build_batch, rcv_entry_content, snd_entry_content,
+    verify_ack, verify_batch,
 )
 from repro.snp.evidence import sign_authenticator, verify_authenticator
-from repro.snp.log import NodeLog, INS, SND, CHK
+from repro.snp.log import NodeLog, INS, SND, RCV, CHK
 from repro.util.errors import AuthenticationError
 
 
@@ -75,18 +76,21 @@ class TestNodeLog:
         assert e1.entry_hash != e2.entry_hash
         assert log.head_hash() == e2.entry_hash
 
-    def test_hash_before(self):
+    def test_hash_at(self):
         log = NodeLog("n")
         e1 = log.append(1.0, INS, ("x",))
-        assert log.hash_before(1) == "0" * 64
-        assert log.hash_before(2) == e1.entry_hash
+        assert log.hash_at(0) == "0" * 64
+        assert log.hash_at(1) == e1.entry_hash
+        assert log.hash_at(2) is None
 
-    def test_segment_slicing(self):
+    def test_after_slices_a_suffix(self):
         log = NodeLog("n")
         for i in range(5):
             log.append(float(i), INS, (i,))
-        seg = log.segment(2, 4)
-        assert [e.index for e in seg] == [2, 3, 4]
+        entries, start, anchor = log.after(1)
+        assert [e.index for e in entries] == [2, 3, 4, 5]
+        assert (start, anchor) == (2, log.hash_at(1))
+        assert log.after()[1:] == (1, "0" * 64)
 
     def test_unknown_entry_type_rejected(self):
         log = NodeLog("n")
@@ -110,9 +114,9 @@ class TestNodeLog:
 
 
 class TestLogTruncation:
-    """Checkpoint GC at the log layer: truncate_below keeps the tombstone
-    anchor so indexes, segments and chain hashes at or above the floor
-    behave exactly as before truncation."""
+    """Checkpoint GC at the log layer: trim keeps the tombstone anchor so
+    indexes, suffixes and chain hashes at or above the floor behave
+    exactly as before truncation."""
 
     def _log_with_checkpoint_at(self, chk_index, total=8):
         log = NodeLog("n")
@@ -127,33 +131,31 @@ class TestLogTruncation:
         log = self._log_with_checkpoint_at(4)
         before = log.size_bytes()
         pre_head = log.head_hash()
-        reclaimed = log.truncate_below(4)
+        reclaimed = log.trim(4)
         assert reclaimed > 0
         assert log.size_bytes() == before - reclaimed
-        assert log.first_index == 4
+        assert log.start_index == 4               # 3 entries discarded
         assert len(log) == 8                      # head index is logical
         assert log.entry(4).entry_type == CHK
         assert log.entry(8).index == 8
         assert log.head_hash() == pre_head
-        assert log.discarded_entries == 3
 
     def test_tombstone_anchor_survives(self):
         log = self._log_with_checkpoint_at(4)
-        anchor = log.hash_before(4)
-        seg_hashes = [e.entry_hash for e in log.segment(4, 8)]
-        log.truncate_below(4)
-        assert log.hash_before(4) == anchor
-        assert [e.entry_hash for e in log.segment(4, 8)] == seg_hashes
-        with pytest.raises(IndexError):
-            log.hash_before(3)
+        anchor = log.hash_at(3)
+        seg_hashes = [e.entry_hash for e in log.after(3)[0]]
+        log.trim(4)
+        assert log.start_hash == log.hash_at(3) == anchor
+        assert [e.entry_hash for e in log.after(3)[0]] == seg_hashes
+        assert log.hash_at(2) is None
         with pytest.raises(IndexError):
             log.entry(3)
-        with pytest.raises(IndexError):
-            log.segment(2, 8)
+        # a suffix below the anchor cannot anchor: it gets everything
+        assert log.after(1) == log.after(3)
 
     def test_append_continues_past_truncation(self):
         log = self._log_with_checkpoint_at(4)
-        log.truncate_below(4)
+        log.trim(4)
         entry = log.append(9.0, INS, ("post",))
         assert entry.index == 9
         assert log.entry(9) is entry
@@ -163,23 +165,25 @@ class TestLogTruncation:
             log.entry(8).entry_hash, 9.0, INS, entry.content_hash
         )
 
-    def test_truncate_below_non_checkpoint_rejected(self):
+    def test_trim_off_a_checkpoint_changes_nothing(self):
+        # A floor on no replay-seeding checkpoint, or past the head, is
+        # one the holder cannot prove replaceable: nothing is discarded.
         log = self._log_with_checkpoint_at(4)
-        with pytest.raises(ValueError, match="checkpoint"):
-            log.truncate_below(5)
-        with pytest.raises(ValueError, match="head"):
-            log.truncate_below(99)
+        shape = (log.start_index, log.start_hash, list(log.entries))
+        assert log.trim(5) == 0
+        assert log.trim(99) == 0
+        assert (log.start_index, log.start_hash, log.entries) == shape
 
     def test_truncate_at_or_below_base_is_a_noop(self):
         log = self._log_with_checkpoint_at(4)
-        assert log.truncate_below(1) == 0
-        log.truncate_below(4)
-        assert log.truncate_below(4) == 0
-        assert log.truncate_below(2) == 0
+        assert log.trim(1) == 0
+        log.trim(4)
+        assert log.trim(4) == 0
+        assert log.trim(2) == 0
 
     def test_last_checkpoint_before_respects_truncation(self):
         log = self._log_with_checkpoint_at(4)
-        log.truncate_below(4)
+        log.trim(4)
         assert log.last_checkpoint_before(8).index == 4
         assert log.last_checkpoint_before(3) is None
 
@@ -202,7 +206,89 @@ class TestAuthenticators:
             verify_authenticator(ident, ident.keypair.public_only(), auth)
 
 
+def _other_tuple(msg):
+    return Msg(msg.polarity, Tup("r", "b", 999), msg.src, msg.dst, msg.seq,
+               msg.t_sent)
+
+
+def _tamper_message(wire, _signer, _log):
+    if isinstance(wire, WireBatch):
+        msg, index, t_entry = wire.msgs[0]
+        wire.msgs[0] = (_other_tuple(msg), index, t_entry)
+    else:
+        wire.msgs[0] = _other_tuple(wire.msgs[0])
+
+
+def _implausible_timestamp(wire, signer, _log):
+    auth = wire.auth
+    wire.auth = sign_authenticator(signer, auth.index, auth.timestamp + 500,
+                                   auth.entry_hash)
+
+
+def _omit_entry(wire, _signer, _log):
+    wire.gaps = []
+
+
+def _overlap_gap(wire, _signer, log):
+    # the shown entry's own, genuine metadata, disclosed a second time
+    wire.gaps = wire.gaps + [log.entry(wire.start_index).meta()]
+
+
+def _misdated_auth(wire, signer, _log):
+    # inside the plausibility window, but not the signed entry's time
+    auth = wire.auth
+    wire.auth = sign_authenticator(signer, auth.index, auth.timestamp + 0.001,
+                                   auth.entry_hash)
+
+
+def _unsigned_range(wire, _signer, _log):
+    # a range that starts past the signed entry, on its hash: nothing
+    # disclosed would be chained
+    wire.start_index = wire.auth.index + 1
+    wire.h_start = wire.auth.entry_hash
+
+
+def _wrong_head(wire, signer, _log):
+    auth = wire.auth
+    wire.auth = sign_authenticator(signer, auth.index, auth.timestamp,
+                                   "ab" * 32)
+
+
 class TestWireBatch:
+    """Both directions of the commitment protocol: a batch from ``a`` to
+    ``b`` (a gap between its two snd entries) and ``b``'s ack of it (an
+    output ``b`` logged between its two rcv entries), each checked by
+    the one range check (``commitment.reaches``) behind the signature
+    and plausibility checks."""
+
+    def _exchange(self):
+        ca = CertificateAuthority(key_bits=256, seed=1)
+        a = NodeIdentity("a", ca, key_bits=256)
+        b = NodeIdentity("b", ca, key_bits=256)
+        send_log, recv_log = NodeLog("a"), NodeLog("b")
+        batch = build_batch(send_log, a, "b",
+                            self._queue(send_log, a, with_gap=True))
+        rcv_entries = []
+        for msg, _index, t_entry in batch.msgs:
+            if rcv_entries:
+                recv_log.append(t_entry + 0.5, SND, ("output",))
+            entry = recv_log.append(t_entry + 1.0, RCV,
+                                    rcv_entry_content(msg, batch),
+                                    aux={"msg": msg,
+                                         "batch_auth": batch.auth})
+            rcv_entries.append((msg, entry))
+        ack = build_ack(recv_log, b, batch, rcv_entries)
+        return (a, send_log, batch), (b, recv_log, ack)
+
+    def _verify(self, side):
+        """``(signer, signer's log, wire, verify)`` for one side."""
+        (a, send_log, batch), (b, recv_log, ack) = self._exchange()
+        if side == "batch":
+            return a, send_log, batch, lambda: verify_batch(
+                batch, b, a.keypair.public_only(), 2.0, 10.0)
+        return b, recv_log, ack, lambda: verify_ack(
+            ack, a, b.keypair.public_only(), batch, 2.0, 10.0)
+
     def _setup(self):
         ca = CertificateAuthority(key_bits=256, seed=1)
         ident = NodeIdentity("a", ca, key_bits=256)
@@ -221,13 +307,11 @@ class TestWireBatch:
             queued.append((msg, entry))
         return queued
 
-    def test_roundtrip_verification(self):
-        ident, verifier, log = self._setup()
-        queued = self._queue(log, ident)
-        batch = build_batch(log, ident, "b", queued)
-        assert verify_batch(batch, verifier,
-                            ident.keypair.public_only(),
-                            local_time=2.0, plausibility_window=10.0)
+    @pytest.mark.parametrize("side", ["batch", "ack"])
+    def test_roundtrip_verification(self, side):
+        _signer, _log, wire, verify = self._verify(side)
+        assert len(wire.gaps) == 1
+        assert verify()
 
     def test_gap_entries_verified_by_digest(self):
         ident, verifier, log = self._setup()
@@ -237,24 +321,40 @@ class TestWireBatch:
         assert verify_batch(batch, verifier, ident.keypair.public_only(),
                             2.0, 10.0)
 
-    def test_tampered_message_rejected(self):
-        ident, verifier, log = self._setup()
-        queued = self._queue(log, ident)
-        batch = build_batch(log, ident, "b", queued)
-        msg, index, t = batch.msgs[0]
-        batch.msgs[0] = (Msg(PLUS, Tup("r", "b", 999), "a", "b", 0, 1.0),
-                         index, t)
+    @pytest.mark.parametrize("lie", [
+        _tamper_message, _implausible_timestamp, _misdated_auth,
+        _omit_entry, _overlap_gap, _unsigned_range, _wrong_head,
+    ], ids=["tampered-message", "implausible-timestamp", "misdated-auth",
+            "omitted-entry", "gap-overlap", "unsigned-range", "wrong-head"])
+    @pytest.mark.parametrize("side", ["batch", "ack"])
+    def test_a_range_that_misses_the_signed_hash_is_rejected(self, side,
+                                                             lie):
+        signer, log, wire, verify = self._verify(side)
+        lie(wire, signer, log)
         with pytest.raises(AuthenticationError):
-            verify_batch(batch, verifier, ident.keypair.public_only(),
-                         2.0, 10.0)
+            verify()
 
-    def test_implausible_timestamp_rejected(self):
-        ident, verifier, log = self._setup()
-        queued = self._queue(log, ident)
-        batch = build_batch(log, ident, "b", queued)
+    def test_ack_of_a_message_never_sent_is_rejected(self):
+        _b, _log, ack, verify = self._verify("ack")
+        msg_id, index, t_entry = ack.rcv_metas[0]
+        ack.rcv_metas[0] = (("a", "b", 999), index, t_entry)
+        with pytest.raises(AuthenticationError, match="did not carry"):
+            verify()
+
+    def test_ack_of_a_misreceived_message_is_rejected(self):
+        # b logs and acks another tuple than the one a signed, under a's
+        # authenticator: self-consistent, unless a rebuilds the rcv entry
+        # from its own message
+        (a, _send_log, batch), (b, _recv_log, _ack) = self._exchange()
+        msg, _index, t_entry = batch.msgs[0]
+        lie = _other_tuple(msg)
+        recv_log = NodeLog("b")
+        entry = recv_log.append(t_entry + 1.0, RCV,
+                                rcv_entry_content(lie, batch),
+                                aux={"msg": lie, "batch_auth": batch.auth})
+        ack = build_ack(recv_log, b, batch, [(lie, entry)])
         with pytest.raises(AuthenticationError):
-            verify_batch(batch, verifier, ident.keypair.public_only(),
-                         local_time=500.0, plausibility_window=1.0)
+            verify_ack(ack, a, b.keypair.public_only(), batch, 2.0, 10.0)
 
     def test_spoofed_src_rejected(self):
         ident, verifier, log = self._setup()
@@ -262,15 +362,6 @@ class TestWireBatch:
         entry = log.append(1.0, SND, snd_entry_content(spoofed),
                            aux={"msg": spoofed})
         batch = build_batch(log, ident, "b", [(spoofed, entry)])
-        with pytest.raises(AuthenticationError):
-            verify_batch(batch, verifier, ident.keypair.public_only(),
-                         2.0, 10.0)
-
-    def test_omitted_entry_rejected(self):
-        ident, verifier, log = self._setup()
-        queued = self._queue(log, ident, with_gap=True)
-        batch = build_batch(log, ident, "b", queued)
-        batch.gaps = []  # hide the interleaved entry
         with pytest.raises(AuthenticationError):
             verify_batch(batch, verifier, ident.keypair.public_only(),
                          2.0, 10.0)

@@ -30,9 +30,9 @@ from repro.snp.snoopy import RetrieveResponse
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-#: Every constructor (and ``retrieve``, thrice) that carries options,
-#: against a literal. Adding, removing or re-defaulting a parameter must
-#: edit this table.
+#: Every constructor (and ``retrieve``, thrice, and ``add_node``) that
+#: carries options, against a literal. Adding, removing or re-defaulting
+#: a parameter must edit this table.
 RETRIEVE = "(self, from_checkpoint=False, since_index=None)"
 SIGNATURES = {
     # the consistency check has no off switch: a test that wants it quiet
@@ -59,6 +59,13 @@ SIGNATURES = {
     Deployment:
         "(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256, "
         "t_batch=0.0)",
+    # t_batch is the deployment's: its plausibility window and Tprop
+    # bound read it, so no node has its own
+    Deployment.add_node:
+        "(self, node_id, app_factory, node_cls=<class "
+        "'repro.snp.snoopy.SNooPyNode'>, native_sizer=None)",
+    SNooPyNode: "(self, node_id, app, identity, deployment, "
+                "native_sizer=None)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,
