@@ -3,8 +3,9 @@
 
 Walks the threat model of paper Section 2.1 one attack at a time on the
 MinCost network — fabrication, log tampering, equivocation (log forking),
-query refusal, message suppression, input lying, and misreception —
-printing what the investigator sees in each case.
+query refusal, message suppression, input lying, misreception, and a
+replica serving a doctored checkpoint — printing what the investigator
+sees in each case.
 
 Run:  python examples/adversary_gallery.py
 """
@@ -15,6 +16,7 @@ from repro.snp.adversary import (
     FabricatorNode, ForkingNode, InputLiarNode, MisreceivingNode,
     SilentNode, SuppressorNode, TamperingNode,
 )
+from repro.snp.log import LogEntry
 
 
 def _banner(title):
@@ -117,6 +119,45 @@ def misreception():
     print(f"   faulty: {res.faulty_nodes()}")
 
 
+def doctored_checkpoint():
+    _banner("8. Doctored checkpoint -> a replica cannot turn its origin "
+            "red")
+    dep = Deployment(seed=48)
+    nodes = build_paper_network(dep, node_overrides={"c": SilentNode})
+    c = nodes["c"]
+    c.refuse_retrieve = c.refuse_consistency = False
+    dep.run()
+    dep.enable_replication(2.0)
+    auditor = QueryProcessor(dep)
+    dep.register_querier(auditor)
+    auditor.prefetch()
+    c.checkpoint()
+    gone = link("c", "b", 2)
+    c.delete(gone)
+    dep.run()
+    auditor.refresh()
+    dep.run_gc(checkpoint=False)   # the mirrors now start at c's chk
+    for replica in dep.nodes.values():
+        copy = replica.mirror_of("c")
+        if copy is not None:       # serve c's checkpoint without the link
+            chk = copy.entries[0]
+            snapshot = chk.aux["snapshot"]
+            store = dict(snapshot["store"])
+            store["base"] = {t: n for t, n in store["base"].items()
+                             if t != gone}
+            copy.entries[0] = LogEntry(
+                chk.index, chk.timestamp, chk.entry_type, chk.content,
+                chk.content_hash, chk.entry_hash,
+                aux=dict(chk.aux, snapshot=dict(snapshot, store=store)))
+    c.refuse_retrieve = True       # c crashes
+    qp = QueryProcessor(dep, use_checkpoints=True)
+    res = qp.why_disappear(cost("d", "b", "c", 7), node="d")
+    view = qp.mq.view_of("c")
+    print(f"   c's view: {view.status} ({view.verdict_reason})")
+    print(f"   suspects: {res.suspect_nodes()}  "
+          f"(proven faulty: {res.faulty_nodes()})")
+
+
 if __name__ == "__main__":
     fabrication()
     tampering()
@@ -125,5 +166,6 @@ if __name__ == "__main__":
     suppression()
     input_lying()
     misreception()
+    doctored_checkpoint()
     print("\nDone. Every *detectable* fault produced red/yellow evidence; "
           "the input lie (by design) did not.")

@@ -258,8 +258,8 @@ class MapReduceApp(StateMachine):
             "beliefs": dict(self._beliefs),
             "expected": dict(self._expected),
             "task_tuple": dict(self._task_tuple),
-            "done": {j: set(d) for j, d in self._done.items()},
-            "emitted": set(self._emitted),
+            "done": {j: frozenset(d) for j, d in self._done.items()},
+            "emitted": frozenset(self._emitted),
         }
         return snap
 

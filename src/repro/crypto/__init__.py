@@ -10,10 +10,10 @@ package provides:
   key generation, hash-then-sign signatures) so the library has no external
   crypto dependency;
 * :mod:`repro.crypto.keys` — key pairs, an offline certificate authority and
-  per-node certificates (assumption 2 in the paper);
-* :mod:`repro.crypto.merkle` — Merkle hash trees used for partial-checkpoint
-  verification (Section 7.7 mentions checkpoints verified via a Merkle hash
-  tree).
+  per-node certificates (assumption 2 in the paper).
+
+Everything the log commits to, a checkpoint's whole snapshot included,
+is committed by one :func:`~repro.crypto.hashing.content_digest`.
 
 Every signing/verification operation is counted in a per-instance
 :class:`CryptoCounter` so that Figure 7 (CPU load from crypto) can be
@@ -23,7 +23,6 @@ reproduced by accounting rather than noisy wall-clock profiling.
 from repro.crypto.hashing import sha256_hex, chain_hash, HashChain
 from repro.crypto.rsa import RsaKeyPair, generate_keypair
 from repro.crypto.keys import CertificateAuthority, NodeIdentity, CryptoCounter
-from repro.crypto.merkle import MerkleTree
 
 __all__ = [
     "sha256_hex",
@@ -34,5 +33,4 @@ __all__ = [
     "CertificateAuthority",
     "NodeIdentity",
     "CryptoCounter",
-    "MerkleTree",
 ]

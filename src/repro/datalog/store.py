@@ -320,8 +320,7 @@ class TupleStore:
         return {
             "base": {t: c for t, c in self._base_count.items()},
             "derivations": {
-                t: [(k, inst.support) for k, inst in insts.items()]
-                for t, insts in self._derivations.items()
+                t: list(insts) for t, insts in self._derivations.items()
             },
             "beliefs": {t: dict(p) for t, p in self._beliefs.items()},
             "appeared": dict(self._appeared_at),
@@ -334,8 +333,8 @@ class TupleStore:
         self._by_support = {}
         for tup, insts in snap["derivations"].items():
             table = self._derivations.setdefault(tup, {})
-            for key, support in insts:
-                instance = DerivationInstance(key[0], support)
+            for rule, support in insts:
+                instance = DerivationInstance(rule, support)
                 table[instance.key()] = instance
                 ref = (tup, instance.key())
                 for s in support:

@@ -22,12 +22,11 @@ the number of checks that ask for it (DESIGN.md, "One encode per
 entry").
 """
 
-from repro.crypto.hashing import content_digest
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.hashing import content_digest, sha256_hex
 from repro.snp.commitment import (
     ack_entry_content, reaches, snd_entry_content,
 )
-from repro.snp.log import INS, DEL, SND, RCV, ACK
+from repro.snp.log import INS, DEL, SND, RCV, ACK, CHK
 from repro.snp.replay import (
     check_against_authenticator, extend_replay, replay_segment,
     verify_segment_hashes,
@@ -66,18 +65,23 @@ def verify_auth(public_key, auth, stats, verified):
         verified[key] = public_key
 
 
-def check_parsed_forms(response):
+def check_parsed_forms(response, seed_bytes):
     """Every entry's *parsed* form must re-derive its committed content.
 
-    Replay reads ``entry.aux`` (the parsed tuple, message, ack); the hash
-    chain commits to ``entry.content``; whoever serves a segment —
-    origin, replica, pusher — chooses both. Unchecked, a lying replica
-    could swap the tuple an honest, merely crashed node logged for
-    another one, leave content, hashes and the signed head byte-identical,
-    and have replay convict the honest node red. A ``chk`` entry's
-    ``extant`` / ``believed`` lists are bound by Merkle root
-    (:func:`verify_checkpoint`); its ``snapshot`` is bound by nothing yet
-    (ROADMAP item 3)."""
+    Replay reads ``entry.aux`` (the parsed tuple, message, ack, and the
+    snapshot it restarts from); the hash chain commits to
+    ``entry.content``; whoever serves a segment — origin, replica, pusher
+    — chooses both. Unchecked, a lying replica could swap the tuple an
+    honest, merely crashed node logged for another one, leave content,
+    hashes and the signed head byte-identical, and have replay convict
+    the honest node red.
+
+    A ``chk`` entry is read only as the seed of a full replay: then
+    *seed_bytes* are the canonical bytes the fetch took of the seed's
+    snapshot (:func:`~repro.snp.log.encode_snapshot`), and they must hash
+    to the digest its content commits to; otherwise they are ``None``. A
+    ``chk`` that seeds nothing is not read, so it is not checked; a trim
+    that makes it a seed makes it checked."""
     for entry in response.entries:
         kind, aux, content = entry.entry_type, entry.aux, entry.content
         try:
@@ -93,6 +97,9 @@ def check_parsed_forms(response):
                          auth.signature) == content[4:]
             elif kind == ACK:
                 agrees = ack_entry_content(aux["wire_ack"]) == content
+            elif kind == CHK and seed_bytes is not None \
+                    and entry is response.seed:
+                agrees = ("checkpoint", sha256_hex(seed_bytes)) == content
             else:
                 continue
         except (KeyError, AttributeError, TypeError):
@@ -145,33 +152,6 @@ def check_receipts(response):
             )
 
 
-def verify_checkpoint(node_id, chk_entry):
-    """Verify the checkpoint's tuple lists against the Merkle roots
-    committed in the log entry (Section 7.7: the Quagga-Disappear query
-    spends most of its time 'verifying partial checkpoints using a Merkle
-    Hash Tree'). A mismatch means the node's replay seed does not match
-    what it committed to — proof of tampering."""
-    _tag, local_root, belief_root, n_local, n_believed = chk_entry.content
-    extant = chk_entry.aux.get("extant", [])
-    believed = chk_entry.aux.get("believed", [])
-    if len(extant) != n_local or len(believed) != n_believed:
-        raise LogVerificationError(
-            node_id, "checkpoint tuple counts do not match commitment"
-        )
-    local_tree = MerkleTree(
-        [(tup.canonical(), appeared) for tup, appeared in extant]
-    )
-    belief_tree = MerkleTree(
-        [(tup.canonical(), peer, appeared)
-         for tup, peer, appeared in believed]
-    )
-    if local_tree.root() != local_root \
-            or belief_tree.root() != belief_root:
-        raise LogVerificationError(
-            node_id, "checkpoint contents fail Merkle verification"
-        )
-
-
 def _verify_response(job, deployment, stats, verified):
     """The node-local checks that can *prove* the node faulty, against
     the querier's live state.
@@ -182,15 +162,15 @@ def _verify_response(job, deployment, stats, verified):
        advertised.
     2. The fresh head authenticator must be validly signed and match the
        recomputed hash chain.
-    3. A checkpoint-anchored segment starts at its ``chk`` entry, so the
-       chain check (2) re-hashes the checkpoint's content like any other
-       entry's, and :func:`verify_checkpoint` ties the replay seed's
-       tuple lists to that content.
-    4. Every entry's parsed form — what replay will read — must
+    3. Every entry's parsed form — what replay will read — must
        re-derive the content the chain commits to
-       (:func:`check_parsed_forms`), and the authenticators embedded in
-       rcv/ack entries must carry valid signatures from their claimed
-       signers.
+       (:func:`check_parsed_forms`). A checkpoint-anchored segment starts
+       at its ``chk`` entry, so the chain check (2) re-hashes the
+       checkpoint's content like any other entry's, and the snapshot a
+       full build restores must hash to the digest that content commits
+       to.
+    4. The authenticators embedded in rcv/ack entries must carry valid
+       signatures from their claimed signers.
     5. A ``rcv`` entry of a one-entry batch must chain from the sender's
        disclosed ``h_start`` over the message to the embedded
        authenticator (:func:`check_receipts`).
@@ -220,9 +200,7 @@ def _verify_response(job, deployment, stats, verified):
     hashes = verify_segment_hashes(response, job.encoded)
     job.encoded = None  # hashed: the fetch's bytes are done with
     check_against_authenticator(response, hashes, response.head_auth)
-    if response.seed is not None:
-        verify_checkpoint(node_id, response.seed)
-    check_parsed_forms(response)
+    check_parsed_forms(response, job.seed_bytes)
     for signer, auth in embedded_authenticators(response):
         if signer not in deployment.nodes:  # no peer could have sent it
             raise LogVerificationError(node_id, "log embeds an authenticator "

@@ -7,9 +7,9 @@ entry types:
 * ``ack`` records acknowledgments,
 * ``ins`` / ``del`` record base-tuple changes (including the choice tokens
   of 'maybe' rules, per Appendix A.1),
-* ``chk`` records a checkpoint (the Section 5.6 optimization) — a Merkle
-  commitment to the node's full state plus the snapshot needed to restart
-  replay there.
+* ``chk`` records a checkpoint (the Section 5.6 optimization): the
+  snapshot of the node's state machine replay restarts from, committed by
+  digest.
 
 Each entry carries the running hash ``h_k = H(h_{k-1} || t_k || y_k ||
 H(c_k))`` (:func:`link` is the one step that folds an entry in); an
@@ -22,12 +22,12 @@ anchored on — with one :meth:`~LogStretch.hash_at` and one
 
 Entries separate *content* (committed, hashed) from *aux* (derived
 convenience objects such as the parsed :class:`~repro.model.Msg`, kept so
-the simulation does not re-parse byte strings; everything in aux is
-reconstructible from content).
+the simulation does not re-parse byte strings). Everything in aux
+re-derives its content: a parsed form encodes to it, and a ``chk``
+entry's snapshot hashes to the digest its content commits to.
 """
 
 from repro.crypto.hashing import GENESIS_HASH, chain_hash, content_digest
-from repro.crypto.merkle import MerkleTree
 from repro.model import WireValue
 from repro.util.serialization import canonical_bytes, canonical_size
 
@@ -51,6 +51,17 @@ def encode_contents(entries):
     ``len(encoded) + ENTRY_HEADER_BYTES`` is the entry's
     :meth:`~LogEntry.size_bytes`."""
     return [canonical_bytes(entry.content) for entry in entries]
+
+
+def encode_snapshot(chk):
+    """The canonical bytes of ``chk`` entry *chk*'s snapshot, encoded once:
+    what a querier charges for a replay seed and hashes against the digest
+    the entry's content commits to. ``b""`` — no value's encoding — when
+    the entry carries no snapshot that encodes."""
+    try:
+        return canonical_bytes(chk.aux["snapshot"])
+    except (KeyError, TypeError):
+        return b""
 
 
 class LogEntry(WireValue):
@@ -206,28 +217,10 @@ class NodeLog(LogStretch):
 
     # ------------------------------------------------------- construction
 
-    def append_checkpoint(self, timestamp, snapshot, extant, believed):
-        """Record a checkpoint: Merkle roots over the node's state plus the
-        replay snapshot (Section 5.6: 'all currently extant or believed
-        tuples and, for each tuple, the time when it appeared')."""
-        extant_leaves = [
-            (tup.canonical(), appeared) for tup, appeared in extant
-        ]
-        believed_leaves = [
-            (tup.canonical(), peer, appeared)
-            for tup, peer, appeared in believed
-        ]
-        local_tree = MerkleTree(extant_leaves)
-        belief_tree = MerkleTree(believed_leaves)
-        content = (
-            "checkpoint", local_tree.root(), belief_tree.root(),
-            len(extant_leaves), len(believed_leaves),
-        )
-        return self.append(
-            timestamp, CHK, content,
-            aux={
-                "snapshot": snapshot,
-                "extant": list(extant),
-                "believed": list(believed),
-            },
-        )
+    def append_checkpoint(self, timestamp, snapshot):
+        """Record a checkpoint: the state-machine *snapshot* replay
+        restarts from, which holds every extant or believed tuple and when
+        it appeared (Section 5.6), committed by its content digest."""
+        return self.append(timestamp, CHK,
+                           ("checkpoint", content_digest(snapshot)),
+                           aux={"snapshot": snapshot})

@@ -62,10 +62,11 @@ from repro.snp.evidence import AUTHENTICATOR_BYTES
 from repro.snp.build import (
     compute_build, embedded_authenticators, settle, verify_anchor_segment,
 )
-from repro.snp.log import ENTRY_HEADER_BYTES, encode_contents
+from repro.snp.log import (
+    ENTRY_HEADER_BYTES, encode_contents, encode_snapshot,
+)
 from repro.provgraph.vertices import Color
 from repro.util.errors import AuthenticationError, LogVerificationError
-from repro.util.serialization import canonical_size
 
 OK = "ok"
 PROVEN_FAULTY = "proven-faulty"
@@ -215,8 +216,8 @@ class _BuildJob:
     """
 
     __slots__ = ("mq", "node", "kind", "base_view", "response", "encoded",
-                 "from_mirror", "floor_strict", "ledger", "consistency",
-                 "anchor", "view", "replay")
+                 "seed_bytes", "from_mirror", "floor_strict", "ledger",
+                 "consistency", "anchor", "view", "replay")
 
     def __init__(self, mq, node, base_view=None):
         self.mq = mq
@@ -225,6 +226,7 @@ class _BuildJob:
         self.base_view = base_view
         self.response = None
         self.encoded = None
+        self.seed_bytes = None
         self.from_mirror = False
         self.floor_strict = False
         self.ledger = None
@@ -365,8 +367,10 @@ class _BuildJob:
         self.from_mirror = from_mirror
         if response.seed is not None:
             # The chk entry itself was charged as log bytes, like any
-            # entry; this is the replay seed riding in its aux.
-            mq.stats.checkpoint_bytes += mq._snapshot_size(response.seed)
+            # entry; this is the snapshot riding in its aux, encoded once:
+            # the build hashes these bytes against the entry's digest.
+            self.seed_bytes = encode_snapshot(response.seed)
+            mq.stats.checkpoint_bytes += len(self.seed_bytes)
         self.response = response
 
 
@@ -547,14 +551,6 @@ class MicroQuerier:
                             + ENTRY_HEADER_BYTES * len(encoded))
         stats.authenticator_bytes += AUTHENTICATOR_BYTES
         return encoded
-
-    def _snapshot_size(self, chk_entry):
-        try:
-            return canonical_size(
-                [t.canonical() for t, _at in chk_entry.aux["extant"]]
-            )
-        except Exception:
-            return 0
 
     # ------------------------------------------------------------ commit
 

@@ -195,11 +195,16 @@ def _delta_counter_totals(gca):
     return totals
 
 
-def _drive_gca(result, entries, stats):
+def _drive_gca(result, entries, stats, seed=None):
     """Feed *entries* (converted to history events) through *result*'s
     GCA, capturing a crash as ``result.failure`` — the shared core of
     :func:`replay_segment` and :func:`extend_replay`, kept single so the
     incremental replay can never diverge from the full one.
+
+    A *seed* ``chk`` entry is restored first: its snapshot onto the
+    node's fresh machine, and the tuples the restored machine holds as
+    open exist/believe vertices. A snapshot the machine cannot restore
+    is a crash like any other the log commits to.
 
     *stats* (a QueryStats) receives the replay cost: wall-clock seconds,
     events processed, and the engine's delta counters
@@ -212,6 +217,11 @@ def _drive_gca(result, entries, stats):
     processed = 0
     with stats.timing("replay_seconds"):
         try:
+            if seed is not None:
+                machine = gca.machine(result.node)
+                machine.restore(seed.aux["snapshot"])
+                gca.seed_node(result.node, machine.extant_tuples(),
+                              machine.believed_tuples())
             for event in events:
                 gca.process(event)
                 processed += 1
@@ -241,13 +251,8 @@ def replay_segment(node_id, response, app_factory, t_prop, stats,
     """
     gca = GraphConstructor(app_factory, t_prop=t_prop)
     gca.known_alarm_msg_ids = known_alarm_msg_ids
-    chk = response.seed
-    if chk is not None:
-        machine = gca.machine(node_id)
-        machine.restore(chk.aux["snapshot"])
-        gca.seed_node(node_id, chk.aux["extant"], chk.aux["believed"])
     result = ReplayResult(node_id, gca.graph, 0, gca=gca)
-    _drive_gca(result, response.entries, stats)
+    _drive_gca(result, response.entries, stats, seed=response.seed)
     return result
 
 

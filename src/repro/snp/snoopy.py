@@ -313,13 +313,7 @@ class SNooPyNode:
 
     def checkpoint(self):
         """Record a checkpoint entry (Section 5.6)."""
-        t = self._next_time()
-        snapshot = self.app.snapshot()
-        self.log.append_checkpoint(
-            t, snapshot,
-            list(self.app.extant_tuples()),
-            list(self.app.believed_tuples()),
-        )
+        self.log.append_checkpoint(self._next_time(), self.app.snapshot())
 
     # -------------------------------------------------------- retention GC
 

@@ -51,14 +51,25 @@ def _for_subclass(value, table):
     """The *table* entry for a value whose exact type is not in it: a
     subclass of a supported type (``IntEnum``, a named tuple, a ``str``
     subclass), tested in the order the encoding has always tested them,
-    or else an object exposing ``canonical()``. (``bool`` cannot be
-    subclassed, so the exact-type lookup has caught it before ``int``.)"""
+    or else an object exposing ``canonical_key()`` (its memoized encoding,
+    :meth:`repro.model.Tup.canonical_key`) or ``canonical()``. (``bool``
+    cannot be subclassed, so the exact-type lookup has caught it before
+    ``int``.) The entry depends on the type alone, so it is filed under
+    the type: the next value of that type finds it at once."""
     for base in (int, float, str, bytes, tuple, list, dict, frozenset):
         if isinstance(value, base):
-            return table[base]
-    if hasattr(value, "canonical"):
-        return table["canonical"]
-    raise TypeError(f"cannot canonically encode {type(value).__name__}")
+            found = table[base]
+            break
+    else:
+        if hasattr(value, "canonical_key"):
+            found = table["canonical_key"]
+        elif hasattr(value, "canonical"):
+            found = table["canonical"]
+        else:
+            raise TypeError(
+                f"cannot canonically encode {type(value).__name__}")
+    table[type(value)] = found
+    return found
 
 
 def _encode_int(value, out):
@@ -121,8 +132,8 @@ def _encode_frozenset(value, out):
 
 
 #: Exact type -> encoder appending the value's tagged, length-prefixed
-#: encoding to *out*; the ``"canonical"`` entry (no type equals a string)
-#: serves objects exposing ``canonical()``.
+#: encoding to *out*; the ``"canonical_key"`` and ``"canonical"`` entries
+#: (no type equals a string) serve objects exposing those methods.
 _ENCODERS = {
     type(None): lambda value, out: out.append(b"N"),
     bool: lambda value, out: out.append(b"T" if value else b"F"),
@@ -134,6 +145,7 @@ _ENCODERS = {
     list: _encode_list,
     dict: _encode_dict,
     frozenset: _encode_frozenset,
+    "canonical_key": lambda value, out: out.append(value.canonical_key()),
     "canonical": lambda value, out: _encode(value.canonical(), out),
 }
 
@@ -167,5 +179,6 @@ _SIZERS = {
     dict: lambda value: 5 + sum(
         8 + _size(k) + _size(v) for k, v in value.items()),
     frozenset: lambda value: 5 + sum(4 + _size(item) for item in value),
+    "canonical_key": lambda value: len(value.canonical_key()),
     "canonical": lambda value: _size(value.canonical()),
 }

@@ -21,7 +21,7 @@ from repro.snp.commitment import (
     WireAck, WireBatch, ack_entry_content, rcv_entry_content,
 )
 from repro.snp.evidence import Authenticator, sign_authenticator
-from repro.snp.log import ACK, INS, RCV, LogEntry
+from repro.snp.log import ACK, CHK, INS, RCV, LogEntry
 from repro.snp.snoopy import RetrieveResponse, SNooPyNode
 
 from scenarios import forged_checkpoint, withholding_peers
@@ -383,26 +383,79 @@ class TestConvictionGallery:
         assert f"logs a message {msg.src!r} did not sign" \
             in view.verdict_reason
 
-    @pytest.mark.parametrize("lie, reason", [
-        ("re-dated", "checkpoint contents fail Merkle verification"),
-        ("dropped", "checkpoint tuple counts do not match commitment"),
-    ], ids=["re-dated", "dropped"])
-    def test_checkpoint_seed_disagrees_with_its_commitment(
-            self, lie, reason):
-        # check: the verify_checkpoint call
+    @pytest.mark.parametrize("lie", ["re-dated", "dropped", "missing"])
+    def test_checkpoint_seed_disagrees_with_its_commitment(self, lie):
+        # check: check_parsed_forms on the replay seed — the snapshot an
+        # origin serves must hash to the digest its chk entry commits to
         dep, nodes = _deploy()
-        nodes["b"].checkpoint()
-        chk = nodes["b"].log.entry(len(nodes["b"].log))
-        extant = list(chk.aux["extant"])
-        if lie == "dropped":
-            extant.pop()
+        b = nodes["b"]
+        b.checkpoint()
+        chk = b.log.entries[-1]
+        snapshot = chk.aux["snapshot"]
+        tup = next(iter(snapshot["store"]["base"]))
+        if lie == "re-dated":
+            appeared = dict(snapshot["store"]["appeared"])
+            appeared[tup] += 1.0
+            chk.aux = dict(chk.aux, snapshot=dict(snapshot, store=dict(
+                snapshot["store"], appeared=appeared)))
+        elif lie == "dropped":
+            b.log.entries[-1] = forged_checkpoint(chk, {tup: 0},
+                                                  recommit=False)
         else:
-            tup, appeared = extant[0]
-            extant[0] = (tup, appeared + 1.0)
-        chk.aux = dict(chk.aux, extant=extant)
+            chk.aux = {key: value for key, value in chk.aux.items()
+                       if key != "snapshot"}
         view = self._view_of_b(dep, use_checkpoints=True)
         assert view.status == "proven-faulty"
-        assert reason in view.verdict_reason
+        assert f"chk entry {chk.index}'s parsed form does not re-derive " \
+            "its committed content" in view.verdict_reason
+
+    def test_committed_snapshot_crashes_the_expected_machine(self):
+        # check: the REPLAY_FAILED verdict, for a seed — b commits to a
+        # snapshot its machine cannot restore
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        b.log.append_checkpoint(b._next_time(), {"seq": {}})
+        view = self._view_of_b(dep, use_checkpoints=True)
+        assert view.status == "proven-faulty"
+        assert "replay of node 'b' diverged: KeyError('store')" \
+            in view.verdict_reason
+
+    def test_a_replicas_doctored_snapshot_cannot_turn_the_origin_red(self):
+        # check: check_parsed_forms on a mirror's replay seed. c
+        # checkpoints, then deletes a link and honestly retracts what it
+        # had derived from it; c's GC'd mirrors serve c's chk with the
+        # link dropped from the snapshot, then c crashes. Seeded from
+        # that snapshot, c's retractions would be sends its machine
+        # never produced.
+        dep, nodes = _deploy(SilentNode, victim="c", seed=8)
+        c, gone = nodes["c"], link("c", "b", 2)
+        c.refuse_retrieve = c.refuse_consistency = False
+        dep.enable_replication(2.0)
+        with QueryProcessor(dep) as auditor:
+            dep.register_querier(auditor)
+            auditor.prefetch()
+            c.checkpoint()
+            c.delete(gone)
+            dep.run()
+            auditor.refresh()
+            dep.run_gc(checkpoint=False)
+            dep.unregister_querier(auditor)
+        copies = [n.mirror_of("c") for n in dep.nodes.values()
+                  if n.mirror_of("c") is not None]
+        assert copies and all(copy.entries[0].entry_type == CHK
+                              for copy in copies)
+        for copy in copies:
+            copy.entries[0] = forged_checkpoint(
+                copy.entries[0], {gone: 0}, recommit=False)
+        c.refuse_retrieve = True
+        with QueryProcessor(dep, use_checkpoints=True) as qp:
+            view = qp.mq.view_of("c")
+            result = qp.prefetch()
+        assert view.status == "unreachable"
+        assert view.verdict_reason.startswith("bad mirror: ")
+        assert "parsed form does not re-derive" in view.verdict_reason
+        assert view.graph is None
+        assert {n for n, v in result.items() if v.status != "ok"} == {"c"}
 
     def test_logged_insert_crashes_the_expected_machine(self):
         # check: the REPLAY_FAILED verdict
@@ -547,10 +600,10 @@ class TestConvictionGallery:
 
 
 class _ForgedCheckpointNode(SNooPyNode):
-    """Serves a checkpoint-mode audit its real checkpoint with one tuple
-    added to ``extant`` and the content's Merkle root recomputed to
-    match (:func:`scenarios.forged_checkpoint`); the entry's digests,
-    and the log itself, are untouched."""
+    """Serves a checkpoint-mode audit its real checkpoint with one base
+    tuple added to the snapshot and the content's snapshot digest
+    recomputed to match (:func:`scenarios.forged_checkpoint`); the
+    entry's digests, and the log itself, are untouched."""
 
     FORGED = link("c", "evil", 1)
 
@@ -558,17 +611,16 @@ class _ForgedCheckpointNode(SNooPyNode):
         response = super().retrieve(from_checkpoint, since_index)
         if response.seed is not None:
             response.entries[0] = forged_checkpoint(response.seed,
-                                                    self.FORGED)
+                                                    {self.FORGED: 1})
         return response
 
 
 class TestServedCheckpointBinding:
-    """ROADMAP item 3, the part the segment shape closes: a
-    checkpoint-mode response starts at its ``chk`` entry, anchored on
-    ``h_{chk-1}``, so the chain check re-hashes the checkpoint's content
-    like any entry's. A server that swaps ``extant`` and recomputes the
-    Merkle roots in the content serves content that no longer matches
-    its digest: proof."""
+    """A checkpoint-mode response starts at its ``chk`` entry, anchored
+    on ``h_{chk-1}``, so the chain check re-hashes the checkpoint's
+    content like any entry's. A server that swaps the snapshot and
+    recomputes the snapshot digest in the content serves content that no
+    longer matches its digest: proof."""
 
     def test_a_forged_extant_tuple_is_not_seeded(self):
         dep, _nodes = _deploy(_ForgedCheckpointNode, victim="c", seed=8)

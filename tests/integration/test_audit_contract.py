@@ -17,7 +17,10 @@ application families at small size. On every scenario:
   compared with its signer's verified chain whenever the two meet);
 * a refresh with nothing new changes nothing, and a standing auditor that
   refreshes after the deployment ran on answers as a cold audit of the
-  new state does.
+  new state does;
+* after every node checkpoints, an audit seeded from the checkpoints
+  gives each vertex the full audit's colour or yellow, and red lands
+  only on adversaries.
 
 ``TestRefreshAfterMisbehaviour`` adds the cases where the adversary acts
 *between* the build and the refresh (a fork below the cached head is
@@ -362,6 +365,35 @@ class TestStandingAudits:
             cold.prefetch()
             assert dict(_answer(query(cold)),
                         views=_views(cold, heads=False)) == refreshed
+
+
+class TestCheckpointedAudits:
+    def test_a_checkpoint_seeded_audit_is_the_full_audit_or_yellow(
+            self, case):
+        # every node checkpoints, then runs on; an audit seeded from the
+        # checkpoints cannot see below them, so it may withhold judgment
+        # (yellow) where the full audit decided, but never decide
+        # otherwise — and a second one, after the first restored every
+        # snapshot, answers alike
+        dep, query, run_further = case.build()
+        dep.checkpoint_all()
+        run_further()
+        with case.processor(dep) as full:
+            colors = dict(fingerprint(query(full)))
+        seeded = []
+        for _audit in range(2):
+            with QueryProcessor(dep, use_checkpoints=True) as qp:
+                views = qp.prefetch()
+                result = query(qp)
+                seeded.append(dict(_answer(result), views=_views(qp)))
+            assert {str(v.node) for v in result.red_vertices()} \
+                <= case.adversaries
+            assert {str(n) for n, v in views.items()
+                    if v.status == PROVEN_FAULTY} <= case.adversaries
+        first, second = seeded
+        assert second == first
+        for key, color in first["colors"]:
+            assert color in (colors.get(key), "yellow"), key
 
 
 def _refreshed_against_cold(seed, overrides, misbehave):

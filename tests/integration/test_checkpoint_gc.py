@@ -19,9 +19,15 @@ The invariants under test (ISSUE 5):
 * post-GC, a full build and a checkpoint-mode build see the same log.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, link
+from repro.crypto.hashing import sha256_hex
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FloorLiarNode, ForkingNode, OverTruncatingNode,
@@ -32,9 +38,10 @@ from repro.service.monitor import MonitorState
 from repro.snp.evidence import sign_authenticator, sign_retention_floor
 from repro.snp.microquery import OK, PROVEN_FAULTY, UNREACHABLE, MicroQuerier
 from repro.util.errors import ConfigurationError
+from repro.util.serialization import canonical_bytes
 
-from scenarios import fingerprint, forged_checkpoint, run_chord, \
-    withholding_peers
+from scenarios import app_deployments, fingerprint, forged_checkpoint, \
+    run_chord, withholding_peers
 
 
 def _net(seed, overrides=None):
@@ -371,10 +378,11 @@ class TestAdversarialGc:
 
     def test_a_mirror_serving_a_forged_checkpoint_is_a_bad_mirror(self):
         """The replica row of ``TestServedCheckpointBinding``: a GC'd
-        mirror of ``c`` serves its floor ``chk`` with a forged extant
-        tuple while ``c`` is silent. The chain check catches the content,
-        and a corrupt mirror is no evidence against the origin: ``c`` is
-        unreachable (yellow), never red, and nothing is seeded."""
+        mirror of ``c`` serves its floor ``chk`` with a forged base tuple
+        in its snapshot, recommitted, while ``c`` is silent. The chain
+        check catches the content, and a corrupt mirror is no evidence
+        against the origin: ``c`` is unreachable (yellow), never red, and
+        nothing is seeded."""
         dep, nodes = _net(seed=8)
         dep.enable_replication(2.0)
         qp = _standing_auditor(dep)
@@ -389,7 +397,7 @@ class TestAdversarialGc:
         assert copies and all(c.start_index == floor for c in copies)
         forged = link("c", "evil", 1)
         for copy in copies:
-            copy.entries[0] = forged_checkpoint(copy.entries[0], forged)
+            copy.entries[0] = forged_checkpoint(copy.entries[0], {forged: 1})
         from repro.provgraph.graph import _clone_vertex
         probe = _clone_vertex(
             next(iter(qp.mq.view_of("c").graph.vertices())))
@@ -660,3 +668,63 @@ class TestPostGcColdBuild:
         assert all(status == OK and base > 1
                    for status, base, _head in full[1].values())
         assert full == checkpointed
+
+
+#: Every node's newest ``chk`` content, one line per node, after each of
+#: the five applications checkpoints.
+_CHK_CONTENTS = (
+    "from scenarios import app_deployments\n"
+    "for name, dep in app_deployments().items():\n"
+    "    dep.checkpoint_all()\n"
+    "    for node_id in sorted(dep.nodes, key=str):\n"
+    "        chk = dep.nodes[node_id].log.entries[-1]\n"
+    "        print(name, node_id, chk.content)\n")
+
+
+class TestSnapshotIsTheCheckpoint:
+    """A ``chk`` entry commits to the snapshot it carries and holds
+    nothing else: on every application the snapshot encodes canonically,
+    restores to the machine it was taken of — the extant and believed
+    tuples replay seeds are read off it — and commits to the same bytes
+    in every process."""
+
+    @pytest.fixture(scope="class")
+    def deployments(self):
+        deployments = app_deployments()
+        for dep in deployments.values():
+            dep.checkpoint_all()
+        return deployments
+
+    def test_a_restored_snapshot_is_the_machine_it_was_taken_of(
+            self, deployments):
+        for name, dep in deployments.items():
+            for node_id, node in dep.nodes.items():
+                chk = node.log.entries[-1]
+                snapshot = chk.aux["snapshot"]
+                assert chk.content == (
+                    "checkpoint", sha256_hex(canonical_bytes(snapshot)))
+                fresh = dep.app_factories[node_id](node_id)
+                fresh.restore(snapshot)
+                assert list(fresh.extant_tuples()) \
+                    == list(node.app.extant_tuples()), (name, node_id)
+                assert list(fresh.believed_tuples()) \
+                    == list(node.app.believed_tuples()), (name, node_id)
+
+    def test_the_commitment_does_not_depend_on_the_hash_seed(
+            self, deployments):
+        root = Path(__file__).parents[2]
+        path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+        runs = {
+            subprocess.run(
+                [sys.executable, "-c", _CHK_CONTENTS],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hs),
+                check=True, capture_output=True, text=True, timeout=120,
+            ).stdout
+            for hs in ("1", "2")
+        }
+        here = "".join(
+            f"{name} {n} {dep.nodes[n].log.entries[-1].content}\n"
+            for name, dep in deployments.items()
+            for n in sorted(dep.nodes, key=str))
+        assert runs == {here}
+        assert here.count("\n") == 31

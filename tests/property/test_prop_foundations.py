@@ -1,14 +1,12 @@
-"""Property-based tests: serialization, hash chain, Merkle trees.
+"""Property-based tests: serialization and the hash chain.
 
 These are the invariants the security argument leans on: canonical
-encoding must be injective-in-practice and deterministic, the hash chain
-must commit to order and content, and Merkle proofs must verify exactly
-the committed leaf.
+encoding must be injective-in-practice and deterministic, and the hash
+chain must commit to order and content.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.merkle import MerkleTree
 from repro.model import Tup
 from repro.snp.evidence import Authenticator
 from repro.snp.log import NodeLog
@@ -107,7 +105,7 @@ class TestHashChainProperties:
         log = NodeLog("n")
         for index, is_chk in enumerate(checkpoints, 1):
             if is_chk:
-                log.append_checkpoint(float(index), {"seq": {}}, [], [])
+                log.append_checkpoint(float(index), {"seq": {}})
             else:
                 log.append(float(index), "ins", (index,))
         head = log.entry(len(log))
@@ -119,33 +117,3 @@ class TestHashChainProperties:
             assert log.trim(floor) == copy.trim(floor)
             assert (log.start_index, log.start_hash, log.entries) \
                 == (copy.start_index, copy.start_hash, copy.entries)
-
-
-class TestMerkleProperties:
-    leaves = st.lists(st.tuples(st.text(max_size=8), st.integers()),
-                      min_size=1, max_size=24)
-
-    @given(leaves)
-    @settings(max_examples=50)
-    def test_every_leaf_has_valid_proof(self, items):
-        tree = MerkleTree(items)
-        for index, leaf in enumerate(items):
-            assert MerkleTree.verify_proof(leaf, tree.proof(index),
-                                           tree.root())
-
-    @given(leaves, st.integers(min_value=0, max_value=23))
-    @settings(max_examples=50)
-    def test_proof_rejects_other_leaves(self, items, index):
-        index %= len(items)
-        tree = MerkleTree(items)
-        proof = tree.proof(index)
-        impostor = ("impostor", -1)
-        if impostor != items[index]:
-            assert not MerkleTree.verify_proof(impostor, proof, tree.root())
-
-    @given(leaves)
-    @settings(max_examples=50)
-    def test_root_commits_to_leaf_set(self, items):
-        tree = MerkleTree(items)
-        extended = MerkleTree(items + [("extra", 0)])
-        assert tree.root() != extended.root()

@@ -11,8 +11,10 @@ deployment run on so a refresh has a suffix to fetch. Callers:
 ``test_audit_contract.py`` and ``test_checkpoint_gc.py``. :func:`fingerprint` is the one projection of
 a query result that two audits of the same state are compared on,
 :func:`forged_checkpoint` the one doctored ``chk`` entry the adversary
-suites serve, and :class:`Withholder` the peer that keeps the
-consistency channel quiet (:func:`fork_then_run_on` forks behind it).
+suites serve, :class:`Withholder` the peer that keeps the
+consistency channel quiet (:func:`fork_then_run_on` forks behind it),
+and :func:`app_deployments` one small deployment of each of the five
+applications.
 
 Each runner returns a :class:`Scenario` carrying a *nominal duration*: the
 wall-clock time the paper's workload rate implies for the work executed
@@ -24,11 +26,12 @@ simulator compresses time.
 
 import random
 
+from repro.apps import pathvector
 from repro.apps.bgp import BgpNetwork, originate, route
 from repro.apps.chord import ChordNetwork
 from repro.apps.mapreduce import COMBINED, WordCountJob
-from repro.apps.mincost import link
-from repro.crypto.merkle import MerkleTree
+from repro.apps.mincost import build_paper_network, link
+from repro.crypto.hashing import content_digest
 from repro.snp import Deployment
 from repro.snp.adversary import SilentNode
 from repro.snp.log import CHK, LogEntry
@@ -46,16 +49,23 @@ def fingerprint(result):
     return sorted((str(v.key()), v.color) for v in result.graph.vertices())
 
 
-def forged_checkpoint(chk, tup):
-    """*chk* with *tup* added to its ``extant`` list and the content's
-    Merkle root recomputed to match: the entry's content digest and chain
-    hash are the honest ones, so only re-hashing the content tells."""
-    extant = list(chk.aux["extant"]) + [(tup, chk.timestamp)]
-    root = MerkleTree([(t.canonical(), at) for t, at in extant]).root()
-    content = ("checkpoint", root, chk.content[2], len(extant),
-               chk.content[4])
-    return LogEntry(chk.index, chk.timestamp, CHK, content, chk.content_hash,
-                    chk.entry_hash, aux=dict(chk.aux, extant=extant))
+def forged_checkpoint(chk, base, recommit=True):
+    """A copy of ``chk`` entry *chk* whose snapshot's store holds the
+    base-tuple counts *base* (a count of 0 drops the tuple). With
+    *recommit*, the content commits to the forged snapshot's digest.
+    Either way the entry's content digest and chain hash are the honest
+    ones: re-hashing the content tells a recommitted forgery, re-hashing
+    the snapshot any other."""
+    snapshot = chk.aux["snapshot"]
+    store = dict(snapshot["store"])
+    store["base"] = {t: n for t, n in {**store["base"], **base}.items()
+                     if n}
+    snapshot = dict(snapshot, store=store)
+    content = ("checkpoint", content_digest(snapshot)) if recommit \
+        else chk.content
+    return LogEntry(chk.index, chk.timestamp, CHK, content,
+                    chk.content_hash, chk.entry_hash,
+                    aux=dict(chk.aux, snapshot=snapshot))
 
 
 class Withholder(SilentNode):
@@ -179,6 +189,26 @@ def run_hadoop(n_words=1200, n_mappers=4, n_reducers=2, seed=0,
     results = job.run(corpus.splits(n_mappers))
     return Scenario(f"Hadoop-{n_mappers}m", dep, runtime_s, job=job,
                     results=results, corpus=corpus)
+
+
+def app_deployments(seed=7):
+    """``{name: deployment}``: one small, settled deployment of each of
+    the five applications — MinCost, path-vector, Chord, BGP and
+    WordCount."""
+    mincost = Deployment(seed=seed, key_bits=256)
+    build_paper_network(mincost)
+    mincost.run()
+    paths = Deployment(seed=seed, key_bits=256)
+    pathvector.build_network(paths, [("a", "b"), ("b", "c"), ("c", "d"),
+                                     ("a", "d")])
+    return {
+        "mincost": mincost,
+        "pathvector": paths,
+        "chord": run_chord(n_nodes=6, rounds=1, lookups=2,
+                           seed=seed).deployment,
+        "bgp": run_quagga(n_updates=12, seed=seed).deployment,
+        "hadoop": run_hadoop(n_words=120, seed=seed).deployment,
+    }
 
 
 # ------------------------------------------------- standing-audit triples

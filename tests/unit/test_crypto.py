@@ -1,4 +1,4 @@
-"""Crypto substrate: RSA, certificates, hash chains, Merkle trees."""
+"""Crypto substrate: RSA, certificates, hash chains."""
 
 import hashlib
 import os
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.mincost import build_paper_network
 from repro.crypto.hashing import GENESIS_HASH, chain_hash, content_digest
 from repro.crypto.keys import CertificateAuthority, NodeIdentity
-from repro.crypto.merkle import MerkleTree, EMPTY_ROOT
 from repro.crypto.rsa import RsaKeyPair, _expand_digest, generate_keypair
 from repro.service import ServicePusher
 from repro.snp import Deployment
@@ -321,42 +320,3 @@ class TestHashChain:
         a.append(1.0, "ins", ("x",))
         b.append(2.0, "ins", ("x",))
         assert a.head_hash() != b.head_hash()
-
-
-class TestMerkle:
-    def test_empty_tree(self):
-        assert MerkleTree([]).root() == EMPTY_ROOT
-
-    def test_single_leaf_proof(self):
-        tree = MerkleTree([("t", 1)])
-        assert MerkleTree.verify_proof(("t", 1), tree.proof(0), tree.root())
-
-    def test_all_leaves_provable(self):
-        leaves = [("tuple", i) for i in range(9)]  # odd count
-        tree = MerkleTree(leaves)
-        for index, leaf in enumerate(leaves):
-            proof = tree.proof(index)
-            assert MerkleTree.verify_proof(leaf, proof, tree.root())
-
-    def test_wrong_leaf_rejected(self):
-        leaves = [("tuple", i) for i in range(8)]
-        tree = MerkleTree(leaves)
-        proof = tree.proof(3)
-        assert not MerkleTree.verify_proof(("tuple", 4), proof, tree.root())
-
-    def test_wrong_root_rejected(self):
-        leaves = [("tuple", i) for i in range(8)]
-        tree = MerkleTree(leaves)
-        other = MerkleTree(leaves + [("tuple", 99)])
-        assert not MerkleTree.verify_proof(
-            ("tuple", 3), tree.proof(3), other.root()
-        )
-
-    def test_root_depends_on_order(self):
-        a = MerkleTree([1, 2, 3])
-        b = MerkleTree([3, 2, 1])
-        assert a.root() != b.root()
-
-    def test_out_of_range_proof(self):
-        with pytest.raises(IndexError):
-            MerkleTree([1]).proof(5)

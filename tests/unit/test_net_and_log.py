@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.hashing import content_digest
 from repro.crypto.keys import CertificateAuthority, NodeIdentity
 from repro.model import Msg, Tup, PLUS
 from repro.net.simulator import Simulator
@@ -99,13 +100,12 @@ class TestNodeLog:
 
     def test_checkpoint_entry(self):
         log = NodeLog("n")
-        tup = Tup("r", "n", 1)
-        entry = log.append_checkpoint(
-            1.0, {"seq": {}}, [(tup, 0.5)], []
-        )
+        snapshot = {"seq": {}, "appeared": {Tup("r", "n", 1): 0.5}}
+        entry = log.append_checkpoint(1.0, snapshot)
         assert entry.entry_type == CHK
         assert log.last_checkpoint_before(2) is entry
-        assert entry.aux["extant"] == [(tup, 0.5)]
+        assert entry.aux == {"snapshot": snapshot}
+        assert entry.content == ("checkpoint", content_digest(snapshot))
 
     def test_last_checkpoint_before_none(self):
         log = NodeLog("n")
@@ -122,7 +122,7 @@ class TestLogTruncation:
         log = NodeLog("n")
         for i in range(1, chk_index):
             log.append(float(i), INS, (i,))
-        log.append_checkpoint(float(chk_index), {"seq": {}}, [], [])
+        log.append_checkpoint(float(chk_index), {"seq": {}})
         for i in range(chk_index + 1, total + 1):
             log.append(float(i), INS, (i,))
         return log

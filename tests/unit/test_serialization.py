@@ -206,6 +206,9 @@ _hashable = st.recursive(
         st.lists(children, max_size=3).map(tuple),
         st.lists(children, max_size=3).map(frozenset),
         st.tuples(st.text(max_size=4), st.integers()).map(lambda p: Hop(*p)),
+        # encoded as its memoized canonical_key(), the oracle's bytes
+        st.tuples(st.text(max_size=4), st.text(max_size=3), children)
+        .map(lambda p: Tup(*p)),
     ),
     max_leaves=6,
 )
@@ -291,13 +294,21 @@ class TestPinnedFormat:
         )
 
     def test_checkpoint_content_and_chain(self):
-        entry = NodeLog("a").append_checkpoint(
-            4.0, {"seq": {}}, [(self.TUP, 1.0)],
-            [(Tup("cost", "b", "c", 2), "b", 2.0)],
-        )
+        # A chk entry commits to its whole snapshot by digest; Tup keys,
+        # nested dicts and a frozenset all meet the canonical encoding.
+        snapshot = {
+            "seq": {"b": 2},
+            "store": {"base": {self.TUP: 1}, "appeared": {self.TUP: 1.0},
+                      "beliefs": {Tup("cost", "b", "c", 2): {"b": 1}}},
+            "emitted": frozenset({"j1", "j0"}),
+        }
+        entry = NodeLog("a").append_checkpoint(4.0, snapshot)
+        assert entry.content == ("checkpoint", (
+            "12ca5332e32fd06f527a6ef662844bb5f6cf3a2a6a851e18eaab7a6fbe2a120a"
+        ))
         assert entry.content_hash == (
-            "f5465ef137c54dc2ed607b6257ff3994cbdc68eae662d96f7110b06872e9b6b5"
+            "5035e4cc3b7f71a4d315b85120e6e6b762d80b79b5429b26c14184799672fa05"
         )
         assert entry.entry_hash == (
-            "b21e9730ec2577700986a1e387149ff075de47e6c30b542f3ae9a8461d28c88a"
+            "ad9c1482e90fa5b4686632854a1c6b9c0f3d8fdf7a3455e47a41a1ae2ed317c5"
         )
