@@ -4,8 +4,10 @@ The paper assumes (Section 5.2) a collision-resistant hash function and
 unforgeable signatures, deployed with 1024-bit RSA keys and SHA-1. This
 package provides:
 
-* :mod:`repro.crypto.hashing` — SHA-256 wrappers and the hash-chain step
-  the tamper-evident log folds its entries with;
+* :mod:`repro.crypto.hashing` — the content digest and the hash-chain
+  step the tamper-evident log folds its entries with; a digest is the 32
+  raw bytes of a SHA-256, and the chain step hashes the paper's
+  fixed-width concatenation ``h ‖ t ‖ y ‖ H(c)``;
 * :mod:`repro.crypto.rsa` — a self-contained RSA implementation (Miller–Rabin
   key generation, hash-then-sign signatures) so the library has no external
   crypto dependency;
@@ -20,14 +22,13 @@ Every signing/verification operation is counted in a per-instance
 reproduced by accounting rather than noisy wall-clock profiling.
 """
 
-from repro.crypto.hashing import sha256_hex, chain_hash, HashChain
+from repro.crypto.hashing import chain_hash, content_digest
 from repro.crypto.rsa import RsaKeyPair, generate_keypair
 from repro.crypto.keys import CertificateAuthority, NodeIdentity, CryptoCounter
 
 __all__ = [
-    "sha256_hex",
     "chain_hash",
-    "HashChain",
+    "content_digest",
     "RsaKeyPair",
     "generate_keypair",
     "CertificateAuthority",

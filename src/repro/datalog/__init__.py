@@ -20,10 +20,8 @@ The paper's primary systems are modeled as tuples plus derivation rules
   (delta-lifted joins, incrementally maintained aggregate-group
   membership) and emits ``+τ/−τ`` notifications for rules whose head
   lives on another node — the production engine for recording and
-  replay;
-* :mod:`repro.datalog.naive` — :class:`NaiveDatalogApp`, the scan-based
-  reference evaluator the indexed engine is property-tested against, plus
-  the recompute-from-scratch retraction oracle.
+  replay. Its scan-based reference evaluator, which the property tests
+  hold it to, lives with them (``tests/naive.py``).
 
 Rules follow the standard declarative-networking localization convention:
 every body atom of a rule shares one location term, which is bound to the
@@ -41,7 +39,6 @@ from repro.datalog.ast import (
     choice_tuple,
 )
 from repro.datalog.engine import DatalogApp, Program
-from repro.datalog.naive import NaiveDatalogApp
 from repro.datalog.parser import ParseError, parse_program
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "Span",
     "choice_tuple",
     "DatalogApp",
-    "NaiveDatalogApp",
     "Program",
     "Diagnostic",
     "ProgramAnalysis",

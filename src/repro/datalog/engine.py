@@ -22,9 +22,8 @@ Evaluation is compile-then-execute: :class:`Program` compiles every rule
 into an indexed join plan (:mod:`repro.datalog.plan`) and the cascade
 executes those plans against the store's secondary hash indexes, so a
 triggering tuple touches only the tuples that can actually join with it.
-The scan-based strategy survives as :class:`repro.datalog.naive.
-NaiveDatalogApp`, the reference both implementations are property-tested
-against.
+The scan-based strategy survives as the tests' reference evaluator
+(``tests/naive.py``), which this engine is property-tested against.
 
 Every ``+τ/−τ`` runs to fixpoint as a delta — the triggering tuple is
 the singleton delta side of each plan's join — and retraction is serviced
@@ -136,10 +135,6 @@ def _seed_bindings(rule, node_id):
 class DatalogApp(StateMachine):
     """A deterministic Datalog state machine for one node."""
 
-    #: Subclasses (the naive reference evaluator) set this False to skip
-    #: secondary-index registration and maintenance.
-    USE_INDEXES = True
-
     def __init__(self, node_id, program):
         super().__init__(node_id)
         # The ndlint gate: refuse programs with error-severity
@@ -147,9 +142,8 @@ class DatalogApp(StateMachine):
         program.ensure_checked()
         self.program = program
         self.store = TupleStore(node_id)
-        if self.USE_INDEXES:
-            for relation, positions in program.index_requirements():
-                self.store.register_index(relation, positions)
+        for relation, positions in program.index_requirements():
+            self.store.register_index(relation, positions)
         # (rule_index, group_key) -> (head_tup, support) for aggregate heads
         self._agg_current = {}
         # (rule_index, group_key) -> {member_tup: bindings}. Derived from

@@ -22,7 +22,7 @@ the number of checks that ask for it (DESIGN.md, "One encode per
 entry").
 """
 
-from repro.crypto.hashing import content_digest, sha256_hex
+from repro.crypto.hashing import content_digest
 from repro.snp.commitment import (
     ack_entry_content, reaches, snd_entry_content,
 )
@@ -99,7 +99,7 @@ def check_parsed_forms(response, seed_bytes):
                 agrees = ack_entry_content(aux["wire_ack"]) == content
             elif kind == CHK and seed_bytes is not None \
                     and entry is response.seed:
-                agrees = ("checkpoint", sha256_hex(seed_bytes)) == content
+                agrees = ("checkpoint", content_digest(seed_bytes)) == content
             else:
                 continue
         except (KeyError, AttributeError, TypeError):

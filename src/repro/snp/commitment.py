@@ -28,7 +28,7 @@ a longer batch does not carry the batch's gap metadata, so it cannot be
 checked yet.
 """
 
-from repro.crypto.hashing import chain_hash, content_digest
+from repro.crypto.hashing import chain_hash, chain_time, content_digest
 from repro.model import WireValue
 from repro.snp.evidence import sign_authenticator, verify_authenticator
 from repro.snp.log import SND, RCV
@@ -137,25 +137,31 @@ def reaches(h_start, start_index, metas, auth):
     recomputed from *h_start* (``h_{start_index - 1}``) over *metas* —
     ``(index, t, type, content hash)`` of every entry the range
     discloses — through ``auth.index`` arrives at ``auth.entry_hash``,
-    and the entry at ``auth.index`` has the signed timestamp (a signer
-    always signs its entry's own; a misdated authenticator would let a
-    sender frame a receiver whose rcv entry re-chains at the signed
-    time). An entry omitted, disclosed twice or outside the signed range
-    does not."""
+    and the entry at ``auth.index`` has the signed timestamp, bit for
+    bit as the chain hashes it (a signer always signs its entry's own; a
+    misdated authenticator — or one signed at an equal int or ``-0.0`` —
+    would let a sender frame a receiver whose rcv entry re-chains at the
+    signed time). An entry omitted, disclosed twice or outside the
+    signed range does not."""
     pieces = {}
     for index, t_entry, entry_type, c_hash in metas:
         if index in pieces or not start_index <= index <= auth.index:
             return False
         pieces[index] = (t_entry, entry_type, c_hash)
     last = pieces.get(auth.index)
-    if last is None or last[0] != auth.timestamp:
+    if last is None:
         return False
     current = h_start
-    for index in range(start_index, auth.index + 1):
-        piece = pieces.get(index)
-        if piece is None:
+    try:  # a digest, time or type no chain step takes reaches nothing
+        if chain_time(last[0]) != chain_time(auth.timestamp):
             return False
-        current = chain_hash(current, *piece)
+        for index in range(start_index, auth.index + 1):
+            piece = pieces.get(index)
+            if piece is None:
+                return False
+            current = chain_hash(current, *piece)
+    except ValueError:
+        return False
     return current == auth.entry_hash
 
 
@@ -166,10 +172,11 @@ def _check_signed_range(what, value, verifier_identity, public_key, metas,
     hash; raises AuthenticationError otherwise."""
     auth = value.auth
     verify_authenticator(verifier_identity, public_key, auth)
-    if abs(auth.timestamp - local_time) > plausibility_window:
+    if not isinstance(auth.timestamp, float) \
+            or not abs(auth.timestamp - local_time) <= plausibility_window:
         raise AuthenticationError(
             f"{what} from {value.src!r} has an implausible timestamp "
-            f"({auth.timestamp:g} vs local {local_time:g})"
+            f"({auth.timestamp!r} vs local {local_time:g})"
         )
     if not reaches(value.h_start, value.start_index,
                    [*metas, *value.gaps], auth):

@@ -45,7 +45,7 @@ class Authenticator(WireValue):
     def __repr__(self):
         return (
             f"Authenticator({self.node}, k={self.index}, "
-            f"t={self.timestamp:g}, h={self.entry_hash[:8]}…)"
+            f"t={self.timestamp:g}, h={self.entry_hash[:4].hex()}…)"
         )
 
 

@@ -14,7 +14,11 @@ entry types:
 Each entry carries the running hash ``h_k = H(h_{k-1} || t_k || y_k ||
 H(c_k))`` (:func:`link` is the one step that folds an entry in); an
 :class:`~repro.snp.evidence.Authenticator` signing ``(k, t_k, h_k)``
-commits the node to the exact prefix ``e_1..e_k``. A hash is stored
+commits the node to the exact prefix ``e_1..e_k``. Both digests an
+entry stores, ``H(c_k)`` and ``h_k``, are 32 raw bytes
+(:func:`~repro.crypto.hashing.chain_hash`), and so is every digest a
+content commits to (a ``rcv`` or ``ack`` entry's ``h_start`` and
+authenticator hash, a ``chk`` entry's snapshot digest). A hash is stored
 once, on its entry: the log, a stored copy of it and a served segment
 are all one :class:`LogStretch` — entries plus the one hash they are
 anchored on — with one :meth:`~LogStretch.hash_at` and one

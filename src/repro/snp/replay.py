@@ -81,9 +81,10 @@ def verify_segment_hashes(response, encoded):
     a ``bytes`` content raw, not its encoding; so does this.) Returns the
     list of chain hashes aligned with the entries. Raises
     LogVerificationError if anything fails to recompute, which means the
-    node altered entry contents after committing to them.
+    node altered entry contents after committing to them, or if an
+    anchor, timestamp or type is not of the form a chain step takes.
     """
-    from repro.crypto.hashing import chain_hash, sha256_hex
+    from repro.crypto.hashing import chain_hash, content_digest
 
     if len(encoded) != len(response.entries):
         raise ValueError("one encoding per entry is required")
@@ -91,15 +92,22 @@ def verify_segment_hashes(response, encoded):
     current = response.start_hash
     for entry, data in zip(response.entries, encoded):
         content = entry.content
-        digest = sha256_hex(content if isinstance(content, bytes) else data)
+        digest = content_digest(content if isinstance(content, bytes)
+                                else data)
         if digest != entry.content_hash:
             raise LogVerificationError(
                 response.node,
                 f"entry {entry.index} content does not match its digest",
             )
-        current = chain_hash(
-            current, entry.timestamp, entry.entry_type, digest
-        )
+        try:
+            current = chain_hash(
+                current, entry.timestamp, entry.entry_type, digest
+            )
+        except ValueError:
+            raise LogVerificationError(
+                response.node,
+                f"entry {entry.index} is not of a form the chain hashes",
+            ) from None
         if entry.entry_hash != current:
             raise LogVerificationError(
                 response.node,

@@ -303,6 +303,9 @@ class SNooPyNode:
             )
             return
         del self._await_ack[key]
+        # The ack entry keeps this node's own batch authenticator: of the
+        # acker's echo only the signature bytes were matched.
+        wire_ack.batch_auth = batch.auth
         self.log.append(
             self._next_time(), ACK, ack_entry_content(wire_ack),
             aux={"wire_ack": wire_ack},

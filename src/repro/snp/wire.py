@@ -15,6 +15,7 @@ No signature or hash chain is checked here.
 
 from operator import attrgetter
 
+from repro.crypto.hashing import is_digest
 from repro.datalog.store import DerivationInstance
 from repro.model import Ack, Msg, Tup
 from repro.snp.commitment import WireAck
@@ -36,8 +37,10 @@ def _require(ok, what):
 
 
 def _authenticator(node, index, timestamp, entry_hash, signature):
-    _require(isinstance(index, int) and isinstance(signature, bytes),
-             "an Authenticator has an int index and a bytes signature")
+    _require(isinstance(index, int) and isinstance(signature, bytes)
+             and isinstance(timestamp, float) and is_digest(entry_hash),
+             "an Authenticator has an int index, a float timestamp, a "
+             "digest and a bytes signature")
     return Authenticator(node, index, timestamp, entry_hash, signature)
 
 
@@ -49,8 +52,11 @@ def _floor(node, floor_index, floor_time, signature):
 
 def _entry(index, timestamp, entry_type, content, content_hash, entry_hash,
            aux):
-    _require(isinstance(index, int) and type(aux) is dict,
-             "a LogEntry has an int index and an aux dict")
+    _require(isinstance(index, int) and type(aux) is dict
+             and isinstance(timestamp, float) and is_digest(content_hash)
+             and is_digest(entry_hash),
+             "a LogEntry has an int index, a float timestamp, two digests "
+             "and an aux dict")
     return LogEntry(index, timestamp, entry_type, content, content_hash,
                     entry_hash, aux)
 
@@ -58,9 +64,10 @@ def _entry(index, timestamp, entry_type, content, content_hash, entry_hash,
 def _response(node, entries, start_index, start_hash, head_auth):
     _require(type(entries) is list
              and all(isinstance(e, LogEntry) for e in entries)
-             and isinstance(start_index, int)
+             and isinstance(start_index, int) and is_digest(start_hash)
              and isinstance(head_auth, Authenticator),
-             "a RetrieveResponse has LogEntries, an int start, a head auth")
+             "a RetrieveResponse has LogEntries, an int start, a digest "
+             "anchor and a head auth")
     # A copy: the list the bytes built stays theirs to reach.
     return RetrieveResponse(node, list(entries), start_index, start_hash,
                             head_auth)
@@ -69,7 +76,8 @@ def _response(node, entries, start_index, start_hash, head_auth):
 #: ``(class, tag, fields, builder)`` for every class that bytes from
 #: outside the program may build. A builder checks arity and the field
 #: types the daemon or the build step use unchecked (indexes, signatures,
-#: entry lists); what the rest claims, verification judges.
+#: entry lists, and the digests and timestamps a chain step packs); what
+#: the rest claims, verification judges.
 VALUE_CLASSES = (
     (Tup, "W.tup", ("relation", "loc", "args"),
      lambda relation, loc, args: Tup(relation, loc, *args)),

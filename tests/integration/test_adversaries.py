@@ -12,6 +12,7 @@ import pytest
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
 from repro.crypto.hashing import chain_hash
 from repro.model import Msg, Tup
+from repro.service.framing import FrameDecoder, encode_frame
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FabricatorNode, ForkingNode, InputLiarNode, MisexecutingNode,
@@ -21,7 +22,7 @@ from repro.snp.commitment import (
     WireAck, WireBatch, ack_entry_content, rcv_entry_content,
 )
 from repro.snp.evidence import Authenticator, sign_authenticator
-from repro.snp.log import ACK, CHK, INS, RCV, LogEntry
+from repro.snp.log import ACK, CHK, INS, RCV, SND, LogEntry
 from repro.snp.snoopy import RetrieveResponse, SNooPyNode
 
 from scenarios import forged_checkpoint, withholding_peers
@@ -207,6 +208,25 @@ class TestMisexecution:
         assert "b" in result.faulty_nodes()
 
 
+class _ZeroDatedSender(SNooPyNode):
+    """Logs its first snd entry at exactly 0.0, where its clock still
+    reads below zero (so its log stays strictly increasing)."""
+
+    _zero = False
+
+    def _queue_send(self, msg, t):
+        self._zero = not any(e.entry_type == SND for e in self.log.entries)
+        super()._queue_send(msg, t)
+
+    def _next_time(self):
+        t = super()._next_time()
+        if self._zero:
+            assert t < 0.0
+            self._zero = False
+            t = self._last_entry_t = 0.0
+        return t
+
+
 class TestMisreception:
     def test_the_sender_refuses_an_ack_of_what_it_did_not_send(self):
         # c logs, processes and acks b's first message with the cost
@@ -252,6 +272,76 @@ class TestMisreception:
                        if e.entry_type == RCV)
         with QueryProcessor(dep) as qp:
             assert qp.mq.view_of(batch.dst).status == "ok"
+
+    @pytest.mark.parametrize("signed", [0, -0.0], ids=["int", "negative-zero"])
+    def test_a_time_equal_to_its_entrys_but_not_its_bits_is_refused(
+            self, monkeypatch, signed):
+        # a signs the batch of its snd entry logged at 0.0 at a time
+        # equal to it (the int 0, or -0.0) that is not the float the
+        # chain step hashed: its receiver refuses the batch — taken, it
+        # would hold an authenticator no audit re-chains and no frame
+        # carries — so its view stays ok and its log still pushes
+        dep = Deployment(seed=7, key_bits=256)
+        transmit, resigned = dep.transmit_batch, []
+
+        def resign(sender, batch):
+            auth = batch.auth
+            if sender.node_id == "a" and not resigned:
+                assert auth.timestamp == 0.0 and len(batch.msgs) == 1
+                batch.auth = sign_authenticator(
+                    sender.identity, auth.index, signed, auth.entry_hash)
+                resigned.append(batch)
+            transmit(sender, batch)
+
+        monkeypatch.setattr(dep, "transmit_batch", resign)
+        build_paper_network(dep, node_overrides={"a": _ZeroDatedSender})
+        [batch] = resigned
+        [rejected] = dep.maintainer.rejected_wires
+        assert (rejected["receiver"], rejected["sender"]) == (batch.dst, "a")
+        receiver = dep.nodes[batch.dst]
+        assert not any(e.aux["batch_auth"] is batch.auth
+                       for e in receiver.log.entries if e.entry_type == RCV)
+        with QueryProcessor(dep) as qp:
+            assert qp.mq.view_of(batch.dst).status == "ok"
+        decoder = FrameDecoder()
+        [pushed] = decoder.feed(
+            encode_frame({"response": receiver.retrieve()}))
+        assert decoder.corrupt_frames == 0
+        assert len(pushed["response"].entries) == len(receiver.log)
+
+    def test_an_acker_cannot_plant_its_echo_in_the_senders_log(
+            self, monkeypatch):
+        # c echoes b's batch authenticator with its signature bytes but an
+        # int timestamp no frame carries: b logs the ack with its own
+        # authenticator, so b's log still pushes and b's view stays ok
+        dep = Deployment(seed=7, key_bits=256)
+        transmit, echoed = dep.transmit_ack, []
+
+        def misecho(sender, wire_ack):
+            auth = wire_ack.batch_auth
+            if sender.node_id == "c" and not echoed:
+                wire_ack.batch_auth = Authenticator(
+                    auth.node, auth.index, int(auth.timestamp),
+                    auth.entry_hash, auth.signature)
+                echoed.append(auth)
+            transmit(sender, wire_ack)
+
+        monkeypatch.setattr(dep, "transmit_ack", misecho)
+        build_paper_network(dep)
+        [sent] = echoed
+        sender = dep.nodes[sent.node]
+        [kept] = [e.aux["wire_ack"].batch_auth for e in sender.log.entries
+                  if e.entry_type == ACK
+                  and e.aux["wire_ack"].batch_auth.signature
+                  == sent.signature]
+        assert kept is sent
+        decoder = FrameDecoder()
+        [pushed] = decoder.feed(
+            encode_frame({"response": sender.retrieve()}))
+        assert decoder.corrupt_frames == 0
+        assert len(pushed["response"].entries) == len(sender.log)
+        with QueryProcessor(dep) as qp:
+            assert qp.mq.view_of(sent.node).status == "ok"
 
 
 class TestInputLying:
@@ -338,9 +428,9 @@ class TestConvictionGallery:
         dep, nodes = _deploy()
         b = nodes["b"]
         t = b._next_time()
-        unsigned = Authenticator("a", 99, t, "ab" * 32, b"\x01" * 32)
+        unsigned = Authenticator("a", 99, t, b"\xab" * 32, b"\x01" * 32)
         msg = Msg("+", cost("b", "d", "a", 1), "a", "b", 999, t)
-        batch = WireBatch("a", "b", [], [], 99, "cd" * 32, unsigned)
+        batch = WireBatch("a", "b", [], [], 99, b"\xcd" * 32, unsigned)
         b.log.append(t, RCV, rcv_entry_content(msg, batch),
                      aux={"msg": msg, "batch_auth": unsigned})
         view = self._view_of_b(dep)
@@ -353,9 +443,9 @@ class TestConvictionGallery:
         dep, nodes = _deploy()
         b = nodes["b"]
         t = b._next_time()
-        stranger = Authenticator("z", 1, t, "ab" * 32, b"\x01" * 32)
+        stranger = Authenticator("z", 1, t, b"\xab" * 32, b"\x01" * 32)
         msg = Msg("+", cost("b", "d", "z", 1), "z", "b", 999, t)
-        batch = WireBatch("z", "b", [], [], 1, "cd" * 32, stranger)
+        batch = WireBatch("z", "b", [], [], 1, b"\xcd" * 32, stranger)
         b.log.append(t, RCV, rcv_entry_content(msg, batch),
                      aux={"msg": msg, "batch_auth": stranger})
         view = self._view_of_b(dep)
@@ -382,6 +472,32 @@ class TestConvictionGallery:
         assert view.status == "proven-faulty"
         assert f"logs a message {msg.src!r} did not sign" \
             in view.verdict_reason
+
+    @pytest.mark.parametrize("anchor", ["in hex", "short"])
+    def test_rcv_commits_to_an_anchor_no_chain_step_takes(self, anchor):
+        # check: check_receipts, through reaches — the genuine message
+        # and authenticator of a one-entry batch, but an h_start that is
+        # not a 32-byte digest: it re-chains to nothing, a verdict on b
+        # and no exception out of the audit
+        dep, nodes = _deploy()
+        b = nodes["b"]
+        genuine = next(e for e in b.log.entries if e.entry_type == RCV)
+        msg, auth = genuine.aux["msg"], genuine.aux["batch_auth"]
+        h_start, start_index = genuine.content[2:4]
+        h_start = h_start.hex() if anchor == "in hex" else h_start[:31]
+        batch = WireBatch(msg.src, "b", [], [], start_index, h_start, auth)
+        b.log.append(b._next_time(), RCV, rcv_entry_content(msg, batch),
+                     aux={"msg": msg, "batch_auth": auth})
+        with QueryProcessor(dep) as qp:
+            result = qp.why(best_cost("c", "d", 5))
+            views = {node: qp.mq.view_of(node) for node in dep.nodes}
+        view = views.pop("b")
+        assert view.status == "proven-faulty"
+        assert f"logs a message {msg.src!r} did not sign" \
+            in view.verdict_reason
+        # the honest peers stay green, the sender of the batch included
+        assert {peer.status for peer in views.values()} == {"ok"}
+        assert set(result.faulty_nodes()) <= {"b"}
 
     @pytest.mark.parametrize("lie", ["re-dated", "dropped", "missing"])
     def test_checkpoint_seed_disagrees_with_its_commitment(self, lie):

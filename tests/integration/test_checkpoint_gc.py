@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, link
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import content_digest
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FloorLiarNode, ForkingNode, OverTruncatingNode,
@@ -702,7 +702,7 @@ class TestSnapshotIsTheCheckpoint:
                 chk = node.log.entries[-1]
                 snapshot = chk.aux["snapshot"]
                 assert chk.content == (
-                    "checkpoint", sha256_hex(canonical_bytes(snapshot)))
+                    "checkpoint", content_digest(canonical_bytes(snapshot)))
                 fresh = dep.app_factories[node_id](node_id)
                 fresh.restore(snapshot)
                 assert list(fresh.extant_tuples()) \

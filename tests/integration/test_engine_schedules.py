@@ -5,7 +5,7 @@ The hypothesis suites (tests/property/) cover random programs, MinCost
 and path-vector; the Chord program and the sum/count shuffle aggregate
 run on real schedules only here. Each schedule is driven through
 :class:`~repro.datalog.DatalogApp` and the scan-based reference
-:class:`~repro.datalog.NaiveDatalogApp` over a deterministic FIFO mesh (no
+:class:`naive.NaiveDatalogApp` over a deterministic FIFO mesh (no
 crypto, no logging — the evaluation core alone):
 
 * **chord** — an 8-node ring: bootstrap, one stabilization tick, lookups;
@@ -31,10 +31,11 @@ import pytest
 from repro.apps import chord as chord_app
 from repro.apps import pathvector as pv
 from repro.datalog import (
-    AggregateRule, Atom, DatalogApp, Guard, NaiveDatalogApp, Program, Rule,
-    Var,
+    AggregateRule, Atom, DatalogApp, Guard, Program, Rule, Var,
 )
 from repro.model import Snd, Tup
+
+from naive import NaiveDatalogApp
 
 RING_BITS = 12
 

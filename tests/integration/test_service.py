@@ -33,6 +33,7 @@ from repro.service.monitor import MonitorState, watch_key
 from repro.service.push import ServiceQuerier
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
+from repro.snp.log import LogEntry
 from repro.util.errors import QueryError
 
 
@@ -422,6 +423,38 @@ class TestHostileFrames:
         self._assert_rejected_whole(monitor, clients, lambda dep: {
             "type": "push", "seq": 10_000,
             **hostile_pushes(dep.nodes["c"].received_auths["b"][0])[name]})
+
+    @pytest.mark.parametrize("field,lie", [
+        ("content_hash", "in hex"), ("entry_hash", "in hex"),
+        ("timestamp", "an int"), ("timestamp", "a str"),
+    ])
+    def test_an_entry_no_chain_step_takes_costs_its_frame(
+            self, monitor, clients, field, lie):
+        """A pushed log entry whose digest is not 32 raw bytes, or whose
+        timestamp is not a float, cannot be hashed into the chain: its
+        builder refuses it, so the frame decodes to nothing — counted
+        corrupt, none of its delta stored — and the same delta, pushed
+        intact, lands."""
+        dep, pusher, client, _spec, _before = self._audited(monitor, clients)
+        a = dep.nodes["a"]
+        a.insert(link("a", "e", 50))
+        dep.run()
+        stored = self._stored(monitor.daemon)
+        response = a.retrieve(since_index=stored["heads"]["a"])
+        entry = response.entries[-1]  # the list is the response's own
+        fields = {name: getattr(entry, name) for name in LogEntry.__slots__}
+        fields[field] = {"in hex": bytes.hex, "an int": int,
+                         "a str": str}[lie](fields[field])
+        response.entries[-1] = LogEntry(**fields)
+        pusher._send({"type": "push", "seq": 10_000,
+                      "nodes": {"a": {"response": response}}})
+        _wait_for(lambda: client.status()["meter"]["corrupt_frames"] == 1)
+        assert self._stored(monitor.daemon) == stored
+        ack = pusher.push_once()
+        assert ack is not None and not ack["shed"]
+        assert pusher.meter.push_retries == 0
+        assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
+        pusher.close()
 
 
 @contextlib.contextmanager

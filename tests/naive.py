@@ -1,4 +1,5 @@
-"""The naive scan-based reference evaluator, plus the retraction oracle.
+"""The tests' oracle: the naive scan-based reference evaluator, plus the
+retraction oracle.
 
 :class:`NaiveDatalogApp` is the pre-plan evaluation strategy kept as an
 executable specification: every trigger re-enumerates every visible tuple
@@ -20,8 +21,8 @@ support-counted instance removal plus aggregate re-derivation; this
 recompute-from-scratch oracle is what proves those
 shortcuts sound on arbitrary schedules, not just monotone runs.
 
-Do not use any of this in deployments; it exists to keep the optimized
-engines honest.
+None of this is the library: it lives beside the tests that use it, to
+keep the optimized engine honest.
 
 Like :class:`~repro.datalog.engine.DatalogApp`, construction runs the
 ndlint gate (``Program.ensure_checked``) — the reference evaluator
@@ -31,13 +32,17 @@ refuses unsafe programs too.
 from collections import deque
 
 from repro.datalog.engine import DatalogApp, _seed_bindings
+from repro.datalog.store import TupleStore
 from repro.model import Snd
 
 
 class NaiveDatalogApp(DatalogApp):
     """Reference evaluator: interpretive scans, no secondary indexes."""
 
-    USE_INDEXES = False
+    def __init__(self, node_id, program):
+        super().__init__(node_id, program)
+        # A store with no index registered: every lookup scans.
+        self.store = TupleStore(node_id)
 
     def _matches_from(self, rule_index, rule, pos, bound, tup):
         results = []

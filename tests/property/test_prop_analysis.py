@@ -19,12 +19,13 @@ Three angles, all randomized:
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
-    Atom, DatalogApp, Guard, NaiveDatalogApp, ProgramAnalysisError, Rule,
-    Var,
+    Atom, DatalogApp, Guard, ProgramAnalysisError, Rule, Var,
 )
 from repro.datalog.analysis import ERROR, rule_sips, sip_violations
 from repro.datalog.parser import parse_program
 from repro.model import Der, Snd, Tup, Und
+
+from naive import NaiveDatalogApp
 
 NODES = ("n", "m")
 

@@ -18,7 +18,7 @@ engine and to the recompute-from-scratch oracle:
 * **scratch oracle** — after any schedule, the production engine's
   model equals evaluating the schedule's *net base multiset* from
   scratch with no deletion ever issued
-  (:func:`repro.datalog.naive.scratch_model`): retraction converges to
+  (:func:`naive.scratch_model`): retraction converges to
   the same fixpoint as never having inserted;
 * **retract-then-reinsert** — churn that nets to nothing leaves
   bit-identical snapshots, though the flap really ran (Und then Der);
@@ -34,10 +34,13 @@ from repro.apps.mincost import link as mc_link, mincost_program
 from repro.apps.pathvector import link as pv_link, pathvector_program
 from repro.datalog import (
     Var, Atom, Guard, Rule, AggregateRule, MaybeRule, Program,
-    DatalogApp, NaiveDatalogApp, choice_tuple,
+    DatalogApp, choice_tuple,
 )
-from repro.datalog.naive import model_state, net_base_counts, scratch_model
 from repro.model import Der, Snd, Tup, Und
+
+from naive import (
+    NaiveDatalogApp, model_state, net_base_counts, scratch_model,
+)
 
 L, A, B, C, K = Var("L"), Var("A"), Var("B"), Var("C"), Var("K")
 

@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
     Var, Atom, Guard, Rule, AggregateRule, MaybeRule, Program,
-    DatalogApp, NaiveDatalogApp, choice_tuple,
+    DatalogApp, choice_tuple,
 )
 from repro.model import Der, Snd, Tup, Und
+
+from naive import NaiveDatalogApp
 
 L, A, B, C, K = Var("L"), Var("A"), Var("B"), Var("C"), Var("K")
 

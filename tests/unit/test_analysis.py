@@ -12,8 +12,8 @@ import io
 import pytest
 
 from repro.datalog import (
-    AggregateRule, Atom, DatalogApp, Guard, NaiveDatalogApp, Program,
-    ProgramAnalysisError, Rule, Var, analyze,
+    AggregateRule, Atom, DatalogApp, Guard, Program, ProgramAnalysisError,
+    Rule, Var, analyze,
 )
 from repro.datalog.analysis import (
     CODES, ERROR, INFO, WARNING, SipJoin, SipStep, rule_sips,
@@ -21,6 +21,8 @@ from repro.datalog.analysis import (
 )
 from repro.datalog.analyze import main as analyze_main
 from repro.datalog.parser import parse_program
+
+from naive import NaiveDatalogApp
 
 
 def _analysis(text):

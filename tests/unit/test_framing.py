@@ -426,11 +426,11 @@ REWRITTEN_AFTER_BUILD = (with_pid(("W.tup", "r", "a", ()))[:-1]
 
 
 #: A response built from an entry list L (memo 0), then ``"x"``
-#: appended to L, then ``(response, L)``.
+#: appended to L, then ``(response, L)``. Both digests are 32 zero bytes.
 APPENDED_AFTER_BUILD = (
-    b"\x80\x04]\x94(\x8c\x06W.resp\x8c\x01ah\x00K\x01\x8c\x01h"
-    b"(\x8c\x06W.auth\x8c\x01aK\x01G" + struct.pack(">d", 1.0)
-    + b"\x8c\x01hC\x01stQtQh\x00\x8c\x01xa\x86.")
+    b"\x80\x04]\x94(\x8c\x06W.resp\x8c\x01ah\x00K\x01C\x20" + bytes(32)
+    + b"(\x8c\x06W.auth\x8c\x01aK\x01G" + struct.pack(">d", 1.0)
+    + b"C\x20" + bytes(32) + b"C\x01stQtQh\x00\x8c\x01xa\x86.")
 
 #: ``[r(@a), s(@b)]`` from two persistent ids of one size, neither
 #: memoized: the first is freed once loaded, so the second may be

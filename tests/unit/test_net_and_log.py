@@ -80,7 +80,7 @@ class TestNodeLog:
     def test_hash_at(self):
         log = NodeLog("n")
         e1 = log.append(1.0, INS, ("x",))
-        assert log.hash_at(0) == "0" * 64
+        assert log.hash_at(0) == bytes(32)
         assert log.hash_at(1) == e1.entry_hash
         assert log.hash_at(2) is None
 
@@ -91,7 +91,7 @@ class TestNodeLog:
         entries, start, anchor = log.after(1)
         assert [e.index for e in entries] == [2, 3, 4, 5]
         assert (start, anchor) == (2, log.hash_at(1))
-        assert log.after()[1:] == (1, "0" * 64)
+        assert log.after()[1:] == (1, bytes(32))
 
     def test_unknown_entry_type_rejected(self):
         log = NodeLog("n")

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.datalog
 from repro.datalog import DatalogApp
 from repro.service.client import MonitorClient
 from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
@@ -96,6 +97,13 @@ class TestOptionSurface:
         assert 'dynamic = ["version"]' in pyproject
         assert 'version = {attr = "repro.__version__"}' in pyproject
         assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
+
+    def test_the_engine_has_no_hook_for_its_test_oracle(self):
+        # the scan-based reference evaluator is test code (tests/naive.py)
+        # and skips the indexes without a class switch
+        assert not hasattr(repro.datalog, "NaiveDatalogApp")
+        assert not hasattr(DatalogApp, "USE_INDEXES")
+        assert not (SRC / "repro" / "datalog" / "naive.py").exists()
 
     def test_the_library_imports_no_process_pool(self):
         out = subprocess.run(

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import AppFactory, factory_from_spec
 from repro.apps.mincost import build_paper_network, link, mincost_factory
+from repro.crypto.hashing import GENESIS_HASH
 from repro.datalog.store import DerivationInstance
 from repro.model import Ack, Msg, Tup
 from repro.service.framing import (
@@ -32,10 +33,11 @@ from repro.service.framing import (
 from repro.snp import Deployment
 from repro.snp.commitment import WireAck
 from repro.snp.evidence import Authenticator, RetentionFloor
-from repro.snp.log import LogEntry, encode_contents
+from repro.snp.log import LogEntry, NodeLog, encode_contents
 from repro.snp.replay import verify_segment_hashes
 from repro.snp.snoopy import RetrieveResponse
 from repro.snp.wire import BUILDERS, FIELDS, VALUE_CLASSES, WireError
+from repro.util.errors import LogVerificationError
 
 # ------------------------------------------------------------- strategies
 
@@ -133,19 +135,23 @@ def _plain(value):
     return value
 
 
+#: A digest as every digest field holds one: 32 raw bytes.
+H = bytes(range(32))
+
+
 def _honest():
     """One honest instance of every row of the table, by tag."""
     tup = Tup("link", "a", "b", 3)
     msg = Msg("+", tup, "a", "b", 0, 0.5)
-    auth = Authenticator("a", 1, 1.0, "h", b"sig")
-    entry = LogEntry(1, 0.0, "ins", tup.canonical(), "c", "h", {"tup": tup})
+    auth = Authenticator("a", 1, 1.0, H, b"sig")
+    entry = LogEntry(1, 0.0, "ins", tup.canonical(), H, H, {"tup": tup})
     return {
         "W.tup": tup, "W.msg": msg, "W.ack": Ack("b", "a", [msg], 1.5),
         "W.auth": auth, "W.floor": RetentionFloor("a", 1, 1.0, b"sig"),
         "W.der": DerivationInstance("R1", (tup,)), "W.entry": entry,
-        "W.resp": RetrieveResponse("a", [entry], 1, "h", auth),
+        "W.resp": RetrieveResponse("a", [entry], 1, H, auth),
         "W.wack": WireAck("b", "a", auth, [(msg.msg_id(), 1, 1.0)], [], 1,
-                          "h", auth, [msg]),
+                          H, auth, [msg]),
     }
 
 
@@ -215,6 +221,26 @@ class TestFrameRoundTrip:
             clone, encode_contents(clone.entries)) == original
         assert clone.head_auth.signature == response.head_auth.signature
 
+    @pytest.mark.parametrize("lie", [
+        "anchor in hex", "time an int", "time a str", "type in bytes"])
+    def test_a_field_no_builder_saw_is_a_chain_verdict(self, lie):
+        """A response that never crossed a frame — a replica's copy, in
+        the same process — can hold what the builders refuse: the chain
+        check refuses it as proof, and raises nothing else."""
+        entry = NodeLog("a").append(1.0, "ins", ("x",))
+        fields = {name: getattr(entry, name) for name in LogEntry.__slots__}
+        anchor = GENESIS_HASH.hex() if lie == "anchor in hex" \
+            else GENESIS_HASH
+        if lie.startswith("time"):
+            fields["timestamp"] = 1 if lie == "time an int" else "1.0"
+        elif lie == "type in bytes":
+            fields["entry_type"] = b"ins"
+        response = RetrieveResponse("a", [LogEntry(**fields)], 1, anchor,
+                                    None)
+        with pytest.raises(LogVerificationError,
+                           match="not of a form the chain hashes"):
+            verify_segment_hashes(response, encode_contents(response.entries))
+
     def test_a_checkpointed_response_round_trips(self):
         dep, nodes = _network()
         dep.checkpoint_all()
@@ -234,23 +260,34 @@ class TestFrameRoundTrip:
 
 #: A pushed row's id with a field its builder checks gone wrong.
 UNCHECKED_FIELDS = {
-    "Authenticator index a str": ("W.auth", "a", "1", 1.0, "h", b"sig"),
-    "Authenticator index a float": ("W.auth", "a", 1.0, 1.0, "h", b"sig"),
-    "Authenticator signature an int": ("W.auth", "a", 1, 1.0, "h", 10 ** 12),
-    "Authenticator signature a str": ("W.auth", "a", 1, 1.0, "h", "sig"),
+    "Authenticator index a str": ("W.auth", "a", "1", 1.0, H, b"sig"),
+    "Authenticator index a float": ("W.auth", "a", 1.0, 1.0, H, b"sig"),
+    "Authenticator signature an int": ("W.auth", "a", 1, 1.0, H, 10 ** 12),
+    "Authenticator signature a str": ("W.auth", "a", 1, 1.0, H, "sig"),
+    "Authenticator time an int": ("W.auth", "a", 1, 1, H, b"sig"),
+    "Authenticator hash in hex": ("W.auth", "a", 1, 1.0, H.hex(), b"sig"),
+    "Authenticator hash short": ("W.auth", "a", 1, 1.0, H[:31], b"sig"),
     "RetentionFloor index a str": ("W.floor", "a", "1", 1.0, b"sig"),
     "RetentionFloor signature None": ("W.floor", "a", 1, 1.0, None),
-    "LogEntry index a str": ("W.entry", "1", 0.0, "ins", (), "c", "h", {}),
-    "LogEntry aux a list": ("W.entry", 1, 0.0, "ins", (), "c", "h", []),
+    "LogEntry index a str": ("W.entry", "1", 0.0, "ins", (), H, H, {}),
+    "LogEntry aux a list": ("W.entry", 1, 0.0, "ins", (), H, H, []),
     "LogEntry aux pairs": (
-        "W.entry", 1, 0.0, "ins", (), "c", "h", (("tup", 1),)),
-    "LogEntry aux None": ("W.entry", 1, 0.0, "ins", (), "c", "h", None),
-    "response entries a tuple": ("W.resp", "a", (), 1, "h", "W.auth"),
+        "W.entry", 1, 0.0, "ins", (), H, H, (("tup", 1),)),
+    "LogEntry aux None": ("W.entry", 1, 0.0, "ins", (), H, H, None),
+    "LogEntry time an int": ("W.entry", 1, 0, "ins", (), H, H, {}),
+    "LogEntry time a str": ("W.entry", 1, "0.0", "ins", (), H, H, {}),
+    "LogEntry content hash in hex": (
+        "W.entry", 1, 0.0, "ins", (), H.hex(), H, {}),
+    "LogEntry entry hash in hex": (
+        "W.entry", 1, 0.0, "ins", (), H, H.hex(), {}),
+    "LogEntry entry hash None": ("W.entry", 1, 0.0, "ins", (), H, None, {}),
+    "response entries a tuple": ("W.resp", "a", (), 1, H, "W.auth"),
     "response entries not LogEntries": (
-        "W.resp", "a", ["entry"], 1, "h", "W.auth"),
-    "response start a float": ("W.resp", "a", [], 1.0, "h", "W.auth"),
-    "response head auth None": ("W.resp", "a", [], 1, "h", None),
-    "response head auth a floor": ("W.resp", "a", [], 1, "h", "W.floor"),
+        "W.resp", "a", ["entry"], 1, H, "W.auth"),
+    "response start a float": ("W.resp", "a", [], 1.0, H, "W.auth"),
+    "response anchor in hex": ("W.resp", "a", [], 1, H.hex(), "W.auth"),
+    "response head auth None": ("W.resp", "a", [], 1, H, None),
+    "response head auth a floor": ("W.resp", "a", [], 1, H, "W.floor"),
 }
 
 
@@ -322,7 +359,7 @@ class TestValueTable:
     def test_a_changed_field_is_checked_again_on_the_far_side(self):
         """A frame carries fields, not a verdict: an object whose field
         was changed after it was built is judged by the builder again."""
-        auth = Authenticator("a", 3, 1.5, "h", b"sig")
+        auth = Authenticator("a", 3, 1.5, H, b"sig")
         back = _cross(auth)
         assert type(back) is Authenticator and _plain(back) == _plain(auth)
         auth.index = "3"

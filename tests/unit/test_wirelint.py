@@ -54,6 +54,8 @@ class TestUnorderedIterationCheck:
         ("canonical_bytes(frozenset(xs))", "frozenset(...)"),
         ("signer.sign(tuple(d.items()))", ".items()"),
         ("h.update(bytes(len(set(xs))))", "set(...)"),
+        # the chain step hashes its arguments raw, past canonical_bytes
+        ("chain_hash(h, 1.0, 'ins', bytes(list(d.keys())))", ".keys()"),
     ])
     def test_unsorted_iteration_flagged(self, tmp_path, expr, what):
         root = _make_tree(

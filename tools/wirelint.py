@@ -8,7 +8,8 @@ enforces them over the python AST, no imports:
 **WL002 — no unordered iteration into hashed or signed payloads.**
 Within the ``snp``/``crypto``/serialization modules, the argument of a
 hashing or signing sink (``canonical_bytes``, ``sign``, ``verify``,
-``sha256``/``.update``, ``content_digest``) must not iterate a dict or set
+``sha256``/``.update``, ``content_digest``, ``chain_hash``, whose
+arguments are concatenated raw) must not iterate a dict or set
 (``.items()``/``.keys()``/``.values()``, ``set(...)``,
 ``frozenset(...)``) unless the iteration is wrapped in ``sorted(...)``.
 Set/dict order is per-process under hash randomization, so an unsorted
@@ -37,7 +38,7 @@ from pathlib import Path
 SINK_NAMES = {
     "canonical_bytes", "sign", "verify", "update",
     "sha256", "sha1", "sha512", "md5", "blake2b",
-    "content_digest", "sha256_hex",
+    "content_digest", "sha256_hex", "chain_hash",
 }
 
 #: Attribute calls that iterate an unordered container.
