@@ -55,27 +55,6 @@ def resolve_builder(name):
     return getattr(importlib.import_module(module_name), attr)
 
 
-def lint_targets():
-    """``name → Program`` for every built-in application.
-
-    This is what ``python -m repro.datalog.analyze --apps`` and the CI
-    analysis job sweep: the four Datalog programs plus MapReduce's
-    rule-less schema program. Imported lazily, like the builders.
-    """
-    from repro.apps.bgp import bgp_proxy_program
-    from repro.apps.chord import chord_program
-    from repro.apps.mapreduce import mapreduce_schema_program
-    from repro.apps.mincost import mincost_program
-    from repro.apps.pathvector import pathvector_program
-    return {
-        "mincost": mincost_program(),
-        "pathvector": pathvector_program(),
-        "chord": chord_program(),
-        "bgp": bgp_proxy_program(),
-        "mapreduce": mapreduce_schema_program(),
-    }
-
-
 class AppFactory:
     """A wire-representable state-machine factory of a built-in
     application.

@@ -91,8 +91,7 @@ def bgp_proxy_program():
         body=[Atom("exportRoute", X, Nbr, Pfx, P)],
     )
     return Program([m0, m1, m2, e1],
-                   inputs={"originate": 2, "neighbor": 2},
-                   outputs=("announce",))
+                   inputs={"originate": 2, "neighbor": 2})
 
 
 class BgpProxyApp(DatalogApp):

@@ -58,8 +58,8 @@ def chord_program(ring_bits=16):
                                 ("N", "Id", "M", "MId", "S", "SId", "D"))
     K, R, Q, T, J, Off, P = (Var(v) for v in
                              ("K", "R", "Q", "T", "J", "Off", "P"))
-    # Leading-underscore variables mark intentional wildcards for ndlint
-    # (each occurs at most once per rule, so no accidental self-joins).
+    # Leading-underscore variables mark intentional wildcards (each
+    # occurs at most once per rule, so no accidental self-joins).
     _M, _MId, _S, _SId, _R = (Var(v) for v in
                               ("_M", "_MId", "_S", "_SId", "_R"))
 
@@ -217,7 +217,6 @@ def chord_program(ring_bits=16):
         ],
         inputs={"node": 2, "knownNode": 3, "fingerIndex": 3,
                 "gossipPeer": 2, "stabTick": 2, "lookupReq": 3},
-        outputs=("lookupResult", "finger", "pred", "ping"),
     )
 
 

@@ -61,8 +61,7 @@ def mincost_program(max_cost=255):
         body=[Atom("cost", X, D, Z, K)],
         agg_var=K, func="min",
     )
-    return Program([r1, r2, r3],
-                   inputs={"link": 3}, outputs=("bestCost",))
+    return Program([r1, r2, r3], inputs={"link": 3})
 
 
 def build_mincost_app_factory(max_cost=255):

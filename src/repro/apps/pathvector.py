@@ -49,8 +49,7 @@ def pathvector_program(max_path_len=16):
         agg_var=P, func="min",
         key=lambda path: (len(path), path),
     )
-    return Program([p1, p2, p3],
-                   inputs={"link": 2}, outputs=("bestRoute",))
+    return Program([p1, p2, p3], inputs={"link": 2})
 
 
 def build_pathvector_app_factory(max_path_len=16):

@@ -5,15 +5,15 @@ The paper's primary systems are modeled as tuples plus derivation rules
 
 * :mod:`repro.datalog.ast` — an embedded rule DSL (variables, guards, head
   expressions, aggregate and ``maybe`` rules);
-* :mod:`repro.datalog.analysis` — ndlint, the five-pass static analyzer
-  (safety, arity/types, stratification, SIPS binding order, liveness)
-  whose error diagnostics gate every program before it runs;
+* :mod:`repro.datalog.analysis` — the static analyzer (safety,
+  arity/types, stratification, closed world) whose seven diagnostic
+  codes gate every program before it runs;
 * :mod:`repro.datalog.store` — per-node tuple storage with derivation
   refcounts and believed remote tuples;
 * :mod:`repro.datalog.plan` — the rule compiler: at ``Program.add`` time
   every rule becomes an indexed :class:`~repro.datalog.plan.JoinPlan`
   (deterministic body ordering per trigger position, precomputed index
-  keys, earliest-step guard schedule);
+  keys, earliest-step guard schedule), scheduled by the planner alone;
 * :mod:`repro.datalog.engine` — :class:`DatalogApp`, a deterministic
   :class:`repro.model.StateMachine` that incrementally maintains derivations
   by executing the compiled plans over the store's secondary indexes
@@ -31,9 +31,7 @@ structure of Figure 2 in the paper, where node b derives ``cost(@c,d,b,5)``
 and sends it to c).
 """
 
-from repro.datalog.analysis import (
-    Diagnostic, ProgramAnalysis, ProgramAnalysisError, analyze,
-)
+from repro.datalog.analysis import Diagnostic, ProgramAnalysisError, analyze
 from repro.datalog.ast import (
     Var, Expr, Atom, Guard, Rule, AggregateRule, MaybeRule, Span,
     choice_tuple,
@@ -54,7 +52,6 @@ __all__ = [
     "DatalogApp",
     "Program",
     "Diagnostic",
-    "ProgramAnalysis",
     "ProgramAnalysisError",
     "analyze",
     "ParseError",

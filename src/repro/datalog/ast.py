@@ -197,6 +197,25 @@ class Atom:
         return Tup(self.relation, values[0], *values[1:])
 
 
+def atom_arity(atom):
+    """Arity of *atom*, counting the ``@`` location."""
+    return 1 + len(atom.terms)
+
+
+def term_at(atom, position):
+    """The term at 0-based *position* over ``(loc,) + terms``."""
+    return atom.loc if position == 0 else atom.terms[position - 1]
+
+
+def atom_var_names(atom):
+    """The variable names an atom binds when matched."""
+    return {
+        term.name
+        for term in (atom.loc,) + atom.terms
+        if isinstance(term, Var)
+    }
+
+
 def _check_colocated(name, body):
     if not body:
         raise ConfigurationError(f"rule {name}: empty body")

@@ -18,10 +18,12 @@ Multiple simultaneous derivations of one tuple are tracked with reference
 counts; the reported provenance is the first surviving derivation (the
 unique-derivation simplification of Appendix A.1, see DESIGN.md).
 
-Evaluation is compile-then-execute: :class:`Program` compiles every rule
-into an indexed join plan (:mod:`repro.datalog.plan`) and the cascade
-executes those plans against the store's secondary hash indexes, so a
-triggering tuple touches only the tuples that can actually join with it.
+Evaluation is gate-compile-execute: :class:`DatalogApp` refuses a
+program the static analyzer (:mod:`repro.datalog.analysis`) finds
+ill-formed, :class:`Program` compiles every rule into an indexed join
+plan (:mod:`repro.datalog.plan`), and the cascade executes those plans
+against the store's secondary hash indexes, so a triggering tuple
+touches only the tuples that can actually join with it.
 The scan-based strategy survives as the tests' reference evaluator
 (``tests/naive.py``), which this engine is property-tested against.
 
@@ -39,7 +41,7 @@ store on :meth:`DatalogApp.restore`.
 
 from collections import deque
 
-from repro.datalog.analysis import analyze
+from repro.datalog.analysis import ProgramAnalysisError, analyze
 from repro.datalog.ast import Var, Rule, AggregateRule, MaybeRule
 from repro.datalog.plan import compile_rule
 from repro.datalog.store import TupleStore, DerivationInstance
@@ -54,19 +56,16 @@ class Program:
     (:mod:`repro.datalog.plan`); ``plans[i]`` is the compiled form of
     ``rules[i]``.
 
-    *inputs* / *outputs* optionally declare the base relations the
-    deployment inserts (``{relation: arity-or-None}`` or names) and the
-    relations consumed outside the program — they enable the analyzer's
-    closed-world liveness checks (:mod:`repro.datalog.analysis`).
+    *inputs* optionally declares the base relations the deployment
+    inserts (``{relation: arity-or-None}``); it enables the analyzer's
+    closed-world check (:mod:`repro.datalog.analysis`).
     """
 
-    def __init__(self, rules=(), inputs=None, outputs=None):
+    def __init__(self, rules=(), inputs=None):
         self.rules = []
         self.plans = []
         self._by_body_relation = {}
         self.declared_inputs = inputs
-        self.declared_outputs = tuple(outputs) if outputs else ()
-        self._analysis = None
         self._checked = False
         for rule in rules:
             self.add(rule)
@@ -81,32 +80,22 @@ class Program:
             self._by_body_relation.setdefault(atom.relation, []).append(
                 (index, rule, pos)
             )
-        self._analysis = None   # a new rule invalidates the memoized result
-        self._checked = False
+        self._checked = False   # a new rule needs a new analysis
         return rule
 
-    def analyze(self):
-        """Run (and memoize) the static analyzer over this program."""
-        if self._analysis is None:
-            self._analysis = analyze(
-                self.rules,
-                inputs=self.declared_inputs,
-                outputs=self.declared_outputs,
-            )
-        return self._analysis
-
     def ensure_checked(self):
-        """Gate: analyze once and raise on error-severity diagnostics.
+        """Gate: analyze once and raise on any diagnostic.
 
         Memoized per instance — programs are shared across nodes and
         replays, so the fleet pays for one analysis. Raises
         :class:`~repro.datalog.analysis.ProgramAnalysisError` (a
-        :class:`ConfigurationError`) when the program is unsafe.
+        :class:`ConfigurationError`) when the program is ill-formed.
         """
         if not self._checked:
-            self.analyze().raise_if_errors()
+            diagnostics = analyze(self.rules, self.declared_inputs)
+            if diagnostics:
+                raise ProgramAnalysisError(diagnostics)
             self._checked = True
-        return self._analysis
 
     def triggers_for(self, relation):
         """(rule_index, rule, body_position) triples whose body uses *relation*."""
@@ -137,8 +126,8 @@ class DatalogApp(StateMachine):
 
     def __init__(self, node_id, program):
         super().__init__(node_id)
-        # The ndlint gate: refuse programs with error-severity
-        # diagnostics (memoized on the shared Program instance).
+        # The analyzer's gate: refuse an ill-formed program (memoized
+        # on the shared Program instance).
         program.ensure_checked()
         self.program = program
         self.store = TupleStore(node_id)

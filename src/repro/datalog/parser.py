@@ -5,7 +5,6 @@ parser accepts a compact textual form and produces a :class:`Program`:
 
     # MinCost (paper Section 3.3)
     input link/3.
-    output bestCost.
     R1: cost(@X, Y, Y, K) :- link(@X, Y, K).
     R2: cost(@C, D, X, K1+K2) :- link(@X, C, K1), bestCost(@X, D, K2),
         C != D.
@@ -16,7 +15,7 @@ Syntax:
 * ``Name: head :- body.`` — one rule per ``.``-terminated clause; ``#``
   starts a comment.
 * Identifiers starting with an upper-case letter or ``_`` are variables
-  (a leading ``_`` marks an intentional wildcard for the analyzer);
+  (a leading ``_`` marks an intentional wildcard);
   quoted strings and numerals are constants; the first argument of every
   atom must be the ``@location``.
 * Head arguments may be arithmetic expressions over variables
@@ -26,15 +25,14 @@ Syntax:
   the rule an :class:`AggregateRule`.
 * ``:~`` instead of ``:-`` declares a :class:`MaybeRule`.
 * ``input link/3.`` declares a base relation (with its arity, counting
-  the @location) and ``output bestCost.`` a relation consumed outside
-  the program — both feed the analyzer's closed-world liveness checks,
-  so ``input`` and ``output`` are reserved words at clause starts.
+  the @location; the arity is optional). The declarations feed the
+  analyzer's closed-world check, so ``input`` is a reserved word at
+  clause starts.
 
 Every AST node is built with a :class:`~repro.datalog.ast.Span` (line,
 column, rule index), so parse errors and analyzer diagnostics point at
-real source locations. :func:`parse_program` runs the static analyzer
-(:mod:`repro.datalog.analysis`) by default; pass ``check=False`` to get
-the raw program (e.g. to render its diagnostics yourself).
+real source locations. :func:`parse_program` always runs the static
+analyzer's gate (:mod:`repro.datalog.analysis`).
 """
 
 import re
@@ -55,7 +53,6 @@ _TOKEN = re.compile(r"""
 
 _COMPARE_OPS = {"<", ">", "<=", ">=", "!=", "=="}
 _AGG_FUNCS = ("min", "max", "sum", "count")
-_DECL_KEYWORDS = ("input", "output")
 
 
 class _Token:
@@ -133,12 +130,12 @@ class _Parser:
     # --------------------------------------------------------- components
 
     def parse_declaration(self):
-        """``input name/arity.`` or ``output name.`` → (kw, name, arity)."""
-        keyword = self.take().value
+        """``input name/arity.`` or ``input name.`` → (name, arity)."""
+        self.take("input")
         name_token = self.take()
         if name_token.kind != "name":
             raise ParseError(
-                f"expected a relation name after '{keyword}', got "
+                "expected a relation name after 'input', got "
                 f"{name_token.value!r}",
                 line=name_token.line, col=name_token.col,
             )
@@ -153,7 +150,7 @@ class _Parser:
                 )
             arity = int(arity_token.value)
         self.take(".")
-        return keyword, name_token.value, arity
+        return name_token.value, arity
 
     def parse_rule(self):
         name_token = self.take()
@@ -346,23 +343,18 @@ def _strip_comments(text):
 
 
 def _parse(text):
-    """(rules, inputs, outputs) from program text."""
+    """(rules, inputs) from program text."""
     parser = _Parser(_tokenize(_strip_comments(text)))
     rules = []
     inputs = {}
-    outputs = []
     while not parser.at_end():
         token = parser.peek()
-        if (token.kind == "name" and token.value in _DECL_KEYWORDS
-                and parser.peek(1).kind == "name"):
-            keyword, name, arity = parser.parse_declaration()
-            if keyword == "input":
-                inputs[name] = arity
-            else:
-                outputs.append(name)
+        if token.value == "input" and parser.peek(1).kind == "name":
+            name, arity = parser.parse_declaration()
+            inputs[name] = arity
         else:
             rules.append(parser.parse_rule())
-    return rules, inputs, outputs
+    return rules, inputs
 
 
 def parse_rules(text):
@@ -370,15 +362,11 @@ def parse_rules(text):
     return _parse(text)[0]
 
 
-def parse_program(text, check=True):
-    """Parse a program text into a :class:`Program`.
-
-    With ``check=True`` (the default) the program must pass the static
-    analyzer with no error-severity diagnostics, else
-    :class:`~repro.datalog.analysis.ProgramAnalysisError` is raised.
-    """
-    rules, inputs, outputs = _parse(text)
-    program = Program(rules, inputs=inputs or None, outputs=outputs)
-    if check:
-        program.ensure_checked()
+def parse_program(text):
+    """Parse a program text into a :class:`Program` that passed the
+    static analyzer, else raise
+    :class:`~repro.datalog.analysis.ProgramAnalysisError`."""
+    rules, inputs = _parse(text)
+    program = Program(rules, inputs=inputs or None)
+    program.ensure_checked()
     return program

@@ -6,9 +6,9 @@ compiles each rule *once*, at :meth:`Program.add` time, into the static
 schedule that evaluation follows:
 
 * a :class:`JoinPlan` per trigger position — when a tuple of body atom
-  *k*'s relation appears, the plan for trigger *k* follows the SIPS
-  annotation computed by :func:`repro.datalog.analysis.sip_join` (greedy
-  most-bound-first atom order, earliest-step guard schedule) and
+  *k*'s relation appears, the plan for trigger *k* follows the
+  sideways-information-passing (SIPS) schedule :func:`sip_join` builds
+  (greedy most-bound-first atom order, earliest-step guard schedule) and
   precomputes, for every join
   step, the **index key**: the tuple of argument positions whose values
   are already known when the step runs (constants in the pattern plus
@@ -28,21 +28,137 @@ candidate from an index is still unified via ``atom.match`` (which
 re-checks constants, repeated variables and cross-atom equality), and the
 engine sorts full matches into the same canonical order the interpretive
 scan produced, so the determinism contract (DESIGN.md) is untouched.
+The planner builds its schedules itself; the static analyzer
+(:mod:`repro.datalog.analysis`) only decides whether a program may run.
+A property test holds every compiled plan to the schedule contract:
+each body atom probed once, each guard fired once and never before its
+variables bind.
 
 Positions are 0-based over ``(loc,) + terms``: position 0 is the ``@``
 location, position *i* ≥ 1 is ``terms[i-1]``.
 """
 
-from repro.datalog.analysis import (
-    atom_arity, atom_var_names, bound_positions, rule_sips, sip_join,
+from repro.datalog.ast import (
+    AggregateRule, Expr, Var, atom_arity, atom_var_names, guard_vars,
     term_at,
 )
-from repro.datalog.ast import AggregateRule, Var
 
 __all__ = [
-    "AggPlan", "JoinPlan", "JoinStep", "RulePlan", "compile_rule",
-    "guard_schedule_counts", "atom_arity", "atom_var_names", "term_at",
+    "AggPlan", "JoinPlan", "JoinStep", "RulePlan", "SipJoin", "SipStep",
+    "compile_rule", "guard_schedule_counts", "rule_sips", "sip_join",
 ]
+
+
+def bound_positions(atom, bound_names):
+    """Positions of *atom* whose value is known given *bound_names*."""
+    positions = []
+    for position in range(atom_arity(atom)):
+        term = term_at(atom, position)
+        if isinstance(term, Var):
+            if term.name in bound_names:
+                positions.append(position)
+        elif not isinstance(term, Expr):
+            positions.append(position)  # a constant in the pattern
+    return tuple(positions)
+
+
+class SipStep:
+    """One join step of a SIPS schedule: probe body atom *body_pos*.
+
+    ``bound_before``/``bound_after`` are the variable-name sets known
+    entering and leaving the step; ``guards`` are indexes into
+    ``rule.guards`` fired on each match of this step.
+    """
+
+    __slots__ = ("body_pos", "bound_before", "bound_after", "guards")
+
+    def __init__(self, body_pos, bound_before, bound_after, guards):
+        self.body_pos = body_pos
+        self.bound_before = bound_before
+        self.bound_after = bound_after
+        self.guards = guards
+
+    def __repr__(self):
+        return f"SipStep(pos={self.body_pos}, guards={self.guards})"
+
+
+class SipJoin:
+    """The SIPS schedule for one rule triggered at one body position:
+    the join order plus the earliest-firing guard schedule. ``pre_guards``
+    are guard indexes decidable on the trigger bindings alone."""
+
+    __slots__ = ("trigger_pos", "pre_guards", "steps")
+
+    def __init__(self, trigger_pos, pre_guards, steps):
+        self.trigger_pos = trigger_pos
+        self.pre_guards = pre_guards
+        self.steps = steps
+
+    def __repr__(self):
+        return f"SipJoin(@{self.trigger_pos}: {list(self.steps)!r})"
+
+
+def sip_join(rule, trigger_pos):
+    """The SIPS schedule for *rule* when body atom *trigger_pos* appears.
+
+    Greedy most-bound-first atom ordering (the atom with the most known
+    positions gets the most selective index; ties keep body order), with
+    each declared guard fired at the earliest point its variables are all
+    bound. Opaque guards — and declared guards over variables the body
+    never binds, which the analyzer rejects (ND102) — run after the final
+    step on full bindings. :func:`_compile_join` lowers exactly this
+    schedule into the executable :class:`JoinPlan`.
+    """
+    bound = set()
+    if isinstance(rule.body_loc, Var):
+        bound.add(rule.body_loc.name)  # seeded with the node id at runtime
+    bound |= atom_var_names(rule.body[trigger_pos])
+
+    pending = [(index, guard_vars(guard))
+               for index, guard in enumerate(rule.guards)]
+
+    def ready_guards():
+        fired = []
+        remaining = []
+        for index, names in pending:
+            if names is not None and set(names) <= bound:
+                fired.append(index)
+            else:
+                remaining.append((index, names))
+        pending[:] = remaining
+        return tuple(fired)
+
+    pre_guards = ready_guards()
+    steps = []
+    remaining_atoms = [
+        pos for pos in range(len(rule.body)) if pos != trigger_pos
+    ]
+    while remaining_atoms:
+        best = max(
+            remaining_atoms,
+            key=lambda pos: (len(bound_positions(rule.body[pos], bound)),
+                             -pos),
+        )
+        remaining_atoms.remove(best)
+        atom = rule.body[best]
+        before = frozenset(bound)
+        bound |= atom_var_names(atom)
+        steps.append(SipStep(best, before, frozenset(bound), ready_guards()))
+
+    leftovers = tuple(index for index, _names in pending)
+    if leftovers:
+        if steps:
+            last = steps[-1]
+            steps[-1] = SipStep(last.body_pos, last.bound_before,
+                                last.bound_after, last.guards + leftovers)
+        else:
+            pre_guards = pre_guards + leftovers
+    return SipJoin(trigger_pos, pre_guards, tuple(steps))
+
+
+def rule_sips(rule):
+    """All SIPS schedules of a (non-aggregate) rule, one per trigger."""
+    return tuple(sip_join(rule, pos) for pos in range(len(rule.body)))
 
 
 class JoinStep:
@@ -173,17 +289,16 @@ def _key_parts(atom, positions):
     return tuple(parts)
 
 
-def _compile_join(rule, trigger_pos, sip=None):
-    """Lower one SIPS annotation (:func:`repro.datalog.analysis.sip_join`)
-    into an executable :class:`JoinPlan`.
+def _compile_join(rule, trigger_pos):
+    """Lower one SIPS schedule (:func:`sip_join`) into an executable
+    :class:`JoinPlan`.
 
-    The analyzer owns the ordering decisions — greedy most-bound-first
-    atoms, earliest-step guard firing, opaque guards on full bindings;
-    this function only materializes the index keys and resolves guard
-    indexes back to the rule's callables.
+    :func:`sip_join` owns the ordering decisions — greedy
+    most-bound-first atoms, earliest-step guard firing, opaque guards on
+    full bindings; this function only materializes the index keys and
+    resolves guard indexes back to the rule's callables.
     """
-    if sip is None:
-        sip = sip_join(rule, trigger_pos)
+    sip = sip_join(rule, trigger_pos)
     pre_guards = tuple(rule.guards[index] for index in sip.pre_guards)
     steps = []
     for sip_step in sip.steps:
@@ -207,11 +322,10 @@ class RulePlan:
 
     __slots__ = ("rule", "joins")
 
-    def __init__(self, rule, sips=None):
+    def __init__(self, rule):
         self.rule = rule
         self.joins = tuple(
-            _compile_join(rule, pos, sip=None if sips is None else sips[pos])
-            for pos in range(len(rule.body))
+            _compile_join(rule, pos) for pos in range(len(rule.body))
         )
 
     def index_requirements(self):
@@ -278,14 +392,8 @@ def guard_schedule_counts(program_or_rules):
     return counts
 
 
-def compile_rule(rule, sips=None):
-    """Compile *rule* into its plan (RulePlan or AggPlan).
-
-    *sips* optionally supplies precomputed per-trigger SIPS annotations
-    (e.g. from a :class:`~repro.datalog.analysis.ProgramAnalysis`); they
-    must validate under :func:`~repro.datalog.analysis.sip_violations`,
-    which the analyzer's binding pass enforces (ND401).
-    """
+def compile_rule(rule):
+    """Compile *rule* into its plan (RulePlan or AggPlan)."""
     if isinstance(rule, AggregateRule):
         return AggPlan(rule)
-    return RulePlan(rule, sips=sips)
+    return RulePlan(rule)

@@ -28,6 +28,10 @@ well-formed frame is always recovered intact. Defenses, in order:
   classes refuse it: :class:`repro.model.WireValue`);
 * **any global** named: written to be hostile, not damaged in flight —
   counted apart (``refused_globals``) as well as in ``corrupt_frames``.
+
+An intact frame (both CRCs pass) whose payload does not decode is also
+counted in ``undecodable_frames``: its sender is owed an answer, so the
+connection owner reads and resets that count after each feed.
 """
 
 import io
@@ -123,9 +127,9 @@ class FrameDecoder:
 
     Feed it byte chunks as they arrive; it returns each fully decoded
     payload exactly once. Counters (``garbage_bytes``, ``corrupt_frames``,
-    ``oversized_frames``, ``refused_globals``, ``frames_decoded``) let the
-    connection owner meter hostile or damaged input without tearing the
-    stream down.
+    ``oversized_frames``, ``refused_globals``, ``undecodable_frames``,
+    ``frames_decoded``) let the connection owner meter hostile or damaged
+    input without tearing the stream down.
     """
 
     def __init__(self, max_frame_bytes=MAX_FRAME_BYTES):
@@ -139,6 +143,7 @@ class FrameDecoder:
         self.corrupt_frames = 0
         self.oversized_frames = 0
         self.refused_globals = 0
+        self.undecodable_frames = 0
 
     def pending_bytes(self):
         """Bytes buffered awaiting a complete frame (bounded by
@@ -208,6 +213,7 @@ class FrameDecoder:
         except Exception as exc:
             self.refused_globals += isinstance(exc, RefusedGlobal)
             self.corrupt_frames += 1
+            self.undecodable_frames += 1
             return "skip", None
         self.frames_decoded += 1
         return "frame", obj

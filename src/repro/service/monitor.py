@@ -477,17 +477,23 @@ class MonitorDaemon:
 
         try:
             async for frames in read_frames(reader, decoder):
-                refused = decoder.refused_globals
+                # Every intact frame is answered: one that decodes to no
+                # typed message gets an error, so its sender never waits
+                # out a timeout for a reply that is not coming.
+                undecodable = decoder.undecodable_frames
+                decoder.undecodable_frames = 0
                 # Per read, not at close: /status shows damage and
                 # refusals while the peer still holds its socket open.
                 self.meter.absorb_decoder(decoder)
-                for _ in range(refused):
+                for _ in range(undecodable):
                     await send({"type": "error",
-                                "error": "frame names a global"})
+                                "error": "frame payload does not decode"})
                 for msg in frames:
                     self.meter.frames_received += 1
                     if not isinstance(msg, dict) or "type" not in msg:
                         self.meter.corrupt_frames += 1
+                        await send({"type": "error",
+                                    "error": "frame is not a typed message"})
                         continue
                     reply = await self._dispatch_push(msg)
                     if reply is not None:

@@ -17,6 +17,9 @@ Failure ladder:
   are idempotent because acks carry the daemon's *actual* stored heads;
 * daemon shed → the ack says so, nothing advances
   (``poll_fallbacks``), the next cadence tick is the poll;
+* daemon ``error`` reply → the daemon refused the frame itself, and
+  the same bytes would be refused again: the tick ends at once
+  (``push_failures``, no resend), state untouched;
 * daemon restart → its hello/push acks report heads the pusher doesn't
   expect; since acked heads only ever come from the daemon, the pusher
   simply rebuilds from what the daemon claims (a full push when heads
@@ -167,7 +170,8 @@ class ServicePusher:
     def push_once(self):
         """One cadence tick: build, send with retry-with-backoff, adopt
         the ack. Returns the ack dict, or ``None`` when every attempt
-        failed (state untouched — the next tick retries the same delta).
+        failed or the daemon refused the frame (state untouched — the
+        next tick retries the same delta).
         """
         self.seq += 1
         self.meter.pushes_sent += 1
@@ -209,6 +213,8 @@ class ServicePusher:
                 self._send(msg)
                 while True:
                     reply = self._recv()
+                    if reply.get("type") == "error":
+                        return None, None
                     if reply.get("type") == "push-ack" \
                             and reply.get("seq") == msg["seq"]:
                         return reply, pending

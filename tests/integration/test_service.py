@@ -432,29 +432,85 @@ class TestHostileFrames:
             self, monitor, clients, field, lie):
         """A pushed log entry whose digest is not 32 raw bytes, or whose
         timestamp is not a float, cannot be hashed into the chain: its
-        builder refuses it, so the frame decodes to nothing — counted
-        corrupt, none of its delta stored — and the same delta, pushed
-        intact, lands."""
+        builder refuses it, so the frame decodes to nothing — answered
+        with an error, counted corrupt, none of its delta stored — and
+        the same delta, pushed intact, lands."""
         dep, pusher, client, _spec, _before = self._audited(monitor, clients)
         a = dep.nodes["a"]
         a.insert(link("a", "e", 50))
         dep.run()
         stored = self._stored(monitor.daemon)
-        response = a.retrieve(since_index=stored["heads"]["a"])
-        entry = response.entries[-1]  # the list is the response's own
-        fields = {name: getattr(entry, name) for name in LogEntry.__slots__}
-        fields[field] = {"in hex": bytes.hex, "an int": int,
-                         "a str": str}[lie](fields[field])
-        response.entries[-1] = LogEntry(**fields)
-        pusher._send({"type": "push", "seq": 10_000,
-                      "nodes": {"a": {"response": response}}})
-        _wait_for(lambda: client.status()["meter"]["corrupt_frames"] == 1)
+        pusher._send(_lying_push(a, stored["heads"]["a"], field, lie))
+        assert pusher._recv()["type"] == "error"
+        assert client.status()["meter"]["corrupt_frames"] == 1
         assert self._stored(monitor.daemon) == stored
         ack = pusher.push_once()
         assert ack is not None and not ack["shed"]
         assert pusher.meter.push_retries == 0
         assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
         pusher.close()
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"seq": 1}],
+                             ids=["a-list", "no-type"])
+    def test_a_frame_that_is_no_typed_message_is_answered(
+            self, monitor, clients, payload):
+        """An intact frame that decodes to no typed message is answered
+        with an error as well, counted corrupt, and changes nothing."""
+        _dep, pusher, client, _spec, _before = self._audited(
+            monitor, clients)
+        stored = self._stored(monitor.daemon)
+        assert pusher._exchange(payload)["type"] == "error"
+        assert client.status()["meter"]["corrupt_frames"] == 1
+        assert self._stored(monitor.daemon) == stored
+        ack = pusher.push_once()
+        assert ack is not None and not ack["shed"]
+        assert pusher.meter.push_retries == 0
+        pusher.close()
+
+    def test_a_refused_push_ends_its_tick_without_a_resend(
+            self, monitor, clients):
+        """The daemon's error reply is the pusher's answer: ``push_once``
+        returns ``None`` at once, counts a failure and resends nothing —
+        the same bytes would be refused again. The next tick, intact,
+        lands on the same connection."""
+        dep, pusher, client, _spec, _before = self._audited(monitor, clients)
+        a = dep.nodes["a"]
+        a.insert(link("a", "e", 50))
+        dep.run()
+        stored = self._stored(monitor.daemon)
+        intact = pusher.build_push
+
+        def lying():
+            msg, pending = intact()
+            msg["nodes"].update(_lying_push(
+                a, stored["heads"]["a"], "timestamp", "an int")["nodes"])
+            return msg, pending
+        pusher.build_push = lying
+        started = time.monotonic()
+        assert pusher.push_once() is None
+        assert time.monotonic() - started < pusher.timeout / 4
+        assert (pusher.meter.push_failures, pusher.meter.push_retries,
+                pusher.meter.frames_sent) == (1, 0, 3)
+        assert self._stored(monitor.daemon) == stored
+        pusher.build_push = intact
+        ack = pusher.push_once()
+        assert ack is not None and not ack["shed"]
+        assert pusher.meter.push_retries == 0
+        assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
+        pusher.close()
+
+
+def _lying_push(node, since, field, lie):
+    """A push of *node*'s log past *since* whose last entry carries
+    *field* in a form no chain step takes."""
+    response = node.retrieve(since_index=since)
+    entry = response.entries[-1]  # the list is the response's own
+    fields = {name: getattr(entry, name) for name in LogEntry.__slots__}
+    fields[field] = {"in hex": bytes.hex, "an int": int,
+                     "a str": str}[lie](fields[field])
+    response.entries[-1] = LogEntry(**fields)
+    return {"type": "push", "seq": 10_000,
+            "nodes": {node.node_id: {"response": response}}}
 
 
 @contextlib.contextmanager

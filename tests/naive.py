@@ -1,5 +1,5 @@
-"""The tests' oracle: the naive scan-based reference evaluator, plus the
-retraction oracle.
+"""The tests' oracles: the naive scan-based reference evaluator, the
+retraction oracle and the schedule oracle.
 
 :class:`NaiveDatalogApp` is the pre-plan evaluation strategy kept as an
 executable specification: every trigger re-enumerates every visible tuple
@@ -21,16 +21,22 @@ support-counted instance removal plus aggregate re-derivation; this
 recompute-from-scratch oracle is what proves those
 shortcuts sound on arbitrary schedules, not just monotone runs.
 
+:func:`schedule_violations` is the contract of a compiled join plan —
+what the engine runs for one rule at one trigger position: each body
+atom probed once, each guard fired once, and no guard fired before its
+variables bind (an opaque guard reads them all).
+
 None of this is the library: it lives beside the tests that use it, to
 keep the optimized engine honest.
 
 Like :class:`~repro.datalog.engine.DatalogApp`, construction runs the
-ndlint gate (``Program.ensure_checked``) — the reference evaluator
+analyzer's gate (``Program.ensure_checked``) — the reference evaluator
 refuses unsafe programs too.
 """
 
 from collections import deque
 
+from repro.datalog.ast import Var, atom_var_names, guard_vars
 from repro.datalog.engine import DatalogApp, _seed_bindings
 from repro.datalog.store import TupleStore
 from repro.model import Snd
@@ -217,3 +223,38 @@ def scratch_model(program, nodes, base_counts, app_cls=NaiveDatalogApp):
         for _ in range(count):
             pump(apps[node].handle_insert(tup, 0.0))
     return {node: model_state(app) for node, app in apps.items()}
+
+
+def schedule_violations(rule, join):
+    """What breaks the schedule contract in *join*, the
+    :class:`~repro.datalog.plan.JoinPlan` of *rule* at one trigger
+    position: a list of sentences, empty when the plan keeps it."""
+    problems = []
+    probed = [join.trigger_pos] + [step.body_pos for step in join.steps]
+    if sorted(probed) != list(range(len(rule.body))):
+        problems.append(f"probes body atoms {probed}")
+    every_var = set()
+    for atom in rule.body:
+        every_var |= atom_var_names(atom)
+    bound = set(atom_var_names(rule.body[join.trigger_pos]))
+    if isinstance(rule.body_loc, Var):
+        bound.add(rule.body_loc.name)  # seeded with the node id
+    fired = []
+
+    def fire(guards):
+        for guard in guards:
+            index = [g is guard for g in rule.guards].index(True)
+            fired.append(index)
+            names = guard_vars(guard)
+            early = (every_var if names is None else set(names)) - bound
+            if early:
+                problems.append(
+                    f"guard {index} fires before {sorted(early)} bind")
+
+    fire(join.pre_guards)
+    for step in join.steps:
+        bound |= atom_var_names(rule.body[step.body_pos])
+        fire(step.guards)
+    if sorted(fired) != list(range(len(rule.guards))):
+        problems.append(f"fires guards {fired}")
+    return problems

@@ -1,31 +1,31 @@
-"""ndlint property suite: the analyzer versus the engines.
+"""The analyzer's gate and the planner's schedules, randomized.
 
-Three angles, all randomized:
+Three angles:
 
 * **Clean programs run identically.** Random *textual* programs that the
   analyzer passes clean must execute through the full pipeline (parse →
-  analyze → gate → plan) with the indexed engine observationally equal
-  to the naive reference — the gate must never admit a program the
-  engines disagree on, and the SIPS annotations it feeds the planner
-  must not change semantics.
+  gate → plan) with the indexed engine observationally equal to the
+  naive reference — the gate must never admit a program the engines
+  disagree on.
 * **Mutations are caught precisely.** Breaking a known-clean program in
-  a specific way must produce the matching diagnostic code (and gate
-  refusal for error severities) — not just "some" complaint.
-* **SIPS schedules are sound by construction.** For random rules, every
-  schedule probes each body atom exactly once, fires each declared guard
-  exactly once, and has no binding-order violations.
+  a specific way must produce the matching diagnostic code and gate
+  refusal — not just "some" complaint.
+* **The schedules the engine runs keep their contract.** For random
+  rules, every compiled join plan probes each body atom exactly once,
+  fires each guard exactly once, and fires none before its variables
+  bind (``naive.schedule_violations``).
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
-    Atom, DatalogApp, Guard, ProgramAnalysisError, Rule, Var,
+    Atom, DatalogApp, Guard, ProgramAnalysisError, Rule, Var, analyze,
 )
-from repro.datalog.analysis import ERROR, rule_sips, sip_violations
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import _parse, parse_program
+from repro.datalog.plan import compile_rule, rule_sips
 from repro.model import Der, Snd, Tup, Und
 
-from naive import NaiveDatalogApp
+from naive import NaiveDatalogApp, schedule_violations
 
 NODES = ("n", "m")
 
@@ -37,7 +37,6 @@ NODES = ("n", "m")
 def program_texts(draw):
     """Analyzer-clean-by-construction program text with declarations."""
     lines = ["input e/2.", "input f/3."]
-    heads = ["h", "agg"]
     guard = ""
     if draw(st.booleans()):
         guard = f", B <= {draw(st.integers(0, 3))}"
@@ -46,17 +45,12 @@ def program_texts(draw):
     lines.append(f"J: h(@L, A, B) :- e(@L, A), f(@L, A, B){guard}.")
     if draw(st.booleans()):
         lines.append("SJ: h2(@L, A, C) :- f(@L, A, B), f(@L, B, C).")
-        heads.append("h2")
     if draw(st.booleans()):
         lines.append("CH: h3(@L, B) :- h(@L, A, B), e(@L, A).")
-        heads.append("h3")
     if draw(st.booleans()):
         lines.append("P: push(@'m', A, B) :- f(@L, A, B).")
-        heads.append("push")
     func = draw(st.sampled_from(["min", "max", "sum", "count"]))
     lines.append(f"AG: agg(@L, A, {func}<B>) :- f(@L, A, B).")
-    for head in heads:
-        lines.append(f"output {head}.")
     return "\n".join(lines)
 
 
@@ -125,10 +119,7 @@ class TestCleanProgramsRunIdentically:
     @given(program_texts(), events)
     @settings(max_examples=60, deadline=None)
     def test_parse_gate_plan_pipeline_agrees_with_naive(self, text, ops):
-        program = parse_program(text)        # check=True: the gate runs
-        analysis = program.analyze()
-        assert analysis.ok
-        assert analysis.sips is not None
+        program = parse_program(text)        # the gate runs
         indexed = _drive(DatalogApp, program, ops)
         naive = _drive(NaiveDatalogApp, program, ops)
         assert indexed[0] == naive[0]
@@ -141,8 +132,6 @@ class TestCleanProgramsRunIdentically:
 CLEAN_BASE = "\n".join([
     "input e/2.",
     "input f/3.",
-    "output h.",
-    "output agg.",
     "J: h(@L, A, B) :- e(@L, A), f(@L, A, B), B <= 2.",
     "AG: agg(@L, A, min<B>) :- f(@L, A, B).",
 ])
@@ -170,14 +159,18 @@ MUTATIONS = [
      "ND301"),
     ("drop_input_declaration",
      [("input f/3.", "")], [], "ND504"),
-    ("declare_unused_input",
-     [], ["input zzz/1."], "ND505"),
 ]
+
+
+def _diagnostics(text):
+    rules, inputs = _parse(text)
+    return analyze(rules, inputs or None)
 
 
 class TestMutationsCaughtPrecisely:
     def test_base_really_is_clean(self):
-        assert parse_program(CLEAN_BASE).analyze().ok
+        assert _diagnostics(CLEAN_BASE) == ()
+        parse_program(CLEAN_BASE)
 
     @given(st.sampled_from(MUTATIONS))
     @settings(max_examples=len(MUTATIONS) * 3, deadline=None)
@@ -188,19 +181,14 @@ class TestMutationsCaughtPrecisely:
             assert find in text, f"{label}: stale mutation"
             text = text.replace(find, replace)
         text = "\n".join([text] + list(appends))
-        analysis = parse_program(text, check=False).analyze()
-        hits = analysis.by_code(code)
-        assert hits, (
-            f"{label}: wanted {code}, got "
-            f"{[d.code for d in analysis.diagnostics]}"
-        )
-        if any(d.severity == ERROR for d in hits):
-            try:
-                parse_program(text)
-            except ProgramAnalysisError as exc:
-                assert any(d.code == code for d in exc.diagnostics)
-            else:
-                raise AssertionError(f"{label}: gate admitted {code}")
+        codes = [d.code for d in _diagnostics(text)]
+        assert code in codes, f"{label}: wanted {code}, got {codes}"
+        try:
+            parse_program(text)
+        except ProgramAnalysisError as exc:
+            assert any(d.code == code for d in exc.diagnostics)
+        else:
+            raise AssertionError(f"{label}: gate admitted {code}")
 
     @given(st.sampled_from(MUTATIONS))
     @settings(max_examples=len(MUTATIONS), deadline=None)
@@ -210,19 +198,12 @@ class TestMutationsCaughtPrecisely:
         for find, replace in edits:
             text = text.replace(find, replace)
         text = "\n".join([text] + list(appends))
-        program = parse_program(text, check=False)
-        first = [
-            (d.code, d.severity, d.message) for d in
-            program.analyze().diagnostics
-        ]
-        again = [
-            (d.code, d.severity, d.message) for d in
-            parse_program(text, check=False).analyze().diagnostics
-        ]
-        assert first == again
+        first = [(d.code, d.message) for d in _diagnostics(text)]
+        again = [(d.code, d.message) for d in _diagnostics(text)]
+        assert first and first == again
 
 
-# ------------------------------------------------------- SIPS invariants
+# ------------------------------------------------- schedule invariants
 
 
 @st.composite
@@ -252,14 +233,8 @@ class TestSipsInvariants:
     @given(random_rules())
     @settings(max_examples=120, deadline=None)
     def test_schedules_cover_everything_exactly_once(self, rule):
-        for join in rule_sips(rule):
-            probed = [join.trigger_pos] + [s.body_pos for s in join.steps]
-            assert sorted(probed) == list(range(len(rule.body)))
-            fired = list(join.pre_guards)
-            for step in join.steps:
-                fired.extend(step.guards)
-            assert sorted(fired) == list(range(len(rule.guards)))
-            assert sip_violations(rule, join) == []
+        for join in compile_rule(rule).joins:
+            assert schedule_violations(rule, join) == []
 
     @given(random_rules())
     @settings(max_examples=120, deadline=None)

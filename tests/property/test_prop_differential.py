@@ -22,10 +22,10 @@ engine and to the recompute-from-scratch oracle:
   the same fixpoint as never having inserted;
 * **retract-then-reinsert** — churn that nets to nothing leaves
   bit-identical snapshots, though the flap really ran (Und then Der);
-* **recursive min/max** — the mincost and path-vector programs (ND302 +
-  ND305 diagnostics: recursion through a min aggregate whose retraction
-  path re-derives from supports) stay identical under link churn, the
-  acceptance case for differential routing replay.
+* **recursive min/max** — the mincost and path-vector programs
+  (recursion through a min aggregate whose retraction path re-derives
+  from supports) stay identical under link churn, the acceptance case
+  for differential routing replay.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -271,8 +271,8 @@ def _routing_tuples(program_links, nodes):
 
 
 class TestRecursiveMinMaxApps:
-    """The ND302/ND305 programs — recursion through a min aggregate —
-    under link churn: the support re-derivation path, end to end."""
+    """The programs that recurse through a min aggregate, under link
+    churn: the support re-derivation path, end to end."""
 
     MC_NODES = ("a", "b", "c")
     MC_LINKS = {

@@ -14,7 +14,7 @@ a query result that two audits of the same state are compared on,
 suites serve, :class:`Withholder` the peer that keeps the
 consistency channel quiet (:func:`fork_then_run_on` forks behind it),
 and :func:`app_deployments` one small deployment of each of the five
-applications.
+applications, :func:`shipped_programs` their five ``Program`` objects.
 
 Each runner returns a :class:`Scenario` carrying a *nominal duration*: the
 wall-clock time the paper's workload rate implies for the work executed
@@ -208,6 +208,23 @@ def app_deployments(seed=7):
                            seed=seed).deployment,
         "bgp": run_quagga(n_updates=12, seed=seed).deployment,
         "hadoop": run_hadoop(n_words=120, seed=seed).deployment,
+    }
+
+
+def shipped_programs():
+    """``{name: Program}`` for every built-in application: the four
+    Datalog programs plus MapReduce's rule-less schema program."""
+    from repro.apps.bgp import bgp_proxy_program
+    from repro.apps.chord import chord_program
+    from repro.apps.mapreduce import mapreduce_schema_program
+    from repro.apps.mincost import mincost_program
+    from repro.apps.pathvector import pathvector_program
+    return {
+        "mincost": mincost_program(),
+        "pathvector": pathvector_program(),
+        "chord": chord_program(),
+        "bgp": bgp_proxy_program(),
+        "mapreduce": mapreduce_schema_program(),
     }
 
 

@@ -3,6 +3,7 @@ tolerance — a truncated, oversized, or garbage-wrapped frame never
 corrupts a later well-formed one."""
 
 import functools
+import io
 import pickle
 import pickletools
 import struct
@@ -44,6 +45,21 @@ def decode_all(data, chunks=None, **kwargs):
             out.extend(dec.feed(data[prev:cut]))
             prev = cut
     return dec, out
+
+
+def _pickled_with_id(pid):
+    """A pickle of one value that crosses as the persistent id *pid*."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda value: pid if value is Ellipsis else None
+    pickler.dump({"value": Ellipsis})
+    return buffer.getvalue()
+
+
+def _damaged(frame):
+    bad = bytearray(frame)
+    bad[HEADER_BYTES + 2] ^= 0xFF
+    return bytes(bad)
 
 
 PAYLOADS = st.recursive(
@@ -181,6 +197,22 @@ class TestDamage:
             bytes(bad) + raw_frame(b"not a pickle at all") + b"junk")
         assert dec.corrupt_frames == 2
         assert dec.refused_globals == 0
+
+    @pytest.mark.parametrize("make, owed", [
+        (lambda: raw_frame(b"not a pickle at all"), 1),
+        (lambda: raw_frame(pickle.dumps(zlib.crc32)), 1),
+        (lambda: raw_frame(_pickled_with_id(("no-such-tag", 1))), 1),
+        (lambda: _damaged(encode_frame({"seq": 1})), 0),
+    ], ids=["not-a-pickle", "a-global", "an-id-no-builder-takes",
+            "line-damage"])
+    def test_an_intact_frame_that_does_not_decode_is_owed_an_answer(
+            self, make, owed):
+        """Both CRCs passed, so the sender wrote this frame and waits for
+        a reply: its owner counts it apart from line damage."""
+        dec, out = decode_all(make() + encode_frame("next"))
+        assert out == ["next"]
+        assert (dec.corrupt_frames, dec.undecodable_frames) == (1, owed)
+
 
     @settings(max_examples=40, deadline=None)
     @given(st.binary(max_size=200), st.lists(PAYLOADS, max_size=3))

@@ -18,7 +18,8 @@ import pytest
 
 import repro
 import repro.datalog
-from repro.datalog import DatalogApp
+from repro.datalog import DatalogApp, Program, parse_program
+from repro.datalog.plan import compile_rule
 from repro.service.client import MonitorClient
 from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
     main as monitor_main
@@ -50,8 +51,12 @@ SIGNATURES = {
         "max_frame_bytes=33554432)",
     # persistent connections and their two deadlines came without a knob
     MonitorClient: "(self, host, port, timeout=30.0)",
-    # the ndlint gate has no off switch
+    # the analyzer's gate has no off switch, on either way in; no rule
+    # declares its outputs, and the planner takes no schedule from outside
     DatalogApp: "(self, node_id, program)",
+    Program: "(self, rules=(), inputs=None)",
+    parse_program: "(text)",
+    compile_rule: "(rule)",
     # where a response came from is the querier's fact, not a field the
     # responder sets; a checkpoint-anchored segment starts at its chk
     # entry, so the checkpoint is no field either
