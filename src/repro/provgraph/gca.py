@@ -73,7 +73,7 @@ class GraphConstructor:
         self._pending = {}      # (node, msg_id) -> send Vertex
         self._ackpend = {}      # node -> {msg_id: receive Vertex}
         self._unacked = {}      # node -> {msg_id: send Vertex}
-        self._nopreds = set()   # keys of send vertices with no predecessor
+        self._nopreds = set()   # send vertices with no predecessor
         # Messages the maintainer already knows went unacknowledged
         # (Section 5.4's notification rule): not red, just unresolved.
         self.known_alarm_msg_ids = frozenset()
@@ -211,11 +211,11 @@ class GraphConstructor:
                 Vertex(SEND, m.src, t=t, peer=m.dst, msg=m,
                        color=Color.YELLOW)
             )
-            self._nopreds.add(v1.key())
+            self._nopreds.add(v1)
             self._unacked.setdefault(m.src, {})[m.msg_id()] = v1
-        if v1.key() in self._nopreds and vwhy is not None:
+        if v1 in self._nopreds and vwhy is not None:
             self.graph.add_edge(vwhy, v1)
-            self._nopreds.discard(v1.key())
+            self._nopreds.discard(v1)
         return v1
 
     def add_receive_vertex(self, m, t):
@@ -233,7 +233,7 @@ class GraphConstructor:
 
     def add_red_unless_present(self, vertex):
         """Figure 10, lines 86–91."""
-        if vertex.key() not in self.graph:
+        if vertex not in self.graph:
             vertex.set_color(Color.RED)
             self.graph.add_vertex(vertex)
 

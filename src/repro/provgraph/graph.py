@@ -18,31 +18,25 @@ by (node, tuple).
 from repro.provgraph.vertices import Vertex, Color, SEND, RECEIVE
 
 
-#: Vertex ids are per-graph insertion ranks; an edge is the integer
-#: ``id_from << _ID_BITS | id_to``.
-_ID_BITS = 32
-
-
 class ProvenanceGraph:
-    """Vertices by key, adjacency by per-graph integer vertex id.
+    """Vertices indexed by themselves, adjacency by per-graph vertex id.
 
-    Edges are stored once per direction — a row of neighbour ids per
-    vertex, in insertion order — and de-duplicated through one set of
-    integer edge codes. A row is ``()`` for no neighbour, the id itself
-    for one (three rows in four of a replayed graph), a list for more.
-    Adding an edge therefore hashes each vertex key once and, for most
-    edges, allocates nothing the cyclic collector counts or traverses
-    (DESIGN.md "Allocation and the collector"). Every method looks
-    vertices up by *key*, so an equal-key clone works wherever the
-    canonical instance does.
+    The index is one dict keyed by the vertex objects, which equal and
+    hash like their keys (:class:`Vertex`): every method takes a key
+    tuple, an equal-key clone or the canonical vertex alike. An edge lives
+    only in its two adjacency rows, one per direction: ``()`` for no
+    neighbour, the id itself for one (three rows in four of a replayed
+    graph), a list for more, in insertion order. So an edge stores no key
+    and no code and, mostly, allocates nothing the cyclic collector
+    counts or traverses (DESIGN.md "Allocation and the collector").
     """
 
     def __init__(self):
-        self._index = {}             # key -> vertex id
+        self._index = {}             # Vertex -> vertex id
         self._vertices = []          # vertex id -> Vertex
         self._succ = []              # vertex id -> row of vertex ids
         self._pred = []
-        self._edge_codes = set()
+        self._edges = 0              # count; edges live in the rows
         self._open_intervals = {}    # (vtype, node, tup) -> Vertex
 
     # ------------------------------------------------------------- basics
@@ -51,8 +45,7 @@ class ProvenanceGraph:
         return len(self._vertices)
 
     def __contains__(self, vertex):
-        key = vertex.key() if isinstance(vertex, Vertex) else vertex
-        return key in self._index
+        return vertex in self._index
 
     def vertices(self):
         return list(self._vertices)
@@ -62,10 +55,10 @@ class ProvenanceGraph:
         return [(a.key(), b.key()) for a, b in self._edge_vertices()]
 
     def edge_count(self):
-        return len(self._edge_codes)
+        return self._edges
 
     def get(self, key):
-        """Vertex by exact key, or None."""
+        """Vertex by exact key (or equal-key vertex), or None."""
         i = self._index.get(key)
         return None if i is None else self._vertices[i]
 
@@ -73,7 +66,7 @@ class ProvenanceGraph:
         """Insert *vertex* if absent; returns the canonical instance."""
         vertices = self._vertices
         fresh = len(vertices)
-        i = self._index.setdefault(vertex.key(), fresh)
+        i = self._index.setdefault(vertex, fresh)
         if i != fresh:
             return vertices[i]
         vertices.append(vertex)
@@ -88,22 +81,20 @@ class ProvenanceGraph:
     def add_edge(self, v_from, v_to):
         """Add the edge between two vertices of this graph (no-op when it
         is already there)."""
-        i = self._index[v_from.key()]
-        j = self._index[v_to.key()]
-        code = i << _ID_BITS | j
-        codes = self._edge_codes
-        if code in codes:
+        i = self._index[v_from]
+        j = self._index[v_to]
+        if _linked(self._succ[i], j, self._pred[j], i):
             return
-        codes.add(code)
+        self._edges += 1
         _append(self._succ, i, j)
         _append(self._pred, j, i)
 
     def has_edge(self, v_from, v_to):
-        i = self._index.get(v_from.key())
-        j = self._index.get(v_to.key())
+        i = self._index.get(v_from)
+        j = self._index.get(v_to)
         if i is None or j is None:
             return False
-        return i << _ID_BITS | j in self._edge_codes
+        return _linked(self._succ[i], j, self._pred[j], i)
 
     def predecessors(self, vertex):
         return self._neighbors(self._pred, vertex)
@@ -112,7 +103,7 @@ class ProvenanceGraph:
         return self._neighbors(self._succ, vertex)
 
     def _neighbors(self, adjacency, vertex):
-        i = self._index.get(vertex.key())
+        i = self._index.get(vertex)
         if i is None:
             return []
         vertices = self._vertices
@@ -173,11 +164,11 @@ class ProvenanceGraph:
     def _copy_edges(self, source):
         """Add every edge of *source* whose endpoints both exist here."""
         for v_from, v_to in source._edge_vertices():
-            if v_from.key() in self._index and v_to.key() in self._index:
+            if v_from in self._index and v_to in self._index:
                 self.add_edge(v_from, v_to)
 
     def _merge_vertex(self, vertex):
-        existing = self.get(vertex.key())
+        existing = self.get(vertex)
         if existing is None:
             self.add_vertex(_clone_vertex(vertex))
             return
@@ -214,7 +205,7 @@ class ProvenanceGraph:
         """G ⊆* other: every vertex/edge of G appears in *other* with a
         color at least as dominant and an interval no larger."""
         for vertex in self._vertices:
-            theirs = other.get(vertex.key())
+            theirs = other.get(vertex)
             if theirs is None:
                 return False
             if Color.dominant(vertex.color, theirs.color) != theirs.color:
@@ -245,6 +236,15 @@ def _append(adjacency, i, j):
         adjacency[i] = [row, j]
     else:
         adjacency[i] = j
+
+
+def _linked(out, j, into, i):
+    """Whether edge i → j exists, read from the shorter of row *out* (i's
+    successors) and row *into* (j's predecessors): they hold it together
+    or not at all, so a duplicate check costs the shorter row."""
+    if type(out) is int or type(into) is int:
+        return out == j or into == i
+    return i in into if len(into) < len(out) else j in out
 
 
 def _ids(row):

@@ -34,11 +34,6 @@ BELIEVE_APPEAR = "believe-appear"
 BELIEVE_DISAPPEAR = "believe-disappear"
 BELIEVE = "believe"
 
-ALL_TYPES = (
-    INSERT, DELETE, APPEAR, DISAPPEAR, EXIST, DERIVE, UNDERIVE,
-    SEND, RECEIVE, BELIEVE_APPEAR, BELIEVE_DISAPPEAR, BELIEVE,
-)
-
 INTERVAL_TYPES = (EXIST, BELIEVE)
 
 
@@ -61,7 +56,10 @@ class Vertex:
     Identity (equality/hash) is by :meth:`key`, which excludes mutable
     attributes: the color, and the closing timestamp ``t_end`` of interval
     vertices (an ``exist``/``believe`` vertex is created with an open
-    interval ``[t,∞)`` and closed at most once, per Appendix B.3).
+    interval ``[t,∞)`` and closed at most once, per Appendix B.3). Only
+    the key's hash is stored; :meth:`key` builds the tuple when asked. A
+    vertex equals its key tuple too, so a dict keyed by vertices (the
+    graph's index) is searched by key or by any equal-key vertex.
 
     Attributes:
         vtype: one of the twelve type constants.
@@ -81,7 +79,7 @@ class Vertex:
 
     __slots__ = (
         "vtype", "node", "tup", "t", "t_end", "peer", "rule", "msg",
-        "color", "seeded", "_key",
+        "color", "seeded", "_hash",
     )
 
     def __init__(self, vtype, node, tup=None, t=None, t_end=None, peer=None,
@@ -96,9 +94,9 @@ class Vertex:
         self.msg = msg
         self.color = color
         self.seeded = seeded
-        self._key = self._compute_key()
+        self._hash = hash(self.key())
 
-    def _compute_key(self):
+    def key(self):
         if self.vtype in (SEND, RECEIVE):
             return (self.vtype, self.msg.full_key())
         if self.vtype in (DERIVE, UNDERIVE):
@@ -107,18 +105,13 @@ class Vertex:
         # closing the interval does not change identity.
         return (self.vtype, self.node, self.tup, self.t)
 
-    def key(self):
-        return self._key
-
     def __eq__(self, other):
-        return isinstance(other, Vertex) and self._key == other._key
+        if isinstance(other, Vertex):
+            other = other.key()
+        return self.key() == other
 
     def __hash__(self):
-        return hash(self._key)
-
-    @property
-    def host(self):
-        return self.node
+        return self._hash
 
     def is_interval(self):
         return self.vtype in INTERVAL_TYPES

@@ -17,9 +17,9 @@ Failure ladder:
   are idempotent because acks carry the daemon's *actual* stored heads;
 * daemon shed → the ack says so, nothing advances
   (``poll_fallbacks``), the next cadence tick is the poll;
-* daemon ``error`` reply → the daemon refused the frame itself, and
-  the same bytes would be refused again: the tick ends at once
-  (``push_failures``, no resend), state untouched;
+* daemon ``error`` reply, to the push or to the hello → the daemon
+  refused the frame itself, and the same bytes would be refused again:
+  the tick ends at once (``push_failures``, no resend), state untouched;
 * daemon restart → its hello/push acks report heads the pusher doesn't
   expect; since acked heads only ever come from the daemon, the pusher
   simply rebuilds from what the daemon claims (a full push when heads
@@ -39,6 +39,10 @@ from repro.service.framing import (
     FrameDecoder, MAX_FRAME_BYTES, encode_frame, recv_frame,
 )
 from repro.metrics import ServiceMeter
+
+
+class HelloRefused(ConnectionError):
+    """The daemon answered the hello with an error: resending is futile."""
 
 
 class ServicePusher:
@@ -77,9 +81,9 @@ class ServicePusher:
             (self.host, self.port), timeout=self.timeout)
         self._decoder = FrameDecoder(self.max_frame_bytes)
         ack = self._exchange(self.hello_message())
-        if ack is None or ack.get("type") != "hello-ack":
+        if ack.get("type") != "hello-ack":
             self.close()
-            raise ConnectionError(f"monitor rejected hello: {ack!r}")
+            raise HelloRefused(f"monitor rejected hello: {ack!r}")
         self._adopt_cursors(ack)
         self.acked_heads.update(ack.get("heads") or {})
         return self
@@ -224,6 +228,8 @@ class ServicePusher:
                     if reply.get("type") == "push-ack" \
                             and not reply.get("shed"):
                         self.acked_heads.update(reply.get("heads") or {})
+            except HelloRefused:
+                return None, None
             except (OSError, ConnectionError):
                 self.close()
         return None, None

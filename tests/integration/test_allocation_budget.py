@@ -6,23 +6,34 @@ collector"), so that count is a tested budget, not an accident: one
 small chord ring is recorded and cold-audited with the collector off,
 and the objects each phase leaves are counted. Nothing either phase
 allocates may need the collector to be freed (no reference cycles).
+
+What the audit's provenance graphs keep is a byte budget as well: a
+standing audit holds its graphs for as long as it runs, so the bytes
+allocated in ``repro.provgraph`` that the views still hold are traced
+and divided by the graphs' vertices plus edges.
 """
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.apps.chord import ChordNetwork
 from repro.snp import Deployment, QueryProcessor
 
-#: Ceilings sit between what this tree measures (26.6 per appended entry,
-#: 29.1 per replayed event on CPython 3.11) and what the closure-based
-#: join, the edge-pair set and the per-call derivation keys measured (51.2
-#: and 64.3). They are pinned to one minor version because which
-#: containers count as GC objects differs slightly across versions.
+#: Ceilings sit between what this tree measures (24.8 per appended entry,
+#: 23.2 per replayed event on CPython 3.11) and what came before: the
+#: closure-based join, the edge-pair set and the per-call derivation keys
+#: (51.2 and 64.3), then a stored key tuple per vertex (29.1 per event).
+#: They are pinned to one minor version because which containers count as
+#: GC objects differs slightly across versions.
 MAX_TRACKED_PER_ENTRY = 36
-MAX_TRACKED_PER_EVENT = 40
+MAX_TRACKED_PER_EVENT = 26
+#: Graph bytes per vertex plus edge: 140.2 here, 211.7 with a key tuple
+#: per vertex and a set of integer edge codes. A key tuple per vertex
+#: (~32) or an int per edge (~18) coming back crosses the ceiling.
+MAX_GRAPH_BYTES_PER_ITEM = 150
 PINNED = sys.version_info[:2] == (3, 11)
 
 
@@ -79,3 +90,25 @@ def test_record_and_cold_audit_stay_inside_the_allocation_budget(
     if PINNED:
         assert recorded / entries < MAX_TRACKED_PER_ENTRY
         assert audited / events < MAX_TRACKED_PER_EVENT
+
+
+def test_the_audit_graphs_stay_inside_the_byte_budget(collector_off):
+    dep = Deployment(seed=3, key_bits=256)
+    results, _owner = _record(dep)
+    tracemalloc.start()
+    try:
+        qp = QueryProcessor(dep)
+        qp.prefetch()
+        result = qp.why(results[0], scope=6)
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*/repro/provgraph/*")])
+    finally:
+        tracemalloc.stop()
+    assert result.summary()["verdict"] == "green"
+    graphs = [view.graph for view in qp.mq._views.values()]
+    items = sum(len(graph) + graph.edge_count() for graph in graphs)
+    held = sum(stat.size for stat in snapshot.statistics("filename"))
+    qp.close()
+    assert items > 4000
+    if PINNED:
+        assert held / items < MAX_GRAPH_BYTES_PER_ITEM

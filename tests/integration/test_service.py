@@ -1151,6 +1151,25 @@ class TestDegradation:
         assert sleeps == [0.01, 0.02, 0.04]
         assert pusher.acked_heads == {}
 
+    def test_a_refused_hello_ends_the_tick(self, monitor):
+        """A hello the daemon answers with an error would be refused
+        again word for word: the tick ends at once, like a refused push —
+        no resend, no backoff, the socket closed."""
+        dep, _nodes = paper_deployment()
+        sleeps = []
+        pusher = make_pusher(dep, monitor, sleep=sleeps.append)
+        pusher.hello_message = lambda: dict(
+            ServicePusher.hello_message(pusher), t_prop="soon")
+        assert pusher.push_once() is None
+        meter = pusher.meter
+        assert (meter.push_failures, meter.push_retries, meter.frames_sent) \
+            == (1, 0, 1)
+        assert sleeps == [] and pusher._sock is None
+        assert monitor.daemon.meter.corrupt_frames == 1
+        assert pusher.acked_heads == {}
+        with pytest.raises(ConnectionError, match="rejected hello"):
+            pusher.connect()
+
     def test_push_recovers_after_daemon_restart(self):
         dep, _nodes = paper_deployment()
         first = start_monitor_thread(
