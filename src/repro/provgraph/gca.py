@@ -28,7 +28,10 @@ Documented deviations from the pseudocode (see DESIGN.md):
   never produces such an event, so this only fires while replaying a lying
   node's log;
 * checkpoint support: :meth:`seed_node` pre-creates open exist/believe
-  vertices from a checkpoint so replay can start mid-log (Section 5.6).
+  vertices from a checkpoint so replay can start mid-log (Section 5.6);
+* a send vertex a receipt creates enters ``unacked``/``nopreds`` only if
+  its sender has a machine here (its events are driven): no other event
+  reads them, and a per-node replay never drives its peers.
 """
 
 from repro.model import Ack, Der, Snd, Und, PLUS
@@ -88,15 +91,16 @@ class GraphConstructor:
     def process(self, event):
         """Steps 2–5 of the algorithm for one event."""
         t, node, kind, payload = event.t, event.node, event.kind, event.payload
+        machine = self.machine(node)  # even for a snd: see add_send_vertex
         if kind == "ins":
             self.handle_event_ins(node, payload, t)
-            outputs = self.machine(node).handle_insert(payload, t)
+            outputs = machine.handle_insert(payload, t)
         elif kind == "del":
             self.handle_event_del(node, payload, t)
-            outputs = self.machine(node).handle_delete(payload, t)
+            outputs = machine.handle_delete(payload, t)
         elif kind == "rcv":
             self.handle_event_rcv(node, payload, t)
-            outputs = self.machine(node).handle_receive(payload, t)
+            outputs = machine.handle_receive(payload, t)
         else:  # snd events are not fed to the state machine (step 3)
             self.handle_event_snd(node, payload, t)
             return
@@ -211,8 +215,9 @@ class GraphConstructor:
                 Vertex(SEND, m.src, t=t, peer=m.dst, msg=m,
                        color=Color.YELLOW)
             )
-            self._nopreds.add(v1)
-            self._unacked.setdefault(m.src, {})[m.msg_id()] = v1
+            if m.src in self.machines:
+                self._nopreds.add(v1)
+                self._unacked.setdefault(m.src, {})[m.msg_id()] = v1
         if v1 in self._nopreds and vwhy is not None:
             self.graph.add_edge(vwhy, v1)
             self._nopreds.discard(v1)

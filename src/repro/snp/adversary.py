@@ -2,10 +2,13 @@
 
 The threat model gives the adversary complete control over compromised
 nodes: both the primary system and the provenance system on those nodes can
-be altered. Each class here implements one canonical attack; the integration
-tests use them to demonstrate the paper's completeness
-property (every *detectable* fault yields a red or yellow vertex) and its
-limitations (input lies are not automatically detectable).
+be altered. Each class here implements one canonical attack. The tests'
+adversary corpus (``tests/scenarios.py``'s ``CORPUS``) stages each one,
+with the verdict an audit must reach: the paper's completeness property
+(every *detectable* fault yields a red or yellow vertex) and its
+limitations (input lies are not automatically detectable). An input lie
+needs no class: the liar calls ``insert``, and the corpus row names it
+as the adversary.
 
 Summary of what each attack looks like to a querier:
 
@@ -22,7 +25,8 @@ Message suppression    peer's signed evidence has no counterpart → red
 Misreception           rcv entry does not chain to the sender's signed
                        hash → proven faulty (one-entry batches only)
 Query refusal          retrieve unanswered → yellow vertices
-Input lying            *not detectable* (black); Section 4.2 limitation
+Input lying            any node's plain ``insert``: *not detectable*
+                       (black); Section 4.2 limitation
 =====================  ===========================================
 """
 
@@ -242,17 +246,3 @@ class FloorLiarNode(SNooPyNode):
             self.log.trim(advert.floor_index)
         return advert
 
-
-class InputLiarNode(SNooPyNode):
-    """Inserts base tuples that do not reflect reality.
-
-    This is the paper's first fundamental limitation (Section 4.2): nodes
-    cannot observe each other's inputs, so a lie about local inputs yields
-    a perfectly consistent log and black vertices. The *human* investigator
-    sees the lying insert vertex as the root cause and can recognize it.
-    There is deliberately no special machinery here — the class exists to
-    make fault-injection matrices explicit.
-    """
-
-    def lie_insert(self, tup):
-        self.insert(tup)

@@ -141,9 +141,9 @@ class QueryProcessor:
         self.epoch = 0
 
     def close(self):
-        """Nothing to release — builds run inline — but a processor
-        scopes like a resource (``with``), so callers need not know
-        that."""
+        """Nothing to release — builds run inline. Kept, with ``with``,
+        only for callers that still scope a processor as a resource
+        (``benchmarks/e2e/workloads.py``)."""
 
     def __enter__(self):
         return self

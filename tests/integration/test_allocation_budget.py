@@ -85,7 +85,6 @@ def test_record_and_cold_audit_stay_inside_the_allocation_budget(
     events = qp.mq.stats.events_replayed
     assert result.summary()["verdict"] == "green" and events > 300
     assert gc.collect() == 0, "the audit left cyclic garbage"
-    qp.close()
 
     if PINNED:
         assert recorded / entries < MAX_TRACKED_PER_ENTRY
@@ -108,7 +107,6 @@ def test_the_audit_graphs_stay_inside_the_byte_budget(collector_off):
     graphs = [view.graph for view in qp.mq._views.values()]
     items = sum(len(graph) + graph.edge_count() for graph in graphs)
     held = sum(stat.size for stat in snapshot.statistics("filename"))
-    qp.close()
     assert items > 4000
     if PINNED:
         assert held / items < MAX_GRAPH_BYTES_PER_ITEM

@@ -1,14 +1,17 @@
-"""The serial audit's contract, stated once over a scenario gallery.
+"""The serial audit's contract, stated once over the adversary corpus.
 
 A querier has one build path — fetch, verify + replay, commit, one node
 at a time, inline. This module states what an audit through it
-promises, checked on every scenario of one gallery: MinCost under each
-adversary the paper's Section 6 names (plus checkpoints, GC, mirrors
-and a receiver that logs what it was not sent), and the three
-application families at small size. On every scenario:
+promises, checked on every row of ``scenarios.CORPUS``: MinCost under
+each lie the tests stage (the adversaries of the paper's Section 2.1,
+one head-of-log edit per conviction check, checkpoints, GC and mirrors)
+and the three application families at small size. On every row:
 
-* the verdict is the stated one, and red lands only on adversaries;
-* every view that withholds judgment or convicts says why;
+* the verdict is the row's — the views that are not ``ok``, why each
+  one is not, the nodes the query convicts and the nodes it suspects —
+  and red lands only on the row's adversaries;
+* every view that withholds judgment or convicts says why, and a view
+  convicted because its replay diverged keeps that failed replay;
 * two independent cold audits of one state agree — colours, verdicts,
   view heads and ``QueryStats`` counters;
 * neither eager prefetch, nor the order a batch is asked in, nor how
@@ -22,6 +25,10 @@ application families at small size. On every scenario:
   gives each vertex the full audit's colour or yellow, and red lands
   only on adversaries.
 
+A promise a row's ``holes`` name is one the audit breaks on that row
+today: its tests are strict xfails there. The promises that only read
+share one build per row; the two that run the deployment on build
+their own.
 ``TestRefreshAfterMisbehaviour`` adds the cases where the adversary acts
 *between* the build and the refresh (a fork below the cached head is
 ``test_incremental_audit.py``'s).
@@ -29,225 +36,40 @@ application families at small size. On every scenario:
 
 import pytest
 
-from repro.apps.mincost import best_cost, build_paper_network, cost, link
-from repro.snp import Deployment, QueryProcessor
-from repro.snp.adversary import (
-    FabricatorNode, ForkingNode, InputLiarNode, MisreceivingNode,
-    OverTruncatingNode, SilentNode, TamperingNode,
-)
+from repro.apps.mincost import best_cost, link
+from repro.snp import QueryProcessor
+from repro.snp.adversary import ForkingNode, TamperingNode
 from repro.snp.microquery import OK, PROVEN_FAULTY
 
-from scenarios import bgp_scenario, chord_scenario, fingerprint, \
-    fork_then_run_on, hadoop_scenario, withholding_peers
+from scenarios import CORPUS, fingerprint, paper_network
 
 
-class Case:
-    """One gallery entry. *build* returns ``(deployment, query,
-    run_further)`` — the shape of ``scenarios.APPLICATION_SCENARIOS`` —
-    on a fresh deployment; *adversaries* are the nodes allowed to turn
-    red; *statuses* the views that must not be ``ok`` after a prefetch;
-    *faulty* the nodes the query must convict."""
-
-    def __init__(self, build, adversaries=(), statuses=None, faulty=(),
-                 **qp_kwargs):
-        self.build = build
-        self.adversaries = frozenset(adversaries)
-        self.statuses = statuses or {}
-        self.faulty = sorted(faulty)
-        self.qp_kwargs = qp_kwargs
-
-    def processor(self, dep):
-        return QueryProcessor(dep, **self.qp_kwargs)
+@pytest.fixture(scope="module", params=sorted(CORPUS))
+def row(request):
+    return CORPUS[request.param]
 
 
-def _mincost(seed=77, overrides=None, setup=None, target=None,
-             after_run=None, t_batch=0.0):
-    """A MinCost builder: the paper network, *setup* applied after the
-    first run, the query ``why(target)``; the run-on adds a link, then
-    applies *after_run*."""
-    def build():
-        dep = Deployment(seed=seed, key_bits=256, t_batch=t_batch)
-        nodes = build_paper_network(dep, node_overrides=overrides or {})
-        dep.run()
-        if setup is not None:
-            setup(dep, nodes)
-        wanted = target or best_cost("c", "d", 5)
-
-        def query(qp):
-            return qp.why(wanted, scope=5)
-
-        def run_further():
-            nodes["a"].insert(link("a", "z", 2))
-            dep.run()
-            if after_run is not None:
-                after_run(dep, nodes)
-
-        return dep, query, run_further
-    return build
+@pytest.fixture(scope="module")
+def built(row):
+    """One build of *row* for the promises that only read it."""
+    dep, query, _run_further = row.build()
+    return dep, query
 
 
-def _fork(_dep, nodes):
-    nodes["b"].fork_log(keep_upto=3)
+def _holed(promise):
+    """*row*, for the tests of *promise*: strict xfails on a row whose
+    ``holes`` name it."""
+    @pytest.fixture
+    def fixture(request, row):
+        if promise in row.holes:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason=row.holes[promise]))
+        return row
+    return fixture
 
 
-def _tamper(_dep, nodes):
-    nodes["b"].tamper_entry(2, ("rewritten-history",))
-
-
-def _rewrite_chain(_dep, nodes):
-    nodes["b"].tamper_entry(2, ("rewritten-history",), recompute_chain=True)
-
-
-def _checkpoint_then_run(dep, nodes):
-    dep.checkpoint_all()
-    nodes["a"].insert(link("a", "y", 4))
-    dep.run()
-
-
-def _truncate_past_the_floor(dep, nodes):
-    """A standing auditor sets floors; ``b`` then truncates past them."""
-    auditor = QueryProcessor(dep)
-    dep.register_querier(auditor)
-    auditor.prefetch()
-    dep.checkpoint_all()
-    nodes["a"].insert(link("a", "z", 2))
-    dep.run()
-    auditor.refresh()
-    dep.checkpoint_all()
-    nodes["b"].insert(link("b", "y", 9))
-    dep.run()
-    dep.run_gc(checkpoint=False)
-    dep.unregister_querier(auditor)
-    auditor.close()
-
-
-def _fabricate(dep, nodes):
-    nodes["b"].fabricate("+", cost("c", "d", "b", 1), "c")
-    dep.run()
-
-
-def _crash_after_mirroring(dep, nodes):
-    nodes["b"].refuse_retrieve = False
-    dep.replicate_deltas(replication_factor=2)
-    nodes["b"].refuse_retrieve = True
-
-
-def _lie_about_an_input(dep, nodes):
-    nodes["b"].lie_insert(link("b", "d", 1))
-    dep.run()
-
-
-def _two_adversaries(dep, nodes):
-    _fabricate(dep, nodes)
-    nodes["e"].tamper_entry(1, ("gone",))
-
-
-class _Misreceiver(MisreceivingNode):
-    """Withholds its ack of the batch it misreceived, too."""
-
-    withhold_ack = True
-
-
-def _family(scenario, **kwargs):
-    def build():
-        _name, dep, query, run_further = scenario(**kwargs)
-        return dep, query, run_further
-    return build
-
-
-CASES = {
-    "clean": Case(_mincost()),
-    "forking": Case(
-        _mincost(overrides={"b": ForkingNode}, setup=_fork),
-        adversaries="b", statuses={"b": PROVEN_FAULTY}, faulty="b"),
-    # The peers refuse the consistency check, so only the
-    # authenticators their logs carry expose the fork — whether they are
-    # held before the forker is built or after.
-    "fork-behind-withholders": Case(
-        _mincost(overrides=withholding_peers(a=ForkingNode),
-                 setup=fork_then_run_on),
-        adversaries="a", statuses={"a": PROVEN_FAULTY}),
-    "tampering": Case(
-        _mincost(overrides={"b": TamperingNode}, setup=_tamper),
-        adversaries="b", statuses={"b": PROVEN_FAULTY}, faulty="b"),
-    "rewritten-chain": Case(
-        _mincost(overrides={"b": TamperingNode}, setup=_rewrite_chain),
-        adversaries="b", statuses={"b": PROVEN_FAULTY}, faulty="b"),
-    "silent": Case(
-        _mincost(overrides={"b": SilentNode}),
-        statuses={"b": "unreachable"}),
-    "checkpointed": Case(
-        _mincost(seed=83, setup=_checkpoint_then_run),
-        use_checkpoints=True),
-    "over-truncated": Case(
-        _mincost(seed=95, overrides={"b": OverTruncatingNode},
-                 setup=_truncate_past_the_floor),
-        # proven faulty, yet off the query's path: c's belief is seeded
-        # from its own post-GC checkpoint
-        adversaries="b", statuses={"b": PROVEN_FAULTY}),
-    "fabricating": Case(
-        _mincost(overrides={"b": FabricatorNode}, setup=_fabricate,
-                 target=best_cost("c", "d", 1)),
-        adversaries="b", faulty="b"),
-    # The mirrors are refreshed with the run-on: a refresh keeps a
-    # crashed node's stale view where a cold audit finds only stale
-    # mirrors (test_incremental_audit.py pins that divergence).
-    "mirrored-crash": Case(
-        _mincost(seed=300, overrides={"b": SilentNode},
-                 setup=_crash_after_mirroring,
-                 after_run=_crash_after_mirroring)),
-    "input-liar": Case(
-        _mincost(seed=55, overrides={"b": InputLiarNode},
-                 setup=_lie_about_an_input, target=best_cost("c", "d", 3)),
-        adversaries="b"),
-    "two-adversaries": Case(
-        _mincost(seed=101, overrides={"b": FabricatorNode,
-                                      "e": TamperingNode},
-                 setup=_two_adversaries, target=best_cost("c", "a", 4)),
-        adversaries="be", statuses={"e": PROVEN_FAULTY}, faulty="e"),
-    # c logs b's first message, cost(@c,a,b,8), with the cost raised to
-    # 58 under b's genuine authenticator; b's route to e runs through c.
-    # b refuses the ack (and its log never says c acked 58), and the rcv
-    # entry misses b's signed hash: c is convicted, acked or not.
-    "misreceiving-acked": Case(
-        _mincost(seed=7, overrides={"c": MisreceivingNode},
-                 target=best_cost("b", "e", 3)),
-        adversaries="c", statuses={"c": PROVEN_FAULTY}, faulty="c"),
-    "misreceiving-withheld": Case(
-        _mincost(seed=7, overrides={"c": _Misreceiver},
-                 target=best_cost("b", "e", 3)),
-        adversaries="c", statuses={"c": PROVEN_FAULTY}, faulty="c"),
-    "chord": Case(_family(chord_scenario, n_nodes=6, rounds=1)),
-    "bgp": Case(_family(bgp_scenario, n_updates=12)),
-    "hadoop": Case(_family(hadoop_scenario, n_words=120)),
-}
-
-
-#: Verdicts the audit gets wrong today, pinned as strict xfails of the
-#: verdict tests. The lie of "misreceiving-withheld" inside a
-#: three-message batch (b's entries 9-11): a rcv entry carries neither
-#: its index in the batch's range nor the range's gap metadata, so the
-#: querier cannot re-chain it, and b's unacknowledged send convicts b.
-HOLES = {
-    "misreceiving-batched": Case(
-        _mincost(seed=7, t_batch=0.05, overrides={"c": _Misreceiver},
-                 target=cost("c", "a", "b", 58)),
-        adversaries="c", statuses={"c": PROVEN_FAULTY}, faulty="c"),
-}
-
-
-@pytest.fixture(params=sorted(CASES))
-def case(request):
-    return CASES[request.param]
-
-
-@pytest.fixture(params=sorted(CASES) + [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="a rcv entry of a longer batch cannot be "
-        "re-chained (ROADMAP)"))
-    for name in sorted(HOLES)])
-def verdict_case(request):
-    return CASES.get(request.param) or HOLES[request.param]
+verdict_row = _holed("verdict")
+seeded_row = _holed("checkpoint-seeded")
 
 
 def _views(qp, heads=True):
@@ -264,132 +86,140 @@ def _answer(result):
     }
 
 
-def _cold_outcome(case, dep, query, batches=()):
+def _cold_outcome(row, dep, query, batches=()):
     """Everything observable from one cold audit: *batches* are the node
     lists prefetched first, one batch each (none: lazy exploration)."""
-    with case.processor(dep) as qp:
-        for batch in batches:
-            qp.prefetch(batch)
-        return dict(_answer(query(qp)), views=_views(qp),
-                    counters=qp.mq.stats.counters())
+    qp = row.processor(dep)
+    for batch in batches:
+        qp.prefetch(batch)
+    return dict(_answer(query(qp)), views=_views(qp),
+                counters=qp.mq.stats.counters())
 
 
 def _all_nodes(dep):
     return sorted(dep.nodes, key=str)
 
 
+def _not_ok(views):
+    """``{node: status}`` of the views that are not ``ok``."""
+    return {str(n): v.status for n, v in views.items() if v.status != OK}
+
+
+def _convicted(views):
+    return {str(n) for n, v in views.items() if v.status == PROVEN_FAULTY}
+
+
 class TestVerdicts:
-    def test_the_verdict_is_the_stated_one(self, verdict_case):
-        case = verdict_case
-        dep, query, _run_further = case.build()
-        with case.processor(dep) as qp:
-            views = qp.prefetch()
-            result = query(qp)
-        assert {str(n): v.status for n, v in views.items()
-                if v.status != OK} == case.statuses
-        assert [str(n) for n in result.faulty_nodes()] == case.faulty
+    def test_the_verdict_is_the_stated_one(self, verdict_row, built):
+        dep, query = built
+        qp = verdict_row.processor(dep)
+        views = qp.prefetch()
+        result = query(qp)
+        assert _not_ok(views) == {node: status for node, (status, _reason)
+                                  in verdict_row.views.items()}
+        assert [str(n) for n in result.faulty_nodes()] == verdict_row.faulty
+        assert [str(n) for n in result.suspect_nodes()] \
+            == verdict_row.suspects
+        for node, (_status, reason) in verdict_row.views.items():
+            assert reason in views[node].verdict_reason, node
 
-    def test_red_lands_only_on_adversaries(self, verdict_case):
-        case = verdict_case
-        dep, query, _run_further = case.build()
-        with case.processor(dep) as qp:
-            views = qp.prefetch()
-            result = query(qp)
+    def test_red_lands_only_on_adversaries(self, verdict_row, built):
+        dep, query = built
+        qp = verdict_row.processor(dep)
+        views = qp.prefetch()
+        result = query(qp)
         assert {str(v.node) for v in result.red_vertices()} \
-            <= case.adversaries
-        assert {str(n) for n, v in views.items()
-                if v.status == PROVEN_FAULTY} <= case.adversaries
+            <= verdict_row.adversaries
+        assert _convicted(views) <= verdict_row.adversaries
 
-    def test_every_withheld_or_convicted_view_says_why(self, case):
-        dep, _query, _run_further = case.build()
-        with case.processor(dep) as qp:
-            views = qp.prefetch()
-        for node, view in views.items():
+    def test_every_withheld_or_convicted_view_says_why(self, row, built):
+        dep, _query = built
+        for node, view in row.processor(dep).prefetch().items():
             if view.status == OK:
                 assert view.replay is not None and view.replay.ok, node
-            else:
-                assert isinstance(view.verdict_reason, str) \
-                    and view.verdict_reason, node
+                continue
+            assert isinstance(view.verdict_reason, str) \
+                and view.verdict_reason, node
+            if view.replay is not None or "diverged" in view.verdict_reason:
+                assert view.replay is not None and not view.replay.ok, node
 
 
 class TestColdAudits:
-    def test_two_cold_audits_agree(self, case):
-        dep, query, _run_further = case.build()
-        first = _cold_outcome(case, dep, query)
-        assert _cold_outcome(case, dep, query) == first
+    def test_two_cold_audits_agree(self, row, built):
+        dep, query = built
+        first = _cold_outcome(row, dep, query)
+        assert _cold_outcome(row, dep, query) == first
 
-    def test_prefetch_matches_lazy_exploration(self, case):
-        dep, query, _run_further = case.build()
-        lazy = _cold_outcome(case, dep, query)
-        eager = _cold_outcome(case, dep, query, batches=[_all_nodes(dep)])
+    def test_prefetch_matches_lazy_exploration(self, row, built):
+        dep, query = built
+        lazy = _cold_outcome(row, dep, query)
+        eager = _cold_outcome(row, dep, query, batches=[_all_nodes(dep)])
         assert {k: eager[k] for k in ("colors", "faulty", "suspect")} \
             == {k: lazy[k] for k in ("colors", "faulty", "suspect")}
         assert lazy["views"] == {n: eager["views"][n] for n in lazy["views"]}
 
-    def test_batch_order_is_canonical(self, case):
-        dep, query, _run_further = case.build()
+    def test_batch_order_is_canonical(self, row, built):
+        dep, query = built
         nodes = _all_nodes(dep)
-        forward = _cold_outcome(case, dep, query, batches=[nodes])
-        assert _cold_outcome(case, dep, query,
+        forward = _cold_outcome(row, dep, query, batches=[nodes])
+        assert _cold_outcome(row, dep, query,
                              batches=[nodes[::-1]]) == forward
 
-    def test_batch_grouping_changes_nothing(self, case):
+    def test_batch_grouping_changes_nothing(self, row, built):
         # one node per batch, last node first: each node's peers are
         # built, and their logs held, before it
-        dep, query, _run_further = case.build()
+        dep, query = built
         nodes = _all_nodes(dep)
-        together = _cold_outcome(case, dep, query, batches=[nodes])
-        assert _cold_outcome(case, dep, query,
+        together = _cold_outcome(row, dep, query, batches=[nodes])
+        assert _cold_outcome(row, dep, query,
                              batches=[[n] for n in nodes[::-1]]) == together
 
 
 class TestStandingAudits:
-    def test_an_empty_refresh_changes_nothing(self, case):
-        dep, query, _run_further = case.build()
-        with case.processor(dep) as qp:
-            qp.prefetch()
-            built = dict(_answer(query(qp)), views=_views(qp))
-            qp.refresh()
-            assert dict(_answer(query(qp)), views=_views(qp)) == built
+    def test_an_empty_refresh_changes_nothing(self, row, built):
+        dep, query = built
+        qp = row.processor(dep)
+        qp.prefetch()
+        before = dict(_answer(query(qp)), views=_views(qp))
+        qp.refresh()
+        assert dict(_answer(query(qp)), views=_views(qp)) == before
 
-    def test_refresh_matches_a_cold_audit(self, case):
-        dep, query, run_further = case.build()
-        with case.processor(dep) as standing:
-            standing.prefetch()
-            query(standing)
-            run_further()
-            standing.refresh()
-            refreshed = dict(_answer(query(standing)),
-                             views=_views(standing, heads=False))
-        with case.processor(dep) as cold:
-            cold.prefetch()
-            assert dict(_answer(query(cold)),
-                        views=_views(cold, heads=False)) == refreshed
+    def test_refresh_matches_a_cold_audit(self, row):
+        dep, query, run_further = row.build()
+        standing = row.processor(dep)
+        standing.prefetch()
+        query(standing)
+        run_further()
+        standing.refresh()
+        refreshed = dict(_answer(query(standing)),
+                         views=_views(standing, heads=False))
+        cold = row.processor(dep)
+        cold.prefetch()
+        assert dict(_answer(query(cold)),
+                    views=_views(cold, heads=False)) == refreshed
 
 
 class TestCheckpointedAudits:
     def test_a_checkpoint_seeded_audit_is_the_full_audit_or_yellow(
-            self, case):
+            self, seeded_row):
         # every node checkpoints, then runs on; an audit seeded from the
         # checkpoints cannot see below them, so it may withhold judgment
         # (yellow) where the full audit decided, but never decide
         # otherwise — and a second one, after the first restored every
         # snapshot, answers alike
-        dep, query, run_further = case.build()
+        dep, query, run_further = seeded_row.build()
         dep.checkpoint_all()
         run_further()
-        with case.processor(dep) as full:
-            colors = dict(fingerprint(query(full)))
+        colors = dict(fingerprint(query(seeded_row.processor(dep))))
         seeded = []
         for _audit in range(2):
-            with QueryProcessor(dep, use_checkpoints=True) as qp:
-                views = qp.prefetch()
-                result = query(qp)
-                seeded.append(dict(_answer(result), views=_views(qp)))
+            qp = QueryProcessor(dep, use_checkpoints=True)
+            views = qp.prefetch()
+            result = query(qp)
+            seeded.append(dict(_answer(result), views=_views(qp)))
             assert {str(v.node) for v in result.red_vertices()} \
-                <= case.adversaries
-            assert {str(n) for n, v in views.items()
-                    if v.status == PROVEN_FAULTY} <= case.adversaries
+                <= seeded_row.adversaries
+            assert _convicted(views) <= seeded_row.adversaries
         first, second = seeded
         assert second == first
         for key, color in first["colors"]:
@@ -399,20 +229,18 @@ class TestCheckpointedAudits:
 def _refreshed_against_cold(seed, overrides, misbehave):
     """Build a standing audit, let ``b`` *misbehave* (the deployment runs
     on), refresh, and compare with a cold audit of the new state."""
-    dep = Deployment(seed=seed, key_bits=256)
-    nodes = build_paper_network(dep, node_overrides=overrides)
-    dep.run()
+    dep, nodes = paper_network(seed, overrides)
     target = best_cost("c", "d", 5)
-    with QueryProcessor(dep) as standing:
-        standing.why(target)
-        misbehave(dep, nodes)
-        standing.refresh()
-        refreshed = dict(_answer(standing.why(target)),
-                         views=_views(standing, heads=False))
-    with QueryProcessor(dep) as cold:
-        cold.prefetch(list(standing.mq._views))
-        assert dict(_answer(cold.why(target)),
-                    views=_views(cold, heads=False)) == refreshed
+    standing = QueryProcessor(dep)
+    standing.why(target)
+    misbehave(dep, nodes)
+    standing.refresh()
+    refreshed = dict(_answer(standing.why(target)),
+                     views=_views(standing, heads=False))
+    cold = QueryProcessor(dep)
+    cold.prefetch(list(standing.mq._views))
+    assert dict(_answer(cold.why(target)),
+                views=_views(cold, heads=False)) == refreshed
     return refreshed
 
 

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.mincost import best_cost, build_paper_network, link
+from repro.apps.mincost import best_cost, link
 from repro.crypto.hashing import content_digest
-from repro.snp import Deployment, QueryProcessor
+from repro.snp import QueryProcessor
 from repro.snp.adversary import (
     FloorLiarNode, ForkingNode, OverTruncatingNode,
 )
@@ -41,14 +41,7 @@ from repro.util.errors import ConfigurationError
 from repro.util.serialization import canonical_bytes
 
 from scenarios import app_deployments, fingerprint, forged_checkpoint, \
-    run_chord, withholding_peers
-
-
-def _net(seed, overrides=None):
-    dep = Deployment(seed=seed, key_bits=256)
-    nodes = build_paper_network(dep, node_overrides=overrides or {})
-    dep.run()
-    return dep, nodes
+    paper_network, run_chord, withholding_peers
 
 
 def _standing_auditor(dep):
@@ -60,7 +53,7 @@ def _standing_auditor(dep):
 
 class TestHandshake:
     def test_low_water_marks_are_min_over_auditors(self):
-        dep, _nodes = _net(seed=400)
+        dep, _nodes = paper_network(seed=400)
         qp1 = _standing_auditor(dep)
         qp2 = QueryProcessor(dep)
         dep.register_querier(qp2)
@@ -73,12 +66,12 @@ class TestHandshake:
         assert marks["b"] == qp1.low_water_marks()["b"]
 
     def test_register_querier_requires_low_water_marks(self):
-        dep, _nodes = _net(seed=401)
+        dep, _nodes = paper_network(seed=401)
         with pytest.raises(ConfigurationError):
             dep.register_querier(object())
 
     def test_advertisements_are_signed_and_recorded(self):
-        dep, _nodes = _net(seed=402)
+        dep, _nodes = paper_network(seed=402)
         dep.checkpoint_all()
         _standing_auditor(dep)   # marks cover the checkpoints
         dep.run_gc(checkpoint=False)
@@ -89,7 +82,7 @@ class TestHandshake:
             assert advert.floor_index == dep.advertised_floor_of(name)
 
     def test_floor_never_exceeds_auditor_marks(self):
-        dep, nodes = _net(seed=403)
+        dep, nodes = paper_network(seed=403)
         dep.checkpoint_all()     # eligible anchors, below the marks
         qp = _standing_auditor(dep)
         nodes["a"].insert(link("a", "z", 2))
@@ -106,7 +99,7 @@ class TestHandshake:
 
 class TestHonestGc:
     def _grown(self, seed=410):
-        dep, nodes = _net(seed=seed)
+        dep, nodes = paper_network(seed=seed)
         qp = _standing_auditor(dep)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
@@ -168,7 +161,7 @@ class TestHonestGc:
             )
 
     def test_enable_gc_cadence_bounds_logs(self):
-        dep, nodes = _net(seed=413)
+        dep, nodes = paper_network(seed=413)
         qp = _standing_auditor(dep)
         dep.enable_gc(2.0)
         for k in range(3):
@@ -193,25 +186,25 @@ class TestSteadyState:
     def _phased_ring(gc, n_nodes=10, phases=6, seed=7):
         scen = run_chord(n_nodes=n_nodes, rounds=1, lookups=2, seed=seed)
         dep, net = scen.deployment, scen.net
-        with QueryProcessor(dep) as qp:
-            if gc:
-                dep.register_querier(qp)
-            qp.prefetch()
-            for phase in range(phases):
-                net.stabilize(rounds=1)
-                source = net.members[phase % len(net.members)][0]
-                net.lookup(source, (net.size // 3 + phase) % net.size,
-                           f"gc-arm-{phase}")
-                qp.refresh()
-                if gc:
-                    dep.run_gc(checkpoint=True)
-            log_bytes = [node.log.size_bytes()
-                         for node in dep.nodes.values()]
-            # One more lookup, a refresh to cover it, and a query.
-            source = net.members[0][0]
-            target = net.lookup(source, net.size // 3, "gc-arm-final")[0]
+        qp = QueryProcessor(dep)
+        if gc:
+            dep.register_querier(qp)
+        qp.prefetch()
+        for phase in range(phases):
+            net.stabilize(rounds=1)
+            source = net.members[phase % len(net.members)][0]
+            net.lookup(source, (net.size // 3 + phase) % net.size,
+                       f"gc-arm-{phase}")
             qp.refresh()
-            return dep, log_bytes, qp.why(target, node=source, scope=4)
+            if gc:
+                dep.run_gc(checkpoint=True)
+        log_bytes = [node.log.size_bytes()
+                     for node in dep.nodes.values()]
+        # One more lookup, a refresh to cover it, and a query.
+        source = net.members[0][0]
+        target = net.lookup(source, net.size // 3, "gc-arm-final")[0]
+        qp.refresh()
+        return dep, log_bytes, qp.why(target, node=source, scope=4)
 
     def test_gc_bounds_the_logs_and_both_audits_stay_clean(self):
         _dep, plain_bytes, plain_audit = self._phased_ring(gc=False)
@@ -245,7 +238,7 @@ def _over_truncated(node_cls):
     """The over-truncation scenario: ``b`` advertises an honest floor,
     then truncates below it. Returns the deployment, its nodes and the
     standing auditor whose pre-GC views supply probes."""
-    dep, nodes = _net(seed=420, overrides={"b": node_cls})
+    dep, nodes = paper_network(seed=420, overrides={"b": node_cls})
     qp = _standing_auditor(dep)
     dep.checkpoint_all()               # the floor-eligible checkpoint
     nodes["a"].insert(link("a", "z", 2))
@@ -283,8 +276,7 @@ class TestAdversarialGc:
 
     def test_a_response_cannot_claim_the_mirror_exemption(self):
         dep, _nodes, _qp = _over_truncated(_MirrorClaimingTruncator)
-        with QueryProcessor(dep) as cold:
-            view = cold.mq.view_of("b")
+        view = QueryProcessor(dep).mq.view_of("b")
         assert view.status == PROVEN_FAULTY
         assert "retention" in view.verdict_reason
         # Through the daemon: the hello and one push, framed and decoded.
@@ -296,13 +288,12 @@ class TestAdversarialGc:
         state.ingest_hello(hello)
         [push] = decoder.feed(encode_frame(push))
         state.ingest_push(push)
-        with QueryProcessor(state) as cold:
-            view = cold.mq.view_of("b")
+        view = QueryProcessor(state).mq.view_of("b")
         assert view.status == PROVEN_FAULTY
         assert "retention" in view.verdict_reason
 
     def test_floor_liar_convicted_at_handshake(self):
-        dep, nodes = _net(seed=421, overrides={"b": FloorLiarNode})
+        dep, nodes = paper_network(seed=421, overrides={"b": FloorLiarNode})
         qp = _standing_auditor(dep)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
@@ -321,7 +312,7 @@ class TestAdversarialGc:
         assert "b" in result.faulty_nodes()
 
     def test_honest_nodes_unaffected_by_a_convicted_liar(self):
-        dep, nodes = _net(seed=422, overrides={"b": FloorLiarNode})
+        dep, nodes = paper_network(seed=422, overrides={"b": FloorLiarNode})
         _standing_auditor(dep)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
@@ -333,7 +324,7 @@ class TestAdversarialGc:
             assert cold.mq.view_of(name).status == expected
 
     def test_pre_gc_conviction_remains_reproducible(self):
-        dep, nodes = _net(seed=423, overrides={"b": ForkingNode})
+        dep, nodes = paper_network(seed=423, overrides={"b": ForkingNode})
         qp = _standing_auditor(dep)
         assert qp.mq.view_of("b").status == OK
         nodes["b"].fork_log(keep_upto=3)
@@ -351,7 +342,7 @@ class TestAdversarialGc:
         assert view.verdict_reason == reason
 
     def test_crashed_origin_served_from_gcd_mirror(self):
-        dep, nodes = _net(seed=424)
+        dep, nodes = paper_network(seed=424)
         dep.enable_replication(2.0)
         qp = _standing_auditor(dep)
         dep.checkpoint_all()
@@ -383,7 +374,7 @@ class TestAdversarialGc:
         check catches the content, and a corrupt mirror is no evidence
         against the origin: ``c`` is unreachable (yellow), never red, and
         nothing is seeded."""
-        dep, nodes = _net(seed=8)
+        dep, nodes = paper_network(seed=8)
         dep.enable_replication(2.0)
         qp = _standing_auditor(dep)
         dep.checkpoint_all()
@@ -403,9 +394,9 @@ class TestAdversarialGc:
             next(iter(qp.mq.view_of("c").graph.vertices())))
         dep.nodes["c"].retrieve = lambda **kwargs: None
         try:
-            with QueryProcessor(dep) as cold:
-                view = cold.mq.view_of("c")
-                _resolved, color = cold.mq.resolve(probe)
+            cold = QueryProcessor(dep)
+            view = cold.mq.view_of("c")
+            _resolved, color = cold.mq.resolve(probe)
         finally:
             del dep.nodes["c"].retrieve
         assert color == "yellow"
@@ -425,7 +416,7 @@ class TestRetentionHardening:
         """A stale ``chk`` spliced onto the suffix after a newer one: the
         chain folded from the stale checkpoint's anchor does not reach
         the suffix."""
-        dep, nodes = _net(seed=440)
+        dep, nodes = paper_network(seed=440)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
@@ -454,7 +445,7 @@ class TestRetentionHardening:
         assert "hash does not recompute" in view.verdict_reason
 
     def test_truncated_push_cannot_shrink_a_fuller_mirror(self):
-        dep, nodes = _net(seed=441)
+        dep, nodes = paper_network(seed=441)
         node = dep.nodes["a"]
         full_copy = node.retrieve()
         # Entries between the copy's head and the checkpoint: the pushed
@@ -497,7 +488,7 @@ class TestRetentionHardening:
         return bytes(auth.signature) in {**ledger.owed, **ledger.behind}
 
     def test_checkable_pending_evidence_is_checked_not_tombstoned(self):
-        dep, _nodes = _net(seed=442, overrides=withholding_peers())
+        dep, _nodes = paper_network(seed=442, overrides=withholding_peers())
         node = dep.nodes["a"]
         entry = node.log.entry(2)
         good = sign_authenticator(node.identity, 2, entry.timestamp,
@@ -519,7 +510,7 @@ class TestRetentionHardening:
         assert mq.view_of("a").status == PROVEN_FAULTY
 
     def test_pending_below_anchor_and_floor_is_tombstoned(self):
-        dep, nodes = _net(seed=443, overrides=withholding_peers())
+        dep, nodes = paper_network(seed=443, overrides=withholding_peers())
         node = dep.nodes["a"]
         entry = node.log.entry(2)
         old = sign_authenticator(node.identity, 2, entry.timestamp,
@@ -536,7 +527,7 @@ class TestRetentionHardening:
         assert mq.stats.auth_checks_tombstoned == 1
 
     def test_lagging_mirror_reseeds_at_a_sanctioned_floor(self):
-        dep, nodes = _net(seed=445)
+        dep, nodes = paper_network(seed=445)
         dep.replicate_deltas()     # replicas hold full (pre-GC) copies
         # Activity the replicas never hear about: the eventual floors
         # land strictly above the stored heads plus their tombstones.
@@ -572,7 +563,7 @@ class TestRetentionHardening:
         assert dep.traffic.totals()["replication"] == before_bytes
 
     def test_unsanctioned_truncation_does_not_reseed_mirrors(self):
-        dep, nodes = _net(seed=446, overrides={"b": FloorLiarNode})
+        dep, nodes = paper_network(seed=446, overrides={"b": FloorLiarNode})
         dep.replicate_deltas()
         qp = _standing_auditor(dep)
         dep.checkpoint_all()
@@ -599,7 +590,7 @@ class TestRetentionHardening:
                 == stored_heads[holder.node_id]
 
     def test_mirror_reclaim_counts_only_dropped_entries(self):
-        dep, nodes = _net(seed=447)
+        dep, nodes = paper_network(seed=447)
         dep.enable_replication(2.0)
         qp = _standing_auditor(dep)
         dep.checkpoint_all()
@@ -628,7 +619,7 @@ class TestRetentionHardening:
         assert expected > 0
 
     def test_run_honors_the_gc_cadence(self):
-        dep, nodes = _net(seed=444)
+        dep, nodes = paper_network(seed=444)
         _standing_auditor(dep)
         head_lens = {n: len(node.log) for n, node in dep.nodes.items()}
         dep.enable_gc(100.0)
@@ -648,7 +639,7 @@ class TestPostGcColdBuild:
         anchors on the retained checkpoint, exactly where a
         checkpoint-mode build anchors, and the two agree vertex by
         vertex."""
-        dep, nodes = _net(seed=430)
+        dep, nodes = paper_network(seed=430)
         auditor = _standing_auditor(dep)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "z", 2))
@@ -658,12 +649,12 @@ class TestPostGcColdBuild:
         dep.unregister_querier(auditor)
         outcomes = []
         for use_checkpoints in (False, True):
-            with QueryProcessor(dep, use_checkpoints=use_checkpoints) as qp:
-                qp.prefetch()
-                result = qp.why(best_cost("c", "d", 5), scope=5)
-                outcomes.append((fingerprint(result), {
-                    str(n): (v.status, v.base_index, v.head_index)
-                    for n, v in qp.mq._views.items()}))
+            qp = QueryProcessor(dep, use_checkpoints=use_checkpoints)
+            qp.prefetch()
+            result = qp.why(best_cost("c", "d", 5), scope=5)
+            outcomes.append((fingerprint(result), {
+                str(n): (v.status, v.base_index, v.head_index)
+                for n, v in qp.mq._views.items()}))
         full, checkpointed = outcomes
         assert all(status == OK and base > 1
                    for status, base, _head in full[1].values())

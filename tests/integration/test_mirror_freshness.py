@@ -10,17 +10,12 @@ have since crashed.
 
 import pytest
 
-from repro.apps.mincost import best_cost, build_paper_network, link
-from repro.snp import Deployment, QueryProcessor
+from repro.apps.mincost import best_cost, link
+from repro.snp import QueryProcessor
 from repro.snp.snoopy import LogCopy
 from repro.util.errors import ConfigurationError
 
-
-def _net(seed=55):
-    dep = Deployment(seed=seed, key_bits=256)
-    nodes = build_paper_network(dep)
-    dep.run()
-    return dep, nodes
+from scenarios import paper_network
 
 
 def _mirror_holders(dep, origin):
@@ -30,7 +25,7 @@ def _mirror_holders(dep, origin):
 
 class TestReplicateDeltas:
     def test_first_pass_pushes_full_copies(self):
-        dep, _nodes = _net()
+        dep, _nodes = paper_network(55)
         pushes = dep.replicate_deltas(replication_factor=2)
         assert pushes > 0
         holders = _mirror_holders(dep, "a")
@@ -43,7 +38,7 @@ class TestReplicateDeltas:
             assert mirror.head_auth.index == len(origin_log)
 
     def test_second_pass_splices_only_the_suffix(self):
-        dep, nodes = _net()
+        dep, nodes = paper_network(55)
         dep.replicate_deltas()
         holder = _mirror_holders(dep, "a")[0]
         first_entry = holder.mirror_of("a").entries[0]
@@ -61,14 +56,14 @@ class TestReplicateDeltas:
         assert mirror.entries[0] is first_entry
 
     def test_quiescent_pass_pushes_nothing(self):
-        dep, _nodes = _net()
+        dep, _nodes = paper_network(55)
         dep.replicate_deltas()
         assert dep.replicate_deltas() == 0
 
 
 class TestLogCopy:
     def test_bare_suffix_without_base_is_rejected(self):
-        dep, _nodes = _net()
+        dep, _nodes = paper_network(55)
         suffix = dep.node("a").retrieve(since_index=2)
         assert suffix.start_index == 3
         copy = LogCopy("a")
@@ -76,7 +71,7 @@ class TestLogCopy:
         assert not copy and copy.serve() is None
 
     def test_non_contiguous_suffix_is_rejected(self):
-        dep, _nodes = _net()
+        dep, _nodes = paper_network(55)
         full = dep.node("a").retrieve()
         # A stored copy holding only entries 1..2 cannot splice a suffix
         # that starts at entry 4 — the gap would be unverifiable.
@@ -92,7 +87,7 @@ class TestLogCopy:
         assert copy.head_index == 2
 
     def test_longer_full_copy_replaces_shorter(self):
-        dep, nodes = _net()
+        dep, nodes = paper_network(55)
         old_full = dep.node("a").retrieve()
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
@@ -106,7 +101,7 @@ class TestLogCopy:
         assert copy.head_auth is new_full.head_auth
 
     def test_a_served_response_is_a_snapshot(self):
-        dep, nodes = _net()
+        dep, nodes = paper_network(55)
         origin = dep.node("a")
         copy = LogCopy("a")
         assert copy.store(origin.retrieve())
@@ -123,12 +118,12 @@ class TestLogCopy:
 
 class TestReplicationCadence:
     def test_enable_replication_validates_interval(self):
-        dep, _nodes = _net()
+        dep, _nodes = paper_network(55)
         with pytest.raises(ConfigurationError):
             dep.enable_replication(0)
 
     def test_run_until_ticks_the_cadence(self):
-        dep, nodes = _net()
+        dep, nodes = paper_network(55)
         dep.enable_replication(1.0, replication_factor=2)
         nodes["a"].insert(link("a", "z", 2))
         dep.run_until(dep.sim.now + 5.0)
@@ -138,7 +133,7 @@ class TestReplicationCadence:
             == len(dep.node("a").log)
 
     def test_run_performs_a_quiescence_pass(self):
-        dep, nodes = _net()
+        dep, nodes = paper_network(55)
         dep.enable_replication(10.0)
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
@@ -150,7 +145,7 @@ class TestReplicationCadence:
 
 class TestCrashThenRefresh:
     def test_refresh_of_crashed_origin_served_from_fresh_mirror(self):
-        dep, nodes = _net(seed=61)
+        dep, nodes = paper_network(seed=61)
         dep.enable_replication(5.0)
         qp = QueryProcessor(dep)
         qp.why(best_cost("c", "d", 5))
@@ -176,7 +171,7 @@ class TestCrashThenRefresh:
         del dep.nodes["a"].retrieve
 
     def test_without_replication_the_crashed_origin_stays_stale(self):
-        dep, nodes = _net(seed=62)
+        dep, nodes = paper_network(seed=62)
         qp = QueryProcessor(dep)
         qp.why(best_cost("c", "d", 5))
         old_head = qp.mq.view_of("a").head_index

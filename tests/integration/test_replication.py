@@ -15,11 +15,11 @@ from repro.snp.adversary import SilentNode, TamperingNode
 from repro.snp.evidence import AUTHENTICATOR_BYTES
 from repro.snp.log import INS, LogEntry
 
+from scenarios import paper_network
+
 
 def _silent_b_network(seed=300, replicate=True):
-    dep = Deployment(seed=seed, key_bits=256)
-    nodes = build_paper_network(dep, node_overrides={"b": SilentNode})
-    dep.run()
+    dep, nodes = paper_network(seed, {"b": SilentNode})
     nodes["b"].refuse_retrieve = False   # cooperative during replication
     if replicate:
         dep.replicate_deltas(replication_factor=2)
@@ -181,12 +181,12 @@ class TestReplicationCannotFrame:
             mirror.entries[at] = LogEntry(
                 e.index, e.timestamp, e.entry_type, e.content,
                 e.content_hash, e.entry_hash, aux={"tup": lie})
-        with QueryProcessor(dep) as qp:
-            view = qp.mq.view_of("b")
-            assert view.status == "unreachable"
-            assert view.verdict_reason.startswith("bad mirror: ")
-            assert "parsed form does not re-derive its committed content" \
-                in view.verdict_reason
-            result = qp.why(cost("a", "c", "b", 8))
-            assert result.verdict() == "yellow"
-            assert result.faulty_nodes() == []
+        qp = QueryProcessor(dep)
+        view = qp.mq.view_of("b")
+        assert view.status == "unreachable"
+        assert view.verdict_reason.startswith("bad mirror: ")
+        assert "parsed form does not re-derive its committed content" \
+            in view.verdict_reason
+        result = qp.why(cost("a", "c", "b", 8))
+        assert result.verdict() == "yellow"
+        assert result.faulty_nodes() == []

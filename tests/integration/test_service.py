@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.apps.mincost import best_cost, build_paper_network, link
+from repro.apps.mincost import best_cost, link
 from repro.metrics import QueryStats
 from repro.service import (
     MonitorClient, ServicePusher, server, start_monitor_thread, tup_spec,
@@ -31,24 +31,23 @@ from repro.service import (
 from repro.service.framing import frame_payload
 from repro.service.monitor import MonitorState, watch_key
 from repro.service.push import ServiceQuerier
-from repro.snp import Deployment, QueryProcessor
+from repro.snp import QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
 from repro.snp.log import LogEntry
 from repro.util.errors import QueryError
 
+from scenarios import paper_network
+
 
 def paper_deployment(adversary_cls=None, victim="b", seed=77):
-    dep = Deployment(seed=seed, key_bits=256)
-    overrides = {victim: adversary_cls} if adversary_cls else {}
-    nodes = build_paper_network(dep, node_overrides=overrides)
-    dep.run()
-    return dep, nodes
+    return paper_network(seed, {victim: adversary_cls} if adversary_cls
+                         else {})
 
 
 def direct_summary(dep, tup, **kwargs):
-    with QueryProcessor(dep) as qp:
-        qp.refresh()
-        return qp.why(tup, **kwargs).summary()
+    qp = QueryProcessor(dep)
+    qp.refresh()
+    return qp.why(tup, **kwargs).summary()
 
 
 @pytest.fixture
@@ -212,9 +211,9 @@ class TestAdversarial:
         state = MonitorState()
         state.ingest_hello(hello)
         state.ingest_push(push)
-        with QueryProcessor(state) as qp:
-            view = qp.mq.view_of("a")
-            assert qp.mq.view_of("c").status == "proven-faulty"
+        qp = QueryProcessor(state)
+        view = qp.mq.view_of("a")
+        assert qp.mq.view_of("c").status == "proven-faulty"
         assert view.status == "proven-faulty"
         assert "unregistered node 'b'" in view.verdict_reason
 

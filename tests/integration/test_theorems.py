@@ -12,14 +12,14 @@
 
 import pytest
 
-from repro.apps.mincost import (
-    best_cost, build_paper_network, cost, link, mincost_factory,
-)
+from repro.apps.mincost import best_cost, cost
 from repro.provgraph.gca import GraphConstructor
 from repro.provgraph.vertices import Color
-from repro.snp import Deployment, QueryProcessor
+from repro.snp import QueryProcessor
 from repro.snp.adversary import FabricatorNode
 from repro.snp.replay import log_entries_to_history
+
+from scenarios import paper_network
 
 
 def _full_history(dep):
@@ -43,11 +43,17 @@ def _run_gca(dep, events):
 
 
 @pytest.fixture(scope="module")
-def converged():
-    dep = Deployment(seed=7, key_bits=256)
-    nodes = build_paper_network(dep)
+def fabricated():
+    """``b`` sends ``c`` a cost its machine never derived."""
+    dep, nodes = paper_network(13, {"b": FabricatorNode})
+    nodes["b"].fabricate("+", cost("c", "d", "b", 1), "c")
     dep.run()
-    return dep, nodes
+    return dep
+
+
+@pytest.fixture(scope="module")
+def converged():
+    return paper_network(7)
 
 
 class TestTheorem1Incremental:
@@ -104,14 +110,8 @@ class TestTheorem3Colors:
         graph = _run_gca(dep, _full_history(dep))
         assert graph.red_vertices() == []
 
-    def test_faulty_node_has_red_in_true_graph(self):
-        dep = Deployment(seed=13, key_bits=256)
-        nodes = build_paper_network(
-            dep, node_overrides={"b": FabricatorNode})
-        dep.run()
-        nodes["b"].fabricate("+", cost("c", "d", "b", 1), "c")
-        dep.run()
-        graph = _run_gca(dep, _full_history(dep))
+    def test_faulty_node_has_red_in_true_graph(self, fabricated):
+        graph = _run_gca(fabricated, _full_history(fabricated))
         reds = graph.red_vertices()
         assert reds and all(v.node == "b" for v in reds)
 
@@ -135,17 +135,12 @@ class TestTheorem5Accuracy:
             assert truth is not None, f"{vertex!r} not in G"
             assert truth.color == Color.BLACK
 
-    def test_accuracy_under_attack(self):
+    def test_accuracy_under_attack(self, fabricated):
         # Even with a fabricator active, every *black* vertex the querier
         # reports is genuinely in G with the same key.
-        dep = Deployment(seed=13, key_bits=256)
-        nodes = build_paper_network(
-            dep, node_overrides={"b": FabricatorNode})
-        dep.run()
-        nodes["b"].fabricate("+", cost("c", "d", "b", 1), "c")
-        dep.run()
-        true_graph = _run_gca(dep, _full_history(dep))
-        result = QueryProcessor(dep).why(best_cost("c", "d", 1), scope=50)
+        true_graph = _run_gca(fabricated, _full_history(fabricated))
+        result = QueryProcessor(fabricated).why(best_cost("c", "d", 1),
+                                                scope=50)
         for vertex in result.vertices():
             if vertex.color == Color.BLACK and vertex.node != "b":
                 assert true_graph.get(vertex.key()) is not None
@@ -166,12 +161,7 @@ class TestTheorem6Completeness:
             view_keys = {v.key() for v in view.graph.vertices()}
             assert true_keys <= view_keys
 
-    def test_detectable_fault_yields_red_or_yellow(self):
-        dep = Deployment(seed=13, key_bits=256)
-        nodes = build_paper_network(
-            dep, node_overrides={"b": FabricatorNode})
-        dep.run()
-        nodes["b"].fabricate("+", cost("c", "d", "b", 1), "c")
-        dep.run()
-        result = QueryProcessor(dep).why(best_cost("c", "d", 1), scope=50)
+    def test_detectable_fault_yields_red_or_yellow(self, fabricated):
+        result = QueryProcessor(fabricated).why(best_cost("c", "d", 1),
+                                                scope=50)
         assert result.suspect_nodes() == ["b"]

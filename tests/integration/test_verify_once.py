@@ -94,21 +94,21 @@ def _audit_encodes(monkeypatch, audit):
 class TestOneEncodePerFetchedEntry:
     def test_cold_chord_audit(self, monkeypatch):
         _name, dep, query, _run_further = chord_scenario()
-        with QueryProcessor(dep) as qp:
-            _audit_encodes(monkeypatch, lambda: query(qp))
+        qp = QueryProcessor(dep)
+        _audit_encodes(monkeypatch, lambda: query(qp))
 
     def test_bgp_refresh(self, monkeypatch):
         _name, dep, query, run_further = bgp_scenario()
-        with QueryProcessor(dep) as qp:
+        qp = QueryProcessor(dep)
+        query(qp)
+        run_further()
+
+        def refresh():
+            qp.refresh()
             query(qp)
-            run_further()
 
-            def refresh():
-                qp.refresh()
-                query(qp)
-
-            _audit_encodes(monkeypatch, refresh)
-            assert qp.mq.stats.delta_fetches
+        _audit_encodes(monkeypatch, refresh)
+        assert qp.mq.stats.delta_fetches
 
 
 _scalars = st.one_of(
@@ -157,9 +157,9 @@ class TestOneRsaOperationPerAuthenticatorPerBatch:
 
         monkeypatch.setattr(RsaKeyPair, "verify", counting)
         monkeypatch.setattr(MicroQuerier, "_run_batch", batch)
-        with QueryProcessor(dep) as qp:
-            query(qp)
-            checks = qp.mq.stats.signatures_verified
+        qp = QueryProcessor(dep)
+        query(qp)
+        checks = qp.mq.stats.signatures_verified
         operations = sum(len(ops) for ops in batches)
         assert 0 < operations < checks
         for ops in batches:

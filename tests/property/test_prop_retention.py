@@ -148,27 +148,27 @@ def _pre_gc_colors(dep, audited):
     cross-host stub vertices (yellow placeholders in a neighbor's
     partition) are judged by their host's view on both sides of the
     comparison."""
-    with QueryProcessor(dep) as qp:
-        views = qp.mq.build_views(sorted(dep.nodes, key=str))
-        first_red = {}
-        for name, view in views.items():
-            if view.status != OK:
-                continue
-            for vertex in view.graph.vertices():
-                if vertex.color == Color.RED \
-                        and str(vertex.node) == str(name):
-                    current = first_red.get(name)
-                    if current is None or vertex.t < current.t:
-                        first_red[name] = vertex
-        colors = {}
-        for name in audited:
-            view = views[name]
-            if view.status != OK:
-                continue
-            for vertex in view.graph.vertices():
-                _resolved, color = qp.mq.resolve(_clone_vertex(vertex))
-                colors[(name, vertex.key())] = (vertex, color)
-        return colors, first_red
+    qp = QueryProcessor(dep)
+    views = qp.mq.build_views(sorted(dep.nodes, key=str))
+    first_red = {}
+    for name, view in views.items():
+        if view.status != OK:
+            continue
+        for vertex in view.graph.vertices():
+            if vertex.color == Color.RED \
+                    and str(vertex.node) == str(name):
+                current = first_red.get(name)
+                if current is None or vertex.t < current.t:
+                    first_red[name] = vertex
+    colors = {}
+    for name in audited:
+        view = views[name]
+        if view.status != OK:
+            continue
+        for vertex in view.graph.vertices():
+            _resolved, color = qp.mq.resolve(_clone_vertex(vertex))
+            colors[(name, vertex.key())] = (vertex, color)
+    return colors, first_red
 
 
 def _send_is_retained(dep, vertex, host_view):
@@ -203,55 +203,55 @@ def test_truncation_only_withholds_judgment(schedule):
     dep.run_gc(checkpoint=False)
     floors = {name: dep.advertised_floor_of(name) for name in dep.nodes}
 
-    with QueryProcessor(dep) as after:
-        for (name, _key), (vertex, color_before) in before.items():
-            probe = _clone_vertex(vertex)
-            _resolved, color_after = after.mq.resolve(probe)
-            detail = (
-                f"{vertex.describe()} on {name!r}: {color_before} → "
-                f"{color_after} (floors={floors}, schedule={schedule})"
+    after = QueryProcessor(dep)
+    for (name, _key), (vertex, color_before) in before.items():
+        probe = _clone_vertex(vertex)
+        _resolved, color_after = after.mq.resolve(probe)
+        detail = (
+            f"{vertex.describe()} on {name!r}: {color_before} → "
+            f"{color_after} (floors={floors}, schedule={schedule})"
+        )
+        # The host's earliest red before GC, None for a host that
+        # held none (or whose pre-GC view was not OK).
+        host_first_red = first_red.get(vertex.node)
+        if color_before != Color.RED and host_first_red is None:
+            assert color_after != Color.RED, (
+                "truncation convicted a node that was not already "
+                f"convicted: {detail}"
             )
-            # The host's earliest red before GC, None for a host that
-            # held none (or whose pre-GC view was not OK).
-            host_first_red = first_red.get(vertex.node)
-            if color_before != Color.RED and host_first_red is None:
-                assert color_after != Color.RED, (
-                    "truncation convicted a node that was not already "
-                    f"convicted: {detail}"
+        host_view = after.mq.view_of(vertex.node)
+        if host_view.status != OK:
+            continue  # host verdicts covered by the red rule above
+        below_base = _below_base(dep, vertex, host_view)
+        if color_before == Color.YELLOW:
+            assert color_after == Color.YELLOW, (
+                f"a post-GC querier knows strictly less: {detail}"
+            )
+        elif color_before == Color.BLACK:
+            if below_base:
+                assert color_after in (Color.BLACK, Color.YELLOW), \
+                    f"black may only fade to yellow: {detail}"
+            else:
+                # An already-convicted host may trade one cascade
+                # red for another (see the module docstring).
+                allowed = (Color.BLACK,) if host_first_red is None \
+                    else (Color.BLACK, Color.RED)
+                assert color_after in allowed, (
+                    "green inside retained coverage must stay "
+                    f"green: {detail}"
                 )
-            host_view = after.mq.view_of(vertex.node)
-            if host_view.status != OK:
-                continue  # host verdicts covered by the red rule above
-            below_base = _below_base(dep, vertex, host_view)
-            if color_before == Color.YELLOW:
+        elif color_before == Color.RED:
+            if below_base:
                 assert color_after == Color.YELLOW, (
-                    f"a post-GC querier knows strictly less: {detail}"
+                    "a red below the floor must fade to honest "
+                    f"yellow, never a silent green: {detail}"
                 )
-            elif color_before == Color.BLACK:
-                if below_base:
-                    assert color_after in (Color.BLACK, Color.YELLOW), \
-                        f"black may only fade to yellow: {detail}"
-                else:
-                    # An already-convicted host may trade one cascade
-                    # red for another (see the module docstring).
-                    allowed = (Color.BLACK,) if host_first_red is None \
-                        else (Color.BLACK, Color.RED)
-                    assert color_after in allowed, (
-                        "green inside retained coverage must stay "
-                        f"green: {detail}"
+            else:
+                source_truncated = host_first_red is not None \
+                    and _below_base(dep, host_first_red, host_view)
+                if not source_truncated:
+                    assert color_after == Color.RED, (
+                        "a red whose divergence source survives "
+                        f"truncation must reproduce: {detail}"
                     )
-            elif color_before == Color.RED:
-                if below_base:
-                    assert color_after == Color.YELLOW, (
-                        "a red below the floor must fade to honest "
-                        f"yellow, never a silent green: {detail}"
-                    )
-                else:
-                    source_truncated = host_first_red is not None \
-                        and _below_base(dep, host_first_red, host_view)
-                    if not source_truncated:
-                        assert color_after == Color.RED, (
-                            "a red whose divergence source survives "
-                            f"truncation must reproduce: {detail}"
-                        )
 

@@ -273,10 +273,10 @@ def widest_deployment():
     dep.checkpoint_all()
     nodes["a"].insert(link("a", "e", 9))
     dep.run()
-    with QueryProcessor(dep) as auditor:
-        dep.register_querier(auditor)
-        auditor.refresh()
-        dep.run_gc()
+    auditor = QueryProcessor(dep)
+    dep.register_querier(auditor)
+    auditor.refresh()
+    dep.run_gc()
     pusher = ServicePusher(dep, "127.0.0.1", 0)
     hello, (push, _cursors) = pusher.hello_message(), pusher.build_push()
     return dep, hello, push

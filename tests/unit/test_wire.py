@@ -23,14 +23,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import AppFactory, factory_from_spec
-from repro.apps.mincost import build_paper_network, link, mincost_factory
+from repro.apps.mincost import link, mincost_factory
 from repro.crypto.hashing import GENESIS_HASH
 from repro.datalog.store import DerivationInstance
 from repro.model import Ack, Msg, Tup
 from repro.service.framing import (
     FrameDecoder, FramingError, encode_frame, frame_payload,
 )
-from repro.snp import Deployment
 from repro.snp.commitment import WireAck
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.log import LogEntry, NodeLog, encode_contents
@@ -38,6 +37,9 @@ from repro.snp.replay import verify_segment_hashes
 from repro.snp.snoopy import RetrieveResponse
 from repro.snp.wire import BUILDERS, FIELDS, VALUE_CLASSES, WireError
 from repro.util.errors import LogVerificationError
+
+from scenarios import paper_network
+
 
 # ------------------------------------------------------------- strategies
 
@@ -158,13 +160,6 @@ def _honest():
 _TAGS = [row[1] for row in VALUE_CLASSES]
 
 
-def _network(seed=7):
-    dep = Deployment(seed=seed, key_bits=256)
-    nodes = build_paper_network(dep)
-    dep.run()
-    return dep, nodes
-
-
 # ------------------------------------------------------------ round trips
 
 class TestFrameRoundTrip:
@@ -208,7 +203,7 @@ class TestFrameRoundTrip:
         assert FrameDecoder().feed(frame) == [{"h": "text"}]
 
     def test_a_response_re_verifies_after_a_frame(self):
-        dep, _nodes = _network()
+        dep, _nodes = paper_network(7)
         response = dep.node("a").retrieve()
         original = verify_segment_hashes(
             response, encode_contents(response.entries))
@@ -242,7 +237,7 @@ class TestFrameRoundTrip:
             verify_segment_hashes(response, encode_contents(response.entries))
 
     def test_a_checkpointed_response_round_trips(self):
-        dep, nodes = _network()
+        dep, nodes = paper_network(7)
         dep.checkpoint_all()
         nodes["a"].insert(link("a", "q", 3))
         dep.run()

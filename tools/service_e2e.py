@@ -181,10 +181,10 @@ def main(argv=None):
 
     print("service e2e: building chord workload", flush=True)
     dep, net, target = build_workload(args.adversary)
-    with QueryProcessor(dep) as qp:
-        qp.refresh()
-        direct = qp.why(target).summary()
-        direct_fetched = qp.mq.stats.logs_fetched
+    qp = QueryProcessor(dep)
+    qp.refresh()
+    direct = qp.why(target).summary()
+    direct_fetched = qp.mq.stats.logs_fetched
     check("clean direct audit is green", direct["verdict"] == "green",
           f"verdict={direct['verdict']}")
 
@@ -331,9 +331,9 @@ def main(argv=None):
         check("service audit convicts the forker",
               out.get("ok") and out["result"]["verdict"] == "red"
               and args.adversary in out["result"]["faulty_nodes"])
-        with QueryProcessor(dep) as qp:
-            qp.refresh()
-            direct_red = qp.why(target).summary()
+        qp = QueryProcessor(dep)
+        qp.refresh()
+        direct_red = qp.why(target).summary()
         check("direct audit agrees on the conviction",
               direct_red["verdict"] == "red"
               and args.adversary in direct_red["faulty_nodes"])
