@@ -137,8 +137,9 @@ class Msg(WireValue):
         )
 
     def canonical(self):
+        # The tuple itself: it encodes as its canonical form, memoized.
         return (
-            "msg", self.polarity, self.tup.canonical(),
+            "msg", self.polarity, self.tup,
             self.src, self.dst, self.seq, self.t_sent,
         )
 

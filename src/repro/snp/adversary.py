@@ -77,15 +77,10 @@ class TamperingNode(SNooPyNode):
     """
 
     def tamper_entry(self, index, new_content, recompute_chain=False):
-        """Replace entry *index*'s content with *new_content*. A
-        :class:`~repro.model.Tup` is a lie told consistently: its
-        canonical form becomes the content and the tuple itself the
-        parsed ``aux["tup"]``, so the two forms still agree."""
+        """Replace entry *index*'s content with *new_content* (a
+        :class:`~repro.model.Tup`, for an ``ins``/``del`` lie replay
+        reads as it would an honest one)."""
         entry = self.log.entry(index)
-        entry.aux = dict(entry.aux)
-        if isinstance(new_content, Tup):
-            entry.aux["tup"] = new_content
-            new_content = new_content.canonical()
         entry.content = new_content
         if recompute_chain:
             self._rebuild_chain()
@@ -109,9 +104,8 @@ class ForkingNode(SNooPyNode):
         """Drop all entries after *keep_upto* and continue from there."""
         old = self.log
         fresh = NodeLog(self.node_id)
-        for entry in old.entries[:keep_upto]:
-            fresh.append(entry.timestamp, entry.entry_type, entry.content,
-                         aux=entry.aux)
+        fresh.entries, fresh.start_index, fresh.start_hash = old.after()
+        del fresh.entries[keep_upto + 1 - old.start_index:]
         self.log = fresh
         # Sends awaiting acks on the abandoned branch are forgotten.
         self._await_ack.clear()

@@ -23,9 +23,11 @@ entry").
 """
 
 from repro.crypto.hashing import content_digest
+from repro.model import Msg, Tup
 from repro.snp.commitment import (
     ack_entry_content, reaches, snd_entry_content,
 )
+from repro.snp.evidence import Authenticator
 from repro.snp.log import INS, DEL, SND, RCV, ACK, CHK
 from repro.snp.replay import (
     check_against_authenticator, extend_replay, replay_segment,
@@ -66,15 +68,15 @@ def verify_auth(public_key, auth, stats, verified):
 
 
 def check_parsed_forms(response, seed_bytes):
-    """Every entry's *parsed* form must re-derive its committed content.
+    """Every entry must hold the parsed form replay reads.
 
-    Replay reads ``entry.aux`` (the parsed tuple, message, ack, and the
-    snapshot it restarts from); the hash chain commits to
-    ``entry.content``; whoever serves a segment — origin, replica, pusher
-    — chooses both. Unchecked, a lying replica could swap the tuple an
-    honest, merely crashed node logged for another one, leave content,
-    hashes and the signed head byte-identical, and have replay convict
-    the honest node red.
+    The chain hashes each content, whose objects replay reads, but the
+    bytes cannot tell a ``Tup`` from its canonical tuple: a replica that
+    swapped them would crash replay and convict an honest, crashed node.
+    So an ``ins``/``del`` content is a ``Tup``; a ``snd``/``rcv`` one
+    holds a ``Msg`` of a ``Tup``, then its dst or src; a ``rcv`` has 8
+    fields, ``int`` indexes and a ``bytes`` signature (all the build step
+    uses unchecked). An ``ack``'s wire ack must re-derive its content.
 
     A ``chk`` entry is read only as the seed of a full replay: then
     *seed_bytes* are the canonical bytes the fetch took of the seed's
@@ -83,33 +85,39 @@ def check_parsed_forms(response, seed_bytes):
     ``chk`` that seeds nothing is not read, so it is not checked; a trim
     that makes it a seed makes it checked."""
     for entry in response.entries:
-        kind, aux, content = entry.entry_type, entry.aux, entry.content
-        try:
-            if kind in (INS, DEL):
-                agrees = aux["tup"].canonical() == content
-            elif kind == SND:
-                agrees = snd_entry_content(aux["msg"]) == content
-            elif kind == RCV:
-                msg, auth = aux["msg"], aux["batch_auth"]
-                agrees = (msg.canonical(), msg.src) == content[:2] \
-                    and auth.node == msg.src \
-                    and (auth.index, auth.timestamp, auth.entry_hash,
-                         auth.signature) == content[4:]
-            elif kind == ACK:
-                agrees = ack_entry_content(aux["wire_ack"]) == content
-            elif kind == CHK and seed_bytes is not None \
-                    and entry is response.seed:
-                agrees = ("checkpoint", content_digest(seed_bytes)) == content
-            else:
-                continue
-        except (KeyError, AttributeError, TypeError):
-            agrees = False  # the parsed form is missing or misshapen
+        kind, content = entry.entry_type, entry.content
+        if kind in (INS, DEL):
+            agrees = isinstance(content, Tup)
+        elif kind in (SND, RCV):
+            arity, peer = (2, "dst") if kind == SND else (8, "src")
+            agrees = type(content) is tuple and len(content) == arity \
+                and isinstance(content[0], Msg) \
+                and isinstance(content[0].tup, Tup) \
+                and content[1] == getattr(content[0], peer) \
+                and (kind == SND or type(content[3]) is int
+                     and type(content[4]) is int
+                     and type(content[7]) is bytes)
+        elif kind == ACK:
+            try:
+                agrees = ack_entry_content(entry.aux["wire_ack"]) == content
+            except (KeyError, AttributeError, TypeError):
+                agrees = False  # the parsed form is missing or misshapen
+        elif kind == CHK and seed_bytes is not None \
+                and entry is response.seed:
+            agrees = ("checkpoint", content_digest(seed_bytes)) == content
+        else:
+            continue
         if not agrees:
             raise LogVerificationError(
                 response.node,
                 f"{kind} entry {entry.index}'s parsed form does not "
                 "re-derive its committed content",
             )
+
+
+def _rcv_authenticator(content):
+    """A ``rcv`` content's batch authenticator, its message's sender's."""
+    return Authenticator(content[0].src, *content[4:])
 
 
 def embedded_authenticators(response):
@@ -119,7 +127,7 @@ def embedded_authenticators(response):
     established that both are there)."""
     for entry in response.entries:
         if entry.entry_type == RCV:
-            auth = entry.aux["batch_auth"]
+            auth = _rcv_authenticator(entry.content)
             yield auth.node, auth
         elif entry.entry_type == ACK:
             wire_ack = entry.aux["wire_ack"]
@@ -141,9 +149,9 @@ def check_receipts(response):
         h_start, start_index, index = entry.content[2:5]
         if start_index != index:
             continue  # the batch's gap metadata is not in the entry
-        msg, auth = entry.aux["msg"], entry.aux["batch_auth"]
+        auth = _rcv_authenticator(entry.content)
         sent = (index, auth.timestamp, SND,
-                content_digest(snd_entry_content(msg)))
+                content_digest(snd_entry_content(entry.content[0])))
         if not reaches(h_start, start_index, [sent], auth):
             raise LogVerificationError(
                 response.node,
@@ -160,10 +168,10 @@ def _verify_response(job, deployment, stats, verified):
        log but got a direct response starting *above* the node's signed
        retention floor proves the node truncated below what it
        advertised.
-    2. The fresh head authenticator must be validly signed and match the
-       recomputed hash chain.
-    3. Every entry's parsed form — what replay will read — must
-       re-derive the content the chain commits to
+    2. The fresh head authenticator must be validly signed and cover the
+       segment's last entry on the recomputed hash chain, which hashes
+       the very tuples and messages replay reads.
+    3. Every entry must hold them in the parsed form replay reads
        (:func:`check_parsed_forms`). A checkpoint-anchored segment starts
        at its ``chk`` entry, so the chain check (2) re-hashes the
        checkpoint's content like any other entry's, and the snapshot a

@@ -93,14 +93,14 @@ class WireAck(WireValue):
 
 def snd_entry_content(msg):
     """Committed content of a snd entry: ``(t_k, snd, (m, j))``."""
-    return (msg.canonical(), msg.dst)
+    return (msg, msg.dst)
 
 
 def rcv_entry_content(msg, batch):
     """Committed content of a rcv entry: ``(m, i, a, b, c)`` — the message,
     the sender, and the batch authenticator binding it to the sender's log."""
     return (
-        msg.canonical(), msg.src,
+        msg, msg.src,
         batch.h_start, batch.start_index,
         batch.auth.index, batch.auth.timestamp, batch.auth.entry_hash,
         batch.auth.signature,

@@ -83,13 +83,9 @@ class EvidenceDirectory:
     :class:`Deployment` and the monitor daemon's store of pushed data
     (:class:`~repro.service.monitor.MonitorState`) both inherit it."""
 
-    def collect_authenticators_about(self, target):
-        """Ask every node for authenticators signed by *target* — the
-        querier side of the consistency check (Section 5.5)."""
-        return self.collect_authenticators_about_since(target, None)[0]
-
     def collect_authenticators_about_since(self, target, cursor):
-        """Cursored consistency-check collection.
+        """Ask every node for authenticators signed by *target* — the
+        querier side of the consistency check (Section 5.5), cursored.
 
         *cursor* maps peer id → how many of that peer's received
         authenticators about *target* were already scanned; only the

@@ -24,11 +24,12 @@ are all one :class:`LogStretch` — entries plus the one hash they are
 anchored on — with one :meth:`~LogStretch.hash_at` and one
 :meth:`~LogStretch.trim`.
 
-Entries separate *content* (committed, hashed) from *aux* (derived
-convenience objects such as the parsed :class:`~repro.model.Msg`, kept so
-the simulation does not re-parse byte strings). Everything in aux
-re-derives its content: a parsed form encodes to it, and a ``chk``
-entry's snapshot hashes to the digest its content commits to.
+An entry has one form: its content holds the objects replay reads (an
+``ins``/``del`` entry's :class:`~repro.model.Tup`, a ``snd``/``rcv``
+entry's :class:`~repro.model.Msg`), hashed as their canonical form. Only
+a content that commits by reference keeps what it names in *aux*: an
+``ack`` entry's wire ack (its content holds the acked messages' ids) and
+a ``chk`` entry's snapshot (its content holds the snapshot's digest).
 """
 
 from repro.crypto.hashing import GENESIS_HASH, chain_hash, content_digest
@@ -53,8 +54,16 @@ def encode_contents(entries):
     """Each entry's content in canonical bytes, in entry order — what a
     querier charges and hashes for a segment it received, encoded once.
     ``len(encoded) + ENTRY_HEADER_BYTES`` is the entry's
-    :meth:`~LogEntry.size_bytes`."""
-    return [canonical_bytes(entry.content) for entry in entries]
+    :meth:`~LogEntry.size_bytes`. A content that does not encode gets
+    ``None`` — never ``b""``, which a raw ``b""`` content hashes to — so
+    the chain check finds it does not match its digest."""
+    encoded = []
+    for entry in entries:
+        try:
+            encoded.append(canonical_bytes(entry.content))
+        except (TypeError, ValueError, AttributeError, RecursionError):
+            encoded.append(None)
+    return encoded
 
 
 def encode_snapshot(chk):

@@ -547,7 +547,8 @@ class MicroQuerier:
         encoded = encode_contents(response.entries)
         stats = self.stats
         stats.logs_fetched += 1
-        stats.log_bytes += (sum(map(len, encoded))
+        # A content that does not encode (None) is charged its header.
+        stats.log_bytes += (sum(map(len, filter(None, encoded)))
                             + ENTRY_HEADER_BYTES * len(encoded))
         stats.authenticator_bytes += AUTHENTICATOR_BYTES
         return encoded

@@ -17,7 +17,9 @@ neighborhood at a time (Section 7.3).
 """
 
 from repro.provgraph.graph import ProvenanceGraph, _clone_vertex
-from repro.provgraph.vertices import APPEAR, DISAPPEAR, EXIST, BELIEVE
+from repro.provgraph.vertices import (
+    APPEAR, DISAPPEAR, EXIST, BELIEVE, Vertex,
+)
 from repro.snp.microquery import MicroQuerier, OK
 from repro.util.errors import QueryError
 
@@ -84,13 +86,6 @@ class QueryResult:
 
     def vertices(self):
         return self.graph.vertices()
-
-    def base_causes(self):
-        """The root causes: insert/delete vertices in the explored graph."""
-        return [
-            v for v in self.graph.vertices()
-            if v.vtype in ("insert", "delete")
-        ]
 
     # ------------------------------------------------------------ display
 
@@ -222,7 +217,8 @@ class QueryProcessor:
         *before*)?"""
         node = tup.loc if node is None else node
         stats_before = self.mq.stats.copy()
-        root = self._find_change_vertex(node, tup, APPEAR, before)
+        root = self._find_change_vertex(node, tup, APPEAR, before) \
+            or self._below_coverage(node, APPEAR, tup)
         if root is None:
             raise QueryError(f"no appearance of {tup!r} on {node!r}")
         return self._explore(root, "backward", scope, stats_before)
@@ -231,7 +227,8 @@ class QueryProcessor:
         """Dynamic query: why did τ disappear?"""
         node = tup.loc if node is None else node
         stats_before = self.mq.stats.copy()
-        root = self._find_change_vertex(node, tup, DISAPPEAR, before)
+        root = self._find_change_vertex(node, tup, DISAPPEAR, before) \
+            or self._below_coverage(node, DISAPPEAR, tup)
         if root is None:
             raise QueryError(f"no disappearance of {tup!r} on {node!r}")
         return self._explore(root, "backward", scope, stats_before)
@@ -256,6 +253,8 @@ class QueryProcessor:
             if change is not None:
                 roots.append(change)
         if not roots:
+            roots.append(self._below_coverage(node, EXIST, tup))
+        if roots[0] is None:
             raise QueryError(f"{tup!r} was never on {node!r}")
         return self._explore(roots[0], "forward", scope, stats_before,
                              extra_roots=roots[1:])
@@ -308,6 +307,20 @@ class QueryProcessor:
         if not candidates:
             return None
         return max(candidates, key=lambda v: v.t)
+
+    def _below_coverage(self, node, vtype, tup):
+        """The root for a question about *tup* on *node* that the node's
+        view has no vertex for, when the view's coverage starts at a
+        checkpoint: the answer may lie in the log prefix below it, which
+        was never replayed, so the root is a *vtype* stub dated before
+        the checkpoint, and :meth:`MicroQuerier.resolve` colours it
+        yellow. ``None`` for a view of the whole log: there, absence is
+        proof, and the caller raises."""
+        view = self.mq.view_of(node)
+        if view.status != OK or view.base_index == 0:
+            return None
+        return Vertex(vtype, node, tup=tup, t=float("-inf"),
+                      t_end=view.base_time if vtype == EXIST else None)
 
     def _find_change_vertex(self, node, tup, vtype, before):
         view = self.mq.view_of(node)

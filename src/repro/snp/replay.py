@@ -47,13 +47,13 @@ def log_entries_to_history(node_id, entries):
     for entry in entries:
         t = entry.timestamp
         if entry.entry_type == INS:
-            events.append(Event(t, node_id, "ins", entry.aux["tup"]))
+            events.append(Event(t, node_id, "ins", entry.content))
         elif entry.entry_type == DEL:
-            events.append(Event(t, node_id, "del", entry.aux["tup"]))
+            events.append(Event(t, node_id, "del", entry.content))
         elif entry.entry_type == SND:
-            events.append(Event(t, node_id, "snd", entry.aux["msg"]))
+            events.append(Event(t, node_id, "snd", entry.content[0]))
         elif entry.entry_type == RCV:
-            msg = entry.aux["msg"]
+            msg = entry.content[0]
             events.append(Event(t, node_id, "rcv", msg))
             implied_ack = Ack(node_id, msg.src, [msg], t)
             events.append(Event(t, node_id, "snd", implied_ack))
@@ -78,8 +78,9 @@ def verify_segment_hashes(response, encoded):
     :func:`~repro.snp.log.encode_contents` of the entries, taken by the
     querier when the segment arrived: the digest hashes those bytes, so
     the content is not encoded a second time. (``content_digest`` hashes
-    a ``bytes`` content raw, not its encoding; so does this.) Returns the
-    list of chain hashes aligned with the entries. Raises
+    a ``bytes`` content raw, not its encoding; so does this. A content
+    that does not encode, ``None`` in *encoded*, matches no digest.)
+    Returns the list of chain hashes aligned with the entries. Raises
     LogVerificationError if anything fails to recompute, which means the
     node altered entry contents after committing to them, or if an
     anchor, timestamp or type is not of the form a chain step takes.
@@ -92,9 +93,10 @@ def verify_segment_hashes(response, encoded):
     current = response.start_hash
     for entry, data in zip(response.entries, encoded):
         content = entry.content
-        digest = content_digest(content if isinstance(content, bytes)
-                                else data)
-        if digest != entry.content_hash:
+        if isinstance(content, bytes):
+            data = content
+        digest = None if data is None else content_digest(data)
+        if digest is None or digest != entry.content_hash:
             raise LogVerificationError(
                 response.node,
                 f"entry {entry.index} content does not match its digest",
@@ -118,44 +120,31 @@ def verify_segment_hashes(response, encoded):
 
 
 def check_against_authenticator(response, hashes, auth):
-    """Check that authenticator *auth* lies on this segment's chain.
+    """Check that *auth*, the segment's head authenticator, covers its
+    last entry: signs that entry's index and its recomputed hash
+    (*hashes*, from :func:`verify_segment_hashes`). An empty segment's
+    last entry is its anchor, ``start_index - 1`` on ``start_hash``.
 
-    The authenticator's (index, hash) must match the segment. Raises
-    LogVerificationError on mismatch — that is *proof* the node forked or
-    rewrote its log, because both the authenticator and the returned
-    segment are signed/committed by the same node.
-
-    A partial segment (checkpoint- or delta-anchored) still pins one hash
-    *before* its first entry: ``response.start_hash`` is ``h_{start-1}``,
-    so an authenticator for entry ``start-1`` is checkable too; one
-    strictly before that cannot be compared against the segment. The
-    querier checks a response's own head authenticator with this; the
-    evidence it holds about a node is compared with the node's verified
-    chain by :func:`repro.snp.build.settle`.
+    Raises LogVerificationError otherwise. A hash mismatch is *proof*
+    the node forked or rewrote its log, since both the authenticator and
+    the segment are committed by the same node. A head that signs
+    another entry binds nothing past it: entries beyond an earlier head
+    could be anyone's. The querier checks a response's own head
+    authenticator with this; the evidence it holds about a node is
+    compared with the node's verified chain by
+    :func:`repro.snp.build.settle`.
     """
-    index = auth.index
-    first = response.start_index
     last = response.head_index
-    if index == first - 1:
-        if auth.entry_hash != response.start_hash:
-            raise LogVerificationError(
-                response.node,
-                f"authenticator for entry {index} does not match the hash "
-                "anchoring the returned segment (equivocation or tampering)",
-            )
-        return
-    if index < first - 1:
-        return  # authenticator predates the segment; nothing to compare
-    if index > last:
+    if auth.index != last:
         raise LogVerificationError(
             response.node,
-            f"returned log ends at {last} but evidence covers {index}",
+            f"returned log ends at {last} but its head authenticator "
+            f"covers {auth.index}",
         )
-    found = hashes[index - first]
-    if found != auth.entry_hash:
+    if auth.entry_hash != (hashes[-1] if hashes else response.start_hash):
         raise LogVerificationError(
             response.node,
-            f"authenticator for entry {index} does not match the log "
+            f"authenticator for entry {last} does not match the log "
             "(equivocation or tampering)",
         )
 

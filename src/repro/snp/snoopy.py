@@ -183,13 +183,13 @@ class SNooPyNode:
     def insert(self, tup):
         """Insert a base tuple (an ``ins`` input to the state machine)."""
         t = self._next_time()
-        self.log.append(t, INS, tup.canonical(), aux={"tup": tup})
+        self.log.append(t, INS, tup)
         self._process_outputs(self.app.handle_insert(tup, t), t)
 
     def delete(self, tup):
         """Delete a base tuple."""
         t = self._next_time()
-        self.log.append(t, DEL, tup.canonical(), aux={"tup": tup})
+        self.log.append(t, DEL, tup)
         self._process_outputs(self.app.handle_delete(tup, t), t)
 
     # ------------------------------------------------------------ sending
@@ -203,10 +203,8 @@ class SNooPyNode:
         """Log the snd entry immediately (the log's ordering invariant:
         outputs are committed before the next input), then transmit now or
         at the next batch flush."""
-        entry = self.log.append(
-            self._next_time(), SND, snd_entry_content(msg),
-            aux={"msg": msg}
-        )
+        entry = self.log.append(self._next_time(), SND,
+                                snd_entry_content(msg))
         self._outbox.setdefault(msg.dst, []).append((msg, entry))
         t_batch = self.deployment.t_batch
         if t_batch <= 0:
@@ -273,10 +271,7 @@ class SNooPyNode:
         the batch is processed (GCA ordering invariant). Returns
         ``(msg, rcv entry)``."""
         t = self._next_time()
-        entry = self.log.append(
-            t, RCV, rcv_entry_content(msg, batch),
-            aux={"msg": msg, "batch_auth": batch.auth},
-        )
+        entry = self.log.append(t, RCV, rcv_entry_content(msg, batch))
         self.received_auths.setdefault(batch.src, []).append(batch.auth)
         self._process_outputs(self.app.handle_receive(msg, t), t)
         return msg, entry

@@ -138,7 +138,7 @@ class TestMisreception:
         assert len(batch.msgs) == 1
         [rejected] = dep.maintainer.rejected_wires
         assert (rejected["receiver"], rejected["sender"]) == (batch.dst, "b")
-        assert not any(e.aux["batch_auth"] is batch.auth
+        assert not any(e.content[7] == batch.auth.signature
                        for e in dep.nodes[batch.dst].log.entries
                        if e.entry_type == RCV)
         assert QueryProcessor(dep).mq.view_of(batch.dst).status == "ok"
@@ -169,7 +169,7 @@ class TestMisreception:
         [rejected] = dep.maintainer.rejected_wires
         assert (rejected["receiver"], rejected["sender"]) == (batch.dst, "a")
         receiver = dep.nodes[batch.dst]
-        assert not any(e.aux["batch_auth"] is batch.auth
+        assert not any(e.content[7] == batch.auth.signature
                        for e in receiver.log.entries if e.entry_type == RCV)
         assert QueryProcessor(dep).mq.view_of(batch.dst).status == "ok"
         decoder = FrameDecoder()

@@ -37,7 +37,7 @@ from repro.service.framing import FrameDecoder, encode_frame
 from repro.service.monitor import MonitorState
 from repro.snp.evidence import sign_authenticator, sign_retention_floor
 from repro.snp.microquery import OK, PROVEN_FAULTY, UNREACHABLE, MicroQuerier
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, QueryError
 from repro.util.serialization import canonical_bytes
 
 from scenarios import app_deployments, fingerprint, forged_checkpoint, \
@@ -159,6 +159,31 @@ class TestHonestGc:
                 "absence below the GC floor must never be treated as "
                 f"proof: {vertex.describe()} resolved {color}"
             )
+
+    def test_a_change_below_every_checkpoint_is_yellow_not_an_error(self):
+        # b deletes its link to d, then every node checkpoints and the
+        # run goes on: an audit seeded from the checkpoints withholds
+        # judgment on the deletion (a yellow root), where a full audit
+        # decides it — and a full audit asked about a tuple b never had
+        # still refuses, since a whole log proves the absence
+        dep, nodes = paper_network(seed=414)
+        gone, never = link("b", "d", 3), link("b", "q", 1)
+        nodes["b"].delete(gone)
+        dep.run()
+        dep.checkpoint_all()
+        nodes["a"].insert(link("a", "z", 2))
+        dep.run()
+        full = QueryProcessor(dep)
+        assert full.why_disappear(gone).root.color == "black"
+        seeded = QueryProcessor(dep, use_checkpoints=True)
+        for ask in (seeded.why_appear, seeded.why_disappear, seeded.effects):
+            result = ask(gone)
+            assert (result.root.color, result.verdict()) == ("yellow",) * 2
+            assert result.root.t < seeded.mq.view_of("b").base_time
+        assert seeded.effects(never).root.color == "yellow"
+        for ask in (full.why_appear, full.why_disappear, full.effects):
+            with pytest.raises(QueryError):
+                ask(never)
 
     def test_enable_gc_cadence_bounds_logs(self):
         dep, nodes = paper_network(seed=413)

@@ -345,18 +345,31 @@ class TestEvidenceBoundary:
             response, encode_contents(response.entries))
 
     def test_anchor_authenticator_is_checked_not_skipped(self):
+        # an empty delta's last entry is its anchor: a head for it is
+        # checked against the anchor hash; over entries, an anchor head
+        # signs none of them, so it is refused
         dep, nodes = paper_network(21)
         node = nodes["b"]
-        response, hashes = self._segment(node, since=5)
-        entry = node.log.entry(5)
+        head = len(node.log)
         from repro.snp.evidence import sign_authenticator
-        good = sign_authenticator(node.identity, 5, entry.timestamp,
-                                  entry.entry_hash)
-        check_against_authenticator(response, hashes, good)
-        bad = sign_authenticator(node.identity, 5, entry.timestamp,
-                                 b"\x00" * 32)
-        with pytest.raises(LogVerificationError):
-            check_against_authenticator(response, hashes, bad)
+        for since in (head, 5):
+            response, hashes = self._segment(node, since=since)
+            entry = node.log.entry(since)
+            good = sign_authenticator(node.identity, since, entry.timestamp,
+                                      entry.entry_hash)
+            bad = sign_authenticator(node.identity, since, entry.timestamp,
+                                     b"\x00" * 32)
+            if since == head:
+                assert response.entries == []
+                check_against_authenticator(response, hashes, good)
+                with pytest.raises(LogVerificationError,
+                                   match="does not match the log"):
+                    check_against_authenticator(response, hashes, bad)
+            else:
+                with pytest.raises(LogVerificationError,
+                                   match=f"ends at {head} but its head "
+                                         "authenticator covers 5"):
+                    check_against_authenticator(response, hashes, good)
 
     def test_pre_anchor_evidence_is_owed_and_counted_once(self):
         dep, nodes = paper_network(21)
@@ -467,7 +480,9 @@ class TestConsistencyCursor:
     def test_deployment_cursor_round_trip(self):
         dep, nodes = paper_network(seed=96)
         first, cursor = dep.collect_authenticators_about_since("b", None)
-        assert first == dep.collect_authenticators_about("b")
+        assert first and first == [
+            auth for node in dep.nodes.values() if node.node_id != "b"
+            for auth in node.authenticators_about("b")]
         again, cursor2 = dep.collect_authenticators_about_since("b", cursor)
         assert again == []
         assert cursor2 == cursor
@@ -477,7 +492,7 @@ class TestConsistencyCursor:
         dep.run()
         fresh, cursor3 = dep.collect_authenticators_about_since("b", cursor)
         assert fresh
-        everything = dep.collect_authenticators_about("b")
+        everything, _ = dep.collect_authenticators_about_since("b", None)
         assert len(first) + len(fresh) == len(everything)
         sig = lambda auths: {bytes(a.signature) for a in auths}  # noqa: E731
         assert sig(first) | sig(fresh) == sig(everything)

@@ -156,15 +156,13 @@ class TestReplicationCannotFrame:
         assert "bad mirror" in view.verdict_reason
 
     def test_lying_replica_cannot_convict_a_crashed_node(self):
-        """Replay reads an entry's *parsed* form, the hash chain commits
-        to its *content*, and whoever serves a segment chooses both. The
-        replicas of an honest, merely crashed ``b`` swap the tuple its
-        first insert logged for a costlier one — committed content,
-        content hashes, chain hashes and ``b``'s signed head stay
-        byte-identical. Unchecked, replay diverges from ``b``'s logged
-        sends and convicts ``b`` red (22 red vertices); the build step
-        now holds every parsed form to its commitment, so this is a bad
-        mirror and ``b`` stays what it is: unreachable, yellow."""
+        """The replicas of an honest, merely crashed ``b`` swap the
+        tuple its first insert logged for a costlier one, keeping the
+        content hash, chain hashes and ``b``'s signed head. Believed,
+        replay would diverge from ``b``'s logged sends and convict ``b``
+        red (22 red vertices). The chain check hashes the very tuple
+        replay reads, so the swap is a digest mismatch: a bad mirror,
+        and ``b`` stays what it is — unreachable, yellow."""
         dep, _nodes = _silent_b_network(seed=300)
         # each replica holds its own copy of b's log
         mirrors = {id(m): m for m in (node.mirror_of("b")
@@ -174,18 +172,18 @@ class TestReplicationCannotFrame:
             at = next(i for i, e in enumerate(mirror.entries)
                       if e.entry_type == INS)
             e = mirror.entries[at]
-            tup = e.aux["tup"]
+            tup = e.content
             lie = Tup(tup.relation, tup.loc, *tup.args[:-1],
                       tup.args[-1] + 1)
             mirror.entries = list(mirror.entries)
             mirror.entries[at] = LogEntry(
-                e.index, e.timestamp, e.entry_type, e.content,
-                e.content_hash, e.entry_hash, aux={"tup": lie})
+                e.index, e.timestamp, e.entry_type, lie, e.content_hash,
+                e.entry_hash)
         qp = QueryProcessor(dep)
         view = qp.mq.view_of("b")
         assert view.status == "unreachable"
         assert view.verdict_reason.startswith("bad mirror: ")
-        assert "parsed form does not re-derive its committed content" \
+        assert f"entry {e.index} content does not match its digest" \
             in view.verdict_reason
         result = qp.why(cost("a", "c", "b", 8))
         assert result.verdict() == "yellow"

@@ -449,6 +449,45 @@ class TestHostileFrames:
         assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
         pusher.close()
 
+    def test_a_content_that_does_not_encode_is_a_digest_mismatch(
+            self, monitor, clients):
+        """A pushed entry whose content holds a value with no canonical
+        encoding (an authenticator) is well framed, so it is acked and
+        stored — but no chain check hashes it: ``a``'s log does not
+        match its digest: an audit rooted at ``a`` says so and one
+        elsewhere answers as before, after more honest pushes too,
+        instead of failing on the encoding."""
+        dep, pusher, client, elsewhere, before = self._audited(
+            monitor, clients)
+        spec = tup_spec(link("a", "b", 6), fresh=True)
+        assert client.query(spec)["result"]["verdict"] == "green"
+        a = dep.nodes["a"]
+        a.insert(link("a", "e", 50))
+        dep.run()
+        response = a.retrieve(
+            since_index=monitor.daemon.state.stored_heads()["a"])
+        entry = response.entries[-1]
+        response.entries[-1] = LogEntry(
+            entry.index, entry.timestamp, entry.entry_type,
+            (entry.content, response.head_auth), entry.content_hash,
+            entry.entry_hash)
+        reply = pusher._exchange({"type": "push", "seq": 10_000,
+                                  "nodes": {"a": {"response": response}}})
+        assert reply["type"] == "push-ack"
+        assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
+        for _push in range(2):
+            answer = client.query(spec)
+            assert not answer["ok"] and answer["error"] == (
+                "cannot query 'a': proven-faulty (log of node 'a' failed "
+                f"verification: entry {entry.index} content does not match "
+                "its digest)")
+            answer = client.query(elsewhere)
+            assert answer["ok"] and answer["result"] == before["result"]
+            a.insert(link("a", "e", 51))
+            dep.run()
+            assert not pusher.push_once()["shed"]
+        pusher.close()
+
     @pytest.mark.parametrize("payload", [[1, 2], {"seq": 1}],
                              ids=["a-list", "no-type"])
     def test_a_frame_that_is_no_typed_message_is_answered(

@@ -264,8 +264,7 @@ class TestExtantRootLookup:
         dep, nodes = paper_network()
         b = nodes["b"]
         bomb = link("b", "q", "not-a-number")
-        b.log.append(b._next_time(), INS, bomb.canonical(),
-                     aux={"tup": bomb})
+        b.log.append(b._next_time(), INS, bomb)
         qp = QueryProcessor(dep)
         view = qp.mq.view_of("b")
         assert view.status == "proven-faulty" and not view.replay.ok

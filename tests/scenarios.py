@@ -53,7 +53,8 @@ from repro.snp.commitment import (
     WireAck, WireBatch, ack_entry_content, rcv_entry_content,
 )
 from repro.snp.evidence import Authenticator, sign_authenticator
-from repro.snp.log import ACK, CHK, INS, RCV, LogEntry
+from repro.snp import log as snp_log
+from repro.snp.log import ACK, CHK, INS, RCV, SND, LogEntry
 from repro.snp.snoopy import RetrieveResponse, SNooPyNode
 from repro.workloads import RouteViewsTrace, ZipfCorpus, tiered_as_topology
 
@@ -471,7 +472,7 @@ def rewrite_first_insert(_dep, nodes):
     accepts."""
     b = nodes["b"]
     entry = next(e for e in b.log.entries if e.entry_type == INS)
-    tup = entry.aux["tup"]
+    tup = entry.content
     b.tamper_entry(entry.index, Tup(tup.relation, tup.loc, *tup.args[:-1],
                                     tup.args[-1] + 1),
                    recompute_chain=True)
@@ -536,13 +537,62 @@ def _crash_after_mirroring(dep, nodes):
     nodes["b"].refuse_retrieve = True
 
 
+def _past_the_head(stretch):
+    """*stretch* (a copy or a served segment of b's log) gains one
+    ``snd`` of ``+cost(@c,d,b,1)`` past its head, chained on, under the
+    head authenticator it had."""
+    head = stretch.head_index
+    t = stretch.entries[-1].timestamp + 1.0
+    msg = Msg("+", cost("c", "d", "b", 1), "b", "c", 999, t)
+    stretch.entries.append(snp_log.link(stretch.hash_at(head), LogEntry(
+        head + 1, t, SND, (msg, "c"), None, None)))
+
+
+def _for_its_bytes(kind):
+    """Swap the first *kind* entry's tuple — an ``ins`` entry's, or the
+    message's of a ``snd`` — for its canonical tuple, which encodes to
+    the same bytes: every digest, hash and signature stays b's."""
+    def doctor(copy):
+        at, entry = next((at, e) for at, e in enumerate(copy.entries)
+                         if e.entry_type == kind)
+        if kind == INS:
+            content = entry.content.canonical()
+        else:
+            msg, dst = entry.content
+            content = (Msg(msg.polarity, msg.tup.canonical(), msg.src,
+                           msg.dst, msg.seq, msg.t_sent), dst)
+        copy.entries[at] = LogEntry(entry.index, entry.timestamp, kind,
+                                    content, entry.content_hash,
+                                    entry.entry_hash)
+    return doctor
+
+
+def _crash_behind_lying_mirrors(doctor):
+    """b's replicas mirror its log, then each *doctor*s its copy — a
+    fresh entry list, b's own log untouched — and b crashes."""
+    def setup(dep, nodes):
+        _crash_after_mirroring(dep, nodes)
+        for node in dep.nodes.values():
+            if node.mirror_of("b") is not None:
+                doctor(node.mirror_of("b"))
+    return setup
+
+
+class _PastItsHeadNode(SNooPyNode):
+    """Serves one entry more than its head authenticator signs."""
+
+    def retrieve(self, from_checkpoint=False, since_index=None):
+        response = super().retrieve(from_checkpoint, since_index)
+        _past_the_head(response)
+        return response
+
+
 def _log_rcv(b, auth, seq=999, h_start=b"\xcd" * 32, t=None):
     """b logs, at its head, a message from ``auth.node`` under *auth*."""
     t = b._next_time() if t is None else t
     msg = Msg("+", cost("b", "d", auth.node, 1), auth.node, "b", seq, t)
     batch = WireBatch(auth.node, "b", [], [], auth.index, h_start, auth)
-    b.log.append(t, RCV, rcv_entry_content(msg, batch),
-                 aux={"msg": msg, "batch_auth": auth})
+    b.log.append(t, RCV, rcv_entry_content(msg, batch))
 
 
 def _rcv_under_a_bogus_authenticator(signer, index):
@@ -564,7 +614,8 @@ def _misreceive(anchor=None):
     def setup(_dep, nodes):
         b = nodes["b"]
         genuine = next(e for e in b.log.entries if e.entry_type == RCV)
-        msg, auth = genuine.aux["msg"], genuine.aux["batch_auth"]
+        msg = genuine.content[0]
+        auth = Authenticator(msg.src, *genuine.content[4:])
         h_start, start_index = genuine.content[2:4]
         if anchor is None:
             tup = msg.tup
@@ -576,8 +627,7 @@ def _misreceive(anchor=None):
         else:
             h_start = h_start[:31]
         batch = WireBatch(msg.src, "b", [], [], start_index, h_start, auth)
-        b.log.append(b._next_time(), RCV, rcv_entry_content(msg, batch),
-                     aux={"msg": msg, "batch_auth": auth})
+        b.log.append(b._next_time(), RCV, rcv_entry_content(msg, batch))
     return setup
 
 
@@ -607,6 +657,25 @@ def _reuse_a_verified_signature(doctor):
         }[doctor]
         _log_rcv(b, Authenticator("a", index, timestamp, entry_hash,
                                   genuine.signature), 999, h_start="cd" * 32)
+    return setup
+
+
+def _mistype_a_rcv_field(field):
+    """check: the field types of ``check_parsed_forms``' ``rcv`` branch —
+    b logs a genuine authenticator of a's with its index a float or its
+    signature in hex, which the settling and signature checks would
+    otherwise take as they are."""
+    def setup(dep, nodes):
+        a_head = nodes["a"].log.entry(len(nodes["a"].log))
+        genuine = sign_authenticator(dep.identity_of("a"), a_head.index, 5.0,
+                                     a_head.entry_hash)
+        index, signature = genuine.index, genuine.signature
+        if field == "index":
+            index = float(index)
+        else:
+            signature = signature.hex()
+        _log_rcv(nodes["b"], Authenticator("a", index, 5.0,
+                                           a_head.entry_hash, signature))
     return setup
 
 
@@ -644,7 +713,7 @@ def _log_a_crashing_insert(_dep, nodes):
     """check: the REPLAY_FAILED verdict."""
     b = nodes["b"]
     bomb = link("b", "q", "not-a-number")
-    b.log.append(b._next_time(), INS, bomb.canonical(), aux={"tup": bomb})
+    b.log.append(b._next_time(), INS, bomb)
 
 
 def _doctor_cs_mirrored_checkpoint(dep, nodes):
@@ -699,10 +768,9 @@ _BAD_SIGNATURE = "authenticator from 'a' has an invalid signature"
 _RECEIPT = "rcv entry 69 logs a message 'a' did not sign"
 _MISRECEIVED = "rcv entry 1 logs a message 'b' did not sign"
 _DIGEST = "entry 1 content does not match its digest"
+_PAST_HEAD = "returned log ends at 69 but its head authenticator covers 68"
 _CHK_SEED = ("chk entry 69's parsed form does not re-derive its committed "
              "content")
-_BELOW = ("a seeded audit asked about a change below every checkpoint "
-          "raises QueryError instead of withholding judgment")
 
 
 def _convicts_b(setup, reason, **qp_kwargs):
@@ -733,7 +801,7 @@ CORPUS = {
                 setup=_fabricate("-", cost("c", "d", "b", 5)),
                 query=lambda qp: qp.why_disappear(cost("c", "d", "b", 5),
                                                   node="c")),
-        adversaries="b", faulty="b", holes={"checkpoint-seeded": _BELOW}),
+        adversaries="b", faulty="b"),
     "misexecuting": Row(
         mincost(seed=99, overrides={"b": MisexecutingNode},
                 setup=_misexecute,
@@ -748,7 +816,7 @@ CORPUS = {
         mincost(overrides={"b": SuppressorNode}, setup=_suppress,
                 query=lambda qp: qp.effects(cost("c", "d", "b", 5), node="b",
                                          scope=4)),
-        adversaries="b", faulty="b", holes={"checkpoint-seeded": _BELOW}),
+        adversaries="b", faulty="b"),
     # -- tampering and equivocation
     "tampering": Row(
         mincost(overrides={"b": TamperingNode}, setup=_tamper(False)),
@@ -813,6 +881,18 @@ CORPUS = {
         mincost(seed=300, overrides={"b": SilentNode},
                 setup=_crash_after_mirroring,
                 after_run=_crash_after_mirroring)),
+    # A replica's entries past the signed head, or a tuple swapped for
+    # its bytes-identical canonical tuple, cannot turn the origin red.
+    "mirror-runs-past-the-head": Row(
+        mincost(seed=300, overrides={"b": SilentNode},
+                setup=_crash_behind_lying_mirrors(_past_the_head)),
+        suspects="b", views={"b": (_MISSING, _bad_mirror("b", _PAST_HEAD))}),
+    **{f"mirror-swaps-{kind}-tuple-for-its-bytes": Row(
+        mincost(seed=300, overrides={"b": SilentNode},
+                setup=_crash_behind_lying_mirrors(_for_its_bytes(kind))),
+        suspects="b", views={"b": (_MISSING, _bad_mirror(
+            "b", f"{kind} entry {index}'s parsed form does not re-derive"))})
+       for kind, index in ((INS, 1), (SND, 3))},
     "checkpointed": Row(
         mincost(seed=83, setup=_checkpoint_then_run), use_checkpoints=True),
     # proven faulty, yet off the query's path: c's belief is seeded from
@@ -878,10 +958,17 @@ CORPUS = {
     "rcv-of-an-unsigned-message": _convicts_b(_misreceive(), _RECEIPT),
     "rcv-anchor-in-hex": _convicts_b(_misreceive("in hex"), _RECEIPT),
     "rcv-anchor-short": _convicts_b(_misreceive("short"), _RECEIPT),
+    "response-runs-past-the-head": Row(
+        mincost(overrides={"b": _PastItsHeadNode}), adversaries="b",
+        views={"b": (_FAULTY, _PAST_HEAD)}, faulty="b"),
     **{f"reused-signature-{doctor}": _convicts_b(
         _reuse_a_verified_signature(doctor), _BAD_SIGNATURE)
        for doctor in ("index", "hash", "timestamp", "int-timestamp",
                       "signer")},
+    **{f"rcv-{field}-mistyped": _convicts_b(
+        _mistype_a_rcv_field(field),
+        "rcv entry 69's parsed form does not re-derive")
+       for field in ("index", "signature")},
     "insert-crashes-the-machine": _convicts_b(
         _log_a_crashing_insert, "replay of node 'b' diverged: TypeError"),
     **{f"checkpoint-{lie}": _convicts_b(

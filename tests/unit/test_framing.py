@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.apps.mincost import build_paper_network, link
 from repro.datalog.store import DerivationInstance
-from repro.model import Ack, Tup
+from repro.model import Ack, Msg, Tup
 from repro.service import ServicePusher, framing
 from repro.service.framing import (
     FrameDecoder, FramingError, HEADER_BYTES, MAGIC, encode_frame,
@@ -310,7 +310,7 @@ def one_of_each():
     dep, _hello, push = widest_deployment()
     response = first_push()["nodes"]["a"]["response"]
     entries = {entry.entry_type: entry for entry in response.entries}
-    msg = entries["snd"].aux["msg"]
+    msg = entries["snd"].content[0]
     return [msg.tup, msg, Ack("b", "a", [msg], 1.5), response.head_auth,
             next(iter(dep.retention_floors.values())),
             DerivationInstance("R1", (msg.tup,)), entries["snd"], response,
@@ -371,18 +371,25 @@ class TestNoGlobalResolves:
     def test_a_pushed_entry_carries_the_aux_keys_of_its_log(self):
         """Entries cross as the origin's log stores them (a push holds
         the log's own entry objects): a decoded entry has exactly their
-        aux keys, and an ack entry keeps only the wire ack."""
+        aux keys. Only an entry whose content commits by reference has
+        any — an ack entry the wire ack, a checkpoint its snapshot; an
+        ``ins``/``snd``/``rcv`` entry's content holds its tuple or
+        message, and it carries no aux."""
         _dep, _hello, widest = widest_deployment()
         kinds = set()
+        by_reference = {"ack": {"wire_ack"}, "chk": {"snapshot"}}
         for push in (first_push(), widest):
             (back,) = decode_all(encode_frame(push))[1]
             for node, part in push["nodes"].items():
                 sent, got = part["response"], back["nodes"][node]["response"]
                 for old, new in zip(sent.entries, got.entries):
                     kinds.add(old.entry_type)
-                    assert set(new.aux) == set(old.aux)
-                    if old.entry_type == "ack":
-                        assert set(old.aux) == {"wire_ack"}
+                    assert set(new.aux) == set(old.aux) \
+                        == by_reference.get(old.entry_type, set())
+                    if old.entry_type == "ins":
+                        assert type(new.content) is Tup
+                    elif old.entry_type in ("snd", "rcv"):
+                        assert type(new.content[0]) is Msg
         assert kinds == {"ins", "snd", "rcv", "ack", "chk"}
 
 

@@ -66,7 +66,7 @@ class TestStorageReport:
         log = NodeLog("n")
         log.append(1.0, INS, ("x",))
         msg = _msg()
-        log.append(2.0, SND, (msg.canonical(), "b"), aux={"msg": msg})
+        log.append(2.0, SND, (msg, "b"))
         report = StorageReport.from_log(log, duration_seconds=60.0)
         assert report.entries == 2
         assert report.message_bytes > 0

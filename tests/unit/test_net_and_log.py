@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import content_digest
+from repro.crypto.hashing import chain_hash, content_digest
 from repro.crypto.keys import CertificateAuthority, NodeIdentity
 from repro.model import Msg, Tup, PLUS
 from repro.net.simulator import Simulator
@@ -10,9 +10,15 @@ from repro.snp.commitment import (
     WireBatch, build_ack, build_batch, rcv_entry_content, snd_entry_content,
     verify_ack, verify_batch,
 )
-from repro.snp.evidence import sign_authenticator, verify_authenticator
-from repro.snp.log import NodeLog, INS, SND, RCV, CHK
-from repro.util.errors import AuthenticationError
+from repro.snp.evidence import (
+    Authenticator, sign_authenticator, verify_authenticator,
+)
+from repro.snp.log import (
+    NodeLog, LogEntry, INS, SND, RCV, CHK, encode_contents,
+)
+from repro.snp.replay import verify_segment_hashes
+from repro.snp.snoopy import RetrieveResponse
+from repro.util.errors import AuthenticationError, LogVerificationError
 
 
 class TestSimulator:
@@ -106,6 +112,25 @@ class TestNodeLog:
         assert log.last_checkpoint_before(2) is entry
         assert entry.aux == {"snapshot": snapshot}
         assert entry.content == ("checkpoint", content_digest(snapshot))
+
+    def test_a_content_that_does_not_encode_matches_no_digest(self):
+        # an authenticator has no canonical form: its entry encodes to
+        # None — never to b"", a raw b"" content's digest input, nor to
+        # None's own encoding — and the chain check calls it a mismatch
+        log = NodeLog("n")
+        log.append(1.0, INS, Tup("r", "n", 1))
+        auth = Authenticator("n", 1, 1.0, bytes(32), b"sig")
+        for lie in (content_digest(b""), content_digest(None)):
+            entry = LogEntry(2, 2.0, INS, (Tup("r", "n", 2), auth), lie,
+                             chain_hash(log.head_hash(), 2.0, INS, lie))
+            response = RetrieveResponse("n", [*log.entries, entry], 1,
+                                        log.start_hash, None)
+            encoded = encode_contents(response.entries)
+            assert encoded[1] is None
+            with pytest.raises(LogVerificationError,
+                               match="entry 2 content does not match its "
+                                     "digest"):
+                verify_segment_hashes(response, encoded)
 
     def test_last_checkpoint_before_none(self):
         log = NodeLog("n")
@@ -273,9 +298,7 @@ class TestWireBatch:
             if rcv_entries:
                 recv_log.append(t_entry + 0.5, SND, ("output",))
             entry = recv_log.append(t_entry + 1.0, RCV,
-                                    rcv_entry_content(msg, batch),
-                                    aux={"msg": msg,
-                                         "batch_auth": batch.auth})
+                                    rcv_entry_content(msg, batch))
             rcv_entries.append((msg, entry))
         ack = build_ack(recv_log, b, batch, rcv_entries)
         return (a, send_log, batch), (b, recv_log, ack)
@@ -302,8 +325,7 @@ class TestWireBatch:
             if with_gap and i == 1:
                 log.append(1.0 + i, INS, ("gap", i))
             msg = Msg(PLUS, Tup("r", "b", i), "a", "b", i, 1.0 + i)
-            entry = log.append(1.0 + i, SND, snd_entry_content(msg),
-                               aux={"msg": msg})
+            entry = log.append(1.0 + i, SND, snd_entry_content(msg))
             queued.append((msg, entry))
         return queued
 
@@ -350,8 +372,7 @@ class TestWireBatch:
         lie = _other_tuple(msg)
         recv_log = NodeLog("b")
         entry = recv_log.append(t_entry + 1.0, RCV,
-                                rcv_entry_content(lie, batch),
-                                aux={"msg": lie, "batch_auth": batch.auth})
+                                rcv_entry_content(lie, batch))
         ack = build_ack(recv_log, b, batch, [(lie, entry)])
         with pytest.raises(AuthenticationError):
             verify_ack(ack, a, b.keypair.public_only(), batch, 2.0, 10.0)
@@ -359,8 +380,7 @@ class TestWireBatch:
     def test_spoofed_src_rejected(self):
         ident, verifier, log = self._setup()
         spoofed = Msg(PLUS, Tup("r", "b", 0), "mallory", "b", 0, 1.0)
-        entry = log.append(1.0, SND, snd_entry_content(spoofed),
-                           aux={"msg": spoofed})
+        entry = log.append(1.0, SND, snd_entry_content(spoofed))
         batch = build_batch(log, ident, "b", [(spoofed, entry)])
         with pytest.raises(AuthenticationError):
             verify_batch(batch, verifier, ident.keypair.public_only(),

@@ -146,7 +146,7 @@ def _honest():
     tup = Tup("link", "a", "b", 3)
     msg = Msg("+", tup, "a", "b", 0, 0.5)
     auth = Authenticator("a", 1, 1.0, H, b"sig")
-    entry = LogEntry(1, 0.0, "ins", tup.canonical(), H, H, {"tup": tup})
+    entry = LogEntry(1, 0.0, "ins", tup, H, H, {})
     return {
         "W.tup": tup, "W.msg": msg, "W.ack": Ack("b", "a", [msg], 1.5),
         "W.auth": auth, "W.floor": RetentionFloor("a", 1, 1.0, b"sig"),
