@@ -7,8 +7,9 @@ corresponding input to the node's deterministic state machine ``A_i`` and
 processes the resulting ``der``/``und``/``snd`` outputs.
 
 The code below is a line-by-line transcription of the pseudocode; each
-method names the figure function it implements. The four pieces of
-bookkeeping state match the pseudocode's variables:
+method names the figure function it implements, and where the pseudocode
+passes a vertex the code passes its graph id. The four pieces of
+bookkeeping state match the pseudocode's variables, and hold ids too:
 
 * ``pending``  — outputs ``A_i`` produced whose ``snd`` event has not been
   seen yet (a correct node sends them before its next input);
@@ -63,7 +64,11 @@ class Event:
 
 
 class GraphConstructor:
-    """Runs the GCA over a history, maintaining ``G`` incrementally."""
+    """Runs the GCA over a history, maintaining ``G`` incrementally.
+
+    It works on the graph's vertex ids (:meth:`ProvenanceGraph.add`): a
+    :class:`Vertex` is built once per new vertex and afterwards only
+    read for its timestamp or painted a colour."""
 
     def __init__(self, machine_factory, t_prop=1.0):
         """*machine_factory(node_id)* returns a fresh deterministic state
@@ -73,10 +78,10 @@ class GraphConstructor:
         self.machine_factory = machine_factory
         self.t_prop = t_prop
         self.machines = {}
-        self._pending = {}      # (node, msg_id) -> send Vertex
-        self._ackpend = {}      # node -> {msg_id: receive Vertex}
-        self._unacked = {}      # node -> {msg_id: send Vertex}
-        self._nopreds = set()   # send vertices with no predecessor
+        self._pending = {}      # (node, msg full key) -> send vertex id
+        self._ackpend = {}      # node -> {msg_id: receive vertex id}
+        self._unacked = {}      # node -> {msg_id: send vertex id}
+        self._nopreds = set()   # ids of send vertices with no predecessor
         # Messages the maintainer already knows went unacknowledged
         # (Section 5.4's notification rule): not red, just unresolved.
         self.known_alarm_msg_ids = frozenset()
@@ -120,135 +125,138 @@ class GraphConstructor:
             self.process(event)
         return self.graph
 
+    def _paint(self, v, color):
+        self.graph.vertex(v).color = color
+
     # ------------------------------------------- library functions (Fig 10)
 
     def appear_local_tuple(self, i, tup, vwhy, t):
         """Figure 10, lines 8–13."""
-        v1 = self.graph.add_vertex(Vertex(APPEAR, i, tup=tup, t=t))
-        open_exist = self.graph.open_interval(EXIST, i, tup)
-        if open_exist is None:
-            v2 = self.graph.add_vertex(
-                Vertex(EXIST, i, tup=tup, t=t, t_end=None)
-            )
-        else:
-            # Deviation: a re-insert while the tuple still exists links the
-            # new appear to the already-open exist instead of opening a
-            # second interval (refcounted base tuples).
-            v2 = open_exist
+        graph = self.graph
+        v1 = graph.add(Vertex(APPEAR, i, tup, t))
+        # Deviation: a re-insert while the tuple still exists links the
+        # new appear to the already-open exist instead of opening a
+        # second interval (refcounted base tuples).
+        v2 = graph.open_id(EXIST, i, tup)
+        if v2 is None:
+            v2 = graph.add(Vertex(EXIST, i, tup, t))
         if vwhy is not None:
-            self.graph.add_edge(vwhy, v1)
-        self.graph.add_edge(v1, v2)
+            graph.link(vwhy, v1)
+        graph.link(v1, v2)
         return v1
 
     def disappear_local_tuple(self, i, tup, vwhy, t):
         """Figure 10, lines 15–21."""
-        v1 = self.graph.add_vertex(Vertex(DISAPPEAR, i, tup=tup, t=t))
+        graph = self.graph
+        v1 = graph.add(Vertex(DISAPPEAR, i, tup, t))
         if vwhy is not None:
-            self.graph.add_edge(vwhy, v1)
-        open_exist = self.graph.open_interval(EXIST, i, tup)
+            graph.link(vwhy, v1)
+        open_exist = graph.open_id(EXIST, i, tup)
         if open_exist is None:
             # Deviation: disappearance of a tuple that never existed is
             # itself proof of a bogus log.
-            v1.set_color(Color.RED)
+            self._paint(v1, Color.RED)
             return v1
-        self.graph.close_interval(open_exist, t)
-        self.graph.add_edge(v1, open_exist)
+        graph.close(open_exist, t)
+        graph.link(v1, open_exist)
         return v1
 
     def appear_remote_tuple(self, i, tup, j, vwhy, t):
         """Figure 10, lines 23–28."""
-        v1 = self.graph.add_vertex(
-            Vertex(BELIEVE_APPEAR, i, tup=tup, t=t, peer=j)
-        )
-        open_believe = self.graph.open_interval(BELIEVE, i, tup)
-        if open_believe is None:
-            v2 = self.graph.add_vertex(
-                Vertex(BELIEVE, i, tup=tup, t=t, t_end=None, peer=j)
-            )
-        else:
-            v2 = open_believe
+        graph = self.graph
+        v1 = graph.add(Vertex(BELIEVE_APPEAR, i, tup, t, None, j))
+        v2 = graph.open_id(BELIEVE, i, tup)
+        if v2 is None:
+            v2 = graph.add(Vertex(BELIEVE, i, tup, t, None, j))
         if vwhy is not None:
-            self.graph.add_edge(vwhy, v1)
-        self.graph.add_edge(v1, v2)
+            graph.link(vwhy, v1)
+        graph.link(v1, v2)
         return v1
 
     def disappear_remote_tuple(self, i, tup, j, vwhy, t):
         """Figure 10, lines 30–36."""
-        v1 = self.graph.add_vertex(
-            Vertex(BELIEVE_DISAPPEAR, i, tup=tup, t=t, peer=j)
-        )
+        graph = self.graph
+        v1 = graph.add(Vertex(BELIEVE_DISAPPEAR, i, tup, t, None, j))
         if vwhy is not None:
-            self.graph.add_edge(vwhy, v1)
-        open_believe = self.graph.open_interval(BELIEVE, i, tup)
+            graph.link(vwhy, v1)
+        open_believe = graph.open_id(BELIEVE, i, tup)
         if open_believe is None:
-            v1.set_color(Color.RED)
+            self._paint(v1, Color.RED)
             return v1
-        self.graph.close_interval(open_believe, t)
-        self.graph.add_edge(v1, open_believe)
+        graph.close(open_believe, t)
+        graph.link(v1, open_believe)
         return v1
 
     def flag_all_pending(self, i, t):
         """Figure 10, lines 38–49."""
         self.flag_ackpend(i)
-        for (node, msg_id), vertex in list(self._pending.items()):
-            if node != i:
-                continue
-            vertex.set_color(Color.RED)
-            del self._pending[(node, msg_id)]
-            self._unacked.get(i, {}).pop(msg_id, None)
+        unacked = self._unacked.get(i)
+        pending = self._pending
+        if pending:  # mostly empty: a correct node's snd events drain it
+            for (node, key), v in list(pending.items()):
+                if node != i:
+                    continue
+                self._paint(v, Color.RED)
+                del pending[(node, key)]
+                if unacked:
+                    unacked.pop(key, None)
+        if not unacked:
+            return
+        vertex = self.graph.vertex
+        deadline = t - 2 * self.t_prop
         stale = []
-        for msg_id, vertex in self._unacked.get(i, {}).items():
-            if vertex.t < t - 2 * self.t_prop:
+        for msg_id, v in unacked.items():
+            if vertex(v).t < deadline:
                 if msg_id in self.known_alarm_msg_ids:
                     continue  # maintainer was notified; not the sender's fault
-                vertex.set_color(Color.RED)
+                self._paint(v, Color.RED)
                 stale.append(msg_id)
         for msg_id in stale:
-            del self._unacked[i][msg_id]
+            del unacked[msg_id]
 
     def add_send_vertex(self, m, vwhy, t):
         """Figure 10, lines 50–67."""
-        key = (SEND, m.full_key())
-        v1 = self.graph.get(key)
+        graph = self.graph
+        v1 = graph.id_of((SEND, m.full_key()))
         if v1 is None:
-            v1 = self.graph.add_vertex(
-                Vertex(SEND, m.src, t=t, peer=m.dst, msg=m,
-                       color=Color.YELLOW)
+            v1 = graph.add(
+                Vertex(SEND, m.src, None, t, None, m.dst, None, m,
+                       Color.YELLOW)
             )
             if m.src in self.machines:
                 self._nopreds.add(v1)
                 self._unacked.setdefault(m.src, {})[m.msg_id()] = v1
-        if v1 in self._nopreds and vwhy is not None:
-            self.graph.add_edge(vwhy, v1)
+        if vwhy is not None and v1 in self._nopreds:
+            graph.link(vwhy, v1)
             self._nopreds.discard(v1)
         return v1
 
     def add_receive_vertex(self, m, t):
         """Figure 10, lines 69–84."""
         send_vertex = self.add_send_vertex(m, None, m.t_sent)
-        key = (RECEIVE, m.full_key())
-        v1 = self.graph.get(key)
+        graph = self.graph
+        v1 = graph.id_of((RECEIVE, m.full_key()))
         if v1 is None:
-            v1 = self.graph.add_vertex(
-                Vertex(RECEIVE, m.dst, t=t, peer=m.src, msg=m,
-                       color=Color.YELLOW)
+            v1 = graph.add(
+                Vertex(RECEIVE, m.dst, None, t, None, m.src, None, m,
+                       Color.YELLOW)
             )
-        self.graph.add_edge(send_vertex, v1)
+        graph.link(send_vertex, v1)
         return v1
 
     def add_red_unless_present(self, vertex):
         """Figure 10, lines 86–91."""
         if vertex not in self.graph:
             vertex.set_color(Color.RED)
-            self.graph.add_vertex(vertex)
+            self.graph.add(vertex)
 
     def flag_ackpend(self, i):
         """Figure 10, lines 93–98."""
         table = self._ackpend.get(i)
         if not table:
             return
-        for vertex in table.values():
-            vertex.set_color(Color.RED)
+        for v in table.values():
+            self._paint(v, Color.RED)
         table.clear()
 
     # --------------------------------------------- event handlers (Fig 11)
@@ -256,31 +264,31 @@ class GraphConstructor:
     def handle_event_ins(self, i, tup, t):
         """Figure 11, lines 99–104."""
         self.flag_all_pending(i, t)
-        v1 = self.graph.add_vertex(Vertex(INSERT, i, tup=tup, t=t))
+        v1 = self.graph.add(Vertex(INSERT, i, tup, t))
         self.appear_local_tuple(i, tup, v1, t)
 
     def handle_event_del(self, i, tup, t):
         """Figure 11, lines 106–111."""
         self.flag_all_pending(i, t)
-        v1 = self.graph.add_vertex(Vertex(DELETE, i, tup=tup, t=t))
+        v1 = self.graph.add(Vertex(DELETE, i, tup, t))
         self.disappear_local_tuple(i, tup, v1, t)
 
     def handle_event_snd(self, i, m, t):
         """Figure 11, lines 113–127."""
         if isinstance(m, Ack):
+            table = self._ackpend.get(i)
             for covered in m.msgs:
-                v1 = self.graph.get((RECEIVE, covered.full_key()))
-                if v1 is not None:
-                    table = self._ackpend.get(i, {})
-                    if covered.msg_id() in table:
+                if table and covered.msg_id() in table:
+                    v1 = self.graph.id_of((RECEIVE, covered.full_key()))
+                    if v1 is not None:
                         del table[covered.msg_id()]
-                        v1.set_color(Color.BLACK)
+                        self._paint(v1, Color.BLACK)
         elif (i, m.full_key()) in self._pending:
             del self._pending[(i, m.full_key())]
         else:
             v2 = self.add_send_vertex(m, None, t)
             self._unacked.get(i, {}).pop(m.msg_id(), None)
-            v2.set_color(Color.RED)
+            self._paint(v2, Color.RED)
         self.flag_ackpend(i)
 
     def handle_event_rcv(self, i, m, t):
@@ -289,12 +297,12 @@ class GraphConstructor:
         if isinstance(m, Ack):
             for covered in m.msgs:
                 self.add_receive_vertex(covered, m.t_sent)
-                v1 = self.graph.get((SEND, covered.full_key()))
-                if v1 is not None:
-                    table = self._unacked.get(i, {})
-                    if covered.msg_id() in table:
+                table = self._unacked.get(i)
+                if table and covered.msg_id() in table:
+                    v1 = self.graph.id_of((SEND, covered.full_key()))
+                    if v1 is not None:
                         del table[covered.msg_id()]
-                        v1.set_color(Color.BLACK)
+                        self._paint(v1, Color.BLACK)
         else:
             v1 = self.add_receive_vertex(m, t)
             self._ackpend.setdefault(i, {})[m.msg_id()] = v1
@@ -312,36 +320,32 @@ class GraphConstructor:
         For a derivation the same-instant candidates are believe-appear and
         appear; for an underivation, believe-disappear and disappear.
         """
+        graph = self.graph
         if disappearing:
             same_instant = (BELIEVE_DISAPPEAR, DISAPPEAR)
         else:
             same_instant = (BELIEVE_APPEAR, APPEAR)
         for vtype in same_instant:
-            vertex = self.graph.get((vtype, i, tup, t))
-            if vertex is not None:
-                return vertex
-        vertex = self.graph.open_interval(BELIEVE, i, tup)
-        if vertex is not None:
-            return vertex
-        vertex = self.graph.open_interval(EXIST, i, tup)
-        if vertex is not None:
-            return vertex
+            v = graph.id_of((vtype, i, tup, t))
+            if v is not None:
+                return v
+        v = graph.open_id(BELIEVE, i, tup)
+        if v is not None:
+            return v
+        v = graph.open_id(EXIST, i, tup)
+        if v is not None:
+            return v
         # Defensive: a deterministic machine only derives from tuples it
         # holds, so this is unreachable for faithful replays; create a
         # yellow placeholder rather than crash on a hostile log.
-        return self.graph.add_vertex(
-            Vertex(EXIST, i, tup=tup, t=t, t_end=None, color=Color.YELLOW)
-        )
+        return graph.add(Vertex(EXIST, i, tup=tup, t=t, color=Color.YELLOW))
 
     def handle_output_der(self, i, der, t):
         """Figure 11, lines 148–163 (+ Section 3.4 constraint extension)."""
-        v1 = self.graph.add_vertex(
-            Vertex(DERIVE, i, tup=der.tup, rule=der.rule, t=t)
-        )
+        graph = self.graph
+        v1 = graph.add(Vertex(DERIVE, i, der.tup, t, None, None, der.rule))
         for support in der.support:
-            self.graph.add_edge(
-                self._support_vertex(i, support, t, disappearing=False), v1
-            )
+            graph.link(self._support_vertex(i, support, t, False), v1)
         appear_vertex = self.appear_local_tuple(i, der.tup, v1, t)
         if der.replaces is not None:
             # Constraint extension: the replaced tuple's disappearance is a
@@ -349,32 +353,29 @@ class GraphConstructor:
             # disappearance at or before this instant.
             candidates = [
                 v for vtype in (DISAPPEAR, BELIEVE_DISAPPEAR)
-                for v in self.graph.find_all(vtype=vtype, node=i,
-                                             tup=der.replaces)
+                for v in graph.find_all(vtype=vtype, node=i,
+                                        tup=der.replaces)
                 if v.t <= t
             ]
             if candidates:
                 gone = max(candidates, key=lambda v: v.t)
-                self.graph.add_edge(gone, appear_vertex)
+                graph.link(graph.id_of(gone), appear_vertex)
 
     def handle_output_und(self, i, und, t):
         """Figure 11, lines 165–180."""
-        v1 = self.graph.add_vertex(
-            Vertex(UNDERIVE, i, tup=und.tup, rule=und.rule, t=t)
-        )
+        graph = self.graph
+        v1 = graph.add(Vertex(UNDERIVE, i, und.tup, t, None, None, und.rule))
         for support in und.support:
-            self.graph.add_edge(
-                self._support_vertex(i, support, t, disappearing=True), v1
-            )
+            graph.link(self._support_vertex(i, support, t, True), v1)
         self.disappear_local_tuple(i, und.tup, v1, t)
 
     def handle_output_snd(self, i, snd, t):
         """Figure 11, lines 182–190."""
         m = snd.msg
         if m.polarity == PLUS:
-            vwhy = self.graph.get((APPEAR, i, m.tup, t))
+            vwhy = self.graph.id_of((APPEAR, i, m.tup, t))
         else:
-            vwhy = self.graph.get((DISAPPEAR, i, m.tup, t))
+            vwhy = self.graph.id_of((DISAPPEAR, i, m.tup, t))
         v1 = self.add_send_vertex(m, vwhy, t)
         self._pending[(i, m.full_key())] = v1
 
@@ -396,13 +397,10 @@ class GraphConstructor:
         (tup, peer, appeared_at). Seeded vertices are flagged so the query
         processor knows their provenance lies in an older log segment.
         """
+        graph = self.graph
         for tup, appeared_at in extant:
-            self.graph.add_vertex(
-                Vertex(EXIST, node, tup=tup, t=appeared_at, t_end=None,
-                       seeded=True)
-            )
+            graph.add(Vertex(EXIST, node, tup=tup, t=appeared_at,
+                             seeded=True))
         for tup, peer, appeared_at in believed:
-            self.graph.add_vertex(
-                Vertex(BELIEVE, node, tup=tup, t=appeared_at, t_end=None,
-                       peer=peer, seeded=True)
-            )
+            graph.add(Vertex(BELIEVE, node, tup=tup, t=appeared_at,
+                             peer=peer, seeded=True))

@@ -15,7 +15,9 @@ The container also maintains the lookup indexes the GCA pseudocode relies on
 by (node, tuple).
 """
 
-from repro.provgraph.vertices import Vertex, Color, SEND, RECEIVE
+from repro.provgraph.vertices import (
+    Vertex, Color, INTERVAL_TYPES, SEND, RECEIVE,
+)
 
 
 class ProvenanceGraph:
@@ -23,12 +25,21 @@ class ProvenanceGraph:
 
     The index is one dict keyed by the vertex objects, which equal and
     hash like their keys (:class:`Vertex`): every method takes a key
-    tuple, an equal-key clone or the canonical vertex alike. An edge lives
-    only in its two adjacency rows, one per direction: ``()`` for no
-    neighbour, the id itself for one (three rows in four of a replayed
-    graph), a list for more, in insertion order. So an edge stores no key
-    and no code and, mostly, allocates nothing the cyclic collector
-    counts or traverses (DESIGN.md "Allocation and the collector").
+    tuple, an equal-key clone or the canonical vertex alike. A vertex's
+    id is its insertion rank. An edge lives only in its two adjacency
+    rows, one per direction: ``None`` for no neighbour, the id itself for
+    one (three rows in four of a replayed graph), a list for more, in
+    insertion order. So an edge stores no key and no code and, mostly,
+    allocates nothing the cyclic collector counts or traverses (DESIGN.md
+    "Allocation and the collector").
+
+    Two forms of the same calls. The GCA builds by id: :meth:`add`
+    yields a vertex's id, :meth:`link` joins two ids, :meth:`id_of` and
+    :meth:`open_id` probe for one and :meth:`close` ends an interval, so
+    it carries ints between calls and an edge costs two list reads, not
+    two index lookups. Everything else speaks in vertices
+    (:meth:`add_vertex`, :meth:`add_edge`, :meth:`get`,
+    :meth:`open_interval`, ...), each a thin wrapper over the id form.
     """
 
     def __init__(self):
@@ -37,9 +48,75 @@ class ProvenanceGraph:
         self._succ = []              # vertex id -> row of vertex ids
         self._pred = []
         self._edges = 0              # count; edges live in the rows
-        self._open_intervals = {}    # (vtype, node, tup) -> Vertex
+        self._open_intervals = {}    # (vtype, node, tup) -> vertex id
 
-    # ------------------------------------------------------------- basics
+    # ---------------------------------------------------------- by id
+
+    def add(self, vertex):
+        """The id of *vertex*, inserting it if no equal-key vertex is
+        here."""
+        vertices = self._vertices
+        fresh = len(vertices)
+        i = self._index.setdefault(vertex, fresh)
+        if i == fresh:
+            vertices.append(vertex)
+            self._succ.append(None)
+            self._pred.append(None)
+            if vertex.t_end is None and vertex.vtype in INTERVAL_TYPES:
+                self._open_intervals[
+                    (vertex.vtype, vertex.node, vertex.tup)
+                ] = i
+        return i
+
+    def link(self, i, j):
+        """Add edge i → j between two vertex ids (no-op when it is
+        already there)."""
+        pred = self._pred
+        succ = self._succ
+        into = pred[j]
+        out = succ[i]
+        # An empty row (a new vertex's) holds no edge: nothing to search.
+        if into is not None and out is not None \
+                and _linked(out, j, into, i):
+            return
+        # Each row grows None → id → list (inlined: one call per edge).
+        if into is None:
+            pred[j] = i
+        elif type(into) is int:
+            pred[j] = [into, i]
+        else:
+            into.append(i)
+        if out is None:
+            succ[i] = j
+        elif type(out) is int:
+            succ[i] = [out, j]
+        else:
+            out.append(j)
+        self._edges += 1
+
+    def id_of(self, key):
+        """The id of the vertex with *key* (or an equal-key vertex), or
+        None."""
+        return self._index.get(key)
+
+    def open_id(self, vtype, node, tup):
+        """The id of the open exist/believe vertex for (node, tup), or
+        None."""
+        return self._open_intervals.get((vtype, node, tup))
+
+    def close(self, i, t_end):
+        """Close open exist/believe vertex *i*'s interval."""
+        vertex = self._vertices[i]
+        vertex.close_interval(t_end)
+        self._open_intervals.pop(
+            (vertex.vtype, vertex.node, vertex.tup), None
+        )
+
+    def vertex(self, i):
+        """The vertex with id *i*."""
+        return self._vertices[i]
+
+    # ----------------------------------------------------------- basics
 
     def __len__(self):
         return len(self._vertices)
@@ -64,30 +141,12 @@ class ProvenanceGraph:
 
     def add_vertex(self, vertex):
         """Insert *vertex* if absent; returns the canonical instance."""
-        vertices = self._vertices
-        fresh = len(vertices)
-        i = self._index.setdefault(vertex, fresh)
-        if i != fresh:
-            return vertices[i]
-        vertices.append(vertex)
-        self._succ.append(())
-        self._pred.append(())
-        if vertex.interval_open():
-            self._open_intervals[
-                (vertex.vtype, vertex.node, vertex.tup)
-            ] = vertex
-        return vertex
+        return self._vertices[self.add(vertex)]
 
     def add_edge(self, v_from, v_to):
         """Add the edge between two vertices of this graph (no-op when it
         is already there)."""
-        i = self._index[v_from]
-        j = self._index[v_to]
-        if _linked(self._succ[i], j, self._pred[j], i):
-            return
-        self._edges += 1
-        _append(self._succ, i, j)
-        _append(self._pred, j, i)
+        self.link(self._index[v_from], self._index[v_to])
 
     def has_edge(self, v_from, v_to):
         i = self._index.get(v_from)
@@ -121,14 +180,12 @@ class ProvenanceGraph:
 
     def open_interval(self, vtype, node, tup):
         """The open exist/believe vertex for (node, tup), or None."""
-        return self._open_intervals.get((vtype, node, tup))
+        i = self._open_intervals.get((vtype, node, tup))
+        return None if i is None else self._vertices[i]
 
     def close_interval(self, vertex, t_end):
         """Close an open exist/believe vertex's interval."""
-        vertex.close_interval(t_end)
-        self._open_intervals.pop(
-            (vertex.vtype, vertex.node, vertex.tup), None
-        )
+        self.close(self._index[vertex], t_end)
 
     def find_all(self, vtype=None, node=None, tup=None):
         """Every matching vertex, in canonical order: a linear scan plus
@@ -170,7 +227,7 @@ class ProvenanceGraph:
     def _merge_vertex(self, vertex):
         existing = self.get(vertex)
         if existing is None:
-            self.add_vertex(_clone_vertex(vertex))
+            self.add(_clone_vertex(vertex))
             return
         existing.color = Color.dominant(existing.color, vertex.color)
         if existing.is_interval():
@@ -227,21 +284,12 @@ class ProvenanceGraph:
         return [v for v in self._vertices if v.color == Color.YELLOW]
 
 
-def _append(adjacency, i, j):
-    """Append id *j* to vertex *i*'s row of *adjacency*."""
-    row = adjacency[i]
-    if type(row) is list:
-        row.append(j)
-    elif type(row) is int:
-        adjacency[i] = [row, j]
-    else:
-        adjacency[i] = j
-
-
 def _linked(out, j, into, i):
     """Whether edge i → j exists, read from the shorter of row *out* (i's
     successors) and row *into* (j's predecessors): they hold it together
     or not at all, so a duplicate check costs the shorter row."""
+    if out is None or into is None:
+        return False
     if type(out) is int or type(into) is int:
         return out == j or into == i
     return i in into if len(into) < len(out) else j in out
@@ -249,6 +297,8 @@ def _linked(out, j, into, i):
 
 def _ids(row):
     """The ids in one adjacency row, in insertion order."""
+    if row is None:
+        return ()
     return (row,) if type(row) is int else row
 
 

@@ -35,6 +35,9 @@ BELIEVE_DISAPPEAR = "believe-disappear"
 BELIEVE = "believe"
 
 INTERVAL_TYPES = (EXIST, BELIEVE)
+#: The two key shapes that are not ``(vtype, node, tup, t)``.
+_MESSAGE_TYPES = (SEND, RECEIVE)
+_RULE_TYPES = (DERIVE, UNDERIVE)
 
 
 class Color:
@@ -57,9 +60,11 @@ class Vertex:
     attributes: the color, and the closing timestamp ``t_end`` of interval
     vertices (an ``exist``/``believe`` vertex is created with an open
     interval ``[t,∞)`` and closed at most once, per Appendix B.3). Only
-    the key's hash is stored; :meth:`key` builds the tuple when asked. A
-    vertex equals its key tuple too, so a dict keyed by vertices (the
-    graph's index) is searched by key or by any equal-key vertex.
+    the key's hash is stored, taken from the fields at construction;
+    :meth:`key` builds the tuple when asked. A vertex equals its key
+    tuple too, so a dict keyed by vertices (the graph's index) is
+    searched by key or by any equal-key vertex. The GCA builds vertices
+    with positional arguments, in the order below.
 
     Attributes:
         vtype: one of the twelve type constants.
@@ -94,12 +99,18 @@ class Vertex:
         self.msg = msg
         self.color = color
         self.seeded = seeded
-        self._hash = hash(self.key())
+        # hash(self.key()), without the call
+        if vtype in _MESSAGE_TYPES:
+            self._hash = hash((vtype, msg.full_key()))
+        elif vtype in _RULE_TYPES:
+            self._hash = hash((vtype, node, tup, rule, t))
+        else:
+            self._hash = hash((vtype, node, tup, t))
 
     def key(self):
-        if self.vtype in (SEND, RECEIVE):
+        if self.vtype in _MESSAGE_TYPES:
             return (self.vtype, self.msg.full_key())
-        if self.vtype in (DERIVE, UNDERIVE):
+        if self.vtype in _RULE_TYPES:
             return (self.vtype, self.node, self.tup, self.rule, self.t)
         # Interval vertices are keyed by their start time only, so that
         # closing the interval does not change identity.

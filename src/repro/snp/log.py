@@ -49,6 +49,9 @@ ENTRY_TYPES = (SND, RCV, ACK, INS, DEL, CHK)
 #: type): an entry's size is its canonical content plus this header.
 ENTRY_HEADER_BYTES = 16
 
+#: What encoding a content with no canonical encoding raises.
+_UNENCODABLE = (TypeError, ValueError, AttributeError, RecursionError)
+
 
 def encode_contents(entries):
     """Each entry's content in canonical bytes, in entry order — what a
@@ -61,7 +64,7 @@ def encode_contents(entries):
     for entry in entries:
         try:
             encoded.append(canonical_bytes(entry.content))
-        except (TypeError, ValueError, AttributeError, RecursionError):
+        except _UNENCODABLE:
             encoded.append(None)
     return encoded
 
@@ -94,8 +97,14 @@ class LogEntry(WireValue):
         self.aux = aux or {}
 
     def size_bytes(self):
-        """Committed size of this entry (content + fixed header)."""
-        return canonical_size(self.content) + ENTRY_HEADER_BYTES
+        """Committed size of this entry (content + fixed header). A
+        content with no canonical encoding — a stored copy of a hostile
+        log may hold one — is charged its header, as a querier charges
+        it on receipt."""
+        try:
+            return canonical_size(self.content) + ENTRY_HEADER_BYTES
+        except _UNENCODABLE:
+            return ENTRY_HEADER_BYTES
 
     def meta(self):
         """(index, t, type, content-hash) — enough to verify chain

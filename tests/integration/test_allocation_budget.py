@@ -32,9 +32,10 @@ from repro.snp import Deployment, QueryProcessor
 #: GC objects differs slightly across versions.
 MAX_TRACKED_PER_ENTRY = 23.2
 MAX_TRACKED_PER_EVENT = 26
-#: Graph bytes per vertex plus edge: 140.2 here, 211.7 with a key tuple
-#: per vertex and a set of integer edge codes. A key tuple per vertex
-#: (~32) or an int per edge (~18) coming back crosses the ceiling.
+#: Graph bytes per vertex plus edge: 138.5 here, the same before and
+#: after the GCA moved to vertex ids, and 211.7 with a key tuple per
+#: vertex and a set of integer edge codes. A key tuple per vertex (~32)
+#: or an int per edge (~18) coming back crosses the ceiling.
 MAX_GRAPH_BYTES_PER_ITEM = 150
 PINNED = sys.version_info[:2] == (3, 11)
 

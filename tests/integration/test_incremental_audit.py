@@ -540,4 +540,5 @@ class TestReplayBookkeeping:
             gca = view.replay.gca
             assert set(gca.machines) == {node}
             assert set(gca._unacked) <= {node}
-            assert {vertex.node for vertex in gca._nopreds} <= {node}
+            assert {gca.graph.vertex(v).node for v in gca._nopreds} \
+                <= {node}

@@ -488,6 +488,43 @@ class TestHostileFrames:
             assert not pusher.push_once()["shed"]
         pusher.close()
 
+    def test_a_content_that_does_not_encode_is_trimmed_like_any_other(
+            self, monitor, clients):
+        """A stored entry whose content does not encode is dropped like
+        any other once the node's sanctioned floor passes it, charged its
+        header: the push that carries the floor is acked, the stored copy
+        starts at the floor, nothing counts as corrupt, and the
+        connection and the audit carry on."""
+        dep, pusher, client, spec, before = self._audited(monitor, clients)
+        state = monitor.daemon.state
+        a = dep.nodes["a"]
+        a.insert(link("a", "e", 50))
+        dep.run()
+        response = a.retrieve(since_index=state.stored_heads()["a"])
+        entry = response.entries[-1]
+        response.entries[-1] = LogEntry(
+            entry.index, entry.timestamp, entry.entry_type,
+            (entry.content, response.head_auth), entry.content_hash,
+            entry.entry_hash)
+        reply = pusher._exchange({"type": "push", "seq": 10_000,
+                                  "nodes": {"a": {"response": response}}})
+        assert reply["type"] == "push-ack"
+        a.checkpoint()
+        floor = a.advertise_retention_floor()
+        assert floor.floor_index > entry.index
+        delta = a.retrieve(since_index=state.stored_heads()["a"])
+        reply = pusher._exchange({"type": "push", "seq": 10_001,
+                                  "nodes": {"a": {"response": delta}},
+                                  "floors": {"a": floor}})
+        assert reply["type"] == "push-ack"
+        assert state.nodes["a"].merged.start_index == floor.floor_index
+        assert client.status()["meter"]["corrupt_frames"] == 0
+        ack = pusher.push_once()
+        assert ack is not None and not ack["shed"]
+        after = client.query(spec)
+        assert after["ok"] and after["result"] == before["result"]
+        pusher.close()
+
     @pytest.mark.parametrize("payload", [[1, 2], {"seq": 1}],
                              ids=["a-list", "no-type"])
     def test_a_frame_that_is_no_typed_message_is_answered(

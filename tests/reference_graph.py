@@ -4,9 +4,11 @@
 way: a dict from vertex key to vertex, and the edges as one list of
 ``(key_from, key_to)`` pairs in insertion order — the edge shape before
 the graph kept integer-id adjacency rows. Every query is a scan of that
-list. It answers the same calls as the production graph, so a property
-test can drive both with one operation sequence and compare what they
-say (``tests/property/test_prop_graph.py``).
+list. A vertex's id is its insertion rank, kept in a second dict that
+answers ``id_of`` and ``open_id``. It answers the same calls as the
+production graph, so a property test can drive both with one operation
+sequence and compare what they say
+(``tests/property/test_prop_graph.py``).
 
 It is not the library: it lives beside the test that uses it, to keep
 the optimized container honest.
@@ -20,6 +22,7 @@ class ReferenceGraph:
         self._vertices = {}          # key -> Vertex, in insertion order
         self._edges = []             # (key_from, key_to), in insertion order
         self._open_intervals = {}    # (vtype, node, tup) -> Vertex
+        self._ids = {}               # key -> insertion rank
 
     def __len__(self):
         return len(self._vertices)
@@ -48,6 +51,7 @@ class ReferenceGraph:
         if existing is not None:
             return existing
         self._vertices[vertex.key()] = vertex
+        self._ids[vertex.key()] = len(self._ids)
         if vertex.interval_open():
             self._open_intervals[(vertex.vtype, vertex.node, vertex.tup)] \
                 = vertex
@@ -78,6 +82,15 @@ class ReferenceGraph:
         vertex.close_interval(t_end)
         self._open_intervals.pop((vertex.vtype, vertex.node, vertex.tup),
                                  None)
+
+    # ------------------------------------------------------------- by id
+
+    def id_of(self, key):
+        return self._ids.get(key)
+
+    def open_id(self, vtype, node, tup):
+        vertex = self.open_interval(vtype, node, tup)
+        return None if vertex is None else self._ids[vertex.key()]
 
     # ------------------------------------------------------------ algebra
 

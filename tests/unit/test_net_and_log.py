@@ -14,7 +14,8 @@ from repro.snp.evidence import (
     Authenticator, sign_authenticator, verify_authenticator,
 )
 from repro.snp.log import (
-    NodeLog, LogEntry, INS, SND, RCV, CHK, encode_contents,
+    NodeLog, LogEntry, INS, SND, RCV, CHK, ENTRY_HEADER_BYTES,
+    encode_contents,
 )
 from repro.snp.replay import verify_segment_hashes
 from repro.snp.snoopy import RetrieveResponse
@@ -205,6 +206,20 @@ class TestLogTruncation:
         log.trim(4)
         assert log.trim(4) == 0
         assert log.trim(2) == 0
+
+    def test_trim_drops_a_content_that_does_not_encode_at_its_header(self):
+        # A stored copy of a hostile log may hold a content with no
+        # canonical encoding: trim drops it like any other entry and
+        # charges it its header, as a querier charges it on receipt.
+        log = self._log_with_checkpoint_at(4)
+        honest = [e.size_bytes() for e in log.entries[:3]]
+        anchor = log.hash_at(3)
+        entry = log.entries[1]
+        entry.content = (entry.content,
+                         Authenticator("n", 1, 1.0, bytes(32), b"sig"))
+        assert entry.size_bytes() == ENTRY_HEADER_BYTES
+        assert log.trim(4) == honest[0] + ENTRY_HEADER_BYTES + honest[2]
+        assert (log.start_index, log.start_hash) == (4, anchor)
 
     def test_last_checkpoint_before_respects_truncation(self):
         log = self._log_with_checkpoint_at(4)
