@@ -6,15 +6,14 @@ compiles each rule *once*, at :meth:`Program.add` time, into the static
 schedule that evaluation follows:
 
 * a :class:`JoinPlan` per trigger position — when a tuple of body atom
-  *k*'s relation appears, the plan for trigger *k* follows the
-  sideways-information-passing (SIPS) schedule :func:`sip_join` builds
-  (greedy most-bound-first atom order, earliest-step guard schedule) and
-  precomputes, for every join
-  step, the **index key**: the tuple of argument positions whose values
-  are already known when the step runs (constants in the pattern plus
-  variables bound by earlier steps). At runtime the step is a hash lookup
-  on the corresponding :class:`~repro.datalog.store.TupleStore` secondary
-  index instead of a relation scan;
+  *k*'s relation appears, the plan for trigger *k* follows a
+  sideways-information-passing (SIPS) schedule (greedy most-bound-first
+  atom order, earliest-step guard schedule) and precomputes, for every
+  join step, the **index key**: the tuple of argument positions whose
+  values are already known when the step runs (constants in the pattern
+  plus variables bound by earlier steps). At runtime the step is a hash
+  lookup on the corresponding :class:`~repro.datalog.store.TupleStore`
+  secondary index instead of a relation scan;
 * a **guard schedule**: each :class:`~repro.datalog.ast.Guard` with
   declared variables fires at the earliest step where its variables are
   bound, pruning partial matches; opaque callables fire after the body is
@@ -44,8 +43,8 @@ from repro.datalog.ast import (
 )
 
 __all__ = [
-    "AggPlan", "JoinPlan", "JoinStep", "RulePlan", "SipJoin", "SipStep",
-    "compile_rule", "guard_schedule_counts", "rule_sips", "sip_join",
+    "AggPlan", "JoinPlan", "JoinStep", "RulePlan", "compile_rule",
+    "guard_schedule_counts",
 ]
 
 
@@ -60,105 +59,6 @@ def bound_positions(atom, bound_names):
         elif not isinstance(term, Expr):
             positions.append(position)  # a constant in the pattern
     return tuple(positions)
-
-
-class SipStep:
-    """One join step of a SIPS schedule: probe body atom *body_pos*.
-
-    ``bound_before``/``bound_after`` are the variable-name sets known
-    entering and leaving the step; ``guards`` are indexes into
-    ``rule.guards`` fired on each match of this step.
-    """
-
-    __slots__ = ("body_pos", "bound_before", "bound_after", "guards")
-
-    def __init__(self, body_pos, bound_before, bound_after, guards):
-        self.body_pos = body_pos
-        self.bound_before = bound_before
-        self.bound_after = bound_after
-        self.guards = guards
-
-    def __repr__(self):
-        return f"SipStep(pos={self.body_pos}, guards={self.guards})"
-
-
-class SipJoin:
-    """The SIPS schedule for one rule triggered at one body position:
-    the join order plus the earliest-firing guard schedule. ``pre_guards``
-    are guard indexes decidable on the trigger bindings alone."""
-
-    __slots__ = ("trigger_pos", "pre_guards", "steps")
-
-    def __init__(self, trigger_pos, pre_guards, steps):
-        self.trigger_pos = trigger_pos
-        self.pre_guards = pre_guards
-        self.steps = steps
-
-    def __repr__(self):
-        return f"SipJoin(@{self.trigger_pos}: {list(self.steps)!r})"
-
-
-def sip_join(rule, trigger_pos):
-    """The SIPS schedule for *rule* when body atom *trigger_pos* appears.
-
-    Greedy most-bound-first atom ordering (the atom with the most known
-    positions gets the most selective index; ties keep body order), with
-    each declared guard fired at the earliest point its variables are all
-    bound. Opaque guards — and declared guards over variables the body
-    never binds, which the analyzer rejects (ND102) — run after the final
-    step on full bindings. :func:`_compile_join` lowers exactly this
-    schedule into the executable :class:`JoinPlan`.
-    """
-    bound = set()
-    if isinstance(rule.body_loc, Var):
-        bound.add(rule.body_loc.name)  # seeded with the node id at runtime
-    bound |= atom_var_names(rule.body[trigger_pos])
-
-    pending = [(index, guard_vars(guard))
-               for index, guard in enumerate(rule.guards)]
-
-    def ready_guards():
-        fired = []
-        remaining = []
-        for index, names in pending:
-            if names is not None and set(names) <= bound:
-                fired.append(index)
-            else:
-                remaining.append((index, names))
-        pending[:] = remaining
-        return tuple(fired)
-
-    pre_guards = ready_guards()
-    steps = []
-    remaining_atoms = [
-        pos for pos in range(len(rule.body)) if pos != trigger_pos
-    ]
-    while remaining_atoms:
-        best = max(
-            remaining_atoms,
-            key=lambda pos: (len(bound_positions(rule.body[pos], bound)),
-                             -pos),
-        )
-        remaining_atoms.remove(best)
-        atom = rule.body[best]
-        before = frozenset(bound)
-        bound |= atom_var_names(atom)
-        steps.append(SipStep(best, before, frozenset(bound), ready_guards()))
-
-    leftovers = tuple(index for index, _names in pending)
-    if leftovers:
-        if steps:
-            last = steps[-1]
-            steps[-1] = SipStep(last.body_pos, last.bound_before,
-                                last.bound_after, last.guards + leftovers)
-        else:
-            pre_guards = pre_guards + leftovers
-    return SipJoin(trigger_pos, pre_guards, tuple(steps))
-
-
-def rule_sips(rule):
-    """All SIPS schedules of a (non-aggregate) rule, one per trigger."""
-    return tuple(sip_join(rule, pos) for pos in range(len(rule.body)))
 
 
 class JoinStep:
@@ -290,28 +190,57 @@ def _key_parts(atom, positions):
 
 
 def _compile_join(rule, trigger_pos):
-    """Lower one SIPS schedule (:func:`sip_join`) into an executable
-    :class:`JoinPlan`.
+    """The :class:`JoinPlan` for *rule* when body atom *trigger_pos*
+    appears: its sideways-information-passing (SIPS) schedule.
 
-    :func:`sip_join` owns the ordering decisions — greedy
-    most-bound-first atoms, earliest-step guard firing, opaque guards on
-    full bindings; this function only materializes the index keys and
-    resolves guard indexes back to the rule's callables.
+    Greedy most-bound-first atom ordering (the atom with the most known
+    positions gets the most selective index; ties keep body order), with
+    each declared guard fired at the earliest step its variables are all
+    bound. Opaque guards — and declared guards over variables the body
+    never binds, which the analyzer rejects (ND102) — run after the final
+    step on full bindings.
     """
-    sip = sip_join(rule, trigger_pos)
-    pre_guards = tuple(rule.guards[index] for index in sip.pre_guards)
+    bound = set()
+    if isinstance(rule.body_loc, Var):
+        bound.add(rule.body_loc.name)  # seeded with the node id at runtime
+    bound |= atom_var_names(rule.body[trigger_pos])
+    pending = [(guard, guard_vars(guard)) for guard in rule.guards]
+
+    def ready_guards():
+        fired = []
+        remaining = []
+        for guard, names in pending:
+            if names is not None and set(names) <= bound:
+                fired.append(guard)
+            else:
+                remaining.append((guard, names))
+        pending[:] = remaining
+        return tuple(fired)
+
+    pre_guards = ready_guards()
     steps = []
-    for sip_step in sip.steps:
-        atom = rule.body[sip_step.body_pos]
-        positions = bound_positions(atom, sip_step.bound_before)
-        steps.append(JoinStep(
-            body_pos=sip_step.body_pos,
-            atom=atom,
-            index_positions=positions,
-            key_parts=_key_parts(atom, positions),
-            guards=tuple(rule.guards[index] for index in sip_step.guards),
-        ))
-    return JoinPlan(rule, sip.trigger_pos, pre_guards, tuple(steps))
+    remaining_atoms = [
+        pos for pos in range(len(rule.body)) if pos != trigger_pos
+    ]
+    while remaining_atoms:
+        best = max(
+            remaining_atoms,
+            key=lambda pos: (len(bound_positions(rule.body[pos], bound)),
+                             -pos),
+        )
+        remaining_atoms.remove(best)
+        atom = rule.body[best]
+        positions = bound_positions(atom, bound)
+        bound |= atom_var_names(atom)
+        steps.append(JoinStep(best, atom, positions,
+                              _key_parts(atom, positions), ready_guards()))
+
+    leftovers = tuple(guard for guard, _names in pending)
+    if steps:
+        steps[-1].guards += leftovers
+    else:
+        pre_guards += leftovers
+    return JoinPlan(rule, trigger_pos, pre_guards, tuple(steps))
 
 
 class RulePlan:
@@ -381,7 +310,7 @@ def guard_schedule_counts(program_or_rules):
     for rule in rules:
         if isinstance(rule, AggregateRule):
             continue
-        for join in rule_sips(rule):
+        for join in compile_rule(rule).joins:
             if join.steps:
                 counts["pre"] += len(join.pre_guards)
                 for step in join.steps[:-1]:

@@ -11,17 +11,18 @@ import random
 
 from repro.util.clock import DriftingClock
 
+#: The shortest link propagation delay, in simulated seconds.
+MIN_DELAY = 0.005
+
 
 class Simulator:
     """Global event loop plus per-node clocks and link delays."""
 
-    def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01,
-                 min_delay=0.005):
-        if min_delay > t_prop:
-            raise ValueError("min_delay must not exceed t_prop")
+    def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01):
+        if MIN_DELAY > t_prop:
+            raise ValueError("t_prop must not be below MIN_DELAY")
         self.t_prop = t_prop
         self.delta_clock = delta_clock
-        self.min_delay = min_delay
         self.now = 0.0
         self._rng = random.Random(seed)
         self._heap = []
@@ -58,8 +59,8 @@ class Simulator:
         self.schedule(max(0.0, t - self.now), callback)
 
     def link_delay(self):
-        """A random propagation delay in [min_delay, Tprop]."""
-        return self._rng.uniform(self.min_delay, self.t_prop)
+        """A random propagation delay in [MIN_DELAY, Tprop]."""
+        return self._rng.uniform(MIN_DELAY, self.t_prop)
 
     # ---------------------------------------------------------------- run
 

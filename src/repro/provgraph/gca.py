@@ -66,9 +66,10 @@ class Event:
 class GraphConstructor:
     """Runs the GCA over a history, maintaining ``G`` incrementally.
 
-    It works on the graph's vertex ids (:meth:`ProvenanceGraph.add`): a
-    :class:`Vertex` is built once per new vertex and afterwards only
-    read for its timestamp or painted a colour."""
+    It works on the graph's vertex ids
+    (:meth:`ProvenanceGraph.add_vertex` returns one): a :class:`Vertex`
+    is built once per new vertex and afterwards only read for its
+    timestamp or painted a colour."""
 
     def __init__(self, machine_factory, t_prop=1.0):
         """*machine_factory(node_id)* returns a fresh deterministic state
@@ -133,58 +134,58 @@ class GraphConstructor:
     def appear_local_tuple(self, i, tup, vwhy, t):
         """Figure 10, lines 8–13."""
         graph = self.graph
-        v1 = graph.add(Vertex(APPEAR, i, tup, t))
+        v1 = graph.add_vertex(Vertex(APPEAR, i, tup, t))
         # Deviation: a re-insert while the tuple still exists links the
         # new appear to the already-open exist instead of opening a
         # second interval (refcounted base tuples).
-        v2 = graph.open_id(EXIST, i, tup)
+        v2 = graph.open_interval(EXIST, i, tup)
         if v2 is None:
-            v2 = graph.add(Vertex(EXIST, i, tup, t))
+            v2 = graph.add_vertex(Vertex(EXIST, i, tup, t))
         if vwhy is not None:
-            graph.link(vwhy, v1)
-        graph.link(v1, v2)
+            graph.add_edge(vwhy, v1)
+        graph.add_edge(v1, v2)
         return v1
 
     def disappear_local_tuple(self, i, tup, vwhy, t):
         """Figure 10, lines 15–21."""
         graph = self.graph
-        v1 = graph.add(Vertex(DISAPPEAR, i, tup, t))
+        v1 = graph.add_vertex(Vertex(DISAPPEAR, i, tup, t))
         if vwhy is not None:
-            graph.link(vwhy, v1)
-        open_exist = graph.open_id(EXIST, i, tup)
+            graph.add_edge(vwhy, v1)
+        open_exist = graph.open_interval(EXIST, i, tup)
         if open_exist is None:
             # Deviation: disappearance of a tuple that never existed is
             # itself proof of a bogus log.
             self._paint(v1, Color.RED)
             return v1
-        graph.close(open_exist, t)
-        graph.link(v1, open_exist)
+        graph.close_interval(open_exist, t)
+        graph.add_edge(v1, open_exist)
         return v1
 
     def appear_remote_tuple(self, i, tup, j, vwhy, t):
         """Figure 10, lines 23–28."""
         graph = self.graph
-        v1 = graph.add(Vertex(BELIEVE_APPEAR, i, tup, t, None, j))
-        v2 = graph.open_id(BELIEVE, i, tup)
+        v1 = graph.add_vertex(Vertex(BELIEVE_APPEAR, i, tup, t, None, j))
+        v2 = graph.open_interval(BELIEVE, i, tup)
         if v2 is None:
-            v2 = graph.add(Vertex(BELIEVE, i, tup, t, None, j))
+            v2 = graph.add_vertex(Vertex(BELIEVE, i, tup, t, None, j))
         if vwhy is not None:
-            graph.link(vwhy, v1)
-        graph.link(v1, v2)
+            graph.add_edge(vwhy, v1)
+        graph.add_edge(v1, v2)
         return v1
 
     def disappear_remote_tuple(self, i, tup, j, vwhy, t):
         """Figure 10, lines 30–36."""
         graph = self.graph
-        v1 = graph.add(Vertex(BELIEVE_DISAPPEAR, i, tup, t, None, j))
+        v1 = graph.add_vertex(Vertex(BELIEVE_DISAPPEAR, i, tup, t, None, j))
         if vwhy is not None:
-            graph.link(vwhy, v1)
-        open_believe = graph.open_id(BELIEVE, i, tup)
+            graph.add_edge(vwhy, v1)
+        open_believe = graph.open_interval(BELIEVE, i, tup)
         if open_believe is None:
             self._paint(v1, Color.RED)
             return v1
-        graph.close(open_believe, t)
-        graph.link(v1, open_believe)
+        graph.close_interval(open_believe, t)
+        graph.add_edge(v1, open_believe)
         return v1
 
     def flag_all_pending(self, i, t):
@@ -198,8 +199,10 @@ class GraphConstructor:
                     continue
                 self._paint(v, Color.RED)
                 del pending[(node, key)]
-                if unacked:
-                    unacked.pop(key, None)
+                # Red is final: no later ack may repaint it black.
+                msg_id = key[:3]  # Msg.msg_id() of the full key
+                if unacked and unacked.get(msg_id) == v:
+                    del unacked[msg_id]
         if not unacked:
             return
         vertex = self.graph.vertex
@@ -219,7 +222,7 @@ class GraphConstructor:
         graph = self.graph
         v1 = graph.id_of((SEND, m.full_key()))
         if v1 is None:
-            v1 = graph.add(
+            v1 = graph.add_vertex(
                 Vertex(SEND, m.src, None, t, None, m.dst, None, m,
                        Color.YELLOW)
             )
@@ -227,7 +230,7 @@ class GraphConstructor:
                 self._nopreds.add(v1)
                 self._unacked.setdefault(m.src, {})[m.msg_id()] = v1
         if vwhy is not None and v1 in self._nopreds:
-            graph.link(vwhy, v1)
+            graph.add_edge(vwhy, v1)
             self._nopreds.discard(v1)
         return v1
 
@@ -237,18 +240,18 @@ class GraphConstructor:
         graph = self.graph
         v1 = graph.id_of((RECEIVE, m.full_key()))
         if v1 is None:
-            v1 = graph.add(
+            v1 = graph.add_vertex(
                 Vertex(RECEIVE, m.dst, None, t, None, m.src, None, m,
                        Color.YELLOW)
             )
-        graph.link(send_vertex, v1)
+        graph.add_edge(send_vertex, v1)
         return v1
 
     def add_red_unless_present(self, vertex):
         """Figure 10, lines 86–91."""
         if vertex not in self.graph:
             vertex.set_color(Color.RED)
-            self.graph.add(vertex)
+            self.graph.add_vertex(vertex)
 
     def flag_ackpend(self, i):
         """Figure 10, lines 93–98."""
@@ -264,13 +267,13 @@ class GraphConstructor:
     def handle_event_ins(self, i, tup, t):
         """Figure 11, lines 99–104."""
         self.flag_all_pending(i, t)
-        v1 = self.graph.add(Vertex(INSERT, i, tup, t))
+        v1 = self.graph.add_vertex(Vertex(INSERT, i, tup, t))
         self.appear_local_tuple(i, tup, v1, t)
 
     def handle_event_del(self, i, tup, t):
         """Figure 11, lines 106–111."""
         self.flag_all_pending(i, t)
-        v1 = self.graph.add(Vertex(DELETE, i, tup, t))
+        v1 = self.graph.add_vertex(Vertex(DELETE, i, tup, t))
         self.disappear_local_tuple(i, tup, v1, t)
 
     def handle_event_snd(self, i, m, t):
@@ -329,23 +332,25 @@ class GraphConstructor:
             v = graph.id_of((vtype, i, tup, t))
             if v is not None:
                 return v
-        v = graph.open_id(BELIEVE, i, tup)
+        v = graph.open_interval(BELIEVE, i, tup)
         if v is not None:
             return v
-        v = graph.open_id(EXIST, i, tup)
+        v = graph.open_interval(EXIST, i, tup)
         if v is not None:
             return v
         # Defensive: a deterministic machine only derives from tuples it
         # holds, so this is unreachable for faithful replays; create a
         # yellow placeholder rather than crash on a hostile log.
-        return graph.add(Vertex(EXIST, i, tup=tup, t=t, color=Color.YELLOW))
+        return graph.add_vertex(
+            Vertex(EXIST, i, tup=tup, t=t, color=Color.YELLOW))
 
     def handle_output_der(self, i, der, t):
         """Figure 11, lines 148–163 (+ Section 3.4 constraint extension)."""
         graph = self.graph
-        v1 = graph.add(Vertex(DERIVE, i, der.tup, t, None, None, der.rule))
+        v1 = graph.add_vertex(
+            Vertex(DERIVE, i, der.tup, t, None, None, der.rule))
         for support in der.support:
-            graph.link(self._support_vertex(i, support, t, False), v1)
+            graph.add_edge(self._support_vertex(i, support, t, False), v1)
         appear_vertex = self.appear_local_tuple(i, der.tup, v1, t)
         if der.replaces is not None:
             # Constraint extension: the replaced tuple's disappearance is a
@@ -359,14 +364,15 @@ class GraphConstructor:
             ]
             if candidates:
                 gone = max(candidates, key=lambda v: v.t)
-                graph.link(graph.id_of(gone), appear_vertex)
+                graph.add_edge(graph.id_of(gone), appear_vertex)
 
     def handle_output_und(self, i, und, t):
         """Figure 11, lines 165–180."""
         graph = self.graph
-        v1 = graph.add(Vertex(UNDERIVE, i, und.tup, t, None, None, und.rule))
+        v1 = graph.add_vertex(
+            Vertex(UNDERIVE, i, und.tup, t, None, None, und.rule))
         for support in und.support:
-            graph.link(self._support_vertex(i, support, t, True), v1)
+            graph.add_edge(self._support_vertex(i, support, t, True), v1)
         self.disappear_local_tuple(i, und.tup, v1, t)
 
     def handle_output_snd(self, i, snd, t):
@@ -399,8 +405,8 @@ class GraphConstructor:
         """
         graph = self.graph
         for tup, appeared_at in extant:
-            graph.add(Vertex(EXIST, node, tup=tup, t=appeared_at,
-                             seeded=True))
+            graph.add_vertex(Vertex(EXIST, node, tup=tup, t=appeared_at,
+                                    seeded=True))
         for tup, peer, appeared_at in believed:
-            graph.add(Vertex(BELIEVE, node, tup=tup, t=appeared_at,
-                             peer=peer, seeded=True))
+            graph.add_vertex(Vertex(BELIEVE, node, tup=tup, t=appeared_at,
+                                    peer=peer, seeded=True))

@@ -24,7 +24,7 @@ class ProvenanceGraph:
     """Vertices indexed by themselves, adjacency by per-graph vertex id.
 
     The index is one dict keyed by the vertex objects, which equal and
-    hash like their keys (:class:`Vertex`): every method takes a key
+    hash like their keys (:class:`Vertex`): every read takes a key
     tuple, an equal-key clone or the canonical vertex alike. A vertex's
     id is its insertion rank. An edge lives only in its two adjacency
     rows, one per direction: ``None`` for no neighbour, the id itself for
@@ -33,13 +33,12 @@ class ProvenanceGraph:
     allocates nothing the cyclic collector counts or traverses (DESIGN.md
     "Allocation and the collector").
 
-    Two forms of the same calls. The GCA builds by id: :meth:`add`
-    yields a vertex's id, :meth:`link` joins two ids, :meth:`id_of` and
-    :meth:`open_id` probe for one and :meth:`close` ends an interval, so
-    it carries ints between calls and an edge costs two list reads, not
-    two index lookups. Everything else speaks in vertices
-    (:meth:`add_vertex`, :meth:`add_edge`, :meth:`get`,
-    :meth:`open_interval`, ...), each a thin wrapper over the id form.
+    Writes speak in ids: :meth:`add_vertex` yields a vertex's id,
+    :meth:`add_edge` joins two ids, :meth:`open_interval` probes for an
+    open interval's id and :meth:`close_interval` ends one, so a builder
+    carries ints between calls and an edge costs two list reads, not two
+    index lookups. Reads take a key or a vertex (:meth:`get`,
+    :meth:`id_of`, :meth:`predecessors`, ...) or an id (:meth:`vertex`).
     """
 
     def __init__(self):
@@ -50,9 +49,9 @@ class ProvenanceGraph:
         self._edges = 0              # count; edges live in the rows
         self._open_intervals = {}    # (vtype, node, tup) -> vertex id
 
-    # ---------------------------------------------------------- by id
+    # ------------------------------------------------- building, by id
 
-    def add(self, vertex):
+    def add_vertex(self, vertex):
         """The id of *vertex*, inserting it if no equal-key vertex is
         here."""
         vertices = self._vertices
@@ -68,7 +67,7 @@ class ProvenanceGraph:
                 ] = i
         return i
 
-    def link(self, i, j):
+    def add_edge(self, i, j):
         """Add edge i → j between two vertex ids (no-op when it is
         already there)."""
         pred = self._pred
@@ -99,12 +98,12 @@ class ProvenanceGraph:
         None."""
         return self._index.get(key)
 
-    def open_id(self, vtype, node, tup):
+    def open_interval(self, vtype, node, tup):
         """The id of the open exist/believe vertex for (node, tup), or
         None."""
         return self._open_intervals.get((vtype, node, tup))
 
-    def close(self, i, t_end):
+    def close_interval(self, i, t_end):
         """Close open exist/believe vertex *i*'s interval."""
         vertex = self._vertices[i]
         vertex.close_interval(t_end)
@@ -139,15 +138,6 @@ class ProvenanceGraph:
         i = self._index.get(key)
         return None if i is None else self._vertices[i]
 
-    def add_vertex(self, vertex):
-        """Insert *vertex* if absent; returns the canonical instance."""
-        return self._vertices[self.add(vertex)]
-
-    def add_edge(self, v_from, v_to):
-        """Add the edge between two vertices of this graph (no-op when it
-        is already there)."""
-        self.link(self._index[v_from], self._index[v_to])
-
     def has_edge(self, v_from, v_to):
         i = self._index.get(v_from)
         j = self._index.get(v_to)
@@ -177,15 +167,6 @@ class ProvenanceGraph:
                 yield vertex, vertices[j]
 
     # --------------------------------------------------- wildcard lookups
-
-    def open_interval(self, vtype, node, tup):
-        """The open exist/believe vertex for (node, tup), or None."""
-        i = self._open_intervals.get((vtype, node, tup))
-        return None if i is None else self._vertices[i]
-
-    def close_interval(self, vertex, t_end):
-        """Close an open exist/believe vertex's interval."""
-        self.close(self._index[vertex], t_end)
 
     def find_all(self, vtype=None, node=None, tup=None):
         """Every matching vertex, in canonical order: a linear scan plus
@@ -220,14 +201,17 @@ class ProvenanceGraph:
 
     def _copy_edges(self, source):
         """Add every edge of *source* whose endpoints both exist here."""
+        index = self._index
         for v_from, v_to in source._edge_vertices():
-            if v_from in self._index and v_to in self._index:
-                self.add_edge(v_from, v_to)
+            i = index.get(v_from)
+            j = index.get(v_to)
+            if i is not None and j is not None:
+                self.add_edge(i, j)
 
     def _merge_vertex(self, vertex):
         existing = self.get(vertex)
         if existing is None:
-            self.add(_clone_vertex(vertex))
+            self.add_vertex(_clone_vertex(vertex))
             return
         existing.color = Color.dominant(existing.color, vertex.color)
         if existing.is_interval():

@@ -19,7 +19,7 @@ Service-under-load behavior, in degradation order:
 2. **batching** — refresh requests share one pass (one ``qp.refresh()``
    serves every waiter): the pass running, when it already covers every
    ingest, else the next one;
-3. **shedding** — pushes beyond ``ingest_limit`` in-flight applications
+3. **shedding** — pushes beyond ``INGEST_LIMIT`` in-flight applications
    are acked ``shed`` without being stored; the pusher keeps its delta
    and re-sends on its next cadence tick (the poll fallback) — bounded
    queues, never OOM;
@@ -42,9 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.metrics import ServiceMeter
 from repro.model import Tup
-from repro.service.framing import (
-    FrameDecoder, MAX_FRAME_BYTES, encode_frame, read_frames,
-)
+from repro.service.framing import FrameDecoder, encode_frame, read_frames
 from repro.snp.deployment import EvidenceDirectory, Maintainer
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.query import QueryError, QueryProcessor
@@ -329,6 +327,10 @@ class MonitorState(EvidenceDirectory):
 _VERDICT_RANK = {"pending": 0, "green": 0, "yellow": 1, "red": 2}
 #: The answer table's bound: past it an answer is simply not stored.
 ANSWER_TABLE_LIMIT = 256
+#: Pushes in flight past which the next one is acked ``shed``.
+INGEST_LIMIT = 64
+#: One subscriber's event queue bound: past it the oldest alert drops.
+SUBSCRIBER_QUEUE_LIMIT = 256
 
 
 def _verdict(answer):  # what a watch compares; an error is pending
@@ -338,11 +340,11 @@ def _verdict(answer):  # what a watch compares; an error is pending
 class Subscription:
     """One subscriber's standing watches plus its bounded event queue."""
 
-    def __init__(self, sid, watches, queue_limit):
+    def __init__(self, sid, watches):
         self.sid = sid
         self.watches = watches          # list of watch-spec dicts
         self.keys = [watch_key(w) for w in watches]
-        self.queue = asyncio.Queue(maxsize=queue_limit)
+        self.queue = asyncio.Queue(maxsize=SUBSCRIBER_QUEUE_LIMIT)
         self.last = {}                  # watch key -> last verdict
         self.lagged = False
         self.closed = False
@@ -368,17 +370,13 @@ class MonitorDaemon:
     """The asyncio monitor daemon: push ingest + REST front end around
     one shared :class:`QueryProcessor`."""
 
-    def __init__(self, host="127.0.0.1", push_port=0, http_port=0,
-                 ingest_limit=64, subscriber_queue_limit=256,
-                 max_frame_bytes=MAX_FRAME_BYTES):
+    def __init__(self, host="127.0.0.1", push_port=0, http_port=0):
         self.host = host
         self.push_port = push_port
         self.http_port = http_port
         self.state = MonitorState()
         self.meter = ServiceMeter()
-        self.max_frame_bytes = max_frame_bytes
-        self.ingest_limit = ingest_limit
-        self.subscriber_queue_limit = subscriber_queue_limit
+        self.ingest_limit = INGEST_LIMIT
         self.qp = QueryProcessor(self.state)
         # One worker serializes every touch of state+qp: ingest mutates
         # what queries read, and MicroQuerier itself is not thread-safe.
@@ -464,10 +462,10 @@ class MonitorDaemon:
     # ------------------------------------------------------- push ingest
 
     async def _handle_push_conn(self, reader, writer):
-        decoder = FrameDecoder(self.max_frame_bytes)
+        decoder = FrameDecoder()
 
         async def send(reply):
-            data = encode_frame(reply, self.max_frame_bytes)
+            data = encode_frame(reply)
             self.meter.frames_sent += 1
             self.meter.bytes_sent += len(data)
             writer.write(data)
@@ -704,7 +702,7 @@ class MonitorDaemon:
     def add_subscription(self, watches):
         sid = self._next_sid
         self._next_sid += 1
-        sub = Subscription(sid, watches, self.subscriber_queue_limit)
+        sub = Subscription(sid, watches)
         # Every key is hashed before the subscription is registered: a
         # spec that cannot be keyed raises here and leaves no trace.
         known = [self._answers.get(key) for key in sub.keys]
@@ -841,13 +839,12 @@ def main(argv=None):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--push-port", type=int, default=0)
     parser.add_argument("--http-port", type=int, default=0)
-    parser.add_argument("--ingest-limit", type=int, default=64)
     args = parser.parse_args(argv)
 
     async def run():
         daemon = MonitorDaemon(
             host=args.host, push_port=args.push_port,
-            http_port=args.http_port, ingest_limit=args.ingest_limit)
+            http_port=args.http_port)
         await daemon.start()
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()

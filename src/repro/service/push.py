@@ -35,9 +35,7 @@ handshake).
 import socket
 import time
 
-from repro.service.framing import (
-    FrameDecoder, MAX_FRAME_BYTES, encode_frame, recv_frame,
-)
+from repro.service.framing import FrameDecoder, encode_frame, recv_frame
 from repro.metrics import ServiceMeter
 
 
@@ -49,8 +47,7 @@ class ServicePusher:
     """Pushes one deployment's log/evidence deltas to a monitor daemon."""
 
     def __init__(self, deployment, host, port, timeout=10.0, retries=4,
-                 backoff=0.05, backoff_factor=2.0, sleep=None,
-                 max_frame_bytes=MAX_FRAME_BYTES):
+                 backoff=0.05, backoff_factor=2.0, sleep=None):
         self.deployment = deployment
         self.host = host
         self.port = port
@@ -60,7 +57,6 @@ class ServicePusher:
         self.backoff_factor = backoff_factor
         self.meter = ServiceMeter()
         self._sleep = sleep if sleep is not None else time.sleep
-        self.max_frame_bytes = max_frame_bytes
         self._sock = None
         self._decoder = None
         self.seq = 0
@@ -79,7 +75,7 @@ class ServicePusher:
             return self
         self._sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout)
-        self._decoder = FrameDecoder(self.max_frame_bytes)
+        self._decoder = FrameDecoder()
         ack = self._exchange(self.hello_message())
         if ack.get("type") != "hello-ack":
             self.close()
@@ -97,7 +93,7 @@ class ServicePusher:
                 self._decoder = None
 
     def _send(self, msg):
-        data = encode_frame(msg, self.max_frame_bytes)
+        data = encode_frame(msg)
         self._sock.sendall(data)
         self.meter.frames_sent += 1
         self.meter.bytes_sent += len(data)

@@ -14,6 +14,9 @@ from repro.net.simulator import Simulator
 from repro.snp.snoopy import LogCopy, SNooPyNode
 from repro.util.errors import ConfigurationError
 
+#: How many replicas hold a copy of each node's log (Section 5.8).
+REPLICATION_FACTOR = 2
+
 
 class Maintainer:
     """The system maintainer: collects alarms and rejected-wire reports."""
@@ -324,10 +327,10 @@ class Deployment(EvidenceDirectory):
             origin, sum(e.size_bytes() for e in response.entries)
         )
 
-    def replicate_deltas(self, replication_factor=2):
+    def replicate_deltas(self):
         """Push each node's log to its replica set (Section 5.8's
         suggested mitigation for destroyed provenance state). Replicas are
-        the next *replication_factor* nodes in id order.
+        the next :data:`REPLICATION_FACTOR` nodes in id order.
 
         A replica with no copy yet gets the full log; one that already
         mirrors a prefix is asked only for the entries past its stored
@@ -355,7 +358,7 @@ class Deployment(EvidenceDirectory):
         pushes = 0
         for index, name in enumerate(names):
             node = self.nodes[name]
-            for step in range(1, replication_factor + 1):
+            for step in range(1, REPLICATION_FACTOR + 1):
                 replica = self.nodes[names[(index + step) % len(names)]]
                 if replica.node_id == name:
                     continue
@@ -385,7 +388,7 @@ class Deployment(EvidenceDirectory):
                 pushes += 1
         return pushes
 
-    def enable_replication(self, interval_seconds, replication_factor=2):
+    def enable_replication(self, interval_seconds):
         """Install a standing delta-replication cadence.
 
         While enabled, :meth:`run_until` interleaves a
@@ -396,11 +399,8 @@ class Deployment(EvidenceDirectory):
         Implemented on the shared :meth:`add_cadence` scheduler, so it
         composes with GC and service-push cadences.
         """
-        self.add_cadence(
-            "replication", interval_seconds,
-            lambda: self.replicate_deltas(replication_factor),
-            at_quiescence=True,
-        )
+        self.add_cadence("replication", interval_seconds,
+                         self.replicate_deltas, at_quiescence=True)
 
     # ------------------------------------------------------ checkpoint GC
 

@@ -283,9 +283,9 @@ class QueryProcessor:
             # believe outranks an exist of the same tuple, as in the
             # GCA's own support lookup.
             for vtype in (BELIEVE, EXIST):
-                vertex = view.graph.open_interval(vtype, node, tup)
-                if vertex is not None:
-                    return vertex
+                i = view.graph.open_interval(vtype, node, tup)
+                if i is not None:
+                    return view.graph.vertex(i)
             return None
         candidates = view.graph.find_all(vtype=EXIST, node=node, tup=tup)
         candidates += view.graph.find_all(vtype=BELIEVE, node=node, tup=tup)
@@ -363,16 +363,13 @@ class QueryProcessor:
         self.mq.build_views([root.node]
                             + [extra.node for extra in extra_roots])
         resolved_root, _color = self.mq.resolve(root)
-        graph.add_vertex(_clone_vertex(resolved_root))
+        root_id = graph.add_vertex(_clone_vertex(resolved_root))
         level = [resolved_root]
-        visited = {resolved_root.key()}
         for extra in extra_roots:
             resolved, _c = self.mq.resolve(extra)
-            if resolved.key() in visited:
-                continue
-            graph.add_vertex(_clone_vertex(resolved))
-            visited.add(resolved.key())
-            level.append(resolved)
+            if resolved not in graph:
+                graph.add_vertex(_clone_vertex(resolved))
+                level.append(resolved)
         depth = 0
         while level and (scope is None or depth < scope):
             expansions = []
@@ -392,20 +389,19 @@ class QueryProcessor:
                                  for n in neighbors])
             next_level = []
             for vertex, neighbors in expansions:
-                here = graph.get(vertex.key())
+                here = graph.id_of(vertex)
                 for neighbor in neighbors:
                     resolved, _c = self.mq.resolve(neighbor)
+                    fresh = len(graph)
                     mine = graph.add_vertex(_clone_vertex(resolved))
                     if direction == "backward":
                         graph.add_edge(mine, here)
                     else:
                         graph.add_edge(here, mine)
-                    if resolved.key() not in visited:
-                        visited.add(resolved.key())
+                    if mine == fresh:  # first visit
                         next_level.append(resolved)
             level = next_level
             depth += 1
         stats = self.mq.stats.delta_since(stats_before)
-        return QueryResult(graph.get(resolved_root.key()), graph, stats,
-                           direction)
+        return QueryResult(graph.vertex(root_id), graph, stats, direction)
 

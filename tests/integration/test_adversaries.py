@@ -255,7 +255,7 @@ class TestMirroredFork:
         b.fork_log(keep_upto=head)    # forks *above* the audited head,
         b.insert(link("b", "r", 9))   # runs on, is mirrored, crashes
         dep.run()
-        dep.replicate_deltas(replication_factor=2)
+        dep.replicate_deltas()
         b.refuse_retrieve = True
         qp.refresh()
         after = qp.mq.view_of("b")

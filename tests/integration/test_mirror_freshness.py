@@ -26,7 +26,7 @@ def _mirror_holders(dep, origin):
 class TestReplicateDeltas:
     def test_first_pass_pushes_full_copies(self):
         dep, _nodes = paper_network(55)
-        pushes = dep.replicate_deltas(replication_factor=2)
+        pushes = dep.replicate_deltas()
         assert pushes > 0
         holders = _mirror_holders(dep, "a")
         assert len(holders) == 2
@@ -124,7 +124,7 @@ class TestReplicationCadence:
 
     def test_run_until_ticks_the_cadence(self):
         dep, nodes = paper_network(55)
-        dep.enable_replication(1.0, replication_factor=2)
+        dep.enable_replication(1.0)
         nodes["a"].insert(link("a", "z", 2))
         dep.run_until(dep.sim.now + 5.0)
         holders = _mirror_holders(dep, "a")

@@ -22,7 +22,7 @@ def _silent_b_network(seed=300, replicate=True):
     dep, nodes = paper_network(seed, {"b": SilentNode})
     nodes["b"].refuse_retrieve = False   # cooperative during replication
     if replicate:
-        dep.replicate_deltas(replication_factor=2)
+        dep.replicate_deltas()
     nodes["b"].refuse_retrieve = True    # then destroyed / silent
     return dep, nodes
 
@@ -81,7 +81,7 @@ class TestReplicationTraffic:
         build_paper_network(dep)
         dep.run()
         assert dep.traffic.totals()["replication"] == 0
-        dep.replicate_deltas(replication_factor=2)
+        dep.replicate_deltas()
         expected = 0
         for node in dep.nodes.values():
             segment = sum(e.size_bytes() for e in node.log.entries)
@@ -93,19 +93,19 @@ class TestReplicationTraffic:
         dep = Deployment(seed=311, key_bits=256)
         nodes = build_paper_network(dep)
         dep.run()
-        dep.replicate_deltas(replication_factor=2)
+        dep.replicate_deltas()
         after_full = dep.traffic.totals()["replication"]
         assert after_full > 0
 
         # Quiescent pass ships nothing, so it charges nothing.
-        assert dep.replicate_deltas(replication_factor=2) == 0
+        assert dep.replicate_deltas() == 0
         assert dep.traffic.totals()["replication"] == after_full
 
         # New activity: the next pass charges the suffixes, not the logs.
         heads = {name: len(node.log) for name, node in dep.nodes.items()}
         nodes["a"].insert(link("a", "z", 2))
         dep.run()
-        pushes = dep.replicate_deltas(replication_factor=2)
+        pushes = dep.replicate_deltas()
         assert pushes > 0
         delta = dep.traffic.totals()["replication"] - after_full
         expected = 0
@@ -127,11 +127,11 @@ class TestReplicationTraffic:
         dep = Deployment(seed=312, key_bits=256)
         build_paper_network(dep)
         dep.run()
-        dep.replicate_deltas(replication_factor=1)
+        dep.replicate_deltas()
         for name, node in dep.nodes.items():
             segment = sum(e.size_bytes() for e in node.log.entries)
             assert dep.traffic.node_totals(name)["replication"] == \
-                segment + AUTHENTICATOR_BYTES
+                2 * (segment + AUTHENTICATOR_BYTES)
 
 
 class TestReplicationCannotFrame:

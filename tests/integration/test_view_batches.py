@@ -177,7 +177,7 @@ class TestBatchingChangesNoResult:
         b.fork_log(keep_upto=head)
         b.insert(link("b", "r", 9))
         dep.run()
-        dep.replicate_deltas(replication_factor=2)
+        dep.replicate_deltas()
         b.refuse_retrieve = True
         together.refresh()
         apart.refresh("a")
@@ -275,19 +275,20 @@ class TestExtantRootLookup:
         tup = link("b", "c", 2)
         graph = ProvenanceGraph()
         graph.add_vertex(Vertex(EXIST, "b", tup=tup, t=1.0, t_end=2.0))
-        exist = graph.add_vertex(Vertex(EXIST, "b", tup=tup, t=3.0))
+        exist = Vertex(EXIST, "b", tup=tup, t=3.0)
+        exist_id = graph.add_vertex(exist)
         graph.add_vertex(Vertex(BELIEVE, "b", tup=tup, t=1.5, t_end=2.5,
                                 peer="a"))
         qp = QueryProcessor(dep)
         _planted(qp, "b", graph)
         assert qp._find_interval_vertex("b", tup, None) is exist
-        believe = graph.add_vertex(
-            Vertex(BELIEVE, "b", tup=tup, t=4.0, peer="a"))
+        believe = Vertex(BELIEVE, "b", tup=tup, t=4.0, peer="a")
+        believe_id = graph.add_vertex(believe)
         assert qp._find_interval_vertex("b", tup, None) is believe
         assert _check_extant_roots(qp, "b") == 1
-        graph.close_interval(believe, 5.0)
+        graph.close_interval(believe_id, 5.0)
         assert qp._find_interval_vertex("b", tup, None) is exist
-        graph.close_interval(exist, 6.0)
+        graph.close_interval(exist_id, 6.0)
         assert qp._find_interval_vertex("b", tup, None) is None
         assert _check_extant_roots(qp, "b") == 0
 

@@ -22,7 +22,7 @@ from repro.datalog import (
     Atom, DatalogApp, Guard, ProgramAnalysisError, Rule, Var, analyze,
 )
 from repro.datalog.parser import _parse, parse_program
-from repro.datalog.plan import compile_rule, rule_sips
+from repro.datalog.plan import compile_rule
 from repro.model import Der, Snd, Tup, Und
 
 from naive import NaiveDatalogApp, schedule_violations
@@ -235,10 +235,3 @@ class TestSipsInvariants:
     def test_schedules_cover_everything_exactly_once(self, rule):
         for join in compile_rule(rule).joins:
             assert schedule_violations(rule, join) == []
-
-    @given(random_rules())
-    @settings(max_examples=120, deadline=None)
-    def test_bound_sets_grow_monotonically(self, rule):
-        for join in rule_sips(rule):
-            for step in join.steps:
-                assert step.bound_before <= step.bound_after

@@ -3,16 +3,16 @@
 Hypothesis drives :class:`~repro.provgraph.graph.ProvenanceGraph` and
 ``tests/reference_graph.py``'s :class:`ReferenceGraph` (a dict of keys and
 a list of ``(key_from, key_to)`` pairs) with one random sequence of
-``add_vertex``, ``add_edge`` (duplicates, equal-key clones, fans that grow
-rows past 8 in both directions), ``close_interval``, ``union``,
-``project`` and ``is_subgraph_of``, and checks after every step that the
-two agree on ``edges()``, ``edge_count()``, every vertex's predecessor and
-successor order, ``has_edge``, ``in``, ``get``, ``open_interval`` and the
-vertex ids (``id_of``, ``open_id``, ``vertex``). Each side is built from
-its own vertex objects, so the production graph is always handed
-equal-key clones of what the reference holds. Any add, edge or close may
-go to the production graph in its id form (``add``, ``link``, ``close``,
-the GCA's calls) while the reference takes the plain key form.
+``add_vertex``, ``add_edge`` (duplicates, ids looked up by equal-key
+clones, fans that grow rows past 8 in both directions),
+``close_interval``, ``union``, ``project`` and ``is_subgraph_of``, and
+checks after every step that the two agree on ``edges()``,
+``edge_count()``, every vertex's predecessor and successor order,
+``has_edge``, ``in``, ``get``, ``open_interval`` and the vertex ids
+(``id_of``, ``vertex``). Each side is built from its own vertex objects,
+so the production graph is always handed equal-key clones of what the
+reference holds. The production graph's writes take and return ids (the
+GCA's calls); the reference takes the plain key form.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -58,20 +58,14 @@ OPEN_SLOTS = sorted({(s["vtype"], s["node"], s["tup"]) for s in SPECS
                      if s["vtype"] in (EXIST, BELIEVE)}, key=repr)
 
 spec_ids = st.integers(min_value=0, max_value=len(SPECS) - 1)
-#: How the production graph is handed a vertex of an edge: an equal-key
-#: clone, its own canonical instance, or its id (``link``).
-VIAS = ("clone", "canonical", "id")
-vias = st.sampled_from(VIAS)
 ops = st.one_of(
-    st.tuples(st.just("vertex"), spec_ids, st.sampled_from(COLORS),
-              st.booleans()),
-    st.tuples(st.just("edge"), spec_ids, spec_ids, vias),
+    st.tuples(st.just("vertex"), spec_ids, st.sampled_from(COLORS)),
+    st.tuples(st.just("edge"), spec_ids, spec_ids),
     st.tuples(st.just("fan-out"), spec_ids,
-              st.lists(spec_ids, min_size=9, max_size=14), vias),
+              st.lists(spec_ids, min_size=9, max_size=14)),
     st.tuples(st.just("fan-in"), spec_ids,
-              st.lists(spec_ids, min_size=9, max_size=14), vias),
-    st.tuples(st.just("close"), spec_ids, st.sampled_from((3.0, 4.0)),
-              st.booleans()),
+              st.lists(spec_ids, min_size=9, max_size=14)),
+    st.tuples(st.just("close"), spec_ids, st.sampled_from((3.0, 4.0))),
     st.tuples(st.just("union"), st.lists(spec_ids, max_size=8),
               st.lists(st.tuples(spec_ids, spec_ids), max_size=8)),
     st.tuples(st.just("project"), st.sampled_from(NODES)),
@@ -89,63 +83,53 @@ class Pair:
         self.graph = graph if graph is not None else ProvenanceGraph()
         self.model = model if model is not None else ReferenceGraph()
 
-    def add_vertex(self, n, color=Color.BLACK, by_id=False):
-        """Add vertex n to both sides; by id, the production graph's
-        ``add`` must answer the reference's id for the key."""
-        if by_id:
-            i = self.graph.add(_vertex(n, color))
-            self.model.add_vertex(_vertex(n, color))
-            assert i == self.model.id_of(_vertex(n).key())
-        else:
-            self.graph.add_vertex(_vertex(n, color))
-            self.model.add_vertex(_vertex(n, color))
+    def add_vertex(self, n, color=Color.BLACK):
+        """Add vertex n to both sides; the production graph must answer
+        the reference's id for the key."""
+        i = self.graph.add_vertex(_vertex(n, color))
+        self.model.add_vertex(_vertex(n, color))
+        assert i == self.model.id_of(_vertex(n).key())
+        return i
 
-    def add_edge(self, a, b, via="clone"):
-        """Add edge a→b to both sides; the production graph gets fresh
-        equal-key clones, the canonical instances or their ids."""
+    def add_edge(self, a, b, ids=None):
+        """Add edge a→b to both sides: the production graph by the ids
+        *ids* (the ones ``add_vertex`` answered), else by the ids it
+        finds for fresh equal-key clones."""
         key_a, key_b = _vertex(a).key(), _vertex(b).key()
         if key_a not in self.model or key_b not in self.model:
             return
         graph = self.graph
-        if via == "id":
-            graph.link(graph.id_of(key_a), graph.id_of(key_b))
-        elif via == "canonical":
-            graph.add_edge(graph.get(key_a), graph.get(key_b))
-        else:
-            graph.add_edge(_vertex(a, Color.RED), _vertex(b))
+        if ids is None:
+            ids = graph.id_of(_vertex(a, Color.RED)), graph.id_of(_vertex(b))
+        graph.add_edge(*ids)
         self.model.add_edge(self.model.get(key_a), self.model.get(key_b))
 
-    def close(self, n, t_end, by_id=False):
+    def close(self, n, t_end):
         vtype, node, tup = (SPECS[n].get(f) for f in ("vtype", "node", "tup"))
         ours = self.graph.open_interval(vtype, node, tup)
         theirs = self.model.open_interval(vtype, node, tup)
         assert (ours is None) == (theirs is None)
         if ours is None:
             return
-        if by_id:
-            self.graph.close(self.graph.open_id(vtype, node, tup), t_end)
-        else:
-            self.graph.close_interval(ours, t_end)
+        self.graph.close_interval(ours, t_end)
         self.model.close_interval(theirs, t_end)
 
     def apply(self, op):
         kind = op[0]
         if kind == "vertex":
-            self.add_vertex(op[1], op[2], by_id=op[3])
+            self.add_vertex(op[1], op[2])
         elif kind == "edge":
-            self.add_edge(op[1], op[2], via=op[3])
+            self.add_edge(op[1], op[2])
         elif kind == "fan-out":
-            self.add_vertex(op[1], by_id=op[3] == "id")
+            hub = self.add_vertex(op[1])
             for n in op[2]:
-                self.add_vertex(n, by_id=op[3] == "id")
-                self.add_edge(op[1], n, via=op[3])
+                self.add_edge(op[1], n, (hub, self.add_vertex(n)))
         elif kind == "fan-in":
-            self.add_vertex(op[1], by_id=op[3] == "id")
+            hub = self.add_vertex(op[1])
             for n in op[2]:
-                self.add_vertex(n, by_id=op[3] == "id")
-                self.add_edge(n, op[1], via=op[3])
+                self.add_edge(n, op[1], (self.add_vertex(n), hub))
         elif kind == "close":
-            self.close(op[1], op[2], by_id=op[3])
+            self.close(op[1], op[2])
         elif kind == "union":
             other = Pair()
             for n in op[1]:
@@ -210,9 +194,13 @@ def assert_agree(pair):
             assert graph.has_edge(clone_a, clone_b) == expected
             assert graph.has_edge(canonical_a, canonical_b) == expected
     for slot in OPEN_SLOTS:
-        assert _described(graph.open_interval(*slot)) \
-            == _described(model.open_interval(*slot))
-        assert graph.open_id(*slot) == model.open_id(*slot)
+        ours = graph.open_interval(*slot)
+        theirs = model.open_interval(*slot)
+        if theirs is None:
+            assert ours is None
+        else:
+            assert ours == model.id_of(theirs.key())
+            assert _described(graph.vertex(ours)) == _described(theirs)
 
 
 def assert_subgraphs_agree(small, big):

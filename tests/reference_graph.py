@@ -5,9 +5,10 @@ way: a dict from vertex key to vertex, and the edges as one list of
 ``(key_from, key_to)`` pairs in insertion order — the edge shape before
 the graph kept integer-id adjacency rows. Every query is a scan of that
 list. A vertex's id is its insertion rank, kept in a second dict that
-answers ``id_of`` and ``open_id``. It answers the same calls as the
-production graph, so a property test can drive both with one operation
-sequence and compare what they say
+answers ``id_of``. It answers the production graph's calls in the plain
+key form — a write takes and returns vertices where the production
+graph's take and return ids — so a property test can drive both with
+one operation sequence and compare what they say
 (``tests/property/test_prop_graph.py``).
 
 It is not the library: it lives beside the test that uses it, to keep
@@ -83,14 +84,8 @@ class ReferenceGraph:
         self._open_intervals.pop((vertex.vtype, vertex.node, vertex.tup),
                                  None)
 
-    # ------------------------------------------------------------- by id
-
     def id_of(self, key):
         return self._ids.get(key)
-
-    def open_id(self, vtype, node, tup):
-        vertex = self.open_interval(vtype, node, tup)
-        return None if vertex is None else self._ids[vertex.key()]
 
     # ------------------------------------------------------------ algebra
 

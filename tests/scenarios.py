@@ -533,7 +533,7 @@ def _truncate_past_the_floor(dep, nodes):
 
 def _crash_after_mirroring(dep, nodes):
     nodes["b"].refuse_retrieve = False
-    dep.replicate_deltas(replication_factor=2)
+    dep.replicate_deltas()
     nodes["b"].refuse_retrieve = True
 
 
@@ -757,7 +757,7 @@ def fork_behind_withholders(dep, nodes):
 
 def _fork_then_crash(dep, nodes):
     fork_behind_withholders(dep, nodes)
-    dep.replicate_deltas(replication_factor=2)
+    dep.replicate_deltas()
     nodes["b"].refuse_retrieve = True
 
 

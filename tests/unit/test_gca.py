@@ -159,6 +159,16 @@ class TestMessaging:
         send = gca.graph.get((SEND, msg.full_key()))
         assert send.color == Color.RED
 
+    def test_a_later_ack_does_not_repaint_a_suppressed_send(self):
+        # Red is proof: an ack for a message the log never sent must not
+        # turn its send vertex black again.
+        gca = _gca((REMOTE_RULE,))
+        msg = self._send_flow(gca)
+        gca.process(Event(1.5, "a", "ins", Tup("x", "a", 0)))
+        gca.process(Event(1.7, "a", "rcv", _ack_for(msg, 1.6)))
+        send = gca.graph.get((SEND, msg.full_key()))
+        assert send.color == Color.RED
+
     def test_stale_unacked_send_goes_red_after_2tprop(self):
         gca = _gca((REMOTE_RULE,), t_prop=0.1)
         msg = self._send_flow(gca)
@@ -210,8 +220,10 @@ class TestCheckpointSeeding:
         gca = _gca()
         tup = Tup("b", "n", 1)
         gca.seed_node("n", [(tup, 0.5)], [(Tup("r", "n", 2), "p", 0.6)])
-        exist = gca.graph.open_interval(EXIST, "n", tup)
-        believe = gca.graph.open_interval(BELIEVE, "n", Tup("r", "n", 2))
+        graph = gca.graph
+        exist = graph.vertex(graph.open_interval(EXIST, "n", tup))
+        believe = graph.vertex(
+            graph.open_interval(BELIEVE, "n", Tup("r", "n", 2)))
         assert exist.seeded and believe.seeded
         assert exist.t == 0.5
 

@@ -64,7 +64,7 @@ class TestSimulator:
             assert abs(clock.skew) <= 0.01
 
     def test_link_delay_bounds(self):
-        sim = Simulator(seed=3, t_prop=0.05, min_delay=0.005)
+        sim = Simulator(seed=3, t_prop=0.05)
         for _ in range(100):
             d = sim.link_delay()
             assert 0.005 <= d <= 0.05

@@ -41,14 +41,10 @@ SIGNATURES = {
     # deploys peers that refuse it
     MicroQuerier: "(self, deployment, use_checkpoints=False)",
     QueryProcessor: "(self, deployment, use_checkpoints=False)",
-    MonitorDaemon:
-        "(self, host='127.0.0.1', push_port=0, http_port=0, "
-        "ingest_limit=64, subscriber_queue_limit=256, "
-        "max_frame_bytes=33554432)",
+    MonitorDaemon: "(self, host='127.0.0.1', push_port=0, http_port=0)",
     ServicePusher:
         "(self, deployment, host, port, timeout=10.0, retries=4, "
-        "backoff=0.05, backoff_factor=2.0, sleep=None, "
-        "max_frame_bytes=33554432)",
+        "backoff=0.05, backoff_factor=2.0, sleep=None)",
     # persistent connections and their two deadlines came without a knob
     MonitorClient: "(self, host, port, timeout=30.0)",
     # the analyzer's gate has no off switch, on either way in; no rule
@@ -77,8 +73,7 @@ SIGNATURES = {
     MonitorNodeProxy.retrieve: RETRIEVE,
 }
 
-MONITOR_FLAGS = {"--help", "--host", "--push-port", "--http-port",
-                 "--ingest-limit"}
+MONITOR_FLAGS = {"--help", "--host", "--push-port", "--http-port"}
 
 
 class TestOptionSurface:

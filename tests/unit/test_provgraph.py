@@ -71,36 +71,40 @@ class TestColors:
 class TestGraphContainer:
     def test_add_vertex_idempotent(self):
         g = ProvenanceGraph()
-        a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
-        b = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
-        assert a is b and len(g) == 1
+        a = Vertex(APPEAR, "n", tup=_tup(), t=1.0)
+        i = g.add_vertex(a)
+        assert g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0)) == i
+        assert g.vertex(i) is a and len(g) == 1
 
     def test_open_interval_index(self):
         g = ProvenanceGraph()
         v = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
-        assert g.open_interval(EXIST, "n", _tup()) is v
+        assert g.open_interval(EXIST, "n", _tup()) == v
         g.close_interval(v, 2.0)
         assert g.open_interval(EXIST, "n", _tup()) is None
+        assert g.vertex(v).t_end == 2.0
 
     def test_edges_and_adjacency(self):
         g = ProvenanceGraph()
-        a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
-        b = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
-        g.add_edge(a, b)
+        a = Vertex(APPEAR, "n", tup=_tup(), t=1.0)
+        b = Vertex(EXIST, "n", tup=_tup(), t=1.0)
+        g.add_edge(g.add_vertex(a), g.add_vertex(b))
         assert g.successors(a) == [b]
         assert g.predecessors(b) == [a]
-        g.add_edge(a, b)  # duplicate edges collapse
+        g.add_edge(g.id_of(a), g.id_of(b))  # duplicate edges collapse
         assert g.edge_count() == 1
 
     def test_duplicate_edge_keeps_count_and_order(self):
         g = ProvenanceGraph()
-        a = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
-        outs = [g.add_vertex(Vertex(DERIVE, "n", tup=_tup(i), rule="R",
-                                    t=2.0)) for i in range(4)]
-        for out in outs:
-            g.add_edge(a, out)
-        g.add_edge(a, outs[1])
-        g.add_edge(a, outs[0])
+        a = Vertex(EXIST, "n", tup=_tup(), t=1.0)
+        i = g.add_vertex(a)
+        outs = [Vertex(DERIVE, "n", tup=_tup(k), rule="R", t=2.0)
+                for k in range(4)]
+        ids = [g.add_vertex(out) for out in outs]
+        for j in ids:
+            g.add_edge(i, j)
+        g.add_edge(i, ids[1])
+        g.add_edge(i, ids[0])
         assert g.edge_count() == 4
         assert g.successors(a) == outs
         assert [g.predecessors(out) for out in outs] == [[a]] * 4
@@ -108,11 +112,13 @@ class TestGraphContainer:
 
     def test_equal_key_clone_stands_for_the_canonical_vertex(self):
         g = ProvenanceGraph()
-        a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
-        b = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
+        a = Vertex(APPEAR, "n", tup=_tup(), t=1.0)
+        b = Vertex(EXIST, "n", tup=_tup(), t=1.0)
+        g.add_vertex(a)
+        g.add_vertex(b)
         a2 = Vertex(APPEAR, "n", tup=_tup(), t=1.0)
         b2 = Vertex(EXIST, "n", tup=_tup(), t=1.0, color=Color.RED)
-        g.add_edge(a2, b2)
+        g.add_edge(g.id_of(a2), g.id_of(b2))
         assert g.has_edge(a, b) and g.has_edge(a2, b2)
         assert g.predecessors(b2) == [a] and g.predecessors(b2)[0] is a
         assert g.successors(a2)[0] is b
@@ -123,7 +129,8 @@ class TestGraphContainer:
 
     def test_contains_takes_a_vertex_or_a_key(self):
         g = ProvenanceGraph()
-        a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
+        a = Vertex(APPEAR, "n", tup=_tup(), t=1.0)
+        g.add_vertex(a)
         assert a in g and a.key() in g
         assert Vertex(APPEAR, "n", tup=_tup(), t=1.0) in g
         assert Vertex(APPEAR, "n", tup=_tup(), t=2.0) not in g
@@ -156,15 +163,15 @@ class TestUnion:
 
     def test_union_keeps_edges(self):
         g1 = ProvenanceGraph()
-        a = g1.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
-        b = g1.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
-        g1.add_edge(a, b)
+        g1.add_edge(g1.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0)),
+                    g1.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0)))
         u = g1.union(ProvenanceGraph())
         assert u.edge_count() == 1
 
     def test_union_does_not_mutate_operands(self):
         g1, g2 = ProvenanceGraph(), ProvenanceGraph()
-        v = g1.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0, t_end=None))
+        v = Vertex(EXIST, "n", tup=_tup(), t=1.0, t_end=None)
+        g1.add_vertex(v)
         g2.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0, t_end=4.0))
         g1.union(g2)
         assert v.t_end is None
@@ -236,8 +243,6 @@ class TestSubgraph:
         for g in (g1, g2):
             a = g.add_vertex(Vertex(APPEAR, "n", tup=_tup(), t=1.0))
             b = g.add_vertex(Vertex(EXIST, "n", tup=_tup(), t=1.0))
-        a1 = g1.get(a.key())
-        b1 = g1.get(b.key())
-        g1.add_edge(a1, b1)
+        g1.add_edge(a, b)
         assert not g1.is_subgraph_of(g2)
         assert g2.is_subgraph_of(g1)
