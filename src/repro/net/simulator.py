@@ -13,16 +13,18 @@ from repro.util.clock import DriftingClock
 
 #: The shortest link propagation delay, in simulated seconds.
 MIN_DELAY = 0.005
+#: The longest link propagation delay (the paper's Tprop).
+T_PROP = 0.05
+#: The widest skew between two node clocks (the paper's Δclock).
+DELTA_CLOCK = 0.01
 
 
 class Simulator:
     """Global event loop plus per-node clocks and link delays."""
 
-    def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01):
-        if MIN_DELAY > t_prop:
-            raise ValueError("t_prop must not be below MIN_DELAY")
-        self.t_prop = t_prop
-        self.delta_clock = delta_clock
+    def __init__(self, seed=0):
+        self.t_prop = T_PROP
+        self.delta_clock = DELTA_CLOCK
         self.now = 0.0
         self._rng = random.Random(seed)
         self._heap = []

@@ -26,5 +26,5 @@ from repro.service.framing import (  # noqa: F401
 from repro.service.monitor import (  # noqa: F401
     MonitorDaemon, MonitorHandle, MonitorState, start_monitor_thread,
 )
-from repro.service.push import ServicePusher, ServiceQuerier  # noqa: F401
+from repro.service.push import ServicePusher  # noqa: F401
 from repro.service.client import MonitorClient, tup_spec  # noqa: F401

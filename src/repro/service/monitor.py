@@ -83,18 +83,16 @@ class MonitorNodeProxy:
         self.merged = LogCopy(node_id)
         self.latest = None
         # peer -> [Authenticator]: evidence this node holds about others,
-        # append-only (the pusher ships cursored deltas).
+        # append-only (a push carries what lies past the held count).
         self.received_auths = {}
 
     # ------------------------------------------------------------ ingest
 
     def ingest(self, response):
-        """Absorb one pushed response; returns the stored head index the
-        ack reports (what the next delta should anchor on)."""
+        """Absorb one pushed response."""
         if response is not None:
             self.latest = response
             self.merged.store(response)
-        return self.stored_head()
 
     def ingest_auths(self, peer, auths):
         self.received_auths.setdefault(peer, []).extend(auths)
@@ -182,8 +180,9 @@ def _require(ok, what, *args):
 
 def _parse_hello(msg):
     """Validate a hello whole, before any of it is applied; returns
-    ``(t_prop, [(node_id, public_key, factory)])``. Every node needs an
-    app spec: replay rebuilds its state machine from nothing else."""
+    ``(t_prop, [(node_id, public_key, spec, factory)])``. Every node
+    needs an app spec: replay rebuilds its state machine from nothing
+    else."""
     from repro.crypto.rsa import RsaKeyPair
     from repro.apps import factory_from_spec
     t_prop, nodes = msg.get("t_prop"), msg.get("nodes")
@@ -199,7 +198,8 @@ def _parse_hello(msg):
         spec = info.get("app")
         _require(spec is not None,
                  "hello: node %r carries no application spec", node_id)
-        parsed.append((node_id, RsaKeyPair(*key), factory_from_spec(spec)))
+        parsed.append((node_id, RsaKeyPair(*key), spec,
+                       factory_from_spec(spec)))
     return float(t_prop), parsed
 
 
@@ -253,9 +253,8 @@ class MonitorState(EvidenceDirectory):
         self.retention_floors = {}
         self.hello = None
         self._public_keys = {}
+        self._app_specs = {}
         self._t_prop = 0.0
-        self._alarm_count = 0
-        self._fault_count = 0
         self.last_push_seq = None
 
     # ------------------------------------------------------------ ingest
@@ -263,37 +262,45 @@ class MonitorState(EvidenceDirectory):
     def ingest_hello(self, msg):
         """Adopt a deployment's identity material: node ids, public keys
         (as ``(n, e)`` pairs, rebuilt locally), app wire specs, and the
-        replay Tprop bound. All or nothing: a malformed message raises
+        replay Tprop bound. Identity is adopted once: a hello may add
+        nodes and may repeat what is held (every reconnect does), but one
+        that changes a known node's key or app spec, or the Tprop bound,
+        is refused. All or nothing: a malformed or refused message raises
         :class:`WireError` and changes no state."""
         t_prop, parsed = _parse_hello(msg)
+        _require(self.hello is None or t_prop == self._t_prop,
+                 "hello: the Tprop bound was %r", self._t_prop)
+        for node_id, public_key, spec, _factory in parsed:
+            held = self._public_keys.get(node_id)
+            _require(held is None or (
+                (held.n, held.e) == (public_key.n, public_key.e)
+                and self._app_specs[node_id] == spec),
+                "hello: node %r changes its key or app spec", node_id)
         self.hello = {"deployment": msg.get("deployment")}
         self._t_prop = t_prop
-        for node_id, public_key, factory in parsed:
-            if node_id not in self.nodes:
-                self.nodes[node_id] = MonitorNodeProxy(node_id)
+        for node_id, public_key, spec, factory in parsed:
+            if node_id in self._public_keys:
+                continue
+            self.nodes.setdefault(node_id, MonitorNodeProxy(node_id))
             self._public_keys[node_id] = public_key
+            self._app_specs[node_id] = spec
             self.app_factories[node_id] = factory
 
     def ingest_push(self, msg):
-        """Absorb one push; returns per-node stored heads for the ack.
-        All or nothing, like :meth:`ingest_hello`."""
+        """Absorb one push. All or nothing, like :meth:`ingest_hello`."""
         _check_push(msg)
-        heads = {}
         for node_id, part in msg["nodes"].items():
             proxy = self.nodes.get(node_id)
             if proxy is None:
                 proxy = self.nodes[node_id] = MonitorNodeProxy(node_id)
-            heads[node_id] = proxy.ingest(part.get("response"))
+            proxy.ingest(part.get("response"))
             for peer, auths in part.get("auths", {}).items():
                 proxy.ingest_auths(peer, auths)
         # Maintainer streams are append-only on the deployment; the push
         # carries the suffix past what this daemon acked.
         for alarm in msg.get("alarms", ()):
             self.maintainer.notify_missing_ack(alarm)
-            self._alarm_count += 1
-        for fault in msg.get("faults", ()):
-            self.maintainer.retention_faults.append(fault)
-            self._fault_count += 1
+        self.maintainer.retention_faults.extend(msg.get("faults", ()))
         self.retention_floors.update(msg.get("floors", {}))
         # The stored copies follow sanctioned floors, as replicas do.
         for node_id, proxy in self.nodes.items():
@@ -301,14 +308,21 @@ class MonitorState(EvidenceDirectory):
             if floor is not None:
                 proxy.merged.trim(floor)
         self.last_push_seq = msg["seq"]
-        return heads
 
-    def ingest_cursors(self):
-        """Append-only stream positions acked back to the pusher."""
-        return {"alarms": self._alarm_count, "faults": self._fault_count}
-
-    def stored_heads(self):
-        return {n: p.stored_head() for n, p in self.nodes.items()}
+    def holdings(self):
+        """What the store holds, as every ack reports it: per node its
+        stored head and per peer how many authenticators it holds, and
+        the lengths of the alarm and fault streams. The pusher builds its
+        next push from this alone."""
+        maintainer = self.maintainer
+        return {
+            "heads": {n: p.stored_head() for n, p in self.nodes.items()},
+            "auths": {n: {peer: len(held)
+                          for peer, held in p.received_auths.items()}
+                      for n, p in self.nodes.items()},
+            "alarms": len(maintainer.missing_ack_alarms),
+            "faults": len(maintainer.retention_faults),
+        }
 
     # ----------------------------------------------- deployment interface
 
@@ -509,9 +523,7 @@ class MonitorDaemon:
         try:
             if mtype == "hello":
                 await self._ingest(self.state.ingest_hello, msg)
-                return {"type": "hello-ack",
-                        "heads": await self._in_pool(self.state.stored_heads),
-                        "cursors": self.state.ingest_cursors()}
+                return await self._ack("hello-ack")
             if mtype == "push":
                 return await self._accept_push(msg)
         except WireError as exc:
@@ -528,20 +540,25 @@ class MonitorDaemon:
             # Shed: nothing stored, nothing acked forward — the
             # pusher keeps its delta and retries next cadence tick.
             self.meter.pushes_shed += 1
-            return {"type": "push-ack", "seq": msg.get("seq"),
-                    "shed": True, "heads": None, "cursors": None,
-                    "marks": None}
+            return {"type": "push-ack", "seq": msg.get("seq"), "shed": True}
         self._inflight_pushes += 1
         try:
-            heads = await self._ingest(self.state.ingest_push, msg)
-            marks = await self._in_pool(self.qp.low_water_marks)
+            await self._ingest(self.state.ingest_push, msg)
+            ack = await self._ack("push-ack", seq=msg.get("seq"), shed=False)
         finally:
             self._inflight_pushes -= 1
         self.meter.pushes_accepted += 1
         self._refresh_needed.set()
-        return {"type": "push-ack", "seq": msg.get("seq"),
-                "shed": False, "heads": heads,
-                "cursors": self.state.ingest_cursors(), "marks": marks}
+        return ack
+
+    async def _ack(self, mtype, **fields):
+        """A hello-ack or push-ack: what the store holds and the query
+        plane's low-water marks, read together on the worker. The pusher
+        keeps nothing else about the daemon."""
+        def read():
+            return dict(self.state.holdings(),
+                        marks=self.qp.low_water_marks())
+        return dict(await self._in_pool(read), type=mtype, **fields)
 
     def _in_pool(self, fn, *args):
         return self._loop.run_in_executor(

@@ -3,33 +3,38 @@
 One :class:`ServicePusher` serves a whole deployment (the paper's nodes
 each push their own log; here the simulation host plays every node, so
 one connection multiplexes them). Each cadence tick ships, per node, the
-log suffix past the head the daemon last acked — the same
+log suffix past the head the daemon holds — the same
 ``retrieve(since_index=...)`` delta a polling querier would have
-fetched, so fork/tamper fallbacks behave identically — plus cursored
-evidence streams (received authenticators, maintainer alarms, retention
-faults) and the current floor advertisements.
+fetched, so fork/tamper fallbacks behave identically — plus the evidence
+streams past what the daemon holds (each peer's authenticators, the
+maintainer's alarms and retention faults) and the current floor
+advertisements.
+
+The daemon's ack is the pusher's only record of what the daemon holds:
+every hello-ack and push-ack reports the stored heads, the authenticator
+count per node and peer, the alarm and fault stream lengths and the
+query plane's low-water marks, and the next push is built from the last
+accepted ack alone.
 
 Failure ladder:
 
 * transport errors → retry with exponential backoff, reconnecting each
-  attempt; after ``retries`` the tick is abandoned (``push_failures``)
-  and state is untouched, so the next tick re-sends everything — pushes
-  are idempotent because acks carry the daemon's *actual* stored heads;
+  attempt; after ``retries`` the tick is abandoned (``push_failures``).
+  Each reconnect re-handshakes, and its hello-ack replaces the last ack,
+  so a push that landed but whose ack was lost is not shipped twice;
 * daemon shed → the ack says so, nothing advances
   (``poll_fallbacks``), the next cadence tick is the poll;
 * daemon ``error`` reply, to the push or to the hello → the daemon
   refused the frame itself, and the same bytes would be refused again:
   the tick ends at once (``push_failures``, no resend), state untouched;
-* daemon restart → its hello/push acks report heads the pusher doesn't
-  expect; since acked heads only ever come from the daemon, the pusher
-  simply rebuilds from what the daemon claims (a full push when heads
-  regress to 0).
+* daemon restart → the fresh daemon's hello-ack reports an empty store,
+  so the next push re-ships every log *and* all the evidence; an audit
+  of the restarted daemon convicts what the old one did.
 
-GC integration: the daemon's acks also carry its query plane's
-low-water marks; :class:`ServiceQuerier` republishes them to
-``Deployment.register_querier``, so a standing *remote* audit service
-bounds node retention exactly like a local standing querier (PR 5
-handshake).
+GC integration: :meth:`ServicePusher.install` registers the pusher in
+``Deployment.register_querier``; its ``low_water_marks`` are the marks
+of the last ack, so a standing *remote* audit service bounds node
+retention exactly like a local standing querier.
 """
 
 import socket
@@ -60,12 +65,7 @@ class ServicePusher:
         self._sock = None
         self._decoder = None
         self.seq = 0
-        self.acked_heads = {}     # node -> head index the daemon stored
-        self.daemon_marks = {}    # the daemon's low-water marks (GC)
-        self._auth_cursors = {}   # node -> {peer: count already pushed}
-        self._alarm_cursor = 0
-        self._fault_cursor = 0
-        self._querier = None
+        self.ack = {}             # the daemon's last accepted ack
 
     # ------------------------------------------------------- connection
 
@@ -80,8 +80,7 @@ class ServicePusher:
         if ack.get("type") != "hello-ack":
             self.close()
             raise HelloRefused(f"monitor rejected hello: {ack!r}")
-        self._adopt_cursors(ack)
-        self.acked_heads.update(ack.get("heads") or {})
+        self.ack = ack
         return self
 
     def close(self):
@@ -126,44 +125,40 @@ class ServicePusher:
                 "t_prop": dep.effective_t_prop(), "nodes": nodes}
 
     def build_push(self):
-        """The delta message for this tick, plus the auth cursors to
-        commit if (and only if) the daemon accepts it."""
-        dep = self.deployment
+        """The delta message for this tick: everything past what the
+        last ack says the daemon holds."""
+        dep, held = self.deployment, self.ack
+        heads, counts = held.get("heads", {}), held.get("auths", {})
         parts = {}
-        pending_cursors = {}
         for node_id in sorted(dep.nodes, key=str):
             node = dep.nodes[node_id]
-            since = self.acked_heads.get(node_id, 0)
+            since = heads.get(node_id, 0)
             if since > 0:
                 response = node.retrieve(since_index=since)
             else:
                 response = node.retrieve()
+            done = counts.get(node_id, {})
             auths = {}
-            cursors = dict(self._auth_cursors.get(node_id, ()))
             for peer in sorted(node.received_auths, key=str):
-                held = node.received_auths[peer]
-                done = cursors.get(peer, 0)
-                fresh = list(held[done:])
+                fresh = node.received_auths[peer][done.get(peer, 0):]
                 if fresh:
-                    auths[peer] = fresh
-                    cursors[peer] = done + len(fresh)
-            pending_cursors[node_id] = cursors
+                    auths[peer] = list(fresh)
             parts[node_id] = {"response": response, "auths": auths}
         maintainer = dep.maintainer
-        msg = {
+        return {
             "type": "push", "seq": self.seq, "nodes": parts,
             "alarms": list(
-                maintainer.missing_ack_alarms[self._alarm_cursor:]),
+                maintainer.missing_ack_alarms[held.get("alarms", 0):]),
             "faults": list(
-                maintainer.retention_faults[self._fault_cursor:]),
+                maintainer.retention_faults[held.get("faults", 0):]),
             "floors": dict(dep.retention_floors),
         }
-        return msg, pending_cursors
 
-    def _adopt_cursors(self, ack):
-        cursors = ack.get("cursors") or {}
-        self._alarm_cursor = cursors.get("alarms", self._alarm_cursor)
-        self._fault_cursor = cursors.get("faults", self._fault_cursor)
+    def low_water_marks(self):
+        """The daemon's seat at the retention handshake: the query
+        plane's marks from the last ack, so GC never truncates above what
+        the *remote* audit service has verified."""
+        return dict(self.ack.get("marks", {}))
 
     # ------------------------------------------------------------- push
 
@@ -175,7 +170,7 @@ class ServicePusher:
         """
         self.seq += 1
         self.meter.pushes_sent += 1
-        ack, pending_cursors = self._push_with_retry()
+        ack = self._push_with_retry()
         if ack is None:
             self.meter.push_failures += 1
             return None
@@ -185,85 +180,52 @@ class ServicePusher:
             self.meter.poll_fallbacks += 1
             return ack
         self.meter.pushes_accepted += 1
-        self.acked_heads.update(ack.get("heads") or {})
-        if ack.get("marks") is not None:
-            self.daemon_marks = dict(ack["marks"])
-        self._adopt_cursors(ack)
-        self._auth_cursors.update(pending_cursors)
+        self.ack = ack
         return ack
 
     def _push_with_retry(self):
-        """Send this tick's delta, rebuilding it whenever an attempt had
-        to re-handshake: the hello ack may have moved ``acked_heads``
-        (most drastically after a daemon restart, which zeroes them), and
-        a delta anchored at the *old* heads would hand the fresh daemon a
-        mid-chain stub it can never rebuild from."""
+        """Send this tick's delta, built anew by every attempt: a retry
+        reconnects, and its hello-ack replaced the last ack (most
+        drastically after a daemon restart, which reports an empty
+        store), so a delta built from the old one would hand the daemon
+        a mid-chain stub, or evidence it already holds."""
         delay = self.backoff
-        msg = pending = None
         for attempt in range(self.retries + 1):
             if attempt:
                 self.meter.push_retries += 1
                 self._sleep(delay)
                 delay *= self.backoff_factor
             try:
-                fresh = self._sock is None
                 self.connect()
-                if msg is None or fresh:
-                    msg, pending = self.build_push()
+                msg = self.build_push()
                 self._send(msg)
                 while True:
                     reply = self._recv()
                     if reply.get("type") == "error":
-                        return None, None
+                        return None
+                    # Another push's ack is skipped: ours carries
+                    # this seq and reports the store after it.
                     if reply.get("type") == "push-ack" \
                             and reply.get("seq") == msg["seq"]:
-                        return reply, pending
-                    # A stale ack from a timed-out earlier attempt;
-                    # absorb its heads (they are authoritative) and keep
-                    # reading for ours.
-                    if reply.get("type") == "push-ack" \
-                            and not reply.get("shed"):
-                        self.acked_heads.update(reply.get("heads") or {})
+                        return reply
             except HelloRefused:
-                return None, None
+                return None
             except (OSError, ConnectionError):
                 self.close()
-        return None, None
+        return None
 
     # ----------------------------------------------------- deployment glue
 
     def install(self, interval_seconds):
         """Register the push cadence on the deployment's shared scheduler
         (at quiescence, like replication: an idle tick pushes empty
-        deltas) and register the daemon's marks in the GC handshake.
-        Returns the :class:`ServiceQuerier`."""
+        deltas) and the pusher itself in the GC handshake."""
         self.deployment.add_cadence(
             "service-push", interval_seconds, self.push_once,
             at_quiescence=True,
         )
-        if self._querier is None:
-            self._querier = ServiceQuerier(self)
-            self.deployment.register_querier(self._querier)
-        return self._querier
+        self.deployment.register_querier(self)
 
     def uninstall(self):
         self.deployment.remove_cadence("service-push")
-        if self._querier is not None:
-            self.deployment.unregister_querier(self._querier)
-            self._querier = None
-
-
-class ServiceQuerier:
-    """The daemon's seat at the retention-handshake table: republishes
-    the low-water marks from the last push ack, so GC never truncates
-    above what the *remote* audit service has verified."""
-
-    def __init__(self, pusher):
-        self.pusher = pusher
-
-    def low_water_marks(self):
-        return dict(self.pusher.daemon_marks)
-
-    def __repr__(self):
-        return (f"ServiceQuerier(monitor={self.pusher.host}:"
-                f"{self.pusher.port})")
+        self.deployment.unregister_querier(self)

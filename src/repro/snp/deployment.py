@@ -130,11 +130,9 @@ class EvidenceDirectory:
 
 
 class Deployment(EvidenceDirectory):
-    def __init__(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256,
-                 t_batch=0.0):
+    def __init__(self, seed=0, key_bits=256, t_batch=0.0):
         self.seed = seed
-        self.sim = Simulator(seed=seed, t_prop=t_prop,
-                             delta_clock=delta_clock)
+        self.sim = Simulator(seed=seed)
         self.ca = CertificateAuthority(key_bits=key_bits, seed=seed ^ 0xCA)
         self.key_bits = key_bits
         self.t_batch = t_batch

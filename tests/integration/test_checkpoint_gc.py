@@ -306,7 +306,7 @@ class TestAdversarialGc:
         assert "retention" in view.verdict_reason
         # Through the daemon: the hello and one push, framed and decoded.
         pusher = ServicePusher(dep, "127.0.0.1", 1)  # builds messages only
-        push, _cursors = pusher.build_push()
+        push = pusher.build_push()
         decoder = FrameDecoder()
         state = MonitorState()
         [hello] = decoder.feed(encode_frame(pusher.hello_message()))

@@ -24,13 +24,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.mincost import best_cost, link
+from repro.crypto.rsa import generate_keypair
 from repro.metrics import QueryStats
 from repro.service import (
     MonitorClient, ServicePusher, server, start_monitor_thread, tup_spec,
 )
 from repro.service.framing import frame_payload
 from repro.service.monitor import MonitorState, watch_key
-from repro.service.push import ServiceQuerier
 from repro.snp import QueryProcessor
 from repro.snp.adversary import ForkingNode, TamperingNode
 from repro.snp.log import LogEntry
@@ -108,7 +108,7 @@ class TestServiceAudit:
         heads = dict(first["heads"])
         nodes["a"].insert(link("a", "e", 9))
         dep.run()
-        msg, _cursors = pusher.build_push()
+        msg = pusher.build_push()
         part = msg["nodes"]["a"]["response"]
         assert part.start_index == heads["a"] + 1
         second = pusher.push_once()
@@ -206,7 +206,7 @@ class TestAdversarial:
         dep, _nodes = paper_deployment()
         pusher = ServicePusher(dep, "127.0.0.1", 1)  # builds messages only
         hello = pusher.hello_message()
-        push, _cursors = pusher.build_push()
+        push = pusher.build_push()
         del hello["nodes"]["b"], push["nodes"]["b"]
         state = MonitorState()
         state.ingest_hello(hello)
@@ -241,6 +241,32 @@ HOSTILE_HELLOS = {
     "app-none": {"t_prop": 0.05, "nodes": {"a": {"key": (5, 3),
                                                  "app": None}}},
 }
+
+def _changed(hello, node=None, **fields):
+    """*hello* with *fields* of *node*'s entry, or of the hello itself,
+    replaced."""
+    (hello["nodes"][node] if node else hello).update(fields)
+    return hello
+
+
+_FRESH_KEY = generate_keypair(256, seed=4242)
+#: name → a second hello, given the first: each changes identity the
+#: daemon already adopted, and each is refused whole.
+IDENTITY_CHANGES = {
+    "fresh-key": lambda hello: _changed(
+        hello, "a", key=(_FRESH_KEY.n, _FRESH_KEY.e)),
+    "other-app-spec": lambda hello: _changed(
+        hello, "a", app=("mincost", {"max_cost": 9})),
+    "other-t-prop": lambda hello: _changed(
+        hello, t_prop=hello["t_prop"] * 2),
+}
+
+
+def _views(dep):
+    """Every node's view of a cold audit: ``{node: (status, reason)}``."""
+    return {node: (view.status, view.verdict_reason)
+            for node, view in QueryProcessor(dep).prefetch().items()}
+
 
 def hostile_pushes(auth):
     """name → malformed push body; *auth* is a genuine authenticator, so
@@ -361,13 +387,8 @@ class TestHostileFrames:
             "hello": state.hello, "t_prop": state._t_prop,
             "keys": {n: (k.n, k.e) for n, k in state._public_keys.items()},
             "apps": dict(state.app_factories),
-            "heads": state.stored_heads(),
+            "holdings": state.holdings(),
             "latest": {n: p.latest for n, p in state.nodes.items()},
-            "auths": {n: {peer: len(held)
-                          for peer, held in p.received_auths.items()}
-                      for n, p in state.nodes.items()},
-            "alarms": len(state.maintainer.missing_ack_alarms),
-            "faults": len(state.maintainer.retention_faults),
             "floors": dict(state.retention_floors),
         }
 
@@ -388,6 +409,7 @@ class TestHostileFrames:
         after = client.query(spec)
         assert after["ok"] and after["result"] == before["result"]
         pusher.close()
+        return dep
 
     def test_a_refused_global_is_counted_apart_from_line_damage(
             self, monitor, clients):
@@ -417,6 +439,40 @@ class TestHostileFrames:
         self._assert_rejected_whole(
             monitor, clients, lambda dep: dict(HOSTILE_HELLOS[name], type="hello"))
 
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CHANGES))
+    def test_a_hello_that_changes_identity_is_refused_whole(
+            self, monitor, clients, name):
+        """Identity is adopted once. A second hello that gives ``a`` a
+        fresh key, or another app spec, or moves the Tprop bound, would
+        have every log re-judged under it — accepted, a fresh key for
+        ``a`` left ``a``, ``b``, ``d`` and ``e`` proven-faulty. It is
+        refused whole, and every later audit equals the direct one."""
+        dep = self._assert_rejected_whole(
+            monitor, clients, lambda dep: IDENTITY_CHANGES[name](
+                ServicePusher(dep, "127.0.0.1", 1).hello_message()))
+        _settle(monitor)
+        state = monitor.daemon.state
+        assert _views(state) == _views(dep)
+        assert {status for status, _reason in _views(dep).values()} \
+            == {"ok"}
+        target = best_cost("c", "d", 5)
+        assert direct_summary(state, target) == direct_summary(dep, target)
+
+    def test_a_hello_may_repeat_itself_or_add_nodes(self):
+        """What every reconnect sends — the same hello — is accepted, and
+        so is one that adds a node; the known nodes keep their identity."""
+        dep, _nodes = paper_deployment()
+        hello = ServicePusher(dep, "127.0.0.1", 1).hello_message()
+        state = MonitorState()
+        state.ingest_hello(hello)
+        state.ingest_hello(hello)
+        state.ingest_hello(_changed(hello, nodes=dict(
+            hello["nodes"], z=hello["nodes"]["a"])))
+        assert set(state.nodes) == set(dep.nodes) | {"z"}
+        for node, info in hello["nodes"].items():
+            key = state.public_key_of(node)
+            assert (key.n, key.e) == info["key"]
+
     @pytest.mark.parametrize("name", sorted(hostile_pushes(None)))
     def test_malformed_push_is_rejected_whole(self, monitor, clients, name):
         self._assert_rejected_whole(monitor, clients, lambda dep: {
@@ -439,14 +495,15 @@ class TestHostileFrames:
         a.insert(link("a", "e", 50))
         dep.run()
         stored = self._stored(monitor.daemon)
-        pusher._send(_lying_push(a, stored["heads"]["a"], field, lie))
+        pusher._send(_lying_push(
+            a, stored["holdings"]["heads"]["a"], field, lie))
         assert pusher._recv()["type"] == "error"
         assert client.status()["meter"]["corrupt_frames"] == 1
         assert self._stored(monitor.daemon) == stored
         ack = pusher.push_once()
         assert ack is not None and not ack["shed"]
         assert pusher.meter.push_retries == 0
-        assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
+        assert monitor.daemon.state.holdings()["heads"]["a"] == len(a.log)
         pusher.close()
 
     def test_a_content_that_does_not_encode_is_a_digest_mismatch(
@@ -465,7 +522,7 @@ class TestHostileFrames:
         a.insert(link("a", "e", 50))
         dep.run()
         response = a.retrieve(
-            since_index=monitor.daemon.state.stored_heads()["a"])
+            since_index=monitor.daemon.state.holdings()["heads"]["a"])
         entry = response.entries[-1]
         response.entries[-1] = LogEntry(
             entry.index, entry.timestamp, entry.entry_type,
@@ -474,7 +531,7 @@ class TestHostileFrames:
         reply = pusher._exchange({"type": "push", "seq": 10_000,
                                   "nodes": {"a": {"response": response}}})
         assert reply["type"] == "push-ack"
-        assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
+        assert monitor.daemon.state.holdings()["heads"]["a"] == len(a.log)
         for _push in range(2):
             answer = client.query(spec)
             assert not answer["ok"] and answer["error"] == (
@@ -500,7 +557,7 @@ class TestHostileFrames:
         a = dep.nodes["a"]
         a.insert(link("a", "e", 50))
         dep.run()
-        response = a.retrieve(since_index=state.stored_heads()["a"])
+        response = a.retrieve(since_index=state.holdings()["heads"]["a"])
         entry = response.entries[-1]
         response.entries[-1] = LogEntry(
             entry.index, entry.timestamp, entry.entry_type,
@@ -512,7 +569,7 @@ class TestHostileFrames:
         a.checkpoint()
         floor = a.advertise_retention_floor()
         assert floor.floor_index > entry.index
-        delta = a.retrieve(since_index=state.stored_heads()["a"])
+        delta = a.retrieve(since_index=state.holdings()["heads"]["a"])
         reply = pusher._exchange({"type": "push", "seq": 10_001,
                                   "nodes": {"a": {"response": delta}},
                                   "floors": {"a": floor}})
@@ -556,10 +613,11 @@ class TestHostileFrames:
         intact = pusher.build_push
 
         def lying():
-            msg, pending = intact()
+            msg = intact()
             msg["nodes"].update(_lying_push(
-                a, stored["heads"]["a"], "timestamp", "an int")["nodes"])
-            return msg, pending
+                a, stored["holdings"]["heads"]["a"], "timestamp",
+                "an int")["nodes"])
+            return msg
         pusher.build_push = lying
         started = time.monotonic()
         assert pusher.push_once() is None
@@ -571,7 +629,7 @@ class TestHostileFrames:
         ack = pusher.push_once()
         assert ack is not None and not ack["shed"]
         assert pusher.meter.push_retries == 0
-        assert monitor.daemon.state.stored_heads()["a"] == len(a.log)
+        assert monitor.daemon.state.holdings()["heads"]["a"] == len(a.log)
         pusher.close()
 
 
@@ -1201,7 +1259,7 @@ class TestDegradation:
         ack = pusher.push_once()
         assert ack is not None and ack["shed"]
         # Nothing advanced past the hello baseline of zero.
-        assert set(pusher.acked_heads.values()) == {0}
+        assert set(pusher.ack["heads"].values()) == {0}
         assert pusher.meter.poll_fallbacks == 1
         assert monitor.daemon.meter.pushes_shed == 1
 
@@ -1224,7 +1282,7 @@ class TestDegradation:
         assert pusher.meter.push_failures == 1
         assert pusher.meter.push_retries == 3
         assert sleeps == [0.01, 0.02, 0.04]
-        assert pusher.acked_heads == {}
+        assert pusher.ack == {}
 
     def test_a_refused_hello_ends_the_tick(self, monitor):
         """A hello the daemon answers with an error would be refused
@@ -1241,9 +1299,26 @@ class TestDegradation:
             == (1, 0, 1)
         assert sleeps == [] and pusher._sock is None
         assert monitor.daemon.meter.corrupt_frames == 1
-        assert pusher.acked_heads == {}
+        assert pusher.ack == {}
         with pytest.raises(ConnectionError, match="rejected hello"):
             pusher.connect()
+
+    @staticmethod
+    def _held_by_nodes(dep):
+        """What a store holding all of *dep*'s evidence reports."""
+        return {
+            "auths": {name: {peer: len(held)
+                             for peer, held in node.received_auths.items()}
+                      for name, node in dep.nodes.items()},
+            "alarms": len(dep.maintainer.missing_ack_alarms),
+            "faults": len(dep.maintainer.retention_faults),
+        }
+
+    @staticmethod
+    def _holdings(handle):
+        held = dict(handle.daemon.state.holdings())
+        held.pop("heads")
+        return held
 
     def test_push_recovers_after_daemon_restart(self):
         dep, _nodes = paper_deployment()
@@ -1252,6 +1327,7 @@ class TestDegradation:
         try:
             pusher = make_pusher(dep, first)
             assert not pusher.push_once()["shed"]
+            assert self._holdings(first) == self._held_by_nodes(dep)
         finally:
             first.stop()
         pusher.close()
@@ -1262,8 +1338,11 @@ class TestDegradation:
             pusher.port = second.daemon.push_port
             ack = pusher.push_once()
             assert ack is not None and not ack["shed"]
-            # The fresh daemon acked from zero: the pusher adopted its
-            # heads, so the full log was re-shipped and audits work.
+            # The fresh daemon's hello-ack reported an empty store, and
+            # the pusher builds from that ack alone: one push handed it
+            # every log and every authenticator the nodes hold.
+            assert self._holdings(second) == self._held_by_nodes(dep)
+            assert pusher.ack is ack
             port = second.daemon.http_port
             with MonitorClient("127.0.0.1", port) as client:
                 out = client.query(
@@ -1271,6 +1350,63 @@ class TestDegradation:
             assert out["ok"] and out["result"]["verdict"] == "green"
         finally:
             second.stop()
+        pusher.close()
+
+    def test_a_restarted_daemon_convicts_a_forked_node(self):
+        """The direct audit and the daemon before its restart both refuse
+        to answer at a node whose log is a forked stub. A restarted
+        daemon that got the logs but not the peers' authenticators
+        answered green there: nothing it held covered past the stub."""
+        dep, nodes = paper_deployment(ForkingNode)
+        nodes["b"].fork_log(keep_upto=3)
+        target = best_cost("b", "a", 6)
+        with pytest.raises(QueryError) as direct:
+            direct_summary(dep, target, scope=0)
+        spec = tup_spec(target, scope=0, fresh=True)
+        pusher = None
+        for _restart in range(2):
+            handle = start_monitor_thread(
+                host="127.0.0.1", push_port=0, http_port=0)
+            try:
+                if pusher is None:
+                    pusher = make_pusher(dep, handle)
+                pusher.port = handle.daemon.push_port
+                assert not pusher.push_once()["shed"]
+                with MonitorClient(
+                        "127.0.0.1", handle.daemon.http_port) as client:
+                    out = client.query(spec)
+                assert not out["ok"]
+                assert out["error"] == str(direct.value)
+                assert "proven-faulty" in out["error"]
+            finally:
+                handle.stop()
+            pusher.close()
+
+    def test_a_push_whose_ack_was_lost_is_not_stored_twice(self, monitor):
+        """The daemon applies a push, and its ack never arrives. The
+        retry reconnects, and the hello-ack reports what the daemon holds
+        now, so the rebuilt push carries no authenticator it already
+        has."""
+        dep, nodes = paper_deployment()
+        pusher = make_pusher(dep, monitor, sleep=lambda _s: None)
+        assert not pusher.push_once()["shed"]
+        nodes["a"].insert(link("a", "e", 9))
+        dep.run()
+        receive, lost = pusher._recv, []
+
+        def lossy():
+            reply = receive()
+            if reply.get("type") == "push-ack" and not lost:
+                lost.append(reply)
+                raise ConnectionError("the ack was lost")
+            return reply
+        pusher._recv = lossy
+        ack = pusher.push_once()
+        assert lost and not lost[0]["shed"]
+        assert ack is not None and not ack["shed"]
+        assert pusher.meter.push_retries == 1
+        assert monitor.daemon.meter.pushes_accepted == 3
+        assert self._holdings(monitor) == self._held_by_nodes(dep)
         pusher.close()
 
 
@@ -1284,7 +1420,7 @@ class TestCadenceComposition:
         dep.enable_gc(interval_seconds=7.0)
 
         pusher = make_pusher(dep, monitor)
-        querier = pusher.install(interval_seconds=3.0)
+        pusher.install(interval_seconds=3.0)
         assert dep.cadence("service-push") is not None
         assert dep.cadence("replication") is not None
         assert dep.cadence("gc") is not None
@@ -1298,12 +1434,12 @@ class TestCadenceComposition:
         client = clients()
         client.query(tup_spec(best_cost("c", "d", 5), fresh=True))
         pusher.push_once()
-        assert querier.low_water_marks()
-        assert querier in dep._queriers
+        assert pusher.low_water_marks()
+        assert pusher in dep._queriers
 
         pusher.uninstall()
         assert dep.cadence("service-push") is None
-        assert querier not in dep._queriers
+        assert pusher not in dep._queriers
         pusher.close()
 
 
@@ -1315,7 +1451,7 @@ class TestDaemonRetention:
         a cold direct audit of the GC'd deployment."""
         dep, nodes = paper_deployment()
         pusher = make_pusher(dep, monitor)
-        dep.register_querier(ServiceQuerier(pusher))
+        dep.register_querier(pusher)
         client = clients()
         target = best_cost("c", "d", 5)
         for cost in range(12):

@@ -10,8 +10,11 @@ engine and to the recompute-from-scratch oracle:
 * **trace identity** — production and naive produce bit-identical
   Der/Und/Snd streams (supports included, in order), tuple sets,
   beliefs, derivation instances and snapshots, on randomized programs
-  (joins, guards, all four aggregate functions, maybe rules) and
-  randomized mixed insert/retract schedules;
+  (joins, self-joins, chains over a derived relation, remote heads,
+  guards, all four aggregate functions, maybe rules) and randomized
+  mixed insert/retract schedules spread over two message-connected
+  nodes — the safety net for the compiled plans' index lookups, greedy
+  body reordering and early guard firing;
 * **snapshot/restore** — a production app restored mid-schedule (which
   rebuilds its derived membership map from the store) continues exactly
   like one that never restored;
@@ -67,8 +70,18 @@ def programs(draw):
     ))
     if draw(st.booleans()):
         rules.append(Rule(
+            "SJ", Atom("h2", L, A, C),
+            [Atom("f", L, A, B), Atom("f", L, B, C)],
+        ))
+    if draw(st.booleans()):
+        rules.append(Rule(
             "P", Atom("push", "m", A, B),
             [Atom("f", L, A, B)],
+        ))
+    if draw(st.booleans()):
+        rules.append(Rule(
+            "CH", Atom("h3", L, B),
+            [Atom("h1", L, A, B), Atom("e", L, A)],
         ))
     func = draw(st.sampled_from(["min", "max", "sum", "count"]))
     agg_guards = []
@@ -176,7 +189,7 @@ def _drive(app_cls, program, ops, restore_at=None, nodes=NODES, t_of=float):
 
 class TestThreeWayEquivalence:
     @given(programs(), events)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_traces_states_snapshots_identical(self, program, ops):
         production, naive = (_drive(engine, program, ops)
                              for engine in ENGINES)

@@ -278,7 +278,7 @@ def widest_deployment():
     auditor.refresh()
     dep.run_gc()
     pusher = ServicePusher(dep, "127.0.0.1", 0)
-    hello, (push, _cursors) = pusher.hello_message(), pusher.build_push()
+    hello, push = pusher.hello_message(), pusher.build_push()
     return dep, hello, push
 
 
@@ -288,7 +288,7 @@ def first_push():
     dep = Deployment(seed=78, key_bits=256, t_batch=0.05)
     build_paper_network(dep)
     dep.run()
-    return ServicePusher(dep, "127.0.0.1", 0).build_push()[0]
+    return ServicePusher(dep, "127.0.0.1", 0).build_push()
 
 
 def as_fields(value):

@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.hashing import chain_hash, content_digest
 from repro.crypto.keys import CertificateAuthority, NodeIdentity
 from repro.model import Msg, Tup, PLUS
-from repro.net.simulator import Simulator
+from repro.net.simulator import DELTA_CLOCK, MIN_DELAY, T_PROP, Simulator
 from repro.snp.commitment import (
     WireBatch, build_ack, build_batch, rcv_entry_content, snd_entry_content,
     verify_ack, verify_batch,
@@ -58,16 +58,16 @@ class TestSimulator:
         assert fired == [1] and sim.now == 2.0
 
     def test_clock_skew_bounded(self):
-        sim = Simulator(seed=3, delta_clock=0.02)
+        sim = Simulator(seed=3)
         for n in range(10):
             clock = sim.register_clock(f"n{n}")
-            assert abs(clock.skew) <= 0.01
+            assert abs(clock.skew) <= DELTA_CLOCK / 2
 
     def test_link_delay_bounds(self):
-        sim = Simulator(seed=3, t_prop=0.05)
+        sim = Simulator(seed=3)
         for _ in range(100):
             d = sim.link_delay()
-            assert 0.005 <= d <= 0.05
+            assert MIN_DELAY <= d <= T_PROP
 
     def test_negative_schedule_rejected(self):
         sim = Simulator(seed=0)

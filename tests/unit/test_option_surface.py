@@ -59,8 +59,7 @@ SIGNATURES = {
     RetrieveResponse:
         "(self, node, entries, start_index, start_hash, head_auth)",
     Deployment:
-        "(self, seed=0, t_prop=0.05, delta_clock=0.01, key_bits=256, "
-        "t_batch=0.0)",
+        "(self, seed=0, key_bits=256, t_batch=0.0)",
     # t_batch is the deployment's: its plausibility window and Tprop
     # bound read it, so no node has its own
     Deployment.add_node:

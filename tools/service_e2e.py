@@ -42,7 +42,11 @@ plane's acceptance bar:
 7. **stored copies at the head** — after the first push, ``/status``
    ``nodes`` reports, for every node, the length of its log: the daemon's
    copy was spliced to each origin's head across the process boundary;
-8. the daemon shuts down cleanly on SIGTERM.
+8. the daemon shuts down cleanly on SIGTERM;
+9. **a restart loses nothing** — a fresh daemon under the same pusher
+   gets every log and every peer's authenticators in one push, so a
+   scope-0 query rooted at the forker is answered as the direct audit
+   answers it (proven-faulty), and that daemon exits cleanly too.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -61,13 +65,14 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro.apps.chord import ChordNetwork                     # noqa: E402
+from repro.apps.chord import ChordNetwork, node_tuple         # noqa: E402
 from repro.service import MonitorClient, ServicePusher, tup_spec  # noqa: E402
 from repro.service.framing import (                           # noqa: E402
     FrameDecoder, encode_frame, frame_payload, recv_frame,
 )
 from repro.snp import Deployment, QueryProcessor              # noqa: E402
 from repro.snp.adversary import ForkingNode                   # noqa: E402
+from repro.util.errors import QueryError                      # noqa: E402
 
 CHECKS = []
 
@@ -77,6 +82,17 @@ def check(name, ok, detail=""):
     print(f"  [{'ok' if ok else 'FAIL'}] {name}" + (f" — {detail}" if detail else ""),
           flush=True)
     return bool(ok)
+
+
+def stop_daemon(proc, name):
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    check(f"{name} exited cleanly on SIGTERM", proc.returncode == 0,
+          f"returncode={proc.returncode}")
 
 
 def spawn_daemon():
@@ -169,6 +185,37 @@ def build_workload(adversary_name, seed=11):
     return dep, net, results[0]
 
 
+def check_restart(dep, net, pusher, adversary):
+    """Point *pusher* at a fresh daemon and push once. Its hello-ack
+    reports an empty store, so the push carries every log and every
+    authenticator the nodes hold; a restarted store that got the logs
+    alone answered green at the forker."""
+    root = node_tuple(adversary, net.ring_id(adversary))
+    qp = QueryProcessor(dep)
+    qp.refresh()
+    try:
+        direct = qp.why(root, scope=0).summary()
+    except QueryError as exc:
+        direct = str(exc)
+    check("direct scope-0 audit at the forker: proven-faulty",
+          "proven-faulty" in str(direct), str(direct))
+    proc, ports = spawn_daemon()
+    try:
+        pusher.port = ports["push_port"]
+        ack = pusher.push_once()
+        check("restarted daemon accepted the push",
+              ack is not None and not ack["shed"])
+        with MonitorClient("127.0.0.1", ports["http_port"],
+                           timeout=60) as client:
+            out = client.query(tup_spec(root, scope=0, fresh=True))
+        answer = out["result"] if out.get("ok") else out.get("error")
+        check("restarted daemon answers the forker's scope-0 query as "
+              "the direct audit does", answer == direct, str(answer))
+        pusher.close()
+    finally:
+        stop_daemon(proc, "restarted daemon")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=16,
@@ -190,7 +237,7 @@ def main(argv=None):
 
     print("service e2e: starting daemon subprocess", flush=True)
     proc, ports = spawn_daemon()
-    exit_code = 1
+    pusher = None
     try:
         # Sent first and read last: the daemon's request deadline runs
         # while everything else does.
@@ -377,18 +424,12 @@ def main(argv=None):
         check("daemon accepted exactly the two pushes",
               meter["pushes_accepted"] == 2,
               f"pushes_accepted={meter['pushes_accepted']}")
-
-        failed = [name for name, ok in CHECKS if not ok]
-        exit_code = 1 if failed else 0
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-    check("daemon exited cleanly on SIGTERM", proc.returncode == 0,
-          f"returncode={proc.returncode}")
+        stop_daemon(proc, "daemon")
+    if pusher is not None:
+        print("service e2e: a fresh daemon under the same pusher",
+              flush=True)
+        check_restart(dep, net, pusher, args.adversary)
     failed = [name for name, ok in CHECKS if not ok]
     if failed:
         print(f"service e2e: FAILED ({len(failed)}): " + "; ".join(failed),
