@@ -144,15 +144,35 @@ class Atom:
     """A relation pattern: ``relation(@loc_term, *terms)``.
 
     Terms may be :class:`Var`, constants, or (in heads only) :class:`Expr`.
+    The constructor precomputes the two recipes the engine runs: the
+    unify recipe :meth:`match` follows (per position, a constant to
+    compare or a variable to check or bind) and the instantiate recipe
+    :meth:`instantiate` follows (per position, a variable to read, an
+    expression to evaluate or a constant).
     """
 
-    __slots__ = ("relation", "loc", "terms", "span")
+    __slots__ = ("relation", "loc", "terms", "span", "_unify", "_build")
 
     def __init__(self, relation, loc, *terms, span=None):
         self.relation = relation
         self.loc = loc
         self.terms = tuple(terms)
         self.span = span
+        unify = []
+        build = []
+        for index, term in enumerate((loc,) + self.terms):
+            if isinstance(term, Var):
+                unify.append((index - 1, True, term.name))
+                build.append((_READ, term.name))
+            elif isinstance(term, Expr):
+                unify = None  # expressions are head-only: never matches
+                build.append((_EVAL, term.evaluate))
+            else:
+                if unify is not None:
+                    unify.append((index - 1, False, term))
+                build.append((_CONST, term))
+        self._unify = None if unify is None else tuple(unify)
+        self._build = tuple(build)
 
     def __repr__(self):
         inner = ", ".join([f"@{self.loc!r}"] + [repr(t) for t in self.terms])
@@ -164,18 +184,21 @@ class Atom:
         Returns the extended bindings dict, or None on mismatch. Does not
         mutate *bindings*.
         """
-        if tup.relation != self.relation or len(tup.args) != len(self.terms):
+        args = tup.args
+        unify = self._unify
+        if (tup.relation != self.relation or len(args) != len(self.terms)
+                or unify is None):
             return None
         new = dict(bindings)
-        for term, value in zip((self.loc,) + self.terms, (tup.loc,) + tup.args):
-            if isinstance(term, Var):
-                if term.name in new:
-                    if new[term.name] != value:
-                        return None
-                else:
-                    new[term.name] = value
-            elif isinstance(term, Expr):
-                return None  # expressions are head-only
+        for index, is_var, term in unify:
+            # index -1 is the location; the others index args.
+            value = args[index] if index >= 0 else tup.loc
+            if is_var:
+                bound = new.get(term, _FREE)
+                if bound is _FREE:
+                    new[term] = value
+                elif bound != value:
+                    return None
             elif term != value:
                 return None
         return new
@@ -183,18 +206,29 @@ class Atom:
     def instantiate(self, bindings):
         """Build a ground :class:`Tup` from *bindings* (head atoms)."""
         values = []
-        for term in (self.loc,) + self.terms:
-            if isinstance(term, Var):
-                if term.name not in bindings:
-                    raise ConfigurationError(
-                        f"unbound head variable {term.name} in {self!r}"
-                    )
-                values.append(bindings[term.name])
-            elif isinstance(term, Expr):
-                values.append(term.evaluate(bindings))
-            else:
-                values.append(term)
-        return Tup(self.relation, values[0], *values[1:])
+        try:
+            for kind, term in self._build:
+                if kind is _READ:
+                    values.append(bindings[term])
+                elif kind is _EVAL:
+                    values.append(term(bindings))
+                else:
+                    values.append(term)
+        except KeyError:
+            missing = [term for kind, term in self._build
+                       if kind is _READ and term not in bindings]
+            if not missing:
+                raise
+            raise ConfigurationError(
+                f"unbound head variable {missing[0]} in {self!r}"
+            ) from None
+        return Tup(self.relation, *values)
+
+
+#: Kinds of an :class:`Atom`'s instantiate recipe, and the mark of a
+#: variable the bindings do not hold yet.
+_READ, _EVAL, _CONST = "read", "eval", "const"
+_FREE = object()
 
 
 def atom_arity(atom):

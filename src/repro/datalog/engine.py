@@ -31,6 +31,14 @@ Every ``+τ/−τ`` runs to fixpoint as a delta — the triggering tuple is
 the singleton delta side of each plan's join — and retraction is serviced
 by the store's support counts, never by snapshot-restore.
 
+What does not change per event is resolved once: :class:`Program` files
+each body relation's triggers with their compiled join plans
+(:meth:`Program.triggers_for`), and each :class:`DatalogApp` resolves
+every rule's seed bindings at its node when it is built. A worklist
+event is one flat ``(kind, tup, rule_name, support)`` tuple, and a
+min/max recompute reads a member's canonical key only when it ties the
+best value so far.
+
 Aggregate-group **membership** is maintained, not rescanned: every
 guard-passing member transition — including the ones the min/max
 dirty-marking short-circuit skips — updates a ``(rule_index, group_key)
@@ -44,7 +52,7 @@ from collections import deque
 from repro.datalog.analysis import ProgramAnalysisError, analyze
 from repro.datalog.ast import Var, Rule, AggregateRule, MaybeRule
 from repro.datalog.plan import compile_rule
-from repro.datalog.store import TupleStore, DerivationInstance
+from repro.datalog.store import TupleStore
 from repro.model import Ack, Der, Snd, StateMachine, Und, MINUS, PLUS
 from repro.util.errors import ConfigurationError
 
@@ -75,10 +83,12 @@ class Program:
             raise ConfigurationError(f"not a rule: {rule!r}")
         index = len(self.rules)
         self.rules.append(rule)
-        self.plans.append(compile_rule(rule))
+        plan = compile_rule(rule)
+        self.plans.append(plan)
         for pos, atom in enumerate(rule.body):
+            join = plan.joins[pos] if plan.kind == "join" else None
             self._by_body_relation.setdefault(atom.relation, []).append(
-                (index, rule, pos)
+                (index, rule, pos, join)
             )
         self._checked = False   # a new rule needs a new analysis
         return rule
@@ -98,7 +108,10 @@ class Program:
             self._checked = True
 
     def triggers_for(self, relation):
-        """(rule_index, rule, body_position) triples whose body uses *relation*."""
+        """``(rule_index, rule, body_position, join)`` per body atom over
+        *relation*, in rule order: *join* is the rule's compiled
+        :class:`~repro.datalog.plan.JoinPlan` for that trigger position,
+        None for an aggregate rule."""
         return self._by_body_relation.get(relation, ())
 
     def index_requirements(self):
@@ -121,6 +134,31 @@ def _seed_bindings(rule, node_id):
     return {} if loc == node_id else None
 
 
+def _optimum(rule, var, members):
+    """The ``(bindings, tup)`` member a min/max *rule* picks: the least
+    (greatest) in the order (value key, then canonical tie-break). A
+    member's canonical key — an encode, for a fresh tuple — is read only
+    when it ties the best so far on the value."""
+    lowest = rule.func == "min"
+    value_key = rule.key
+    best = best_value = best_canon = None
+    for member in members:
+        value = member[0][var]
+        if value_key is not None:
+            value = value_key(value)
+        if best is None:
+            best, best_value = member, value
+        elif value is best_value or value == best_value:
+            if best_canon is None:
+                best_canon = best[1].canonical_key()
+            canon = member[1].canonical_key()
+            if canon < best_canon if lowest else canon > best_canon:
+                best, best_value, best_canon = member, value, canon
+        elif value < best_value if lowest else value > best_value:
+            best, best_value, best_canon = member, value, None
+    return best
+
+
 class DatalogApp(StateMachine):
     """A deterministic Datalog state machine for one node."""
 
@@ -133,6 +171,10 @@ class DatalogApp(StateMachine):
         self.store = TupleStore(node_id)
         for relation, positions in program.index_requirements():
             self.store.register_index(relation, positions)
+        # Each rule's seed bindings at this node, resolved once (None: the
+        # rule's body lives on another node). Nothing writes to a seed.
+        self._seeds = tuple(
+            _seed_bindings(rule, node_id) for rule in program.rules)
         # (rule_index, group_key) -> (head_tup, support) for aggregate heads
         self._agg_current = {}
         # (rule_index, group_key) -> {member_tup: bindings}. Derived from
@@ -163,14 +205,14 @@ class DatalogApp(StateMachine):
         outputs = []
         if self.store.add_base(tup, t):
             self.delta_tuples_in += 1
-            self._run_cascade([("appear", tup, None)], t, outputs)
+            self._run_cascade(("appear", tup, None, None), t, outputs)
         return outputs
 
     def handle_delete(self, tup, t):
         outputs = []
         if self.store.remove_base(tup):
             self.delta_tuples_in += 1
-            self._run_cascade([("disappear", tup, None)], t, outputs)
+            self._run_cascade(("disappear", tup, None, None), t, outputs)
         return outputs
 
     def handle_receive(self, msg, t):
@@ -180,25 +222,27 @@ class DatalogApp(StateMachine):
         if msg.polarity == PLUS:
             if self.store.add_belief(msg.tup, msg.src, t):
                 self.delta_tuples_in += 1
-                self._run_cascade([("appear", msg.tup, None)], t, outputs)
+                self._run_cascade(("appear", msg.tup, None, None), t,
+                                  outputs)
         else:
             if self.store.remove_belief(msg.tup, msg.src):
                 self.delta_tuples_in += 1
-                self._run_cascade([("disappear", msg.tup, None)], t, outputs)
+                self._run_cascade(("disappear", msg.tup, None, None), t,
+                                  outputs)
         return outputs
 
     # ------------------------------------------------------- cascade engine
 
-    def _run_cascade(self, initial_events, t, outputs):
+    def _run_cascade(self, first_event, t, outputs):
         """Drain the derivation worklist to a fixpoint, deterministically.
 
-        Events are ("appear"|"disappear", tup, der_info). ``der_info`` is
-        (rule_name, support, replaces) when the event is a derivation this
-        cascade produced (so the Der/Und output can be emitted); None for
-        base/belief changes whose vertices come from the triggering log
-        event itself.
+        Events are ``("appear"|"disappear", tup, rule_name, support)``.
+        *rule_name* and *support* name the derivation when the event is
+        one this cascade produced (so the Der/Und output can be
+        emitted); both are None for base/belief changes, whose vertices
+        come from the triggering log event itself.
         """
-        worklist = deque(initial_events)
+        worklist = deque((first_event,))
         dirty_groups = []
         dirty_seen = set()
         while worklist or dirty_groups:
@@ -208,27 +252,25 @@ class DatalogApp(StateMachine):
                 dirty_seen.discard(key)
                 self._recompute_group(key, t, worklist)
                 continue
-            kind, tup, der_info = worklist.popleft()
+            kind, tup, rule_name, support = worklist.popleft()
             if kind == "appear":
-                self._emit_appear(tup, der_info, t, outputs)
+                self._emit_appear(tup, rule_name, support, t, outputs)
                 self._match_rules_on_appear(tup, t, worklist, dirty_groups,
                                             dirty_seen)
             else:
-                self._emit_disappear(tup, der_info, t, outputs)
+                self._emit_disappear(tup, rule_name, support, t, outputs)
                 self._retract_on_disappear(tup, t, worklist, dirty_groups,
                                            dirty_seen)
 
-    def _emit_appear(self, tup, der_info, t, outputs):
-        if der_info is not None:
-            rule_name, support, replaces = der_info
-            outputs.append(Der(tup, rule_name, support, replaces=replaces))
+    def _emit_appear(self, tup, rule_name, support, t, outputs):
+        if rule_name is not None:
+            outputs.append(Der(tup, rule_name, support))
             self.delta_tuples_out += 1
         if tup.loc != self.node_id:
             outputs.append(Snd(self.make_msg(PLUS, tup, tup.loc, t)))
 
-    def _emit_disappear(self, tup, der_info, t, outputs):
-        if der_info is not None:
-            rule_name, support, _ = der_info
+    def _emit_disappear(self, tup, rule_name, support, t, outputs):
+        if rule_name is not None:
             outputs.append(Und(tup, rule_name, support))
             self.delta_tuples_out += 1
         if tup.loc != self.node_id:
@@ -239,26 +281,28 @@ class DatalogApp(StateMachine):
     def _match_rules_on_appear(self, tup, t, worklist, dirty_groups, dirty_seen):
         if tup.loc != self.node_id:
             return  # not visible here; only the head's node can match it
-        for rule_index, rule, pos in self.program.triggers_for(tup.relation):
-            if isinstance(rule, AggregateRule):
+        store = self.store
+        seeds = self._seeds
+        for rule_index, rule, pos, join in self.program.triggers_for(
+                tup.relation):
+            seed = seeds[rule_index]
+            if seed is None:
+                continue
+            if join is None:
                 self._mark_dirty(rule_index, rule, tup,
                                  dirty_groups, dirty_seen, "appear")
                 continue
-            seed = _seed_bindings(rule, self.node_id)
-            if seed is None:
-                continue
-            bound = rule.body[pos].match(tup, seed)
+            bound = join.trigger.unify(tup, seed)
             if bound is None:
                 continue
+            name = rule.name
             for bindings, support in self._matches_from(rule_index, rule,
                                                         pos, bound, tup):
                 head = rule.head.instantiate(bindings)
-                instance = DerivationInstance(rule.name, support)
-                is_new, appeared = self.store.add_derivation(head, instance, t)
+                is_new, appeared = store.add_derivation(head, name, support,
+                                                        t)
                 if is_new and appeared:
-                    worklist.append(
-                        ("appear", head, (rule.name, support, None))
-                    )
+                    worklist.append(("appear", head, name, support))
 
     def _matches_from(self, rule_index, rule, pos, bound, tup):
         """Full, guard-passing body matches with position *pos* pinned.
@@ -279,17 +323,17 @@ class DatalogApp(StateMachine):
     def _retract_on_disappear(self, tup, t, worklist, dirty_groups, dirty_seen):
         if tup.loc != self.node_id:
             return
-        for rule_index, rule, _pos in self.program.triggers_for(tup.relation):
-            if isinstance(rule, AggregateRule):
+        seeds = self._seeds
+        for rule_index, rule, _pos, join in self.program.triggers_for(
+                tup.relation):
+            if join is None and seeds[rule_index] is not None:
                 self._mark_dirty(rule_index, rule, tup,
                                  dirty_groups, dirty_seen, "disappear")
         removed = self.store.remove_derivations_supported_by(tup)
         self.retractions_applied += len(removed)
-        for head, instance, disappeared in removed:
+        for head, rule_name, support, disappeared in removed:
             if disappeared:
-                worklist.append(
-                    ("disappear", head, (instance.rule, instance.support, None))
-                )
+                worklist.append(("disappear", head, rule_name, support))
 
     # -- aggregates ---------------------------------------------------------
 
@@ -297,7 +341,7 @@ class DatalogApp(StateMachine):
                     cause):
         """Schedule one aggregate group for recompute after *tup*'s
         *cause* ("appear"/"disappear") transition."""
-        member = self._membership(rule, tup)
+        member = self._membership(rule_index, rule, tup)
         if member is None:
             return
         group_key, bindings = member
@@ -317,22 +361,24 @@ class DatalogApp(StateMachine):
         dirty_seen.add(key)
         dirty_groups.append(key)
 
-    def _membership(self, rule, tup):
+    def _membership(self, rule_index, rule, tup):
         """``(group_key, bindings)`` if *tup* is a member of one of
-        aggregate *rule*'s groups at this node, else None. An aggregate
-        body is a single atom, so the bindings are complete: a guard
-        rejecting them means the tuple is no group's member, and its
-        change cannot move any group's value."""
-        seed = _seed_bindings(rule, self.node_id)
-        if seed is None:
-            return None
-        bindings = rule.body[0].match(tup, seed)
+        aggregate *rule*'s groups at this node (where the rule has seed
+        bindings), else None. An aggregate body is a single atom, so the
+        bindings are complete: a guard rejecting them means the tuple is
+        no group's member, and its change cannot move any group's
+        value."""
+        bindings = self.program.plans[rule_index].member.unify(
+            tup, self._seeds[rule_index])
         if bindings is None:
             return None
         for guard in rule.guards:
             if not guard(bindings):
                 return None
-        return tuple(bindings.get(v.name) for v in rule.group_vars), bindings
+        group_key = []
+        for var in rule.group_vars:
+            group_key.append(bindings.get(var.name))
+        return tuple(group_key), bindings
 
     def _note_membership(self, key, tup, bindings, cause):
         if cause == "appear":
@@ -394,20 +440,15 @@ class DatalogApp(StateMachine):
                 self._agg_current[key] = (new_head, new_support)
             return
         if old_head is not None:
-            instance = DerivationInstance(rule.name, ())
-            if self.store.remove_derivation(old_head, instance):
-                worklist.append(
-                    ("disappear", old_head, (rule.name, old[1], None))
-                )
+            if self.store.remove_derivation(old_head, rule.name, ()):
+                worklist.append(("disappear", old_head, rule.name, old[1]))
             del self._agg_current[key]
         if new_head is not None:
-            instance = DerivationInstance(rule.name, ())
-            _is_new, appeared = self.store.add_derivation(new_head, instance, t)
+            _is_new, appeared = self.store.add_derivation(
+                new_head, rule.name, (), t)
             self._agg_current[key] = (new_head, new_support)
             if appeared:
-                worklist.append(
-                    ("appear", new_head, (rule.name, new_support, None))
-                )
+                worklist.append(("appear", new_head, rule.name, new_support))
 
     def _group_members(self, key, rule):
         """One group's members as ``[(bindings, tup)]``, read off the
@@ -430,10 +471,11 @@ class DatalogApp(StateMachine):
         """Recompute the membership map from the store's visible set."""
         self._members = {}
         for rule_index, rule in enumerate(self.program.rules):
-            if not isinstance(rule, AggregateRule):
+            if (not isinstance(rule, AggregateRule)
+                    or self._seeds[rule_index] is None):
                 continue
             for tup in self.store.visible_set(rule.body[0].relation):
-                member = self._membership(rule, tup)
+                member = self._membership(rule_index, rule, tup)
                 if member is not None:
                     group_key, bindings = member
                     self._members.setdefault(
@@ -446,14 +488,7 @@ class DatalogApp(StateMachine):
             return None, (), None
         var = rule.agg_var.name
         if rule.func in ("min", "max"):
-            chooser = min if rule.func == "min" else max
-            value_key = rule.key if rule.key is not None else (lambda v: v)
-            best = chooser(
-                members,
-                key=lambda m: (value_key(m[0][var]),
-                               m[1].canonical_key()),
-            )
-            bindings, witness = best
+            bindings, witness = _optimum(rule, var, members)
             head = rule.head.instantiate(bindings)
             return head, (witness,), bindings
         if rule.func == "sum":

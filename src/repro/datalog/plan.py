@@ -14,6 +14,14 @@ schedule that evaluation follows:
   plus variables bound by earlier steps). At runtime the step is a hash
   lookup on the corresponding :class:`~repro.datalog.store.TupleStore`
   secondary index instead of a relation scan;
+* **compiled unification**: each :class:`JoinStep` is a
+  :class:`Unifier` compiled against the variables bound before it —
+  the arity, the positions it still has to check and the positions it
+  binds. A candidate from the index already agrees on every key
+  position, so a step checks only the args of a variable the atom
+  repeats. The trigger atom (``JoinPlan.trigger``) and an aggregate's
+  body atom (``AggPlan.member``) get a :class:`Unifier` compiled against
+  the seed bindings, which checks constants too;
 * a **guard schedule**: each :class:`~repro.datalog.ast.Guard` with
   declared variables fires at the earliest step where its variables are
   bound, pruning partial matches; opaque callables fire after the body is
@@ -22,11 +30,11 @@ schedule that evaluation follows:
   in the head, so the engine's min/max short-circuit can read a group's
   current optimum back off its head tuple.
 
-Plans only *accelerate* evaluation; they never change results. Every
-candidate from an index is still unified via ``atom.match`` (which
-re-checks constants, repeated variables and cross-atom equality), and the
-engine sorts full matches into the same canonical order the interpretive
-scan produced, so the determinism contract (DESIGN.md) is untouched.
+Plans only *accelerate* evaluation; they never change results. A
+compiled step accepts exactly the candidates ``Atom.match`` would (the
+tests' reference evaluator still unifies through it), and the engine
+sorts full matches into the same canonical order the interpretive scan
+produced, so the determinism contract (DESIGN.md) is untouched.
 The planner builds its schedules itself; the static analyzer
 (:mod:`repro.datalog.analysis`) only decides whether a program may run.
 A property test holds every compiled plan to the schedule contract:
@@ -43,8 +51,8 @@ from repro.datalog.ast import (
 )
 
 __all__ = [
-    "AggPlan", "JoinPlan", "JoinStep", "RulePlan", "compile_rule",
-    "guard_schedule_counts",
+    "AggPlan", "JoinPlan", "JoinStep", "RulePlan", "Unifier",
+    "compile_rule", "guard_schedule_counts",
 ]
 
 
@@ -61,31 +69,92 @@ def bound_positions(atom, bound_names):
     return tuple(positions)
 
 
-class JoinStep:
+class Unifier:
+    """One body atom's unification, compiled against the variables bound
+    before it runs.
+
+    It unifies a tuple of the atom's relation located at this node: the
+    location is never checked, since every body atom shares it and it is
+    seeded with this node or is this node. ``checks`` lists the other
+    known positions the caller has not already matched — ``(arg index,
+    True, var_name)`` must equal a binding, ``(arg index, False,
+    constant)`` a literal; ``same`` the ``(first, later)`` args of a
+    variable the atom repeats and binds here; ``binds`` the ``(var_name,
+    arg index)`` it binds; ``arity`` the number of args (None when the
+    atom holds an expression, which is head-only and never matches).
+    """
+
+    __slots__ = ("arity", "checks", "same", "binds")
+
+    def __init__(self, atom, bound, matched=()):
+        self.arity = None if any(
+            isinstance(term, Expr) for term in atom.terms
+        ) else len(atom.terms)
+        checks, same, binds, first = [], [], [], {}
+        for index, term in enumerate(atom.terms):
+            if index + 1 in matched or isinstance(term, Expr):
+                continue
+            if not isinstance(term, Var):
+                checks.append((index, False, term))
+            elif term.name in bound:
+                checks.append((index, True, term.name))
+            elif term.name in first:
+                same.append((first[term.name], index))
+            else:
+                first[term.name] = index
+                binds.append((term.name, index))
+        self.checks = tuple(checks)
+        self.same = tuple(same)
+        self.binds = tuple(binds)
+
+    def unify(self, tup, bindings):
+        """*bindings* extended by *tup*, or None when it does not match.
+        Does not mutate *bindings*."""
+        args = tup.args
+        if len(args) != self.arity:
+            return None
+        for index, is_var, term in self.checks:
+            if (bindings[term] if is_var else term) != args[index]:
+                return None
+        for first, later in self.same:
+            if args[first] != args[later]:
+                return None
+        extended = dict(bindings)
+        for name, index in self.binds:
+            extended[name] = args[index]
+        return extended
+
+
+class JoinStep(Unifier):
     """One join step: probe *atom* through an index and extend bindings.
 
     ``index_positions`` is the sorted tuple of positions whose values are
     known when the step runs (the store index spec); ``key_parts`` is the
     aligned recipe for the runtime key — ``(True, var_name)`` reads a
-    binding, ``(False, constant)`` is a literal. ``guards`` fire on each
-    successful match of this step (their variables are all bound here and
-    not earlier).
+    binding, ``(False, constant)`` is a literal. Every candidate the
+    index returns already agrees on those positions, so the step's
+    :meth:`~Unifier.unify` checks none of them. ``guards`` fire on each
+    successful match of this step (their variables are all bound here
+    and not earlier).
     """
 
-    __slots__ = ("body_pos", "atom", "index_positions", "key_parts", "guards")
+    __slots__ = ("body_pos", "atom", "index_positions", "key_parts",
+                 "guards")
 
-    def __init__(self, body_pos, atom, index_positions, key_parts, guards):
+    def __init__(self, body_pos, atom, bound, guards):
+        positions = bound_positions(atom, bound)
+        super().__init__(atom, bound, matched=positions)
         self.body_pos = body_pos
         self.atom = atom
-        self.index_positions = index_positions
-        self.key_parts = key_parts
+        self.index_positions = positions
+        self.key_parts = _key_parts(atom, positions)
         self.guards = guards
 
     def key(self, bindings):
-        return tuple(
-            bindings[value] if is_var else value
-            for is_var, value in self.key_parts
-        )
+        key = []
+        for is_var, value in self.key_parts:
+            key.append(bindings[value] if is_var else value)
+        return tuple(key)
 
     def __repr__(self):
         return (
@@ -95,13 +164,18 @@ class JoinStep:
 
 
 class JoinPlan:
-    """The evaluation schedule for one rule triggered at one body position."""
+    """The evaluation schedule for one rule triggered at one body position.
 
-    __slots__ = ("rule", "trigger_pos", "pre_guards", "steps")
+    ``trigger`` unifies the triggering tuple with the trigger atom on the
+    rule's seed bindings.
+    """
+
+    __slots__ = ("rule", "trigger_pos", "trigger", "pre_guards", "steps")
 
     def __init__(self, rule, trigger_pos, pre_guards, steps):
         self.rule = rule
         self.trigger_pos = trigger_pos
+        self.trigger = Unifier(rule.body[trigger_pos], _seeded(rule))
         self.pre_guards = pre_guards
         self.steps = steps
 
@@ -143,16 +217,11 @@ class JoinPlan:
             results.append((bindings, tuple(chosen)))
             return
         step = steps[step_index]
-        if step.index_positions:
-            candidates = store.index_lookup(
-                step.atom.relation, step.index_positions,
-                step.key(bindings),
-            )
-        else:
-            candidates = store.visible_set(step.atom.relation)
+        candidates = store.index_lookup(
+            step.atom.relation, step.index_positions, step.key(bindings))
         for candidate in candidates:
             app.join_candidates += 1
-            extended = step.atom.match(candidate, bindings)
+            extended = step.unify(candidate, bindings)
             if extended is None:
                 continue
             for guard in step.guards:
@@ -175,7 +244,17 @@ class JoinPlan:
 def _support_order(match):
     """Sort key of one ``(bindings, support)`` match: the support's
     canonical keys, in body order."""
-    return tuple(s.canonical_key() for s in match[1])
+    keys = []
+    for tup in match[1]:
+        keys.append(tup.canonical_key())
+    return tuple(keys)
+
+
+def _seeded(rule):
+    """The variables a rule's seed bindings hold: its body location,
+    bound to the node id at runtime, when that is a variable."""
+    loc = rule.body_loc
+    return (loc.name,) if isinstance(loc, Var) else ()
 
 
 def _key_parts(atom, positions):
@@ -200,9 +279,7 @@ def _compile_join(rule, trigger_pos):
     never binds, which the analyzer rejects (ND102) — run after the final
     step on full bindings.
     """
-    bound = set()
-    if isinstance(rule.body_loc, Var):
-        bound.add(rule.body_loc.name)  # seeded with the node id at runtime
+    bound = set(_seeded(rule))
     bound |= atom_var_names(rule.body[trigger_pos])
     pending = [(guard, guard_vars(guard)) for guard in rule.guards]
 
@@ -230,10 +307,9 @@ def _compile_join(rule, trigger_pos):
         )
         remaining_atoms.remove(best)
         atom = rule.body[best]
-        positions = bound_positions(atom, bound)
+        step_bound = frozenset(bound)
         bound |= atom_var_names(atom)
-        steps.append(JoinStep(best, atom, positions,
-                              _key_parts(atom, positions), ready_guards()))
+        steps.append(JoinStep(best, atom, step_bound, ready_guards()))
 
     leftovers = tuple(guard for guard, _names in pending)
     if steps:
@@ -258,13 +334,12 @@ class RulePlan:
         )
 
     def index_requirements(self):
+        """Every step's index, the empty-position one (a single bucket)
+        included: each step probes one."""
         requirements = set()
         for join in self.joins:
             for step in join.steps:
-                if step.index_positions:
-                    requirements.add(
-                        (step.atom.relation, step.index_positions)
-                    )
+                requirements.add((step.atom.relation, step.index_positions))
         return requirements
 
 
@@ -276,10 +351,12 @@ class AggPlan:
 
     kind = "aggregate"
 
-    __slots__ = ("rule", "head_agg_pos")
+    __slots__ = ("rule", "member", "head_agg_pos")
 
     def __init__(self, rule):
         self.rule = rule
+        # Unifies a tuple with the single body atom on the seed bindings.
+        self.member = Unifier(rule.body[0], _seeded(rule))
         self.head_agg_pos = None
         for position in range(atom_arity(rule.head)):
             term = term_at(rule.head, position)

@@ -63,6 +63,13 @@ def _responses_conflict(a, b):
     return a.hash_at(hi) != b.hash_at(hi)
 
 
+def _rolled_back(latest, merged):
+    """Whether the node's last push ends below the stored copy's head: it
+    rolled its log back after an earlier push. An honest log only grows,
+    so every push of it reaches at least the head it pushed before."""
+    return bool(merged) and latest.head_index < merged.head_index
+
+
 class MonitorNodeProxy:
     """The daemon's stand-in for one pushed node.
 
@@ -132,6 +139,10 @@ class MonitorNodeProxy:
         # overlapping a lost ack).
         if latest.hash_at(h) is not None and latest.head_index > h:
             return latest.suffix(h)
+        if _rolled_back(latest, merged):
+            # The node now claims less than it pushed before: fall back
+            # to the full response, which relays that claim.
+            return None
         if merged.hash_at(h) is not None and merged.head_index > h:
             return merged.serve(h)
         if not merged or merged.head_index != h:
@@ -156,11 +167,13 @@ class MonitorNodeProxy:
         merged, latest = self.merged, self.latest
         if not merged:
             return latest
-        if _responses_conflict(latest, merged):
-            # The node's current claim contradicts stored history; serve
-            # the claim when it could seed a build (the querier's
-            # consistency check then convicts the equivocation against
-            # harvested old authenticators), else the stored copy.
+        if _responses_conflict(latest, merged) or _rolled_back(latest, merged):
+            # The node's current claim contradicts stored history, or
+            # ends below it; serve the claim when it could seed a build
+            # (the querier's consistency check then convicts the
+            # equivocation or the rollback against harvested old
+            # authenticators, as a direct audit does), else the stored
+            # copy.
             return latest if latest.seeds_rebuild else merged.serve()
         if latest.seeds_rebuild and latest.head_index > merged.head_index:
             return latest

@@ -22,16 +22,19 @@ import pytest
 from repro.apps.chord import ChordNetwork
 from repro.snp import Deployment, QueryProcessor
 
-#: Ceilings sit between what this tree measures (22.8 per appended entry,
-#: 22.9 per replayed event on CPython 3.11) and what came before: the
+#: Ceilings sit between what this tree measures (22.3 per appended entry,
+#: 20.6 per replayed event on CPython 3.11) and what came before: the
 #: closure-based join, the edge-pair set and the per-call derivation keys
 #: (51.2 and 64.3), then a stored key tuple per vertex (29.1 per event),
 #: then a canonical copy of each entry's tuple or message beside an aux
-#: dict holding the objects (24.8 per entry; the aux dict alone, 23.6).
-#: They are pinned to one minor version because which containers count as
-#: GC objects differs slightly across versions.
-MAX_TRACKED_PER_ENTRY = 23.2
-MAX_TRACKED_PER_EVENT = 26
+#: dict holding the objects (24.8 per entry; the aux dict alone, 23.6),
+#: then a store of five dicts keyed by the same tuple, with a one-entry
+#: dict, a reference tuple and a one-reference set per first derivation
+#: (22.8 per entry, 22.9 per event). They are pinned to one minor version
+#: because which containers count as GC objects differs slightly across
+#: versions.
+MAX_TRACKED_PER_ENTRY = 22.6
+MAX_TRACKED_PER_EVENT = 21.8
 #: Graph bytes per vertex plus edge: 138.5 here, the same before and
 #: after the GCA moved to vertex ids, and 211.7 with a key tuple per
 #: vertex and a set of integer edge codes. A key tuple per vertex (~32)

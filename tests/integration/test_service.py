@@ -1382,6 +1382,29 @@ class TestDegradation:
                 handle.stop()
             pusher.close()
 
+    def test_a_node_that_rolls_its_log_back_is_convicted(self, monitor):
+        """A node pushes honestly, then rolls its log back to entry 3 and
+        pushes the stub. The direct audit convicts it: its peers hold
+        authenticators past the stub. The daemon served its stored copy
+        of the longer log and answered green."""
+        dep, nodes = paper_deployment(ForkingNode)
+        pusher = make_pusher(dep, monitor)
+        try:
+            assert not pusher.push_once()["shed"]
+            nodes["b"].fork_log(keep_upto=3)
+            dep.run()
+            assert not pusher.push_once()["shed"]
+        finally:
+            pusher.close()
+        target = best_cost("b", "a", 6)
+        with pytest.raises(QueryError) as direct:
+            direct_summary(dep, target, scope=0)
+        assert "returned log ends at 3" in str(direct.value)
+        with MonitorClient("127.0.0.1", monitor.daemon.http_port) as client:
+            out = client.query(tup_spec(target, scope=0, fresh=True))
+        assert not out["ok"]
+        assert out["error"] == str(direct.value)
+
     def test_a_push_whose_ack_was_lost_is_not_stored_twice(self, monitor):
         """The daemon applies a push, and its ack never arrives. The
         retry reconnects, and the hello-ack reports what the daemon holds

@@ -174,12 +174,8 @@ def model_state(app):
     return {
         "local": sorted(repr(t) for t, _at in app.extant_tuples()),
         "beliefs": sorted(
-            (repr(t), tuple(sorted(
-                (peer, count) for peer, count in peers.items()
-                if count > 0
-            )))
-            for t, peers in app.store._beliefs.items()
-            if any(count > 0 for count in peers.values())
+            (repr(t), tuple(sorted(app.store.belief_counts(t).items())))
+            for t, _peer, _at in app.believed_tuples()
         ),
         "derivations": sorted(
             (repr(t), sorted(repr(i.key()) for i in

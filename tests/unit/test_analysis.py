@@ -213,7 +213,7 @@ class TestSipsValidator:
         # A hand-built plan firing the Y guard on the trigger bindings of
         # q(@X) — before r(@X, Y) has bound Y.
         bad = JoinPlan(rule, 0, pre_guards=(rule.guards[0],), steps=(
-            JoinStep(1, rule.body[1], (0,), ((True, "X"),), ()),))
+            JoinStep(1, rule.body[1], {"X"}, ()),))
         assert schedule_violations(rule, bad) == [
             "guard 0 fires before ['Y'] bind"]
 

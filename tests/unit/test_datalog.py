@@ -98,17 +98,18 @@ class TestTupleStore:
         store = TupleStore("n")
         head = Tup("h", "n", 1)
         support = (Tup("b", "n", 1),)
-        inst = DerivationInstance("R", support)
-        assert store.add_derivation(head, inst, 0.0) == (True, True)
-        assert store.add_derivation(head, inst, 1.0) == (False, False)
+        assert store.add_derivation(head, "R", support, 0.0) == (True, True)
+        assert store.add_derivation(head, "R", support, 1.0) == (False, False)
+        assert store.derivation_instances(head) == [
+            DerivationInstance("R", support)]
 
     def test_remove_by_support_cascade_info(self):
         store = TupleStore("n")
         b = Tup("b", "n", 1)
         head = Tup("h", "n", 1)
-        store.add_derivation(head, DerivationInstance("R", (b,)), 0.0)
+        store.add_derivation(head, "R", (b,), 0.0)
         removed = store.remove_derivations_supported_by(b)
-        assert removed == [(head, DerivationInstance("R", (b,)), True)]
+        assert removed == [(head, "R", (b,), True)]
         assert not store.present(head)
 
     def test_visible_excludes_remote_loc(self):
@@ -123,13 +124,74 @@ class TestTupleStore:
         store.add_base(b, 0.5)
         store.add_belief(Tup("x", "n", 2), "p", 0.7)
         head = Tup("h", "n", 3)
-        store.add_derivation(head, DerivationInstance("R", (b,)), 0.9)
+        store.add_derivation(head, "R", (b,), 0.9)
         snap = store.snapshot()
         fresh = TupleStore("n")
         fresh.restore(snap)
         assert fresh.present(b) and fresh.present(head)
         assert fresh.believed(Tup("x", "n", 2))
         assert fresh.appeared_at(b) == 0.5
+
+    def test_a_second_derivation_holds_the_head_until_the_last_goes(self):
+        store = TupleStore("n")
+        head = Tup("h", "n", 1)
+        b1, b2 = Tup("b", "n", 1), Tup("b", "n", 2)
+        store.add_base(b1, 0.0)
+        store.add_base(b2, 0.0)
+        assert store.add_derivation(head, "R", (b1,), 1.0) == (True, True)
+        assert store.add_derivation(head, "R", (b2,), 2.0) == (True, False)
+        assert store.add_derivation(head, "R", (b2,), 3.0) == (False, False)
+        assert store.derivation_instances(head) == [
+            DerivationInstance("R", (b1,)), DerivationInstance("R", (b2,))]
+        assert store.snapshot()["derivations"] == {
+            head: [("R", (b1,)), ("R", (b2,))]}
+        assert store.remove_base(b1)
+        assert store.remove_derivations_supported_by(b1) == [
+            (head, "R", (b1,), False)]
+        assert store.present(head) and store.appeared_at(head) == 1.0
+        assert store.remove_derivation(head, "R", (b1,)) is False
+        assert store.remove_derivation(head, "R", (b2,)) is True
+        assert not store.present(head)
+        # The removed derivation no longer hangs off its support.
+        assert store.remove_base(b2)
+        assert store.remove_derivations_supported_by(b2) == []
+        assert store._records == {}
+
+    def test_a_support_retracts_its_derivations_in_head_order(self):
+        store = TupleStore("n")
+        b = Tup("b", "n", 0)
+        store.add_base(b, 0.0)
+        heads = [Tup("h", "n", k) for k in (3, 1, 2)]
+        for head in heads:
+            store.add_derivation(head, "R", (b,), 1.0)
+        store.remove_base(b)
+        removed = store.remove_derivations_supported_by(b)
+        assert removed == [(head, "R", (b,), True) for head in sorted(
+            heads, key=lambda t: t.canonical_key())]
+        assert store._records == {}
+
+    def test_a_derivation_supported_by_its_own_head_is_released(self):
+        store = TupleStore("n")
+        t = Tup("t", "n", 1)
+        store.add_derivation(t, "R", (t,), 0.0)
+        assert store.remove_derivations_supported_by(t) == [
+            (t, "R", (t,), True)]
+        assert not store.present(t) and store._records == {}
+
+    def test_the_first_believer_outlives_other_supports(self):
+        """``believe_peer`` is the checkpoint form's: set when a belief
+        makes the tuple appear, cleared only by a belief's retraction."""
+        store = TupleStore("n")
+        t = Tup("x", "n", 1)
+        store.add_belief(t, "p", 0.5)
+        store.add_base(t, 0.6)
+        assert store.remove_belief(t, "p") is False
+        assert store.remove_base(t) is True
+        assert store.snapshot()["believe_peer"] == {t: "p"}
+        assert store.add_belief(t, "q", 0.9) is True
+        assert store.all_beliefs() == [(t, "q", 0.9)]
+        assert store.remove_belief(t, "q") is True
+        assert store._records == {}
 
 
 def _drive(apps, outputs, t):

@@ -182,11 +182,13 @@ class TestStoreIndexes:
             Tup("e", "n", "x", "y")
         }
 
-    def test_unregistered_lookup_degrades_to_scan(self):
+    def test_an_unregistered_lookup_is_refused(self):
+        """A join step trusts its index for every key position, so a
+        lookup never falls back to an unchecked scan."""
         store = TupleStore("n")
         store.add_base(Tup("e", "n", "a"), 0.0)
-        got = store.index_lookup("e", (9, 9), ("whatever",))
-        assert Tup("e", "n", "a") in got
+        with pytest.raises(KeyError):
+            store.index_lookup("e", (9, 9), ("whatever",))
 
     def test_restore_rebuilds_indexes(self):
         store = TupleStore("n")

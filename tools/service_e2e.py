@@ -46,7 +46,12 @@ plane's acceptance bar:
 9. **a restart loses nothing** — a fresh daemon under the same pusher
    gets every log and every peer's authenticators in one push, so a
    scope-0 query rooted at the forker is answered as the direct audit
-   answers it (proven-faulty), and that daemon exits cleanly too.
+   answers it (proven-faulty), and that daemon exits cleanly too;
+10. **a rollback is convicted** — on the paper's MinCost network, a node
+    that pushes honestly, then rolls its log back to entry 3 and pushes
+    the stub, gets the direct audit's answer at a scope-0 query rooted
+    at it (proven-faulty: its peers hold authenticators past the stub),
+    not the daemon's stored copy of the longer log.
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -66,6 +71,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.apps.chord import ChordNetwork, node_tuple         # noqa: E402
+from repro.apps.mincost import best_cost, build_paper_network  # noqa: E402
 from repro.service import MonitorClient, ServicePusher, tup_spec  # noqa: E402
 from repro.service.framing import (                           # noqa: E402
     FrameDecoder, encode_frame, frame_payload, recv_frame,
@@ -214,6 +220,42 @@ def check_restart(dep, net, pusher, adversary):
         pusher.close()
     finally:
         stop_daemon(proc, "restarted daemon")
+
+
+def check_rollback():
+    """A node that rolls its log back after an honest push is convicted
+    over sockets exactly as the direct audit convicts it."""
+    dep = Deployment(seed=77, key_bits=256)
+    nodes = build_paper_network(dep, node_overrides={"b": ForkingNode})
+    dep.run()
+    root = best_cost("b", "a", 6)
+    proc, ports = spawn_daemon()
+    try:
+        pusher = ServicePusher(dep, "127.0.0.1", ports["push_port"])
+        first = pusher.push_once()
+        nodes["b"].fork_log(keep_upto=3)
+        dep.run()
+        second = pusher.push_once()
+        pusher.close()
+        check("honest push and rolled-back push accepted",
+              all(ack is not None and not ack["shed"]
+                  for ack in (first, second)))
+        qp = QueryProcessor(dep)
+        qp.refresh()
+        try:
+            direct = qp.why(root, scope=0).summary()
+        except QueryError as exc:
+            direct = str(exc)
+        check("direct scope-0 audit at the rolled-back node: proven-faulty",
+              "proven-faulty" in str(direct), str(direct))
+        with MonitorClient("127.0.0.1", ports["http_port"],
+                           timeout=60) as client:
+            out = client.query(tup_spec(root, scope=0, fresh=True))
+        answer = out["result"] if out.get("ok") else out.get("error")
+        check("daemon answers the rolled-back node's scope-0 query as the "
+              "direct audit does", answer == direct, str(answer))
+    finally:
+        stop_daemon(proc, "rollback daemon")
 
 
 def main(argv=None):
@@ -430,6 +472,9 @@ def main(argv=None):
         print("service e2e: a fresh daemon under the same pusher",
               flush=True)
         check_restart(dep, net, pusher, args.adversary)
+    print("service e2e: a node rolls its log back after an honest push",
+          flush=True)
+    check_rollback()
     failed = [name for name, ok in CHECKS if not ok]
     if failed:
         print(f"service e2e: FAILED ({len(failed)}): " + "; ".join(failed),
