@@ -162,7 +162,8 @@ class Atom:
         build = []
         for index, term in enumerate((loc,) + self.terms):
             if isinstance(term, Var):
-                unify.append((index - 1, True, term.name))
+                if unify is not None:
+                    unify.append((index - 1, True, term.name))
                 build.append((_READ, term.name))
             elif isinstance(term, Expr):
                 unify = None  # expressions are head-only: never matches

@@ -361,11 +361,11 @@ class QueryStats(Counters):
 class ServiceMeter(Counters):
     """Counters for the service plane (transport, daemon, pusher).
 
-    One meter lives on the monitor daemon and one on each pusher; both
-    sides expose it through ``/status`` and the push acks, so a load
-    test can read the shedding ladder directly: ``pushes_shed`` and
-    ``poll_fallbacks`` climbing while ``alerts_dropped`` stays zero is
-    the intended degradation order (DESIGN.md, "Service plane").
+    One meter lives on the monitor daemon (``/status`` serves it) and
+    one on each pusher, so a load test can read the shedding ladder
+    directly: ``pushes_shed`` and ``poll_fallbacks`` climbing while
+    ``alerts_dropped`` stays zero is the intended degradation order
+    (DESIGN.md, "Service plane").
     """
 
     FIELDS = (
@@ -387,15 +387,3 @@ class ServiceMeter(Counters):
         # them, connections closed by the idle or the request deadline
         "http_connections", "http_requests", "http_timeouts",
     )
-
-    def absorb_decoder(self, decoder):
-        """Fold a :class:`~repro.service.framing.FrameDecoder`'s damage
-        counters in (called when a connection closes)."""
-        self.garbage_bytes += decoder.garbage_bytes
-        self.corrupt_frames += decoder.corrupt_frames
-        self.oversized_frames += decoder.oversized_frames
-        self.refused_globals += decoder.refused_globals
-        decoder.garbage_bytes = 0
-        decoder.corrupt_frames = 0
-        decoder.oversized_frames = 0
-        decoder.refused_globals = 0

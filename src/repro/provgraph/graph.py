@@ -1,23 +1,17 @@
-"""The provenance graph container and its algebra.
+"""The provenance graph container.
 
-Implements the operations Appendix B.2 defines for the proofs:
+Appendix B.2 defines an algebra over these graphs for its proofs —
+``∪*`` (union with intersected intervals and dominant colours), ``G|i``
+(projection onto node i) and ``⊆*`` — but no part of the system computes
+it: the tests' oracle (``tests/reference_graph.py``) holds it, and the
+theorem tests apply it to graphs the GCA built.
 
-* ``union`` (∪*) — vertex-set union where duplicate exist/believe vertices
-  keep the *intersection* of their intervals and duplicate vertices take the
-  dominant color;
-* ``project`` (G|i) — the subgraph of vertices hosted on node i, plus any
-  send/receive vertices on other nodes connected to them by an edge (those
-  are colored yellow in the projection);
-* ``is_subgraph_of`` (⊆*) — G1 ⊆* G iff some G2 satisfies G1 ∪* G2 = G.
-
-The container also maintains the lookup indexes the GCA pseudocode relies on
+The container maintains the lookup indexes the GCA pseudocode relies on
 (``v.get(...)`` with wildcards): exact key lookup, and open-interval lookup
 by (node, tuple).
 """
 
-from repro.provgraph.vertices import (
-    Vertex, Color, INTERVAL_TYPES, SEND, RECEIVE,
-)
+from repro.provgraph.vertices import Vertex, Color, INTERVAL_TYPES
 
 
 class ProvenanceGraph:
@@ -128,7 +122,10 @@ class ProvenanceGraph:
 
     def edges(self):
         """``(key_from, key_to)`` pairs, by source vertex then insertion."""
-        return [(a.key(), b.key()) for a, b in self._edge_vertices()]
+        vertices = self._vertices
+        return [(vertex.key(), vertices[j].key())
+                for vertex, row in zip(vertices, self._succ)
+                for j in _ids(row)]
 
     def edge_count(self):
         return self._edges
@@ -158,14 +155,6 @@ class ProvenanceGraph:
         vertices = self._vertices
         return [vertices[k] for k in _ids(adjacency[i])]
 
-    def _edge_vertices(self):
-        """Every edge as a ``(Vertex, Vertex)`` pair, by source vertex
-        then insertion."""
-        vertices = self._vertices
-        for vertex, row in zip(vertices, self._succ):
-            for j in _ids(row):
-                yield vertex, vertices[j]
-
     # --------------------------------------------------- wildcard lookups
 
     def find_all(self, vtype=None, node=None, tup=None):
@@ -186,78 +175,6 @@ class ProvenanceGraph:
             out.append(vertex)
         out.sort(key=Vertex.sort_key)
         return out
-
-    # ------------------------------------------------------------ algebra
-
-    def union(self, other):
-        """G ∪* other (Appendix B.2); returns a new graph."""
-        result = ProvenanceGraph()
-        for source in (self, other):
-            for vertex in source._vertices:
-                result._merge_vertex(vertex)
-        for source in (self, other):
-            result._copy_edges(source)
-        return result
-
-    def _copy_edges(self, source):
-        """Add every edge of *source* whose endpoints both exist here."""
-        index = self._index
-        for v_from, v_to in source._edge_vertices():
-            i = index.get(v_from)
-            j = index.get(v_to)
-            if i is not None and j is not None:
-                self.add_edge(i, j)
-
-    def _merge_vertex(self, vertex):
-        existing = self.get(vertex)
-        if existing is None:
-            self.add_vertex(_clone_vertex(vertex))
-            return
-        existing.color = Color.dominant(existing.color, vertex.color)
-        if existing.is_interval():
-            # Intersection of intervals: same start (key), smaller end wins.
-            merged_end = _min_end(existing.t_end, vertex.t_end)
-            if merged_end != existing.t_end:
-                existing.t_end = merged_end
-                self._open_intervals.pop(
-                    (existing.vtype, existing.node, existing.tup), None
-                )
-
-    def project(self, node):
-        """G | node (Appendix B.2)."""
-        result = ProvenanceGraph()
-        for vertex in self._vertices:
-            if vertex.node == node:
-                result._merge_vertex(vertex)
-        # Cross-node send/receive vertices connected by an edge, in yellow.
-        for v_from, v_to in self._edge_vertices():
-            for mine, theirs in ((v_from, v_to), (v_to, v_from)):
-                if (
-                    mine.node == node and theirs.node != node
-                    and theirs.vtype in (SEND, RECEIVE)
-                ):
-                    clone = _clone_vertex(theirs)
-                    clone.color = Color.YELLOW
-                    result._merge_vertex(clone)
-        result._copy_edges(self)
-        return result
-
-    def is_subgraph_of(self, other):
-        """G ⊆* other: every vertex/edge of G appears in *other* with a
-        color at least as dominant and an interval no larger."""
-        for vertex in self._vertices:
-            theirs = other.get(vertex)
-            if theirs is None:
-                return False
-            if Color.dominant(vertex.color, theirs.color) != theirs.color:
-                return False
-            if vertex.is_interval():
-                if _min_end(vertex.t_end, theirs.t_end) != theirs.t_end:
-                    return False
-        return all(
-            other.has_edge(v_from, v_to)
-            for v_from, v_to in self._edge_vertices()
-        )
 
     # ----------------------------------------------------------- coloring
 
@@ -293,11 +210,3 @@ def _clone_vertex(vertex):
         msg=vertex.msg, color=vertex.color, seeded=vertex.seeded,
     )
 
-
-def _min_end(a, b):
-    """Minimum of two interval ends where None means +∞."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)

@@ -9,8 +9,9 @@ plane"):
   table), tolerant of partial reads and mid-stream garbage;
 * :mod:`repro.service.push` — the node side: a :class:`ServicePusher`
   that ships log/evidence deltas to the monitor on the deployment's
-  shared cadence scheduler, with retry-with-backoff and a poll fallback
-  when the daemon sheds;
+  shared cadence scheduler; a failed tick is retried by the next one
+  (a kept connection closed under it is reopened once within the
+  tick), and a shed push falls back to the next tick's poll;
 * :mod:`repro.service.monitor` — the daemon: ingests pushes into a
   deployment-shaped evidence store, feeds one shared
   :class:`~repro.snp.query.QueryProcessor`, batches refreshes, and

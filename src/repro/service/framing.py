@@ -19,9 +19,9 @@ well-formed frame is always recovered intact. Defenses, in order:
 
 * **header CRC mismatch**: the magic is dropped and scanning resumes at
   the next byte;
-* **oversized length** (header intact, > ``max_frame_bytes``): counted
-  and resynchronized past the magic — a hostile length cannot make the
-  decoder buffer unbounded data;
+* **oversized length** (header intact, > :data:`MAX_FRAME_BYTES`):
+  counted and resynchronized past the magic — a hostile length cannot
+  make the decoder buffer unbounded data;
 * **payload CRC mismatch / undecodable payload**: the frame is consumed
   whole and counted, the stream continues. Undecodable includes an id a
   builder refuses, and pickle's ``BUILD`` on a built object (value
@@ -29,9 +29,13 @@ well-formed frame is always recovered intact. Defenses, in order:
 * **any global** named: written to be hostile, not damaged in flight —
   counted apart (``refused_globals``) as well as in ``corrupt_frames``.
 
+The decoder counts into the :class:`~repro.metrics.ServiceMeter` of the
+connection that owns it (bytes and frames received, and the damage
+above), so a connection's damage is metered in one place, read by read.
 An intact frame (both CRCs pass) whose payload does not decode is also
-counted in ``undecodable_frames``: its sender is owed an answer, so the
-connection owner reads and resets that count after each feed.
+counted in the decoder's own ``undecodable_frames``: its sender is owed
+an answer, so the connection owner reads and resets that count after
+each feed.
 """
 
 import io
@@ -93,7 +97,7 @@ def frame_payload(payload):
                                  zlib.crc32(payload)) + payload)
 
 
-def encode_frame(obj, max_frame_bytes=MAX_FRAME_BYTES):
+def encode_frame(obj):
     """Serialize *obj* as one frame (header + pickled payload), each
     table instance in it as one ``(tag, *fields)`` however often it
     recurs."""
@@ -114,10 +118,10 @@ def encode_frame(obj, max_frame_bytes=MAX_FRAME_BYTES):
     except Exception as exc:
         raise FramingError(f"frame payload is not picklable: {exc}") from exc
     payload = out.getvalue()
-    if len(payload) > max_frame_bytes:
+    if len(payload) > MAX_FRAME_BYTES:
         raise FramingError(
             f"frame payload is {len(payload)} bytes, above the "
-            f"{max_frame_bytes}-byte frame bound"
+            f"{MAX_FRAME_BYTES}-byte frame bound"
         )
     return frame_payload(payload)
 
@@ -126,32 +130,29 @@ class FrameDecoder:
     """Incremental frame decoder with garbage resynchronization.
 
     Feed it byte chunks as they arrive; it returns each fully decoded
-    payload exactly once. Counters (``garbage_bytes``, ``corrupt_frames``,
-    ``oversized_frames``, ``refused_globals``, ``undecodable_frames``,
-    ``frames_decoded``) let the connection owner meter hostile or damaged
-    input without tearing the stream down.
+    payload exactly once. It counts what it reads into *meter*, the
+    owning connection's :class:`~repro.metrics.ServiceMeter`
+    (``bytes_received``, ``frames_received``, ``garbage_bytes``,
+    ``corrupt_frames``, ``oversized_frames``, ``refused_globals``), so
+    hostile or damaged input is metered without tearing the stream down.
     """
 
-    def __init__(self, max_frame_bytes=MAX_FRAME_BYTES):
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self, meter):
+        self.meter = meter
         self._buf = bytearray()
-        # Frames decoded but not yet consumed by recv_frame (one read
-        # may complete several frames).
+        # Frames decoded but not yet returned by recv (one read may
+        # complete several frames).
         self._pending = deque()
-        self.frames_decoded = 0
-        self.garbage_bytes = 0
-        self.corrupt_frames = 0
-        self.oversized_frames = 0
-        self.refused_globals = 0
         self.undecodable_frames = 0
 
     def pending_bytes(self):
         """Bytes buffered awaiting a complete frame (bounded by
-        ``HEADER_BYTES + max_frame_bytes`` plus one read chunk)."""
+        ``HEADER_BYTES + MAX_FRAME_BYTES`` plus one read chunk)."""
         return len(self._buf)
 
     def feed(self, data):
         """Consume *data*, returning the list of payloads completed by it."""
+        self.meter.bytes_received += len(data)
         self._buf.extend(data)
         out = []
         while True:
@@ -165,7 +166,7 @@ class FrameDecoder:
         """Drop *skip* bytes as garbage, then align on the next magic."""
         if skip:
             del self._buf[:skip]
-            self.garbage_bytes += skip
+            self.meter.garbage_bytes += skip
         idx = self._buf.find(MAGIC)
         if idx == -1:
             # Keep a potential magic prefix at the tail (a frame split
@@ -177,13 +178,14 @@ class FrameDecoder:
                     break
             dropped = len(self._buf) - keep
             if dropped:
-                self.garbage_bytes += dropped
+                self.meter.garbage_bytes += dropped
                 del self._buf[:dropped]
         elif idx:
-            self.garbage_bytes += idx
+            self.meter.garbage_bytes += idx
             del self._buf[:idx]
 
     def _step(self):
+        meter = self.meter
         self._resync(0)
         if len(self._buf) < HEADER_BYTES:
             return "wait", None
@@ -192,11 +194,11 @@ class FrameDecoder:
         if zlib.crc32(self._buf[:_HEADER_PREFIX.size]) != header_crc:
             # Damaged length field (or garbage that aliased the magic):
             # detected before a single payload byte is trusted.
-            self.corrupt_frames += 1
+            meter.corrupt_frames += 1
             self._resync(len(MAGIC))
             return "skip", None
-        if length > self.max_frame_bytes:
-            self.oversized_frames += 1
+        if length > MAX_FRAME_BYTES:
+            meter.oversized_frames += 1
             self._resync(len(MAGIC))
             return "skip", None
         end = HEADER_BYTES + length
@@ -204,48 +206,29 @@ class FrameDecoder:
             return "wait", None
         payload = bytes(self._buf[HEADER_BYTES:end])
         if zlib.crc32(payload) != payload_crc:
-            self.corrupt_frames += 1
+            meter.corrupt_frames += 1
             self._resync(len(MAGIC))
             return "skip", None
         del self._buf[:end]
         try:
             obj = _Unpickler(payload).load()
         except Exception as exc:
-            self.refused_globals += isinstance(exc, RefusedGlobal)
-            self.corrupt_frames += 1
+            meter.refused_globals += isinstance(exc, RefusedGlobal)
+            meter.corrupt_frames += 1
             self.undecodable_frames += 1
             return "skip", None
-        self.frames_decoded += 1
+        meter.frames_received += 1
         return "frame", obj
 
+    def recv(self, sock):
+        """Block until one frame arrives on *sock*; returns its payload,
+        or ``None`` on orderly EOF. Socket timeouts propagate to the
+        caller. Extra frames completed by the same read are returned by
+        the next calls."""
+        while not self._pending:
+            data = sock.recv(65536)
+            if not data:
+                return None
+            self._pending.extend(self.feed(data))
+        return self._pending.popleft()
 
-# ----------------------------------------------------- blocking sockets
-
-def recv_frame(sock, decoder):
-    """Block until *decoder* yields one frame from *sock*.
-
-    Returns the payload, or ``None`` on orderly EOF. Socket timeouts
-    propagate to the caller (the pusher's retry loop owns them). Extra
-    frames completed by the same read are queued on the decoder for the
-    next call.
-    """
-    while True:
-        if decoder._pending:
-            return decoder._pending.popleft()
-        data = sock.recv(65536)
-        if not data:
-            return None
-        decoder._pending.extend(decoder.feed(data))
-
-
-# ------------------------------------------------------- asyncio streams
-
-async def read_frames(reader, decoder):
-    """Async-iterate until EOF, one list of decoded payloads per read —
-    empty when the read completed no frame, so the connection owner can
-    drain the decoder's counters while the stream is still open."""
-    while True:
-        data = await reader.read(65536)
-        if not data:
-            return
-        yield decoder.feed(data)

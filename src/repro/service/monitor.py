@@ -42,12 +42,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.metrics import ServiceMeter
 from repro.model import Tup
-from repro.service.framing import FrameDecoder, encode_frame, read_frames
+from repro.service.framing import FrameDecoder, encode_frame
 from repro.snp.deployment import EvidenceDirectory, Maintainer
-from repro.snp.evidence import Authenticator, RetentionFloor
+from repro.snp.evidence import (
+    Authenticator, RetentionFloor, check_retention_floor,
+)
 from repro.snp.query import QueryError, QueryProcessor
 from repro.snp.snoopy import LogCopy, RetrieveResponse, SNooPyNode
 from repro.snp.wire import WireError
+from repro.util.errors import AuthenticationError
 
 
 def _responses_conflict(a, b):
@@ -264,7 +267,7 @@ class MonitorState(EvidenceDirectory):
         self.app_factories = {}
         self.maintainer = Maintainer()
         self.retention_floors = {}
-        self.hello = None
+        self.hello = False           # whether a hello was adopted
         self._public_keys = {}
         self._app_specs = {}
         self._t_prop = 0.0
@@ -281,7 +284,7 @@ class MonitorState(EvidenceDirectory):
         is refused. All or nothing: a malformed or refused message raises
         :class:`WireError` and changes no state."""
         t_prop, parsed = _parse_hello(msg)
-        _require(self.hello is None or t_prop == self._t_prop,
+        _require(not self.hello or t_prop == self._t_prop,
                  "hello: the Tprop bound was %r", self._t_prop)
         for node_id, public_key, spec, _factory in parsed:
             held = self._public_keys.get(node_id)
@@ -289,7 +292,7 @@ class MonitorState(EvidenceDirectory):
                 (held.n, held.e) == (public_key.n, public_key.e)
                 and self._app_specs[node_id] == spec),
                 "hello: node %r changes its key or app spec", node_id)
-        self.hello = {"deployment": msg.get("deployment")}
+        self.hello = True
         self._t_prop = t_prop
         for node_id, public_key, spec, factory in parsed:
             if node_id in self._public_keys:
@@ -302,6 +305,7 @@ class MonitorState(EvidenceDirectory):
     def ingest_push(self, msg):
         """Absorb one push. All or nothing, like :meth:`ingest_hello`."""
         _check_push(msg)
+        floors = self._admitted_floors(msg.get("floors", {}))
         for node_id, part in msg["nodes"].items():
             proxy = self.nodes.get(node_id)
             if proxy is None:
@@ -314,13 +318,34 @@ class MonitorState(EvidenceDirectory):
         for alarm in msg.get("alarms", ()):
             self.maintainer.notify_missing_ack(alarm)
         self.maintainer.retention_faults.extend(msg.get("faults", ()))
-        self.retention_floors.update(msg.get("floors", {}))
+        self.retention_floors.update(floors)
         # The stored copies follow sanctioned floors, as replicas do.
         for node_id, proxy in self.nodes.items():
             floor = self.sanctioned_floor(node_id)
             if floor is not None:
                 proxy.merged.trim(floor)
         self.last_push_seq = msg["seq"]
+
+    def _admitted_floors(self, floors):
+        """The pushed floors to adopt. A floor the node did not sign, or
+        one below the held floor (an honest node's floor never goes
+        down), would convict an honest node of truncating the stored
+        copy below it: it refuses the whole push. A floor of a node no
+        hello gave a key waits, unadopted, for a hello that does."""
+        admitted = {}
+        for node_id, advert in floors.items():
+            public_key = self._public_keys.get(node_id)
+            if public_key is None:
+                continue
+            try:
+                check_retention_floor(node_id, public_key,
+                                      self.retention_floors.get(node_id),
+                                      advert)
+            except AuthenticationError as exc:
+                raise WireError(f"push: node {node_id!r}'s floor is "
+                                f"refused: {exc}") from None
+            admitted[node_id] = advert
+        return admitted
 
     def holdings(self):
         """What the store holds, as every ack reports it: per node its
@@ -420,7 +445,6 @@ class MonitorDaemon:
         self._servers = []
         self._conn_tasks = set()        # live connection handler tasks
         self._loop = None
-        self._stopped = None
 
     # -------------------------------------------------------- lifecycle
 
@@ -430,7 +454,6 @@ class MonitorDaemon:
         from repro.service.server import serve_connection
         self._loop = asyncio.get_running_loop()
         self._refresh_needed = asyncio.Event()
-        self._stopped = asyncio.Event()
         push_srv = await asyncio.start_server(
             self._track(self._handle_push_conn), self.host, self.push_port)
         http_srv = await asyncio.start_server(
@@ -480,16 +503,11 @@ class MonitorDaemon:
             sub.closed = True
         self._qp_pool.shutdown(wait=True)
         self.qp.close()
-        if self._stopped is not None:
-            self._stopped.set()
-
-    async def serve_forever(self):
-        await self._stopped.wait()
 
     # ------------------------------------------------------- push ingest
 
     async def _handle_push_conn(self, reader, writer):
-        decoder = FrameDecoder()
+        decoder = FrameDecoder(self.meter)
 
         async def send(reply):
             data = encode_frame(reply)
@@ -501,20 +519,17 @@ class MonitorDaemon:
             await writer.drain()
 
         try:
-            async for frames in read_frames(reader, decoder):
+            while chunk := await reader.read(65536):
+                frames = decoder.feed(chunk)
                 # Every intact frame is answered: one that decodes to no
                 # typed message gets an error, so its sender never waits
                 # out a timeout for a reply that is not coming.
                 undecodable = decoder.undecodable_frames
                 decoder.undecodable_frames = 0
-                # Per read, not at close: /status shows damage and
-                # refusals while the peer still holds its socket open.
-                self.meter.absorb_decoder(decoder)
                 for _ in range(undecodable):
                     await send({"type": "error",
                                 "error": "frame payload does not decode"})
                 for msg in frames:
-                    self.meter.frames_received += 1
                     if not isinstance(msg, dict) or "type" not in msg:
                         self.meter.corrupt_frames += 1
                         await send({"type": "error",
@@ -714,7 +729,7 @@ class MonitorDaemon:
         return {
             "ok": True,
             "epoch": self.qp.epoch,
-            "hello": self.state.hello is not None,
+            "hello": self.state.hello,
             "nodes": {str(n): p.stored_head()
                       for n, p in self.state.nodes.items()},
             "last_push_seq": self.state.last_push_seq,
@@ -848,13 +863,6 @@ class MonitorHandle:
         fut.result(timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
 
 
 def start_monitor_thread(**kwargs):

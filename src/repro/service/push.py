@@ -16,12 +16,14 @@ count per node and peer, the alarm and fault stream lengths and the
 query plane's low-water marks, and the next push is built from the last
 accepted ack alone.
 
-Failure ladder:
+Failure ladder — a tick is one transition: connect, send, then an ack
+or a failure:
 
-* transport errors → retry with exponential backoff, reconnecting each
-  attempt; after ``retries`` the tick is abandoned (``push_failures``).
-  Each reconnect re-handshakes, and its hello-ack replaces the last ack,
-  so a push that landed but whose ack was lost is not shipped twice;
+* a transport error ends the tick (``push_failures``), and the next
+  cadence tick is the retry — except that, as in
+  :class:`~repro.service.client.MonitorClient`, a kept connection that
+  fails before any reply is reopened once (``push_retries``) and the
+  push rebuilt from the new hello-ack;
 * daemon shed → the ack says so, nothing advances
   (``poll_fallbacks``), the next cadence tick is the poll;
 * daemon ``error`` reply, to the push or to the hello → the daemon
@@ -38,30 +40,22 @@ retention exactly like a local standing querier.
 """
 
 import socket
-import time
 
-from repro.service.framing import FrameDecoder, encode_frame, recv_frame
+from repro.service.framing import FrameDecoder, encode_frame
 from repro.metrics import ServiceMeter
 
-
-class HelloRefused(ConnectionError):
-    """The daemon answered the hello with an error: resending is futile."""
+#: Seconds a push socket waits to connect, send or read a reply.
+TIMEOUT_SECONDS = 10.0
 
 
 class ServicePusher:
     """Pushes one deployment's log/evidence deltas to a monitor daemon."""
 
-    def __init__(self, deployment, host, port, timeout=10.0, retries=4,
-                 backoff=0.05, backoff_factor=2.0, sleep=None):
+    def __init__(self, deployment, host, port):
         self.deployment = deployment
         self.host = host
         self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_factor = backoff_factor
         self.meter = ServiceMeter()
-        self._sleep = sleep if sleep is not None else time.sleep
         self._sock = None
         self._decoder = None
         self.seq = 0
@@ -74,22 +68,19 @@ class ServicePusher:
         if self._sock is not None:
             return self
         self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout)
-        self._decoder = FrameDecoder()
+            (self.host, self.port), timeout=TIMEOUT_SECONDS)
+        self._decoder = FrameDecoder(self.meter)
         ack = self._exchange(self.hello_message())
         if ack.get("type") != "hello-ack":
             self.close()
-            raise HelloRefused(f"monitor rejected hello: {ack!r}")
+            raise ConnectionError(f"monitor rejected hello: {ack!r}")
         self.ack = ack
         return self
 
     def close(self):
         if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-                self._decoder = None
+            self._sock.close()
+            self._sock = self._decoder = None
 
     def _send(self, msg):
         data = encode_frame(msg)
@@ -98,15 +89,14 @@ class ServicePusher:
         self.meter.bytes_sent += len(data)
 
     def _recv(self):
-        reply = recv_frame(self._sock, self._decoder)
+        reply = self._decoder.recv(self._sock)
         if reply is None:
             raise ConnectionError("monitor closed the push stream")
-        self.meter.frames_received += 1
         return reply
 
     def _exchange(self, msg):
         """Send one frame, return the next reply (transport errors
-        propagate to the retry loop)."""
+        propagate to :meth:`push_once`)."""
         self._send(msg)
         return self._recv()
 
@@ -121,8 +111,8 @@ class ServicePusher:
                 "key": (key.n, key.e),
                 "app": dep.app_factories[node_id].wire_spec(),
             }
-        return {"type": "hello", "deployment": id(dep),
-                "t_prop": dep.effective_t_prop(), "nodes": nodes}
+        return {"type": "hello", "t_prop": dep.effective_t_prop(),
+                "nodes": nodes}
 
     def build_push(self):
         """The delta message for this tick: everything past what the
@@ -132,11 +122,7 @@ class ServicePusher:
         parts = {}
         for node_id in sorted(dep.nodes, key=str):
             node = dep.nodes[node_id]
-            since = heads.get(node_id, 0)
-            if since > 0:
-                response = node.retrieve(since_index=since)
-            else:
-                response = node.retrieve()
+            response = node.retrieve(since_index=heads.get(node_id) or None)
             done = counts.get(node_id, {})
             auths = {}
             for peer in sorted(node.received_auths, key=str):
@@ -163,14 +149,19 @@ class ServicePusher:
     # ------------------------------------------------------------- push
 
     def push_once(self):
-        """One cadence tick: build, send with retry-with-backoff, adopt
-        the ack. Returns the ack dict, or ``None`` when every attempt
-        failed or the daemon refused the frame (state untouched — the
-        next tick retries the same delta).
+        """One cadence tick: build, send, adopt the ack. Returns the ack
+        dict, or ``None`` when the tick failed or the daemon refused the
+        frame (state untouched — the next tick retries the same delta).
         """
         self.seq += 1
         self.meter.pushes_sent += 1
-        ack = self._push_with_retry()
+        try:
+            ack = self._push()
+        except OSError:
+            # A refused hello included: nothing on this connection can
+            # be trusted to line up any more.
+            self.close()
+            ack = None
         if ack is None:
             self.meter.push_failures += 1
             return None
@@ -183,36 +174,37 @@ class ServicePusher:
         self.ack = ack
         return ack
 
-    def _push_with_retry(self):
-        """Send this tick's delta, built anew by every attempt: a retry
-        reconnects, and its hello-ack replaced the last ack (most
-        drastically after a daemon restart, which reports an empty
-        store), so a delta built from the old one would hand the daemon
-        a mid-chain stub, or evidence it already holds."""
-        delay = self.backoff
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self.meter.push_retries += 1
-                self._sleep(delay)
-                delay *= self.backoff_factor
-            try:
-                self.connect()
-                msg = self.build_push()
-                self._send(msg)
-                while True:
-                    reply = self._recv()
-                    if reply.get("type") == "error":
-                        return None
-                    # Another push's ack is skipped: ours carries
-                    # this seq and reports the store after it.
-                    if reply.get("type") == "push-ack" \
-                            and reply.get("seq") == msg["seq"]:
-                        return reply
-            except HelloRefused:
-                return None
-            except (OSError, ConnectionError):
-                self.close()
+    def _push(self):
+        """Send this tick's delta; returns the daemon's ack to it, or
+        ``None`` for an ``error`` reply. A kept connection that fails
+        before any reply is reopened once, and the push rebuilt from the
+        new hello-ack (a delta built from the old ack could hand a
+        restarted daemon a mid-chain stub, or evidence it holds); any
+        other failure propagates."""
+        kept = self._sock is not None
+        try:
+            reply = self._send_push()
+        except ConnectionError:
+            if not kept:
+                raise
+            self.close()
+            self.meter.push_retries += 1
+            reply = self._send_push()
+        # Another push's ack is skipped: ours carries this seq and
+        # reports the store after it.
+        while reply.get("type") != "error":
+            if reply.get("type") == "push-ack" \
+                    and reply.get("seq") == self.seq:
+                return reply
+            reply = self._recv()
         return None
+
+    def _send_push(self):
+        """Connect if need be, send a push built from the last ack, and
+        return the first reply."""
+        self.connect()
+        self._send(self.build_push())
+        return self._recv()
 
     # ----------------------------------------------------- deployment glue
 

@@ -11,8 +11,9 @@ hidden state.
 from repro.crypto.keys import CertificateAuthority, CryptoCounter, NodeIdentity
 from repro.metrics import RetentionMeter, TrafficMeter
 from repro.net.simulator import Simulator
+from repro.snp.evidence import check_retention_floor
 from repro.snp.snoopy import LogCopy, SNooPyNode
-from repro.util.errors import ConfigurationError
+from repro.util.errors import AuthenticationError, ConfigurationError
 
 #: How many replicas hold a copy of each node's log (Section 5.8).
 REPLICATION_FACTOR = 2
@@ -26,7 +27,8 @@ class Maintainer:
         self.rejected_wires = []
         # Retention-handshake convictions: a node whose signed floor
         # advertisement contradicts a live auditor's verified head (or
-        # fails to verify at all). Each record carries the evidence.
+        # fails evidence.check_retention_floor). Each record carries the
+        # evidence.
         self.retention_faults = []
 
     def notify_missing_ack(self, alarm):
@@ -37,10 +39,13 @@ class Maintainer:
             {"receiver": receiver, "sender": sender, "reason": reason}
         )
 
-    def record_retention_fault(self, node, reason, advert=None, mark=None):
-        self.retention_faults.append(
-            {"node": node, "reason": reason, "advert": advert, "mark": mark}
-        )
+    def record_retention_fault(self, node, reason, advert=None, mark=None,
+                               held=None):
+        fault = {"node": node, "reason": reason, "advert": advert,
+                 "mark": mark}
+        if held is not None:
+            fault["held"] = held    # the earlier advert *advert* breaks
+        self.retention_faults.append(fault)
 
     def retention_fault_of(self, node):
         """The first recorded retention conviction for *node*, or None."""
@@ -448,11 +453,11 @@ class Deployment(EvidenceDirectory):
         is recorded as a retention fault (the advertisement plus the
         auditor's signed head are the evidence) and its floor is not
         sanctioned: honest replicas keep their fuller mirror copies, and
-        queriers treat the node as proven faulty. Returns the bytes
-        reclaimed this pass.
+        queriers treat the node as proven faulty. So is an advertisement
+        :func:`~repro.snp.evidence.check_retention_floor` refuses (not
+        signed by the node, or below its held floor); the held floor
+        stays. Returns the bytes reclaimed this pass.
         """
-        from repro.snp.evidence import verify_retention_floor
-        from repro.util.errors import AuthenticationError
         if checkpoint:
             self.checkpoint_all()
         marks = self.collect_low_water_marks()
@@ -465,13 +470,14 @@ class Deployment(EvidenceDirectory):
             advert = node.advertise_retention_floor(mark)
             if advert is None:
                 continue
+            held = self.retention_floors.get(name)
             try:
-                verify_retention_floor(self.public_key_of(name), advert)
-            except AuthenticationError:
+                check_retention_floor(name, self.public_key_of(name), held,
+                                      advert)
+            except AuthenticationError as exc:
+                # The held floor stays: it is what the node committed to.
                 self.maintainer.record_retention_fault(
-                    name, "retention-floor advertisement fails signature "
-                    "verification", advert=advert, mark=mark,
-                )
+                    name, str(exc), advert=advert, mark=mark, held=held)
                 continue
             self.retention_floors[name] = advert
             if mark is not None and advert.floor_index > mark:
@@ -495,7 +501,7 @@ class Deployment(EvidenceDirectory):
                     meter.mirror_bytes_reclaimed += copy.trim(floor)
         return meter.total_bytes_reclaimed() - reclaimed_before
 
-    def enable_gc(self, interval_seconds, checkpoint=True):
+    def enable_gc(self, interval_seconds):
         """Install a standing checkpoint-GC cadence, the retention
         counterpart of :meth:`enable_replication`: :meth:`run_until`
         interleaves a :meth:`run_gc` pass every *interval_seconds* of
@@ -506,8 +512,7 @@ class Deployment(EvidenceDirectory):
         scheduler (not ``at_quiescence``: a GC pass checkpoints every
         node, so firing per run() call would grow each log by one CHK
         entry per call)."""
-        self.add_cadence("gc", interval_seconds,
-                         lambda: self.run_gc(checkpoint=checkpoint))
+        self.add_cadence("gc", interval_seconds, self.run_gc)
 
     def disable_gc(self):
         self.remove_cadence("gc")

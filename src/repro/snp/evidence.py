@@ -101,14 +101,27 @@ def sign_retention_floor(identity, floor_index, floor_time):
     return advert
 
 
-def verify_retention_floor(public_key, advert):
-    """Check the advertisement's signature directly against the node's
-    public key; raises AuthenticationError on failure."""
+def check_retention_floor(node, public_key, held, advert):
+    """Admit *advert* as *node*'s retention floor over *held* (the floor
+    already held for it, or None): it must name *node*, be signed by
+    *node*'s key and not go below *held* — an honest node's floor never
+    goes down. An advert identical to *held* costs no RSA check. Raises
+    AuthenticationError naming the rule broken."""
+    if held is not None and advert.signature == held.signature \
+            and advert.payload() == held.payload():
+        return True
+    if advert.node != node:
+        raise AuthenticationError(
+            f"retention-floor advertisement filed under {node!r} names "
+            f"{advert.node!r}")
+    if held is not None and advert.floor_index < held.floor_index:
+        raise AuthenticationError(
+            f"advertised retention floor {advert.floor_index} goes below "
+            f"its own earlier signed floor {held.floor_index}")
     from repro.util.serialization import canonical_bytes
     if not public_key.verify(canonical_bytes(advert.payload()),
                              advert.signature):
         raise AuthenticationError(
             f"retention-floor advertisement from {advert.node!r} has an "
-            "invalid signature"
-        )
+            "invalid signature")
     return True

@@ -150,7 +150,6 @@ class SNooPyNode:
         self._outbox = {}            # dst -> [(msg, LogEntry)]
         self._flush_scheduled = set()
         self._await_ack = {}         # batch auth signature -> WireBatch
-        self.alarms = []             # missing-ack alarms raised locally
         # Log-replication extension (paper Section 5.8 suggests mitigating
         # destroyed provenance state by replicating each log): mirror
         # copies of *other* nodes' logs, kept with the authenticator that
@@ -243,7 +242,6 @@ class SNooPyNode:
                 "msg_ids": [m.msg_id() for m, _i, _t in batch.msgs],
                 "batch_auth": batch.auth,
             }
-            self.alarms.append(alarm)
             self.deployment.maintainer.notify_missing_ack(alarm)
 
     # ---------------------------------------------------------- receiving

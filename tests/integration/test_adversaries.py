@@ -12,6 +12,7 @@ stale view kept, and the provenance a lie leaves on display.
 import pytest
 
 from repro.apps.mincost import best_cost, build_paper_network, cost, link
+from repro.metrics import ServiceMeter
 from repro.service.framing import FrameDecoder, encode_frame
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.evidence import Authenticator, sign_authenticator
@@ -172,10 +173,10 @@ class TestMisreception:
         assert not any(e.content[7] == batch.auth.signature
                        for e in receiver.log.entries if e.entry_type == RCV)
         assert QueryProcessor(dep).mq.view_of(batch.dst).status == "ok"
-        decoder = FrameDecoder()
+        decoder = FrameDecoder(ServiceMeter())
         [pushed] = decoder.feed(
             encode_frame({"response": receiver.retrieve()}))
-        assert decoder.corrupt_frames == 0
+        assert decoder.meter.corrupt_frames == 0
         assert len(pushed["response"].entries) == len(receiver.log)
 
     def test_an_acker_cannot_plant_its_echo_in_the_senders_log(
@@ -204,10 +205,10 @@ class TestMisreception:
                   and e.aux["wire_ack"].batch_auth.signature
                   == sent.signature]
         assert kept is sent
-        decoder = FrameDecoder()
+        decoder = FrameDecoder(ServiceMeter())
         [pushed] = decoder.feed(
             encode_frame({"response": sender.retrieve()}))
-        assert decoder.corrupt_frames == 0
+        assert decoder.meter.corrupt_frames == 0
         assert len(pushed["response"].entries) == len(sender.log)
         assert QueryProcessor(dep).mq.view_of(sent.node).status == "ok"
 

@@ -32,6 +32,7 @@ from repro.snp import QueryProcessor
 from repro.snp.adversary import (
     FloorLiarNode, ForkingNode, OverTruncatingNode,
 )
+from repro.metrics import ServiceMeter
 from repro.service import ServicePusher
 from repro.service.framing import FrameDecoder, encode_frame
 from repro.service.monitor import MonitorState
@@ -75,10 +76,11 @@ class TestHandshake:
         dep.checkpoint_all()
         _standing_auditor(dep)   # marks cover the checkpoints
         dep.run_gc(checkpoint=False)
-        from repro.snp.evidence import verify_retention_floor
+        from repro.snp.evidence import check_retention_floor
         for name in dep.nodes:
             advert = dep.retention_floors[name]
-            assert verify_retention_floor(dep.public_key_of(name), advert)
+            assert check_retention_floor(name, dep.public_key_of(name),
+                                         None, advert)
             assert advert.floor_index == dep.advertised_floor_of(name)
 
     def test_floor_never_exceeds_auditor_marks(self):
@@ -307,7 +309,7 @@ class TestAdversarialGc:
         # Through the daemon: the hello and one push, framed and decoded.
         pusher = ServicePusher(dep, "127.0.0.1", 1)  # builds messages only
         push = pusher.build_push()
-        decoder = FrameDecoder()
+        decoder = FrameDecoder(ServiceMeter())
         state = MonitorState()
         [hello] = decoder.feed(encode_frame(pusher.hello_message()))
         state.ingest_hello(hello)

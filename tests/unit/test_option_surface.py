@@ -21,6 +21,7 @@ import repro.datalog
 from repro.datalog import DatalogApp, Program, parse_program
 from repro.datalog.plan import compile_rule
 from repro.service.client import MonitorClient
+from repro.service.framing import FrameDecoder, encode_frame
 from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
     main as monitor_main
 from repro.service.push import ServicePusher
@@ -32,8 +33,9 @@ from repro.snp.snoopy import RetrieveResponse
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-#: Every constructor (and ``retrieve``, thrice, and ``add_node``) that
-#: carries options, against a literal. Adding, removing or re-defaulting
+#: Every constructor (and ``retrieve``, thrice, ``add_node``,
+#: ``enable_gc`` and ``encode_frame``) that carries options, against a
+#: literal. Adding, removing or re-defaulting
 #: a parameter must edit this table.
 RETRIEVE = "(self, from_checkpoint=False, since_index=None)"
 SIGNATURES = {
@@ -42,9 +44,13 @@ SIGNATURES = {
     MicroQuerier: "(self, deployment, use_checkpoints=False)",
     QueryProcessor: "(self, deployment, use_checkpoints=False)",
     MonitorDaemon: "(self, host='127.0.0.1', push_port=0, http_port=0)",
-    ServicePusher:
-        "(self, deployment, host, port, timeout=10.0, retries=4, "
-        "backoff=0.05, backoff_factor=2.0, sleep=None)",
+    # the next cadence tick is a failed push tick's retry, and the
+    # socket timeout is a module constant
+    ServicePusher: "(self, deployment, host, port)",
+    # the frame bound is one constant, and a decoder counts into the
+    # meter of the connection that owns it
+    encode_frame: "(obj)",
+    FrameDecoder: "(self, meter)",
     # persistent connections and their two deadlines came without a knob
     MonitorClient: "(self, host, port, timeout=30.0)",
     # the analyzer's gate has no off switch, on either way in; no rule
@@ -60,6 +66,8 @@ SIGNATURES = {
         "(self, node, entries, start_index, start_hash, head_auth)",
     Deployment:
         "(self, seed=0, key_bits=256, t_batch=0.0)",
+    # a GC pass on the cadence always checkpoints first
+    Deployment.enable_gc: "(self, interval_seconds)",
     # t_batch is the deployment's: its plausibility window and Tprop
     # bound read it, so no node has its own
     Deployment.add_node:

@@ -47,6 +47,15 @@ class TestParser:
                                         float(index)), float(index))
         assert apps["c"].has_tuple(Tup("bestCost", "c", "d", 5))
 
+    def test_a_head_expression_may_precede_a_variable(self):
+        # The head's unify recipe is dropped at its expression; a variable
+        # after it must still parse and bind.
+        program = parse_program(
+            "input link/3.\nR1: twice(@X, K+K, Y) :- link(@X, Y, K).\n")
+        app = DatalogApp("n", program)
+        app.handle_insert(Tup("link", "n", "m", 3), 0.0)
+        assert app.has_tuple(Tup("twice", "n", 6, "m"))
+
     def test_parsed_program_matches_handwritten(self):
         from repro.apps.mincost import mincost_program
         parsed = parse_program(MINCOST_TEXT)

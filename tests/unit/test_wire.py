@@ -26,6 +26,7 @@ from repro.apps import AppFactory, factory_from_spec
 from repro.apps.mincost import link, mincost_factory
 from repro.crypto.hashing import GENESIS_HASH
 from repro.datalog.store import DerivationInstance
+from repro.metrics import ServiceMeter
 from repro.model import Ack, Msg, Tup
 from repro.service.framing import (
     FrameDecoder, FramingError, encode_frame, frame_payload,
@@ -110,16 +111,16 @@ def _decode(frame):
     """*frame*, then an honest one, through one decoder: the decoder and
     what *frame* decoded to (``[]`` when it was counted corrupt)."""
     honest = {"tup": Tup("link", "a", "b", 3)}
-    dec = FrameDecoder()
+    dec = FrameDecoder(ServiceMeter())
     out = dec.feed(frame + encode_frame(honest))
     assert out[-1] == honest
-    assert dec.frames_decoded + dec.corrupt_frames == 2
+    assert dec.meter.frames_received + dec.meter.corrupt_frames == 2
     assert dec.pending_bytes() == 0
     return dec, out[:-1]
 
 
 def _cross(value):
-    (back,) = FrameDecoder().feed(encode_frame(value))
+    (back,) = FrameDecoder(ServiceMeter()).feed(encode_frame(value))
     return back
 
 
@@ -194,13 +195,13 @@ class TestFrameRoundTrip:
         pickled by name, and a frame resolves no name."""
         dec, out = _decode(encode_frame({"value": object()}))
         assert out == []
-        assert (dec.corrupt_frames, dec.refused_globals) == (1, 1)
+        assert (dec.meter.corrupt_frames, dec.meter.refused_globals) == (1, 1)
 
     def test_encoding_snapshots_mutable_containers(self):
         store = {"h": "text"}
         frame = encode_frame(store)
         store["h2"] = "later"
-        assert FrameDecoder().feed(frame) == [{"h": "text"}]
+        assert FrameDecoder(ServiceMeter()).feed(frame) == [{"h": "text"}]
 
     def test_a_response_re_verifies_after_a_frame(self):
         dep, _nodes = paper_network(7)
@@ -307,7 +308,7 @@ class TestValueTable:
         with pytest.raises(WireError, match="malformed wire form"):
             BUILDERS[tag](*fields)
         dec, out = _decode(frame_payload(_payload(_Id((tag, *fields)))))
-        assert out == [] and dec.corrupt_frames == 1
+        assert out == [] and dec.meter.corrupt_frames == 1
 
     @pytest.mark.parametrize("arity", ["exact", "one short", "one long"])
     @pytest.mark.parametrize("tag", _TAGS)
@@ -324,8 +325,8 @@ class TestValueTable:
             assert type(back) is type(value)
             assert _plain(back) == _plain(value)
         else:
-            assert out == [] and dec.corrupt_frames == 1
-        assert dec.refused_globals == 0
+            assert out == [] and dec.meter.corrupt_frames == 1
+        assert dec.meter.refused_globals == 0
 
     @pytest.mark.parametrize("tag", ["W.t", "W.l", "W.d", "W.set", "W.fset"])
     def test_a_container_tag_builds_nothing(self, tag):
@@ -333,7 +334,7 @@ class TestValueTable:
         not list is no persistent id."""
         assert tag not in BUILDERS
         dec, out = _decode(frame_payload(_payload(_Id((tag, ())))))
-        assert out == [] and dec.corrupt_frames == 1
+        assert out == [] and dec.meter.corrupt_frames == 1
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["W.entry", "W.resp", "W.wack"]), st.lists(
@@ -349,7 +350,7 @@ class TestValueTable:
             (back,) = out
             assert type(back) is type(honest[tag])
         else:
-            assert dec.corrupt_frames == 1
+            assert dec.meter.corrupt_frames == 1
 
     def test_a_changed_field_is_checked_again_on_the_far_side(self):
         """A frame carries fields, not a verdict: an object whose field
@@ -359,7 +360,7 @@ class TestValueTable:
         assert type(back) is Authenticator and _plain(back) == _plain(auth)
         auth.index = "3"
         dec, out = _decode(encode_frame(auth))
-        assert out == [] and dec.corrupt_frames == 1
+        assert out == [] and dec.meter.corrupt_frames == 1
 
 
 # ------------------------------------------------------------------ specs
@@ -368,7 +369,8 @@ class TestSpecs:
     def test_app_factory_spec_resolves_through_registry(self):
         factory = mincost_factory()
         assert isinstance(factory, AppFactory)
-        (spec,) = FrameDecoder().feed(encode_frame(factory.wire_spec()))
+        (spec,) = FrameDecoder(ServiceMeter()).feed(
+            encode_frame(factory.wire_spec()))
         assert spec == ("mincost", factory.kwargs)
         machine = factory_from_spec(spec)("n1")
         assert machine.handle_insert(link("n1", "n2", 1), 0.0) is not None
@@ -378,7 +380,7 @@ class TestSpecs:
         frame = encode_frame(AppFactory("mapreduce", content=content)
                              .wire_spec())
         content["h2"] = "later"
-        (spec,) = FrameDecoder().feed(frame)
+        (spec,) = FrameDecoder(ServiceMeter()).feed(frame)
         assert spec == ("mapreduce", {"content": {"h": "text"}})
 
     @pytest.mark.parametrize("spec", [

@@ -43,10 +43,12 @@ plane's acceptance bar:
    ``nodes`` reports, for every node, the length of its log: the daemon's
    copy was spliced to each origin's head across the process boundary;
 8. the daemon shuts down cleanly on SIGTERM;
-9. **a restart loses nothing** — a fresh daemon under the same pusher
-   gets every log and every peer's authenticators in one push, so a
-   scope-0 query rooted at the forker is answered as the direct audit
-   answers it (proven-faulty), and that daemon exits cleanly too;
+9. **a restart loses nothing** — the same pusher, its connection to the
+   stopped daemon kept, reconnects exactly once within one push, and
+   the fresh daemon gets every log and every peer's authenticators in
+   that push, so a scope-0 query rooted at the forker is answered as
+   the direct audit answers it (proven-faulty), and that daemon exits
+   cleanly too;
 10. **a rollback is convicted** — on the paper's MinCost network, a node
     that pushes honestly, then rolls its log back to entry 3 and pushes
     the stub, gets the direct audit's answer at a scope-0 query rooted
@@ -72,9 +74,10 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.apps.chord import ChordNetwork, node_tuple         # noqa: E402
 from repro.apps.mincost import best_cost, build_paper_network  # noqa: E402
+from repro.metrics import ServiceMeter                         # noqa: E402
 from repro.service import MonitorClient, ServicePusher, tup_spec  # noqa: E402
 from repro.service.framing import (                           # noqa: E402
-    FrameDecoder, encode_frame, frame_payload, recv_frame,
+    FrameDecoder, encode_frame, frame_payload,
 )
 from repro.snp import Deployment, QueryProcessor              # noqa: E402
 from repro.snp.adversary import ForkingNode                   # noqa: E402
@@ -158,14 +161,14 @@ SPARE_CONNECTIONS = 4
 def send_hostile_frames(push_port):
     """Send :data:`GLOBAL_PROBES`, then :data:`HOSTILE_FRAMES`, on a
     connection of their own; returns the daemon's reply to each."""
-    decoder = FrameDecoder()
+    decoder = FrameDecoder(ServiceMeter())
     replies = []
     with socket.create_connection(("127.0.0.1", push_port),
                                   timeout=30) as sock:
         for data in (*map(frame_payload, GLOBAL_PROBES),
                      *map(encode_frame, HOSTILE_FRAMES)):
             sock.sendall(data)
-            replies.append(recv_frame(sock, decoder))
+            replies.append(decoder.recv(sock))
     return replies
 
 
@@ -192,10 +195,12 @@ def build_workload(adversary_name, seed=11):
 
 
 def check_restart(dep, net, pusher, adversary):
-    """Point *pusher* at a fresh daemon and push once. Its hello-ack
-    reports an empty store, so the push carries every log and every
-    authenticator the nodes hold; a restarted store that got the logs
-    alone answered green at the forker."""
+    """Point *pusher*, still holding its connection to the stopped
+    daemon, at a fresh daemon and push once. The kept connection fails
+    before any reply, so the tick reconnects exactly once. The new
+    hello-ack reports an empty store, so the push carries every log and
+    every authenticator the nodes hold; a restarted store that got the
+    logs alone answered green at the forker."""
     root = node_tuple(adversary, net.ring_id(adversary))
     qp = QueryProcessor(dep)
     qp.refresh()
@@ -208,9 +213,13 @@ def check_restart(dep, net, pusher, adversary):
     proc, ports = spawn_daemon()
     try:
         pusher.port = ports["push_port"]
+        retries = pusher.meter.push_retries
         ack = pusher.push_once()
         check("restarted daemon accepted the push",
               ack is not None and not ack["shed"])
+        check("the push reconnected exactly once",
+              pusher.meter.push_retries - retries == 1,
+              f"push_retries {retries} -> {pusher.meter.push_retries}")
         with MonitorClient("127.0.0.1", ports["http_port"],
                            timeout=60) as client:
             out = client.query(tup_spec(root, scope=0, fresh=True))
@@ -439,9 +448,7 @@ def main(argv=None):
             dropped = True
         stalled.close()
         check("stalled half-request dropped at the deadline", dropped)
-        # A connection's framing-damage counters fold into the daemon's
-        # meter when it closes, so the pusher hangs up before the read.
-        pusher.close()
+        # The pusher keeps its connection: the restart below reopens it.
         meter = client.status()["meter"]
         client.close()
         check("meter.http_timeouts counted the stalled request only",
