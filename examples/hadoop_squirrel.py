@@ -25,9 +25,8 @@ def main():
           "squirrels?")
     print("=" * 72)
     dep = Deployment(seed=31)
-    store = {}
     job = WordCountJob(
-        dep, store, n_mappers=N_MAPPERS, n_reducers=2,
+        dep, n_mappers=N_MAPPERS, n_reducers=2,
         granularity=OFFSETS,
         corrupt_mappers={"map2": {"target_word": "squirrel",
                                   "extra_count": BOGUS}},

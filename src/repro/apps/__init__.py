@@ -63,11 +63,11 @@ class AppFactory:
     with a ``node_id`` returns a fresh state machine (the underlying
     builder runs once, so per-factory work such as rule compilation is
     shared by all nodes using the factory). For the wire it exposes
-    :meth:`wire_spec`: the application's name plus a dict of the kwargs,
-    from which the daemon rebuilds an equivalent factory. The hello frame
-    carries the spec as it is, so mutable kwargs (e.g. MapReduce's
-    content store) are snapshotted when that frame is encoded, i.e. once
-    per hello.
+    :meth:`wire_spec`: the application's name plus a dict of its static
+    kwargs, from which the daemon rebuilds an equivalent factory. A spec
+    carries no data: what replay reads travels in the log (MapReduce's
+    input texts ride in their task tuples), so a spec is fixed for the
+    whole run.
     """
 
     __slots__ = ("name", "kwargs", "_resolved")

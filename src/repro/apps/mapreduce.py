@@ -6,8 +6,9 @@ at the level of individual key-value pairs: the provenance of an
 intermediate pair consists of the arguments of the map invocation, and the
 provenance of an output consists of the arguments of the reduce invocation.
 Input files appear in the log only as hashes (the trivial optimization of
-Section 6.2 — the bytes live in a content store and are authenticated by
-hash at replay time).
+Section 6.2): a ``mapTask`` tuple's :class:`~repro.model.Blob` commits
+to the split's digest and carries its text beside it, into every replay;
+the mapper authenticates the text by hash before use.
 
 This module provides:
 
@@ -16,14 +17,14 @@ This module provides:
   reducer when it receives a ``reduceTask`` base tuple (both come from the
   JobTracker, which the paper treats as a source of base tuples).
 * map side: ``mapTask → [mapOut per occurrence] → combineOut per word →
-  shuffle to the responsible reducer (+ a mapDone end-of-stream marker)``;
-  the per-occurrence layer is optional (``granularity='offsets'``) and
+  one shuffleBlock per reducer`` (an empty block ends the stream); the
+  per-occurrence layer is optional (``granularity='offsets'``) and
   reproduces Figure 4's MapOut vertices.
-* reduce side: once every expected mapper's ``mapDone`` arrived, the
+* reduce side: once every expected mapper's block arrived, the
   reducer derives one ``output(word, total)`` per word, supported by the
   believed shuffle tuples — the reduce invocation's arguments.
-* :class:`WordCountJob` — the JobTracker: splits a corpus, registers
-  content hashes, assigns tasks, runs the cluster, and fetches results.
+* :class:`WordCountJob` — the JobTracker: splits a corpus, assigns tasks
+  carrying their splits, runs the cluster, and fetches results.
 * :class:`CorruptWordCountApp` — a mapper that injects bogus key-value
   pairs for a chosen word (the Hadoop-Squirrel scenario); installed via
   :class:`repro.snp.adversary.MisexecutingNode` so replay against the
@@ -33,12 +34,11 @@ This module provides:
 import hashlib
 import zlib
 
-from repro.model import Der, Snd, StateMachine, Tup, Ack, PLUS
+from repro.model import Blob, Der, Snd, StateMachine, Tup, Ack, PLUS
+from repro.util.errors import ContentUnavailable
 from repro.util.serialization import canonical_bytes
 
-#: Average Hadoop shuffle-message payload in the paper is ~1.08 MB; our
-#: synthetic corpora are smaller, so the native size is simply the data
-#: itself (tuple-encoding overhead is the 'provenance' category).
+#: Provenance granularity: per word, or per occurrence (Figure 4's MapOut).
 COMBINED = "combined"
 OFFSETS = "offsets"
 
@@ -76,8 +76,8 @@ def partition_for(word, n_reducers):
 
 # ------------------------------------------------------------------- tuples
 
-def map_task(node, job, split_id, text_hash, reducers):
-    return Tup("mapTask", node, job, split_id, text_hash, tuple(reducers))
+def map_task(node, job, split_id, split, reducers):
+    return Tup("mapTask", node, job, split_id, split, tuple(reducers))
 
 
 def reduce_task(node, job, mappers):
@@ -112,16 +112,10 @@ def output_tuple(reducer, job, word, count):
 
 
 class MapReduceApp(StateMachine):
-    """Worker state machine with reported provenance.
+    """Worker state machine with reported provenance."""
 
-    *content_store* maps text hashes to file contents; it stands in for the
-    distributed filesystem and must be shared with the replayer (contents
-    are authenticated by the hash recorded in the task tuple).
-    """
-
-    def __init__(self, node_id, content_store, granularity=COMBINED):
+    def __init__(self, node_id, granularity=COMBINED):
         super().__init__(node_id)
-        self.content_store = content_store
         self.granularity = granularity
         self._local = {}        # tup -> appeared_at
         self._beliefs = {}      # tup -> (peer, appeared_at)
@@ -181,9 +175,13 @@ class MapReduceApp(StateMachine):
 
     def _run_map(self, task, t):
         """Execute the map + combine + shuffle pipeline, reporting
-        provenance for every stage."""
-        job, split_id, text_hash, reducers = task.args
-        text = self.content_store[text_hash]
+        provenance for every stage (the split's text once it hashes to
+        the digest the task commits to)."""
+        job, split_id, split, reducers = task.args
+        text = getattr(split, "text", None)
+        if text is None or content_hash(text) != split.digest:
+            raise ContentUnavailable(
+                f"content unavailable: {getattr(split, 'digest', split)}")
         occurrences = self.map_function(text)
         outputs = []
         counts = {}
@@ -295,9 +293,9 @@ class CorruptWordCountApp(MapReduceApp):
     """A mapper that injects *extra_count* bogus occurrences of
     *target_word* (Section 7.3: Map-3 emitting 9,991 extra squirrels)."""
 
-    def __init__(self, node_id, content_store, target_word="squirrel",
-                 extra_count=9991, granularity=COMBINED):
-        super().__init__(node_id, content_store, granularity=granularity)
+    def __init__(self, node_id, target_word="squirrel", extra_count=9991,
+                 granularity=COMBINED):
+        super().__init__(node_id, granularity=granularity)
         self.target_word = target_word
         self.extra_count = extra_count
 
@@ -309,12 +307,10 @@ class CorruptWordCountApp(MapReduceApp):
         return out
 
 
-def build_mapreduce_app_factory(content, granularity=COMBINED):
-    """Registry builder (see :mod:`repro.apps`). *content* maps text hashes
-    to file contents — inside the monitor daemon it is the snapshot the
-    hello carried, standing in for the distributed filesystem."""
-    return lambda node_id: MapReduceApp(node_id, content,
-                                        granularity=granularity)
+def build_mapreduce_app_factory(granularity=COMBINED):
+    """Registry builder (see :mod:`repro.apps`): a worker factory. The
+    input texts are no part of it — they travel in the task tuples."""
+    return lambda node_id: MapReduceApp(node_id, granularity=granularity)
 
 
 def mapreduce_native_sizer(msg):
@@ -329,11 +325,9 @@ def mapreduce_native_sizer(msg):
 class WordCountJob:
     """The JobTracker: splits input, assigns tasks, collects results."""
 
-    def __init__(self, deployment, content_store, job_id="job0",
-                 n_mappers=4, n_reducers=2, granularity=COMBINED,
-                 corrupt_mappers=None):
+    def __init__(self, deployment, job_id="job0", n_mappers=4, n_reducers=2,
+                 granularity=COMBINED, corrupt_mappers=None):
         self.deployment = deployment
-        self.content_store = content_store
         self.job_id = job_id
         self.granularity = granularity
         self.mappers = [f"map{i}" for i in range(n_mappers)]
@@ -344,31 +338,17 @@ class WordCountJob:
     def _add_workers(self):
         from repro.apps import AppFactory
         from repro.snp.adversary import MisexecutingNode
-        # The registry-backed factory keeps a live reference to the shared
-        # content store locally; the hello frame carrying its wire spec
-        # snapshots the store's contents when it is encoded.
-        honest_factory = AppFactory(
-            "mapreduce", content=self.content_store,
-            granularity=self.granularity,
-        )
-
+        from repro.snp.snoopy import SNooPyNode
+        honest_factory = AppFactory("mapreduce", granularity=self.granularity)
         for name in self.mappers + self.reducers:
-            cls = (MisexecutingNode if name in self.corrupt_mappers
-                   else None)
-            if cls is None:
-                self.deployment.add_node(
-                    name, honest_factory, native_sizer=mapreduce_native_sizer
-                )
-            else:
-                node = self.deployment.add_node(
-                    name, honest_factory, node_cls=cls,
-                    native_sizer=mapreduce_native_sizer,
-                )
-                spec = self.corrupt_mappers[name]
+            spec = self.corrupt_mappers.get(name)
+            node = self.deployment.add_node(
+                name, honest_factory,
+                node_cls=SNooPyNode if spec is None else MisexecutingNode,
+                native_sizer=mapreduce_native_sizer)
+            if spec is not None:
                 node.install_corrupt_app(CorruptWordCountApp(
-                    name, self.content_store,
-                    granularity=self.granularity, **spec
-                ))
+                    name, granularity=self.granularity, **spec))
 
     def run(self, splits):
         """*splits* is a list of text strings, one per mapper (extras are
@@ -378,11 +358,9 @@ class WordCountJob:
                 reduce_task(reducer, self.job_id, self.mappers)
             )
         for mapper, text in zip(self.mappers, splits):
-            digest = content_hash(text)
-            self.content_store[digest] = text
             self.deployment.node(mapper).insert(
-                map_task(mapper, self.job_id, f"split-{mapper}", digest,
-                         self.reducers)
+                map_task(mapper, self.job_id, f"split-{mapper}",
+                         Blob(content_hash(text), text), self.reducers)
             )
         self.deployment.run()
         results = {}

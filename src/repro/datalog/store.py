@@ -374,14 +374,6 @@ class TupleStore:
         self._release(tup, record)
         return True
 
-    def belief_counts(self, tup):
-        """``{peer: count}`` of the notifications *tup* is believed on (a
-        copy; empty when it is not believed)."""
-        record = self._records.get(tup)
-        if record is None or record.beliefs is None:
-            return {}
-        return dict(record.beliefs)
-
     # -- matching -------------------------------------------------------------
 
     def visible(self, relation):

@@ -8,6 +8,7 @@ message transmissions. This module defines those vocabulary types:
 
 * :class:`Tup` — an immutable relational tuple with an explicit location
   (``@n`` in the paper's notation);
+* :class:`Blob` — content a tuple names by digest (a MapReduce split);
 * :class:`Msg` / :class:`Ack` — update notifications (``+τ`` / ``-τ``) and
   their acknowledgments, with unique per-(src,dst) sequence numbers;
 * :class:`Der` / :class:`Und` / :class:`Snd` — the three output kinds of a
@@ -81,6 +82,31 @@ class Tup(WireValue):
         if self._canon is None:
             self._canon = canonical_bytes(self.canonical())
         return self._canon
+
+
+class Blob(WireValue):
+    """A tuple argument that commits to *digest* alone and carries
+    *text* (or ``None``) beside it: it compares, hashes, prints and
+    encodes as the digest string, and whoever reads the text checks it
+    against the digest first."""
+
+    __slots__ = ("digest", "text")
+
+    def __init__(self, digest, text):
+        self.digest = digest
+        self.text = text
+
+    def __eq__(self, other):
+        return isinstance(other, Blob) and self.digest == other.digest
+
+    def __hash__(self):
+        return hash(self.digest)
+
+    def __repr__(self):
+        return repr(self.digest)
+
+    def canonical(self):
+        return self.digest
 
 
 class Msg(WireValue):

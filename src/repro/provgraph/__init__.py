@@ -2,12 +2,10 @@
 
 * :mod:`repro.provgraph.vertices` — the twelve vertex types and the three
   colors (black/red/yellow) with their dominance order;
-* :mod:`repro.provgraph.graph` — the graph container plus the algebra used
-  by the paper's proofs: union (∪*), projection (G|i) and the subgraph
-  relation (⊆*);
+* :mod:`repro.provgraph.graph` — the graph container;
 * :mod:`repro.provgraph.gca` — a faithful transcription of the graph
-  construction algorithm from Appendix B (Figures 10 and 11), including
-  ``handle-extra-msg`` for equivocation evidence.
+  construction algorithm from Appendix B (Figures 10 and 11); the querier
+  applies its ``handle-extra-msg`` rule (``MicroQuerier.resolve``).
 """
 
 from repro.provgraph.vertices import (

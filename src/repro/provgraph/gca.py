@@ -247,12 +247,6 @@ class GraphConstructor:
         graph.add_edge(send_vertex, v1)
         return v1
 
-    def add_red_unless_present(self, vertex):
-        """Figure 10, lines 86–91."""
-        if vertex not in self.graph:
-            vertex.set_color(Color.RED)
-            self.graph.add_vertex(vertex)
-
     def flag_ackpend(self, i):
         """Figure 10, lines 93–98."""
         table = self._ackpend.get(i)
@@ -384,15 +378,6 @@ class GraphConstructor:
             vwhy = self.graph.id_of((DISAPPEAR, i, m.tup, t))
         v1 = self.add_send_vertex(m, vwhy, t)
         self._pending[(i, m.full_key())] = v1
-
-    def handle_extra_msg(self, m):
-        """Figure 11, lines 192–196: evidence of an unlogged message."""
-        self.add_red_unless_present(
-            Vertex(SEND, m.src, t=m.t_sent, peer=m.dst, msg=m)
-        )
-        self.add_red_unless_present(
-            Vertex(RECEIVE, m.dst, t=m.t_sent, peer=m.src, msg=m)
-        )
 
     # ------------------------------------------------- checkpoint seeding
 

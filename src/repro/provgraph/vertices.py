@@ -127,9 +127,6 @@ class Vertex:
     def is_interval(self):
         return self.vtype in INTERVAL_TYPES
 
-    def interval_open(self):
-        return self.is_interval() and self.t_end is None
-
     def close_interval(self, t_end):
         if not self.is_interval():
             raise ValueError(f"{self.vtype} vertex has no interval")

@@ -383,6 +383,8 @@ ANSWER_TABLE_LIMIT = 256
 INGEST_LIMIT = 64
 #: One subscriber's event queue bound: past it the oldest alert drops.
 SUBSCRIBER_QUEUE_LIMIT = 256
+#: Seconds a :class:`MonitorHandle` waits for its daemon to start or stop.
+HANDLE_TIMEOUT_SECONDS = 10.0
 
 
 def _verdict(answer):  # what a watch compares; an error is pending
@@ -827,7 +829,7 @@ class MonitorHandle:
         self._thread = None
         self._loop = None
 
-    def start(self, timeout=10.0):
+    def start(self):
         started = threading.Event()
         failure = []
 
@@ -850,19 +852,19 @@ class MonitorHandle:
         self._thread = threading.Thread(
             target=runner, name="snp-monitor", daemon=True)
         self._thread.start()
-        if not started.wait(timeout):
+        if not started.wait(HANDLE_TIMEOUT_SECONDS):
             raise RuntimeError("monitor daemon did not start in time")
         if failure:
             raise failure[0]
         return self
 
-    def stop(self, timeout=10.0):
+    def stop(self):
         if self._loop is None:
             return
         fut = asyncio.run_coroutine_threadsafe(self.daemon.stop(), self._loop)
-        fut.result(timeout)
+        fut.result(HANDLE_TIMEOUT_SECONDS)
         self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+        self._thread.join(HANDLE_TIMEOUT_SECONDS)
 
 
 def start_monitor_thread(**kwargs):

@@ -33,7 +33,8 @@ from repro.snp.replay import (
     check_against_authenticator, extend_replay, replay_segment,
     verify_segment_hashes,
 )
-from repro.util.errors import AuthenticationError, LogVerificationError
+from repro.util.errors import (AuthenticationError, LogVerificationError,
+                                ReplayDivergence)
 from repro.util.serialization import canonical_bytes
 
 
@@ -322,7 +323,8 @@ def compute_build(job, deployment, stats, verified):
     querier's per-batch signature memo (:func:`verify_auth`). A response
     that proves the node (or the mirror serving it) faulty raises
     :class:`LogVerificationError` or :class:`AuthenticationError`; a
-    replay crash is left on ``job.replay`` (``not job.replay.ok``).
+    replay crash is left on ``job.replay`` and skips the evidence check,
+    which a withheld input (``ContentUnavailable``) does not.
 
     A replica's evidence is compared before replay, so that a refused
     replica leaves the base view as it was. A direct response's evidence
@@ -356,7 +358,8 @@ def compute_build(job, deployment, stats, verified):
             job.node, response, deployment.app_factories.get(job.node),
             deployment.effective_t_prop(), stats, known_alarm_msg_ids=alarms,
         )
-    if not job.from_mirror and job.replay.ok:
+    if not job.from_mirror \
+            and not isinstance(job.replay.failure, ReplayDivergence):
         with stats.timing("auth_check_seconds"):
             _settle_pass(job, deployment, stats, verified)
 

@@ -514,9 +514,6 @@ class Deployment(EvidenceDirectory):
         entry per call)."""
         self.add_cadence("gc", interval_seconds, self.run_gc)
 
-    def disable_gc(self):
-        self.remove_cadence("gc")
-
     def find_mirror(self, origin, since_index=None):
         """The best (longest) mirror of *origin*'s log any node holds,
         served (:meth:`~repro.snp.snoopy.LogCopy.serve`): all of it, or

@@ -66,7 +66,8 @@ from repro.snp.log import (
     ENTRY_HEADER_BYTES, encode_contents, encode_snapshot,
 )
 from repro.provgraph.vertices import Color
-from repro.util.errors import AuthenticationError, LogVerificationError
+from repro.util.errors import (AuthenticationError, ContentUnavailable,
+                                LogVerificationError)
 
 OK = "ok"
 PROVEN_FAULTY = "proven-faulty"
@@ -270,9 +271,13 @@ class _BuildJob:
         except (LogVerificationError, AuthenticationError) as exc:
             self.view = self._refused(str(exc))
             return
-        if not self.replay.ok:
+        failure = self.replay.failure
+        if isinstance(failure, ContentUnavailable):  # unresolved, not proof
+            self.view = NodeView(self.node, UNREACHABLE,
+                                 verdict_reason=str(failure))
+        elif failure is not None:
             self.view = NodeView(self.node, PROVEN_FAULTY,
-                                 verdict_reason=str(self.replay.failure),
+                                 verdict_reason=str(failure),
                                  replay=self.replay)
 
     def _refused(self, reason):

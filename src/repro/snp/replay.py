@@ -38,7 +38,8 @@ replay to be deterministic at all.
 from repro.model import Ack
 from repro.provgraph.gca import Event, GraphConstructor
 from repro.snp.log import INS, DEL, SND, RCV, ACK, CHK
-from repro.util.errors import LogVerificationError, ReplayDivergence
+from repro.util.errors import (ContentUnavailable, LogVerificationError,
+                                ReplayDivergence)
 
 
 def log_entries_to_history(node_id, entries):
@@ -201,7 +202,8 @@ def _drive_gca(result, entries, stats, seed=None):
     A *seed* ``chk`` entry is restored first: its snapshot onto the
     node's fresh machine, and the tuples the restored machine holds as
     open exist/believe vertices. A snapshot the machine cannot restore
-    is a crash like any other the log commits to.
+    is a crash like any other the log commits to (a withheld input, a
+    :class:`~repro.util.errors.ContentUnavailable`, is no crash).
 
     *stats* (a QueryStats) receives the replay cost: wall-clock seconds,
     events processed, and the engine's delta counters
@@ -222,6 +224,8 @@ def _drive_gca(result, entries, stats, seed=None):
             for event in events:
                 gca.process(event)
                 processed += 1
+        except ContentUnavailable as exc:  # withheld input, no crash
+            result.failure = exc
         except Exception as exc:  # hostile log crashed the replay machinery
             result.failure = ReplayDivergence(result.node, repr(exc))
     result.events_replayed += processed
@@ -239,9 +243,9 @@ def replay_segment(node_id, response, app_factory, t_prop, stats,
     Returns a ReplayResult whose graph is the node's partition of Gν. A
     structurally impossible log (one the deterministic state machine cannot
     have produced) does not raise: the GCA colors the offending vertices
-    red, which is exactly the paper's semantics. Only outright crashes of
-    the application machine are caught and reported as a replay failure
-    (which the microquery module turns into a red vertex).
+    red, which is exactly the paper's semantics. Only crashes of the
+    application machine (the querier's red) and a withheld input (its
+    yellow) are caught, and reported as a replay failure.
 
     *stats* (a QueryStats) receives the replay cost directly — the
     querier passes its own.

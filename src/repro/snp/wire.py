@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from repro.crypto.hashing import is_digest
 from repro.datalog.store import DerivationInstance
-from repro.model import Ack, Msg, Tup
+from repro.model import Ack, Blob, Msg, Tup
 from repro.snp.commitment import WireAck
 from repro.snp.evidence import Authenticator, RetentionFloor
 from repro.snp.log import LogEntry
@@ -42,6 +42,12 @@ def _authenticator(node, index, timestamp, entry_hash, signature):
              "an Authenticator has an int index, a float timestamp, a "
              "digest and a bytes signature")
     return Authenticator(node, index, timestamp, entry_hash, signature)
+
+
+def _blob(digest, text):
+    _require(isinstance(digest, str) and (text is None or type(text) is str),
+             "a Blob has a str digest and a str or no text")
+    return Blob(digest, text)
 
 
 def _floor(node, floor_index, floor_time, signature):
@@ -81,6 +87,7 @@ def _response(node, entries, start_index, start_hash, head_auth):
 VALUE_CLASSES = (
     (Tup, "W.tup", ("relation", "loc", "args"),
      lambda relation, loc, args: Tup(relation, loc, *args)),
+    (Blob, "W.blob", ("digest", "text"), _blob),
     (Msg, "W.msg", ("polarity", "tup", "src", "dst", "seq", "t_sent"), Msg),
     (Ack, "W.ack", ("src", "dst", "msgs", "t_sent"), Ack),
     (Authenticator, "W.auth",

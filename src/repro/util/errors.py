@@ -65,5 +65,10 @@ class ReplayDivergence(ReproError):
         self.detail = detail
 
 
+class ContentUnavailable(ReproError):
+    """Replay needs content its log names by digest and carries no text
+    hashing to; unsigned text proves nothing, so nobody is convicted."""
+
+
 class QueryError(ReproError):
     """A macroquery could not be evaluated (e.g. unknown tuple or node)."""

@@ -15,11 +15,15 @@ from repro.apps.mincost import best_cost, build_paper_network, cost, link
 from repro.metrics import ServiceMeter
 from repro.service.framing import FrameDecoder, encode_frame
 from repro.snp import Deployment, QueryProcessor
+from repro.snp.adversary import ForkingNode
 from repro.snp.evidence import Authenticator, sign_authenticator
 from repro.snp.log import ACK, RCV, SND
 from repro.snp.snoopy import SNooPyNode
 
-from scenarios import CORPUS, ForkThenCrashNode, mincost, withholding_peers
+from scenarios import (
+    CORPUS, ForkThenCrashNode, SplitStrippingNode, hadoop_mapper_serving,
+    mincost, withholding_peers,
+)
 
 
 def _build(name):
@@ -78,6 +82,36 @@ class TestSilence:
         second = qp.why(best_cost("c", "d", 5))
         assert not second.yellow_vertices()
         assert second.is_clean()
+
+
+class _SplitStrippingForker(ForkingNode, SplitStrippingNode):
+    """Forks its log below what its reducer holds, and strips its split."""
+
+
+class TestWithheldInput:
+    def test_the_next_refresh_rebuilds_the_view(self):
+        # A withheld split leaves the mapper unresolved, not convicted:
+        # once it serves its text, a refresh rebuilds its view.
+        dep, query, _run_further = hadoop_mapper_serving(
+            SplitStrippingNode)()
+        qp = QueryProcessor(dep)
+        assert query(qp).verdict() == "yellow"
+        assert qp.mq.view_of("map1").status == "unreachable"
+        dep.nodes["map1"].__class__ = SNooPyNode
+        qp.refresh()
+        assert qp.mq.view_of("map1").status == "ok"
+        assert query(qp).is_clean()
+
+    def test_withholding_its_split_hides_no_fork(self):
+        # Replay stops at the withheld split, yet the chain the mapper
+        # served is still checked against the evidence its reducer holds.
+        dep, _query, _run_further = hadoop_mapper_serving(
+            _SplitStrippingForker)()
+        dep.nodes["map1"].fork_log(keep_upto=1)
+        view = QueryProcessor(dep).prefetch()["map1"]
+        assert view.status == "proven-faulty"
+        assert "returned log ends at 1 but evidence covers 2" \
+            in view.verdict_reason
 
 
 class _ZeroDatedSender(SNooPyNode):

@@ -212,12 +212,11 @@ class TestBadGadget:
 class TestMapReduce:
     def _run_job(self, corrupt=False, granularity=COMBINED, seed=68):
         dep = Deployment(seed=seed, key_bits=256)
-        store = {}
         corrupt_spec = (
             {"map1": {"target_word": "squirrel", "extra_count": 25}}
             if corrupt else None
         )
-        job = WordCountJob(dep, store, n_mappers=3, n_reducers=2,
+        job = WordCountJob(dep, n_mappers=3, n_reducers=2,
                            granularity=granularity,
                            corrupt_mappers=corrupt_spec)
         corpus = ZipfCorpus(n_words=120, vocabulary=30, seed=3,

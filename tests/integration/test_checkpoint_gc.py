@@ -200,7 +200,8 @@ class TestHonestGc:
         assert dep.gc_meter.log_bytes_reclaimed > 0
         with pytest.raises(ConfigurationError):
             dep.enable_gc(0)
-        dep.disable_gc()
+        dep.remove_cadence("gc")
+        assert dep.cadence("gc") is None
 
 
 class TestSteadyState:

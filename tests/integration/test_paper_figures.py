@@ -56,6 +56,7 @@ from repro.apps.bgp import (
 from repro.apps.mapreduce import OFFSETS
 from repro.metrics import TRAFFIC_CATEGORIES, CpuReport, StorageReport
 from repro.snp import Deployment, QueryProcessor
+from repro.snp.log import INS
 from repro.util.serialization import canonical_size
 
 from scenarios import (
@@ -225,12 +226,13 @@ class TestFigure6LogGrowth:
 def _hashed_bytes(scenario):
     """Each committed entry is hashed once into the chain; a mapper also
     hashes the input split its mapTask names by reference."""
-    total = sum(node.log.size_bytes()
-                for node in scenario.deployment.nodes.values())
-    job = getattr(scenario, "job", None)
-    if job is not None:
-        total += sum(len(text.encode())
-                     for text in job.content_store.values())
+    total = 0
+    for node in scenario.deployment.nodes.values():
+        total += node.log.size_bytes()
+        total += sum(len(entry.content.args[2].text.encode())
+                     for entry in node.log.entries
+                     if entry.entry_type == INS
+                     and entry.content.relation == "mapTask")
     return total
 
 

@@ -153,16 +153,12 @@ class TestServiceAudit:
         assert monitor.daemon.meter.queries_served >= 16
         pusher.close()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the hello snapshots MapReduce's content store inside the app "
-        "spec, so the daemon replays each mapper against the texts its "
-        "hello held (none) and convicts it, and a re-hello that carries "
-        "the texts changes a known spec and is refused (ROADMAP known "
-        "defect 5)"))
     def test_a_mapreduce_job_run_after_the_hello_audits_as_direct(
             self, monitor):
+        """The splits travel in the mappers' logs, not in the hello: a
+        job run after the hello replays at the daemon as it does here."""
         dep = Deployment(seed=31)
-        job = WordCountJob(dep, {}, n_mappers=2, n_reducers=1)
+        job = WordCountJob(dep, n_mappers=2, n_reducers=1)
         pusher = make_pusher(dep, monitor)
         assert not pusher.push_once()["shed"]
         job.run(["the quick brown fox", "the lazy dog"])
@@ -171,6 +167,24 @@ class TestServiceAudit:
         _settle(monitor)
         assert {status for status, _reason in _views(dep).values()} \
             == {"ok"}
+        assert _views(monitor.daemon.state) == _views(dep)
+
+    def test_a_mapreduce_deployment_may_hello_again_after_its_job(
+            self, monitor):
+        """An app spec carries no data, so the hello a new pusher sends
+        after the job ran is the one the daemon already holds."""
+        dep = Deployment(seed=31)
+        job = WordCountJob(dep, n_mappers=2, n_reducers=1)
+        first = make_pusher(dep, monitor)
+        assert not first.push_once()["shed"]
+        job.run(["the quick brown fox", "the lazy dog"])
+        first.close()
+        second = make_pusher(dep, monitor)
+        ack = second.push_once()
+        second.close()
+        assert ack is not None and not ack["shed"]
+        assert second.meter.push_failures == 0
+        _settle(monitor)
         assert _views(monitor.daemon.state) == _views(dep)
 
 

@@ -171,10 +171,11 @@ def model_state(app):
     legitimately changes it). Same-schedule runs compare both
     bit-exactly through the engines' snapshots instead.
     """
+    belief_counts = app.store.snapshot()["beliefs"]  # {tup: {peer: n}}
     return {
         "local": sorted(repr(t) for t, _at in app.extant_tuples()),
         "beliefs": sorted(
-            (repr(t), tuple(sorted(app.store.belief_counts(t).items())))
+            (repr(t), tuple(sorted(belief_counts[t].items())))
             for t, _peer, _at in app.believed_tuples()
         ),
         "derivations": sorted(

@@ -68,7 +68,7 @@ class ReferenceGraph:
             return existing
         self._vertices[vertex.key()] = vertex
         self._ids[vertex.key()] = len(self._ids)
-        if vertex.interval_open():
+        if vertex.is_interval() and vertex.t_end is None:
             self._open_intervals[(vertex.vtype, vertex.node, vertex.tup)] \
                 = vertex
         return vertex

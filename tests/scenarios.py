@@ -43,7 +43,7 @@ from repro.apps.mincost import (
     best_cost, build_paper_network, cost, link, mincost_factory,
 )
 from repro.crypto.hashing import chain_hash, content_digest
-from repro.model import Msg, Tup
+from repro.model import Blob, Msg, Tup
 from repro.snp import Deployment, QueryProcessor
 from repro.snp.adversary import (
     FabricatorNode, ForkingNode, MisexecutingNode, MisreceivingNode,
@@ -202,9 +202,8 @@ def run_hadoop(n_words=1200, n_mappers=4, n_reducers=2, seed=0,
                                  "extra_count": 200}}
         if corrupt else None
     )
-    job = WordCountJob(dep, {}, n_mappers=n_mappers, n_reducers=n_reducers,
-                       granularity=granularity,
-                       corrupt_mappers=corrupt_spec)
+    job = WordCountJob(dep, n_mappers=n_mappers, n_reducers=n_reducers,
+                       granularity=granularity, corrupt_mappers=corrupt_spec)
     corpus = ZipfCorpus(n_words=n_words, vocabulary=max(50, n_words // 20),
                         seed=seed, planted={"squirrel": 7})
     results = job.run(corpus.splits(n_mappers))
@@ -429,6 +428,51 @@ class _ForgedCheckpointNode(SNooPyNode):
             response.entries[0] = forged_checkpoint(
                 response.seed, {link("c", "evil", 1): 1})
         return response
+
+
+class _SplitDoctoringNode(SNooPyNode):
+    """A mapper that serves its log with each mapTask's split blob
+    rebuilt by :meth:`doctor` — in copied entries, its own log untouched.
+    The blob commits to its digest alone, so every digest, hash and
+    signature stays the mapper's."""
+
+    def retrieve(self, from_checkpoint=False, since_index=None):
+        response = super().retrieve(from_checkpoint, since_index)
+        response.entries = [self._doctored(e) for e in response.entries]
+        return response
+
+    def _doctored(self, entry):
+        tup = entry.content
+        if entry.entry_type != INS or tup.relation != "mapTask":
+            return entry
+        job, split_id, split, reducers = tup.args
+        return LogEntry(entry.index, entry.timestamp, INS,
+                        Tup(tup.relation, tup.loc, job, split_id,
+                            self.doctor(split), reducers),
+                        entry.content_hash, entry.entry_hash, entry.aux)
+
+
+class _SplitReplacingNode(_SplitDoctoringNode):
+    @staticmethod
+    def doctor(split):
+        return Blob(split.digest, split.text + " squirrel")
+
+
+class SplitStrippingNode(_SplitDoctoringNode):
+    @staticmethod
+    def doctor(split):
+        return Blob(split.digest, None)
+
+
+def hadoop_mapper_serving(node_cls):
+    """The small honest WordCount job, its mapper ``map1`` serving its
+    log as *node_cls* does (the job adds its own nodes, so the class is
+    swapped in once it has run)."""
+    def build():
+        _name, dep, query, run_further = hadoop_scenario(n_words=120)
+        dep.node("map1").__class__ = node_cls
+        return dep, query, run_further
+    return build
 
 
 class _Misreceiver(MisreceivingNode):
@@ -998,4 +1042,12 @@ CORPUS = {
     "chord": Row(_family(chord_scenario, n_nodes=6, rounds=1)),
     "bgp": Row(_family(bgp_scenario, n_updates=12)),
     "hadoop": Row(_family(hadoop_scenario, n_words=120)),
+    # A split's text is no signed statement: a mapper that serves a log
+    # whose text is altered or missing withholds its input, and is left
+    # unresolved like a silent node, never convicted.
+    **{f"hadoop-mapper-{lie}-its-split": Row(
+        hadoop_mapper_serving(node_cls), suspects=["map1"],
+        views={"map1": (_MISSING, "content unavailable")})
+       for lie, node_cls in (("replaces", _SplitReplacingNode),
+                             ("strips", SplitStrippingNode))},
 }

@@ -134,14 +134,13 @@ class TestMapReduceKernels:
         assert content_hash("abc") != content_hash("abd")
 
     def test_map_function_offsets(self):
-        app = MapReduceApp("m", {})
+        app = MapReduceApp("m")
         out = app.map_function("a bb ccc")
         assert out == [("a", 0), ("bb", 2), ("ccc", 5)]
 
     def test_corrupt_mapper_injects_exact_count(self):
-        honest = MapReduceApp("m", {})
-        corrupt = CorruptWordCountApp("m", {}, target_word="x",
-                                      extra_count=7)
+        honest = MapReduceApp("m")
+        corrupt = CorruptWordCountApp("m", target_word="x", extra_count=7)
         text = "x y z"
         assert len(corrupt.map_function(text)) == \
             len(honest.map_function(text)) + 7
@@ -149,7 +148,7 @@ class TestMapReduceKernels:
     def test_reduce_waits_for_all_mappers(self):
         from repro.apps.mapreduce import reduce_task, shuffle_block
         from repro.model import Msg, PLUS
-        app = MapReduceApp("r", {})
+        app = MapReduceApp("r")
         app.handle_insert(reduce_task("r", "j", ("m0", "m1")), 0.0)
         block0 = shuffle_block("r", "j", "m0", (("w", 2),))
         outs = app.handle_receive(
@@ -172,7 +171,7 @@ class TestMapReduceKernels:
     def test_outputs_emitted_once(self):
         from repro.apps.mapreduce import reduce_task, shuffle_block
         from repro.model import Msg, PLUS
-        app = MapReduceApp("r", {})
+        app = MapReduceApp("r")
         app.handle_insert(reduce_task("r", "j", ("m0",)), 0.0)
         block = shuffle_block("r", "j", "m0", (("w", 2),))
         first = app.handle_receive(Msg(PLUS, block, "m0", "r", 0, 0.5), 0.6)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.apps.mincost import build_paper_network, link
 from repro.datalog.store import DerivationInstance
 from repro.metrics import ServiceMeter
-from repro.model import Ack, Msg, Tup
+from repro.model import Ack, Blob, Msg, Tup
 from repro.service import ServicePusher, framing
 from repro.service.framing import (
     FrameDecoder, FramingError, HEADER_BYTES, MAGIC, encode_frame,
@@ -316,7 +316,8 @@ def one_of_each():
     response = first_push()["nodes"]["a"]["response"]
     entries = {entry.entry_type: entry for entry in response.entries}
     msg = entries["snd"].content[0]
-    return [msg.tup, msg, Ack("b", "a", [msg], 1.5), response.head_auth,
+    return [msg.tup, Blob("d", "text"), msg, Ack("b", "a", [msg], 1.5),
+            response.head_auth,
             next(iter(dep.retention_floors.values())),
             DerivationInstance("R1", (msg.tup,)), entries["snd"], response,
             entries["ack"].aux["wire_ack"]]

@@ -197,23 +197,6 @@ class TestMessaging:
         assert forged_send.color == Color.RED
         assert forged_send is not honest_send
 
-    def test_extra_msg_creates_red_pair(self):
-        gca = _gca()
-        msg = Msg(PLUS, Tup("fwd", "b", "a"), "a", "b", 0, 1.0)
-        gca.handle_extra_msg(msg)
-        send = gca.graph.get((SEND, msg.full_key()))
-        recv = gca.graph.get((RECEIVE, msg.full_key()))
-        assert send.color == Color.RED and recv.color == Color.RED
-
-    def test_extra_msg_does_not_recolor_existing(self):
-        gca = _gca((REMOTE_RULE,))
-        msg = self._send_flow(gca)
-        gca.process(Event(1.0, "a", "snd", msg))
-        gca.process(Event(1.3, "a", "rcv", _ack_for(msg, 1.2)))
-        gca.handle_extra_msg(msg)
-        send = gca.graph.get((SEND, msg.full_key()))
-        assert send.color == Color.BLACK
-
 
 class TestCheckpointSeeding:
     def test_seeded_vertices_are_open_and_flagged(self):

@@ -22,8 +22,9 @@ from repro.datalog import DatalogApp, Program, parse_program
 from repro.datalog.plan import compile_rule
 from repro.service.client import MonitorClient
 from repro.service.framing import FrameDecoder, encode_frame
-from repro.service.monitor import MonitorDaemon, MonitorNodeProxy, \
-    main as monitor_main
+from repro.apps.mapreduce import WordCountJob
+from repro.service.monitor import MonitorDaemon, MonitorHandle, \
+    MonitorNodeProxy, main as monitor_main
 from repro.service.push import ServicePusher
 from repro.snp import Deployment, QueryProcessor, SNooPyNode
 from repro.snp.adversary import SilentNode
@@ -34,9 +35,9 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 #: Every constructor (and ``retrieve``, thrice, ``add_node``,
-#: ``enable_gc`` and ``encode_frame``) that carries options, against a
-#: literal. Adding, removing or re-defaulting
-#: a parameter must edit this table.
+#: ``enable_gc``, ``encode_frame`` and a daemon handle's ``start`` and
+#: ``stop``) that carries options, against a literal. Adding, removing or
+#: re-defaulting a parameter must edit this table.
 RETRIEVE = "(self, from_checkpoint=False, since_index=None)"
 SIGNATURES = {
     # the consistency check has no off switch: a test that wants it quiet
@@ -44,6 +45,9 @@ SIGNATURES = {
     MicroQuerier: "(self, deployment, use_checkpoints=False)",
     QueryProcessor: "(self, deployment, use_checkpoints=False)",
     MonitorDaemon: "(self, host='127.0.0.1', push_port=0, http_port=0)",
+    # how long a handle waits for its daemon is one module constant
+    MonitorHandle.start: "(self)",
+    MonitorHandle.stop: "(self)",
     # the next cadence tick is a failed push tick's retry, and the
     # socket timeout is a module constant
     ServicePusher: "(self, deployment, host, port)",
@@ -75,6 +79,10 @@ SIGNATURES = {
         "'repro.snp.snoopy.SNooPyNode'>, native_sizer=None)",
     SNooPyNode: "(self, node_id, app, identity, deployment, "
                 "native_sizer=None)",
+    # a split's text travels in its task tuple, so the job holds no data
+    WordCountJob: "(self, deployment, job_id='job0', n_mappers=4, "
+                  "n_reducers=2, granularity='combined', "
+                  "corrupt_mappers=None)",
     SNooPyNode.retrieve: RETRIEVE,
     SilentNode.retrieve: RETRIEVE,
     MonitorNodeProxy.retrieve: RETRIEVE,

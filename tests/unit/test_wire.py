@@ -23,11 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import AppFactory, factory_from_spec
+from repro.apps.mapreduce import content_hash, map_task
 from repro.apps.mincost import link, mincost_factory
 from repro.crypto.hashing import GENESIS_HASH
 from repro.datalog.store import DerivationInstance
 from repro.metrics import ServiceMeter
-from repro.model import Ack, Msg, Tup
+from repro.model import Ack, Blob, Msg, Tup
 from repro.service.framing import (
     FrameDecoder, FramingError, encode_frame, frame_payload,
 )
@@ -149,7 +150,8 @@ def _honest():
     auth = Authenticator("a", 1, 1.0, H, b"sig")
     entry = LogEntry(1, 0.0, "ins", tup, H, H, {})
     return {
-        "W.tup": tup, "W.msg": msg, "W.ack": Ack("b", "a", [msg], 1.5),
+        "W.tup": tup, "W.blob": Blob("d", "text"), "W.msg": msg,
+        "W.ack": Ack("b", "a", [msg], 1.5),
         "W.auth": auth, "W.floor": RetentionFloor("a", 1, 1.0, b"sig"),
         "W.der": DerivationInstance("R1", (tup,)), "W.entry": entry,
         "W.resp": RetrieveResponse("a", [entry], 1, H, auth),
@@ -256,6 +258,9 @@ class TestFrameRoundTrip:
 
 #: A pushed row's id with a field its builder checks gone wrong.
 UNCHECKED_FIELDS = {
+    "Blob digest in bytes": ("W.blob", H, "text"),
+    "Blob digest None": ("W.blob", None, "text"),
+    "Blob text in bytes": ("W.blob", "d", b"text"),
     "Authenticator index a str": ("W.auth", "a", "1", 1.0, H, b"sig"),
     "Authenticator index a float": ("W.auth", "a", 1.0, 1.0, H, b"sig"),
     "Authenticator signature an int": ("W.auth", "a", 1, 1.0, H, 10 ** 12),
@@ -375,13 +380,25 @@ class TestSpecs:
         machine = factory_from_spec(spec)("n1")
         assert machine.handle_insert(link("n1", "n2", 1), 0.0) is not None
 
-    def test_the_frame_snapshots_mutable_kwargs_when_encoded(self):
-        content = {"h": "text"}
-        frame = encode_frame(AppFactory("mapreduce", content=content)
-                             .wire_spec())
-        content["h2"] = "later"
-        (spec,) = FrameDecoder(ServiceMeter()).feed(frame)
-        assert spec == ("mapreduce", {"content": {"h": "text"}})
+    def test_a_split_crosses_in_its_task_tuple_not_in_the_spec(self):
+        """MapReduce's spec is static; a split's text crosses a frame in
+        its mapTask tuple's blob, which still commits to the digest
+        alone, and a blob whose digest or text is no str costs its
+        frame."""
+        assert _cross(AppFactory("mapreduce").wire_spec()) \
+            == ("mapreduce", {})
+        text = "the lazy dog"
+        task = map_task("m", "j", "s", Blob(content_hash(text), text), ("r",))
+        back = _cross(task)
+        assert back == task and back.args[2].text == text
+        assert back.canonical_key() == task.canonical_key() \
+            == map_task("m", "j", "s", content_hash(text),
+                        ("r",)).canonical_key()
+        assert _cross(Blob("d", None)).text is None
+        for digest, text in ((H, "text"), ("d", b"text"), ("d", 5)):
+            dec, out = _decode(frame_payload(_payload(
+                _Id(("W.blob", digest, text)))))
+            assert out == [] and dec.meter.corrupt_frames == 1
 
     @pytest.mark.parametrize("spec", [
         None, 5, "abc", ("mincost",), ("mincost", {}, "extra"),

@@ -53,7 +53,12 @@ plane's acceptance bar:
     that pushes honestly, then rolls its log back to entry 3 and pushes
     the stub, gets the direct audit's answer at a scope-0 query rooted
     at it (proven-faulty: its peers hold authenticators past the stub),
-    not the daemon's stored copy of the longer log.
+    not the daemon's stored copy of the longer log;
+11. **a MapReduce job run after the hello** — a WordCount job's pusher
+    says hello before the job runs, then pushes the job's logs: each
+    split's text crosses the socket inside its ``mapTask`` tuple (the
+    ``W.blob`` row), and the daemon answers a query on an output tuple
+    as the direct audit does (green).
 
 Exit status 0 on success, 1 on any failed check — CI's ``service-e2e``
 job runs exactly this file.
@@ -73,6 +78,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.apps.chord import ChordNetwork, node_tuple         # noqa: E402
+from repro.apps.mapreduce import WordCountJob                  # noqa: E402
 from repro.apps.mincost import best_cost, build_paper_network  # noqa: E402
 from repro.metrics import ServiceMeter                         # noqa: E402
 from repro.service import MonitorClient, ServicePusher, tup_spec  # noqa: E402
@@ -265,6 +271,36 @@ def check_rollback():
               "direct audit does", answer == direct, str(answer))
     finally:
         stop_daemon(proc, "rollback daemon")
+
+
+def check_mapreduce():
+    """A WordCount job run after the hello audits at the daemon as it
+    does in process: the splits travel in the mappers' logs."""
+    dep = Deployment(seed=31, key_bits=256)
+    job = WordCountJob(dep, n_mappers=2, n_reducers=1)
+    proc, ports = spawn_daemon()
+    try:
+        pusher = ServicePusher(dep, "127.0.0.1", ports["push_port"])
+        first = pusher.push_once()
+        job.run(["the quick brown fox", "the lazy dog"])
+        second = pusher.push_once()
+        pusher.close()
+        check("hello before the job and the job's push accepted",
+              all(ack is not None and not ack["shed"]
+                  for ack in (first, second)))
+        root = job.output_tuple_for("the")
+        direct = QueryProcessor(dep).why(root).summary()
+        check("direct audit of a WordCount output is green",
+              direct["verdict"] == "green", f"verdict={direct['verdict']}")
+        with MonitorClient("127.0.0.1", ports["http_port"],
+                           timeout=60) as client:
+            out = client.query(tup_spec(root, fresh=True))
+        answer = out["result"] if out.get("ok") else out.get("error")
+        check("daemon answers the WordCount output's query as the direct "
+              "audit does", answer == direct,
+              "" if answer == direct else str(answer))
+    finally:
+        stop_daemon(proc, "mapreduce daemon")
 
 
 def main(argv=None):
@@ -482,6 +518,8 @@ def main(argv=None):
     print("service e2e: a node rolls its log back after an honest push",
           flush=True)
     check_rollback()
+    print("service e2e: a MapReduce job runs after the hello", flush=True)
+    check_mapreduce()
     failed = [name for name, ok in CHECKS if not ok]
     if failed:
         print(f"service e2e: FAILED ({len(failed)}): " + "; ".join(failed),
