@@ -317,6 +317,9 @@ class QueryStats(Counters):
         "logs_fetched", "delta_fetches", "cache_hits", "refreshes",
         "auth_check_seconds", "replay_seconds",
         "events_replayed", "signatures_verified",
+        # Provenance-graph partitions built: a replay's graph pass, run
+        # with its verify pass or the first time the graph is read.
+        "graphs_built",
         # Authenticators found behind a view's verified base (below its
         # checkpoint anchor) and above the node's signed retention floor:
         # owed to the anchoring fetch, counted once each.

@@ -382,16 +382,21 @@ class GraphConstructor:
     # ------------------------------------------------- checkpoint seeding
 
     def seed_node(self, node, extant, believed):
-        """Pre-create open exist/believe vertices from a checkpoint.
+        """Pre-create open exist/believe vertices from a checkpoint
+        (:func:`seed_vertices`)."""
+        for vertex in seed_vertices(node, extant, believed):
+            self.graph.add_vertex(vertex)
 
-        *extant* is an iterable of (tup, appeared_at); *believed* of
-        (tup, peer, appeared_at). Seeded vertices are flagged so the query
-        processor knows their provenance lies in an older log segment.
-        """
-        graph = self.graph
-        for tup, appeared_at in extant:
-            graph.add_vertex(Vertex(EXIST, node, tup=tup, t=appeared_at,
-                                    seeded=True))
-        for tup, peer, appeared_at in believed:
-            graph.add_vertex(Vertex(BELIEVE, node, tup=tup, t=appeared_at,
-                                    peer=peer, seeded=True))
+
+def seed_vertices(node, extant, believed):
+    """The open exist/believe vertices a checkpoint seeds.
+
+    *extant* is an iterable of (tup, appeared_at); *believed* of
+    (tup, peer, appeared_at). Seeded vertices are flagged so the query
+    processor knows their provenance lies in an older log segment.
+    """
+    for tup, appeared_at in extant:
+        yield Vertex(EXIST, node, tup=tup, t=appeared_at, seeded=True)
+    for tup, peer, appeared_at in believed:
+        yield Vertex(BELIEVE, node, tup=tup, t=appeared_at, peer=peer,
+                     seeded=True)

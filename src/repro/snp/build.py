@@ -77,7 +77,13 @@ def check_parsed_forms(response, seed_bytes):
     So an ``ins``/``del`` content is a ``Tup``; a ``snd``/``rcv`` one
     holds a ``Msg`` of a ``Tup``, then its dst or src; a ``rcv`` has 8
     fields, ``int`` indexes and a ``bytes`` signature (all the build step
-    uses unchecked). An ``ack``'s wire ack must re-derive its content.
+    uses unchecked) and its message a ``float`` send time: only the GCA
+    reads that time — it dates the send vertex of a message from the
+    replayed node itself and compares it with the missing-ack deadline —
+    so a log that passes here fails the graph pass only where it fails
+    the verify pass, which drives the machine alone, and whether a query
+    built a node's graph cannot change its verdict. An ``ack``'s wire ack
+    must re-derive its content.
 
     A ``chk`` entry is read only as the seed of a full replay: then
     *seed_bytes* are the canonical bytes the fetch took of the seed's
@@ -97,7 +103,8 @@ def check_parsed_forms(response, seed_bytes):
                 and content[1] == getattr(content[0], peer) \
                 and (kind == SND or type(content[3]) is int
                      and type(content[4]) is int
-                     and type(content[7]) is bytes)
+                     and type(content[7]) is bytes
+                     and type(content[0].t_sent) is float)
         elif kind == ACK:
             try:
                 agrees = ack_entry_content(entry.aux["wire_ack"]) == content
@@ -318,8 +325,10 @@ def compute_build(job, deployment, stats, verified):
     Fills in the job: ``ledger`` (its copy of the node's ledger, settled
     against the verified chain by :func:`settle`), ``anchor`` (whether
     evidence newly fell behind the chain's base) and ``replay`` — a fresh
-    replay for a full build, the base view's replay advanced in place for
-    an extend. ``job.encoded`` is hashed, then dropped. *verified* is the
+    replay for a full build (both passes, or the verify pass alone
+    without ``job.graph``: a prefetch's), the base view's replay advanced
+    in place for an extend (its graph built first, if it has none).
+    ``job.encoded`` is hashed, then dropped. *verified* is the
     querier's per-batch signature memo (:func:`verify_auth`). A response
     that proves the node (or the mirror serving it) faulty raises
     :class:`LogVerificationError` or :class:`AuthenticationError`; a
@@ -357,6 +366,7 @@ def compute_build(job, deployment, stats, verified):
         job.replay = replay_segment(
             job.node, response, deployment.app_factories.get(job.node),
             deployment.effective_t_prop(), stats, known_alarm_msg_ids=alarms,
+            graph=job.graph,
         )
     if not job.from_mirror \
             and not isinstance(job.replay.failure, ReplayDivergence):

@@ -8,8 +8,13 @@ successors with the extra evidence needed to continue exploring.
 
 This implementation caches one *view* per node (the verified, replayed
 subgraph); repeated microqueries against the same node hit the cache, which
-is the caching optimization Section 5.6 describes. The view records how the
-node turned out:
+is the caching optimization Section 5.6 describes. A verdict needs only
+step (2)'s state machine, so a replay is two passes
+(:mod:`repro.snp.replay`): the *verify pass* drives the machine and
+decides the view, and the *graph pass* regenerates the partition. A
+prefetch runs the first alone, and a view's graph is built the first time
+it is read (:attr:`NodeView.graph`, the one accessor); a query's builds
+run both in one drive. The view records how the node turned out:
 
 * ``ok`` — log verified and replayed; vertex colors come from the GCA;
 * ``proven-faulty`` — the node returned a log that contradicts signed
@@ -37,7 +42,7 @@ build path"). One :class:`_BuildJob` carries a node through one pass:
 * **verify + replay** (:func:`repro.snp.build.compute_build`) — every
   check that can convict the node, the comparison of its evidence with
   the verified chain (on a copy of the node's :class:`_Ledger`), then
-  replay;
+  replay (the verify pass, and the graph pass unless a prefetch asked);
 * **commit** (:meth:`MicroQuerier._finalize`) — the ledger and the view
   install, then the authenticators the log carries are held against
   their signers' chains.
@@ -80,8 +85,10 @@ class NodeView:
     For an ``ok`` view, ``head_index``/``head_hash`` identify the last log
     entry whose chain hash the querier verified against a signed
     authenticator — the anchor a later :meth:`MicroQuerier.refresh` extends
-    from. The invariant: ``graph`` is exactly the replay of entries
-    ``1..head_index`` and ``head_hash`` is the chain hash ``h_head_index``.
+    from. The invariant: the replayed machine has consumed entries
+    ``1..head_index``, ``head_hash`` is the chain hash ``h_head_index``,
+    and once ``graph`` is built it is exactly the replay of those
+    entries.
 
     ``chain`` is every chain hash the view verified, from entry
     ``base − 1`` (the hash its first segment was anchored on) to the head
@@ -91,7 +98,8 @@ class NodeView:
 
     ``replay`` is the live :class:`~repro.snp.replay.ReplayResult` the
     graph belongs to (a failed one, on a proven-faulty view, is kept as
-    evidence), or None.
+    evidence), or None. ``graph`` is every read of the view's graph: a
+    prefetched view's replay runs its graph pass there, once.
     """
 
     __slots__ = ("node", "status", "verdict_reason", "replay",
@@ -123,6 +131,7 @@ class NodeView:
 
     @property
     def graph(self):
+        """The node's partition of Gν (None without a replay)."""
         return None if self.replay is None else self.replay.graph
 
     @property
@@ -216,14 +225,18 @@ class _BuildJob:
     undecided.
     """
 
-    __slots__ = ("mq", "node", "kind", "base_view", "response", "encoded",
-                 "seed_bytes", "from_mirror", "floor_strict", "ledger",
-                 "consistency", "anchor", "view", "replay")
+    __slots__ = ("mq", "node", "kind", "graph", "base_view", "response",
+                 "encoded", "seed_bytes", "from_mirror", "floor_strict",
+                 "ledger", "consistency", "anchor", "view", "replay")
 
-    def __init__(self, mq, node, base_view=None):
+    def __init__(self, mq, node, base_view=None, graph=True):
         self.mq = mq
         self.node = node
         self.kind = "built" if base_view is None else "extended"
+        #: Whether a full build runs the graph pass with its verify pass
+        #: (a query's build) or leaves it to the first graph read (a
+        #: prefetch's).
+        self.graph = graph
         self.base_view = base_view
         self.response = None
         self.encoded = None
@@ -420,16 +433,19 @@ class MicroQuerier:
             return cached
         return self.build_views((node_id,))[node_id]
 
-    def build_views(self, node_ids):
+    def build_views(self, node_ids, graphs=True):
         """Ensure views exist for *node_ids*; returns ``{node_id: view}``.
 
         Missing views are built as one batch, one node at a time in
-        canonical node order.
+        canonical node order. Without *graphs* a build runs the verify
+        pass alone — all a verdict reads — and a view's graph is built the
+        first time it is read (:attr:`NodeView.graph`).
         """
         wanted = list(dict.fromkeys(node_ids))
         missing = sorted((n for n in wanted if n not in self._views),
                          key=str)
-        self._run_batch([_BuildJob(self, node_id) for node_id in missing])
+        self._run_batch([_BuildJob(self, node_id, graph=graphs)
+                         for node_id in missing])
         return {node_id: self._views[node_id] for node_id in wanted}
 
     def invalidate(self, node_id=None):

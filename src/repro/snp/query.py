@@ -154,13 +154,16 @@ class QueryProcessor:
         node) as one batch — the standing auditor's cold start.
 
         Exploration builds views lazily as the BFS frontier reaches new
-        hosts, one batch per level. Prefetching instead builds the whole
+        hosts, one batch per level. Prefetching instead verifies the whole
         node set at once; the macroquery that follows runs entirely
-        against cached views. Returns ``{node_id: view}``.
+        against cached views. A prefetch runs each replay's verify pass
+        alone — the verdicts — and a view's provenance graph is built the
+        first time a query reads it, so a partition no query enters is
+        never built. Returns ``{node_id: view}``.
         """
         if nodes is None:
             nodes = sorted(self.deployment.nodes, key=str)
-        return self.mq.build_views(nodes)
+        return self.mq.build_views(nodes, graphs=False)
 
     def refresh(self, node_id=None):
         """Advance cached node views to the deployment's current state and

@@ -13,12 +13,20 @@ rcv(ack)". The conversion rules:
   reconstructs the per-message ack the GCA expects;
 * an ``ack`` entry becomes a ``rcv(ack)`` event covering the acknowledged
   messages;
-* ``chk`` entries are not events; they seed the replay (state-machine
-  snapshot + open exist/believe vertices).
+* ``chk`` entries are not events. The one a segment starts at seeds the
+  replay (state-machine snapshot + open exist/believe vertices); every
+  other one the replay passes is *compared*: it is the node's signed claim
+  that its machine's state there hashes to its digest, and a replayed
+  machine whose snapshot does not is a replay divergence at that entry.
 
 Replay then runs the GCA over these events with a *fresh* state machine
 built by the node's registered application factory, yielding the node's
-partition of Gν.
+partition of Gν. It comes in two passes over one drive core
+(:func:`_drive_gca`): the *verify pass* drives the machine alone
+(:class:`MachineStepper`) — all a verdict reads — and the *graph pass*
+runs the GCA. :func:`replay_segment` runs both in one drive, or the verify
+pass alone; then the result keeps what the graph pass needs and runs it
+the first time its graph is read.
 
 Replay correctness leans on the engine's determinism contract (see
 DESIGN.md): the indexed evaluator sorts every observable result into
@@ -35,8 +43,9 @@ deployment's app factories, which must already be side-effect-free for
 replay to be deterministic at all.
 """
 
+from repro.crypto.hashing import content_digest
 from repro.model import Ack
-from repro.provgraph.gca import Event, GraphConstructor
+from repro.provgraph.gca import Event, GraphConstructor, seed_vertices
 from repro.snp.log import INS, DEL, SND, RCV, ACK, CHK
 from repro.util.errors import (ContentUnavailable, LogVerificationError,
                                 ReplayDivergence)
@@ -153,23 +162,76 @@ def check_against_authenticator(response, hashes, auth):
 class ReplayResult:
     """Outcome of replaying one node's log segment.
 
-    Retains the :class:`~repro.provgraph.gca.GraphConstructor` so a later
-    verified log *suffix* can be replayed onto the same state with
-    :func:`extend_replay` instead of rebuilding from entry 1.
+    ``gca`` is the :class:`~repro.provgraph.gca.GraphConstructor` that
+    built ``graph`` and holds the node's replayed machine, retained so a
+    later verified log *suffix* can be replayed onto the same state with
+    :func:`extend_replay` instead of rebuilding from entry 1. A verify
+    pass alone (:func:`replay_segment` with ``graph=False``) leaves it
+    None, and ``kept`` holds what the graph pass replays — the verified response (its entries and
+    seed), the app factory, Tprop, the alarm set the verify pass saw and
+    the stats it counted into. Reading ``graph`` runs that pass, once.
+    ``events_replayed`` counts the events this result's machine was
+    driven through, each once.
     """
 
-    __slots__ = ("node", "graph", "events_replayed", "failure", "gca")
+    __slots__ = ("node", "events_replayed", "failure", "gca", "kept")
 
-    def __init__(self, node, graph, events_replayed, failure=None, gca=None):
+    def __init__(self, node):
         self.node = node
-        self.graph = graph
-        self.events_replayed = events_replayed
-        self.failure = failure
-        self.gca = gca
+        self.events_replayed = 0
+        self.failure = None
+        self.gca = None
+        self.kept = None
 
     @property
     def ok(self):
         return self.failure is None
+
+    @property
+    def graph(self):
+        """The node's partition of Gν — the one read of it."""
+        return self.constructor().graph
+
+    def constructor(self):
+        """The retained GCA; a verify pass's result runs its graph pass
+        here, the first time it is asked."""
+        if self.gca is None:
+            response, app_factory, t_prop, alarms, stats = self.kept
+            replay_segment(self.node, response, app_factory, t_prop, stats,
+                           known_alarm_msg_ids=alarms, verified=self)
+        return self.gca
+
+
+class MachineStepper:
+    """The verify pass's driver: the node's state machine alone, in the
+    GCA's place in :func:`_drive_gca`. It takes the same events and the
+    same seed and reads what the GCA reads that can fail — the machine's
+    handlers, the seeded tuples' vertex keys — and builds no vertex."""
+
+    __slots__ = ("machine_factory", "machines")
+
+    def __init__(self, machine_factory):
+        self.machine_factory = machine_factory
+        self.machines = {}
+
+    def machine(self, node):
+        if node not in self.machines:
+            self.machines[node] = self.machine_factory(node)
+        return self.machines[node]
+
+    def process(self, event):
+        machine = self.machine(event.node)
+        kind = event.kind
+        if kind == "ins":
+            machine.handle_insert(event.payload, event.t)
+        elif kind == "del":
+            machine.handle_delete(event.payload, event.t)
+        elif kind == "rcv":
+            machine.handle_receive(event.payload, event.t)
+
+    def seed_node(self, node, extant, believed):
+        for _vertex in seed_vertices(node, extant, believed):
+            pass
 
 
 #: Engine delta cost counters harvested off replayed machines into
@@ -180,65 +242,101 @@ _DELTA_COUNTERS = (
 )
 
 
-def _delta_counter_totals(gca):
-    """Sum the delta counters over every machine the GCA holds.
+def _delta_counter_totals(driver):
+    """Sum the delta counters over every machine *driver* holds.
 
     New machines start all-zero, so a before/after difference of these
     totals is exactly the work one drive did — even when the drive itself
     lazily created machines."""
     totals = dict.fromkeys(_DELTA_COUNTERS, 0)
-    for machine in gca.machines.values():
+    for machine in driver.machines.values():
         for field in _DELTA_COUNTERS:
             totals[field] += getattr(machine, field, 0)
     return totals
 
 
-def _drive_gca(result, entries, stats, seed=None):
-    """Feed *entries* (converted to history events) through *result*'s
-    GCA, capturing a crash as ``result.failure`` — the shared core of
+def _check_checkpoint(node_id, machine, entry):
+    """A ``chk`` entry the replay passes must commit to the replayed
+    machine's state; otherwise the node's log diverges from its own
+    signed claim, at that entry."""
+    if entry.content != ("checkpoint", content_digest(machine.snapshot())):
+        raise ReplayDivergence(
+            node_id, f"chk entry {entry.index} does not commit to the "
+            "replayed machine's state")
+
+
+def _checkpoint_runs(entries):
+    """Cut *entries* at their ``chk`` entries: ``(run, chk)`` pairs, each
+    run the entries before its ``chk`` (None after the last run)."""
+    start = 0
+    for i, entry in enumerate(entries):
+        if entry.entry_type == CHK:
+            yield entries[start:i], entry
+            start = i + 1
+    yield entries[start:], None
+
+
+def _drive_gca(result, driver, entries, stats, seed=None, counted=True):
+    """Feed *entries* (converted to history events) through *driver* —
+    the GCA, or the verify pass's :class:`MachineStepper` — capturing a
+    crash as ``result.failure``: the one drive core of both passes and of
     :func:`replay_segment` and :func:`extend_replay`, kept single so the
-    incremental replay can never diverge from the full one.
+    incremental replay can never diverge from the full one, nor the graph
+    pass from the verify pass.
 
     A *seed* ``chk`` entry is restored first: its snapshot onto the
     node's fresh machine, and the tuples the restored machine holds as
-    open exist/believe vertices. A snapshot the machine cannot restore
-    is a crash like any other the log commits to (a withheld input, a
-    :class:`~repro.util.errors.ContentUnavailable`, is no crash).
+    open exist/believe vertices. Every other ``chk`` entry is compared
+    with the machine's state when the drive reaches it
+    (:func:`_check_checkpoint`). A snapshot the machine cannot restore,
+    or a comparison that fails, is a crash like any other the log commits
+    to (a withheld input, a :class:`~repro.util.errors.ContentUnavailable`,
+    is no crash).
 
     *stats* (a QueryStats) receives the replay cost: wall-clock seconds,
-    events processed, and the engine's delta counters
-    accumulated by the replayed machines during this drive.
+    and — unless the drive is a graph pass over entries a verify pass
+    already *counted* — events processed and the engine's delta counters
+    accumulated by the driven machines.
     """
-    gca = result.gca
-    events = log_entries_to_history(result.node, entries)
-    before = _delta_counter_totals(gca)
+    node = result.node
+    runs = [(log_entries_to_history(node, run), chk)
+            for run, chk in _checkpoint_runs(entries)]
+    before = _delta_counter_totals(driver)
     result.failure = None
     processed = 0
     with stats.timing("replay_seconds"):
         try:
             if seed is not None:
-                machine = gca.machine(result.node)
+                machine = driver.machine(node)
                 machine.restore(seed.aux["snapshot"])
-                gca.seed_node(result.node, machine.extant_tuples(),
-                              machine.believed_tuples())
-            for event in events:
-                gca.process(event)
-                processed += 1
+                driver.seed_node(node, machine.extant_tuples(),
+                                 machine.believed_tuples())
+            for events, chk in runs:
+                for event in events:
+                    driver.process(event)
+                    processed += 1
+                if chk is not None and chk is not seed:
+                    _check_checkpoint(node, driver.machine(node), chk)
         except ContentUnavailable as exc:  # withheld input, no crash
             result.failure = exc
+        except ReplayDivergence as exc:
+            result.failure = exc
         except Exception as exc:  # hostile log crashed the replay machinery
-            result.failure = ReplayDivergence(result.node, repr(exc))
+            result.failure = ReplayDivergence(node, repr(exc))
+    if not counted:
+        return
     result.events_replayed += processed
     stats.events_replayed += processed
-    after = _delta_counter_totals(gca)
+    after = _delta_counter_totals(driver)
     for field in _DELTA_COUNTERS:
         setattr(stats, field,
                 getattr(stats, field) + after[field] - before[field])
 
 
 def replay_segment(node_id, response, app_factory, t_prop, stats,
-                   known_alarm_msg_ids=frozenset()):
-    """Replay a verified RetrieveResponse through the GCA.
+                   known_alarm_msg_ids=frozenset(), graph=True,
+                   verified=None):
+    """Replay a verified RetrieveResponse.
 
     Returns a ReplayResult whose graph is the node's partition of Gν. A
     structurally impossible log (one the deterministic state machine cannot
@@ -247,13 +345,33 @@ def replay_segment(node_id, response, app_factory, t_prop, stats,
     application machine (the querier's red) and a withheld input (its
     yellow) are caught, and reported as a replay failure.
 
+    With *graph* (the default) both passes run in one drive: a fresh GCA
+    drives the machine and builds the graph. Without it this is the
+    verify pass alone — the machine, which decides the failure — and the
+    result keeps what the graph pass needs. The graph pass is this
+    function again, with *verified* that result: a fresh GCA replays the
+    kept entries from the same seed under the same alarm set, and counts
+    no event the verify pass counted. Whichever pass runs the GCA counts
+    one ``graphs_built``.
+
     *stats* (a QueryStats) receives the replay cost directly — the
     querier passes its own.
     """
-    gca = GraphConstructor(app_factory, t_prop=t_prop)
-    gca.known_alarm_msg_ids = known_alarm_msg_ids
-    result = ReplayResult(node_id, gca.graph, 0, gca=gca)
-    _drive_gca(result, response.entries, stats, seed=response.seed)
+    if verified is None:
+        result = ReplayResult(node_id)
+    else:
+        result = verified
+        result.kept = None
+    if graph:
+        driver = result.gca = GraphConstructor(app_factory, t_prop=t_prop)
+        driver.known_alarm_msg_ids = known_alarm_msg_ids
+        stats.graphs_built += 1
+    else:
+        driver = MachineStepper(app_factory)
+        result.kept = (response, app_factory, t_prop, known_alarm_msg_ids,
+                       stats)
+    _drive_gca(result, driver, response.entries, stats, seed=response.seed,
+               counted=verified is None)
     return result
 
 
@@ -262,24 +380,21 @@ def extend_replay(node_id, result, response, stats,
     """Continue a previous replay with a verified log suffix.
 
     *result* must be the ReplayResult of an earlier replay of the same
-    node: its retained GCA still holds the bookkeeping state (open
-    exist/believe intervals, pending sends, unacked messages) and the
-    node's replayed state machine, so processing only the new events
-    yields the same graph a full re-replay of the extended log would.
-    The alarm set is refreshed to what the maintainer knows *now* —
-    verdicts on older events keep reflecting what was known when their
-    segment was audited (see DESIGN.md, "Audit path").
+    node. Its graph is built first if a verify pass alone made it (the
+    standing path keeps its graphs); its retained GCA then holds the
+    bookkeeping state (open exist/believe intervals, pending sends,
+    unacked messages) and the node's replayed state machine, so
+    processing only the new events yields the same graph a full
+    re-replay of the extended log would. The alarm set is refreshed to
+    what the maintainer knows *now* — verdicts on older events keep
+    reflecting what was known when their segment was audited (see
+    DESIGN.md, "Audit path").
 
     Mutates *result* in place, with the same crash-capture semantics as
     :func:`replay_segment`.
     """
-    gca = result.gca
-    if gca is None:
-        raise ValueError(
-            f"replay result for {node_id!r} does not retain its GCA; "
-            "cannot extend"
-        )
+    gca = result.constructor()
     gca.known_alarm_msg_ids = known_alarm_msg_ids
     # No snapshot is taken or restored anywhere on this path: the suffix
     # drives the retained machine exactly as a full re-replay would.
-    _drive_gca(result, response.entries, stats)
+    _drive_gca(result, gca, response.entries, stats)

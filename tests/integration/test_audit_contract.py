@@ -18,6 +18,11 @@ and the three application families at small size. On every row:
   nodes are grouped into batches changes an answer (a batch builds in
   canonical node order, and every authenticator the querier holds is
   compared with its signer's verified chain whenever the two meet);
+* a verdict does not depend on whether a query happened: a prefetch
+  verifies without building provenance graphs, the query that follows
+  leaves every view as the prefetch decided it, and the answer is the
+  same whether each graph was built by the query, by its own build, or
+  for every view before the query;
 * a refresh with nothing new changes nothing, and a standing auditor that
   refreshes after the deployment ran on answers as a cold audit of the
   new state does;
@@ -70,6 +75,7 @@ def _holed(promise):
 
 verdict_row = _holed("verdict")
 seeded_row = _holed("checkpoint-seeded")
+grouping_row = _holed("batch-grouping")
 
 
 def _views(qp, heads=True):
@@ -94,6 +100,12 @@ def _cold_outcome(row, dep, query, batches=()):
         qp.prefetch(batch)
     return dict(_answer(query(qp)), views=_views(qp),
                 counters=qp.mq.stats.counters())
+
+
+def _decided(qp):
+    """Every view's verdict: status, reason and verified head."""
+    return {str(n): (v.status, v.verdict_reason, v.head_index)
+            for n, v in qp.mq._views.items()}
 
 
 def _all_nodes(dep):
@@ -165,14 +177,41 @@ class TestColdAudits:
         assert _cold_outcome(row, dep, query,
                              batches=[nodes[::-1]]) == forward
 
-    def test_batch_grouping_changes_nothing(self, row, built):
+    def test_batch_grouping_changes_nothing(self, grouping_row, built):
         # one node per batch, last node first: each node's peers are
         # built, and their logs held, before it
         dep, query = built
         nodes = _all_nodes(dep)
-        together = _cold_outcome(row, dep, query, batches=[nodes])
-        assert _cold_outcome(row, dep, query,
+        together = _cold_outcome(grouping_row, dep, query, batches=[nodes])
+        assert _cold_outcome(grouping_row, dep, query,
                              batches=[[n] for n in nodes[::-1]]) == together
+
+
+class TestGraphsOnDemand:
+    def test_a_query_leaves_the_verdicts_a_prefetch_decided(self, row,
+                                                            built):
+        dep, query = built
+        qp = row.processor(dep)
+        qp.prefetch()
+        decided = _decided(qp)
+        query(qp)
+        assert _decided(qp) == decided
+
+    def test_where_a_graph_is_built_changes_no_answer(self, row, built):
+        # prefetch-then-query builds a graph when the query first reads
+        # it; query-only builds graph and verdict in one pass; the third
+        # arm reads every view's graph before the query
+        dep, query = built
+        prefetched = row.processor(dep)
+        prefetched.prefetch()
+        assert prefetched.mq.stats.graphs_built == 0
+        every_graph = row.processor(dep)
+        graphs = [view.graph for view in every_graph.prefetch().values()]
+        assert every_graph.mq.stats.graphs_built \
+            == sum(graph is not None for graph in graphs)
+        answers = [_answer(query(qp)) for qp in
+                   (prefetched, row.processor(dep), every_graph)]
+        assert answers[1] == answers[0] and answers[2] == answers[0]
 
 
 class TestStandingAudits:

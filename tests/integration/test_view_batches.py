@@ -66,6 +66,41 @@ class TestBatchSemantics:
         assert qp.why(best_cost("c", "d", 5)).is_clean()
 
 
+class TestGraphsOnDemand:
+    def test_a_cold_prefetch_builds_no_graph_and_a_query_what_it_reads(
+            self):
+        _name, dep, query, _run_further = APPLICATION_SCENARIOS["chord"](
+            n_nodes=16)
+        qp = QueryProcessor(dep)
+        qp.prefetch()
+        verified = qp.mq.stats.counters()
+        assert verified["graphs_built"] == 0 and verified["events_replayed"]
+        result = query(qp)  # why(..., scope=6)
+        counters = qp.mq.stats.counters()
+        assert counters["graphs_built"] \
+            == len({vertex.node for vertex in result.vertices()}) > 0
+        # a graph pass re-counts neither events nor the engine's work
+        for field in ("events_replayed", "delta_tuples_in",
+                      "delta_tuples_out", "retractions_applied",
+                      "support_rederivations"):
+            assert counters[field] == verified[field], field
+
+    def test_a_refresh_builds_a_graph_before_it_extends_it(self):
+        # the standing path keeps its graphs: a prefetched standing audit
+        # counts, after a refresh, as one whose builds made their graphs
+        dep, nodes = paper_network()
+        prefetched, built = QueryProcessor(dep), QueryProcessor(dep)
+        prefetched.prefetch()
+        built.mq.build_views(sorted(dep.nodes, key=str))
+        nodes["a"].insert(link("a", "z", 2))
+        dep.run()
+        prefetched.refresh()
+        built.refresh()
+        assert all(view.replay.gca is not None
+                   for view in prefetched.mq._views.values())
+        assert prefetched.mq.stats.counters() == built.mq.stats.counters()
+
+
 def _heads(qp):
     return {str(n): (v.status, v.head_index, v.head_hash)
             for n, v in qp.mq._views.items()}
@@ -309,7 +344,8 @@ class TestExtantRootLookup:
         for name in ("find_all", "open_interval"):
             monkeypatch.setattr(ProvenanceGraph, name, counted(name))
         qp = QueryProcessor(dep)
-        qp.prefetch()
+        # every graph built first: the GCA's own reads are not the lookup
+        assert all(view.graph for view in qp.prefetch().values())
         del ops[:]
         assert qp.why(best_cost("c", "d", 5)).is_clean()
         assert "find_all" not in ops

@@ -143,7 +143,10 @@ def _run_schedule(schedule):
 def _pre_gc_colors(dep, audited):
     """Per-vertex verdicts from a cold, full-log querier (the oracle the
     post-GC views are held against), plus each host's *divergence
-    source*: the earliest red vertex hosted on it. Verdicts come
+    source*: the earliest red vertex hosted on it — in a diverged
+    view's partial graph too (a fabricator's send consumed a sequence
+    number, so its next checkpoint does not commit to the replayed
+    machine and the full replay stops there). Verdicts come
     through ``resolve`` — the same mechanism the post-GC side uses — so
     cross-host stub vertices (yellow placeholders in a neighbor's
     partition) are judged by their host's view on both sides of the
@@ -152,7 +155,7 @@ def _pre_gc_colors(dep, audited):
     views = qp.mq.build_views(sorted(dep.nodes, key=str))
     first_red = {}
     for name, view in views.items():
-        if view.status != OK:
+        if view.graph is None:
             continue
         for vertex in view.graph.vertices():
             if vertex.color == Color.RED \

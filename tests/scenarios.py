@@ -336,9 +336,9 @@ class Row:
     ``ok`` after a prefetch to ``(status, reason)``, *reason* a substring
     of its ``verdict_reason``; *faulty* and *suspects* the query's
     ``faulty_nodes()`` and ``suspect_nodes()``. *holes* maps a promise
-    the audit breaks on this row today — ``"verdict"`` or
-    ``"checkpoint-seeded"`` — to why; the contract's tests of it are
-    strict xfails on the row."""
+    the audit breaks on this row today — ``"verdict"``,
+    ``"batch-grouping"`` or ``"checkpoint-seeded"`` — to why; the
+    contract's tests of it are strict xfails on the row."""
 
     def __init__(self, build, adversaries=(), views=None, faulty=(),
                  suspects=None, holes=None, **qp_kwargs):
@@ -473,6 +473,30 @@ def hadoop_mapper_serving(node_cls):
         dep.node("map1").__class__ = node_cls
         return dep, query, run_further
     return build
+
+
+def _mapper_forks():
+    """The small honest WordCount job; ``map1`` then forks its log after
+    entry 1 (its only evidence holders, the reducers, sort after it)."""
+    build = hadoop_mapper_serving(ForkingNode)
+
+    def fork():
+        dep, query, run_further = build()
+        dep.node("map1").fork_log(keep_upto=1)
+        return dep, query, run_further
+    return fork
+
+
+class _SelfDoctoringNode(SNooPyNode):
+    """Checkpoints a snapshot of its own machine with every send counter
+    moved on — committed and signed like any entry — and runs on with its
+    real state."""
+
+    def checkpoint(self):
+        snapshot = self.app.snapshot()
+        seq = {dst: count + 100 for dst, count in snapshot["seq"].items()}
+        self.log.append_checkpoint(self._next_time(),
+                                   dict(snapshot, seq=seq))
 
 
 class _Misreceiver(MisreceivingNode):
@@ -747,6 +771,35 @@ def _doctor_the_checkpoint(lie):
     return setup
 
 
+def _checkpoint_a_doctored_state(dep, nodes):
+    """check: the replay's ``chk`` comparison — b checkpoints a state its
+    machine never had (:class:`_SelfDoctoringNode`), then takes a new
+    link and runs on honestly."""
+    b = nodes["b"]
+    b.checkpoint()
+    b.insert(link("b", "e", 1))
+    dep.run()
+
+
+def _log_its_own_message_misdated(dep, nodes):
+    """check: the ``rcv`` send-time type of ``check_parsed_forms`` — b
+    logs a message from itself, dated by a string, under its own genuine
+    head authenticator (a batch of two, which ``check_receipts`` leaves),
+    then takes a new link. Only the GCA reads the date: the send vertex
+    of a message from the replayed node itself waits for its ack, and the
+    next input compares its time with the deadline."""
+    b = nodes["b"]
+    head = b.log.entry(len(b.log))
+    auth = sign_authenticator(b.identity, head.index, head.timestamp,
+                              head.entry_hash)
+    msg = Msg("+", cost("b", "d", "b", 1), "b", "b", 999, "soon")
+    batch = WireBatch("b", "b", [], [], head.index - 1,
+                      b.log.hash_at(head.index - 2), auth)
+    b.log.append(b._next_time(), RCV, rcv_entry_content(msg, batch))
+    b.insert(link("b", "q", 4))
+    dep.run()
+
+
 def _commit_an_unrestorable_snapshot(_dep, nodes):
     """check: the REPLAY_FAILED verdict, for a seed."""
     b = nodes["b"]
@@ -852,8 +905,10 @@ CORPUS = {
                 query=lambda qp: qp.effects(link("b", "e", 1), scope=6)),
         adversaries="b", faulty="b",
         holes={"checkpoint-seeded": "b's checkpoint snapshots its corrupt "
-               "machine, send seqs included, so the seeded audit convicts "
-               "b of a send vertex the full audit's answer does not hold"}),
+               "machine: the full audit convicts b at that chk, so a query "
+               "rooted at b has no full-audit answer, and the audit seeded "
+               "from it convicts b of a send vertex the full audit never "
+               "built"}),
     # The backward chain from c's stale belief is black; damage
     # assessment at b finds the suppressed -τ as a red send.
     "suppressing": Row(
@@ -996,6 +1051,9 @@ CORPUS = {
     # check deleted, the row's verdict changes
     "rcv-under-an-unsigned-authenticator": _convicts_b(
         _rcv_under_a_bogus_authenticator("a", 99), _BAD_SIGNATURE),
+    "rcv-of-its-own-message-misdated": _convicts_b(
+        _log_its_own_message_misdated,
+        "rcv entry 69's parsed form does not re-derive"),
     "rcv-under-an-unregistered-signer": _convicts_b(
         _rcv_under_a_bogus_authenticator("z", 1),
         "authenticator from unregistered node 'z'"),
@@ -1019,6 +1077,16 @@ CORPUS = {
         _doctor_the_checkpoint(lie),
         _CHK_SEED, use_checkpoints=True)
        for lie in ("re-dated", "dropped", "missing")},
+    # b's own signed chk over a state its machine never had: red in the
+    # full audit; an audit seeded from it (or from a later one b doctors
+    # alike) holds b's vertices below the seed yellow.
+    "checkpoint-of-a-doctored-state": Row(
+        mincost(overrides={"b": _SelfDoctoringNode},
+                setup=_checkpoint_a_doctored_state),
+        adversaries="b", faulty="b",
+        views={"b": (_FAULTY, "replay of node 'b' diverged: chk entry 69 "
+                              "does not commit to the replayed machine's "
+                              "state")}),
     "checkpoint-crashes-the-machine": _convicts_b(
         _commit_an_unrestorable_snapshot,
         "replay of node 'b' diverged: KeyError('store')",
@@ -1050,4 +1118,15 @@ CORPUS = {
         views={"map1": (_MISSING, "content unavailable")})
        for lie, node_cls in (("replaces", _SplitReplacingNode),
                              ("strips", SplitStrippingNode))},
+    # The reducers hold map1's authenticators above its fork. Views and
+    # colours do not depend on batching; one counter does (ROADMAP).
+    "hadoop-mapper-forks": Row(
+        _mapper_forks(), adversaries=["map1"], faulty=["map1"],
+        views={"map1": (_FAULTY, "returned log ends at 1 but evidence "
+                                 "covers")},
+        holes={"batch-grouping": "signatures_verified is 21 in one batch "
+               "in canonical order and 20 with one node per batch in "
+               "reverse: in canonical order build.settle checks the "
+               "consistency channel's copy of map1's authenticator before "
+               "red0's log carries the same one, checked again there"}),
 }

@@ -179,7 +179,8 @@ class TestCounterContracts:
         assert set(QueryStats().counters()) == {
             "log_bytes", "authenticator_bytes", "checkpoint_bytes",
             "logs_fetched", "delta_fetches", "cache_hits", "refreshes",
-            "events_replayed", "signatures_verified", "auth_checks_skipped",
+            "events_replayed", "signatures_verified", "graphs_built",
+            "auth_checks_skipped",
             "auth_checks_recovered", "auth_checks_tombstoned",
             "microqueries", "anchor_fetches",
             "delta_tuples_in", "delta_tuples_out", "retractions_applied",
