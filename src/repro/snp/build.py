@@ -327,7 +327,8 @@ def compute_build(job, deployment, stats, verified):
     evidence newly fell behind the chain's base) and ``replay`` — a fresh
     replay for a full build (both passes, or the verify pass alone
     without ``job.graph``: a prefetch's), the base view's replay advanced
-    in place for an extend (its graph built first, if it has none).
+    in place for an extend (its machine alone while no query has read
+    its graph).
     ``job.encoded`` is hashed, then dropped. *verified* is the
     querier's per-batch signature memo (:func:`verify_auth`). A response
     that proves the node (or the mirror serving it) faulty raises

@@ -12,7 +12,8 @@ is the caching optimization Section 5.6 describes. A verdict needs only
 step (2)'s state machine, so a replay is two passes
 (:mod:`repro.snp.replay`): the *verify pass* drives the machine and
 decides the view, and the *graph pass* regenerates the partition. A
-prefetch runs the first alone, and a view's graph is built the first time
+prefetch runs the first alone, a refresh of a view no query has read
+advances its machine alone, and a view's graph is built the first time
 it is read (:attr:`NodeView.graph`, the one accessor); a query's builds
 run both in one drive. The view records how the node turned out:
 
@@ -88,7 +89,11 @@ class NodeView:
     from. The invariant: the replayed machine has consumed entries
     ``1..head_index``, ``head_hash`` is the chain hash ``h_head_index``,
     and once ``graph`` is built it is exactly the replay of those
-    entries.
+    entries. A ``proven-faulty`` view a refresh convicted keeps the head
+    the querier had verified before; any other has head 0 — its first
+    build convicted it, or evidence another log carried contradicted
+    its chain somewhere below the head, in whichever batch brought it.
+    That head is what :meth:`MicroQuerier.low_water_marks` pins.
 
     ``chain`` is every chain hash the view verified, from entry
     ``base − 1`` (the hash its first segment was anchored on) to the head
@@ -99,7 +104,9 @@ class NodeView:
     ``replay`` is the live :class:`~repro.snp.replay.ReplayResult` the
     graph belongs to (a failed one, on a proven-faulty view, is kept as
     evidence), or None. ``graph`` is every read of the view's graph: a
-    prefetched view's replay runs its graph pass there, once.
+    prefetched view's replay runs its graph pass there, once, over its
+    first segment and every suffix a refresh extended its machine by;
+    from then on a refresh extends the graph too.
     """
 
     __slots__ = ("node", "status", "verdict_reason", "replay",
@@ -265,8 +272,7 @@ class _BuildJob:
             # Convicted at handshake time (e.g. a signed floor above a
             # live auditor's head): the proof stands without asking the
             # node anything — its log can never be trusted again.
-            self.view = NodeView(self.node, PROVEN_FAULTY,
-                                 verdict_reason=fault)
+            self.view = self._convicted(fault)
             return
         if self.kind == "extended":
             self._fetch_extend()
@@ -289,15 +295,22 @@ class _BuildJob:
             self.view = NodeView(self.node, UNREACHABLE,
                                  verdict_reason=str(failure))
         elif failure is not None:
-            self.view = NodeView(self.node, PROVEN_FAULTY,
-                                 verdict_reason=str(failure),
-                                 replay=self.replay)
+            self.view = self._convicted(str(failure), replay=self.replay)
+
+    def _convicted(self, reason, replay=None):
+        """A proven-faulty view at the head the querier had verified
+        before this pass — a refresh's base head, 0 for a build — so
+        :meth:`MicroQuerier.low_water_marks` keeps pinning the log that
+        holds the proof."""
+        head = 0 if self.base_view is None else self.base_view.head_index
+        return NodeView(self.node, PROVEN_FAULTY, verdict_reason=reason,
+                        replay=replay, head_index=head)
 
     def _refused(self, reason):
         """The view a response that failed verification leaves — the
         mirror policy, written once."""
         if not self.from_mirror:
-            return NodeView(self.node, PROVEN_FAULTY, verdict_reason=reason)
+            return self._convicted(reason)
         if self.kind == "extended":
             # A corrupt replica cannot frame the origin; the origin is
             # merely unreachable right now, so the view stays stale
@@ -677,11 +690,15 @@ class MicroQuerier:
         node, the head index this querier has verified up to. A GC pass
         (``Deployment.run_gc``) never truncates a registered querier's
         node above this mark, so every cached ``ok`` view stays
-        delta-refreshable across GC."""
+        delta-refreshable across GC. A convicted node is pinned too, at
+        its view's head (:class:`NodeView`): the log that holds the
+        proof stays, and a node pinned at 0 advertises no floor at
+        all."""
         return {
             node: view.head_index
             for node, view in self._views.items()
-            if view.status == OK and view.head_index > 0
+            if view.status == PROVEN_FAULTY
+            or (view.status == OK and view.head_index > 0)
         }
 
     def pending_skipped(self, node_id):

@@ -26,7 +26,9 @@ partition of Gν. It comes in two passes over one drive core
 (:class:`MachineStepper`) — all a verdict reads — and the *graph pass*
 runs the GCA. :func:`replay_segment` runs both in one drive, or the verify
 pass alone; then the result keeps what the graph pass needs and runs it
-the first time its graph is read.
+the first time its graph is read. :func:`extend_replay` drives a suffix
+through whichever the result holds: the GCA once a graph exists, else
+the machine alone, keeping the suffix for the graph pass.
 
 Replay correctness leans on the engine's determinism contract (see
 DESIGN.md): the indexed evaluator sorts every observable result into
@@ -160,21 +162,27 @@ def check_against_authenticator(response, hashes, auth):
 
 
 class ReplayResult:
-    """Outcome of replaying one node's log segment.
+    """Outcome of replaying one node's log segment, and of every suffix
+    :func:`extend_replay` later drove it through.
 
     ``gca`` is the :class:`~repro.provgraph.gca.GraphConstructor` that
     built ``graph`` and holds the node's replayed machine, retained so a
-    later verified log *suffix* can be replayed onto the same state with
-    :func:`extend_replay` instead of rebuilding from entry 1. A verify
-    pass alone (:func:`replay_segment` with ``graph=False``) leaves it
-    None, and ``kept`` holds what the graph pass replays — the verified response (its entries and
-    seed), the app factory, Tprop, the alarm set the verify pass saw and
-    the stats it counted into. Reading ``graph`` runs that pass, once.
-    ``events_replayed`` counts the events this result's machine was
-    driven through, each once.
+    later verified log *suffix* can be replayed onto the same state
+    instead of rebuilding from entry 1. Until the graph is first read it
+    is None, and ``kept`` holds what the graph pass replays: the
+    verified response whose seed the machine starts from, the app
+    factory, Tprop, the stats the verify pass counted into, and the
+    verified segments in order — the response's entries, then each
+    suffix — each with the alarm set its own pass saw. ``stepper`` is
+    the :class:`MachineStepper` a graphless result extends; a prefetch
+    keeps none, and the first extension rebuilds it from ``kept``.
+    Reading ``graph`` runs the graph pass over ``kept``, once, and drops
+    ``kept`` and the stepper. ``events_replayed`` counts the events this
+    result's machine was driven through, each once.
     """
 
-    __slots__ = ("node", "events_replayed", "failure", "gca", "kept")
+    __slots__ = ("node", "events_replayed", "failure", "gca", "kept",
+                 "stepper")
 
     def __init__(self, node):
         self.node = node
@@ -182,6 +190,7 @@ class ReplayResult:
         self.failure = None
         self.gca = None
         self.kept = None
+        self.stepper = None
 
     @property
     def ok(self):
@@ -193,26 +202,43 @@ class ReplayResult:
         return self.constructor().graph
 
     def constructor(self):
-        """The retained GCA; a verify pass's result runs its graph pass
+        """The retained GCA; a result without one runs its graph pass
         here, the first time it is asked."""
         if self.gca is None:
-            response, app_factory, t_prop, alarms, stats = self.kept
-            replay_segment(self.node, response, app_factory, t_prop, stats,
-                           known_alarm_msg_ids=alarms, verified=self)
+            _response, app_factory, t_prop, stats, _segments = self.kept
+            self.gca = GraphConstructor(app_factory, t_prop=t_prop)
+            stats.graphs_built += 1
+            self._redrive(self.gca)
+            self.kept = self.stepper = None
         return self.gca
+
+    def _redrive(self, driver):
+        """Drive a fresh *driver* through the kept segments from the
+        kept seed, each under its own alarm set, counting no event: the
+        verify pass counted them all."""
+        response, _app_factory, _t_prop, stats, segments = self.kept
+        seed = response.seed
+        for entries, alarms in segments:
+            driver.known_alarm_msg_ids = alarms
+            _drive_gca(self, driver, entries, stats, seed=seed,
+                       counted=False)
+            seed = None
 
 
 class MachineStepper:
     """The verify pass's driver: the node's state machine alone, in the
     GCA's place in :func:`_drive_gca`. It takes the same events and the
     same seed and reads what the GCA reads that can fail — the machine's
-    handlers, the seeded tuples' vertex keys — and builds no vertex."""
+    handlers, the seeded tuples' vertex keys — and builds no vertex. It
+    holds an alarm set only because the GCA does: no machine reads
+    one."""
 
-    __slots__ = ("machine_factory", "machines")
+    __slots__ = ("machine_factory", "machines", "known_alarm_msg_ids")
 
     def __init__(self, machine_factory):
         self.machine_factory = machine_factory
         self.machines = {}
+        self.known_alarm_msg_ids = frozenset()
 
     def machine(self, node):
         if node not in self.machines:
@@ -294,9 +320,10 @@ def _drive_gca(result, driver, entries, stats, seed=None, counted=True):
     is no crash).
 
     *stats* (a QueryStats) receives the replay cost: wall-clock seconds,
-    and — unless the drive is a graph pass over entries a verify pass
-    already *counted* — events processed and the engine's delta counters
-    accumulated by the driven machines.
+    and — unless the drive re-runs entries a verify pass already
+    *counted* (a graph pass, or a machine rebuilt for an extension) —
+    events processed and the engine's delta counters accumulated by the
+    driven machines.
     """
     node = result.node
     runs = [(log_entries_to_history(node, run), chk)
@@ -334,8 +361,7 @@ def _drive_gca(result, driver, entries, stats, seed=None, counted=True):
 
 
 def replay_segment(node_id, response, app_factory, t_prop, stats,
-                   known_alarm_msg_ids=frozenset(), graph=True,
-                   verified=None):
+                   known_alarm_msg_ids=frozenset(), graph=True):
     """Replay a verified RetrieveResponse.
 
     Returns a ReplayResult whose graph is the node's partition of Gν. A
@@ -346,32 +372,24 @@ def replay_segment(node_id, response, app_factory, t_prop, stats,
     yellow) are caught, and reported as a replay failure.
 
     With *graph* (the default) both passes run in one drive: a fresh GCA
-    drives the machine and builds the graph. Without it this is the
-    verify pass alone — the machine, which decides the failure — and the
-    result keeps what the graph pass needs. The graph pass is this
-    function again, with *verified* that result: a fresh GCA replays the
-    kept entries from the same seed under the same alarm set, and counts
-    no event the verify pass counted. Whichever pass runs the GCA counts
-    one ``graphs_built``.
+    drives the machine and builds the graph, and counts one
+    ``graphs_built``. Without it this is the verify pass alone — the
+    machine, which decides the failure — and the result keeps what the
+    graph pass needs (:class:`ReplayResult`), but not the machine.
 
     *stats* (a QueryStats) receives the replay cost directly — the
     querier passes its own.
     """
-    if verified is None:
-        result = ReplayResult(node_id)
-    else:
-        result = verified
-        result.kept = None
+    result = ReplayResult(node_id)
     if graph:
         driver = result.gca = GraphConstructor(app_factory, t_prop=t_prop)
-        driver.known_alarm_msg_ids = known_alarm_msg_ids
         stats.graphs_built += 1
     else:
         driver = MachineStepper(app_factory)
-        result.kept = (response, app_factory, t_prop, known_alarm_msg_ids,
-                       stats)
-    _drive_gca(result, driver, response.entries, stats, seed=response.seed,
-               counted=verified is None)
+        result.kept = (response, app_factory, t_prop, stats,
+                       [(response.entries, known_alarm_msg_ids)])
+    driver.known_alarm_msg_ids = known_alarm_msg_ids
+    _drive_gca(result, driver, response.entries, stats, seed=response.seed)
     return result
 
 
@@ -380,21 +398,30 @@ def extend_replay(node_id, result, response, stats,
     """Continue a previous replay with a verified log suffix.
 
     *result* must be the ReplayResult of an earlier replay of the same
-    node. Its graph is built first if a verify pass alone made it (the
-    standing path keeps its graphs); its retained GCA then holds the
-    bookkeeping state (open exist/believe intervals, pending sends,
-    unacked messages) and the node's replayed state machine, so
+    node. A result whose graph is built drives its retained GCA: it
+    holds the bookkeeping state (open exist/believe intervals, pending
+    sends, unacked messages) and the node's replayed state machine, so
     processing only the new events yields the same graph a full
-    re-replay of the extended log would. The alarm set is refreshed to
-    what the maintainer knows *now* — verdicts on older events keep
-    reflecting what was known when their segment was audited (see
-    DESIGN.md, "Audit path").
+    re-replay of the extended log would. A result no graph read has
+    reached drives its machine alone — ``stepper``, rebuilt from
+    ``kept`` if a prefetch left none — and keeps the suffix for the
+    graph pass. Either way the suffix is
+    judged under the alarm set the maintainer knows *now* — verdicts on
+    older events keep reflecting what was known when their segment was
+    audited (see DESIGN.md, "Audit path").
 
     Mutates *result* in place, with the same crash-capture semantics as
     :func:`replay_segment`.
     """
-    gca = result.constructor()
-    gca.known_alarm_msg_ids = known_alarm_msg_ids
+    driver = result.gca
+    if driver is None:
+        if result.stepper is None:
+            app_factory = result.kept[1]
+            result.stepper = MachineStepper(app_factory)
+            result._redrive(result.stepper)
+        driver = result.stepper
+        result.kept[-1].append((response.entries, known_alarm_msg_ids))
+    driver.known_alarm_msg_ids = known_alarm_msg_ids
     # No snapshot is taken or restored anywhere on this path: the suffix
     # drives the retained machine exactly as a full re-replay would.
-    _drive_gca(result, gca, response.entries, stats)
+    _drive_gca(result, driver, response.entries, stats)

@@ -11,7 +11,9 @@ What the audit's provenance graphs keep is a byte budget as well: a
 standing audit holds its graphs for as long as it runs, so every view's
 graph is built (a prefetch leaves them to the first read) and the bytes
 allocated in ``repro.provgraph`` that the views still hold are traced
-and divided by the graphs' vertices plus edges.
+and divided by the graphs' vertices plus edges. A standing audit that no
+query reads builds none: its refreshes advance each node's machine
+alone, and what it retains is a byte budget too.
 """
 
 import gc
@@ -22,6 +24,8 @@ import pytest
 
 from repro.apps.chord import ChordNetwork
 from repro.snp import Deployment, QueryProcessor
+
+from scenarios import APPLICATION_SCENARIOS
 
 #: Ceilings sit between what this tree measures (22.3 per appended entry,
 #: 14.4 per replayed event on CPython 3.11) and what came before: the
@@ -43,6 +47,11 @@ MAX_TRACKED_PER_EVENT = 17.5
 #: vertex and a set of integer edge codes. A key tuple per vertex (~32)
 #: or an int per edge (~18) coming back crosses the ceiling.
 MAX_GRAPH_BYTES_PER_ITEM = 150
+#: Bytes a chord@16 standing audit retains after a prefetch and four
+#: refreshes that no query reads: 4.5 MB here (the same under every
+#: hash seed), 10.8 MB when a refresh built each view's graph before it
+#: extended it.
+MAX_UNREAD_STANDING_AUDIT_BYTES = 5.0e6
 PINNED = sys.version_info[:2] == (3, 11)
 
 
@@ -120,3 +129,24 @@ def test_the_audit_graphs_stay_inside_the_byte_budget(collector_off):
     assert items > 4000
     if PINNED:
         assert held / items < MAX_GRAPH_BYTES_PER_ITEM
+
+
+def test_an_unread_standing_audit_stays_inside_the_byte_budget():
+    _name, dep, _query, run_further = APPLICATION_SCENARIOS["chord"](
+        n_nodes=16)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        qp = QueryProcessor(dep)
+        qp.prefetch()
+        for _epoch in range(4):
+            run_further()
+            qp.refresh()
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if PINNED:
+        assert held < MAX_UNREAD_STANDING_AUDIT_BYTES
+    assert qp.mq.stats.graphs_built == 0
+    assert all(view.status == "ok" for view in qp.mq._views.values())

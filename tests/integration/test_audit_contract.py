@@ -214,6 +214,56 @@ class TestGraphsOnDemand:
         assert answers[1] == answers[0] and answers[2] == answers[0]
 
 
+    def test_a_refresh_before_any_read_changes_no_answer(self, row):
+        # a standing audit whose views no query read until after a
+        # refresh extended their machines alone answers as one whose
+        # builds made their graphs and whose refresh extended them
+        outcomes = []
+        for graphs in (False, True):
+            dep, query, run_further = row.build()
+            qp = row.processor(dep)
+            qp.mq.build_views(_all_nodes(dep), graphs=graphs)
+            run_further()
+            qp.refresh()
+            outcomes.append((fingerprint(query(qp)), _decided(qp)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_each_suffix_keeps_the_alarm_set_its_refresh_saw(
+            self, monkeypatch):
+        # b sends to c, which has stopped receiving, and the maintainer
+        # hears of the missing ack only after the first refresh: under
+        # that refresh's alarm set b's next input paints the unacked
+        # send red, and a graph first read after the second refresh
+        # replays the first suffix under the first set, as an eager
+        # audit did
+        dep, nodes = paper_network(seed=3)
+        audits = [QueryProcessor(dep), QueryProcessor(dep)]
+        audits[0].prefetch()
+        audits[1].mq.build_views(_all_nodes(dep))
+        late = []
+        monkeypatch.setattr(dep.maintainer, "notify_missing_ack",
+                            late.append)
+        dep.drop_wires_to("c")
+        for name in ("z", "z2"):
+            nodes["b"].insert(link("b", name, 9))
+            dep.run()
+        for qp in audits:
+            qp.refresh()
+        monkeypatch.undo()
+        assert late
+        for alarm in late:
+            dep.maintainer.notify_missing_ack(alarm)
+        nodes["b"].insert(link("b", "z3", 9))
+        dep.run()
+        graphs = []
+        for qp in audits:
+            qp.refresh()
+            graphs.append(sorted((str(v.key()), v.color) for v in
+                                 qp.mq.view_of("b").graph.vertices()))
+        assert any(color == "red" for _key, color in graphs[1])
+        assert graphs[0] == graphs[1]
+
+
 class TestStandingAudits:
     def test_an_empty_refresh_changes_nothing(self, row, built):
         dep, query = built

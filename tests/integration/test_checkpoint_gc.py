@@ -26,11 +26,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.mincost import best_cost, link
+from repro.apps.mincost import best_cost, cost, link
 from repro.crypto.hashing import content_digest
 from repro.snp import QueryProcessor
 from repro.snp.adversary import (
-    FloorLiarNode, ForkingNode, OverTruncatingNode,
+    FabricatorNode, FloorLiarNode, ForkingNode, OverTruncatingNode,
 )
 from repro.metrics import ServiceMeter
 from repro.service import ServicePusher
@@ -368,6 +368,44 @@ class TestAdversarialGc:
         view = qp.mq.view_of("b")
         assert view.status == PROVEN_FAULTY
         assert view.verdict_reason == reason
+
+    def test_a_refresh_conviction_pins_the_log_that_proves_it(self):
+        # test_prop_retention's pinned fabricator: b fabricates, every
+        # node checkpoints, b fabricates again, and the standing
+        # auditor's refresh convicts b at the checkpoint. The auditor
+        # keeps pinning b at the head it verified before, so GC keeps
+        # the proof and a post-GC querier convicts b as well
+        dep, nodes = paper_network(seed=0,
+                                   overrides={"b": FabricatorNode})
+        qp = _standing_auditor(dep)
+        verified = qp.mq.view_of("b").head_index
+        nodes["b"].fabricate("+", cost("c", "z", "b", 1), "c")
+        dep.run()
+        dep.checkpoint_all()
+        nodes["c"].insert(link("c", "w", 9))
+        dep.run()
+        nodes["b"].fabricate("+", cost("c", "z", "b", 2), "c")
+        dep.run()
+        nodes["c"].insert(link("c", "w", 1))
+        dep.run()
+        qp.refresh()
+        assert qp.mq.view_of("b").status == PROVEN_FAULTY
+        assert qp.low_water_marks()["b"] == verified
+        dep.run_gc(checkpoint=False)
+        assert QueryProcessor(dep).mq.view_of("b").status == PROVEN_FAULTY
+
+    def test_a_build_conviction_keeps_the_whole_log(self):
+        dep, nodes = paper_network(seed=423, overrides={"b": ForkingNode})
+        dep.checkpoint_all()
+        nodes["b"].fork_log(keep_upto=3)
+        nodes["b"].insert(link("b", "w", 8))
+        dep.run()
+        qp = _standing_auditor(dep)
+        assert qp.mq.view_of("b").status == PROVEN_FAULTY
+        assert qp.low_water_marks()["b"] == 0
+        dep.run_gc()
+        assert dep.advertised_floor_of("b") == 0
+        assert nodes["b"].log.start_index == 1
 
     def test_crashed_origin_served_from_gcd_mirror(self):
         dep, nodes = paper_network(seed=424)

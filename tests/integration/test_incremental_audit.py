@@ -537,7 +537,7 @@ class TestReplayBookkeeping:
         views = qp.prefetch()
         assert all(view.status == "ok" for view in views.values())
         for node, view in views.items():
-            gca = view.replay.gca
+            gca = view.replay.constructor()
             assert set(gca.machines) == {node}
             assert set(gca._unacked) <= {node}
             assert {gca.graph.vertex(v).node for v in gca._nopreds} \

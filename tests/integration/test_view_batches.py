@@ -85,20 +85,27 @@ class TestGraphsOnDemand:
                       "support_rederivations"):
             assert counters[field] == verified[field], field
 
-    def test_a_refresh_builds_a_graph_before_it_extends_it(self):
-        # the standing path keeps its graphs: a prefetched standing audit
-        # counts, after a refresh, as one whose builds made their graphs
-        dep, nodes = paper_network()
+    def test_a_refresh_extends_a_machine_and_builds_no_graph(self):
+        # a prefetched standing audit refreshed k times has built no
+        # graph; after a query it has the views, the answer and every
+        # counter but graphs_built of one whose builds made their graphs
+        _name, dep, query, run_further = APPLICATION_SCENARIOS["chord"](
+            n_nodes=8)
         prefetched, built = QueryProcessor(dep), QueryProcessor(dep)
         prefetched.prefetch()
         built.mq.build_views(sorted(dep.nodes, key=str))
-        nodes["a"].insert(link("a", "z", 2))
-        dep.run()
-        prefetched.refresh()
-        built.refresh()
-        assert all(view.replay.gca is not None
-                   for view in prefetched.mq._views.values())
-        assert prefetched.mq.stats.counters() == built.mq.stats.counters()
+        for _epoch in range(3):
+            run_further()
+            prefetched.refresh()
+            built.refresh()
+        assert prefetched.mq.stats.graphs_built == 0
+        answers = [fingerprint(query(qp)) for qp in (prefetched, built)]
+        assert answers[0] == answers[1]
+        assert _heads(prefetched) == _heads(built)
+        counters = [qp.mq.stats.counters() for qp in (prefetched, built)]
+        assert 0 < counters[0].pop("graphs_built") \
+            < counters[1].pop("graphs_built")
+        assert counters[0] == counters[1]
 
 
 def _heads(qp):
