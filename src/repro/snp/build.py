@@ -68,6 +68,17 @@ def verify_auth(public_key, auth, stats, verified):
         verified[key] = public_key
 
 
+def _verify_committed(response, encoded, public_key, stats, verified):
+    """The node committed to the segment: its head authenticator is
+    validly signed and covers the segment's last entry on the chain
+    recomputed from *encoded*, the fetch's
+    :func:`~repro.snp.log.encode_contents`."""
+    auth = response.head_auth
+    verify_auth(public_key, auth, stats, verified)
+    check_against_authenticator(
+        response, verify_segment_hashes(response, encoded), auth)
+
+
 def check_parsed_forms(response, seed_bytes):
     """Every entry must hold the parsed form replay reads.
 
@@ -211,11 +222,9 @@ def _verify_response(job, deployment, stats, verified):
                 f"reach the advertised retention floor {floor} — the node "
                 "truncated below what it signed (retention violation)",
             )
-    verify_auth(deployment.public_key_of(node_id), response.head_auth, stats,
-                verified)
-    hashes = verify_segment_hashes(response, job.encoded)
+    _verify_committed(response, job.encoded, deployment.public_key_of(node_id),
+                      stats, verified)
     job.encoded = None  # hashed: the fetch's bytes are done with
-    check_against_authenticator(response, hashes, response.head_auth)
     check_parsed_forms(response, job.seed_bytes)
     for signer, auth in embedded_authenticators(response):
         if signer not in deployment.nodes:  # no peer could have sent it
@@ -312,10 +321,13 @@ def _settle_pass(job, deployment, stats, verified):
             return False  # not actually signed by node_id; ignore
         return True
 
+    # The peers' evidence first: unlike what the ledger holds, it is the
+    # same in every batching, so a conviction's reason and checks are too.
     last = response.head_index
-    grew = settle(node_id, held, lookup, last, ledger, floor, stats)
-    job.anchor = settle(node_id, job.consistency, lookup, last, ledger, floor,
-                        stats, verify=signed) or grew
+    grew = settle(node_id, job.consistency, lookup, last, ledger, floor,
+                  stats, verify=signed)
+    job.anchor = settle(node_id, held, lookup, last, ledger, floor, stats) \
+        or grew
 
 
 def compute_build(job, deployment, stats, verified):
@@ -391,11 +403,8 @@ def verify_anchor_segment(response, encoded, public_key, view, stats,
     :func:`~repro.snp.log.encode_contents`, *verified* the batch's
     signature memo.
     """
-    auth = response.head_auth
-    verify_auth(public_key, auth, stats, verified)
-    hashes = verify_segment_hashes(response, encoded)
-    check_against_authenticator(response, hashes, auth)
-    # Attested == recomputed, as of two lines up; None when the segment
+    _verify_committed(response, encoded, public_key, stats, verified)
+    # Attested == recomputed, as of the line above; None when the segment
     # does not reach the audited head.
     found = response.hash_at(view.head_index)
     if found is not None and found != view.head_hash:

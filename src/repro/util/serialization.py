@@ -31,24 +31,16 @@ def canonical_bytes(value):
 
 
 def canonical_size(value):
-    """Byte size of the canonical encoding (used for traffic accounting),
-    summed over the value without building the bytes."""
-    # A def of its own, not an alias: the walk recurses through _size, so
-    # whoever wraps this entry point (the benchmark's tracer) sees one
-    # call per measured value, as with canonical_bytes and _encode.
-    return _size(value)
+    """Byte size of the canonical encoding (used for traffic accounting)."""
+    return len(canonical_bytes(value))
 
 
 def _encode(value, out):
-    (_ENCODERS.get(type(value)) or _for_subclass(value, _ENCODERS))(value, out)
+    (_ENCODERS.get(type(value)) or _for_subclass(value))(value, out)
 
 
-def _size(value):
-    return (_SIZERS.get(type(value)) or _for_subclass(value, _SIZERS))(value)
-
-
-def _for_subclass(value, table):
-    """The *table* entry for a value whose exact type is not in it: a
+def _for_subclass(value):
+    """The encoder for a value whose exact type ``_ENCODERS`` lacks: a
     subclass of a supported type (``IntEnum``, a named tuple, a ``str``
     subclass), tested in the order the encoding has always tested them,
     or else an object exposing ``canonical_key()`` (its memoized encoding,
@@ -58,17 +50,17 @@ def _for_subclass(value, table):
     the type: the next value of that type finds it at once."""
     for base in (int, float, str, bytes, tuple, list, dict, frozenset):
         if isinstance(value, base):
-            found = table[base]
+            found = _ENCODERS[base]
             break
     else:
         if hasattr(value, "canonical_key"):
-            found = table["canonical_key"]
+            found = _ENCODERS["canonical_key"]
         elif hasattr(value, "canonical"):
-            found = table["canonical"]
+            found = _ENCODERS["canonical"]
         else:
             raise TypeError(
                 f"cannot canonically encode {type(value).__name__}")
-    table[type(value)] = found
+    _ENCODERS[type(value)] = found
     return found
 
 
@@ -147,38 +139,4 @@ _ENCODERS = {
     frozenset: _encode_frozenset,
     "canonical_key": lambda value, out: out.append(value.canonical_key()),
     "canonical": lambda value, out: _encode(value.canonical(), out),
-}
-
-
-def _size_str(value):
-    if value.isascii():
-        return 5 + len(value)
-    return 5 + len(value.encode("utf-8"))
-
-
-def _size_sequence(value):
-    total = 5
-    sizers = _SIZERS
-    for item in value:
-        sizer = sizers.get(type(item))
-        total += _size(item) if sizer is None else sizer(item)
-    return total
-
-
-#: Exact type -> size of the encoding above: a tag byte, a four-byte
-#: length or count where the encoder writes one, then the body.
-_SIZERS = {
-    type(None): lambda value: 1,
-    bool: lambda value: 1,
-    int: lambda value: 5 + len(str(value)),
-    float: lambda value: 9,
-    str: _size_str,
-    bytes: lambda value: 5 + len(value),
-    tuple: _size_sequence,
-    list: _size_sequence,
-    dict: lambda value: 5 + sum(
-        8 + _size(k) + _size(v) for k, v in value.items()),
-    frozenset: lambda value: 5 + sum(4 + _size(item) for item in value),
-    "canonical_key": lambda value: len(value.canonical_key()),
-    "canonical": lambda value: _size(value.canonical()),
 }

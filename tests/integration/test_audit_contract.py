@@ -186,6 +186,22 @@ class TestColdAudits:
         assert _cold_outcome(grouping_row, dep, query,
                              batches=[[n] for n in nodes[::-1]]) == together
 
+    def test_a_conviction_says_the_same_in_every_batching(self):
+        # map1's only evidence holders, the reducers, sort after it: one
+        # canonical batch convicts it before their logs are held, one
+        # node per batch in reverse after. (Elsewhere a reason may still
+        # depend on batching; ROADMAP item 20.)
+        row = CORPUS["hadoop-mapper-forks"]
+        dep, _query, _run_further = row.build()
+        nodes = _all_nodes(dep)
+        decided = []
+        for batches in ([nodes], [[n] for n in nodes[::-1]]):
+            qp = row.processor(dep)
+            for batch in batches:
+                qp.prefetch(batch)
+            decided.append(_decided(qp)["map1"])
+        assert decided[0] == decided[1]
+
 
 class TestGraphsOnDemand:
     def test_a_query_leaves_the_verdicts_a_prefetch_decided(self, row,

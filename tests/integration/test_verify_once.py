@@ -1,8 +1,8 @@
 """Verification does each piece of work once.
 
 * A fetched entry's content is encoded once, on receipt: the fetch is
-  charged by those bytes and the chain check hashes the same bytes; the
-  arithmetic size walk (``canonical_size``) never sees it.
+  charged by those bytes and the chain check hashes the same bytes;
+  ``canonical_size`` (a second encode) never sees it.
 * Within a batch, one authenticator under one key costs one RSA
   operation, however many checks ask for it; every check still counts in
   ``signatures_verified``.

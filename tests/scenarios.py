@@ -1118,15 +1118,11 @@ CORPUS = {
         views={"map1": (_MISSING, "content unavailable")})
        for lie, node_cls in (("replaces", _SplitReplacingNode),
                              ("strips", SplitStrippingNode))},
-    # The reducers hold map1's authenticators above its fork. Views and
-    # colours do not depend on batching; one counter does (ROADMAP).
+    # The reducers, which sort after map1, hold its authenticators above
+    # its fork: the peers' copies convict it before any held one, in
+    # every batching.
     "hadoop-mapper-forks": Row(
         _mapper_forks(), adversaries=["map1"], faulty=["map1"],
         views={"map1": (_FAULTY, "returned log ends at 1 but evidence "
-                                 "covers")},
-        holes={"batch-grouping": "signatures_verified is 21 in one batch "
-               "in canonical order and 20 with one node per batch in "
-               "reverse: in canonical order build.settle checks the "
-               "consistency channel's copy of map1's authenticator before "
-               "red0's log carries the same one, checked again there"}),
+                                 "covers 2")}),
 }
